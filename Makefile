@@ -7,7 +7,7 @@ GO ?= go
 # scripts/check_coverage.sh; raised with the monitoring PR).
 COVERAGE_BASELINE ?= 71.0
 
-.PHONY: all build test race bench cover serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke fmt vet ci
+.PHONY: all build test race bench bench-harness cover serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke fmt vet ci
 
 all: build
 
@@ -80,6 +80,14 @@ crash-smoke:
 snowflake-smoke:
 	$(GO) run ./examples/snowflake
 
+# Benchmark harness: benchmark/ is a nested module, so `go build ./...`
+# and `go test ./...` never compile it — yet it calls internal/join,
+# factor, linalg, gmm, nn and plan exports. Vet it and run its self-test
+# (every workload at 2 % scale, plain and traced, self-checks on) so an
+# internal API change that breaks the harness fails CI.
+bench-harness:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
 # Coverage gate: run the tests with -coverprofile and fail when total
 # statement coverage drops below COVERAGE_BASELINE. CI uploads
 # coverage.out as an artifact.
@@ -98,4 +106,4 @@ vet:
 
 # cover runs before bench so the BENCH_*.json files the benchmarks write
 # (with ns/op filled in) are the ones left on disk.
-ci: fmt vet build race cover bench serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke
+ci: fmt vet build race cover bench bench-harness serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke

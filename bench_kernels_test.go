@@ -219,6 +219,21 @@ func BenchmarkKernelLinalg(b *testing.B) {
 			NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N),
 		})
 	})
+	b.Run("outer_rows", func(b *testing.B) {
+		// The NN layer-1 gradient of one chunk: n example rows of δ⁰ (x)
+		// against as many input rows (y), into an n×n weight gradient.
+		xs, ys := make([]float64, n*n), make([]float64, n*n)
+		for i := range xs {
+			xs[i], ys[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		for i := 0; i < b.N; i++ {
+			linalg.OuterAccumRows(a, xs, ys, n)
+		}
+		recordKernelBench(kernelBenchRecord{
+			Bench: "linalg_outer_rows", Variant: fmt.Sprintf("n=%d rows=%d", n, n),
+			NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+		})
+	})
 	b.Run("syrk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			linalg.SyrkAccum(a, 0.5, x)

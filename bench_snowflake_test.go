@@ -2,9 +2,9 @@ package factorml
 
 // BenchmarkSnowflake times — and op-counts — factorized versus
 // materialized training over a shared-sub-dimension snowflake: a depth-3
-// hierarchy whose deep levels have far fewer tuples than their parents, so
-// a sub-dimension tuple's per-distinct-tuple work is shared by many parent
-// tuples at EVERY level. The FLOP counts (core.Ops, the paper's §V-B
+// hierarchy of 150 → 37 → 9 tuples under 6000 fact rows, so a direct
+// dimension tuple's work — its whole subtree's, which the join runner
+// appends to it — is shared by 40 fact rows. The FLOP counts (core.Ops, the paper's §V-B
 // accounting) are flushed to BENCH_snowflake.json; CI asserts the
 // factorized path does at least 2× fewer FLOPs than the materialized
 // baseline (TestSnowflakeFactorizedOpsAdvantage, which runs without

@@ -37,9 +37,10 @@
 // reference sub-dimension tables (CreateDimensionTable's variadic parent
 // references), forming an arbitrary-depth snowflake DAG. Datasets,
 // trainers, the prediction server and the streaming change feed all
-// operate on the flattened hierarchy, and the factorized paths reuse
-// per-distinct-tuple work at every level — sub-dimension computation is
-// shared across all parent tuples that reach it.
+// operate on the flattened hierarchy. Training resolves the sub-dimension
+// hops once per dimension tuple and factorizes over the direct dimensions,
+// each tuple carrying its subtree's features; the prediction server caches
+// per-distinct-tuple work at every level.
 //
 // Quick start:
 //

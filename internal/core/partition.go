@@ -69,21 +69,28 @@ func BlockSym(m *linalg.Dense, p Partition) *BlockedSym {
 // when writing Σ back from factorized accumulators).
 func (bs *BlockedSym) Assemble() *linalg.Dense {
 	m := linalg.NewDense(bs.P.D, bs.P.D)
-	for i := range bs.B {
-		for j := range bs.B[i] {
-			m.SetBlock(bs.P.Offs[i], bs.P.Offs[j], bs.B[i][j])
-		}
-	}
+	bs.AssembleInto(m)
 	return m
 }
 
-// AssembleInto reconstitutes the full matrix from the blocks into dst
-// (which must be D×D), so per-iteration accumulator reads reuse one
-// destination instead of allocating a fresh Dense each EM step.
+// AssembleInto reconstitutes the full matrix into dst (which must be D×D)
+// from the diagonal and upper blocks B[i][j], i ≤ j, mirroring each upper
+// block into the lower triangle — so an accumulator fills only those, and
+// the assembled matrix is symmetric across blocks by construction. Per-
+// iteration accumulator reads reuse one destination instead of allocating
+// a fresh Dense each EM step.
 func (bs *BlockedSym) AssembleInto(dst *linalg.Dense) {
+	p := bs.P
 	for i := range bs.B {
-		for j := range bs.B[i] {
-			dst.SetBlock(bs.P.Offs[i], bs.P.Offs[j], bs.B[i][j])
+		dst.SetBlock(p.Offs[i], p.Offs[i], bs.B[i][i])
+		for j := i + 1; j < len(bs.B); j++ {
+			b := bs.B[i][j]
+			dst.SetBlock(p.Offs[i], p.Offs[j], b)
+			for r := 0; r < p.Dims[i]; r++ {
+				for c, v := range b.Row(r) {
+					dst.Set(p.Offs[j]+c, p.Offs[i]+r, v)
+				}
+			}
 		}
 	}
 }

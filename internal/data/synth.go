@@ -23,8 +23,7 @@ type SynthConfig struct {
 	// leaf level references DimsPerLevel sub-dimension tables. Each
 	// sub-dimension inherits its parent's feature width and has
 	// max(2, parent cardinality / 4) tuples, so deeper levels are shared
-	// by ever more parent tuples — the redundancy the factorized trainers
-	// exploit at every level.
+	// by ever more parent tuples.
 	Depth int
 	// DimsPerLevel is how many sub-dimension tables each non-leaf
 	// dimension table references when Depth > 1 (default 1).

@@ -18,10 +18,16 @@
 //     count; RunSGDPass adds per-group barrier hooks for Block-mode
 //     gradient steps.
 //   - PartScan — the factorized access path: the block-nested-loops join
-//     runner plus the relation partition, with parallel per-dimension-tuple
-//     cache fills (FillCaches) over disjoint index grains and the
-//     sequential/chunked match streams the factorized trainers drive their
-//     per-match accumulation through.
+//     runner plus the partition the trainers factorize over (Direct: the
+//     fact part and one part per direct dimension, as wide as its subtree —
+//     the runner delivers snowflake dimension tuples with their
+//     sub-dimension features appended, so a snowflake is a star to the
+//     trainers; P keeps the per-relation split for per-node serving
+//     caches), with parallel per-dimension-tuple cache fills (FillCaches)
+//     over disjoint index grains and the sequential/chunked match streams
+//     the factorized trainers drive their per-match accumulation through.
+//     A chunked fold sees each chunk's matches at once, so it can batch
+//     per-match kernels over the chunk.
 //
 // A new model family (linear models, logistic regression, …) needs only
 // its accumulators: the operators here already provide all three strategy

@@ -11,14 +11,22 @@ import (
 )
 
 // PartScan is the factorized access path: the block-nested-loops join
-// runner paired with the relation partition [S, R1, …, Rq]. Factorized
+// runner paired with the partition the trainers factorize over. Factorized
 // trainers fill per-dimension-tuple caches through FillCaches (parallel,
 // disjoint slots, deterministic op accounting), then stream the matches
 // sequentially (Run) or in fixed chunks on the worker pool (RunChunks) and
 // fold model-specific accumulators per match.
+//
+// The runner delivers every direct dimension's tuples with their subtree's
+// features appended, so the trainers' partition is Direct — the fact part
+// plus one part per direct dimension, as wide as its subtree. P, the
+// per-relation partition [S, R1, …, Rq] of the same joined vector, is what
+// the serving engine and the per-node probes cache by. On a star the two
+// coincide.
 type PartScan struct {
 	Runner *join.Runner
 	P      core.Partition
+	Direct core.Partition
 
 	// Pass labels events emitted to the installed pass Observer (see
 	// SetObserver): trainers set it before each pass ("fgmm.estep",
@@ -41,14 +49,12 @@ func NewPartScan(spec *join.Spec, blockPages int) (*PartScan, error) {
 	for _, r := range sp.Rs {
 		dims = append(dims, r.Schema().NumFeatures())
 	}
-	return &PartScan{Runner: runner, P: core.NewPartition(dims)}, nil
+	direct := append([]int{dims[0]}, sp.DirectWidths()...)
+	return &PartScan{Runner: runner, P: core.NewPartition(dims), Direct: core.NewPartition(direct)}, nil
 }
 
-// NumRows returns the fact-table size.
-func (ps *PartScan) NumRows() int { return int(ps.Runner.Spec().S.NumTuples()) }
-
-// Resident returns the loaded tuples of dimension relation 1+j (available
-// once a scan has started; see join.Runner.Resident).
+// Resident returns the loaded tuples of direct dimension 1+j — part 2+j of
+// Direct (available once a scan has started; see join.Runner.Resident).
 func (ps *PartScan) Resident(j int) []*storage.Tuple { return ps.Runner.Resident(j) }
 
 // Scan streams the fully concatenated joined rows — the initialization

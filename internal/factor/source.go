@@ -24,10 +24,6 @@ type GroupedScan func(onRow RowFn, onGroupEnd func() error) error
 // of times (EM makes three passes per iteration); every scan yields the
 // identical row order.
 type Source interface {
-	// NumRows reports the number of rows one scan delivers — the join
-	// result size for a materialized source, the fact-table size for a
-	// streamed one (they differ only when a foreign key dangles).
-	NumRows() int
 	// Width is the joined feature dimensionality.
 	Width() int
 	// Scan streams every joined row.
@@ -62,9 +58,6 @@ func NewMaterializedSource(db *storage.Database, spec *join.Spec, name string) (
 		width: spec.JoinedWidth(),
 	}, nil
 }
-
-// NumRows returns the number of joined tuples written to T.
-func (s *MaterializedSource) NumRows() int { return int(s.tbl.NumTuples()) }
 
 // Width returns the joined feature dimensionality.
 func (s *MaterializedSource) Width() int { return s.width }
@@ -153,10 +146,6 @@ func NewStreamedSource(spec *join.Spec, blockPages int) (*StreamedSource, error)
 	return &StreamedSource{runner: runner, width: w, xbuf: make([]float64, w)}, nil
 }
 
-// NumRows returns the fact-table size (the join is lossless on S when no
-// foreign key dangles).
-func (s *StreamedSource) NumRows() int { return int(s.runner.Spec().S.NumTuples()) }
-
 // Width returns the joined feature dimensionality.
 func (s *StreamedSource) Width() int { return s.width }
 
@@ -174,12 +163,8 @@ func (s *StreamedSource) ScanGroups(onRow RowFn, onGroupEnd func() error) error 
 	return s.runner.Run(join.Callbacks{
 		OnBlockStart: func(b []*storage.Tuple) error { block = b; return nil },
 		OnMatch: func(st *storage.Tuple, r1Idx int, resIdx []int) error {
-			n := copy(x, st.Features)
-			n += copy(x[n:], block[r1Idx].Features)
-			for j, ri := range resIdx {
-				n += copy(x[n:], s.runner.Resident(j)[ri].Features)
-			}
-			if n != s.width {
+			x = s.runner.AppendRow(x[:0], st, block[r1Idx], resIdx)
+			if n := len(x); n != s.width {
 				return fmt.Errorf("factor: assembled %d features, want %d", n, s.width)
 			}
 			return onRow(x, st.Target)

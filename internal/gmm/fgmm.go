@@ -57,8 +57,9 @@ func TrainF(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) 
 	return res, nil
 }
 
-// emFactorized runs the factorized EM loop. Parts: 0 = S, 1 = the blocked
-// dimension relation R1, 2+j = resident dimension relation Rs[1+j].
+// emFactorized runs the factorized EM loop over ps.Direct. Parts: 0 = S,
+// 1 = the blocked first direct dimension, 2+j = resident direct dimension
+// 1+j — each as wide as its subtree, whose columns its tuples carry.
 //
 // The E-step — the dimension-cache fills and the per-match responsibility
 // computation — runs on the chunked worker pool (cfg.NumWorkers): caches
@@ -68,7 +69,7 @@ func TrainF(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) 
 // factorization already collapses their per-tuple work to the small fact
 // part plus per-group flushes.
 func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *Stats) error {
-	p := ps.P
+	p := ps.Direct
 	nw := parallel.Workers(cfg.NumWorkers)
 	k := cfg.K
 	q := p.Parts() - 1 // number of dimension relations
@@ -307,7 +308,8 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 		// and the S-R cross blocks use
 		//   Σ_n γ PD_S PD_Rᵀ = (Σ_{n∈group} γ PD_S) ⊗ PD_R.
 		// Cross blocks between two dimension relations are accumulated per
-		// joined tuple through the cached PDs (paper §V-C).
+		// joined tuple through the cached PDs (paper §V-C). Only the upper
+		// blocks accumulate; AssembleInto mirrors them.
 		// ------------------------------------------------------------------
 		for c := 0; c < k; c++ {
 			acc[c].Zero()
@@ -377,8 +379,6 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 						for b := a + 1; b < q; b++ {
 							linalg.OuterAccum(acc[c].B[1+a][1+b], g[c], pdBuf[a], pdBuf[b])
 							stats.Ops.AddOuter(p.Dims[1+a], p.Dims[1+b])
-							linalg.OuterAccum(acc[c].B[1+b][1+a], g[c], pdBuf[b], pdBuf[a])
-							stats.Ops.AddOuter(p.Dims[1+b], p.Dims[1+a])
 						}
 					}
 				}
@@ -395,8 +395,6 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 						stats.Ops.AddOuter(dR1, dR1)
 						linalg.OuterAccum(acc[c].B[0][1], 1, gv, pd)
 						stats.Ops.AddOuter(dS, dR1)
-						linalg.OuterAccum(acc[c].B[1][0], 1, pd, gv)
-						stats.Ops.AddOuter(dR1, dS)
 					}
 				}
 				return nil
@@ -415,8 +413,6 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 					stats.Ops.AddOuter(dRj, dRj)
 					linalg.OuterAccum(acc[c].B[0][2+j], 1, gv, pd)
 					stats.Ops.AddOuter(dS, dRj)
-					linalg.OuterAccum(acc[c].B[2+j][0], 1, pd, gv)
-					stats.Ops.AddOuter(dRj, dS)
 				}
 			}
 		}

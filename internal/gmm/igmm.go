@@ -255,7 +255,7 @@ func applyDiagCovUpdates(model *Model, nk []float64, sumVar [][]float64, collaps
 // E-step runs on the chunked worker pool; the factorized M-step passes stay
 // sequential (see emFactorized).
 func emFactorizedDiag(ps *factor.PartScan, n int, cfg Config, model *Model, stats *Stats) error {
-	p := ps.P
+	p := ps.Direct
 	nw := parallel.Workers(cfg.NumWorkers)
 	k := cfg.K
 	q := p.Parts() - 1

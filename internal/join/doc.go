@@ -17,7 +17,26 @@
 // block, S is scanned in full and probed against an in-memory hash of the
 // block. Any further dimension tables (multi-way joins, §V-C) are resident:
 // loaded once at the start, which matches the paper's experimental setup
-// where only R1 grows. Emission order is deterministic — R blocks in append
+// where only R1 grows.
+//
+// A snowflake is executed as a star over its direct dimensions. A
+// sub-dimension tuple is functionally determined by its parent tuple, so
+// the Runner resolves sub-dimension hops once per dimension tuple — resident
+// tables when they load, last relation first so children are complete before
+// their parents; Rs[0] per block — and appends the referenced tuples'
+// features (each already carrying its own subtree) to the parent's. Every
+// direct dimension's tuples thus arrive as wide as their whole subtree, in
+// the spec's depth-first-preorder layout: a fact tuple costs one probe per
+// direct dimension, Match.Res and OnMatch's resIdx have one entry per direct
+// dimension after the first, and fact ++ block tuple ++ resident tuples is
+// the joined row. A dimension tuple whose reference dangles is left out of
+// its table's index, which drops exactly the fact tuples that would have
+// reached the dangling hop. The price: a sub-dimension tuple's features are
+// copied into (and, in the factorized trainers, recomputed for) every parent
+// tuple that references it — cheap while a direct dimension tuple serves
+// several fact rows, the planner's call when it serves about one.
+//
+// Emission order is deterministic — R blocks in append
 // order, S scan order within a block — and identical across the three
 // styles, which is what makes the M/S/F training algorithms produce
 // identical models.

@@ -25,6 +25,13 @@ const DefaultBlockPages = 64
 // Every fk must resolve (joins are primary/foreign-key, so the join is
 // lossless on S); a dangling fk at any hop skips the fact tuple
 // (inner-join semantics), exactly as the flattened/materialized join would.
+//
+// The Runner resolves sub-dimension hops once per dimension tuple, not once
+// per fact tuple: a sub-dimension tuple is functionally determined by its
+// parent tuple, so every dimension tuple is loaded with its whole subtree's
+// features appended (preorder), and the join the callbacks see is a star
+// over the direct dimensions — one probe and one index per direct
+// dimension, whatever the depth below it.
 type Spec struct {
 	S  *storage.Table
 	Rs []*storage.Table
@@ -146,6 +153,22 @@ func (sp *Spec) JoinedWidth() int {
 	return d
 }
 
+// DirectWidths returns the feature width of every direct dimension's
+// subtree, in foreign-key order — the width of the tuples the Runner
+// delivers, and with the fact width in front the partition the factorized
+// trainers compute over.
+func (sp *Spec) DirectWidths() []int {
+	parent, _ := sp.edges()
+	var w []int
+	for i, r := range sp.Rs {
+		if parent[i] == -1 {
+			w = append(w, 0)
+		}
+		w[len(w)-1] += r.Schema().NumFeatures()
+	}
+	return w
+}
+
 // FeatureOffsets returns, for each relation in [S, R1, …, Rq] order, the
 // offset of its features within the joined feature vector.
 func (sp *Spec) FeatureOffsets() []int {
@@ -161,15 +184,16 @@ func (sp *Spec) FeatureOffsets() []int {
 
 // Callbacks receives the join stream.
 //
-// OnBlockStart is called once per block of Rs[0] with the block's tuples and
-// — on the first block only — the resident tuples of Rs[1:]. Resident slices
-// stay valid for the whole run. Block slices are valid until the next
-// OnBlockStart.
+// OnBlockStart is called once per block of Rs[0] with the block's tuples.
+// Block slices are valid until the next OnBlockStart; the resident tuples
+// of the other direct dimensions (Runner.Resident) stay valid for the whole
+// run. Every dimension tuple carries its subtree's features appended, so
+// fact ++ block tuple ++ resident tuples is the joined row.
 //
 // OnMatch is called for every joined tuple in deterministic order: for each
 // block (R1 append order), S scan order. r1Idx indexes into the current
-// block's tuples; resIdx[i] indexes into resident table i+1's tuples.
-// The s tuple is only valid for the duration of the call.
+// block's tuples; resIdx[i] indexes into Resident(i), the tuples of direct
+// dimension 1+i. The s tuple is only valid for the duration of the call.
 type Callbacks struct {
 	OnBlockStart func(block []*storage.Tuple) error
 	OnMatch      func(s *storage.Tuple, r1Idx int, resIdx []int) error
@@ -181,8 +205,12 @@ type Runner struct {
 	spec     *Spec
 	parent   []int              // resolution edges (see Spec.Parent)
 	ref      []int              // resolution edges (see Spec.Ref)
-	resident [][]*storage.Tuple // Rs[1:] fully loaded
-	resIndex []map[int64]int    // rid -> index into resident[i]
+	children [][]int            // relations keyed off relation i's tuples, in key order
+	rel      [][]*storage.Tuple // Rs[1:] fully loaded, subtrees appended; rel[0] unused
+	relIndex []map[int64]int    // rid -> index into rel[i]
+	resident [][]*storage.Tuple // rel/relIndex of the direct dimensions after Rs[0]
+	resIndex []map[int64]int
+	hops     int64 // sub-dimension references resolved so far
 	loaded   bool
 	perm     []int64 // optional R1 row permutation (SGD epochs, §VI)
 }
@@ -192,8 +220,13 @@ func NewRunner(spec *Spec) (*Runner, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runner{spec: spec}
+	r := &Runner{spec: spec, children: make([][]int, len(spec.Rs))}
 	r.parent, r.ref = spec.edges()
+	for i, p := range r.parent {
+		if p >= 0 {
+			r.children[p] = append(r.children[p], i)
+		}
+	}
 	return r, nil
 }
 
@@ -221,39 +254,83 @@ func (r *Runner) Shuffle(rng *rand.Rand) {
 	rng.Shuffle(len(r.perm), func(i, j int) { r.perm[i], r.perm[j] = r.perm[j], r.perm[i] })
 }
 
-// Resident returns the loaded tuples of dimension table i (1-based among
-// dimension tables, i.e. Resident(0) is Rs[1]). It is only available after
-// Run has started; the slices are shared, do not modify.
+// Resident returns the loaded tuples of direct dimension 1+i (Resident(0)
+// is the second direct dimension), each with its subtree's features
+// appended. It is only available after Run has started; the slices are
+// shared, do not modify.
 func (r *Runner) Resident(i int) []*storage.Tuple { return r.resident[i] }
 
+// AppendRow appends one match's joined row to dst: the fact tuple's
+// features, its block tuple's, then each resident partner's — every
+// dimension tuple carrying its subtree, which makes this the spec's
+// preorder layout.
+func (r *Runner) AppendRow(dst []float64, s, r1 *storage.Tuple, resIdx []int) []float64 {
+	dst = append(dst, s.Features...)
+	dst = append(dst, r1.Features...)
+	for j, ri := range resIdx {
+		dst = append(dst, r.resident[j][ri].Features...)
+	}
+	return dst
+}
+
+// withSubtree appends to tp, a tuple of relation i, the features of the
+// sub-dimension tuples its foreign keys reference — each already carrying
+// its own subtree, so the result is the preorder layout of the whole
+// subtree below tp. It reports false when a reference dangles.
+func (r *Runner) withSubtree(i int, tp *storage.Tuple) bool {
+	for _, c := range r.children[i] {
+		ci, ok := r.relIndex[c][tp.Keys[1+r.ref[c]]]
+		if !ok {
+			return false
+		}
+		tp.Features = append(tp.Features, r.rel[c][ci].Features...)
+		r.hops++
+	}
+	return true
+}
+
+// loadResident loads Rs[1:], last relation first: preorder puts every
+// sub-dimension after its parent, so a relation's children are complete
+// when its own tuples resolve their hops. A tuple whose reference dangles
+// is left out — no fact tuple can join through it.
 func (r *Runner) loadResident() error {
 	if r.loaded {
 		return nil
 	}
 	rs := r.spec.Rs
-	r.resident = make([][]*storage.Tuple, len(rs)-1)
-	r.resIndex = make([]map[int64]int, len(rs)-1)
-	for i, tbl := range rs[1:] {
+	r.rel = make([][]*storage.Tuple, len(rs))
+	r.relIndex = make([]map[int64]int, len(rs))
+	for i := len(rs) - 1; i >= 1; i-- {
+		tbl := rs[i]
 		tuples := make([]*storage.Tuple, 0, tbl.NumTuples())
 		idx := make(map[int64]int, tbl.NumTuples())
 		sc := tbl.NewScanner()
 		for sc.Next() {
 			tp := sc.Tuple().Clone()
+			if !r.withSubtree(i, tp) {
+				continue
+			}
 			idx[tp.PrimaryKey()] = len(tuples)
 			tuples = append(tuples, tp)
 		}
 		if err := sc.Err(); err != nil {
 			return err
 		}
-		r.resident[i] = tuples
-		r.resIndex[i] = idx
+		r.rel[i], r.relIndex[i] = tuples, idx
+	}
+	for i := 1; i < len(rs); i++ {
+		if r.parent[i] == -1 {
+			r.resident = append(r.resident, r.rel[i])
+			r.resIndex = append(r.resIndex, r.relIndex[i])
+		}
 	}
 	r.loaded = true
 	return nil
 }
 
 // forEachBlock loads consecutive R1 blocks — sequential scan, or installed
-// permutation — and invokes fn once per block with the block's tuples and
+// permutation — and invokes fn once per block with the block's tuples
+// (subtrees appended; a tuple whose sub-reference dangles is left out) and
 // its key index. The slices and map are reused between blocks; fn must be
 // done with them when it returns. Run and RunParallel both drive their
 // passes through this iterator, so the two access paths share one block
@@ -303,6 +380,9 @@ func (r *Runner) forEachBlock(fn func(block []*storage.Tuple, blockIdx map[int64
 				}
 				c = permTuple.Clone()
 			}
+			if !r.withSubtree(0, c) {
+				continue
+			}
 			blockIdx[c.PrimaryKey()] = len(block)
 			block = append(block, c)
 		}
@@ -313,33 +393,24 @@ func (r *Runner) forEachBlock(fn func(block []*storage.Tuple, blockIdx map[int64
 	return nil
 }
 
-// probe resolves one fact tuple through the dimension hierarchy: the first
-// relation's position within the current block (via blockIdx), then every
-// further relation's resident position — keyed off the fact tuple, the
-// block tuple or an earlier resident tuple per the spec's resolution edges.
-// It returns ok=false when the fact tuple's R1 key belongs to another block
-// or any hop dangles (inner-join semantics), with resIdx[j] holding the
-// position of relation 1+j on success.
-func (r *Runner) probe(s *storage.Tuple, block []*storage.Tuple, blockIdx map[int64]int, resIdx []int) (i1 int, ok bool) {
-	i1, ok = blockIdx[s.Keys[1+r.ref[0]]]
+// probe resolves one fact tuple against the direct dimensions: the first
+// one's position within the current block (via blockIdx), then every other
+// one's resident position, one lookup per direct dimension. It returns
+// ok=false when the fact tuple's R1 key belongs to another block or a key
+// finds no tuple — a dangling key, or a dimension tuple left out because a
+// hop below it dangles (inner-join semantics) — with resIdx[j] holding the
+// position within Resident(j) on success.
+func (r *Runner) probe(s *storage.Tuple, blockIdx map[int64]int, resIdx []int) (i1 int, ok bool) {
+	i1, ok = blockIdx[s.Keys[1]]
 	if !ok {
 		return 0, false
 	}
-	for i := 1; i < len(r.spec.Rs); i++ {
-		var key int64
-		switch p := r.parent[i]; p {
-		case -1:
-			key = s.Keys[1+r.ref[i]]
-		case 0:
-			key = block[i1].Keys[1+r.ref[i]]
-		default:
-			key = r.resident[p-1][resIdx[p-1]].Keys[1+r.ref[i]]
-		}
-		ri, found := r.resIndex[i-1][key]
+	for j, idx := range r.resIndex {
+		ri, found := idx[s.Keys[2+j]]
 		if !found {
-			return 0, false // dangling fk at this hop: skip the fact tuple
+			return 0, false
 		}
-		resIdx[i-1] = ri
+		resIdx[j] = ri
 	}
 	return i1, true
 }
@@ -352,7 +423,7 @@ func (r *Runner) Run(cb Callbacks) error {
 		return err
 	}
 	sp := r.spec
-	resIdx := make([]int, len(sp.Rs)-1)
+	resIdx := make([]int, len(r.resident))
 	return r.forEachBlock(func(block []*storage.Tuple, blockIdx map[int64]int) error {
 		if cb.OnBlockStart != nil {
 			if err := cb.OnBlockStart(block); err != nil {
@@ -363,7 +434,7 @@ func (r *Runner) Run(cb Callbacks) error {
 			sc := sp.S.NewScanner()
 			for sc.Next() {
 				s := sc.Tuple()
-				i1, ok := r.probe(s, block, blockIdx, resIdx)
+				i1, ok := r.probe(s, blockIdx, resIdx)
 				if !ok {
 					continue
 				}

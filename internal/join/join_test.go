@@ -491,3 +491,150 @@ func TestShuffleDeterministicPerSeed(t *testing.T) {
 		}
 	}
 }
+
+// snowTable creates a dimension table with nrefs foreign-key columns and
+// the given tuples (keys = rid, fks…).
+func snowTable(t *testing.T, db *storage.Database, name string, nrefs, width int, keys [][]int64) *storage.Table {
+	t.Helper()
+	sch := &storage.Schema{Name: name, Keys: []string{"rid"}}
+	for i := 0; i < nrefs; i++ {
+		sch.Keys = append(sch.Keys, fmt.Sprintf("fk%d", i))
+	}
+	for i := 0; i < width; i++ {
+		sch.Features = append(sch.Features, fmt.Sprintf("%s_x%d", name, i))
+	}
+	tbl, err := db.CreateTable(sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		feats := make([]float64, width)
+		for j := range feats {
+			feats[j] = float64(len(name))*1000 + float64(k[0])*10 + float64(j)
+		}
+		if err := tbl.Append(&storage.Tuple{Keys: k, Features: feats}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// TestSnowflakeHopsResolvedPerDimensionTuple pins the runner's snowflake
+// contract on S → {A → {B → D, C}, E}: the callbacks see a star over the
+// direct dimensions A and E (one probe each per fact tuple, whatever the
+// depth), every dimension tuple carries its subtree's features in preorder,
+// sub-dimension references are resolved once per dimension tuple — not per
+// fact tuple — and a dangling sub-reference drops exactly the fact tuples
+// that reach it.
+func TestSnowflakeHopsResolvedPerDimensionTuple(t *testing.T) {
+	db := openDB(t)
+	const nS, nA, nB, nC, nD, nE = 600, 12, 5, 4, 3, 7
+	var aKeys, bKeys, cKeys, dKeys, eKeys [][]int64
+	for i := int64(0); i < nD; i++ {
+		dKeys = append(dKeys, []int64{i})
+	}
+	for i := int64(0); i < nB; i++ {
+		bKeys = append(bKeys, []int64{i, i % nD})
+	}
+	bKeys[4][1] = 99 // B tuple 4 references no D tuple
+	for i := int64(0); i < nC; i++ {
+		cKeys = append(cKeys, []int64{i})
+	}
+	for i := int64(0); i < nA; i++ {
+		aKeys = append(aKeys, []int64{i, i % nB, (i + 1) % nC})
+	}
+	for i := int64(0); i < nE; i++ {
+		eKeys = append(eKeys, []int64{i})
+	}
+	a := snowTable(t, db, "A", 2, 2, aKeys)
+	b := snowTable(t, db, "BB", 1, 1, bKeys)
+	d := snowTable(t, db, "DDD", 0, 3, dKeys)
+	c := snowTable(t, db, "CCCC", 0, 0, cKeys) // zero-width: a hop, no features
+	e := snowTable(t, db, "EEEEE", 0, 2, eKeys)
+
+	sch := &storage.Schema{Name: "S", Keys: []string{"sid", "fa", "fe"}, Features: []string{"xs"}}
+	s, err := db.CreateTable(sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows := 0
+	for i := int64(0); i < nS; i++ {
+		if err := s.Append(&storage.Tuple{Keys: []int64{i, i % nA, i % nE}, Features: []float64{float64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+		if (i%nA)%nB != 4 { // A tuples 4 and 9 hang off the dangling B tuple
+			wantRows++
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sp := &Spec{S: s, Rs: []*storage.Table{a, b, d, c, e}, Parent: []int{-1, 0, 1, 0, -1}, Ref: []int{0, 0, 0, 1, 1}}
+	if got, want := sp.DirectWidths(), []int{2 + 1 + 3 + 0, 2}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("DirectWidths = %v, want %v", got, want)
+	}
+	r, err := NewRunner(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	feat := func(name string, rid int64, j int) float64 {
+		return float64(len(name))*1000 + float64(rid)*10 + float64(j)
+	}
+	var block []*storage.Tuple
+	rows := 0
+	pass := func() {
+		t.Helper()
+		err := r.Run(Callbacks{
+			OnBlockStart: func(blk []*storage.Tuple) error { block = blk; return nil },
+			OnMatch: func(st *storage.Tuple, r1Idx int, resIdx []int) error {
+				rows++
+				if len(resIdx) != 1 {
+					t.Fatalf("match carries %d resident positions, want 1: one probe per direct dimension after the first", len(resIdx))
+				}
+				ra, rb := st.Keys[1], st.Keys[1]%nB
+				want := []float64{
+					feat("A", ra, 0), feat("A", ra, 1),
+					feat("BB", rb, 0),
+					feat("DDD", rb%nD, 0), feat("DDD", rb%nD, 1), feat("DDD", rb%nD, 2),
+				}
+				if got := block[r1Idx].Features; fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("sid %d: A tuple with its subtree = %v, want %v", st.Keys[0], got, want)
+				}
+				want = []float64{feat("EEEEE", st.Keys[2], 0), feat("EEEEE", st.Keys[2], 1)}
+				if got := r.Resident(0)[resIdx[0]].Features; fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("sid %d: E tuple = %v, want %v", st.Keys[0], got, want)
+				}
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass()
+	if rows != wantRows {
+		t.Fatalf("joined %d fact tuples, want %d (those not reaching the dangling B tuple)", rows, wantRows)
+	}
+	// Hops: every surviving B tuple resolves its D reference once at load
+	// (the dangling one fails before it counts); every A tuple resolves B
+	// and C — the ten whose B tuple survived — once per block load.
+	// Nothing scales with the 600 fact tuples.
+	loadHops, blockHops := int64(nB-1), int64(2*10)
+	if r.hops != loadHops+blockHops {
+		t.Fatalf("first pass resolved %d sub-dimension references, want %d", r.hops, loadHops+blockHops)
+	}
+	pass()
+	if r.hops != loadHops+2*blockHops {
+		t.Fatalf("two passes resolved %d sub-dimension references, want %d (only the R1 block reloads)", r.hops, loadHops+2*blockHops)
+	}
+
+	// The materialized and streamed rows are the same preorder layout.
+	streamed := collectStream(t, sp)
+	if len(streamed) != wantRows || len(streamed[0].x) != sp.JoinedWidth() {
+		t.Fatalf("Stream delivered %d rows of width %d, want %d of %d", len(streamed), len(streamed[0].x), wantRows, sp.JoinedWidth())
+	}
+}

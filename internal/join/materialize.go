@@ -26,8 +26,15 @@ func JoinedSchema(sp *Spec, name string) *storage.Schema {
 		}
 	}
 	add(sp.S.Schema().Name, sp.S.Schema().Features)
+	// A table reached along two reference paths contributes its columns
+	// once per path; later occurrences are numbered to keep names unique.
+	seen := make(map[string]int)
 	for _, r := range sp.Rs {
-		add(r.Schema().Name, r.Schema().Features)
+		name := r.Schema().Name
+		if seen[name]++; seen[name] > 1 {
+			name = fmt.Sprintf("%s#%d", name, seen[name])
+		}
+		add(name, r.Schema().Features)
 	}
 	return out
 }
@@ -66,12 +73,8 @@ func Materialize(db *storage.Database, sp *Spec, name string) (*storage.Table, [
 		OnMatch: func(s *storage.Tuple, r1Idx int, resIdx []int) error {
 			out.Keys[0] = s.Keys[0]
 			out.Target = s.Target
-			n := copy(out.Features, s.Features)
-			n += copy(out.Features[n:], block[r1Idx].Features)
-			for j, ri := range resIdx {
-				n += copy(out.Features[n:], runner.Resident(j)[ri].Features)
-			}
-			if n != d {
+			out.Features = runner.AppendRow(out.Features[:0], s, block[r1Idx], resIdx)
+			if n := len(out.Features); n != d {
 				return fmt.Errorf("join: assembled %d features, want %d", n, d)
 			}
 			counts[len(counts)-1]++
@@ -107,11 +110,7 @@ func StreamWith(runner *Runner, fn func(sid int64, x []float64, y float64) error
 	return runner.Run(Callbacks{
 		OnBlockStart: func(b []*storage.Tuple) error { block = b; return nil },
 		OnMatch: func(s *storage.Tuple, r1Idx int, resIdx []int) error {
-			n := copy(x, s.Features)
-			n += copy(x[n:], block[r1Idx].Features)
-			for j, ri := range resIdx {
-				n += copy(x[n:], runner.Resident(j)[ri].Features)
-			}
+			x = runner.AppendRow(x[:0], s, block[r1Idx], resIdx)
 			return fn(s.Keys[0], x, s.Target)
 		},
 	})

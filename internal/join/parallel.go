@@ -15,8 +15,9 @@ const ParallelChunkRows = 512
 
 // Match is one joined tuple delivered by RunParallel: the fact tuple (a
 // copy owned by the current chunk), the index of its R1 partner within the
-// current block, and the indexes of its partners in the resident dimension
-// tables. A Match is valid only for the duration of OnMatchChunk.
+// current block, and the indexes of its partners in the other direct
+// dimensions (Runner.Resident). A Match is valid only for the duration of
+// OnMatchChunk.
 type Match struct {
 	S   *storage.Tuple
 	R1  int
@@ -30,14 +31,13 @@ type Match struct {
 // flight, so they may safely (re)fill shared per-block caches read by
 // OnMatchChunk.
 //
-// NewState produces the per-chunk accumulator. OnMatchChunk receives that
-// state with matches in deterministic scan order; it may be invoked once
-// per chunk with all of the chunk's matches (worker goroutines) or several
-// times with sub-batches (the inline workers<=1 path delivers matches one
-// at a time, avoiding tuple copies), so it must carry no per-invocation
-// state of its own. Chunks of one block partition the fact-table scan in
-// order. OnChunkMerged runs on a single goroutine, strictly in chunk order
-// — fold the state into global accumulators there and recycle it.
+// NewState produces the per-chunk accumulator. OnMatchChunk is invoked once
+// per chunk, on a worker goroutine (inline when workers <= 1), with that
+// state and all of the chunk's matches in deterministic scan order, so a
+// fold may batch its per-match work over the chunk. Chunks of one block
+// partition the fact-table scan in order. OnChunkMerged runs on a single
+// goroutine, strictly in chunk order — fold the state into global
+// accumulators there and recycle it.
 type ParallelCallbacks struct {
 	OnBlockStart  func(block []*storage.Tuple) error
 	NewState      func() any
@@ -89,7 +89,8 @@ func copyTupleInto(dst, src *storage.Tuple) {
 // ParallelChunkRows), never on the worker count, and per-chunk results are
 // merged in chunk order — so any downstream reduction sees a reduction
 // order, and hence produces floating-point results, independent of
-// `workers`. workers <= 1 runs the identical structure inline.
+// `workers`. workers <= 1 runs the identical chunk structure inline on the
+// calling goroutine (see parallel.Run).
 func (r *Runner) RunParallel(workers, chunkRows int, cb ParallelCallbacks) error {
 	if err := r.loadResident(); err != nil {
 		return err
@@ -97,24 +98,18 @@ func (r *Runner) RunParallel(workers, chunkRows int, cb ParallelCallbacks) error
 	if chunkRows <= 0 {
 		chunkRows = ParallelChunkRows
 	}
-	if workers <= 1 {
-		return r.runParallelInline(chunkRows, cb)
-	}
 	sp := r.spec
-	q := len(sp.Rs)
+	q := len(r.resident) // positions a match carries beside R1's
 
-	// blockIdx is the key index the workers probe (and curBlock the block
-	// tuples whose sub-keys resolve snowflake hops). forEachBlock reuses
-	// them between blocks, which is safe because every block ends with a
-	// full barrier: no chunk is in flight when they are rebuilt, and the
-	// channel hand-offs order the rebuild before any later probe.
+	// blockIdx is the key index the workers probe. forEachBlock reuses it
+	// between blocks, which is safe because every block ends with a full
+	// barrier: no chunk is in flight when it is rebuilt, and the channel
+	// hand-offs order the rebuild before any later probe.
 	var blockIdx map[int64]int
-	var curBlock []*storage.Tuple
 
 	produce := func(f *parallel.Feed[*sChunk]) error {
 		return r.forEachBlock(func(blk []*storage.Tuple, idx map[int64]int) error {
 			blockIdx = idx
-			curBlock = blk
 			if cb.OnBlockStart != nil {
 				if err := cb.OnBlockStart(blk); err != nil {
 					return err
@@ -156,13 +151,13 @@ func (r *Runner) RunParallel(workers, chunkRows int, cb ParallelCallbacks) error
 		for i := 0; i < c.n; i++ {
 			s := &c.tuples[i]
 			base := len(c.resBuf)
-			c.resBuf = c.resBuf[:base+q-1]
-			i1, ok := r.probe(s, curBlock, blockIdx, c.resBuf[base:])
+			c.resBuf = c.resBuf[:base+q]
+			i1, ok := r.probe(s, blockIdx, c.resBuf[base:])
 			if !ok {
 				c.resBuf = c.resBuf[:base]
 				continue
 			}
-			c.matches = append(c.matches, Match{S: s, R1: i1, Res: c.resBuf[base : base+q-1 : base+q-1]})
+			c.matches = append(c.matches, Match{S: s, R1: i1, Res: c.resBuf[base : base+q : base+q]})
 		}
 		if cb.NewState != nil {
 			c.state = cb.NewState()
@@ -186,73 +181,4 @@ func (r *Runner) RunParallel(workers, chunkRows int, cb ParallelCallbacks) error
 	}
 
 	return parallel.Run(workers, produce, work, merge)
-}
-
-// runParallelInline is RunParallel without goroutines or tuple copies:
-// every scanned fact tuple is probed in place and delivered to
-// OnMatchChunk immediately (the Match references the scanner's buffer,
-// which the contract already limits to the duration of the call), with
-// OnChunkMerged fired at the same fixed scan-count boundaries as the
-// pooled path. The callback sequence folds the same values in the same
-// order, so the results are bit-identical to any worker count.
-func (r *Runner) runParallelInline(chunkRows int, cb ParallelCallbacks) error {
-	sp := r.spec
-	q := len(sp.Rs)
-	resBuf := make([]int, q-1)
-	one := make([]Match, 1)
-	return r.forEachBlock(func(blk []*storage.Tuple, blockIdx map[int64]int) error {
-		if cb.OnBlockStart != nil {
-			if err := cb.OnBlockStart(blk); err != nil {
-				return err
-			}
-		}
-		var state any
-		scanned := 0
-		flush := func() error {
-			if scanned == 0 {
-				return nil
-			}
-			if state == nil && cb.NewState != nil {
-				state = cb.NewState() // chunk had no matches; merge it anyway
-			}
-			var err error
-			if cb.OnChunkMerged != nil {
-				err = cb.OnChunkMerged(state)
-			}
-			state = nil
-			scanned = 0
-			return err
-		}
-		sc := sp.S.NewScanner()
-		for sc.Next() {
-			s := sc.Tuple()
-			scanned++
-			if i1, ok := r.probe(s, blk, blockIdx, resBuf); ok {
-				if state == nil && cb.NewState != nil {
-					state = cb.NewState()
-				}
-				if cb.OnMatchChunk != nil {
-					one[0] = Match{S: s, R1: i1, Res: resBuf}
-					if err := cb.OnMatchChunk(state, one); err != nil {
-						return err
-					}
-				}
-			}
-			if scanned == chunkRows {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		if err := flush(); err != nil {
-			return err
-		}
-		if cb.OnBlockEnd != nil {
-			return cb.OnBlockEnd()
-		}
-		return nil
-	})
 }

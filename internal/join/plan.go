@@ -23,9 +23,10 @@ import (
 //
 // A table referenced from two places in the hierarchy appears once per
 // reference path: the materialized join carries its columns once per path,
-// so each path is its own partition part. Per-distinct-tuple work is still
-// shared within a path — the factorized caches key on (node, tuple), which
-// is exactly the composite dimension-tuple path.
+// so each path is its own partition part. The serving and streaming caches
+// key on (node, tuple) and so share per-tuple work within a path; the
+// training-side Runner instead folds every subtree into its direct
+// dimension's tuples (see the package comment).
 type DimPlan struct {
 	Tables []*storage.Table
 	Parent []int

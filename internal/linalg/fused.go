@@ -1,5 +1,7 @@
 package linalg
 
+import "fmt"
+
 // Fused, bounds-check-hoisted kernel helpers for the hot training and
 // serving loops. Each routine re-slices its operands to the exact length
 // up front (the `x = x[:n]` idiom) so the compiler proves every inner
@@ -57,6 +59,54 @@ func SyrkAccum(a *Dense, w float64, x []float64) {
 			v := wx * x[j]
 			row[j] += v
 			a.data[j*n+i] += v
+		}
+	}
+}
+
+// OuterAccumRows accumulates dst += Σᵢ xᵢ·yᵢᵀ over the n rows of two
+// row-major buffers (x is n×dst.Rows(), y is n×dst.Cols()) — the layer-1
+// weight gradient ΔᵀX of a whole chunk of examples. Rows are taken two at
+// a time, so each dst element is read and written once per pair instead of
+// once per row.
+//
+// Bit-identical to the rank-1 sequence OuterAccum(dst, 1, xᵢ, yᵢ) for
+// i = 0…n-1: every element receives the same products in the same row
+// order, and a zero xᵢ[h] skips its row of products exactly as OuterAccum
+// does (so a non-finite yᵢ cannot turn a zero gradient into NaN).
+func OuterAccumRows(dst *Dense, x, y []float64, n int) {
+	r, c := dst.rows, dst.cols
+	if len(x) < n*r || len(y) < n*c {
+		panic(fmt.Sprintf("linalg: outer-rows %d rows of %d and %d need %d and %d values, have %d and %d",
+			n, r, c, n*r, n*c, len(x), len(y)))
+	}
+	i := 0
+	for ; i+2 <= n; i += 2 {
+		x0, x1 := x[i*r:(i+1)*r], x[(i+1)*r:(i+2)*r]
+		y0, y1 := y[i*c:(i+1)*c], y[(i+1)*c:(i+2)*c]
+		x1 = x1[:len(x0)]
+		y1 = y1[:len(y0)]
+		for h, a0 := range x0 {
+			a1 := x1[h]
+			row := dst.data[h*c : (h+1)*c]
+			switch {
+			case a0 != 0 && a1 != 0:
+				row = row[:len(y0)]
+				for j, v := range y0 {
+					row[j] = row[j] + a0*v + a1*y1[j]
+				}
+			case a0 != 0:
+				AxpyN(a0, y0, row, c)
+			case a1 != 0:
+				AxpyN(a1, y1, row, c)
+			}
+		}
+	}
+	if i < n {
+		y0 := y[i*c : (i+1)*c]
+		for h, a0 := range x[i*r : (i+1)*r] {
+			if a0 != 0 {
+				AxpyN(a0, y0, dst.data[h*c:(h+1)*c], c)
+			}
 		}
 	}
 }

@@ -8,14 +8,7 @@ func MatVec(dst []float64, a *Dense, x []float64) {
 	if len(x) != a.cols || len(dst) != a.rows {
 		panic(fmt.Sprintf("linalg: matvec dimension mismatch A=%dx%d x=%d dst=%d", a.rows, a.cols, len(x), len(dst)))
 	}
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
-	}
+	matVec(dst, a, 0, x, false)
 }
 
 // MatVecAdd computes dst += A·x.
@@ -23,14 +16,7 @@ func MatVecAdd(dst []float64, a *Dense, x []float64) {
 	if len(x) != a.cols || len(dst) != a.rows {
 		panic(fmt.Sprintf("linalg: matvecadd dimension mismatch A=%dx%d x=%d dst=%d", a.rows, a.cols, len(x), len(dst)))
 	}
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] += s
-	}
+	matVec(dst, a, 0, x, true)
 }
 
 // MatVecRange computes dst = A[:, j0:j0+len(x)]·x — a matrix-vector product
@@ -40,14 +26,7 @@ func MatVecRange(dst []float64, a *Dense, j0 int, x []float64) {
 	if j0 < 0 || j0+len(x) > a.cols || len(dst) != a.rows {
 		panic(fmt.Sprintf("linalg: matvecrange A=%dx%d j0=%d x=%d dst=%d", a.rows, a.cols, j0, len(x), len(dst)))
 	}
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.cols+j0 : i*a.cols+j0+len(x)]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
-	}
+	matVec(dst, a, j0, x, false)
 }
 
 // MatVecRangeAdd computes dst += A[:, j0:j0+len(x)]·x.
@@ -55,13 +34,41 @@ func MatVecRangeAdd(dst []float64, a *Dense, j0 int, x []float64) {
 	if j0 < 0 || j0+len(x) > a.cols || len(dst) != a.rows {
 		panic(fmt.Sprintf("linalg: matvecrangeadd A=%dx%d j0=%d x=%d dst=%d", a.rows, a.cols, j0, len(x), len(dst)))
 	}
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.cols+j0 : i*a.cols+j0+len(x)]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
+	matVec(dst, a, j0, x, true)
+}
+
+// matVec is the kernel behind the MatVec family: dst (+)= A[:, j0:j0+len(x)]·x
+// with the shapes already checked. Four rows of A go through x together, so
+// x is loaded once per four products and four independent sums are in
+// flight instead of one add waiting on the last; every dst element is still
+// its own left-to-right sum over x, bit-identical to a row at a time.
+func matVec(dst []float64, a *Dense, j0 int, x []float64, add bool) {
+	n, stride := len(x), a.cols
+	i := 0
+	for ; i+4 <= a.rows; i += 4 {
+		at := i*stride + j0
+		r0 := a.data[at:][:n]
+		r1 := a.data[at+stride:][:n]
+		r2 := a.data[at+2*stride:][:n]
+		r3 := a.data[at+3*stride:][:n]
+		var s0, s1, s2, s3 float64
+		for j, v := range x {
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
 		}
-		dst[i] += s
+		if add {
+			s0, s1, s2, s3 = dst[i]+s0, dst[i+1]+s1, dst[i+2]+s2, dst[i+3]+s3
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < a.rows; i++ {
+		s := DotN(a.data[i*stride+j0:], x, n)
+		if add {
+			s += dst[i]
+		}
+		dst[i] = s
 	}
 }
 

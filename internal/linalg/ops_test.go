@@ -220,3 +220,165 @@ func TestOuterAccumAtBoundsPanic(t *testing.T) {
 	defer expectPanic(t, "outerAt out of bounds")
 	OuterAccumAt(NewDense(2, 2), 1, 1, 1, []float64{1, 1}, []float64{1})
 }
+
+// OuterAccumRows must equal the rank-1 sequence it replaces bit for bit:
+// same products, same per-element order, same zero-skip.
+func TestOuterAccumRowsMatchesRank1Sequence(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	inf := math.Inf(1)
+	for _, sh := range []struct{ n, r, c int }{
+		{0, 4, 4}, {1, 3, 3}, {2, 1, 1}, {511, 7, 5}, {512, 50, 28}, {1024, 51, 29}, {33, 5, 0},
+	} {
+		for _, zeroEvery := range []int{0, 2, 1} { // no zeros, half the δ rows zero, all zero
+			x := make([]float64, sh.n*sh.r)
+			y := make([]float64, sh.n*sh.c)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			for i := range y {
+				y[i] = rng.NormFloat64()
+			}
+			for i := 0; zeroEvery > 0 && i < sh.n; i += zeroEvery {
+				row := x[i*sh.r : (i+1)*sh.r]
+				for h := range row {
+					row[h] = 0
+					if h%2 == 1 {
+						row[h] = math.Copysign(0, -1)
+					}
+				}
+				// A zero δ row skips its products, so a non-finite
+				// feature under it must not reach dst.
+				if sh.c > 0 {
+					y[i*sh.c] = inf
+					y[i*sh.c+sh.c-1] = math.NaN()
+				}
+			}
+			want := NewDense(sh.r, sh.c)
+			got := NewDense(sh.r, sh.c)
+			for i := range want.data {
+				want.data[i] = rng.NormFloat64()
+				got.data[i] = want.data[i]
+			}
+			for i := 0; i < sh.n; i++ {
+				OuterAccum(want, 1, x[i*sh.r:(i+1)*sh.r], y[i*sh.c:(i+1)*sh.c])
+			}
+			OuterAccumRows(got, x, y, sh.n)
+			for i, w := range want.data {
+				if g := got.data[i]; g != w || math.Signbit(g) != math.Signbit(w) {
+					t.Fatalf("n=%d r=%d c=%d zeroEvery=%d: element %d = %v, rank-1 sequence gives %v",
+						sh.n, sh.r, sh.c, zeroEvery, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+func TestOuterAccumRowsShortBufferPanics(t *testing.T) {
+	defer expectPanic(t, "OuterAccumRows with short buffers")
+	OuterAccumRows(NewDense(2, 3), make([]float64, 4), make([]float64, 5), 2)
+}
+
+// BenchmarkOuterAccumRows compares the chunk kernel with the rank-1
+// sequence on the default hidden width and a 28-wide joined row.
+func BenchmarkOuterAccumRows(b *testing.B) {
+	const n, r, c = 512, 50, 28
+	rng := rand.New(rand.NewSource(4))
+	x := make([]float64, n*r)
+	y := make([]float64, n*c)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	for i := range y {
+		y[i] = rng.NormFloat64()
+	}
+	dst := NewDense(r, c)
+	b.Run("rows", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			OuterAccumRows(dst, x, y, n)
+		}
+	})
+	b.Run("rank1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < n; k++ {
+				OuterAccum(dst, 1, x[k*r:(k+1)*r], y[k*c:(k+1)*c])
+			}
+		}
+	})
+}
+
+// The MatVec family works four rows at a time; every output must still be
+// the plain left-to-right row sum, bit for bit, for row counts around the
+// block size, column sub-ranges and both the assigning and adding forms.
+func TestMatVecFamilyMatchesRowAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for rows := 0; rows <= 9; rows++ {
+		for _, sh := range []struct{ cols, j0, n int }{{1, 0, 1}, {7, 0, 7}, {7, 2, 3}, {28, 12, 16}, {5, 5, 0}} {
+			a := NewDense(rows, sh.cols)
+			for i := range a.data {
+				a.data[i] = rng.NormFloat64()
+			}
+			x := make([]float64, sh.n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			seed := make([]float64, rows)
+			want := make([]float64, rows)
+			for i := range want {
+				seed[i] = rng.NormFloat64()
+				var s float64
+				for j, v := range x {
+					s += a.At(i, sh.j0+j) * v
+				}
+				want[i] = s
+			}
+			got := append([]float64{}, seed...)
+			MatVecRange(got, a, sh.j0, x)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("MatVecRange %dx%d[%d:+%d] row %d = %v, want %v", rows, sh.cols, sh.j0, sh.n, i, got[i], want[i])
+				}
+			}
+			got = append(got[:0], seed...)
+			MatVecRangeAdd(got, a, sh.j0, x)
+			for i := range want {
+				if w := seed[i] + want[i]; got[i] != w {
+					t.Fatalf("MatVecRangeAdd %dx%d[%d:+%d] row %d = %v, want %v", rows, sh.cols, sh.j0, sh.n, i, got[i], w)
+				}
+			}
+			if sh.j0 == 0 && sh.n == sh.cols {
+				got = append(got[:0], seed...)
+				MatVec(got, a, x)
+				add := append([]float64{}, seed...)
+				MatVecAdd(add, a, x)
+				for i := range want {
+					if got[i] != want[i] || add[i] != seed[i]+want[i] {
+						t.Fatalf("MatVec/MatVecAdd %dx%d row %d = %v / %v, want %v / %v", rows, sh.cols, i, got[i], add[i], want[i], seed[i]+want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkMatVec(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	a := NewDense(50, 28)
+	for i := range a.data {
+		a.data[i] = rng.NormFloat64()
+	}
+	x := make([]float64, 28)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	dst := make([]float64, 50)
+	b.Run("50x28", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MatVec(dst, a, x)
+		}
+	})
+	b.Run("range_add_50x12", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MatVecRangeAdd(dst, a, 0, x[:12])
+		}
+	})
+}

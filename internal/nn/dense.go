@@ -13,11 +13,16 @@ import (
 // gW/gB fold the chunk's example gradients, plus loss/batch partials. The
 // accumulators merge into the main workspace strictly in chunk order, so
 // the parameter trajectory is bit-identical for every worker count.
+//
+// The input-layer weight gradient is not folded per example: backprop saves
+// each example's δ⁰ and inputGrad applies the chunk's ΔᵀX as one product.
 type gradAcc struct {
 	ws     *workspace
 	ops    core.Ops
 	loss   float64
 	batchN int
+	deltas []float64 // δ⁰ of the examples since the last inputGrad, row-major
+	xs     []float64 // F-NN: the same examples' joined rows, gathered per match
 	t1     []float64 // F-NN layer-2-sharing scratch
 }
 
@@ -33,17 +38,37 @@ func (a *gradAcc) reset() {
 	a.ops = core.Ops{}
 	a.loss = 0
 	a.batchN = 0
+	a.deltas = a.deltas[:0]
 	a.ws.zeroGrads()
 }
 
-// example folds one training example into the accumulator.
-func (a *gradAcc) example(x []float64, y float64) {
-	o := a.ws.forwardDense(x)
+// backprop folds one example whose forward pass produced o: loss, the
+// upper layers' gradients, the input-layer bias gradient, and δ⁰ saved for
+// inputGrad.
+func (a *gradAcc) backprop(o, y float64) {
 	diff := o - y
 	a.loss += 0.5 * diff * diff
-	a.ws.backward(o, y)
-	a.ws.accumulateInputGrad(x)
+	ws := a.ws
+	ws.backward(o, y)
+	linalg.Axpy(1, ws.delta[0], ws.gB[0])
+	a.deltas = append(a.deltas, ws.delta[0]...)
 	a.batchN++
+}
+
+// inputGrad adds the input-layer weight gradient Σ δ⁰ ⊗ xᵀ of the examples
+// folded since the last call, xs holding their inputs row-major in the
+// same order. Per element this is the sum the per-example rank-1 updates
+// would make, in the same order (see linalg.OuterAccumRows).
+func (a *gradAcc) inputGrad(xs []float64) {
+	ws := a.ws
+	nh0, d := ws.net.Sizes[1], ws.net.Sizes[0]
+	n := len(a.deltas) / nh0
+	linalg.OuterAccumRows(ws.gW[0], a.deltas, xs, n)
+	var per core.Ops
+	per.AddOuterPlain(nh0, d)
+	per.Adds += int64(nh0) // the bias gradient backprop folded
+	a.ops.Add(per.Scale(int64(n)))
+	a.deltas = a.deltas[:0]
 }
 
 // mergeInto folds the chunk gradients, loss and op counts into the main
@@ -67,7 +92,7 @@ func (a *gradAcc) mergeInto(w *workspace, lossSum *float64, batchN *int, stats *
 // chunk/merge structure runs inline on the streamed examples with no
 // copying. Either way the parameter trajectory is bit-identical for every
 // cfg.NumWorkers value.
-func trainDense(pass factor.GroupedScan, n int, cfg Config, net *Network, stats *Stats) error {
+func trainDense(pass factor.GroupedScan, cfg Config, net *Network, stats *Stats) error {
 	nw := parallel.Workers(cfg.NumWorkers)
 	d := net.Sizes[0]
 	w := newWorkspace(net, &stats.Ops)
@@ -76,10 +101,11 @@ func trainDense(pass factor.GroupedScan, n int, cfg Config, net *Network, stats 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		w.zeroGrads()
 		lossSum := 0.0
-		batchN := 0
+		batchN, seen := 0, 0 // examples since the last step / this epoch
 		step := func() error {
 			w.applyStep(cfg.LearningRate, batchN)
 			w.zeroGrads()
+			seen += batchN
 			batchN = 0
 			return nil
 		}
@@ -92,8 +118,9 @@ func trainDense(pass factor.GroupedScan, n int, cfg Config, net *Network, stats 
 			Fold: func(acc any, _ int, rows, ys []float64, nr int) error {
 				a := acc.(*gradAcc)
 				for i := 0; i < nr; i++ {
-					a.example(rows[i*d:(i+1)*d], ys[i])
+					a.backprop(a.ws.forwardDense(rows[i*d:(i+1)*d]), ys[i])
 				}
+				a.inputGrad(rows)
 				return nil
 			},
 			Merge: func(acc any) error {
@@ -107,9 +134,13 @@ func trainDense(pass factor.GroupedScan, n int, cfg Config, net *Network, stats 
 			return err
 		}
 		if cfg.Mode == Epoch {
-			w.applyStep(cfg.LearningRate, n)
+			// No step has run, so batchN is the whole epoch: the examples
+			// the join delivered, fewer than the fact table's rows when a
+			// foreign key dangles.
+			w.applyStep(cfg.LearningRate, batchN)
 		}
-		stats.Loss = append(stats.Loss, lossSum/float64(n))
+		seen += batchN
+		stats.Loss = append(stats.Loss, lossSum/float64(seen))
 		stats.Epochs = epoch + 1
 	}
 	return nil

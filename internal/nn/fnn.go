@@ -158,7 +158,7 @@ func trainFactorized(ps *factor.PartScan, cfg Config, net *Network, stats *Stats
 // Cache refills and Block-mode gradient steps happen at full barriers.
 func trainFactorizedPar(ps *factor.PartScan, cfg Config, net *Network, stats *Stats) error {
 	ps.Pass = "fnn.sgd"
-	p := ps.P
+	p := ps.Direct
 	nw := parallel.Workers(cfg.NumWorkers)
 	w := newWorkspace(net, &stats.Ops)
 	q := p.Parts() - 1
@@ -176,7 +176,6 @@ func trainFactorizedPar(ps *factor.PartScan, cfg Config, net *Network, stats *St
 		resCache[j] = &partCaches{}
 	}
 	cBias := make([]float64, nh1)
-	n := ps.NumRows()
 	accPool := newGradAccPool(net, nh0)
 	fc := &fwdCtx{net: net, share: share, dS: dS, nh0: nh0, nh1: nh1,
 		blkCache: &blkCache, resCache: resCache, cBias: cBias}
@@ -218,7 +217,7 @@ func trainFactorizedPar(ps *factor.PartScan, cfg Config, net *Network, stats *St
 		}
 		w.zeroGrads()
 		lossSum := 0.0
-		batchN := 0
+		batchN, seen := 0, 0 // examples since the last step / this epoch
 		residentFresh := false
 		var curBlock []*storage.Tuple
 
@@ -245,29 +244,16 @@ func trainFactorizedPar(ps *factor.PartScan, cfg Config, net *Network, stats *St
 			},
 			OnMatchChunk: func(state any, matches []join.Match) error {
 				a := state.(*gradAcc)
-				ws := a.ws
+				// The chunk's joined rows are gathered beside its δ⁰s, so
+				// the input-layer gradient (Eq. 29/32) is one ΔᵀX product
+				// per chunk instead of one rank-1 update per part per match.
+				a.xs = a.xs[:0]
 				for _, m := range matches {
 					s := m.S
-					o := fc.forward(ws, a.t1, s, m.R1, m.Res)
-
-					diff := o - s.Target
-					a.loss += 0.5 * diff * diff
-					ws.backward(o, s.Target)
-
-					// Input-layer gradients, column-partitioned (Eq. 29/32).
-					delta0 := ws.delta[0]
-					linalg.OuterAccumAt(ws.gW[0], 0, 0, 1, delta0, s.Features)
-					a.ops.AddOuterPlain(nh0, dS)
-					linalg.Axpy(1, delta0, ws.gB[0])
-					a.ops.Adds += int64(nh0)
-					linalg.OuterAccumAt(ws.gW[0], 0, p.Offs[1], 1, delta0, curBlock[m.R1].Features)
-					a.ops.AddOuterPlain(nh0, p.Dims[1])
-					for j, ri := range m.Res {
-						linalg.OuterAccumAt(ws.gW[0], 0, p.Offs[2+j], 1, delta0, ps.Resident(j)[ri].Features)
-						a.ops.AddOuterPlain(nh0, p.Dims[2+j])
-					}
-					a.batchN++
+					a.backprop(fc.forward(a.ws, a.t1, s, m.R1, m.Res), s.Target)
+					a.xs = ps.Runner.AppendRow(a.xs, s, curBlock[m.R1], m.Res)
 				}
+				a.inputGrad(a.xs)
 				return nil
 			},
 			OnChunkMerged: func(state any) error {
@@ -280,6 +266,7 @@ func trainFactorizedPar(ps *factor.PartScan, cfg Config, net *Network, stats *St
 				if cfg.Mode == Block {
 					w.applyStep(cfg.LearningRate, batchN)
 					w.zeroGrads()
+					seen += batchN
 					batchN = 0
 					residentFresh = false
 				}
@@ -290,9 +277,10 @@ func trainFactorizedPar(ps *factor.PartScan, cfg Config, net *Network, stats *St
 			return err
 		}
 		if cfg.Mode == Epoch {
-			w.applyStep(cfg.LearningRate, n)
+			w.applyStep(cfg.LearningRate, batchN) // the rows the join kept, as in trainDense
 		}
-		stats.Loss = append(stats.Loss, lossSum/float64(n))
+		seen += batchN
+		stats.Loss = append(stats.Loss, lossSum/float64(seen))
 		stats.Epochs = epoch + 1
 	}
 	return nil
@@ -303,7 +291,7 @@ func trainFactorizedPar(ps *factor.PartScan, cfg Config, net *Network, stats *St
 // chunked.
 func trainFactorizedSeq(ps *factor.PartScan, cfg Config, net *Network, stats *Stats) error {
 	ps.Pass = "fnn.sgd"
-	p := ps.P
+	p := ps.Direct
 	w := newWorkspace(net, &stats.Ops)
 	q := p.Parts() - 1
 	dS := p.Dims[0]
@@ -326,7 +314,6 @@ func trainFactorizedSeq(ps *factor.PartScan, cfg Config, net *Network, stats *St
 	t1 := make([]float64, nh0) // W0_S·x_S (kept separate under sharing)
 	cBias := make([]float64, nh1)
 
-	n := ps.NumRows()
 	fc := &fwdCtx{net: net, share: share, dS: dS, nh0: nh0, nh1: nh1,
 		blkCache: &blkCache, resCache: resCache, cBias: cBias}
 
@@ -393,7 +380,7 @@ func trainFactorizedSeq(ps *factor.PartScan, cfg Config, net *Network, stats *St
 		}
 		w.zeroGrads()
 		lossSum := 0.0
-		batchN := 0
+		batchN, seen := 0, 0
 		residentFresh := false
 		var curBlock []*storage.Tuple
 
@@ -470,6 +457,7 @@ func trainFactorizedSeq(ps *factor.PartScan, cfg Config, net *Network, stats *St
 					flushGroupedResident()
 					w.applyStep(cfg.LearningRate, batchN)
 					w.zeroGrads()
+					seen += batchN
 					batchN = 0
 					residentFresh = false
 				}
@@ -481,9 +469,10 @@ func trainFactorizedSeq(ps *factor.PartScan, cfg Config, net *Network, stats *St
 		}
 		if cfg.Mode == Epoch {
 			flushGroupedResident()
-			w.applyStep(cfg.LearningRate, n)
+			w.applyStep(cfg.LearningRate, batchN)
 		}
-		stats.Loss = append(stats.Loss, lossSum/float64(n))
+		seen += batchN
+		stats.Loss = append(stats.Loss, lossSum/float64(seen))
 		stats.Epochs = epoch + 1
 	}
 	return nil

@@ -39,7 +39,7 @@ func TrainM(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) 
 		return nil, err
 	}
 	res := &Result{Net: net}
-	if err := trainDense(src.ScanGroups, src.NumRows(), cfg, net, &res.Stats); err != nil {
+	if err := trainDense(src.ScanGroups, cfg, net, &res.Stats); err != nil {
 		return nil, err
 	}
 	res.Stats.IO = db.Pool().Stats().Sub(io0)

@@ -373,12 +373,11 @@ func TestBackpropGradientCheck(t *testing.T) {
 	x := []float64{0.3, -0.7, 1.2}
 	y := 0.4
 
-	var stats Stats
-	w := newWorkspace(net, &stats.Ops)
-	w.zeroGrads()
-	o := w.forwardDense(x)
-	w.backward(o, y)
-	w.accumulateInputGrad(x)
+	a := newGradAccPool(net, 0).Get().(*gradAcc)
+	a.reset()
+	a.backprop(a.ws.forwardDense(x), y)
+	a.inputGrad(x)
+	w := a.ws
 
 	const eps = 1e-6
 	lossAt := func() float64 {

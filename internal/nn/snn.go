@@ -45,7 +45,7 @@ func TrainS(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) 
 		return nil, err
 	}
 	res := &Result{Net: net}
-	if err := trainDense(pass, src.NumRows(), cfg, net, &res.Stats); err != nil {
+	if err := trainDense(pass, cfg, net, &res.Stats); err != nil {
 		return nil, err
 	}
 	res.Stats.IO = db.Pool().Stats().Sub(io0)

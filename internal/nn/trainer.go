@@ -84,8 +84,9 @@ func (w *workspace) forwardUpper(from int) float64 {
 
 // backward propagates the error for one example with output o and target y,
 // accumulating the gradients of every layer except the input layer's
-// weights/bias, which the caller handles (the factorized trainer splits
-// them across relations). It leaves δ⁰ in w.delta[0].
+// weights/bias, which the caller handles (per chunk of examples, see
+// gradAcc.inputGrad; per group under GroupedGradient). It leaves δ⁰ in
+// w.delta[0].
 func (w *workspace) backward(o, y float64) {
 	net := w.net
 	last := net.Layers() - 1
@@ -125,13 +126,4 @@ func applyDerivInPlace(act Activation, delta, a, h []float64) {
 	case Identity:
 		// derivative 1
 	}
-}
-
-// accumulateInputGrad adds the input-layer gradient δ⁰ ⊗ xᵀ for the dense
-// trainers (monolithic x).
-func (w *workspace) accumulateInputGrad(x []float64) {
-	linalg.OuterAccum(w.gW[0], 1, w.delta[0], x)
-	w.ops.AddOuterPlain(w.net.Sizes[1], w.net.Sizes[0])
-	linalg.Axpy(1, w.delta[0], w.gB[0])
-	w.ops.Adds += int64(w.net.Sizes[1])
 }

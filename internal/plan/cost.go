@@ -14,29 +14,39 @@ import (
 //	    E:  sub(d) + quadform(d)
 //	    M1: axpy(d)
 //	    M2: sub(d) + outer(d,d)
-//	factorized EM, per iteration
-//	    cache fills, per dimension tuple of relation i, per component:
+//	factorized EM, per iteration, over the fact part and one part per
+//	direct dimension i, wᵢ wide (its whole subtree) with mᵢ tuples
+//	    cache fills, per tuple of direct dimension i, per component:
 //	        sub(wᵢ) + quadform(wᵢ) + matvec(dS×wᵢ)          (Eq. 7–12)
 //	    E, per match:  sub(dS) + quadform(dS)
 //	                   + Σᵢ dot(dS) + Σᵢ<ⱼ bilinear(wᵢ×wⱼ)   (Eq. 19–21)
 //	    M1: axpy(dS) per match + axpy(wᵢ) per dimension tuple (Eq. 22)
-//	    M2: sub(dS) + outer(dS,dS) + q·axpy(dS) + cross outers per match;
-//	        sub(wᵢ) + outer(wᵢ,wᵢ) + 2·outer(dS,wᵢ) per tuple (Eq. 23–24)
+//	    M2: sub(dS) + outer(dS,dS) + q·axpy(dS) + Σᵢ<ⱼ outer(wᵢ,wⱼ) per
+//	        match; sub(wᵢ) + outer(wᵢ,wᵢ) + outer(dS,wᵢ) per tuple — upper
+//	        blocks only, mirrored at assembly (Eq. 23–24)
 //
-// and the NN equivalents (§VI-A1/A3). The I/O model is the paper's
+// and the NN equivalents (§VI-A1/A3). The join runner resolves a snowflake's
+// sub-dimension hops once per dimension tuple and hands the trainers a star
+// over the direct dimensions, so sub-dimension relations contribute width to
+// their direct ancestor's part and no part, cache or cross term of their
+// own: what a wide sub-dimension costs is its width once per *parent*
+// tuple, which is what these formulas charge. The I/O model is the paper's
 // block-nested-loops accounting: each pass reads R1 once and rescans S
 // once per R1 block; Materialized pays one join plus writing T, then reads
 // T per pass. Buffer-pool caching is deliberately ignored (pessimistic for
 // re-reads, uniformly across strategies).
 
-// shape extracts the quantities the formulas need.
+// shape extracts the quantities the formulas need. The factorized parts
+// are the direct dimensions: each as wide as its whole subtree (the join
+// runner appends a dimension tuple's sub-dimension features once per
+// tuple), with the direct relation's row count.
 type shape struct {
 	n    int64   // fact rows
 	dS   int     // fact feature width
 	d    int     // joined width
-	w    []int   // per-dimension-relation widths
-	m    []int64 // per-dimension-relation row counts
-	q    int     // number of dimension relations
+	w    []int   // per-direct-dimension subtree widths
+	m    []int64 // per-direct-dimension row counts
+	q    int     // number of direct dimensions
 	hasY bool
 }
 
@@ -45,13 +55,16 @@ func (ss *SchemaStats) shape() shape {
 		n:    ss.Fact.Stats.Rows,
 		dS:   ss.Fact.Stats.Width,
 		d:    ss.JoinedWidth(),
-		q:    len(ss.Dims),
 		hasY: ss.HasTarget,
 	}
-	for _, r := range ss.Dims {
-		sh.w = append(sh.w, r.Stats.Width)
-		sh.m = append(sh.m, r.Stats.Rows)
+	for i, r := range ss.Dims {
+		if ss.Parent == nil || ss.Parent[i] == -1 {
+			sh.w = append(sh.w, 0)
+			sh.m = append(sh.m, r.Stats.Rows)
+		}
+		sh.w[len(sh.w)-1] += r.Stats.Width
 	}
+	sh.q = len(sh.w)
 	return sh
 }
 
@@ -118,8 +131,7 @@ func factGMMIter(sh shape, k int, diagonal bool) core.Ops {
 			perTuple.AddAxpy(wi)          // M1 flush
 			perTuple.AddSub(wi)           // M2: PD with new means
 			perTuple.AddOuter(wi, wi)     // M2: diagonal block
-			perTuple.AddOuter(sh.dS, wi)  // M2: S-R cross
-			perTuple.AddOuter(wi, sh.dS)
+			perTuple.AddOuter(sh.dS, wi)  // M2: S-R cross (upper block)
 		}
 		total.Add(perTuple.Scale(int64(k) * sh.m[i]))
 	}
@@ -151,10 +163,9 @@ func factGMMIter(sh shape, k int, diagonal bool) core.Ops {
 		for i := 0; i < sh.q; i++ { // M2: γ-weighted PD_S sums per group
 			perMatch.AddAxpy(sh.dS)
 		}
-		for i := 0; i < sh.q; i++ { // M2: dimension-dimension cross blocks
+		for i := 0; i < sh.q; i++ { // M2: dimension-dimension cross blocks (upper)
 			for j := i + 1; j < sh.q; j++ {
 				perMatch.AddOuter(sh.w[i], sh.w[j])
-				perMatch.AddOuter(sh.w[j], sh.w[i])
 			}
 		}
 	}

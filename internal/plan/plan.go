@@ -60,10 +60,13 @@ type Relation struct {
 
 // SchemaStats is the planner's input: catalog statistics for the fact
 // table and every dimension relation of the flattened hierarchy, in join
-// (depth-first preorder) order.
+// (depth-first preorder) order. Parent mirrors join.Spec.Parent (-1 marks a
+// direct dimension; nil means every relation is one, a star): it tells the
+// cost model which relations the factorized pass folds into one part.
 type SchemaStats struct {
 	Fact      Relation   `json:"fact"`
 	Dims      []Relation `json:"dims"`
+	Parent    []int      `json:"parent,omitempty"`
 	HasTarget bool       `json:"has_target"`
 }
 
@@ -81,6 +84,7 @@ func Collect(spec *join.Spec) (*SchemaStats, error) {
 	}
 	ss := &SchemaStats{
 		Fact:      Relation{Name: spec.S.Schema().Name, Stats: fs},
+		Parent:    spec.Parent,
 		HasTarget: spec.S.Schema().HasTarget,
 	}
 	for _, r := range spec.Rs {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/base64"
@@ -366,12 +367,24 @@ func stageCommon(db *storage.Database, stageDir string) ([]string, error) {
 	return files, nil
 }
 
+// writeJSONFile writes v as compact JSON: the stream state runs to
+// megabytes of numbers nobody reads, and indenting it cost more than
+// encoding it. Readers Unmarshal, so the indented files older releases
+// wrote still load.
 func writeJSONFile(path string, v any) error {
-	blob, err := json.MarshalIndent(v, "", "  ")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, blob, 0o644)
+	w := bufio.NewWriter(f)
+	err = json.NewEncoder(w).Encode(v)
+	if err == nil {
+		err = w.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // checkpointLocked takes a full checkpoint: flush + fsync the database,

@@ -10,6 +10,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -164,44 +165,77 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	}
 	wantPending := s.Pending()
 
-	// Crash: copy both directories while the original is still open.
-	dbDir2, walDir2 := t.TempDir(), t.TempDir()
-	ckptCopyTree(t, dbDir, dbDir2)
-	ckptCopyTree(t, walDir, walDir2)
+	// Crash: copy both directories while the original is still open. The
+	// second copy has its snapshot's JSON files rewritten the way releases
+	// before the compact writer laid them out (json.MarshalIndent), which
+	// must keep restoring.
+	recovered := func(indented bool) []byte {
+		dbDir2, walDir2 := t.TempDir(), t.TempDir()
+		ckptCopyTree(t, dbDir, dbDir2)
+		ckptCopyTree(t, walDir, walDir2)
+		if indented {
+			snapPath, _, ok, err := wal.CurrentSnapshot(walDir2)
+			if err != nil || !ok {
+				t.Fatalf("crash copy has no committed snapshot (ok=%v, err=%v)", ok, err)
+			}
+			for _, name := range []string{manifestFile, streamStateFile} {
+				raw, err := os.ReadFile(filepath.Join(snapPath, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := json.Indent(&buf, bytes.TrimSpace(raw), "", "  "); err != nil {
+					t.Fatal(err)
+				}
+				if buf.Len() <= len(raw) {
+					t.Fatalf("%s: indented form is not longer than what Checkpoint wrote — is it still compact?", name)
+				}
+				if err := os.WriteFile(filepath.Join(snapPath, name), buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 
-	if err := RestoreSnapshotFiles(dbDir2, walDir2); err != nil {
-		t.Fatal(err)
+		if err := RestoreSnapshotFiles(dbDir2, walDir2); err != nil {
+			t.Fatal(err)
+		}
+		db2, err := storage.Open(dbDir2, storage.Options{PoolPages: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db2.Close()
+		fact, err := db2.Table("st_S")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dim, err := db2.Table("st_R1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec2 := &join.Spec{S: fact, Rs: []*storage.Table{dim}}
+		l2 := ckptWAL(t, walDir2)
+		s2, err := New(db2, spec2, Options{Policy: Policy{NumWorkers: 1}, WAL: l2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.Recover(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := s2.Pending(); got != wantPending {
+			t.Fatalf("recovered pending = %d, want %d", got, wantPending)
+		}
+		if got := len(s2.Attached()); got != 2 {
+			t.Fatalf("recovered attached = %v, want both models", s2.Attached())
+		}
+		return ckptModelBytes(t, s2)
 	}
-	db2, err := storage.Open(dbDir2, storage.Options{PoolPages: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	fact, err := db2.Table("st_S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dim, err := db2.Table("st_R1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec2 := &join.Spec{S: fact, Rs: []*storage.Table{dim}}
-	l2 := ckptWAL(t, walDir2)
-	s2, err := New(db2, spec2, Options{Policy: Policy{NumWorkers: 1}, WAL: l2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Recover(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Pending(); got != wantPending {
-		t.Fatalf("recovered pending = %d, want %d", got, wantPending)
-	}
-	if got := len(s2.Attached()); got != 2 {
-		t.Fatalf("recovered attached = %v, want both models", s2.Attached())
-	}
-	if got, want := ckptModelBytes(t, s2), ckptModelBytes(t, s); !bytes.Equal(got, want) {
+	compact, indented := recovered(false), recovered(true)
+	want := ckptModelBytes(t, s)
+	if !bytes.Equal(compact, want) {
 		t.Fatal("recovered models diverged from the original after refresh")
+	}
+	if !bytes.Equal(indented, want) {
+		t.Fatal("models recovered from an indented (pre-compact-writer) checkpoint diverged from the original")
 	}
 }
 
