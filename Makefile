@@ -7,7 +7,7 @@ GO ?= go
 # scripts/check_coverage.sh; raised with the monitoring PR).
 COVERAGE_BASELINE ?= 71.0
 
-.PHONY: all build test race bench bench-harness cover serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke fmt vet ci
+.PHONY: all build test race bench bench-harness ab cover serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke fmt vet ci
 
 all: build
 
@@ -87,6 +87,18 @@ snowflake-smoke:
 # internal API change that breaks the harness fails CI.
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# Paired A/B on the benchmark: exports AB_BASE and AB_HEAD (any git ref, or
+# WORKTREE for the working tree) under .bench_build/ab/, builds each with
+# its own benchmark/run.sh, alternates the sides (first side flipped every
+# pair) and prints per metric both medians and quartiles and the pairs won
+# — the comparison a performance claim is judged by. AB_ARGS passes
+# --workload W --pairs N --seed S through; ten pairs of all three workloads
+# take about 45 minutes.
+AB_BASE ?= HEAD
+AB_HEAD ?= WORKTREE
+ab:
+	./scripts/ab.sh $(AB_BASE) $(AB_HEAD) $(AB_ARGS)
 
 # Coverage gate: run the tests with -coverprofile and fail when total
 # statement coverage drops below COVERAGE_BASELINE. CI uploads

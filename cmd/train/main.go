@@ -261,7 +261,8 @@ func run(dbDir, fact, dims, model, algo string, k, iters int, tol float64,
 		fmt.Printf("  multiplies:     %d\n", res.Stats.Ops.Mul)
 		fmt.Printf("  page IO:        %v\n", res.Stats.IO)
 		return saveModel("gmm", func(reg *serve.Registry) error {
-			lin, err := captureLineage(func(x []float64, y float64) float64 { return res.Model.LogProb(x) }, "log_likelihood")
+			logProb := res.Model.LogProbFunc()
+			lin, err := captureLineage(func(x []float64, y float64) float64 { return logProb(x) }, "log_likelihood")
 			if err != nil {
 				return err
 			}

@@ -884,8 +884,9 @@ func (d *DB) SaveNN(name string, n *NNNetwork) error {
 // against. Pass the result to SaveGMMLineage (and a health monitor picks
 // it up from the registry).
 func GMMLineage(ds *Dataset, m *GMMModel, strategy string) (*ModelLineage, error) {
+	logProb := m.LogProbFunc()
 	base, err := monitor.CaptureBaseline(ds.spec, 0,
-		func(x []float64, y float64) float64 { return m.LogProb(x) }, "log_likelihood")
+		func(x []float64, y float64) float64 { return logProb(x) }, "log_likelihood")
 	if err != nil {
 		return nil, err
 	}

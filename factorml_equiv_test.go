@@ -435,6 +435,10 @@ func TestSnowflakeDepth3PinnedEquivalence(t *testing.T) {
 			if est := gp.Estimate(plan.Strategy(algo)).Ops; est != res.Stats.Ops {
 				t.Errorf("%v-GMM (diagonal=%v): planner estimates %+v, training measured %+v", algo, diagonal, est, res.Stats.Ops)
 			}
+			// One pass per EM iteration plus the initialization scan.
+			if est, got := gp.Estimate(plan.Strategy(algo)).Pages, res.Stats.IO.LogicalReads+res.Stats.IO.PageWrites; est != got {
+				t.Errorf("%v-GMM (diagonal=%v): planner estimates %d page accesses, training made %d", algo, diagonal, est, got)
+			}
 		}
 	}
 	for _, grouped := range []bool{false, true} {

@@ -194,3 +194,21 @@ func TestOpsMergeScaleTotal(t *testing.T) {
 		t.Fatalf("Add(Scale): %+v", total)
 	}
 }
+
+func TestOpsMomentCharges(t *testing.T) {
+	var o Ops
+	o.AddSyrk(4) // 10 upper-triangle cells + 4 for w·x
+	if o.Mul != 14 || o.Adds != 10 {
+		t.Fatalf("AddSyrk: %+v", o)
+	}
+	o = Ops{}
+	o.AddMoments(4, false) // axpy(4) + syrk(4)
+	if o.Mul != 18 || o.Adds != 14 {
+		t.Fatalf("AddMoments full: %+v", o)
+	}
+	o = Ops{}
+	o.AddMoments(4, true) // axpy(4) + γ·PD² per column
+	if o.Mul != 12 || o.Adds != 8 {
+		t.Fatalf("AddMoments diagonal: %+v", o)
+	}
+}

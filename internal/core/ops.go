@@ -41,6 +41,31 @@ func (o *Ops) AddOuter(r, c int) {
 	o.Adds += int64(r) * int64(c)
 }
 
+// AddSyrk charges the upper triangle of a weighted symmetric rank-1
+// accumulation w·x·xᵀ into a d×d block (linalg.SyrkAccum): d(d+1)/2 cells
+// at one multiply and one add each, plus d multiplies for w·x.
+func (o *Ops) AddSyrk(d int) {
+	cells := int64(d) * int64(d+1) / 2
+	o.Mul += cells + int64(d)
+	o.Adds += cells
+}
+
+// AddMoments charges folding one γ-weighted deviation of width d into an
+// EM iteration's first and second moments: s1 += γ·PD is an axpy, and the
+// second moment is the upper triangle of γ·PD·PDᵀ (AddSyrk) for a full
+// covariance or its diagonal γ·PD² — two multiplies and one add per
+// column — for a diagonal one. The GMM trainers and the planner's cost
+// model both charge through it.
+func (o *Ops) AddMoments(d int, diagonal bool) {
+	o.AddAxpy(d)
+	if diagonal {
+		o.Mul += 2 * int64(d)
+		o.Adds += int64(d)
+	} else {
+		o.AddSyrk(d)
+	}
+}
+
 // AddOuterPlain charges an unweighted outer-product accumulation x·yᵀ into
 // an r×c block (one multiply and one add per cell; no scalar weight).
 func (o *Ops) AddOuterPlain(r, c int) {

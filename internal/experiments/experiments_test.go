@@ -189,7 +189,7 @@ func TestIOModelMatchesMeasured(t *testing.T) {
 	model := ModelFor(spec, iters)
 
 	// Measure S-GMM's reads (init pass excluded by measuring around EM: we
-	// instead measure 3·iter passes directly).
+	// instead measure iter passes directly).
 	runner, err := join.NewRunner(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestIOModelMatchesMeasured(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Pool().ResetStats()
-	for p := int64(0); p < 3*model.Iters; p++ {
+	for p := int64(0); p < model.Iters; p++ {
 		if err := join.StreamWith(runner, func(int64, []float64, float64) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -209,13 +209,13 @@ func TestIOModelMatchesMeasured(t *testing.T) {
 		t.Fatalf("measured S reads %d, model %d", got, model.SGMM())
 	}
 
-	// Measure the M strategy: join+materialize then 3·iter scans of T.
+	// Measure the M strategy: join+materialize then iter scans of T.
 	db.Pool().ResetStats()
 	tTbl, _, err := join.Materialize(db, spec, "T_io")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := int64(0); p < 3*model.Iters; p++ {
+	for p := int64(0); p < model.Iters; p++ {
 		sc := tTbl.NewScanner()
 		for sc.Next() {
 		}
@@ -224,8 +224,8 @@ func TestIOModelMatchesMeasured(t *testing.T) {
 		}
 	}
 	st := db.Pool().Stats()
-	// Model: join pass reads + 3·iter·|T| reads; writes = |T| pages.
-	wantReads := model.JoinPass() + 3*model.Iters*model.TPages
+	// Model: join pass reads + iter·|T| reads; writes = |T| pages.
+	wantReads := model.JoinPass() + model.Iters*model.TPages
 	if st.LogicalReads != wantReads {
 		t.Fatalf("measured M reads %d, model %d", st.LogicalReads, wantReads)
 	}

@@ -5,7 +5,9 @@ import (
 )
 
 // IOModel is the paper's §V-A analytic I/O cost model, in logical page
-// reads, for `iter` EM iterations (3 passes per iteration).
+// reads, for `iter` EM iterations — at one pass per iteration, which is
+// what the trainers here make (internal/gmm folds the M-step into the
+// E-step pass; the paper's Algorithm 1 reads the data three times).
 type IOModel struct {
 	RPages, SPages, TPages int64
 	BlockPages             int64
@@ -26,15 +28,15 @@ func (m IOModel) JoinPass() int64 {
 }
 
 // MGMM is the materialized strategy's total: one join pass, write |T|, then
-// 3·iter reads of T.
+// iter reads of T.
 func (m IOModel) MGMM() int64 {
-	return m.JoinPass() + m.TPages + 3*m.Iters*m.TPages
+	return m.JoinPass() + m.TPages + m.Iters*m.TPages
 }
 
-// SGMM is the streaming strategy's total: 3·iter join passes (F-GMM has the
+// SGMM is the streaming strategy's total: iter join passes (F-GMM has the
 // identical I/O profile, §V-B).
 func (m IOModel) SGMM() int64 {
-	return 3 * m.Iters * m.JoinPass()
+	return m.Iters * m.JoinPass()
 }
 
 // SWins reports whether the streaming strategy reads fewer pages than the

@@ -8,8 +8,11 @@ import (
 // PassEvent describes one completed phase of a training pass: a chunked
 // row pass (RunRowPass / RunSGDPass), a factorized match pass
 // (PartScan.Run / RunChunks), a dimension-cache fill, or an
-// initialization scan. Pass names the logical pass ("gmm.estep",
-// "fnn.sgd", ...), Phase the mechanical stage within it. Fold is the
+// initialization scan. Pass names the logical pass, Phase the mechanical
+// stage within it. A GMM trainer makes one pass per EM iteration and names
+// it once per loop — "gmm.em" / "igmm.em" (dense, full / diagonal),
+// "fgmm.em" / "figmm.em" (factorized), after "fgmm.init" — and an NN
+// trainer one per epoch ("nn.sgd_epoch", "fnn.sgd"). Fold is the
 // cumulative worker time spent folding rows into accumulators (summed
 // across workers, so it exceeds Wall when the pass parallelizes well);
 // Merge is the single-threaded ordered-merge time.

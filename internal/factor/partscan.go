@@ -29,8 +29,8 @@ type PartScan struct {
 	Direct core.Partition
 
 	// Pass labels events emitted to the installed pass Observer (see
-	// SetObserver): trainers set it before each pass ("fgmm.estep",
-	// "fnn.sgd", ...). Unused with no observer installed.
+	// SetObserver): trainers set it once per loop ("fgmm.em", "fnn.sgd",
+	// ...). Unused with no observer installed.
 	Pass string
 }
 

@@ -21,7 +21,7 @@ type GroupedScan func(onRow RowFn, onGroupEnd func() error) error
 
 // Source is a re-scannable stream of joined rows — the access path of the
 // Materialized and Streaming strategies. A Source may be scanned any number
-// of times (EM makes three passes per iteration); every scan yields the
+// of times (EM makes one pass per iteration); every scan yields the
 // identical row order.
 type Source interface {
 	// Width is the joined feature dimensionality.
@@ -126,7 +126,7 @@ type StreamedSource struct {
 	runner *join.Runner
 	width  int
 	// xbuf is the assembled-row buffer ScanGroups reuses across scans; a
-	// Source is scanned sequentially (EM makes three passes per iteration),
+	// Source is scanned sequentially (EM makes one pass per iteration),
 	// so one buffer per source suffices and the per-scan allocation is gone.
 	xbuf []float64
 }

@@ -1,8 +1,6 @@
 package gmm
 
 import (
-	"math"
-
 	"factorml/internal/core"
 	"factorml/internal/linalg"
 )
@@ -15,11 +13,7 @@ import (
 // original per-term loop alive purely as the measured baseline.
 func (s *Scorer) EStepBenchHooks() (fused, unfused func(xs []float64, caches [][]core.QuadCache, sc *ScoreScratch, gamma []float64) float64) {
 	finish := func(sc *ScoreScratch, gamma []float64) float64 {
-		lse := linalg.LogSumExp(sc.logp)
-		for c := range gamma {
-			gamma[c] = math.Exp(sc.logp[c] - lse)
-		}
-		return lse
+		return linalg.SoftmaxLSE(gamma, sc.logp)
 	}
 	fused = func(xs []float64, caches [][]core.QuadCache, sc *ScoreScratch, gamma []float64) float64 {
 		s.scoreComponents(xs, caches, sc)

@@ -31,8 +31,9 @@ func (m *Model) AIC(logLikelihood float64, diagonal bool) float64 {
 // Score streams the join and returns the total log-likelihood of the data
 // under the model together with the row count, without materializing.
 func (m *Model) Score(spec *join.Spec) (ll float64, n int64, err error) {
+	logProb := m.LogProbFunc()
 	err = join.Stream(spec, func(_ int64, x []float64, _ float64) error {
-		ll += m.LogProb(x)
+		ll += logProb(x)
 		n++
 		return nil
 	})

@@ -1,22 +1,23 @@
 package gmm
 
 import (
-	"math"
 	"sync"
 
-	"factorml/internal/core"
 	"factorml/internal/factor"
 	"factorml/internal/linalg"
 	"factorml/internal/parallel"
 )
 
-// emDense runs EM over a dense pass source. It is the engine of both M-GMM
-// and S-GMM (Algorithm 1 of the paper): each iteration makes three passes —
-// E-step responsibilities, M-step means, M-step covariances — through
-// whatever access path `pass` encapsulates (reading the materialized T, or
-// re-joining on the fly).
+// emDense runs EM over a dense pass source. It is the engine of M-GMM and
+// S-GMM, full-covariance and diagonal (Config.Diagonal) alike. Algorithm 1
+// of the paper reads the rows three times per iteration — responsibilities,
+// means, covariances; here an iteration is one pass through whatever access
+// path `pass` encapsulates (reading the materialized T, or re-joining on
+// the fly): each row's responsibilities are folded into the iteration's
+// moments (see moments) as soon as they are known, from the deviations
+// x − µ_c the E-step has just formed.
 //
-// Every pass is executed by the shared chunked row-pass operator
+// The pass is executed by the shared chunked row-pass operator
 // (factor.RunRowPass over internal/parallel): rows are cut into fixed
 // chunks, each chunk folds into its own accumulator on a worker, and the
 // accumulators merge in chunk order. The trained model is therefore
@@ -27,191 +28,72 @@ func emDense(pass passFn, d, n int, cfg Config, model *Model, stats *Stats) erro
 		return pass(func(x []float64) error { return onRow(x, 0) })
 	}
 	k := cfg.K
-	gamma := make([]float64, n*k)
-	p := core.NewPartition([]int{d})
+	name := "gmm.em"
+	if cfg.Diagonal {
+		name = "igmm.em"
+	}
 
-	// Per-chunk accumulators, pooled across passes and iterations.
-	type eAcc struct {
-		ll   float64
-		ops  core.Ops
-		logp []float64
-		pd   []float64
+	// Per-chunk accumulators, pooled across iterations. A chunk is scored
+	// and folded foldBlockRows rows at a time: gamma and pd hold that many rows'
+	// K responsibilities and K deviations x − µ_c, small enough to stay in
+	// cache between the two.
+	type chunkAcc struct {
+		ll    float64
+		logp  []float64
+		gamma []float64
+		pd    []float64
+		mom   *moments
 	}
-	ePool := sync.Pool{New: func() any {
-		return &eAcc{logp: make([]float64, k), pd: make([]float64, d)}
-	}}
-	type m1Acc struct {
-		ops   core.Ops
-		nk    []float64
-		sumMu [][]float64
-	}
-	m1Pool := sync.Pool{New: func() any {
-		a := &m1Acc{nk: make([]float64, k), sumMu: make([][]float64, k)}
-		for c := 0; c < k; c++ {
-			a.sumMu[c] = make([]float64, d)
+	pool := sync.Pool{New: func() any {
+		return &chunkAcc{
+			logp:  make([]float64, k),
+			gamma: make([]float64, foldBlockRows*k),
+			pd:    make([]float64, foldBlockRows*k*d),
+			mom:   newMoments(k, d, cfg.Diagonal),
 		}
-		return a
 	}}
-	type m2Acc struct {
-		ops    core.Ops
-		pd     []float64
-		sumCov []*linalg.Dense
-	}
-	m2Pool := sync.Pool{New: func() any {
-		a := &m2Acc{pd: make([]float64, d), sumCov: make([]*linalg.Dense, k)}
-		for c := 0; c < k; c++ {
-			a.sumCov[c] = linalg.NewDense(d, d)
-		}
-		return a
-	}}
+	total := newMoments(k, d, cfg.Diagonal)
 
-	nk := make([]float64, k)
-	sumMu := make([][]float64, k)
-	sumCov := make([]*linalg.Dense, k)
-	for c := 0; c < k; c++ {
-		sumMu[c] = make([]float64, d)
-		sumCov[c] = linalg.NewDense(d, d)
-	}
-
-	prevLL := math.Inf(-1)
-	for iter := 0; iter < cfg.MaxIter; iter++ {
-		states, err := model.precompute(p, false)
+	return runEM(cfg, stats, func() (float64, error) {
+		ev, err := model.newEvaluator(cfg.Diagonal)
 		if err != nil {
-			return err
+			return 0, err
 		}
-
-		// --- E-step pass: responsibilities and log-likelihood (Eq. 1-2, 6).
-		// Workers write γ rows at disjoint indices; the per-chunk
-		// log-likelihood partials merge in chunk order.
+		rowOps := ev.rowOps.Plus(total.rowOps)
 		ll := 0.0
-		err = factor.RunRowPass("gmm.estep", nw, d, scan, factor.PassHooks{
+		total.zero()
+		err = factor.RunRowPass(name, nw, d, scan, factor.PassHooks{
 			NewAcc: func() any {
-				a := ePool.Get().(*eAcc)
-				a.ll, a.ops = 0, core.Ops{}
+				a := pool.Get().(*chunkAcc)
+				a.ll = 0
+				a.mom.zero()
 				return a
 			},
-			Fold: func(acc any, start int, rows, _ []float64, nr int) error {
-				a := acc.(*eAcc)
-				for i := 0; i < nr; i++ {
-					x := rows[i*d : (i+1)*d]
-					for c := 0; c < k; c++ {
-						linalg.VecSub(a.pd, x, model.Means[c])
-						a.ops.AddSub(d)
-						q := linalg.QuadForm(states[c].inv, a.pd)
-						a.ops.AddQuadForm(d)
-						a.logp[c] = states[c].logW + states[c].logNorm - 0.5*q
+			Fold: func(acc any, _ int, rows, _ []float64, nr int) error {
+				a := acc.(*chunkAcc)
+				for nr > 0 {
+					nb := min(nr, foldBlockRows)
+					for i := 0; i < nb; i++ {
+						ev.logDensities(rows[i*d:(i+1)*d], a.pd[i*k*d:(i+1)*k*d], a.logp)
+						a.ll += linalg.SoftmaxLSE(a.gamma[i*k:(i+1)*k], a.logp)
 					}
-					lse := linalg.LogSumExp(a.logp)
-					a.ll += lse
-					g := gamma[(start+i)*k : (start+i+1)*k]
-					for c := 0; c < k; c++ {
-						g[c] = math.Exp(a.logp[c] - lse)
-					}
+					a.mom.foldRows(a.gamma, a.pd, nb)
+					rows, nr = rows[nb*d:], nr-nb
 				}
 				return nil
 			},
 			Merge: func(acc any) error {
-				a := acc.(*eAcc)
+				a := acc.(*chunkAcc)
 				ll += a.ll
-				stats.Ops.Add(a.ops)
-				ePool.Put(a)
+				total.add(a.mom)
+				pool.Put(a)
 				return nil
 			}})
 		if err != nil {
-			return err
+			return 0, err
 		}
-
-		// --- M-step pass 1: means and weights (Eq. 3, 5).
-		for c := 0; c < k; c++ {
-			nk[c] = 0
-			linalg.VecZero(sumMu[c])
-		}
-		err = factor.RunRowPass("gmm.mstep_means", nw, d, scan, factor.PassHooks{
-			NewAcc: func() any {
-				a := m1Pool.Get().(*m1Acc)
-				a.ops = core.Ops{}
-				for c := 0; c < k; c++ {
-					a.nk[c] = 0
-					linalg.VecZero(a.sumMu[c])
-				}
-				return a
-			},
-			Fold: func(acc any, start int, rows, _ []float64, nr int) error {
-				a := acc.(*m1Acc)
-				for i := 0; i < nr; i++ {
-					x := rows[i*d : (i+1)*d]
-					g := gamma[(start+i)*k : (start+i+1)*k]
-					for c := 0; c < k; c++ {
-						a.nk[c] += g[c]
-						linalg.Axpy(g[c], x, a.sumMu[c])
-						a.ops.AddAxpy(d)
-					}
-				}
-				return nil
-			},
-			Merge: func(acc any) error {
-				a := acc.(*m1Acc)
-				for c := 0; c < k; c++ {
-					nk[c] += a.nk[c]
-					linalg.VecAdd(sumMu[c], sumMu[c], a.sumMu[c])
-				}
-				stats.Ops.Add(a.ops)
-				m1Pool.Put(a)
-				return nil
-			}})
-		if err != nil {
-			return err
-		}
-		collapsed := applyMeanUpdates(model, nk, sumMu, n)
-
-		// --- M-step pass 2: covariances with the new means (Eq. 4).
-		for c := 0; c < k; c++ {
-			sumCov[c].Zero()
-		}
-		err = factor.RunRowPass("gmm.mstep_cov", nw, d, scan, factor.PassHooks{
-			NewAcc: func() any {
-				a := m2Pool.Get().(*m2Acc)
-				a.ops = core.Ops{}
-				for c := 0; c < k; c++ {
-					a.sumCov[c].Zero()
-				}
-				return a
-			},
-			Fold: func(acc any, start int, rows, _ []float64, nr int) error {
-				a := acc.(*m2Acc)
-				for i := 0; i < nr; i++ {
-					x := rows[i*d : (i+1)*d]
-					g := gamma[(start+i)*k : (start+i+1)*k]
-					for c := 0; c < k; c++ {
-						linalg.VecSub(a.pd, x, model.Means[c])
-						a.ops.AddSub(d)
-						linalg.OuterAccum(a.sumCov[c], g[c], a.pd, a.pd)
-						a.ops.AddOuter(d, d)
-					}
-				}
-				return nil
-			},
-			Merge: func(acc any) error {
-				a := acc.(*m2Acc)
-				for c := 0; c < k; c++ {
-					sumCov[c].AddScaled(1, a.sumCov[c])
-				}
-				stats.Ops.Add(a.ops)
-				m2Pool.Put(a)
-				return nil
-			}})
-		if err != nil {
-			return err
-		}
-		applyCovUpdates(model, nk, sumCov, collapsed, cfg.RegEps)
-
-		stats.LogLikelihood = append(stats.LogLikelihood, ll)
-		stats.Iters = iter + 1
-		if iter > 0 && converged(ll, prevLL, cfg.Tol) {
-			stats.Converged = true
-			break
-		}
-		prevLL = ll
-	}
-	return nil
+		stats.Ops.Add(rowOps.Scale(int64(n)))
+		total.update(model, n, cfg.RegEps)
+		return ll, nil
+	})
 }

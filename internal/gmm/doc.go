@@ -3,7 +3,7 @@
 // flavours:
 //
 //   - TrainM (M-GMM): materialize the join result T on disk, then run EM
-//     reading T three times per iteration (Algorithm 1 of the paper).
+//     reading T once per iteration.
 //   - TrainS (S-GMM): identical EM, but each read of T is replaced by
 //     re-executing the block-nested-loops join on the fly.
 //   - TrainF (F-GMM): the paper's contribution — the E-step quadratic form
@@ -11,6 +11,17 @@
 //     per-relation blocks (Eq. 7–24), and every quantity that depends only
 //     on a dimension tuple is computed once per distinct dimension tuple
 //     and reused across all matching fact tuples.
+//
+// One pass per iteration: the paper's Algorithm 1 and its factorized form
+// read the data three times per EM iteration — responsibilities, means,
+// covariances about the new means. Here a row's responsibilities are folded,
+// the moment they are known, into N_k, s1 = Σγ·PD and S = Σγ·PD·PDᵀ of the
+// deviations PD = x − µ from the iteration's *starting* means (the PD the
+// E-step has just formed; for a dimension tuple, the one its QuadCache
+// carries), and the M-step is solved after the pass as µ ← µ + d,
+// Σ ← S/N_k − d·dᵀ + εI with d = s1/N_k — an exact identity (see moments),
+// under which every group trick of Eq. 13–24 carries over unchanged. The
+// three-pass form survives as the test oracle (factorml_onepass_test.go).
 //
 // The decomposition is exact, so all three trainers produce identical
 // parameters at every iteration (verified by tests to ~1e-9). Binary joins

@@ -1,7 +1,6 @@
 package gmm
 
 import (
-	"math"
 	"sync"
 	"time"
 
@@ -13,8 +12,8 @@ import (
 	"factorml/internal/storage"
 )
 
-// TrainF is the paper's F-GMM: EM where every pass streams the join and the
-// per-tuple math is factorized across the relation partition. Quantities
+// TrainF is the paper's F-GMM: EM where every iteration streams the join
+// once and the per-tuple math is factorized across the relation partition. Quantities
 // that depend only on a dimension tuple (PD_R, the LR quadratic term, the
 // I_SR·PD_R cross vector, the per-group responsibility sums) are computed
 // once per distinct dimension tuple per pass and reused for all matching
@@ -57,17 +56,64 @@ func TrainF(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) 
 	return res, nil
 }
 
+// groupSums are the per-dimension-tuple sums of one direct dimension: the
+// ordered chunk merge scatters every match into its tuple's slot, and a
+// flush folds each slot into the iteration's moments once per tuple — the
+// group trick of Eq. 13–18 / 22–24. For tuple t and component c,
+// w[t·K+c] = Σγ over the tuple's matches and, under a full covariance,
+// gv[(t·K+c)·dS : …+dS] = Σγ·PD_S (a diagonal one has no cross blocks and
+// leaves gv empty).
+type groupSums struct {
+	w  []float64
+	gv []float64
+}
+
+// reset sizes the sums for slots (tuple, component) pairs, gvWidth wide
+// each in gv, and zeroes them.
+func (g *groupSums) reset(slots, gvWidth int) {
+	if cap(g.w) < slots {
+		g.w = make([]float64, slots)
+		g.gv = make([]float64, slots*gvWidth)
+	}
+	g.w, g.gv = g.w[:slots], g.gv[:slots*gvWidth]
+	linalg.VecZero(g.w)
+	linalg.VecZero(g.gv)
+}
+
+// scatter adds one match's K responsibilities and K fact-part deviations
+// (end to end, as the chunk states store them) to tuple t's sums.
+func (g *groupSums) scatter(t int, gamma, pds []float64) {
+	k := len(gamma)
+	w := g.w[t*k : (t+1)*k]
+	if len(g.gv) == 0 {
+		for c, gc := range gamma {
+			w[c] += gc
+		}
+		return
+	}
+	dS := len(pds) / k
+	gv := g.gv[t*k*dS : (t+1)*k*dS]
+	for c, gc := range gamma {
+		w[c] += gc
+		linalg.AxpyN(gc, pds[c*dS:], gv[c*dS:], dS)
+	}
+}
+
 // emFactorized runs the factorized EM loop over ps.Direct. Parts: 0 = S,
 // 1 = the blocked first direct dimension, 2+j = resident direct dimension
 // 1+j — each as wide as its subtree, whose columns its tuples carry.
 //
-// The E-step — the dimension-cache fills and the per-match responsibility
-// computation — runs on the chunked worker pool (cfg.NumWorkers): caches
-// fill over disjoint index grains, matches stream through RunParallel with
-// per-chunk log-likelihood/γ buffers merged in chunk order, so the model is
-// bit-identical for every worker count. The M-step passes stay sequential:
-// factorization already collapses their per-tuple work to the small fact
-// part plus per-group flushes.
+// An iteration is one pass over the join. The dimension-cache fills and
+// the per-match scoring run on the chunked worker pool (cfg.NumWorkers):
+// caches fill over disjoint index grains; each chunk's worker computes its
+// matches' responsibilities and folds the fact part's moments from the
+// PD_S the scorer has just formed. The ordered chunk merge then scatters
+// γ and γ·PD_S into the matched dimension tuples' group sums and adds the
+// dimension–dimension cross blocks through the cached PDs (§V-C); every
+// dimension tuple is flushed into the moments once, at its block's end or
+// the pass's (Eq. 13–18 / 22–24 — about the iteration's starting means,
+// see moments). Chunks merge in chunk order, so the model is bit-identical
+// for every worker count.
 func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *Stats) error {
 	p := ps.Direct
 	nw := parallel.Workers(cfg.NumWorkers)
@@ -75,100 +121,99 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 	q := p.Parts() - 1 // number of dimension relations
 	dS := p.Dims[0]
 
-	gamma := make([]float64, n*k)
-	pds := make([]float64, dS)
-	pdBuf := make([][]float64, q) // per-part PD pointers for cross terms
-
-	// feAcc is the per-chunk E-step accumulator: responsibilities for the
-	// chunk's matches plus the partial log-likelihood. caches[j] is the
-	// K-component cache run of the match's tuple in dimension part j+1 —
-	// a subslice of the flat per-block/per-resident cache arrays.
-	type feAcc struct {
-		ll     float64
-		ops    core.Ops
-		ng     int
-		gamma  []float64
-		logp   []float64
-		pds    []float64
-		caches [][]core.QuadCache
+	// chunkAcc is what a worker hands the merge for one chunk: the matches
+	// (valid until the chunk is merged), their responsibilities and K
+	// fact-part deviations each, and the fact part's share of the moments.
+	// caches[j] is the K-component cache run of the current match's tuple
+	// in dimension part j+1 — a subslice of the flat per-block/per-resident
+	// cache arrays.
+	type chunkAcc struct {
+		ll      float64
+		ops     core.Ops
+		matches []join.Match
+		gamma   []float64
+		pds     []float64
+		logp    []float64
+		caches  [][]core.QuadCache
+		fact    *moments
 	}
-	fePool := sync.Pool{New: func() any {
-		return &feAcc{
+	pool := sync.Pool{New: func() any {
+		return &chunkAcc{
 			logp:   make([]float64, k),
-			pds:    make([]float64, dS),
 			caches: make([][]core.QuadCache, q),
+			fact:   newMoments(k, dS, false),
 		}
 	}}
 
-	nk := make([]float64, k)
-	// Per-part mean accumulators, assembled into full vectors for the shared
-	// update helper.
-	sumMuParts := make([][][]float64, p.Parts())
-	for i := range sumMuParts {
-		sumMuParts[i] = make([][]float64, k)
-		for c := 0; c < k; c++ {
-			sumMuParts[i][c] = make([]float64, p.Dims[i])
-		}
-	}
-	sumMuFull := make([][]float64, k)
-	for c := 0; c < k; c++ {
-		sumMuFull[c] = make([]float64, p.D)
-	}
-
-	// Reusable per-block buffers (sized on first block).
-	var blkCache []core.QuadCache // E-step: len(block)*k
-	var wBlk []float64            // M1: group responsibility sums
-	var pdBlk [][]float64         // M2: PD per (block tuple, component)
-	var wBlk2 []float64           // M2 group sums
-	var gvecBlk [][]float64       // M2: Σ γ·PD_S per group
-	var curBlock []*storage.Tuple // current R1 block, shared across callbacks
-
-	// Per-iteration accumulators hoisted out of the EM loop (the resident
-	// dimension tables are loaded by the init scan and their sizes are
-	// fixed, so every buffer below is allocated once and recycled —
-	// FillQuadCache and VecSub overwrite, the rest are zeroed in place).
-	resCache := make([][]core.QuadCache, q-1) // E-step resident caches
-	wRes := make([][]float64, q-1)            // M1 resident group sums
-	pdRes := make([][][]float64, q-1)         // M2 resident PDs
-	wRes2 := make([][]float64, q-1)           // M2 resident group sums
-	gvecRes := make([][][]float64, q-1)       // M2 Σ γ·PD_S per resident group
-	for j := 0; j < q-1; j++ {
-		nt := len(ps.Resident(j))
-		resCache[j] = make([]core.QuadCache, nt*k)
-		wRes[j] = make([]float64, nt*k)
-		wRes2[j] = make([]float64, nt*k)
-		pdRes[j] = make([][]float64, nt*k)
-		gvecRes[j] = make([][]float64, nt*k)
-		dRj := p.Dims[2+j]
-		for i := range pdRes[j] {
-			pdRes[j][i] = make([]float64, dRj)
-			gvecRes[j][i] = make([]float64, dS)
-		}
-	}
-	acc := make([]*core.BlockedSym, k) // M2 covariance accumulators
-	sumCov := make([]*linalg.Dense, k) // assembled Σ-update destinations
-	for c := 0; c < k; c++ {
+	total := newMoments(k, p.D, false) // assembled at the end of each pass
+	fact := newMoments(k, dS, false)   // its fact columns, merged per chunk
+	acc := make([]*core.BlockedSym, k) // second-moment blocks, upper only
+	for c := range acc {
 		acc[c] = core.NewBlockedZero(p)
-		sumCov[c] = linalg.NewDense(p.D, p.D)
+	}
+	pdBuf := make([][]float64, q) // a match's PD per dimension part
+
+	// The first direct dimension's caches and sums are per block; the
+	// resident dimensions are loaded by the init scan, so theirs are
+	// allocated once and recycled.
+	var blkCache []core.QuadCache
+	var blk groupSums
+	resCache := make([][]core.QuadCache, q-1)
+	res := make([]groupSums, q-1)
+	for j := range resCache {
+		resCache[j] = make([]core.QuadCache, len(ps.Resident(j))*k)
 	}
 
-	prevLL := math.Inf(-1)
-	for iter := 0; iter < cfg.MaxIter; iter++ {
+	// Analytic charges: per match, what the merge scatters; per (dimension
+	// tuple, component), what a flush folds.
+	var scatterOps core.Ops
+	for a := 0; a < q; a++ {
+		scatterOps.AddAxpy(dS)
+		for b := a + 1; b < q; b++ {
+			scatterOps.AddOuter(p.Dims[1+a], p.Dims[1+b])
+		}
+	}
+	scatterOps = scatterOps.Scale(int64(k))
+	flushOps := make([]core.Ops, p.Parts())
+	for part := 1; part <= q; part++ {
+		flushOps[part].AddMoments(p.Dims[part], false)
+		flushOps[part].AddOuter(dS, p.Dims[part])
+	}
+
+	// flush folds one dimension part's group sums into the moments:
+	//   Σ_n γ PD_R       = (Σ_{n∈group} γ) · PD_R
+	//   Σ_n γ PD_R PD_Rᵀ = (Σ_{n∈group} γ) · PD_R PD_Rᵀ
+	//   Σ_n γ PD_S PD_Rᵀ = (Σ_{n∈group} γ PD_S) ⊗ PD_R
+	flush := func(part int, caches []core.QuadCache, g *groupSums) {
+		for i := range caches {
+			c := i % k
+			pd := caches[i].PD
+			linalg.Axpy(g.w[i], pd, p.Slice(total.s1[c], part))
+			linalg.SyrkAccum(acc[c].B[part][part], g.w[i], pd)
+			linalg.OuterAccum(acc[c].B[0][part], 1, g.gv[i*dS:(i+1)*dS], pd)
+		}
+		stats.Ops.Add(flushOps[part].Scale(int64(len(caches))))
+	}
+
+	ps.Pass = "fgmm.em"
+	return runEM(cfg, stats, func() (float64, error) {
 		states, err := model.precompute(p, true)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		hot := buildHot(model, p, states)
+		total.zero()
+		fact.zero()
+		for c := range acc {
+			acc[c].Zero()
+		}
 
-		// ------------------------------------------------------------------
-		// E-step: factorized responsibilities (Eq. 7-12 / 19-21).
-		// ------------------------------------------------------------------
 		// Resident caches are filled once per iteration (parallel fill,
 		// disjoint (tuple, component) slots).
-		ps.Pass = "fgmm.estep"
 		for j := 0; j < q-1; j++ {
 			rj := resCache[j]
 			part := 2 + j
+			res[j].reset(len(rj), dS)
 			err = ps.FillCaches(nw, ps.Resident(j), &stats.Ops, func(t int, tp *storage.Tuple, ops *core.Ops) error {
 				for c := 0; c < k; c++ {
 					core.FillQuadCache(&rj[t*k+c], states[c].blocked, part, tp.Features, model.Means[c], ops)
@@ -176,12 +221,11 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				return nil
 			})
 			if err != nil {
-				return err
+				return 0, err
 			}
 		}
 
 		ll := 0.0
-		idx := 0
 		err = ps.RunChunks(nw, join.ParallelCallbacks{
 			OnBlockStart: func(block []*storage.Tuple) error {
 				need := len(block) * k
@@ -189,6 +233,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 					blkCache = make([]core.QuadCache, need)
 				}
 				blkCache = blkCache[:need]
+				blk.reset(need, dS)
 				return ps.FillCaches(nw, block, &stats.Ops, func(i int, tp *storage.Tuple, ops *core.Ops) error {
 					for c := 0; c < k; c++ {
 						core.FillQuadCache(&blkCache[i*k+c], states[c].blocked, 1, tp.Features, model.Means[c], ops)
@@ -197,237 +242,89 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				})
 			},
 			NewState: func() any {
-				a := fePool.Get().(*feAcc)
-				a.ll, a.ops, a.ng = 0, core.Ops{}, 0
-				a.gamma = a.gamma[:0]
+				a := pool.Get().(*chunkAcc)
+				a.ll, a.ops = 0, core.Ops{}
+				a.fact.zero()
 				return a
 			},
+			// E-step (Eq. 7-12 / 19-21) and the fact part's moments.
 			OnMatchChunk: func(state any, matches []join.Match) error {
-				a := state.(*feAcc)
-				for _, m := range matches {
+				a := state.(*chunkAcc)
+				a.matches = matches
+				need := len(matches) * k
+				if cap(a.gamma) < need {
+					a.gamma = make([]float64, need)
+					a.pds = make([]float64, need*dS)
+				}
+				a.gamma, a.pds = a.gamma[:need], a.pds[:need*dS]
+				for i, m := range matches {
 					a.caches[0] = blkCache[m.R1*k : (m.R1+1)*k]
 					for j, ri := range m.Res {
 						a.caches[1+j] = resCache[j][ri*k : (ri+1)*k]
 					}
-					hot.scoreRow(m.S.Features, a.caches, a.pds, a.logp, &a.ops)
-					lse := linalg.LogSumExp(a.logp)
-					a.ll += lse
-					for c := 0; c < k; c++ {
-						a.gamma = append(a.gamma, math.Exp(a.logp[c]-lse))
-					}
-					a.ng++
+					g := a.gamma[i*k : (i+1)*k]
+					pds := a.pds[i*k*dS : (i+1)*k*dS]
+					hot.scoreRow(m.S.Features, a.caches, pds, a.logp, &a.ops)
+					a.ll += linalg.SoftmaxLSE(g, a.logp)
 				}
+				a.fact.foldRows(a.gamma, a.pds, len(matches))
+				a.ops.Add(a.fact.rowOps.Scale(int64(len(matches))))
 				return nil
 			},
 			OnChunkMerged: func(state any) error {
-				a := state.(*feAcc)
-				copy(gamma[idx*k:(idx+a.ng)*k], a.gamma)
-				idx += a.ng
+				a := state.(*chunkAcc)
 				ll += a.ll
-				stats.Ops.Add(a.ops)
-				fePool.Put(a)
-				return nil
-			},
-		})
-		if err != nil {
-			return err
-		}
-
-		// ------------------------------------------------------------------
-		// M-step pass 1: means and weights (Eq. 13 / 22). The dimension
-		// contribution Σ_n γ x_R factors into x_R · (Σ_{n∈group} γ).
-		// ------------------------------------------------------------------
-		for c := 0; c < k; c++ {
-			nk[c] = 0
-			for i := range sumMuParts {
-				linalg.VecZero(sumMuParts[i][c])
-			}
-		}
-		for j := 0; j < q-1; j++ {
-			linalg.VecZero(wRes[j])
-		}
-		idx = 0
-		ps.Pass = "fgmm.mstep_means"
-		err = ps.Run(join.Callbacks{
-			OnBlockStart: func(block []*storage.Tuple) error {
-				need := len(block) * k
-				if cap(wBlk) < need {
-					wBlk = make([]float64, need)
-				}
-				wBlk = wBlk[:need]
-				linalg.VecZero(wBlk)
-				curBlock = block
-				return nil
-			},
-			OnMatch: func(s *storage.Tuple, r1Idx int, resIdx []int) error {
-				g := gamma[idx*k : (idx+1)*k]
-				for c := 0; c < k; c++ {
-					nk[c] += g[c]
-					linalg.Axpy(g[c], s.Features, sumMuParts[0][c])
-					stats.Ops.AddAxpy(dS)
-					wBlk[r1Idx*k+c] += g[c]
-					for j, ri := range resIdx {
-						wRes[j][ri*k+c] += g[c]
+				fact.add(a.fact)
+				for i, m := range a.matches {
+					g := a.gamma[i*k : (i+1)*k]
+					pds := a.pds[i*k*dS : (i+1)*k*dS]
+					blk.scatter(m.R1, g, pds)
+					for j, ri := range m.Res {
+						res[j].scatter(ri, g, pds)
 					}
-				}
-				idx++
-				return nil
-			},
-			OnBlockEnd: func() error {
-				for i, tp := range curBlock {
-					for c := 0; c < k; c++ {
-						linalg.Axpy(wBlk[i*k+c], tp.Features, sumMuParts[1][c])
-						stats.Ops.AddAxpy(p.Dims[1])
-					}
-				}
-				return nil
-			},
-		})
-		if err != nil {
-			return err
-		}
-		for j := 0; j < q-1; j++ {
-			for t, tp := range ps.Resident(j) {
-				for c := 0; c < k; c++ {
-					linalg.Axpy(wRes[j][t*k+c], tp.Features, sumMuParts[2+j][c])
-					stats.Ops.AddAxpy(p.Dims[2+j])
-				}
-			}
-		}
-		for c := 0; c < k; c++ {
-			for i := range sumMuParts {
-				copy(sumMuFull[c][p.Offs[i]:p.Offs[i]+p.Dims[i]], sumMuParts[i][c])
-			}
-		}
-		collapsed := applyMeanUpdates(model, nk, sumMuFull, n)
-
-		// ------------------------------------------------------------------
-		// M-step pass 2: covariances (Eq. 14-18 / 23-24) with the new means.
-		// Diagonal dimension blocks use the group trick
-		//   Σ_n γ PD_R PD_Rᵀ = (Σ_{n∈group} γ) · PD_R PD_Rᵀ,
-		// and the S-R cross blocks use
-		//   Σ_n γ PD_S PD_Rᵀ = (Σ_{n∈group} γ PD_S) ⊗ PD_R.
-		// Cross blocks between two dimension relations are accumulated per
-		// joined tuple through the cached PDs (paper §V-C). Only the upper
-		// blocks accumulate; AssembleInto mirrors them.
-		// ------------------------------------------------------------------
-		for c := 0; c < k; c++ {
-			acc[c].Zero()
-		}
-		for j := 0; j < q-1; j++ {
-			linalg.VecZero(wRes2[j])
-			dRj := p.Dims[2+j]
-			for t, tp := range ps.Resident(j) {
-				for c := 0; c < k; c++ {
-					linalg.VecSub(pdRes[j][t*k+c], tp.Features, p.Slice(model.Means[c], 2+j))
-					stats.Ops.AddSub(dRj)
-					linalg.VecZero(gvecRes[j][t*k+c])
-				}
-			}
-		}
-
-		idx = 0
-		ps.Pass = "fgmm.mstep_cov"
-		err = ps.Run(join.Callbacks{
-			OnBlockStart: func(block []*storage.Tuple) error {
-				need := len(block) * k
-				if cap(pdBlk) < need {
-					pdBlk = make([][]float64, need)
-					gvecBlk = make([][]float64, need)
-				}
-				pdBlk = pdBlk[:need]
-				gvecBlk = gvecBlk[:need]
-				if cap(wBlk2) < need {
-					wBlk2 = make([]float64, need)
-				}
-				wBlk2 = wBlk2[:need]
-				linalg.VecZero(wBlk2)
-				dR1 := p.Dims[1]
-				for i, tp := range block {
-					for c := 0; c < k; c++ {
-						if pdBlk[i*k+c] == nil {
-							pdBlk[i*k+c] = make([]float64, dR1)
-							gvecBlk[i*k+c] = make([]float64, dS)
-						}
-						linalg.VecSub(pdBlk[i*k+c], tp.Features, p.Slice(model.Means[c], 1))
-						stats.Ops.AddSub(dR1)
-						linalg.VecZero(gvecBlk[i*k+c])
-					}
-				}
-				curBlock = block
-				return nil
-			},
-			OnMatch: func(s *storage.Tuple, r1Idx int, resIdx []int) error {
-				g := gamma[idx*k : (idx+1)*k]
-				for c := 0; c < k; c++ {
-					linalg.VecSub(pds, s.Features, p.Slice(model.Means[c], 0))
-					stats.Ops.AddSub(dS)
-					linalg.OuterAccum(acc[c].B[0][0], g[c], pds, pds)
-					stats.Ops.AddOuter(dS, dS)
-					wBlk2[r1Idx*k+c] += g[c]
-					linalg.Axpy(g[c], pds, gvecBlk[r1Idx*k+c])
-					stats.Ops.AddAxpy(dS)
-					pdBuf[0] = pdBlk[r1Idx*k+c]
-					for j, ri := range resIdx {
-						wRes2[j][ri*k+c] += g[c]
-						linalg.Axpy(g[c], pds, gvecRes[j][ri*k+c])
-						stats.Ops.AddAxpy(dS)
-						pdBuf[1+j] = pdRes[j][ri*k+c]
+					if q < 2 {
+						continue
 					}
 					// Cross blocks between dimension relations (multi-way).
-					for a := 0; a < q; a++ {
-						for b := a + 1; b < q; b++ {
-							linalg.OuterAccum(acc[c].B[1+a][1+b], g[c], pdBuf[a], pdBuf[b])
-							stats.Ops.AddOuter(p.Dims[1+a], p.Dims[1+b])
+					for c, gc := range g {
+						pdBuf[0] = blkCache[m.R1*k+c].PD
+						for j, ri := range m.Res {
+							pdBuf[1+j] = resCache[j][ri*k+c].PD
+						}
+						for r1 := 0; r1 < q; r1++ {
+							for r2 := r1 + 1; r2 < q; r2++ {
+								linalg.OuterAccum(acc[c].B[1+r1][1+r2], gc, pdBuf[r1], pdBuf[r2])
+							}
 						}
 					}
 				}
-				idx++
+				stats.Ops.Add(a.ops)
+				stats.Ops.Add(scatterOps.Scale(int64(len(a.matches))))
+				a.matches = nil
+				pool.Put(a)
 				return nil
 			},
 			OnBlockEnd: func() error {
-				dR1 := p.Dims[1]
-				for i := range curBlock {
-					for c := 0; c < k; c++ {
-						pd := pdBlk[i*k+c]
-						gv := gvecBlk[i*k+c]
-						linalg.OuterAccum(acc[c].B[1][1], wBlk2[i*k+c], pd, pd)
-						stats.Ops.AddOuter(dR1, dR1)
-						linalg.OuterAccum(acc[c].B[0][1], 1, gv, pd)
-						stats.Ops.AddOuter(dS, dR1)
-					}
-				}
+				flush(1, blkCache, &blk)
 				return nil
 			},
 		})
 		if err != nil {
-			return err
+			return 0, err
 		}
 		for j := 0; j < q-1; j++ {
-			dRj := p.Dims[2+j]
-			for t := range ps.Resident(j) {
-				for c := 0; c < k; c++ {
-					pd := pdRes[j][t*k+c]
-					gv := gvecRes[j][t*k+c]
-					linalg.OuterAccum(acc[c].B[2+j][2+j], wRes2[j][t*k+c], pd, pd)
-					stats.Ops.AddOuter(dRj, dRj)
-					linalg.OuterAccum(acc[c].B[0][2+j], 1, gv, pd)
-					stats.Ops.AddOuter(dS, dRj)
-				}
-			}
+			flush(2+j, resCache[j], &res[j])
 		}
-		for c := 0; c < k; c++ {
-			acc[c].AssembleInto(sumCov[c])
-		}
-		applyCovUpdates(model, nk, sumCov, collapsed, cfg.RegEps)
 
-		stats.LogLikelihood = append(stats.LogLikelihood, ll)
-		stats.Iters = iter + 1
-		if iter > 0 && converged(ll, prevLL, cfg.Tol) {
-			stats.Converged = true
-			break
+		// Assemble the joined-width moments: the fact columns from the
+		// chunk merges, the dimension columns and blocks from the flushes.
+		copy(total.nk, fact.nk)
+		for c := range acc {
+			copy(total.s1[c], fact.s1[c])
+			acc[c].B[0][0].CopyFrom(fact.s2[c])
+			acc[c].AssembleInto(total.s2[c])
 		}
-		prevLL = ll
-	}
-	return nil
+		total.update(model, n, cfg.RegEps)
+		return ll, nil
+	})
 }

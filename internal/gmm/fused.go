@@ -98,17 +98,19 @@ func buildHot(m *Model, p core.Partition, states []compState) *hotState {
 
 // scoreRow fills logp with every component's factorized log-density term
 // for one normalized fact tuple xs (length dS): caches[j] holds the K
-// per-component caches of dimension part j+1, pds is dS scratch. The
+// per-component caches of dimension part j+1. allPDS (length K·dS) comes
+// back holding the K fact-part deviations PD_S = xs − µ_S,c end to end —
+// the factorized trainer folds its M-step moments from them. The
 // evaluation order is fixed (deterministic bits for identical inputs);
 // see the file comment for how it relates to the unfused reference.
-func (hs *hotState) scoreRow(xs []float64, caches [][]core.QuadCache, pds, logp []float64, ops *core.Ops) {
+func (hs *hotState) scoreRow(xs []float64, caches [][]core.QuadCache, allPDS, logp []float64, ops *core.Ops) {
 	dS := hs.dS
 	xs = xs[:dS]
-	pds = pds[:dS]
 	logp = logp[:len(hs.comps)]
 	for c := range hs.comps {
 		hc := &hs.comps[c]
 		mu := hc.muS[:dS]
+		pds := allPDS[c*dS : (c+1)*dS]
 		for i, v := range xs {
 			pds[i] = v - mu[i]
 		}

@@ -177,10 +177,11 @@ func TestFactorizedSavesOps(t *testing.T) {
 	}
 }
 
-// §V-B closed form for the Σ-step (Eq. 14): per S tuple the monolithic
-// computation spends d² multiplications, the factorized one
-// dS² + 2·dS·dR, plus dR² once per R tuple. Verify the measured per-pass
-// counter difference matches.
+// §V-B closed form for the Σ-step (Eq. 14), in the upper-triangular form
+// the trainers accumulate: per S tuple the monolithic computation spends
+// d(d+1)/2 + d multiplications, the factorized one dS(dS+1)/2 + 2·dS, plus
+// dR(dR+1)/2 + dR + dS·dR + dS once per R tuple. Verify the measured
+// counter difference covers it.
 func TestSigmaStepSavingRateMatchesClosedForm(t *testing.T) {
 	db := openDB(t)
 	nS, nR, dS, dR := 500, 25, 3, 5
@@ -195,19 +196,18 @@ func TestSigmaStepSavingRateMatchesClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dS + dR
-	// Count only outer-product multiplications of the Σ pass (K=1, 1 iter).
-	// Dense: per tuple AddOuter(d,d) = d² + d.
-	denseSigma := int64(nS) * int64(d*d+d)
-	// Factorized: per tuple AddOuter(dS,dS) + Axpy(dS) [gvec];
-	// per R tuple AddOuter(dR,dR) + AddOuter(dS,dR) + AddOuter(dR,dS).
-	factSigma := int64(nS)*int64(dS*dS+dS+dS) +
-		int64(nR)*int64((dR*dR+dR)+(dS*dR+dS)+(dR*dS+dR))
+	// Count only the second-moment multiplications (K=1, 1 iter).
+	// Dense: per tuple AddSyrk(d) = d(d+1)/2 + d.
+	denseSigma := int64(nS) * int64(d*(d+1)/2+d)
+	// Factorized: per tuple AddSyrk(dS) + Axpy(dS) [gvec];
+	// per R tuple AddSyrk(dR) + AddOuter(dS,dR).
+	factSigma := int64(nS)*int64(dS*(dS+1)/2+dS+dS) +
+		int64(nR)*int64((dR*(dR+1)/2+dR)+(dS*dR+dS))
 	wantDelta := denseSigma - factSigma
 
-	// Isolate the Σ pass by subtracting everything else: run the same
-	// configs and compare total multiplication counters. The E-step and
-	// µ-step savings are also positive, so check the total saving is at
-	// least the Σ-step closed form and attribute-level accounting holds.
+	// Compare total multiplication counters: the E-step and first-moment
+	// savings are also positive, so the total saving must be at least the
+	// Σ-step closed form.
 	gotDelta := s.Stats.Ops.Mul - f.Stats.Ops.Mul
 	if gotDelta < wantDelta {
 		t.Fatalf("measured mult saving %d below Σ-step closed form %d", gotDelta, wantDelta)

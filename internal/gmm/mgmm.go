@@ -10,8 +10,9 @@ import (
 )
 
 // TrainM is the baseline M-GMM (Algorithm 1): materialize T = S ⋈ R1 ⋈ … on
-// disk (factor.MaterializedSource), then run EM reading T three times per
-// iteration. The temporary table is dropped when training finishes.
+// disk (factor.MaterializedSource), then run EM reading T once per
+// iteration (see emDense). The temporary table is dropped when training
+// finishes.
 func TrainM(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {

@@ -152,45 +152,90 @@ func (m *Model) precompute(p core.Partition, blockInv bool) ([]compState, error)
 	return states, nil
 }
 
-// LogProb returns ln p(x) under the mixture.
-func (m *Model) LogProb(x []float64) float64 {
-	if len(x) != m.D {
-		panic(fmt.Sprintf("gmm: point has dim %d, model has %d", len(x), m.D))
+// evaluator scores joined vectors under one fixed setting of the model's
+// parameters. Every component covariance is factorized once, at
+// construction (the one-part state of precompute, or the inverse variances
+// of a diagonal model), so a loop over many rows pays the K Cholesky
+// factorizations once rather than once per row. It is immutable afterwards
+// and callers bring their own scratch, so one evaluator serves a whole
+// worker pool.
+type evaluator struct {
+	m      *Model
+	full   []compState // nil when built diagonal
+	diag   []diagState
+	rowOps core.Ops // charge of one logDensities call (all K components)
+}
+
+func (m *Model) newEvaluator(diagonal bool) (*evaluator, error) {
+	ev := &evaluator{m: m}
+	var err error
+	if diagonal {
+		ev.diag, err = m.precomputeDiag()
+		ev.rowOps.AddDiagQuad(m.D)
+	} else {
+		ev.full, err = m.precompute(core.NewPartition([]int{m.D}), false)
+		ev.rowOps.AddSub(m.D)
+		ev.rowOps.AddQuadForm(m.D)
 	}
-	states, err := m.precompute(core.NewPartition([]int{m.D}), false)
-	if err != nil {
-		return math.Inf(-1)
+	ev.rowOps = ev.rowOps.Scale(int64(m.K))
+	return ev, err
+}
+
+// logDensities fills logp[c] = ln π_c·N(x | µ_c, Σ_c) and leaves the
+// deviation x − µ_c it was computed from in pd[c·D : (c+1)·D].
+func (ev *evaluator) logDensities(x, pd, logp []float64) {
+	d := ev.m.D
+	for c := range logp {
+		pdc := pd[c*d : (c+1)*d]
+		linalg.VecSub(pdc, x, ev.m.Means[c])
+		if ev.diag != nil {
+			st := &ev.diag[c]
+			logp[c] = st.logW + st.logNorm - 0.5*diagQuadPD(pdc, st.invVar)
+		} else {
+			st := &ev.full[c]
+			logp[c] = st.logW + st.logNorm - 0.5*linalg.QuadForm(st.inv, pdc)
+		}
 	}
+}
+
+// LogProb returns ln p(x) under the mixture. It factorizes all K
+// covariances on every call; score many points through LogProbFunc.
+func (m *Model) LogProb(x []float64) float64 { return m.LogProbFunc()(x) }
+
+// LogProbFunc returns x ↦ ln p(x) with the covariances factorized once,
+// here, instead of on every call — the way to score a whole scan. The
+// values are LogProb's, bit for bit (−Inf everywhere when a covariance is
+// not positive definite). The function owns scratch: use it from one
+// goroutine at a time.
+func (m *Model) LogProbFunc() func(x []float64) float64 {
+	ev, err := m.newEvaluator(false)
+	pd := make([]float64, m.K*m.D)
 	lp := make([]float64, m.K)
-	pd := make([]float64, m.D)
-	for k := range lp {
-		linalg.VecSub(pd, x, m.Means[k])
-		lp[k] = states[k].logW + states[k].logNorm - 0.5*linalg.QuadForm(states[k].inv, pd)
+	return func(x []float64) float64 {
+		if len(x) != m.D {
+			panic(fmt.Sprintf("gmm: point has dim %d, model has %d", len(x), m.D))
+		}
+		if err != nil {
+			return math.Inf(-1)
+		}
+		ev.logDensities(x, pd, lp)
+		return linalg.LogSumExp(lp)
 	}
-	return linalg.LogSumExp(lp)
 }
 
 // Responsibilities returns γ_k(x) = p(z = k | x) for a single point.
 func (m *Model) Responsibilities(x []float64) []float64 {
-	states, err := m.precompute(core.NewPartition([]int{m.D}), false)
+	out := make([]float64, m.K)
+	ev, err := m.newEvaluator(false)
 	if err != nil {
-		out := make([]float64, m.K)
 		for i := range out {
 			out[i] = 1 / float64(m.K)
 		}
 		return out
 	}
 	lp := make([]float64, m.K)
-	pd := make([]float64, m.D)
-	for k := range lp {
-		linalg.VecSub(pd, x, m.Means[k])
-		lp[k] = states[k].logW + states[k].logNorm - 0.5*linalg.QuadForm(states[k].inv, pd)
-	}
-	lse := linalg.LogSumExp(lp)
-	out := make([]float64, m.K)
-	for k := range out {
-		out[k] = math.Exp(lp[k] - lse)
-	}
+	ev.logDensities(x, make([]float64, m.K*m.D), lp)
+	linalg.SoftmaxLSE(out, lp)
 	return out
 }
 

@@ -2,7 +2,6 @@ package gmm
 
 import (
 	"fmt"
-	"math"
 
 	"factorml/internal/core"
 	"factorml/internal/linalg"
@@ -89,7 +88,7 @@ type ScoreScratch struct {
 // NewScratch allocates scratch sized for this scorer.
 func (s *Scorer) NewScratch() *ScoreScratch {
 	return &ScoreScratch{
-		pds:   make([]float64, s.p.Dims[0]),
+		pds:   make([]float64, s.m.K*s.p.Dims[0]),
 		logp:  make([]float64, s.m.K),
 		cptrs: make([]*core.QuadCache, s.p.Parts()-1),
 	}
@@ -125,13 +124,14 @@ func (s *Scorer) scoreComponentsUnfused(xs []float64, caches [][]core.QuadCache,
 	if len(caches) != s.p.Parts()-1 {
 		panic(fmt.Sprintf("gmm: %d dimension caches, partition has %d dimension parts", len(caches), s.p.Parts()-1))
 	}
+	pds := sc.pds[:s.p.Dims[0]]
 	for c := 0; c < s.m.K; c++ {
-		linalg.VecSub(sc.pds, xs, s.p.Slice(s.m.Means[c], 0))
-		sc.Ops.AddSub(len(sc.pds))
+		linalg.VecSub(pds, xs, s.p.Slice(s.m.Means[c], 0))
+		sc.Ops.AddSub(len(pds))
 		for j := range caches {
 			sc.cptrs[j] = &caches[j][c]
 		}
-		qv := core.FactQuad(s.states[c].blocked, sc.pds, sc.cptrs, &sc.Ops)
+		qv := core.FactQuad(s.states[c].blocked, pds, sc.cptrs, &sc.Ops)
 		sc.logp[c] = s.states[c].logW + s.states[c].logNorm - 0.5*qv
 	}
 }
@@ -165,9 +165,5 @@ func (s *Scorer) Responsibilities(xs []float64, caches [][]core.QuadCache, sc *S
 		panic(fmt.Sprintf("gmm: gamma length %d, want K=%d", len(gamma), s.m.K))
 	}
 	s.scoreComponents(xs, caches, sc)
-	lse := linalg.LogSumExp(sc.logp)
-	for c := range gamma {
-		gamma[c] = math.Exp(sc.logp[c] - lse)
-	}
-	return lse
+	return linalg.SoftmaxLSE(gamma, sc.logp)
 }

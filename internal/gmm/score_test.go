@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"factorml/internal/core"
+	"factorml/internal/join"
 	"factorml/internal/linalg"
 )
 
@@ -150,5 +151,41 @@ func TestScorerSingleComponent(t *testing.T) {
 	}
 	if ll != lp {
 		t.Fatalf("Responsibilities LL = %g, Score = %g", ll, lp)
+	}
+}
+
+// LogProbFunc factorizes the covariances once; its values are LogProb's,
+// bit for bit, and a model whose covariance is not positive definite
+// scores −Inf through both.
+func TestLogProbFuncMatchesLogProb(t *testing.T) {
+	db := openDB(t)
+	spec := synthBinary(t, db, 300, 15, 2, 3)
+	res, err := TrainF(db, spec, Config{K: 3, MaxIter: 3, Tol: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logProb := res.Model.LogProbFunc()
+	rows := 0
+	err = join.Stream(spec, func(_ int64, x []float64, _ float64) error {
+		rows++
+		if got, want := logProb(x), res.Model.LogProb(x); got != want {
+			t.Fatalf("row %d: LogProbFunc %v, LogProb %v", rows, got, want)
+		}
+		return nil
+	})
+	if err != nil || rows == 0 {
+		t.Fatalf("streamed %d rows, err %v", rows, err)
+	}
+
+	bad := res.Model.Clone()
+	bad.Covs[1].Set(0, 0, -1)
+	x := make([]float64, bad.D)
+	if got := bad.LogProbFunc()(x); !math.IsInf(got, -1) {
+		t.Fatalf("non-PD covariance: LogProbFunc = %v, want -Inf", got)
+	}
+	for _, g := range bad.Responsibilities(x) {
+		if g != 1.0/3 {
+			t.Fatalf("non-PD covariance: responsibilities %v, want uniform", bad.Responsibilities(x))
+		}
 	}
 }

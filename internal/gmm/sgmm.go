@@ -39,11 +39,7 @@ func trainDense(db *storage.Database, src factor.Source, cfg Config, start time.
 		return nil, err
 	}
 	res := &Result{Model: model}
-	em := emDense
-	if cfg.Diagonal {
-		em = emDenseDiag
-	}
-	if err := em(pass, d, n, cfg, model, &res.Stats); err != nil {
+	if err := emDense(pass, d, n, cfg, model, &res.Stats); err != nil {
 		return nil, err
 	}
 	res.Stats.IO = db.Pool().Stats().Sub(io0)

@@ -14,10 +14,14 @@ import (
 const ParallelChunkRows = 512
 
 // Match is one joined tuple delivered by RunParallel: the fact tuple (a
-// copy owned by the current chunk), the index of its R1 partner within the
+// copy owned by the match's chunk), the index of its R1 partner within the
 // current block, and the indexes of its partners in the other direct
-// dimensions (Runner.Resident). A Match is valid only for the duration of
-// OnMatchChunk.
+// dimensions (Runner.Resident). A Match — and the matches slice
+// OnMatchChunk receives — stays valid until the chunk's OnChunkMerged has
+// returned: the chunk's buffers go back to the pool only after its merge,
+// so a fold may keep the slice in its state and the ordered merge read the
+// partner indexes from it (the factorized GMM scatters its group sums
+// there). Do not hold either past that call.
 type Match struct {
 	S   *storage.Tuple
 	R1  int
@@ -36,8 +40,8 @@ type Match struct {
 // state and all of the chunk's matches in deterministic scan order, so a
 // fold may batch its per-match work over the chunk. Chunks of one block
 // partition the fact-table scan in order. OnChunkMerged runs on a single
-// goroutine, strictly in chunk order — fold the state into global
-// accumulators there and recycle it.
+// goroutine, strictly in chunk order, before the block's OnBlockEnd — fold
+// the state into global accumulators there and recycle it.
 type ParallelCallbacks struct {
 	OnBlockStart  func(block []*storage.Tuple) error
 	NewState      func() any

@@ -146,3 +146,53 @@ func TestRunParallelBlockBarriers(t *testing.T) {
 		t.Fatal("no chunks merged")
 	}
 }
+
+// TestRunParallelMatchesValidUntilMerged pins Match's lifetime: a fold may
+// keep the matches slice in its state, and the ordered merge still reads
+// the tuples and partner indexes the fold saw — no other chunk has
+// recycled the buffers — for every worker count, on a multi-block
+// multi-way join with small chunks so many are in flight.
+func TestRunParallelMatchesValidUntilMerged(t *testing.T) {
+	db := openDB(t)
+	spec := buildTables(t, db, 800, 2, []int{600, 30}, []int{2, 2})
+	spec.BlockPages = 1
+	want := runSequential(t, spec)
+	for _, workers := range []int{1, 2, 4} {
+		runner, err := NewRunner(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type state struct {
+			matches []Match
+			keys    []string
+		}
+		var got []string
+		err = runner.RunParallel(workers, 7, ParallelCallbacks{
+			NewState: func() any { return &state{} },
+			OnMatchChunk: func(st any, matches []Match) error {
+				s := st.(*state)
+				s.matches = matches
+				for _, m := range matches {
+					s.keys = append(s.keys, matchKey(m.S, m.R1, m.Res))
+				}
+				return nil
+			},
+			OnChunkMerged: func(st any) error {
+				s := st.(*state)
+				for i, m := range s.matches {
+					if key := matchKey(m.S, m.R1, m.Res); key != s.keys[i] {
+						t.Errorf("workers=%d: match reads %q at merge, was %q in the fold", workers, key, s.keys[i])
+					}
+				}
+				got = append(got, s.keys...)
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d matches, want %d", workers, len(got), len(want))
+		}
+	}
+}

@@ -7,8 +7,7 @@ import "fmt"
 // up front (the `x = x[:n]` idiom) so the compiler proves every inner
 // access in range and emits no per-element bounds checks. DotN and AxpyN
 // evaluate in exactly the same floating-point order as Dot and Axpy, so
-// swapping one for the other anywhere preserves bit-identical results;
-// SyrkAccum is the exception and says so below.
+// swapping one for the other anywhere preserves bit-identical results.
 
 // DotN returns the inner product of x[:n] and y[:n]. The summation order
 // matches Dot element for element, so DotN(x, y, len(x)) is bit-identical
@@ -33,33 +32,69 @@ func AxpyN(a float64, x, y []float64, n int) {
 	}
 }
 
-// SyrkAccum accumulates the weighted symmetric rank-1 update A += w·x·xᵀ,
-// computing each strictly-upper product once and mirroring it into the
-// lower triangle — half the multiplies of OuterAccum(A, w, x, x).
-//
-// Not bit-identical to OuterAccum: OuterAccum derives A[j][i] from
-// fl(fl(w·x[j])·x[i]) while the mirror copies fl(fl(w·x[i])·x[j]), which
-// can differ by one ulp. Use it only on paths whose outputs are not pinned
-// bit-identical against an OuterAccum-based twin (the cross-strategy
-// harnesses tolerate rounding; the streaming incremental-vs-full pin does
-// not, so internal/stream and the factorized M-step keep OuterAccum).
+// SyrkAccum accumulates the upper triangle of the weighted symmetric
+// rank-1 update A += w·x·xᵀ: A[i][j] += (w·x[i])·x[j] for j ≥ i, half the
+// multiplies of OuterAccum(A, w, x, x) and no write below the diagonal.
+// The lower triangle of A is left alone — a caller that accumulates a
+// symmetric matrix through SyrkAccum reads back the upper triangle and
+// mirrors it once (see the GMM trainers' moment update), not per row.
 func SyrkAccum(a *Dense, w float64, x []float64) {
 	if a.rows != a.cols || len(x) != a.rows {
 		panic("linalg: syrk dimension mismatch")
 	}
 	n := len(x)
-	for i := 0; i < n; i++ {
-		wx := w * x[i]
-		if wx == 0 {
-			continue
+	for i, xi := range x {
+		wx := w * xi
+		y := x[i:]
+		row := a.data[i*n+i : i*n+n][:len(y)]
+		for j, v := range y {
+			row[j] += wx * v
 		}
-		row := a.data[i*n : i*n+n]
-		row[i] += wx * x[i]
-		for j := i + 1; j < n; j++ {
-			v := wx * x[j]
-			row[j] += v
-			a.data[j*n+i] += v
+	}
+}
+
+// SyrkAccumRows accumulates the upper triangle of A += Σᵣ wᵣ·xᵣ·xᵣᵀ over n
+// rows: row r weighs w[r·ws] and is x[r·xs : r·xs+d], d the order of A. The
+// strides let the caller keep row-major buffers that interleave several
+// such operands — the K components of a mixture, one call per component.
+// Rows are taken four at a time, so each element of A is read and written
+// once per four products instead of once per product.
+//
+// Bit-identical to SyrkAccum(A, wᵣ, xᵣ) for r = 0…n-1: every element
+// receives the same products in the same row order.
+func SyrkAccumRows(a *Dense, w []float64, ws int, x []float64, xs int, n int) {
+	d := a.rows
+	if a.rows != a.cols {
+		panic("linalg: syrk-rows destination is not square")
+	}
+	if n <= 0 {
+		return
+	}
+	if len(w) <= (n-1)*ws || len(x) < (n-1)*xs+d {
+		panic(fmt.Sprintf("linalg: syrk-rows %d rows of %d at strides %d and %d, have %d weights and %d values",
+			n, d, ws, xs, len(w), len(x)))
+	}
+	r := 0
+	for ; r+4 <= n; r += 4 {
+		x0 := x[r*xs:][:d]
+		x1 := x[(r+1)*xs:][:d]
+		x2 := x[(r+2)*xs:][:d]
+		x3 := x[(r+3)*xs:][:d]
+		w0, w1, w2, w3 := w[r*ws], w[(r+1)*ws], w[(r+2)*ws], w[(r+3)*ws]
+		for i, xi := range x0 {
+			a0, a1, a2, a3 := w0*xi, w1*x1[i], w2*x2[i], w3*x3[i]
+			y0 := x0[i:]
+			y1 := x1[i:][:len(y0)]
+			y2 := x2[i:][:len(y0)]
+			y3 := x3[i:][:len(y0)]
+			row := a.data[i*d+i : i*d+d][:len(y0)]
+			for j, v := range y0 {
+				row[j] = row[j] + a0*v + a1*y1[j] + a2*y2[j] + a3*y3[j]
+			}
 		}
+	}
+	for ; r < n; r++ {
+		SyrkAccum(a, w[r*ws], x[r*xs:][:d])
 	}
 }
 

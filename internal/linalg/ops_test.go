@@ -382,3 +382,88 @@ func BenchmarkMatVec(b *testing.B) {
 		}
 	})
 }
+
+// SyrkAccum writes the upper triangle only, and every element it writes is
+// the one OuterAccum(A, w, x, x) writes there, bit for bit.
+func TestSyrkAccumIsUpperTriangleOfOuterAccum(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{1, 2, 5, 16} {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		got, want := NewDense(n, n), NewDense(n, n)
+		for rep := 0; rep < 3; rep++ {
+			w := rng.Float64()
+			SyrkAccum(got, w, x)
+			OuterAccum(want, w, x, x)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				switch {
+				case j >= i && got.At(i, j) != want.At(i, j):
+					t.Fatalf("n=%d: [%d][%d] = %v, OuterAccum has %v", n, i, j, got.At(i, j), want.At(i, j))
+				case j < i && got.At(i, j) != 0:
+					t.Fatalf("n=%d: [%d][%d] = %v below the diagonal, want untouched", n, i, j, got.At(i, j))
+				}
+			}
+		}
+	}
+}
+
+// The rows kernel takes four rows at a time out of strided buffers; every
+// element must still be the rank-1 sequence's, bit for bit, for row counts
+// around the block size.
+func TestSyrkAccumRowsMatchesRank1Sequence(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const d, ws, xs = 5, 3, 17 // weights every 3rd value, rows every 17th
+	for n := 0; n <= 11; n++ {
+		w := make([]float64, n*ws+1)
+		x := make([]float64, n*xs+d)
+		for i := range w {
+			w[i] = rng.Float64()
+		}
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		got, want := NewDense(d, d), NewDense(d, d)
+		SyrkAccumRows(got, w[1:], ws, x[2:], xs, n)
+		for r := 0; r < n; r++ {
+			SyrkAccum(want, w[1+r*ws], x[2+r*xs:2+r*xs+d])
+		}
+		if diff := got.MaxAbsDiff(want); diff != 0 {
+			t.Fatalf("n=%d: rows kernel differs from the rank-1 sequence by %g", n, diff)
+		}
+	}
+}
+
+func TestSyrkAccumRowsShortBufferPanics(t *testing.T) {
+	defer expectPanic(t, "SyrkAccumRows with a short row buffer")
+	SyrkAccumRows(NewDense(3, 3), make([]float64, 2), 1, make([]float64, 5), 3, 2)
+}
+
+func TestSoftmaxLSE(t *testing.T) {
+	x := []float64{-1050, -1049.5, -1053, -1e9}
+	dst := make([]float64, len(x))
+	if got, want := SoftmaxLSE(dst, x), LogSumExp(x); got != want {
+		t.Fatalf("SoftmaxLSE = %v, LogSumExp = %v, want the same bits", got, want)
+	}
+	sum := 0.0
+	for i, v := range dst {
+		if want := math.Exp(x[i] - LogSumExp(x)); math.Abs(v-want) > 1e-15 {
+			t.Fatalf("dst[%d] = %v, want %v", i, v, want)
+		}
+		sum += v
+	}
+	if math.Abs(sum-1) > 1e-15 {
+		t.Fatalf("responsibilities sum to %v", sum)
+	}
+	// No component claims the point: uniform, and −Inf like LogSumExp.
+	none := []float64{math.Inf(-1), math.Inf(-1)}
+	if got := SoftmaxLSE(dst[:2], none); !math.IsInf(got, -1) || dst[0] != 0.5 || dst[1] != 0.5 {
+		t.Fatalf("all −Inf: lse %v, dst %v", got, dst[:2])
+	}
+	if got := SoftmaxLSE(nil, nil); !math.IsInf(got, -1) {
+		t.Fatalf("empty input: %v", got)
+	}
+}

@@ -104,3 +104,37 @@ func LogSumExp(x []float64) float64 {
 	}
 	return max + math.Log(s)
 }
+
+// SoftmaxLSE returns LogSumExp(x) — bit for bit — and fills dst with the
+// normalized exponentials dst[i] = exp(x[i]−max)/Σ exp(x[j]−max) from the
+// exponentials that sum has already taken, so a mixture's responsibilities
+// cost one exp per component instead of two. When every x[i] is −Inf no
+// component claims the point and dst is uniform.
+func SoftmaxLSE(dst, x []float64) float64 {
+	dst = dst[:len(x)]
+	if len(x) == 0 {
+		return math.Inf(-1)
+	}
+	max := x[0]
+	for _, v := range x[1:] {
+		if v > max {
+			max = v
+		}
+	}
+	if math.IsInf(max, -1) {
+		for i := range dst {
+			dst[i] = 1 / float64(len(x))
+		}
+		return max
+	}
+	var s float64
+	for i, v := range x {
+		e := math.Exp(v - max)
+		dst[i] = e
+		s += e
+	}
+	for i := range dst {
+		dst[i] /= s
+	}
+	return max + math.Log(s)
+}

@@ -10,20 +10,18 @@ import (
 // Stats.Ops at their call sites (see internal/gmm, internal/nn,
 // core.FillQuadCache/FactQuad), composed with Ops.Add and Ops.Scale:
 //
-//	dense EM, per row, per component, per iteration
-//	    E:  sub(d) + quadform(d)
-//	    M1: axpy(d)
-//	    M2: sub(d) + outer(d,d)
-//	factorized EM, per iteration, over the fact part and one part per
-//	direct dimension i, wᵢ wide (its whole subtree) with mᵢ tuples
+//	dense EM, per row, per component, per iteration (one pass)
+//	    E: sub(d) + quadform(d)
+//	    M: moments(d) = axpy(d) + syrk(d), folded from the E-step's PD
+//	factorized EM, per iteration (one pass), over the fact part and one
+//	part per direct dimension i, wᵢ wide (its whole subtree), mᵢ tuples
 //	    cache fills, per tuple of direct dimension i, per component:
 //	        sub(wᵢ) + quadform(wᵢ) + matvec(dS×wᵢ)          (Eq. 7–12)
 //	    E, per match:  sub(dS) + quadform(dS)
 //	                   + Σᵢ dot(dS) + Σᵢ<ⱼ bilinear(wᵢ×wⱼ)   (Eq. 19–21)
-//	    M1: axpy(dS) per match + axpy(wᵢ) per dimension tuple (Eq. 22)
-//	    M2: sub(dS) + outer(dS,dS) + q·axpy(dS) + Σᵢ<ⱼ outer(wᵢ,wⱼ) per
-//	        match; sub(wᵢ) + outer(wᵢ,wᵢ) + outer(dS,wᵢ) per tuple — upper
-//	        blocks only, mirrored at assembly (Eq. 23–24)
+//	    M, per match:  moments(dS) + q·axpy(dS) + Σᵢ<ⱼ outer(wᵢ,wⱼ)
+//	    M, per tuple:  moments(wᵢ) + outer(dS,wᵢ) through the cached PD —
+//	        upper blocks and triangles only, mirrored once (Eq. 22–24)
 //
 // and the NN equivalents (§VI-A1/A3). The join runner resolves a snowflake's
 // sub-dimension hops once per dimension tuple and hands the trainers a star
@@ -99,49 +97,40 @@ func denseGMMIter(sh shape, k int, diagonal bool) core.Ops {
 	var kernel core.Ops // per row, per component
 	if diagonal {
 		kernel.AddDiagQuad(sh.d) // E
-		kernel.AddAxpy(sh.d)     // M1
-		kernel.AddDiagQuad(sh.d) // M2
 	} else {
 		kernel.AddSub(sh.d) // E: PD
 		kernel.AddQuadForm(sh.d)
-		kernel.AddAxpy(sh.d) // M1
-		kernel.AddSub(sh.d)  // M2: PD
-		kernel.AddOuter(sh.d, sh.d)
 	}
+	kernel.AddMoments(sh.d, diagonal) // M, from the E-step's PD
 	return kernel.Scale(int64(k) * sh.n)
 }
 
 // factGMMIter prices one factorized EM iteration.
 func factGMMIter(sh shape, k int, diagonal bool) core.Ops {
 	var total core.Ops
-	// Per-dimension-tuple work: cache fills (E), mean flushes (M1),
-	// PD setup + covariance flushes (M2) — once per distinct tuple per
-	// iteration, per component; this is the per-group reuse the strategy
-	// buys with fan-out.
+	// Per-dimension-tuple work: the cache fill (E) and the group flush
+	// (M) — once per distinct tuple per iteration, per component; this is
+	// the per-group reuse the strategy buys with fan-out.
 	for i, wi := range sh.w {
 		var perTuple core.Ops
 		if diagonal {
 			perTuple.AddDiagQuad(wi) // E cache
-			perTuple.AddAxpy(wi)     // M1 flush
-			perTuple.AddDiagQuad(wi) // M2 flush
+			perTuple.AddSub(wi)      // M flush: PD
 		} else {
 			perTuple.AddSub(wi) // E cache: PD
 			perTuple.AddQuadForm(wi)
 			perTuple.AddMatVec(sh.dS, wi) // E cache: CrossS
-			perTuple.AddAxpy(wi)          // M1 flush
-			perTuple.AddSub(wi)           // M2: PD with new means
-			perTuple.AddOuter(wi, wi)     // M2: diagonal block
-			perTuple.AddOuter(sh.dS, wi)  // M2: S-R cross (upper block)
+			perTuple.AddOuter(sh.dS, wi)  // M flush: S-R cross (upper block)
 		}
+		perTuple.AddMoments(wi, diagonal) // M flush, through the cached PD
 		total.Add(perTuple.Scale(int64(k) * sh.m[i]))
 	}
-	// Per-match work.
-	var perMatch core.Ops // per joined row, per component
+	// Per-match work: per joined row, per component.
+	var perMatch core.Ops
+	perMatch.AddMoments(sh.dS, diagonal) // M: fact part, from the E-step's PD_S
 	if diagonal {
 		perMatch.AddDiagQuad(sh.dS) // E
 		perMatch.Adds += int64(sh.q)
-		perMatch.AddAxpy(sh.dS)     // M1
-		perMatch.AddDiagQuad(sh.dS) // M2
 	} else {
 		perMatch.AddSub(sh.dS) // E: PD_S
 		perMatch.AddQuadForm(sh.dS)
@@ -157,13 +146,10 @@ func factGMMIter(sh shape, k int, diagonal bool) core.Ops {
 				perMatch.Mul++
 			}
 		}
-		perMatch.AddAxpy(sh.dS) // M1
-		perMatch.AddSub(sh.dS)  // M2: PD_S
-		perMatch.AddOuter(sh.dS, sh.dS)
-		for i := 0; i < sh.q; i++ { // M2: γ-weighted PD_S sums per group
+		for i := 0; i < sh.q; i++ { // M: γ-weighted PD_S sums per group
 			perMatch.AddAxpy(sh.dS)
 		}
-		for i := 0; i < sh.q; i++ { // M2: dimension-dimension cross blocks (upper)
+		for i := 0; i < sh.q; i++ { // M: dimension-dimension cross blocks (upper)
 			for j := i + 1; j < sh.q; j++ {
 				perMatch.AddOuter(sh.w[i], sh.w[j])
 			}
@@ -307,11 +293,11 @@ func (ss *SchemaStats) tPages() int64 {
 // estimatePages prices the page accesses (reads + writes) of a run.
 func estimatePages(ss *SchemaStats, m ModelSpec, s Strategy) int64 {
 	// Passes over the data: EM reads the rows once for initialization and
-	// three times per iteration; SGD once per epoch.
+	// once per iteration; SGD once per epoch.
 	var passes int64
 	switch m.Family {
 	case FamilyGMM:
-		passes = 1 + 3*int64(m.Iters)
+		passes = 1 + int64(m.Iters)
 	case FamilyNN:
 		passes = int64(m.Epochs)
 	}
