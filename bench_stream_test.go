@@ -90,7 +90,7 @@ const (
 	benchStreamK     = 4
 )
 
-func benchStreamSetup(b *testing.B) (*storage.Database, *join.Spec, core.Partition, *join.Resolver, []*join.ResidentIndex, *gmm.Model) {
+func benchStreamSetup(b *testing.B) (*storage.Database, *join.Spec, core.Partition, *join.Resolver, *gmm.Model) {
 	b.Helper()
 	db := benchDB(b)
 	spec, err := data.Generate(db, "strm", data.SynthConfig{
@@ -118,7 +118,7 @@ func benchStreamSetup(b *testing.B) (*storage.Database, *join.Spec, core.Partiti
 	if err != nil {
 		b.Fatal(err)
 	}
-	return db, spec, p, rv, idxs, res.Model
+	return db, spec, p, rv, res.Model
 }
 
 // BenchmarkStreamIngest sweeps the two refresh phases at 1 and N workers:
@@ -131,9 +131,9 @@ func benchStreamSetup(b *testing.B) (*storage.Database, *join.Spec, core.Partiti
 func BenchmarkStreamIngest(b *testing.B) {
 	for _, workers := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("incremental/workers=%d", workers), func(b *testing.B) {
-			_, spec, p, rv, idxs, model := benchStreamSetup(b)
-			st := stream.NewGMMStats(p, model.K)
-			if err := st.Absorb(model, spec.S, rv, workers); err != nil {
+			_, spec, p, rv, model := benchStreamSetup(b)
+			st := stream.NewGMMStats(rv, p.Dims[0], model.K)
+			if err := st.Absorb(model, spec.S, workers); err != nil {
 				b.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(99))
@@ -142,10 +142,10 @@ func BenchmarkStreamIngest(b *testing.B) {
 				b.StopTimer()
 				appendBenchDelta(b, spec, rng, benchStreamDelta)
 				b.StartTimer()
-				if err := st.Absorb(model, spec.S, rv, workers); err != nil {
+				if err := st.Absorb(model, spec.S, workers); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := st.Step(model, idxs, 1e-6); err != nil {
+				if _, err := st.Step(model, 1e-6); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -157,15 +157,15 @@ func BenchmarkStreamIngest(b *testing.B) {
 			})
 		})
 		b.Run(fmt.Sprintf("full/workers=%d", workers), func(b *testing.B) {
-			_, spec, p, rv, idxs, model := benchStreamSetup(b)
+			_, spec, p, rv, model := benchStreamSetup(b)
 			n := int(spec.S.NumTuples())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st := stream.NewGMMStats(p, model.K)
-				if err := st.Absorb(model, spec.S, rv, workers); err != nil {
+				st := stream.NewGMMStats(rv, p.Dims[0], model.K)
+				if err := st.Absorb(model, spec.S, workers); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := st.Step(model, idxs, 1e-6); err != nil {
+				if _, err := st.Step(model, 1e-6); err != nil {
 					b.Fatal(err)
 				}
 			}

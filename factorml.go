@@ -1310,6 +1310,7 @@ func NewServer(d *DB, dimTables []string, opts ...ServerOption) (*Server, error)
 		MaxQueuedIngest: o.limits.MaxQueuedIngest,
 		Monitor:         mon,
 		WAL:             d.wal,
+		Logger:          o.logger,
 		SnapshotEvery:   d.snapEvery,
 	})
 	if err != nil {

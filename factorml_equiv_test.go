@@ -55,8 +55,10 @@ type rdim struct {
 
 // buildRandomSnowflake creates a random schema in db and returns the fact
 // table, the number of fact rows the join keeps, and a shape description
-// for failure messages.
-func buildRandomSnowflake(t *testing.T, db *DB, rng *rand.Rand) (*FactTable, int, string) {
+// for failure messages. Without allowDangling no sub-reference dangles, so the
+// join keeps every fact row (the streaming tier rejects a dangling chain
+// where the trainers' inner join drops its rows).
+func buildRandomSnowflake(t *testing.T, db *DB, rng *rand.Rand, allowDangling bool) (*FactTable, int, string) {
 	t.Helper()
 	depth := 1 + rng.Intn(3)
 	nRows := 40 + rng.Intn(121)
@@ -120,7 +122,7 @@ func buildRandomSnowflake(t *testing.T, db *DB, rng *rand.Rand) (*FactTable, int
 		}
 		// One table with sub-dimensions in three gets an extra tuple whose
 		// first reference names no tuple.
-		dangling := len(subs) > 0 && rng.Intn(3) == 0
+		dangling := len(subs) > 0 && rng.Intn(3) == 0 && allowDangling
 		if dangling {
 			d.n++
 		}
@@ -249,7 +251,7 @@ func TestRandomizedCrossStrategyEquivalence(t *testing.T) {
 		seed := masterSeed + int64(i)
 		rng := rand.New(rand.NewSource(seed))
 		db := openDB(t)
-		fact, kept, shape := buildRandomSnowflake(t, db, rng)
+		fact, kept, shape := buildRandomSnowflake(t, db, rng, true)
 		ds, err := db.Dataset(fact)
 		if err != nil {
 			t.Fatalf("seed %d (%s): %v", seed, shape, err)

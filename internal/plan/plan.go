@@ -52,6 +52,22 @@ func (s Strategy) String() string {
 // MarshalJSON renders the strategy by name (for /statsz and BENCH files).
 func (s Strategy) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
 
+// UnmarshalJSON reads the name MarshalJSON wrote, so a persisted Plan (the
+// stream checkpoints the one each attached network refreshes by) loads back.
+func (s *Strategy) UnmarshalJSON(b []byte) error {
+	var name string
+	if err := json.Unmarshal(b, &name); err != nil {
+		return fmt.Errorf("plan: strategy: %w", err)
+	}
+	for v := Materialized; v < numStrategies; v++ {
+		if v.String() == name {
+			*s = v
+			return nil
+		}
+	}
+	return fmt.Errorf("plan: unknown strategy %q", name)
+}
+
 // Relation pairs a relation name with its catalog statistics.
 type Relation struct {
 	Name  string             `json:"name"`

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"factorml/internal/join"
@@ -253,5 +255,33 @@ func TestCollectFromCatalog(t *testing.T) {
 		if e.Ops.Total() <= 0 || e.Pages <= 0 || e.Score <= 0 {
 			t.Fatalf("degenerate estimate %+v", e)
 		}
+	}
+}
+
+// TestPlanJSONRoundTrip: a Plan survives its own JSON — the stream
+// checkpoints the plan an attached network refreshes by and must read back
+// the very decision it wrote, strategy names included.
+func TestPlanJSONRoundTrip(t *testing.T) {
+	p, err := Choose(fabricate(5_000, 25, 3, dim("r", 40, 1, 6)), ModelSpec{Family: FamilyNN, Hidden: []int{8}, Epochs: 2}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Plan
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&back, p) {
+		t.Fatalf("plan changed across JSON:\n got %+v\nwant %+v", &back, p)
+	}
+	var s Strategy
+	if err := json.Unmarshal([]byte(`"vectorized"`), &s); err == nil {
+		t.Fatal("unknown strategy name accepted")
+	}
+	if err := json.Unmarshal([]byte(`2`), &s); err == nil {
+		t.Fatal("numeric strategy accepted")
 	}
 }

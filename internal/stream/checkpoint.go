@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,6 +17,7 @@ import (
 	"factorml/internal/gmm"
 	"factorml/internal/monitor"
 	"factorml/internal/nn"
+	"factorml/internal/plan"
 	"factorml/internal/serve"
 	"factorml/internal/storage"
 	"factorml/internal/wal"
@@ -42,7 +45,9 @@ import (
 // rebuilds bit-identical model state.
 
 const (
-	streamStateFormat = 1
+	// Format 2 writes each statistics slab as one blob and carries every
+	// network's refresh plan; format 1 loads without its statistics.
+	streamStateFormat = 2
 	manifestFormat    = 1
 
 	manifestFile    = "manifest.json"
@@ -52,41 +57,24 @@ const (
 
 // --- serialized stream state ----------------------------------------------
 
-// groupState is one dimension group's accumulator (see groupAcc).
-type groupState struct {
-	G    int    `json:"g"`
-	W    string `json:"w"`
-	GVec string `json:"gvec"`
-}
-
-// pairState is one cross-dimension group pair's γ-sums.
-type pairState struct {
-	A int    `json:"a"`
-	B int    `json:"b"`
-	W string `json:"w"`
-}
-
-// statAccState is a statAcc with every float sum base64-bit-packed
-// (floatsToB64), so the checkpointed statistics restore bit-exactly.
-type statAccState struct {
-	Rows  int64          `json:"rows"`
-	LL    string         `json:"ll"`
-	NK    string         `json:"nk"`
-	S1S   string         `json:"s1s"`
-	B00   []string       `json:"b00"`
-	Grp   [][]groupState `json:"grp"`
-	Pairs [][]pairState  `json:"pairs"`
-}
-
-// gmmStatsState is one attached mixture's maintained statistics.
+// gmmStatsState is one attached mixture's maintained statistics. Every
+// blob is a run of little-endian 64-bit words — floats as their IEEE-754
+// bits, so the sums restore bit-exactly, NaN and ±Inf included — which
+// encoding/json writes as one base64 string.
 type gmmStatsState struct {
-	K      int           `json:"k"`
-	Merged *statAccState `json:"merged"`
-	Tail   *statAccState `json:"tail"`
+	K      int      `json:"k"`
+	Rows   int64    `json:"rows"`
+	Done   []byte   `json:"done"`   // the fact sums over the complete chunks
+	Open   []byte   `json:"open"`   // and over the trailing partial one
+	Groups [][]byte `json:"groups"` // per direct dimension: the slot keys, then the slot values
+	Pairs  [][]byte `json:"pairs"`  // per direct dimension pair, likewise
 }
 
 // walModelState is one attached model: parameters (the gmm/nn JSON
-// serialization, exact for finite floats) plus maintenance state.
+// serialization, exact for finite floats) plus maintenance state. Plan is
+// the strategy decision an NN's refreshes reuse, restored verbatim: a
+// recovered stream that planned afresh against the grown tables could pick
+// another strategy than the run it recovers, and with it other bits.
 type walModelState struct {
 	Name     string          `json:"name"`
 	Kind     string          `json:"kind"`
@@ -94,6 +82,7 @@ type walModelState struct {
 	LastRows int64           `json:"last_rows"`
 	Params   json.RawMessage `json:"params"`
 	Stats    *gmmStatsState  `json:"stats,omitempty"`
+	Plan     *plan.Plan      `json:"plan,omitempty"`
 }
 
 // walStreamState is everything a Stream must carry across a crash that
@@ -109,109 +98,94 @@ type walStreamState struct {
 	Monitor    *monitor.State  `json:"monitor,omitempty"`
 }
 
-func packStatAcc(a *statAcc) *statAccState {
-	st := &statAccState{
-		Rows: a.rows,
-		LL:   floatsToB64([]float64{a.ll}),
-		NK:   floatsToB64(a.nk),
-		S1S:  floatsToB64(a.s1S),
+func packFloats(b []byte, vs []float64) []byte {
+	for _, v := range vs {
+		b = appendF64(b, v)
 	}
-	for _, m := range a.b00 {
-		st.B00 = append(st.B00, floatsToB64(m.Data()))
-	}
-	st.Grp = make([][]groupState, len(a.grp))
-	for j := range a.grp {
-		gs := make([]groupState, 0, len(a.grp[j]))
-		keys := make([]int, 0, len(a.grp[j]))
-		for g := range a.grp[j] {
-			keys = append(keys, g)
-		}
-		sort.Ints(keys)
-		for _, g := range keys {
-			ga := a.grp[j][g]
-			gs = append(gs, groupState{G: g, W: floatsToB64(ga.w), GVec: floatsToB64(ga.gvec)})
-		}
-		st.Grp[j] = gs
-	}
-	st.Pairs = make([][]pairState, len(a.pairs))
-	for pi := range a.pairs {
-		ps := make([]pairState, 0, len(a.pairs[pi]))
-		keys := make([]pairKey, 0, len(a.pairs[pi]))
-		for key := range a.pairs[pi] {
-			keys = append(keys, key)
-		}
-		sort.Slice(keys, func(x, y int) bool {
-			if keys[x].a != keys[y].a {
-				return keys[x].a < keys[y].a
-			}
-			return keys[x].b < keys[y].b
-		})
-		for _, key := range keys {
-			ps = append(ps, pairState{A: key.a, B: key.b, W: floatsToB64(a.pairs[pi][key])})
-		}
-		st.Pairs[pi] = ps
-	}
-	return st
+	return b
 }
 
-func unpackStatAcc(dst *statAcc, st *statAccState) error {
-	if st == nil {
-		return fmt.Errorf("stream: checkpoint statistics accumulator missing")
+func unpackFloats(dst []float64, b []byte) error {
+	if len(b) != 8*len(dst) {
+		return fmt.Errorf("stream: checkpoint blob of %d bytes where %d floats belong", len(b), len(dst))
 	}
-	dst.rows = st.Rows
-	ll, err := b64ToFloats(st.LL, 1)
-	if err != nil {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return nil
+}
+
+func (s *slab) pack() []byte {
+	b := make([]byte, 0, 8*(len(s.keys)+len(s.vals)))
+	for _, key := range s.keys {
+		b = binary.LittleEndian.AppendUint64(b, key)
+	}
+	return packFloats(b, s.vals)
+}
+
+// unpack loads pack's output. valid vets every key before the index is
+// built from it (a group slab's index is as long as its largest key).
+func (s *slab) unpack(b []byte, valid func(key uint64) bool) error {
+	if len(b)%(8*(1+s.stride)) != 0 {
+		return fmt.Errorf("stream: checkpoint slab of %d bytes does not hold whole slots of %d", len(b), 8*(1+s.stride))
+	}
+	n := len(b) / (8 * (1 + s.stride))
+	s.keys = make([]uint64, n)
+	s.vals = make([]float64, n*s.stride)
+	for i := range s.keys {
+		s.keys[i] = binary.LittleEndian.Uint64(b[8*i:])
+		if !valid(s.keys[i]) {
+			return fmt.Errorf("stream: checkpoint slab key %#x names no tuple of this database", s.keys[i])
+		}
+	}
+	if err := unpackFloats(s.vals, b[8*n:]); err != nil {
 		return err
 	}
-	dst.ll = ll[0]
-	nk, err := b64ToFloats(st.NK, dst.k)
-	if err != nil {
+	s.reindex()
+	for i, key := range s.keys {
+		if *s.cell(key) != int32(i+1) {
+			return fmt.Errorf("stream: checkpoint slab holds key %#x twice", key)
+		}
+	}
+	return nil
+}
+
+func (st *GMMStats) state() *gmmStatsState {
+	s := &gmmStatsState{K: st.k, Rows: st.rows, Done: packFloats(nil, st.done.buf), Open: packFloats(nil, st.open.buf)}
+	for d := range st.grp {
+		s.Groups = append(s.Groups, st.grp[d].pack())
+	}
+	for i := range st.pairs {
+		s.Pairs = append(s.Pairs, st.pairs[i].pack())
+	}
+	return s
+}
+
+func (st *GMMStats) restore(s *gmmStatsState) error {
+	if s == nil || s.K != st.k || s.Rows < 0 || len(s.Groups) != len(st.grp) || len(s.Pairs) != len(st.pairs) {
+		return fmt.Errorf("stream: checkpoint statistics missing or not shaped like this schema's (K=%d, %d direct dimensions)", st.k, len(st.grp))
+	}
+	st.rows = s.Rows
+	if err := unpackFloats(st.done.buf, s.Done); err != nil {
 		return err
 	}
-	copy(dst.nk, nk)
-	s1S, err := b64ToFloats(st.S1S, dst.k*dst.dS)
-	if err != nil {
+	if err := unpackFloats(st.open.buf, s.Open); err != nil {
 		return err
 	}
-	copy(dst.s1S, s1S)
-	if len(st.B00) != dst.k {
-		return fmt.Errorf("stream: checkpoint has %d fact-moment blocks, want %d", len(st.B00), dst.k)
-	}
-	for c, blob := range st.B00 {
-		vals, err := b64ToFloats(blob, dst.dS*dst.dS)
-		if err != nil {
+	for d := range st.grp {
+		tuples := uint64(st.rv.Idxs[st.nodes[d]].Len())
+		if err := st.grp[d].unpack(s.Groups[d], func(key uint64) bool { return key < tuples }); err != nil {
 			return err
 		}
-		copy(dst.b00[c].Data(), vals)
 	}
-	if len(st.Grp) != len(dst.grp) {
-		return fmt.Errorf("stream: checkpoint has %d dimension group maps, want %d", len(st.Grp), len(dst.grp))
+	// Step looks a pair's two groups up unchecked: both must hold slots.
+	has := func(d int, g uint64) bool {
+		return g < uint64(len(st.grp[d].index)) && st.grp[d].index[g] != 0
 	}
-	for j := range st.Grp {
-		for _, gs := range st.Grp[j] {
-			ga := dst.group(j, gs.G)
-			w, err := b64ToFloats(gs.W, dst.k)
-			if err != nil {
-				return err
-			}
-			copy(ga.w, w)
-			gvec, err := b64ToFloats(gs.GVec, dst.k*dst.dS)
-			if err != nil {
-				return err
-			}
-			copy(ga.gvec, gvec)
-		}
-	}
-	if len(st.Pairs) != len(dst.pairs) {
-		return fmt.Errorf("stream: checkpoint has %d pair maps, want %d", len(st.Pairs), len(dst.pairs))
-	}
-	for pi := range st.Pairs {
-		for _, ps := range st.Pairs[pi] {
-			w, err := b64ToFloats(ps.W, dst.k)
-			if err != nil {
-				return err
-			}
-			copy(dst.pairW(pi, pairKey{a: ps.A, b: ps.B}), w)
+	for i, pr := range st.pairOf {
+		err := st.pairs[i].unpack(s.Pairs[i], func(key uint64) bool { return has(pr[0], key>>32) && has(pr[1], key&0xffffffff) })
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -239,15 +213,12 @@ func (s *Stream) stateLocked() (*walStreamState, error) {
 			if err := m.gmdl.Save(&buf); err != nil {
 				return nil, err
 			}
-			ms.Stats = &gmmStatsState{
-				K:      m.stats.k,
-				Merged: packStatAcc(m.stats.merged),
-				Tail:   packStatAcc(m.stats.tail),
-			}
+			ms.Stats = m.stats.state()
 		case serve.KindNN:
 			if err := m.net.Save(&buf); err != nil {
 				return nil, err
 			}
+			ms.Plan = m.plan
 		default:
 			return nil, fmt.Errorf("stream: cannot checkpoint model %q of kind %q", name, m.kind)
 		}
@@ -261,13 +232,20 @@ func (s *Stream) stateLocked() (*walStreamState, error) {
 // restoreStateLocked rebuilds the stream from a checkpointed state.
 // Caller holds mu; the database files must already be the snapshot's
 // (RestoreSnapshotFiles ran before storage.Open on a crash boot).
+//
+// A format-1 state's statistics (one record per group and per relation
+// pair, over the per-relation partition) are not migrated: its mixtures
+// come back with empty statistics and marked dirty, so their first refresh
+// rebuilds them from the fact table — the rebaseline a dimension update
+// forces anyway.
 func (s *Stream) restoreStateLocked(ctx context.Context, st *walStreamState) error {
-	if st.Format != streamStateFormat {
+	if st.Format != 1 && st.Format != streamStateFormat {
 		return fmt.Errorf("stream: unsupported checkpoint state format %d", st.Format)
 	}
 	s.refreshSeq = st.RefreshSeq
+	dropped := 0
 	for _, ms := range st.Models {
-		m := &attached{name: ms.Name, kind: serve.Kind(ms.Kind), dirty: ms.Dirty, lastRows: ms.LastRows}
+		m := &attached{name: ms.Name, kind: serve.Kind(ms.Kind), dirty: ms.Dirty, lastRows: ms.LastRows, plan: ms.Plan}
 		switch m.kind {
 		case serve.KindGMM:
 			gm, err := gmm.LoadModel(bytes.NewReader(ms.Params))
@@ -275,28 +253,27 @@ func (s *Stream) restoreStateLocked(ctx context.Context, st *walStreamState) err
 				return fmt.Errorf("stream: restoring model %q: %w", ms.Name, err)
 			}
 			m.gmdl = gm
-			if ms.Stats == nil {
-				return fmt.Errorf("stream: checkpointed GMM %q has no statistics", ms.Name)
-			}
-			stats := NewGMMStats(s.p, ms.Stats.K)
-			if err := unpackStatAcc(stats.merged, ms.Stats.Merged); err != nil {
+			m.stats = NewGMMStats(s.rv, s.p.Dims[0], gm.K)
+			if st.Format == 1 {
+				m.dirty = true
+				dropped++
+			} else if err := m.stats.restore(ms.Stats); err != nil {
 				return fmt.Errorf("stream: restoring model %q: %w", ms.Name, err)
 			}
-			if err := unpackStatAcc(stats.tail, ms.Stats.Tail); err != nil {
-				return fmt.Errorf("stream: restoring model %q: %w", ms.Name, err)
-			}
-			m.stats = stats
 		case serve.KindNN:
 			net, err := nn.LoadNetwork(bytes.NewReader(ms.Params))
 			if err != nil {
 				return fmt.Errorf("stream: restoring model %q: %w", ms.Name, err)
 			}
 			m.net = net
-			m.plan = s.planNN(ctx, net)
 		default:
 			return fmt.Errorf("stream: checkpointed model %q has unknown kind %q", ms.Name, ms.Kind)
 		}
 		s.models[ms.Name] = m
+	}
+	if dropped > 0 {
+		s.log.Warn(ctx, "checkpoint is format 1: maintained GMM statistics dropped, first refresh rebaselines",
+			"models", dropped)
 	}
 	s.mon.Restore(st.Monitor)
 	s.cmu.Lock()

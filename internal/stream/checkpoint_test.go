@@ -18,10 +18,12 @@ import (
 	"testing"
 
 	"factorml/internal/data"
+	"factorml/internal/gmm"
 	"factorml/internal/join"
 	"factorml/internal/nn"
 	"factorml/internal/storage"
 	"factorml/internal/wal"
+	"factorml/internal/xlog"
 )
 
 func ckptCopyTree(t *testing.T, src, dst string) {
@@ -62,13 +64,19 @@ func ckptCopyTree(t *testing.T, src, dst string) {
 // crash copies need the path, which genStar hides).
 func ckptStar(t *testing.T, dbDir string, seed int64) (*storage.Database, *join.Spec) {
 	t.Helper()
+	return ckptStarSized(t, dbDir, seed, 300, 12)
+}
+
+// ckptStarSized is ckptStar with nS fact rows over nR dimension tuples.
+func ckptStarSized(t *testing.T, dbDir string, seed int64, nS, nR int) (*storage.Database, *join.Spec) {
+	t.Helper()
 	db, err := storage.Open(dbDir, storage.Options{PoolPages: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
 	spec, err := data.Generate(db, "st", data.SynthConfig{
-		NS: 300, NR: []int{12}, DS: 3, DR: []int{2}, Seed: seed, WithTarget: true,
+		NS: nS, NR: []int{nR}, DS: 3, DR: []int{2}, Seed: seed, WithTarget: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +92,50 @@ func ckptWAL(t *testing.T, walDir string) *wal.Log {
 	}
 	t.Cleanup(func() { l.Close() })
 	return l
+}
+
+// ckptCrashRecover "crashes" a durable stream over ckptStar's schema by
+// copying its directories while it is still open, lets rewrite (when not
+// nil) edit the copy's committed snapshot, and boots a stream with opts on
+// the copy the way a crash boot does: restore the snapshot files, open the
+// database, Recover.
+func ckptCrashRecover(t *testing.T, dbDir, walDir string, opts Options, rewrite func(snapPath string)) *Stream {
+	t.Helper()
+	dbDir2, walDir2 := t.TempDir(), t.TempDir()
+	ckptCopyTree(t, dbDir, dbDir2)
+	ckptCopyTree(t, walDir, walDir2)
+	if rewrite != nil {
+		snapPath, _, ok, err := wal.CurrentSnapshot(walDir2)
+		if err != nil || !ok {
+			t.Fatalf("crash copy has no committed snapshot (ok=%v, err=%v)", ok, err)
+		}
+		rewrite(snapPath)
+	}
+	if err := RestoreSnapshotFiles(dbDir2, walDir2); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := storage.Open(dbDir2, storage.Options{PoolPages: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db2.Close() })
+	fact, err := db2.Table("st_S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim, err := db2.Table("st_R1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.WAL = ckptWAL(t, walDir2)
+	s2, err := New(db2, &join.Spec{S: fact, Rs: []*storage.Table{dim}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Recover(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return s2
 }
 
 // ckptModelBytes refreshes the stream and serializes both attached
@@ -169,58 +221,30 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	// second copy has its snapshot's JSON files rewritten the way releases
 	// before the compact writer laid them out (json.MarshalIndent), which
 	// must keep restoring.
+	indent := func(snapPath string) {
+		for _, name := range []string{manifestFile, streamStateFile} {
+			raw, err := os.ReadFile(filepath.Join(snapPath, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := json.Indent(&buf, bytes.TrimSpace(raw), "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			if buf.Len() <= len(raw) {
+				t.Fatalf("%s: indented form is not longer than what Checkpoint wrote — is it still compact?", name)
+			}
+			if err := os.WriteFile(filepath.Join(snapPath, name), buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	recovered := func(indented bool) []byte {
-		dbDir2, walDir2 := t.TempDir(), t.TempDir()
-		ckptCopyTree(t, dbDir, dbDir2)
-		ckptCopyTree(t, walDir, walDir2)
+		var rewrite func(string)
 		if indented {
-			snapPath, _, ok, err := wal.CurrentSnapshot(walDir2)
-			if err != nil || !ok {
-				t.Fatalf("crash copy has no committed snapshot (ok=%v, err=%v)", ok, err)
-			}
-			for _, name := range []string{manifestFile, streamStateFile} {
-				raw, err := os.ReadFile(filepath.Join(snapPath, name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				if err := json.Indent(&buf, bytes.TrimSpace(raw), "", "  "); err != nil {
-					t.Fatal(err)
-				}
-				if buf.Len() <= len(raw) {
-					t.Fatalf("%s: indented form is not longer than what Checkpoint wrote — is it still compact?", name)
-				}
-				if err := os.WriteFile(filepath.Join(snapPath, name), buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
+			rewrite = indent
 		}
-
-		if err := RestoreSnapshotFiles(dbDir2, walDir2); err != nil {
-			t.Fatal(err)
-		}
-		db2, err := storage.Open(dbDir2, storage.Options{PoolPages: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db2.Close()
-		fact, err := db2.Table("st_S")
-		if err != nil {
-			t.Fatal(err)
-		}
-		dim, err := db2.Table("st_R1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec2 := &join.Spec{S: fact, Rs: []*storage.Table{dim}}
-		l2 := ckptWAL(t, walDir2)
-		s2, err := New(db2, spec2, Options{Policy: Policy{NumWorkers: 1}, WAL: l2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s2.Recover(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+		s2 := ckptCrashRecover(t, dbDir, walDir, Options{Policy: Policy{NumWorkers: 1}}, rewrite)
 		if got := s2.Pending(); got != wantPending {
 			t.Fatalf("recovered pending = %d, want %d", got, wantPending)
 		}
@@ -236,6 +260,147 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(indented, want) {
 		t.Fatal("models recovered from an indented (pre-compact-writer) checkpoint diverged from the original")
+	}
+}
+
+// TestRecoverKeepsNNRefreshPlan is the crash the kill-at-any-offset
+// harness's schema never grows into: the network is attached while the fact
+// table is smaller than the dimension (the planner picks streaming), the
+// table outgrows the dimension before the checkpoint (it would now pick
+// factorized), and the run that did not crash keeps refreshing by its
+// attach-time plan. The recovered stream must too — planned afresh at
+// restore it trains by the other strategy, in another summation order.
+func TestRecoverKeepsNNRefreshPlan(t *testing.T) {
+	dbDir, walDir := t.TempDir(), t.TempDir()
+	db, spec := ckptStarSized(t, dbDir, 9, 30, 100)
+	nres, err := nn.TrainF(db, spec, nn.Config{Hidden: []int{4}, Epochs: 1, NumWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(db, spec, Options{Policy: Policy{NumWorkers: 1}, WAL: ckptWAL(t, walDir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AttachNN("n", nres.Net); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(deltaBatch(t, spec, s.idxs, 400, 61)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(deltaBatch(t, spec, s.idxs, 10, 62)); err != nil {
+		t.Fatal(err)
+	}
+	attached := s.PlannerDecisions()[0].Strategy
+	if now := s.planNN(context.Background(), nres.Net).CheapestNonMaterializing().String(); now == attached {
+		t.Fatalf("fixture does not flip the planner: %q at attach and after growth", attached)
+	}
+
+	s2 := ckptCrashRecover(t, dbDir, walDir, Options{Policy: Policy{NumWorkers: 1}}, nil)
+	if got := s2.PlannerDecisions()[0].Strategy; got != attached {
+		t.Fatalf("recovered stream refreshes by %q, the run it recovers by %q", got, attached)
+	}
+	var want, got bytes.Buffer
+	for _, x := range []struct {
+		s   *Stream
+		buf *bytes.Buffer
+	}{{s, &want}, {s2, &got}} {
+		if _, err := x.s.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		net, err := x.s.NN("n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Save(x.buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("recovered network diverged from the original after refresh")
+	}
+}
+
+// streamStateV1 is a stream-state.json as format 1 wrote it — one record
+// per group, every sum its own base64 string — for one mixture "g" (K=1
+// over ckptStar's 3+2 columns) attached and absorbed.
+const streamStateV1 = `{"format":1,"refresh_seq":3,"pending":4,
+"counters":{"batches":2,"facts_ingested":9,"dim_inserts":0,"dim_updates":0,"refreshes":3,"auto_refreshes":0,
+ "rebaselines":0,"checkpoints":1,"pending_rows":4,"attached_models":1,"ingest_queue_depth":0,"ingest_rejections":0},
+"models":[{"name":"g","kind":"gmm","dirty":false,"last_rows":0,
+ "params":{"version":1,"k":1,"d":5,"weights":[1],"means":[[0,0,0,0,0]],
+  "covs":[[1,0,0,0,0, 0,1,0,0,0, 0,0,1,0,0, 0,0,0,1,0, 0,0,0,0,1]]},
+ "stats":{"k":1,
+  "merged":{"rows":256,"ll":"AAAAAAAAWcA=","nk":"AAAAAAAAcEA=","s1s":"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",
+   "b00":["AAAAAAAAcEAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAABwQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAHBA"],
+   "grp":[[{"g":0,"w":"AAAAAAAAcEA=","gvec":"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}]],"pairs":[]},
+  "tail":{"rows":44,"ll":"AAAAAAAAMcA=","nk":"AAAAAAAARkA=","s1s":"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",
+   "b00":["AAAAAAAARkAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAABGQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAEZA"],
+   "grp":[[{"g":0,"w":"AAAAAAAARkA=","gvec":"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}]],"pairs":[]}}}]}`
+
+// TestRestoreFormat1DropsStatistics boots from a snapshot whose stream
+// state is format 1: the mixture comes back attached, its statistics are
+// not migrated, one log event says so, and its first refresh rebuilds them
+// from the fact table — ending bit-identical to statistics that never went
+// through a checkpoint.
+func TestRestoreFormat1DropsStatistics(t *testing.T) {
+	dbDir, walDir := t.TempDir(), t.TempDir()
+	db, spec := ckptStar(t, dbDir, 11)
+	s, err := New(db, spec, Options{WAL: ckptWAL(t, walDir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	s2 := ckptCrashRecover(t, dbDir, walDir, Options{Policy: Policy{NumWorkers: 2}, Logger: xlog.New(&logged, xlog.LevelInfo)},
+		func(snapPath string) {
+			if err := os.WriteFile(filepath.Join(snapPath, streamStateFile), []byte(streamStateV1), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+	if got := s2.Attached(); len(got) != 1 || got[0] != "g" {
+		t.Fatalf("recovered attached = %v, want [g]", got)
+	}
+	if got := s2.Pending(); got != 4 {
+		t.Fatalf("recovered pending = %d, want the checkpoint's 4", got)
+	}
+	if fp := s2.PlannerDecisions()[0].Statistics; fp == nil || *fp != (Footprint{Bytes: fp.Bytes}) {
+		t.Fatalf("format-1 statistics were not dropped: %+v", fp)
+	}
+	if n := strings.Count(logged.String(), "\n"); n != 1 || !strings.Contains(logged.String(), "format 1") {
+		t.Fatalf("want one log event naming format 1, got %d:\n%s", n, logged.String())
+	}
+
+	res, err := s2.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Models) != 1 || !res.Models[0].Rebaselined || res.Models[0].RowsAbsorbed != spec.S.NumTuples() {
+		t.Fatalf("first refresh after a format-1 restore: %+v, want a rebaseline over %d rows", res, spec.S.NumTuples())
+	}
+	got, err := s2.GMM("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := gmm.LoadModel(strings.NewReader(`{"version":1,"k":1,"d":5,"weights":[1],"means":[[0,0,0,0,0]],
+		"covs":[[1,0,0,0,0, 0,1,0,0,0, 0,0,1,0,0, 0,0,0,1,0, 0,0,0,0,1]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewGMMStats(s2.rv, 3, 1)
+	if err := fresh.Absorb(base, s2.spec.S, 1); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Step(base, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := got.MaxParamDiff(want); d != 0 {
+		t.Fatalf("rebaselined model differs from a from-scratch step by %g, want bit-identical", d)
 	}
 }
 
@@ -413,23 +578,5 @@ func TestWALRecordCodecErrors(t *testing.T) {
 	}
 	if _, err := appendAttachRecord(nil, walAttachGMM, "g", make([]byte, walBatchLimit+1)); err == nil {
 		t.Error("oversized model params accepted")
-	}
-
-	// Floats round-trip bit-exactly through the checkpoint codec.
-	vs := []float64{0, -0.0, 1.5, -2.25}
-	got, err := b64ToFloats(floatsToB64(vs), len(vs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vs {
-		if got[i] != vs[i] {
-			t.Fatalf("float %d: %v != %v", i, got[i], vs[i])
-		}
-	}
-	if _, err := b64ToFloats(floatsToB64(vs), 3); err == nil {
-		t.Error("wrong float count accepted")
-	}
-	if _, err := b64ToFloats("!!!", -1); err == nil {
-		t.Error("invalid base64 accepted")
 	}
 }

@@ -13,14 +13,22 @@
 //
 // # Maintained statistics
 //
-//   - Per-dimension group statistics: for every (dimension relation,
-//     dimension tuple, mixture component), the γ-sum w_g = Σ_{n∈g} γ_n
-//     (the γ-weighted group count) and the γ-weighted fact-feature sum
-//     Σ_{n∈g} γ_n·x_S. The M-step's dimension-block contributions are
-//     assembled from these in time proportional to the number of groups.
+//   - GMM sufficient statistics (GMMStats), over the partition the
+//     factorized trainers use: the fact part plus one part per DIRECT
+//     dimension. A group is a direct dimension tuple; its features are its
+//     own followed by its subtree's, re-resolved through the resident
+//     indexes whenever they are needed, so a sub-key repoint needs no
+//     bookkeeping. Per direct dimension one flat slab holds, per referenced
+//     tuple and component, the γ-sum w_g = Σ_{n∈g} γ_n and Σ_{n∈g} γ_n·x_S;
+//     per pair of direct dimensions one slab holds the γ-sums of every
+//     referenced tuple pair. A slot is found through an []int32 table
+//     indexed by the tuple's dense index (pairs: open addressing on the two
+//     indexes packed into a word); a rebaseline zeroes the slabs in place.
+//     The M-step assembles its dimension blocks from them in one sweep, in
+//     time proportional to the number of groups and pairs.
 //   - GMM QuadCache contributions: the E-step over delta rows scores
 //     through gmm.Scorer with per-dimension-tuple core.QuadCache fills —
-//     once per distinct dimension tuple referenced by the batch.
+//     once per distinct direct dimension tuple the delta references.
 //   - NN layer-1 partial pre-activations: maintained by the serving engine
 //     as per-dimension-tuple LRU entries; a dimension update surgically
 //     invalidates exactly the entries keyed by the updated tuple
@@ -54,17 +62,18 @@
 //
 // # Bit-identical incremental absorption
 //
-// The statistics accumulator cuts the fact table into chunks of
-// StatChunkRows at absolute row indexes — chunk i always covers rows
-// [i·C, (i+1)·C) no matter when, or under how many workers, those rows
-// are absorbed. Complete chunks fold into a merged accumulator strictly
-// in chunk order; the trailing partial chunk is kept as a separate "tail"
-// accumulator that later absorbs extend sequentially, and is folded only
-// into snapshots. Within a chunk rows accumulate sequentially in scan
-// order. Every floating-point reduction order is therefore a function of
-// the data alone: absorbing base then delta (in any number of batches)
-// performs literally the same additions in the same order as one
-// from-scratch pass over the union, so the refreshed model is
-// bit-identical to "full retraining on base+delta" (one warm-start EM
-// step computed the expensive way) — the property the tests pin.
+// An absorb follows the factorized trainer's shape: the scan cuts the new
+// rows into chunks, workers score them and sum each chunk's fact-block
+// moments, and one merge takes the chunks strictly in order. It scatters
+// every row's γ and γ·x_S straight into its groups' and pairs' slots, row
+// after row, so those sums never see a chunk or batch boundary. The
+// fact-block moments are summed per chunk and then added to the total,
+// which is associative only at chunk boundaries — so chunks are cut at
+// absolute row indexes (chunk i is rows [i·C, (i+1)·C), C = StatChunkRows)
+// and the trailing partial chunk's sums are kept apart: a later absorb
+// continues them row by row and adds them in once the chunk is complete.
+// Every floating-point reduction order is therefore a function of the data
+// alone: absorbing base then delta (in any number of batches, under any
+// worker count) performs the same additions in the same order as one
+// from-scratch pass over the union — the property the tests pin.
 package stream

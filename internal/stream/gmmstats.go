@@ -2,7 +2,9 @@ package stream
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"factorml/internal/core"
 	"factorml/internal/gmm"
@@ -12,243 +14,288 @@ import (
 	"factorml/internal/storage"
 )
 
-// StatChunkRows is the absolute-indexed chunk size of the incremental
-// statistics accumulator: chunk i always covers fact rows
-// [i·StatChunkRows, (i+1)·StatChunkRows), no matter when or under how
-// many workers those rows are absorbed. Like every chunk-geometry
-// constant in this codebase it is independent of the worker count,
-// because it fixes the floating-point reduction order (see the package
-// comment).
+// StatChunkRows is the absolute-indexed chunk size of the statistics pass:
+// chunk i always covers fact rows [i·StatChunkRows, (i+1)·StatChunkRows),
+// no matter when or under how many workers those rows are absorbed. Like
+// every chunk-geometry constant in this codebase it is independent of the
+// worker count, because it fixes the floating-point reduction order of the
+// fact-part sums (see the package comment).
 const StatChunkRows = 256
 
 // collapseFloor mirrors the trainers' responsibility-mass floor below
 // which a component's parameters are frozen for the step.
 const collapseFloor = 1e-12
 
-// pairKey identifies one (group in relation i, group in relation j) pair
-// of a cross-dimension second-moment block.
-type pairKey struct{ a, b int }
-
-// groupAcc is the per-group (per dimension tuple) slice of the factorized
-// sufficient statistics: for each mixture component, the γ-sum (the
-// γ-weighted group count) and the γ-weighted fact-feature sum. Everything
-// the M-step needs from a group that is linear or quadratic in the
-// group's own features is reconstructed from these at assembly time, so
-// the per-row absorb cost never touches dimension feature vectors.
-type groupAcc struct {
-	w    []float64 // K γ-sums
-	gvec []float64 // K×dS flattened Σ_{n∈g} γ_n·x_S
+// factSums are the statistics a fact row contributes on its own: its
+// log-likelihood and, per component, the mass Σγ, Σγ·x_S and the upper
+// triangle of Σγ·x_S·x_Sᵀ, in one buffer — zeroing, copying and adding the
+// sums are vector operations on it. All sums are raw (uncentered) moments,
+// which makes them independent of the model parameters: statistics absorbed
+// under different refresh generations compose additively.
+type factSums struct {
+	buf []float64       // log-likelihood, then nk, s1 and s2 end to end
+	nk  []float64       // K
+	s1  []float64       // K×dS
+	s2  []*linalg.Dense // K views of dS×dS
 }
 
-// statAcc is one accumulation unit of the raw-moment sufficient
-// statistics — either a chunk's private partial or the global merged/tail
-// state. All sums are raw (uncentered) moments, which makes them
-// independent of the model parameters: statistics absorbed under
-// different refresh generations compose additively.
-type statAcc struct {
-	k, dS int
-	rows  int64
-	ll    float64
-	nk    []float64               // K component masses Σγ
-	s1S   []float64               // K×dS flattened Σγ·x_S
-	b00   []*linalg.Dense         // K fact-block raw moments Σγ·x_S x_Sᵀ
-	grp   []map[int]*groupAcc     // per dimension relation: dense group index -> sums
-	pairs []map[pairKey][]float64 // per (i<j) relation pair: group pair -> K γ-sums
-}
-
-func newStatAcc(k, dS, q, npairs int) *statAcc {
-	a := &statAcc{
-		k: k, dS: dS,
-		nk:  make([]float64, k),
-		s1S: make([]float64, k*dS),
-	}
+func newFactSums(k, dS int) *factSums {
+	f := &factSums{buf: make([]float64, 1+k*(1+dS+dS*dS))}
+	f.nk, f.s1 = f.buf[1:1+k], f.buf[1+k:1+k*(1+dS)]
 	for c := 0; c < k; c++ {
-		a.b00 = append(a.b00, linalg.NewDense(dS, dS))
+		off := 1 + k*(1+dS) + c*dS*dS
+		f.s2 = append(f.s2, linalg.NewDenseData(dS, dS, f.buf[off:off+dS*dS]))
 	}
-	a.grp = make([]map[int]*groupAcc, q)
-	for j := range a.grp {
-		a.grp[j] = make(map[int]*groupAcc)
-	}
-	a.pairs = make([]map[pairKey][]float64, npairs)
-	for i := range a.pairs {
-		a.pairs[i] = make(map[pairKey][]float64)
-	}
-	return a
+	return f
 }
 
-func (a *statAcc) group(j, g int) *groupAcc {
-	ga, ok := a.grp[j][g]
-	if !ok {
-		ga = &groupAcc{w: make([]float64, a.k), gvec: make([]float64, a.k*a.dS)}
-		a.grp[j][g] = ga
+// foldRows adds n rows — gamma their K responsibilities each, xs their dS
+// fact features each — every sum taking them one after the other in row
+// order, so folding a chunk in two calls gives the bits of folding it in one.
+func (f *factSums) foldRows(gamma, xs []float64, n int) {
+	k := len(f.nk)
+	dS := len(f.s1) / k
+	for c := 0; c < k; c++ {
+		s1 := f.s1[c*dS : (c+1)*dS]
+		for r := 0; r < n; r++ {
+			g := gamma[r*k+c]
+			f.nk[c] += g
+			linalg.AxpyN(g, xs[r*dS:], s1, dS)
+		}
+		linalg.SyrkAccumRows(f.s2[c], gamma[c:], k, xs, dS, n)
 	}
-	return ga
 }
 
-func (a *statAcc) pairW(pi int, key pairKey) []float64 {
-	pw, ok := a.pairs[pi][key]
-	if !ok {
-		pw = make([]float64, a.k)
-		a.pairs[pi][key] = pw
-	}
-	return pw
+// slab is one flat table of per-key accumulators: slot i belongs to keys[i]
+// and owns vals[i·stride : (i+1)·stride]. A group slab is keyed by the
+// direct dimension tuple's dense index and finds slots through a table
+// indexed by it; a pair slab is keyed by two such indexes packed into one
+// word and finds slots by open addressing. Slots are never removed — fact
+// rows are append-only, so the keys a prefix of the table references only
+// grow — which lets a rebaseline zero the values in place.
+type slab struct {
+	stride int
+	keys   []uint64
+	vals   []float64
+	index  []int32 // 1 + slot, 0 = none; by key, or by hash when hashed
+	hashed bool
 }
 
-// fold adds o into a. Field order is fixed; additions into distinct
-// groups/pairs are independent, so only the (fixed) chunk fold order
-// determines the floating-point result.
-func (a *statAcc) fold(o *statAcc) {
-	a.rows += o.rows
-	a.ll += o.ll
-	for c := 0; c < a.k; c++ {
-		a.nk[c] += o.nk[c]
+// cell returns the index entry of key, growing the index to hold it.
+func (s *slab) cell(key uint64) *int32 {
+	if !s.hashed {
+		if grow := int(key) + 1 - len(s.index); grow > 0 {
+			s.index = append(s.index, make([]int32, grow)...)
+		}
+		return &s.index[key]
 	}
-	linalg.Axpy(1, o.s1S, a.s1S)
-	for c := 0; c < a.k; c++ {
-		a.b00[c].Add(o.b00[c])
+	if 2*(len(s.keys)+1) > len(s.index) {
+		s.reindex()
 	}
-	for j := range a.grp {
-		for g, oga := range o.grp[j] {
-			ga := a.group(j, g)
-			linalg.Axpy(1, oga.w, ga.w)
-			linalg.Axpy(1, oga.gvec, ga.gvec)
+	shift := 64 - uint(bits.TrailingZeros(uint(len(s.index))))
+	for h := key * 0x9E3779B97F4A7C15 >> shift; ; h = (h + 1) & uint64(len(s.index)-1) {
+		if c := &s.index[h]; *c == 0 || s.keys[*c-1] == key {
+			return c
 		}
 	}
-	for pi := range a.pairs {
-		for key, opw := range o.pairs[pi] {
-			linalg.Axpy(1, opw, a.pairW(pi, key))
+}
+
+// reindex rebuilds the index from the keys; a hashed one comes out at most
+// half full with one more key in it.
+func (s *slab) reindex() {
+	n := 0
+	if s.hashed {
+		for n = 16; n < 2*(len(s.keys)+1); n *= 2 {
 		}
+	}
+	s.index = make([]int32, n)
+	for i, key := range s.keys {
+		*s.cell(key) = int32(i + 1)
 	}
 }
 
-// clone deep-copies the accumulator (snapshot assembly works on a copy so
-// folding the tail never disturbs the maintained state).
-func (a *statAcc) clone() *statAcc {
-	c := newStatAcc(a.k, a.dS, len(a.grp), len(a.pairs))
-	c.fold(a)
-	return c
+// at returns key's accumulators, giving it a zeroed slot on first use.
+func (s *slab) at(key uint64) []float64 {
+	c := s.cell(key)
+	if *c == 0 {
+		s.keys = append(s.keys, key)
+		s.vals = append(s.vals, make([]float64, s.stride)...)
+		*c = int32(len(s.keys))
+	}
+	i := int(*c-1) * s.stride
+	return s.vals[i : i+s.stride]
+}
+
+// Footprint is what one model's maintained statistics hold.
+type Footprint struct {
+	Rows   int64 `json:"rows"`   // fact rows absorbed
+	Groups int   `json:"groups"` // direct dimension tuples with a slot
+	Pairs  int   `json:"pairs"`  // cross-dimension tuple pairs with a slot
+	Bytes  int64 `json:"bytes"`  // retained by the slabs, their indexes and the fact sums
 }
 
 // GMMStats is the maintained factorized sufficient statistics of one
-// attached mixture model: a merged accumulator of complete absolute
-// chunks plus the trailing partial-chunk tail (see the package comment
-// for why this split makes incremental absorption bit-identical to a
-// from-scratch pass).
+// attached mixture model, over the partition the factorized trainers use:
+// the fact part plus one part per DIRECT dimension, a group being a direct
+// dimension tuple with its resolved subtree's features appended. The fact
+// part's own sums are kept apart for complete chunks and the trailing
+// partial one (see the package comment for why that makes incremental
+// absorption bit-identical to a from-scratch pass).
 type GMMStats struct {
-	p        core.Partition
-	k        int
-	pairList [][2]int // dimension-relation index pairs (i<j)
-	merged   *statAcc
-	tail     *statAcc
-	ops      core.Ops
+	rv    *join.Resolver
+	nodes []int          // direct dimension d's subtree is plan nodes nodes[d] … nodes[d+1]-1
+	p     core.Partition // fact part, then one part per direct dimension, as wide as its subtree
+	k     int
+
+	rows       int64     // fact rows absorbed
+	done, open *factSums // over the complete chunks; over the trailing partial one
+	grp        []slab    // per direct dimension: K Σγ, then K×dS Σγ·x_S
+	pairs      []slab    // per pairOf entry: K Σγ
+	pairOf     [][2]int  // direct dimension pairs (i<j)
+	// seen[d][g] is 1 + the position of group g in the running pass's
+	// dimension caches; all zero between passes.
+	seen [][]int32
 }
 
 // NewGMMStats builds empty statistics for a K-component mixture over the
-// relation partition p (part 0 = fact relation).
-func NewGMMStats(p core.Partition, k int) *GMMStats {
-	q := p.Parts() - 1
-	st := &GMMStats{p: p, k: k}
+// hierarchy rv resolves, below a fact relation of dS features.
+func NewGMMStats(rv *join.Resolver, dS, k int) *GMMStats {
+	st := &GMMStats{rv: rv, k: k, done: newFactSums(k, dS), open: newFactSums(k, dS)}
+	dims := []int{dS}
+	for i, ix := range rv.Idxs {
+		if rv.Parent[i] == -1 {
+			st.nodes = append(st.nodes, i)
+			dims = append(dims, 0)
+		}
+		dims[len(dims)-1] += ix.Width()
+	}
+	q := len(st.nodes)
+	st.nodes = append(st.nodes, len(rv.Idxs))
+	st.p = core.NewPartition(dims)
+	st.seen = make([][]int32, q)
 	for i := 0; i < q; i++ {
+		st.grp = append(st.grp, slab{stride: k * (1 + dS)})
 		for j := i + 1; j < q; j++ {
-			st.pairList = append(st.pairList, [2]int{i, j})
+			st.pairOf = append(st.pairOf, [2]int{i, j})
+			st.pairs = append(st.pairs, slab{stride: k, hashed: true})
 		}
 	}
-	st.Reset()
 	return st
 }
 
 // Rows returns how many fact rows have been absorbed.
-func (st *GMMStats) Rows() int64 { return st.merged.rows + st.tail.rows }
+func (st *GMMStats) Rows() int64 { return st.rows }
 
 // LogLikelihood returns the accumulated data log-likelihood (each row's
 // contribution is as of its absorb-time model).
-func (st *GMMStats) LogLikelihood() float64 { return st.merged.ll + st.tail.ll }
+func (st *GMMStats) LogLikelihood() float64 { return st.done.buf[0] + st.open.buf[0] }
+
+// Footprint reports the statistics' size.
+func (st *GMMStats) Footprint() Footprint {
+	fp := Footprint{Rows: st.rows, Bytes: int64(8 * (len(st.done.buf) + len(st.open.buf)))}
+	bytes := func(s *slab) int64 { return int64(8*cap(s.keys) + 8*cap(s.vals) + 4*cap(s.index)) }
+	for d := range st.grp {
+		fp.Groups += len(st.grp[d].keys)
+		fp.Bytes += bytes(&st.grp[d]) + int64(4*cap(st.seen[d]))
+	}
+	for i := range st.pairs {
+		fp.Pairs += len(st.pairs[i].keys)
+		fp.Bytes += bytes(&st.pairs[i])
+	}
+	return fp
+}
 
 // Reset drops every absorbed row, so the next absorb rebuilds from
-// scratch (the rebaseline path).
+// scratch (the rebaseline path). The slabs keep their slots and are zeroed
+// in place: re-absorbing the table touches every one of them again.
 func (st *GMMStats) Reset() {
-	q := st.p.Parts() - 1
-	st.merged = newStatAcc(st.k, st.p.Dims[0], q, len(st.pairList))
-	st.tail = newStatAcc(st.k, st.p.Dims[0], q, len(st.pairList))
-}
-
-// scoreCtx bundles one absorb pass's frozen-model scoring state: the
-// factorized scorer plus the per-dimension-tuple QuadCaches of every
-// group referenced by the pass, computed once per distinct group.
-type scoreCtx struct {
-	scorer *gmm.Scorer
-	caches []map[int][]core.QuadCache // per dim relation: group index -> K caches
-}
-
-// absorbScratch is per-goroutine absorb scratch.
-type absorbScratch struct {
-	sc    *gmm.ScoreScratch
-	gamma []float64
-	gidx  []int
-	cbuf  [][]core.QuadCache
-}
-
-func (st *GMMStats) newScratch(ctx *scoreCtx) *absorbScratch {
-	q := st.p.Parts() - 1
-	return &absorbScratch{
-		sc:    ctx.scorer.NewScratch(),
-		gamma: make([]float64, st.k),
-		gidx:  make([]int, q),
-		cbuf:  make([][]core.QuadCache, q),
+	st.rows = 0
+	linalg.VecZero(st.done.buf)
+	linalg.VecZero(st.open.buf)
+	for d := range st.grp {
+		linalg.VecZero(st.grp[d].vals)
+	}
+	for i := range st.pairs {
+		linalg.VecZero(st.pairs[i].vals)
 	}
 }
 
-// accumulateRow scores one fact tuple under the frozen model and folds it
-// into acc. This single function is the row path of the sequential tail
-// extension AND of every parallel chunk worker, so the arithmetic per row
-// is identical no matter how the absorb is batched. Group indexes are
-// resolved through the snowflake hierarchy: direct keys from the fact
-// tuple, sub-dimension keys from the pinned parent tuples.
-func (st *GMMStats) accumulateRow(acc *statAcc, ctx *scoreCtx, ws *absorbScratch, rv *join.Resolver, s *storage.Tuple) error {
-	q := st.p.Parts() - 1
-	if err := rv.Resolve(s.Keys[1:], nil, ws.gidx); err != nil {
-		return fmt.Errorf("stream: fact tuple %d: %w", s.PrimaryKey(), err)
+// groupFeatures writes group g of direct dimension d — the tuple's own
+// features, then its subtree's in plan order — into dst, following the
+// sub-keys as they are pinned NOW: a dimension update that repoints one
+// shows in the next cache fill and the next Step.
+func (st *GMMStats) groupFeatures(d, g int, dst []float64) error {
+	rv := st.rv
+	n0, n1 := st.nodes[d], st.nodes[d+1]
+	var posBuf [8]int
+	pos := posBuf[:]
+	if n1-n0 > len(pos) {
+		pos = make([]int, n1-n0)
 	}
-	for j := 0; j < q; j++ {
-		ws.cbuf[j] = ctx.caches[j][ws.gidx[j]]
-	}
-	xs := s.Features
-	acc.ll += ctx.scorer.Responsibilities(xs, ws.cbuf, ws.sc, ws.gamma)
-	acc.rows++
-	dS := st.p.Dims[0]
-	for c := 0; c < st.k; c++ {
-		g := ws.gamma[c]
-		acc.nk[c] += g
-		linalg.Axpy(g, xs, acc.s1S[c*dS:(c+1)*dS])
-		linalg.OuterAccum(acc.b00[c], g, xs, xs)
-		for j := 0; j < q; j++ {
-			ga := acc.group(j, ws.gidx[j])
-			ga.w[c] += g
-			linalg.Axpy(g, xs, ga.gvec[c*dS:(c+1)*dS])
+	for i := n0; i < n1; i++ {
+		at := g
+		if i > n0 {
+			par := rv.Parent[i]
+			subs := rv.Idxs[par].SubsAt(pos[par-n0])
+			if rv.Ref[i] >= len(subs) {
+				return fmt.Errorf("tuple %d of dimension table %q has %d sub-keys, the hierarchy wants key %d",
+					pos[par-n0], rv.Idxs[par].Name(), len(subs), rv.Ref[i])
+			}
+			var ok bool
+			if at, ok = rv.Idxs[i].Pos(subs[rv.Ref[i]]); !ok {
+				return fmt.Errorf("unknown foreign key %d for dimension table %q", subs[rv.Ref[i]], rv.Idxs[i].Name())
+			}
 		}
-	}
-	for pi, pr := range st.pairList {
-		pw := acc.pairW(pi, pairKey{ws.gidx[pr[0]], ws.gidx[pr[1]]})
-		for c := 0; c < st.k; c++ {
-			pw[c] += ws.gamma[c]
-		}
+		pos[i-n0] = at
+		_, x := rv.Idxs[i].At(at)
+		dst = dst[copy(dst, x):]
 	}
 	return nil
 }
 
+// absorbChunk is one chunk of the statistics pass on its way from the
+// scan through a scoring worker to the ordered merge.
+type absorbChunk struct {
+	n      int
+	xs     []float64 // n×dS fact features
+	gidx   []int32   // n×q group of every row in every direct dimension
+	cidx   []int32   // n×q the groups' positions in the pass's dimension caches
+	gamma  []float64 // n×K responsibilities
+	fact   *factSums // the absolute chunk's fact sums up to this chunk's last row
+	sc     *gmm.ScoreScratch
+	caches [][]core.QuadCache
+}
+
+// dimCache holds one pass's per-dimension-tuple scoring caches of a direct
+// dimension: a group takes the next position on first reference. Per
+// position buf holds the group's features, then K × (PD, CrossS).
+type dimCache struct {
+	width, stride int
+	groups        []int32 // group at each position
+	qc            []core.QuadCache
+	buf           []float64
+}
+
 // Absorb scores fact rows [Rows(), fact.NumTuples()) under model and folds
-// them into the statistics, in time proportional to that range. rv
-// resolves each fact tuple's dimension positions through the (star or
-// snowflake) hierarchy. The chunk geometry is anchored at absolute row
-// indexes, so absorbing in any batch split — and under any worker count —
-// produces bit-identical sums.
-func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, rv *join.Resolver, workers int) error {
-	if model.K != st.k || model.D != st.p.D {
+// them into the statistics, in time proportional to that range. It follows
+// the factorized trainer's shape: the scan resolves every row's direct
+// dimension tuples and cuts the rows into chunks at absolute boundaries,
+// filling the scoring caches of a dimension tuple the first time the pass
+// meets it; workers compute each chunk's responsibilities and the fact
+// part's sums; the merge, strictly in chunk order, scatters every row's γ
+// and γ·x_S into its groups' and group pairs' slots. Absorbing in any batch
+// split — and under any worker count — produces bit-identical sums.
+func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) error {
+	k, q, dS := st.k, len(st.grp), st.p.Dims[0]
+	if model.K != k || model.D != st.p.D {
 		return fmt.Errorf("stream: model (K=%d, D=%d) does not match statistics (K=%d, D=%d)",
-			model.K, model.D, st.k, st.p.D)
+			model.K, model.D, k, st.p.D)
 	}
-	r0 := st.Rows()
-	r1 := fact.NumTuples()
+	if sch := fact.Schema(); sch.NumKeys()-1 != q || sch.NumFeatures() != dS {
+		return fmt.Errorf("stream: fact table %q has %d foreign keys and %d features, statistics expect %d and %d",
+			sch.Name, sch.NumKeys()-1, sch.NumFeatures(), q, dS)
+	}
+	r0, r1 := st.rows, fact.NumTuples()
 	if r0 > r1 {
 		return fmt.Errorf("stream: statistics cover %d rows but fact table %q has %d — rows are append-only", r0, fact.Schema().Name, r1)
 	}
@@ -259,134 +306,90 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, rv *join.Resol
 	if err != nil {
 		return err
 	}
-	nw := parallel.Workers(workers)
-	q := st.p.Parts() - 1
+	// Never more workers than chunks: a delta of one chunk runs inline.
+	nw := min(parallel.Workers(workers), int((r1+StatChunkRows-1)/StatChunkRows-r0/StatChunkRows))
 
-	// Pre-scan the new rows once: validate every foreign-key chain and
-	// collect the set of referenced groups per dimension relation, so the
-	// QuadCache fills below touch exactly the dimension tuples the batch
-	// needs (cost ∝ delta, not ∝ dimension-table size).
-	refs := make([]map[int]struct{}, q)
-	for j := range refs {
-		refs[j] = make(map[int]struct{})
-	}
-	sc, err := fact.NewScannerAt(r0)
-	if err != nil {
-		return err
-	}
-	row := r0
-	gidx := make([]int, q)
-	for sc.Next() {
-		t := sc.Tuple()
-		if err := rv.Resolve(t.Keys[1:], nil, gidx); err != nil {
-			return fmt.Errorf("stream: fact row %d (sid %d): %w", row, t.PrimaryKey(), err)
+	// A pass references at most one group per new row and dimension, and no
+	// more than the dimension has: the caches are sized for that, so their
+	// cost follows the delta, not the dimension tables.
+	caches := make([]dimCache, q)
+	for d := range caches {
+		dc := &caches[d]
+		groups := st.rv.Idxs[st.nodes[d]].Len()
+		if grow := groups - len(st.seen[d]); grow > 0 {
+			st.seen[d] = append(st.seen[d], make([]int32, grow)...)
 		}
-		for j := 0; j < q; j++ {
-			refs[j][gidx[j]] = struct{}{}
-		}
-		row++
+		n := int(min(r1-r0, int64(groups)))
+		dc.width = st.p.Dims[1+d]
+		dc.stride = dc.width + k*(dc.width+dS)
+		dc.groups = make([]int32, 0, n)
+		dc.qc = make([]core.QuadCache, n*k)
+		dc.buf = make([]float64, n*dc.stride)
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-
-	// Fill the per-dimension-tuple QuadCaches of every referenced group —
-	// once per distinct group, over disjoint grains on the worker pool.
-	ctx := &scoreCtx{scorer: scorer, caches: make([]map[int][]core.QuadCache, q)}
-	for j := 0; j < q; j++ {
-		list := make([]int, 0, len(refs[j]))
-		for g := range refs[j] {
-			list = append(list, g)
-		}
-		sort.Ints(list)
-		cm := make(map[int][]core.QuadCache, len(list))
-		for _, g := range list {
-			cm[g] = make([]core.QuadCache, st.k)
-		}
-		ctx.caches[j] = cm
-		part := 1 + j
-		ix := rv.Idxs[j]
-		err := parallel.RunRange(nw, len(list), func(a, b int, ops *core.Ops) error {
-			for i := a; i < b; i++ {
-				g := list[i]
-				_, xg := ix.At(g)
-				scorer.FillDimCaches(cm[g], part, xg, ops)
+	defer func() {
+		for d := range caches {
+			for _, g := range caches[d].groups {
+				st.seen[d][g] = 0
 			}
-			return nil
-		}, &st.ops)
-		if err != nil {
-			return err
 		}
-	}
-	return st.absorbRows(ctx, fact, rv, r0, r1, nw)
-}
+	}()
 
-// absorbChunk carries one aligned chunk of copied fact tuples to a worker.
-type absorbChunk struct {
-	tuples []storage.Tuple
-	n      int
-	acc    *statAcc
-}
-
-// absorbRows runs the chunked accumulation of rows [r0, r1): a sequential
-// extension of the trailing partial chunk up to its absolute boundary,
-// then aligned chunks fanned over the worker pool and folded in chunk
-// order.
-func (st *GMMStats) absorbRows(ctx *scoreCtx, fact *storage.Table, rv *join.Resolver, r0, r1 int64, nw int) error {
-	const C = int64(StatChunkRows)
-	if st.tail.rows != r0%C {
-		return fmt.Errorf("stream: internal: tail holds %d rows at absolute row %d", st.tail.rows, r0)
-	}
-	q := st.p.Parts() - 1
-	r := r0
-	if rem := r0 % C; rem != 0 {
-		seqEnd := r0 - rem + C
-		if seqEnd > r1 {
-			seqEnd = r1
-		}
-		ws := st.newScratch(ctx)
-		sc, err := fact.NewScannerAt(r)
-		if err != nil {
-			return err
-		}
-		for r < seqEnd && sc.Next() {
-			if err := st.accumulateRow(st.tail, ctx, ws, rv, sc.Tuple()); err != nil {
-				return err
+	// fresh lists the groups the chunk being cut met first; fill computes
+	// their caches (disjoint positions, so it runs on the pool) before the
+	// chunk is handed to a worker.
+	type cachePos struct{ d, at int }
+	var fresh []cachePos
+	fill := func(a, b int, ops *core.Ops) error {
+		for _, f := range fresh[a:b] {
+			dc := &caches[f.d]
+			base := f.at * dc.stride
+			run := dc.qc[f.at*k : (f.at+1)*k]
+			for c := range run {
+				pd := base + dc.width + c*(dc.width+dS)
+				cs := pd + dc.width
+				run[c].PD = dc.buf[pd:cs:cs]
+				run[c].CrossS = dc.buf[cs : cs+dS : cs+dS]
 			}
-			r++
+			scorer.FillDimCaches(run, 1+f.d, dc.buf[base:base+dc.width], ops)
 		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		if r < seqEnd {
-			return fmt.Errorf("stream: fact table %q ended early at row %d", fact.Schema().Name, r)
-		}
-		if st.tail.rows == C {
-			st.merged.fold(st.tail)
-			st.tail = newStatAcc(st.k, st.p.Dims[0], q, len(st.pairList))
-		}
-	}
-	if r == r1 {
 		return nil
 	}
 
+	pool := sync.Pool{New: func() any {
+		return &absorbChunk{
+			xs:     make([]float64, StatChunkRows*dS),
+			gidx:   make([]int32, StatChunkRows*q),
+			cidx:   make([]int32, StatChunkRows*q),
+			gamma:  make([]float64, StatChunkRows*k),
+			fact:   newFactSums(k, dS),
+			sc:     scorer.NewScratch(),
+			caches: make([][]core.QuadCache, q),
+		}
+	}}
 	produce := func(f *parallel.Feed[*absorbChunk]) error {
-		sc, err := fact.NewScannerAt(r)
+		sc, err := fact.NewScannerAt(r0)
 		if err != nil {
 			return err
 		}
-		cur := &absorbChunk{tuples: make([]storage.Tuple, StatChunkRows)}
+		// The first chunk continues the open one (all zero at a boundary).
+		cur := pool.Get().(*absorbChunk)
+		cur.n = 0
+		copy(cur.fact.buf, st.open.buf)
+		var fillOps core.Ops
 		emit := func() error {
-			if cur.n == 0 {
-				return nil
+			if err := parallel.RunRange(nw, len(fresh), fill, &fillOps); err != nil {
+				return err
 			}
+			fresh = fresh[:0]
 			if err := f.Emit(cur); err != nil {
 				return err
 			}
-			cur = &absorbChunk{tuples: make([]storage.Tuple, StatChunkRows)}
+			cur = pool.Get().(*absorbChunk)
+			cur.n = 0
+			linalg.VecZero(cur.fact.buf)
 			return nil
 		}
-		for row := r; row < r1; row++ {
+		for row := r0; row < r1; row++ {
 			if !sc.Next() {
 				if err := sc.Err(); err != nil {
 					return err
@@ -394,146 +397,172 @@ func (st *GMMStats) absorbRows(ctx *scoreCtx, fact *storage.Table, rv *join.Reso
 				return fmt.Errorf("stream: fact table %q ended early at row %d", fact.Schema().Name, row)
 			}
 			t := sc.Tuple()
-			dst := &cur.tuples[cur.n]
-			dst.Keys = append(dst.Keys[:0], t.Keys...)
-			dst.Features = append(dst.Features[:0], t.Features...)
-			dst.Target = t.Target
+			copy(cur.xs[cur.n*dS:(cur.n+1)*dS], t.Features)
+			for d := 0; d < q; d++ {
+				ix := st.rv.Idxs[st.nodes[d]]
+				g, ok := ix.Pos(t.Keys[1+d])
+				if !ok {
+					return fmt.Errorf("stream: fact row %d (sid %d): unknown foreign key %d for dimension table %q",
+						row, t.PrimaryKey(), t.Keys[1+d], ix.Name())
+				}
+				at := int(st.seen[d][g]) - 1
+				if at < 0 {
+					dc := &caches[d]
+					at = len(dc.groups)
+					if err := st.groupFeatures(d, g, dc.buf[at*dc.stride:][:dc.width]); err != nil {
+						return fmt.Errorf("stream: fact row %d (sid %d): %w", row, t.PrimaryKey(), err)
+					}
+					dc.groups = append(dc.groups, int32(g))
+					st.seen[d][g] = int32(at + 1)
+					fresh = append(fresh, cachePos{d, at})
+				}
+				cur.gidx[cur.n*q+d], cur.cidx[cur.n*q+d] = int32(g), int32(at)
+			}
 			cur.n++
-			if cur.n == StatChunkRows {
+			if (row+1)%StatChunkRows == 0 {
 				if err := emit(); err != nil {
 					return err
 				}
 			}
 		}
-		return emit()
+		if cur.n > 0 {
+			return emit()
+		}
+		return nil
 	}
 	work := func(c *absorbChunk) (*absorbChunk, error) {
-		c.acc = newStatAcc(st.k, st.p.Dims[0], q, len(st.pairList))
-		ws := st.newScratch(ctx)
 		for i := 0; i < c.n; i++ {
-			if err := st.accumulateRow(c.acc, ctx, ws, rv, &c.tuples[i]); err != nil {
-				return nil, err
+			for d := range c.caches {
+				at := int(c.cidx[i*q+d])
+				c.caches[d] = caches[d].qc[at*k : (at+1)*k]
 			}
+			c.fact.buf[0] += scorer.Responsibilities(c.xs[i*dS:(i+1)*dS], c.caches, c.sc, c.gamma[i*k:(i+1)*k])
 		}
+		c.fact.foldRows(c.gamma, c.xs, c.n)
 		return c, nil
 	}
 	merge := func(c *absorbChunk) error {
-		if c.acc.rows == C {
-			st.merged.fold(c.acc)
-		} else {
-			// The final partial chunk becomes the new tail; a later absorb
-			// extends it sequentially up to its absolute boundary.
-			st.tail = c.acc
+		for i := 0; i < c.n; i++ {
+			gamma := c.gamma[i*k : (i+1)*k]
+			x := c.xs[i*dS : (i+1)*dS]
+			groups := c.gidx[i*q : (i+1)*q]
+			for d, g := range groups {
+				v := st.grp[d].at(uint64(g))
+				for cc, gc := range gamma {
+					v[cc] += gc
+					linalg.AxpyN(gc, x, v[k+cc*dS:], dS)
+				}
+			}
+			for pi, pr := range st.pairOf {
+				w := st.pairs[pi].at(uint64(groups[pr[0]])<<32 | uint64(groups[pr[1]]))
+				for cc, gc := range gamma {
+					w[cc] += gc
+				}
+			}
 		}
+		if st.rows += int64(c.n); st.rows%StatChunkRows == 0 {
+			linalg.VecAdd(st.done.buf, st.done.buf, c.fact.buf)
+			linalg.VecZero(st.open.buf)
+		} else {
+			copy(st.open.buf, c.fact.buf)
+		}
+		pool.Put(c)
 		return nil
 	}
 	return parallel.Run(nw, produce, work, merge)
 }
 
-// Step runs the M-step over a snapshot of the statistics and returns the
+// Step runs the M-step over the statistics as they stand and returns the
 // refreshed model (prev supplies the parameters of collapsed components,
-// mirroring the trainers' collapse handling). The assembly iterates
-// groups in dense index order and cross-group pairs in sorted order, so
-// the result is a pure function of the absorbed rows and the dimension
-// features — independent of map iteration and worker count.
-func (st *GMMStats) Step(prev *gmm.Model, idxs []*join.ResidentIndex, regEps float64) (*gmm.Model, error) {
-	snap := st.merged.clone()
-	snap.fold(st.tail)
-	n := snap.rows
+// mirroring the trainers' collapse handling). One sweep reads the slabs in
+// place and assembles all K components: groups in dense index order, group
+// pairs in key order, every group's features resolved once. The result is
+// therefore a pure function of the absorbed rows and the dimension tuples —
+// independent of slot order and worker count.
+func (st *GMMStats) Step(prev *gmm.Model, regEps float64) (*gmm.Model, error) {
+	n := st.Rows()
 	if n == 0 {
 		return nil, fmt.Errorf("stream: no absorbed rows to refresh from")
 	}
-	if regEps <= 0 {
-		regEps = 1e-6
+	k, dS, D := st.k, st.p.Dims[0], st.p.D
+
+	// Per component the raw first moment over the joined width and the raw
+	// second moment's diagonal and upper blocks.
+	s1 := make([][]float64, k)
+	s2 := make([]*core.BlockedSym, k)
+	for c := range s2 {
+		s1[c] = make([]float64, D)
+		s2[c] = core.NewBlockedZero(st.p)
 	}
-	q := st.p.Parts() - 1
-	dS := st.p.Dims[0]
-	D := st.p.D
+	// Every block touching a dimension is rebuilt from the per-group (or per
+	// group-pair) γ-sums times the groups' CURRENT features.
+	feats := make([][]float64, len(st.grp))
+	for d := range st.grp {
+		sl := &st.grp[d]
+		dR := st.p.Dims[1+d]
+		feats[d] = make([]float64, len(sl.keys)*dR)
+		for g, slot := range sl.index {
+			if slot == 0 {
+				continue
+			}
+			x := feats[d][int(slot-1)*dR : int(slot)*dR]
+			if err := st.groupFeatures(d, g, x); err != nil {
+				return nil, fmt.Errorf("stream: dimension table %q tuple %d: %w", st.rv.Idxs[st.nodes[d]].Name(), g, err)
+			}
+			v := sl.vals[int(slot-1)*sl.stride : int(slot)*sl.stride]
+			for c := 0; c < k; c++ {
+				linalg.Axpy(v[c], x, st.p.Slice(s1[c], 1+d))
+				linalg.SyrkAccum(s2[c].B[1+d][1+d], v[c], x)
+				linalg.OuterAccum(s2[c].B[0][1+d], 1, v[k+c*dS:k+(c+1)*dS], x)
+			}
+		}
+	}
+	var order []uint64
+	for pi, pr := range st.pairOf {
+		sl := &st.pairs[pi]
+		order = append(order[:0], sl.keys...)
+		slices.Sort(order)
+		gi, gj := &st.grp[pr[0]], &st.grp[pr[1]]
+		di, dj := st.p.Dims[1+pr[0]], st.p.Dims[1+pr[1]]
+		for _, key := range order {
+			a, b := int(gi.index[key>>32]-1), int(gj.index[uint32(key)]-1)
+			xi, xj := feats[pr[0]][a*di:(a+1)*di], feats[pr[1]][b*dj:(b+1)*dj]
+			for c, w := range sl.at(key) {
+				linalg.OuterAccum(s2[c].B[1+pr[0]][1+pr[1]], w, xi, xj)
+			}
+		}
+	}
+
 	out := prev.Clone()
-	mu := make([]float64, D)
-	for c := 0; c < st.k; c++ {
-		nk := snap.nk[c]
+	raw := linalg.NewDense(D, D)
+	for c := 0; c < k; c++ {
+		nk := st.done.nk[c] + st.open.nk[c]
 		out.Weights[c] = nk / float64(n)
 		if nk < collapseFloor {
 			continue // frozen: keep prev mean and covariance
 		}
-		// Mean: fact part from the direct sum; each dimension part from
-		// the per-group γ-sums times the group's (current) features.
-		for i := 0; i < dS; i++ {
-			mu[i] = snap.s1S[c*dS+i] / nk
+		linalg.VecAdd(s1[c][:dS], st.done.s1[c*dS:(c+1)*dS], st.open.s1[c*dS:(c+1)*dS])
+		s2[c].B[0][0].CopyFrom(st.done.s2[c])
+		s2[c].B[0][0].Add(st.open.s2[c])
+		s2[c].AssembleInto(raw)
+		// µ = E_γ[x], Σ = E_γ[x xᵀ] − µµᵀ (+ regularizer), from the upper
+		// triangle and mirrored, so Σ is symmetric by construction.
+		mu := out.Means[c]
+		for i, v := range s1[c] {
+			mu[i] = v / nk
 		}
-		for j := 0; j < q; j++ {
-			off := st.p.Offs[1+j]
-			dR := st.p.Dims[1+j]
-			sum := make([]float64, dR)
-			for g := 0; g < idxs[j].Len(); g++ {
-				ga, ok := snap.grp[j][g]
-				if !ok {
-					continue
-				}
-				_, xg := idxs[j].At(g)
-				linalg.Axpy(ga.w[c], xg, sum)
-			}
-			for i := 0; i < dR; i++ {
-				mu[off+i] = sum[i] / nk
-			}
-		}
-		// Raw second moment, assembled block-wise: the fact block was
-		// accumulated per row; every block touching a dimension relation
-		// is reconstructed from the per-group (or per group-pair) γ-sums.
-		raw := linalg.NewDense(D, D)
-		raw.SetBlock(0, 0, snap.b00[c])
-		for j := 0; j < q; j++ {
-			off := st.p.Offs[1+j]
-			dR := st.p.Dims[1+j]
-			b0j := linalg.NewDense(dS, dR)
-			bjj := linalg.NewDense(dR, dR)
-			for g := 0; g < idxs[j].Len(); g++ {
-				ga, ok := snap.grp[j][g]
-				if !ok {
-					continue
-				}
-				_, xg := idxs[j].At(g)
-				linalg.OuterAccum(b0j, 1, ga.gvec[c*dS:(c+1)*dS], xg)
-				linalg.OuterAccum(bjj, ga.w[c], xg, xg)
-			}
-			raw.SetBlock(0, off, b0j)
-			raw.SetBlock(off, 0, b0j.Transpose())
-			raw.SetBlock(off, off, bjj)
-		}
-		for pi, pr := range st.pairList {
-			i, j := pr[0], pr[1]
-			offI, offJ := st.p.Offs[1+i], st.p.Offs[1+j]
-			bij := linalg.NewDense(st.p.Dims[1+i], st.p.Dims[1+j])
-			keys := make([]pairKey, 0, len(snap.pairs[pi]))
-			for key := range snap.pairs[pi] {
-				keys = append(keys, key)
-			}
-			sort.Slice(keys, func(a, b int) bool {
-				if keys[a].a != keys[b].a {
-					return keys[a].a < keys[b].a
-				}
-				return keys[a].b < keys[b].b
-			})
-			for _, key := range keys {
-				_, xi := idxs[i].At(key.a)
-				_, xj := idxs[j].At(key.b)
-				linalg.OuterAccum(bij, snap.pairs[pi][key][c], xi, xj)
-			}
-			raw.SetBlock(offI, offJ, bij)
-			raw.SetBlock(offJ, offI, bij.Transpose())
-		}
-		// Σ = E_γ[x xᵀ]/nk − µµᵀ (+ regularizer). Products commute, so
-		// the matrix stays exactly symmetric.
-		data := raw.Data()
+		cov := linalg.NewDense(D, D)
 		for i := 0; i < D; i++ {
-			for jj := 0; jj < D; jj++ {
-				data[i*D+jj] = data[i*D+jj]/nk - mu[i]*mu[jj]
+			for j := i; j < D; j++ {
+				v := raw.At(i, j)/nk - mu[i]*mu[j]
+				if i == j {
+					v += regEps
+				}
+				cov.Set(i, j, v)
+				cov.Set(j, i, v)
 			}
 		}
-		raw.AddDiag(regEps)
-		copy(out.Means[c], mu)
-		out.Covs[c] = raw
+		out.Covs[c] = cov
 	}
 	return out, nil
 }

@@ -168,6 +168,15 @@ func (s *Stream) MetricsCollector() metrics.Collector {
 				},
 				Value: 1,
 			})
+			if fp := d.Statistics; fp != nil {
+				stat := func(name, help string, v float64) {
+					emit(metrics.Sample{Name: "factorml_stream_gmm_stats_" + name, Help: help, Labels: [][2]string{{"model", d.Model}}, Value: v})
+				}
+				stat("rows", "Fact rows absorbed into the model's maintained GMM statistics.", float64(fp.Rows))
+				stat("groups", "Direct dimension tuples holding a slot in the maintained GMM statistics.", float64(fp.Groups))
+				stat("pairs", "Cross-dimension tuple pairs holding a slot in the maintained GMM statistics.", float64(fp.Pairs))
+				stat("bytes", "Bytes the maintained GMM statistics retain.", float64(fp.Bytes))
+			}
 		}
 	}
 }

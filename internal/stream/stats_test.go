@@ -1,15 +1,14 @@
 package stream
 
 import (
-	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"factorml/internal/core"
 	"factorml/internal/data"
 	"factorml/internal/gmm"
 	"factorml/internal/join"
-	"factorml/internal/linalg"
 	"factorml/internal/storage"
 )
 
@@ -122,8 +121,8 @@ func TestGMMIncrementalMatchesFullRecompute(t *testing.T) {
 			// now — before any delta exists.
 			incs := make([]*GMMStats, len(workerSweep))
 			for i, w := range workerSweep {
-				incs[i] = NewGMMStats(p, model.K)
-				if err := incs[i].Absorb(model, spec.S, resolverFor(t, spec, idxs), w); err != nil {
+				incs[i] = NewGMMStats(resolverFor(t, spec, idxs), p.Dims[0], model.K)
+				if err := incs[i].Absorb(model, spec.S, w); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -132,7 +131,7 @@ func TestGMMIncrementalMatchesFullRecompute(t *testing.T) {
 			// straddle the base/delta seam).
 			appendDeltaFacts(t, spec, idxs, 137, 11)
 			for i, w := range workerSweep {
-				if err := incs[i].Absorb(model, spec.S, resolverFor(t, spec, idxs), w); err != nil {
+				if err := incs[i].Absorb(model, spec.S, w); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -175,33 +174,33 @@ func TestGMMIncrementalMatchesFullRecompute(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, w := range workerSweep {
-				if err := incs[i].Absorb(model, spec.S, resolverFor(t, spec, idxs), w); err != nil {
+				if err := incs[i].Absorb(model, spec.S, w); err != nil {
 					t.Fatal(err)
 				}
 			}
 
 			// Baseline: fresh statistics recomputed from scratch over the
 			// union, per worker count.
-			refModel, err := incs[0].Step(model, idxs, 1e-6)
+			refModel, err := incs[0].Step(model, 1e-6)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, w := range workerSweep {
-				mInc, err := incs[i].Step(model, idxs, 1e-6)
+				mInc, err := incs[i].Step(model, 1e-6)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if d := mInc.MaxParamDiff(refModel); d != 0 {
 					t.Fatalf("incremental model (workers=%d) differs from workers=%d by %g", w, workerSweep[0], d)
 				}
-				full := NewGMMStats(p, model.K)
-				if err := full.Absorb(model, spec.S, resolverFor(t, spec, idxs), w); err != nil {
+				full := NewGMMStats(resolverFor(t, spec, idxs), p.Dims[0], model.K)
+				if err := full.Absorb(model, spec.S, w); err != nil {
 					t.Fatal(err)
 				}
 				if full.Rows() != incs[i].Rows() {
 					t.Fatalf("row counts: full=%d inc=%d", full.Rows(), incs[i].Rows())
 				}
-				mFull, err := full.Step(model, idxs, 1e-6)
+				mFull, err := full.Step(model, 1e-6)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,119 +210,70 @@ func TestGMMIncrementalMatchesFullRecompute(t *testing.T) {
 				if ll1, ll2 := incs[i].LogLikelihood(), full.LogLikelihood(); ll1 != ll2 {
 					t.Fatalf("log-likelihoods differ: inc=%v full=%v", ll1, ll2)
 				}
+				// The statistics themselves, slot for slot, as a checkpoint
+				// would write them.
+				if !reflect.DeepEqual(incs[i].state(), full.state()) {
+					t.Fatalf("incremental and from-scratch statistics (workers=%d) differ", w)
+				}
 			}
 		})
 	}
 }
 
-// TestGMMRefreshMatchesWarmStartTrainer ties the incremental refresh to
-// the real trainers: a stream refresh (fresh statistics + one M-step)
-// must agree with one warm-started F-GMM EM iteration over the same data
-// (gmm.Config.Init) up to floating-point rearrangement — the trainer
-// accumulates centered moments in join-block order, the stream raw
-// moments in scan order, so the comparison is 1e-8, not bitwise.
-func TestGMMRefreshMatchesWarmStartTrainer(t *testing.T) {
-	db, spec, p := genStar(t, 450, []int{18}, 3, []int{2}, 19)
-	model := trainBase(t, db, spec, 3)
-	idxs := buildIndexes(t, spec)
-	appendDeltaFacts(t, spec, idxs, 90, 23)
-
-	st := NewGMMStats(p, model.K)
-	if err := st.Absorb(model, spec.S, resolverFor(t, spec, idxs), 2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Step(model, idxs, 1e-6)
+// TestGMMStatsFootprint pins what the statistics cost on the benchmark's
+// snowflake_narrow shape — three depth-2 direct dimensions of 9000, 3000
+// and 1500 narrow tuples under a 12-wide fact table, uniform keys, K=5, so
+// nearly every row brings a new group and three new pairs: at most 1 KiB
+// retained per absorbed row (the per-relation maps this store replaced held
+// 2.5 KiB and allocated seventy times per row), and — once a pass has
+// sized the slabs — a rebaseline that allocates per pass, not per row.
+func TestGMMStatsFootprint(t *testing.T) {
+	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	wres, err := gmm.TrainF(db, spec, gmm.Config{
-		K: model.K, MaxIter: 1, Tol: 1e-300, Init: model, NumWorkers: 1,
+	t.Cleanup(func() { db.Close() })
+	spec, err := data.Generate(db, "sn", data.SynthConfig{
+		NS: 7000, NR: []int{9000, 3000, 1500}, DS: 12, DR: []int{3, 3, 2}, Depth: 2, Seed: 13,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := got.MaxParamDiff(wres.Model); !(d <= 1e-8) {
-		t.Fatalf("stream refresh vs warm-started F-GMM iteration differ by %g, want <= 1e-8", d)
-	}
-	// Warm starting must not mutate the caller's model.
-	if model.D != p.D || wres.Model == model {
-		t.Fatal("warm start returned the caller's model")
-	}
-}
-
-// TestGMMStreamStepMatchesDenseEM checks the refresh M-step against a
-// plain dense single EM step (raw-moment form) computed by scanning the
-// fact table and assembling every joined row — same semantics, none of
-// the factorized machinery.
-func TestGMMStreamStepMatchesDenseEM(t *testing.T) {
-	db, spec, p := genStar(t, 400, []int{16, 8}, 3, []int{2, 2}, 5)
-	model := trainBase(t, db, spec, 3)
-	idxs := buildIndexes(t, spec)
-
-	st := NewGMMStats(p, model.K)
-	if err := st.Absorb(model, spec.S, resolverFor(t, spec, idxs), 4); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Step(model, idxs, 1e-6)
+	res, err := gmm.TrainF(db, spec, gmm.Config{K: 5, MaxIter: 1, Tol: 1e-300, NumWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Dense reference.
-	k := model.K
-	D := p.D
-	nk := make([]float64, k)
-	s1 := make([][]float64, k)
-	s2 := make([]*linalg.Dense, k)
-	for c := 0; c < k; c++ {
-		s1[c] = make([]float64, D)
-		s2[c] = linalg.NewDense(D, D)
-	}
-	n := 0
-	sc := spec.S.NewScanner()
-	x := make([]float64, D)
-	for sc.Next() {
-		tp := sc.Tuple()
-		nc := copy(x, tp.Features)
-		for j, ix := range idxs {
-			feats, ok := ix.Lookup(tp.Keys[1+j])
-			if !ok {
-				t.Fatalf("unknown fk %d", tp.Keys[1+j])
-			}
-			nc += copy(x[nc:], feats)
-		}
-		gamma := model.Responsibilities(x)
-		for c := 0; c < k; c++ {
-			nk[c] += gamma[c]
-			linalg.Axpy(gamma[c], x, s1[c])
-			linalg.OuterAccum(s2[c], gamma[c], x, x)
-		}
-		n++
-	}
-	if err := sc.Err(); err != nil {
+	idxs, err := spec.Plan().BuildIndexes(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := model.Clone()
-	for c := 0; c < k; c++ {
-		want.Weights[c] = nk[c] / float64(n)
-		mu := make([]float64, D)
-		linalg.VecScale(mu, 1/nk[c], s1[c])
-		copy(want.Means[c], mu)
-		cov := s2[c].Clone()
-		dd := cov.Data()
-		for i := 0; i < D; i++ {
-			for j := 0; j < D; j++ {
-				dd[i*D+j] = dd[i*D+j]/nk[c] - mu[i]*mu[j]
-			}
+	st := NewGMMStats(resolverFor(t, spec, idxs), 12, 5)
+	if err := st.Absorb(res.Model, spec.S, 1); err != nil {
+		t.Fatal(err)
+	}
+	fp := st.Footprint()
+	rows := spec.S.NumTuples()
+	if fp.Rows != rows || fp.Groups > 3*int(rows) || fp.Pairs > 3*int(rows) {
+		t.Fatalf("footprint %+v over %d rows of 3 direct dimensions", fp, rows)
+	}
+	t.Logf("footprint %+v: %d bytes per absorbed row", fp, fp.Bytes/rows)
+	if perRow := fp.Bytes / rows; perRow > 1024 {
+		t.Errorf("statistics retain %d bytes per absorbed row, budget 1024", perRow)
+	}
+
+	allocs := testing.AllocsPerRun(3, func() {
+		st.Reset()
+		if err := st.Absorb(res.Model, spec.S, 1); err != nil {
+			t.Fatal(err)
 		}
-		cov.AddDiag(1e-6)
-		want.Covs[c] = cov
+	})
+	// What is left is per pass (the scorer's factorized covariances, the
+	// caches, a chunk) or per 64 cache fills (an op counter), never per row.
+	t.Logf("%.0f allocations per warm rebaseline of %d rows", allocs, rows)
+	if allocs >= float64(rows)/10 {
+		t.Errorf("a warm rebaseline of %d rows allocates %.0f times, want none of it per row", rows, allocs)
 	}
-	if d := got.MaxParamDiff(want); !(d <= 1e-9) {
-		t.Fatalf("stream step vs dense EM step differ by %g, want <= 1e-9", d)
-	}
-	if math.IsNaN(st.LogLikelihood()) {
-		t.Fatal("NaN log-likelihood")
+	if got := st.Footprint(); got != fp {
+		t.Errorf("footprint moved across rebaselines: %+v, then %+v", fp, got)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"factorml/internal/storage"
 	"factorml/internal/trace"
 	"factorml/internal/wal"
+	"factorml/internal/xlog"
 )
 
 // Policy tunes when and how refreshes run.
@@ -101,6 +102,10 @@ type Options struct {
 	// heaps back in bulk.
 	WAL *wal.Log
 
+	// Logger, when set, receives the stream's operational events (a nil
+	// logger is silent).
+	Logger *xlog.Logger
+
 	// SnapshotEvery takes an automatic checkpoint once the WAL has
 	// grown that many records past the last snapshot. 0 disables
 	// automatic checkpoints (Checkpoint can still be called directly).
@@ -149,6 +154,7 @@ type Stream struct {
 	reg    *serve.Registry
 	pol    Policy
 	mon    *monitor.Monitor
+	log    *xlog.Logger
 	// Monitor scratch (allocated once when a monitor is attached): the
 	// joined-row buffer and per-node resolution outputs, reused across
 	// every ingested fact row so the observe path allocates nothing.
@@ -216,6 +222,7 @@ func New(db *storage.Database, spec *join.Spec, opts Options) (*Stream, error) {
 		ingestLim: serve.NewLimiter(opts.MaxQueuedIngest),
 		maxQueued: opts.MaxQueuedIngest,
 		mon:       opts.Monitor,
+		log:       opts.Logger,
 		wal:       opts.WAL,
 		snapEvery: opts.SnapshotEvery,
 	}
@@ -249,9 +256,6 @@ func New(db *storage.Database, spec *join.Spec, opts Options) (*Stream, error) {
 	return s, nil
 }
 
-// Partition returns the stream's relation partition.
-func (s *Stream) Partition() core.Partition { return s.p }
-
 // AttachGMM puts a mixture model under incremental maintenance: the base
 // statistics are built with one full absorb under the model (cost ∝ the
 // current fact table), after which refreshes cost time proportional to
@@ -275,8 +279,8 @@ func (s *Stream) attachGMMLocked(name string, m *gmm.Model) error {
 	if _, ok := s.models[name]; ok {
 		return fmt.Errorf("stream: model %q already attached", name)
 	}
-	st := NewGMMStats(s.p, m.K)
-	if err := st.Absorb(m, s.spec.S, s.rv, s.pol.NumWorkers); err != nil {
+	st := NewGMMStats(s.rv, s.p.Dims[0], m.K)
+	if err := st.Absorb(m, s.spec.S, s.pol.NumWorkers); err != nil {
 		return err
 	}
 	s.models[name] = &attached{name: name, kind: serve.KindGMM, gmdl: m.Clone(), stats: st}
@@ -434,6 +438,9 @@ type PlannerDecision struct {
 	Kind      string          `json:"kind"`
 	Strategy  string          `json:"strategy"`
 	Estimates []plan.Estimate `json:"estimates,omitempty"`
+	// Statistics is what the incremental strategy maintains for a GMM, as
+	// of its last attach or refresh.
+	Statistics *Footprint `json:"statistics,omitempty"`
 }
 
 // PlannerDecisions lists the per-model strategy decisions, sorted by
@@ -461,6 +468,8 @@ func (s *Stream) snapshotPlansLocked() {
 		switch m.kind {
 		case serve.KindGMM:
 			d.Strategy = "incremental"
+			fp := m.stats.Footprint()
+			d.Statistics = &fp
 		case serve.KindNN:
 			strat := plan.Factorized
 			if m.plan != nil {
@@ -844,7 +853,7 @@ func (s *Stream) refreshLocked(ctx context.Context, auto bool) (RefreshResult, e
 				mr.Rebaselined = true
 			}
 			before := m.stats.Rows()
-			if err := m.stats.Absorb(m.gmdl, s.spec.S, s.rv, s.pol.NumWorkers); err != nil {
+			if err := m.stats.Absorb(m.gmdl, s.spec.S, s.pol.NumWorkers); err != nil {
 				return res, err
 			}
 			mr.RowsAbsorbed = m.stats.Rows() - before
@@ -860,7 +869,7 @@ func (s *Stream) refreshLocked(ctx context.Context, auto bool) (RefreshResult, e
 				msp.End()
 				continue
 			}
-			model, err := m.stats.Step(m.gmdl, s.idxs, s.pol.GMMRegEps)
+			model, err := m.stats.Step(m.gmdl, s.pol.GMMRegEps)
 			if err != nil {
 				return res, err
 			}

@@ -11,6 +11,7 @@ import (
 	"factorml/internal/data"
 	"factorml/internal/gmm"
 	"factorml/internal/join"
+	"factorml/internal/metrics"
 	"factorml/internal/nn"
 	"factorml/internal/serve"
 	"factorml/internal/storage"
@@ -99,11 +100,11 @@ func TestStreamRefreshBitIdentical(t *testing.T) {
 
 	// Full-retraining baseline over the union, several worker counts.
 	for _, w := range []int{1, 4} {
-		full := NewGMMStats(p, model.K)
-		if err := full.Absorb(model, spec.S, s.rv, w); err != nil {
+		full := NewGMMStats(s.rv, p.Dims[0], model.K)
+		if err := full.Absorb(model, spec.S, w); err != nil {
 			t.Fatal(err)
 		}
-		want, err := full.Step(model, s.idxs, 1e-6)
+		want, err := full.Step(model, 1e-6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,6 +225,7 @@ func serveFixture(t *testing.T, pol Policy) (*storage.Database, *join.Spec, *ser
 	}
 	srv.SetIngestHandler(s.Handler())
 	srv.SetStreamStats(s.StatsProvider())
+	srv.SetPlannerStats(s.PlannerProvider())
 	return db, spec, reg, eng, srv, s
 }
 
@@ -367,10 +369,31 @@ func TestIngestHTTPAndAutoRefresh(t *testing.T) {
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
 	var stats struct {
-		Stream Counters `json:"stream"`
+		Stream  Counters          `json:"stream"`
+		Planner []PlannerDecision `json:"planner"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
+	}
+	// … and, per mixture, what its maintained statistics hold as of the
+	// refresh: every row, one group per referenced tuple of the one
+	// dimension, no pairs. The same numbers are /metrics gauges.
+	if len(stats.Planner) != 2 || stats.Planner[0].Statistics == nil || stats.Planner[1].Statistics != nil {
+		t.Fatalf("planner section = %+v, want statistics on the GMM alone", stats.Planner)
+	}
+	fp := *stats.Planner[0].Statistics
+	if fp.Rows != sid+80 || fp.Groups < 1 || fp.Groups > 18 || fp.Pairs != 0 || fp.Bytes <= 0 {
+		t.Fatalf("GMM statistics footprint = %+v", fp)
+	}
+	gauges := map[string]float64{}
+	s.MetricsCollector()(func(m metrics.Sample) {
+		if len(m.Labels) == 1 && m.Labels[0] == [2]string{"model", "g"} {
+			gauges[m.Name] = m.Value
+		}
+	})
+	if gauges["factorml_stream_gmm_stats_rows"] != float64(fp.Rows) || gauges["factorml_stream_gmm_stats_bytes"] != float64(fp.Bytes) ||
+		gauges["factorml_stream_gmm_stats_groups"] != float64(fp.Groups) {
+		t.Fatalf("statistics gauges = %v, /statsz says %+v", gauges, fp)
 	}
 	if stats.Stream.FactsIngested != 80 || stats.Stream.DimUpdates != 1 ||
 		stats.Stream.Refreshes == 0 || stats.Stream.AutoRefreshes == 0 {

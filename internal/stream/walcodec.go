@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -287,36 +286,4 @@ func decodeWALRecord(p []byte) (walRecord, error) {
 		d.err = fmt.Errorf("stream: %d trailing bytes after WAL record (op %d)", len(p)-d.off, rec.op)
 	}
 	return rec, d.err
-}
-
-// floatsToB64 encodes a float slice as base64 of the little-endian
-// IEEE-754 bit patterns: exact round-trips (including NaN/±Inf, which
-// plain JSON numbers cannot carry) for the checkpointed statistics.
-func floatsToB64(vs []float64) string {
-	buf := make([]byte, 0, 8*len(vs))
-	for _, v := range vs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return base64.StdEncoding.EncodeToString(buf)
-}
-
-// b64ToFloats decodes floatsToB64 output, checking the element count
-// when want >= 0.
-func b64ToFloats(s string, want int) ([]float64, error) {
-	buf, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("stream: decoding checkpoint floats: %w", err)
-	}
-	if len(buf)%8 != 0 {
-		return nil, fmt.Errorf("stream: checkpoint float blob has %d bytes (not a multiple of 8)", len(buf))
-	}
-	n := len(buf) / 8
-	if want >= 0 && n != want {
-		return nil, fmt.Errorf("stream: checkpoint float blob has %d values, want %d", n, want)
-	}
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return vs, nil
 }

@@ -4,7 +4,8 @@
 # update changes served predictions immediately, that the refresh-rows
 # policy triggers an automatic incremental refresh which republishes the
 # model (version bump, served without a restart), and that /statsz carries
-# the stream counters. Exercises the full path through the real binaries.
+# the stream counters and the maintained statistics' footprint, within its
+# budget. Exercises the full path through the real binaries.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -65,9 +66,12 @@ grep -q 'streaming ingestion enabled' "$tmp/serve.log"
 echo "   serving on $addr"
 
 curl_json() { curl -sSf "$@"; }
+# has PATTERN: stdin holds it once spaces and newlines are gone, so a check
+# reads the same on a compact body (predict) and an indented one (/statsz).
+has() { tr -d ' \n' | grep -q "$1"; }
 
 echo "== /healthz"
-curl_json "http://$addr/healthz" | grep -q '"status": "ok"'
+curl_json "http://$addr/healthz" | has '"status":"ok"'
 
 predict_gmm() {
     curl_json -X POST "http://$addr/v1/models/smoke-gmm/predict" \
@@ -78,12 +82,12 @@ predict_gmm() {
 echo "== baseline prediction (fk 5)"
 p1="$(predict_gmm)"
 echo "   $p1"
-grep -q '"version": 1' <<<"$p1"
+has '"version":1' <<<"$p1"
 
 echo "== dimension update reaches served predictions immediately"
 curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
     -d '{"dims":[{"table":"synth_R1","rid":5,"features":[9.5,-9.5,4.0]}]}' \
-    | grep -q '"dim_updates": 1'
+    | has '"dim_updates":1'
 p2="$(predict_gmm)"
 echo "   $p2"
 if [ "$p1" = "$p2" ]; then
@@ -99,12 +103,12 @@ done
 ingest="$(curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
     -d "{\"facts\":[$rows]}")"
 echo "   $ingest"
-grep -q '"refresh_triggered": true' <<<"$ingest"
+has '"refresh_triggered":true' <<<"$ingest"
 
 echo "== refreshed model is served without a restart (version bump)"
 p3="$(predict_gmm)"
 echo "   $p3"
-grep -q '"version": 2' <<<"$p3"
+has '"version":2' <<<"$p3"
 
 echo "== invalid batches are rejected"
 code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$addr/v1/ingest" \
@@ -114,9 +118,23 @@ code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$addr/v1/ingest" 
 echo "== /statsz carries the stream counters"
 stats="$(curl_json "http://$addr/statsz")"
 echo "   $stats"
-grep -q '"stream"' <<<"$stats"
-grep -q '"facts_ingested": 35' <<<"$stats"
-grep -q '"dim_updates": 1' <<<"$stats"
-grep -q '"auto_refreshes": 1' <<<"$stats"
+has '"stream"' <<<"$stats"
+has '"facts_ingested":35' <<<"$stats"
+has '"dim_updates":1' <<<"$stats"
+has '"auto_refreshes":1' <<<"$stats"
+
+echo "== /statsz carries the maintained GMM statistics' footprint, within budget"
+# The planner section lists it per mixture as of its last refresh: every
+# row absorbed, no more pairs than rows x C(direct dimensions, 2) (one
+# dimension here: none), at most the pinned 1 KiB retained per row.
+fp="$(tr -d ' \n' <<<"$stats" | sed -n 's/.*"statistics":{\([^}]*\)}.*/\1/p')"
+field() { sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p" <<<"$fp"; }
+rows="$(field rows)" groups="$(field groups)" pairs="$(field pairs)" bytes="$(field bytes)"
+echo "   rows=$rows groups=$groups pairs=$pairs bytes=$bytes"
+direct=1
+[ "$rows" = 635 ] || { echo "statistics cover $rows rows, want 635" >&2; exit 1; }
+[ "$groups" -ge 1 ] && [ "$groups" -le 20 ] || { echo "$groups groups over 20 dimension tuples" >&2; exit 1; }
+[ "$pairs" -le $((rows * direct * (direct - 1) / 2)) ] || { echo "$pairs pairs over $direct direct dimension(s)" >&2; exit 1; }
+[ $((bytes / rows)) -le 1024 ] || { echo "statistics retain $((bytes / rows)) bytes per row, budget 1024" >&2; exit 1; }
 
 echo "stream smoke OK"
