@@ -7,7 +7,7 @@ GO ?= go
 # scripts/check_coverage.sh; raised with the monitoring PR).
 COVERAGE_BASELINE ?= 71.0
 
-.PHONY: all build test race bench bench-harness ab cover serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke fmt vet ci
+.PHONY: all build test race bench-harness ab cover serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke fmt vet ci
 
 all: build
 
@@ -19,25 +19,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Benchmark smoke: one iteration of every benchmark, no unit tests. The
-# parallel sweep writes BENCH_parallel.json (ns/op per algorithm x workers),
-# the serving sweep writes BENCH_serve.json (rows/sec per model x workers),
-# the streaming sweep writes BENCH_stream.json (incremental vs full
-# refresh cost x workers), the planner sweep writes BENCH_plan.json
-# (estimated vs measured cost per strategy on three schema shapes), the
-# trace sweep writes BENCH_trace.json (span overhead with allocs/op;
-# the untraced span path fails the run if it allocates at all) and the
-# monitor sweep writes BENCH_monitor.json (sketch-maintenance overhead;
-# the disabled observation path fails the run if it allocates at all)
-# and the durability sweep writes BENCH_wal.json (group-commit fsync
-# batching at 1/8/64 writers, WAL-off vs WAL-on ingest; the WAL-disabled
-# hook path fails the run if it allocates at all)
-# and the kernel sweep writes BENCH_kernels.json (fused vs unfused GMM
-# E-step rows/sec, fused linalg helpers, steady-state engine predict
-# with allocs/op — pinned to exactly 0 by TestPredictZeroAlloc).
-bench:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' .
 
 # Serving smoke: datagen a tiny star schema, train -save both model kinds,
 # boot cmd/serve and curl /healthz + predictions + /statsz.
@@ -81,10 +62,11 @@ snowflake-smoke:
 	$(GO) run ./examples/snowflake
 
 # Benchmark harness: benchmark/ is a nested module, so `go build ./...`
-# and `go test ./...` never compile it — yet it calls internal/join,
-# factor, linalg, gmm, nn and plan exports. Vet it and run its self-test
-# (every workload at 2 % scale, plain and traced, self-checks on) so an
-# internal API change that breaks the harness fails CI.
+# never compiles it and `go test ./...` only vets it
+# (TestBenchmarkHarnessCompiles) — yet it calls internal/join, factor,
+# linalg, gmm, nn and plan exports. Vet it and run its self-test (every
+# workload at 2 % scale, plain and traced, self-checks on) so an internal
+# change that breaks what the harness measures fails CI.
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
@@ -116,6 +98,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# cover runs before bench so the BENCH_*.json files the benchmarks write
-# (with ns/op filled in) are the ones left on disk.
-ci: fmt vet build race cover bench bench-harness serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke
+ci: fmt vet build race cover bench-harness serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke

@@ -103,7 +103,6 @@ func main() {
 	refreshLR := flag.Float64("refresh-lr", 0.05, "learning rate of NN refresh epochs (needs -fact)")
 	batchWindow := flag.Duration("batch-window", 0, "coalesce concurrent predict requests per model for this long before scoring them as one engine batch (0 = batching off); per-row results stay bit-identical")
 	maxBatch := flag.Int("max-batch", 0, "flush a coalesced batch early once it holds this many rows; single requests at or over the cap bypass the window (0 = window-only flush; needs -batch-window)")
-	float32Kernels := flag.Bool("float32", false, "store GMM kernel matrices as float32 (half the cache traffic, float64 accumulation, ≤1e-5 relative of the default); NN serving is unaffected")
 	maxInflight := flag.Int("max-inflight", 0, "per-model in-flight prediction limit; excess answers 429 predict_overloaded (0 = unlimited)")
 	maxIngestQueue := flag.Int("max-ingest-queue", 0, "bounded ingest queue: admitted-but-unfinished batches; excess answers 429 ingest_overloaded (0 = unlimited)")
 	retryAfter := flag.Int("retry-after", 0, "Retry-After seconds on 429/503 rejections (0 = default 1)")
@@ -198,7 +197,7 @@ func main() {
 		refreshRows: *refreshRows, rebaseline: *rebaseline,
 		refreshEpochs: *refreshEpochs, refreshLR: *refreshLR,
 		maxInflight: *maxInflight, maxIngestQueue: *maxIngestQueue,
-		batchWindow: *batchWindow, maxBatch: *maxBatch, float32Kernels: *float32Kernels,
+		batchWindow: *batchWindow, maxBatch: *maxBatch,
 		retryAfter: *retryAfter, metrics: *metricsOn,
 		trace: *traceOn, traceSample: *traceSample, traceSlowMS: *traceSlowMS,
 		debugAddr: *debugAddr, logger: logger,
@@ -220,7 +219,6 @@ type serveFlags struct {
 	maxInflight, maxIngestQueue, retryAfter int
 	batchWindow                             time.Duration
 	maxBatch                                int
-	float32Kernels                          bool
 	metrics                                 bool
 	trace                                   bool
 	traceSample                             float64
@@ -281,7 +279,6 @@ func run(cfg serveFlags) error {
 	opts := []factorml.ServerOption{
 		factorml.WithEngineConfig(factorml.ServeConfig{
 			NumWorkers: cfg.workers, CacheEntries: cfg.cacheEntries, BatchRows: cfg.batchRows,
-			Float32: cfg.float32Kernels,
 		}),
 		factorml.WithLimits(factorml.Limits{
 			MaxInFlightPerModel: cfg.maxInflight,

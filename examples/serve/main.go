@@ -85,7 +85,7 @@ func main() {
 		nres.Stats.FinalLoss(), gres.Stats.FinalLL())
 
 	// Boot the HTTP server on a free local port.
-	handler, err := factorml.NewPredictionServer(db, []string{"items"}, factorml.ServeConfig{})
+	handler, err := factorml.NewServer(db, []string{"items"})
 	if err != nil {
 		log.Fatal(err)
 	}

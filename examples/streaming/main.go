@@ -76,8 +76,8 @@ func main() {
 
 	// Boot the streaming prediction server: serving + change feed in one
 	// handler. Every 1000 pending rows trigger an automatic refresh.
-	handler, _, err := factorml.NewStreamingPredictionServer(db, "orders", []string{"items"},
-		factorml.ServeConfig{}, factorml.StreamPolicy{RefreshRows: 1000})
+	handler, err := factorml.NewServer(db, []string{"items"},
+		factorml.WithStream("orders", factorml.StreamPolicy{RefreshRows: 1000}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -807,12 +807,11 @@ func PlanNN(ds *Dataset, cfg NNConfig) (*StrategyPlan, error) {
 		epochs = nn.DefaultEpochs
 	}
 	return plan.Choose(ss, plan.ModelSpec{
-		Family:          plan.FamilyNN,
-		Hidden:          hidden,
-		Epochs:          epochs,
-		BlockMode:       cfg.Mode == BlockUpdates,
-		GroupedGradient: cfg.GroupedGradient,
-		BlockPages:      cfg.BlockPages,
+		Family:     plan.FamilyNN,
+		Hidden:     hidden,
+		Epochs:     epochs,
+		BlockMode:  cfg.Mode == BlockUpdates,
+		BlockPages: cfg.BlockPages,
 	}, plan.Options{})
 }
 
@@ -848,7 +847,7 @@ func GenerateRealShape(d *DB, name string, scale float64, seed int64) (*Dataset,
 
 // registry lazily opens the model registry of the database directory. The
 // registry loads every persisted model on first use and is shared by the
-// save/load methods and NewPredictionServer.
+// save/load methods and NewServer.
 func (d *DB) registry() (*serve.Registry, error) {
 	d.regOnce.Do(func() { d.reg, d.regErr = serve.NewRegistry(d.db) })
 	return d.reg, d.regErr
@@ -856,8 +855,8 @@ func (d *DB) registry() (*serve.Registry, error) {
 
 // SaveGMM persists a trained mixture model under a name in the database's
 // model registry (version 1, or a bumped version when the name exists).
-// Saved models survive Close/Open and are served by NewPredictionServer
-// and cmd/serve. The registry keeps a reference to the model; do not
+// Saved models survive Close/Open and are served by NewServer and
+// cmd/serve. The registry keeps a reference to the model; do not
 // mutate it afterwards.
 func (d *DB) SaveGMM(name string, m *GMMModel) error {
 	reg, err := d.registry()
@@ -1050,11 +1049,17 @@ func (s *Stream) AttachGMM(name string, m *GMMModel) error { return s.st.AttachG
 // (refreshes warm-start the factorized trainer from its parameters).
 func (s *Stream) AttachNN(name string, n *NNNetwork) error { return s.st.AttachNN(name, n) }
 
-// Ingest validates and applies one change batch; see DB.Ingest.
+// Ingest validates and applies one change batch: dimension inserts/updates
+// first, then fact appends; nothing is applied when any row fails
+// validation. When the batch pushes the pending-row count over
+// StreamPolicy.RefreshRows, a refresh runs before Ingest returns.
 func (s *Stream) Ingest(b StreamBatch) (IngestResult, error) { return s.st.Ingest(b) }
 
-// Refresh folds everything ingested so far into the attached models; see
-// DB.Refresh.
+// Refresh folds everything ingested so far into every attached model — one
+// incremental EM step per GMM (cost proportional to the delta,
+// bit-identical to recomputing the statistics over base+delta for every
+// worker count), NN warm-start epochs — and publishes the refreshed models
+// in the registry.
 func (s *Stream) Refresh() (RefreshResult, error) { return s.st.Refresh() }
 
 // GMM returns the current refreshed parameters of an attached mixture.
@@ -1077,19 +1082,6 @@ func (s *Stream) Attached() []string { return s.st.Attached() }
 // without durability. Close calls this automatically; call it directly
 // to bound recovery time between automatic SnapshotEvery checkpoints.
 func (s *Stream) Checkpoint() error { return s.st.Checkpoint() }
-
-// Ingest validates and applies one change batch on the stream: dimension
-// inserts/updates first, then fact appends; nothing is applied when any
-// row fails validation. When the batch pushes the pending-row count over
-// StreamPolicy.RefreshRows, a refresh runs before Ingest returns.
-func (d *DB) Ingest(s *Stream, b StreamBatch) (IngestResult, error) { return s.Ingest(b) }
-
-// Refresh folds everything the stream has ingested into every attached
-// model — one incremental EM step per GMM (cost proportional to the
-// delta, bit-identical to recomputing the statistics over base+delta for
-// every worker count), NN warm-start epochs — and publishes the refreshed
-// models in the registry.
-func (d *DB) Refresh(s *Stream) (RefreshResult, error) { return s.Refresh() }
 
 // serverOptions collects what the ServerOption functions configure.
 type serverOptions struct {
@@ -1388,30 +1380,6 @@ func NewServer(d *DB, dimTables []string, opts ...ServerOption) (*Server, error)
 // this, then atomically swap in the real Server once NewServer returns —
 // cmd/serve does exactly that.
 func BootingHandler() http.Handler { return serve.BootingHandler() }
-
-// NewStreamingPredictionServer builds a prediction server with a live
-// change feed.
-//
-// Deprecated: use NewServer with WithStream (and optionally WithLimits,
-// WithMetrics), which also mounts POST /v1/refresh. This wrapper remains
-// for source compatibility and behaves identically otherwise.
-func NewStreamingPredictionServer(d *DB, fact string, dimTables []string, cfg ServeConfig, pol StreamPolicy) (http.Handler, *Stream, error) {
-	s, err := NewServer(d, dimTables, WithEngineConfig(cfg), WithStream(fact, pol))
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, s.Stream(), nil
-}
-
-// NewPredictionServer builds the factorized inference HTTP handler over
-// this database.
-//
-// Deprecated: use NewServer, which returns a *Server (an http.Handler)
-// and accepts WithLimits/WithMetrics. This wrapper remains for source
-// compatibility and behaves identically.
-func NewPredictionServer(d *DB, dimTables []string, cfg ServeConfig) (http.Handler, error) {
-	return NewServer(d, dimTables, WithEngineConfig(cfg))
-}
 
 // dimPlan expands the named direct dimension tables — and every
 // sub-dimension their catalog entries reference — into the flattened

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"factorml/internal/plan"
 )
 
 // This file pins the Auto strategy's contract: the planner's choice always
@@ -128,5 +130,63 @@ func TestPlanRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := PlanGMM(ds, GMMConfig{K: -1}); err == nil {
 		t.Error("PlanGMM accepted K=-1")
+	}
+}
+
+// TestPlannerPicksMeasuredCheapest trains every strategy on three schema
+// shapes chosen to have three different winners and scores each run by what
+// it measured — core.Ops plus DefaultFlopsPerPage per page access, the
+// currency the planner estimates in. On at least two of the three the
+// planner's pick must be within 5% of the measured-cheapest (M and S do
+// identical math, so an exact argmin would be a coin flip between near-ties).
+func TestPlannerPicksMeasuredCheapest(t *testing.T) {
+	shapes := []struct {
+		name                              string
+		ns, nr, ds, dr, iters, blockPages int
+	}{
+		// High fan-out, wide dimension: per-tuple reuse dominates.
+		{name: "wide-dim", ns: 3000, nr: 50, ds: 2, dr: 24, iters: 3},
+		// Zero-width dimension, single block, one iteration: nothing to
+		// factorize and nothing to amortize a materialization over.
+		{name: "zero-width-dim", ns: 4000, nr: 80, ds: 3, dr: 0, iters: 1},
+		// Narrow dimension forced multi-block with many EM passes: every
+		// streamed pass rescans the fact table once per block, while a
+		// narrow T amortizes.
+		{name: "narrow-dim-multiblock", ns: 4000, nr: 2000, ds: 2, dr: 1, iters: 6, blockPages: 1},
+	}
+	hits := 0
+	for _, sh := range shapes {
+		ds, err := GenerateSynthetic(openDB(t), "plan", SyntheticConfig{
+			NS: sh.ns, NR: []int{sh.nr}, DS: sh.ds, DR: []int{sh.dr}, Seed: 11,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := GMMConfig{K: 3, MaxIter: sh.iters, Tol: 1e-300, Seed: 5, BlockPages: sh.blockPages, NumWorkers: 1}
+		pl, err := PlanGMM(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scores := map[plan.Strategy]float64{}
+		cheapest := plan.Materialized
+		for _, strat := range []plan.Strategy{plan.Materialized, plan.Streaming, plan.Factorized} {
+			res, err := TrainGMM(ds, Algorithm(strat), cfg)
+			if err != nil {
+				t.Fatalf("shape %s, %v: %v", sh.name, strat, err)
+			}
+			pages := res.Stats.IO.LogicalReads + res.Stats.IO.PageWrites
+			scores[strat] = float64(res.Stats.Ops.Total()) + plan.DefaultFlopsPerPage*float64(pages)
+			if scores[strat] < scores[cheapest] {
+				cheapest = strat
+			}
+		}
+		hit := scores[pl.Chosen] <= 1.05*scores[cheapest]
+		if hit {
+			hits++
+		}
+		t.Logf("shape %s: chose %v, measured cheapest %v (hit=%v, scores %v)", sh.name, pl.Chosen, cheapest, hit, scores)
+	}
+	if hits < 2 {
+		t.Fatalf("planner matched the measured-cheapest strategy on %d/3 shapes, want >= 2", hits)
 	}
 }

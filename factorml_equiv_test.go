@@ -443,20 +443,18 @@ func TestSnowflakeDepth3PinnedEquivalence(t *testing.T) {
 			}
 		}
 	}
-	for _, grouped := range []bool{false, true} {
-		ncfg := NNConfig{Hidden: []int{6}, Epochs: 3, LearningRate: 0.05, Seed: 5, NumWorkers: 1, GroupedGradient: grouped}
-		np, err := PlanNN(ds, ncfg)
+	ncfg := NNConfig{Hidden: []int{6}, Epochs: 3, LearningRate: 0.05, Seed: 5, NumWorkers: 1}
+	np, err := PlanNN(ds, ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []Algorithm{Materialized, Factorized} {
+		res, err := TrainNN(ds, algo, ncfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, algo := range []Algorithm{Materialized, Factorized} {
-			res, err := TrainNN(ds, algo, ncfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if est := np.Estimate(plan.Strategy(algo)).Ops; est != res.Stats.Ops {
-				t.Errorf("%v-NN (grouped=%v): planner estimates %+v, training measured %+v", algo, grouped, est, res.Stats.Ops)
-			}
+		if est := np.Estimate(plan.Strategy(algo)).Ops; est != res.Stats.Ops {
+			t.Errorf("%v-NN: planner estimates %+v, training measured %+v", algo, est, res.Stats.Ops)
 		}
 	}
 }

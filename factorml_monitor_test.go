@@ -2,10 +2,15 @@ package factorml
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"factorml/internal/monitor"
+	"factorml/internal/trace"
+	"factorml/internal/wal"
 )
 
 // buildMonitorDB creates a small star schema, trains a GMM over it and
@@ -277,5 +282,45 @@ func TestMonitoringEquivalence(t *testing.T) {
 
 	if h := srvOn.ModelHealth(); len(h) != 1 {
 		t.Fatalf("monitored server health: %+v", h)
+	}
+}
+
+// TestDisabledHooksAllocateNothing pins the telemetry calls compiled into
+// the predict and ingest hot paths at zero allocations when their subsystem
+// is off: a nil *monitor.Monitor, a context with no sampled trace, a nil
+// *wal.Log. (The live paths have their own pins beside the code:
+// TestObserveJoinedAllocFree in internal/monitor and, for steady-state
+// PredictInto, TestPredictZeroAlloc in internal/serve.)
+func TestDisabledHooksAllocateNothing(t *testing.T) {
+	x := make([]float64, 12)
+	var mon *monitor.Monitor
+	ctx := context.Background()
+	var log *wal.Log
+
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"monitor", func() {
+			mon.ObserveJoined(x)
+			if mon.SampleQuality("g") {
+				mon.ObserveQuality("g", 1)
+			}
+			mon.CheckAll()
+		}},
+		{"trace", func() {
+			_, sp := trace.Start(ctx, "test.span")
+			sp.SetAttr("k", "v")
+			sp.End()
+		}},
+		{"wal", func() {
+			if log.Enabled() || log.LastLSN() != 0 || log.Stats().Appends != 0 {
+				t.Fatal("nil log reports state")
+			}
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(100, tc.op); allocs != 0 {
+			t.Errorf("%s: disabled hook path allocates %.0f objects/op, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -293,58 +293,3 @@ func TestServerConcurrentMetricsScrapes(t *testing.T) {
 		t.Fatalf("no stream counters in exposition:\n%s", text)
 	}
 }
-
-// TestDeprecatedConstructorsStillServe keeps the pre-redesign entry
-// points green: both wrappers must compile against their old signatures
-// and serve predictions with the same bits as the redesigned server.
-func TestDeprecatedConstructorsStillServe(t *testing.T) {
-	db := openDB(t)
-	ds := buildRetail(t, db, 120, 8)
-	nres, err := TrainNN(ds, Factorized, NNConfig{Hidden: []int{4}, Epochs: 1, NumWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SaveNN("old-nn", nres.Net); err != nil {
-		t.Fatal(err)
-	}
-
-	var plain http.Handler
-	plain, err = NewPredictionServer(db, []string{"items"}, ServeConfig{NumWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streaming http.Handler
-	var st *Stream
-	streaming, st, err = NewStreamingPredictionServer(db, "orders", []string{"items"}, ServeConfig{NumWorkers: 1}, StreamPolicy{NumWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st == nil || len(st.Attached()) == 0 {
-		t.Fatalf("streaming wrapper attached nothing: %+v", st)
-	}
-
-	body := `{"rows":[{"fact":[1.5,10],"fks":[3]}]}`
-	outputs := make([]float64, 0, 2)
-	for _, h := range []http.Handler{plain, streaming} {
-		ts := httptest.NewServer(h)
-		resp, err := http.Post(ts.URL+"/v1/models/old-nn/predict", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out struct {
-			Predictions []struct {
-				Output *float64 `json:"output"`
-			} `json:"predictions"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		ts.Close()
-		if err != nil || resp.StatusCode != http.StatusOK || len(out.Predictions) != 1 || out.Predictions[0].Output == nil {
-			t.Fatalf("deprecated wrapper predict failed: status %d err %v out %+v", resp.StatusCode, err, out)
-		}
-		outputs = append(outputs, *out.Predictions[0].Output)
-	}
-	if outputs[0] != outputs[1] {
-		t.Fatalf("wrappers disagree: %v vs %v, want bit-identical", outputs[0], outputs[1])
-	}
-}

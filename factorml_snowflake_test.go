@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"factorml/internal/plan"
 )
 
 // snowflakeFixture is a depth-3 hierarchy built through the public API:
@@ -110,7 +112,7 @@ func TestSnowflakeServingMatchesDense(t *testing.T) {
 	if err := db.SaveGMM("sf-gmm", gres.Model); err != nil {
 		t.Fatal(err)
 	}
-	handler, err := NewPredictionServer(db, []string{"items"}, ServeConfig{NumWorkers: 2})
+	handler, err := NewServer(db, []string{"items"}, WithEngineConfig(ServeConfig{NumWorkers: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +222,8 @@ func TestSnowflakeConcurrentServeIngestDimUpdate(t *testing.T) {
 	if err := db.SaveGMM("sf-gmm", gres.Model); err != nil {
 		t.Fatal(err)
 	}
-	handler, _, err := NewStreamingPredictionServer(db, "orders", []string{"items"},
-		ServeConfig{NumWorkers: 2}, StreamPolicy{RefreshRows: 40, NumWorkers: 1})
+	handler, err := NewServer(db, []string{"items"}, WithEngineConfig(ServeConfig{NumWorkers: 2}),
+		WithStream("orders", StreamPolicy{RefreshRows: 40, NumWorkers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,4 +366,62 @@ func tupleOf(t *testing.T, dt *DimensionTable, rid int64) StorageTuple {
 	}
 	t.Fatalf("no tuple %d in %q", rid, dt.Name())
 	return StorageTuple{}
+}
+
+// TestSnowflakeFactorizedOpsAdvantage pins the FLOP saving of the
+// factorized path on a shared-sub-dimension snowflake — a depth-3 hierarchy
+// of 150 → 37 → 9 tuples under 6000 fact rows, so a direct dimension
+// tuple's work (its whole subtree's, which the join runner appends to it)
+// is shared by 40 fact rows: the recursive analogue of the paper's
+// Eq. 7–12 savings, in the same core.Ops accounting. The mixture saves at
+// least 2×. The network factorizes its layer-1 forward pass only (its
+// backward pass does the dense path's multiplications, Eq. 28–29), so its
+// saving is whatever the planner's cost model says it is: the measured
+// counts must equal the estimate, and the ratio must exceed 1.
+func TestSnowflakeFactorizedOpsAdvantage(t *testing.T) {
+	db := openDB(t)
+	ds, err := GenerateSynthetic(db, "snowops", SyntheticConfig{
+		NS: 6000, NR: []int{150}, DS: 2, DR: []int{8},
+		Depth: 3, DimsPerLevel: 1,
+		Seed: 11, WithTarget: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcfg := GMMConfig{K: 3, MaxIter: 2, Tol: 1e-300, Seed: 1, NumWorkers: 1}
+	ncfg := NNConfig{Hidden: []int{16}, Epochs: 2, LearningRate: 0.05, Seed: 1, NumWorkers: 1}
+
+	flops := map[Algorithm]float64{}
+	for _, algo := range []Algorithm{Materialized, Factorized} {
+		res, err := TrainGMM(ds, algo, gcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flops[algo] = float64(res.Stats.Ops.Total())
+	}
+	ratio := flops[Materialized] / flops[Factorized]
+	t.Logf("gmm: materialized %.3g FLOPs, factorized %.3g FLOPs (%.2fx fewer)", flops[Materialized], flops[Factorized], ratio)
+	if ratio < 2 {
+		t.Errorf("gmm: factorized does only %.2fx fewer FLOPs than materialized, want >= 2x", ratio)
+	}
+
+	np, err := PlanNN(ds, ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []Algorithm{Materialized, Factorized} {
+		res, err := TrainNN(ds, algo, ncfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est := np.Estimate(plan.Strategy(algo)).Ops; est != res.Stats.Ops {
+			t.Errorf("%v-NN: planner estimates %+v, training measured %+v", algo, est, res.Stats.Ops)
+		}
+		flops[algo] = float64(res.Stats.Ops.Total())
+	}
+	ratio = flops[Materialized] / flops[Factorized]
+	t.Logf("nn: materialized %.3g FLOPs, factorized %.3g FLOPs (%.2fx fewer)", flops[Materialized], flops[Factorized], ratio)
+	if ratio <= 1 {
+		t.Errorf("nn: factorized charges %.3g FLOPs, materialized %.3g: no saving", flops[Factorized], flops[Materialized])
+	}
 }

@@ -48,7 +48,7 @@ func TestPublicAPIStreaming(t *testing.T) {
 	if err := st.AttachGMM("orders-gmm", gres.Model); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Ingest(st, StreamBatch{
+	res, err := st.Ingest(StreamBatch{
 		Dims: []DimUpdate{{Table: "items", RID: 99, Features: []float64{200, 1}}},
 		Facts: []FactRow{
 			{SID: 300, FKs: []int64{99}, Features: []float64{1.5}, Target: 1},
@@ -64,7 +64,7 @@ func TestPublicAPIStreaming(t *testing.T) {
 	if st.Pending() != 2 {
 		t.Fatalf("pending = %d", st.Pending())
 	}
-	rres, err := db.Refresh(st)
+	rres, err := st.Refresh()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPublicAPIStreaming(t *testing.T) {
 	}
 
 	// The streaming server exposes ingest + stream stats over HTTP.
-	handler, _, err := NewStreamingPredictionServer(db, "orders", []string{"items"}, ServeConfig{NumWorkers: 1}, StreamPolicy{NumWorkers: 1})
+	handler, err := NewServer(db, []string{"items"}, WithEngineConfig(ServeConfig{NumWorkers: 1}), WithStream("orders", StreamPolicy{NumWorkers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

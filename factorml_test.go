@@ -5,6 +5,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -270,7 +272,7 @@ func TestPublicAPIPredictionServer(t *testing.T) {
 	if err := db.SaveNN("retail-nn", nres.Net); err != nil {
 		t.Fatal(err)
 	}
-	handler, err := NewPredictionServer(db, []string{"items"}, ServeConfig{NumWorkers: 2})
+	handler, err := NewServer(db, []string{"items"}, WithEngineConfig(ServeConfig{NumWorkers: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,5 +322,27 @@ func TestPublicAPIPredictionServer(t *testing.T) {
 	}
 	if stats.HitRate == 0 {
 		t.Fatal("dimension-cache hit rate is zero after a repeated fk")
+	}
+}
+
+// TestBenchmarkHarnessCompiles vets benchmark/, a nested module that
+// `go build ./...` and `go test ./...` never compile although it calls
+// internal/* exports — so a change that removes or renames one of them
+// fails here and not first in the benchmark run.
+func TestBenchmarkHarnessCompiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the go tool over benchmark/")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	cmd := exec.Command(goTool, "vet", ".")
+	cmd.Dir = "benchmark"
+	// The nested module has no go.sum and must not reach for the network;
+	// GOCACHE is inherited, so the packages this test run built are reused.
+	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOFLAGS=-mod=mod")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in benchmark/: %v\n%s", err, out)
 	}
 }

@@ -13,9 +13,9 @@ import (
 // PartScan is the factorized access path: the block-nested-loops join
 // runner paired with the partition the trainers factorize over. Factorized
 // trainers fill per-dimension-tuple caches through FillCaches (parallel,
-// disjoint slots, deterministic op accounting), then stream the matches
-// sequentially (Run) or in fixed chunks on the worker pool (RunChunks) and
-// fold model-specific accumulators per match.
+// disjoint slots, deterministic op accounting), then stream the matches in
+// fixed chunks on the worker pool (RunChunks) and fold model-specific
+// accumulators per chunk.
 //
 // The runner delivers every direct dimension's tuples with their subtree's
 // features appended, so the trainers' partition is Direct — the fact part
@@ -80,25 +80,6 @@ func (ps *PartScan) scan(onRow RowFn) error {
 	return join.StreamWith(ps.Runner, func(_ int64, x []float64, y float64) error {
 		return onRow(x, y)
 	})
-}
-
-// Run streams one sequential pass over the join.
-func (ps *PartScan) Run(cb join.Callbacks) error {
-	obs := loadObserver()
-	if obs == nil || cb.OnMatch == nil {
-		return ps.Runner.Run(cb)
-	}
-	var rows int64
-	innerMatch := cb.OnMatch
-	cb.OnMatch = func(s *storage.Tuple, r1Idx int, resIdx []int) error {
-		rows++
-		return innerMatch(s, r1Idx, resIdx)
-	}
-	start := time.Now()
-	err := ps.Runner.Run(cb)
-	obs(PassEvent{Pass: ps.Pass, Phase: "fold", Workers: 1, Rows: rows,
-		Wall: time.Since(start), Err: err != nil})
-	return err
 }
 
 // RunChunks streams one pass with the matches cut into fixed-size chunks

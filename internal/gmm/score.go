@@ -20,9 +20,6 @@ type Scorer struct {
 	p      core.Partition
 	states []compState
 	hot    *hotState
-	// hot32, when non-nil, routes scoring through the float32-storage
-	// kernel (NewScorerF32) instead of the float64 one.
-	hot32 *hotState32
 }
 
 // NewScorer precomputes the blocked inverse covariances for scoring over
@@ -37,22 +34,6 @@ func (m *Model) NewScorer(p core.Partition) (*Scorer, error) {
 		return nil, err
 	}
 	return &Scorer{m: m, p: p, states: states, hot: buildHot(m, p, states)}, nil
-}
-
-// NewScorerF32 is NewScorer with float32 storage for the per-component
-// matrices and float64 accumulation — the opt-in bandwidth-saving path of
-// the raw-speed pass. Log-densities differ from NewScorer's by the float32
-// rounding of the matrices (≤1e-5 relative for well-conditioned models,
-// pinned by TestFloat32ScorerAccuracy); the evaluation stays fixed-order
-// deterministic. Use only where the bit-identical float64 guarantees are
-// not required.
-func (m *Model) NewScorerF32(p core.Partition) (*Scorer, error) {
-	s, err := m.NewScorer(p)
-	if err != nil {
-		return nil, err
-	}
-	s.hot32 = buildHot32(s.hot)
-	return s, nil
 }
 
 // K returns the number of mixture components (the length FillDimCaches
@@ -99,7 +80,7 @@ func (s *Scorer) NewScratch() *ScoreScratch {
 // Responsibilities both evaluate through this single loop, so the serving
 // path and the incremental-maintenance E-step stay arithmetically
 // identical by construction — the bit-identity their tests pin. Since the
-// raw-speed pass it dispatches to the fused kernel (see fused.go): a
+// raw-speed pass it is the fused kernel (see fused.go), nothing else: a
 // fixed, deterministic evaluation whose blocked multi-accumulator sums
 // differ from the original per-term loop only in summation order (≤1e-12
 // relative, pinned by TestFusedKernelMatchesReference);
@@ -109,17 +90,13 @@ func (s *Scorer) scoreComponents(xs []float64, caches [][]core.QuadCache, sc *Sc
 	if len(caches) != s.p.Parts()-1 {
 		panic(fmt.Sprintf("gmm: %d dimension caches, partition has %d dimension parts", len(caches), s.p.Parts()-1))
 	}
-	if s.hot32 != nil {
-		s.hot32.scoreRow(xs, caches, sc.pds, sc.logp, &sc.Ops)
-		return
-	}
 	s.hot.scoreRow(xs, caches, sc.pds, sc.logp, &sc.Ops)
 }
 
 // scoreComponentsUnfused is the pre-fusion reference kernel: one call per
-// term through compState/FactQuad. TestFusedKernelBitIdentity pins
-// scoreComponents against it, and BenchmarkKernels reports the fused
-// speedup over it.
+// term through compState/FactQuad. TestFusedKernelMatchesReference pins
+// scoreComponents against it, and the benchmark harness times the two side
+// by side (EStepBenchHooks).
 func (s *Scorer) scoreComponentsUnfused(xs []float64, caches [][]core.QuadCache, sc *ScoreScratch) {
 	if len(caches) != s.p.Parts()-1 {
 		panic(fmt.Sprintf("gmm: %d dimension caches, partition has %d dimension parts", len(caches), s.p.Parts()-1))

@@ -141,25 +141,6 @@ func OuterAccum(dst *Dense, w float64, x, y []float64) {
 	}
 }
 
-// OuterAccumAt accumulates dst[i0+i][j0+j] += w·x[i]·y[j] — an outer-product
-// accumulation into a sub-block of dst (used by the factorized NN gradient,
-// whose layer-1 weight matrix is column-partitioned across relations).
-func OuterAccumAt(dst *Dense, i0, j0 int, w float64, x, y []float64) {
-	if i0 < 0 || j0 < 0 || i0+len(x) > dst.rows || j0+len(y) > dst.cols {
-		panic(fmt.Sprintf("linalg: outerAt (%d,%d)+%dx%d out of bounds for %dx%d", i0, j0, len(x), len(y), dst.rows, dst.cols))
-	}
-	for i, xi := range x {
-		wx := w * xi
-		if wx == 0 {
-			continue
-		}
-		row := dst.data[(i0+i)*dst.cols : (i0+i+1)*dst.cols]
-		for j, yj := range y {
-			row[j0+j] += wx * yj
-		}
-	}
-}
-
 // QuadForm returns xᵀ·A·x for square A.
 func QuadForm(a *Dense, x []float64) float64 {
 	if a.rows != a.cols || len(x) != a.rows {

@@ -200,27 +200,6 @@ func TestMatVecRangeBoundsPanic(t *testing.T) {
 	MatVecRange(make([]float64, 2), NewDense(2, 3), 2, []float64{1, 1})
 }
 
-func TestOuterAccumAt(t *testing.T) {
-	dst := NewDense(3, 4)
-	OuterAccumAt(dst, 1, 2, 1, []float64{1, 2}, []float64{3, 4})
-	if dst.At(1, 2) != 3 || dst.At(1, 3) != 4 || dst.At(2, 2) != 6 || dst.At(2, 3) != 8 {
-		t.Fatalf("OuterAccumAt wrote wrong block: %v", dst)
-	}
-	if dst.At(0, 0) != 0 || dst.At(0, 2) != 0 {
-		t.Fatalf("OuterAccumAt touched outside block: %v", dst)
-	}
-	// Accumulates rather than overwrites.
-	OuterAccumAt(dst, 1, 2, 2, []float64{1, 2}, []float64{3, 4})
-	if dst.At(1, 2) != 9 {
-		t.Fatalf("OuterAccumAt did not accumulate: %v", dst.At(1, 2))
-	}
-}
-
-func TestOuterAccumAtBoundsPanic(t *testing.T) {
-	defer expectPanic(t, "outerAt out of bounds")
-	OuterAccumAt(NewDense(2, 2), 1, 1, 1, []float64{1, 1}, []float64{1})
-}
-
 // OuterAccumRows must equal the rank-1 sequence it replaces bit for bit:
 // same products, same per-element order, same zero-skip.
 func TestOuterAccumRowsMatchesRank1Sequence(t *testing.T) {

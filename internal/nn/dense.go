@@ -139,9 +139,9 @@ func trainDense(pass factor.GroupedScan, cfg Config, net *Network, stats *Stats)
 			// foreign key dangles.
 			w.applyStep(cfg.LearningRate, batchN)
 		}
-		seen += batchN
-		stats.Loss = append(stats.Loss, lossSum/float64(seen))
-		stats.Epochs = epoch + 1
+		if err := stats.endEpoch(lossSum, seen+batchN); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -9,14 +9,14 @@
 //     for every matching fact tuple. The backward pass reads features
 //     directly from the base relations (the I/O saving of §VI-A3); per the
 //     paper's Eq. 28-29 analysis, it performs the same multiplications as
-//     the dense path unless the GroupedGradient extension is enabled.
+//     the dense path.
 //
 // Factorization stops after the first layer: the paper shows (§VI-A2) that
 // sharing across higher layers requires an additive activation and costs
 // more operations than it saves even then. The ShareLayer2 option
 // implements that scheme anyway — restricted to the Identity activation,
 // where it is exact — so the claim can be demonstrated empirically with
-// the package's operation counters (see BenchmarkAblationLayer2Sharing).
+// the package's operation counters (see TestShareLayer2ExactAndCostsMore).
 //
 // Two batching regimes are supported, both producing identical parameter
 // trajectories across M/S/F: Epoch (one gradient step per full pass) and

@@ -18,10 +18,8 @@ import (
 // pre-activation W_R·x_R is computed once per parameter state and reused
 // for all matching fact tuples (§VI-A1); the backward pass reads features
 // directly from the base relations (§VI-A3). With cfg.ShareLayer2 (and the
-// Identity activation) the §VI-A2 second-layer sharing scheme is used, and
-// with cfg.GroupedGradient the layer-1 dimension gradient is accumulated
-// per group (DESIGN.md §6 extensions). All variants are exact: the trained
-// network matches TrainM/TrainS.
+// Identity activation) the §VI-A2 second-layer sharing scheme is used.
+// Both variants are exact: the trained network matches TrainM/TrainS.
 func TrainF(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -59,9 +57,8 @@ type partCaches struct {
 	t3 [][]float64
 }
 
-// fwdCtx bundles the read-only state of the factorized forward pass. Both
-// the sequential and the parallel F-NN trainer call forward once per
-// joined tuple, so the §VI-A1/§VI-A2 math lives in exactly one place.
+// fwdCtx bundles the read-only state of the factorized forward pass, which
+// the F-NN trainer calls once per joined tuple.
 type fwdCtx struct {
 	net          *Network
 	share        bool
@@ -139,24 +136,13 @@ func (pc *partCaches) ensure(n, nh0, nh1 int, share bool) {
 	}
 }
 
-// trainFactorized dispatches to the chunked-parallel implementation, except
-// under the GroupedGradient extension, whose sparse per-group accumulators
-// are a sequential cost-model study (DESIGN.md §6) and stay on the legacy
-// loop for every NumWorkers value.
-func trainFactorized(ps *factor.PartScan, cfg Config, net *Network, stats *Stats) error {
-	if cfg.GroupedGradient {
-		return trainFactorizedSeq(ps, cfg, net, stats)
-	}
-	return trainFactorizedPar(ps, cfg, net, stats)
-}
-
-// trainFactorizedPar is F-NN on the worker pool: the per-block dimension
+// trainFactorized is F-NN on the worker pool: the per-block dimension
 // caches fill over disjoint grains, matches stream through the parallel
 // join probe in fixed chunks, each chunk folds its example gradients into a
 // private gradAcc, and the accumulators merge in chunk order — so the
 // parameter trajectory is bit-identical for every cfg.NumWorkers value.
 // Cache refills and Block-mode gradient steps happen at full barriers.
-func trainFactorizedPar(ps *factor.PartScan, cfg Config, net *Network, stats *Stats) error {
+func trainFactorized(ps *factor.PartScan, cfg Config, net *Network, stats *Stats) error {
 	ps.Pass = "fnn.sgd"
 	p := ps.Direct
 	nw := parallel.Workers(cfg.NumWorkers)
@@ -279,201 +265,9 @@ func trainFactorizedPar(ps *factor.PartScan, cfg Config, net *Network, stats *St
 		if cfg.Mode == Epoch {
 			w.applyStep(cfg.LearningRate, batchN) // the rows the join kept, as in trainDense
 		}
-		seen += batchN
-		stats.Loss = append(stats.Loss, lossSum/float64(seen))
-		stats.Epochs = epoch + 1
-	}
-	return nil
-}
-
-// trainFactorizedSeq is the legacy single-threaded F-NN loop, kept for the
-// GroupedGradient extension whose per-group gradient accumulators are not
-// chunked.
-func trainFactorizedSeq(ps *factor.PartScan, cfg Config, net *Network, stats *Stats) error {
-	ps.Pass = "fnn.sgd"
-	p := ps.Direct
-	w := newWorkspace(net, &stats.Ops)
-	q := p.Parts() - 1
-	dS := p.Dims[0]
-	nh0 := net.Sizes[1]
-	nh1 := 0
-	if net.Layers() >= 2 {
-		nh1 = net.Sizes[2]
-	}
-	share := cfg.ShareLayer2
-
-	var blkCache partCaches
-	resCache := make([]*partCaches, q-1)
-	for j := range resCache {
-		resCache[j] = &partCaches{}
-	}
-	// Grouped-gradient accumulators (Σ δ⁰ per dimension tuple).
-	var gsumBlk [][]float64
-	gsumRes := make([][][]float64, q-1)
-
-	t1 := make([]float64, nh0) // W0_S·x_S (kept separate under sharing)
-	cBias := make([]float64, nh1)
-
-	fc := &fwdCtx{net: net, share: share, dS: dS, nh0: nh0, nh1: nh1,
-		blkCache: &blkCache, resCache: resCache, cBias: cBias}
-
-	// The grouped-gradient trainer is sequential by design, so its cache
-	// fills run through the shared operator with a single worker — same
-	// grain geometry, same accounting, no pool.
-	fillPart := func(pc *partCaches, tuples []*storage.Tuple, part int) {
-		pc.ensure(len(tuples), nh0, nh1, share)
-		off := p.Offs[part]
-		//nolint:errcheck // the fill body cannot fail
-		ps.FillCaches(1, tuples, &stats.Ops, func(i int, tp *storage.Tuple, ops *core.Ops) error {
-			linalg.MatVecRange(pc.t[i], net.W[0], off, tp.Features)
-			ops.AddMatVec(nh0, p.Dims[part])
-			if share {
-				// t3 = W1·f(t); f = Identity, so f(t) = t.
-				linalg.MatVec(pc.t3[i], net.W[1], pc.t[i])
-				ops.AddMatVec(nh1, nh0)
-			}
-			return nil
-		})
-	}
-	fillShared := func() {
-		if !share {
-			return
-		}
-		// cBias = W1·b0 + b1 accounts for the layer-1 bias flowing through
-		// the additive activation.
-		linalg.MatVec(cBias, net.W[1], net.B[0])
-		stats.Ops.AddMatVec(nh1, nh0)
-		linalg.VecAdd(cBias, cBias, net.B[1])
-		stats.Ops.Adds += int64(nh1)
-	}
-
-	flushGroupedBlock := func(block []*storage.Tuple) {
-		if !cfg.GroupedGradient {
-			return
-		}
-		for i, tp := range block {
-			linalg.OuterAccumAt(w.gW[0], 0, p.Offs[1], 1, gsumBlk[i], tp.Features)
-			stats.Ops.AddOuterPlain(nh0, p.Dims[1])
-			linalg.VecZero(gsumBlk[i])
-		}
-	}
-	flushGroupedResident := func() {
-		if !cfg.GroupedGradient {
-			return
-		}
-		for j := 0; j < q-1; j++ {
-			for t, tp := range ps.Resident(j) {
-				linalg.OuterAccumAt(w.gW[0], 0, p.Offs[2+j], 1, gsumRes[j][t], tp.Features)
-				stats.Ops.AddOuterPlain(nh0, p.Dims[2+j])
-				linalg.VecZero(gsumRes[j][t])
-			}
-		}
-	}
-
-	var shuffleRng *rand.Rand
-	if cfg.ShuffleSeed != 0 {
-		shuffleRng = rand.New(rand.NewSource(cfg.ShuffleSeed))
-	}
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if shuffleRng != nil {
-			ps.Runner.Shuffle(shuffleRng) // one permutation per epoch (§VI)
-		}
-		w.zeroGrads()
-		lossSum := 0.0
-		batchN, seen := 0, 0
-		residentFresh := false
-		var curBlock []*storage.Tuple
-
-		err := ps.Run(join.Callbacks{
-			OnBlockStart: func(block []*storage.Tuple) error {
-				curBlock = block
-				// Dimension caches are valid for one parameter state: per
-				// block under Block updates, per pass under Epoch updates.
-				if cfg.Mode == Block || !residentFresh {
-					for j := 0; j < q-1; j++ {
-						fillPart(resCache[j], ps.Resident(j), 2+j)
-					}
-					fillShared()
-					residentFresh = true
-					if cfg.GroupedGradient && q > 1 && gsumRes[0] == nil {
-						for j := 0; j < q-1; j++ {
-							gsumRes[j] = make([][]float64, len(ps.Resident(j)))
-							for t := range gsumRes[j] {
-								gsumRes[j][t] = make([]float64, nh0)
-							}
-						}
-					}
-				}
-				fillPart(&blkCache, block, 1)
-				if cfg.GroupedGradient {
-					if cap(gsumBlk) < len(block) {
-						gsumBlk = make([][]float64, len(block))
-					}
-					gsumBlk = gsumBlk[:len(block)]
-					for i := range gsumBlk {
-						if gsumBlk[i] == nil {
-							gsumBlk[i] = make([]float64, nh0)
-						} else {
-							linalg.VecZero(gsumBlk[i])
-						}
-					}
-				}
-				return nil
-			},
-			OnMatch: func(s *storage.Tuple, r1Idx int, resIdx []int) error {
-				o := fc.forward(w, t1, s, r1Idx, resIdx)
-
-				diff := o - s.Target
-				lossSum += 0.5 * diff * diff
-				w.backward(o, s.Target)
-
-				// Input-layer gradients, column-partitioned (Eq. 29/32).
-				delta0 := w.delta[0]
-				linalg.OuterAccumAt(w.gW[0], 0, 0, 1, delta0, s.Features)
-				stats.Ops.AddOuterPlain(nh0, dS)
-				linalg.Axpy(1, delta0, w.gB[0])
-				stats.Ops.Adds += int64(nh0)
-				if cfg.GroupedGradient {
-					linalg.Axpy(1, delta0, gsumBlk[r1Idx])
-					stats.Ops.Adds += int64(nh0)
-					for j, ri := range resIdx {
-						linalg.Axpy(1, delta0, gsumRes[j][ri])
-						stats.Ops.Adds += int64(nh0)
-					}
-				} else {
-					linalg.OuterAccumAt(w.gW[0], 0, p.Offs[1], 1, delta0, curBlock[r1Idx].Features)
-					stats.Ops.AddOuterPlain(nh0, p.Dims[1])
-					for j, ri := range resIdx {
-						linalg.OuterAccumAt(w.gW[0], 0, p.Offs[2+j], 1, delta0, ps.Resident(j)[ri].Features)
-						stats.Ops.AddOuterPlain(nh0, p.Dims[2+j])
-					}
-				}
-				batchN++
-				return nil
-			},
-			OnBlockEnd: func() error {
-				flushGroupedBlock(curBlock)
-				if cfg.Mode == Block {
-					flushGroupedResident()
-					w.applyStep(cfg.LearningRate, batchN)
-					w.zeroGrads()
-					seen += batchN
-					batchN = 0
-					residentFresh = false
-				}
-				return nil
-			},
-		})
-		if err != nil {
+		if err := stats.endEpoch(lossSum, seen+batchN); err != nil {
 			return err
 		}
-		if cfg.Mode == Epoch {
-			flushGroupedResident()
-			w.applyStep(cfg.LearningRate, batchN)
-		}
-		seen += batchN
-		stats.Loss = append(stats.Loss, lossSum/float64(seen))
-		stats.Epochs = epoch + 1
 	}
 	return nil
 }

@@ -148,8 +148,7 @@ type Config struct {
 	// Options.NumWorkers default, which itself defaults to every CPU.) Chunk
 	// geometry and gradient-merge order are independent of this knob (see
 	// internal/parallel), so the trained network is bit-for-bit identical
-	// for every value. The GroupedGradient extension keeps its sequential
-	// implementation regardless of NumWorkers.
+	// for every value.
 	NumWorkers int
 
 	// ShuffleSeed, when non-zero, permutes R1's keys before every epoch —
@@ -159,12 +158,6 @@ type Config struct {
 	// produce identical trajectories for the same seed); the materialized
 	// trainer reads a fixed T and rejects it.
 	ShuffleSeed int64
-
-	// GroupedGradient enables the extension of DESIGN.md §6: the layer-1
-	// weight gradient for dimension features is accumulated per dimension
-	// tuple (Σ δ grouped, then one outer product per group) instead of per
-	// joined tuple. Exact; changes operation counts only. F-NN only.
-	GroupedGradient bool
 
 	// ShareLayer2 enables the paper's §VI-A2 layer-2 sharing scheme.
 	// Requires the Identity activation (the only additive one) and at
@@ -253,6 +246,18 @@ type Stats struct {
 type Result struct {
 	Net   *Network
 	Stats Stats
+}
+
+// endEpoch records the mean loss of an epoch that folded seen examples.
+// An epoch with none — an empty fact table, or every foreign key dangling —
+// has no mean, so it is an error rather than a NaN in Loss.
+func (s *Stats) endEpoch(lossSum float64, seen int) error {
+	if seen == 0 {
+		return fmt.Errorf("nn: 0 training examples (the join is empty)")
+	}
+	s.Loss = append(s.Loss, lossSum/float64(seen))
+	s.Epochs = len(s.Loss)
+	return nil
 }
 
 // FinalLoss returns the last epoch's loss (+Inf if none recorded).

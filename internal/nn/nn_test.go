@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"factorml/internal/data"
@@ -105,26 +106,45 @@ func TestExactnessMultiway(t *testing.T) {
 	}
 }
 
-func TestGroupedGradientExact(t *testing.T) {
+// When every foreign key dangles the join is empty and an epoch has no mean
+// loss: all three trainers must say so instead of returning a network with
+// Loss = [NaN …].
+func TestEmptyJoinIsAnError(t *testing.T) {
 	db := openDB(t)
-	spec := synthBinary(t, db, 300, 15, 2, 3)
-	base := Config{Hidden: []int{5}, Act: Sigmoid, Epochs: 4, LearningRate: 0.1}
-	f1, err := TrainF(db, spec, base)
+	rTbl, err := db.CreateTable(&storage.Schema{Name: "R", Keys: []string{"rid"}, Features: []string{"xr"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped := base
-	grouped.GroupedGradient = true
-	f2, err := TrainF(db, spec, grouped)
+	if err := rTbl.Append(&storage.Tuple{Keys: []int64{0}, Features: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rTbl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sTbl, err := db.CreateTable(&storage.Schema{Name: "S", Keys: []string{"sid", "fk"}, Features: []string{"xs"}, HasTarget: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := f1.Net.MaxParamDiff(f2.Net); d > 1e-8 {
-		t.Fatalf("grouped gradient diverged: %v", d)
+	for i := 0; i < 10; i++ {
+		tp := &storage.Tuple{Keys: []int64{int64(i), int64(100 + i)}, Features: []float64{float64(i)}, Target: 1}
+		if err := sTbl.Append(tp); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Grouping must reduce layer-1 gradient multiplications.
-	if f2.Stats.Ops.Mul >= f1.Stats.Ops.Mul {
-		t.Fatalf("grouped gradient ops %d not below per-tuple %d", f2.Stats.Ops.Mul, f1.Stats.Ops.Mul)
+	if err := sTbl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	spec := &join.Spec{S: sTbl, Rs: []*storage.Table{rTbl}}
+	cfg := Config{Hidden: []int{3}, Epochs: 2}
+	for name, train := range map[string]func(*storage.Database, *join.Spec, Config) (*Result, error){
+		"M": TrainM, "S": TrainS, "F": TrainF,
+	} {
+		res, err := train(db, spec, cfg)
+		if err == nil {
+			t.Errorf("%s: trained on an empty join without error, Loss = %v", name, res.Stats.Loss)
+		} else if !strings.HasPrefix(err.Error(), "nn: ") {
+			t.Errorf("%s: error %q is not an nn: error", name, err)
+		}
 	}
 }
 

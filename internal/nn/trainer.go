@@ -85,8 +85,7 @@ func (w *workspace) forwardUpper(from int) float64 {
 // backward propagates the error for one example with output o and target y,
 // accumulating the gradients of every layer except the input layer's
 // weights/bias, which the caller handles (per chunk of examples, see
-// gradAcc.inputGrad; per group under GroupedGradient). It leaves δ⁰ in
-// w.delta[0].
+// gradAcc.inputGrad). It leaves δ⁰ in w.delta[0].
 func (w *workspace) backward(o, y float64) {
 	net := w.net
 	last := net.Layers() - 1

@@ -231,27 +231,10 @@ func factNNEpoch(sh shape, m ModelSpec, ss *SchemaStats) core.Ops {
 	}
 	per.AddOuterPlain(nh0, sh.dS) // input gradient, fact columns
 	per.Adds += int64(nh0)
-	if m.GroupedGradient {
-		per.Adds += int64(sh.q) * int64(nh0) // Σδ per group
-	} else {
-		for _, wi := range sh.w {
-			per.AddOuterPlain(nh0, wi) // input gradient, dimension columns
-		}
+	for _, wi := range sh.w {
+		per.AddOuterPlain(nh0, wi) // input gradient, dimension columns
 	}
 	total.Add(per.Scale(sh.n))
-
-	// Grouped-gradient flushes: one outer product per distinct tuple.
-	if m.GroupedGradient {
-		for i, wi := range sh.w {
-			var flush core.Ops
-			flush.AddOuterPlain(nh0, wi)
-			times := sh.m[i]
-			if i > 0 {
-				times *= refills
-			}
-			total.Add(flush.Scale(times))
-		}
-	}
 	return total
 }
 

@@ -152,11 +152,10 @@ type ModelSpec struct {
 	Diagonal bool
 
 	// NN: hidden layer sizes, epochs, Block-mode updates (dimension caches
-	// refill per block instead of per epoch), grouped layer-1 gradients.
-	Hidden          []int
-	Epochs          int
-	BlockMode       bool
-	GroupedGradient bool
+	// refill per block instead of per epoch).
+	Hidden    []int
+	Epochs    int
+	BlockMode bool
 
 	// BlockPages is the join's block size (0 = join.DefaultBlockPages); it
 	// sets how many times the fact table is rescanned per pass.

@@ -58,15 +58,6 @@ type EngineConfig struct {
 	// DefaultBatchRows. The chunk geometry depends only on this knob and
 	// the batch size, never on NumWorkers.
 	BatchRows int
-
-	// Float32 selects float32 storage for the GMM scoring kernel's
-	// per-component matrices (means, blocked inverse covariances) with
-	// float64 accumulation — roughly halving the kernel's memory traffic at
-	// a bounded accuracy cost (≤1e-5 relative on log-densities for
-	// well-conditioned models; see gmm.NewScorerF32). Off by default: the
-	// float64 path is the one covered by the bit-identical equivalence
-	// guarantees. NN models are unaffected.
-	Float32 bool
 }
 
 func (c EngineConfig) withDefaults() EngineConfig {
@@ -296,13 +287,7 @@ func (e *Engine) state(name string) (*modelState, error) {
 	case KindNN:
 		st.net = ent.nn
 	case KindGMM:
-		var scorer *gmm.Scorer
-		var err error
-		if e.cfg.Float32 {
-			scorer, err = ent.gmm.NewScorerF32(p)
-		} else {
-			scorer, err = ent.gmm.NewScorer(p)
-		}
+		scorer, err := ent.gmm.NewScorer(p)
 		if err != nil {
 			return nil, err
 		}

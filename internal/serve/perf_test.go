@@ -240,35 +240,3 @@ func TestBinaryWireEquivalence(t *testing.T) {
 		})
 	}
 }
-
-// TestFloat32EngineOptIn exercises the Float32 engine flag end to end:
-// the float32-storage GMM kernel serves answers within 1e-5 relative of
-// the float64 engine's for every row.
-func TestFloat32EngineOptIn(t *testing.T) {
-	db, spec := testStar(t, t.TempDir())
-	defer db.Close()
-	_, model := trainModels(t, db, spec)
-	rows, _ := factRows(t, spec, 32)
-	reg64, eng64 := newTestEngine(t, db, spec, serve.EngineConfig{NumWorkers: 1})
-	if err := reg64.SaveGMM("m", model); err != nil {
-		t.Fatal(err)
-	}
-	reg32, eng32 := newTestEngine(t, db, spec, serve.EngineConfig{NumWorkers: 1, Float32: true})
-	if err := reg32.SaveGMM("m", model); err != nil {
-		t.Fatal(err)
-	}
-	p64, _, err := eng64.Predict("m", rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p32, _, err := eng32.Predict("m", rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range p64 {
-		d := math.Abs(p32[i].LogProb - p64[i].LogProb)
-		if d > 1e-5*math.Max(1, math.Abs(p64[i].LogProb)) {
-			t.Errorf("row %d: float32 log-prob %v vs float64 %v (diff %g)", i, p32[i].LogProb, p64[i].LogProb, d)
-		}
-	}
-}
