@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -116,7 +117,7 @@ func (pt *passTracer) report(model, algo string, workers int) *traceReport {
 }
 
 // write saves the report as JSON and prints the phase-timing table.
-func (pt *passTracer) write(path, model, algo string, workers int) error {
+func (pt *passTracer) write(out io.Writer, path, model, algo string, workers int) error {
 	rep := pt.report(model, algo, workers)
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -125,11 +126,11 @@ func (pt *passTracer) write(path, model, algo string, workers int) error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("pass phase timing (%s, algo %s; written to %s):\n", model, algo, path)
-	fmt.Printf("  %-18s %-11s %6s %10s %8s %10s %10s %10s\n",
+	fmt.Fprintf(out, "pass phase timing (%s, algo %s; written to %s):\n", model, algo, path)
+	fmt.Fprintf(out, "  %-18s %-11s %6s %10s %8s %10s %10s %10s\n",
 		"pass", "phase", "count", "rows", "chunks", "wall(ms)", "fold(ms)", "merge(ms)")
 	for _, a := range rep.Passes {
-		fmt.Printf("  %-18s %-11s %6d %10d %8d %10.1f %10.1f %10.1f\n",
+		fmt.Fprintf(out, "  %-18s %-11s %6d %10d %8d %10.1f %10.1f %10.1f\n",
 			a.Pass, a.Phase, a.Count, a.Rows, a.Chunks, a.WallMs, a.FoldMs, a.MergeMs)
 	}
 	if len(rep.Pool) > 1 {
@@ -142,7 +143,7 @@ func (pt *passTracer) write(path, model, algo string, workers int) error {
 				maxB = w.BusyMs
 			}
 		}
-		fmt.Printf("  pool: %d workers, busy %.1f–%.1f ms (skew %.2fx)\n",
+		fmt.Fprintf(out, "  pool: %d workers, busy %.1f–%.1f ms (skew %.2fx)\n",
 			len(rep.Pool), minB, maxB, skewRatio(maxB, minB))
 	}
 	return nil

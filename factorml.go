@@ -61,6 +61,8 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 
 	"factorml/internal/data"
@@ -78,40 +80,32 @@ import (
 	"factorml/internal/xlog"
 )
 
-// Algorithm selects the execution strategy for training.
-type Algorithm int
+// Algorithm selects the execution strategy for training. It is the
+// planner's strategy type (internal/plan) under the facade's name, so a
+// StrategyPlan's Chosen is an Algorithm as it stands; String names it
+// ("materialized", "streaming", "factorized", "auto").
+type Algorithm = plan.Strategy
 
 const (
 	// Materialized is the paper's M-GMM/M-NN baseline: join, write T to
 	// disk, train from T.
-	Materialized Algorithm = iota
+	Materialized = plan.Materialized
 	// Streaming is the paper's S-GMM/S-NN: join on the fly every pass.
-	Streaming
+	Streaming = plan.Streaming
 	// Factorized is the paper's F-GMM/F-NN: join on the fly with
 	// factorized, redundancy-free computation.
-	Factorized
+	Factorized = plan.Factorized
 	// Auto consults the cost-based planner: the catalog's table statistics
 	// price every strategy for this dataset and configuration, and training
 	// runs the cheapest one. The decision (chosen strategy plus the ranked
 	// per-strategy estimates) is reported in the result's Stats.Plan.
-	Auto
+	Auto = plan.Auto
 )
 
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case Materialized:
-		return "materialized"
-	case Streaming:
-		return "streaming"
-	case Factorized:
-		return "factorized"
-	case Auto:
-		return "auto"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
+// ParseAlgorithm reads an Algorithm by the name String prints, or by the
+// paper's one-letter prefix for the three strategies ("m", "s", "f") —
+// cmd/train's -algo spelling.
+func ParseAlgorithm(name string) (Algorithm, error) { return plan.ParseStrategy(name) }
 
 // Re-exported configuration and result types. These are aliases of the
 // implementation types so that the facade stays zero-cost.
@@ -173,8 +167,8 @@ type (
 	// counters (LSN watermarks, segment/byte footprint, fsync totals).
 	WALStats = wal.Stats
 	// StrategyPlan is the cost-based planner's ranked decision: the chosen
-	// strategy plus one StrategyEstimate per strategy, ascending by score.
-	// Plan.Chosen's integer value matches the Algorithm constants.
+	// strategy (an Algorithm) plus one StrategyEstimate per strategy,
+	// ascending by score.
 	StrategyPlan = plan.Plan
 	// StrategyEstimate is one strategy's priced cost: estimated training
 	// flops (core.Ops, the same accounting Stats.Ops measures), page I/O,
@@ -267,10 +261,6 @@ const (
 
 // Options configures a database.
 type Options struct {
-	// PoolPages is the buffer-pool capacity in pages (8 KiB each).
-	// Zero disables caching; negative selects the default (256).
-	PoolPages int
-
 	// NumWorkers is the default worker-pool size for training over this
 	// database, used whenever a GMMConfig/NNConfig leaves its own
 	// NumWorkers at zero: 0 = all CPUs, 1 = sequential, n > 1 = n workers.
@@ -369,10 +359,6 @@ func Open(dir string, opts Options, extra ...OpenOption) (*DB, error) {
 	for _, o := range extra {
 		o(&oc)
 	}
-	pool := opts.PoolPages
-	if pool == 0 {
-		pool = -1 // facade default: enabled
-	}
 	var l *wal.Log
 	pending := false
 	if oc.dur != nil {
@@ -417,7 +403,7 @@ func Open(dir string, opts Options, extra ...OpenOption) (*DB, error) {
 			pending = snapOK || l.LastLSN() > 0
 		}
 	}
-	sdb, err := storage.Open(dir, storage.Options{PoolPages: pool})
+	sdb, err := storage.Open(dir, storage.Options{PoolPages: -1}) // the default buffer pool
 	if err != nil {
 		if l != nil {
 			l.Close()
@@ -626,24 +612,43 @@ func (d *DB) DimensionTable(name string) (*DimensionTable, error) {
 	return &DimensionTable{tbl: tbl, subs: subs}, nil
 }
 
+// ErrDimsMismatch is wrapped by the error DB.FactTable returns when the
+// dimension tables a caller names are not the ones the catalog records.
+var ErrDimsMismatch = errors.New("dimension tables do not match the catalog")
+
 // FactTable opens an existing fact relation by name, rebuilding its
 // dimension-table handles from the references recorded in the database
 // catalog — the handle a reopened database needs for Dataset or
 // NewStream (e.g. when rebooting a durable database after a crash).
-func (d *DB) FactTable(name string) (*FactTable, error) {
+//
+// dims is for a caller that was told the join by someone else (cmd/train's
+// -dims): when the catalog records the fact table's references, dims must
+// be empty or repeat them exactly, in foreign-key order — the feature
+// layout and the key each table is probed with both follow that order, so
+// a permuted list is refused (ErrDimsMismatch) rather than trained over;
+// when the catalog records none (a table created below this API), dims
+// names the dimension tables.
+func (d *DB) FactTable(name string, dims ...string) (*FactTable, error) {
 	tbl, err := d.db.Table(name)
 	if err != nil {
 		return nil, err
 	}
-	var dims []*DimensionTable
-	for _, ref := range tbl.Schema().Refs {
+	if refs := tbl.Schema().Refs; len(refs) > 0 {
+		if len(dims) > 0 && !slices.Equal(dims, refs) {
+			return nil, fmt.Errorf("factorml: fact table %q references %s, in that order; got %s: %w",
+				name, strings.Join(refs, ","), strings.Join(dims, ","), ErrDimsMismatch)
+		}
+		dims = refs
+	}
+	out := &FactTable{tbl: tbl}
+	for _, ref := range dims {
 		dim, err := d.DimensionTable(ref)
 		if err != nil {
 			return nil, err
 		}
-		dims = append(dims, dim)
+		out.dims = append(out.dims, dim)
 	}
-	return &FactTable{tbl: tbl, dims: dims}, nil
+	return out, nil
 }
 
 // Dataset binds a fact table to its dimension tables for training.
@@ -697,27 +702,11 @@ func TrainGMM(ds *Dataset, algo Algorithm, cfg GMMConfig) (*GMMResult, error) {
 	if cfg.NumWorkers == 0 {
 		cfg.NumWorkers = ds.db.opts.NumWorkers
 	}
-	var planned *StrategyPlan
-	if algo == Auto {
-		p, err := PlanGMM(ds, cfg)
-		if err != nil {
-			return nil, err
-		}
-		planned = p
-		algo = Algorithm(p.Chosen)
+	algo, planned, err := ds.resolve(algo, cfg.ModelSpec())
+	if err != nil {
+		return nil, err
 	}
-	var res *GMMResult
-	var err error
-	switch algo {
-	case Materialized:
-		res, err = gmm.TrainM(ds.db.db, ds.spec, cfg)
-	case Streaming:
-		res, err = gmm.TrainS(ds.db.db, ds.spec, cfg)
-	case Factorized:
-		res, err = gmm.TrainF(ds.db.db, ds.spec, cfg)
-	default:
-		return nil, fmt.Errorf("factorml: unknown algorithm %d", int(algo))
-	}
+	res, err := gmm.Train(ds.db.db, ds.spec, algo, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -732,27 +721,11 @@ func TrainNN(ds *Dataset, algo Algorithm, cfg NNConfig) (*NNResult, error) {
 	if cfg.NumWorkers == 0 {
 		cfg.NumWorkers = ds.db.opts.NumWorkers
 	}
-	var planned *StrategyPlan
-	if algo == Auto {
-		p, err := PlanNN(ds, cfg)
-		if err != nil {
-			return nil, err
-		}
-		planned = p
-		algo = Algorithm(p.Chosen)
+	algo, planned, err := ds.resolve(algo, cfg.ModelSpec())
+	if err != nil {
+		return nil, err
 	}
-	var res *NNResult
-	var err error
-	switch algo {
-	case Materialized:
-		res, err = nn.TrainM(ds.db.db, ds.spec, cfg)
-	case Streaming:
-		res, err = nn.TrainS(ds.db.db, ds.spec, cfg)
-	case Factorized:
-		res, err = nn.TrainF(ds.db.db, ds.spec, cfg)
-	default:
-		return nil, fmt.Errorf("factorml: unknown algorithm %d", int(algo))
-	}
+	res, err := nn.Train(ds.db.db, ds.spec, algo, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -760,59 +733,41 @@ func TrainNN(ds *Dataset, algo Algorithm, cfg NNConfig) (*NNResult, error) {
 	return res, nil
 }
 
-// PlanGMM prices the three execution strategies for EM training of a
-// mixture with this configuration over the dataset, using the catalog's
-// persisted table statistics (storage.TableStats), and returns the ranked
-// plan without training. Plan.Chosen converts to an Algorithm by integer
-// value (the planner's strategy constants mirror Materialized, Streaming,
-// Factorized).
-func PlanGMM(ds *Dataset, cfg GMMConfig) (*StrategyPlan, error) {
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("factorml: GMMConfig.K = %d, want >= 1", cfg.K)
+// resolve turns Auto into the planner's pick for the model, returning the
+// plan it came from; any other algorithm passes through with a nil plan.
+func (ds *Dataset) resolve(algo Algorithm, m plan.ModelSpec) (Algorithm, *StrategyPlan, error) {
+	if algo != Auto {
+		return algo, nil, nil
 	}
+	p, err := ds.plan(m)
+	if err != nil {
+		return algo, nil, err
+	}
+	return p.Chosen, p, nil
+}
+
+// plan prices the three execution strategies for one model over the
+// dataset from the catalog's persisted table statistics.
+func (ds *Dataset) plan(m plan.ModelSpec) (*StrategyPlan, error) {
 	ss, err := plan.Collect(ds.spec)
 	if err != nil {
 		return nil, err
 	}
-	iters := cfg.MaxIter
-	if iters == 0 {
-		iters = gmm.DefaultMaxIter
-	}
-	return plan.Choose(ss, plan.ModelSpec{
-		Family:     plan.FamilyGMM,
-		K:          cfg.K,
-		Iters:      iters,
-		Diagonal:   cfg.Diagonal,
-		BlockPages: cfg.BlockPages,
-	}, plan.Options{})
+	return plan.Choose(ss, m, plan.Options{})
+}
+
+// PlanGMM prices the three execution strategies for EM training of a
+// mixture with this configuration over the dataset, using the catalog's
+// persisted table statistics (storage.TableStats), and returns the ranked
+// plan without training.
+func PlanGMM(ds *Dataset, cfg GMMConfig) (*StrategyPlan, error) {
+	return ds.plan(cfg.ModelSpec())
 }
 
 // PlanNN prices the three execution strategies for SGD training of a
 // network with this configuration over the dataset; see PlanGMM.
 func PlanNN(ds *Dataset, cfg NNConfig) (*StrategyPlan, error) {
-	ss, err := plan.Collect(ds.spec)
-	if err != nil {
-		return nil, err
-	}
-	hidden := cfg.Hidden
-	if cfg.Init != nil {
-		// A warm start fixes the architecture: price the network that will
-		// actually train, even when it has no hidden layers.
-		hidden = cfg.Init.Sizes[1 : len(cfg.Init.Sizes)-1]
-	} else if len(hidden) == 0 {
-		hidden = []int{nn.DefaultHidden}
-	}
-	epochs := cfg.Epochs
-	if epochs == 0 {
-		epochs = nn.DefaultEpochs
-	}
-	return plan.Choose(ss, plan.ModelSpec{
-		Family:     plan.FamilyNN,
-		Hidden:     hidden,
-		Epochs:     epochs,
-		BlockMode:  cfg.Mode == BlockUpdates,
-		BlockPages: cfg.BlockPages,
-	}, plan.Options{})
+	return ds.plan(cfg.ModelSpec())
 }
 
 // GenerateSynthetic creates a synthetic star schema in the database and
@@ -852,6 +807,12 @@ func (d *DB) registry() (*serve.Registry, error) {
 	d.regOnce.Do(func() { d.reg, d.regErr = serve.NewRegistry(d.db) })
 	return d.reg, d.regErr
 }
+
+// ValidModelName reports whether name can be a registry key: 1–64
+// characters of letters, digits, '_' and '-', starting alphanumeric. The
+// Save methods refuse anything else; check first to fail before training
+// rather than after.
+func ValidModelName(name string) bool { return serve.ValidModelName(name) }
 
 // SaveGMM persists a trained mixture model under a name in the database's
 // model registry (version 1, or a bumped version when the name exists).

@@ -2,11 +2,16 @@ package factorml
 
 import (
 	"encoding/json"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	pathpkg "path"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -344,5 +349,61 @@ func TestBenchmarkHarnessCompiles(t *testing.T) {
 	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOFLAGS=-mod=mod")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go vet in benchmark/: %v\n%s", err, out)
+	}
+}
+
+// TestInternalPackagesAreReached reads the import lines of every non-test
+// Go file in the tree (benchmark/ included) and fails when a package under
+// internal/ is imported by none outside itself — code only its own tests
+// run — and when cmd/train/main.go reaches below the public facade, which
+// it was rewritten on so that the CLI cannot drift from the library again.
+func TestInternalPackagesAreReached(t *testing.T) {
+	reached := make(map[string]bool) // package under internal/ -> imported from outside itself
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		path = filepath.ToSlash(path)
+		pkg := "factorml/" + pathpkg.Dir(path)
+		if strings.HasPrefix(pkg, "factorml/internal/") && !reached[pkg] {
+			reached[pkg] = false
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			to := strings.Trim(imp.Path.Value, `"`)
+			if !strings.HasPrefix(to, "factorml/internal/") {
+				continue
+			}
+			if to != pkg {
+				reached[to] = true
+			}
+			if path == "cmd/train/main.go" {
+				t.Errorf("cmd/train/main.go imports %s; it is written on the public facade", to)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reached) == 0 {
+		t.Fatal("found no package under internal/ (run from the module root)")
+	}
+	for pkg, ok := range reached {
+		if !ok {
+			t.Errorf("%s is imported by no non-test file outside itself", pkg)
+		}
 	}
 }

@@ -5,18 +5,25 @@
 // The paper's three execution strategies differ only in how the joined
 // relation is *accessed*, never in the statistics a model accumulates over
 // it. This package owns the access paths, so a model family plugs in pure
-// accumulator definitions and an EM/SGD driver:
+// accumulator definitions and an EM/SGD driver. There is one constructor,
+// Open, and it is the only place a plan.Strategy value selects code: it
+// returns the strategy's access path as Rows — every path scans the same
+// joined rows in the same order, so initialization is shared — and a
+// trainer runs its dense driver when handed a Source and its factorized
+// one when handed a *PartScan. The three access paths and the operators
+// over them:
 //
-//   - Source — a re-scannable stream of joined rows, either read back from
-//     a materialized T (MaterializedSource) or re-joined on the fly
+//   - Source — Rows with group boundaries, either read back from a
+//     materialized T (MaterializedSource) or re-joined on the fly
 //     (StreamedSource). Both expose the same group (R1-block) boundaries,
 //     so mini-batch formation is identical across strategies.
 //   - RunRowPass / RunSGDPass — the chunked-parallel pass operators: rows
 //     are cut into fixed-geometry chunks, each chunk folds into a private
 //     accumulator on a worker, and accumulators merge strictly in chunk
 //     order. The reduction is therefore bit-identical for every worker
-//     count; RunSGDPass adds per-group barrier hooks for Block-mode
-//     gradient steps.
+//     count — including one, which parallel.Run executes inline: no pass
+//     operator here has a sequential twin. RunSGDPass adds per-group barrier
+//     hooks for Block-mode gradient steps.
 //   - PartScan — the factorized access path: the block-nested-loops join
 //     runner plus the partition the trainers factorize over (Direct: the
 //     fact part and one part per direct dimension, as wide as its subtree —
@@ -24,8 +31,8 @@
 //     sub-dimension features appended, so a snowflake is a star to the
 //     trainers; P keeps the per-relation split for per-node serving
 //     caches), with parallel per-dimension-tuple cache fills (FillCaches)
-//     over disjoint index grains and the sequential/chunked match streams
-//     the factorized trainers drive their per-match accumulation through.
+//     over disjoint index grains and the chunked match stream the
+//     factorized trainers drive their per-match accumulation through.
 //     A chunked fold sees each chunk's matches at once, so it can batch
 //     per-match kernels over the chunk.
 //

@@ -7,6 +7,7 @@ import (
 
 	"factorml/internal/join"
 	"factorml/internal/parallel"
+	"factorml/internal/plan"
 	"factorml/internal/storage"
 )
 
@@ -66,36 +67,50 @@ func collectRows(t *testing.T, scan func(RowFn) error) (rows [][]float64, ys []f
 	return rows, ys
 }
 
-// TestSourcesAgree: the materialized and streamed sources deliver the
-// identical joined rows, targets and group boundaries — the property that
-// makes the M and S strategies interchangeable accumulators-side.
+// TestSourcesAgree: the access paths Open builds for the three strategies
+// deliver the identical joined rows and targets in the identical order —
+// what lets every strategy initialize the same model — and the two dense
+// sources the identical group boundaries, the property that makes the M
+// and S strategies interchangeable accumulators-side.
 func TestSourcesAgree(t *testing.T) {
 	db, spec := buildStar(t)
-	ms, err := NewMaterializedSource(db, spec, "T_test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ms.Close()
-	ss, err := NewStreamedSource(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.Width() != ss.Width() || ms.Width() != spec.JoinedWidth() {
-		t.Fatalf("widths: materialized %d, streamed %d, spec %d", ms.Width(), ss.Width(), spec.JoinedWidth())
-	}
-
-	mRows, mYs := collectRows(t, ms.Scan)
-	if len(mYs) != 40 {
-		t.Fatalf("materialized source scanned %d rows, want 40", len(mYs))
-	}
-	sRows, sYs := collectRows(t, ss.Scan)
-	if len(mRows) != 40 || len(sRows) != 40 {
-		t.Fatalf("scan lengths %d / %d", len(mRows), len(sRows))
-	}
-	for i := range mRows {
-		if fmt.Sprint(mRows[i]) != fmt.Sprint(sRows[i]) || mYs[i] != sYs[i] {
-			t.Fatalf("row %d differs: %v/%v vs %v/%v", i, mRows[i], mYs[i], sRows[i], sYs[i])
+	var wantRows [][]float64
+	var wantYs []float64
+	dense := make(map[plan.Strategy]Source)
+	for _, s := range []plan.Strategy{plan.Materialized, plan.Streaming, plan.Factorized} {
+		rows, err := Open(db, spec, s, 0, "T_test")
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
 		}
+		defer rows.Close()
+		if rows.Width() != spec.JoinedWidth() {
+			t.Fatalf("%s: width %d, spec %d", s, rows.Width(), spec.JoinedWidth())
+		}
+		got, ys := collectRows(t, rows.Scan)
+		if len(got) != 40 {
+			t.Fatalf("%s: scanned %d rows, want 40", s, len(got))
+		}
+		if wantRows == nil {
+			wantRows, wantYs = got, ys
+		}
+		for i := range got {
+			if fmt.Sprint(got[i]) != fmt.Sprint(wantRows[i]) || ys[i] != wantYs[i] {
+				t.Fatalf("%s: row %d differs: %v/%v vs %v/%v", s, i, got[i], ys[i], wantRows[i], wantYs[i])
+			}
+		}
+		// Scans are repeatable.
+		if again, _ := collectRows(t, rows.Scan); len(again) != 40 {
+			t.Fatalf("%s: rescan yielded %d rows", s, len(again))
+		}
+		if src, ok := rows.(Source); ok {
+			dense[s] = src
+		}
+	}
+	if _, ok := dense[plan.Factorized]; ok || len(dense) != 2 {
+		t.Fatalf("dense sources = %v, want exactly materialized and streaming", dense)
+	}
+	if _, err := Open(db, spec, plan.Auto, 0, "T_auto"); err == nil {
+		t.Fatal("Open accepted Auto, which is not an access path")
 	}
 
 	// Group boundaries coincide (single block here, but the callback
@@ -109,16 +124,10 @@ func TestSourcesAgree(t *testing.T) {
 		}
 		return
 	}
-	mr, mg := countGroups(ms.ScanGroups)
-	sr, sg := countGroups(ss.ScanGroups)
+	mr, mg := countGroups(dense[plan.Materialized].ScanGroups)
+	sr, sg := countGroups(dense[plan.Streaming].ScanGroups)
 	if mr != sr || mg != sg {
 		t.Fatalf("grouped scans differ: %d rows/%d groups vs %d rows/%d groups", mr, mg, sr, sg)
-	}
-
-	// Scans are repeatable.
-	again, _ := collectRows(t, ms.Scan)
-	if len(again) != 40 {
-		t.Fatalf("materialized rescan yielded %d rows", len(again))
 	}
 }
 

@@ -47,9 +47,51 @@ func SetObserver(o Observer) {
 	passObserver.Store(&o)
 }
 
-func loadObserver() Observer {
-	if p := passObserver.Load(); p != nil {
-		return *p
+// passMeter is the observer accounting of one pass phase, shared by every
+// operator that emits a PassEvent. observePass returns nil when no observer
+// is installed, and the callers then leave their hooks unwrapped, so the
+// hot loops carry no timing; done is nil-safe so a caller ends its pass the
+// same way in both cases.
+type passMeter struct {
+	obs     Observer
+	ev      PassEvent
+	start   time.Time
+	rows    atomic.Int64
+	chunks  atomic.Int64
+	foldNs  atomic.Int64
+	mergeNs atomic.Int64
+}
+
+func observePass(pass, phase string, workers int) *passMeter {
+	p := passObserver.Load()
+	if p == nil {
+		return nil
 	}
-	return nil
+	return &passMeter{obs: *p, ev: PassEvent{Pass: pass, Phase: phase, Workers: workers}, start: time.Now()}
+}
+
+// folded records one chunk of n rows whose fold began at t0. Folds run
+// concurrently on the workers, hence the atomics.
+func (m *passMeter) folded(t0 time.Time, n int) {
+	m.foldNs.Add(int64(time.Since(t0)))
+	m.rows.Add(int64(n))
+	m.chunks.Add(1)
+}
+
+// merged records one ordered merge that began at t0.
+func (m *passMeter) merged(t0 time.Time) { m.mergeNs.Add(int64(time.Since(t0))) }
+
+// done emits the event for a pass that returned err, and returns err.
+func (m *passMeter) done(err error) error {
+	if m == nil {
+		return err
+	}
+	m.ev.Rows = m.rows.Load()
+	m.ev.Chunks = m.chunks.Load()
+	m.ev.Wall = time.Since(m.start)
+	m.ev.Fold = time.Duration(m.foldNs.Load())
+	m.ev.Merge = time.Duration(m.mergeNs.Load())
+	m.ev.Err = err != nil
+	m.obs(m.ev)
+	return err
 }

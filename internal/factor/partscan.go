@@ -1,7 +1,6 @@
 package factor
 
 import (
-	"sync/atomic"
 	"time"
 
 	"factorml/internal/core"
@@ -57,71 +56,52 @@ func NewPartScan(spec *join.Spec, blockPages int) (*PartScan, error) {
 // Direct (available once a scan has started; see join.Runner.Resident).
 func (ps *PartScan) Resident(j int) []*storage.Tuple { return ps.Runner.Resident(j) }
 
+// Width is the joined feature dimensionality.
+func (ps *PartScan) Width() int { return ps.P.D }
+
+// Close is a no-op: the factorized path materializes nothing.
+func (ps *PartScan) Close() error { return nil }
+
 // Scan streams the fully concatenated joined rows — the initialization
 // pass a factorized trainer shares with the dense strategies, so every
 // strategy starts from the identical model.
 func (ps *PartScan) Scan(onRow RowFn) error {
-	obs := loadObserver()
-	if obs == nil {
-		return ps.scan(onRow)
+	m := observePass(ps.Pass, "scan", 1)
+	if m != nil {
+		inner := onRow
+		onRow = func(x []float64, y float64) error {
+			m.rows.Add(1)
+			return inner(x, y)
+		}
 	}
-	var rows int64
-	start := time.Now()
-	err := ps.scan(func(x []float64, y float64) error {
-		rows++
+	return m.done(join.StreamWith(ps.Runner, func(_ int64, x []float64, y float64) error {
 		return onRow(x, y)
-	})
-	obs(PassEvent{Pass: ps.Pass, Phase: "scan", Workers: 1, Rows: rows,
-		Wall: time.Since(start), Err: err != nil})
-	return err
-}
-
-func (ps *PartScan) scan(onRow RowFn) error {
-	return join.StreamWith(ps.Runner, func(_ int64, x []float64, y float64) error {
-		return onRow(x, y)
-	})
+	}))
 }
 
 // RunChunks streams one pass with the matches cut into fixed-size chunks
 // worked on the pool and merged in chunk order (see join.Runner.RunParallel
 // for the determinism contract).
 func (ps *PartScan) RunChunks(workers int, cb join.ParallelCallbacks) error {
-	obs := loadObserver()
-	if obs == nil || cb.OnMatchChunk == nil {
-		return ps.Runner.RunParallel(workers, join.ParallelChunkRows, cb)
-	}
-	var rows, chunks, foldNs, mergeNs int64
-	innerChunk, innerMerged := cb.OnMatchChunk, cb.OnChunkMerged
-	cb.OnMatchChunk = func(state any, matches []join.Match) error {
-		t0 := time.Now()
-		err := innerChunk(state, matches)
-		atomic.AddInt64(&foldNs, int64(time.Since(t0)))
-		atomic.AddInt64(&rows, int64(len(matches)))
-		atomic.AddInt64(&chunks, 1)
-		return err
-	}
-	if innerMerged != nil {
-		cb.OnChunkMerged = func(state any) error {
+	m := observePass(ps.Pass, "fold", workers)
+	if m != nil && cb.OnMatchChunk != nil {
+		innerChunk, innerMerged := cb.OnMatchChunk, cb.OnChunkMerged
+		cb.OnMatchChunk = func(state any, matches []join.Match) error {
 			t0 := time.Now()
-			err := innerMerged(state)
-			atomic.AddInt64(&mergeNs, int64(time.Since(t0)))
+			err := innerChunk(state, matches)
+			m.folded(t0, len(matches))
 			return err
 		}
+		if innerMerged != nil {
+			cb.OnChunkMerged = func(state any) error {
+				t0 := time.Now()
+				err := innerMerged(state)
+				m.merged(t0)
+				return err
+			}
+		}
 	}
-	start := time.Now()
-	err := ps.Runner.RunParallel(workers, join.ParallelChunkRows, cb)
-	obs(PassEvent{
-		Pass:    ps.Pass,
-		Phase:   "fold",
-		Workers: workers,
-		Rows:    atomic.LoadInt64(&rows),
-		Chunks:  atomic.LoadInt64(&chunks),
-		Wall:    time.Since(start),
-		Fold:    time.Duration(atomic.LoadInt64(&foldNs)),
-		Merge:   time.Duration(atomic.LoadInt64(&mergeNs)),
-		Err:     err != nil,
-	})
-	return err
+	return m.done(ps.Runner.RunParallel(workers, join.ParallelChunkRows, cb))
 }
 
 // FillCaches fills one per-tuple cache slot for every tuple on the worker
@@ -131,22 +111,16 @@ func (ps *PartScan) RunChunks(workers int, cb join.ParallelCallbacks) error {
 // every worker count.
 func (ps *PartScan) FillCaches(workers int, tuples []*storage.Tuple, total *core.Ops,
 	fill func(i int, tp *storage.Tuple, ops *core.Ops) error) error {
-	obs := loadObserver()
-	var start time.Time
-	if obs != nil {
-		start = time.Now()
+	m := observePass(ps.Pass, "cache_fill", workers)
+	if m != nil {
+		m.rows.Store(int64(len(tuples)))
 	}
-	err := parallel.RunRange(workers, len(tuples), func(s, e int, ops *core.Ops) error {
+	return m.done(parallel.RunRange(workers, len(tuples), func(s, e int, ops *core.Ops) error {
 		for i := s; i < e; i++ {
 			if err := fill(i, tuples[i], ops); err != nil {
 				return err
 			}
 		}
 		return nil
-	}, total)
-	if obs != nil {
-		obs(PassEvent{Pass: ps.Pass, Phase: "cache_fill", Workers: workers,
-			Rows: int64(len(tuples)), Wall: time.Since(start), Err: err != nil})
-	}
-	return err
+	}, total))
 }

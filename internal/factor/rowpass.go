@@ -1,7 +1,6 @@
 package factor
 
 import (
-	"sync/atomic"
 	"time"
 
 	"factorml/internal/parallel"
@@ -22,11 +21,9 @@ type PassHooks struct {
 
 // RunRowPass executes one deterministic chunked-parallel pass over a plain
 // row scan (no targets, no group structure) — the shape of every GMM EM
-// pass. With workers <= 1 rows are blocked into one reused chunk buffer and
-// folded as flat row blocks (one Fold per chunk, not per row), with merges
-// at the same fixed chunk boundaries — the identical reduction, minus the
-// per-row hook and observer overhead. name labels the pass for the
-// installed Observer (see SetObserver); with no observer it is unused.
+// pass. Fold sees contiguous row blocks (one call per chunk, not per row)
+// for every worker count. name labels the pass for the installed Observer
+// (see SetObserver); with no observer it is unused.
 func RunRowPass(name string, workers, d int, scan func(onRow RowFn) error, hooks PassHooks) error {
 	grouped := func(onRow RowFn, _ func() error) error { return scan(onRow) }
 	return runPass(name, workers, d, false, grouped, false, nil, hooks)
@@ -42,108 +39,29 @@ func RunSGDPass(name string, workers, d int, scan GroupedScan, cutAtGroups bool,
 	return runPass(name, workers, d, true, scan, cutAtGroups, onGroup, hooks)
 }
 
-// runPass dispatches to the shared pass engine, wrapping the hooks with
-// observer accounting when a pass observer is installed: Fold and Merge
-// times accumulate through atomics (Fold runs concurrently on workers,
-// Merge on the single merger goroutine), and one PassEvent is emitted
-// after the pass completes. With no observer the hooks run untouched.
+// runPass is the shared engine of RunRowPass and RunSGDPass: rows are
+// copied into pooled fixed-size chunks, folded on the pool and merged in
+// chunk order — parallel.Run, which with one worker runs the same
+// structure inline. When a pass observer is installed the hooks are wrapped
+// with its accounting and one PassEvent is emitted after the pass.
 func runPass(name string, workers, d int, withY bool, scan GroupedScan, cutAtGroups bool, onGroup func() error, hooks PassHooks) error {
-	obs := loadObserver()
-	if obs == nil {
-		return runPassInner(workers, d, withY, scan, cutAtGroups, onGroup, hooks)
-	}
-	var rows, chunks, foldNs, mergeNs int64
-	inner := hooks
-	hooks.Fold = func(acc any, start int, rs, ys []float64, n int) error {
-		t0 := time.Now()
-		err := inner.Fold(acc, start, rs, ys, n)
-		atomic.AddInt64(&foldNs, int64(time.Since(t0)))
-		atomic.AddInt64(&rows, int64(n))
-		return err
-	}
-	hooks.Merge = func(acc any) error {
-		t0 := time.Now()
-		err := inner.Merge(acc)
-		atomic.AddInt64(&mergeNs, int64(time.Since(t0)))
-		atomic.AddInt64(&chunks, 1)
-		return err
-	}
-	start := time.Now()
-	err := runPassInner(workers, d, withY, scan, cutAtGroups, onGroup, hooks)
-	obs(PassEvent{
-		Pass:    name,
-		Phase:   "fold",
-		Workers: workers,
-		Rows:    atomic.LoadInt64(&rows),
-		Chunks:  atomic.LoadInt64(&chunks),
-		Wall:    time.Since(start),
-		Fold:    time.Duration(atomic.LoadInt64(&foldNs)),
-		Merge:   time.Duration(atomic.LoadInt64(&mergeNs)),
-		Err:     err != nil,
-	})
-	return err
-}
-
-// runPassInner is the shared engine of RunRowPass and RunSGDPass.
-func runPassInner(workers, d int, withY bool, scan GroupedScan, cutAtGroups bool, onGroup func() error, hooks PassHooks) error {
-	if workers <= 1 {
-		// Rows are blocked into one reused buffer and folded as flat chunks:
-		// Fold sees the same contiguous row blocks as the parallel path (so
-		// its inner loops run long and flat instead of restarting per row),
-		// and the per-row hook/observer overhead collapses to once per chunk.
-		// Fold processes rows in order into one accumulator either way, so
-		// the reduction is bit-identical to the old per-row streaming.
-		buf := make([]float64, parallel.DefaultChunkRows*d)
-		var ys []float64
-		if withY {
-			ys = make([]float64, parallel.DefaultChunkRows)
-		}
-		n := 0
-		row := 0
-		chunkStart := 0
-		flush := func() error {
-			if n == 0 {
-				return nil
-			}
-			acc := hooks.NewAcc()
-			if err := hooks.Fold(acc, chunkStart, buf, ys, n); err != nil {
-				return err
-			}
-			n, chunkStart = 0, row
-			return hooks.Merge(acc)
-		}
-		err := scan(
-			func(x []float64, y float64) error {
-				copy(buf[n*d:(n+1)*d], x)
-				if withY {
-					ys[n] = y
-				}
-				n++
-				row++
-				if n == parallel.DefaultChunkRows {
-					return flush()
-				}
-				return nil
-			},
-			func() error {
-				if !cutAtGroups {
-					return nil
-				}
-				if err := flush(); err != nil {
-					return err
-				}
-				if onGroup == nil {
-					return nil
-				}
-				return onGroup()
-			})
-		if err != nil {
+	m := observePass(name, "fold", workers)
+	if m != nil {
+		inner := hooks
+		hooks.Fold = func(acc any, start int, rs, ys []float64, n int) error {
+			t0 := time.Now()
+			err := inner.Fold(acc, start, rs, ys, n)
+			m.folded(t0, n)
 			return err
 		}
-		return flush()
+		hooks.Merge = func(acc any) error {
+			t0 := time.Now()
+			err := inner.Merge(acc)
+			m.merged(t0)
+			return err
+		}
 	}
-
-	return parallel.Run(workers,
+	return m.done(parallel.Run(workers,
 		func(f *parallel.Feed[*parallel.RowChunk]) error {
 			cur := parallel.GetRowChunk(0, d, withY)
 			next := 0
@@ -198,5 +116,5 @@ func runPassInner(workers, d int, withY bool, scan GroupedScan, cutAtGroups bool
 			parallel.PutRowChunk(c)
 			return acc, nil
 		},
-		hooks.Merge)
+		hooks.Merge))
 }

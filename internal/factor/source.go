@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"factorml/internal/join"
+	"factorml/internal/plan"
 	"factorml/internal/storage"
 )
 
@@ -19,19 +20,44 @@ type RowFn func(x []float64, y float64) error
 // scan is one full pass over the joined relation.
 type GroupedScan func(onRow RowFn, onGroupEnd func() error) error
 
-// Source is a re-scannable stream of joined rows — the access path of the
-// Materialized and Streaming strategies. A Source may be scanned any number
-// of times (EM makes one pass per iteration); every scan yields the
-// identical row order.
-type Source interface {
+// Rows is what all three access paths offer: a re-scannable stream of the
+// joined rows. It may be scanned any number of times and every scan yields
+// the identical row order — the same order for every strategy, so a model
+// initialized over one access path is the model initialized over another.
+type Rows interface {
 	// Width is the joined feature dimensionality.
 	Width() int
 	// Scan streams every joined row.
 	Scan(onRow RowFn) error
+	// Close releases anything the access path materialized.
+	Close() error
+}
+
+// Source is the access path of the two dense strategies, Materialized and
+// Streaming: Rows with the R1-block boundaries exposed.
+type Source interface {
+	Rows
 	// ScanGroups streams every joined row with group boundaries.
 	ScanGroups(onRow RowFn, onGroupEnd func() error) error
-	// Close releases anything the source materialized.
-	Close() error
+}
+
+// Open builds the access path a strategy trains over — the one place a
+// strategy value is turned into code: a MaterializedSource (the join is
+// executed and written into db as table tmp, which Close drops), a
+// StreamedSource, or the factorized *PartScan. A trainer then runs its
+// dense driver over a Source and its factorized one over a *PartScan.
+// blockPages overrides the spec's block size when the spec leaves it zero.
+func Open(db *storage.Database, spec *join.Spec, s plan.Strategy, blockPages int, tmp string) (Rows, error) {
+	switch s {
+	case plan.Materialized:
+		return NewMaterializedSource(db, spec, tmp)
+	case plan.Streaming:
+		return NewStreamedSource(spec, blockPages)
+	case plan.Factorized:
+		return NewPartScan(spec, blockPages)
+	default:
+		return nil, fmt.Errorf("factor: strategy %s is not an access path (Auto is resolved by the planner before training)", s)
+	}
 }
 
 // MaterializedSource reads joined rows back from a denormalized table T

@@ -12,7 +12,7 @@ import (
 // S-GMM, full-covariance and diagonal (Config.Diagonal) alike. Algorithm 1
 // of the paper reads the rows three times per iteration — responsibilities,
 // means, covariances; here an iteration is one pass through whatever access
-// path `pass` encapsulates (reading the materialized T, or re-joining on
+// path `scan` encapsulates (reading the materialized T, or re-joining on
 // the fly): each row's responsibilities are folded into the iteration's
 // moments (see moments) as soon as they are known, from the deviations
 // x − µ_c the E-step has just formed.
@@ -22,11 +22,8 @@ import (
 // chunks, each chunk folds into its own accumulator on a worker, and the
 // accumulators merge in chunk order. The trained model is therefore
 // bit-identical for every cfg.NumWorkers value.
-func emDense(pass passFn, d, n int, cfg Config, model *Model, stats *Stats) error {
+func emDense(scan func(onRow factor.RowFn) error, d, n int, cfg Config, model *Model, stats *Stats) error {
 	nw := parallel.Workers(cfg.NumWorkers)
-	scan := func(onRow factor.RowFn) error {
-		return pass(func(x []float64) error { return onRow(x, 0) })
-	}
 	k := cfg.K
 	name := "gmm.em"
 	if cfg.Diagonal {

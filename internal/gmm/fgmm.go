@@ -2,7 +2,6 @@ package gmm
 
 import (
 	"sync"
-	"time"
 
 	"factorml/internal/core"
 	"factorml/internal/factor"
@@ -11,50 +10,6 @@ import (
 	"factorml/internal/parallel"
 	"factorml/internal/storage"
 )
-
-// TrainF is the paper's F-GMM: EM where every iteration streams the join
-// once and the per-tuple math is factorized across the relation partition. Quantities
-// that depend only on a dimension tuple (PD_R, the LR quadratic term, the
-// I_SR·PD_R cross vector, the per-group responsibility sums) are computed
-// once per distinct dimension tuple per pass and reused for all matching
-// fact tuples. The decomposition is exact (Eq. 7-24), so the result matches
-// TrainM and TrainS.
-func TrainF(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	io0 := db.Pool().Stats()
-
-	ps, err := factor.NewPartScan(spec, cfg.BlockPages)
-	if err != nil {
-		return nil, err
-	}
-
-	// Initialization streams concatenated vectors in the same order as the
-	// other algorithms, so all trainers start from the identical model.
-	ps.Pass = "fgmm.init"
-	pass := func(fn func(x []float64) error) error {
-		return ps.Scan(func(x []float64, _ float64) error { return fn(x) })
-	}
-	model, n, err := initModel(pass, ps.P.D, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{Model: model}
-	em := emFactorized
-	if cfg.Diagonal {
-		em = emFactorizedDiag
-	}
-	if err := em(ps, n, cfg, model, &res.Stats); err != nil {
-		return nil, err
-	}
-	res.Stats.IO = db.Pool().Stats().Sub(io0)
-	res.Stats.TrainTime = time.Since(start)
-	return res, nil
-}
 
 // groupSums are the per-dimension-tuple sums of one direct dimension: the
 // ordered chunk merge scatters every match into its tuple's slot, and a

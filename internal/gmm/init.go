@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"factorml/internal/factor"
 	"factorml/internal/linalg"
 )
 
@@ -12,7 +13,7 @@ import (
 // M-step weight denominators — and clones the model so the caller's copy
 // is never mutated by training. Every algorithm streams the same join, so
 // the warm-started trainers remain exactly comparable.
-func warmStart(pass passFn, d int, cfg Config) (*Model, int, error) {
+func warmStart(scan func(onRow factor.RowFn) error, d int, cfg Config) (*Model, int, error) {
 	if cfg.Init.D != d {
 		return nil, 0, fmt.Errorf("gmm: warm-start model has dimension %d, dataset joins to %d", cfg.Init.D, d)
 	}
@@ -20,7 +21,7 @@ func warmStart(pass passFn, d int, cfg Config) (*Model, int, error) {
 		return nil, 0, fmt.Errorf("gmm: warm-start model has K=%d, config asks K=%d", cfg.Init.K, cfg.K)
 	}
 	n := 0
-	err := pass(func(x []float64) error {
+	err := scan(func(x []float64, _ float64) error {
 		if len(x) != d {
 			return fmt.Errorf("gmm: stream vector dim %d, want %d", len(x), d)
 		}
@@ -36,28 +37,21 @@ func warmStart(pass passFn, d int, cfg Config) (*Model, int, error) {
 	return cfg.Init.Clone(), n, nil
 }
 
-// passFn streams every joined training vector in a deterministic order —
-// the Scan shape of a factor.Source (targets ignored: a mixture is
-// unsupervised). All three algorithms expose their data through this
-// shape; only the factorized trainer bypasses it for the EM passes
-// themselves.
-type passFn func(fn func(x []float64) error) error
-
 // initModel performs one pass over the data to (a) count N, (b) accumulate
 // the global per-feature mean and variance, and (c) reservoir-sample K
 // points as initial means. The reservoir uses a seeded RNG over the
 // deterministic stream order, so every algorithm arrives at the identical
 // initial model — a precondition for the exactness comparisons.
-func initModel(pass passFn, d int, cfg Config) (*Model, int, error) {
+func initModel(scan func(onRow factor.RowFn) error, d int, cfg Config) (*Model, int, error) {
 	if cfg.Init != nil {
-		return warmStart(pass, d, cfg)
+		return warmStart(scan, d, cfg)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	reservoir := make([][]float64, 0, cfg.K)
 	sum := make([]float64, d)
 	sumSq := make([]float64, d)
 	n := 0
-	err := pass(func(x []float64) error {
+	err := scan(func(x []float64, _ float64) error {
 		if len(x) != d {
 			return fmt.Errorf("gmm: stream vector dim %d, want %d", len(x), d)
 		}

@@ -59,14 +59,9 @@ type Config struct {
 	NumWorkers int
 }
 
-// DefaultMaxIter is the EM iteration cap when Config.MaxIter is zero —
-// exported so the strategy planner prices the same number of passes the
-// trainer would run.
-const DefaultMaxIter = 25
-
 func (c Config) withDefaults() Config {
 	if c.MaxIter == 0 {
-		c.MaxIter = DefaultMaxIter
+		c.MaxIter = 25
 	}
 	if c.Tol == 0 {
 		c.Tol = 1e-4

@@ -1,0 +1,94 @@
+package gmm
+
+import (
+	"fmt"
+	"time"
+
+	"factorml/internal/factor"
+	"factorml/internal/join"
+	"factorml/internal/plan"
+	"factorml/internal/storage"
+)
+
+// Train fits a mixture over the join by EM. The three strategies are the
+// same EM over different access paths (factor.Open): the model is
+// initialized over one scan of the rows — the same rows in the same order
+// whatever the path, so every strategy starts from the identical model —
+// and then iterated by the dense driver over a factor.Source (Algorithm 1
+// reading the materialized T, or re-joining on the fly) or by the
+// factorized one over a factor.PartScan (Eq. 7–24). The decomposition is
+// exact, so all three return the same model. A table Materialized writes is
+// dropped when training finishes.
+func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (*Result, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	io0 := db.Pool().Stats()
+
+	rows, err := factor.Open(db, spec, s, cfg.BlockPages, fmt.Sprintf("T_%s_mgmm", spec.S.Schema().Name))
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close() //nolint:errcheck // best-effort temp cleanup
+	ps, factorized := rows.(*factor.PartScan)
+	if factorized {
+		ps.Pass = "fgmm.init"
+	}
+	model, n, err := initModel(rows.Scan, rows.Width(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Model: model}
+	switch {
+	case !factorized:
+		err = emDense(rows.Scan, rows.Width(), n, cfg, model, &res.Stats)
+	case cfg.Diagonal:
+		err = emFactorizedDiag(ps, n, cfg, model, &res.Stats)
+	default:
+		err = emFactorized(ps, n, cfg, model, &res.Stats)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.IO = db.Pool().Stats().Sub(io0)
+	res.Stats.TrainTime = time.Since(start)
+	return res, nil
+}
+
+// TrainM is the baseline M-GMM (Algorithm 1): materialize T = S ⋈ R1 ⋈ … on
+// disk, then run EM reading T once per iteration.
+func TrainM(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
+	return Train(db, spec, plan.Materialized, cfg)
+}
+
+// TrainS is the baseline S-GMM: identical EM to M-GMM, but every pass over
+// T is replaced by re-executing the block-nested-loops join on the fly, so
+// T is never written to disk.
+func TrainS(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
+	return Train(db, spec, plan.Streaming, cfg)
+}
+
+// TrainF is the paper's F-GMM: EM where every iteration streams the join
+// once and the per-tuple math is factorized across the relation partition.
+// Quantities that depend only on a dimension tuple (PD_R, the LR quadratic
+// term, the I_SR·PD_R cross vector, the per-group responsibility sums) are
+// computed once per distinct dimension tuple per pass and reused for all
+// matching fact tuples.
+func TrainF(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
+	return Train(db, spec, plan.Factorized, cfg)
+}
+
+// ModelSpec describes the training run this configuration asks for to the
+// strategy planner, with the defaults the trainer would apply.
+func (c Config) ModelSpec() plan.ModelSpec {
+	c = c.withDefaults()
+	return plan.ModelSpec{
+		Family:     plan.FamilyGMM,
+		K:          c.K,
+		Iters:      c.MaxIter,
+		Diagonal:   c.Diagonal,
+		BlockPages: c.BlockPages,
+	}
+}

@@ -3,16 +3,18 @@ package gmm
 import (
 	"strings"
 	"testing"
+
+	"factorml/internal/factor"
 )
 
 // TestWarmStartValidation covers the Config.Init error paths shared by
 // every trainer through initModel.
 func TestWarmStartValidation(t *testing.T) {
 	model := scoreTestModel(t) // K=3, D=6
-	pass := func(fn func(x []float64) error) error {
+	pass := func(fn factor.RowFn) error {
 		x := make([]float64, 6)
 		for i := 0; i < 10; i++ {
-			if err := fn(x); err != nil {
+			if err := fn(x, 0); err != nil {
 				return err
 			}
 		}
@@ -39,7 +41,7 @@ func TestWarmStartValidation(t *testing.T) {
 	if _, _, err := initModel(pass, 6, Config{K: 2, Init: model}); err == nil || !strings.Contains(err.Error(), "K=") {
 		t.Fatalf("K mismatch accepted: %v", err)
 	}
-	empty := func(fn func(x []float64) error) error { return nil }
+	empty := func(factor.RowFn) error { return nil }
 	if _, _, err := initModel(empty, 6, Config{K: 3, Init: model}); err == nil {
 		t.Fatal("warm start over an empty dataset accepted")
 	}

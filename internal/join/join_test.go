@@ -148,7 +148,7 @@ func TestMaterializeMatchesStream(t *testing.T) {
 	db := openDB(t)
 	sp := buildTables(t, db, 50, 3, []int{7}, []int{4})
 	want := collectStream(t, sp)
-	tTbl, counts, err := Materialize(db, sp, "")
+	tTbl, counts, err := Materialize(db, sp, "T_S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,74 +291,6 @@ func TestDanglingFKSkipped(t *testing.T) {
 	rows := collectStream(t, sp)
 	if len(rows) != 5 {
 		t.Fatalf("joined %d rows, want 5 (dangling fk skipped)", len(rows))
-	}
-}
-
-func TestIndexedStreamMatchesStream(t *testing.T) {
-	db := openDB(t)
-	sp := buildTables(t, db, 40, 2, []int{6}, []int{3})
-	want := collectStream(t, sp) // single block: S order
-	var got []joinedRow
-	err := IndexedStream(sp, func(sid int64, x []float64, y float64) error {
-		got = append(got, joinedRow{sid, append([]float64{}, x...), y})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("IndexedStream %d rows, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].sid != want[i].sid || got[i].y != want[i].y {
-			t.Fatalf("row %d mismatch", i)
-		}
-		for j := range want[i].x {
-			if got[i].x[j] != want[i].x[j] {
-				t.Fatalf("row %d feature %d mismatch", i, j)
-			}
-		}
-	}
-}
-
-func TestHashIndexDuplicateKey(t *testing.T) {
-	db := openDB(t)
-	s := &storage.Schema{Name: "dup", Keys: []string{"rid"}, Features: []string{"f"}}
-	tbl, err := db.CreateTable(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := tbl.Append(&storage.Tuple{Keys: []int64{7}, Features: []float64{0}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := BuildHashIndex(tbl); err == nil {
-		t.Fatal("duplicate pk should fail index build")
-	}
-}
-
-func TestHashIndexLookup(t *testing.T) {
-	db := openDB(t)
-	sp := buildTables(t, db, 1, 1, []int{4}, []int{2})
-	ix, err := BuildHashIndex(sp.Rs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", ix.Len())
-	}
-	var tp storage.Tuple
-	ok, err := ix.Lookup(2, &tp)
-	if err != nil || !ok {
-		t.Fatalf("Lookup(2) = %v, %v", ok, err)
-	}
-	if tp.Features[0] != 1020 {
-		t.Fatalf("Lookup(2) features = %v", tp.Features)
-	}
-	ok, err = ix.Lookup(99, &tp)
-	if err != nil || ok {
-		t.Fatalf("Lookup(99) = %v, %v, want miss", ok, err)
 	}
 }
 

@@ -6,12 +6,6 @@ import (
 	"factorml/internal/storage"
 )
 
-// MaterializedName returns the conventional name for the join result of a
-// spec, T_<S>, used when the caller does not provide one.
-func MaterializedName(sp *Spec) string {
-	return "T_" + sp.S.Schema().Name
-}
-
 // JoinedSchema builds the schema of the denormalized table
 // T(sid, [XS XR1 … XRq], Y?).
 func JoinedSchema(sp *Spec, name string) *storage.Schema {
@@ -40,17 +34,13 @@ func JoinedSchema(sp *Spec, name string) *storage.Schema {
 }
 
 // Materialize executes the star join and writes the denormalized result T
-// into db under the given name (empty selects MaterializedName). This is
-// step 1 of the M-* algorithms. The page writes of T are charged to the
+// into db under the given name. This is step 1 of the M-* algorithms. The page writes of T are charged to the
 // shared buffer pool's counters.
 //
 // The returned counts slice holds the number of joined tuples produced per
 // R1 block, so a consumer of T can reconstruct the block boundaries (the
 // M-NN trainer uses this to form the same mini-batches as S-NN/F-NN).
 func Materialize(db *storage.Database, sp *Spec, name string) (*storage.Table, []int64, error) {
-	if name == "" {
-		name = MaterializedName(sp)
-	}
 	runner, err := NewRunner(sp)
 	if err != nil {
 		return nil, nil, err

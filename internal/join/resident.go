@@ -8,10 +8,10 @@ import (
 )
 
 // ResidentIndex pins a dimension table's feature vectors in memory, keyed
-// by primary key. Unlike HashIndex — whose lookups read pages through the
-// (single-threaded) buffer pool — a ResidentIndex serves concurrent probes,
-// which is what the serving path needs: the prediction engine probes one
-// ResidentIndex per dimension table from every worker of a request batch.
+// by primary key. Lookups touch no page and no buffer pool (which is
+// single-threaded), so a ResidentIndex serves concurrent probes — what the
+// serving path needs: the prediction engine probes one ResidentIndex per
+// dimension table from every worker of a request batch.
 // The paper's setting already assumes the dimension relations fit in memory
 // (the block-nested-loops join keeps Rs[1:] resident); this reuses that
 // assumption at serve time.

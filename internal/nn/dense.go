@@ -88,10 +88,8 @@ func (a *gradAcc) mergeInto(w *workspace, lossSum *float64, batchN *int, stats *
 // operator copies examples into fixed-size chunks (cut additionally at
 // R1-block boundaries under Block updates, where the gradient step runs at
 // a full barrier), workers fold each chunk into a pooled gradAcc, and the
-// accumulators merge in chunk order; with NumWorkers <= 1 the same
-// chunk/merge structure runs inline on the streamed examples with no
-// copying. Either way the parameter trajectory is bit-identical for every
-// cfg.NumWorkers value.
+// accumulators merge in chunk order, so the parameter trajectory is
+// bit-identical for every cfg.NumWorkers value.
 func trainDense(pass factor.GroupedScan, cfg Config, net *Network, stats *Stats) error {
 	nw := parallel.Workers(cfg.NumWorkers)
 	d := net.Sizes[0]

@@ -1,5 +1,8 @@
 // Package nn implements feed-forward neural network training (backprop,
-// squared error) over normalized relations, in the paper's three flavours:
+// squared error) over normalized relations. Train is the one entry point: it
+// takes the strategy (plan.Strategy), obtains that strategy's access path
+// from factor.Open and runs the same SGD over it. The paper's three
+// flavours are its one-line shorthands:
 //
 //   - TrainM (M-NN): materialize T = S ⋈ R1 ⋈ … on disk, train reading T.
 //   - TrainS (S-NN): identical training, streaming the join per pass.

@@ -1,9 +1,7 @@
 package nn
 
 import (
-	"fmt"
 	"math/rand"
-	"time"
 
 	"factorml/internal/core"
 	"factorml/internal/factor"
@@ -12,42 +10,6 @@ import (
 	"factorml/internal/parallel"
 	"factorml/internal/storage"
 )
-
-// TrainF is the paper's F-NN: backprop where the layer-1 forward pass is
-// factorized across relations. For every dimension tuple, the partial
-// pre-activation W_R·x_R is computed once per parameter state and reused
-// for all matching fact tuples (§VI-A1); the backward pass reads features
-// directly from the base relations (§VI-A3). With cfg.ShareLayer2 (and the
-// Identity activation) the §VI-A2 second-layer sharing scheme is used.
-// Both variants are exact: the trained network matches TrainM/TrainS.
-func TrainF(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if !spec.S.Schema().HasTarget {
-		return nil, fmt.Errorf("nn: fact table %q has no target column", spec.S.Schema().Name)
-	}
-	start := time.Now()
-	io0 := db.Pool().Stats()
-
-	ps, err := factor.NewPartScan(spec, cfg.BlockPages)
-	if err != nil {
-		return nil, err
-	}
-
-	net, err := initNetwork(cfg, ps.P.D)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Net: net}
-	if err := trainFactorized(ps, cfg, net, &res.Stats); err != nil {
-		return nil, err
-	}
-	res.Stats.IO = db.Pool().Stats().Sub(io0)
-	res.Stats.TrainTime = time.Since(start)
-	return res, nil
-}
 
 // partCaches holds per-dimension-tuple cached forward quantities for one
 // parameter state: t = W0_part·x_part (length nh0), and — under layer-2

@@ -166,20 +166,12 @@ type Config struct {
 	ShareLayer2 bool
 }
 
-// DefaultHidden and DefaultEpochs are the architecture and epoch count
-// used when the Config leaves them zero — exported so the strategy
-// planner prices the same run the trainer would execute.
-const (
-	DefaultHidden = 50
-	DefaultEpochs = 10
-)
-
 func (c Config) withDefaults() Config {
 	if len(c.Hidden) == 0 {
-		c.Hidden = []int{DefaultHidden}
+		c.Hidden = []int{50}
 	}
 	if c.Epochs == 0 {
-		c.Epochs = DefaultEpochs
+		c.Epochs = 10
 	}
 	if c.LearningRate == 0 {
 		c.LearningRate = 0.05

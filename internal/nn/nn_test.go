@@ -528,34 +528,3 @@ func TestShuffledSGDStillLearns(t *testing.T) {
 		t.Fatalf("shuffled SGD loss did not decrease: %v -> %v", res.Stats.Loss[0], res.Stats.FinalLoss())
 	}
 }
-
-func TestEvaluate(t *testing.T) {
-	db := openDB(t)
-	spec := synthBinary(t, db, 800, 20, 4, 2)
-	res, err := TrainF(db, spec, Config{Hidden: []int{12}, Act: Tanh, Epochs: 80, LearningRate: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := Evaluate(res.Net, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.N != 800 {
-		t.Fatalf("Evaluate N = %d", ev.N)
-	}
-	if ev.RMSE != math.Sqrt(ev.MSE) {
-		t.Fatal("RMSE inconsistent with MSE")
-	}
-	if ev.R2 <= 0 {
-		t.Fatalf("trained model R2 = %v, want > 0", ev.R2)
-	}
-	// Evaluation must fail without a target.
-	spec2, err := data.Generate(db, "nt", data.SynthConfig{NS: 10, NR: []int{2}, DS: 1, DR: []int{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, _ := NewNetwork([]int{2, 3, 1}, Sigmoid, 1)
-	if _, err := Evaluate(net, spec2); err == nil {
-		t.Fatal("Evaluate without target should fail")
-	}
-}

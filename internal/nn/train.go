@@ -1,0 +1,109 @@
+package nn
+
+import (
+	"fmt"
+	"math/rand"
+	"time"
+
+	"factorml/internal/factor"
+	"factorml/internal/join"
+	"factorml/internal/plan"
+	"factorml/internal/storage"
+)
+
+// Train fits a network over the join by backprop. The three strategies
+// are the same SGD over different access paths (factor.Open): the dense
+// driver over a factor.Source — reading the materialized T, whose
+// Block-mode mini-batch boundaries are reconstructed from the
+// materializer's per-block tuple counts, or re-joining every epoch — and
+// the factorized one over a factor.PartScan (§VI-A). Mini-batches coincide
+// across the three and the decomposition is exact, so all three follow the
+// same parameter trajectory. A table Materialized writes is dropped when
+// training finishes.
+func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (*Result, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if !spec.S.Schema().HasTarget {
+		return nil, fmt.Errorf("nn: fact table %q has no target column", spec.S.Schema().Name)
+	}
+	if s == plan.Materialized && cfg.ShuffleSeed != 0 {
+		return nil, fmt.Errorf("nn: M-NN reads a fixed materialized T and does not support ShuffleSeed; use the streaming or factorized trainer")
+	}
+	start := time.Now()
+	io0 := db.Pool().Stats()
+
+	rows, err := factor.Open(db, spec, s, cfg.BlockPages, fmt.Sprintf("T_%s_mnn", spec.S.Schema().Name))
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close() //nolint:errcheck // best-effort temp cleanup
+	net, err := initNetwork(cfg, rows.Width())
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Net: net}
+	switch r := rows.(type) {
+	case *factor.PartScan:
+		err = trainFactorized(r, cfg, net, &res.Stats)
+	case factor.Source:
+		pass := r.ScanGroups
+		if src, ok := r.(*factor.StreamedSource); ok && cfg.ShuffleSeed != 0 {
+			rng := rand.New(rand.NewSource(cfg.ShuffleSeed))
+			pass = func(onRow factor.RowFn, onGroupEnd func() error) error {
+				src.Shuffle(rng) // one permutation per epoch (§VI)
+				return src.ScanGroups(onRow, onGroupEnd)
+			}
+		}
+		err = trainDense(pass, cfg, net, &res.Stats)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.IO = db.Pool().Stats().Sub(io0)
+	res.Stats.TrainTime = time.Since(start)
+	return res, nil
+}
+
+// TrainM is the baseline M-NN: materialize T on disk, then train reading T
+// once per epoch.
+func TrainM(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
+	return Train(db, spec, plan.Materialized, cfg)
+}
+
+// TrainS is the baseline S-NN: identical training to M-NN, but each epoch
+// re-executes the block-nested-loops join instead of reading a
+// materialized T.
+func TrainS(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
+	return Train(db, spec, plan.Streaming, cfg)
+}
+
+// TrainF is the paper's F-NN: backprop where the layer-1 forward pass is
+// factorized across relations. For every dimension tuple, the partial
+// pre-activation W_R·x_R is computed once per parameter state and reused
+// for all matching fact tuples (§VI-A1); the backward pass reads features
+// directly from the base relations (§VI-A3). With cfg.ShareLayer2 (and the
+// Identity activation) the §VI-A2 second-layer sharing scheme is used.
+func TrainF(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
+	return Train(db, spec, plan.Factorized, cfg)
+}
+
+// ModelSpec describes the training run this configuration asks for to the
+// strategy planner, with the defaults the trainer would apply. A warm start
+// fixes the architecture, so the network that will actually train is the
+// one priced — even one with no hidden layers.
+func (c Config) ModelSpec() plan.ModelSpec {
+	c = c.withDefaults()
+	hidden := c.Hidden
+	if c.Init != nil {
+		hidden = c.Init.Sizes[1 : len(c.Init.Sizes)-1]
+	}
+	return plan.ModelSpec{
+		Family:     plan.FamilyNN,
+		Hidden:     hidden,
+		Epochs:     c.Epochs,
+		BlockMode:  c.Mode == Block,
+		BlockPages: c.BlockPages,
+	}
+}

@@ -22,7 +22,10 @@
 // Training with Workers(1) — which runs the identical chunked structure
 // inline, with no goroutines — produces bit-for-bit the same model as
 // training with any other worker count. The determinism tests in
-// internal/gmm and internal/nn assert exactly this.
+// internal/gmm and internal/nn assert exactly this. Inline execution is
+// Run's job and nobody else's: a caller hands every pass to Run (RunRange
+// does, and so does every pass operator of internal/factor) and never
+// branches on the worker count to hand-roll a sequential copy of it.
 //
 // # Barriers
 //

@@ -78,62 +78,58 @@ const DefaultFillGrain = 64
 // RunRange splits [0, n) into fixed grains and runs body on the worker
 // pool. It is meant for cache fills whose writes land at disjoint indexes,
 // so the only reduction is the op accounting: each grain charges a private
-// core.Ops, and the grain counters are merged in grain order into total
+// core.Ops, and the grain counters are added in grain order into total
 // (integer sums, so the totals match the sequential accounting exactly).
 func RunRange(workers, n int, body func(start, end int, ops *core.Ops) error, total *core.Ops) error {
-	// Never spin up more workers than there are grains — tiny fills (a
-	// handful of grains per block, once per EM pass) run inline instead of
-	// paying pool startup. The grain geometry and merge order are the same
-	// either way, so the results are unchanged.
-	if g := (n + DefaultFillGrain - 1) / DefaultFillGrain; workers > g {
-		workers = g
-	}
-	if workers <= 1 {
-		// Sequential fills skip the Feed machinery entirely — no closures,
-		// no heap traffic — with the identical grain geometry and in-order
-		// op merge, so the results (and the integer op totals) are unchanged.
-		for s := 0; s < n; s += DefaultFillGrain {
-			e := s + DefaultFillGrain
-			if e > n {
-				e = n
-			}
-			var ops core.Ops
-			if err := body(s, e, &ops); err != nil {
-				return err
-			}
-			*total = total.Plus(ops)
-		}
+	if n == 0 {
 		return nil
 	}
-	return Run(workers,
-		func(f *Feed[[2]int]) error {
-			for s := 0; s < n; s += DefaultFillGrain {
-				e := s + DefaultFillGrain
-				if e > n {
-					e = n
-				}
-				if err := f.Emit([2]int{s, e}); err != nil {
+	// Never spin up more workers than there are grains: a tiny fill (a
+	// handful of grains per block, once per EM pass) clamps to one worker,
+	// which Run executes inline instead of paying pool startup. The grain
+	// geometry and merge order are the same either way.
+	grains := (n + DefaultFillGrain - 1) / DefaultFillGrain
+	if workers > grains {
+		workers = grains
+	}
+	// One slab of counters per call, not one counter per grain: a caller
+	// that fills a few tuples per chunk of a long scan (stream.GMMStats)
+	// calls this once per chunk.
+	ops := make([]core.Ops, grains)
+	err := Run(workers,
+		func(f *Feed[grain]) error {
+			for i := range ops {
+				g := grain{start: i * DefaultFillGrain, end: min((i+1)*DefaultFillGrain, n), body: body, ops: &ops[i]}
+				if err := f.Emit(g); err != nil {
 					return err
 				}
 			}
 			return nil
 		},
-		func(r [2]int) (core.Ops, error) {
-			var ops core.Ops
-			err := body(r[0], r[1], &ops)
-			return ops, err
-		},
-		func(ops core.Ops) error {
-			*total = total.Plus(ops)
-			return nil
-		})
+		grain.run, nil)
+	for _, o := range ops {
+		*total = total.Plus(o)
+	}
+	return err
 }
+
+// grain is one RunRange work item. It carries its body and counter so that
+// the work function captures nothing and costs no closure per call.
+type grain struct {
+	start, end int
+	body       func(start, end int, ops *core.Ops) error
+	ops        *core.Ops
+}
+
+func (g grain) run() (struct{}, error) { return struct{}{}, g.body(g.start, g.end, g.ops) }
 
 // Feed is the producer's handle into a Run. It is only valid for the
 // duration of the produce callback and must be used from that goroutine.
 type Feed[C any] struct {
-	emit    func(C) error
-	barrier func(func() error) error
+	emit func(C) error
+	// quiesce waits for every emitted chunk to be merged; nil when the run
+	// is inline, where each Emit has merged its chunk before it returns.
+	quiesce func() error
 }
 
 // Emit hands one chunk to the pool. Chunks are worked concurrently but
@@ -144,7 +140,17 @@ func (f *Feed[C]) Emit(c C) error { return f.emit(c) }
 // merged, then runs fn (which may be nil) on the producer goroutine while
 // the pool is quiescent. Shared state written inside fn is safely visible
 // to workers processing later chunks, and vice versa.
-func (f *Feed[C]) Barrier(fn func() error) error { return f.barrier(fn) }
+func (f *Feed[C]) Barrier(fn func() error) error {
+	if f.quiesce != nil {
+		if err := f.quiesce(); err != nil {
+			return err
+		}
+	}
+	if fn == nil {
+		return nil
+	}
+	return fn()
+}
 
 type job[C any] struct {
 	seq int
@@ -184,12 +190,6 @@ func Run[C, R any](workers int, produce func(f *Feed[C]) error, work func(c C) (
 					return nil
 				}
 				return merge(r)
-			},
-			barrier: func(fn func() error) error {
-				if fn == nil {
-					return nil
-				}
-				return fn()
 			},
 		}
 		return produce(f)
@@ -327,7 +327,7 @@ func Run[C, R any](workers int, produce func(f *Feed[C]) error, work func(c C) (
 				return errAborted
 			}
 		},
-		barrier: func(fn func() error) error {
+		quiesce: func() error {
 			done := make(chan struct{})
 			select {
 			case barriers <- barrierReq{upto: seq, done: done}:
@@ -336,13 +336,10 @@ func Run[C, R any](workers int, produce func(f *Feed[C]) error, work func(c C) (
 			}
 			select {
 			case <-done:
+				return nil
 			case <-abort:
 				return errAborted
 			}
-			if fn == nil {
-				return nil
-			}
-			return fn()
 		},
 	}
 	prodErr := produce(f)

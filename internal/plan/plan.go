@@ -20,33 +20,46 @@ import (
 	"factorml/internal/trace"
 )
 
-// Strategy identifies one execution strategy. The values mirror the
-// factorml.Algorithm constants (Materialized = 0, Streaming = 1,
-// Factorized = 2), so the facade converts by integer value.
+// Strategy identifies one execution strategy — the only spelling of one
+// in the tree: factorml.Algorithm is an alias of it, and the trainers
+// (gmm.Train, nn.Train) take it to pick their access path in factor.Open.
 type Strategy int
 
 const (
-	// Materialized joins once, writes T to disk, trains reading T.
+	// Materialized joins once, writes T to disk, trains reading T (the
+	// paper's M-GMM/M-NN baseline).
 	Materialized Strategy = iota
-	// Streaming re-executes the join on the fly every pass.
+	// Streaming re-executes the join on the fly every pass (S-GMM/S-NN).
 	Streaming
-	// Factorized streams the join and factorizes the computation.
+	// Factorized streams the join and factorizes the computation
+	// (F-GMM/F-NN).
 	Factorized
-	numStrategies
+	// Auto is not an access path but a request to Choose one: the facade
+	// resolves it to the planner's pick before any trainer runs, and a
+	// trainer handed Auto refuses it.
+	Auto
 )
 
-// String names the strategy (matching factorml.Algorithm.String).
+var strategyNames = [...]string{"materialized", "streaming", "factorized", "auto"}
+
+// String names the strategy.
 func (s Strategy) String() string {
-	switch s {
-	case Materialized:
-		return "materialized"
-	case Streaming:
-		return "streaming"
-	case Factorized:
-		return "factorized"
-	default:
+	if s < 0 || int(s) >= len(strategyNames) {
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
+	return strategyNames[s]
+}
+
+// ParseStrategy reads a strategy by the name String prints or, for the
+// three access paths, by its initial — the paper's M-/S-/F- prefix and
+// cmd/train's -algo spelling.
+func ParseStrategy(name string) (Strategy, error) {
+	for i, n := range strategyNames {
+		if name == n || (Strategy(i) != Auto && name == n[:1]) {
+			return Strategy(i), nil
+		}
+	}
+	return 0, fmt.Errorf("plan: unknown strategy %q", name)
 }
 
 // MarshalJSON renders the strategy by name (for /statsz and BENCH files).
@@ -54,18 +67,19 @@ func (s Strategy) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()
 
 // UnmarshalJSON reads the name MarshalJSON wrote, so a persisted Plan (the
 // stream checkpoints the one each attached network refreshes by) loads back.
+// Only an access path's full name is one: a persisted choice is never Auto,
+// and the one-letter spellings are the command line's.
 func (s *Strategy) UnmarshalJSON(b []byte) error {
 	var name string
 	if err := json.Unmarshal(b, &name); err != nil {
 		return fmt.Errorf("plan: strategy: %w", err)
 	}
-	for v := Materialized; v < numStrategies; v++ {
-		if v.String() == name {
-			*s = v
-			return nil
-		}
+	v, err := ParseStrategy(name)
+	if err != nil || v == Auto || name != v.String() {
+		return fmt.Errorf("plan: unknown strategy %q", name)
 	}
-	return fmt.Errorf("plan: unknown strategy %q", name)
+	*s = v
+	return nil
 }
 
 // Relation pairs a relation name with its catalog statistics.
@@ -249,8 +263,8 @@ func Choose(ss *SchemaStats, m ModelSpec, opt Options) (*Plan, error) {
 	if fpp == 0 {
 		fpp = DefaultFlopsPerPage
 	}
-	ests := make([]Estimate, 0, int(numStrategies))
-	for s := Materialized; s < numStrategies; s++ {
+	ests := make([]Estimate, 0, int(Auto))
+	for s := Materialized; s < Auto; s++ {
 		ops := estimateOps(ss, m, s)
 		pages := estimatePages(ss, m, s)
 		ests = append(ests, Estimate{

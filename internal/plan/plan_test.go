@@ -3,6 +3,7 @@ package plan
 import (
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"factorml/internal/join"
@@ -278,10 +279,39 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 		t.Fatalf("plan changed across JSON:\n got %+v\nwant %+v", &back, p)
 	}
 	var s Strategy
-	if err := json.Unmarshal([]byte(`"vectorized"`), &s); err == nil {
-		t.Fatal("unknown strategy name accepted")
+	// A persisted choice is an access path by its full name: not Auto, and
+	// not the command line's one-letter spellings.
+	for _, bad := range []string{"vectorized", "auto", "m", "s", "f", ""} {
+		if err := json.Unmarshal([]byte(strconv.Quote(bad)), &s); err == nil {
+			t.Fatalf("strategy name %q accepted from JSON", bad)
+		}
 	}
 	if err := json.Unmarshal([]byte(`2`), &s); err == nil {
 		t.Fatal("numeric strategy accepted")
+	}
+}
+
+// TestParseStrategy: every strategy reads back from the name it prints,
+// the three access paths also from the paper's one-letter prefix, and
+// nothing else parses.
+func TestParseStrategy(t *testing.T) {
+	for s := Materialized; s <= Auto; s++ {
+		spellings := []string{s.String()}
+		if s != Auto {
+			spellings = append(spellings, s.String()[:1])
+		}
+		for _, name := range spellings {
+			if got, err := ParseStrategy(name); err != nil || got != s {
+				t.Fatalf("ParseStrategy(%q) = %v, %v; want %v", name, got, err, s)
+			}
+		}
+	}
+	for _, bad := range []string{"", "a", "x", "F", "Strategy(7)", "factorised"} {
+		if got, err := ParseStrategy(bad); err == nil {
+			t.Fatalf("ParseStrategy(%q) = %v, want an error", bad, got)
+		}
+	}
+	if got := Strategy(7).String(); got != "Strategy(7)" {
+		t.Fatalf("out-of-range String = %q", got)
 	}
 }

@@ -449,49 +449,6 @@ func (s *Stream) maybeCheckpointLocked() error {
 	return s.checkpointLocked()
 }
 
-// CheckpointDB takes a files-only checkpoint of a database with no
-// stream attached (catalog, every heap whole, blobs — no stream state).
-// The graceful-close path of a facade that never built a stream uses it
-// so the next boot has a snapshot matching the final on-disk state.
-func CheckpointDB(db *storage.Database, l *wal.Log) error {
-	if l == nil {
-		return nil
-	}
-	lsn := l.LastLSN()
-	if err := db.CheckpointSync(); err != nil {
-		return err
-	}
-	snap, err := l.BeginSnapshot()
-	if err != nil {
-		return err
-	}
-	stage := func() error {
-		stageDir := filepath.Join(snap.Dir, stagedFilesDir)
-		files, err := stageCommon(db, stageDir)
-		if err != nil {
-			return err
-		}
-		for _, name := range db.TableNames() {
-			t, err := db.Table(name)
-			if err != nil {
-				return err
-			}
-			rel := filepath.Base(t.Path())
-			if err := copyFile(t.Path(), filepath.Join(stageDir, rel)); err != nil {
-				return fmt.Errorf("stream: staging %s: %w", rel, err)
-			}
-			files = append(files, rel)
-		}
-		man := walManifest{Format: manifestFormat, Files: files}
-		return writeJSONFile(filepath.Join(snap.Dir, manifestFile), &man)
-	}
-	if err := stage(); err != nil {
-		snap.Abort()
-		return err
-	}
-	return snap.Commit(lsn)
-}
-
 // --- restore ---------------------------------------------------------------
 
 // RestoreSnapshotFiles rewinds a database directory to the committed
@@ -603,8 +560,8 @@ func (s *Stream) Recover(ctx context.Context) error {
 		case !os.IsNotExist(err):
 			return fmt.Errorf("stream: reading checkpoint state: %w", err)
 		}
-		// A missing stream-state.json is a files-only snapshot
-		// (CheckpointDB): nothing to restore beyond the database files.
+		// A snapshot without stream-state.json holds database files only:
+		// nothing to restore beyond them.
 	}
 	return s.replayLocked(ctx, snapLSN)
 }

@@ -3,7 +3,7 @@ package stream
 // In-package tests for the checkpoint/recovery machinery: the
 // snapshot round-trip (stateLocked/stageLocked → RestoreSnapshotFiles/
 // restoreStateLocked), WAL replay of batch/refresh/attach records, the
-// files-only CheckpointDB path, the SnapshotEvery cadence, and the
+// SnapshotEvery cadence, and the
 // record codec's error branches. The facade-level harness proves the
 // end-to-end guarantee; these pin the pieces.
 
@@ -439,45 +439,6 @@ func TestRecoverWithoutSnapshotReplaysFromGenesis(t *testing.T) {
 	}
 	if got := s2.Pending(); got != 5 {
 		t.Fatalf("replayed pending = %d, want 5", got)
-	}
-}
-
-// TestCheckpointDBFilesOnly covers the stream-less checkpoint: database
-// files snapshot + WAL truncation, restorable byte-for-byte.
-func TestCheckpointDBFilesOnly(t *testing.T) {
-	dbDir, walDir := t.TempDir(), t.TempDir()
-	db, spec := ckptStar(t, dbDir, 7)
-	if err := db.CheckpointSync(); err != nil {
-		t.Fatal(err)
-	}
-	l := ckptWAL(t, walDir)
-	if err := CheckpointDB(db, l); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok, err := wal.CurrentSnapshot(walDir); err != nil || !ok {
-		t.Fatalf("CheckpointDB committed no snapshot (ok=%v, err=%v)", ok, err)
-	}
-	rows := spec.S.NumTuples()
-
-	dbDir2, walDir2 := t.TempDir(), t.TempDir()
-	ckptCopyTree(t, walDir, walDir2)
-	if err := os.MkdirAll(dbDir2, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := RestoreSnapshotFiles(dbDir2, walDir2); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := storage.Open(dbDir2, storage.Options{PoolPages: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	fact, err := db2.Table("st_S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fact.NumTuples(); got != rows {
-		t.Fatalf("restored fact rows = %d, want %d", got, rows)
 	}
 }
 

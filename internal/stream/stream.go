@@ -133,6 +133,17 @@ type attached struct {
 	plan *plan.Plan
 }
 
+// refreshStrategy is the access path an attached network's refreshes train
+// over: the plan's cheapest strategy that writes no join table — one
+// written into a live serving database would race concurrent readers for
+// no payoff — and the factorized one when there is no plan.
+func (m *attached) refreshStrategy() plan.Strategy {
+	if m.plan == nil {
+		return plan.Factorized
+	}
+	return m.plan.CheapestNonMaterializing()
+}
+
 // Stream is the change feed over one star schema: it appends fact and
 // dimension deltas to the underlying tables, keeps the resident indexes
 // and serving caches coherent, and maintains the attached models'
@@ -368,22 +379,26 @@ func (s *Stream) attachNNLocked(name string, net *nn.Network) error {
 	return nil
 }
 
+// refreshConfig is the training run one refresh of an attached network
+// makes: Policy.NNEpochs warm-start epochs from its current parameters.
+func (s *Stream) refreshConfig(net *nn.Network) nn.Config {
+	return nn.Config{
+		Init:         net,
+		Epochs:       s.pol.NNEpochs,
+		LearningRate: s.pol.NNLearningRate,
+		NumWorkers:   s.pol.NumWorkers,
+	}
+}
+
 // planNN consults the cost-based planner for one attached network's
-// refresh: Policy.NNEpochs warm-start epochs over the current catalog
-// statistics. A nil return (degenerate architecture, statistics
+// refresh over the current catalog statistics. A nil return (statistics
 // unavailable) falls back to the factorized trainer.
 func (s *Stream) planNN(ctx context.Context, net *nn.Network) *plan.Plan {
-	hidden := net.Sizes[1 : len(net.Sizes)-1]
 	ss, err := plan.Collect(s.spec)
 	if err != nil {
 		return nil
 	}
-	pol := s.pol
-	p, err := plan.ChooseCtx(ctx, ss, plan.ModelSpec{
-		Family: plan.FamilyNN,
-		Hidden: hidden,
-		Epochs: pol.NNEpochs,
-	}, plan.Options{})
+	p, err := plan.ChooseCtx(ctx, ss, s.refreshConfig(net).ModelSpec(), plan.Options{})
 	if err != nil {
 		return nil
 	}
@@ -471,12 +486,10 @@ func (s *Stream) snapshotPlansLocked() {
 			fp := m.stats.Footprint()
 			d.Statistics = &fp
 		case serve.KindNN:
-			strat := plan.Factorized
+			d.Strategy = m.refreshStrategy().String()
 			if m.plan != nil {
-				strat = m.plan.CheapestNonMaterializing()
 				d.Estimates = m.plan.Estimates
 			}
-			d.Strategy = strat.String()
 		}
 		snap = append(snap, d)
 	}
@@ -795,9 +808,6 @@ func (s *Stream) RefreshCtx(ctx context.Context) (RefreshResult, error) {
 	return res, s.maybeCheckpointLocked()
 }
 
-// WAL returns the stream's write-ahead log (nil when durability is off).
-func (s *Stream) WAL() *wal.Log { return s.wal }
-
 // WALStats reports the write-ahead log's counters for /statsz and
 // /metrics; zeros when durability is off.
 func (s *Stream) WALStats() wal.Stats { return s.wal.Stats() }
@@ -896,26 +906,8 @@ func (s *Stream) refreshLocked(ctx context.Context, auto bool) (RefreshResult, e
 				// plan was priced on; replan once, then keep reusing it.
 				m.plan = s.planNN(ctx, m.net)
 			}
-			// The refresh reuses the plan, restricted to non-materializing
-			// strategies: writing a join table into a live serving database
-			// would race concurrent readers for no payoff.
-			strat := plan.Factorized
-			if m.plan != nil {
-				strat = m.plan.CheapestNonMaterializing()
-			}
-			cfg := nn.Config{
-				Init:         m.net,
-				Epochs:       s.pol.NNEpochs,
-				LearningRate: s.pol.NNLearningRate,
-				NumWorkers:   s.pol.NumWorkers,
-			}
-			var tres *nn.Result
-			var err error
-			if strat == plan.Streaming {
-				tres, err = nn.TrainS(s.db, s.spec, cfg)
-			} else {
-				tres, err = nn.TrainF(s.db, s.spec, cfg)
-			}
+			strat := m.refreshStrategy()
+			tres, err := nn.Train(s.db, s.spec, strat, s.refreshConfig(m.net))
 			if err != nil {
 				return res, err
 			}

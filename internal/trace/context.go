@@ -22,16 +22,6 @@ func withRef(ctx Context, ref *ctxRef) Context {
 	return context.WithValue(ctx, ctxKey{}, ref)
 }
 
-// FromContext returns the live trace carried by ctx, or nil. The nil
-// return composes with the nil-safe Trace/Span methods: code that
-// plumbs a *Trace explicitly never needs a conditional.
-func FromContext(ctx Context) *Trace {
-	if ref, ok := ctx.Value(ctxKey{}).(*ctxRef); ok {
-		return ref.t
-	}
-	return nil
-}
-
 // RequestID returns the request ID carried by ctx ("" when the request
 // did not pass through a Tracer). Unsampled requests keep their ID.
 func RequestID(ctx Context) string {

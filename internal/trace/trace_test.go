@@ -53,9 +53,6 @@ func TestRequestTraceAssembly(t *testing.T) {
 	if reqID != trace.ID() || len(reqID) != 32 {
 		t.Fatalf("request ID %q must be the 32-hex trace ID %q", reqID, trace.ID())
 	}
-	if FromContext(ctx) != trace {
-		t.Fatal("context must carry the trace")
-	}
 	if RequestID(ctx) != reqID {
 		t.Fatalf("RequestID(ctx) = %q, want %q", RequestID(ctx), reqID)
 	}
@@ -165,9 +162,6 @@ func TestUnsampledRequestKeepsRequestID(t *testing.T) {
 		}
 		if len(reqID) != 32 {
 			t.Fatalf("unsampled request ID %q", reqID)
-		}
-		if FromContext(ctx) != nil {
-			t.Fatal("unsampled ctx must carry no trace")
 		}
 		if RequestID(ctx) != reqID {
 			t.Fatal("unsampled ctx must still carry the request ID")
