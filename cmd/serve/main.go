@@ -69,13 +69,18 @@
 // the DIRECT dimension tables in the join order used at training time —
 // sub-dimension tables of a snowflake hierarchy are expanded from the
 // references recorded in the database catalog, and prediction rows carry
-// one foreign key per direct dimension only.
+// one foreign key per direct dimension only. With -fact the join is the
+// one the catalog records for that table and -dims is checked against it
+// (a permuted or wrong list exits 2 naming the expected one); without
+// -fact there is no fact table to check against and -dims is trusted.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -90,126 +95,66 @@ import (
 )
 
 func main() {
-	dbDir := flag.String("db", "", "database directory (from datagen; holds tables and saved models)")
-	dims := flag.String("dims", "", "comma-separated dimension table names, join order")
-	addr := flag.String("addr", ":8080", "HTTP listen address (port 0 picks a free port)")
-	workers := flag.Int("workers", 0, "prediction worker pool size (0 = all CPUs, 1 = sequential); responses are bit-identical for every value")
-	cacheEntries := flag.Int("cache", 0, "per-(model, dimension) LRU capacity in entries (0 = default 4096)")
-	batchRows := flag.Int("batch", 0, "rows per worker micro-batch chunk (0 = default 64)")
-	fact := flag.String("fact", "", "fact table name; enables streaming ingestion at POST /v1/ingest")
-	refreshRows := flag.Int("refresh-rows", 0, "auto-refresh attached models once this many ingested fact rows are pending (0 = manual; needs -fact)")
-	rebaseline := flag.Int("rebaseline-every", 0, "rebuild GMM statistics from scratch every Nth refresh (0 = only after dimension updates; needs -fact)")
-	refreshEpochs := flag.Int("refresh-epochs", 1, "warm-start SGD epochs per NN refresh (needs -fact)")
-	refreshLR := flag.Float64("refresh-lr", 0.05, "learning rate of NN refresh epochs (needs -fact)")
-	batchWindow := flag.Duration("batch-window", 0, "coalesce concurrent predict requests per model for this long before scoring them as one engine batch (0 = batching off); per-row results stay bit-identical")
-	maxBatch := flag.Int("max-batch", 0, "flush a coalesced batch early once it holds this many rows; single requests at or over the cap bypass the window (0 = window-only flush; needs -batch-window)")
-	maxInflight := flag.Int("max-inflight", 0, "per-model in-flight prediction limit; excess answers 429 predict_overloaded (0 = unlimited)")
-	maxIngestQueue := flag.Int("max-ingest-queue", 0, "bounded ingest queue: admitted-but-unfinished batches; excess answers 429 ingest_overloaded (0 = unlimited)")
-	retryAfter := flag.Int("retry-after", 0, "Retry-After seconds on 429/503 rejections (0 = default 1)")
-	metricsOn := flag.Bool("metrics", true, "expose Prometheus text-format metrics at GET /metrics")
-	traceOn := flag.Bool("trace", true, "record request traces: X-Request-Id on every response, span trees for sampled requests, flight recorder at GET /debug/traces[/slow]")
-	traceSample := flag.Float64("trace-sample", 1.0, "fraction of requests that record spans (0 < f <= 1; incoming sampled traceparent headers always record)")
-	traceSlowMS := flag.Int("trace-slow-ms", 0, "requests at or over this duration are kept in the slow-trace list regardless of recency (0 = default 100)")
-	logLevel := flag.String("log-level", "", "request logging to stderr as JSON lines at this level: debug, info, warn, error (empty = no request log)")
-	debugAddr := flag.String("debug-addr", "", "side listener for operational debugging: net/http/pprof under /debug/pprof/ plus the trace flight recorder at /debug/traces[/slow] (empty = disabled; port 0 picks a free port)")
-	monitorOn := flag.Bool("monitor", true, "model and data health monitoring: drift/staleness verdicts at GET /v1/models/{name}/health, gauges in /metrics, a health section in /statsz")
-	driftWarn := flag.Float64("drift-warn", 0.1, "per-column PSI at or above this marks the column \"warn\" (needs -monitor)")
-	driftPSI := flag.Float64("drift-psi", 0.25, "per-column PSI at or above this marks the column \"drift\" and the model verdict \"drifting\" (needs -monitor)")
-	stalenessMaxRows := flag.Int64("staleness-max-rows", 0, "verdict flips to \"stale\" once this many fact rows were ingested since the model's last refresh (0 = staleness by rows disabled; needs -monitor)")
-	healthSample := flag.Float64("health-sample", 1.0, "fraction of predict requests whose outputs feed the prediction-quality sketch (0 < f <= 1; needs -monitor)")
-	walDir := flag.String("wal-dir", "", "write-ahead-log directory; enables crash-safe durability (ingest acks only after fsync, WAL replay on reboot); empty = durability off")
-	fsyncEvery := flag.Int("fsync-every", 0, "group-commit window: fsync at the latest after this many WAL records, acking every waiting append together (0/1 = every record; needs -wal-dir)")
-	snapshotEvery := flag.Int("snapshot-every", 10000, "commit an atomic snapshot and truncate the WAL after this many records past the last snapshot (0 = boot/shutdown checkpoints only; needs -wal-dir)")
+	var o serveFlags
+	defineFlags(flag.CommandLine, &o)
 	flag.Parse()
-
-	if *dbDir == "" || *dims == "" {
-		fmt.Fprintln(os.Stderr, "serve: -db and -dims are required")
-		os.Exit(2)
-	}
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "serve: -workers must be >= 0, got %d\n", *workers)
-		os.Exit(2)
-	}
-	if *cacheEntries < 0 || *batchRows < 0 {
-		fmt.Fprintln(os.Stderr, "serve: -cache and -batch must be >= 0")
-		os.Exit(2)
-	}
-	if *refreshRows < 0 || *rebaseline < 0 || *refreshEpochs < 1 || *refreshLR <= 0 {
-		fmt.Fprintln(os.Stderr, "serve: -refresh-rows and -rebaseline-every must be >= 0, -refresh-epochs >= 1, -refresh-lr > 0")
-		os.Exit(2)
-	}
-	if *fact == "" && (*refreshRows > 0 || *rebaseline > 0 || *refreshEpochs != 1 || *refreshLR != 0.05) {
-		fmt.Fprintln(os.Stderr, "serve: -refresh-rows/-rebaseline-every/-refresh-epochs/-refresh-lr need -fact (streaming ingestion)")
-		os.Exit(2)
-	}
-	if *maxInflight < 0 || *maxIngestQueue < 0 || *retryAfter < 0 {
-		fmt.Fprintln(os.Stderr, "serve: -max-inflight, -max-ingest-queue and -retry-after must be >= 0")
-		os.Exit(2)
-	}
-	if *batchWindow < 0 || *maxBatch < 0 {
-		fmt.Fprintln(os.Stderr, "serve: -batch-window and -max-batch must be >= 0")
-		os.Exit(2)
-	}
-	if *batchWindow == 0 && *maxBatch > 0 {
-		fmt.Fprintln(os.Stderr, "serve: -max-batch needs -batch-window (dynamic batching)")
-		os.Exit(2)
-	}
-	if *traceSample <= 0 || *traceSample > 1 {
-		fmt.Fprintf(os.Stderr, "serve: -trace-sample must be in (0, 1], got %g\n", *traceSample)
-		os.Exit(2)
-	}
-	if *traceSlowMS < 0 {
-		fmt.Fprintf(os.Stderr, "serve: -trace-slow-ms must be >= 0, got %d\n", *traceSlowMS)
-		os.Exit(2)
-	}
-	if *driftWarn <= 0 || *driftPSI <= 0 || *driftWarn > *driftPSI {
-		fmt.Fprintf(os.Stderr, "serve: -drift-warn and -drift-psi must be > 0 with -drift-warn <= -drift-psi, got %g / %g\n", *driftWarn, *driftPSI)
-		os.Exit(2)
-	}
-	if *stalenessMaxRows < 0 {
-		fmt.Fprintf(os.Stderr, "serve: -staleness-max-rows must be >= 0, got %d\n", *stalenessMaxRows)
-		os.Exit(2)
-	}
-	if *healthSample <= 0 || *healthSample > 1 {
-		fmt.Fprintf(os.Stderr, "serve: -health-sample must be in (0, 1], got %g\n", *healthSample)
-		os.Exit(2)
-	}
-	if *fsyncEvery < 0 || *snapshotEvery < 0 {
-		fmt.Fprintln(os.Stderr, "serve: -fsync-every and -snapshot-every must be >= 0")
-		os.Exit(2)
-	}
-	if *walDir == "" && (*fsyncEvery > 0 || *snapshotEvery != 10000) {
-		fmt.Fprintln(os.Stderr, "serve: -fsync-every/-snapshot-every need -wal-dir (durability)")
-		os.Exit(2)
-	}
-	var logger *factorml.Logger
-	if *logLevel != "" {
-		level, err := factorml.ParseLogLevel(*logLevel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "serve:", err)
-			os.Exit(2)
-		}
-		logger = factorml.NewLogger(os.Stderr, level)
-	}
-	cfg := serveFlags{
-		dbDir: *dbDir, dims: *dims, addr: *addr, fact: *fact,
-		workers: *workers, cacheEntries: *cacheEntries, batchRows: *batchRows,
-		refreshRows: *refreshRows, rebaseline: *rebaseline,
-		refreshEpochs: *refreshEpochs, refreshLR: *refreshLR,
-		maxInflight: *maxInflight, maxIngestQueue: *maxIngestQueue,
-		batchWindow: *batchWindow, maxBatch: *maxBatch,
-		retryAfter: *retryAfter, metrics: *metricsOn,
-		trace: *traceOn, traceSample: *traceSample, traceSlowMS: *traceSlowMS,
-		debugAddr: *debugAddr, logger: logger,
-		monitor: *monitorOn, driftWarn: *driftWarn, driftPSI: *driftPSI,
-		stalenessMaxRows: *stalenessMaxRows, healthSample: *healthSample,
-		walDir: *walDir, fsyncEvery: *fsyncEvery, snapshotEvery: *snapshotEvery,
-	}
-	if err := run(cfg); err != nil {
+	if err := validateFlags(&o); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
+		os.Exit(2)
+	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	if err := run(o, os.Stdout, sig); err != nil {
+		fmt.Fprintln(os.Stderr, "serve:", err)
+		if errors.Is(err, factorml.ErrDimsMismatch) {
+			os.Exit(2) // a -dims list the catalog contradicts is a usage error
+		}
 		os.Exit(1)
 	}
 }
+
+// defineFlags declares the command line on fs, parsing into o.
+func defineFlags(fs *flag.FlagSet, o *serveFlags) {
+	fs.StringVar(&o.dbDir, "db", "", "database directory (from datagen; holds tables and saved models)")
+	fs.StringVar(&o.dims, "dims", "", "comma-separated dimension table names, join order (checked against the catalog's references when -fact is given)")
+	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address (port 0 picks a free port)")
+	fs.IntVar(&o.workers, "workers", 0, "prediction worker pool size (0 = all CPUs, 1 = sequential); responses are bit-identical for every value")
+	fs.IntVar(&o.cacheEntries, "cache", 0, "per-(model, dimension) LRU capacity in entries (0 = default 4096)")
+	fs.IntVar(&o.batchRows, "batch", 0, "rows per worker micro-batch chunk (0 = default 64)")
+	fs.StringVar(&o.fact, "fact", "", "fact table name; enables streaming ingestion at POST /v1/ingest")
+	fs.IntVar(&o.refreshRows, "refresh-rows", 0, "auto-refresh attached models once this many ingested fact rows are pending (0 = manual; needs -fact)")
+	fs.IntVar(&o.rebaseline, "rebaseline-every", 0, "rebuild GMM statistics from scratch every Nth refresh (0 = only after dimension updates; needs -fact)")
+	fs.IntVar(&o.refreshEpochs, "refresh-epochs", defaultRefreshEpochs, "warm-start SGD epochs per NN refresh (needs -fact)")
+	fs.Float64Var(&o.refreshLR, "refresh-lr", defaultRefreshLR, "learning rate of NN refresh epochs (needs -fact)")
+	fs.DurationVar(&o.batchWindow, "batch-window", 0, "coalesce concurrent predict requests per model for this long before scoring them as one engine batch (0 = batching off); per-row results stay bit-identical")
+	fs.IntVar(&o.maxBatch, "max-batch", 0, "flush a coalesced batch early once it holds this many rows; single requests at or over the cap bypass the window (0 = window-only flush; needs -batch-window)")
+	fs.IntVar(&o.maxInflight, "max-inflight", 0, "per-model in-flight prediction limit; excess answers 429 predict_overloaded (0 = unlimited)")
+	fs.IntVar(&o.maxIngestQueue, "max-ingest-queue", 0, "bounded ingest queue: admitted-but-unfinished batches; excess answers 429 ingest_overloaded (0 = unlimited)")
+	fs.IntVar(&o.retryAfter, "retry-after", 0, "Retry-After seconds on 429/503 rejections (0 = default 1)")
+	fs.BoolVar(&o.metrics, "metrics", true, "expose Prometheus text-format metrics at GET /metrics")
+	fs.BoolVar(&o.trace, "trace", true, "record request traces: X-Request-Id on every response, span trees for sampled requests, flight recorder at GET /debug/traces[/slow]")
+	fs.Float64Var(&o.traceSample, "trace-sample", 1.0, "fraction of requests that record spans (0 < f <= 1; incoming sampled traceparent headers always record)")
+	fs.IntVar(&o.traceSlowMS, "trace-slow-ms", 0, "requests at or over this duration are kept in the slow-trace list regardless of recency (0 = default 100)")
+	fs.StringVar(&o.logLevel, "log-level", "", "request logging to stderr as JSON lines at this level: debug, info, warn, error (empty = no request log)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "side listener for operational debugging: net/http/pprof under /debug/pprof/ plus the trace flight recorder at /debug/traces[/slow] (empty = disabled; port 0 picks a free port)")
+	fs.BoolVar(&o.monitor, "monitor", true, "model and data health monitoring: drift/staleness verdicts at GET /v1/models/{name}/health, gauges in /metrics, a health section in /statsz")
+	fs.Float64Var(&o.driftWarn, "drift-warn", 0.1, "per-column PSI at or above this marks the column \"warn\" (needs -monitor)")
+	fs.Float64Var(&o.driftPSI, "drift-psi", 0.25, "per-column PSI at or above this marks the column \"drift\" and the model verdict \"drifting\" (needs -monitor)")
+	fs.Int64Var(&o.stalenessMaxRows, "staleness-max-rows", 0, "verdict flips to \"stale\" once this many fact rows were ingested since the model's last refresh (0 = staleness by rows disabled; needs -monitor)")
+	fs.Float64Var(&o.healthSample, "health-sample", 1.0, "fraction of predict requests whose outputs feed the prediction-quality sketch (0 < f <= 1; needs -monitor)")
+	fs.StringVar(&o.walDir, "wal-dir", "", "write-ahead-log directory; enables crash-safe durability (ingest acks only after fsync, WAL replay on reboot); empty = durability off")
+	fs.IntVar(&o.fsyncEvery, "fsync-every", 0, "group-commit window: fsync at the latest after this many WAL records, acking every waiting append together (0/1 = every record; needs -wal-dir)")
+	fs.IntVar(&o.snapshotEvery, "snapshot-every", defaultSnapshotEvery, "commit an atomic snapshot and truncate the WAL after this many records past the last snapshot (0 = boot/shutdown checkpoints only; needs -wal-dir)")
+}
+
+// Defaults of the flags that are only meaningful with another flag set:
+// validateFlags tells "left alone" from "set without its prerequisite" by
+// comparing against them.
+const (
+	defaultRefreshEpochs = 1
+	defaultRefreshLR     = 0.05
+	defaultSnapshotEvery = 10000
+)
 
 type serveFlags struct {
 	dbDir, dims, addr, fact                 string
@@ -224,7 +169,7 @@ type serveFlags struct {
 	traceSample                             float64
 	traceSlowMS                             int
 	debugAddr                               string
-	logger                                  *factorml.Logger
+	logLevel                                string
 	monitor                                 bool
 	driftWarn, driftPSI                     float64
 	stalenessMaxRows                        int64
@@ -233,7 +178,55 @@ type serveFlags struct {
 	fsyncEvery, snapshotEvery               int
 }
 
-func run(cfg serveFlags) error {
+// validateFlags rejects a command line before anything is bound or opened:
+// missing required flags, out-of-range numbers, and flags set without the
+// one that gives them meaning. main prints the error after "serve:" and
+// exits 2; scripts/load_smoke.sh greps for these messages.
+func validateFlags(o *serveFlags) error {
+	switch {
+	case o.dbDir == "" || o.dims == "":
+		return errors.New("-db and -dims are required")
+	case o.workers < 0:
+		return fmt.Errorf("-workers must be >= 0, got %d", o.workers)
+	case o.cacheEntries < 0 || o.batchRows < 0:
+		return errors.New("-cache and -batch must be >= 0")
+	case o.refreshRows < 0 || o.rebaseline < 0 || o.refreshEpochs < 1 || o.refreshLR <= 0:
+		return errors.New("-refresh-rows and -rebaseline-every must be >= 0, -refresh-epochs >= 1, -refresh-lr > 0")
+	case o.fact == "" && (o.refreshRows > 0 || o.rebaseline > 0 || o.refreshEpochs != defaultRefreshEpochs || o.refreshLR != defaultRefreshLR):
+		return errors.New("-refresh-rows/-rebaseline-every/-refresh-epochs/-refresh-lr need -fact (streaming ingestion)")
+	case o.maxInflight < 0 || o.maxIngestQueue < 0 || o.retryAfter < 0:
+		return errors.New("-max-inflight, -max-ingest-queue and -retry-after must be >= 0")
+	case o.batchWindow < 0 || o.maxBatch < 0:
+		return errors.New("-batch-window and -max-batch must be >= 0")
+	case o.batchWindow == 0 && o.maxBatch > 0:
+		return errors.New("-max-batch needs -batch-window (dynamic batching)")
+	case o.traceSample <= 0 || o.traceSample > 1:
+		return fmt.Errorf("-trace-sample must be in (0, 1], got %g", o.traceSample)
+	case o.traceSlowMS < 0:
+		return fmt.Errorf("-trace-slow-ms must be >= 0, got %d", o.traceSlowMS)
+	case o.driftWarn <= 0 || o.driftPSI <= 0 || o.driftWarn > o.driftPSI:
+		return fmt.Errorf("-drift-warn and -drift-psi must be > 0 with -drift-warn <= -drift-psi, got %g / %g", o.driftWarn, o.driftPSI)
+	case o.stalenessMaxRows < 0:
+		return fmt.Errorf("-staleness-max-rows must be >= 0, got %d", o.stalenessMaxRows)
+	case o.healthSample <= 0 || o.healthSample > 1:
+		return fmt.Errorf("-health-sample must be in (0, 1], got %g", o.healthSample)
+	case o.fsyncEvery < 0 || o.snapshotEvery < 0:
+		return errors.New("-fsync-every and -snapshot-every must be >= 0")
+	case o.walDir == "" && (o.fsyncEvery > 0 || o.snapshotEvery != defaultSnapshotEvery):
+		return errors.New("-fsync-every/-snapshot-every need -wal-dir (durability)")
+	}
+	if o.logLevel != "" {
+		if _, err := factorml.ParseLogLevel(o.logLevel); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// run serves until the listener fails or stop delivers a signal. Progress
+// lines — the bound address first, so a caller may bind port 0 and parse
+// the chosen port — go to out.
+func run(cfg serveFlags, out io.Writer, stop <-chan os.Signal) error {
 	// Bind the listener before loading the registry so the process
 	// answers health checks from the first instant: the swappable handler
 	// serves "booting" (alive, not ready) until the real server is up.
@@ -254,9 +247,10 @@ func run(cfg serveFlags) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
+	defer srv.Close() // a boot that fails below must not leave the listener bound
 	// The resolved address is printed (not just logged) so scripts can use
 	// port 0 and parse the chosen port.
-	fmt.Printf("factorml-serve listening on %s (booting)\n", ln.Addr())
+	fmt.Fprintf(out, "factorml-serve listening on %s (booting)\n", ln.Addr())
 
 	var openOpts []factorml.OpenOption
 	if cfg.walDir != "" {
@@ -297,8 +291,12 @@ func run(cfg serveFlags) error {
 			SlowThreshold:  time.Duration(cfg.traceSlowMS) * time.Millisecond,
 		}))
 	}
-	if cfg.logger != nil {
-		opts = append(opts, factorml.WithServerLogger(cfg.logger))
+	if cfg.logLevel != "" {
+		level, err := factorml.ParseLogLevel(cfg.logLevel)
+		if err != nil {
+			return err
+		}
+		opts = append(opts, factorml.WithServerLogger(factorml.NewLogger(os.Stderr, level)))
 	}
 	if cfg.monitor {
 		opts = append(opts, factorml.WithMonitoring(factorml.MonitorConfig{
@@ -326,25 +324,25 @@ func run(cfg serveFlags) error {
 		return err
 	}
 	for _, m := range models {
-		fmt.Printf("loaded model %q (%s, version %d, dim %d)\n", m.Name, m.Kind, m.Version, m.Dim)
+		fmt.Fprintf(out, "loaded model %q (%s, version %d, dim %d)\n", m.Name, m.Kind, m.Version, m.Dim)
 	}
 	if st := server.Stream(); st != nil {
-		fmt.Printf("models under incremental maintenance: %s\n", strings.Join(st.Attached(), ", "))
-		fmt.Printf("streaming ingestion enabled over fact table %q (refresh-rows=%d)\n", cfg.fact, cfg.refreshRows)
+		fmt.Fprintf(out, "models under incremental maintenance: %s\n", strings.Join(st.Attached(), ", "))
+		fmt.Fprintf(out, "streaming ingestion enabled over fact table %q (refresh-rows=%d)\n", cfg.fact, cfg.refreshRows)
 	}
 	if cfg.maxInflight > 0 || cfg.maxIngestQueue > 0 {
-		fmt.Printf("admission control: max-inflight=%d max-ingest-queue=%d\n", cfg.maxInflight, cfg.maxIngestQueue)
+		fmt.Fprintf(out, "admission control: max-inflight=%d max-ingest-queue=%d\n", cfg.maxInflight, cfg.maxIngestQueue)
 	}
 	if cfg.batchWindow > 0 {
-		fmt.Printf("dynamic batching: batch-window=%s max-batch=%d\n", cfg.batchWindow, cfg.maxBatch)
+		fmt.Fprintf(out, "dynamic batching: batch-window=%s max-batch=%d\n", cfg.batchWindow, cfg.maxBatch)
 	}
 	if cfg.monitor {
-		fmt.Printf("health monitoring: drift-warn=%g drift-psi=%g staleness-max-rows=%d health-sample=%g\n",
+		fmt.Fprintf(out, "health monitoring: drift-warn=%g drift-psi=%g staleness-max-rows=%d health-sample=%g\n",
 			cfg.driftWarn, cfg.driftPSI, cfg.stalenessMaxRows, cfg.healthSample)
 	}
 	if cfg.walDir != "" {
 		ws := db.WALStats()
-		fmt.Printf("durability: wal-dir=%s fsync-every=%d snapshot-every=%d (recovered to LSN %d)\n",
+		fmt.Fprintf(out, "durability: wal-dir=%s fsync-every=%d snapshot-every=%d (recovered to LSN %d)\n",
 			cfg.walDir, cfg.fsyncEvery, cfg.snapshotEvery, ws.LastLSN)
 	}
 	// The debug side listener carries the profiling and trace-export
@@ -369,19 +367,17 @@ func run(cfg serveFlags) error {
 		dsrv := &http.Server{Handler: dmux, ReadHeaderTimeout: 10 * time.Second}
 		go func() { _ = dsrv.Serve(dln) }()
 		defer dsrv.Close()
-		fmt.Printf("factorml-serve debug listening on %s\n", dln.Addr())
+		fmt.Fprintf(out, "factorml-serve debug listening on %s\n", dln.Addr())
 	}
 
 	handler.Store(handlerBox{server})
-	fmt.Printf("factorml-serve ready on %s (%d models, dims %s)\n", ln.Addr(), len(models), cfg.dims)
+	fmt.Fprintf(out, "factorml-serve ready on %s (%d models, dims %s)\n", ln.Addr(), len(models), cfg.dims)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err
-	case s := <-sig:
-		fmt.Printf("received %v, shutting down\n", s)
+	case s := <-stop:
+		fmt.Fprintf(out, "received %v, shutting down\n", s)
 		server.SetReady(false) // drain: fail readiness before closing
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

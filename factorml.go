@@ -973,23 +973,34 @@ func (d *DB) NewStream(fact *FactTable, pol StreamPolicy) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := d.bootStream(st); err != nil {
+	if err := d.bootStream(st, nil); err != nil {
 		return nil, err
 	}
 	return &Stream{st: st}, nil
 }
 
-// bootStream finishes durability boot on a freshly built stream: replay
-// the WAL tail past the last snapshot, commit a boot checkpoint so the
-// snapshot covers the current state, and clear the clean-shutdown marker
-// (from here on, a missing marker means "crashed, recover on next
-// boot"). A no-op when durability is off.
-func (d *DB) bootStream(st *stream.Stream) error {
+// bootStream brings a freshly built stream up — the one place the durable
+// boot order is written. Replay the WAL tail past the last snapshot first:
+// recovery re-attaches exactly the models the last checkpoint had under
+// maintenance, with their incremental statistics intact, so attach (nil
+// for none) runs after it and adds only what is missing. Then commit a
+// boot checkpoint so the snapshot covers the current state, and clear the
+// clean-shutdown marker — from here on a missing marker means "crashed,
+// recover on next boot", and a kill leaves recoverable state (snapshot +
+// WAL tail) behind. Without durability only attach runs.
+func (d *DB) bootStream(st *stream.Stream, attach func() error) error {
+	if d.wal != nil {
+		if err := st.Recover(context.Background()); err != nil {
+			return fmt.Errorf("factorml: WAL recovery: %w", err)
+		}
+	}
+	if attach != nil {
+		if err := attach(); err != nil {
+			return err
+		}
+	}
 	if d.wal == nil {
 		return nil
-	}
-	if err := st.Recover(context.Background()); err != nil {
-		return fmt.Errorf("factorml: WAL recovery: %w", err)
 	}
 	if err := st.Checkpoint(); err != nil {
 		return fmt.Errorf("factorml: boot checkpoint: %w", err)
@@ -1075,8 +1086,11 @@ func WithEngineConfig(cfg ServeConfig) ServerOption {
 // ingested delta into every attached model, dimension updates invalidate
 // exactly the serving-cache entries they touch, refreshed models are
 // republished (and served) without a restart, and /statsz gains "stream"
-// and "planner" sections. fact names the fact table; the dimension
-// tables are the ones passed to NewServer.
+// and "planner" sections. fact names the fact table, and the join the
+// server scores and maintains is the one the catalog records for it — the
+// join training ran over: the dimension tables passed to NewServer are
+// only checked against it (see DB.FactTable), and a permuted or wrong list
+// is refused with ErrDimsMismatch.
 //
 // A registered model that does not fit this star schema — wrong joined
 // width, or an NN over a target-less fact table — is left un-attached
@@ -1193,7 +1207,9 @@ func (s *Server) SetReady(ready bool) { s.srv.SetReady(ready) }
 // NewServer builds the serving stack over this database: registered
 // models are scored against normalized fact rows whose foreign keys are
 // resolved in the named dimension tables (join order — the same order
-// used at training time). Like training, prediction does
+// used at training time; WithStream checks the list against the catalog,
+// without it the list is taken on trust because nothing names the fact
+// table whose references could contradict it). Like training, prediction does
 // dimension-tuple work once, not once per row: per-dimension-tuple
 // partial results are cached in a bounded LRU and batches fan out over
 // the worker pool, with responses bit-identical for every
@@ -1218,11 +1234,24 @@ func NewServer(d *DB, dimTables []string, opts ...ServerOption) (*Server, error)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := d.dimPlan(dimTables)
-	if err != nil {
+	// The join served: with a fact table named it is the catalog's, the
+	// same spec a Dataset trains over; without one, the tables as named.
+	var spec *join.Spec
+	var dims *join.DimPlan
+	if o.withStream {
+		fact, err := d.FactTable(o.fact, dimTables...)
+		if err != nil {
+			return nil, err
+		}
+		ds, err := d.Dataset(fact)
+		if err != nil {
+			return nil, err
+		}
+		spec, dims = ds.spec, ds.spec.Plan()
+	} else if dims, err = d.dimPlan(dimTables); err != nil {
 		return nil, err
 	}
-	eng, err := serve.NewEngine(reg, plan, o.engineCfg)
+	eng, err := serve.NewEngine(reg, dims, o.engineCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -1252,11 +1281,7 @@ func NewServer(d *DB, dimTables []string, opts ...ServerOption) (*Server, error)
 		return out, nil
 	}
 
-	factTbl, err := d.db.Table(o.fact)
-	if err != nil {
-		return nil, err
-	}
-	st, err := stream.New(d.db, plan.Spec(factTbl), stream.Options{
+	st, err := stream.New(d.db, spec, stream.Options{
 		Engine:          eng,
 		Registry:        reg,
 		Policy:          o.pol,
@@ -1269,55 +1294,8 @@ func NewServer(d *DB, dimTables []string, opts ...ServerOption) (*Server, error)
 	if err != nil {
 		return nil, err
 	}
-	// Replay any WAL tail left by a crash before attaching registry
-	// models: recovery re-attaches exactly the models the last checkpoint
-	// had under maintenance, with their incremental statistics intact.
-	if d.wal != nil {
-		if err := st.Recover(context.Background()); err != nil {
-			return nil, fmt.Errorf("factorml: WAL recovery: %w", err)
-		}
-	}
-	recovered := make(map[string]bool)
-	for _, name := range st.Attached() {
-		recovered[name] = true
-	}
-	for _, mi := range reg.List() {
-		if recovered[mi.Name] {
-			continue
-		}
-		var attachErr error
-		switch mi.Kind {
-		case KindGMM:
-			m, err := reg.GMM(mi.Name)
-			if err != nil {
-				return nil, err
-			}
-			attachErr = st.AttachGMM(mi.Name, m)
-		case KindNN:
-			n, err := reg.NN(mi.Name)
-			if err != nil {
-				return nil, err
-			}
-			attachErr = st.AttachNN(mi.Name, n)
-		}
-		// Schema-incompatible models stay served-but-static; anything
-		// else (storage I/O, dangling foreign keys found by the base
-		// statistics pass) is a real failure the operator must see.
-		if attachErr != nil && !stream.IsIncompatibleModel(attachErr) {
-			return nil, fmt.Errorf("factorml: attaching model %q to the stream: %w", mi.Name, attachErr)
-		}
-	}
-	// Boot checkpoint + clean-marker clear: from here on, a kill leaves
-	// recoverable crash state (snapshot + WAL tail) behind.
-	if d.wal != nil {
-		if err := st.Checkpoint(); err != nil {
-			return nil, fmt.Errorf("factorml: boot checkpoint: %w", err)
-		}
-		if err := wal.ClearClean(d.wal.Dir()); err != nil {
-			return nil, err
-		}
-		d.walStream = st
-		d.pendingReplay = false
+	if err := d.bootStream(st, func() error { return attachRegistered(st, reg) }); err != nil {
+		return nil, err
 	}
 	srv.SetIngestHandler(st.Handler())
 	srv.SetRefreshHandler(st.RefreshHandler())
@@ -1331,6 +1309,40 @@ func NewServer(d *DB, dimTables []string, opts ...ServerOption) (*Server, error)
 	}
 	out.st = &Stream{st: st}
 	return out, nil
+}
+
+// attachRegistered puts every registered model the stream does not already
+// maintain (recovery re-attaches the checkpointed ones) under incremental
+// maintenance.
+func attachRegistered(st *stream.Stream, reg *serve.Registry) error {
+	attached := st.Attached()
+	for _, mi := range reg.List() {
+		if slices.Contains(attached, mi.Name) {
+			continue
+		}
+		var attachErr error
+		switch mi.Kind {
+		case KindGMM:
+			m, err := reg.GMM(mi.Name)
+			if err != nil {
+				return err
+			}
+			attachErr = st.AttachGMM(mi.Name, m)
+		case KindNN:
+			n, err := reg.NN(mi.Name)
+			if err != nil {
+				return err
+			}
+			attachErr = st.AttachNN(mi.Name, n)
+		}
+		// Schema-incompatible models stay served-but-static; anything
+		// else (storage I/O, dangling foreign keys found by the base
+		// statistics pass) is a real failure the operator must see.
+		if attachErr != nil && !stream.IsIncompatibleModel(attachErr) {
+			return fmt.Errorf("factorml: attaching model %q to the stream: %w", mi.Name, attachErr)
+		}
+	}
+	return nil
 }
 
 // BootingHandler is a stand-in to serve while a Server is still being

@@ -162,7 +162,8 @@ func TestPlannerPicksMeasuredCheapest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := GMMConfig{K: 3, MaxIter: sh.iters, Tol: 1e-300, Seed: 5, BlockPages: sh.blockPages, NumWorkers: 1}
+		ds.spec.BlockPages = sh.blockPages // the one place a block size is set
+		cfg := GMMConfig{K: 3, MaxIter: sh.iters, Tol: 1e-300, Seed: 5, NumWorkers: 1}
 		pl, err := PlanGMM(ds, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -175,6 +176,12 @@ func TestPlannerPicksMeasuredCheapest(t *testing.T) {
 				t.Fatalf("shape %s, %v: %v", sh.name, strat, err)
 			}
 			pages := res.Stats.IO.LogicalReads + res.Stats.IO.PageWrites
+			// The planner prices the block size the join runs with: where
+			// R1 spans several blocks, every access path — the materialized
+			// one included — makes exactly the page accesses estimated.
+			if est := pl.Estimate(strat).Pages; sh.blockPages != 0 && est != pages {
+				t.Errorf("shape %s, %v: planner priced %d pages, the run made %d", sh.name, strat, est, pages)
+			}
 			scores[strat] = float64(res.Stats.Ops.Total()) + plan.DefaultFlopsPerPage*float64(pages)
 			if scores[strat] < scores[cheapest] {
 				cheapest = strat

@@ -2,6 +2,7 @@ package factorml
 
 import (
 	"encoding/json"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -103,21 +104,42 @@ func TestPublicAPITrainGMMAllAlgorithms(t *testing.T) {
 }
 
 func TestPublicAPITrainNNAllAlgorithms(t *testing.T) {
-	db := openDB(t)
-	ds := buildRetail(t, db, 150, 10)
-	var nets []*NNNetwork
-	for _, algo := range []Algorithm{Materialized, Streaming, Factorized} {
-		res, err := TrainNN(ds, algo, NNConfig{Hidden: []int{6}, Act: Sigmoid, Epochs: 3, LearningRate: 0.01})
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
+	// The Block-mode case steps once per R1 block over a four-page R1 cut
+	// into one-page blocks: all three access paths must cut the same
+	// mini-batches, the materialized one included (it used to ignore a
+	// block size it was not handed and stepped once per epoch instead).
+	multiBlock, err := GenerateSynthetic(openDB(t), "blk", SyntheticConfig{
+		NS: 3000, NR: []int{2000}, DS: 2, DR: []int{1}, WithTarget: true, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multiBlock.spec.BlockPages = 1
+	if p := multiBlock.spec.Rs[0].NumPages(); p < 3 {
+		t.Fatalf("R1 spans %d pages, want >= 3", p)
+	}
+	for _, tc := range []struct {
+		name string
+		ds   *Dataset
+		cfg  NNConfig
+	}{
+		{"epoch", buildRetail(t, openDB(t), 150, 10), NNConfig{Hidden: []int{6}, Act: Sigmoid, Epochs: 3, LearningRate: 0.01}},
+		{"block", multiBlock, NNConfig{Hidden: []int{6}, Act: Sigmoid, Epochs: 3, LearningRate: 0.01, Mode: BlockUpdates}},
+	} {
+		var nets []*NNNetwork
+		for _, algo := range []Algorithm{Materialized, Streaming, Factorized} {
+			res, err := TrainNN(tc.ds, algo, tc.cfg)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", tc.name, algo, err)
+			}
+			nets = append(nets, res.Net)
 		}
-		nets = append(nets, res.Net)
-	}
-	if d := nets[0].MaxParamDiff(nets[1]); d > 1e-9 {
-		t.Fatalf("materialized vs streaming differ by %v", d)
-	}
-	if d := nets[1].MaxParamDiff(nets[2]); d > 1e-6 {
-		t.Fatalf("streaming vs factorized differ by %v", d)
+		if d := nets[0].MaxParamDiff(nets[1]); d > 1e-9 {
+			t.Fatalf("%s: materialized vs streaming differ by %v", tc.name, d)
+		}
+		if d := nets[1].MaxParamDiff(nets[2]); d > 1e-6 {
+			t.Fatalf("%s: streaming vs factorized differ by %v", tc.name, d)
+		}
 	}
 }
 
@@ -352,13 +374,44 @@ func TestBenchmarkHarnessCompiles(t *testing.T) {
 	}
 }
 
-// TestInternalPackagesAreReached reads the import lines of every non-test
-// Go file in the tree (benchmark/ included) and fails when a package under
-// internal/ is imported by none outside itself — code only its own tests
-// run — and when cmd/train/main.go reaches below the public facade, which
-// it was rewritten on so that the CLI cannot drift from the library again.
+// unreferencedOK lists the exported names under internal/ that no non-test
+// file mentions on purpose. Everything else exported there must be used by
+// name somewhere in the module, benchmark/, cmd/ or examples/.
+var unreferencedOK = map[string]string{
+	// Called through an interface of the standard library, never by name.
+	"MarshalJSON":   "json.Marshaler",
+	"UnmarshalJSON": "json.Unmarshaler",
+	// Public API through the facade's type aliases (GMMModel = gmm.Model,
+	// Logger = xlog.Logger).
+	"BIC":      "model selection on a GMMModel",
+	"AIC":      "model selection on a GMMModel",
+	"Debug":    "the Logger's LogDebug level",
+	"SetLevel": "the Logger's runtime threshold",
+	// Oracles the 0-tolerance harnesses and kernel tests compare against.
+	"Transpose": "linalg test oracle",
+	"Equalish":  "linalg test oracle",
+	"NewMatMul": "linalg test oracle",
+	"MatVecAdd": "partitioned mat-vec property in linalg's quick tests",
+	"L":         "L·Lᵀ = A in the Cholesky tests",
+	"Eye":       "identity covariances in factorml_onepass_test.go and gmm/score_test.go",
+	"Assemble":  "dense form of a BlockedSym in the core and gmm tests",
+	"NumBlocks": "block count in the join cost-model test",
+	"NumRefs":   "sub-key arity in TestStreamStatsOracle",
+}
+
+// TestInternalPackagesAreReached parses every non-test Go file in the tree
+// (benchmark/ included) and fails when code under internal/ is run only by
+// its own tests: a package imported by none outside itself, or an exported
+// function or method whose name no non-test file mentions other than where
+// it is declared (a name-level check — it cannot tell two methods of one
+// name apart, which errs towards silence). It also fails when
+// cmd/train/main.go reaches below the public facade, which it was rewritten
+// on so that the CLI cannot drift from the library again.
 func TestInternalPackagesAreReached(t *testing.T) {
 	reached := make(map[string]bool) // package under internal/ -> imported from outside itself
+	declared := make(map[string]int) // exported func/method name under internal/ -> declarations
+	where := make(map[string]string) // ... -> one declaring file
+	mentions := make(map[string]int) // identifier -> occurrences in non-test files
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -374,10 +427,11 @@ func TestInternalPackagesAreReached(t *testing.T) {
 		}
 		path = filepath.ToSlash(path)
 		pkg := "factorml/" + pathpkg.Dir(path)
-		if strings.HasPrefix(pkg, "factorml/internal/") && !reached[pkg] {
+		internal := strings.HasPrefix(pkg, "factorml/internal/")
+		if internal && !reached[pkg] {
 			reached[pkg] = false
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -393,6 +447,18 @@ func TestInternalPackagesAreReached(t *testing.T) {
 				t.Errorf("cmd/train/main.go imports %s; it is written on the public facade", to)
 			}
 		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				mentions[n.Name]++
+			case *ast.FuncDecl:
+				if internal && n.Name.IsExported() {
+					declared[n.Name.Name]++
+					where[n.Name.Name] = path
+				}
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {
@@ -404,6 +470,23 @@ func TestInternalPackagesAreReached(t *testing.T) {
 	for pkg, ok := range reached {
 		if !ok {
 			t.Errorf("%s is imported by no non-test file outside itself", pkg)
+		}
+	}
+	if len(unreferencedOK) > 15 {
+		t.Errorf("the allowlist holds %d names, want <= 15: delete code instead of listing it", len(unreferencedOK))
+	}
+	for name, n := range declared {
+		_, allowed := unreferencedOK[name]
+		switch used := mentions[name] > n; {
+		case !used && !allowed:
+			t.Errorf("%s (%s) is exported under internal/ but no non-test file uses it", name, where[name])
+		case used && allowed:
+			t.Errorf("%s is used by non-test code; drop it from the allowlist", name)
+		}
+	}
+	for name := range unreferencedOK {
+		if declared[name] == 0 {
+			t.Errorf("the allowlist names %s, which internal/ no longer declares", name)
 		}
 	}
 }

@@ -110,11 +110,6 @@ func (o Ops) Plus(b Ops) Ops {
 	return Ops{Mul: o.Mul + b.Mul, Adds: o.Adds + b.Adds}
 }
 
-// Minus returns o - b.
-func (o Ops) Minus(b Ops) Ops {
-	return Ops{Mul: o.Mul - b.Mul, Adds: o.Adds - b.Adds}
-}
-
 // Scale returns the counter multiplied by n (e.g. one EM iteration's
 // per-row kernel costs scaled to n rows by the planner).
 func (o Ops) Scale(n int64) Ops {

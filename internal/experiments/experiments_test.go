@@ -4,10 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"factorml/internal/data"
-	"factorml/internal/join"
-	"factorml/internal/storage"
 )
 
 // tiny is a micro profile so experiment plumbing can be tested in
@@ -167,84 +163,5 @@ func TestReportWriters(t *testing.T) {
 	}
 	if err := WriteAllMarkdown(&mdBuf, map[string][]Row{"Fig3c": rows}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The §V-A analytic I/O model must match the measured logical page reads.
-func TestIOModelMatchesMeasured(t *testing.T) {
-	dir := t.TempDir()
-	db, err := storage.Open(dir, storage.Options{PoolPages: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	spec, err := data.Generate(db, "io", data.SynthConfig{
-		NS: 3000, NR: []int{1200}, DS: 1, DR: []int{1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.BlockPages = 1
-	const iters = 2
-	model := ModelFor(spec, iters)
-
-	// Measure S-GMM's reads (init pass excluded by measuring around EM: we
-	// instead measure iter passes directly).
-	runner, err := join.NewRunner(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Prime resident load.
-	if err := join.StreamWith(runner, func(int64, []float64, float64) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	db.Pool().ResetStats()
-	for p := int64(0); p < model.Iters; p++ {
-		if err := join.StreamWith(runner, func(int64, []float64, float64) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := db.Pool().Stats().LogicalReads
-	if got != model.SGMM() {
-		t.Fatalf("measured S reads %d, model %d", got, model.SGMM())
-	}
-
-	// Measure the M strategy: join+materialize then iter scans of T.
-	db.Pool().ResetStats()
-	tTbl, _, err := join.Materialize(db, spec, "T_io")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := int64(0); p < model.Iters; p++ {
-		sc := tTbl.NewScanner()
-		for sc.Next() {
-		}
-		if sc.Err() != nil {
-			t.Fatal(sc.Err())
-		}
-	}
-	st := db.Pool().Stats()
-	// Model: join pass reads + iter·|T| reads; writes = |T| pages.
-	wantReads := model.JoinPass() + model.Iters*model.TPages
-	if st.LogicalReads != wantReads {
-		t.Fatalf("measured M reads %d, model %d", st.LogicalReads, wantReads)
-	}
-	if st.PageWrites != model.TPages {
-		t.Fatalf("measured M writes %d, model |T|=%d", st.PageWrites, model.TPages)
-	}
-}
-
-// §V-A crossover: with a small BlockSize and many iterations, streaming
-// re-reads S so often that materializing wins; with a large BlockSize
-// streaming wins.
-func TestIOCrossover(t *testing.T) {
-	m := IOModel{RPages: 100, SPages: 1000, TPages: 2000, Iters: 5}
-	m.BlockPages = 1 // 100 blocks: S scanned 100× per pass
-	if m.SWins() {
-		t.Fatalf("tiny blocks: S should lose (S=%d M=%d)", m.SGMM(), m.MGMM())
-	}
-	m.BlockPages = 100 // single block
-	if !m.SWins() {
-		t.Fatalf("whole-R block: S should win (S=%d M=%d)", m.SGMM(), m.MGMM())
 	}
 }

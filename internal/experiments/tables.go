@@ -87,29 +87,6 @@ func (h *Harness) TableVII() ([]Row, error) {
 	return rows, nil
 }
 
-// All runs every figure and table of the evaluation, in paper order.
-func (h *Harness) All() (map[string][]Row, error) {
-	out := make(map[string][]Row)
-	type exp struct {
-		name string
-		fn   func() ([]Row, error)
-	}
-	for _, e := range []exp{
-		{"Fig3a", h.Fig3a}, {"Fig3b", h.Fig3b}, {"Fig3c", h.Fig3c},
-		{"Fig4a", h.Fig4a}, {"Fig4b", h.Fig4b}, {"Fig4c", h.Fig4c},
-		{"Fig5a", h.Fig5a}, {"Fig5b", h.Fig5b}, {"Fig5c", h.Fig5c},
-		{"Fig6a", h.Fig6a}, {"Fig6b", h.Fig6b}, {"Fig6c", h.Fig6c},
-		{"TableVI", h.TableVI}, {"TableVII", h.TableVII},
-	} {
-		rows, err := e.fn()
-		if err != nil {
-			return out, err
-		}
-		out[e.name] = rows
-	}
-	return out, nil
-}
-
 // Experiments lists the runnable experiment names in paper order.
 func Experiments() []string {
 	return []string{

@@ -6,17 +6,23 @@
 // relation is *accessed*, never in the statistics a model accumulates over
 // it. This package owns the access paths, so a model family plugs in pure
 // accumulator definitions and an EM/SGD driver. There is one constructor,
-// Open, and it is the only place a plan.Strategy value selects code: it
-// returns the strategy's access path as Rows — every path scans the same
-// joined rows in the same order, so initialization is shared — and a
-// trainer runs its dense driver when handed a Source and its factorized
-// one when handed a *PartScan. The three access paths and the operators
-// over them:
+// Open, and it is the only place a plan.Strategy value selects code. It
+// returns a Path, the opened access path with everything a driver asks of
+// it already answered: the joined width; one grouped scan (ScanGroups —
+// every path yields the same joined rows in the same order with a group
+// end at every R1 block, so initialization and Block-mode mini-batches are
+// shared); Parts, the *PartScan, exactly when the path is factorized; a
+// Shuffle hook exactly when the row order is not fixed on disk; and Close.
+// A trainer runs its factorized driver when Parts is set and its dense one
+// over the grouped scan otherwise — no type assertion, no second look at
+// the strategy. The join's block size is join.Spec.BlockPages for every
+// path. The access paths and the operators over them:
 //
-//   - Source — Rows with group boundaries, either read back from a
-//     materialized T (MaterializedSource) or re-joined on the fly
-//     (StreamedSource). Both expose the same group (R1-block) boundaries,
-//     so mini-batch formation is identical across strategies.
+//   - MaterializedSource reads the rows back from a materialized T and
+//     rebuilds the R1-block boundaries from the materializer's per-block
+//     counts; StreamedSource and PartScan re-join on the fly. Both
+//     re-joining scans, and the materializer itself, run join.StreamWith —
+//     the one row-assembly loop in the tree.
 //   - RunRowPass / RunSGDPass — the chunked-parallel pass operators: rows
 //     are cut into fixed-geometry chunks, each chunk folds into a private
 //     accumulator on a worker, and accumulators merge strictly in chunk

@@ -76,15 +76,15 @@ func TestSourcesAgree(t *testing.T) {
 	db, spec := buildStar(t)
 	var wantRows [][]float64
 	var wantYs []float64
-	dense := make(map[plan.Strategy]Source)
+	dense := make(map[plan.Strategy]*Path)
 	for _, s := range []plan.Strategy{plan.Materialized, plan.Streaming, plan.Factorized} {
-		rows, err := Open(db, spec, s, 0, "T_test")
+		rows, err := Open(db, spec, s, "T_test")
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
 		defer rows.Close()
-		if rows.Width() != spec.JoinedWidth() {
-			t.Fatalf("%s: width %d, spec %d", s, rows.Width(), spec.JoinedWidth())
+		if rows.Width != spec.JoinedWidth() {
+			t.Fatalf("%s: width %d, spec %d", s, rows.Width, spec.JoinedWidth())
 		}
 		got, ys := collectRows(t, rows.Scan)
 		if len(got) != 40 {
@@ -102,14 +102,18 @@ func TestSourcesAgree(t *testing.T) {
 		if again, _ := collectRows(t, rows.Scan); len(again) != 40 {
 			t.Fatalf("%s: rescan yielded %d rows", s, len(again))
 		}
-		if src, ok := rows.(Source); ok {
-			dense[s] = src
+		if rows.Parts == nil {
+			dense[s] = rows
+		}
+		// Only a materialized T has its row order fixed on disk.
+		if (rows.Shuffle == nil) != (s == plan.Materialized) {
+			t.Fatalf("%s: shuffle hook present = %v", s, rows.Shuffle != nil)
 		}
 	}
 	if _, ok := dense[plan.Factorized]; ok || len(dense) != 2 {
 		t.Fatalf("dense sources = %v, want exactly materialized and streaming", dense)
 	}
-	if _, err := Open(db, spec, plan.Auto, 0, "T_auto"); err == nil {
+	if _, err := Open(db, spec, plan.Auto, "T_auto"); err == nil {
 		t.Fatal("Open accepted Auto, which is not an access path")
 	}
 

@@ -33,22 +33,18 @@ type PartScan struct {
 	Pass string
 }
 
-// NewPartScan prepares the runner and partition for a spec. blockPages
-// overrides the spec's block size when the spec leaves it at zero.
+// NewPartScan prepares the runner and partition for a spec (see newRunner
+// for blockPages).
 func NewPartScan(spec *join.Spec, blockPages int) (*PartScan, error) {
-	sp := *spec
-	if sp.BlockPages == 0 {
-		sp.BlockPages = blockPages
-	}
-	runner, err := join.NewRunner(&sp)
+	runner, err := newRunner(spec, blockPages)
 	if err != nil {
 		return nil, err
 	}
-	dims := []int{sp.S.Schema().NumFeatures()}
-	for _, r := range sp.Rs {
+	dims := []int{spec.S.Schema().NumFeatures()}
+	for _, r := range spec.Rs {
 		dims = append(dims, r.Schema().NumFeatures())
 	}
-	direct := append([]int{dims[0]}, sp.DirectWidths()...)
+	direct := append([]int{dims[0]}, spec.DirectWidths()...)
 	return &PartScan{Runner: runner, P: core.NewPartition(dims), Direct: core.NewPartition(direct)}, nil
 }
 
@@ -56,16 +52,13 @@ func NewPartScan(spec *join.Spec, blockPages int) (*PartScan, error) {
 // Direct (available once a scan has started; see join.Runner.Resident).
 func (ps *PartScan) Resident(j int) []*storage.Tuple { return ps.Runner.Resident(j) }
 
-// Width is the joined feature dimensionality.
-func (ps *PartScan) Width() int { return ps.P.D }
-
-// Close is a no-op: the factorized path materializes nothing.
-func (ps *PartScan) Close() error { return nil }
-
 // Scan streams the fully concatenated joined rows — the initialization
 // pass a factorized trainer shares with the dense strategies, so every
 // strategy starts from the identical model.
-func (ps *PartScan) Scan(onRow RowFn) error {
+func (ps *PartScan) Scan(onRow RowFn) error { return ps.ScanGroups(onRow, nil) }
+
+// ScanGroups is Scan with the R1-block boundaries (see GroupedScan).
+func (ps *PartScan) ScanGroups(onRow RowFn, onGroupEnd func() error) error {
 	m := observePass(ps.Pass, "scan", 1)
 	if m != nil {
 		inner := onRow
@@ -74,9 +67,7 @@ func (ps *PartScan) Scan(onRow RowFn) error {
 			return inner(x, y)
 		}
 	}
-	return m.done(join.StreamWith(ps.Runner, func(_ int64, x []float64, y float64) error {
-		return onRow(x, y)
-	}))
+	return m.done(scanJoin(ps.Runner, onRow, onGroupEnd))
 }
 
 // RunChunks streams one pass with the matches cut into fixed-size chunks

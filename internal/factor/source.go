@@ -17,47 +17,76 @@ type RowFn func(x []float64, y float64) error
 // GroupedScan streams every joined row in deterministic order and invokes
 // onGroupEnd at each R1-block boundary, so Block-mode mini-batches coincide
 // across strategies. Either callback may rely on the other's ordering; a
-// scan is one full pass over the joined relation.
+// scan is one full pass over the joined relation. A nil onGroupEnd asks
+// for the rows alone.
 type GroupedScan func(onRow RowFn, onGroupEnd func() error) error
 
-// Rows is what all three access paths offer: a re-scannable stream of the
-// joined rows. It may be scanned any number of times and every scan yields
-// the identical row order — the same order for every strategy, so a model
-// initialized over one access path is the model initialized over another.
-type Rows interface {
+// Path is one strategy's access path, opened and driver-ready: everything
+// a trainer needs to run over it, so no trainer asks again which strategy
+// it was handed.
+type Path struct {
 	// Width is the joined feature dimensionality.
-	Width() int
-	// Scan streams every joined row.
-	Scan(onRow RowFn) error
-	// Close releases anything the access path materialized.
-	Close() error
+	Width int
+	// ScanGroups is the path's one grouped scan. It may be run any number
+	// of times and yields the same rows in the same order with a group end
+	// at every R1 block — identically for every strategy, so a model
+	// initialized over one path is the model initialized over another, and
+	// Block-mode mini-batches coincide.
+	ScanGroups GroupedScan
+	// Parts is the factorized access path; nil when the strategy trains
+	// over dense rows (Materialized, Streaming).
+	Parts *PartScan
+	// Shuffle installs a fresh permutation of R1's rows for the scans that
+	// follow — the paper's §VI per-epoch key permutation for SGD. It is
+	// nil when the row order is fixed on disk (a materialized T).
+	Shuffle func(rng *rand.Rand)
+
+	release func() error
 }
 
-// Source is the access path of the two dense strategies, Materialized and
-// Streaming: Rows with the R1-block boundaries exposed.
-type Source interface {
-	Rows
-	// ScanGroups streams every joined row with group boundaries.
-	ScanGroups(onRow RowFn, onGroupEnd func() error) error
+// Scan streams every joined row, group boundaries ignored.
+func (p *Path) Scan(onRow RowFn) error { return p.ScanGroups(onRow, nil) }
+
+// Close releases anything opening the path materialized.
+func (p *Path) Close() error {
+	if p.release == nil {
+		return nil
+	}
+	return p.release()
 }
 
 // Open builds the access path a strategy trains over — the one place a
-// strategy value is turned into code: a MaterializedSource (the join is
-// executed and written into db as table tmp, which Close drops), a
-// StreamedSource, or the factorized *PartScan. A trainer then runs its
-// dense driver over a Source and its factorized one over a *PartScan.
-// blockPages overrides the spec's block size when the spec leaves it zero.
-func Open(db *storage.Database, spec *join.Spec, s plan.Strategy, blockPages int, tmp string) (Rows, error) {
+// strategy value is turned into code. Materialized executes the join and
+// writes it into db as table tmp, which Close drops; Streaming re-joins on
+// every scan; Factorized does too and additionally hands out the PartScan
+// its trainers fold matches through. The block size is the spec's
+// (join.Spec.BlockPages) on every path.
+func Open(db *storage.Database, spec *join.Spec, s plan.Strategy, tmp string) (*Path, error) {
+	var p *Path
 	switch s {
 	case plan.Materialized:
-		return NewMaterializedSource(db, spec, tmp)
+		src, err := NewMaterializedSource(db, spec, tmp)
+		if err != nil {
+			return nil, err
+		}
+		p = &Path{ScanGroups: src.ScanGroups, release: src.Close}
 	case plan.Streaming:
-		return NewStreamedSource(spec, blockPages)
+		src, err := NewStreamedSource(spec, 0)
+		if err != nil {
+			return nil, err
+		}
+		p = &Path{ScanGroups: src.ScanGroups, Shuffle: src.runner.Shuffle}
 	case plan.Factorized:
-		return NewPartScan(spec, blockPages)
+		ps, err := NewPartScan(spec, 0)
+		if err != nil {
+			return nil, err
+		}
+		p = &Path{ScanGroups: ps.ScanGroups, Parts: ps, Shuffle: ps.Runner.Shuffle}
 	default:
 		return nil, fmt.Errorf("factor: strategy %s is not an access path (Auto is resolved by the planner before training)", s)
 	}
+	p.Width = spec.JoinedWidth() // the constructors validated the spec
+	return p, nil
 }
 
 // MaterializedSource reads joined rows back from a denormalized table T
@@ -69,7 +98,6 @@ type MaterializedSource struct {
 	tbl    *storage.Table
 	name   string
 	counts []int64
-	width  int
 }
 
 // NewMaterializedSource executes the join and writes T into db under name
@@ -79,14 +107,8 @@ func NewMaterializedSource(db *storage.Database, spec *join.Spec, name string) (
 	if err != nil {
 		return nil, err
 	}
-	return &MaterializedSource{
-		db: db, tbl: tbl, name: name, counts: counts,
-		width: spec.JoinedWidth(),
-	}, nil
+	return &MaterializedSource{db: db, tbl: tbl, name: name, counts: counts}, nil
 }
-
-// Width returns the joined feature dimensionality.
-func (s *MaterializedSource) Width() int { return s.width }
 
 // Scan reads T front to back.
 func (s *MaterializedSource) Scan(onRow RowFn) error {
@@ -104,6 +126,9 @@ func (s *MaterializedSource) Scan(onRow RowFn) error {
 // boundaries, including runs of empty blocks (a block whose keys matched
 // no fact tuple still ends a mini-batch in the streamed join).
 func (s *MaterializedSource) ScanGroups(onRow RowFn, onGroupEnd func() error) error {
+	if onGroupEnd == nil {
+		return s.Scan(onRow)
+	}
 	sc := s.tbl.NewScanner()
 	blk := 0
 	// Leading empty blocks fire their boundaries before the first row —
@@ -150,59 +175,44 @@ func (s *MaterializedSource) Close() error { return s.db.DropTable(s.name) }
 // are loaded once and reused across scans.
 type StreamedSource struct {
 	runner *join.Runner
-	width  int
-	// xbuf is the assembled-row buffer ScanGroups reuses across scans; a
-	// Source is scanned sequentially (EM makes one pass per iteration),
-	// so one buffer per source suffices and the per-scan allocation is gone.
-	xbuf []float64
 }
 
-// NewStreamedSource prepares the join runner. blockPages overrides the
-// spec's block size when the spec leaves it at zero.
-func NewStreamedSource(spec *join.Spec, blockPages int) (*StreamedSource, error) {
+// newRunner prepares the join runner of the two re-joining paths over a
+// private copy of the spec. blockPages fills in a block size the spec
+// leaves at zero; only the benchmark harness passes one (Open passes 0 —
+// the spec is where a block size is set).
+func newRunner(spec *join.Spec, blockPages int) (*join.Runner, error) {
 	sp := *spec
 	if sp.BlockPages == 0 {
 		sp.BlockPages = blockPages
 	}
-	runner, err := join.NewRunner(&sp)
+	return join.NewRunner(&sp)
+}
+
+// NewStreamedSource prepares the join runner (see newRunner for blockPages).
+func NewStreamedSource(spec *join.Spec, blockPages int) (*StreamedSource, error) {
+	runner, err := newRunner(spec, blockPages)
 	if err != nil {
 		return nil, err
 	}
-	w := sp.JoinedWidth()
-	return &StreamedSource{runner: runner, width: w, xbuf: make([]float64, w)}, nil
+	return &StreamedSource{runner: runner}, nil
 }
-
-// Width returns the joined feature dimensionality.
-func (s *StreamedSource) Width() int { return s.width }
 
 // Scan re-executes the join, assembling each joined feature vector.
-func (s *StreamedSource) Scan(onRow RowFn) error {
-	return join.StreamWith(s.runner, func(_ int64, x []float64, y float64) error {
-		return onRow(x, y)
-	})
-}
+func (s *StreamedSource) Scan(onRow RowFn) error { return s.ScanGroups(onRow, nil) }
 
 // ScanGroups re-executes the join with block boundaries.
 func (s *StreamedSource) ScanGroups(onRow RowFn, onGroupEnd func() error) error {
-	x := s.xbuf
-	var block []*storage.Tuple
-	return s.runner.Run(join.Callbacks{
-		OnBlockStart: func(b []*storage.Tuple) error { block = b; return nil },
-		OnMatch: func(st *storage.Tuple, r1Idx int, resIdx []int) error {
-			x = s.runner.AppendRow(x[:0], st, block[r1Idx], resIdx)
-			if n := len(x); n != s.width {
-				return fmt.Errorf("factor: assembled %d features, want %d", n, s.width)
-			}
-			return onRow(x, st.Target)
-		},
-		OnBlockEnd: onGroupEnd,
-	})
+	return scanJoin(s.runner, onRow, onGroupEnd)
 }
 
-// Shuffle installs a per-scan permutation of R1's rows (the paper's §VI
-// per-epoch key permutation for SGD); nil restores sequential order. Only
-// the streamed source supports this — a materialized T is fixed on disk.
-func (s *StreamedSource) Shuffle(rng *rand.Rand) { s.runner.Shuffle(rng) }
+// scanJoin is a GroupedScan over a running join: join.StreamWith's rows
+// without their sid.
+func scanJoin(runner *join.Runner, onRow RowFn, onGroupEnd func() error) error {
+	return join.StreamWith(runner, func(_ int64, x []float64, y float64) error {
+		return onRow(x, y)
+	}, onGroupEnd)
+}
 
 // Close is a no-op (nothing was materialized).
 func (s *StreamedSource) Close() error { return nil }

@@ -1,8 +1,9 @@
 // Package gmm implements full-covariance Gaussian Mixture Model training by
 // Expectation-Maximization over normalized relations. Train is the one
-// entry point: it takes the strategy (plan.Strategy), obtains that
-// strategy's access path from factor.Open and runs the same EM over it.
-// The paper's three flavours are its one-line shorthands:
+// entry point: it takes the strategy (plan.Strategy), has factor.Open open
+// that strategy's access path and runs the same EM over it — the factorized
+// driver when the path carries the factorized parts, the dense one
+// otherwise. The paper's three flavours are its one-line shorthands:
 //
 //   - TrainM (M-GMM): materialize the join result T on disk, then run EM
 //     reading T once per iteration.

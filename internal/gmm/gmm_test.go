@@ -107,7 +107,7 @@ func TestExactnessMultiBlock(t *testing.T) {
 	db := openDB(t)
 	spec := synthBinary(t, db, 800, 600, 2, 1) // R: 600 tuples, 16B records
 	spec.BlockPages = 1
-	cfg := Config{K: 2, MaxIter: 4, Tol: 1e-12, BlockPages: 1}
+	cfg := Config{K: 2, MaxIter: 4, Tol: 1e-12}
 	s, err := TrainS(db, spec, cfg)
 	if err != nil {
 		t.Fatal(err)

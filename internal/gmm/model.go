@@ -21,7 +21,9 @@ type Model struct {
 	Covs    []*linalg.Dense // K dense D×D covariance matrices
 }
 
-// Config controls EM training.
+// Config controls EM training — the model and the worker pool, nothing
+// about the join: its block size is a field of the join.Spec, where the
+// join, every access path and the planner all read it.
 type Config struct {
 	K       int     // number of components (required, ≥ 1)
 	MaxIter int     // maximum EM iterations (default 25)
@@ -34,9 +36,6 @@ type Config struct {
 	// factorized trainer then caches a single scalar per dimension tuple
 	// and component (no cross-relation covariance blocks exist).
 	Diagonal bool
-
-	// BlockPages is forwarded to the join spec (0 = join.DefaultBlockPages).
-	BlockPages int
 
 	// Init, when non-nil, warm-starts training from this model instead of
 	// the seeded reservoir initialization: the trainer clones it and runs

@@ -11,14 +11,16 @@ import (
 )
 
 // Train fits a mixture over the join by EM. The three strategies are the
-// same EM over different access paths (factor.Open): the model is
-// initialized over one scan of the rows — the same rows in the same order
-// whatever the path, so every strategy starts from the identical model —
-// and then iterated by the dense driver over a factor.Source (Algorithm 1
-// reading the materialized T, or re-joining on the fly) or by the
-// factorized one over a factor.PartScan (Eq. 7–24). The decomposition is
-// exact, so all three return the same model. A table Materialized writes is
-// dropped when training finishes.
+// same EM over different access paths, and factor.Open hands the path over
+// driver-ready: the model is initialized over one scan of the rows — the
+// same rows in the same order whatever the path, so every strategy starts
+// from the identical model — and then iterated by the factorized driver
+// when the path carries the factorized parts (Eq. 7–24) and by the dense
+// one over its rows otherwise (Algorithm 1 reading the materialized T, or
+// re-joining on the fly). The decomposition is exact, so all three return
+// the same model. Nothing about the join is configured here: its block
+// size is the spec's. A table Materialized writes is dropped when training
+// finishes.
 func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -27,23 +29,23 @@ func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (
 	start := time.Now()
 	io0 := db.Pool().Stats()
 
-	rows, err := factor.Open(db, spec, s, cfg.BlockPages, fmt.Sprintf("T_%s_mgmm", spec.S.Schema().Name))
+	path, err := factor.Open(db, spec, s, fmt.Sprintf("T_%s_mgmm", spec.S.Schema().Name))
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close() //nolint:errcheck // best-effort temp cleanup
-	ps, factorized := rows.(*factor.PartScan)
-	if factorized {
+	defer path.Close() //nolint:errcheck // best-effort temp cleanup
+	ps := path.Parts
+	if ps != nil {
 		ps.Pass = "fgmm.init"
 	}
-	model, n, err := initModel(rows.Scan, rows.Width(), cfg)
+	model, n, err := initModel(path.Scan, path.Width, cfg)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Model: model}
 	switch {
-	case !factorized:
-		err = emDense(rows.Scan, rows.Width(), n, cfg, model, &res.Stats)
+	case ps == nil:
+		err = emDense(path.Scan, path.Width, n, cfg, model, &res.Stats)
 	case cfg.Diagonal:
 		err = emFactorizedDiag(ps, n, cfg, model, &res.Stats)
 	default:
@@ -85,10 +87,9 @@ func TrainF(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) 
 func (c Config) ModelSpec() plan.ModelSpec {
 	c = c.withDefaults()
 	return plan.ModelSpec{
-		Family:     plan.FamilyGMM,
-		K:          c.K,
-		Iters:      c.MaxIter,
-		Diagonal:   c.Diagonal,
-		BlockPages: c.BlockPages,
+		Family:   plan.FamilyGMM,
+		K:        c.K,
+		Iters:    c.MaxIter,
+		Diagonal: c.Diagonal,
 	}
 }

@@ -17,7 +17,11 @@
 // block, S is scanned in full and probed against an in-memory hash of the
 // block. Any further dimension tables (multi-way joins, §V-C) are resident:
 // loaded once at the start, which matches the paper's experimental setup
-// where only R1 grows.
+// where only R1 grows. Spec.BlockPages is the only place a block size is
+// set — no trainer or planner configuration carries another: all three
+// styles cut their blocks by it (so Block-mode mini-batches coincide), and
+// plan.Collect copies it into the statistics the planner prices from, so
+// the pages estimated are the pages read.
 //
 // A snowflake is executed as a star over its direct dimensions. A
 // sub-dimension tuple is functionally determined by its parent tuple, so

@@ -45,7 +45,12 @@ type Spec struct {
 	Ref    []int
 
 	// BlockPages is the number of pages of Rs[0] loaded per block of the
-	// block-nested-loops join. Zero selects DefaultBlockPages.
+	// block-nested-loops join. Zero selects DefaultBlockPages. This is the
+	// only place a block size is set: every access path over the spec —
+	// Materialize, Stream, the factorized match stream — cuts its blocks by
+	// it, and plan.Collect records it in SchemaStats so the planner prices
+	// the same number of fact-table rescans the join will make. No trainer
+	// configuration carries a second copy.
 	BlockPages int
 }
 
@@ -169,19 +174,6 @@ func (sp *Spec) DirectWidths() []int {
 	return w
 }
 
-// FeatureOffsets returns, for each relation in [S, R1, …, Rq] order, the
-// offset of its features within the joined feature vector.
-func (sp *Spec) FeatureOffsets() []int {
-	offs := make([]int, 1+len(sp.Rs))
-	offs[0] = 0
-	acc := sp.S.Schema().NumFeatures()
-	for i, r := range sp.Rs {
-		offs[1+i] = acc
-		acc += r.Schema().NumFeatures()
-	}
-	return offs
-}
-
 // Callbacks receives the join stream.
 //
 // OnBlockStart is called once per block of Rs[0] with the block's tuples.
@@ -229,9 +221,6 @@ func NewRunner(spec *Spec) (*Runner, error) {
 	}
 	return r, nil
 }
-
-// Spec returns the join specification the runner was built from.
-func (r *Runner) Spec() *Spec { return r.spec }
 
 // Shuffle installs a permutation of R1's rows used by subsequent Runs —
 // the paper's per-epoch permutation of R's keys for SGD training (§VI):

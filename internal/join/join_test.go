@@ -260,10 +260,6 @@ func TestMultiwayJoin(t *testing.T) {
 	if got, want := sp.JoinedWidth(), 2+2+4; got != want {
 		t.Fatalf("JoinedWidth = %d, want %d", got, want)
 	}
-	offs := sp.FeatureOffsets()
-	if offs[0] != 0 || offs[1] != 2 || offs[2] != 4 {
-		t.Fatalf("FeatureOffsets = %v", offs)
-	}
 	for _, r := range rows {
 		i := int(r.sid)
 		r1 := i % 5
@@ -306,7 +302,7 @@ func TestBNLLogicalIOCostModel(t *testing.T) {
 	}
 	// Prime resident load (none here) and measure one pass.
 	db.Pool().ResetStats()
-	if err := StreamWith(runner, func(int64, []float64, float64) error { return nil }); err != nil {
+	if err := StreamWith(runner, func(int64, []float64, float64) error { return nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := db.Pool().Stats()

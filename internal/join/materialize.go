@@ -34,8 +34,8 @@ func JoinedSchema(sp *Spec, name string) *storage.Schema {
 }
 
 // Materialize executes the star join and writes the denormalized result T
-// into db under the given name. This is step 1 of the M-* algorithms. The page writes of T are charged to the
-// shared buffer pool's counters.
+// into db under the given name. This is step 1 of the M-* algorithms. The
+// page writes of T are charged to the shared buffer pool's counters.
 //
 // The returned counts slice holds the number of joined tuples produced per
 // R1 block, so a consumer of T can reconstruct the block boundaries (the
@@ -49,27 +49,17 @@ func Materialize(db *storage.Database, sp *Spec, name string) (*storage.Table, [
 	if err != nil {
 		return nil, nil, err
 	}
-	d := sp.JoinedWidth()
-	out := storage.Tuple{Keys: make([]int64, 1), Features: make([]float64, d)}
-
-	var block []*storage.Tuple
+	out := storage.Tuple{Keys: make([]int64, 1)}
 	var counts []int64
-	err = runner.Run(Callbacks{
-		OnBlockStart: func(b []*storage.Tuple) error {
-			block = b
-			counts = append(counts, 0)
-			return nil
-		},
-		OnMatch: func(s *storage.Tuple, r1Idx int, resIdx []int) error {
-			out.Keys[0] = s.Keys[0]
-			out.Target = s.Target
-			out.Features = runner.AppendRow(out.Features[:0], s, block[r1Idx], resIdx)
-			if n := len(out.Features); n != d {
-				return fmt.Errorf("join: assembled %d features, want %d", n, d)
-			}
-			counts[len(counts)-1]++
-			return tTbl.Append(&out)
-		},
+	inBlock := int64(0)
+	err = StreamWith(runner, func(sid int64, x []float64, y float64) error {
+		out.Keys[0], out.Features, out.Target = sid, x, y
+		inBlock++
+		return tTbl.Append(&out)
+	}, func() error {
+		counts = append(counts, inBlock)
+		inBlock = 0
+		return nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -88,12 +78,15 @@ func Stream(sp *Spec, fn func(sid int64, x []float64, y float64) error) error {
 	if err != nil {
 		return err
 	}
-	return StreamWith(runner, fn)
+	return StreamWith(runner, fn, nil)
 }
 
 // StreamWith is Stream over an existing runner (so repeated passes reuse the
-// resident dimension tables, as S-* algorithms do across EM iterations).
-func StreamWith(runner *Runner, fn func(sid int64, x []float64, y float64) error) error {
+// resident dimension tables, as S-* algorithms do across EM iterations) —
+// the one loop that assembles joined rows from a running join. onBlockEnd,
+// when non-nil, runs after the last row of every R1 block, empty blocks
+// included: the group boundary Block-mode mini-batches are cut at.
+func StreamWith(runner *Runner, fn func(sid int64, x []float64, y float64) error, onBlockEnd func() error) error {
 	d := runner.spec.JoinedWidth()
 	x := make([]float64, d)
 	var block []*storage.Tuple
@@ -101,7 +94,11 @@ func StreamWith(runner *Runner, fn func(sid int64, x []float64, y float64) error
 		OnBlockStart: func(b []*storage.Tuple) error { block = b; return nil },
 		OnMatch: func(s *storage.Tuple, r1Idx int, resIdx []int) error {
 			x = runner.AppendRow(x[:0], s, block[r1Idx], resIdx)
+			if n := len(x); n != d {
+				return fmt.Errorf("join: assembled %d features, want %d", n, d)
+			}
 			return fn(s.Keys[0], x, s.Target)
 		},
+		OnBlockEnd: onBlockEnd,
 	})
 }

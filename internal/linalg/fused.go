@@ -99,7 +99,7 @@ func SyrkAccumRows(a *Dense, w []float64, ws int, x []float64, xs int, n int) {
 }
 
 // OuterAccumRows accumulates dst += Σᵢ xᵢ·yᵢᵀ over the n rows of two
-// row-major buffers (x is n×dst.Rows(), y is n×dst.Cols()) — the layer-1
+// row-major buffers (x is n×rows(dst), y is n×cols(dst)) — the layer-1
 // weight gradient ΔᵀX of a whole chunk of examples. Rows are taken two at
 // a time, so each dst element is read and written once per pair instead of
 // once per row.

@@ -34,9 +34,6 @@ func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
-// Cols returns the number of columns.
-func (m *Dense) Cols() int { return m.cols }
-
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {
 	m.checkIndex(i, j)

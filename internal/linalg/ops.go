@@ -72,7 +72,7 @@ func matVec(dst []float64, a *Dense, j0 int, x []float64, add bool) {
 	}
 }
 
-// VecMat computes dst = xᵀ·A (a row vector of length A.Cols()).
+// VecMat computes dst = xᵀ·A (a row vector as long as A has columns).
 func VecMat(dst []float64, x []float64, a *Dense) {
 	if len(x) != a.rows || len(dst) != a.cols {
 		panic(fmt.Sprintf("linalg: vecmat dimension mismatch x=%d A=%dx%d dst=%d", len(x), a.rows, a.cols, len(dst)))
@@ -92,7 +92,7 @@ func VecMat(dst []float64, x []float64, a *Dense) {
 	}
 }
 
-// MatMul computes C = A·B into dst, which must be A.Rows()×B.Cols() and must
+// MatMul computes C = A·B into dst, which must be rows(A)×cols(B) and must
 // not alias a or b.
 func MatMul(dst, a, b *Dense) {
 	if a.cols != b.rows {

@@ -104,9 +104,6 @@ func TestDotAxpyNorm(t *testing.T) {
 	if y[0] != 3 || y[1] != 5 {
 		t.Fatalf("Axpy = %v", y)
 	}
-	if math.Abs(Norm2([]float64{3, 4})-5) > 1e-12 {
-		t.Fatal("Norm2 wrong")
-	}
 }
 
 func TestVecAddSubScaleZero(t *testing.T) {

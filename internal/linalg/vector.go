@@ -64,11 +64,6 @@ func VecZero(x []float64) {
 	}
 }
 
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	return math.Sqrt(Dot(x, x))
-}
-
 // MaxAbsDiffVec returns the largest absolute element-wise difference.
 func MaxAbsDiffVec(x, y []float64) float64 {
 	if len(x) != len(y) {

@@ -136,16 +136,6 @@ func (m *Monitor) Attach(name, kind string, version int, lin *Lineage) {
 	m.models[name] = mm
 }
 
-// Detach drops a model from monitoring.
-func (m *Monitor) Detach(name string) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.models, name)
-}
-
 func baselineOf(l *Lineage) *Baseline {
 	if l == nil {
 		return nil

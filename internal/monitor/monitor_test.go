@@ -179,7 +179,6 @@ func TestNilMonitorIsFree(t *testing.T) {
 	m.ObserveDimUpdate("t", row)
 	m.ObserveQuality("x", 1)
 	m.CheckAll()
-	m.Detach("x")
 	if m.SampleQuality("x") {
 		t.Fatal("nil monitor sampled")
 	}

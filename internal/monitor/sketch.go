@@ -87,15 +87,6 @@ func (s *Sketch) Observe(x float64) {
 	}
 }
 
-// Variance returns the sample variance (0 with fewer than two
-// observations).
-func (s *Sketch) Variance() float64 {
-	if s.Count < 2 {
-		return 0
-	}
-	return s.M2 / float64(s.Count-1)
-}
-
 // Merge folds o into s exactly: the merged moments equal those of
 // observing both input streams, and same-layout histograms add
 // bin-wise. Histograms with different layouts cannot merge.

@@ -67,32 +67,3 @@ func (a Activation) Apply(dst, v []float64) {
 		panic(fmt.Sprintf("nn: unknown activation %d", int(a)))
 	}
 }
-
-// Derivative computes f'(a) element-wise into dst, given both the
-// pre-activations a and the activations h = f(a).
-func (act Activation) Derivative(dst, a, h []float64) {
-	switch act {
-	case Sigmoid:
-		for i := range dst {
-			dst[i] = h[i] * (1 - h[i])
-		}
-	case Tanh:
-		for i := range dst {
-			dst[i] = 1 - h[i]*h[i]
-		}
-	case ReLU:
-		for i := range dst {
-			if a[i] > 0 {
-				dst[i] = 1
-			} else {
-				dst[i] = 0
-			}
-		}
-	case Identity:
-		for i := range dst {
-			dst[i] = 1
-		}
-	default:
-		panic(fmt.Sprintf("nn: unknown activation %d", int(act)))
-	}
-}

@@ -89,14 +89,18 @@ func (a *gradAcc) mergeInto(w *workspace, lossSum *float64, batchN *int, stats *
 // R1-block boundaries under Block updates, where the gradient step runs at
 // a full barrier), workers fold each chunk into a pooled gradAcc, and the
 // accumulators merge in chunk order, so the parameter trajectory is
-// bit-identical for every cfg.NumWorkers value.
-func trainDense(pass factor.GroupedScan, cfg Config, net *Network, stats *Stats) error {
+// bit-identical for every cfg.NumWorkers value. shuffle, when non-nil, runs
+// before every epoch's pass.
+func trainDense(pass factor.GroupedScan, shuffle func(), cfg Config, net *Network, stats *Stats) error {
 	nw := parallel.Workers(cfg.NumWorkers)
 	d := net.Sizes[0]
 	w := newWorkspace(net, &stats.Ops)
 	accPool := newGradAccPool(net, 0)
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		if shuffle != nil {
+			shuffle()
+		}
 		w.zeroGrads()
 		lossSum := 0.0
 		batchN, seen := 0, 0 // examples since the last step / this epoch

@@ -1,8 +1,9 @@
 // Package nn implements feed-forward neural network training (backprop,
 // squared error) over normalized relations. Train is the one entry point: it
-// takes the strategy (plan.Strategy), obtains that strategy's access path
-// from factor.Open and runs the same SGD over it. The paper's three
-// flavours are its one-line shorthands:
+// takes the strategy (plan.Strategy), has factor.Open open that strategy's
+// access path and runs the same SGD over it — the factorized driver when
+// the path carries the factorized parts, the dense one over its grouped
+// scan otherwise. The paper's three flavours are its one-line shorthands:
 //
 //   - TrainM (M-NN): materialize T = S ⋈ R1 ⋈ … on disk, train reading T.
 //   - TrainS (S-NN): identical training, streaming the join per pass.
@@ -23,6 +24,7 @@
 //
 // Two batching regimes are supported, both producing identical parameter
 // trajectories across M/S/F: Epoch (one gradient step per full pass) and
-// Block (one step per R1 block of the join — M-NN reconstructs the block
-// boundaries of T from the materializer's per-block counts).
+// Block (one step per R1 block of the join, cut at the join spec's block
+// size — M-NN reconstructs the block boundaries of T from the
+// materializer's per-block counts).
 package nn

@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"math/rand"
-
 	"factorml/internal/core"
 	"factorml/internal/factor"
 	"factorml/internal/join"
@@ -104,7 +102,8 @@ func (pc *partCaches) ensure(n, nh0, nh1 int, share bool) {
 // private gradAcc, and the accumulators merge in chunk order — so the
 // parameter trajectory is bit-identical for every cfg.NumWorkers value.
 // Cache refills and Block-mode gradient steps happen at full barriers.
-func trainFactorized(ps *factor.PartScan, cfg Config, net *Network, stats *Stats) error {
+// shuffle, when non-nil, runs before every epoch's pass.
+func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Network, stats *Stats) error {
 	ps.Pass = "fnn.sgd"
 	p := ps.Direct
 	nw := parallel.Workers(cfg.NumWorkers)
@@ -155,13 +154,9 @@ func trainFactorized(ps *factor.PartScan, cfg Config, net *Network, stats *Stats
 		stats.Ops.Adds += int64(nh1)
 	}
 
-	var shuffleRng *rand.Rand
-	if cfg.ShuffleSeed != 0 {
-		shuffleRng = rand.New(rand.NewSource(cfg.ShuffleSeed))
-	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if shuffleRng != nil {
-			ps.Runner.Shuffle(shuffleRng) // one permutation per epoch (§VI)
+		if shuffle != nil {
+			shuffle()
 		}
 		w.zeroGrads()
 		lossSum := 0.0

@@ -120,7 +120,10 @@ const (
 	Block
 )
 
-// Config controls training.
+// Config controls training — the network, the update cadence and the
+// worker pool, nothing about the join: its block size (and with it the
+// Block-mode mini-batch) is a field of the join.Spec, where the join,
+// every access path and the planner all read it.
 type Config struct {
 	Hidden []int      // hidden layer sizes (default [50])
 	Act    Activation // hidden activation (default Sigmoid)
@@ -129,9 +132,6 @@ type Config struct {
 	LearningRate float64 // gradient step size (default 0.05)
 	Mode         BatchMode
 	Seed         int64 // weight init seed (default 1)
-
-	// BlockPages is forwarded to the join spec (0 = join.DefaultBlockPages).
-	BlockPages int
 
 	// Init, when non-nil, warm-starts training from this network instead
 	// of a fresh Xavier initialization: the trainer clones it and continues
@@ -154,9 +154,10 @@ type Config struct {
 	// ShuffleSeed, when non-zero, permutes R1's keys before every epoch —
 	// the paper's SGD scheme (§VI). Combined with Mode == Block this gives
 	// stochastic mini-batch training whose batch composition varies per
-	// epoch. Supported by the streaming and factorized trainers (which
-	// produce identical trajectories for the same seed); the materialized
-	// trainer reads a fixed T and rejects it.
+	// epoch. Supported by the access paths that re-join every epoch
+	// (streaming and factorized, which produce identical trajectories for
+	// the same seed); a materialized T is fixed on disk, so that path has
+	// nothing to permute and the seed is refused.
 	ShuffleSeed int64
 
 	// ShareLayer2 enables the paper's §VI-A2 layer-2 sharing scheme.

@@ -12,14 +12,16 @@ import (
 )
 
 // Train fits a network over the join by backprop. The three strategies
-// are the same SGD over different access paths (factor.Open): the dense
-// driver over a factor.Source — reading the materialized T, whose
-// Block-mode mini-batch boundaries are reconstructed from the
-// materializer's per-block tuple counts, or re-joining every epoch — and
-// the factorized one over a factor.PartScan (§VI-A). Mini-batches coincide
-// across the three and the decomposition is exact, so all three follow the
-// same parameter trajectory. A table Materialized writes is dropped when
-// training finishes.
+// are the same SGD over different access paths, and factor.Open hands the
+// path over driver-ready: the factorized driver runs when the path carries
+// the factorized parts (§VI-A), the dense one over its grouped scan
+// otherwise — reading the materialized T, whose Block-mode mini-batch
+// boundaries are reconstructed from the materializer's per-block tuple
+// counts, or re-joining every epoch. Mini-batches coincide across the
+// three and the decomposition is exact, so all three follow the same
+// parameter trajectory. Nothing about the join is configured here: its
+// block size, and so the Block-mode mini-batch, is the spec's. A table
+// Materialized writes is dropped when training finishes.
 func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -28,35 +30,31 @@ func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (
 	if !spec.S.Schema().HasTarget {
 		return nil, fmt.Errorf("nn: fact table %q has no target column", spec.S.Schema().Name)
 	}
-	if s == plan.Materialized && cfg.ShuffleSeed != 0 {
-		return nil, fmt.Errorf("nn: M-NN reads a fixed materialized T and does not support ShuffleSeed; use the streaming or factorized trainer")
-	}
 	start := time.Now()
 	io0 := db.Pool().Stats()
 
-	rows, err := factor.Open(db, spec, s, cfg.BlockPages, fmt.Sprintf("T_%s_mnn", spec.S.Schema().Name))
+	path, err := factor.Open(db, spec, s, fmt.Sprintf("T_%s_mnn", spec.S.Schema().Name))
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close() //nolint:errcheck // best-effort temp cleanup
-	net, err := initNetwork(cfg, rows.Width())
+	defer path.Close() //nolint:errcheck // best-effort temp cleanup
+	var shuffle func() // one permutation of R1's keys per epoch (§VI)
+	if cfg.ShuffleSeed != 0 {
+		if path.Shuffle == nil {
+			return nil, fmt.Errorf("nn: the %s access path reads rows in an order fixed on disk and does not support ShuffleSeed; use the streaming or factorized trainer", s)
+		}
+		rng := rand.New(rand.NewSource(cfg.ShuffleSeed))
+		shuffle = func() { path.Shuffle(rng) }
+	}
+	net, err := initNetwork(cfg, path.Width)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Net: net}
-	switch r := rows.(type) {
-	case *factor.PartScan:
-		err = trainFactorized(r, cfg, net, &res.Stats)
-	case factor.Source:
-		pass := r.ScanGroups
-		if src, ok := r.(*factor.StreamedSource); ok && cfg.ShuffleSeed != 0 {
-			rng := rand.New(rand.NewSource(cfg.ShuffleSeed))
-			pass = func(onRow factor.RowFn, onGroupEnd func() error) error {
-				src.Shuffle(rng) // one permutation per epoch (§VI)
-				return src.ScanGroups(onRow, onGroupEnd)
-			}
-		}
-		err = trainDense(pass, cfg, net, &res.Stats)
+	if path.Parts != nil {
+		err = trainFactorized(path.Parts, shuffle, cfg, net, &res.Stats)
+	} else {
+		err = trainDense(path.ScanGroups, shuffle, cfg, net, &res.Stats)
 	}
 	if err != nil {
 		return nil, err
@@ -100,10 +98,9 @@ func (c Config) ModelSpec() plan.ModelSpec {
 		hidden = c.Init.Sizes[1 : len(c.Init.Sizes)-1]
 	}
 	return plan.ModelSpec{
-		Family:     plan.FamilyNN,
-		Hidden:     hidden,
-		Epochs:     c.Epochs,
-		BlockMode:  c.Mode == Block,
-		BlockPages: c.BlockPages,
+		Family:    plan.FamilyNN,
+		Hidden:    hidden,
+		Epochs:    c.Epochs,
+		BlockMode: c.Mode == Block,
 	}
 }

@@ -202,7 +202,7 @@ func factNNEpoch(sh shape, m ModelSpec, ss *SchemaStats) core.Ops {
 	// block under Block-mode updates, once per epoch otherwise.
 	refills := int64(1)
 	if m.BlockMode {
-		refills = ss.numBlocks(m.BlockPages)
+		refills = ss.numBlocks()
 	}
 	for i, wi := range sh.w {
 		var fill core.Ops
@@ -243,8 +243,10 @@ func factNNEpoch(sh shape, m ModelSpec, ss *SchemaStats) core.Ops {
 // ---------------------------------------------------------------------------
 
 // numBlocks estimates how many R1 blocks one block-nested-loops pass
-// produces (each rescans the fact table once).
-func (ss *SchemaStats) numBlocks(blockPages int) int64 {
+// produces (each rescans the fact table once), at the block size the join
+// spec carried when the statistics were collected.
+func (ss *SchemaStats) numBlocks() int64 {
+	blockPages := ss.BlockPages
 	if blockPages <= 0 {
 		blockPages = join.DefaultBlockPages
 	}
@@ -288,7 +290,7 @@ func estimatePages(ss *SchemaStats, m ModelSpec, s Strategy) int64 {
 	for _, r := range ss.Dims[1:] {
 		resident += r.Stats.Pages
 	}
-	joinPass := ss.Dims[0].Stats.Pages + ss.numBlocks(m.BlockPages)*ss.Fact.Stats.Pages
+	joinPass := ss.Dims[0].Stats.Pages + ss.numBlocks()*ss.Fact.Stats.Pages
 	switch s {
 	case Materialized:
 		tp := ss.tPages()

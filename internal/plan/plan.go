@@ -93,11 +93,15 @@ type Relation struct {
 // (depth-first preorder) order. Parent mirrors join.Spec.Parent (-1 marks a
 // direct dimension; nil means every relation is one, a star): it tells the
 // cost model which relations the factorized pass folds into one part.
+// BlockPages is join.Spec.BlockPages as Collect found it (0 = the join's
+// default): the block size the join will run with is the one priced, and a
+// plan persisted before the field existed loads as the default.
 type SchemaStats struct {
-	Fact      Relation   `json:"fact"`
-	Dims      []Relation `json:"dims"`
-	Parent    []int      `json:"parent,omitempty"`
-	HasTarget bool       `json:"has_target"`
+	Fact       Relation   `json:"fact"`
+	Dims       []Relation `json:"dims"`
+	Parent     []int      `json:"parent,omitempty"`
+	HasTarget  bool       `json:"has_target"`
+	BlockPages int        `json:"block_pages,omitempty"`
 }
 
 // Collect reads the catalog statistics of every relation in the spec.
@@ -113,9 +117,10 @@ func Collect(spec *join.Spec) (*SchemaStats, error) {
 		return nil, err
 	}
 	ss := &SchemaStats{
-		Fact:      Relation{Name: spec.S.Schema().Name, Stats: fs},
-		Parent:    spec.Parent,
-		HasTarget: spec.S.Schema().HasTarget,
+		Fact:       Relation{Name: spec.S.Schema().Name, Stats: fs},
+		Parent:     spec.Parent,
+		HasTarget:  spec.S.Schema().HasTarget,
+		BlockPages: spec.BlockPages,
 	}
 	for _, r := range spec.Rs {
 		rs, err := r.Stats()
@@ -155,6 +160,8 @@ func (f Family) String() string {
 }
 
 // ModelSpec carries the configuration knobs the cost model depends on.
+// The join's block size is not one of them: it belongs to the join
+// (SchemaStats.BlockPages).
 type ModelSpec struct {
 	Family Family
 
@@ -170,10 +177,6 @@ type ModelSpec struct {
 	Hidden    []int
 	Epochs    int
 	BlockMode bool
-
-	// BlockPages is the join's block size (0 = join.DefaultBlockPages); it
-	// sets how many times the fact table is rescanned per pass.
-	BlockPages int
 }
 
 func (m ModelSpec) validate(ss *SchemaStats) error {

@@ -62,9 +62,6 @@ func NewBufferPool(capacity int) *BufferPool {
 	}
 }
 
-// Capacity returns the pool's page capacity.
-func (bp *BufferPool) Capacity() int { return bp.capacity }
-
 // Stats returns a snapshot of the pool counters.
 func (bp *BufferPool) Stats() IOStats {
 	bp.mu.Lock()

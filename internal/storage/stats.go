@@ -3,7 +3,7 @@ package storage
 // TableStats summarizes a relation for the cost-based strategy planner
 // (internal/plan): row and page counts, feature width, and the number of
 // distinct values per foreign-key column — from which the per-level
-// fan-out of a join falls out (FanOut).
+// fan-out of a join falls out (Rows / FKDistinct[i]).
 //
 // Lifecycle: the counters are maintained incrementally at Append/UpdateAt
 // (distinct foreign keys via in-memory sets), persisted into the catalog
@@ -19,17 +19,6 @@ type TableStats struct {
 	Pages      int64   `json:"pages"`
 	Width      int     `json:"width"`
 	FKDistinct []int64 `json:"fk_distinct,omitempty"`
-}
-
-// FanOut returns the average number of this table's rows per distinct
-// value of its i-th foreign-key column (Rows / FKDistinct[i]) — the
-// per-level fan-out the planner prices per-group computation reuse with.
-// It returns 0 when the column is unknown or empty.
-func (s TableStats) FanOut(i int) float64 {
-	if i < 0 || i >= len(s.FKDistinct) || s.FKDistinct[i] == 0 {
-		return 0
-	}
-	return float64(s.Rows) / float64(s.FKDistinct[i])
 }
 
 // clone returns a deep copy.

@@ -42,12 +42,6 @@ func TestTableStatsCollectedAtAppend(t *testing.T) {
 	if s.Pages < 1 {
 		t.Fatalf("Pages = %d, want >= 1", s.Pages)
 	}
-	if got, want := s.FanOut(0), 100.0/7.0; got != want {
-		t.Fatalf("FanOut(0) = %g, want %g", got, want)
-	}
-	if got := s.FanOut(5); got != 0 {
-		t.Fatalf("FanOut out of range = %g, want 0", got)
-	}
 }
 
 func TestTableStatsPersistAndReopen(t *testing.T) {

@@ -263,9 +263,6 @@ func (s *Scanner) Close() error { return nil }
 // or truncates heap files at this granularity; see internal/stream).
 func (t *Table) Path() string { return t.path }
 
-// PathForTest exposes the backing file path (testing only; prefer Path).
-func (t *Table) PathForTest() string { return t.Path() }
-
 // TailPageState reports the heap-file geometry a checkpoint must
 // record to restore this table exactly: the number of full pages, and
 // a copy of the buffered partial tail page (nil when the tail is
