@@ -4,15 +4,21 @@
 GO ?= go
 
 # Total-statement-coverage floor enforced by `make cover` (see
-# scripts/check_coverage.sh; raised with the monitoring PR).
-COVERAGE_BASELINE ?= 71.0
+# scripts/check_coverage.sh): the measured total minus one point, last
+# raised in PR 23 (74.8 % measured).
+COVERAGE_BASELINE ?= 73.8
 
-.PHONY: all build test race bench-harness ab cover serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke fmt vet ci
+.PHONY: all build loc test race bench-harness ab cover serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke fmt vet ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines outside benchmark/: the number a simplicity PR's
+# acceptance quotes. CI echoes it with the build.
+loc:
+	@./scripts/loc.sh
 
 test:
 	$(GO) test ./...

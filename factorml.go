@@ -262,11 +262,12 @@ const (
 // Options configures a database.
 type Options struct {
 	// NumWorkers is the default worker-pool size for training over this
-	// database, used whenever a GMMConfig/NNConfig leaves its own
-	// NumWorkers at zero: 0 = all CPUs, 1 = sequential, n > 1 = n workers.
-	// Note that a per-training NumWorkers of 0 therefore means "inherit
-	// this default", not "all CPUs"; pass runtime.NumCPU() explicitly to
-	// override a sequential default for one call.
+	// database — TrainGMM/TrainNN and a Stream's absorbs and refresh
+	// training alike — used whenever a GMMConfig, NNConfig or StreamPolicy
+	// leaves its own NumWorkers at zero: 0 = all CPUs, 1 = sequential,
+	// n > 1 = n workers. Note that a per-call NumWorkers of 0 therefore
+	// means "inherit this default", not "all CPUs"; pass runtime.NumCPU()
+	// explicitly to override a sequential default for one call.
 	// The trained model is bit-for-bit identical for every value — the
 	// parallel engine's chunk geometry and merge order never depend on the
 	// worker count (see internal/parallel).
@@ -699,9 +700,7 @@ func (ds *Dataset) Stream(fn func(sid int64, features []float64, target float64)
 // in the result's Stats.Plan and the trained model is bit-identical to
 // invoking the chosen strategy directly.
 func TrainGMM(ds *Dataset, algo Algorithm, cfg GMMConfig) (*GMMResult, error) {
-	if cfg.NumWorkers == 0 {
-		cfg.NumWorkers = ds.db.opts.NumWorkers
-	}
+	cfg.NumWorkers = ds.db.workers(cfg.NumWorkers)
 	algo, planned, err := ds.resolve(algo, cfg.ModelSpec())
 	if err != nil {
 		return nil, err
@@ -718,9 +717,7 @@ func TrainGMM(ds *Dataset, algo Algorithm, cfg GMMConfig) (*GMMResult, error) {
 // execution strategy. The fact table must have been created with a target.
 // With Auto, the cost-based planner selects the strategy (see TrainGMM).
 func TrainNN(ds *Dataset, algo Algorithm, cfg NNConfig) (*NNResult, error) {
-	if cfg.NumWorkers == 0 {
-		cfg.NumWorkers = ds.db.opts.NumWorkers
-	}
+	cfg.NumWorkers = ds.db.workers(cfg.NumWorkers)
 	algo, planned, err := ds.resolve(algo, cfg.ModelSpec())
 	if err != nil {
 		return nil, err
@@ -731,6 +728,15 @@ func TrainNN(ds *Dataset, algo Algorithm, cfg NNConfig) (*NNResult, error) {
 	}
 	res.Stats.Plan = planned
 	return res, nil
+}
+
+// workers resolves a GMMConfig's, NNConfig's or StreamPolicy's NumWorkers:
+// zero inherits the database default, Options.NumWorkers.
+func (d *DB) workers(n int) int {
+	if n == 0 {
+		return d.opts.NumWorkers
+	}
+	return n
 }
 
 // resolve turns Auto into the planner's pick for the model, returning the
@@ -964,6 +970,7 @@ func (d *DB) NewStream(fact *FactTable, pol StreamPolicy) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
+	pol.NumWorkers = d.workers(pol.NumWorkers)
 	st, err := stream.New(d.db, ds.spec, stream.Options{
 		Registry:      reg,
 		Policy:        pol,
@@ -1281,6 +1288,7 @@ func NewServer(d *DB, dimTables []string, opts ...ServerOption) (*Server, error)
 		return out, nil
 	}
 
+	o.pol.NumWorkers = d.workers(o.pol.NumWorkers)
 	st, err := stream.New(d.db, spec, stream.Options{
 		Engine:          eng,
 		Registry:        reg,

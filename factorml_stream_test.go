@@ -3,8 +3,12 @@ package factorml
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+
+	"factorml/internal/factor"
 )
 
 // TestPublicAPIStreaming drives the facade's streaming surface: NewStream,
@@ -112,4 +116,101 @@ func TestPublicAPIStreaming(t *testing.T) {
 	if stats.Stream.FactsIngested != 1 || stats.Stream.AttachedModels != 1 {
 		t.Fatalf("statsz stream section: %+v", stats.Stream)
 	}
+}
+
+// TestStreamInheritsDatabaseWorkers pins Options.NumWorkers as the default
+// for refresh training too: a stream whose policy leaves NumWorkers at
+// zero — built by DB.NewStream or by NewServer(WithStream) — trains its
+// refreshes on the database's pool size, as TrainNN does, and an explicit
+// policy value still wins. The pool size is read off the pass observer,
+// with a database default no machine's CPU count equals.
+func TestStreamInheritsDatabaseWorkers(t *testing.T) {
+	dbWorkers := runtime.NumCPU() + 1
+	db, err := Open(t.TempDir(), Options{NumWorkers: dbWorkers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	ds := buildRetail(t, db, 300, 10)
+	orders, err := db.FactTable("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var seen []int // pool size of every pooled pass phase since the last reset
+	factor.SetObserver(func(ev factor.PassEvent) {
+		if ev.Phase == "scan" {
+			return // a scan is sequential by definition
+		}
+		mu.Lock()
+		seen = append(seen, ev.Workers)
+		mu.Unlock()
+	})
+	t.Cleanup(func() { factor.SetObserver(nil) })
+	// trainedOn runs fn and fails unless it trained, on want workers.
+	trainedOn := func(what string, want int, fn func() error) {
+		t.Helper()
+		mu.Lock()
+		seen = seen[:0]
+		mu.Unlock()
+		if err := fn(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(seen) == 0 {
+			t.Fatalf("%s: no training pass observed", what)
+		}
+		for _, w := range seen {
+			if w != want {
+				t.Fatalf("%s: a training pass ran on %d workers, want %d (all passes: %v)", what, w, want, seen)
+			}
+		}
+	}
+
+	var res *NNResult
+	trainedOn("TrainNN", dbWorkers, func() (err error) {
+		res, err = TrainNN(ds, Factorized, NNConfig{Hidden: []int{4}, Epochs: 1})
+		return err
+	})
+	if err := db.SaveNN("orders-nn", res.Net); err != nil {
+		t.Fatal(err)
+	}
+	row := func(sid int64) StreamBatch {
+		return StreamBatch{Facts: []FactRow{{SID: sid, FKs: []int64{3}, Features: []float64{1.5, 7}, Target: 1}}}
+	}
+	refresh := func(st *Stream, sid int64) func() error {
+		return func() error {
+			if _, err := st.Ingest(row(sid)); err != nil {
+				return err
+			}
+			_, err := st.Refresh()
+			return err
+		}
+	}
+
+	st, err := db.NewStream(orders, StreamPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AttachNN("orders-nn", res.Net); err != nil {
+		t.Fatal(err)
+	}
+	trainedOn("NewStream refresh", dbWorkers, refresh(st, 300))
+
+	srv, err := NewServer(db, []string{"items"}, WithStream("orders", StreamPolicy{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainedOn("NewServer(WithStream) refresh", dbWorkers, refresh(srv.Stream(), 301))
+
+	st, err = db.NewStream(orders, StreamPolicy{NumWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AttachNN("orders-nn", res.Net); err != nil {
+		t.Fatal(err)
+	}
+	trainedOn("explicit policy refresh", 1, refresh(st, 302))
 }

@@ -406,7 +406,9 @@ var unreferencedOK = map[string]string{
 // it is declared (a name-level check — it cannot tell two methods of one
 // name apart, which errs towards silence). It also fails when
 // cmd/train/main.go reaches below the public facade, which it was rewritten
-// on so that the CLI cannot drift from the library again.
+// on so that the CLI cannot drift from the library again, and when
+// internal/parallel imports anything under internal/: the scheduler knows
+// nothing of flops or tuples.
 func TestInternalPackagesAreReached(t *testing.T) {
 	reached := make(map[string]bool) // package under internal/ -> imported from outside itself
 	declared := make(map[string]int) // exported func/method name under internal/ -> declarations
@@ -445,6 +447,9 @@ func TestInternalPackagesAreReached(t *testing.T) {
 			}
 			if path == "cmd/train/main.go" {
 				t.Errorf("cmd/train/main.go imports %s; it is written on the public facade", to)
+			}
+			if pkg == "factorml/internal/parallel" {
+				t.Errorf("%s imports %s; internal/parallel schedules work and knows nothing about it", path, to)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

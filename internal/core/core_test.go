@@ -110,7 +110,7 @@ func TestFactQuadMatchesMonolithic(t *testing.T) {
 		caches := make([]*QuadCache, parts-1)
 		for i := 1; i < parts; i++ {
 			caches[i-1] = &QuadCache{}
-			FillQuadCache(caches[i-1], bs, i, p.Slice(x, i), mu, &ops)
+			FillQuadCache(caches[i-1], bs, i, p.Slice(x, i), mu)
 		}
 		pds := make([]float64, dims[0])
 		linalg.VecSub(pds, p.Slice(x, 0), p.Slice(mu, 0))
@@ -127,11 +127,10 @@ func TestFillQuadCacheReusesBuffers(t *testing.T) {
 	p := NewPartition([]int{2, 3})
 	bs := BlockSym(randSPD(rand.New(rand.NewSource(5)), 5), p)
 	mu := make([]float64, 5)
-	var ops Ops
 	c := &QuadCache{}
-	FillQuadCache(c, bs, 1, []float64{1, 2, 3}, mu, &ops)
+	FillQuadCache(c, bs, 1, []float64{1, 2, 3}, mu)
 	pd0 := &c.PD[0]
-	FillQuadCache(c, bs, 1, []float64{4, 5, 6}, mu, &ops)
+	FillQuadCache(c, bs, 1, []float64{4, 5, 6}, mu)
 	if &c.PD[0] != pd0 {
 		t.Fatal("FillQuadCache reallocated PD despite sufficient capacity")
 	}
@@ -207,5 +206,47 @@ func TestOpsMomentCharges(t *testing.T) {
 	o.AddMoments(4, true) // axpy(4) + γ·PD² per column
 	if o.Mul != 12 || o.Adds != 8 {
 		t.Fatalf("AddMoments diagonal: %+v", o)
+	}
+}
+
+// TestUnitsAgainstReferenceAndThemselves checks the cost table on
+// statements no formula line makes: what FactQuad counts at its call sites,
+// plus forming PD_S, is the E-step unit; a dense row is a match of the
+// one-part partition (the q = 0 case of every factorized formula); and
+// layer-2 sharing moves no per-match multiplication — it only adds work per
+// dimension tuple and per refill, which is why it can only cost more
+// (§VI-A2).
+func TestUnitsAgainstReferenceAndThemselves(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, dims := range [][]int{{3, 4}, {2, 3, 2}, {3, 2, 2, 3, 1}} {
+		p := NewPartition(dims)
+		whole := NewPartition([]int{p.D})
+		bs := BlockSym(randSPD(rng, p.D), p)
+		x, mu := make([]float64, p.D), make([]float64, p.D)
+		caches := make([]*QuadCache, p.Parts()-1)
+		for i := range caches {
+			caches[i] = &QuadCache{}
+			FillQuadCache(caches[i], bs, 1+i, p.Slice(x, 1+i), mu)
+		}
+		var ref Ops
+		ref.AddSub(dims[0])
+		FactQuad(bs, p.Slice(x, 0), caches, &ref)
+		if got := NewGMMUnits(p, 1, false).Score; got != ref {
+			t.Errorf("dims %v: E-step unit %+v, FactQuad's call sites count %+v", dims, got, ref)
+		}
+		for _, diagonal := range []bool{false, true} {
+			if dense, match := NewGMMUnits(p, 4, diagonal).DenseRow, NewGMMUnits(whole, 4, diagonal).Match; dense != match {
+				t.Errorf("dims %v diagonal=%v: dense row %+v, one-part match %+v", dims, diagonal, dense, match)
+			}
+		}
+		sizes := []int{p.D, 6, 5, 1}
+		plain, shared := NewNNUnits(p, sizes, false), NewNNUnits(p, sizes, true)
+		if dense, match := plain.DenseRow, NewNNUnits(whole, sizes, false).Match; dense != match {
+			t.Errorf("dims %v: dense example %+v, one-part match %+v", dims, dense, match)
+		}
+		if shared.Match.Mul != plain.Match.Mul || shared.Match.Adds <= plain.Match.Adds ||
+			shared.Fill[1].Mul <= plain.Fill[1].Mul || shared.Refill.Mul == 0 || plain.Refill != (Ops{}) {
+			t.Errorf("dims %v: sharing units %+v vs plain %+v", dims, shared, plain)
+		}
 	}
 }

@@ -1,0 +1,155 @@
+package core
+
+// This file is the cost model: the one place a training kernel's flop
+// formula is written. A unit is what one event of a training pass costs —
+// an event being what a pass does once per datum: score a joined row or a
+// match, fill or flush a dimension tuple's cache, refresh the shared
+// layer-2 bias — as a function of the model's shape alone, nothing about
+// rows, blocks or iterations. The trainers multiply units by the events a
+// run saw, at the merge and barrier points where they already count them
+// (Stats.Ops); internal/plan by the events it predicts from the catalog
+// (Estimate.Ops). Estimate ÷ measured so factors into formulas, which
+// cannot disagree, × counts, which can (a dangling key, early convergence).
+//
+//	dense EM, per row, per component, per iteration (one pass)
+//	    E: sub(d) + quadform(d)
+//	    M: moments(d) = axpy(d) + syrk(d), folded from the E-step's PD
+//	factorized EM, per iteration (one pass), over the fact part and one
+//	part per direct dimension i, wᵢ wide (its whole subtree), mᵢ tuples
+//	    cache fills, per tuple of direct dimension i, per component:
+//	        sub(wᵢ) + quadform(wᵢ) + matvec(dS×wᵢ)          (Eq. 7–12)
+//	    E, per match:  sub(dS) + quadform(dS)
+//	                   + Σᵢ dot(dS) + Σᵢ<ⱼ bilinear(wᵢ×wⱼ)   (Eq. 19–21)
+//	    M, per match:  moments(dS) + q·axpy(dS) + Σᵢ<ⱼ outer(wᵢ,wⱼ)
+//	    M, per tuple:  moments(wᵢ) + outer(dS,wᵢ) through the cached PD —
+//	        upper blocks and triangles only, mirrored once (Eq. 22–24)
+//
+// and the NN equivalents (§VI-A1/A3). The join runner resolves a snowflake's
+// sub-dimension hops once per dimension tuple and hands the trainers a star
+// over the direct dimensions, so sub-dimension relations contribute width to
+// their direct ancestor's part and no part, cache or cross term of their
+// own: what a wide sub-dimension costs is its width once per *parent*
+// tuple, which is what these formulas charge.
+//
+// The independent checks on the table count where the work is done, or in
+// closed form: FactQuad and gmm.Scorer's unfused loop — the reference the
+// fused E-step kernel is pinned to — charge term by term at their call
+// sites, and TestFusedKernelMatchesReference compares that count with
+// GMMUnits.Score; TestSigmaStepSavingRateMatchesClosedForm,
+// TestForwardSavingMatchesClosedForm and TestShareLayer2ExactAndCostsMore
+// hold the paper's closed forms. The root TestEstimateEqualsMeasuredGrid
+// pins estimate to measured for every model and strategy.
+
+// GMMUnits are the per-event charges of one EM iteration, all K components
+// included. Fill and Flush are indexed by dimension part (1 … q; entry 0,
+// the fact part, is unused).
+type GMMUnits struct {
+	DenseRow Ops   // a joined row through the dense trainer: E-step and moment fold
+	Score    Ops   // a match through the factorized E-step alone — what FactQuad's call sites charge
+	Match    Ops   // a match through the factorized trainer: Score, the fact part's moments, the group scatter and the dimension–dimension cross blocks
+	Fill     []Ops // a tuple of dimension part i: its E-step cache
+	Flush    []Ops // a tuple of dimension part i: its group sums folded into the moments
+}
+
+// NewGMMUnits prices a K-component mixture over partition p (part 0 the
+// fact relation, p.D the joined width a dense row has). A diagonal
+// covariance has no blocks: each part pays for its own columns only.
+func NewGMMUnits(p Partition, k int, diagonal bool) GMMUnits {
+	dS, parts := p.Dims[0], p.Parts()
+	u := GMMUnits{Fill: make([]Ops, parts), Flush: make([]Ops, parts)}
+	var dense, score, scatter Ops // per component
+	if diagonal {
+		dense.AddDiagQuad(p.D)
+		score.AddDiagQuad(dS)
+		score.Adds += int64(parts - 1) // the cached shares of the quadratic form
+	} else {
+		dense.AddSub(p.D) // PD
+		dense.AddQuadForm(p.D)
+		score.AddSub(dS) // PD_S
+		score.AddQuadForm(dS)
+	}
+	dense.AddMoments(p.D, diagonal) // from the E-step's PD
+	for i := 1; i < parts; i++ {
+		wi := p.Dims[i]
+		var fill, flush Ops
+		if diagonal {
+			fill.AddDiagQuad(wi)
+			flush.AddSub(wi) // PD, re-formed: a diagonal cache is one scalar
+		} else {
+			fill.AddSub(wi) // PD
+			fill.AddQuadForm(wi)
+			fill.AddMatVec(dS, wi) // CrossS
+			flush.AddOuter(dS, wi) // S-R cross block (upper)
+			score.AddDot(dS)       // 2·PD_S·CrossS + Self
+			score.Adds += 3
+			score.Mul++
+			scatter.AddAxpy(dS) // γ·PD_S into the tuple's group sum
+			for j := i + 1; j < parts; j++ {
+				score.AddBilinear(wi, p.Dims[j]) // dimension–dimension cross term
+				score.Adds++
+				score.Mul++
+				scatter.AddOuter(wi, p.Dims[j]) // and its cross block (upper)
+			}
+		}
+		flush.AddMoments(wi, diagonal) // through the cached PD
+		u.Fill[i], u.Flush[i] = fill.Scale(int64(k)), flush.Scale(int64(k))
+	}
+	match := score.Plus(scatter)
+	match.AddMoments(dS, diagonal) // the fact part, from the E-step's PD_S
+	u.DenseRow, u.Score, u.Match = dense.Scale(int64(k)), score.Scale(int64(k)), match.Scale(int64(k))
+	return u
+}
+
+// NNUnits are the per-event charges of one SGD epoch. Fill is indexed by
+// dimension part (1 … q; entry 0 is unused).
+type NNUnits struct {
+	DenseRow Ops   // an example through the dense trainer: forward, backward, input-layer gradient
+	Match    Ops   // a match through the factorized trainer: layer 1 from the fact part plus the cached parts, then the dense path's upper layers and backward pass (Eq. 28–29)
+	Fill     []Ops // a tuple of dimension part i: W₀ᵢ·xᵢ (and W₁·that under layer-2 sharing)
+	Refill   Ops   // the shared layer-2 bias W₁·b₀ + b₁, once per refill of the resident caches; zero without sharing
+}
+
+// NewNNUnits prices a network with layer sizes [d, hidden…, 1] over
+// partition p (p.D == sizes[0]). shareLayer2 selects the §VI-A2 scheme,
+// which needs two hidden layers.
+func NewNNUnits(p Partition, sizes []int, shareLayer2 bool) NNUnits {
+	layers := len(sizes) - 1
+	d, dS, nh0, q := sizes[0], p.Dims[0], sizes[1], p.Parts()-1
+
+	// From the first hidden layer up, back down, and the input-layer
+	// gradient ΔᵀX — which reads every column of the joined row whichever
+	// way the forward pass got there.
+	var upper Ops
+	for l := 1; l < layers; l++ {
+		upper.AddMatVec(sizes[l+1], sizes[l])
+		upper.Adds += int64(sizes[l+1]) // bias
+	}
+	upper.Adds++ // o − y
+	for l := layers - 1; l >= 1; l-- {
+		upper.AddOuterPlain(sizes[l+1], sizes[l]) // layer l's weight gradient
+		upper.Adds += int64(sizes[l+1])           // and bias gradient
+		upper.AddMatVec(sizes[l], sizes[l+1])     // δ^{l-1} = W_lᵀ·δ^l …
+		upper.Mul += int64(sizes[l])              // … ⊙ f'(a^{l-1})
+	}
+	upper.AddOuterPlain(nh0, d)
+	upper.Adds += int64(nh0) // input-layer bias gradient
+
+	u := NNUnits{DenseRow: upper, Match: upper, Fill: make([]Ops, p.Parts())}
+	u.DenseRow.AddMatVec(nh0, d)
+	u.DenseRow.Adds += int64(nh0)           // bias
+	u.Match.AddMatVec(nh0, dS)              // W₀ₛ·xₛ
+	u.Match.Adds += int64(q+1) * int64(nh0) // the q cached parts and the bias
+	for i := 1; i <= q; i++ {
+		u.Fill[i].AddMatVec(nh0, p.Dims[i])
+	}
+	if shareLayer2 {
+		nh1 := sizes[2]
+		u.Match.Adds += int64(q) * int64(nh1) // the q cached layer-2 shares
+		for i := 1; i <= q; i++ {
+			u.Fill[i].AddMatVec(nh1, nh0)
+		}
+		u.Refill.AddMatVec(nh1, nh0)
+		u.Refill.Adds += int64(nh1)
+	}
+	return u
+}

@@ -13,6 +13,11 @@
 //     tuple — the source of F-GMM's savings.
 //   - Ops: floating-point operation counters, so the paper's closed-form
 //     saving rate Δτ/τ (§V-B) can be verified against measured counts.
+//   - GMMUnits / NNUnits (cost.go): the cost model, written once — what
+//     one event of a training pass (a row or match scored, a dimension
+//     tuple's cache filled or flushed) costs in Ops. Trainers multiply it
+//     by the events a run saw, the planner by the events it predicts; only
+//     FactQuad, the reference the units are checked against, counts itself.
 //
 // Every decomposition here is exact: no approximation is introduced, which
 // is why the M-, S- and F- algorithm families produce identical models.

@@ -1,15 +1,13 @@
 package core
 
 // Ops counts floating-point operations attributed to the training math
-// (join bookkeeping excluded). Trainers charge analytic counts at each
-// kernel call site — e.g. a d×d quadratic form charges d² multiplications —
-// which is exactly the accounting the paper's §V-B saving-rate analysis
-// uses, so the closed form Δτ/τ can be checked against these counters.
-//
-// The same accounting doubles as the planner's cost model: internal/plan
-// composes per-kernel Ops with Scale and Add to price a whole training run
-// per strategy before it starts, so estimated and measured counters are
-// directly comparable.
+// (join bookkeeping excluded), analytically: a d×d quadratic form is d²
+// multiplications, which is exactly the accounting the paper's §V-B
+// saving-rate analysis uses, so the closed form Δτ/τ can be checked against
+// these counters. The methods below are the per-kernel primitives; cost.go
+// composes them into the per-event units that the trainers (measured,
+// Stats.Ops) and the planner (estimated, plan.Estimate.Ops) both multiply
+// by event counts, so the two are directly comparable.
 type Ops struct {
 	Mul  int64 // multiplications
 	Adds int64 // additions and subtractions
@@ -54,8 +52,7 @@ func (o *Ops) AddSyrk(d int) {
 // EM iteration's first and second moments: s1 += γ·PD is an axpy, and the
 // second moment is the upper triangle of γ·PD·PDᵀ (AddSyrk) for a full
 // covariance or its diagonal γ·PD² — two multiplies and one add per
-// column — for a diagonal one. The GMM trainers and the planner's cost
-// model both charge through it.
+// column — for a diagonal one.
 func (o *Ops) AddMoments(d int, diagonal bool) {
 	o.AddAxpy(d)
 	if diagonal {
@@ -98,8 +95,7 @@ func (o *Ops) AddAxpy(n int) {
 	o.Adds += int64(n)
 }
 
-// Add merges another counter into o in place, so planner estimates and
-// measured per-chunk counters compose without field-by-field copying.
+// Add merges another counter into o in place.
 func (o *Ops) Add(b Ops) {
 	o.Mul += b.Mul
 	o.Adds += b.Adds

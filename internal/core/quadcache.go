@@ -24,8 +24,9 @@ type QuadCache struct {
 // FillQuadCache computes the cache for dimension part i (i ≥ 1) of the
 // partition, given the dimension tuple's features xr, the component mean µ
 // (full joined width) and the blocked inverse covariance. It reuses dst's
-// slices when capacities allow and charges the work to ops.
-func FillQuadCache(dst *QuadCache, bs *BlockedSym, i int, xr []float64, mu []float64, ops *Ops) {
+// slices when capacities allow. Filling a tuple's K component caches costs
+// GMMUnits.Fill[i].
+func FillQuadCache(dst *QuadCache, bs *BlockedSym, i int, xr []float64, mu []float64) {
 	p := bs.P
 	di := p.Dims[i]
 	d0 := p.Dims[0]
@@ -35,24 +36,23 @@ func FillQuadCache(dst *QuadCache, bs *BlockedSym, i int, xr []float64, mu []flo
 	dst.PD = dst.PD[:di]
 	muI := p.Slice(mu, i)
 	linalg.VecSub(dst.PD, xr, muI)
-	ops.AddSub(di)
-
 	dst.Self = linalg.QuadForm(bs.B[i][i], dst.PD)
-	ops.AddQuadForm(di)
 
 	if cap(dst.CrossS) < d0 {
 		dst.CrossS = make([]float64, d0)
 	}
 	dst.CrossS = dst.CrossS[:d0]
 	linalg.MatVec(dst.CrossS, bs.B[0][i], dst.PD)
-	ops.AddMatVec(d0, di)
 }
 
 // FactQuad completes the quadratic form (x−µ)ᵀ I (x−µ) for one fact tuple:
 // pds is the fact part PD_S = x_S − µ_S (already formed by the caller),
 // caches holds one QuadCache per dimension part (index 0 ↔ part 1).
 // Cross terms between two dimension parts (multi-way case, paper Eq. 19
-// with i≠j, i,j ≥ 1) are evaluated through the cached PDs.
+// with i≠j, i,j ≥ 1) are evaluated through the cached PDs. It is the
+// reference the fused E-step kernel is pinned to, and so the one kernel
+// that still charges ops term by term where the work is done: its count is
+// the independent check on GMMUnits.Score (see cost.go).
 func FactQuad(bs *BlockedSym, pds []float64, caches []*QuadCache, ops *Ops) float64 {
 	q := linalg.QuadForm(bs.B[0][0], pds)
 	ops.AddQuadForm(len(pds))

@@ -30,7 +30,7 @@ func TestFillQuadCacheZeroWidthDimension(t *testing.T) {
 	caches := make([]*QuadCache, 2)
 	for i := 1; i <= 2; i++ {
 		caches[i-1] = &QuadCache{}
-		FillQuadCache(caches[i-1], bs, i, p.Slice(x, i), mu, &ops)
+		FillQuadCache(caches[i-1], bs, i, p.Slice(x, i), mu)
 	}
 	if len(caches[0].PD) != 0 {
 		t.Fatalf("zero-width PD has length %d", len(caches[0].PD))

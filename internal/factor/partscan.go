@@ -12,9 +12,8 @@ import (
 // PartScan is the factorized access path: the block-nested-loops join
 // runner paired with the partition the trainers factorize over. Factorized
 // trainers fill per-dimension-tuple caches through FillCaches (parallel,
-// disjoint slots, deterministic op accounting), then stream the matches in
-// fixed chunks on the worker pool (RunChunks) and fold model-specific
-// accumulators per chunk.
+// disjoint slots), then stream the matches in fixed chunks on the worker
+// pool (RunChunks) and fold model-specific accumulators per chunk.
 //
 // The runner delivers every direct dimension's tuples with their subtree's
 // features appended, so the trainers' partition is Direct — the fact part
@@ -96,22 +95,21 @@ func (ps *PartScan) RunChunks(workers int, cb join.ParallelCallbacks) error {
 }
 
 // FillCaches fills one per-tuple cache slot for every tuple on the worker
-// pool: indexes are cut into fixed grains, each grain charges a private op
-// counter, and the counters merge in grain order into total — so both the
-// cache contents (disjoint slots) and the accounting are identical for
-// every worker count.
-func (ps *PartScan) FillCaches(workers int, tuples []*storage.Tuple, total *core.Ops,
-	fill func(i int, tp *storage.Tuple, ops *core.Ops) error) error {
+// pool: indexes are cut into fixed grains and the slots are disjoint, so
+// the cache contents are identical for every worker count. What a fill
+// costs is the caller's to charge: its model's per-tuple fill unit
+// (internal/core) × len(tuples).
+func (ps *PartScan) FillCaches(workers int, tuples []*storage.Tuple, fill func(i int, tp *storage.Tuple) error) error {
 	m := observePass(ps.Pass, "cache_fill", workers)
 	if m != nil {
 		m.rows.Store(int64(len(tuples)))
 	}
-	return m.done(parallel.RunRange(workers, len(tuples), func(s, e int, ops *core.Ops) error {
+	return m.done(parallel.RunRange(workers, len(tuples), func(s, e int) error {
 		for i := s; i < e; i++ {
-			if err := fill(i, tuples[i], ops); err != nil {
+			if err := fill(i, tuples[i]); err != nil {
 				return err
 			}
 		}
 		return nil
-	}, total))
+	}))
 }

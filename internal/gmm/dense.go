@@ -3,6 +3,7 @@ package gmm
 import (
 	"sync"
 
+	"factorml/internal/core"
 	"factorml/internal/factor"
 	"factorml/internal/linalg"
 	"factorml/internal/parallel"
@@ -50,13 +51,13 @@ func emDense(scan func(onRow factor.RowFn) error, d, n int, cfg Config, model *M
 		}
 	}}
 	total := newMoments(k, d, cfg.Diagonal)
+	perRow := core.NewGMMUnits(core.NewPartition([]int{d}), k, cfg.Diagonal).DenseRow
 
 	return runEM(cfg, stats, func() (float64, error) {
 		ev, err := model.newEvaluator(cfg.Diagonal)
 		if err != nil {
 			return 0, err
 		}
-		rowOps := ev.rowOps.Plus(total.rowOps)
 		ll := 0.0
 		total.zero()
 		err = factor.RunRowPass(name, nw, d, scan, factor.PassHooks{
@@ -89,7 +90,7 @@ func emDense(scan func(onRow factor.RowFn) error, d, n int, cfg Config, model *M
 		if err != nil {
 			return 0, err
 		}
-		stats.Ops.Add(rowOps.Scale(int64(n)))
+		stats.Ops.Add(perRow.Scale(int64(n)))
 		total.update(model, n, cfg.RegEps)
 		return ll, nil
 	})

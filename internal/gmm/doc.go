@@ -33,6 +33,13 @@
 // are reused; cross-dimension blocks are evaluated per joined tuple through
 // the cached PDs).
 //
+// Flop accounting: no kernel counts its own operations. Stats.Ops is
+// internal/core's per-event units (core.GMMUnits) × the events this run saw
+// — rows per pass, matches per merged chunk, tuples per fill and flush —
+// and the planner multiplies the same units by the counts it predicts. Only
+// the unfused scoring loop, the fused kernel's reference, charges at its
+// call sites: that is what checks the units.
+//
 // Numerical notes: responsibilities are computed in log space with
 // log-sum-exp (this affects all three algorithms identically, so exactness
 // of the comparison is preserved), covariances get a small diagonal

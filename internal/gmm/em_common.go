@@ -3,15 +3,16 @@ package gmm
 import (
 	"math"
 
-	"factorml/internal/core"
 	"factorml/internal/linalg"
 )
 
-// collapseFloor is the responsibility mass below which a component is
+// CollapseFloor is the responsibility mass below which a component is
 // considered collapsed; its parameters are then frozen for the iteration.
 // The check is applied identically by the dense and factorized trainers
-// (the Nk accumulation order is the same), so exactness is preserved.
-const collapseFloor = 1e-12
+// (the Nk accumulation order is the same), so exactness is preserved, and
+// by stream.GMMStats.Step, whose incremental refresh must freeze exactly
+// the components one warm-started iteration here would.
+const CollapseFloor = 1e-12
 
 // foldBlockRows is how many rows the dense trainers score before folding
 // them into the moments together (moments.foldRows takes rows four at a
@@ -33,7 +34,6 @@ type moments struct {
 	nk       []float64
 	s1       [][]float64
 	s2       []*linalg.Dense
-	rowOps   core.Ops // charge of folding one row (all K components)
 }
 
 func newMoments(k, d int, diagonal bool) *moments {
@@ -46,8 +46,6 @@ func newMoments(k, d int, diagonal bool) *moments {
 		m.s1[c] = make([]float64, d)
 		m.s2[c] = linalg.NewDense(rows, d)
 	}
-	m.rowOps.AddMoments(d, diagonal)
-	m.rowOps = m.rowOps.Scale(int64(k))
 	return m
 }
 
@@ -72,7 +70,7 @@ func (m *moments) add(o *moments) {
 
 // foldRows adds n rows: gamma holds their K responsibilities each, row
 // after row, and pd their K deviations x − µ_c each, every one as wide as
-// the moments. The caller charges rowOps per row.
+// the moments.
 func (m *moments) foldRows(gamma, pd []float64, n int) {
 	k, d := len(m.s1), len(m.s1[0])
 	for c := 0; c < k; c++ {
@@ -113,7 +111,7 @@ func foldDiag(v2 []float64, w float64, pd []float64) {
 func (m *moments) update(model *Model, n int, regEps float64) {
 	for c, dv := range m.s1 {
 		model.Weights[c] = m.nk[c] / float64(n)
-		if m.nk[c] < collapseFloor {
+		if m.nk[c] < CollapseFloor {
 			continue
 		}
 		inv := 1 / m.nk[c]

@@ -84,7 +84,6 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 	// cache arrays.
 	type chunkAcc struct {
 		ll      float64
-		ops     core.Ops
 		matches []join.Match
 		gamma   []float64
 		pds     []float64
@@ -119,21 +118,8 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 		resCache[j] = make([]core.QuadCache, len(ps.Resident(j))*k)
 	}
 
-	// Analytic charges: per match, what the merge scatters; per (dimension
-	// tuple, component), what a flush folds.
-	var scatterOps core.Ops
-	for a := 0; a < q; a++ {
-		scatterOps.AddAxpy(dS)
-		for b := a + 1; b < q; b++ {
-			scatterOps.AddOuter(p.Dims[1+a], p.Dims[1+b])
-		}
-	}
-	scatterOps = scatterOps.Scale(int64(k))
-	flushOps := make([]core.Ops, p.Parts())
-	for part := 1; part <= q; part++ {
-		flushOps[part].AddMoments(p.Dims[part], false)
-		flushOps[part].AddOuter(dS, p.Dims[part])
-	}
+	// Charged × the events seen: tuples per fill and flush, matches per chunk.
+	units := core.NewGMMUnits(p, k, false)
 
 	// flush folds one dimension part's group sums into the moments:
 	//   Σ_n γ PD_R       = (Σ_{n∈group} γ) · PD_R
@@ -147,7 +133,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 			linalg.SyrkAccum(acc[c].B[part][part], g.w[i], pd)
 			linalg.OuterAccum(acc[c].B[0][part], 1, g.gv[i*dS:(i+1)*dS], pd)
 		}
-		stats.Ops.Add(flushOps[part].Scale(int64(len(caches))))
+		stats.Ops.Add(units.Flush[part].Scale(int64(len(caches) / k)))
 	}
 
 	ps.Pass = "fgmm.em"
@@ -163,19 +149,21 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 			acc[c].Zero()
 		}
 
-		// Resident caches are filled once per iteration (parallel fill,
-		// disjoint (tuple, component) slots).
-		for j := 0; j < q-1; j++ {
-			rj := resCache[j]
-			part := 2 + j
-			res[j].reset(len(rj), dS)
-			err = ps.FillCaches(nw, ps.Resident(j), &stats.Ops, func(t int, tp *storage.Tuple, ops *core.Ops) error {
+		// fill computes a dimension part's K caches per tuple (parallel,
+		// disjoint (tuple, component) slots); the resident parts' once per
+		// iteration.
+		fill := func(part int, tuples []*storage.Tuple, dst []core.QuadCache) error {
+			stats.Ops.Add(units.Fill[part].Scale(int64(len(tuples))))
+			return ps.FillCaches(nw, tuples, func(t int, tp *storage.Tuple) error {
 				for c := 0; c < k; c++ {
-					core.FillQuadCache(&rj[t*k+c], states[c].blocked, part, tp.Features, model.Means[c], ops)
+					core.FillQuadCache(&dst[t*k+c], states[c].blocked, part, tp.Features, model.Means[c])
 				}
 				return nil
 			})
-			if err != nil {
+		}
+		for j := 0; j < q-1; j++ {
+			res[j].reset(len(resCache[j]), dS)
+			if err := fill(2+j, ps.Resident(j), resCache[j]); err != nil {
 				return 0, err
 			}
 		}
@@ -189,16 +177,11 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				}
 				blkCache = blkCache[:need]
 				blk.reset(need, dS)
-				return ps.FillCaches(nw, block, &stats.Ops, func(i int, tp *storage.Tuple, ops *core.Ops) error {
-					for c := 0; c < k; c++ {
-						core.FillQuadCache(&blkCache[i*k+c], states[c].blocked, 1, tp.Features, model.Means[c], ops)
-					}
-					return nil
-				})
+				return fill(1, block, blkCache)
 			},
 			NewState: func() any {
 				a := pool.Get().(*chunkAcc)
-				a.ll, a.ops = 0, core.Ops{}
+				a.ll = 0
 				a.fact.zero()
 				return a
 			},
@@ -219,11 +202,10 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 					}
 					g := a.gamma[i*k : (i+1)*k]
 					pds := a.pds[i*k*dS : (i+1)*k*dS]
-					hot.scoreRow(m.S.Features, a.caches, pds, a.logp, &a.ops)
+					hot.scoreRow(m.S.Features, a.caches, pds, a.logp)
 					a.ll += linalg.SoftmaxLSE(g, a.logp)
 				}
 				a.fact.foldRows(a.gamma, a.pds, len(matches))
-				a.ops.Add(a.fact.rowOps.Scale(int64(len(matches))))
 				return nil
 			},
 			OnChunkMerged: func(state any) error {
@@ -253,8 +235,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 						}
 					}
 				}
-				stats.Ops.Add(a.ops)
-				stats.Ops.Add(scatterOps.Scale(int64(len(a.matches))))
+				stats.Ops.Add(units.Match.Scale(int64(len(a.matches))))
 				a.matches = nil
 				pool.Put(a)
 				return nil

@@ -26,8 +26,8 @@ import (
 // kernel, so all same-code bit-identity guarantees (worker sweeps,
 // incremental-vs-full refresh, crash replay) are preserved by
 // construction; the cross-strategy harnesses tolerate rounding (1e-9).
-// The op accounting is analytic and matches the unfused call sites
-// exactly.
+// The kernel counts nothing: a call costs core.GMMUnits.Score, which the
+// same test pins to what the unfused call sites charge.
 
 // pairBlock is one flattened cross block B[i+1][j+1] (i<j dimension parts)
 // of a component's blocked inverse covariance.
@@ -49,9 +49,8 @@ type hotComp struct {
 // compState matrices (no copies) and is immutable after construction, so
 // it is safe for concurrent scoreRow calls with private scratch.
 type hotState struct {
-	comps  []hotComp
-	dS     int
-	rowOps core.Ops // op charge of one full-row scoreRow call (all K)
+	comps []hotComp
+	dS    int
 }
 
 // buildHot flattens precomputed component states into the fused kernel's
@@ -74,25 +73,6 @@ func buildHot(m *Model, p core.Partition, states []compState) *hotState {
 			}
 		}
 	}
-	// The per-row op count is a pure function of the partition shape, so it
-	// is charged in one Add per row instead of ~K·(4+3q) method calls. The
-	// accounting below mirrors the unfused call sites term for term.
-	var o core.Ops
-	o.AddSub(dS)
-	o.AddQuadForm(dS)
-	for j := 1; j <= q; j++ {
-		o.AddDot(dS)
-		o.Adds += 3
-		o.Mul++
-	}
-	for i := 1; i <= q; i++ {
-		for j := i + 1; j <= q; j++ {
-			o.AddBilinear(p.Dims[i], p.Dims[j])
-			o.Adds++
-			o.Mul++
-		}
-	}
-	hs.rowOps = o.Scale(int64(m.K))
 	return hs
 }
 
@@ -103,7 +83,7 @@ func buildHot(m *Model, p core.Partition, states []compState) *hotState {
 // the factorized trainer folds its M-step moments from them. The
 // evaluation order is fixed (deterministic bits for identical inputs);
 // see the file comment for how it relates to the unfused reference.
-func (hs *hotState) scoreRow(xs []float64, caches [][]core.QuadCache, allPDS, logp []float64, ops *core.Ops) {
+func (hs *hotState) scoreRow(xs []float64, caches [][]core.QuadCache, allPDS, logp []float64) {
 	dS := hs.dS
 	xs = xs[:dS]
 	logp = logp[:len(hs.comps)]
@@ -211,5 +191,4 @@ func (hs *hotState) scoreRow(xs []float64, caches [][]core.QuadCache, allPDS, lo
 		}
 		logp[c] = hc.logK - 0.5*q
 	}
-	ops.Add(hs.rowOps)
 }

@@ -51,7 +51,9 @@ func fusedTestModel(t *testing.T, rng *rand.Rand, K, D int) *Model {
 // against the unfused per-term reference on one-dimension and multi-way
 // partitions: log-densities agree to rounding (the fused kernel's blocked
 // multi-accumulator sums are a different — but fixed — summation order),
-// the op accounting is identical, and repeated fused evaluations are
+// the cost model's E-step unit (core.GMMUnits.Score, what the trainer
+// charges per match scored) equals what the unfused call sites count, and
+// repeated fused evaluations are
 // bit-identical (the determinism every worker-sweep and
 // incremental-vs-full harness rests on).
 func TestFusedKernelMatchesReference(t *testing.T) {
@@ -105,9 +107,9 @@ func TestFusedKernelMatchesReference(t *testing.T) {
 						dims, trial, c, f, u, d)
 				}
 			}
-			if scF.Ops != scU.Ops {
-				t.Fatalf("dims %v trial %d: fused ops %+v != unfused ops %+v",
-					dims, trial, scF.Ops, scU.Ops)
+			if unit := core.NewGMMUnits(p, m.K, false).Score; unit != scU.Ops {
+				t.Fatalf("dims %v trial %d: E-step unit %+v != unfused call-site ops %+v",
+					dims, trial, unit, scU.Ops)
 			}
 			// Re-evaluating with the fused kernel must reproduce the bits.
 			first := append([]float64(nil), scF.logp...)
@@ -117,7 +119,7 @@ func TestFusedKernelMatchesReference(t *testing.T) {
 					t.Fatalf("dims %v trial %d comp %d: fused kernel not deterministic", dims, trial, c)
 				}
 			}
-			scF.Ops, scU.Ops = core.Ops{}, core.Ops{}
+			scU.Ops = core.Ops{}
 		}
 	}
 }

@@ -109,21 +109,16 @@ func emFactorizedDiag(ps *factor.PartScan, n int, cfg Config, model *Model, stat
 		qRes[j] = make([]float64, len(ps.Resident(j))*k)
 	}
 
-	// Analytic charges: per match, the fact part's quadratic form plus the
-	// q cached shares; per (dimension tuple, component), the flush.
-	var matchOps core.Ops
-	matchOps.AddDiagQuad(dS)
-	matchOps.Adds += int64(q)
-	matchOps = matchOps.Scale(int64(k)).Plus(fact.rowOps)
+	units := core.NewGMMUnits(p, k, true) // charged as in emFactorized
 
 	// fill caches one dimension part's share of every component's
 	// quadratic form per tuple.
 	fill := func(part int, tuples []*storage.Tuple, dst []float64, states []diagState) error {
 		off, w := p.Offs[part], p.Dims[part]
-		return ps.FillCaches(nw, tuples, &stats.Ops, func(t int, tp *storage.Tuple, ops *core.Ops) error {
+		stats.Ops.Add(units.Fill[part].Scale(int64(len(tuples))))
+		return ps.FillCaches(nw, tuples, func(t int, tp *storage.Tuple) error {
 			for c := 0; c < k; c++ {
 				dst[t*k+c] = diagQuad(tp.Features, model.Means[c][off:off+w], states[c].invVar[off:off+w])
-				ops.AddDiagQuad(w)
 			}
 			return nil
 		})
@@ -138,10 +133,7 @@ func emFactorizedDiag(ps *factor.PartScan, n int, cfg Config, model *Model, stat
 				foldDiag(total.s2[c].Row(0)[off:off+w], g.w[t*k+c], pd)
 			}
 		}
-		var o core.Ops
-		o.AddSub(w)
-		o.AddMoments(w, true)
-		stats.Ops.Add(o.Scale(int64(k * len(tuples))))
+		stats.Ops.Add(units.Flush[part].Scale(int64(len(tuples))))
 	}
 
 	ps.Pass = "figmm.em"
@@ -212,7 +204,7 @@ func emFactorizedDiag(ps *factor.PartScan, n int, cfg Config, model *Model, stat
 						res[j].scatter(ri, g, nil)
 					}
 				}
-				stats.Ops.Add(matchOps.Scale(int64(len(a.matches))))
+				stats.Ops.Add(units.Match.Scale(int64(len(a.matches))))
 				a.matches = nil
 				pool.Put(a)
 				return nil

@@ -89,7 +89,7 @@ type Stats struct {
 	Iters         int
 	Converged     bool
 	LogLikelihood []float64 // per completed iteration
-	Ops           core.Ops  // training-math flop counters
+	Ops           core.Ops  // training-math flops: core's per-event units × the events this run saw
 	IO            storage.IOStats
 	TrainTime     time.Duration
 
@@ -154,10 +154,9 @@ func (m *Model) precompute(p core.Partition, blockInv bool) ([]compState, error)
 // and callers bring their own scratch, so one evaluator serves a whole
 // worker pool.
 type evaluator struct {
-	m      *Model
-	full   []compState // nil when built diagonal
-	diag   []diagState
-	rowOps core.Ops // charge of one logDensities call (all K components)
+	m    *Model
+	full []compState // nil when built diagonal
+	diag []diagState
 }
 
 func (m *Model) newEvaluator(diagonal bool) (*evaluator, error) {
@@ -165,13 +164,9 @@ func (m *Model) newEvaluator(diagonal bool) (*evaluator, error) {
 	var err error
 	if diagonal {
 		ev.diag, err = m.precomputeDiag()
-		ev.rowOps.AddDiagQuad(m.D)
 	} else {
 		ev.full, err = m.precompute(core.NewPartition([]int{m.D}), false)
-		ev.rowOps.AddSub(m.D)
-		ev.rowOps.AddQuadForm(m.D)
 	}
-	ev.rowOps = ev.rowOps.Scale(int64(m.K))
 	return ev, err
 }
 

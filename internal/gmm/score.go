@@ -20,6 +20,7 @@ type Scorer struct {
 	p      core.Partition
 	states []compState
 	hot    *hotState
+	units  core.GMMUnits
 }
 
 // NewScorer precomputes the blocked inverse covariances for scoring over
@@ -33,7 +34,7 @@ func (m *Model) NewScorer(p core.Partition) (*Scorer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scorer{m: m, p: p, states: states, hot: buildHot(m, p, states)}, nil
+	return &Scorer{m: m, p: p, states: states, hot: buildHot(m, p, states), units: core.NewGMMUnits(p, m.K, false)}, nil
 }
 
 // K returns the number of mixture components (the length FillDimCaches
@@ -46,13 +47,17 @@ func (s *Scorer) Partition() core.Partition { return s.p }
 // FillDimCaches computes the K per-component quadratic-form caches of
 // dimension part i (i ≥ 1) for a dimension tuple with features xr.
 // dst must have length K. The result is a pure function of (model, part,
-// xr) — cache it per dimension tuple and share it across fact tuples.
+// xr) — cache it per dimension tuple and share it across fact tuples. A
+// non-nil ops is charged the part's fill unit.
 func (s *Scorer) FillDimCaches(dst []core.QuadCache, part int, xr []float64, ops *core.Ops) {
 	if len(dst) != s.m.K {
 		panic(fmt.Sprintf("gmm: dim-cache slice length %d, want K=%d", len(dst), s.m.K))
 	}
 	for c := range dst {
-		core.FillQuadCache(&dst[c], s.states[c].blocked, part, xr, s.m.Means[c], ops)
+		core.FillQuadCache(&dst[c], s.states[c].blocked, part, xr, s.m.Means[c])
+	}
+	if ops != nil {
+		ops.Add(s.units.Fill[part])
 	}
 }
 
@@ -61,8 +66,9 @@ type ScoreScratch struct {
 	pds   []float64
 	logp  []float64
 	cptrs []*core.QuadCache
-	// Ops accumulates the floating-point op counts of every Score call made
-	// with this scratch.
+	// Ops is what the unfused reference has charged term by term through
+	// this scratch — the count core.GMMUnits.Score is checked against. The
+	// fused kernel behind Score and Responsibilities counts nothing.
 	Ops core.Ops
 }
 
@@ -90,7 +96,7 @@ func (s *Scorer) scoreComponents(xs []float64, caches [][]core.QuadCache, sc *Sc
 	if len(caches) != s.p.Parts()-1 {
 		panic(fmt.Sprintf("gmm: %d dimension caches, partition has %d dimension parts", len(caches), s.p.Parts()-1))
 	}
-	s.hot.scoreRow(xs, caches, sc.pds, sc.logp, &sc.Ops)
+	s.hot.scoreRow(xs, caches, sc.pds, sc.logp)
 }
 
 // scoreComponentsUnfused is the pre-fusion reference kernel: one call per

@@ -18,7 +18,6 @@ import (
 // each example's δ⁰ and inputGrad applies the chunk's ΔᵀX as one product.
 type gradAcc struct {
 	ws     *workspace
-	ops    core.Ops
 	loss   float64
 	batchN int
 	deltas []float64 // δ⁰ of the examples since the last inputGrad, row-major
@@ -28,14 +27,11 @@ type gradAcc struct {
 
 func newGradAccPool(net *Network, t1Len int) *sync.Pool {
 	return &sync.Pool{New: func() any {
-		a := &gradAcc{t1: make([]float64, t1Len)}
-		a.ws = newWorkspace(net, &a.ops)
-		return a
+		return &gradAcc{ws: newWorkspace(net), t1: make([]float64, t1Len)}
 	}}
 }
 
 func (a *gradAcc) reset() {
-	a.ops = core.Ops{}
 	a.loss = 0
 	a.batchN = 0
 	a.deltas = a.deltas[:0]
@@ -61,26 +57,19 @@ func (a *gradAcc) backprop(o, y float64) {
 // would make, in the same order (see linalg.OuterAccumRows).
 func (a *gradAcc) inputGrad(xs []float64) {
 	ws := a.ws
-	nh0, d := ws.net.Sizes[1], ws.net.Sizes[0]
-	n := len(a.deltas) / nh0
-	linalg.OuterAccumRows(ws.gW[0], a.deltas, xs, n)
-	var per core.Ops
-	per.AddOuterPlain(nh0, d)
-	per.Adds += int64(nh0) // the bias gradient backprop folded
-	a.ops.Add(per.Scale(int64(n)))
+	linalg.OuterAccumRows(ws.gW[0], a.deltas, xs, len(a.deltas)/ws.net.Sizes[1])
 	a.deltas = a.deltas[:0]
 }
 
-// mergeInto folds the chunk gradients, loss and op counts into the main
-// workspace accumulators.
-func (a *gradAcc) mergeInto(w *workspace, lossSum *float64, batchN *int, stats *Stats) {
+// mergeInto folds the chunk gradients and loss into the main workspace
+// accumulators.
+func (a *gradAcc) mergeInto(w *workspace, lossSum *float64, batchN *int) {
 	for l := range w.gW {
 		w.gW[l].AddScaled(1, a.ws.gW[l])
 		linalg.VecAdd(w.gB[l], w.gB[l], a.ws.gB[l])
 	}
 	*lossSum += a.loss
 	*batchN += a.batchN
-	stats.Ops.Add(a.ops)
 }
 
 // trainDense is the engine of both M-NN and S-NN: standard backprop over a
@@ -94,8 +83,9 @@ func (a *gradAcc) mergeInto(w *workspace, lossSum *float64, batchN *int, stats *
 func trainDense(pass factor.GroupedScan, shuffle func(), cfg Config, net *Network, stats *Stats) error {
 	nw := parallel.Workers(cfg.NumWorkers)
 	d := net.Sizes[0]
-	w := newWorkspace(net, &stats.Ops)
+	w := newWorkspace(net)
 	accPool := newGradAccPool(net, 0)
+	perRow := core.NewNNUnits(core.NewPartition([]int{d}), net.Sizes, false).DenseRow
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if shuffle != nil {
@@ -127,7 +117,7 @@ func trainDense(pass factor.GroupedScan, shuffle func(), cfg Config, net *Networ
 			},
 			Merge: func(acc any) error {
 				a := acc.(*gradAcc)
-				a.mergeInto(w, &lossSum, &batchN, stats)
+				a.mergeInto(w, &lossSum, &batchN)
 				accPool.Put(a)
 				return nil
 			},
@@ -141,6 +131,7 @@ func trainDense(pass factor.GroupedScan, shuffle func(), cfg Config, net *Networ
 			// foreign key dangles.
 			w.applyStep(cfg.LearningRate, batchN)
 		}
+		stats.Ops.Add(perRow.Scale(int64(seen + batchN)))
 		if err := stats.endEpoch(lossSum, seen+batchN); err != nil {
 			return err
 		}

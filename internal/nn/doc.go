@@ -20,7 +20,13 @@
 // more operations than it saves even then. The ShareLayer2 option
 // implements that scheme anyway — restricted to the Identity activation,
 // where it is exact — so the claim can be demonstrated empirically with
-// the package's operation counters (see TestShareLayer2ExactAndCostsMore).
+// Stats.Ops (see TestShareLayer2ExactAndCostsMore). The planner has no
+// field for it and prices a sharing run as a plain F-NN.
+//
+// Flop accounting: the kernels count nothing. Stats.Ops is internal/core's
+// per-event units (core.NNUnits) × the events this run saw — examples per
+// epoch, tuples per fill, shared-bias refills per block — and the planner
+// multiplies the same units by the counts it predicts.
 //
 // Two batching regimes are supported, both producing identical parameter
 // trajectories across M/S/F: Epoch (one gradient step per full pass) and

@@ -20,61 +20,47 @@ type partCaches struct {
 // fwdCtx bundles the read-only state of the factorized forward pass, which
 // the F-NN trainer calls once per joined tuple.
 type fwdCtx struct {
-	net          *Network
-	share        bool
-	dS, nh0, nh1 int
-	blkCache     *partCaches
-	resCache     []*partCaches
-	cBias        []float64
+	net      *Network
+	share    bool
+	blkCache *partCaches
+	resCache []*partCaches
+	cBias    []float64
 }
 
 // forward computes the factorized forward pass for one joined tuple using
-// ws's buffers (and the caller's t1 scratch under layer-2 sharing),
-// charging ws's op counter, and returns the network output.
+// ws's buffers (and the caller's t1 scratch under layer-2 sharing) and
+// returns the network output.
 func (fc *fwdCtx) forward(ws *workspace, t1 []float64, s *storage.Tuple, r1 int, res []int) float64 {
 	net := fc.net
-	ops := ws.ops
 	if !fc.share {
 		// Factorized layer-1 forward (§VI-A1): a⁰ = W_S·x_S + Σ_m t_m + b.
 		// Seed the accumulator with the cached dimension part, then add the
 		// fact part.
 		linalg.VecAdd(ws.a[0], fc.blkCache.t[r1], net.B[0])
-		ops.Adds += int64(fc.nh0)
 		for j, ri := range res {
 			linalg.VecAdd(ws.a[0], ws.a[0], fc.resCache[j].t[ri])
-			ops.Adds += int64(fc.nh0)
 		}
 		linalg.MatVecRangeAdd(ws.a[0], net.W[0], 0, s.Features)
-		ops.AddMatVec(fc.nh0, fc.dS)
-		ops.Adds += int64(fc.nh0)
 		net.Act.Apply(ws.h[0], ws.a[0])
 		return ws.forwardUpper(1)
 	}
 	// §VI-A2 layer-2 sharing (Identity activation):
 	// T1 = W_S·x_S; a¹ = W1·f(T1) + Σ t3_m + (W1·b0 + b1).
 	linalg.MatVecRange(t1, net.W[0], 0, s.Features)
-	ops.AddMatVec(fc.nh0, fc.dS)
 	copy(ws.a[0], t1)
 	linalg.VecAdd(ws.a[0], ws.a[0], fc.blkCache.t[r1])
-	ops.Adds += int64(fc.nh0)
 	for j, ri := range res {
 		linalg.VecAdd(ws.a[0], ws.a[0], fc.resCache[j].t[ri])
-		ops.Adds += int64(fc.nh0)
 	}
 	linalg.VecAdd(ws.a[0], ws.a[0], net.B[0])
-	ops.Adds += int64(fc.nh0)
 	copy(ws.h[0], ws.a[0]) // Identity
 	// Second layer from shared parts.
 	linalg.MatVec(ws.a[1], net.W[1], t1)
-	ops.AddMatVec(fc.nh1, fc.nh0)
 	linalg.VecAdd(ws.a[1], ws.a[1], fc.blkCache.t3[r1])
-	ops.Adds += int64(fc.nh1)
 	for j, ri := range res {
 		linalg.VecAdd(ws.a[1], ws.a[1], fc.resCache[j].t3[ri])
-		ops.Adds += int64(fc.nh1)
 	}
 	linalg.VecAdd(ws.a[1], ws.a[1], fc.cBias)
-	ops.Adds += int64(fc.nh1)
 	copy(ws.h[1], ws.a[1]) // Identity
 	return ws.forwardUpper(2)
 }
@@ -107,9 +93,8 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 	ps.Pass = "fnn.sgd"
 	p := ps.Direct
 	nw := parallel.Workers(cfg.NumWorkers)
-	w := newWorkspace(net, &stats.Ops)
+	w := newWorkspace(net)
 	q := p.Parts() - 1
-	dS := p.Dims[0]
 	nh0 := net.Sizes[1]
 	nh1 := 0
 	if net.Layers() >= 2 {
@@ -124,20 +109,19 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 	}
 	cBias := make([]float64, nh1)
 	accPool := newGradAccPool(net, nh0)
-	fc := &fwdCtx{net: net, share: share, dS: dS, nh0: nh0, nh1: nh1,
-		blkCache: &blkCache, resCache: resCache, cBias: cBias}
+	fc := &fwdCtx{net: net, share: share, blkCache: &blkCache, resCache: resCache, cBias: cBias}
+	// Charged × the events seen: tuples per fill, refills, matches per epoch.
+	units := core.NewNNUnits(p, net.Sizes, share)
 
 	fillPart := func(pc *partCaches, tuples []*storage.Tuple, part int) error {
 		pc.ensure(len(tuples), nh0, nh1, share)
 		off := p.Offs[part]
-		dPart := p.Dims[part]
-		return ps.FillCaches(nw, tuples, &stats.Ops, func(i int, tp *storage.Tuple, ops *core.Ops) error {
+		stats.Ops.Add(units.Fill[part].Scale(int64(len(tuples))))
+		return ps.FillCaches(nw, tuples, func(i int, tp *storage.Tuple) error {
 			linalg.MatVecRange(pc.t[i], net.W[0], off, tp.Features)
-			ops.AddMatVec(nh0, dPart)
 			if share {
 				// t3 = W1·f(t); f = Identity, so f(t) = t.
 				linalg.MatVec(pc.t3[i], net.W[1], pc.t[i])
-				ops.AddMatVec(nh1, nh0)
 			}
 			return nil
 		})
@@ -149,9 +133,8 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 		// cBias = W1·b0 + b1 accounts for the layer-1 bias flowing through
 		// the additive activation.
 		linalg.MatVec(cBias, net.W[1], net.B[0])
-		stats.Ops.AddMatVec(nh1, nh0)
 		linalg.VecAdd(cBias, cBias, net.B[1])
-		stats.Ops.Adds += int64(nh1)
+		stats.Ops.Add(units.Refill)
 	}
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -201,7 +184,7 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 			},
 			OnChunkMerged: func(state any) error {
 				a := state.(*gradAcc)
-				a.mergeInto(w, &lossSum, &batchN, stats)
+				a.mergeInto(w, &lossSum, &batchN)
 				accPool.Put(a)
 				return nil
 			},
@@ -222,6 +205,7 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 		if cfg.Mode == Epoch {
 			w.applyStep(cfg.LearningRate, batchN) // the rows the join kept, as in trainDense
 		}
+		stats.Ops.Add(units.Match.Scale(int64(seen + batchN)))
 		if err := stats.endEpoch(lossSum, seen+batchN); err != nil {
 			return err
 		}

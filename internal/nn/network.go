@@ -163,7 +163,9 @@ type Config struct {
 	// ShareLayer2 enables the paper's §VI-A2 layer-2 sharing scheme.
 	// Requires the Identity activation (the only additive one) and at
 	// least two hidden layers. Exact but more expensive — implemented to
-	// demonstrate the paper's cost analysis. F-NN only.
+	// demonstrate the paper's cost analysis. F-NN only. The planner does
+	// not price it (plan.ModelSpec has no field for it): a sharing run's
+	// Stats.Ops exceed its estimate, which is a plain F-NN's.
 	ShareLayer2 bool
 }
 
@@ -225,7 +227,7 @@ func initNetwork(cfg Config, d int) (*Network, error) {
 type Stats struct {
 	Epochs    int
 	Loss      []float64 // mean squared-error loss per epoch: 1/(2N) Σ (o−y)²
-	Ops       core.Ops
+	Ops       core.Ops  // training-math flops: core's per-event units × the events this run saw
 	IO        storage.IOStats
 	TrainTime time.Duration
 

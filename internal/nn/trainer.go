@@ -1,16 +1,12 @@
 package nn
 
-import (
-	"factorml/internal/core"
-	"factorml/internal/linalg"
-)
+import "factorml/internal/linalg"
 
 // workspace holds the per-tuple forward/backward buffers and the gradient
 // accumulators shared by all trainers. Buffers are allocated once, so the
 // training loops run allocation-free.
 type workspace struct {
 	net *Network
-	ops *core.Ops
 
 	a     [][]float64 // pre-activations, a[l] has length Sizes[l+1]
 	h     [][]float64 // activations (output layer stays linear)
@@ -20,8 +16,8 @@ type workspace struct {
 	gB [][]float64
 }
 
-func newWorkspace(net *Network, ops *core.Ops) *workspace {
-	w := &workspace{net: net, ops: ops}
+func newWorkspace(net *Network) *workspace {
+	w := &workspace{net: net}
 	for l := 0; l < net.Layers(); l++ {
 		sz := net.Sizes[l+1]
 		w.a = append(w.a, make([]float64, sz))
@@ -57,9 +53,7 @@ func (w *workspace) applyStep(lr float64, batchN int) {
 func (w *workspace) forwardDense(x []float64) float64 {
 	net := w.net
 	linalg.MatVec(w.a[0], net.W[0], x)
-	w.ops.AddMatVec(net.Sizes[1], net.Sizes[0])
 	linalg.VecAdd(w.a[0], w.a[0], net.B[0])
-	w.ops.Adds += int64(net.Sizes[1])
 	net.Act.Apply(w.h[0], w.a[0])
 	return w.forwardUpper(1)
 }
@@ -70,9 +64,7 @@ func (w *workspace) forwardUpper(from int) float64 {
 	net := w.net
 	for l := from; l < net.Layers(); l++ {
 		linalg.MatVec(w.a[l], net.W[l], w.h[l-1])
-		w.ops.AddMatVec(net.Sizes[l+1], net.Sizes[l])
 		linalg.VecAdd(w.a[l], w.a[l], net.B[l])
-		w.ops.Adds += int64(net.Sizes[l+1])
 		if l < net.Layers()-1 {
 			net.Act.Apply(w.h[l], w.a[l])
 		} else {
@@ -90,18 +82,13 @@ func (w *workspace) backward(o, y float64) {
 	net := w.net
 	last := net.Layers() - 1
 	w.delta[last][0] = o - y
-	w.ops.Adds++
 	for l := last; l >= 1; l-- {
 		// Gradients of layer l (weights see h[l-1]).
 		linalg.OuterAccum(w.gW[l], 1, w.delta[l], w.h[l-1])
-		w.ops.AddOuterPlain(net.Sizes[l+1], net.Sizes[l])
 		linalg.Axpy(1, w.delta[l], w.gB[l])
-		w.ops.Adds += int64(net.Sizes[l+1])
 		// δ^{l-1} = (W_lᵀ δ^l) ⊙ f'(a^{l-1}).
 		linalg.VecMat(w.delta[l-1], w.delta[l], net.W[l])
-		w.ops.AddMatVec(net.Sizes[l], net.Sizes[l+1])
 		applyDerivInPlace(net.Act, w.delta[l-1], w.a[l-1], w.h[l-1])
-		w.ops.Mul += int64(net.Sizes[l])
 	}
 }
 

@@ -26,6 +26,9 @@
 // Run's job and nobody else's: a caller hands every pass to Run (RunRange
 // does, and so does every pass operator of internal/factor) and never
 // branches on the worker count to hand-roll a sequential copy of it.
+// RunRange carries no reduction at all (its grains write disjoint slots),
+// and the package imports nothing of this module: what the work is, or
+// costs, is its callers' business (TestInternalPackagesAreReached).
 //
 // # Barriers
 //

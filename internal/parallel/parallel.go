@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"factorml/internal/core"
 )
 
 // DefaultChunkRows is the number of stream rows grouped into one work chunk
@@ -76,52 +74,29 @@ func PutRowChunk(c *RowChunk) { rowChunkPool.Put(c) }
 const DefaultFillGrain = 64
 
 // RunRange splits [0, n) into fixed grains and runs body on the worker
-// pool. It is meant for cache fills whose writes land at disjoint indexes,
-// so the only reduction is the op accounting: each grain charges a private
-// core.Ops, and the grain counters are added in grain order into total
-// (integer sums, so the totals match the sequential accounting exactly).
-func RunRange(workers, n int, body func(start, end int, ops *core.Ops) error, total *core.Ops) error {
-	if n == 0 {
-		return nil
-	}
+// pool. It is meant for cache fills whose writes land at disjoint indexes:
+// nothing is reduced, so nothing is merged.
+func RunRange(workers, n int, body func(start, end int) error) error {
 	// Never spin up more workers than there are grains: a tiny fill (a
 	// handful of grains per block, once per EM pass) clamps to one worker,
 	// which Run executes inline instead of paying pool startup. The grain
-	// geometry and merge order are the same either way.
-	grains := (n + DefaultFillGrain - 1) / DefaultFillGrain
-	if workers > grains {
+	// geometry is the same either way.
+	if grains := (n + DefaultFillGrain - 1) / DefaultFillGrain; workers > grains {
 		workers = grains
 	}
-	// One slab of counters per call, not one counter per grain: a caller
-	// that fills a few tuples per chunk of a long scan (stream.GMMStats)
-	// calls this once per chunk.
-	ops := make([]core.Ops, grains)
-	err := Run(workers,
-		func(f *Feed[grain]) error {
-			for i := range ops {
-				g := grain{start: i * DefaultFillGrain, end: min((i+1)*DefaultFillGrain, n), body: body, ops: &ops[i]}
-				if err := f.Emit(g); err != nil {
+	return Run(workers,
+		func(f *Feed[int]) error {
+			for start := 0; start < n; start += DefaultFillGrain {
+				if err := f.Emit(start); err != nil {
 					return err
 				}
 			}
 			return nil
 		},
-		grain.run, nil)
-	for _, o := range ops {
-		*total = total.Plus(o)
-	}
-	return err
+		func(start int) (struct{}, error) {
+			return struct{}{}, body(start, min(start+DefaultFillGrain, n))
+		}, nil)
 }
-
-// grain is one RunRange work item. It carries its body and counter so that
-// the work function captures nothing and costs no closure per call.
-type grain struct {
-	start, end int
-	body       func(start, end int, ops *core.Ops) error
-	ops        *core.Ops
-}
-
-func (g grain) run() (struct{}, error) { return struct{}{}, g.body(g.start, g.end, g.ops) }
 
 // Feed is the producer's handle into a Run. It is only valid for the
 // duration of the produce callback and must be used from that goroutine.

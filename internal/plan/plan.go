@@ -1,9 +1,12 @@
 // Package plan is the cost-based strategy planner: given catalog
 // statistics for a star/snowflake join (storage.TableStats) and a model
 // configuration, it prices each execution strategy — Materialized,
-// Streaming, Factorized — with the same core.Ops flop accounting the
-// trainers charge at their kernel call sites, plus a block-nested-loops
-// page-I/O model, and returns a ranked Plan. factorml.Auto consults it to
+// Streaming, Factorized — as event counts predicted from the catalog ×
+// internal/core's per-event flop units (the units the trainers multiply by
+// the events they see), plus a block-nested-loops page-I/O model, and
+// returns a ranked Plan. The one model shape it cannot see is the network's
+// layer-2 sharing (nn.Config.ShareLayer2 is not in ModelSpec): a sharing
+// F-NN is priced as a plain one, below what it will measure. factorml.Auto consults it to
 // pick a strategy per dataset and configuration; `train -explain` prints
 // its table.
 package plan
@@ -173,7 +176,8 @@ type ModelSpec struct {
 	Diagonal bool
 
 	// NN: hidden layer sizes, epochs, Block-mode updates (dimension caches
-	// refill per block instead of per epoch).
+	// refill per block instead of per epoch). Layer-2 sharing is not here
+	// and goes unpriced.
 	Hidden    []int
 	Epochs    int
 	BlockMode bool
@@ -201,9 +205,9 @@ func (m ModelSpec) validate(ss *SchemaStats) error {
 	return nil
 }
 
-// Estimate is one strategy's priced cost: training-math flops (the same
-// accounting the trainers measure into Stats.Ops), page I/O, and the
-// combined score the ranking uses.
+// Estimate is one strategy's priced cost: training-math flops (core's
+// units × predicted events, where Stats.Ops is the same units × the events
+// a run saw), page I/O, and the combined score the ranking uses.
 type Estimate struct {
 	Strategy Strategy `json:"strategy"`
 	Ops      core.Ops `json:"ops"`

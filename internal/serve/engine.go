@@ -122,7 +122,6 @@ type predScratch struct {
 	gsc     *gmm.ScoreScratch
 	pks     []int64
 	pos     []int
-	ops     core.Ops
 }
 
 // Engine scores request batches against registered models over a fixed
@@ -355,7 +354,7 @@ func (e *Engine) dimPartial(st *modelState, sc *predScratch, j int, fk int64, ps
 		v = t
 	} else {
 		qc := make([]core.QuadCache, st.scorer.K())
-		st.scorer.FillDimCaches(qc, 1+j, feats, &sc.ops)
+		st.scorer.FillDimCaches(qc, 1+j, feats, nil)
 		v = qc
 	}
 	st.caches[j].put(fk, v, feats)

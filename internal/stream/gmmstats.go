@@ -22,10 +22,6 @@ import (
 // fact-part sums (see the package comment).
 const StatChunkRows = 256
 
-// collapseFloor mirrors the trainers' responsibility-mass floor below
-// which a component's parameters are frozen for the step.
-const collapseFloor = 1e-12
-
 // factSums are the statistics a fact row contributes on its own: its
 // log-likelihood and, per component, the mass Σγ, Σγ·x_S and the upper
 // triangle of Σγ·x_S·x_Sᵀ, in one buffer — zeroing, copying and adding the
@@ -339,7 +335,7 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 	// chunk is handed to a worker.
 	type cachePos struct{ d, at int }
 	var fresh []cachePos
-	fill := func(a, b int, ops *core.Ops) error {
+	fill := func(a, b int) error {
 		for _, f := range fresh[a:b] {
 			dc := &caches[f.d]
 			base := f.at * dc.stride
@@ -350,7 +346,7 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 				run[c].PD = dc.buf[pd:cs:cs]
 				run[c].CrossS = dc.buf[cs : cs+dS : cs+dS]
 			}
-			scorer.FillDimCaches(run, 1+f.d, dc.buf[base:base+dc.width], ops)
+			scorer.FillDimCaches(run, 1+f.d, dc.buf[base:base+dc.width], nil)
 		}
 		return nil
 	}
@@ -375,9 +371,8 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 		cur := pool.Get().(*absorbChunk)
 		cur.n = 0
 		copy(cur.fact.buf, st.open.buf)
-		var fillOps core.Ops
 		emit := func() error {
-			if err := parallel.RunRange(nw, len(fresh), fill, &fillOps); err != nil {
+			if err := parallel.RunRange(nw, len(fresh), fill); err != nil {
 				return err
 			}
 			fresh = fresh[:0]
@@ -538,7 +533,7 @@ func (st *GMMStats) Step(prev *gmm.Model, regEps float64) (*gmm.Model, error) {
 	for c := 0; c < k; c++ {
 		nk := st.done.nk[c] + st.open.nk[c]
 		out.Weights[c] = nk / float64(n)
-		if nk < collapseFloor {
+		if nk < gmm.CollapseFloor {
 			continue // frozen: keep prev mean and covariance
 		}
 		linalg.VecAdd(s1[c][:dS], st.done.s1[c*dS:(c+1)*dS], st.open.s1[c*dS:(c+1)*dS])

@@ -268,7 +268,7 @@ func TestGMMStatsFootprint(t *testing.T) {
 		}
 	})
 	// What is left is per pass (the scorer's factorized covariances, the
-	// caches, a chunk) or per 64 cache fills (an op counter), never per row.
+	// caches, a chunk) or per chunk (a cache fill's closures), never per row.
 	t.Logf("%.0f allocations per warm rebaseline of %d rows", allocs, rows)
 	if allocs >= float64(rows)/10 {
 		t.Errorf("a warm rebaseline of %d rows allocates %.0f times, want none of it per row", rows, allocs)

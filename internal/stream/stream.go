@@ -36,8 +36,9 @@ type Policy struct {
 	RebaselineEvery int
 
 	// NumWorkers sizes the worker pool of absorbs and refresh training:
-	// 0 = all CPUs, 1 = sequential. Refreshed models are bit-identical
-	// for every value.
+	// 0 = all CPUs (the factorml facade first resolves 0 to its
+	// database-wide Options.NumWorkers default), 1 = sequential.
+	// Refreshed models are bit-identical for every value.
 	NumWorkers int
 
 	// NNEpochs is how many warm-start SGD epochs an NN refresh runs over
