@@ -5,8 +5,8 @@ GO ?= go
 
 # Total-statement-coverage floor enforced by `make cover` (see
 # scripts/check_coverage.sh): the measured total minus one point, last
-# raised in PR 23 (74.8 % measured).
-COVERAGE_BASELINE ?= 73.8
+# raised in PR 24 (75.1 % measured).
+COVERAGE_BASELINE ?= 74.1
 
 .PHONY: all build loc test race bench-harness ab cover serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke fmt vet ci
 

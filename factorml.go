@@ -110,11 +110,14 @@ func ParseAlgorithm(name string) (Algorithm, error) { return plan.ParseStrategy(
 // Re-exported configuration and result types. These are aliases of the
 // implementation types so that the facade stays zero-cost.
 type (
-	// GMMConfig configures EM training (K is required).
+	// GMMConfig configures EM training (K is required). Diagonal asks for
+	// a diagonal-covariance mixture; it is the only place to ask.
 	GMMConfig = gmm.Config
 	// GMMResult is a trained mixture model plus training statistics.
 	GMMResult = gmm.Result
-	// GMMModel is a trained Gaussian mixture.
+	// GMMModel is a trained Gaussian mixture. Its covariance structure is
+	// model state (Diagonal): saved with it, and kept by everything that
+	// scores, serves or refreshes it.
 	GMMModel = gmm.Model
 	// NNConfig configures backprop training.
 	NNConfig = nn.Config

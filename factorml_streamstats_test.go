@@ -24,7 +24,11 @@ import (
 //     absorb, as the stream's dirty → rebaseline policy does), and
 //   - that model is within 1e-9 of ONE warm-started dense EM step — the
 //     Materialized trainer, MaxIter 1, Init — over the join as it then
-//     stands.
+//     stands, and
+//   - the covariance structure is one more input: every other schema's
+//     base model is a diagonal mixture, its oracle the diagonal dense step,
+//     and the refreshed model is still one — flagged, every off-diagonal
+//     exactly 0.
 //
 // Rerun a failing schema with FACTORML_EQUIV_SEED=<seed>
 // FACTORML_EQUIV_COUNT=1, as for the cross-strategy harness.
@@ -61,7 +65,8 @@ func TestStreamStatsOracle(t *testing.T) {
 				t.Fatalf("schema seed %d (%s): %v", seed, shape, err)
 			}
 		}
-		base, err := TrainGMM(ds, Factorized, GMMConfig{K: 2, MaxIter: 2, Tol: 1e-300, Seed: seed, NumWorkers: 1})
+		diagonal := i%2 == 1
+		base, err := TrainGMM(ds, Factorized, GMMConfig{K: 2, MaxIter: 2, Tol: 1e-300, Seed: seed, NumWorkers: 1, Diagonal: diagonal})
 		fatal(err)
 		model := base.Model
 
@@ -168,10 +173,20 @@ func TestStreamStatsOracle(t *testing.T) {
 			fmt.Fprintf(&buf, "ll=%x footprint=%+v", r.st.LogLikelihood(), fp)
 			if k == 0 {
 				want = buf.Bytes()
-				oracle, err := TrainGMM(ds, Materialized, GMMConfig{K: model.K, MaxIter: 1, Tol: 1e-300, Init: model, NumWorkers: 1})
+				oracle, err := TrainGMM(ds, Materialized, GMMConfig{K: model.K, MaxIter: 1, Tol: 1e-300, Init: model, NumWorkers: 1, Diagonal: diagonal})
 				fatal(err)
 				if d := m.MaxParamDiff(oracle.Model); relDiffTooBig(d) {
 					t.Errorf("schema seed %d (%s): Step differs from one warm-started dense EM step by %g", seed, shape, d)
+				}
+				if m.Diagonal != diagonal {
+					t.Errorf("schema seed %d (%s): a Diagonal=%v model refreshed as Diagonal=%v", seed, shape, diagonal, m.Diagonal)
+				}
+				for c, cov := range m.Covs {
+					for j, v := range cov.Data() {
+						if diagonal && v != 0 && j/m.D != j%m.D {
+							t.Errorf("schema seed %d (%s): refreshed diagonal model has cov[%d](%d,%d) = %g", seed, shape, c, j/m.D, j%m.D, v)
+						}
+					}
 				}
 			} else if !bytes.Equal(buf.Bytes(), want) {
 				t.Errorf("schema seed %d (%s): workers=%d eager=%g ends in other bytes than workers=%d eager=%g",

@@ -288,7 +288,9 @@ func TestPublicAPIModelRegistry(t *testing.T) {
 }
 
 // TestPublicAPIPredictionServer boots the facade's HTTP handler and checks
-// a served prediction bit-for-bit against the in-process network.
+// a served prediction bit-for-bit against the in-process network — and a
+// diagonal mixture through the registry and the same server: it comes back
+// diagonal and is served as Model.LogProb scores it.
 func TestPublicAPIPredictionServer(t *testing.T) {
 	db := openDB(t)
 	ds := buildRetail(t, db, 120, 8)
@@ -299,12 +301,45 @@ func TestPublicAPIPredictionServer(t *testing.T) {
 	if err := db.SaveNN("retail-nn", nres.Net); err != nil {
 		t.Fatal(err)
 	}
+	gres, err := TrainGMM(ds, Factorized, GMMConfig{K: 2, MaxIter: 2, NumWorkers: 1, Diagonal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SaveGMM("retail-igmm", gres.Model); err != nil {
+		t.Fatal(err)
+	}
+	igmm, err := db.LoadGMM("retail-igmm")
+	if err != nil || !igmm.Diagonal {
+		t.Fatalf("LoadGMM of a diagonal mixture: %+v, err %v", igmm, err)
+	}
 	handler, err := NewServer(db, []string{"items"}, WithEngineConfig(ServeConfig{NumWorkers: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
+
+	gresp, err := http.Post(ts.URL+"/v1/models/retail-igmm/predict", "application/json",
+		strings.NewReader(`{"rows":[{"fact":[1.5,10],"fks":[3]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gresp.Body.Close()
+	var gout struct {
+		Predictions []struct {
+			LogProb *float64 `json:"log_prob"`
+		} `json:"predictions"`
+	}
+	if err := json.NewDecoder(gresp.Body).Decode(&gout); err != nil {
+		t.Fatal(err)
+	}
+	if len(gout.Predictions) != 1 || gout.Predictions[0].LogProb == nil {
+		t.Fatalf("diagonal mixture response = %+v", gout)
+	}
+	wantLP := igmm.LogProb([]float64{1.5, 10, 13, 3, 1.5})
+	if got := *gout.Predictions[0].LogProb; math.Abs(got-wantLP) > 1e-9*(1+math.Abs(wantLP)) {
+		t.Fatalf("diagonal mixture served log_prob %v, Model.LogProb %v", got, wantLP)
+	}
 
 	resp, err := http.Post(ts.URL+"/v1/models/retail-nn/predict", "application/json",
 		strings.NewReader(`{"rows":[{"fact":[1.5,10],"fks":[3]},{"fact":[1.5,10],"fks":[3]}]}`))

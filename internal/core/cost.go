@@ -23,6 +23,11 @@ package core
 //	    M, per match:  moments(dS) + q·axpy(dS) + Σᵢ<ⱼ outer(wᵢ,wⱼ)
 //	    M, per tuple:  moments(wᵢ) + outer(dS,wᵢ) through the cached PD —
 //	        upper blocks and triangles only, mirrored once (Eq. 22–24)
+//	a diagonal covariance has no blocks, so every matvec, dot, bilinear and
+//	outer term above drops out: a fill is diagquad(wᵢ) (it keeps the PD it
+//	forms), a match's E-step diagquad(dS) + q adds of the cached shares,
+//	and a flush moments(wᵢ) — axpy + γ·PD² — through the cached PD, as the
+//	full flush always was.
 //
 // and the NN equivalents (§VI-A1/A3). The join runner resolves a snowflake's
 // sub-dimension hops once per dimension tuple and hands the trainers a star
@@ -74,7 +79,6 @@ func NewGMMUnits(p Partition, k int, diagonal bool) GMMUnits {
 		var fill, flush Ops
 		if diagonal {
 			fill.AddDiagQuad(wi)
-			flush.AddSub(wi) // PD, re-formed: a diagonal cache is one scalar
 		} else {
 			fill.AddSub(wi) // PD
 			fill.AddQuadForm(wi)

@@ -10,8 +10,9 @@ import (
 // (PartScan.RunChunks), a dimension-cache fill, or an
 // initialization scan. Pass names the logical pass, Phase the mechanical
 // stage within it. A GMM trainer makes one pass per EM iteration and names
-// it once per loop — "gmm.em" / "igmm.em" (dense, full / diagonal),
-// "fgmm.em" / "figmm.em" (factorized), after "fgmm.init" — and an NN
+// it once per loop — "gmm.em" / "igmm.em" (the dense driver over a full /
+// a diagonal model), "fgmm.em" / "figmm.em" (the factorized driver over
+// the same two), after "fgmm.init" — and an NN
 // trainer one per epoch ("nn.sgd_epoch", "fnn.sgd"). Fold is the
 // cumulative worker time spent folding rows into accumulators (summed
 // across workers, so it exceeds Wall when the pass parallelizes well);

@@ -10,7 +10,7 @@ import (
 )
 
 // emDense runs EM over a dense pass source. It is the engine of M-GMM and
-// S-GMM, full-covariance and diagonal (Config.Diagonal) alike. Algorithm 1
+// S-GMM, full-covariance and diagonal (Model.Diagonal) alike. Algorithm 1
 // of the paper reads the rows three times per iteration — responsibilities,
 // means, covariances; here an iteration is one pass through whatever access
 // path `scan` encapsulates (reading the materialized T, or re-joining on
@@ -27,7 +27,7 @@ func emDense(scan func(onRow factor.RowFn) error, d, n int, cfg Config, model *M
 	nw := parallel.Workers(cfg.NumWorkers)
 	k := cfg.K
 	name := "gmm.em"
-	if cfg.Diagonal {
+	if model.Diagonal {
 		name = "igmm.em"
 	}
 
@@ -47,14 +47,14 @@ func emDense(scan func(onRow factor.RowFn) error, d, n int, cfg Config, model *M
 			logp:  make([]float64, k),
 			gamma: make([]float64, foldBlockRows*k),
 			pd:    make([]float64, foldBlockRows*k*d),
-			mom:   newMoments(k, d, cfg.Diagonal),
+			mom:   newMoments(k, d, model.Diagonal),
 		}
 	}}
-	total := newMoments(k, d, cfg.Diagonal)
-	perRow := core.NewGMMUnits(core.NewPartition([]int{d}), k, cfg.Diagonal).DenseRow
+	total := newMoments(k, d, model.Diagonal)
+	perRow := core.NewGMMUnits(core.NewPartition([]int{d}), k, model.Diagonal).DenseRow
 
 	return runEM(cfg, stats, func() (float64, error) {
-		ev, err := model.newEvaluator(cfg.Diagonal)
+		ev, err := model.newEvaluator()
 		if err != nil {
 			return 0, err
 		}

@@ -3,7 +3,8 @@
 // entry point: it takes the strategy (plan.Strategy), has factor.Open open
 // that strategy's access path and runs the same EM over it — the factorized
 // driver when the path carries the factorized parts, the dense one
-// otherwise. The paper's three flavours are its one-line shorthands:
+// otherwise, each for full and diagonal covariances alike. The paper's
+// three flavours are its one-line shorthands:
 //
 //   - TrainM (M-GMM): materialize the join result T on disk, then run EM
 //     reading T once per iteration.
@@ -32,6 +33,12 @@
 // follows §V-C (diagonal blocks and PD vectors of each dimension relation
 // are reused; cross-dimension blocks are evaluated per joined tuple through
 // the cached PDs).
+//
+// Covariance structure: Config.Diagonal is the request, Model.Diagonal the
+// state — stamped by Train, copied by Clone, written by Save, kept by a
+// stream refresh — and nothing takes it as an argument beside the model.
+// igmm.go says what a diagonal model's caches are and where its kernels
+// differ.
 //
 // Flop accounting: no kernel counts its own operations. Stats.Ops is
 // internal/core's per-event units (core.GMMUnits) × the events this run saw

@@ -54,9 +54,10 @@ func (g *groupSums) scatter(t int, gamma, pds []float64) {
 	}
 }
 
-// emFactorized runs the factorized EM loop over ps.Direct. Parts: 0 = S,
-// 1 = the blocked first direct dimension, 2+j = resident direct dimension
-// 1+j — each as wide as its subtree, whose columns its tuples carry.
+// emFactorized runs the factorized EM loop over ps.Direct (F-GMM, and
+// F-IGMM over a diagonal model). Parts: 0 = S, 1 = the blocked first direct
+// dimension, 2+j = resident direct dimension 1+j — each as wide as its
+// subtree, whose columns its tuples carry.
 //
 // An iteration is one pass over the join. The dimension-cache fills and
 // the per-match scoring run on the chunked worker pool (cfg.NumWorkers):
@@ -68,13 +69,20 @@ func (g *groupSums) scatter(t int, gamma, pds []float64) {
 // dimension tuple is flushed into the moments once, at its block's end or
 // the pass's (Eq. 13–18 / 22–24 — about the iteration's starting means,
 // see moments). Chunks merge in chunk order, so the model is bit-identical
-// for every worker count.
+// for every worker count. The fills and scores are the iteration's Scorer;
+// a diagonal model has no cross blocks, so it differs in what a flush folds
+// (γ·PD²), in skipping the cross blocks and in the final assembly.
 func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *Stats) error {
 	p := ps.Direct
 	nw := parallel.Workers(cfg.NumWorkers)
 	k := cfg.K
 	q := p.Parts() - 1 // number of dimension relations
 	dS := p.Dims[0]
+	diag := model.Diagonal
+	gvWidth := dS // of a tuple's Σγ·PD_S, which only the S–R cross block needs
+	if diag {
+		gvWidth = 0
+	}
 
 	// chunkAcc is what a worker hands the merge for one chunk: the matches
 	// (valid until the chunk is merged), their responsibilities and K
@@ -95,15 +103,15 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 		return &chunkAcc{
 			logp:   make([]float64, k),
 			caches: make([][]core.QuadCache, q),
-			fact:   newMoments(k, dS, false),
+			fact:   newMoments(k, dS, diag),
 		}
 	}}
 
-	total := newMoments(k, p.D, false) // assembled at the end of each pass
-	fact := newMoments(k, dS, false)   // its fact columns, merged per chunk
-	acc := make([]*core.BlockedSym, k) // second-moment blocks, upper only
-	for c := range acc {
-		acc[c] = core.NewBlockedZero(p)
+	total := newMoments(k, p.D, diag) // assembled at the end of each pass
+	fact := newMoments(k, dS, diag)   // its fact columns, merged per chunk
+	var acc []*core.BlockedSym        // second-moment blocks, upper only; a diagonal model has none
+	for c := 0; c < k && !diag; c++ {
+		acc = append(acc, core.NewBlockedZero(p))
 	}
 	pdBuf := make([][]float64, q) // a match's PD per dimension part
 
@@ -119,17 +127,21 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 	}
 
 	// Charged × the events seen: tuples per fill and flush, matches per chunk.
-	units := core.NewGMMUnits(p, k, false)
+	units := core.NewGMMUnits(p, k, diag)
 
 	// flush folds one dimension part's group sums into the moments:
 	//   Σ_n γ PD_R       = (Σ_{n∈group} γ) · PD_R
-	//   Σ_n γ PD_R PD_Rᵀ = (Σ_{n∈group} γ) · PD_R PD_Rᵀ
+	//   Σ_n γ PD_R PD_Rᵀ = (Σ_{n∈group} γ) · PD_R PD_Rᵀ   (its diagonal alone for a diagonal model)
 	//   Σ_n γ PD_S PD_Rᵀ = (Σ_{n∈group} γ PD_S) ⊗ PD_R
 	flush := func(part int, caches []core.QuadCache, g *groupSums) {
 		for i := range caches {
 			c := i % k
 			pd := caches[i].PD
 			linalg.Axpy(g.w[i], pd, p.Slice(total.s1[c], part))
+			if diag {
+				foldDiag(p.Slice(total.s2[c].Row(0), part), g.w[i], pd)
+				continue
+			}
 			linalg.SyrkAccum(acc[c].B[part][part], g.w[i], pd)
 			linalg.OuterAccum(acc[c].B[0][part], 1, g.gv[i*dS:(i+1)*dS], pd)
 		}
@@ -137,12 +149,14 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 	}
 
 	ps.Pass = "fgmm.em"
+	if diag {
+		ps.Pass = "figmm.em"
+	}
 	return runEM(cfg, stats, func() (float64, error) {
-		states, err := model.precompute(p, true)
+		scorer, err := model.NewScorer(p)
 		if err != nil {
 			return 0, err
 		}
-		hot := buildHot(model, p, states)
 		total.zero()
 		fact.zero()
 		for c := range acc {
@@ -155,19 +169,18 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 		fill := func(part int, tuples []*storage.Tuple, dst []core.QuadCache) error {
 			stats.Ops.Add(units.Fill[part].Scale(int64(len(tuples))))
 			return ps.FillCaches(nw, tuples, func(t int, tp *storage.Tuple) error {
-				for c := 0; c < k; c++ {
-					core.FillQuadCache(&dst[t*k+c], states[c].blocked, part, tp.Features, model.Means[c])
-				}
+				scorer.FillDimCaches(dst[t*k:(t+1)*k], part, tp.Features, nil)
 				return nil
 			})
 		}
 		for j := 0; j < q-1; j++ {
-			res[j].reset(len(resCache[j]), dS)
+			res[j].reset(len(resCache[j]), gvWidth)
 			if err := fill(2+j, ps.Resident(j), resCache[j]); err != nil {
 				return 0, err
 			}
 		}
 
+		score := scorer.score // the structure's kernel, picked once per pass
 		ll := 0.0
 		err = ps.RunChunks(nw, join.ParallelCallbacks{
 			OnBlockStart: func(block []*storage.Tuple) error {
@@ -176,7 +189,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 					blkCache = make([]core.QuadCache, need)
 				}
 				blkCache = blkCache[:need]
-				blk.reset(need, dS)
+				blk.reset(need, gvWidth)
 				return fill(1, block, blkCache)
 			},
 			NewState: func() any {
@@ -202,7 +215,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 					}
 					g := a.gamma[i*k : (i+1)*k]
 					pds := a.pds[i*k*dS : (i+1)*k*dS]
-					hot.scoreRow(m.S.Features, a.caches, pds, a.logp)
+					score(m.S.Features, a.caches, pds, a.logp)
 					a.ll += linalg.SoftmaxLSE(g, a.logp)
 				}
 				a.fact.foldRows(a.gamma, a.pds, len(matches))
@@ -219,7 +232,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 					for j, ri := range m.Res {
 						res[j].scatter(ri, g, pds)
 					}
-					if q < 2 {
+					if q < 2 || diag {
 						continue
 					}
 					// Cross blocks between dimension relations (multi-way).
@@ -255,8 +268,12 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 		// Assemble the joined-width moments: the fact columns from the
 		// chunk merges, the dimension columns and blocks from the flushes.
 		copy(total.nk, fact.nk)
-		for c := range acc {
+		for c := 0; c < k; c++ {
 			copy(total.s1[c], fact.s1[c])
+			if diag {
+				copy(total.s2[c].Row(0), fact.s2[c].Row(0))
+				continue
+			}
 			acc[c].B[0][0].CopyFrom(fact.s2[c])
 			acc[c].AssembleInto(total.s2[c])
 		}

@@ -21,11 +21,15 @@ import (
 // order differs from the unfused reference by design, so fused and
 // unfused agree to rounding (≤1e-12 relative, pinned by
 // TestFusedKernelMatchesReference) rather than bit-for-bit. Every
-// consumer of component log-densities (serving Scorer, the streaming
-// incremental E-step, the factorized trainer) evaluates through this one
-// kernel, so all same-code bit-identity guarantees (worker sweeps,
+// factorized consumer of component log-densities (serving Scorer, the
+// streaming incremental E-step, the factorized trainer) evaluates through
+// this one kernel — scoreRow, or scoreRowDiag beside it for a diagonal
+// model — so all same-code bit-identity guarantees (worker sweeps,
 // incremental-vs-full refresh, crash replay) are preserved by
-// construction; the cross-strategy harnesses tolerate rounding (1e-9).
+// construction. The exception is the dense evaluator (model.go) behind
+// M-/S-GMM, Model.LogProb and Model.Responsibilities, which scores a joined
+// row in one quadratic form; the cross-strategy harnesses tolerate the
+// rounding between the two (1e-9).
 // The kernel counts nothing: a call costs core.GMMUnits.Score, which the
 // same test pins to what the unfused call sites charge.
 
@@ -38,10 +42,11 @@ type pairBlock struct {
 
 // hotComp is the flattened per-component scoring state.
 type hotComp struct {
-	muS   []float64 // fact-part mean µ_S (aliases Means[c][:dS])
-	b00   []float64 // flat dS×dS fact block of the blocked inverse
-	pairs []pairBlock
-	logK  float64 // logW + logNorm
+	muS    []float64 // fact-part mean µ_S (aliases Means[c][:dS])
+	b00    []float64 // flat dS×dS fact block of the blocked inverse
+	pairs  []pairBlock
+	invVar []float64 // inverse variances, for scoreRowDiag; nil for a full model
+	logK   float64   // logW + logNorm
 }
 
 // hotState is the fused kernel over all K components of one precomputed
@@ -63,6 +68,7 @@ func buildHot(m *Model, p core.Partition, states []compState) *hotState {
 		hc := &hs.comps[c]
 		hc.muS = p.Slice(m.Means[c], 0)
 		hc.b00 = states[c].blocked.B[0][0].Data()
+		hc.invVar = states[c].invVar
 		hc.logK = states[c].logW + states[c].logNorm
 		for i := 1; i <= q; i++ {
 			for j := i + 1; j <= q; j++ {
@@ -188,6 +194,27 @@ func (hs *hotState) scoreRow(xs []float64, caches [][]core.QuadCache, allPDS, lo
 					q += 2 * ((b0 + b1) + (b2 + b3))
 				}
 			}
+		}
+		logp[c] = hc.logK - 0.5*q
+	}
+}
+
+// scoreRowDiag is scoreRow for a diagonal model, where no block of the
+// inverse couples two parts: a component's quadratic form is the fact
+// part's Σ PD_S²/σ² plus the cached Self of each matched dimension tuple.
+func (hs *hotState) scoreRowDiag(xs []float64, caches [][]core.QuadCache, allPDS, logp []float64) {
+	dS := hs.dS
+	xs = xs[:dS]
+	for c := range hs.comps {
+		hc := &hs.comps[c]
+		mu := hc.muS[:dS]
+		pds := allPDS[c*dS : (c+1)*dS]
+		for i, v := range xs {
+			pds[i] = v - mu[i]
+		}
+		q := diagQuadPD(pds, hc.invVar)
+		for j := range caches {
+			q += caches[j][c].Self
 		}
 		logp[c] = hc.logK - 0.5*q
 	}

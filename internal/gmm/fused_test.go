@@ -55,7 +55,10 @@ func fusedTestModel(t *testing.T, rng *rand.Rand, K, D int) *Model {
 // charges per match scored) equals what the unfused call sites count, and
 // repeated fused evaluations are
 // bit-identical (the determinism every worker-sweep and
-// incremental-vs-full harness rests on).
+// incremental-vs-full harness rests on). A diagonal model is one more
+// input: its kernel (scoreRowDiag over PD + Self caches) against the same
+// unfused loop over the blocked diagonal inverse, whose caches the
+// reference fills itself.
 func TestFusedKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := [][]int{
@@ -63,9 +66,12 @@ func TestFusedKernelMatchesReference(t *testing.T) {
 		{2, 3, 2},       // S ⋈ R1 ⋈ R2 (one dim-dim pair)
 		{3, 2, 2, 3, 1}, // four dimension parts (six pairs)
 	}
-	for _, dims := range shapes {
+	for i, dims := range append(shapes, shapes...) {
 		p := core.NewPartition(dims)
 		m := fusedTestModel(t, rng, 4, p.D)
+		if i >= len(shapes) {
+			m.restrictToDiagonal()
+		}
 		s, err := m.NewScorer(p)
 		if err != nil {
 			t.Fatalf("NewScorer: %v", err)
@@ -74,8 +80,10 @@ func TestFusedKernelMatchesReference(t *testing.T) {
 		scU := s.NewScratch()
 		q := p.Parts() - 1
 		caches := make([][]core.QuadCache, q)
+		ref := make([][]core.QuadCache, q) // the unfused loop's: CrossS and all
 		for j := range caches {
 			caches[j] = make([]core.QuadCache, m.K)
+			ref[j] = make([]core.QuadCache, m.K)
 		}
 		for trial := 0; trial < 50; trial++ {
 			// Random dimension tuples (occasionally equal to a component
@@ -90,6 +98,12 @@ func TestFusedKernelMatchesReference(t *testing.T) {
 					copy(xr, p.Slice(m.Means[trial%m.K], 1+j))
 				}
 				s.FillDimCaches(caches[j], 1+j, xr, &fill)
+				for c := range ref[j] {
+					core.FillQuadCache(&ref[j][c], s.states[c].blocked, 1+j, xr, m.Means[c])
+				}
+				if m.Diagonal && len(caches[j][0].CrossS) != 0 {
+					t.Fatalf("dims %v: a diagonal cache carries a CrossS", dims)
+				}
 			}
 			xs := make([]float64, p.Dims[0])
 			for i := range xs {
@@ -99,7 +113,7 @@ func TestFusedKernelMatchesReference(t *testing.T) {
 				xs[0] = m.Means[trial%m.K][0] // zero PD entry in the fact part
 			}
 			s.scoreComponents(xs, caches, scF)
-			s.scoreComponentsUnfused(xs, caches, scU)
+			s.scoreComponentsUnfused(xs, ref, scU)
 			for c := 0; c < m.K; c++ {
 				f, u := scF.logp[c], scU.logp[c]
 				if d := math.Abs(f - u); d > 1e-12*math.Max(1, math.Abs(u)) {
@@ -107,7 +121,7 @@ func TestFusedKernelMatchesReference(t *testing.T) {
 						dims, trial, c, f, u, d)
 				}
 			}
-			if unit := core.NewGMMUnits(p, m.K, false).Score; unit != scU.Ops {
+			if unit := core.NewGMMUnits(p, m.K, false).Score; !m.Diagonal && unit != scU.Ops {
 				t.Fatalf("dims %v trial %d: E-step unit %+v != unfused call-site ops %+v",
 					dims, trial, unit, scU.Ops)
 			}

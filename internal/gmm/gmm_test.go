@@ -352,10 +352,14 @@ func TestCriteria(t *testing.T) {
 	}
 	m := res.Model
 	// d=4, K=2: params = 1 + 8 + 2*10 = 29 (full); 1 + 8 + 8 = 17 (diag).
-	if got := m.NumParams(false); got != 29 {
+	if got := m.NumParams(); got != 29 {
 		t.Fatalf("NumParams(full) = %d, want 29", got)
 	}
-	if got := m.NumParams(true); got != 17 {
+	diag, err := TrainF(db, spec, Config{K: 2, MaxIter: 3, Tol: 1e-12, Diagonal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := diag.Model.NumParams(); got != 17 {
 		t.Fatalf("NumParams(diag) = %d, want 17", got)
 	}
 	ll, n, err := m.Score(spec)
@@ -365,8 +369,8 @@ func TestCriteria(t *testing.T) {
 	if n != 300 {
 		t.Fatalf("Score n = %d", n)
 	}
-	bic := m.BIC(ll, n, false)
-	aic := m.AIC(ll, false)
+	bic := m.BIC(ll, n)
+	aic := m.AIC(ll)
 	if math.IsNaN(bic) || math.IsNaN(aic) {
 		t.Fatal("NaN criteria")
 	}
@@ -396,7 +400,7 @@ func TestBICPrefersTrueK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bics = append(bics, res.Model.BIC(ll, n, false))
+		bics = append(bics, res.Model.BIC(ll, n))
 	}
 	if bics[1] >= bics[0] {
 		t.Fatalf("BIC(K=2)=%v should beat BIC(K=1)=%v on 2-cluster data", bics[1], bics[0])

@@ -11,7 +11,8 @@ import (
 // warmStart validates cfg.Init against the dataset, counts the training
 // points with one (cheap, feature-free) pass — the count is needed for the
 // M-step weight denominators — and clones the model so the caller's copy
-// is never mutated by training. Every algorithm streams the same join, so
+// is never mutated by training; the clone takes the covariance structure
+// the configuration asks for. Every algorithm streams the same join, so
 // the warm-started trainers remain exactly comparable.
 func warmStart(scan func(onRow factor.RowFn) error, d int, cfg Config) (*Model, int, error) {
 	if cfg.Init.D != d {
@@ -34,7 +35,27 @@ func warmStart(scan func(onRow factor.RowFn) error, d int, cfg Config) (*Model, 
 	if n == 0 {
 		return nil, 0, fmt.Errorf("gmm: warm start over an empty dataset")
 	}
-	return cfg.Init.Clone(), n, nil
+	m := cfg.Init.Clone()
+	if cfg.Diagonal {
+		m.restrictToDiagonal()
+	}
+	m.Diagonal = cfg.Diagonal
+	return m, n, nil
+}
+
+// restrictToDiagonal makes m a diagonal mixture that keeps its variances
+// alone. A full-covariance warm start asked to train diagonally needs it:
+// the diagonal kernels never read an off-diagonal entry, and a component
+// that stays collapsed would carry its own out unchanged.
+func (m *Model) restrictToDiagonal() {
+	m.Diagonal = true
+	for _, cov := range m.Covs {
+		for i := range cov.Data() {
+			if i/m.D != i%m.D {
+				cov.Data()[i] = 0
+			}
+		}
+	}
 }
 
 // initModel performs one pass over the data to (a) count N, (b) accumulate
@@ -81,7 +102,7 @@ func initModel(scan func(onRow factor.RowFn) error, d int, cfg Config) (*Model, 
 			variance[i] = cfg.RegEps
 		}
 	}
-	m := &Model{K: cfg.K, D: d, Weights: make([]float64, cfg.K)}
+	m := &Model{K: cfg.K, D: d, Diagonal: cfg.Diagonal, Weights: make([]float64, cfg.K)}
 	for k := 0; k < cfg.K; k++ {
 		m.Weights[k] = 1 / float64(cfg.K)
 		m.Means = append(m.Means, reservoir[k])

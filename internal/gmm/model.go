@@ -14,11 +14,15 @@ import (
 
 // Model is a K-component Gaussian mixture over d-dimensional data.
 type Model struct {
-	K       int
-	D       int
-	Weights []float64       // mixing coefficients π_k, sum to 1
-	Means   [][]float64     // K × D
-	Covs    []*linalg.Dense // K dense D×D covariance matrices
+	K int
+	D int
+	// Diagonal: every covariance is diagonal (stored dense, off-diagonals
+	// exactly 0). State like K and D — whatever scores, counts, saves or
+	// refreshes the model reads its structure here.
+	Diagonal bool
+	Weights  []float64       // mixing coefficients π_k, sum to 1
+	Means    [][]float64     // K × D
+	Covs     []*linalg.Dense // K dense D×D covariance matrices
 }
 
 // Config controls EM training — the model and the worker pool, nothing
@@ -32,9 +36,10 @@ type Config struct {
 	RegEps  float64 // diagonal regularizer added to each covariance (default 1e-6)
 
 	// Diagonal restricts covariances to diagonal matrices — the IGMM model
-	// of Cheng & Koudas (ICDE 2019) that this paper generalizes. The
-	// factorized trainer then caches a single scalar per dimension tuple
-	// and component (no cross-relation covariance blocks exist).
+	// of Cheng & Koudas (ICDE 2019) that this paper generalizes. It is the
+	// one request knob: Train stamps it on the model (Model.Diagonal), and
+	// the factorized trainer then caches PD and one scalar per dimension
+	// tuple and component (no cross-relation covariance blocks exist).
 	Diagonal bool
 
 	// Init, when non-nil, warm-starts training from this model instead of
@@ -115,10 +120,12 @@ func (s *Stats) FinalLL() float64 {
 }
 
 // compState holds the per-component quantities precomputed once per EM
-// iteration: the inverse covariance (paper's I_k), its partition blocks, and
-// the constant part of the log density.
+// iteration: the inverse covariance (paper's I_k) — for a diagonal model the
+// inverse variances, and the dense inverse only when its partition blocks
+// are asked for — and the constant part of the log density.
 type compState struct {
 	inv     *linalg.Dense
+	invVar  []float64 // 1/σ² per dimension; nil for a full covariance
 	blocked *core.BlockedSym
 	logNorm float64 // -0.5·(d·ln 2π + ln|Σ|)
 	logW    float64 // ln π_k
@@ -129,18 +136,32 @@ type compState struct {
 // prevent).
 func (m *Model) precompute(p core.Partition, blockInv bool) ([]compState, error) {
 	states := make([]compState, m.K)
-	for k := 0; k < m.K; k++ {
-		inv, logDet, err := linalg.SPDInverse(m.Covs[k])
-		if err != nil {
-			return nil, fmt.Errorf("gmm: component %d covariance: %w", k, err)
+	for k := range states {
+		st := &states[k]
+		var logDet float64
+		if m.Diagonal {
+			st.invVar = make([]float64, m.D)
+			for i := range st.invVar {
+				v := m.Covs[k].At(i, i)
+				if v <= 0 || math.IsNaN(v) {
+					return nil, fmt.Errorf("gmm: component %d has non-positive variance %v at dim %d", k, v, i)
+				}
+				st.invVar[i] = 1 / v
+				logDet += math.Log(v)
+			}
+			if blockInv {
+				st.inv = linalg.Diag(st.invVar)
+			}
+		} else {
+			var err error
+			if st.inv, logDet, err = linalg.SPDInverse(m.Covs[k]); err != nil {
+				return nil, fmt.Errorf("gmm: component %d covariance: %w", k, err)
+			}
 		}
-		states[k] = compState{
-			inv:     inv,
-			logNorm: -0.5 * (float64(m.D)*math.Log(2*math.Pi) + logDet),
-			logW:    math.Log(math.Max(m.Weights[k], 1e-300)),
-		}
+		st.logNorm = -0.5 * (float64(m.D)*math.Log(2*math.Pi) + logDet)
+		st.logW = math.Log(math.Max(m.Weights[k], 1e-300))
 		if blockInv {
-			states[k].blocked = core.BlockSym(inv, p)
+			st.blocked = core.BlockSym(st.inv, p)
 		}
 	}
 	return states, nil
@@ -148,26 +169,18 @@ func (m *Model) precompute(p core.Partition, blockInv bool) ([]compState, error)
 
 // evaluator scores joined vectors under one fixed setting of the model's
 // parameters. Every component covariance is factorized once, at
-// construction (the one-part state of precompute, or the inverse variances
-// of a diagonal model), so a loop over many rows pays the K Cholesky
-// factorizations once rather than once per row. It is immutable afterwards
-// and callers bring their own scratch, so one evaluator serves a whole
-// worker pool.
+// construction (the one-part state of precompute), so a loop over many rows
+// pays the K Cholesky factorizations once rather than once per row. It is
+// immutable afterwards and callers bring their own scratch, so one
+// evaluator serves a whole worker pool.
 type evaluator struct {
-	m    *Model
-	full []compState // nil when built diagonal
-	diag []diagState
+	m      *Model
+	states []compState
 }
 
-func (m *Model) newEvaluator(diagonal bool) (*evaluator, error) {
-	ev := &evaluator{m: m}
-	var err error
-	if diagonal {
-		ev.diag, err = m.precomputeDiag()
-	} else {
-		ev.full, err = m.precompute(core.NewPartition([]int{m.D}), false)
-	}
-	return ev, err
+func (m *Model) newEvaluator() (*evaluator, error) {
+	states, err := m.precompute(core.NewPartition([]int{m.D}), false)
+	return &evaluator{m: m, states: states}, err
 }
 
 // logDensities fills logp[c] = ln π_c·N(x | µ_c, Σ_c) and leaves the
@@ -177,11 +190,10 @@ func (ev *evaluator) logDensities(x, pd, logp []float64) {
 	for c := range logp {
 		pdc := pd[c*d : (c+1)*d]
 		linalg.VecSub(pdc, x, ev.m.Means[c])
-		if ev.diag != nil {
-			st := &ev.diag[c]
+		st := &ev.states[c]
+		if st.invVar != nil {
 			logp[c] = st.logW + st.logNorm - 0.5*diagQuadPD(pdc, st.invVar)
 		} else {
-			st := &ev.full[c]
 			logp[c] = st.logW + st.logNorm - 0.5*linalg.QuadForm(st.inv, pdc)
 		}
 	}
@@ -197,7 +209,7 @@ func (m *Model) LogProb(x []float64) float64 { return m.LogProbFunc()(x) }
 // not positive definite). The function owns scratch: use it from one
 // goroutine at a time.
 func (m *Model) LogProbFunc() func(x []float64) float64 {
-	ev, err := m.newEvaluator(false)
+	ev, err := m.newEvaluator()
 	pd := make([]float64, m.K*m.D)
 	lp := make([]float64, m.K)
 	return func(x []float64) float64 {
@@ -215,7 +227,7 @@ func (m *Model) LogProbFunc() func(x []float64) float64 {
 // Responsibilities returns γ_k(x) = p(z = k | x) for a single point.
 func (m *Model) Responsibilities(x []float64) []float64 {
 	out := make([]float64, m.K)
-	ev, err := m.newEvaluator(false)
+	ev, err := m.newEvaluator()
 	if err != nil {
 		for i := range out {
 			out[i] = 1 / float64(m.K)
@@ -242,7 +254,7 @@ func (m *Model) Predict(x []float64) int {
 
 // Clone returns a deep copy of the model.
 func (m *Model) Clone() *Model {
-	out := &Model{K: m.K, D: m.D, Weights: append([]float64{}, m.Weights...)}
+	out := &Model{K: m.K, D: m.D, Diagonal: m.Diagonal, Weights: append([]float64{}, m.Weights...)}
 	for k := 0; k < m.K; k++ {
 		out.Means = append(out.Means, append([]float64{}, m.Means[k]...))
 		out.Covs = append(out.Covs, m.Covs[k].Clone())

@@ -7,8 +7,9 @@ import (
 	"factorml/internal/linalg"
 )
 
-// Scorer evaluates a trained mixture over normalized fact tuples with the
-// same factorization the F-GMM E-step uses (Eq. 7-12/19-21): the
+// Scorer evaluates a trained mixture over normalized fact tuples — it is
+// the factorized E-step (Eq. 7-12/19-21) of the F-GMM trainer, the serving
+// engine and the streaming refresh alike, for full and diagonal models: the
 // per-component inverse covariances are factorized once at construction,
 // and the per-dimension-tuple quadratic-form contributions (core.QuadCache)
 // are computed by FillDimCaches — once per distinct dimension tuple — and
@@ -20,7 +21,9 @@ type Scorer struct {
 	p      core.Partition
 	states []compState
 	hot    *hotState
-	units  core.GMMUnits
+	// score is hot.scoreRow, or hot.scoreRowDiag for a diagonal model.
+	score func(xs []float64, caches [][]core.QuadCache, allPDS, logp []float64)
+	units core.GMMUnits
 }
 
 // NewScorer precomputes the blocked inverse covariances for scoring over
@@ -34,15 +37,17 @@ func (m *Model) NewScorer(p core.Partition) (*Scorer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scorer{m: m, p: p, states: states, hot: buildHot(m, p, states), units: core.NewGMMUnits(p, m.K, false)}, nil
+	s := &Scorer{m: m, p: p, states: states, hot: buildHot(m, p, states), units: core.NewGMMUnits(p, m.K, m.Diagonal)}
+	s.score = s.hot.scoreRow
+	if m.Diagonal {
+		s.score = s.hot.scoreRowDiag
+	}
+	return s, nil
 }
 
 // K returns the number of mixture components (the length FillDimCaches
 // expects for its destination slice).
 func (s *Scorer) K() int { return s.m.K }
-
-// Partition returns the relation partition the scorer was built over.
-func (s *Scorer) Partition() core.Partition { return s.p }
 
 // FillDimCaches computes the K per-component quadratic-form caches of
 // dimension part i (i ≥ 1) for a dimension tuple with features xr.
@@ -54,7 +59,11 @@ func (s *Scorer) FillDimCaches(dst []core.QuadCache, part int, xr []float64, ops
 		panic(fmt.Sprintf("gmm: dim-cache slice length %d, want K=%d", len(dst), s.m.K))
 	}
 	for c := range dst {
-		core.FillQuadCache(&dst[c], s.states[c].blocked, part, xr, s.m.Means[c])
+		if s.m.Diagonal {
+			fillDiagCache(&dst[c], xr, s.p.Slice(s.m.Means[c], part), s.p.Slice(s.states[c].invVar, part))
+		} else {
+			core.FillQuadCache(&dst[c], s.states[c].blocked, part, xr, s.m.Means[c])
+		}
 	}
 	if ops != nil {
 		ops.Add(s.units.Fill[part])
@@ -91,12 +100,13 @@ func (s *Scorer) NewScratch() *ScoreScratch {
 // differ from the original per-term loop only in summation order (≤1e-12
 // relative, pinned by TestFusedKernelMatchesReference);
 // scoreComponentsUnfused keeps the original loop as the benchmark
-// baseline and reference.
+// baseline and reference. (The dense evaluator behind Model.LogProb and
+// the M-/S- trainers is the one scoring path that is not this kernel.)
 func (s *Scorer) scoreComponents(xs []float64, caches [][]core.QuadCache, sc *ScoreScratch) {
 	if len(caches) != s.p.Parts()-1 {
 		panic(fmt.Sprintf("gmm: %d dimension caches, partition has %d dimension parts", len(caches), s.p.Parts()-1))
 	}
-	s.hot.scoreRow(xs, caches, sc.pds, sc.logp)
+	s.score(xs, caches, sc.pds, sc.logp)
 }
 
 // scoreComponentsUnfused is the pre-fusion reference kernel: one call per

@@ -52,10 +52,20 @@ func scoreTestModel(t *testing.T) *Model {
 }
 
 // TestScorerMatchesLogProb checks the factorized scorer against the dense
-// Model.LogProb/Model.Predict on the assembled joined vector, and that its
-// output is bit-identical across cache refills.
+// Model.LogProb/Model.Predict/Model.Responsibilities on the assembled
+// joined vector, for a full and a diagonal model, and that its output is
+// bit-identical across cache refills.
 func TestScorerMatchesLogProb(t *testing.T) {
-	m := scoreTestModel(t)
+	for _, diagonal := range []bool{false, true} {
+		m := scoreTestModel(t)
+		if diagonal {
+			m.restrictToDiagonal()
+		}
+		testScorerMatchesLogProb(t, m)
+	}
+}
+
+func testScorerMatchesLogProb(t *testing.T, m *Model) {
 	p := core.NewPartition([]int{2, 3, 1}) // S ⋈ R1 ⋈ R2
 	s, err := m.NewScorer(p)
 	if err != nil {
@@ -84,6 +94,13 @@ func TestScorerMatchesLogProb(t *testing.T) {
 		}
 		if dense := m.Predict(x); cluster != dense {
 			t.Fatalf("trial %d: Score cluster %d, Predict %d", trial, cluster, dense)
+		}
+		gamma := make([]float64, s.K())
+		if ll := s.Responsibilities(p.Slice(x, 0), caches, sc, gamma); ll != got {
+			t.Fatalf("trial %d: Responsibilities LL %v, Score %v", trial, ll, got)
+		}
+		if d := linalg.MaxAbsDiffVec(gamma, m.Responsibilities(x)); d > 1e-9 {
+			t.Fatalf("trial %d (diagonal=%v): responsibilities differ from the dense ones by %g", trial, m.Diagonal, d)
 		}
 
 		// Refilled caches produce bit-identical scores.

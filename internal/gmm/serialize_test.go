@@ -2,6 +2,7 @@ package gmm
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -28,6 +29,68 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	x := make([]float64, res.Model.D)
 	if got, want := loaded.LogProb(x), res.Model.LogProb(x); got != want {
 		t.Fatalf("LogProb after load: %v vs %v", got, want)
+	}
+}
+
+// The covariance structure is saved with the model — as a key only a
+// diagonal one carries, so a full-covariance model's bytes (registry files,
+// WAL attach records, checkpoints) are what they were before the field.
+func TestModelSaveRecordsStructure(t *testing.T) {
+	db := openDB(t)
+	spec := synthBinary(t, db, 300, 15, 2, 3)
+	for _, diagonal := range []bool{false, true} {
+		res, err := TrainF(db, spec, Config{K: 3, MaxIter: 3, Tol: 1e-12, Diagonal: diagonal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.Model.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		saved := buf.String()
+		loaded, err := LoadModel(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Diagonal != diagonal || res.Model.MaxParamDiff(loaded) != 0 {
+			t.Fatalf("Diagonal=%v round trip: loaded Diagonal=%v, diff %v", diagonal, loaded.Diagonal, res.Model.MaxParamDiff(loaded))
+		}
+		if diagonal {
+			if !strings.Contains(saved, `"d":5,"diagonal":true,`) {
+				t.Fatalf("diagonal model saved without its structure: %.80s", saved)
+			}
+			continue
+		}
+		// The layout Save had before models carried their structure.
+		legacy := struct {
+			Version int         `json:"version"`
+			K       int         `json:"k"`
+			D       int         `json:"d"`
+			Weights []float64   `json:"weights"`
+			Means   [][]float64 `json:"means"`
+			Covs    [][]float64 `json:"covs"`
+		}{Version: 1, K: loaded.K, D: loaded.D, Weights: loaded.Weights, Means: loaded.Means}
+		for _, c := range loaded.Covs {
+			legacy.Covs = append(legacy.Covs, c.Data())
+		}
+		want, _ := json.Marshal(legacy)
+		if saved != string(want)+"\n" {
+			t.Fatalf("full-covariance bytes changed:\n got %.120s\nwant %.120s", saved, want)
+		}
+	}
+}
+
+// A model flagged diagonal that carries an off-diagonal entry is outside
+// input the diagonal kernels would silently ignore: LoadModel names the
+// component and the cell.
+func TestLoadModelRejectsDiagonalWithOffDiagonal(t *testing.T) {
+	blob := `{"version":1,"k":2,"d":2,"diagonal":true,"weights":[0.5,0.5],"means":[[0,0],[1,1]],"covs":[[1,0,0,1],[1,0,0.25,1]]}`
+	_, err := LoadModel(strings.NewReader(blob))
+	if err == nil || !strings.Contains(err.Error(), "covariance 1 entry (1,0)") {
+		t.Fatalf("LoadModel = %v, want an error naming covariance 1 entry (1,0)", err)
+	}
+	if _, err := LoadModel(strings.NewReader(strings.Replace(blob, "0.25", "0", 1))); err != nil {
+		t.Fatalf("clean diagonal model rejected: %v", err)
 	}
 }
 

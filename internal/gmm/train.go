@@ -14,13 +14,14 @@ import (
 // same EM over different access paths, and factor.Open hands the path over
 // driver-ready: the model is initialized over one scan of the rows — the
 // same rows in the same order whatever the path, so every strategy starts
-// from the identical model — and then iterated by the factorized driver
-// when the path carries the factorized parts (Eq. 7–24) and by the dense
-// one over its rows otherwise (Algorithm 1 reading the materialized T, or
-// re-joining on the fly). The decomposition is exact, so all three return
-// the same model. Nothing about the join is configured here: its block
-// size is the spec's. A table Materialized writes is dropped when training
-// finishes.
+// from the identical model, stamped with the covariance structure the
+// configuration asks for (Model.Diagonal) — and then iterated by the
+// factorized driver when the path carries the factorized parts (Eq. 7–24)
+// and by the dense one over its rows otherwise (Algorithm 1 reading the
+// materialized T, or re-joining on the fly). The decomposition is exact,
+// so all three return the same model. Nothing about the join is configured
+// here: its block size is the spec's. A table Materialized writes is
+// dropped when training finishes.
 func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -43,12 +44,9 @@ func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (
 		return nil, err
 	}
 	res := &Result{Model: model}
-	switch {
-	case ps == nil:
+	if ps == nil {
 		err = emDense(path.Scan, path.Width, n, cfg, model, &res.Stats)
-	case cfg.Diagonal:
-		err = emFactorizedDiag(ps, n, cfg, model, &res.Stats)
-	default:
+	} else {
 		err = emFactorized(ps, n, cfg, model, &res.Stats)
 	}
 	if err != nil {

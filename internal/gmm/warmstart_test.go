@@ -35,6 +35,23 @@ func TestWarmStartValidation(t *testing.T) {
 		t.Fatalf("warm-start clone differs by %g", d)
 	}
 
+	// The configuration's structure is stamped on the clone: a full model
+	// started as a diagonal one keeps its variances and nothing else.
+	diag, _, err := initModel(pass, 6, Config{K: 3, Init: model, Diagonal: true})
+	if err != nil || !diag.Diagonal || model.Diagonal {
+		t.Fatalf("diagonal warm start: %+v, err %v", diag, err)
+	}
+	for c, cov := range diag.Covs {
+		for i, v := range cov.Data() {
+			if want := model.Covs[c].Data()[i]; (i/6 == i%6 && v != want) || (i/6 != i%6 && v != 0) {
+				t.Fatalf("diagonal warm start: cov[%d](%d,%d) = %v (caller's %v)", c, i/6, i%6, v, want)
+			}
+		}
+	}
+	if full, _, _ := initModel(pass, 6, Config{K: 3, Init: diag}); full.Diagonal {
+		t.Fatal("a full-covariance config warm-started from a diagonal model stayed diagonal")
+	}
+
 	if _, _, err := initModel(pass, 7, Config{K: 3, Init: model}); err == nil || !strings.Contains(err.Error(), "dimension") {
 		t.Fatalf("dimension mismatch accepted: %v", err)
 	}

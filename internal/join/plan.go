@@ -161,6 +161,31 @@ func NewResolver(parent, ref []int, idxs []*ResidentIndex) (*Resolver, error) {
 // NumDirect returns the number of direct (fact-keyed) nodes.
 func (rv *Resolver) NumDirect() int { return rv.direct }
 
+// Hop resolves node i into pos[i] from what is resolved before it — a
+// direct node from the fact row's keys fks, a sub-dimension node from the
+// sub-key its parent's tuple (at pos[Parent[i]]) pins NOW — and returns the
+// key followed. It is the one place a hierarchy hop is made: Resolve takes
+// it per fact row and node, the streaming statistics per group.
+func (rv *Resolver) Hop(i int, fks []int64, pos []int) (int64, error) {
+	var pk int64
+	if parent := rv.Parent[i]; parent == -1 {
+		pk = fks[rv.Ref[i]]
+	} else {
+		subs := rv.Idxs[parent].SubsAt(pos[parent])
+		if rv.Ref[i] >= len(subs) {
+			return 0, fmt.Errorf("join: tuple %d of dimension table %q has %d sub-keys, resolver wants key %d",
+				pos[parent], rv.Idxs[parent].Name(), len(subs), rv.Ref[i])
+		}
+		pk = subs[rv.Ref[i]]
+	}
+	at, ok := rv.Idxs[i].Pos(pk)
+	if !ok {
+		return 0, fmt.Errorf("unknown foreign key %d for dimension table %q", pk, rv.Idxs[i].Name())
+	}
+	pos[i] = at
+	return pk, nil
+}
+
 // Resolve follows the hierarchy for one fact row: fks holds the row's
 // direct foreign keys (one per direct node, in node order), and on success
 // pks[i]/pos[i] receive node i's primary key and dense index within its
@@ -180,23 +205,10 @@ func (rv *Resolver) Resolve(fks []int64, pks []int64, pos []int) error {
 		}
 	}
 	for i := range rv.Idxs {
-		var pk int64
-		if rv.Parent[i] == -1 {
-			pk = fks[rv.Ref[i]]
-		} else {
-			parent := rv.Parent[i]
-			subs := rv.Idxs[parent].SubsAt(p[parent])
-			if rv.Ref[i] >= len(subs) {
-				return fmt.Errorf("join: tuple %d of dimension table %q has %d sub-keys, resolver wants key %d",
-					p[parent], rv.Idxs[parent].Name(), len(subs), rv.Ref[i])
-			}
-			pk = subs[rv.Ref[i]]
+		pk, err := rv.Hop(i, fks, p)
+		if err != nil {
+			return err
 		}
-		at, ok := rv.Idxs[i].Pos(pk)
-		if !ok {
-			return fmt.Errorf("unknown foreign key %d for dimension table %q", pk, rv.Idxs[i].Name())
-		}
-		p[i] = at
 		if pks != nil {
 			pks[i] = pk
 		}

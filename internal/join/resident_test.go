@@ -1,6 +1,8 @@
 package join
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"factorml/internal/storage"
@@ -150,5 +152,62 @@ func TestResidentIndexUpsert(t *testing.T) {
 	}
 	if _, err := ix.Upsert(5, nil, []float64{1}); err == nil {
 		t.Fatal("Upsert accepted a wrong-width vector")
+	}
+}
+
+// TestResolverHops pins the one place a hierarchy hop is made, on
+// S → {A → {B → D, C}, E}: Resolve finds every node's key and dense index
+// through Hop, a hop can be retaken from a tuple's position alone (what the
+// streaming statistics do per group), it follows sub-keys as they are
+// pinned now, and both ways out name the table and the key.
+func TestResolverHops(t *testing.T) {
+	db := openDB(t)
+	a := snowTable(t, db, "A", 2, 2, [][]int64{{10, 0, 1}, {11, 1, 0}})
+	b := snowTable(t, db, "BB", 1, 1, [][]int64{{0, 7}, {1, 99}}) // B tuple 1 references no D tuple
+	d := snowTable(t, db, "DDD", 0, 3, [][]int64{{7}, {8}})
+	c := snowTable(t, db, "CCCC", 0, 0, [][]int64{{0}, {1}})
+	e := snowTable(t, db, "EEEEE", 0, 2, [][]int64{{5}})
+	pl := &DimPlan{Tables: []*storage.Table{a, b, d, c, e}, Parent: []int{-1, 0, 1, 0, -1}, Ref: []int{0, 0, 0, 1, 1}}
+	idxs, err := pl.BuildIndexes(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv, err := NewResolver(pl.Parent, pl.Ref, idxs)
+	if err != nil || rv.NumDirect() != 2 {
+		t.Fatalf("NewResolver: %d direct nodes, err %v", rv.NumDirect(), err)
+	}
+
+	pks, pos := make([]int64, 5), make([]int, 5)
+	if err := rv.Resolve([]int64{10, 5}, pks, pos); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(pks, pos) != "[10 0 7 1 5] [0 0 0 1 0]" {
+		t.Fatalf("Resolve = keys %v at %v", pks, pos)
+	}
+	// The same hop from the parent's position alone, no fact row in sight.
+	again := []int{0, 0, -1, -1, -1}
+	if pk, err := rv.Hop(2, nil, again); err != nil || pk != 7 || again[2] != 0 {
+		t.Fatalf("Hop(2) = key %d at %d, err %v", pk, again[2], err)
+	}
+	// A repointed sub-key shows in the next hop.
+	if _, err := idxs[1].Upsert(0, []int64{8}, []float64{0}); err != nil {
+		t.Fatal(err)
+	}
+	if pk, err := rv.Hop(2, nil, again); err != nil || pk != 8 || again[2] != 1 {
+		t.Fatalf("Hop(2) after the repoint = key %d at %d, err %v", pk, again[2], err)
+	}
+
+	if err := rv.Resolve([]int64{11, 5}, nil, nil); err == nil || err.Error() != `unknown foreign key 99 for dimension table "DDD"` {
+		t.Fatalf("dangling sub-key: %v", err)
+	}
+	if err := rv.Resolve([]int64{12, 5}, nil, nil); err == nil || err.Error() != `unknown foreign key 12 for dimension table "A"` {
+		t.Fatalf("dangling direct key: %v", err)
+	}
+	if err := rv.Resolve([]int64{10}, nil, nil); err == nil {
+		t.Fatal("Resolve accepted one key for two direct dimensions")
+	}
+	short := &Resolver{Parent: pl.Parent, Ref: []int{0, 0, 3, 1, 1}, Idxs: idxs}
+	if _, err := short.Hop(2, nil, []int{0, 0, 0, 0, 0}); err == nil || !strings.Contains(err.Error(), `"BB" has 1 sub-keys, resolver wants key 3`) {
+		t.Fatalf("sub-key out of range: %v", err)
 	}
 }

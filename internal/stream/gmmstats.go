@@ -225,25 +225,16 @@ func (st *GMMStats) groupFeatures(d, g int, dst []float64) error {
 	n0, n1 := st.nodes[d], st.nodes[d+1]
 	var posBuf [8]int
 	pos := posBuf[:]
-	if n1-n0 > len(pos) {
-		pos = make([]int, n1-n0)
+	if len(rv.Idxs) > len(pos) {
+		pos = make([]int, len(rv.Idxs))
 	}
 	for i := n0; i < n1; i++ {
-		at := g
-		if i > n0 {
-			par := rv.Parent[i]
-			subs := rv.Idxs[par].SubsAt(pos[par-n0])
-			if rv.Ref[i] >= len(subs) {
-				return fmt.Errorf("tuple %d of dimension table %q has %d sub-keys, the hierarchy wants key %d",
-					pos[par-n0], rv.Idxs[par].Name(), len(subs), rv.Ref[i])
-			}
-			var ok bool
-			if at, ok = rv.Idxs[i].Pos(subs[rv.Ref[i]]); !ok {
-				return fmt.Errorf("unknown foreign key %d for dimension table %q", subs[rv.Ref[i]], rv.Idxs[i].Name())
+		if pos[i] = g; i > n0 {
+			if _, err := rv.Hop(i, nil, pos); err != nil {
+				return err
 			}
 		}
-		pos[i-n0] = at
-		_, x := rv.Idxs[i].At(at)
+		_, x := rv.Idxs[i].At(pos[i])
 		dst = dst[copy(dst, x):]
 	}
 	return nil
@@ -468,8 +459,9 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 }
 
 // Step runs the M-step over the statistics as they stand and returns the
-// refreshed model (prev supplies the parameters of collapsed components,
-// mirroring the trainers' collapse handling). One sweep reads the slabs in
+// refreshed model (prev supplies the covariance structure — a diagonal
+// mixture refreshes as a diagonal one — and the parameters of collapsed
+// components, mirroring the trainers' collapse handling). One sweep reads the slabs in
 // place and assembles all K components: groups in dense index order, group
 // pairs in key order, every group's features resolved once. The result is
 // therefore a pure function of the absorbed rows and the dimension tuples —
@@ -549,6 +541,9 @@ func (st *GMMStats) Step(prev *gmm.Model, regEps float64) (*gmm.Model, error) {
 		cov := linalg.NewDense(D, D)
 		for i := 0; i < D; i++ {
 			for j := i; j < D; j++ {
+				if prev.Diagonal && j > i {
+					break // a diagonal M-step is the diagonal of the full one
+				}
 				v := raw.At(i, j)/nk - mu[i]*mu[j]
 				if i == j {
 					v += regEps
