@@ -129,7 +129,7 @@ type (
 	Activation = nn.Activation
 	// BatchMode selects the NN update cadence.
 	BatchMode = nn.BatchMode
-	// IOStats carries buffer-pool page counters.
+	// IOStats carries the storage layer's page-read and page-write counters.
 	IOStats = storage.IOStats
 	// SyntheticConfig configures the synthetic workload generator.
 	SyntheticConfig = data.SynthConfig
@@ -461,10 +461,10 @@ func (d *DB) Close() error {
 	return firstErr
 }
 
-// IOStats returns the cumulative buffer-pool counters.
+// IOStats returns the cumulative page counters.
 func (d *DB) IOStats() IOStats { return d.db.Pool().Stats() }
 
-// ResetIOStats zeroes the buffer-pool counters.
+// ResetIOStats zeroes the page counters.
 func (d *DB) ResetIOStats() { d.db.Pool().ResetStats() }
 
 // DimensionTable is a relation R(rid, fk…, features…) referenced by fact

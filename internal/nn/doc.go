@@ -20,8 +20,8 @@
 // more operations than it saves even then. The ShareLayer2 option
 // implements that scheme anyway — restricted to the Identity activation,
 // where it is exact — so the claim can be demonstrated empirically with
-// Stats.Ops (see TestShareLayer2ExactAndCostsMore). The planner has no
-// field for it and prices a sharing run as a plain F-NN.
+// Stats.Ops (see TestShareLayer2ExactAndCostsMore), and the planner prices
+// it (plan.ModelSpec.ShareLayer2).
 //
 // Flop accounting: the kernels count nothing. Stats.Ops is internal/core's
 // per-event units (core.NNUnits) × the events this run saw — examples per

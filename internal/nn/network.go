@@ -163,9 +163,7 @@ type Config struct {
 	// ShareLayer2 enables the paper's §VI-A2 layer-2 sharing scheme.
 	// Requires the Identity activation (the only additive one) and at
 	// least two hidden layers. Exact but more expensive — implemented to
-	// demonstrate the paper's cost analysis. F-NN only. The planner does
-	// not price it (plan.ModelSpec has no field for it): a sharing run's
-	// Stats.Ops exceed its estimate, which is a plain F-NN's.
+	// demonstrate the paper's cost analysis. F-NN only.
 	ShareLayer2 bool
 }
 

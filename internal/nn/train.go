@@ -98,9 +98,10 @@ func (c Config) ModelSpec() plan.ModelSpec {
 		hidden = c.Init.Sizes[1 : len(c.Init.Sizes)-1]
 	}
 	return plan.ModelSpec{
-		Family:    plan.FamilyNN,
-		Hidden:    hidden,
-		Epochs:    c.Epochs,
-		BlockMode: c.Mode == Block,
+		Family:      plan.FamilyNN,
+		Hidden:      hidden,
+		Epochs:      c.Epochs,
+		BlockMode:   c.Mode == Block,
+		ShareLayer2: c.ShareLayer2,
 	}
 }

@@ -13,12 +13,11 @@ import (
 // per-event units (core/cost.go: the one place a kernel's formula is
 // written, and what the trainers multiply by the events they see). What an
 // estimate can get wrong is therefore a count — dangling keys, early
-// convergence — or the one shape ModelSpec cannot name: a layer-2-sharing
-// F-NN is priced as a plain one, below what it measures (§VI-A2). The I/O
-// model is the paper's block-nested-loops accounting: each pass reads R1
-// once and rescans S once per R1 block; Materialized pays one join plus
-// writing T, then reads T per pass. Buffer-pool caching is deliberately
-// ignored (pessimistic for re-reads, uniformly across strategies).
+// convergence — never a formula. The I/O model is the paper's
+// block-nested-loops accounting: each pass reads R1 once and rescans S once
+// per R1 block; Materialized pays one join plus writing T, then reads T per
+// pass. Every one of those pages is a sequential scan, which reads the file
+// past the buffer pool, so the page counts are exact, not pessimistic.
 
 // shape extracts the quantities the estimate needs. The factorized parts
 // are the direct dimensions: each as wide as its whole subtree (the join
@@ -64,17 +63,17 @@ func estimateOps(ss *SchemaStats, m ModelSpec, s Strategy) core.Ops {
 		}
 		return pass.Scale(int64(m.Iters))
 	case FamilyNN:
-		u := core.NewNNUnits(sh.p, append(append([]int{sh.p.D}, m.Hidden...), 1), false)
+		u := core.NewNNUnits(sh.p, append(append([]int{sh.p.D}, m.Hidden...), 1), m.ShareLayer2)
 		pass = u.DenseRow.Scale(sh.n)
 		if s == Factorized {
 			// R1 tuples fill once per epoch (each belongs to one block);
-			// resident relations refill per block under Block-mode
-			// updates, once per epoch otherwise.
+			// resident relations and the shared layer-2 bias refill per
+			// block under Block-mode updates, once per epoch otherwise.
 			refills := int64(1)
 			if m.BlockMode {
 				refills = ss.numBlocks()
 			}
-			pass = u.Match.Scale(sh.n)
+			pass = u.Match.Scale(sh.n).Plus(u.Refill.Scale(refills))
 			for i, mi := range sh.m {
 				if i > 0 {
 					mi *= refills

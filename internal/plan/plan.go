@@ -4,11 +4,8 @@
 // Streaming, Factorized — as event counts predicted from the catalog ×
 // internal/core's per-event flop units (the units the trainers multiply by
 // the events they see), plus a block-nested-loops page-I/O model, and
-// returns a ranked Plan. The one model shape it cannot see is the network's
-// layer-2 sharing (nn.Config.ShareLayer2 is not in ModelSpec): a sharing
-// F-NN is priced as a plain one, below what it will measure. factorml.Auto consults it to
-// pick a strategy per dataset and configuration; `train -explain` prints
-// its table.
+// returns a ranked Plan. factorml.Auto consults it to pick a strategy per
+// dataset and configuration; `train -explain` prints its table.
 package plan
 
 import (
@@ -176,11 +173,12 @@ type ModelSpec struct {
 	Diagonal bool
 
 	// NN: hidden layer sizes, epochs, Block-mode updates (dimension caches
-	// refill per block instead of per epoch). Layer-2 sharing is not here
-	// and goes unpriced.
-	Hidden    []int
-	Epochs    int
-	BlockMode bool
+	// refill per block instead of per epoch), the §VI-A2 layer-2 sharing
+	// (which only the factorized trainer implements).
+	Hidden      []int
+	Epochs      int
+	BlockMode   bool
+	ShareLayer2 bool
 }
 
 func (m ModelSpec) validate(ss *SchemaStats) error {

@@ -7,9 +7,12 @@ import (
 )
 
 // IOStats aggregates page traffic counters. LogicalReads counts every page
-// request; PhysicalReads counts those that missed the pool and hit the file.
-// The paper's analytic cost formulas (§V-A) are stated in logical page reads
-// of the block-nested-loops join, so both views are kept.
+// a read moves onto: each page a sequential scan reads, each page UpdateAt
+// rewrites, each point read (Get). PhysicalReads counts those read from the
+// file — all but the point reads the pool served. A page served from a
+// table's unflushed tail counts as neither. The paper's analytic cost
+// formulas (§V-A) are stated in logical page reads of the block-nested-loops
+// join, so both views are kept.
 type IOStats struct {
 	LogicalReads  int64
 	PhysicalReads int64
@@ -39,8 +42,10 @@ type poolEntry struct {
 	page *page
 }
 
-// BufferPool is a shared LRU cache of pages keyed by (file, page number).
-// It is safe for concurrent use.
+// BufferPool is a shared LRU cache of pages keyed by (file, page number),
+// serving point reads (Table.Get) only: sequential scans and UpdateAt read
+// the file directly and only add to the counters it keeps. It is safe for
+// concurrent use.
 type BufferPool struct {
 	mu       sync.Mutex
 	capacity int
@@ -113,6 +118,14 @@ func (bp *BufferPool) get(fileID int, pageNo int64, load func(*page) error) (*pa
 	}
 	bp.entries[key] = bp.lru.PushFront(&poolEntry{key: key, page: p})
 	return p, nil
+}
+
+// noteRead records a page read straight from the file, past the cache.
+func (bp *BufferPool) noteRead() {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	bp.stats.LogicalReads++
+	bp.stats.PhysicalReads++
 }
 
 // noteWrite records a physical page write and invalidates any cached copy.

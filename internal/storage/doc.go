@@ -5,8 +5,8 @@
 //
 // Relations are heap files of fixed-width records (int64 key columns,
 // float64 feature columns, optional float64 target) packed into 8 KiB pages.
-// All page traffic flows through a shared buffer pool that keeps LRU
-// replacement statistics and separates logical page requests from physical
-// file reads, so that the paper's analytic I/O cost model (§V-A, block
+// Scans read pages straight from the file, point reads through a shared LRU
+// buffer pool; every page read is counted, logical apart from physical
+// (IOStats), so that the paper's analytic I/O cost model (§V-A, block
 // nested loops join page counts) can be verified against measured counters.
 package storage

@@ -232,6 +232,82 @@ func TestZeroCapacityPool(t *testing.T) {
 	}
 }
 
+// cachedPages lists the page numbers the pool holds, most recent first.
+func cachedPages(db *Database) []int64 {
+	var pages []int64
+	for el := db.pool.lru.Front(); el != nil; el = el.Next() {
+		pages = append(pages, el.Value.(*poolEntry).key.pageNo)
+	}
+	return pages
+}
+
+// fillPages appends pages full pages of one-key, one-feature rows to a new
+// table, plus tail rows left unflushed.
+func fillPages(t *testing.T, db *Database, name string, pages, tail int) *Table {
+	t.Helper()
+	s := testSchema(name, 1, 1, false)
+	tbl, err := db.CreateTable(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pages*s.RecordsPerPage()+tail; i++ {
+		if err := tbl.Append(&Tuple{Keys: []int64{int64(i)}, Features: []float64{float64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tbl
+}
+
+// A sequential scan of a table larger than the pool reads every page past
+// it: the pool stays empty, and each full page counts one logical and one
+// physical read while the unflushed tail counts neither.
+func TestScanBypassesPool(t *testing.T) {
+	db := openTestDB(t, 2)
+	const pages, tail = 6, 3
+	tbl := fillPages(t, db, "r", pages, tail)
+	db.Pool().ResetStats()
+	sc := tbl.NewScanner()
+	n := int64(0)
+	for sc.Next() {
+		if sc.Tuple().Keys[0] != n {
+			t.Fatalf("row %d: key %d", n, sc.Tuple().Keys[0])
+		}
+		n++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != tbl.NumTuples() {
+		t.Fatalf("scanned %d rows, want %d", n, tbl.NumTuples())
+	}
+	if got := cachedPages(db); len(got) != 0 {
+		t.Fatalf("pool holds pages %v after a scan", got)
+	}
+	if got, want := db.Pool().Stats(), (IOStats{LogicalReads: pages, PhysicalReads: pages}); got != want {
+		t.Fatalf("scan counted %v, want %v", got, want)
+	}
+}
+
+// A scan reuses one page buffer: its allocations do not grow with the
+// table.
+func TestScanAllocsIndependentOfPages(t *testing.T) {
+	db := openTestDB(t, 2)
+	allocs := func(tbl *Table) float64 {
+		return testing.AllocsPerRun(5, func() {
+			sc := tbl.NewScanner()
+			for sc.Next() {
+			}
+			if err := sc.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(fillPages(t, db, "small", 4, 0)), allocs(fillPages(t, db, "large", 64, 0))
+	if small != large {
+		t.Fatalf("a scan allocates %v times over 4 pages and %v over 64", small, large)
+	}
+}
+
 func TestPageWriteCounter(t *testing.T) {
 	db := openTestDB(t, -1)
 	s := testSchema("r", 1, 1, false)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -104,5 +105,41 @@ func TestUpdateAt(t *testing.T) {
 	}
 	if err := tbl.UpdateAt(n, &Tuple{Keys: []int64{int64(n)}, Features: []float64{0, 0}}); err == nil {
 		t.Fatal("UpdateAt accepted an out-of-range row")
+	}
+}
+
+// An update of a row on a full page reads that page once, straight from
+// the file, and counts that one read; the pool only loses its copy of the
+// rewritten page, if it held one.
+func TestUpdateAtReadsPageOnce(t *testing.T) {
+	db := openTestDB(t, 1)
+	tbl := fillPages(t, db, "r", 3, 0)
+	per := int64(tbl.Schema().RecordsPerPage())
+	var tp Tuple
+	if err := tbl.Get(0, &tp); err != nil { // caches page 0
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		row    int64
+		cached []int64
+	}{
+		{2*per + 5, []int64{0}}, // another page: page 0 stays cached
+		{5, nil},                // the cached page itself: its copy is dropped
+	} {
+		db.Pool().ResetStats()
+		if err := tbl.UpdateAt(c.row, &Tuple{Keys: []int64{c.row}, Features: []float64{-1}}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := db.Pool().Stats(), (IOStats{LogicalReads: 1, PhysicalReads: 1, PageWrites: 1}); got != want {
+			t.Errorf("UpdateAt(%d) counted %v, want %v", c.row, got, want)
+		}
+		if got := cachedPages(db); !reflect.DeepEqual(got, c.cached) {
+			t.Errorf("after UpdateAt(%d) the pool holds pages %v, want %v", c.row, got, c.cached)
+		}
+	}
+	for _, row := range []int64{5, 2*per + 5} {
+		if err := tbl.Get(row, &tp); err != nil || tp.Features[0] != -1 {
+			t.Fatalf("row %d after update: %v (err %v)", row, tp.Features, err)
+		}
 	}
 }

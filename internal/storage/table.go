@@ -7,7 +7,8 @@ import (
 
 // Table is a heap file of fixed-width records described by a Schema.
 // Appends buffer into a tail page that is flushed when full (or on Flush).
-// Reads go through the database's shared buffer pool.
+// Point reads (Get) go through the database's shared buffer pool;
+// sequential scans (Scanner) and UpdateAt read the file directly.
 type Table struct {
 	schema *Schema
 	db     *Database
@@ -111,18 +112,27 @@ func (t *Table) writePage(pageNo int64, p *page) error {
 	return nil
 }
 
-// readPage fetches page pageNo through the buffer pool. The unflushed tail
-// page is served from memory (it has never been written, so it costs no IO).
+// readPage fetches page pageNo through the buffer pool — the point-read
+// path (Get). The unflushed tail page is served from memory (it has never
+// been written, so it costs no IO).
 func (t *Table) readPage(pageNo int64) (*page, error) {
-	if pageNo == t.numPages && t.tailUsed > 0 && !t.flushed {
+	if t.tailInMemory(pageNo) {
 		return t.tail, nil
 	}
-	return t.db.pool.get(t.fileID, pageNo, func(p *page) error {
-		if _, err := t.file.ReadAt(p.buf, pageNo*PageSize); err != nil {
-			return fmt.Errorf("storage: reading page %d of %q: %w", pageNo, t.schema.Name, err)
-		}
-		return nil
-	})
+	return t.db.pool.get(t.fileID, pageNo, func(p *page) error { return t.readAt(p, pageNo) })
+}
+
+// tailInMemory reports whether page pageNo is the tail page, unflushed.
+func (t *Table) tailInMemory(pageNo int64) bool {
+	return pageNo == t.numPages && t.tailUsed > 0 && !t.flushed
+}
+
+// readAt reads page pageNo straight from the heap file into p.
+func (t *Table) readAt(p *page, pageNo int64) error {
+	if _, err := t.file.ReadAt(p.buf, pageNo*PageSize); err != nil {
+		return fmt.Errorf("storage: reading page %d of %q: %w", pageNo, t.schema.Name, err)
+	}
+	return nil
 }
 
 // UpdateAt overwrites the tuple at rowID (0-based append order) in place.
@@ -134,44 +144,42 @@ func (t *Table) UpdateAt(rowID int64, tp *Tuple) error {
 	if rowID < 0 || rowID >= t.numTuples {
 		return fmt.Errorf("storage: row %d out of range [0,%d) in %q", rowID, t.numTuples, t.schema.Name)
 	}
-	var old Tuple
-	if err := t.Get(rowID, &old); err != nil {
-		return err
-	}
-	if len(tp.Keys) == 0 || tp.Keys[0] != old.PrimaryKey() {
-		return fmt.Errorf("storage: UpdateAt row %d of %q must keep primary key %d",
-			rowID, t.schema.Name, old.PrimaryKey())
-	}
 	rs := t.schema.RecordSize()
 	perPage := int64(t.schema.RecordsPerPage())
 	pageNo := rowID / perPage
 	slot := int(rowID % perPage)
-	if pageNo == t.numPages && t.tailUsed > 0 {
-		// The row lives in the buffered tail page: rewrite it there and
-		// persist, so readers of the flushed copy see the new bytes.
-		if err := encodeTuple(t.tail.record(slot, rs), t.schema, tp); err != nil {
+	inTail := pageNo == t.numPages && t.tailUsed > 0
+	p := t.tail
+	if !inTail {
+		// A full page on disk: read it once, straight from the file, so a
+		// page cached for point reads is never mutated; writePage's
+		// noteWrite invalidates that copy.
+		p = newPage()
+		if err := t.readAt(p, pageNo); err != nil {
 			return err
 		}
-		t.flushed = false
-		if err := t.noteKeys(tp.Keys); err != nil {
-			return err
-		}
-		// Persist the page only; the catalog statistics ride the next
-		// batch-level Flush/Close instead of costing a whole-catalog
-		// rewrite per updated row.
-		return t.flushTail()
+		t.db.pool.noteRead()
 	}
-	// Full page on disk: read it directly (bypassing the pool so we never
-	// mutate a shared cached page), rewrite the record, and write it back.
-	// writePage's noteWrite invalidates any cached copy.
-	p := newPage()
-	if _, err := t.file.ReadAt(p.buf, pageNo*PageSize); err != nil {
-		return fmt.Errorf("storage: reading page %d of %q for update: %w", pageNo, t.schema.Name, err)
+	var old Tuple
+	decodeTuple(p.record(slot, rs), t.schema, &old)
+	if len(tp.Keys) == 0 || tp.Keys[0] != old.PrimaryKey() {
+		return fmt.Errorf("storage: UpdateAt row %d of %q must keep primary key %d",
+			rowID, t.schema.Name, old.PrimaryKey())
 	}
 	if err := encodeTuple(p.record(slot, rs), t.schema, tp); err != nil {
 		return err
 	}
-	if err := t.writePage(pageNo, p); err != nil {
+	var err error
+	if inTail {
+		// Persist the page only, so readers of the flushed copy see the new
+		// bytes; the catalog statistics ride the next batch-level
+		// Flush/Close instead of costing a whole-catalog rewrite per row.
+		t.flushed = false
+		err = t.flushTail()
+	} else {
+		err = t.writePage(pageNo, p)
+	}
+	if err != nil {
 		return err
 	}
 	// An update may repoint a foreign key; fold the new value into the
@@ -193,12 +201,17 @@ func (t *Table) Get(rowID int64, dst *Tuple) error {
 	return nil
 }
 
-// Scanner iterates a table in append order.
+// Scanner iterates a table in append order. It reads each page from the
+// heap file into one buffer of its own, past the buffer pool (a scan never
+// revisits a page, so caching it would only evict the point reads' pages),
+// and counts one logical and one physical read per page — none for the
+// unflushed tail page, which it serves from memory.
 type Scanner struct {
 	t      *Table
 	pageNo int64
 	slot   int
-	page   *page
+	page   *page // the current page: buf, or the table's in-memory tail
+	buf    *page // reused for every page read from the file
 	tuple  Tuple
 	err    error
 	served int64
@@ -206,7 +219,7 @@ type Scanner struct {
 
 // NewScanner returns a scanner positioned before the first tuple.
 func (t *Table) NewScanner() *Scanner {
-	return &Scanner{t: t}
+	return &Scanner{t: t, buf: newPage()}
 }
 
 // NewScannerAt returns a scanner positioned before the tuple with the
@@ -223,6 +236,7 @@ func (t *Table) NewScannerAt(rowID int64) (*Scanner, error) {
 		t:      t,
 		pageNo: rowID / perPage,
 		slot:   int(rowID % perPage),
+		buf:    newPage(),
 		served: rowID,
 	}, nil
 }
@@ -238,8 +252,7 @@ func (s *Scanner) Next() bool {
 			s.pageNo++
 			s.slot = 0
 		}
-		s.page, s.err = s.t.readPage(s.pageNo)
-		if s.err != nil {
+		if s.err = s.load(); s.err != nil {
 			return false
 		}
 	}
@@ -247,6 +260,21 @@ func (s *Scanner) Next() bool {
 	s.slot++
 	s.served++
 	return true
+}
+
+// load moves the scanner onto page pageNo.
+func (s *Scanner) load() error {
+	t := s.t
+	if t.tailInMemory(s.pageNo) {
+		s.page = t.tail
+		return nil
+	}
+	if err := t.readAt(s.buf, s.pageNo); err != nil {
+		return err
+	}
+	t.db.pool.noteRead()
+	s.page = s.buf
+	return nil
 }
 
 // Tuple returns the current tuple. The returned pointer is reused across

@@ -19,8 +19,16 @@
 # count for neither); failed runs are listed and excluded. The per-run
 # lines stay in .bench_build/ab/out/ for the record.
 #
-# A claim holds when head wins >= 9/10 of the pairs and the medians differ
-# by more than base's inter-quartile range (choosing-metrics guide, s.8).
+# Two verdict columns apply the rules, with each metric's better direction
+# and each end-to-end metric's bound read from BENCHMARK.json:
+#   claim  "holds" when at least ten pairs ran, head is better in >= 9/10
+#          of them and the medians differ, in head's favour, by more than
+#          base's inter-quartile range; "-" otherwise.
+#   bound  end-to-end metrics only: "worse" when head's median is worse
+#          than base's by more than the bound (relative); else
+#          "unresolved" when either side's inter-quartile range exceeds
+#          the bound (relative to its median) and not every head run beats
+#          every base run; else "ok".
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
@@ -110,6 +118,10 @@ for w in "${workloads[@]}"; do
 done >"$out/samples.txt"
 
 awk -v pairs="$pairs" '
+function field(line, key,    r) { # the value of "key" on a BENCHMARK.json line
+	if (!match(line, "\"" key "\": *\"?[^\",}]*")) return ""
+	r = substr(line, RSTART, RLENGTH); sub(/^"[^"]*": *"?/, "", r); return r
+}
 function quant(arr, n, q,    pos, lo, frac) { # linear interpolation on the sorted values
 	pos = (n - 1) * q; lo = int(pos); frac = pos - lo
 	return lo + 1 < n ? arr[lo + 1] * (1 - frac) + arr[lo + 2] * frac : arr[n]
@@ -118,6 +130,13 @@ function sorted(key, n, dst,    i, j, t) {
 	for (i = 1; i <= n; i++) dst[i] = val[key, i]
 	for (i = 2; i <= n; i++) { t = dst[i]; for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
 }
+FNR == NR { # BENCHMARK.json
+	if ((name = field($0, "name")) != "" && (dir = field($0, "better")) != "") {
+		better[name] = dir
+		if ((bnd = field($0, "bound")) != "") bound[name] = bnd
+	}
+	next
+}
 $4 == "__failed__" { failed[$1, $2] = 1; nfail[$1, $3]++; next }
 {
 	w = $1; p = $2; side = $3; m = $4
@@ -125,7 +144,7 @@ $4 == "__failed__" { failed[$1, $2] = 1; nfail[$1, $3]++; next }
 	v[w, m, p, side] = $5
 }
 END {
-	printf "%-18s %-32s %27s %27s %7s %9s\n", "workload", "metric", "base q1 / median / q3", "head q1 / median / q3", "ratio", "head wins"
+	printf "%-18s %-32s %27s %27s %7s  %-30s %-5s %s\n", "workload", "metric", "base q1 / median / q3", "head q1 / median / q3", "ratio", "head lower / higher", "claim", "bound"
 	for (i = 1; i <= nm; i++) {
 		split(order[i], k, SUBSEP); w = k[1]; m = k[2]
 		n = 0; lower = 0; higher = 0
@@ -139,9 +158,22 @@ END {
 		if (n == 0) continue
 		sorted("b", n, b); sorted("h", n, h)
 		bm = quant(b, n, 0.5); hm = quant(h, n, 0.5)
-		printf "%-18s %-32s %8.4g /%8.4g /%8.4g %8.4g /%8.4g /%8.4g %7.3f  %d lower, %d higher of %d\n",
+		biqr = quant(b, n, 0.75) - quant(b, n, 0.25); hiqr = quant(h, n, 0.75) - quant(h, n, 0.25)
+		claim = "-"; verdict = "-"
+		if (m in better) {
+			s = better[m] == "higher" ? 1 : -1 # sign of an improvement
+			wins = s > 0 ? higher : lower
+			if (n >= 10 && 10 * wins >= 9 * n && s * (hm - bm) > biqr) claim = "holds"
+			if (m in bound) {
+				dominates = (s > 0) ? (h[1] > b[n]) : (h[n] < b[1])
+				if (bm != 0 && -s * (hm - bm) / bm > bound[m]) verdict = "worse"
+				else if (!dominates && (bm == 0 || hm == 0 || biqr / bm > bound[m] || hiqr / hm > bound[m])) verdict = "unresolved"
+				else verdict = "ok"
+			}
+		}
+		printf "%-18s %-32s %8.4g /%8.4g /%8.4g %8.4g /%8.4g /%8.4g %7.3f  %-30s %-5s %s\n",
 			w, m, quant(b, n, 0.25), bm, quant(b, n, 0.75), quant(h, n, 0.25), hm, quant(h, n, 0.75),
-			(bm != 0 ? hm / bm : 0), lower, higher, n
+			(bm != 0 ? hm / bm : 0), sprintf("%d lower, %d higher of %d", lower, higher, n), claim, verdict
 	}
 	for (key in nfail) { split(key, k, SUBSEP); printf "failed runs: %s %s: %d\n", k[1], k[2], nfail[key] }
-}' "$out/samples.txt"
+}' "$root/BENCHMARK.json" "$out/samples.txt"
