@@ -8,7 +8,7 @@ GO ?= go
 # raised in PR 24 (75.1 % measured).
 COVERAGE_BASELINE ?= 74.1
 
-.PHONY: all build loc test race bench-harness ab cover serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke fmt vet ci
+.PHONY: all build loc test race fuzz bench-harness ab cover serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke fmt vet ci
 
 all: build
 
@@ -25,6 +25,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Fuzz every Fuzz* target in the module for FUZZTIME each
+# (scripts/fuzz.sh). Plain `go test` only replays the seed corpora, so a
+# decoder crash no seed reaches is never found there.
+FUZZTIME ?= 10s
+fuzz:
+	./scripts/fuzz.sh $(FUZZTIME)
 
 # Serving smoke: datagen a tiny star schema, train -save both model kinds,
 # boot cmd/serve and curl /healthz + predictions + /statsz.
@@ -104,4 +111,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet build race cover bench-harness serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke
+ci: fmt vet build race fuzz cover bench-harness serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke

@@ -11,7 +11,7 @@
 //     the real values are substituted by synthetic ones with the same
 //     shape; the training algorithms' costs depend on (nS, nR, dS, dR, rr),
 //     not on the feature values, so the performance geometry is preserved
-//     (see DESIGN.md §3).
+//     (benchmark/README.md, "How the numbers line up with the paper").
 //   - One-hot ("Sparse") encodings for the NN real-dataset experiments
 //     (Table VII).
 package data

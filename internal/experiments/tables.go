@@ -19,8 +19,9 @@ var tableVIDatasets = []string{
 var tableVIIDatasets = []string{"WalmartSparse", "MoviesSparse", "Movies3waySparse"}
 
 // TableVI reproduces the GMM real-dataset comparison. Datasets are
-// simulated at the profile's RealScale (see DESIGN.md §3 for the
-// substitution rationale).
+// simulated at the profile's RealScale: package data's comment gives the
+// substitution rationale, and benchmark/README.md ("How the numbers line up
+// with the paper") places Table VI's Movies 3-way shape among the workloads.
 func (h *Harness) TableVI() ([]Row, error) {
 	var rows []Row
 	for _, name := range tableVIDatasets {

@@ -35,15 +35,13 @@ var predictBufPool = sync.Pool{New: func() any { return new(predictBuffers) }}
 func getPredictBuffers() *predictBuffers  { return predictBufPool.Get().(*predictBuffers) }
 func putPredictBuffers(b *predictBuffers) { predictBufPool.Put(b) }
 
-// sizedPreds returns the buffers' prediction slice resized to n rows,
-// growing the backing array only when a bigger batch than any before
-// arrives.
-func (b *predictBuffers) sizedPreds(n int) []Prediction {
-	if cap(b.preds) < n {
-		b.preds = make([]Prediction, n)
+// resized returns s at length n, growing the backing array only when a
+// bigger batch than any before arrives.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	b.preds = b.preds[:n]
-	return b.preds
+	return s[:n]
 }
 
 // appendJSONFloat appends f exactly as encoding/json would ('f' format

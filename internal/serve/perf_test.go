@@ -20,7 +20,7 @@ import (
 // kinds. Any regression (a stray closure, a scratch that stopped pooling,
 // a trace span on the unsampled path) fails this test and therefore CI.
 func TestPredictZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if serve.RaceEnabled {
 		t.Skip("the race runtime allocates inside sync.Pool; the pin runs in the non-race suite")
 	}
 	db, spec := testStar(t, t.TempDir())

@@ -1,6 +1,6 @@
 //go:build race
 
-package serve_test
+package serve
 
-// raceEnabled: see race_off_test.go.
-const raceEnabled = true
+// RaceEnabled: see race_off_test.go.
+const RaceEnabled = true

@@ -602,10 +602,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			api.WriteError(w, http.StatusBadRequest, api.CodeInvalidRequest, "request has no rows")
 			return
 		}
-		if cap(bufs.rows) < len(req.Rows) {
-			bufs.rows = make([]Row, len(req.Rows))
-		}
-		bufs.rows = bufs.rows[:len(req.Rows)]
+		bufs.rows = resized(bufs.rows, len(req.Rows))
 		for i, rr := range req.Rows {
 			bufs.rows[i] = Row{Fact: rr.Fact, FKs: rr.FKs}
 		}
@@ -621,7 +618,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if s.batchers != nil && (s.limits.MaxBatchRows <= 0 || len(rows) < s.limits.MaxBatchRows) {
 		preds, info, err = s.batchers.submit(name, rows)
 	} else {
-		preds = bufs.sizedPreds(len(rows))
+		bufs.preds = resized(bufs.preds, len(rows))
+		preds = bufs.preds
 		info, err = s.eng.PredictIntoCtx(r.Context(), name, rows, preds)
 	}
 	if err != nil {

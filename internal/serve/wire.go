@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+
+	"factorml/internal/codec"
 )
 
 // Binary predict wire format ("FMB1"), negotiated per request via
@@ -11,7 +11,7 @@ import (
 // /v1/models/{name}/predict. It exists for one reason: at production row
 // rates the JSON predict path is dominated by number formatting and
 // parsing, not by the factorized math. The binary format is fixed-layout
-// little-endian, so encoding is a straight memory walk.
+// little-endian in internal/codec, so encoding is a straight memory walk.
 //
 // Request (after the shared admission and size checks; every multi-byte
 // integer little-endian):
@@ -56,9 +56,9 @@ const (
 	wireRowErr = 1
 )
 
-// wireHeaderLen is the fixed request preamble: magic, type, pad, three
-// uint32 counts.
-const wireHeaderLen = 4 + 1 + 3 + 4 + 4 + 4
+// wireMinRowBytes is the least a response row takes: an error status with
+// an empty code and an empty message.
+const wireMinRowBytes = 1 + 2 + 2
 
 // AppendBinaryRequest encodes rows as one binary predict request appended
 // to dst. All rows must share one shape (that of rows[0]); the format has
@@ -77,80 +77,72 @@ func AppendBinaryRequest(dst []byte, rows []Row) ([]byte, error) {
 	}
 	dst = append(dst, wireMagic...)
 	dst = append(dst, wireTypeRequest, 0, 0, 0)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rows)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(factW))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(nFKs))
+	dst = codec.AppendU32(dst, uint32(len(rows)))
+	dst = codec.AppendU32(dst, uint32(factW))
+	dst = codec.AppendU32(dst, uint32(nFKs))
 	for i := range rows {
-		for _, v := range rows[i].Fact {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-		for _, k := range rows[i].FKs {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(k))
-		}
+		dst = codec.AppendF64s(dst, rows[i].Fact)
+		dst = codec.AppendI64s(dst, rows[i].FKs)
 	}
 	return dst, nil
 }
 
+// readPreamble reads the eight bytes both messages open with — magic,
+// message type, one type-specific byte (returned), two zero pad bytes —
+// and checks all but the type-specific byte.
+func readPreamble(r *codec.Reader, typ byte) (byte, error) {
+	magic := r.Bytes("magic", len(wireMagic))
+	t, b, pad := r.U8("message type"), r.U8("preamble"), r.U16("padding")
+	switch {
+	case r.Err() != nil:
+		return 0, r.Err()
+	case string(magic) != wireMagic:
+		return 0, fmt.Errorf("bad magic %q, want %q", magic, wireMagic)
+	case t != typ:
+		return 0, fmt.Errorf("message type %d, want %d", t, typ)
+	case pad != 0:
+		return 0, fmt.Errorf("nonzero padding bytes")
+	}
+	return b, nil
+}
+
 // decodeBinaryRequest parses a binary predict request into the pooled
 // buffers: bufs.rows alias flat backing arrays (bufs.facts/bufs.fks), so
-// a warm steady state decodes without allocating. Every length is
-// validated against the actual body size before a single row is read —
-// a truncated or padded body is rejected whole.
+// a warm steady state decodes without allocating. The row count is
+// checked against the body size before a buffer is sized from it, and a
+// padded body is rejected.
 func decodeBinaryRequest(data []byte, bufs *predictBuffers) error {
-	if len(data) < wireHeaderLen {
-		return fmt.Errorf("body is %d bytes, shorter than the %d-byte header", len(data), wireHeaderLen)
-	}
-	if string(data[:4]) != wireMagic {
-		return fmt.Errorf("bad magic %q, want %q", data[:4], wireMagic)
-	}
-	if data[4] != wireTypeRequest {
-		return fmt.Errorf("message type %d, want %d (predict request)", data[4], wireTypeRequest)
-	}
-	if data[5] != 0 || data[6] != 0 || data[7] != 0 {
+	r := codec.NewReader(data)
+	pad, err := readPreamble(&r, wireTypeRequest)
+	n, factW, nFKs := int(r.U32("row count")), int(r.U32("fact width")), int(r.U32("key count"))
+	switch {
+	case err != nil:
+		return err
+	case r.Err() != nil:
+		return r.Err()
+	case pad != 0:
 		return fmt.Errorf("nonzero padding bytes")
-	}
-	nRows := int(binary.LittleEndian.Uint32(data[8:]))
-	factW := int(binary.LittleEndian.Uint32(data[12:]))
-	nFKs := int(binary.LittleEndian.Uint32(data[16:]))
-	rowBytes := 8 * (factW + nFKs)
-	if nRows <= 0 {
+	case n == 0:
 		return fmt.Errorf("request has no rows")
-	}
-	if rowBytes == 0 {
+	case factW+nFKs == 0:
 		return fmt.Errorf("request rows are empty (no features, no keys)")
 	}
-	want := wireHeaderLen + nRows*rowBytes
-	if len(data) != want {
-		return fmt.Errorf("body is %d bytes, header (%d rows × %d bytes) requires %d",
-			len(data), nRows, rowBytes, want)
+	nRows := r.Count("row", n, 8*(factW+nFKs))
+	if err := r.Err(); err != nil {
+		return err
 	}
-	if cap(bufs.facts) < nRows*factW {
-		bufs.facts = make([]float64, nRows*factW)
-	}
-	bufs.facts = bufs.facts[:nRows*factW]
-	if cap(bufs.fks) < nRows*nFKs {
-		bufs.fks = make([]int64, nRows*nFKs)
-	}
-	bufs.fks = bufs.fks[:nRows*nFKs]
-	if cap(bufs.rows) < nRows {
-		bufs.rows = make([]Row, nRows)
-	}
-	bufs.rows = bufs.rows[:nRows]
-	off := wireHeaderLen
-	for i := 0; i < nRows; i++ {
+	// Count bounded nRows·(factW+nFKs) by the body's size.
+	bufs.facts = resized(bufs.facts, nRows*factW)
+	bufs.fks = resized(bufs.fks, nRows*nFKs)
+	bufs.rows = resized(bufs.rows, nRows)
+	for i := range bufs.rows {
 		fact := bufs.facts[i*factW : (i+1)*factW]
-		for j := range fact {
-			fact[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-			off += 8
-		}
 		fks := bufs.fks[i*nFKs : (i+1)*nFKs]
-		for j := range fks {
-			fks[j] = int64(binary.LittleEndian.Uint64(data[off:]))
-			off += 8
-		}
+		r.F64s("row features", fact)
+		r.I64s("row keys", fks)
 		bufs.rows[i] = Row{Fact: fact, FKs: fks}
 	}
-	return nil
+	return r.Done()
 }
 
 // appendBinaryResponse encodes the predict success response appended to
@@ -163,26 +155,23 @@ func appendBinaryResponse(dst []byte, info ModelInfo, preds []Prediction) []byte
 		kind = wireKindNN
 	}
 	dst = append(dst, wireTypeResponse, kind, 0, 0)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(info.Name)))
-	dst = append(dst, info.Name...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(info.Version))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(preds)))
+	dst = codec.AppendStr16(dst, info.Name)
+	dst = codec.AppendU32(dst, uint32(info.Version))
+	dst = codec.AppendU32(dst, uint32(len(preds)))
 	for i := range preds {
 		p := &preds[i]
 		if p.Err != "" {
 			dst = append(dst, wireRowErr)
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(p.Code)))
-			dst = append(dst, p.Code...)
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(p.Err)))
-			dst = append(dst, p.Err...)
+			dst = codec.AppendStr16(dst, p.Code)
+			dst = codec.AppendStr16(dst, p.Err)
 			continue
 		}
 		dst = append(dst, wireRowOK)
 		if info.Kind == KindNN {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Output))
+			dst = codec.AppendF64(dst, p.Output)
 		} else {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.LogProb))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(p.Cluster)))
+			dst = codec.AppendF64(dst, p.LogProb)
+			dst = codec.AppendU32(dst, uint32(int32(p.Cluster)))
 		}
 	}
 	return dst
@@ -190,93 +179,46 @@ func appendBinaryResponse(dst []byte, info ModelInfo, preds []Prediction) []byte
 
 // DecodeBinaryResponse parses a binary predict response. Exported for
 // wire clients (cmd/loadgen and the equivalence tests).
-func DecodeBinaryResponse(data []byte) (info ModelInfo, preds []Prediction, err error) {
-	fail := func(format string, args ...any) (ModelInfo, []Prediction, error) {
-		return ModelInfo{}, nil, fmt.Errorf("serve: binary response: "+format, args...)
+func DecodeBinaryResponse(data []byte) (ModelInfo, []Prediction, error) {
+	info, preds, err := decodeBinaryResponse(data)
+	if err != nil {
+		return ModelInfo{}, nil, fmt.Errorf("serve: binary response: %w", err)
 	}
-	if len(data) < 8 {
-		return fail("body is %d bytes, shorter than the 8-byte preamble", len(data))
+	return info, preds, nil
+}
+
+func decodeBinaryResponse(data []byte) (info ModelInfo, preds []Prediction, err error) {
+	r := codec.NewReader(data)
+	kind, err := readPreamble(&r, wireTypeResponse)
+	if err != nil {
+		return info, nil, err
 	}
-	if string(data[:4]) != wireMagic {
-		return fail("bad magic %q, want %q", data[:4], wireMagic)
-	}
-	if data[4] != wireTypeResponse {
-		return fail("message type %d, want %d (predict response)", data[4], wireTypeResponse)
-	}
-	switch data[5] {
+	switch kind {
 	case wireKindNN:
 		info.Kind = KindNN
 	case wireKindGMM:
 		info.Kind = KindGMM
 	default:
-		return fail("unknown model kind %d", data[5])
+		return info, nil, fmt.Errorf("unknown model kind %d", kind)
 	}
-	if data[6] != 0 || data[7] != 0 {
-		return fail("nonzero padding bytes")
-	}
-	off := 8
-	need := func(n int) bool { return len(data)-off >= n }
-	if !need(2) {
-		return fail("truncated at model name length")
-	}
-	nameLen := int(binary.LittleEndian.Uint16(data[off:]))
-	off += 2
-	if !need(nameLen + 8) {
-		return fail("truncated at model name/version")
-	}
-	info.Name = string(data[off : off+nameLen])
-	off += nameLen
-	info.Version = int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	nRows := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	preds = make([]Prediction, nRows)
-	for i := 0; i < nRows; i++ {
-		if !need(1) {
-			return fail("truncated at row %d status", i)
-		}
-		status := data[off]
-		off++
-		switch status {
-		case wireRowOK:
-			if info.Kind == KindNN {
-				if !need(8) {
-					return fail("truncated at row %d output", i)
-				}
-				preds[i].Output = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-				off += 8
-			} else {
-				if !need(12) {
-					return fail("truncated at row %d log-prob/cluster", i)
-				}
-				preds[i].LogProb = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-				preds[i].Cluster = int(int32(binary.LittleEndian.Uint32(data[off+8:])))
-				off += 12
-			}
-		case wireRowErr:
-			if !need(2) {
-				return fail("truncated at row %d error code length", i)
-			}
-			codeLen := int(binary.LittleEndian.Uint16(data[off:]))
-			off += 2
-			if !need(codeLen + 2) {
-				return fail("truncated at row %d error code", i)
-			}
-			preds[i].Code = string(data[off : off+codeLen])
-			off += codeLen
-			msgLen := int(binary.LittleEndian.Uint16(data[off:]))
-			off += 2
-			if !need(msgLen) {
-				return fail("truncated at row %d error message", i)
-			}
-			preds[i].Err = string(data[off : off+msgLen])
-			off += msgLen
+	info.Name = r.Str16("model name")
+	info.Version = int(r.U32("model version"))
+	preds = make([]Prediction, r.Count("row", int(r.U32("row count")), wireMinRowBytes))
+	for i := range preds {
+		p := &preds[i]
+		switch status := r.U8("row status"); {
+		case r.Err() != nil:
+		case status == wireRowErr:
+			p.Code = r.Str16("row error code")
+			p.Err = r.Str16("row error message")
+		case status != wireRowOK:
+			return info, nil, fmt.Errorf("row %d has unknown status %d", i, status)
+		case info.Kind == KindNN:
+			p.Output = r.F64("row output")
 		default:
-			return fail("row %d has unknown status %d", i, status)
+			p.LogProb = r.F64("row log-prob")
+			p.Cluster = int(int32(r.U32("row cluster")))
 		}
 	}
-	if off != len(data) {
-		return fail("%d trailing bytes after the last row", len(data)-off)
-	}
-	return info, preds, nil
+	return info, preds, r.Done()
 }

@@ -3,7 +3,21 @@ package serve
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+)
+
+// Two crafted headers that crashed the decoders while they sized buffers
+// from header arithmetic instead of codec.Reader.Count.
+var (
+	// wrapRequest is 20 bytes: nRows = 2³¹ and factW = 2³⁰ wrap
+	// nRows·rowBytes to 0, which passed an exact-length check and then
+	// panicked in makeslice.
+	wrapRequest = []byte("FMB1\x01\x00\x00\x00" + "\x00\x00\x00\x80" + "\x00\x00\x00\x40" + "\x00\x00\x00\x00")
+	// hugeResponse is 18 bytes: an empty name, version 0 and nRows =
+	// 0xFFFFFFFF with no row behind it, which allocated 240 GB of
+	// predictions before reading the first row.
+	hugeResponse = []byte("FMB1\x02\x00\x00\x00" + "\x00\x00" + "\x00\x00\x00\x00" + "\xff\xff\xff\xff")
 )
 
 // TestBinaryRequestRoundTrip is the codec property test: random batches
@@ -120,6 +134,7 @@ func FuzzDecodeBinaryRequest(f *testing.F) {
 	f.Add([]byte(wireMagic))
 	f.Add([]byte("FMB1\x01\x00\x00\x00\xff\xff\xff\xff\x01\x00\x00\x00\x01\x00\x00\x00"))
 	f.Add([]byte{})
+	f.Add(wrapRequest)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var bufs predictBuffers
 		if err := decodeBinaryRequest(data, &bufs); err != nil {
@@ -141,6 +156,7 @@ func FuzzDecodeBinaryResponse(f *testing.F) {
 	f.Add(appendBinaryResponse(nil, ModelInfo{Name: "m", Kind: KindGMM, Version: 1},
 		[]Prediction{{LogProb: -1.5, Cluster: 2}, {Code: "x", Err: "y"}}))
 	f.Add([]byte("FMB1\x02\x01\x00\x00"))
+	f.Add(hugeResponse)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		info, preds, err := DecodeBinaryResponse(data)
 		if err != nil {
@@ -151,4 +167,66 @@ func FuzzDecodeBinaryResponse(f *testing.F) {
 			t.Fatalf("round-trip mismatch: %d bytes in, %d out", len(data), len(enc))
 		}
 	})
+}
+
+// TestDecodeBinaryRequestWrappedRowCount: a row count whose byte size
+// wraps is an error, and no buffer is sized from it.
+func TestDecodeBinaryRequestWrappedRowCount(t *testing.T) {
+	if len(wrapRequest) != 20 {
+		t.Fatalf("crafted request is %d bytes, want 20", len(wrapRequest))
+	}
+	var bufs predictBuffers
+	if err := decodeBinaryRequest(wrapRequest, &bufs); err == nil {
+		t.Fatal("a request of 2³¹ rows in 20 bytes was accepted")
+	}
+	if cap(bufs.rows)+cap(bufs.facts)+cap(bufs.fks) != 0 {
+		t.Fatalf("rejected request grew the buffers to %d rows, %d features, %d keys",
+			cap(bufs.rows), cap(bufs.facts), cap(bufs.fks))
+	}
+}
+
+// TestDecodeBinaryResponseHugeRowCount: a row count the body cannot hold
+// is an error, and nothing near its size is allocated.
+func TestDecodeBinaryResponseHugeRowCount(t *testing.T) {
+	if len(hugeResponse) != 18 {
+		t.Fatalf("crafted response is %d bytes, want 18", len(hugeResponse))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, preds, err := DecodeBinaryResponse(hugeResponse)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a response of 2³²−1 rows in 18 bytes was accepted with %d rows", len(preds))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("rejecting the response allocated %d bytes", grew)
+	}
+}
+
+// TestDecodeBinaryRequestZeroAlloc pins the binary predict path's decode
+// at zero allocations once the pooled buffers are warm.
+func TestDecodeBinaryRequestZeroAlloc(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("the race runtime allocates where production builds do not; the pin runs in the non-race suite")
+	}
+	rows := make([]Row, 64)
+	for i := range rows {
+		rows[i] = Row{Fact: []float64{float64(i), 1, 2, 3, 4}, FKs: []int64{int64(i), 7}}
+	}
+	enc, err := AppendBinaryRequest(nil, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bufs predictBuffers
+	if err := decodeBinaryRequest(enc, &bufs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := decodeBinaryRequest(enc, &bufs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm decodeBinaryRequest allocates %.1f objects per call, want 0", allocs)
+	}
 }

@@ -127,6 +127,11 @@ func (db *Database) openExisting(s *Schema) error {
 			return fmt.Errorf("storage: reading tail page of %q: %w", path, err)
 		}
 		n := last.numRecords()
+		if int64(n) > perPage {
+			f.Close()
+			return fmt.Errorf("storage: tail page %d of %q holds %d records, more than the %d a page fits",
+				pages-1, s.Name, n, perPage)
+		}
 		if int64(n) == perPage {
 			// All pages full.
 			t.numPages = pages

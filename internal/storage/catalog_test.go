@@ -3,6 +3,7 @@ package storage
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -158,4 +159,93 @@ func TestCatalogCorruptFileRejected(t *testing.T) {
 // writeFileSize truncates/extends a file to an exact size (test helper).
 func writeFileSize(path string, size int64) error {
 	return os.Truncate(path, size)
+}
+
+// TestCorruptPageRecordCountRejected: a page's record count is read from
+// disk. A tail page claiming more records than a page fits fails Open, and
+// a full page claiming anything but a full page fails the scan, the point
+// read and the update that reach it. Each error names the table and the
+// page; none is a panic.
+func TestCorruptPageRecordCountRejected(t *testing.T) {
+	s := testSchema("heap", 1, 1, false)
+	per := s.RecordsPerPage()
+	build := func(t *testing.T, rows int) string {
+		dir := t.TempDir()
+		db, err := Open(dir, Options{PoolPages: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := db.CreateTable(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if err := tbl.Append(&Tuple{Keys: []int64{int64(i)}, Features: []float64{1}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	setCount := func(t *testing.T, dir string, pageNo int64, n uint16) {
+		f, err := os.OpenFile(filepath.Join(dir, "heap.tbl"), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt([]byte{byte(n), byte(n >> 8)}, pageNo*PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := func(t *testing.T, what string, err error, page string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), `"heap"`) || !strings.Contains(err.Error(), page) {
+			t.Fatalf("%s: err = %v, want one naming table \"heap\" and %s", what, err, page)
+		}
+	}
+
+	t.Run("tail", func(t *testing.T) {
+		dir := build(t, 5)
+		setCount(t, dir, 0, 0xFFFF)
+		db, err := Open(dir, Options{PoolPages: -1})
+		if err == nil {
+			db.Close()
+		}
+		names(t, "Open", err, "page 0")
+	})
+
+	t.Run("full", func(t *testing.T) {
+		dir := build(t, 2*per+3)
+		setCount(t, dir, 0, 0xFFFF)
+		setCount(t, dir, 1, uint16(per-1))
+		db, err := Open(dir, Options{PoolPages: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		tbl, err := db.Table("heap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := tbl.NewScanner()
+		for sc.Next() {
+		}
+		names(t, "scan", sc.Err(), "page 0")
+		var tp Tuple
+		names(t, "Get", tbl.Get(0, &tp), "page 0")
+		names(t, "UpdateAt", tbl.UpdateAt(int64(per), &Tuple{Keys: []int64{int64(per)}, Features: []float64{2}}), "page 1")
+		sc, err = tbl.NewScannerAt(int64(2 * per))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for sc.Next() {
+			n++
+		}
+		if sc.Err() != nil || n != 3 {
+			t.Fatalf("the intact tail page scanned %d rows (err %v), want 3", n, sc.Err())
+		}
+	})
 }

@@ -127,10 +127,19 @@ func (t *Table) tailInMemory(pageNo int64) bool {
 	return pageNo == t.numPages && t.tailUsed > 0 && !t.flushed
 }
 
-// readAt reads page pageNo straight from the heap file into p.
+// readAt reads page pageNo straight from the heap file into p. Its record
+// count comes from disk, so it is checked before anyone decodes by it: a
+// full page holds RecordsPerPage records, the flushed tail page tailUsed.
 func (t *Table) readAt(p *page, pageNo int64) error {
 	if _, err := t.file.ReadAt(p.buf, pageNo*PageSize); err != nil {
 		return fmt.Errorf("storage: reading page %d of %q: %w", pageNo, t.schema.Name, err)
+	}
+	want := t.schema.RecordsPerPage()
+	if pageNo == t.numPages {
+		want = t.tailUsed
+	}
+	if n := p.numRecords(); n != want {
+		return fmt.Errorf("storage: page %d of %q holds %d records, want %d", pageNo, t.schema.Name, n, want)
 	}
 	return nil
 }

@@ -5,15 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 
+	"factorml/internal/codec"
 	"factorml/internal/gmm"
 	"factorml/internal/monitor"
 	"factorml/internal/nn"
@@ -98,19 +97,12 @@ type walStreamState struct {
 	Monitor    *monitor.State  `json:"monitor,omitempty"`
 }
 
-func packFloats(b []byte, vs []float64) []byte {
-	for _, v := range vs {
-		b = appendF64(b, v)
-	}
-	return b
-}
-
+// unpackFloats fills dst from a blob of exactly len(dst) floats.
 func unpackFloats(dst []float64, b []byte) error {
-	if len(b) != 8*len(dst) {
-		return fmt.Errorf("stream: checkpoint blob of %d bytes where %d floats belong", len(b), len(dst))
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	r := codec.NewReader(b)
+	r.F64s("checkpoint sums", dst)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("stream: checkpoint blob of %d bytes where %d floats belong: %w", len(b), len(dst), err)
 	}
 	return nil
 }
@@ -118,29 +110,29 @@ func unpackFloats(dst []float64, b []byte) error {
 func (s *slab) pack() []byte {
 	b := make([]byte, 0, 8*(len(s.keys)+len(s.vals)))
 	for _, key := range s.keys {
-		b = binary.LittleEndian.AppendUint64(b, key)
+		b = codec.AppendI64(b, int64(key))
 	}
-	return packFloats(b, s.vals)
+	return codec.AppendF64s(b, s.vals)
 }
 
 // unpack loads pack's output. valid vets every key before the index is
 // built from it (a group slab's index is as long as its largest key).
 func (s *slab) unpack(b []byte, valid func(key uint64) bool) error {
-	if len(b)%(8*(1+s.stride)) != 0 {
-		return fmt.Errorf("stream: checkpoint slab of %d bytes does not hold whole slots of %d", len(b), 8*(1+s.stride))
+	slot := 8 * (1 + s.stride)
+	if len(b)%slot != 0 {
+		return fmt.Errorf("stream: checkpoint slab of %d bytes does not hold whole slots of %d", len(b), slot)
 	}
-	n := len(b) / (8 * (1 + s.stride))
-	s.keys = make([]uint64, n)
-	s.vals = make([]float64, n*s.stride)
+	// The whole-slot check sized both runs below to exactly b's bytes.
+	r := codec.NewReader(b)
+	s.keys = make([]uint64, len(b)/slot)
 	for i := range s.keys {
-		s.keys[i] = binary.LittleEndian.Uint64(b[8*i:])
+		s.keys[i] = uint64(r.I64("slab key"))
 		if !valid(s.keys[i]) {
 			return fmt.Errorf("stream: checkpoint slab key %#x names no tuple of this database", s.keys[i])
 		}
 	}
-	if err := unpackFloats(s.vals, b[8*n:]); err != nil {
-		return err
-	}
+	s.vals = make([]float64, len(s.keys)*s.stride)
+	r.F64s("slab values", s.vals)
 	s.reindex()
 	for i, key := range s.keys {
 		if *s.cell(key) != int32(i+1) {
@@ -151,7 +143,7 @@ func (s *slab) unpack(b []byte, valid func(key uint64) bool) error {
 }
 
 func (st *GMMStats) state() *gmmStatsState {
-	s := &gmmStatsState{K: st.k, Rows: st.rows, Done: packFloats(nil, st.done.buf), Open: packFloats(nil, st.open.buf)}
+	s := &gmmStatsState{K: st.k, Rows: st.rows, Done: codec.AppendF64s(nil, st.done.buf), Open: codec.AppendF64s(nil, st.open.buf)}
 	for d := range st.grp {
 		s.Groups = append(s.Groups, st.grp[d].pack())
 	}

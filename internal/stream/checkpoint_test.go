@@ -507,8 +507,8 @@ func TestWALRecordCodecRoundTrip(t *testing.T) {
 }
 
 // TestWALRecordCodecErrors pins the decoder's hard-error branches:
-// version skew, unknown op, truncation, trailing bytes, and the
-// element-count bound.
+// version skew, unknown op, truncation, trailing bytes, and a count
+// whose elements cannot fit in the record.
 func TestWALRecordCodecErrors(t *testing.T) {
 	valid, err := appendAttachRecord(nil, walAttachGMM, "g", []byte("p"))
 	if err != nil {
@@ -524,7 +524,7 @@ func TestWALRecordCodecErrors(t *testing.T) {
 		{"unknown op", []byte{walRecordVersion, 42}, "unknown WAL record op 42"},
 		{"truncated attach", valid[:len(valid)-1], "attach params"},
 		{"trailing bytes", append(append([]byte{}, valid...), 0), "trailing bytes"},
-		{"count over limit", []byte{walRecordVersion, walOpBatch, 0xff, 0xff, 0xff, 0xff}, "exceeds limit"},
+		{"count over limit", []byte{walRecordVersion, walOpBatch, 0xff, 0xff, 0xff, 0xff}, "exceeds the 0 bytes remaining"},
 	}
 	for _, tc := range cases {
 		_, err := decodeWALRecord(tc.p)
@@ -540,4 +540,40 @@ func TestWALRecordCodecErrors(t *testing.T) {
 	if _, err := appendAttachRecord(nil, walAttachGMM, "g", make([]byte, walBatchLimit+1)); err == nil {
 		t.Error("oversized model params accepted")
 	}
+}
+
+// FuzzDecodeWALRecord throws arbitrary payloads at the record decoder: it
+// must reject or accept cleanly — never panic, never size a slice past
+// the payload — and anything it accepts must re-encode to the identical
+// bytes.
+func FuzzDecodeWALRecord(f *testing.F) {
+	batch, err := appendBatchRecord(nil, &Batch{
+		Dims:  []DimUpdate{{Table: "items", RID: 7, FKs: []int64{1}, Features: []float64{1.5}}},
+		Facts: []FactRow{{SID: 9, FKs: []int64{3}, Features: []float64{0.25}, Target: -4}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	attach, err := appendAttachRecord(nil, walAttachNN, "net", []byte("params"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(batch)
+	f.Add(attach)
+	f.Add(appendRefreshRecord(nil))
+	f.Add([]byte{walRecordVersion, walOpBatch, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{walRecordVersion, walOpAttach, walAttachGMM, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		rec, err := decodeWALRecord(p)
+		if err != nil {
+			return
+		}
+		enc, err := reencodeWALRecord(&rec)
+		if err != nil {
+			t.Fatalf("accepted record does not re-encode: %v", err)
+		}
+		if !bytes.Equal(enc, p) {
+			t.Fatalf("round-trip mismatch:\n in %x\nout %x", p, enc)
+		}
+	})
 }

@@ -216,3 +216,30 @@ func TestFormatInt(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseTraceparent: any header the parser accepts must round-trip
+// through FormatTraceparent — the formatted header parses back to the same
+// IDs and sampling decision, and is the input itself when the input's
+// flags were the canonical 00 or 01.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00")
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-fe")
+	f.Add("00-00000000000000000000000000000000-b7ad6b7169203331-01")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, pid, sampled, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		out := FormatTraceparent(tid, pid, sampled)
+		tid2, pid2, sampled2, ok2 := ParseTraceparent(out)
+		if !ok2 || tid2 != tid || pid2 != pid || sampled2 != sampled {
+			t.Fatalf("%q parsed to (%q, %q, %v) but formats to %q, which parses to (%q, %q, %v, %v)",
+				h, tid, pid, sampled, out, tid2, pid2, sampled2, ok2)
+		}
+		if flags := h[len(h)-2:]; (flags == "00" || flags == "01") && out != h {
+			t.Fatalf("%q formats back as %q", h, out)
+		}
+	})
+}

@@ -421,3 +421,71 @@ func TestTailBeyondEndRejected(t *testing.T) {
 		t.Fatalf("empty tail Next = %v, want EOF", err)
 	}
 }
+
+// FuzzScanSegment feeds arbitrary bytes to the segment scanner as the
+// final and as a sealed segment. Every outcome must be one of three: the
+// whole segment is valid frames; a valid prefix followed by a torn tail
+// with no parseable frame behind it (final segment only); or a
+// *CorruptError at an offset inside the segment. Never a panic.
+func FuzzScanSegment(f *testing.F) {
+	l, err := Open(f.TempDir(), testOpts())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append(payload(i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seg, err := os.ReadFile(l.segs[0].path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	l.Close()
+	flipped := append([]byte{}, seg...)
+	flipped[frameHeaderBytes+2] ^= 0x40
+	f.Add(seg)
+	f.Add(seg[:len(seg)-3])
+	f.Add(flipped)
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), segmentName(1))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, last := range []bool{true, false} {
+			count, valid, tearOff, torn, err := scanSegment(path, last)
+			if err != nil {
+				var ce *CorruptError
+				if !errors.As(err, &ce) || ce.Offset < 0 || ce.Offset > int64(len(data)) {
+					t.Fatalf("last=%v: error %v is not a CorruptError inside the segment", last, err)
+				}
+				continue
+			}
+			end := valid
+			if torn {
+				if !last {
+					t.Fatal("a sealed segment reported a torn tail")
+				}
+				if tearOff != valid || resyncFinds(data, int(tearOff)+1) {
+					t.Fatalf("torn at %d (valid %d) with a parseable frame behind it", tearOff, valid)
+				}
+			} else if valid != int64(len(data)) {
+				t.Fatalf("last=%v: clean scan covers %d of %d bytes", last, valid, len(data))
+			}
+			frames, off := 0, 0
+			for int64(off) < end {
+				_, n, ok := parseFrame(data, off)
+				if !ok {
+					t.Fatalf("last=%v: valid prefix has no frame at offset %d", last, off)
+				}
+				off += n
+				frames++
+			}
+			if int64(off) != end || frames != count {
+				t.Fatalf("last=%v: %d frames over %d bytes, scanner said %d over %d", last, frames, off, count, end)
+			}
+		}
+	})
+}
