@@ -16,7 +16,9 @@ import (
 // path `scan` encapsulates (reading the materialized T, or re-joining on
 // the fly): each row's responsibilities are folded into the iteration's
 // moments (see moments) as soon as they are known, from the deviations
-// x − µ_c the E-step has just formed.
+// x − µ_c the E-step has just formed. The E-step is the fused kernel of
+// Scorer over the one-part partition (Model.denseScorer), the same kernel
+// the factorized trainer runs with dimension caches.
 //
 // The pass is executed by the shared chunked row-pass operator
 // (factor.RunRowPass over internal/parallel): rows are cut into fixed
@@ -54,7 +56,7 @@ func emDense(scan func(onRow factor.RowFn) error, d, n int, cfg Config, model *M
 	perRow := core.NewGMMUnits(core.NewPartition([]int{d}), k, model.Diagonal).DenseRow
 
 	return runEM(cfg, stats, func() (float64, error) {
-		ev, err := model.newEvaluator()
+		scorer, err := model.denseScorer()
 		if err != nil {
 			return 0, err
 		}
@@ -72,7 +74,7 @@ func emDense(scan func(onRow factor.RowFn) error, d, n int, cfg Config, model *M
 				for nr > 0 {
 					nb := min(nr, foldBlockRows)
 					for i := 0; i < nb; i++ {
-						ev.logDensities(rows[i*d:(i+1)*d], a.pd[i*k*d:(i+1)*k*d], a.logp)
+						scorer.score(rows[i*d:(i+1)*d], nil, a.pd[i*k*d:(i+1)*k*d], a.logp)
 						a.ll += linalg.SoftmaxLSE(a.gamma[i*k:(i+1)*k], a.logp)
 					}
 					a.mom.foldRows(a.gamma, a.pd, nb)

@@ -27,6 +27,12 @@
 // under which every group trick of Eq. 13–24 carries over unchanged. The
 // three-pass form survives as the test oracle (factorml_onepass_test.go).
 //
+// One scoring kernel: every E-step and every point score runs the fused
+// kernel behind Scorer (fused.go). The factorized trainer, serving and the
+// streaming refresh run it over the relation partition with per-tuple
+// dimension caches; the dense trainer, LogProb, Responsibilities and Predict
+// run it over the one-part partition, where a joined row is all fact part.
+//
 // The decomposition is exact, so all three trainers produce identical
 // parameters at every iteration (verified by tests to ~1e-9). Binary joins
 // and multi-way star joins are both supported; the multi-way factorization

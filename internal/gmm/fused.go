@@ -21,15 +21,14 @@ import (
 // order differs from the unfused reference by design, so fused and
 // unfused agree to rounding (≤1e-12 relative, pinned by
 // TestFusedKernelMatchesReference) rather than bit-for-bit. Every
-// factorized consumer of component log-densities (serving Scorer, the
-// streaming incremental E-step, the factorized trainer) evaluates through
+// consumer of component log-densities (the serving Scorer, the streaming
+// incremental E-step, the factorized trainer, and — over the one-part
+// partition, where there are no caches and no cross blocks — the M-/S-
+// trainers, Model.LogProb and Model.Responsibilities) evaluates through
 // this one kernel — scoreRow, or scoreRowDiag beside it for a diagonal
 // model — so all same-code bit-identity guarantees (worker sweeps,
 // incremental-vs-full refresh, crash replay) are preserved by
-// construction. The exception is the dense evaluator (model.go) behind
-// M-/S-GMM, Model.LogProb and Model.Responsibilities, which scores a joined
-// row in one quadratic form; the cross-strategy harnesses tolerate the
-// rounding between the two (1e-9).
+// construction.
 // The kernel counts nothing: a call costs core.GMMUnits.Score, which the
 // same test pins to what the unfused call sites charge.
 

@@ -120,24 +120,24 @@ func (s *Stats) FinalLL() float64 {
 }
 
 // compState holds the per-component quantities precomputed once per EM
-// iteration: the inverse covariance (paper's I_k) — for a diagonal model the
-// inverse variances, and the dense inverse only when its partition blocks
-// are asked for — and the constant part of the log density.
+// iteration: the inverse covariance (paper's I_k) blocked over the scoring
+// partition — for a diagonal model also the inverse variances — and the
+// constant part of the log density.
 type compState struct {
-	inv     *linalg.Dense
 	invVar  []float64 // 1/σ² per dimension; nil for a full covariance
 	blocked *core.BlockedSym
 	logNorm float64 // -0.5·(d·ln 2π + ln|Σ|)
 	logW    float64 // ln π_k
 }
 
-// precompute factorizes every component covariance. It returns an error when
-// a covariance is not positive definite (which regularization should
-// prevent).
-func (m *Model) precompute(p core.Partition, blockInv bool) ([]compState, error) {
+// precompute factorizes every component covariance and blocks its inverse
+// over p. It returns an error when a covariance is not positive definite
+// (which regularization should prevent).
+func (m *Model) precompute(p core.Partition) ([]compState, error) {
 	states := make([]compState, m.K)
 	for k := range states {
 		st := &states[k]
+		var inv *linalg.Dense
 		var logDet float64
 		if m.Diagonal {
 			st.invVar = make([]float64, m.D)
@@ -149,54 +149,26 @@ func (m *Model) precompute(p core.Partition, blockInv bool) ([]compState, error)
 				st.invVar[i] = 1 / v
 				logDet += math.Log(v)
 			}
-			if blockInv {
-				st.inv = linalg.Diag(st.invVar)
-			}
+			inv = linalg.Diag(st.invVar)
 		} else {
 			var err error
-			if st.inv, logDet, err = linalg.SPDInverse(m.Covs[k]); err != nil {
+			if inv, logDet, err = linalg.SPDInverse(m.Covs[k]); err != nil {
 				return nil, fmt.Errorf("gmm: component %d covariance: %w", k, err)
 			}
 		}
 		st.logNorm = -0.5 * (float64(m.D)*math.Log(2*math.Pi) + logDet)
 		st.logW = math.Log(math.Max(m.Weights[k], 1e-300))
-		if blockInv {
-			st.blocked = core.BlockSym(st.inv, p)
-		}
+		st.blocked = core.BlockSym(inv, p)
 	}
 	return states, nil
 }
 
-// evaluator scores joined vectors under one fixed setting of the model's
-// parameters. Every component covariance is factorized once, at
-// construction (the one-part state of precompute), so a loop over many rows
-// pays the K Cholesky factorizations once rather than once per row. It is
-// immutable afterwards and callers bring their own scratch, so one
-// evaluator serves a whole worker pool.
-type evaluator struct {
-	m      *Model
-	states []compState
-}
-
-func (m *Model) newEvaluator() (*evaluator, error) {
-	states, err := m.precompute(core.NewPartition([]int{m.D}), false)
-	return &evaluator{m: m, states: states}, err
-}
-
-// logDensities fills logp[c] = ln π_c·N(x | µ_c, Σ_c) and leaves the
-// deviation x − µ_c it was computed from in pd[c·D : (c+1)·D].
-func (ev *evaluator) logDensities(x, pd, logp []float64) {
-	d := ev.m.D
-	for c := range logp {
-		pdc := pd[c*d : (c+1)*d]
-		linalg.VecSub(pdc, x, ev.m.Means[c])
-		st := &ev.states[c]
-		if st.invVar != nil {
-			logp[c] = st.logW + st.logNorm - 0.5*diagQuadPD(pdc, st.invVar)
-		} else {
-			logp[c] = st.logW + st.logNorm - 0.5*linalg.QuadForm(st.inv, pdc)
-		}
-	}
+// denseScorer is the Scorer over the one-part partition: a joined row is
+// its fact part, with no dimension caches and no cross blocks, so the fused
+// kernel scores it in one quadratic form. It serves every dense consumer —
+// the M-/S- trainers, LogProb, Responsibilities and Predict.
+func (m *Model) denseScorer() (*Scorer, error) {
+	return m.NewScorer(core.NewPartition([]int{m.D}))
 }
 
 // LogProb returns ln p(x) under the mixture. It factorizes all K
@@ -209,9 +181,11 @@ func (m *Model) LogProb(x []float64) float64 { return m.LogProbFunc()(x) }
 // not positive definite). The function owns scratch: use it from one
 // goroutine at a time.
 func (m *Model) LogProbFunc() func(x []float64) float64 {
-	ev, err := m.newEvaluator()
-	pd := make([]float64, m.K*m.D)
-	lp := make([]float64, m.K)
+	s, err := m.denseScorer()
+	var sc *ScoreScratch
+	if err == nil {
+		sc = s.NewScratch()
+	}
 	return func(x []float64) float64 {
 		if len(x) != m.D {
 			panic(fmt.Sprintf("gmm: point has dim %d, model has %d", len(x), m.D))
@@ -219,24 +193,22 @@ func (m *Model) LogProbFunc() func(x []float64) float64 {
 		if err != nil {
 			return math.Inf(-1)
 		}
-		ev.logDensities(x, pd, lp)
-		return linalg.LogSumExp(lp)
+		lp, _ := s.Score(x, nil, sc)
+		return lp
 	}
 }
 
 // Responsibilities returns γ_k(x) = p(z = k | x) for a single point.
 func (m *Model) Responsibilities(x []float64) []float64 {
 	out := make([]float64, m.K)
-	ev, err := m.newEvaluator()
+	s, err := m.denseScorer()
 	if err != nil {
 		for i := range out {
 			out[i] = 1 / float64(m.K)
 		}
 		return out
 	}
-	lp := make([]float64, m.K)
-	ev.logDensities(x, make([]float64, m.K*m.D), lp)
-	linalg.SoftmaxLSE(out, lp)
+	s.Responsibilities(x, nil, s.NewScratch(), out)
 	return out
 }
 

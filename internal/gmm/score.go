@@ -8,8 +8,10 @@ import (
 )
 
 // Scorer evaluates a trained mixture over normalized fact tuples — it is
-// the factorized E-step (Eq. 7-12/19-21) of the F-GMM trainer, the serving
-// engine and the streaming refresh alike, for full and diagonal models: the
+// the E-step (Eq. 7-12/19-21) of every trainer, the serving engine and the
+// streaming refresh alike, for full and diagonal models. Over the one-part
+// partition (Model.denseScorer) a joined row is a fact tuple with no
+// dimension caches; the M-/S- trainers and Model.LogProb score that way. The
 // per-component inverse covariances are factorized once at construction,
 // and the per-dimension-tuple quadratic-form contributions (core.QuadCache)
 // are computed by FillDimCaches — once per distinct dimension tuple — and
@@ -33,7 +35,7 @@ func (m *Model) NewScorer(p core.Partition) (*Scorer, error) {
 	if p.D != m.D {
 		return nil, fmt.Errorf("gmm: partition width %d does not match model dimension %d", p.D, m.D)
 	}
-	states, err := m.precompute(p, true)
+	states, err := m.precompute(p)
 	if err != nil {
 		return nil, err
 	}
@@ -100,8 +102,7 @@ func (s *Scorer) NewScratch() *ScoreScratch {
 // differ from the original per-term loop only in summation order (≤1e-12
 // relative, pinned by TestFusedKernelMatchesReference);
 // scoreComponentsUnfused keeps the original loop as the benchmark
-// baseline and reference. (The dense evaluator behind Model.LogProb and
-// the M-/S- trainers is the one scoring path that is not this kernel.)
+// baseline and reference.
 func (s *Scorer) scoreComponents(xs []float64, caches [][]core.QuadCache, sc *ScoreScratch) {
 	if len(caches) != s.p.Parts()-1 {
 		panic(fmt.Sprintf("gmm: %d dimension caches, partition has %d dimension parts", len(caches), s.p.Parts()-1))

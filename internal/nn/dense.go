@@ -20,9 +20,10 @@ type gradAcc struct {
 	ws     *workspace
 	loss   float64
 	batchN int
-	deltas []float64 // δ⁰ of the examples since the last inputGrad, row-major
-	xs     []float64 // F-NN: the same examples' joined rows, gathered per match
-	t1     []float64 // F-NN layer-2-sharing scratch
+	deltas []float64   // δ⁰ of the examples since the last inputGrad, row-major
+	xs     []float64   // F-NN: the same examples' joined rows, gathered per match
+	parts  [][]float64 // F-NN: one match's cached layer-1 partials
+	t1     []float64   // F-NN layer-2-sharing scratch
 }
 
 func newGradAccPool(net *Network, t1Len int) *sync.Pool {
@@ -110,7 +111,7 @@ func trainDense(pass factor.GroupedScan, shuffle func(), cfg Config, net *Networ
 			Fold: func(acc any, _ int, rows, ys []float64, nr int) error {
 				a := acc.(*gradAcc)
 				for i := 0; i < nr; i++ {
-					a.backprop(a.ws.forwardDense(rows[i*d:(i+1)*d]), ys[i])
+					a.backprop(net.forward(&a.ws.ForwardScratch, rows[i*d:(i+1)*d]), ys[i])
 				}
 				a.inputGrad(rows)
 				return nil

@@ -23,6 +23,13 @@
 // Stats.Ops (see TestShareLayer2ExactAndCostsMore), and the planner prices
 // it (plan.ModelSpec.ShareLayer2).
 //
+// One forward pass: layer 1 is either dense (W0·x + b⁰, the M-/S- trainers
+// and Predict) or factorized (PartialPreAct per dimension tuple, completed
+// by ForwardFactorized, for F-NN and serving); both run the same loop over
+// the upper layers in a ForwardScratch, whose buffers backprop reads. The
+// output layer is linear however many hidden layers there are, none
+// included (partial.go).
+//
 // Flop accounting: the kernels count nothing. Stats.Ops is internal/core's
 // per-event units (core.NNUnits) × the events this run saw — examples per
 // epoch, tuples per fill, shared-bias refills per block — and the planner

@@ -27,25 +27,22 @@ type fwdCtx struct {
 	cBias    []float64
 }
 
-// forward computes the factorized forward pass for one joined tuple using
-// ws's buffers (and the caller's t1 scratch under layer-2 sharing) and
-// returns the network output.
-func (fc *fwdCtx) forward(ws *workspace, t1 []float64, s *storage.Tuple, r1 int, res []int) float64 {
-	net := fc.net
+// forward computes the factorized forward pass for one joined tuple in a's
+// workspace and returns the network output.
+func (fc *fwdCtx) forward(a *gradAcc, s *storage.Tuple, r1 int, res []int) float64 {
+	net, ws := fc.net, a.ws
 	if !fc.share {
-		// Factorized layer-1 forward (§VI-A1): a⁰ = W_S·x_S + Σ_m t_m + b.
-		// Seed the accumulator with the cached dimension part, then add the
-		// fact part.
-		linalg.VecAdd(ws.a[0], fc.blkCache.t[r1], net.B[0])
+		// §VI-A1: the match's cached partials, completed by ForwardFactorized.
+		parts := append(a.parts[:0], fc.blkCache.t[r1])
 		for j, ri := range res {
-			linalg.VecAdd(ws.a[0], ws.a[0], fc.resCache[j].t[ri])
+			parts = append(parts, fc.resCache[j].t[ri])
 		}
-		linalg.MatVecRangeAdd(ws.a[0], net.W[0], 0, s.Features)
-		net.Act.Apply(ws.h[0], ws.a[0])
-		return ws.forwardUpper(1)
+		a.parts = parts
+		return net.ForwardFactorized(&ws.ForwardScratch, s.Features, parts)
 	}
 	// §VI-A2 layer-2 sharing (Identity activation):
 	// T1 = W_S·x_S; a¹ = W1·f(T1) + Σ t3_m + (W1·b0 + b1).
+	t1 := a.t1
 	linalg.MatVecRange(t1, net.W[0], 0, s.Features)
 	copy(ws.a[0], t1)
 	linalg.VecAdd(ws.a[0], ws.a[0], fc.blkCache.t[r1])
@@ -61,8 +58,7 @@ func (fc *fwdCtx) forward(ws *workspace, t1 []float64, s *storage.Tuple, r1 int,
 		linalg.VecAdd(ws.a[1], ws.a[1], fc.resCache[j].t3[ri])
 	}
 	linalg.VecAdd(ws.a[1], ws.a[1], fc.cBias)
-	copy(ws.h[1], ws.a[1]) // Identity
-	return ws.forwardUpper(2)
+	return net.upper(&ws.ForwardScratch, 1)
 }
 
 func (pc *partCaches) ensure(n, nh0, nh1 int, share bool) {
@@ -118,7 +114,7 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 		off := p.Offs[part]
 		stats.Ops.Add(units.Fill[part].Scale(int64(len(tuples))))
 		return ps.FillCaches(nw, tuples, func(i int, tp *storage.Tuple) error {
-			linalg.MatVecRange(pc.t[i], net.W[0], off, tp.Features)
+			net.PartialPreAct(pc.t[i], off, tp.Features)
 			if share {
 				// t3 = W1·f(t); f = Identity, so f(t) = t.
 				linalg.MatVec(pc.t3[i], net.W[1], pc.t[i])
@@ -176,7 +172,7 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 				a.xs = a.xs[:0]
 				for _, m := range matches {
 					s := m.S
-					a.backprop(fc.forward(a.ws, a.t1, s, m.R1, m.Res), s.Target)
+					a.backprop(fc.forward(a, s, m.R1, m.Res), s.Target)
 					a.xs = ps.Runner.AppendRow(a.xs, s, curBlock[m.R1], m.Res)
 				}
 				a.inputGrad(a.xs)

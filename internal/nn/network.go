@@ -62,17 +62,9 @@ func (n *Network) Predict(x []float64) float64 {
 	if len(x) != n.Sizes[0] {
 		panic(fmt.Sprintf("nn: input dim %d, want %d", len(x), n.Sizes[0]))
 	}
-	cur := x
-	for l := 0; l < n.Layers(); l++ {
-		out := make([]float64, n.Sizes[l+1])
-		linalg.MatVec(out, n.W[l], cur)
-		linalg.VecAdd(out, out, n.B[l])
-		if l < n.Layers()-1 {
-			n.Act.Apply(out, out)
-		}
-		cur = out
-	}
-	return cur[0]
+	// No backward pass follows, so each hidden layer is activated in place.
+	a := n.layerBuffers()
+	return n.forward(&ForwardScratch{a: a, h: a}, x)
 }
 
 // Clone returns a deep copy.

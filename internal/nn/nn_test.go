@@ -383,19 +383,36 @@ func TestActivations(t *testing.T) {
 	}
 }
 
-// Numerical gradient check on a tiny network: backprop must match finite
-// differences.
+// Numerical gradient check on tiny networks: backprop must match finite
+// differences of Predict's loss — with a hidden layer, and without one,
+// where the output layer is the input layer and stays linear.
 func TestBackpropGradientCheck(t *testing.T) {
-	net, err := NewNetwork([]int{3, 4, 1}, Tanh, 5)
+	for _, sizes := range [][]int{{3, 4, 1}, {3, 1}} {
+		net, err := NewNetwork(sizes, Tanh, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGradient(t, net)
+	}
+	net, err := NewNetwork([]int{3, 1}, Sigmoid, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGradient(t, net)
+}
+
+func checkGradient(t *testing.T, net *Network) {
+	t.Helper()
 	x := []float64{0.3, -0.7, 1.2}
 	y := 0.4
 
 	a := newGradAccPool(net, 0).Get().(*gradAcc)
 	a.reset()
-	a.backprop(a.ws.forwardDense(x), y)
+	o := net.forward(&a.ws.ForwardScratch, x)
+	if p := net.Predict(x); o != p {
+		t.Fatalf("sizes %v: training forward pass %v, Predict %v", net.Sizes, o, p)
+	}
+	a.backprop(o, y)
 	a.inputGrad(x)
 	w := a.ws
 
@@ -417,7 +434,7 @@ func TestBackpropGradientCheck(t *testing.T) {
 				numeric := (up - down) / (2 * eps)
 				analytic := w.gW[l].At(i, j)
 				if math.Abs(numeric-analytic) > 1e-5*(1+math.Abs(numeric)) {
-					t.Fatalf("W[%d][%d,%d]: analytic %v vs numeric %v", l, i, j, analytic, numeric)
+					t.Fatalf("sizes %v W[%d][%d,%d]: analytic %v vs numeric %v", net.Sizes, l, i, j, analytic, numeric)
 				}
 			}
 		}
@@ -430,8 +447,39 @@ func TestBackpropGradientCheck(t *testing.T) {
 			net.B[l][i] = orig
 			numeric := (up - down) / (2 * eps)
 			if math.Abs(numeric-w.gB[l][i]) > 1e-5*(1+math.Abs(numeric)) {
-				t.Fatalf("B[%d][%d]: analytic %v vs numeric %v", l, i, w.gB[l][i], numeric)
+				t.Fatalf("sizes %v B[%d][%d]: analytic %v vs numeric %v", net.Sizes, l, i, w.gB[l][i], numeric)
 			}
+		}
+	}
+}
+
+// A network with no hidden layer trains through a linear output on every
+// access path: warm-started from Init, the first epoch's loss is the mean
+// of ½(Init.Predict(x) − y)² over the join.
+func TestNoHiddenLayerWarmStartLoss(t *testing.T) {
+	db := openDB(t)
+	spec := synthMulti(t, db, 300, []int{12, 5}, 2, []int{3, 2})
+	init, err := NewNetwork([]int{spec.JoinedWidth(), 1}, Sigmoid, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	n := 0
+	err = join.Stream(spec, func(_ int64, x []float64, y float64) error {
+		d := init.Predict(x) - y
+		sum += 0.5 * d * d
+		n++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sum / float64(n)
+	cfg := Config{Init: init, Epochs: 1, LearningRate: 0.05}
+	m, s, f := trainAll3(t, db, spec, cfg)
+	for name, res := range map[string]*Result{"M": m, "S": s, "F": f} {
+		if got := res.Stats.Loss[0]; math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
+			t.Errorf("%s: first-epoch loss %v, want the Init network's %v", name, got, want)
 		}
 	}
 }

@@ -6,14 +6,15 @@ import (
 	"factorml/internal/linalg"
 )
 
-// This file exports the per-relation partial computations of the factorized
-// layer-1 forward pass (§VI-A1) for use outside the trainers — most notably
-// by the serving engine (internal/serve), which caches PartialPreAct results
-// per dimension tuple and completes each fact tuple's forward pass with
-// ForwardFactorized. The accumulation order is fixed (dimension parts in
-// relation order, then the layer-1 bias, then the fact part), so the output
-// for a given tuple is bit-identical regardless of worker count or cache
-// state.
+// This file holds the network's one forward pass. Layer 1 comes in two
+// forms: dense (forward: W0·x + b⁰, for the M-/S- trainers and Predict) and
+// factorized (§VI-A1: PartialPreAct per dimension tuple, completed per fact
+// tuple by ForwardFactorized, for the F-NN trainer and the serving engine,
+// internal/serve, which caches the partials per dimension tuple). Both end
+// in the same loop over the upper layers (upper). The factorized
+// accumulation order is fixed (the layer-1 bias, then the dimension parts
+// in relation order, then the fact part), so the output for a given tuple
+// is bit-identical regardless of worker count or cache state.
 
 // HiddenWidth returns the width of the first hidden layer (Sizes[1]), the
 // length of every layer-1 partial pre-activation.
@@ -32,57 +33,76 @@ func (n *Network) PartialPreAct(dst []float64, off int, x []float64) {
 	linalg.MatVecRange(dst, n.W[0], off, x)
 }
 
-// ForwardScratch holds one goroutine's activation buffers for
-// ForwardFactorized, so the serving hot path performs no per-row
-// allocation. Obtain one per worker via NewForwardScratch.
+// ForwardScratch holds one goroutine's forward-pass buffers, so the
+// serving hot path performs no per-row allocation. Obtain one per worker
+// via NewForwardScratch. The trainers' workspace embeds one: backprop reads
+// the pre-activations and activations the forward pass leaves here.
 type ForwardScratch struct {
-	a [][]float64 // a[l] has length Sizes[l+1]
+	a [][]float64 // pre-activations, a[l] has length Sizes[l+1]
+	h [][]float64 // activations of the hidden layers (h[l] for l < Layers()-1)
 }
 
 // NewForwardScratch allocates scratch sized for this network.
 func (n *Network) NewForwardScratch() *ForwardScratch {
-	fs := &ForwardScratch{}
-	for l := 0; l < n.Layers(); l++ {
-		fs.a = append(fs.a, make([]float64, n.Sizes[l+1]))
+	return &ForwardScratch{a: n.layerBuffers(), h: n.layerBuffers()[:n.Layers()-1]}
+}
+
+// layerBuffers returns one buffer per layer l, Sizes[l+1] long, carved from
+// a single allocation.
+func (n *Network) layerBuffers() [][]float64 {
+	width := 0
+	for _, s := range n.Sizes[1:] {
+		width += s
 	}
-	return fs
+	buf := make([]float64, width)
+	out := make([][]float64, n.Layers())
+	for l := range out {
+		s := n.Sizes[l+1]
+		out[l], buf = buf[:s:s], buf[s:]
+	}
+	return out
+}
+
+// forward is the dense forward pass, a⁰ = W0·x + b⁰, then the upper
+// layers. The M-/S- trainers and Predict run it.
+func (n *Network) forward(fs *ForwardScratch, x []float64) float64 {
+	linalg.MatVec(fs.a[0], n.W[0], x)
+	linalg.VecAdd(fs.a[0], fs.a[0], n.B[0])
+	return n.upper(fs, 0)
+}
+
+// upper is the one loop over the layers above the input: given the
+// pre-activation a[from] (and the activations below it), it activates each
+// hidden layer into h and computes the next layer's pre-activation, and
+// returns the output, which stays linear.
+func (n *Network) upper(fs *ForwardScratch, from int) float64 {
+	last := n.Layers() - 1
+	for l := from; l < last; l++ {
+		n.Act.Apply(fs.h[l], fs.a[l])
+		linalg.MatVec(fs.a[l+1], n.W[l+1], fs.h[l])
+		linalg.VecAdd(fs.a[l+1], fs.a[l+1], n.B[l+1])
+	}
+	return fs.a[last][0]
 }
 
 // ForwardFactorized completes a forward pass from cached per-relation
 // partials: parts holds one PartialPreAct result per dimension relation (in
 // relation order) and xs is the fact tuple's feature sub-vector at column
-// offset 0. It mirrors the factorized trainers' accumulation order —
-// Σ parts, + b⁰, + W0_S·x_S — then runs the dense upper layers in fs's
-// buffers, and returns the scalar network output. The result is exact: it
-// equals Predict over the assembled joined vector up to floating-point
-// summation order.
+// offset 0. The layer-1 pre-activation is accumulated in a fixed order —
+// b⁰, + each part, + W0_S·x_S — then the upper layers run in fs's buffers,
+// and the scalar network output is returned. The F-NN trainer's forward pass is
+// this call over its cached partials. The result is exact: it equals
+// Predict over the assembled joined vector up to floating-point summation
+// order.
 func (n *Network) ForwardFactorized(fs *ForwardScratch, xs []float64, parts [][]float64) float64 {
 	if len(fs.a) != n.Layers() {
 		panic(fmt.Sprintf("nn: scratch has %d layers, network %d", len(fs.a), n.Layers()))
 	}
 	a0 := fs.a[0]
-	if len(parts) == 0 {
-		copy(a0, n.B[0])
-	} else {
-		linalg.VecAdd(a0, parts[0], n.B[0])
-		for _, t := range parts[1:] {
-			linalg.VecAdd(a0, a0, t)
-		}
+	copy(a0, n.B[0])
+	for _, t := range parts {
+		linalg.VecAdd(a0, a0, t)
 	}
 	linalg.MatVecRangeAdd(a0, n.W[0], 0, xs)
-	if n.Layers() == 1 {
-		return a0[0] // single-layer network: linear output, no activation
-	}
-	n.Act.Apply(a0, a0)
-	cur := a0
-	for l := 1; l < n.Layers(); l++ {
-		out := fs.a[l]
-		linalg.MatVec(out, n.W[l], cur)
-		linalg.VecAdd(out, out, n.B[l])
-		if l < n.Layers()-1 {
-			n.Act.Apply(out, out)
-		}
-		cur = out
-	}
-	return cur[0]
+	return n.upper(fs, 0)
 }

@@ -3,13 +3,14 @@ package nn
 import "factorml/internal/linalg"
 
 // workspace holds the per-tuple forward/backward buffers and the gradient
-// accumulators shared by all trainers. Buffers are allocated once, so the
-// training loops run allocation-free.
+// accumulators shared by all trainers: the forward pass runs in the
+// embedded ForwardScratch, whose pre-activations and activations backward
+// reads. Buffers are allocated once, so the training loops run
+// allocation-free.
 type workspace struct {
 	net *Network
+	ForwardScratch
 
-	a     [][]float64 // pre-activations, a[l] has length Sizes[l+1]
-	h     [][]float64 // activations (output layer stays linear)
 	delta [][]float64
 
 	gW []*linalg.Dense
@@ -17,11 +18,9 @@ type workspace struct {
 }
 
 func newWorkspace(net *Network) *workspace {
-	w := &workspace{net: net}
+	w := &workspace{net: net, ForwardScratch: *net.NewForwardScratch()}
 	for l := 0; l < net.Layers(); l++ {
 		sz := net.Sizes[l+1]
-		w.a = append(w.a, make([]float64, sz))
-		w.h = append(w.h, make([]float64, sz))
 		w.delta = append(w.delta, make([]float64, sz))
 		w.gW = append(w.gW, linalg.NewDense(sz, net.Sizes[l]))
 		w.gB = append(w.gB, make([]float64, sz))
@@ -46,32 +45,6 @@ func (w *workspace) applyStep(lr float64, batchN int) {
 		w.net.W[l].AddScaled(scale, w.gW[l])
 		linalg.Axpy(scale, w.gB[l], w.net.B[l])
 	}
-}
-
-// forwardDense computes the full forward pass for one input, storing
-// pre-activations and activations, and returns the scalar output.
-func (w *workspace) forwardDense(x []float64) float64 {
-	net := w.net
-	linalg.MatVec(w.a[0], net.W[0], x)
-	linalg.VecAdd(w.a[0], w.a[0], net.B[0])
-	net.Act.Apply(w.h[0], w.a[0])
-	return w.forwardUpper(1)
-}
-
-// forwardUpper continues the forward pass from layer `from` (assuming
-// a[from-1] and h[from-1] are set) and returns the output.
-func (w *workspace) forwardUpper(from int) float64 {
-	net := w.net
-	for l := from; l < net.Layers(); l++ {
-		linalg.MatVec(w.a[l], net.W[l], w.h[l-1])
-		linalg.VecAdd(w.a[l], w.a[l], net.B[l])
-		if l < net.Layers()-1 {
-			net.Act.Apply(w.h[l], w.a[l])
-		} else {
-			copy(w.h[l], w.a[l]) // linear output
-		}
-	}
-	return w.h[net.Layers()-1][0]
 }
 
 // backward propagates the error for one example with output o and target y,

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // FactRow is one new fact tuple in a change batch: the tuple's own
@@ -56,6 +57,19 @@ func IsValidationError(err error) bool {
 
 func valErrf(format string, args ...any) error {
 	return &ValidationError{msg: fmt.Sprintf(format, args...)}
+}
+
+// nonFinite returns the index of the first NaN or ±Inf in v, or -1. One
+// such value in a batch would poison every model the stream maintains, and
+// the row would stay in the fact table for every later rebaseline, so
+// validation rejects it.
+func nonFinite(v ...float64) int {
+	for i, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // IncompatibleModelError marks an attach rejected because the model does

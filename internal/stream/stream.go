@@ -600,12 +600,23 @@ func (s *Stream) ingestLocked(ctx context.Context, b Batch) (IngestResult, error
 					i, du.Table, fk, refs[k])
 			}
 		}
+		if c := nonFinite(du.Features...); c >= 0 {
+			return res, valErrf("stream: batch dim %d: table %q feature %d is %g, want a finite value",
+				i, du.Table, c, du.Features[c])
+		}
 	}
 	hasTarget := s.spec.S.Schema().HasTarget
 	for i, fr := range b.Facts {
 		if len(fr.Features) != s.p.Dims[0] {
 			return res, valErrf("stream: batch fact %d (sid %d): fact table takes %d features, got %d",
 				i, fr.SID, s.p.Dims[0], len(fr.Features))
+		}
+		if c := nonFinite(fr.Features...); c >= 0 {
+			return res, valErrf("stream: batch fact %d (sid %d): feature %d is %g, want a finite value",
+				i, fr.SID, c, fr.Features[c])
+		}
+		if nonFinite(fr.Target) >= 0 {
+			return res, valErrf("stream: batch fact %d (sid %d): target is %g, want a finite value", i, fr.SID, fr.Target)
 		}
 		if !hasTarget && fr.Target != 0 {
 			return res, valErrf("stream: batch fact %d (sid %d): fact table %q has no target column, got target %g",

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"factorml/internal/data"
@@ -447,6 +449,64 @@ func TestTargetlessFactTable(t *testing.T) {
 	}
 	if _, err := s.Ingest(Batch{Facts: []FactRow{{SID: 200, FKs: []int64{pk}, Features: []float64{1, 2, 3}}}}); err != nil {
 		t.Fatalf("target-less fact row rejected: %v", err)
+	}
+}
+
+// TestNonFiniteIngestRejected: a NaN or ±Inf anywhere in a batch — a fact
+// feature, a target, a dimension feature — is a ValidationError naming the
+// row and column, and nothing is applied. Accepted, it would fail the next
+// refresh and, kept in the fact table, every rebaseline after it.
+func TestNonFiniteIngestRejected(t *testing.T) {
+	db, spec, _ := genStar(t, 300, []int{12}, 3, []int{2}, 19)
+	model := trainBase(t, db, spec, 2)
+	s, err := New(db, spec, Options{Policy: Policy{NumWorkers: 1, RebaselineEvery: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AttachGMM("m", model); err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	dim := spec.Rs[0].Schema().Name
+	for _, tc := range []struct {
+		name string
+		edit func(b *Batch)
+		want string
+	}{
+		{"NaN feature", func(b *Batch) { b.Facts[3].Features[1] = nan }, "fact 3 (sid %d): feature 1 is NaN"},
+		{"+Inf target", func(b *Batch) { b.Facts[3].Target = inf }, "fact 3 (sid %d): target is +Inf"},
+		{"+Inf dimension feature", func(b *Batch) {
+			b.Dims = []DimUpdate{{Table: dim, RID: 0, Features: []float64{0, inf}}}
+		}, "dim 0: table \"" + dim + "\" feature 1 is +Inf"},
+	} {
+		b := deltaBatch(t, spec, s.idxs, 5, 7)
+		tc.edit(&b)
+		want := tc.want
+		if strings.Contains(want, "%d") {
+			want = fmt.Sprintf(want, b.Facts[3].SID)
+		}
+		_, err := s.Ingest(b)
+		if !IsValidationError(err) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: Ingest = %v, want a ValidationError containing %q", tc.name, err, want)
+		}
+		if s.Pending() != 0 {
+			t.Fatalf("%s: %d rows pending after a rejected batch", tc.name, s.Pending())
+		}
+	}
+	if _, err := s.Ingest(deltaBatch(t, spec, s.idxs, 5, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Refresh(); err != nil {
+		t.Fatalf("refresh after the rejected batches: %v", err)
+	}
+	got, err := s.GMM("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range got.Means {
+		if nonFinite(got.Means[c]...) >= 0 {
+			t.Fatalf("component %d mean %v after refresh", c, got.Means[c])
+		}
 	}
 }
 

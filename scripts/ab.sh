@@ -19,6 +19,11 @@
 # count for neither); failed runs are listed and excluded. The per-run
 # lines stay in .bench_build/ab/out/ for the record.
 #
+# The exact column reads the runs as exact counts: "equal" when every
+# successful run on both sides printed the same value, "MOVED" when each
+# side printed a single value but the two differ, "-" otherwise (a clock,
+# say). Run with --trace 1 to get the counters it is meant for.
+#
 # Two verdict columns apply the rules, with each metric's better direction
 # and each end-to-end metric's bound read from BENCHMARK.json:
 #   claim  "holds" when at least ten pairs ran, head is better in >= 9/10
@@ -144,14 +149,17 @@ $4 == "__failed__" { failed[$1, $2] = 1; nfail[$1, $3]++; next }
 	v[w, m, p, side] = $5
 }
 END {
-	printf "%-18s %-32s %27s %27s %7s  %-30s %-5s %s\n", "workload", "metric", "base q1 / median / q3", "head q1 / median / q3", "ratio", "head lower / higher", "claim", "bound"
+	printf "%-18s %-32s %27s %27s %7s  %-30s %-5s %-5s %s\n", "workload", "metric", "base q1 / median / q3", "head q1 / median / q3", "ratio", "head lower / higher", "exact", "claim", "bound"
 	for (i = 1; i <= nm; i++) {
 		split(order[i], k, SUBSEP); w = k[1]; m = k[2]
-		n = 0; lower = 0; higher = 0
+		n = 0; lower = 0; higher = 0; bsame = 1; hsame = 1
 		for (p = 1; p <= pairs; p++) {
 			if ((w, p) in failed || !((w, m, p, "base") in v) || !((w, m, p, "head") in v)) continue
 			n++
 			val["b", n] = v[w, m, p, "base"]; val["h", n] = v[w, m, p, "head"]
+			if (n == 1) { b0 = v[w, m, p, "base"] ""; h0 = v[w, m, p, "head"] "" } # compared as printed
+			if (v[w, m, p, "base"] "" != b0) bsame = 0
+			if (v[w, m, p, "head"] "" != h0) hsame = 0
 			if (val["h", n] < val["b", n]) lower++
 			if (val["h", n] > val["b", n]) higher++
 		}
@@ -159,7 +167,8 @@ END {
 		sorted("b", n, b); sorted("h", n, h)
 		bm = quant(b, n, 0.5); hm = quant(h, n, 0.5)
 		biqr = quant(b, n, 0.75) - quant(b, n, 0.25); hiqr = quant(h, n, 0.75) - quant(h, n, 0.25)
-		claim = "-"; verdict = "-"
+		claim = "-"; verdict = "-"; exact = "-"
+		if (bsame && hsame) exact = b0 == h0 ? "equal" : "MOVED"
 		if (m in better) {
 			s = better[m] == "higher" ? 1 : -1 # sign of an improvement
 			wins = s > 0 ? higher : lower
@@ -171,9 +180,9 @@ END {
 				else verdict = "ok"
 			}
 		}
-		printf "%-18s %-32s %8.4g /%8.4g /%8.4g %8.4g /%8.4g /%8.4g %7.3f  %-30s %-5s %s\n",
+		printf "%-18s %-32s %8.4g /%8.4g /%8.4g %8.4g /%8.4g /%8.4g %7.3f  %-30s %-5s %-5s %s\n",
 			w, m, quant(b, n, 0.25), bm, quant(b, n, 0.75), quant(h, n, 0.25), hm, quant(h, n, 0.75),
-			(bm != 0 ? hm / bm : 0), sprintf("%d lower, %d higher of %d", lower, higher, n), claim, verdict
+			(bm != 0 ? hm / bm : 0), sprintf("%d lower, %d higher of %d", lower, higher, n), exact, claim, verdict
 	}
 	for (key in nfail) { split(key, k, SUBSEP); printf "failed runs: %s %s: %d\n", k[1], k[2], nfail[key] }
 }' "$root/BENCHMARK.json" "$out/samples.txt"
