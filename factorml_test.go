@@ -441,9 +441,12 @@ var unreferencedOK = map[string]string{
 // it is declared (a name-level check — it cannot tell two methods of one
 // name apart, which errs towards silence). It also fails when
 // cmd/train/main.go reaches below the public facade, which it was rewritten
-// on so that the CLI cannot drift from the library again, and when
-// internal/parallel imports anything under internal/: the scheduler knows
-// nothing of flops or tuples.
+// on so that the CLI cannot drift from the library again, when
+// internal/parallel imports anything under internal/ (the scheduler knows
+// nothing of flops or tuples), and when code under internal/ outside
+// internal/serve uses a sync.Pool: the training and absorb passes recycle
+// their state through the chunk lifecycle, whose allocation counts stay
+// exact under the race detector.
 func TestInternalPackagesAreReached(t *testing.T) {
 	reached := make(map[string]bool) // package under internal/ -> imported from outside itself
 	declared := make(map[string]int) // exported func/method name under internal/ -> declarations
@@ -489,6 +492,10 @@ func TestInternalPackagesAreReached(t *testing.T) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "sync" && n.Sel.Name == "Pool" && internal && pkg != "factorml/internal/serve" {
+					t.Errorf("%s uses a sync.Pool; a chunked pass's state travels with its chunk (internal/parallel), and only internal/serve pools request-scoped buffers", path)
+				}
 			case *ast.Ident:
 				mentions[n.Name]++
 			case *ast.FuncDecl:

@@ -11,6 +11,7 @@ import (
 	"factorml/internal/gmm"
 	"factorml/internal/join"
 	"factorml/internal/nn"
+	"factorml/internal/plan"
 	"factorml/internal/storage"
 )
 
@@ -73,31 +74,12 @@ func (h *Harness) withDB(name string, fn func(db *storage.Database) error) error
 func (h *Harness) runGMM(name string, dcfg data.SynthConfig, gcfg gmm.Config, figure, series string, x float64) (Row, error) {
 	row := Row{Figure: figure, Series: series, X: x}
 	gcfg.Tol = 1e-300 // effectively disable early stopping: compare fixed work
-	// Single-threaded: the figure rows compare M/S/F algorithmic cost, and
-	// the worker pool parallelizes the three variants asymmetrically (the
-	// factorized M-step stays sequential), which would distort the ratios.
-	gcfg.NumWorkers = 1
 	err := h.withDB(name, func(db *storage.Database) error {
 		spec, err := data.Generate(db, name, dcfg)
 		if err != nil {
 			return err
 		}
-		m, err := gmm.TrainM(db, spec, gcfg)
-		if err != nil {
-			return err
-		}
-		s, err := gmm.TrainS(db, spec, gcfg)
-		if err != nil {
-			return err
-		}
-		f, err := gmm.TrainF(db, spec, gcfg)
-		if err != nil {
-			return err
-		}
-		fillRow(&row, m.Stats.TrainTime, s.Stats.TrainTime, f.Stats.TrainTime,
-			m.Stats.Ops.Mul, s.Stats.Ops.Mul, f.Stats.Ops.Mul,
-			m.Stats.IO, s.Stats.IO, f.Stats.IO)
-		return nil
+		return trainGMM3(db, spec, gcfg, &row)
 	})
 	if err != nil {
 		return row, fmt.Errorf("experiments: %s %s x=%g: %w", figure, series, x, err)
@@ -115,7 +97,7 @@ func (h *Harness) runNN(name string, dcfg data.SynthConfig, ncfg nn.Config, figu
 		if err != nil {
 			return err
 		}
-		return h.trainNN3(db, spec, ncfg, &row)
+		return trainNN3(db, spec, ncfg, &row)
 	})
 	if err != nil {
 		return row, fmt.Errorf("experiments: %s %s x=%g: %w", figure, series, x, err)
@@ -124,33 +106,59 @@ func (h *Harness) runNN(name string, dcfg data.SynthConfig, ncfg nn.Config, figu
 	return row, nil
 }
 
-func (h *Harness) trainNN3(db *storage.Database, spec *join.Spec, ncfg nn.Config, row *Row) error {
-	ncfg.NumWorkers = 1 // single-threaded, same reason as runGMM
-	m, err := nn.TrainM(db, spec, ncfg)
-	if err != nil {
-		return err
-	}
-	s, err := nn.TrainS(db, spec, ncfg)
-	if err != nil {
-		return err
-	}
-	f, err := nn.TrainF(db, spec, ncfg)
-	if err != nil {
-		return err
-	}
-	fillRow(row, m.Stats.TrainTime, s.Stats.TrainTime, f.Stats.TrainTime,
-		m.Stats.Ops.Mul, s.Stats.Ops.Mul, f.Stats.Ops.Mul,
-		m.Stats.IO, s.Stats.IO, f.Stats.IO)
-	return nil
+// strategies are the access paths a Row compares, in its M, S, F order.
+var strategies = [3]plan.Strategy{plan.Materialized, plan.Streaming, plan.Factorized}
+
+// run is what a Row records of one training.
+type run struct {
+	time time.Duration
+	mul  int64 // multiplication counter
+	io   storage.IOStats
 }
 
-func fillRow(row *Row, mt, st, ft time.Duration, mm, sm, fm int64, mio, sio, fio storage.IOStats) {
-	row.MTime, row.STime, row.FTime = mt, st, ft
-	row.MMul, row.SMul, row.FMul = mm, sm, fm
-	row.MIO, row.SIO, row.FIO = mio.LogicalReads, sio.LogicalReads, fio.LogicalReads
-	row.MWrites = mio.PageWrites
-	if ft > 0 {
-		row.SpeedupSF = float64(st) / float64(ft)
-		row.SpeedupMF = float64(mt) / float64(ft)
+// trainGMM3 trains the mixture once per strategy, single-threaded: the
+// figure rows compare M/S/F algorithmic cost, and the worker pool
+// parallelizes the three variants asymmetrically (the factorized M-step
+// stays sequential), which would distort the ratios.
+func trainGMM3(db *storage.Database, spec *join.Spec, gcfg gmm.Config, row *Row) error {
+	gcfg.NumWorkers = 1
+	return fillRow(row, func(s plan.Strategy) (run, error) {
+		res, err := gmm.Train(db, spec, s, gcfg)
+		if err != nil {
+			return run{}, err
+		}
+		return run{res.Stats.TrainTime, res.Stats.Ops.Mul, res.Stats.IO}, nil
+	})
+}
+
+// trainNN3 is trainGMM3's NN counterpart.
+func trainNN3(db *storage.Database, spec *join.Spec, ncfg nn.Config, row *Row) error {
+	ncfg.NumWorkers = 1
+	return fillRow(row, func(s plan.Strategy) (run, error) {
+		res, err := nn.Train(db, spec, s, ncfg)
+		if err != nil {
+			return run{}, err
+		}
+		return run{res.Stats.TrainTime, res.Stats.Ops.Mul, res.Stats.IO}, nil
+	})
+}
+
+// fillRow trains once per strategy, in Row's order, and records the runs.
+func fillRow(row *Row, train func(plan.Strategy) (run, error)) error {
+	var r [3]run
+	for i, s := range strategies {
+		var err error
+		if r[i], err = train(s); err != nil {
+			return err
+		}
 	}
+	row.MTime, row.STime, row.FTime = r[0].time, r[1].time, r[2].time
+	row.MMul, row.SMul, row.FMul = r[0].mul, r[1].mul, r[2].mul
+	row.MIO, row.SIO, row.FIO = r[0].io.LogicalReads, r[1].io.LogicalReads, r[2].io.LogicalReads
+	row.MWrites = r[0].io.PageWrites
+	if ft := r[2].time; ft > 0 {
+		row.SpeedupSF = float64(row.STime) / float64(ft)
+		row.SpeedupMF = float64(row.MTime) / float64(ft)
+	}
+	return nil
 }

@@ -35,23 +35,7 @@ func (h *Harness) TableVI() ([]Row, error) {
 			if err != nil {
 				return err
 			}
-			gcfg := gmm.Config{K: sweepK, MaxIter: h.P.GMMIters, Tol: 1e-300, NumWorkers: 1}
-			m, err := gmm.TrainM(db, spec, gcfg)
-			if err != nil {
-				return err
-			}
-			s, err := gmm.TrainS(db, spec, gcfg)
-			if err != nil {
-				return err
-			}
-			f, err := gmm.TrainF(db, spec, gcfg)
-			if err != nil {
-				return err
-			}
-			fillRow(&row, m.Stats.TrainTime, s.Stats.TrainTime, f.Stats.TrainTime,
-				m.Stats.Ops.Mul, s.Stats.Ops.Mul, f.Stats.Ops.Mul,
-				m.Stats.IO, s.Stats.IO, f.Stats.IO)
-			return nil
+			return trainGMM3(db, spec, gmm.Config{K: sweepK, MaxIter: h.P.GMMIters, Tol: 1e-300}, &row)
 		})
 		if err != nil {
 			return rows, fmt.Errorf("experiments: TableVI %s: %w", name, err)
@@ -77,7 +61,7 @@ func (h *Harness) TableVII() ([]Row, error) {
 			if err != nil {
 				return err
 			}
-			return h.trainNN3(db, spec, nn.Config{Hidden: []int{sweepNH}, Epochs: h.P.NNEpochs}, &row)
+			return trainNN3(db, spec, nn.Config{Hidden: []int{sweepNH}, Epochs: h.P.NNEpochs}, &row)
 		})
 		if err != nil {
 			return rows, fmt.Errorf("experiments: TableVII %s: %w", name, err)

@@ -24,9 +24,9 @@
 //     re-joining scans, and the materializer itself, run join.StreamWith —
 //     the one row-assembly loop in the tree.
 //   - RunRowPass / RunSGDPass — the chunked-parallel pass operators: rows
-//     are cut into fixed-geometry chunks, each chunk folds into a private
-//     accumulator on a worker, and accumulators merge strictly in chunk
-//     order. The reduction is therefore bit-identical for every worker
+//     are cut into fixed-geometry chunks, each chunk folds into the
+//     accumulator it carries on a worker, and accumulators merge strictly in
+//     chunk order. The reduction is therefore bit-identical for every worker
 //     count — including one, which parallel.Run executes inline: no pass
 //     operator here has a sequential twin. RunSGDPass adds per-group barrier
 //     hooks for Block-mode gradient steps.
@@ -41,6 +41,12 @@
 //     factorized trainers drive their per-match accumulation through.
 //     A chunked fold sees each chunk's matches at once, so it can batch
 //     per-match kernels over the chunk.
+//
+// Both chunked operators follow internal/parallel's chunk lifecycle: the
+// run owns the chunk objects, and a chunk's accumulator, of the caller's
+// type A (PassHooks[A], join.ParallelCallbacks[A]), is a field of the chunk,
+// built zeroed once per object. Merge folds it into the model's statistics
+// and leaves it zero, because a later chunk refills the same object.
 //
 // A new model family (linear models, logistic regression, …) needs only
 // its accumulators: the operators here already provide all three strategy

@@ -237,10 +237,9 @@ func TestRunRowPassDeterministicAcrossWorkers(t *testing.T) {
 			s     float64
 			start int
 		}
-		err := RunRowPass("test.rowpass", workers, d, scan, PassHooks{
-			NewAcc: func() any { return &acc{start: -1} },
-			Fold: func(a any, start int, rows, ys []float64, nr int) error {
-				ac := a.(*acc)
+		err := RunRowPass("test.rowpass", workers, d, scan, PassHooks[acc]{
+			NewAcc: func() acc { return acc{start: -1} },
+			Fold: func(ac *acc, start int, rows, ys []float64, nr int) error {
 				if ac.start < 0 {
 					ac.start = start
 				}
@@ -254,10 +253,10 @@ func TestRunRowPassDeterministicAcrossWorkers(t *testing.T) {
 				}
 				return nil
 			},
-			Merge: func(a any) error {
-				ac := a.(*acc)
+			Merge: func(ac *acc) error {
 				sum += ac.s
 				starts[ac.start] = true
+				*ac = acc{start: -1}
 				return nil
 			},
 		})
@@ -309,15 +308,14 @@ func TestRunSGDPassGroupBarriers(t *testing.T) {
 		seen := 0.0
 		err := RunSGDPass("test.sgd", w, d, scan, true,
 			func() error { log = append(log, fmt.Sprintf("step@%g", seen)); return nil },
-			PassHooks{
-				NewAcc: func() any { s := 0.0; return &s },
-				Fold: func(a any, _ int, rows, ys []float64, nr int) error {
+			PassHooks[float64]{
+				Fold: func(a *float64, _ int, rows, ys []float64, nr int) error {
 					for i := 0; i < nr; i++ {
-						*(a.(*float64)) += ys[i]
+						*a += ys[i]
 					}
 					return nil
 				},
-				Merge: func(a any) error { seen += *(a.(*float64)); return nil },
+				Merge: func(a *float64) error { seen, *a = seen+*a, 0; return nil },
 			})
 		if err != nil {
 			t.Fatal(err)

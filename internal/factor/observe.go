@@ -7,7 +7,7 @@ import (
 
 // PassEvent describes one completed phase of a training pass: a chunked
 // row pass (RunRowPass / RunSGDPass), a factorized match pass
-// (PartScan.RunChunks), a dimension-cache fill, or an
+// (RunChunks), a dimension-cache fill, or an
 // initialization scan. Pass names the logical pass, Phase the mechanical
 // stage within it. A GMM trainer makes one pass per EM iteration and names
 // it once per loop — "gmm.em" / "igmm.em" (the dense driver over a full /

@@ -29,16 +29,14 @@ func TestPassObserverEvents(t *testing.T) {
 			mu.Unlock()
 		})
 		sum := 0.0
-		err := RunRowPass("test.observed", workers, d, scan, PassHooks{
-			NewAcc: func() any { return new(float64) },
-			Fold: func(acc any, start int, rows, _ []float64, nr int) error {
-				a := acc.(*float64)
+		err := RunRowPass("test.observed", workers, d, scan, PassHooks[float64]{
+			Fold: func(a *float64, start int, rows, _ []float64, nr int) error {
 				for i := 0; i < nr; i++ {
 					*a += rows[i*d]
 				}
 				return nil
 			},
-			Merge: func(acc any) error { sum += *acc.(*float64); return nil },
+			Merge: func(a *float64) error { sum, *a = sum+*a, 0; return nil },
 		})
 		SetObserver(nil)
 		if err != nil {
@@ -73,10 +71,9 @@ func TestPassObserverRemoved(t *testing.T) {
 	SetObserver(func(PassEvent) { t.Error("observer fired after removal") })
 	SetObserver(nil)
 	scan := func(onRow RowFn) error { return onRow([]float64{1}, 0) }
-	err := RunRowPass("test.removed", 1, 1, scan, PassHooks{
-		NewAcc: func() any { return new(int) },
-		Fold:   func(any, int, []float64, []float64, int) error { return nil },
-		Merge:  func(any) error { return nil },
+	err := RunRowPass("test.removed", 1, 1, scan, PassHooks[struct{}]{
+		Fold:  func(*struct{}, int, []float64, []float64, int) error { return nil },
+		Merge: func(*struct{}) error { return nil },
 	})
 	if err != nil {
 		t.Fatal(err)

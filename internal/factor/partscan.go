@@ -69,29 +69,30 @@ func (ps *PartScan) ScanGroups(onRow RowFn, onGroupEnd func() error) error {
 	return m.done(scanJoin(ps.Runner, onRow, onGroupEnd))
 }
 
-// RunChunks streams one pass with the matches cut into fixed-size chunks
-// worked on the pool and merged in chunk order (see join.Runner.RunParallel
-// for the determinism contract).
-func (ps *PartScan) RunChunks(workers int, cb join.ParallelCallbacks) error {
+// RunChunks streams one pass over ps with the matches cut into fixed-size
+// chunks worked on the pool and merged in chunk order, each chunk carrying
+// an accumulator of type A (see join.RunParallel for the determinism
+// contract and join.ParallelCallbacks for the accumulator's lifecycle).
+func RunChunks[A any](ps *PartScan, workers int, cb join.ParallelCallbacks[A]) error {
 	m := observePass(ps.Pass, "fold", workers)
 	if m != nil && cb.OnMatchChunk != nil {
 		innerChunk, innerMerged := cb.OnMatchChunk, cb.OnChunkMerged
-		cb.OnMatchChunk = func(state any, matches []join.Match) error {
+		cb.OnMatchChunk = func(acc *A, matches []join.Match) error {
 			t0 := time.Now()
-			err := innerChunk(state, matches)
+			err := innerChunk(acc, matches)
 			m.folded(t0, len(matches))
 			return err
 		}
 		if innerMerged != nil {
-			cb.OnChunkMerged = func(state any) error {
+			cb.OnChunkMerged = func(acc *A) error {
 				t0 := time.Now()
-				err := innerMerged(state)
+				err := innerMerged(acc)
 				m.merged(t0)
 				return err
 			}
 		}
 	}
-	return m.done(ps.Runner.RunParallel(workers, join.ParallelChunkRows, cb))
+	return m.done(join.RunParallel(ps.Runner, workers, join.ParallelChunkRows, cb))
 }
 
 // FillCaches fills one per-tuple cache slot for every tuple on the worker

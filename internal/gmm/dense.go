@@ -1,8 +1,6 @@
 package gmm
 
 import (
-	"sync"
-
 	"factorml/internal/core"
 	"factorml/internal/factor"
 	"factorml/internal/linalg"
@@ -22,8 +20,8 @@ import (
 //
 // The pass is executed by the shared chunked row-pass operator
 // (factor.RunRowPass over internal/parallel): rows are cut into fixed
-// chunks, each chunk folds into its own accumulator on a worker, and the
-// accumulators merge in chunk order. The trained model is therefore
+// chunks, each chunk folds into the accumulator it carries on a worker, and
+// the accumulators merge in chunk order. The trained model is therefore
 // bit-identical for every cfg.NumWorkers value.
 func emDense(scan func(onRow factor.RowFn) error, d, n int, cfg Config, model *Model, stats *Stats) error {
 	nw := parallel.Workers(cfg.NumWorkers)
@@ -33,25 +31,16 @@ func emDense(scan func(onRow factor.RowFn) error, d, n int, cfg Config, model *M
 		name = "igmm.em"
 	}
 
-	// Per-chunk accumulators, pooled across iterations. A chunk is scored
-	// and folded foldBlockRows rows at a time: gamma and pd hold that many rows'
-	// K responsibilities and K deviations x − µ_c, small enough to stay in
-	// cache between the two.
+	// A chunk's accumulator. A chunk is scored and folded foldBlockRows rows
+	// at a time: gamma and pd hold that many rows' K responsibilities and K
+	// deviations x − µ_c, small enough to stay in cache between the two.
 	type chunkAcc struct {
 		ll    float64
 		logp  []float64
 		gamma []float64
 		pd    []float64
-		mom   *moments
+		mom   moments
 	}
-	pool := sync.Pool{New: func() any {
-		return &chunkAcc{
-			logp:  make([]float64, k),
-			gamma: make([]float64, foldBlockRows*k),
-			pd:    make([]float64, foldBlockRows*k*d),
-			mom:   newMoments(k, d, model.Diagonal),
-		}
-	}}
 	total := newMoments(k, d, model.Diagonal)
 	perRow := core.NewGMMUnits(core.NewPartition([]int{d}), k, model.Diagonal).DenseRow
 
@@ -62,15 +51,16 @@ func emDense(scan func(onRow factor.RowFn) error, d, n int, cfg Config, model *M
 		}
 		ll := 0.0
 		total.zero()
-		err = factor.RunRowPass(name, nw, d, scan, factor.PassHooks{
-			NewAcc: func() any {
-				a := pool.Get().(*chunkAcc)
-				a.ll = 0
-				a.mom.zero()
-				return a
+		err = factor.RunRowPass(name, nw, d, scan, factor.PassHooks[chunkAcc]{
+			NewAcc: func() chunkAcc {
+				return chunkAcc{
+					logp:  make([]float64, k),
+					gamma: make([]float64, foldBlockRows*k),
+					pd:    make([]float64, foldBlockRows*k*d),
+					mom:   newMoments(k, d, model.Diagonal),
+				}
 			},
-			Fold: func(acc any, _ int, rows, _ []float64, nr int) error {
-				a := acc.(*chunkAcc)
+			Fold: func(a *chunkAcc, _ int, rows, _ []float64, nr int) error {
 				for nr > 0 {
 					nb := min(nr, foldBlockRows)
 					for i := 0; i < nb; i++ {
@@ -82,11 +72,11 @@ func emDense(scan func(onRow factor.RowFn) error, d, n int, cfg Config, model *M
 				}
 				return nil
 			},
-			Merge: func(acc any) error {
-				a := acc.(*chunkAcc)
+			Merge: func(a *chunkAcc) error {
 				ll += a.ll
-				total.add(a.mom)
-				pool.Put(a)
+				total.add(&a.mom)
+				a.ll = 0
+				a.mom.zero()
 				return nil
 			}})
 		if err != nil {

@@ -31,42 +31,33 @@ const foldBlockRows = 32
 // E-step has just formed, so an iteration reads the data once.
 type moments struct {
 	diagonal bool
+	buf      []float64 // nk, s1 and s2 end to end
 	nk       []float64
 	s1       [][]float64
 	s2       []*linalg.Dense
 }
 
-func newMoments(k, d int, diagonal bool) *moments {
-	m := &moments{diagonal: diagonal, nk: make([]float64, k), s1: make([][]float64, k), s2: make([]*linalg.Dense, k)}
+func newMoments(k, d int, diagonal bool) moments {
 	rows := d
 	if diagonal {
 		rows = 1
 	}
+	m := moments{diagonal: diagonal, buf: make([]float64, k*(1+d+rows*d))}
+	m.nk, m.s1, m.s2 = m.buf[:k:k], make([][]float64, k), make([]*linalg.Dense, k)
 	for c := range m.s1 {
-		m.s1[c] = make([]float64, d)
-		m.s2[c] = linalg.NewDense(rows, d)
+		s1, s2 := k+c*d, k*(1+d)+c*rows*d
+		m.s1[c] = m.buf[s1 : s1+d : s1+d]
+		m.s2[c] = linalg.NewDenseData(rows, d, m.buf[s2:s2+rows*d:s2+rows*d])
 	}
 	return m
 }
 
-func (m *moments) zero() {
-	linalg.VecZero(m.nk)
-	for c := range m.s1 {
-		linalg.VecZero(m.s1[c])
-		m.s2[c].Zero()
-	}
-}
+func (m *moments) zero() { linalg.VecZero(m.buf) }
 
 // add merges another accumulator's sums into m. The trainers call it per
 // chunk, in chunk order, which fixes the floating-point reduction for
 // every worker count.
-func (m *moments) add(o *moments) {
-	for c := range m.s1 {
-		m.nk[c] += o.nk[c]
-		linalg.VecAdd(m.s1[c], m.s1[c], o.s1[c])
-		m.s2[c].Add(o.s2[c])
-	}
-}
+func (m *moments) add(o *moments) { linalg.VecAdd(m.buf, m.buf, o.buf) }
 
 // foldRows adds n rows: gamma holds their K responsibilities each, row
 // after row, and pd their K deviations x − µ_c each, every one as wide as

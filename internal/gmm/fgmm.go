@@ -1,8 +1,6 @@
 package gmm
 
 import (
-	"sync"
-
 	"factorml/internal/core"
 	"factorml/internal/factor"
 	"factorml/internal/join"
@@ -97,15 +95,8 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 		pds     []float64
 		logp    []float64
 		caches  [][]core.QuadCache
-		fact    *moments
+		fact    moments
 	}
-	pool := sync.Pool{New: func() any {
-		return &chunkAcc{
-			logp:   make([]float64, k),
-			caches: make([][]core.QuadCache, q),
-			fact:   newMoments(k, dS, diag),
-		}
-	}}
 
 	total := newMoments(k, p.D, diag) // assembled at the end of each pass
 	fact := newMoments(k, dS, diag)   // its fact columns, merged per chunk
@@ -182,7 +173,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 
 		score := scorer.score // the structure's kernel, picked once per pass
 		ll := 0.0
-		err = ps.RunChunks(nw, join.ParallelCallbacks{
+		err = factor.RunChunks(ps, nw, join.ParallelCallbacks[chunkAcc]{
 			OnBlockStart: func(block []*storage.Tuple) error {
 				need := len(block) * k
 				if cap(blkCache) < need {
@@ -192,22 +183,18 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				blk.reset(need, gvWidth)
 				return fill(1, block, blkCache)
 			},
-			NewState: func() any {
-				a := pool.Get().(*chunkAcc)
-				a.ll = 0
-				a.fact.zero()
-				return a
+			NewAcc: func() chunkAcc {
+				return chunkAcc{
+					gamma:  make([]float64, join.ParallelChunkRows*k),
+					pds:    make([]float64, join.ParallelChunkRows*k*dS),
+					logp:   make([]float64, k),
+					caches: make([][]core.QuadCache, q),
+					fact:   newMoments(k, dS, diag),
+				}
 			},
 			// E-step (Eq. 7-12 / 19-21) and the fact part's moments.
-			OnMatchChunk: func(state any, matches []join.Match) error {
-				a := state.(*chunkAcc)
+			OnMatchChunk: func(a *chunkAcc, matches []join.Match) error {
 				a.matches = matches
-				need := len(matches) * k
-				if cap(a.gamma) < need {
-					a.gamma = make([]float64, need)
-					a.pds = make([]float64, need*dS)
-				}
-				a.gamma, a.pds = a.gamma[:need], a.pds[:need*dS]
 				for i, m := range matches {
 					a.caches[0] = blkCache[m.R1*k : (m.R1+1)*k]
 					for j, ri := range m.Res {
@@ -221,10 +208,9 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				a.fact.foldRows(a.gamma, a.pds, len(matches))
 				return nil
 			},
-			OnChunkMerged: func(state any) error {
-				a := state.(*chunkAcc)
+			OnChunkMerged: func(a *chunkAcc) error {
 				ll += a.ll
-				fact.add(a.fact)
+				fact.add(&a.fact)
 				for i, m := range a.matches {
 					g := a.gamma[i*k : (i+1)*k]
 					pds := a.pds[i*k*dS : (i+1)*k*dS]
@@ -249,8 +235,8 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 					}
 				}
 				stats.Ops.Add(units.Match.Scale(int64(len(a.matches))))
-				a.matches = nil
-				pool.Put(a)
+				a.ll, a.matches = 0, nil
+				a.fact.zero()
 				return nil
 			},
 			OnBlockEnd: func() error {

@@ -6,6 +6,7 @@ import (
 
 	"factorml/internal/data"
 	"factorml/internal/join"
+	"factorml/internal/plan"
 	"factorml/internal/storage"
 )
 
@@ -47,11 +48,11 @@ func TestExactnessBinary(t *testing.T) {
 	spec := synthBinary(t, db, 600, 40, 3, 4)
 	cfg := Config{K: 3, MaxIter: 6, Tol: 1e-12} // run all iterations
 
-	m, err := TrainM(db, spec, cfg)
+	m, err := Train(db, spec, plan.Materialized, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := TrainS(db, spec, cfg)
+	s, err := Train(db, spec, plan.Streaming, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +83,11 @@ func TestExactnessMultiway(t *testing.T) {
 	spec := synthMulti(t, db, 500, []int{30, 12}, 2, []int{3, 2})
 	cfg := Config{K: 3, MaxIter: 5, Tol: 1e-12}
 
-	m, err := TrainM(db, spec, cfg)
+	m, err := Train(db, spec, plan.Materialized, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := TrainS(db, spec, cfg)
+	s, err := Train(db, spec, plan.Streaming, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestExactnessMultiBlock(t *testing.T) {
 	spec := synthBinary(t, db, 800, 600, 2, 1) // R: 600 tuples, 16B records
 	spec.BlockPages = 1
 	cfg := Config{K: 2, MaxIter: 4, Tol: 1e-12}
-	s, err := TrainS(db, spec, cfg)
+	s, err := Train(db, spec, plan.Streaming, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestFactorizedSavesOps(t *testing.T) {
 	db := openDB(t)
 	spec := synthBinary(t, db, 1000, 10, 3, 8) // rr=100, dR large
 	cfg := Config{K: 2, MaxIter: 3, Tol: 1e-12}
-	s, err := TrainS(db, spec, cfg)
+	s, err := Train(db, spec, plan.Streaming, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestSigmaStepSavingRateMatchesClosedForm(t *testing.T) {
 	nS, nR, dS, dR := 500, 25, 3, 5
 	spec := synthBinary(t, db, nS, nR, dS, dR)
 	cfg := Config{K: 1, MaxIter: 1, Tol: 1e-12}
-	s, err := TrainS(db, spec, cfg)
+	s, err := Train(db, spec, plan.Streaming, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestIOProfiles(t *testing.T) {
 	db := openDB(t)
 	spec := synthBinary(t, db, 400, 20, 2, 2)
 	cfg := Config{K: 2, MaxIter: 2, Tol: 1e-12}
-	m, err := TrainM(db, spec, cfg)
+	m, err := Train(db, spec, plan.Materialized, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

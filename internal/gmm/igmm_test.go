@@ -3,6 +3,8 @@ package gmm
 import (
 	"math"
 	"testing"
+
+	"factorml/internal/plan"
 )
 
 func TestDiagonalExactnessBinary(t *testing.T) {
@@ -10,11 +12,11 @@ func TestDiagonalExactnessBinary(t *testing.T) {
 	spec := synthBinary(t, db, 500, 30, 3, 4)
 	cfg := Config{K: 3, MaxIter: 5, Tol: 1e-12, Diagonal: true}
 
-	m, err := TrainM(db, spec, cfg)
+	m, err := Train(db, spec, plan.Materialized, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := TrainS(db, spec, cfg)
+	s, err := Train(db, spec, plan.Streaming, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestDiagonalExactnessMultiway(t *testing.T) {
 	db := openDB(t)
 	spec := synthMulti(t, db, 400, []int{25, 10}, 2, []int{3, 2})
 	cfg := Config{K: 2, MaxIter: 4, Tol: 1e-12, Diagonal: true}
-	s, err := TrainS(db, spec, cfg)
+	s, err := Train(db, spec, plan.Streaming, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestDiagonalFactorizedSavesOps(t *testing.T) {
 	db := openDB(t)
 	spec := synthBinary(t, db, 1000, 10, 3, 8)
 	cfg := Config{K: 2, MaxIter: 2, Tol: 1e-12, Diagonal: true}
-	s, err := TrainS(db, spec, cfg)
+	s, err := Train(db, spec, plan.Streaming, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

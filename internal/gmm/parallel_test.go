@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"factorml/internal/join"
-	"factorml/internal/storage"
+	"factorml/internal/plan"
 )
 
 // assertBitIdentical fails unless the two results carry bit-for-bit equal
@@ -40,8 +40,8 @@ func assertBitIdentical(t *testing.T, name string, r1, rn *Result) {
 // model trained sequentially. A binary and a multi-way schema are covered,
 // the binary one with BlockPages=1 to force multi-block chunk barriers.
 func TestParallelDeterminism(t *testing.T) {
-	trainers := map[string]func(*storage.Database, *join.Spec, Config) (*Result, error){
-		"M-GMM": TrainM, "S-GMM": TrainS, "F-GMM": TrainF,
+	trainers := map[string]plan.Strategy{
+		"M-GMM": plan.Materialized, "S-GMM": plan.Streaming, "F-GMM": plan.Factorized,
 	}
 	schemas := []struct {
 		name  string
@@ -61,16 +61,16 @@ func TestParallelDeterminism(t *testing.T) {
 			spec = synthBinary(t, db, 2000, 600, 3, 5)
 			spec.BlockPages = 1
 		}
-		for name, train := range trainers {
+		for name, s := range trainers {
 			cfg := Config{K: 3, MaxIter: 4, Tol: 1e-12}
 			cfg.NumWorkers = 1
-			r1, err := train(db, spec, cfg)
+			r1, err := Train(db, spec, s, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s workers=1: %v", sc.name, name, err)
 			}
 			for _, w := range []int{2, 4} {
 				cfg.NumWorkers = w
-				rn, err := train(db, spec, cfg)
+				rn, err := Train(db, spec, s, cfg)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", sc.name, name, w, err)
 				}
@@ -83,20 +83,20 @@ func TestParallelDeterminism(t *testing.T) {
 // TestParallelDeterminismDiagonal covers the diagonal-covariance (IGMM)
 // code paths, which have their own dense and factorized EM loops.
 func TestParallelDeterminismDiagonal(t *testing.T) {
-	trainers := map[string]func(*storage.Database, *join.Spec, Config) (*Result, error){
-		"M-IGMM": TrainM, "S-IGMM": TrainS, "F-IGMM": TrainF,
+	trainers := map[string]plan.Strategy{
+		"M-IGMM": plan.Materialized, "S-IGMM": plan.Streaming, "F-IGMM": plan.Factorized,
 	}
 	db := openDB(t)
 	spec := synthBinary(t, db, 1500, 60, 3, 4)
-	for name, train := range trainers {
+	for name, s := range trainers {
 		cfg := Config{K: 3, MaxIter: 4, Tol: 1e-12, Diagonal: true}
 		cfg.NumWorkers = 1
-		r1, err := train(db, spec, cfg)
+		r1, err := Train(db, spec, s, cfg)
 		if err != nil {
 			t.Fatalf("%s workers=1: %v", name, err)
 		}
 		cfg.NumWorkers = 4
-		r4, err := train(db, spec, cfg)
+		r4, err := Train(db, spec, s, cfg)
 		if err != nil {
 			t.Fatalf("%s workers=4: %v", name, err)
 		}

@@ -57,19 +57,6 @@ func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (
 	return res, nil
 }
 
-// TrainM is the baseline M-GMM (Algorithm 1): materialize T = S ⋈ R1 ⋈ … on
-// disk, then run EM reading T once per iteration.
-func TrainM(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
-	return Train(db, spec, plan.Materialized, cfg)
-}
-
-// TrainS is the baseline S-GMM: identical EM to M-GMM, but every pass over
-// T is replaced by re-executing the block-nested-loops join on the fly, so
-// T is never written to disk.
-func TrainS(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
-	return Train(db, spec, plan.Streaming, cfg)
-}
-
 // TrainF is the paper's F-GMM: EM where every iteration streams the join
 // once and the per-tuple math is factorized across the relation partition.
 // Quantities that depend only on a dimension tuple (PD_R, the LR quadratic

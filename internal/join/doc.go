@@ -44,4 +44,9 @@
 // order, S scan order within a block — and identical across the three
 // styles, which is what makes the M/S/F training algorithms produce
 // identical models.
+//
+// RunParallel's chunks belong to the run (see internal/parallel). A chunk
+// holds its copies of the fact tuples, the matches its probe worker
+// produces and the caller's accumulator; OnChunkMerged folds the
+// accumulator and leaves it zero before the producer refills the chunk.
 package join

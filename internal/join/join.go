@@ -204,7 +204,8 @@ type Runner struct {
 	resIndex []map[int64]int
 	hops     int64 // sub-dimension references resolved so far
 	loaded   bool
-	perm     []int64 // optional R1 row permutation (SGD epochs, §VI)
+	perm     []int64       // optional R1 row permutation (SGD epochs, §VI)
+	blockIdx map[int64]int // forEachBlock's key index, cleared per block
 }
 
 // NewRunner prepares a runner for the spec.
@@ -320,10 +321,12 @@ func (r *Runner) loadResident() error {
 // forEachBlock loads consecutive R1 blocks — sequential scan, or installed
 // permutation — and invokes fn once per block with the block's tuples
 // (subtrees appended; a tuple whose sub-reference dangles is left out) and
-// its key index. The slices and map are reused between blocks; fn must be
-// done with them when it returns. Run and RunParallel both drive their
-// passes through this iterator, so the two access paths share one block
-// geometry (and hence one deterministic match order).
+// its key index. The slice is reused between blocks and the map between
+// blocks and passes (its buckets are allocated once per runner, not once
+// per pass); fn must be done with them when it returns. Run and
+// RunParallel both drive their passes through this iterator, so the two
+// access paths share one block geometry (and hence one deterministic match
+// order).
 //
 // A single scanner over R1 reads each of its pages exactly once per pass,
 // matching the |R| term of the paper's block-nested-loops cost model. With
@@ -337,7 +340,10 @@ func (r *Runner) forEachBlock(fn func(block []*storage.Tuple, blockIdx map[int64
 	nR1 := r1.NumTuples()
 
 	block := make([]*storage.Tuple, 0, tuplesPerBlock)
-	blockIdx := make(map[int64]int, tuplesPerBlock)
+	if r.blockIdx == nil {
+		r.blockIdx = make(map[int64]int, tuplesPerBlock)
+	}
+	blockIdx := r.blockIdx
 
 	var r1Scan *storage.Scanner
 	if r.perm == nil {
@@ -350,9 +356,7 @@ func (r *Runner) forEachBlock(fn func(block []*storage.Tuple, blockIdx map[int64
 			end = nR1
 		}
 		block = block[:0]
-		for k := range blockIdx {
-			delete(blockIdx, k)
-		}
+		clear(blockIdx)
 		for row := start; row < end; row++ {
 			var c *storage.Tuple
 			if r1Scan != nil {

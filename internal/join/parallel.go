@@ -1,8 +1,6 @@
 package join
 
 import (
-	"sync"
-
 	"factorml/internal/parallel"
 	"factorml/internal/storage"
 )
@@ -14,77 +12,72 @@ import (
 const ParallelChunkRows = 512
 
 // Match is one joined tuple delivered by RunParallel: the fact tuple (a
-// copy owned by the match's chunk), the index of its R1 partner within the
+// copy held by the match's chunk), the index of its R1 partner within the
 // current block, and the indexes of its partners in the other direct
 // dimensions (Runner.Resident). A Match — and the matches slice
 // OnMatchChunk receives — stays valid until the chunk's OnChunkMerged has
-// returned: the chunk's buffers go back to the pool only after its merge,
-// so a fold may keep the slice in its state and the ordered merge read the
-// partner indexes from it (the factorized GMM scatters its group sums
-// there). Do not hold either past that call.
+// returned: the producer refills a chunk object only after its merge (see
+// parallel.Feed.Next), so a fold may keep the slice in its accumulator and
+// the ordered merge read the partner indexes from it (the factorized GMM
+// scatters its group sums there). Do not hold either past that call; a
+// chunk and everything in it are dropped when the run ends.
 type Match struct {
 	S   *storage.Tuple
 	R1  int
 	Res []int
 }
 
-// ParallelCallbacks drive RunParallel.
+// ParallelCallbacks drive RunParallel over accumulators of type A.
 //
 // OnBlockStart and OnBlockEnd run on the calling goroutine at a full
 // barrier: no chunk of the previous (respectively current) block is in
 // flight, so they may safely (re)fill shared per-block caches read by
 // OnMatchChunk.
 //
-// NewState produces the per-chunk accumulator. OnMatchChunk is invoked once
-// per chunk, on a worker goroutine (inline when workers <= 1), with that
-// state and all of the chunk's matches in deterministic scan order, so a
-// fold may batch its per-match work over the chunk. Chunks of one block
-// partition the fact-table scan in order. OnChunkMerged runs on a single
-// goroutine, strictly in chunk order, before the block's OnBlockEnd — fold
-// the state into global accumulators there and recycle it.
-type ParallelCallbacks struct {
+// Every chunk object carries one accumulator as a field, which NewAcc
+// builds zeroed when the run makes the object (nil NewAcc: A's zero value).
+// OnMatchChunk is invoked once per chunk, on a worker goroutine (inline
+// when workers <= 1), with the chunk's accumulator and all of its matches
+// in deterministic scan order, so a fold may batch its per-match work over
+// the chunk. Chunks of one block partition the fact-table scan in order.
+// OnChunkMerged runs on a single goroutine, strictly in chunk order, before
+// the block's OnBlockEnd: it folds the accumulator into global state and
+// leaves it zero, since the chunk object — accumulator and all — is
+// refilled by a later chunk.
+type ParallelCallbacks[A any] struct {
 	OnBlockStart  func(block []*storage.Tuple) error
-	NewState      func() any
-	OnMatchChunk  func(state any, matches []Match) error
-	OnChunkMerged func(state any) error
+	NewAcc        func() A
+	OnMatchChunk  func(acc *A, matches []Match) error
+	OnChunkMerged func(acc *A) error
 	OnBlockEnd    func() error
 }
 
-// sChunk carries one chunk of raw scanned fact tuples to a probe worker,
-// plus the backing storage for the matches the worker produces. Pooled.
-type sChunk struct {
+// sChunk carries one chunk of scanned fact tuples to a probe worker and on
+// to the merge: the tuples' keys and features copied into two flat slabs
+// the tuples view, the matches the worker produces, and the accumulator
+// they fold into.
+type sChunk[A any] struct {
 	tuples  []storage.Tuple
 	n       int
 	matches []Match
 	resBuf  []int
-	state   any
+	acc     A
 }
 
-var sChunkPool = sync.Pool{New: func() any { return new(sChunk) }}
-
-func getSChunk(rows, q int) *sChunk {
-	c := sChunkPool.Get().(*sChunk)
-	if cap(c.tuples) < rows {
-		c.tuples = make([]storage.Tuple, rows)
+// newSChunk makes a chunk of rows fact tuples with nk keys and d features
+// each, whose matches carry q resident positions.
+func newSChunk[A any](rows, nk, d, q int) *sChunk[A] {
+	c := &sChunk[A]{
+		tuples:  make([]storage.Tuple, rows),
+		matches: make([]Match, 0, rows),
+		resBuf:  make([]int, 0, rows*q),
 	}
-	c.tuples = c.tuples[:rows]
-	if cap(c.matches) < rows {
-		c.matches = make([]Match, 0, rows)
+	keys, feats := make([]int64, rows*nk), make([]float64, rows*d)
+	for i := range c.tuples {
+		c.tuples[i].Keys = keys[i*nk : (i+1)*nk : (i+1)*nk]
+		c.tuples[i].Features = feats[i*d : (i+1)*d : (i+1)*d]
 	}
-	c.matches = c.matches[:0]
-	if cap(c.resBuf) < rows*q {
-		c.resBuf = make([]int, 0, rows*q)
-	}
-	c.resBuf = c.resBuf[:0]
-	c.n = 0
-	c.state = nil
 	return c
-}
-
-func copyTupleInto(dst, src *storage.Tuple) {
-	dst.Keys = append(dst.Keys[:0], src.Keys...)
-	dst.Features = append(dst.Features[:0], src.Features...)
-	dst.Target = src.Target
 }
 
 // RunParallel executes the same block-nested-loops star join as Run, but
@@ -95,7 +88,7 @@ func copyTupleInto(dst, src *storage.Tuple) {
 // order, and hence produces floating-point results, independent of
 // `workers`. workers <= 1 runs the identical chunk structure inline on the
 // calling goroutine (see parallel.Run).
-func (r *Runner) RunParallel(workers, chunkRows int, cb ParallelCallbacks) error {
+func RunParallel[A any](r *Runner, workers, chunkRows int, cb ParallelCallbacks[A]) error {
 	if err := r.loadResident(); err != nil {
 		return err
 	}
@@ -104,6 +97,14 @@ func (r *Runner) RunParallel(workers, chunkRows int, cb ParallelCallbacks) error
 	}
 	sp := r.spec
 	q := len(r.resident) // positions a match carries beside R1's
+	nk, d := sp.S.Schema().NumKeys(), sp.S.Schema().NumFeatures()
+	newChunk := func() *sChunk[A] {
+		c := newSChunk[A](chunkRows, nk, d, q)
+		if cb.NewAcc != nil {
+			c.acc = cb.NewAcc()
+		}
+		return c
+	}
 
 	// blockIdx is the key index the workers probe. forEachBlock reuses it
 	// between blocks, which is safe because every block ends with a full
@@ -111,7 +112,7 @@ func (r *Runner) RunParallel(workers, chunkRows int, cb ParallelCallbacks) error
 	// hand-offs order the rebuild before any later probe.
 	var blockIdx map[int64]int
 
-	produce := func(f *parallel.Feed[*sChunk]) error {
+	produce := func(f *parallel.Feed[*sChunk[A]]) error {
 		return r.forEachBlock(func(blk []*storage.Tuple, idx map[int64]int) error {
 			blockIdx = idx
 			if cb.OnBlockStart != nil {
@@ -121,27 +122,32 @@ func (r *Runner) RunParallel(workers, chunkRows int, cb ParallelCallbacks) error
 			}
 			// Scan S, cutting the raw tuples into fixed-size chunks. The
 			// probe itself happens on the workers.
-			cur := getSChunk(chunkRows, q)
+			var cur *sChunk[A] // taken when the chunk's first tuple arrives
 			sc := sp.S.NewScanner()
 			for sc.Next() {
-				copyTupleInto(&cur.tuples[cur.n], sc.Tuple())
+				if cur == nil {
+					cur = f.Next(newChunk)
+					cur.n = 0
+				}
+				src, dst := sc.Tuple(), &cur.tuples[cur.n]
+				copy(dst.Keys, src.Keys)
+				copy(dst.Features, src.Features)
+				dst.Target = src.Target
 				cur.n++
 				if cur.n == chunkRows {
 					if err := f.Emit(cur); err != nil {
 						return err
 					}
-					cur = getSChunk(chunkRows, q)
+					cur = nil
 				}
 			}
 			if err := sc.Err(); err != nil {
 				return err
 			}
-			if cur.n > 0 {
+			if cur != nil {
 				if err := f.Emit(cur); err != nil {
 					return err
 				}
-			} else {
-				sChunkPool.Put(cur)
 			}
 			// Block barrier: every chunk of this block is probed, consumed
 			// and merged before the block structures are reused.
@@ -149,7 +155,7 @@ func (r *Runner) RunParallel(workers, chunkRows int, cb ParallelCallbacks) error
 		})
 	}
 
-	work := func(c *sChunk) (*sChunk, error) {
+	work := func(c *sChunk[A]) (*sChunk[A], error) {
 		c.matches = c.matches[:0]
 		c.resBuf = c.resBuf[:0]
 		for i := 0; i < c.n; i++ {
@@ -163,25 +169,19 @@ func (r *Runner) RunParallel(workers, chunkRows int, cb ParallelCallbacks) error
 			}
 			c.matches = append(c.matches, Match{S: s, R1: i1, Res: c.resBuf[base : base+q : base+q]})
 		}
-		if cb.NewState != nil {
-			c.state = cb.NewState()
-		}
 		if cb.OnMatchChunk != nil {
-			if err := cb.OnMatchChunk(c.state, c.matches); err != nil {
+			if err := cb.OnMatchChunk(&c.acc, c.matches); err != nil {
 				return nil, err
 			}
 		}
 		return c, nil
 	}
 
-	merge := func(c *sChunk) error {
-		var err error
+	merge := func(c *sChunk[A]) error {
 		if cb.OnChunkMerged != nil {
-			err = cb.OnChunkMerged(c.state)
+			return cb.OnChunkMerged(&c.acc)
 		}
-		c.state = nil
-		sChunkPool.Put(c)
-		return err
+		return nil
 	}
 
 	return parallel.Run(workers, produce, work, merge)

@@ -41,17 +41,16 @@ func runParallelMatches(t *testing.T, spec *Spec, workers, chunkRows int) []stri
 	}
 	var out []string
 	type state struct{ keys []string }
-	err = runner.RunParallel(workers, chunkRows, ParallelCallbacks{
-		NewState: func() any { return &state{} },
-		OnMatchChunk: func(st any, matches []Match) error {
-			s := st.(*state)
+	err = RunParallel(runner, workers, chunkRows, ParallelCallbacks[state]{
+		OnMatchChunk: func(s *state, matches []Match) error {
 			for _, m := range matches {
 				s.keys = append(s.keys, matchKey(m.S, m.R1, m.Res))
 			}
 			return nil
 		},
-		OnChunkMerged: func(st any) error {
-			out = append(out, st.(*state).keys...)
+		OnChunkMerged: func(s *state) error {
+			out = append(out, s.keys...)
+			s.keys = s.keys[:0]
 			return nil
 		},
 	})
@@ -117,7 +116,7 @@ func TestRunParallelBlockBarriers(t *testing.T) {
 		t.Fatalf("want a multi-block join, got %d blocks", nBlocks)
 	}
 	starts, ends, merged := 0, 0, 0
-	err = runner.RunParallel(4, 16, ParallelCallbacks{
+	err = RunParallel(runner, 4, 16, ParallelCallbacks[struct{}]{
 		OnBlockStart: func(block []*storage.Tuple) error {
 			if starts != ends {
 				t.Errorf("block start %d before block %d ended", starts, ends)
@@ -125,9 +124,8 @@ func TestRunParallelBlockBarriers(t *testing.T) {
 			starts++
 			return nil
 		},
-		NewState:     func() any { return nil },
-		OnMatchChunk: func(any, []Match) error { return nil },
-		OnChunkMerged: func(any) error {
+		OnMatchChunk: func(*struct{}, []Match) error { return nil },
+		OnChunkMerged: func(*struct{}) error {
 			merged++
 			return nil
 		},
@@ -148,9 +146,9 @@ func TestRunParallelBlockBarriers(t *testing.T) {
 }
 
 // TestRunParallelMatchesValidUntilMerged pins Match's lifetime: a fold may
-// keep the matches slice in its state, and the ordered merge still reads
-// the tuples and partner indexes the fold saw — no other chunk has
-// recycled the buffers — for every worker count, on a multi-block
+// keep the matches slice in its accumulator, and the ordered merge still
+// reads the tuples and partner indexes the fold saw — no later chunk has
+// refilled the chunk object — for every worker count, on a multi-block
 // multi-way join with small chunks so many are in flight.
 func TestRunParallelMatchesValidUntilMerged(t *testing.T) {
 	db := openDB(t)
@@ -167,24 +165,22 @@ func TestRunParallelMatchesValidUntilMerged(t *testing.T) {
 			keys    []string
 		}
 		var got []string
-		err = runner.RunParallel(workers, 7, ParallelCallbacks{
-			NewState: func() any { return &state{} },
-			OnMatchChunk: func(st any, matches []Match) error {
-				s := st.(*state)
+		err = RunParallel(runner, workers, 7, ParallelCallbacks[state]{
+			OnMatchChunk: func(s *state, matches []Match) error {
 				s.matches = matches
 				for _, m := range matches {
 					s.keys = append(s.keys, matchKey(m.S, m.R1, m.Res))
 				}
 				return nil
 			},
-			OnChunkMerged: func(st any) error {
-				s := st.(*state)
+			OnChunkMerged: func(s *state) error {
 				for i, m := range s.matches {
 					if key := matchKey(m.S, m.R1, m.Res); key != s.keys[i] {
 						t.Errorf("workers=%d: match reads %q at merge, was %q in the fold", workers, key, s.keys[i])
 					}
 				}
 				got = append(got, s.keys...)
+				s.matches, s.keys = nil, s.keys[:0]
 				return nil
 			},
 		})

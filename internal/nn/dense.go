@@ -1,15 +1,13 @@
 package nn
 
 import (
-	"sync"
-
 	"factorml/internal/core"
 	"factorml/internal/factor"
 	"factorml/internal/linalg"
 	"factorml/internal/parallel"
 )
 
-// gradAcc is a per-chunk gradient accumulator: a private workspace whose
+// gradAcc is a chunk's gradient accumulator: a private workspace whose
 // gW/gB fold the chunk's example gradients, plus loss/batch partials. The
 // accumulators merge into the main workspace strictly in chunk order, so
 // the parameter trajectory is bit-identical for every worker count.
@@ -26,17 +24,8 @@ type gradAcc struct {
 	t1     []float64   // F-NN layer-2-sharing scratch
 }
 
-func newGradAccPool(net *Network, t1Len int) *sync.Pool {
-	return &sync.Pool{New: func() any {
-		return &gradAcc{ws: newWorkspace(net), t1: make([]float64, t1Len)}
-	}}
-}
-
-func (a *gradAcc) reset() {
-	a.loss = 0
-	a.batchN = 0
-	a.deltas = a.deltas[:0]
-	a.ws.zeroGrads()
+func newGradAcc(net *Network, t1Len int) gradAcc {
+	return gradAcc{ws: newWorkspace(net), t1: make([]float64, t1Len)}
 }
 
 // backprop folds one example whose forward pass produced o: loss, the
@@ -63,7 +52,7 @@ func (a *gradAcc) inputGrad(xs []float64) {
 }
 
 // mergeInto folds the chunk gradients and loss into the main workspace
-// accumulators.
+// accumulators and leaves a zero for the chunk that refills it.
 func (a *gradAcc) mergeInto(w *workspace, lossSum *float64, batchN *int) {
 	for l := range w.gW {
 		w.gW[l].AddScaled(1, a.ws.gW[l])
@@ -71,13 +60,15 @@ func (a *gradAcc) mergeInto(w *workspace, lossSum *float64, batchN *int) {
 	}
 	*lossSum += a.loss
 	*batchN += a.batchN
+	a.loss, a.batchN = 0, 0
+	a.ws.zeroGrads()
 }
 
 // trainDense is the engine of both M-NN and S-NN: standard backprop over a
 // dense stream of joined tuples, one factor.RunSGDPass per epoch. The pass
 // operator copies examples into fixed-size chunks (cut additionally at
 // R1-block boundaries under Block updates, where the gradient step runs at
-// a full barrier), workers fold each chunk into a pooled gradAcc, and the
+// a full barrier), workers fold each chunk into the gradAcc it carries, and the
 // accumulators merge in chunk order, so the parameter trajectory is
 // bit-identical for every cfg.NumWorkers value. shuffle, when non-nil, runs
 // before every epoch's pass.
@@ -85,7 +76,6 @@ func trainDense(pass factor.GroupedScan, shuffle func(), cfg Config, net *Networ
 	nw := parallel.Workers(cfg.NumWorkers)
 	d := net.Sizes[0]
 	w := newWorkspace(net)
-	accPool := newGradAccPool(net, 0)
 	perRow := core.NewNNUnits(core.NewPartition([]int{d}), net.Sizes, false).DenseRow
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -102,24 +92,17 @@ func trainDense(pass factor.GroupedScan, shuffle func(), cfg Config, net *Networ
 			batchN = 0
 			return nil
 		}
-		err := factor.RunSGDPass("nn.sgd_epoch", nw, d, pass, cfg.Mode == Block, step, factor.PassHooks{
-			NewAcc: func() any {
-				a := accPool.Get().(*gradAcc)
-				a.reset()
-				return a
-			},
-			Fold: func(acc any, _ int, rows, ys []float64, nr int) error {
-				a := acc.(*gradAcc)
+		err := factor.RunSGDPass("nn.sgd_epoch", nw, d, pass, cfg.Mode == Block, step, factor.PassHooks[gradAcc]{
+			NewAcc: func() gradAcc { return newGradAcc(net, 0) },
+			Fold: func(a *gradAcc, _ int, rows, ys []float64, nr int) error {
 				for i := 0; i < nr; i++ {
 					a.backprop(net.forward(&a.ws.ForwardScratch, rows[i*d:(i+1)*d]), ys[i])
 				}
 				a.inputGrad(rows)
 				return nil
 			},
-			Merge: func(acc any) error {
-				a := acc.(*gradAcc)
+			Merge: func(a *gradAcc) error {
 				a.mergeInto(w, &lossSum, &batchN)
-				accPool.Put(a)
 				return nil
 			},
 		})

@@ -80,8 +80,8 @@ func (pc *partCaches) ensure(n, nh0, nh1 int, share bool) {
 
 // trainFactorized is F-NN on the worker pool: the per-block dimension
 // caches fill over disjoint grains, matches stream through the parallel
-// join probe in fixed chunks, each chunk folds its example gradients into a
-// private gradAcc, and the accumulators merge in chunk order — so the
+// join probe in fixed chunks, each chunk folds its example gradients into
+// the gradAcc it carries, and the accumulators merge in chunk order — so the
 // parameter trajectory is bit-identical for every cfg.NumWorkers value.
 // Cache refills and Block-mode gradient steps happen at full barriers.
 // shuffle, when non-nil, runs before every epoch's pass.
@@ -104,7 +104,6 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 		resCache[j] = &partCaches{}
 	}
 	cBias := make([]float64, nh1)
-	accPool := newGradAccPool(net, nh0)
 	fc := &fwdCtx{net: net, share: share, blkCache: &blkCache, resCache: resCache, cBias: cBias}
 	// Charged × the events seen: tuples per fill, refills, matches per epoch.
 	units := core.NewNNUnits(p, net.Sizes, share)
@@ -143,7 +142,7 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 		residentFresh := false
 		var curBlock []*storage.Tuple
 
-		err := ps.RunChunks(nw, join.ParallelCallbacks{
+		err := factor.RunChunks(ps, nw, join.ParallelCallbacks[gradAcc]{
 			OnBlockStart: func(block []*storage.Tuple) error {
 				curBlock = block
 				// Dimension caches are valid for one parameter state: per
@@ -159,13 +158,8 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 				}
 				return fillPart(&blkCache, block, 1)
 			},
-			NewState: func() any {
-				a := accPool.Get().(*gradAcc)
-				a.reset()
-				return a
-			},
-			OnMatchChunk: func(state any, matches []join.Match) error {
-				a := state.(*gradAcc)
+			NewAcc: func() gradAcc { return newGradAcc(net, nh0) },
+			OnMatchChunk: func(a *gradAcc, matches []join.Match) error {
 				// The chunk's joined rows are gathered beside its δ⁰s, so
 				// the input-layer gradient (Eq. 29/32) is one ΔᵀX product
 				// per chunk instead of one rank-1 update per part per match.
@@ -178,10 +172,8 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 				a.inputGrad(a.xs)
 				return nil
 			},
-			OnChunkMerged: func(state any) error {
-				a := state.(*gradAcc)
+			OnChunkMerged: func(a *gradAcc) error {
 				a.mergeInto(w, &lossSum, &batchN)
-				accPool.Put(a)
 				return nil
 			},
 			OnBlockEnd: func() error {

@@ -7,6 +7,7 @@ import (
 
 	"factorml/internal/data"
 	"factorml/internal/join"
+	"factorml/internal/plan"
 	"factorml/internal/storage"
 )
 
@@ -45,10 +46,10 @@ func synthMulti(t *testing.T, db *storage.Database, nS int, nR []int, dS int, dR
 func trainAll3(t *testing.T, db *storage.Database, spec *join.Spec, cfg Config) (m, s, f *Result) {
 	t.Helper()
 	var err error
-	if m, err = TrainM(db, spec, cfg); err != nil {
+	if m, err = Train(db, spec, plan.Materialized, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if s, err = TrainS(db, spec, cfg); err != nil {
+	if s, err = Train(db, spec, plan.Streaming, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if f, err = TrainF(db, spec, cfg); err != nil {
@@ -136,10 +137,8 @@ func TestEmptyJoinIsAnError(t *testing.T) {
 	}
 	spec := &join.Spec{S: sTbl, Rs: []*storage.Table{rTbl}}
 	cfg := Config{Hidden: []int{3}, Epochs: 2}
-	for name, train := range map[string]func(*storage.Database, *join.Spec, Config) (*Result, error){
-		"M": TrainM, "S": TrainS, "F": TrainF,
-	} {
-		res, err := train(db, spec, cfg)
+	for name, s := range map[string]plan.Strategy{"M": plan.Materialized, "S": plan.Streaming, "F": plan.Factorized} {
+		res, err := Train(db, spec, s, cfg)
 		if err == nil {
 			t.Errorf("%s: trained on an empty join without error, Loss = %v", name, res.Stats.Loss)
 		} else if !strings.HasPrefix(err.Error(), "nn: ") {
@@ -171,7 +170,7 @@ func TestShareLayer2ExactAndCostsMore(t *testing.T) {
 		t.Fatalf("layer-2 sharing mults %d not above plain F-NN %d", f2.Stats.Ops.Mul, f1.Stats.Ops.Mul)
 	}
 	// And it must still agree with the dense baseline.
-	s, err := TrainS(db, spec, base)
+	s, err := Train(db, spec, plan.Streaming, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestFactorizedSavesOps(t *testing.T) {
 	db := openDB(t)
 	spec := synthBinary(t, db, 1000, 10, 3, 12)
 	cfg := Config{Hidden: []int{16}, Act: ReLU, Epochs: 2, LearningRate: 0.05}
-	s, err := TrainS(db, spec, cfg)
+	s, err := Train(db, spec, plan.Streaming, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func TestForwardSavingMatchesClosedForm(t *testing.T) {
 	nS, nR, dS, dR, nh := 500, 20, 3, 6, 8
 	spec := synthBinary(t, db, nS, nR, dS, dR)
 	cfg := Config{Hidden: []int{nh}, Act: ReLU, Epochs: 1, LearningRate: 0.05}
-	s, err := TrainS(db, spec, cfg)
+	s, err := Train(db, spec, plan.Streaming, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +276,7 @@ func TestIOProfiles(t *testing.T) {
 	db := openDB(t)
 	spec := synthBinary(t, db, 400, 20, 2, 2)
 	cfg := Config{Hidden: []int{4}, Act: Sigmoid, Epochs: 2, LearningRate: 0.1}
-	m, err := TrainM(db, spec, cfg)
+	m, err := Train(db, spec, plan.Materialized, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,10 +313,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := TrainF(db, spec2, Config{}); err == nil {
 		t.Fatal("spec without target should fail")
 	}
-	if _, err := TrainM(db, spec2, Config{}); err == nil {
+	if _, err := Train(db, spec2, plan.Materialized, Config{}); err == nil {
 		t.Fatal("M without target should fail")
 	}
-	if _, err := TrainS(db, spec2, Config{}); err == nil {
+	if _, err := Train(db, spec2, plan.Streaming, Config{}); err == nil {
 		t.Fatal("S without target should fail")
 	}
 }
@@ -406,8 +405,7 @@ func checkGradient(t *testing.T, net *Network) {
 	x := []float64{0.3, -0.7, 1.2}
 	y := 0.4
 
-	a := newGradAccPool(net, 0).Get().(*gradAcc)
-	a.reset()
+	a := newGradAcc(net, 0)
 	o := net.forward(&a.ws.ForwardScratch, x)
 	if p := net.Predict(x); o != p {
 		t.Fatalf("sizes %v: training forward pass %v, Predict %v", net.Sizes, o, p)
@@ -488,7 +486,7 @@ func TestDeepNetworkExactness(t *testing.T) {
 	db := openDB(t)
 	spec := synthBinary(t, db, 200, 10, 2, 2)
 	cfg := Config{Hidden: []int{6, 5, 4}, Act: Sigmoid, Epochs: 3, LearningRate: 0.1}
-	s, err := TrainS(db, spec, cfg)
+	s, err := Train(db, spec, plan.Streaming, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +515,7 @@ func TestShuffledSGDExactSvsF(t *testing.T) {
 	spec.BlockPages = 1
 	cfg := Config{Hidden: []int{5}, Act: Sigmoid, Epochs: 3, LearningRate: 0.1,
 		Mode: Block, ShuffleSeed: 42}
-	s, err := TrainS(db, spec, cfg)
+	s, err := Train(db, spec, plan.Streaming, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +552,7 @@ func TestShuffleRejectedByMNN(t *testing.T) {
 	db := openDB(t)
 	spec := synthBinary(t, db, 50, 5, 1, 1)
 	cfg := Config{Hidden: []int{3}, Epochs: 1, ShuffleSeed: 7}
-	if _, err := TrainM(db, spec, cfg); err == nil {
+	if _, err := Train(db, spec, plan.Materialized, cfg); err == nil {
 		t.Fatal("M-NN must reject ShuffleSeed")
 	}
 }

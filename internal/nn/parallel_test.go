@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"factorml/internal/join"
-	"factorml/internal/storage"
+	"factorml/internal/plan"
 )
 
 // assertNetsBitIdentical fails unless the two results carry bit-for-bit
@@ -32,8 +31,8 @@ func assertNetsBitIdentical(t *testing.T, name string, r1, rn *Result) {
 // in both batching modes, the network trained with 4 workers is bit-for-bit
 // the network trained sequentially.
 func TestParallelDeterminism(t *testing.T) {
-	trainers := map[string]func(*storage.Database, *join.Spec, Config) (*Result, error){
-		"M-NN": TrainM, "S-NN": TrainS, "F-NN": TrainF,
+	trainers := map[string]plan.Strategy{
+		"M-NN": plan.Materialized, "S-NN": plan.Streaming, "F-NN": plan.Factorized,
 	}
 	for _, mode := range []BatchMode{Epoch, Block} {
 		db := openDB(t)
@@ -41,16 +40,16 @@ func TestParallelDeterminism(t *testing.T) {
 		// several mini-batch blocks (barrier + per-block gradient steps).
 		spec := synthBinary(t, db, 1500, 600, 3, 4)
 		spec.BlockPages = 1
-		for name, train := range trainers {
+		for name, s := range trainers {
 			cfg := Config{Hidden: []int{12}, Epochs: 3, Mode: mode}
 			cfg.NumWorkers = 1
-			r1, err := train(db, spec, cfg)
+			r1, err := Train(db, spec, s, cfg)
 			if err != nil {
 				t.Fatalf("%s mode=%d workers=1: %v", name, mode, err)
 			}
 			for _, w := range []int{2, 4} {
 				cfg.NumWorkers = w
-				rn, err := train(db, spec, cfg)
+				rn, err := Train(db, spec, s, cfg)
 				if err != nil {
 					t.Fatalf("%s mode=%d workers=%d: %v", name, mode, w, err)
 				}

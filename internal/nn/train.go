@@ -64,19 +64,6 @@ func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (
 	return res, nil
 }
 
-// TrainM is the baseline M-NN: materialize T on disk, then train reading T
-// once per epoch.
-func TrainM(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
-	return Train(db, spec, plan.Materialized, cfg)
-}
-
-// TrainS is the baseline S-NN: identical training to M-NN, but each epoch
-// re-executes the block-nested-loops join instead of reading a
-// materialized T.
-func TrainS(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
-	return Train(db, spec, plan.Streaming, cfg)
-}
-
 // TrainF is the paper's F-NN: backprop where the layer-1 forward pass is
 // factorized across relations. For every dimension tuple, the partial
 // pre-activation W_R·x_R is computed once per parameter state and reused

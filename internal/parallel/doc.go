@@ -11,8 +11,8 @@
 //   - The producer cuts the stream into chunks whose boundaries depend only
 //     on the data (fixed chunk row counts, block boundaries), never on the
 //     number of workers.
-//   - Each chunk is processed against its own accumulator by whichever
-//     worker picks it up; workers share nothing.
+//   - Each chunk is processed against its own accumulator, which it
+//     carries, by whichever worker picks it up; workers share nothing.
 //   - Chunk accumulators are merged into the global state in chunk order,
 //     by a single goroutine, regardless of the order in which workers
 //     finish.
@@ -29,6 +29,19 @@
 // RunRange carries no reduction at all (its grains write disjoint slots),
 // and the package imports nothing of this module: what the work is, or
 // costs, is its callers' business (TestInternalPackagesAreReached).
+//
+// # Chunk ownership
+//
+// A chunk is the unit of ownership: its rows and its accumulator travel
+// together from the producer through a worker to the ordered merge. The
+// producer takes the chunk object to fill from Feed.Next — fresh for the
+// run's first window+1 emissions, then the one emitted window+1 emissions
+// earlier, whose merge the emission window guarantees has returned — so a
+// run holds at most window+1 chunk objects (one, inline) and drops them
+// when it ends. A chunk's accumulator is built zeroed once per object, and
+// the merge that folds it leaves it zero again: the next fill starts from
+// what the merge left. No pool recycles anything across runs, so a warm
+// pass allocates the same count every time, under the race detector too.
 //
 // # Barriers
 //

@@ -30,46 +30,6 @@ func Workers(n int) int {
 // Run itself always returns the original error.
 var errAborted = errors.New("parallel: run aborted")
 
-// RowChunk is a pooled batch of dense rows copied out of a training stream:
-// N rows of width D flattened row-major, starting at global row index
-// Start, optionally with one scalar per row (Ys). The GMM and NN trainers
-// share this type so the determinism-critical chunk geometry lives in one
-// place.
-type RowChunk struct {
-	Start int
-	N     int
-	D     int
-	Rows  []float64
-	Ys    []float64
-}
-
-var rowChunkPool = sync.Pool{New: func() any { return new(RowChunk) }}
-
-// GetRowChunk returns a pooled chunk with capacity for DefaultChunkRows
-// rows of width d (withY adds the per-row scalar column), positioned at
-// global row index start.
-func GetRowChunk(start, d int, withY bool) *RowChunk {
-	c := rowChunkPool.Get().(*RowChunk)
-	need := DefaultChunkRows * d
-	if cap(c.Rows) < need {
-		c.Rows = make([]float64, need)
-	}
-	c.Rows = c.Rows[:need]
-	if withY {
-		if cap(c.Ys) < DefaultChunkRows {
-			c.Ys = make([]float64, DefaultChunkRows)
-		}
-		c.Ys = c.Ys[:DefaultChunkRows]
-	}
-	c.Start = start
-	c.N = 0
-	c.D = d
-	return c
-}
-
-// PutRowChunk recycles a chunk obtained from GetRowChunk.
-func PutRowChunk(c *RowChunk) { rowChunkPool.Put(c) }
-
 // DefaultFillGrain is the index-range grain used by RunRange.
 const DefaultFillGrain = 64
 
@@ -98,6 +58,19 @@ func RunRange(workers, n int, body func(start, end int) error) error {
 		}, nil)
 }
 
+// window is how far emission may run ahead of in-order merging: Emit
+// blocks once window chunks are outstanding, so one stalled worker cannot
+// make the merger buffer an unbounded number of completed accumulators
+// (which can be large — e.g. full gradient workspaces), and a run never
+// needs more than window+1 chunk objects (Feed.Next). Inline, every chunk
+// is merged before its Emit returns: the window is zero.
+func window(workers int) int {
+	if workers <= 1 {
+		return 0
+	}
+	return 4 * workers
+}
+
 // Feed is the producer's handle into a Run. It is only valid for the
 // duration of the produce callback and must be used from that goroutine.
 type Feed[C any] struct {
@@ -105,11 +78,38 @@ type Feed[C any] struct {
 	// quiesce waits for every emitted chunk to be merged; nil when the run
 	// is inline, where each Emit has merged its chunk before it returns.
 	quiesce func() error
+	seq     int // chunks emitted so far
+	ring    []C // the chunk objects Next has made, at most window+1
+	size    int // window+1
 }
 
 // Emit hands one chunk to the pool. Chunks are worked concurrently but
 // merged strictly in emission order.
-func (f *Feed[C]) Emit(c C) error { return f.emit(c) }
+func (f *Feed[C]) Emit(c C) error {
+	if err := f.emit(c); err != nil {
+		return err
+	}
+	f.seq++
+	return nil
+}
+
+// Next returns the chunk object to fill for the next Emit: a fresh one from
+// newChunk for the run's first window+1 emissions, then the object emitted
+// window+1 emissions earlier. That chunk's merge has returned by then — an
+// Emit takes one of window credits and a merge hands its credit back — so
+// whatever the merge left in it (a chunk's accumulator: zero) is what the
+// producer finds. Until the next Emit, Next returns the same object. The
+// objects belong to the run and are dropped with it.
+func (f *Feed[C]) Next(newChunk func() C) C {
+	i := f.seq % f.size
+	if f.ring == nil {
+		f.ring = make([]C, 0, f.size)
+	}
+	if i == len(f.ring) {
+		f.ring = append(f.ring, newChunk())
+	}
+	return f.ring[i]
+}
 
 // Barrier blocks until every chunk emitted so far has been worked and
 // merged, then runs fn (which may be nil) on the producer goroutine while
@@ -153,39 +153,37 @@ type barrierReq struct {
 // With workers <= 1 everything runs inline on the calling goroutine in the
 // exact same chunk/merge structure, so the produced floating-point results
 // are bit-identical for every worker count.
+//
+// A producer whose chunks carry buffers or accumulators takes them from
+// Feed.Next instead of allocating one per chunk: the run then owns at most
+// window+1 chunk objects, each reused only after its merge returned.
 func Run[C, R any](workers int, produce func(f *Feed[C]) error, work func(c C) (R, error), merge func(r R) error) error {
-	if workers <= 1 {
-		f := &Feed[C]{
-			emit: func(c C) error {
-				r, err := work(c)
-				if err != nil {
-					return err
-				}
-				if merge == nil {
-					return nil
-				}
-				return merge(r)
-			},
+	w := window(workers)
+	f := &Feed[C]{size: w + 1}
+	if w == 0 {
+		f.emit = func(c C) error {
+			r, err := work(c)
+			if err != nil {
+				return err
+			}
+			if merge == nil {
+				return nil
+			}
+			return merge(r)
 		}
 		return produce(f)
 	}
 
-	// The reorder window bounds how far emission may run ahead of in-order
-	// merging: Emit blocks once `window` chunks are outstanding, so one
-	// stalled worker cannot make the merger buffer an unbounded number of
-	// completed accumulators (which can be large — e.g. full gradient
-	// workspaces).
-	window := 4 * workers
 	var (
 		jobs     = make(chan job[C])
 		results  = make(chan result[R], 2*workers)
 		barriers = make(chan barrierReq)
-		credits  = make(chan struct{}, window)
+		credits  = make(chan struct{}, w)
 		abort    = make(chan struct{})
 		failOnce sync.Once
 		runErr   error
 	)
-	for i := 0; i < window; i++ {
+	for i := 0; i < w; i++ {
 		credits <- struct{}{}
 	}
 	fail := func(err error) {
@@ -286,36 +284,32 @@ func Run[C, R any](workers int, produce func(f *Feed[C]) error, work func(c C) (
 		}
 	}()
 
-	seq := 0
-	f := &Feed[C]{
-		emit: func(c C) error {
-			select {
-			case <-credits:
-			case <-abort:
-				return errAborted
-			}
-			select {
-			case jobs <- job[C]{seq: seq, c: c}:
-				seq++
-				return nil
-			case <-abort:
-				return errAborted
-			}
-		},
-		quiesce: func() error {
-			done := make(chan struct{})
-			select {
-			case barriers <- barrierReq{upto: seq, done: done}:
-			case <-abort:
-				return errAborted
-			}
-			select {
-			case <-done:
-				return nil
-			case <-abort:
-				return errAborted
-			}
-		},
+	f.emit = func(c C) error {
+		select {
+		case <-credits:
+		case <-abort:
+			return errAborted
+		}
+		select {
+		case jobs <- job[C]{seq: f.seq, c: c}:
+			return nil
+		case <-abort:
+			return errAborted
+		}
+	}
+	f.quiesce = func() error {
+		done := make(chan struct{})
+		select {
+		case barriers <- barrierReq{upto: f.seq, done: done}:
+		case <-abort:
+			return errAborted
+		}
+		select {
+		case <-done:
+			return nil
+		case <-abort:
+			return errAborted
+		}
 	}
 	prodErr := produce(f)
 	close(jobs)

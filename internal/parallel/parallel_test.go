@@ -85,6 +85,78 @@ func TestRunMergesInEmissionOrder(t *testing.T) {
 	}
 }
 
+// TestRunReusesChunksWithinWindow stalls the first chunk's worker until the
+// producer has filled the emission window, and pins what Feed.Next hands
+// out: at most window+1 distinct chunk objects, an object reused only after
+// its previous merge has returned, and merges still in emission order. The
+// fields the merge writes and the producer reads on reuse are not guarded
+// by anything but the window, so -race checks the hand-off too.
+func TestRunReusesChunksWithinWindow(t *testing.T) {
+	type chunk struct {
+		seq    int
+		merged bool
+	}
+	const chunks = 200
+	for _, w := range []int{1, 4} {
+		win := window(w)
+		objects := make(map[*chunk]bool)
+		var order []int
+		var merged int64
+		maxOut := int64(0)
+		full := make(chan struct{}) // closed once win chunks are out unmerged
+		err := Run(w,
+			func(f *Feed[*chunk]) error {
+				for i := 0; i < chunks; i++ {
+					c := f.Next(func() *chunk { return &chunk{seq: -1, merged: true} })
+					objects[c] = true
+					if out := int64(i) - atomic.LoadInt64(&merged); out > maxOut {
+						maxOut = out
+					}
+					if i == win {
+						close(full) // before any early return, so the stalled worker ends
+					}
+					if !c.merged {
+						return fmt.Errorf("chunk %d got the object of chunk %d before its merge returned", i, c.seq)
+					}
+					c.seq, c.merged = i, false
+					if err := f.Emit(c); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+			func(c *chunk) (*chunk, error) {
+				if c.seq == 0 {
+					<-full
+				}
+				return c, nil
+			},
+			func(c *chunk) error {
+				order = append(order, c.seq)
+				c.merged = true
+				atomic.AddInt64(&merged, 1)
+				return nil
+			})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if len(objects) > win+1 {
+			t.Errorf("workers=%d: the producer got %d distinct chunk objects, window %d allows %d", w, len(objects), win, win+1)
+		}
+		if maxOut != int64(win) {
+			t.Errorf("workers=%d: at most %d chunks were out unmerged, want the window, %d", w, maxOut, win)
+		}
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("workers=%d: merge order[%d] = %d", w, i, v)
+			}
+		}
+		if len(order) != chunks {
+			t.Fatalf("workers=%d: merged %d chunks, want %d", w, len(order), chunks)
+		}
+	}
+}
+
 func TestRunBarrierQuiescesPool(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		var inFlight, maxSeen atomic.Int64

@@ -27,7 +27,9 @@ type catalogEntry struct {
 func (db *Database) saveCatalog() error { return db.saveCatalogSync(false) }
 
 // saveCatalogSync is saveCatalog with optional fsync of the temp file
-// before the rename, for checkpoints that must survive power loss.
+// before the rename, for checkpoints that must survive power loss: the
+// rename is the commit point, so it happens only once the write, the sync
+// and the close have all succeeded.
 func (db *Database) saveCatalogSync(sync bool) error {
 	entries := make([]catalogEntry, 0, len(db.tables))
 	for _, name := range db.TableNames() {
@@ -43,14 +45,8 @@ func (db *Database) saveCatalogSync(sync bool) error {
 		return err
 	}
 	tmp := filepath.Join(db.dir, catalogFile+".tmp")
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+	if err := writeFile(tmp, blob, sync); err != nil {
 		return fmt.Errorf("storage: writing catalog: %w", err)
-	}
-	if sync {
-		if f, err := os.Open(tmp); err == nil {
-			f.Sync()
-			f.Close()
-		}
 	}
 	if err := os.Rename(tmp, filepath.Join(db.dir, catalogFile)); err != nil {
 		return err
@@ -61,6 +57,23 @@ func (db *Database) saveCatalogSync(sync bool) error {
 		t.statsDirty = false
 	}
 	return nil
+}
+
+// writeFile writes blob to path through one handle — fsyncing it before
+// the close when sync is set — and returns the first error.
+func writeFile(path string, blob []byte, sync bool) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(blob)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // loadCatalog reopens every table recorded in the catalog file, if present.

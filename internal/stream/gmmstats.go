@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"factorml/internal/core"
 	"factorml/internal/gmm"
@@ -342,7 +341,7 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 		return nil
 	}
 
-	pool := sync.Pool{New: func() any {
+	newChunk := func() *absorbChunk {
 		return &absorbChunk{
 			xs:     make([]float64, StatChunkRows*dS),
 			gidx:   make([]int32, StatChunkRows*q),
@@ -352,28 +351,21 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 			sc:     scorer.NewScratch(),
 			caches: make([][]core.QuadCache, q),
 		}
-	}}
+	}
 	produce := func(f *parallel.Feed[*absorbChunk]) error {
 		sc, err := fact.NewScannerAt(r0)
 		if err != nil {
 			return err
 		}
-		// The first chunk continues the open one (all zero at a boundary).
-		cur := pool.Get().(*absorbChunk)
-		cur.n = 0
-		copy(cur.fact.buf, st.open.buf)
+		var cur *absorbChunk // taken when the chunk's first row arrives
 		emit := func() error {
 			if err := parallel.RunRange(nw, len(fresh), fill); err != nil {
 				return err
 			}
 			fresh = fresh[:0]
-			if err := f.Emit(cur); err != nil {
-				return err
-			}
-			cur = pool.Get().(*absorbChunk)
-			cur.n = 0
-			linalg.VecZero(cur.fact.buf)
-			return nil
+			c := cur
+			cur = nil
+			return f.Emit(c)
 		}
 		for row := r0; row < r1; row++ {
 			if !sc.Next() {
@@ -381,6 +373,16 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 					return err
 				}
 				return fmt.Errorf("stream: fact table %q ended early at row %d", fact.Schema().Name, row)
+			}
+			if cur == nil {
+				cur = f.Next(newChunk)
+				cur.n = 0
+				if row == r0 {
+					// The first chunk continues the open one (all zero at a
+					// boundary); every later one starts from the zero its
+					// previous merge left.
+					copy(cur.fact.buf, st.open.buf)
+				}
 			}
 			t := sc.Tuple()
 			copy(cur.xs[cur.n*dS:(cur.n+1)*dS], t.Features)
@@ -411,7 +413,7 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 				}
 			}
 		}
-		if cur.n > 0 {
+		if cur != nil {
 			return emit()
 		}
 		return nil
@@ -452,7 +454,7 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 		} else {
 			copy(st.open.buf, c.fact.buf)
 		}
-		pool.Put(c)
+		linalg.VecZero(c.fact.buf)
 		return nil
 	}
 	return parallel.Run(nw, produce, work, merge)

@@ -226,7 +226,8 @@ func TestGMMIncrementalMatchesFullRecompute(t *testing.T) {
 // nearly every row brings a new group and three new pairs: at most 1 KiB
 // retained per absorbed row (the per-relation maps this store replaced held
 // 2.5 KiB and allocated seventy times per row), and — once a pass has
-// sized the slabs — a rebaseline that allocates per pass, not per row.
+// sized the slabs — a rebaseline whose allocation count is pinned, per pass
+// and not per row.
 func TestGMMStatsFootprint(t *testing.T) {
 	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
 	if err != nil {
@@ -268,10 +269,13 @@ func TestGMMStatsFootprint(t *testing.T) {
 		}
 	})
 	// What is left is per pass (the scorer's factorized covariances, the
-	// caches, a chunk) or per chunk (a cache fill's closures), never per row.
+	// caches, the one chunk object of a one-worker run) or per chunk (a cache
+	// fill's closures), never per row. Nothing is pooled across passes, so
+	// the count is exact and the same under the race detector.
+	const wantAllocs = 386
 	t.Logf("%.0f allocations per warm rebaseline of %d rows", allocs, rows)
-	if allocs >= float64(rows)/10 {
-		t.Errorf("a warm rebaseline of %d rows allocates %.0f times, want none of it per row", rows, allocs)
+	if allocs < wantAllocs-2 || allocs > wantAllocs+2 {
+		t.Errorf("a warm rebaseline of %d rows allocates %.0f times, want %d ± 2", rows, allocs, wantAllocs)
 	}
 	if got := st.Footprint(); got != fp {
 		t.Errorf("footprint moved across rebaselines: %+v, then %+v", fp, got)

@@ -15,6 +15,7 @@ import (
 	"factorml/internal/join"
 	"factorml/internal/metrics"
 	"factorml/internal/nn"
+	"factorml/internal/plan"
 	"factorml/internal/serve"
 	"factorml/internal/storage"
 )
@@ -177,7 +178,7 @@ func TestNNWarmStartRefresh(t *testing.T) {
 			t.Fatalf("stream NN refresh vs warm-start F-NN (workers=%d) differ by %g", w, d)
 		}
 	}
-	mres, err := nn.TrainM(db, spec, nn.Config{Init: base, Epochs: 2, LearningRate: 0.05, NumWorkers: 1})
+	mres, err := nn.Train(db, spec, plan.Materialized, nn.Config{Init: base, Epochs: 2, LearningRate: 0.05, NumWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,14 +148,8 @@ func (s *Snapshot) Commit(lsn int64) error {
 
 	// Swap CURRENT — the commit point.
 	tmp := filepath.Join(l.dir, ".CURRENT.tmp")
-	if err := os.WriteFile(tmp, []byte(snapDirName(lsn)+"\n"), 0o644); err != nil {
+	if err := writeFile(tmp, []byte(snapDirName(lsn)+"\n"), !l.opts.NoSync); err != nil {
 		return fmt.Errorf("wal: staging CURRENT: %w", err)
-	}
-	if !l.opts.NoSync {
-		if f, err := os.Open(tmp); err == nil {
-			f.Sync()
-			f.Close()
-		}
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, currentFile)); err != nil {
 		return fmt.Errorf("wal: swapping CURRENT: %w", err)
@@ -201,6 +195,24 @@ func (s *Snapshot) Commit(lsn int64) error {
 		syncDir(l.dir)
 	}
 	return nil
+}
+
+// writeFile writes blob to path through one handle — fsyncing it before
+// the close when sync is set — and returns the first error, so a file that
+// never reached disk is never renamed into place.
+func writeFile(path string, blob []byte, sync bool) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(blob)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // syncTree fsyncs every regular file under root, then the directories.

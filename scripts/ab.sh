@@ -138,7 +138,9 @@ function sorted(key, n, dst,    i, j, t) {
 FNR == NR { # BENCHMARK.json
 	if ((name = field($0, "name")) != "" && (dir = field($0, "better")) != "") {
 		better[name] = dir
-		if ((bnd = field($0, "bound")) != "") bound[name] = bnd
+		# + 0 makes the bound a number: a string would be compared as text,
+		# and a relative change printed as "9.6e-05" sorts above "0.1".
+		if ((bnd = field($0, "bound")) != "") bound[name] = bnd + 0
 	}
 	next
 }
