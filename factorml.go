@@ -1164,8 +1164,9 @@ func WithMonitoring(cfg MonitorConfig) ServerOption {
 // the text exposition format (0.0.4) with per-endpoint request counts
 // and latency histograms, engine cache hit-rate gauges, and — when
 // combined with WithStream — ingest-queue depth, rejection counters and
-// per-model planner decisions. The instrumentation adds no locks to the
-// serving hot path (atomics plus scrape-time snapshot collectors).
+// per-model planner decisions: the samples of the same sections /statsz
+// renders, plus the HTTP instruments. The instrumentation adds no locks
+// to the serving hot path (atomics plus scrape-time snapshots).
 func WithMetrics() ServerOption {
 	return func(o *serverOptions) { o.withMetrics = true }
 }
@@ -1267,7 +1268,7 @@ func NewServer(d *DB, dimTables []string, opts ...ServerOption) (*Server, error)
 	}
 	sopts := []serve.Option{serve.WithLimits(o.limits)}
 	if o.withMetrics {
-		sopts = append(sopts, serve.WithMetrics(metrics.NewRegistry()))
+		sopts = append(sopts, serve.WithMetrics())
 	}
 	var mon *monitor.Monitor
 	if o.withMonitor {
@@ -1275,7 +1276,7 @@ func NewServer(d *DB, dimTables []string, opts ...ServerOption) (*Server, error)
 			o.monCfg.Logger = o.logger
 		}
 		mon = monitor.New(o.monCfg)
-		sopts = append(sopts, serve.WithMonitor(mon))
+		eng.SetMonitor(mon)
 	}
 	if o.withTracing {
 		sopts = append(sopts, serve.WithTracer(trace.New(o.traceCfg)))
@@ -1283,42 +1284,31 @@ func NewServer(d *DB, dimTables []string, opts ...ServerOption) (*Server, error)
 	if o.logger != nil {
 		sopts = append(sopts, serve.WithLogger(o.logger))
 	}
-	// serve.NewServer already wires the engine collector when metrics
-	// are on; the stream collector is added below once the stream exists.
-	srv := serve.NewServer(eng, sopts...)
-	out := &Server{srv: srv}
-	if !o.withStream {
-		return out, nil
+	out := &Server{}
+	if o.withStream {
+		// The stream boots first, so the server is built whole around its
+		// handlers and telemetry sections.
+		o.pol.NumWorkers = d.workers(o.pol.NumWorkers)
+		st, err := stream.New(d.db, spec, stream.Options{
+			Engine:          eng,
+			Registry:        reg,
+			Policy:          o.pol,
+			MaxQueuedIngest: o.limits.MaxQueuedIngest,
+			Monitor:         mon,
+			WAL:             d.wal,
+			Logger:          o.logger,
+			SnapshotEvery:   d.snapEvery,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if err := d.bootStream(st, func() error { return attachRegistered(st, reg) }); err != nil {
+			return nil, err
+		}
+		sopts = append(sopts, serve.WithStream(st.Handler(), st.RefreshHandler(), st.Sections()...))
+		out.st = &Stream{st: st}
 	}
-
-	o.pol.NumWorkers = d.workers(o.pol.NumWorkers)
-	st, err := stream.New(d.db, spec, stream.Options{
-		Engine:          eng,
-		Registry:        reg,
-		Policy:          o.pol,
-		MaxQueuedIngest: o.limits.MaxQueuedIngest,
-		Monitor:         mon,
-		WAL:             d.wal,
-		Logger:          o.logger,
-		SnapshotEvery:   d.snapEvery,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := d.bootStream(st, func() error { return attachRegistered(st, reg) }); err != nil {
-		return nil, err
-	}
-	srv.SetIngestHandler(st.Handler())
-	srv.SetRefreshHandler(st.RefreshHandler())
-	srv.SetStreamStats(st.StatsProvider())
-	srv.SetPlannerStats(st.PlannerProvider())
-	if ws := st.WALStatsProvider(); ws != nil {
-		srv.SetWALStats(ws)
-	}
-	if o.withMetrics {
-		srv.Metrics().Collect(st.MetricsCollector())
-	}
-	out.st = &Stream{st: st}
+	out.srv = serve.NewServer(eng, sopts...)
 	return out, nil
 }
 

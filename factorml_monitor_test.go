@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -322,5 +323,35 @@ func TestDisabledHooksAllocateNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, tc.op); allocs != 0 {
 			t.Errorf("%s: disabled hook path allocates %.0f objects/op, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// TestExtremePredictKeepsRefreshing: a finite fact value far outside the
+// training range scores to a non-finite log-likelihood on a monitored
+// server. The quality sketch skips it, so the next refresh that folds a
+// delta — and saves the advanced lineage — still answers 200, and so does
+// every later one.
+func TestExtremePredictKeepsRefreshing(t *testing.T) {
+	db, _ := buildMonitorDB(t)
+	server, err := NewServer(db, []string{"items"},
+		WithEngineConfig(ServeConfig{NumWorkers: 1}),
+		WithStream("orders", StreamPolicy{NumWorkers: 1}),
+		WithMonitoring(MonitorConfig{MinWindowRows: 5}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func(method, path, body string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		server.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code != 200 {
+			t.Fatalf("%s %s = %d %s", method, path, rec.Code, rec.Body)
+		}
+	}
+	do("POST", "/v1/models/orders-gmm/predict", `{"rows":[{"fact":[1e308],"fks":[3]}]}`)
+	for sid := 900; sid < 902; sid++ {
+		do("POST", "/v1/ingest", fmt.Sprintf(`{"facts":[{"sid":%d,"fks":[2],"features":[1.5],"target":1}]}`, sid))
+		do("POST", "/v1/refresh", "")
 	}
 }

@@ -58,6 +58,9 @@ const (
 	// CodeUnknownForeignKey marks a row referencing a key absent from a
 	// dimension table.
 	CodeUnknownForeignKey = "unknown_foreign_key"
+	// CodeNonFiniteFeature marks a prediction row carrying a NaN or ±Inf
+	// fact feature, which no model can score.
+	CodeNonFiniteFeature = "non_finite_feature"
 	// CodePredictOverloaded marks a predict rejected by admission
 	// control: the model's in-flight limit was reached before any work
 	// was admitted. Safe to retry after the Retry-After hint.

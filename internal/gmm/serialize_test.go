@@ -109,3 +109,34 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 		}
 	}
 }
+
+// FuzzLoadModel: any input LoadModel accepts re-encodes to bytes that load
+// and re-encode identically, and scores one row without panicking.
+func FuzzLoadModel(f *testing.F) {
+	f.Add([]byte(`{"version":1,"k":1,"d":2,"weights":[1],"means":[[0,0]],"covs":[[1,0,0,1]]}`))
+	f.Add([]byte(`{"version":1,"k":2,"d":1,"diagonal":true,"weights":[0.5,0.5],"means":[[0],[1]],"covs":[[1],[2]]}`))
+	f.Add([]byte(`{"version":1,"k":1,"d":2,"weights":[-1],"means":[[1e308,0]],"covs":[[0,1,1,0]]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := LoadModel(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := m.Save(&once); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadModel(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded model does not load: %v\n%s", err, once.Bytes())
+		}
+		if err := again.Save(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("re-encoding moved:\n%s\n%s", once.Bytes(), twice.Bytes())
+		}
+		x := make([]float64, m.D)
+		m.LogProb(x)
+		m.Predict(x)
+	})
+}

@@ -1,16 +1,21 @@
-// Package metrics is a dependency-free Prometheus client: counters and
-// latency histograms updated with atomics on the hot path (no locks once
-// a labeled child exists), plus scrape-time collectors that adapt the
-// server's existing /statsz snapshots into gauges, rendered in the
-// Prometheus text exposition format (version 0.0.4) by Handler.
+// Package metrics is the serving tier's one telemetry surface, with no
+// dependencies: a Registry of live instruments — counters and latency
+// histograms updated with atomics on the hot path (no locks once a
+// labeled child exists) — and of named sections. A section is a snapshot
+// function whose value both marshals as its block of /statsz (Statsz) and
+// emits its own samples for /metrics (Render, in the Prometheus text
+// exposition format 0.0.4, served by Handler), so the two endpoints render
+// the same numbers from one source.
 //
 // The hot-path discipline mirrors the rest of the serving layer: a
 // request touches only atomic adds on pre-resolved children; the
 // registry mutex is taken at registration, first-use child creation and
-// scrape time only.
+// render time only, and a section's snapshot is taken at render time
+// under the subsystem's own synchronization.
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -137,7 +142,7 @@ type HistogramVec struct{ f *family }
 // With returns the histogram for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram { return v.f.get(values).hist }
 
-// Sample is one scrape-time value emitted by a Collector.
+// Sample is one scrape-time value a section's snapshot emits.
 type Sample struct {
 	Name   string
 	Help   string
@@ -146,18 +151,44 @@ type Sample struct {
 	Value  float64
 }
 
-// Collector contributes samples at scrape time — the adapter layer over
-// snapshot-style sources (engine stats, stream counters, planner
-// decisions) that already maintain their own synchronization, so the
-// serving hot path gains no new locks.
-type Collector func(emit func(Sample))
+// Emit receives a snapshot's samples.
+type Emit func(Sample)
 
-// Registry holds metric families and collectors and renders them.
+// Counter emits one counter sample.
+func (e Emit) Counter(name, help string, v float64, labels ...[2]string) {
+	e(Sample{Name: name, Help: help, Type: typeCounter, Labels: labels, Value: v})
+}
+
+// Gauge emits one gauge sample.
+func (e Emit) Gauge(name, help string, v float64, labels ...[2]string) {
+	e(Sample{Name: name, Help: help, Type: typeGauge, Labels: labels, Value: v})
+}
+
+// Snapshot is one section's value at render time: it marshals as the
+// section's /statsz JSON and emits the section's /metrics samples.
+type Snapshot interface {
+	Samples(emit Emit)
+}
+
+// Section is a named block of /statsz whose snapshot also renders its
+// /metrics samples. Build one with NewSection.
+type Section struct {
+	name string
+	snap func() Snapshot
+}
+
+// NewSection names snap as a section. The empty name merges the
+// snapshot's JSON object fields into the top level of /statsz.
+func NewSection[T Snapshot](name string, snap func() T) Section {
+	return Section{name: name, snap: func() Snapshot { return snap() }}
+}
+
+// Registry holds metric families and sections and renders them.
 type Registry struct {
-	mu         sync.Mutex
-	families   []*family
-	byName     map[string]bool
-	collectors []Collector
+	mu       sync.Mutex
+	families []*family
+	byName   map[string]bool
+	sections []Section
 }
 
 // NewRegistry returns an empty registry.
@@ -199,13 +230,41 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 	return &HistogramVec{r.register(name, help, typeHistogram, bs, labels)}
 }
 
-// Collect registers a scrape-time collector. Collector sample names must
-// not collide with registered families or other collectors' names with a
-// different HELP/TYPE.
-func (r *Registry) Collect(c Collector) {
+// Add registers sections. Section names must be unique, and sample names
+// must not collide with registered families or with another section's
+// samples of a different HELP/TYPE.
+func (r *Registry) Add(secs ...Section) {
 	r.mu.Lock()
-	r.collectors = append(r.collectors, c)
+	r.sections = append(r.sections, secs...)
 	r.mu.Unlock()
+}
+
+// Statsz takes every section's snapshot into one JSON document: a named
+// section under its name, an unnamed one's fields at the top level.
+func (r *Registry) Statsz() (map[string]any, error) {
+	r.mu.Lock()
+	sections := append([]Section{}, r.sections...)
+	r.mu.Unlock()
+	out := make(map[string]any)
+	for _, sec := range sections {
+		v := sec.snap()
+		if sec.name != "" {
+			out[sec.name] = v
+			continue
+		}
+		b, err := json.Marshal(v)
+		if err != nil {
+			return nil, err
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(b, &fields); err != nil {
+			return nil, fmt.Errorf("metrics: top-level section %T is not a JSON object: %w", v, err)
+		}
+		for k, f := range fields {
+			out[k] = f
+		}
+	}
+	return out, nil
 }
 
 func escapeLabel(v string) string {
@@ -241,12 +300,12 @@ func labelString(pairs [][2]string) string {
 }
 
 // Render writes the full exposition. Families render in registration
-// order with children sorted by label values; collector samples render
+// order with children sorted by label values; section samples render
 // after, grouped by name in first-seen order.
 func (r *Registry) Render(sb *strings.Builder) {
 	r.mu.Lock()
 	families := append([]*family{}, r.families...)
-	collectors := append([]Collector{}, r.collectors...)
+	sections := append([]Section{}, r.sections...)
 	r.mu.Unlock()
 
 	for _, f := range families {
@@ -287,12 +346,12 @@ func (r *Registry) Render(sb *strings.Builder) {
 		}
 	}
 
-	// Collector samples, grouped so each family gets exactly one
-	// HELP/TYPE header.
+	// Section samples, grouped so each family gets exactly one HELP/TYPE
+	// header.
 	var order []string
 	grouped := make(map[string][]Sample)
-	for _, c := range collectors {
-		c(func(s Sample) {
+	for _, sec := range sections {
+		sec.snap().Samples(func(s Sample) {
 			if s.Type == "" {
 				s.Type = typeGauge
 			}

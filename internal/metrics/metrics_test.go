@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -65,16 +66,27 @@ req_seconds_count{endpoint="predict"} 5
 	}
 }
 
+// samples is a test snapshot emitting a fixed list.
+type samples []Sample
+
+func (ss samples) Samples(emit Emit) {
+	for _, s := range ss {
+		emit(s)
+	}
+}
+
 func TestCollectorRenderAndEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Collect(func(emit func(Sample)) {
-		emit(Sample{Name: "cache_hit_rate", Help: "Fraction of\nhits.", Value: 0.75})
-		emit(Sample{
-			Name: "planner_strategy", Help: "Decision.", Type: "gauge",
-			Labels: [][2]string{{"model", `we"ird\name`}}, Value: 1,
-		})
-		emit(Sample{Name: "planner_strategy", Labels: [][2]string{{"model", "b"}}, Value: 1})
-	})
+	r.Add(NewSection("test", func() samples {
+		return samples{
+			{Name: "cache_hit_rate", Help: "Fraction of\nhits.", Value: 0.75},
+			{
+				Name: "planner_strategy", Help: "Decision.", Type: "gauge",
+				Labels: [][2]string{{"model", `we"ird\name`}}, Value: 1,
+			},
+			{Name: "planner_strategy", Labels: [][2]string{{"model", "b"}}, Value: 1},
+		}
+	}))
 	got := render(r)
 	want := `# HELP cache_hit_rate Fraction of\nhits.
 # TYPE cache_hit_rate gauge
@@ -219,10 +231,12 @@ func TestHandlerServesValidExposition(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		lat.With("predict").Observe(float64(i) * 0.003)
 	}
-	r.Collect(func(emit func(Sample)) {
-		emit(Sample{Name: "factorml_engine_models", Help: "Models.", Value: 2})
-		emit(Sample{Name: "factorml_dim_cache_hits_total", Help: "Hits.", Type: "counter", Value: 41})
-	})
+	r.Add(NewSection("", func() samples {
+		return samples{
+			{Name: "factorml_engine_models", Help: "Models.", Value: 2},
+			{Name: "factorml_dim_cache_hits_total", Help: "Hits.", Type: "counter", Value: 41},
+		}
+	}))
 
 	ts := httptest.NewServer(r.Handler())
 	defer ts.Close()
@@ -331,5 +345,49 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 	}
 	if diff := math.Abs(sum - wantPer*goroutines); diff > 1e-6 {
 		t.Fatalf("histogram sum = %v, want %v (diff %v)", sum, wantPer*goroutines, diff)
+	}
+}
+
+// topLevel is a test snapshot whose fields merge into the top of /statsz.
+type topLevel struct {
+	Rows uint64 `json:"rows"`
+}
+
+func (t topLevel) Samples(emit Emit) {
+	emit.Counter("rows_total", "Rows.", float64(t.Rows))
+}
+
+// scalar is a test snapshot that is not a JSON object.
+type scalar float64
+
+func (scalar) Samples(Emit) {}
+
+// TestStatszSections: one registry renders both documents from the same
+// snapshots — a named section under its name, an unnamed one's fields at
+// the top level, each section's samples in the exposition — and a
+// top-level section that is not a JSON object is refused.
+func TestStatszSections(t *testing.T) {
+	r := NewRegistry()
+	rows := uint64(3)
+	r.Add(NewSection("", func() topLevel { return topLevel{Rows: rows} }),
+		NewSection("cache", func() samples { return samples{{Name: "hit_rate", Help: "Hits.", Value: 0.5}} }))
+	doc, err := r.Statsz()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"cache":[{"Name":"hit_rate","Help":"Hits.","Type":"","Labels":null,"Value":0.5}],"rows":3}`; string(b) != want {
+		t.Fatalf("statsz = %s, want %s", b, want)
+	}
+	rows = 7
+	if out := render(r); !strings.Contains(out, "# TYPE rows_total counter\nrows_total 7\n") || !strings.Contains(out, "hit_rate 0.5\n") {
+		t.Fatalf("exposition does not follow the snapshots:\n%s", out)
+	}
+	r.Add(NewSection("", func() scalar { return 1 }))
+	if _, err := r.Statsz(); err == nil {
+		t.Fatal("a top-level section that is not a JSON object rendered")
 	}
 }

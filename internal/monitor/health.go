@@ -171,45 +171,22 @@ func (m *Monitor) transitionLocked(mm *modelMon, h Health) {
 	}
 }
 
-// StatsProvider adapts HealthAll for the "health" section of /statsz.
-func (m *Monitor) StatsProvider() func() any {
-	return func() any { return m.HealthAll() }
-}
+// HealthList is every monitored model's health, the "health" section of
+// /statsz and /metrics.
+type HealthList []Health
 
-// MetricsCollector emits per-model drift and staleness gauges at scrape
-// time: the max-column PSI (the drift score the verdict routes on), the
-// quality PSI, rows since refresh, refresh age, and a one-hot verdict
-// gauge labeled with the verdict string.
-func (m *Monitor) MetricsCollector() metrics.Collector {
-	return func(emit func(metrics.Sample)) {
-		for _, h := range m.HealthAll() {
-			model := [][2]string{{"model", h.Model}}
-			emit(metrics.Sample{
-				Name:   "factorml_model_drift_psi",
-				Help:   "Max per-column PSI of the live window against the model's baseline.",
-				Labels: model, Value: h.MaxPSI,
-			})
-			emit(metrics.Sample{
-				Name:   "factorml_model_quality_psi",
-				Help:   "PSI of sampled prediction quality against the training baseline.",
-				Labels: model, Value: h.QualityPSI,
-			})
-			emit(metrics.Sample{
-				Name:   "factorml_model_rows_since_refresh",
-				Help:   "Fact rows ingested since the model's last refresh.",
-				Labels: model, Value: float64(h.RowsSinceRefresh),
-			})
-			emit(metrics.Sample{
-				Name:   "factorml_model_refresh_age_seconds",
-				Help:   "Seconds since the model's baseline was captured or refreshed.",
-				Labels: model, Value: h.RefreshAgeSeconds,
-			})
-			emit(metrics.Sample{
-				Name:   "factorml_model_health",
-				Help:   "Model health verdict (value is always 1; the verdict is in the labels).",
-				Labels: [][2]string{{"model", h.Model}, {"verdict", h.Verdict}},
-				Value:  1,
-			})
-		}
+// Samples emits per-model drift and staleness gauges: the max-column PSI
+// (the drift score the verdict routes on), the quality PSI, rows since
+// refresh, refresh age, and a one-hot verdict gauge labeled with the
+// verdict string.
+func (l HealthList) Samples(emit metrics.Emit) {
+	for _, h := range l {
+		model := [2]string{"model", h.Model}
+		emit.Gauge("factorml_model_drift_psi", "Max per-column PSI of the live window against the model's baseline.", h.MaxPSI, model)
+		emit.Gauge("factorml_model_quality_psi", "PSI of sampled prediction quality against the training baseline.", h.QualityPSI, model)
+		emit.Gauge("factorml_model_rows_since_refresh", "Fact rows ingested since the model's last refresh.", float64(h.RowsSinceRefresh), model)
+		emit.Gauge("factorml_model_refresh_age_seconds", "Seconds since the model's baseline was captured or refreshed.", h.RefreshAgeSeconds, model)
+		emit.Gauge("factorml_model_health", "Model health verdict (value is always 1; the verdict is in the labels).",
+			1, model, [2]string{"verdict", h.Verdict})
 	}
 }

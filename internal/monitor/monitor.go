@@ -296,13 +296,13 @@ func (m *Monitor) Health(name string) (Health, bool) {
 
 // HealthAll evaluates every attached model, sorted by name, firing
 // verdict transition events as it goes.
-func (m *Monitor) HealthAll() []Health {
+func (m *Monitor) HealthAll() HealthList {
 	if m == nil {
 		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Health, 0, len(m.models))
+	out := make(HealthList, 0, len(m.models))
 	for _, mm := range m.models {
 		out = append(out, m.healthLocked(mm))
 	}

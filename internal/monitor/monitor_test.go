@@ -207,7 +207,7 @@ func TestMetricsCollector(t *testing.T) {
 	m := New(Config{now: func() time.Time { return fixed }})
 	m.Attach("m1", "gmm", 3, testLineage())
 	reg := metrics.NewRegistry()
-	reg.Collect(m.MetricsCollector())
+	reg.Add(metrics.NewSection("health", m.HealthAll))
 	var sb strings.Builder
 	reg.Render(&sb)
 	out := sb.String()

@@ -55,37 +55,47 @@ func (s *Sketch) EmptyCopy() *Sketch {
 	return c
 }
 
-// Observe folds one value into the sketch: O(1), no allocations.
+// Observe folds one value into the sketch: O(1), no allocations. A value
+// that would make a moment or the bin position non-finite — NaN, ±Inf, or
+// one so far from the mean that its squared deviation overflows — is
+// skipped: one bad row must not poison the sketch, or the lineage JSON
+// it is saved into.
 func (s *Sketch) Observe(x float64) {
-	s.Count++
-	if s.Count == 1 {
-		s.Min, s.Max = x, x
-	} else {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
 	delta := x - s.Mean
-	s.Mean += delta / float64(s.Count)
-	s.M2 += delta * (x - s.Mean)
+	mean := s.Mean + delta/float64(s.Count+1)
+	m2 := s.M2 + delta*(x-mean)
+	if !finite(delta*delta) || !finite(m2) {
+		return
+	}
+	bin := -1
 	if n := len(s.Bins); n > 0 {
 		switch {
 		case x < s.Lo:
-			s.Bins[0]++
+			bin = 0
 		case x >= s.Hi:
-			s.Bins[n-1]++
+			bin = n - 1
 		default:
-			i := 1 + int(float64(n-2)*(x-s.Lo)/(s.Hi-s.Lo))
-			if i > n-2 { // guard float rounding at the upper edge
-				i = n - 2
+			f := float64(n-2) * (x - s.Lo) / (s.Hi - s.Lo)
+			if !finite(f) {
+				return
 			}
-			s.Bins[i]++
+			bin = 1 + min(int(f), n-3) // guard float rounding at the upper edge
 		}
 	}
+	s.Count++
+	if s.Count == 1 || x < s.Min {
+		s.Min = x
+	}
+	if s.Count == 1 || x > s.Max {
+		s.Max = x
+	}
+	s.Mean, s.M2 = mean, m2
+	if bin >= 0 {
+		s.Bins[bin]++
+	}
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Merge folds o into s exactly: the merged moments equal those of
 // observing both input streams, and same-layout histograms add

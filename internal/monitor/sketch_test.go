@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,5 +153,34 @@ func TestObserveAllocFree(t *testing.T) {
 	s := NewSketch(0, 1, 10)
 	if allocs := testing.AllocsPerRun(100, func() { s.Observe(0.3) }); allocs != 0 {
 		t.Fatalf("Observe allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestSketchSkipsNonFinite: after a normal value, NaN, ±Inf and ±1e308
+// (whose squared deviation overflows) leave the sketch exactly as it was —
+// no panic on a NaN bin index, no non-finite moment, and the sketch still
+// marshals as lineage JSON.
+func TestSketchSkipsNonFinite(t *testing.T) {
+	s := NewSketch(0, 10, 10)
+	s.Observe(5)
+	want := *s
+	want.Bins = append([]int64(nil), s.Bins...)
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e308, -1e308} {
+		s.Observe(x)
+		if s.Count != want.Count || s.Mean != want.Mean || s.M2 != want.M2 || s.Min != want.Min || s.Max != want.Max {
+			t.Fatalf("Observe(%g) moved the moments: %+v, want %+v", x, *s, want)
+		}
+		for i := range s.Bins {
+			if s.Bins[i] != want.Bins[i] {
+				t.Fatalf("Observe(%g) moved bin %d: %v, want %v", x, i, s.Bins, want.Bins)
+			}
+		}
+	}
+	if _, err := json.Marshal(s); err != nil {
+		t.Fatal(err)
+	}
+	s.Observe(7)
+	if s.Count != 2 || s.Mean != 6 {
+		t.Fatalf("a finite value after the skipped ones: count %d mean %v", s.Count, s.Mean)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"factorml/internal/linalg"
 )
@@ -50,6 +51,9 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 	net := &Network{Sizes: in.Sizes, Act: Activation(in.Act), B: in.B}
 	for l := 0; l < layers; l++ {
 		rows, cols := in.Sizes[l+1], in.Sizes[l]
+		if rows < 1 || cols < 1 || rows > math.MaxInt/cols {
+			return nil, fmt.Errorf("nn: layer %d is %d×%d, want positive sizes whose product fits an int", l, rows, cols)
+		}
 		if len(in.W[l]) != rows*cols {
 			return nil, fmt.Errorf("nn: layer %d weights have %d entries, want %d", l, len(in.W[l]), rows*cols)
 		}

@@ -45,10 +45,49 @@ func TestLoadNetworkRejectsGarbage(t *testing.T) {
 		"bad act":       `{"version":1,"sizes":[2,1],"activation":42,"weights":[[1,1]],"biases":[[0]]}`,
 		"weight size":   `{"version":1,"sizes":[2,1],"activation":0,"weights":[[1]],"biases":[[0]]}`,
 		"bias size":     `{"version":1,"sizes":[2,1],"activation":0,"weights":[[1,1]],"biases":[[0,0]]}`,
+		"zero size":     `{"version":1,"sizes":[0,1],"activation":0,"weights":[[]],"biases":[[0]]}`,
+		"size overflow": `{"version":1,"sizes":[4611686018427387904,4],"activation":0,"weights":[[]],"biases":[[0,0,0,0]]}`,
 	}
 	for name, blob := range cases {
 		if _, err := LoadNetwork(strings.NewReader(blob)); err == nil {
 			t.Fatalf("%s: expected error", name)
 		}
 	}
+}
+
+// FuzzLoadNetwork: any input LoadNetwork accepts re-encodes to bytes that
+// load and re-encode identically, and scores one row without panicking.
+func FuzzLoadNetwork(f *testing.F) {
+	net, err := NewNetwork([]int{3, 2, 1}, Tanh, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := net.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"version":1,"sizes":[4611686018427387904,4],"activation":0,"weights":[[]],"biases":[[0,0,0,0]]}`))
+	f.Add([]byte(`{"version":1,"sizes":[2,2],"activation":3,"weights":[[1,2,3,4]],"biases":[[0,1e308]]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net, err := LoadNetwork(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := net.Save(&once); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadNetwork(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded network does not load: %v\n%s", err, once.Bytes())
+		}
+		if err := again.Save(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("re-encoding moved:\n%s\n%s", once.Bytes(), twice.Bytes())
+		}
+		net.Predict(make([]float64, net.InputDim()))
+	})
 }

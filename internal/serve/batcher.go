@@ -39,8 +39,8 @@ type batcherSet struct {
 	m  sync.Map // model name -> *batcher
 	mu sync.Mutex
 
-	// sizeHist, when metrics are installed, observes flushed batch sizes
-	// (rows per engine call) per model.
+	// sizeHist observes flushed batch sizes (rows per engine call) per
+	// model.
 	sizeHist *metrics.HistogramVec
 
 	batches    atomic.Uint64
@@ -75,7 +75,7 @@ func (bs *batcherSet) submit(model string, rows []Row) ([]Prediction, ModelInfo,
 	return bs.get(model).submit(rows)
 }
 
-// BatchingStats is the /statsz "batching" section.
+// BatchingStats is the "batching" section of /statsz and /metrics.
 type BatchingStats struct {
 	Window            string  `json:"window"`
 	MaxBatchRows      int     `json:"max_batch_rows,omitempty"`
@@ -105,25 +105,15 @@ func (bs *batcherSet) stats() BatchingStats {
 	return s
 }
 
-// Collector adapts the batcher counters into Prometheus samples at
-// scrape time (the batch-size histogram is a live instrument and needs
-// no collector).
-func (bs *batcherSet) Collector() metrics.Collector {
-	return func(emit func(metrics.Sample)) {
-		s := bs.stats()
-		emit(metrics.Sample{Name: "factorml_batch_batches_total",
-			Help: "Coalesced engine batches flushed.", Type: "counter", Value: float64(s.Batches)})
-		emit(metrics.Sample{Name: "factorml_batch_requests_total",
-			Help: "Predict requests routed through the batcher.", Type: "counter", Value: float64(s.Requests)})
-		emit(metrics.Sample{Name: "factorml_batch_coalesced_requests_total",
-			Help: "Predict requests that shared an engine batch with at least one other request.",
-			Type: "counter", Value: float64(s.CoalescedRequests)})
-		emit(metrics.Sample{Name: "factorml_batch_rows_total",
-			Help: "Rows scored through coalesced batches.", Type: "counter", Value: float64(s.Rows)})
-		emit(metrics.Sample{Name: "factorml_batch_wait_seconds",
-			Help:  "Open-to-flush wait of the most recently flushed batch.",
-			Value: float64(s.LastWaitMs) / 1e3})
-	}
+// Samples emits the batcher counters (the batch-size histogram is a live
+// instrument of the server's registry).
+func (s BatchingStats) Samples(emit metrics.Emit) {
+	emit.Counter("factorml_batch_batches_total", "Coalesced engine batches flushed.", float64(s.Batches))
+	emit.Counter("factorml_batch_requests_total", "Predict requests routed through the batcher.", float64(s.Requests))
+	emit.Counter("factorml_batch_coalesced_requests_total",
+		"Predict requests that shared an engine batch with at least one other request.", float64(s.CoalescedRequests))
+	emit.Counter("factorml_batch_rows_total", "Rows scored through coalesced batches.", float64(s.Rows))
+	emit.Gauge("factorml_batch_wait_seconds", "Open-to-flush wait of the most recently flushed batch.", s.LastWaitMs/1e3)
 }
 
 // pendingBatch is one forming batch: rows from every rider, one done
@@ -198,9 +188,7 @@ func (b *batcher) flush(pb *pendingBatch) {
 	if pb.nSubs > 1 {
 		set.coalesced.Add(uint64(pb.nSubs))
 	}
-	if set.sizeHist != nil {
-		set.sizeHist.With(b.name).Observe(float64(len(pb.rows)))
-	}
+	set.sizeHist.With(b.name).Observe(float64(len(pb.rows)))
 	pb.preds, pb.info, pb.err = set.eng.PredictCtx(context.Background(), b.name, pb.rows)
 	close(pb.done)
 }

@@ -16,7 +16,8 @@
 //	           LRU, and request batches fan out across the internal/parallel
 //	           worker pool in fixed-size chunks.
 //	Server   — an HTTP JSON API: POST /v1/models/{name}/predict,
-//	           GET /v1/models, GET /healthz, GET /statsz.
+//	           GET /v1/models, GET /healthz, and GET /statsz and
+//	           GET /metrics rendered from one metrics.Registry of sections.
 //
 // Determinism contract: chunk geometry never depends on the worker count,
 // per-row outputs land at their row index, and every cached partial is a

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"factorml/internal/core"
 	"factorml/internal/gmm"
 	"factorml/internal/join"
+	"factorml/internal/metrics"
 	"factorml/internal/monitor"
 	"factorml/internal/nn"
 	"factorml/internal/parallel"
@@ -193,7 +195,8 @@ func NewEngine(reg *Registry, plan *join.DimPlan, cfg EngineConfig) (*Engine, er
 func (e *Engine) Registry() *Registry { return e.reg }
 
 // SetMonitor installs (or, with nil, removes) the health monitor that
-// receives sampled prediction-quality values. Recording is passive:
+// receives sampled prediction-quality values; a Server built over the
+// engine afterwards serves its verdicts. Recording is passive:
 // predictions are bit-identical with and without a monitor.
 func (e *Engine) SetMonitor(m *monitor.Monitor) { e.mon.Store(m) }
 
@@ -373,6 +376,13 @@ func (e *Engine) scoreRow(st *modelState, sc *predScratch, row *Row, out *Predic
 		out.Code = api.CodeRowWidthMismatch
 		return
 	}
+	for c, x := range row.Fact {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			out.Err = fmt.Sprintf("fact feature %d is %g, want a finite value", c, x)
+			out.Code = api.CodeNonFiniteFeature
+			return
+		}
+	}
 	if len(row.FKs) != e.nDirect {
 		out.Err = fmt.Sprintf("row has %d foreign keys, engine probes %d direct dimension tables", len(row.FKs), e.nDirect)
 		out.Code = api.CodeFKCountMismatch
@@ -540,7 +550,8 @@ func (e *Engine) PredictIntoCtx(ctx context.Context, name string, rows []Row, ou
 	return st.info, nil
 }
 
-// Stats is a snapshot of the engine's serving counters.
+// Stats is a snapshot of the engine's serving counters, the top level of
+// /statsz.
 type Stats struct {
 	Models          int     `json:"models"`
 	Requests        uint64  `json:"requests"`
@@ -554,6 +565,19 @@ type Stats struct {
 	DimInvalidations uint64  `json:"dim_invalidations"`
 	PredictNsTotal   uint64  `json:"predict_ns_total"`
 	AvgRowMicros     float64 `json:"avg_row_micros"`
+}
+
+// Samples emits the engine counters as factorml_engine_* samples.
+func (s Stats) Samples(emit metrics.Emit) {
+	emit.Gauge("factorml_engine_models", "Registered models.", float64(s.Models))
+	emit.Counter("factorml_engine_predict_requests_total", "Predict batches scored.", float64(s.Requests))
+	emit.Counter("factorml_engine_predict_rows_total", "Prediction rows scored.", float64(s.Rows))
+	emit.Counter("factorml_engine_dim_cache_hits_total", "Per-dimension-tuple partial cache hits.", float64(s.DimCacheHits))
+	emit.Counter("factorml_engine_dim_cache_misses_total", "Per-dimension-tuple partial cache misses.", float64(s.DimCacheMisses))
+	emit.Gauge("factorml_engine_dim_cache_hit_rate", "Cache hit fraction since boot.", s.DimCacheHitRate)
+	emit.Gauge("factorml_engine_dim_cache_entries", "Live cache entries across models.", float64(s.DimCacheEntries))
+	emit.Counter("factorml_engine_dim_invalidations_total", "Cache entries dropped by streaming dimension updates.", float64(s.DimInvalidations))
+	emit.Counter("factorml_engine_predict_seconds_total", "Cumulative in-engine predict time.", float64(s.PredictNsTotal)/1e9)
 }
 
 // Stats returns cumulative serving counters across all models. States of

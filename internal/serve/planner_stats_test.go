@@ -6,21 +6,31 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"factorml/internal/metrics"
 	"factorml/internal/serve"
 )
 
-// TestStatszPlannerSection: a provider installed with SetPlannerStats is
-// embedded as the "planner" section of /statsz, and the section is absent
-// until one is installed.
+// plannerStub is a stand-in "planner" section snapshot.
+type plannerStub []map[string]any
+
+func (plannerStub) Samples(metrics.Emit) {}
+
+// TestStatszPlannerSection: a section passed with WithStream is embedded
+// as the "planner" section of /statsz, and a server built without one has
+// no such section.
 func TestStatszPlannerSection(t *testing.T) {
 	db, spec := testStar(t, t.TempDir())
 	defer db.Close()
 	_, eng := newTestEngine(t, db, spec, serve.EngineConfig{NumWorkers: 1})
-	srv := serve.NewServer(eng)
-	ts := httptest.NewServer(srv)
+	bare := httptest.NewServer(serve.NewServer(eng))
+	defer bare.Close()
+	ts := httptest.NewServer(serve.NewServer(eng, serve.WithStream(nil, nil,
+		metrics.NewSection("planner", func() plannerStub {
+			return plannerStub{{"model": "m-nn", "strategy": "factorized"}}
+		}))))
 	defer ts.Close()
 
-	statsz := func() map[string]any {
+	statsz := func(ts *httptest.Server) map[string]any {
 		resp, err := http.Get(ts.URL + "/statsz")
 		if err != nil {
 			t.Fatal(err)
@@ -36,15 +46,12 @@ func TestStatszPlannerSection(t *testing.T) {
 		return out
 	}
 
-	if _, ok := statsz()["planner"]; ok {
-		t.Fatal("planner section present before SetPlannerStats")
+	if _, ok := statsz(bare)["planner"]; ok {
+		t.Fatal("planner section present without WithStream")
 	}
-	srv.SetPlannerStats(func() any {
-		return []map[string]any{{"model": "m-nn", "strategy": "factorized"}}
-	})
-	got, ok := statsz()["planner"]
+	got, ok := statsz(ts)["planner"]
 	if !ok {
-		t.Fatal("planner section missing after SetPlannerStats")
+		t.Fatal("planner section missing with WithStream")
 	}
 	list, ok := got.([]any)
 	if !ok || len(list) != 1 {

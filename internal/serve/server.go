@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,24 +20,29 @@ import (
 // maxPredictBody bounds a predict request body (32 MiB).
 const maxPredictBody = 32 << 20
 
-// Server is the HTTP front end over a Registry and an Engine. The
+// Server is the HTTP front end over a Registry and an Engine, built whole
+// by NewServer: every endpoint and every telemetry section is in place
+// when it returns (only readiness changes afterwards, via SetReady). The
 // surface is split into the unversioned control plane and the versioned
 // data plane (see internal/api):
 //
 //	GET    /healthz                  — liveness + model count + readiness flag
 //	GET    /readyz                   — readiness (503 not_ready until SetReady)
-//	GET    /statsz                   — engine counters (cache hit rate, latency)
-//	GET    /metrics                  — Prometheus text format (with WithMetrics)
+//	GET    /statsz                   — every telemetry section as one JSON document
+//	GET    /metrics                  — the same sections plus HTTP instruments, Prometheus text (with WithMetrics)
 //	GET    /v1/models                — list registered models
 //	GET    /v1/models/{name}         — one model's metadata (incl. lineage)
-//	GET    /v1/models/{name}/health  — drift/staleness verdict (with WithMonitor)
+//	GET    /v1/models/{name}/health  — drift/staleness verdict (with the engine's monitor)
 //	DELETE /v1/models/{name}         — unregister and delete a model
 //	POST   /v1/models/{name}/predict — score a batch of normalized rows
-//	POST   /v1/ingest                — streaming deltas (when enabled)
-//	POST   /v1/refresh               — fold ingested deltas into the models (when enabled)
+//	POST   /v1/ingest                — streaming deltas (with WithStream)
+//	POST   /v1/refresh               — fold ingested deltas into the models (with WithStream)
 //
-// Every non-2xx response is the structured api.Envelope; 429/503 carry
-// Retry-After.
+// /statsz and /metrics render one metrics.Registry of sections: the
+// engine's Stats (at the top level of /statsz), uptime, "build", and —
+// when their subsystems are on — "batching", "trace", "health" and the
+// stream's sections. Every non-2xx response is the structured
+// api.Envelope; 429/503 carry Retry-After.
 type Server struct {
 	reg    *Registry
 	eng    *Engine
@@ -55,27 +59,24 @@ type Server struct {
 	// Limits.BatchWindow is 0).
 	batchers *batcherSet
 
-	// Metrics instruments (nil without WithMetrics). Updated with atomics
+	// mreg holds the telemetry sections and live instruments. The HTTP
+	// instruments exist only with WithMetrics and are updated with atomics
 	// only — the registry lock is never taken on the request path.
-	mreg       *metrics.Registry
-	httpReqs   *metrics.CounterVec   // {endpoint, code}
-	httpLat    *metrics.HistogramVec // {endpoint}
-	rejections *metrics.CounterVec   // {endpoint, reason}
+	mreg        *metrics.Registry
+	withMetrics bool
+	httpReqs    *metrics.CounterVec   // {endpoint, code}
+	httpLat     *metrics.HistogramVec // {endpoint}
+	rejections  *metrics.CounterVec   // {endpoint, reason}
 
 	// tracer assembles per-request traces (nil without WithTracer);
 	// logger writes structured access/error logs (nil without WithLogger).
 	tracer *trace.Tracer
 	logger *xlog.Logger
 
-	// mon is the model-health monitor (nil without WithMonitor).
-	mon *monitor.Monitor
-
-	ingestMu     sync.RWMutex
-	ingest       http.Handler // nil until SetIngestHandler
-	refresh      http.Handler // nil until SetRefreshHandler
-	streamStats  func() any   // nil until SetStreamStats
-	plannerStats func() any   // nil until SetPlannerStats
-	walStats     func() any   // nil until SetWALStats
+	// ingest, refresh and streamSections are the streaming subsystem's
+	// endpoints and telemetry (all nil without WithStream).
+	ingest, refresh http.Handler
+	streamSections  []metrics.Section
 }
 
 // Option customizes NewServer.
@@ -91,8 +92,9 @@ func WithLimits(l Limits) Option {
 // WithTracer installs a request tracer: every response gains an
 // X-Request-Id (and traceparent) header, sampled requests assemble a
 // span tree across handler → admission → engine fan-out → cache
-// lookups, and the flight recorder is exported at GET /debug/traces
-// and GET /debug/traces/slow.
+// lookups, the flight recorder is exported at GET /debug/traces and
+// GET /debug/traces/slow, and the tracer's counters become the "trace"
+// section.
 func WithTracer(t *trace.Tracer) Option {
 	return func(s *Server) { s.tracer = t }
 }
@@ -103,38 +105,56 @@ func WithLogger(l *xlog.Logger) Option {
 	return func(s *Server) { s.logger = l }
 }
 
-// WithMonitor installs the model-health monitor: GET
-// /v1/models/{name}/health serves its verdicts, /statsz gains a
-// "health" section, and — with WithMetrics — drift/staleness gauges are
-// exported at scrape time. The monitor is also installed into the
-// engine for sampled prediction-quality telemetry.
-func WithMonitor(m *monitor.Monitor) Option {
-	return func(s *Server) { s.mon = m }
+// WithMetrics mounts the registry's Prometheus exposition at GET /metrics
+// and instruments every endpoint with request counters, latency
+// histograms and admission-rejection counters. Hot-path updates are
+// atomic adds on pre-created children — no new locks.
+func WithMetrics() Option {
+	return func(s *Server) { s.withMetrics = true }
 }
 
-// WithMetrics mounts reg's Prometheus exposition at GET /metrics,
-// instruments every endpoint with request counters and latency
-// histograms, and registers a scrape-time collector over the engine's
-// counters. Hot-path updates are atomic adds on pre-created children —
-// no new locks.
-func WithMetrics(reg *metrics.Registry) Option {
-	return func(s *Server) { s.mreg = reg }
+// WithStream mounts a streaming subsystem: ingest at POST /v1/ingest,
+// refresh at POST /v1/refresh, and its sections in /statsz and /metrics.
+// Without it both endpoints answer 503 stream_disabled.
+func WithStream(ingest, refresh http.Handler, sections ...metrics.Section) Option {
+	return func(s *Server) { s.ingest, s.refresh, s.streamSections = ingest, refresh, sections }
 }
 
-// NewServer wires the handlers. The engine's registry is used for the
-// model endpoints. The server starts ready; a boot sequence that wants a
-// not-ready window serves BootingHandler until construction finishes
-// (see cmd/serve).
+// NewServer builds the whole server. The engine's registry is used for
+// the model endpoints, and the engine's health monitor (Engine.SetMonitor,
+// set before this call) serves GET /v1/models/{name}/health and the
+// "health" section. The server starts ready; a boot sequence that wants a
+// not-ready window serves BootingHandler until construction finishes (see
+// cmd/serve).
 func NewServer(eng *Engine, opts ...Option) *Server {
-	s := &Server{reg: eng.Registry(), eng: eng, start: time.Now(), mux: http.NewServeMux()}
+	s := &Server{reg: eng.Registry(), eng: eng, start: time.Now(), mux: http.NewServeMux(), mreg: metrics.NewRegistry()}
 	s.ready.Store(true)
 	for _, opt := range opts {
 		opt(s)
 	}
 	s.predictLims = newModelLimiters(s.limits.MaxInFlightPerModel)
+	s.mreg.Add(
+		metrics.NewSection("", eng.Stats),
+		metrics.NewSection("", func() uptime { return uptime{time.Since(s.start).Seconds()} }),
+		metrics.NewSection("build", CurrentBuild),
+	)
 	if s.limits.BatchWindow > 0 {
 		s.batchers = newBatcherSet(eng, s.limits.BatchWindow, s.limits.MaxBatchRows)
+		s.batchers.sizeHist = s.mreg.HistogramVec("factorml_batch_size",
+			"Rows per coalesced engine batch, by model.",
+			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}, "model")
+		s.mreg.Add(metrics.NewSection("batching", s.batchers.stats))
 	}
+	if s.tracer != nil {
+		s.mreg.Add(metrics.NewSection("trace", s.tracer.Stats))
+		h := s.tracer.DebugHandler()
+		s.mux.Handle("GET /debug/traces", h)
+		s.mux.Handle("GET /debug/traces/slow", h)
+	}
+	if mon := s.Monitor(); mon != nil {
+		s.mreg.Add(metrics.NewSection("health", mon.HealthAll))
+	}
+	s.mreg.Add(s.streamSections...)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
@@ -143,10 +163,10 @@ func NewServer(eng *Engine, opts ...Option) *Server {
 	s.mux.HandleFunc("GET /v1/models/{name}/health", s.handleModelHealth)
 	s.mux.HandleFunc("DELETE /v1/models/{name}", s.handleDeleteModel)
 	s.mux.HandleFunc("POST /v1/models/{name}/predict", s.handlePredict)
-	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
-	s.mux.HandleFunc("POST /v1/refresh", s.handleRefresh)
+	s.mux.Handle("POST /v1/ingest", orStreamDisabled(s.ingest))
+	s.mux.Handle("POST /v1/refresh", orStreamDisabled(s.refresh))
 	s.mux.HandleFunc("/", s.handleFallback)
-	if s.mreg != nil {
+	if s.withMetrics {
 		s.mux.Handle("GET /metrics", s.mreg.Handler())
 		s.httpReqs = s.mreg.CounterVec("factorml_http_requests_total",
 			"HTTP requests served, by endpoint and status code.", "endpoint", "code")
@@ -154,27 +174,20 @@ func NewServer(eng *Engine, opts ...Option) *Server {
 			"HTTP request latency in seconds, by endpoint.", nil, "endpoint")
 		s.rejections = s.mreg.CounterVec("factorml_admission_rejections_total",
 			"Requests rejected by admission control before any work was admitted.", "endpoint", "reason")
-		s.mreg.Collect(EngineCollector(s.eng))
-		s.mreg.Collect(BuildInfoCollector(s.start))
-		if s.batchers != nil {
-			s.batchers.sizeHist = s.mreg.HistogramVec("factorml_batch_size",
-				"Rows per coalesced engine batch, by model.",
-				[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}, "model")
-			s.mreg.Collect(s.batchers.Collector())
-		}
-		if s.mon != nil {
-			s.mreg.Collect(s.mon.MetricsCollector())
-		}
-	}
-	if s.mon != nil {
-		s.eng.SetMonitor(s.mon)
-	}
-	if s.tracer != nil {
-		h := s.tracer.DebugHandler()
-		s.mux.Handle("GET /debug/traces", h)
-		s.mux.Handle("GET /debug/traces/slow", h)
 	}
 	return s
+}
+
+// orStreamDisabled is h, or — on a server built without WithStream — a
+// handler answering 503 stream_disabled.
+func orStreamDisabled(h http.Handler) http.Handler {
+	if h != nil {
+		return h
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		api.WriteError(w, http.StatusServiceUnavailable, api.CodeStreamDisabled,
+			"streaming ingestion is not enabled on this server")
+	})
 }
 
 // Tracer returns the request tracer installed by WithTracer (nil
@@ -182,112 +195,21 @@ func NewServer(eng *Engine, opts ...Option) *Server {
 // off the data-plane port.
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
-// EngineCollector adapts the engine's /statsz counters into Prometheus
-// samples at scrape time — the snapshot path already synchronizes, so
-// the predict hot path gains no new locks.
-func EngineCollector(eng *Engine) metrics.Collector {
-	return func(emit func(metrics.Sample)) {
-		st := eng.Stats()
-		g := func(name, help string, v float64) {
-			emit(metrics.Sample{Name: name, Help: help, Value: v})
-		}
-		c := func(name, help string, v float64) {
-			emit(metrics.Sample{Name: name, Help: help, Type: "counter", Value: v})
-		}
-		g("factorml_engine_models", "Registered models.", float64(st.Models))
-		c("factorml_engine_predict_requests_total", "Predict batches scored.", float64(st.Requests))
-		c("factorml_engine_predict_rows_total", "Prediction rows scored.", float64(st.Rows))
-		c("factorml_engine_dim_cache_hits_total", "Per-dimension-tuple partial cache hits.", float64(st.DimCacheHits))
-		c("factorml_engine_dim_cache_misses_total", "Per-dimension-tuple partial cache misses.", float64(st.DimCacheMisses))
-		g("factorml_engine_dim_cache_hit_rate", "Cache hit fraction since boot.", st.DimCacheHitRate)
-		g("factorml_engine_dim_cache_entries", "Live cache entries across models.", float64(st.DimCacheEntries))
-		c("factorml_engine_dim_invalidations_total", "Cache entries dropped by streaming dimension updates.", float64(st.DimInvalidations))
-		c("factorml_engine_predict_seconds_total", "Cumulative in-engine predict time.", float64(st.PredictNsTotal)/1e9)
-	}
-}
-
 // SetReady flips the readiness state reported by /readyz and /healthz.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// SetIngestHandler mounts h at POST /v1/ingest. The handler is owned by
-// the streaming subsystem (internal/stream), which defines the wire
-// format and enforces the bounded ingest queue; until one is installed
-// the endpoint answers 503 stream_disabled.
-func (s *Server) SetIngestHandler(h http.Handler) {
-	s.ingestMu.Lock()
-	s.ingest = h
-	s.ingestMu.Unlock()
-}
-
-// SetRefreshHandler mounts h at POST /v1/refresh (the on-demand model
-// refresh of the streaming subsystem); until one is installed the
-// endpoint answers 503 stream_disabled.
-func (s *Server) SetRefreshHandler(h http.Handler) {
-	s.ingestMu.Lock()
-	s.refresh = h
-	s.ingestMu.Unlock()
-}
-
-// SetStreamStats installs a provider whose value is embedded as the
-// "stream" section of /statsz (deltas applied, refreshes triggered, …).
-func (s *Server) SetStreamStats(fn func() any) {
-	s.ingestMu.Lock()
-	s.streamStats = fn
-	s.ingestMu.Unlock()
-}
-
-// SetPlannerStats installs a provider whose value is embedded as the
-// "planner" section of /statsz — the cost-based strategy decisions the
-// attached models' refreshes reuse (chosen strategy and per-strategy
-// estimates; see internal/plan).
-func (s *Server) SetPlannerStats(fn func() any) {
-	s.ingestMu.Lock()
-	s.plannerStats = fn
-	s.ingestMu.Unlock()
-}
-
-// SetWALStats installs a provider whose value is embedded as the "wal"
-// section of /statsz — the write-ahead log's durability watermarks (last
-// LSN, snapshot LSN, segment/byte footprint, fsync totals).
-func (s *Server) SetWALStats(fn func() any) {
-	s.ingestMu.Lock()
-	s.walStats = fn
-	s.ingestMu.Unlock()
-}
-
-// Metrics returns the Prometheus registry installed by WithMetrics (nil
-// without one), so callers can register additional collectors —
-// internal/stream contributes queue depth and planner decisions.
-func (s *Server) Metrics() *metrics.Registry { return s.mreg }
-
-// Monitor returns the health monitor installed by WithMonitor (nil
-// without one), so the boot sequence can attach models and the
-// streaming subsystem can feed it the change feed.
-func (s *Server) Monitor() *monitor.Monitor { return s.mon }
-
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	s.ingestMu.RLock()
-	h := s.ingest
-	s.ingestMu.RUnlock()
-	if h == nil {
-		api.WriteError(w, http.StatusServiceUnavailable, api.CodeStreamDisabled,
-			"streaming ingestion is not enabled on this server")
-		return
+// Metrics returns the registry behind /metrics (nil without
+// WithMetrics), so callers can register application metrics that render
+// in the same exposition.
+func (s *Server) Metrics() *metrics.Registry {
+	if !s.withMetrics {
+		return nil
 	}
-	h.ServeHTTP(w, r)
+	return s.mreg
 }
 
-func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
-	s.ingestMu.RLock()
-	h := s.refresh
-	s.ingestMu.RUnlock()
-	if h == nil {
-		api.WriteError(w, http.StatusServiceUnavailable, api.CodeStreamDisabled,
-			"streaming ingestion is not enabled on this server")
-		return
-	}
-	h.ServeHTTP(w, r)
-}
+// Monitor returns the engine's health monitor (nil without one).
+func (s *Server) Monitor() *monitor.Monitor { return s.eng.mon.Load() }
 
 // statusRecorder captures the response status for instrumentation.
 type statusRecorder struct {
@@ -406,45 +328,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	s.ingestMu.RLock()
-	streamStats := s.streamStats
-	plannerStats := s.plannerStats
-	walStats := s.walStats
-	s.ingestMu.RUnlock()
-	payload := struct {
-		Stats
-		UptimeSeconds float64   `json:"uptime_seconds"`
-		Build         BuildInfo `json:"build"`
-		Trace         any       `json:"trace,omitempty"`
-		Batching      any       `json:"batching,omitempty"`
-		Stream        any       `json:"stream,omitempty"`
-		Planner       any       `json:"planner,omitempty"`
-		WAL           any       `json:"wal,omitempty"`
-		Health        any       `json:"health,omitempty"`
-	}{
-		Stats:         s.eng.Stats(),
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Build:         CurrentBuild(),
+	doc, err := s.mreg.Statsz()
+	if err != nil {
+		api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "rendering /statsz: %v", err)
+		return
 	}
-	if s.tracer != nil {
-		payload.Trace = s.tracer.Stats()
-	}
-	if s.batchers != nil {
-		payload.Batching = s.batchers.stats()
-	}
-	if s.mon != nil {
-		payload.Health = s.mon.HealthAll()
-	}
-	if streamStats != nil {
-		payload.Stream = streamStats()
-	}
-	if plannerStats != nil {
-		payload.Planner = plannerStats()
-	}
-	if walStats != nil {
-		payload.WAL = walStats()
-	}
-	writeJSON(w, http.StatusOK, payload)
+	writeJSON(w, http.StatusOK, doc)
 }
 
 func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) {
@@ -467,7 +356,8 @@ func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
 // the monitor has no baseline for.
 func (s *Server) handleModelHealth(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if s.mon == nil {
+	mon := s.Monitor()
+	if mon == nil {
 		api.WriteError(w, http.StatusServiceUnavailable, api.CodeMonitoringDisabled,
 			"model health monitoring is not enabled on this server")
 		return
@@ -477,7 +367,7 @@ func (s *Server) handleModelHealth(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusNotFound, api.CodeModelNotFound, "no model %q", name)
 		return
 	}
-	h, ok := s.mon.Health(name)
+	h, ok := mon.Health(name)
 	if !ok {
 		h = monitor.Health{
 			Model: name, Kind: string(info.Kind), Version: info.Version,

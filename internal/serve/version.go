@@ -2,7 +2,6 @@ package serve
 
 import (
 	"runtime"
-	"time"
 
 	"factorml/internal/metrics"
 )
@@ -12,7 +11,7 @@ import (
 // running. Bump alongside releases.
 const Version = "0.7.0"
 
-// BuildInfo is the build identity block embedded in /statsz.
+// BuildInfo is the build identity, the "build" section of /statsz.
 type BuildInfo struct {
 	Version   string `json:"version"`
 	GoVersion string `json:"go_version"`
@@ -23,25 +22,18 @@ func CurrentBuild() BuildInfo {
 	return BuildInfo{Version: Version, GoVersion: runtime.Version()}
 }
 
-// BuildInfoCollector emits the standard fleet-debugging gauges: a
-// constant factorml_build_info{version,go_version} 1 and the process
-// uptime measured from start.
-func BuildInfoCollector(start time.Time) metrics.Collector {
-	return func(emit func(metrics.Sample)) {
-		b := CurrentBuild()
-		emit(metrics.Sample{
-			Name: "factorml_build_info",
-			Help: "Build identity; the value is always 1, the labels carry the versions.",
-			Labels: [][2]string{
-				{"version", b.Version},
-				{"go_version", b.GoVersion},
-			},
-			Value: 1,
-		})
-		emit(metrics.Sample{
-			Name:  "factorml_uptime_seconds",
-			Help:  "Seconds since the server was constructed.",
-			Value: time.Since(start).Seconds(),
-		})
-	}
+// Samples emits the constant factorml_build_info{version,go_version} 1
+// gauge fleet debugging keys on.
+func (b BuildInfo) Samples(emit metrics.Emit) {
+	emit.Gauge("factorml_build_info", "Build identity; the value is always 1, the labels carry the versions.",
+		1, [2]string{"version", b.Version}, [2]string{"go_version", b.GoVersion})
+}
+
+// uptime is the top-level "uptime_seconds" of /statsz.
+type uptime struct {
+	Seconds float64 `json:"uptime_seconds"`
+}
+
+func (u uptime) Samples(emit metrics.Emit) {
+	emit.Gauge("factorml_uptime_seconds", "Seconds since the server was constructed.", u.Seconds)
 }

@@ -134,7 +134,7 @@ type RefreshResult struct {
 }
 
 // Counters is a snapshot of the stream's cumulative ingestion counters,
-// embedded in the serving /statsz payload.
+// the "stream" section of /statsz and /metrics.
 type Counters struct {
 	Batches       uint64 `json:"batches"`
 	FactsIngested uint64 `json:"facts_ingested"`

@@ -13,7 +13,7 @@ import (
 const maxIngestBody = 32 << 20
 
 // Handler returns the HTTP handler of the change feed, meant to be
-// mounted at POST /v1/ingest by serve.Server.SetIngestHandler. The wire
+// mounted at POST /v1/ingest by serve.WithStream. The wire
 // format is the JSON encoding of Batch:
 //
 //	{"facts": [{"sid": 9, "fks": [3], "features": [0.1, 0.2], "target": 1.5}],
@@ -82,7 +82,7 @@ func (s *Stream) Handler() http.Handler {
 }
 
 // RefreshHandler returns the on-demand refresh handler, meant to be
-// mounted at POST /v1/refresh by serve.Server.SetRefreshHandler: it
+// mounted at POST /v1/refresh by serve.WithStream: it
 // folds everything ingested so far into every attached model and
 // responds with the RefreshResult.
 func (s *Stream) RefreshHandler() http.Handler {
@@ -101,82 +101,51 @@ func (s *Stream) RefreshHandler() http.Handler {
 	})
 }
 
-// StatsProvider adapts Counters for serve.Server.SetStreamStats.
-func (s *Stream) StatsProvider() func() any {
-	return func() any { return s.Counters() }
-}
-
-// PlannerProvider adapts PlannerDecisions for
-// serve.Server.SetPlannerStats (the "planner" section of /statsz).
-func (s *Stream) PlannerProvider() func() any {
-	return func() any { return s.PlannerDecisions() }
-}
-
-// WALStatsProvider adapts WALStats for serve.Server.SetWALStats (the
-// "wal" section of /statsz). It returns nil when durability is off, so
-// the caller can skip registering the section.
-func (s *Stream) WALStatsProvider() func() any {
-	if s.wal == nil {
-		return nil
+// Sections returns the stream's telemetry sections for serve.WithStream:
+// "stream" (Counters), "planner" (PlannerDecisions) and, with durability
+// on, "wal" (WALStats). Each reads snapshot state only, adding no locks to
+// the ingest path.
+func (s *Stream) Sections() []metrics.Section {
+	secs := []metrics.Section{
+		metrics.NewSection("stream", s.Counters),
+		metrics.NewSection("planner", s.PlannerDecisions),
 	}
-	return func() any { return s.WALStats() }
+	if s.wal != nil {
+		secs = append(secs, metrics.NewSection("wal", s.WALStats))
+	}
+	return secs
 }
 
-// MetricsCollector adapts the stream's counters — including the bounded
-// ingest queue's depth and rejection count — and the per-model planner
-// decisions into Prometheus samples at scrape time. Like the engine
-// collector it reads snapshot state only, adding no locks to the ingest
-// path.
-func (s *Stream) MetricsCollector() metrics.Collector {
-	return func(emit func(metrics.Sample)) {
-		c := s.Counters()
-		gauge := func(name, help string, v float64) {
-			emit(metrics.Sample{Name: name, Help: help, Value: v})
-		}
-		counter := func(name, help string, v float64) {
-			emit(metrics.Sample{Name: name, Help: help, Type: "counter", Value: v})
-		}
-		counter("factorml_stream_batches_total", "Ingest batches applied.", float64(c.Batches))
-		counter("factorml_stream_facts_total", "Fact rows ingested.", float64(c.FactsIngested))
-		counter("factorml_stream_dim_inserts_total", "Dimension tuples inserted.", float64(c.DimInserts))
-		counter("factorml_stream_dim_updates_total", "Dimension tuples updated in place.", float64(c.DimUpdates))
-		counter("factorml_stream_refreshes_total", "Model refreshes run.", float64(c.Refreshes))
-		counter("factorml_stream_auto_refreshes_total", "Refreshes triggered by the refresh-rows policy.", float64(c.AutoRefreshes))
-		counter("factorml_stream_rebaselines_total", "GMM statistics rebuilds from scratch.", float64(c.Rebaselines))
-		counter("factorml_stream_checkpoints_total", "Committed WAL snapshots.", float64(c.Checkpoints))
-		counter("factorml_stream_ingest_rejections_total", "Batches rejected by the bounded ingest queue.", float64(c.IngestRejections))
-		gauge("factorml_stream_pending_rows", "Fact rows ingested since the last refresh.", float64(c.PendingRows))
-		gauge("factorml_stream_ingest_queue_depth", "Admitted-but-unfinished ingest batches.", float64(c.IngestQueueDepth))
-		gauge("factorml_stream_attached_models", "Models under incremental maintenance.", float64(c.AttachedModels))
-		if s.wal != nil {
-			ws := s.WALStats()
-			gauge("factorml_wal_last_lsn", "LSN of the most recent WAL record.", float64(ws.LastLSN))
-			gauge("factorml_wal_snapshot_lsn", "LSN covered by the committed snapshot.", float64(ws.SnapshotLSN))
-			gauge("factorml_wal_segments", "Live WAL segment files.", float64(ws.Segments))
-			gauge("factorml_wal_bytes", "Live bytes across WAL segments.", float64(ws.Bytes))
-			counter("factorml_wal_appends_total", "WAL records appended.", float64(ws.Appends))
-			counter("factorml_wal_fsyncs_total", "WAL fsyncs (group commits).", float64(ws.Fsyncs))
-			counter("factorml_wal_fsync_seconds_total", "Cumulative WAL fsync time.", ws.FsyncTotal.Seconds())
-			gauge("factorml_wal_last_fsync_seconds", "Duration of the most recent WAL fsync.", ws.LastFsync.Seconds())
-		}
-		for _, d := range s.PlannerDecisions() {
-			emit(metrics.Sample{
-				Name: "factorml_planner_strategy",
-				Help: "Cost-based strategy decision each attached model's next refresh reuses (value is always 1; the decision is in the labels).",
-				Labels: [][2]string{
-					{"model", d.Model}, {"kind", d.Kind}, {"strategy", d.Strategy},
-				},
-				Value: 1,
-			})
-			if fp := d.Statistics; fp != nil {
-				stat := func(name, help string, v float64) {
-					emit(metrics.Sample{Name: "factorml_stream_gmm_stats_" + name, Help: help, Labels: [][2]string{{"model", d.Model}}, Value: v})
-				}
-				stat("rows", "Fact rows absorbed into the model's maintained GMM statistics.", float64(fp.Rows))
-				stat("groups", "Direct dimension tuples holding a slot in the maintained GMM statistics.", float64(fp.Groups))
-				stat("pairs", "Cross-dimension tuple pairs holding a slot in the maintained GMM statistics.", float64(fp.Pairs))
-				stat("bytes", "Bytes the maintained GMM statistics retain.", float64(fp.Bytes))
-			}
+// Samples emits the counters — including the bounded ingest queue's depth
+// and rejection count — as factorml_stream_* samples.
+func (c Counters) Samples(emit metrics.Emit) {
+	emit.Counter("factorml_stream_batches_total", "Ingest batches applied.", float64(c.Batches))
+	emit.Counter("factorml_stream_facts_total", "Fact rows ingested.", float64(c.FactsIngested))
+	emit.Counter("factorml_stream_dim_inserts_total", "Dimension tuples inserted.", float64(c.DimInserts))
+	emit.Counter("factorml_stream_dim_updates_total", "Dimension tuples updated in place.", float64(c.DimUpdates))
+	emit.Counter("factorml_stream_refreshes_total", "Model refreshes run.", float64(c.Refreshes))
+	emit.Counter("factorml_stream_auto_refreshes_total", "Refreshes triggered by the refresh-rows policy.", float64(c.AutoRefreshes))
+	emit.Counter("factorml_stream_rebaselines_total", "GMM statistics rebuilds from scratch.", float64(c.Rebaselines))
+	emit.Counter("factorml_stream_checkpoints_total", "Committed WAL snapshots.", float64(c.Checkpoints))
+	emit.Counter("factorml_stream_ingest_rejections_total", "Batches rejected by the bounded ingest queue.", float64(c.IngestRejections))
+	emit.Gauge("factorml_stream_pending_rows", "Fact rows ingested since the last refresh.", float64(c.PendingRows))
+	emit.Gauge("factorml_stream_ingest_queue_depth", "Admitted-but-unfinished ingest batches.", float64(c.IngestQueueDepth))
+	emit.Gauge("factorml_stream_attached_models", "Models under incremental maintenance.", float64(c.AttachedModels))
+}
+
+// Samples emits each decision as a factorml_planner_strategy gauge and,
+// for a GMM, its maintained statistics' footprint.
+func (ds Decisions) Samples(emit metrics.Emit) {
+	for _, d := range ds {
+		model := [2]string{"model", d.Model}
+		emit.Gauge("factorml_planner_strategy",
+			"Cost-based strategy decision each attached model's next refresh reuses (value is always 1; the decision is in the labels).",
+			1, model, [2]string{"kind", d.Kind}, [2]string{"strategy", d.Strategy})
+		if fp := d.Statistics; fp != nil {
+			emit.Gauge("factorml_stream_gmm_stats_rows", "Fact rows absorbed into the model's maintained GMM statistics.", float64(fp.Rows), model)
+			emit.Gauge("factorml_stream_gmm_stats_groups", "Direct dimension tuples holding a slot in the maintained GMM statistics.", float64(fp.Groups), model)
+			emit.Gauge("factorml_stream_gmm_stats_pairs", "Cross-dimension tuple pairs holding a slot in the maintained GMM statistics.", float64(fp.Pairs), model)
+			emit.Gauge("factorml_stream_gmm_stats_bytes", "Bytes the maintained GMM statistics retain.", float64(fp.Bytes), model)
 		}
 	}
 }

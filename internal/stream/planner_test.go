@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"factorml/internal/gmm"
+	"factorml/internal/metrics"
 	"factorml/internal/nn"
 )
 
@@ -50,9 +51,11 @@ func TestPlannerDecisionsAndRefreshStrategy(t *testing.T) {
 		t.Fatalf("NN decision carries %d estimates, want 3", len(ds[1].Estimates))
 	}
 
-	// The provider shape matches what the server embeds.
-	if v := s.PlannerProvider()(); v == nil {
-		t.Fatal("PlannerProvider returned nil")
+	// The stream's sections carry the decisions the server embeds.
+	reg := metrics.NewRegistry()
+	reg.Add(s.Sections()...)
+	if doc, err := reg.Statsz(); err != nil || doc["planner"] == nil {
+		t.Fatalf("planner section = %v (err %v)", doc["planner"], err)
 	}
 
 	if _, err := s.Ingest(deltaBatch(t, spec, s.idxs, 5, 9)); err != nil {

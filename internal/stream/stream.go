@@ -459,14 +459,18 @@ type PlannerDecision struct {
 	Statistics *Footprint `json:"statistics,omitempty"`
 }
 
+// Decisions is every attached model's planner decision, the "planner"
+// section of /statsz and /metrics.
+type Decisions []PlannerDecision
+
 // PlannerDecisions lists the per-model strategy decisions, sorted by
-// model name — the "planner" section of /statsz. Like Counters, it reads
-// a snapshot under the small counters lock only, so the endpoint stays
-// responsive while a refresh or attach holds the stream lock.
-func (s *Stream) PlannerDecisions() []PlannerDecision {
+// model name. Like Counters, it reads a snapshot under the small counters
+// lock only, so /statsz stays responsive while a refresh or attach holds
+// the stream lock.
+func (s *Stream) PlannerDecisions() Decisions {
 	s.cmu.Lock()
 	defer s.cmu.Unlock()
-	return append([]PlannerDecision{}, s.plannerSnap...)
+	return append(Decisions{}, s.plannerSnap...)
 }
 
 // snapshotPlansLocked rebuilds the planner-decision snapshot. Callers

@@ -215,7 +215,6 @@ func serveFixture(t *testing.T, pol Policy) (*storage.Database, *join.Spec, *ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.NewServer(eng)
 	s, err := New(db, spec, Options{Engine: eng, Registry: reg, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
@@ -226,9 +225,7 @@ func serveFixture(t *testing.T, pol Policy) (*storage.Database, *join.Spec, *ser
 	if err := s.AttachNN("n", nres.Net); err != nil {
 		t.Fatal(err)
 	}
-	srv.SetIngestHandler(s.Handler())
-	srv.SetStreamStats(s.StatsProvider())
-	srv.SetPlannerStats(s.PlannerProvider())
+	srv := serve.NewServer(eng, serve.WithStream(s.Handler(), s.RefreshHandler(), s.Sections()...))
 	return db, spec, reg, eng, srv, s
 }
 
@@ -389,7 +386,7 @@ func TestIngestHTTPAndAutoRefresh(t *testing.T) {
 		t.Fatalf("GMM statistics footprint = %+v", fp)
 	}
 	gauges := map[string]float64{}
-	s.MetricsCollector()(func(m metrics.Sample) {
+	s.PlannerDecisions().Samples(func(m metrics.Sample) {
 		if len(m.Labels) == 1 && m.Labels[0] == [2]string{"model", "g"} {
 			gauges[m.Name] = m.Value
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"factorml/internal/api"
+	"factorml/internal/metrics"
 )
 
 // TraceRecord is the immutable JSON form of a finished trace, as served
@@ -163,8 +164,8 @@ func (t *Tracer) Slow() []*TraceRecord {
 	return out
 }
 
-// Stats is the tracer's own bookkeeping, embedded in /statsz and the
-// debug payloads.
+// Stats is the tracer's own bookkeeping: the "trace" section of /statsz
+// and /metrics, and the header of the debug payloads.
 type Stats struct {
 	Requests        uint64  `json:"requests"`
 	Sampled         uint64  `json:"sampled"`
@@ -173,6 +174,17 @@ type Stats struct {
 	Recorded        uint64  `json:"recorded"`
 	SampleFraction  float64 `json:"sample_fraction"`
 	SlowThresholdMs float64 `json:"slow_threshold_ms"`
+}
+
+// Samples emits the tracer's counters as factorml_trace_* samples.
+func (s Stats) Samples(emit metrics.Emit) {
+	emit.Counter("factorml_trace_requests_total", "Requests the tracer issued a request ID to.", float64(s.Requests))
+	emit.Counter("factorml_trace_sampled_total", "Requests sampled into a span-recording trace.", float64(s.Sampled))
+	emit.Counter("factorml_trace_errors_total", "Sampled traces that finished marked errored.", float64(s.Errors))
+	emit.Counter("factorml_trace_slow_total", "Sampled traces that finished at or over the slow threshold.", float64(s.Slow))
+	emit.Counter("factorml_trace_recorded_total", "Traces kept by the flight recorder.", float64(s.Recorded))
+	emit.Gauge("factorml_trace_sample_fraction", "Configured fraction of requests sampled.", s.SampleFraction)
+	emit.Gauge("factorml_trace_slow_threshold_seconds", "Duration at or over which a trace counts as slow.", s.SlowThresholdMs/1e3)
 }
 
 // Stats returns a snapshot of the tracer's counters.

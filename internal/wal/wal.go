@@ -32,6 +32,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"factorml/internal/metrics"
 )
 
 // maxRecordBytes bounds a single record; longer length prefixes are
@@ -84,8 +86,8 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("wal: corrupt record in segment %s at offset %d: %s", e.Segment, e.Offset, e.Reason)
 }
 
-// Stats is a point-in-time snapshot of log health for /statsz and
-// /metrics.
+// Stats is a point-in-time snapshot of log health, the "wal" section of
+// /statsz and /metrics.
 type Stats struct {
 	LastLSN       int64         `json:"last_lsn"`
 	SnapshotLSN   int64         `json:"snapshot_lsn"`
@@ -97,6 +99,18 @@ type Stats struct {
 	Fsyncs        int64         `json:"fsyncs"`
 	FsyncTotal    time.Duration `json:"fsync_total_ns"`
 	LastFsync     time.Duration `json:"last_fsync_ns"`
+}
+
+// Samples emits the durability watermarks as factorml_wal_* samples.
+func (s Stats) Samples(emit metrics.Emit) {
+	emit.Gauge("factorml_wal_last_lsn", "LSN of the most recent WAL record.", float64(s.LastLSN))
+	emit.Gauge("factorml_wal_snapshot_lsn", "LSN covered by the committed snapshot.", float64(s.SnapshotLSN))
+	emit.Gauge("factorml_wal_segments", "Live WAL segment files.", float64(s.Segments))
+	emit.Gauge("factorml_wal_bytes", "Live bytes across WAL segments.", float64(s.Bytes))
+	emit.Counter("factorml_wal_appends_total", "WAL records appended.", float64(s.Appends))
+	emit.Counter("factorml_wal_fsyncs_total", "WAL fsyncs (group commits).", float64(s.Fsyncs))
+	emit.Counter("factorml_wal_fsync_seconds_total", "Cumulative WAL fsync time.", s.FsyncTotal.Seconds())
+	emit.Gauge("factorml_wal_last_fsync_seconds", "Duration of the most recent WAL fsync.", s.LastFsync.Seconds())
 }
 
 type segment struct {

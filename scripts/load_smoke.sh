@@ -5,7 +5,10 @@
 # every request answered 200/429/503 — never an unstructured failure) and
 # that /metrics serves valid Prometheus text format afterwards. A second
 # loadgen pass at 2× the saturated in-flight budget must produce
-# structured 429s, proving overload degrades into fast rejections.
+# structured 429s, proving overload degrades into fast rejections. The
+# server batches predicts (-batch-window), and one FMB1 row with a NaN
+# feature must come back as a per-row non_finite_feature error from the
+# batcher's flush goroutine, with the server still ready afterwards.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -51,9 +54,9 @@ echo "== training and saving a model"
 "$tmp/train" -db "$tmp/db" -fact synth_S -dims synth_R1 -model nn -algo f \
     -hidden 8 -epochs 2 -save load-nn
 
-echo "== booting serve with admission control + metrics + streaming + debug listener"
+echo "== booting serve with admission control + batching + metrics + streaming + debug listener"
 "$tmp/serve" -db "$tmp/db" -dims synth_R1 -fact synth_S \
-    -max-inflight 4 -max-ingest-queue 8 \
+    -max-inflight 4 -max-ingest-queue 8 -batch-window 1ms -max-batch 64 \
     -trace-slow-ms 1 -debug-addr 127.0.0.1:0 \
     -addr 127.0.0.1:0 >"$tmp/serve.log" 2>&1 &
 server_pid=$!
@@ -107,6 +110,18 @@ if grep -q '"transport_errors": [^0]' "$out"; then
 fi
 grep -q '"p999_request_id"' "$out"
 grep -q '"max_request_id"' "$out"
+
+echo "== a NaN feature in a batched binary predict is a row error, not a crash"
+# 52-byte FMB1 request: header (magic, type 1, pad, 1 row, 3 features,
+# 1 key), features NaN 0 0 as little-endian float64, key 5.
+printf 'FMB1\x01\x00\x00\x00\x01\x00\x00\x00\x03\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\xf8\x7f\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00' >"$tmp/nan.fmb1"
+[ "$(wc -c <"$tmp/nan.fmb1")" -eq 52 ] || { echo "NaN request is not 52 bytes" >&2; exit 1; }
+curl -sS -X POST "http://$addr/v1/models/load-nn/predict" \
+    -H 'Content-Type: application/x-factorml-binary' \
+    --data-binary @"$tmp/nan.fmb1" -o "$tmp/nan.out" || { echo "NaN predict got no response" >&2; cat "$tmp/serve.log" >&2; exit 1; }
+grep -aq 'non_finite_feature' "$tmp/nan.out" || { echo "NaN predict answered without a non_finite_feature row error" >&2; exit 1; }
+curl -sf "http://$addr/readyz" >/dev/null || { echo "server not ready after the NaN predict" >&2; cat "$tmp/serve.log" >&2; exit 1; }
+echo "   NaN row answered non_finite_feature; server still ready"
 
 # Predicts are fast enough (sub-millisecond) that the ramp alone may fill
 # the slowest-N list with ingests; one deliberately heavy batch exercises
