@@ -119,7 +119,7 @@ func defineFlags(fs *flag.FlagSet, o *serveFlags) {
 	fs.StringVar(&o.dims, "dims", "", "comma-separated dimension table names, join order (checked against the catalog's references when -fact is given)")
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address (port 0 picks a free port)")
 	fs.IntVar(&o.workers, "workers", 0, "prediction worker pool size (0 = all CPUs, 1 = sequential); responses are bit-identical for every value")
-	fs.IntVar(&o.cacheEntries, "cache", 0, "per-(model, dimension) LRU capacity in entries (0 = default 4096)")
+	fs.IntVar(&o.cacheEntries, "cache", 0, "per-(model, dimension) LRU capacity in entries (0 = default 4096); an entry costs its cached floats × 8 bytes plus a 64-byte slot, and memory follows occupancy")
 	fs.IntVar(&o.batchRows, "batch", 0, "rows per worker micro-batch chunk (0 = default 64)")
 	fs.StringVar(&o.fact, "fact", "", "fact table name; enables streaming ingestion at POST /v1/ingest")
 	fs.IntVar(&o.refreshRows, "refresh-rows", 0, "auto-refresh attached models once this many ingested fact rows are pending (0 = manual; needs -fact)")

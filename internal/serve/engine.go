@@ -53,7 +53,12 @@ type EngineConfig struct {
 	// cached partial results (entries, not bytes). 0 selects
 	// DefaultCacheEntries. Cache hits and misses never change a prediction
 	// — cached partials are pure functions of the model and the dimension
-	// tuple — only its cost.
+	// tuple — only its cost. One entry costs its value's floats × 8 bytes
+	// (an NN: the first hidden layer's width; a GMM: K × (1 + dS + the
+	// node's width), with no dS for a diagonal model and no node width on
+	// a one-node plan or a diagonal model) plus a 64-byte slot and a map
+	// entry. Memory follows occupancy: capacity no tuple fills costs
+	// nothing, and Stats.DimCacheBytes reports what is held.
 	CacheEntries int
 
 	// BatchRows is the number of request rows per worker chunk. 0 selects
@@ -114,9 +119,16 @@ type modelState struct {
 	scorer  *gmm.Scorer // KindGMM
 	caches  []*dimCache // one per dimension relation
 	scratch sync.Pool   // *predScratch
+	// A GMM value holds K records of Self, crossW floats of CrossS (dS for
+	// a full model, none for a diagonal one) and, when keepPD, the PD.
+	crossW int
+	keepPD bool
 }
 
-// predScratch is per-goroutine scoring scratch.
+// predScratch is per-goroutine scoring scratch. qcaches[j] holds the K
+// QuadCache views of node j's current GMM value: Self loaded, CrossS and
+// PD aliasing the shared value — or, when the value keeps no PD, PD the
+// view's own buffer, which the first fill allocates and later fills reuse.
 type predScratch struct {
 	fwd     *nn.ForwardScratch
 	parts   [][]float64
@@ -124,6 +136,33 @@ type predScratch struct {
 	gsc     *gmm.ScoreScratch
 	pks     []int64
 	pos     []int
+}
+
+// valueLen is the length of node j's cached value: the NN layer-1
+// partial t_m, or the GMM's K per-component (Self, CrossS, PD) records.
+func (st *modelState) valueLen(j int) int {
+	if st.net != nil {
+		return st.net.HiddenWidth()
+	}
+	n := 1 + st.crossW
+	if st.keepPD {
+		n += st.p.Dims[1+j]
+	}
+	return st.scorer.K() * n
+}
+
+// bind points QuadCache views at a GMM value: Self is loaded, CrossS (and
+// PD when kept) alias the value, and nothing is copied.
+func (st *modelState) bind(views []core.QuadCache, val []float64) {
+	stride, cw := len(val)/len(views), st.crossW
+	for c := range views {
+		v := val[c*stride : (c+1)*stride : (c+1)*stride]
+		views[c].Self = v[0]
+		views[c].CrossS = v[1 : 1+cw : 1+cw]
+		if st.keepPD {
+			views[c].PD = v[1+cw:]
+		}
+	}
 }
 
 // Engine scores request batches against registered models over a fixed
@@ -294,6 +333,13 @@ func (e *Engine) state(name string) (*modelState, error) {
 			return nil, err
 		}
 		st.scorer = scorer
+		// The fused kernel reads a dimension PD only in the pair terms
+		// between two dimension nodes of a full model, so a one-node plan
+		// or a diagonal model caches none.
+		if !ent.gmm.Diagonal {
+			st.crossW = dS
+			st.keepPD = len(e.idxs) >= 2
+		}
 	default:
 		return nil, fmt.Errorf("serve: model %q has unknown kind %q", name, ent.info.Kind)
 	}
@@ -314,6 +360,9 @@ func (e *Engine) state(name string) (*modelState, error) {
 		}
 		if st.scorer != nil {
 			sc.gsc = st.scorer.NewScratch()
+			for j := range sc.qcaches {
+				sc.qcaches[j] = make([]core.QuadCache, st.scorer.K())
+			}
 		}
 		return sc
 	}
@@ -321,19 +370,22 @@ func (e *Engine) state(name string) (*modelState, error) {
 	return st, nil
 }
 
-// dimPartial returns dimension relation j's cached partial for the tuple
-// with primary key fk, computing and caching it on a miss: the NN layer-1
-// partial pre-activation t_m (§VI-A1) or the K GMM quadratic-form caches
-// (Eq. 7-12). The value is a pure function of (model version, dimension
-// features), so hits, misses and racing double-computations all yield
-// identical bits. The current features are looked up first and passed to
-// the cache as its freshness token (see dimCache): an entry computed from
-// a since-replaced feature slice — including one racing a streaming
-// dimension update — is never served.
+// dimPartial points sc at dimension relation j's cached partial for the
+// tuple with primary key fk, computing and caching it on a miss: the NN
+// layer-1 partial pre-activation t_m (§VI-A1) goes to sc.parts[j], the K
+// GMM quadratic-form caches (Eq. 7-12) to the views sc.qcaches[j]. The
+// value is a pure function of (model version, dimension features), so
+// hits, misses and racing double-computations all yield identical bits. A
+// miss allocates the one value, fills it (a GMM through the views bound to
+// it), then puts it; nothing writes a value after the put. The current
+// features are looked up first and passed to the cache as its freshness
+// token (see dimCache): an entry computed from a since-replaced feature
+// slice — including one racing a streaming dimension update — is never
+// served.
 // A traced request additionally records one "cache.lookup" span per
 // probe (table + hit/miss), the deepest level of the request trace; the
 // zero Span passed on the untraced path makes every span call a no-op.
-func (e *Engine) dimPartial(st *modelState, sc *predScratch, j int, fk int64, psp trace.Span) (any, error) {
+func (e *Engine) dimPartial(st *modelState, sc *predScratch, j int, fk int64, psp trace.Span) error {
 	var lsp trace.Span
 	if psp.Active() {
 		lsp = psp.Child("cache.lookup")
@@ -343,27 +395,31 @@ func (e *Engine) dimPartial(st *modelState, sc *predScratch, j int, fk int64, ps
 	if !ok {
 		lsp.Fail("unknown foreign key")
 		lsp.End()
-		return nil, fmt.Errorf("unknown foreign key %d for dimension table %q", fk, e.idxs[j].Name())
+		return fmt.Errorf("unknown foreign key %d for dimension table %q", fk, e.idxs[j].Name())
 	}
-	if v, ok := st.caches[j].get(fk, feats); ok {
-		lsp.SetBool("hit", true)
-		lsp.End()
-		return v, nil
+	val, hit := st.caches[j].get(fk, feats)
+	if !hit {
+		val = make([]float64, st.valueLen(j))
+		if st.net != nil {
+			st.net.PartialPreAct(val, st.p.Offs[1+j], feats)
+		} else {
+			views := sc.qcaches[j]
+			st.bind(views, val)
+			st.scorer.FillDimCaches(views, 1+j, feats, nil)
+			for c := range views {
+				val[c*len(val)/len(views)] = views[c].Self
+			}
+		}
+		st.caches[j].put(fk, val, feats)
 	}
-	var v any
 	if st.net != nil {
-		t := make([]float64, st.net.HiddenWidth())
-		st.net.PartialPreAct(t, st.p.Offs[1+j], feats)
-		v = t
-	} else {
-		qc := make([]core.QuadCache, st.scorer.K())
-		st.scorer.FillDimCaches(qc, 1+j, feats, nil)
-		v = qc
+		sc.parts[j] = val
+	} else if hit {
+		st.bind(sc.qcaches[j], val)
 	}
-	st.caches[j].put(fk, v, feats)
-	lsp.SetBool("hit", false)
+	lsp.SetBool("hit", hit)
 	lsp.End()
-	return v, nil
+	return nil
 }
 
 // scoreRow fills out for one row. Row-level failures land in out.Err with
@@ -394,16 +450,10 @@ func (e *Engine) scoreRow(st *modelState, sc *predScratch, row *Row, out *Predic
 		return
 	}
 	for j, fk := range sc.pks {
-		v, err := e.dimPartial(st, sc, j, fk, sp)
-		if err != nil {
+		if err := e.dimPartial(st, sc, j, fk, sp); err != nil {
 			out.Err = err.Error()
 			out.Code = api.CodeUnknownForeignKey
 			return
-		}
-		if st.net != nil {
-			sc.parts[j] = v.([]float64)
-		} else {
-			sc.qcaches[j] = v.([]core.QuadCache)
 		}
 	}
 	if st.net != nil {
@@ -560,6 +610,9 @@ type Stats struct {
 	DimCacheMisses  uint64  `json:"dim_cache_misses"`
 	DimCacheHitRate float64 `json:"dim_cache_hit_rate"`
 	DimCacheEntries int     `json:"dim_cache_entries"`
+	// DimCacheBytes is what the live caches hold: their values plus slot
+	// and map bookkeeping.
+	DimCacheBytes int `json:"dim_cache_bytes"`
 	// DimInvalidations counts cache entries surgically dropped by
 	// streaming dimension updates (ApplyDimUpdate).
 	DimInvalidations uint64  `json:"dim_invalidations"`
@@ -576,6 +629,7 @@ func (s Stats) Samples(emit metrics.Emit) {
 	emit.Counter("factorml_engine_dim_cache_misses_total", "Per-dimension-tuple partial cache misses.", float64(s.DimCacheMisses))
 	emit.Gauge("factorml_engine_dim_cache_hit_rate", "Cache hit fraction since boot.", s.DimCacheHitRate)
 	emit.Gauge("factorml_engine_dim_cache_entries", "Live cache entries across models.", float64(s.DimCacheEntries))
+	emit.Gauge("factorml_engine_dim_cache_bytes", "Bytes held by live cache entries across models.", float64(s.DimCacheBytes))
 	emit.Counter("factorml_engine_dim_invalidations_total", "Cache entries dropped by streaming dimension updates.", float64(s.DimInvalidations))
 	emit.Counter("factorml_engine_predict_seconds_total", "Cumulative in-engine predict time.", float64(s.PredictNsTotal)/1e9)
 }
@@ -599,7 +653,9 @@ func (e *Engine) Stats() Stats {
 			h, m := c.counters()
 			s.DimCacheHits += h
 			s.DimCacheMisses += m
-			s.DimCacheEntries += c.len()
+			n, b := c.size()
+			s.DimCacheEntries += n
+			s.DimCacheBytes += b
 		}
 	}
 	e.mu.Unlock()

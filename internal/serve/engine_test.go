@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,10 +16,24 @@ import (
 // TestEngineRoundTrip is the end-to-end contract: train → save → close →
 // reopen → serve, asserting served predictions against in-process dense
 // evaluation (exact to summation order) and bit-identical behaviour across
-// worker counts and cache states.
+// worker counts and cache states. It runs on a two-dimension star, whose
+// cached GMM partials keep each tuple's PD for the pair terms, and on a
+// one-dimension star, whose partials drop it.
 func TestEngineRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		nr, dr []int
+	}{
+		{"two-dims", []int{25, 10}, []int{2, 2}},
+		{"one-dim", []int{25}, []int{4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testEngineRoundTrip(t, tc.nr, tc.dr) })
+	}
+}
+
+func testEngineRoundTrip(t *testing.T, nr, dr []int) {
 	dir := t.TempDir()
-	db, spec := testStar(t, dir)
+	db, spec := testStarOf(t, dir, nr, dr)
 	net, model := trainModels(t, db, spec)
 	rows, joined := factRows(t, spec, 0)
 
@@ -106,6 +121,7 @@ func TestEngineRoundTrip(t *testing.T) {
 		{NumWorkers: 4, BatchRows: 7},
 		{NumWorkers: 8, CacheEntries: 2},
 		{NumWorkers: 3, CacheEntries: 1, BatchRows: 1},
+		{NumWorkers: 1, CacheEntries: 1},
 	} {
 		eng2, err := serve.NewEngine(reg2, mustPlan(t, dims), cfg)
 		if err != nil {
@@ -162,6 +178,34 @@ func TestEngineCacheHitRate(t *testing.T) {
 	}
 	if s.PredictNsTotal == 0 || s.AvgRowMicros == 0 {
 		t.Fatalf("latency counters: %+v", s)
+	}
+}
+
+// TestCacheEntriesIsABound pins CacheEntries as an upper bound, not a
+// preallocation: with room for four million entries per (model, node),
+// the first predict over 35 distinct dimension tuples allocates far less
+// than a megabyte, and the cache reports bytes for what it holds.
+func TestCacheEntriesIsABound(t *testing.T) {
+	db, spec := testStar(t, t.TempDir())
+	defer db.Close()
+	net, _ := trainModels(t, db, spec)
+	reg, eng := newTestEngine(t, db, spec, serve.EngineConfig{NumWorkers: 1, CacheEntries: 1 << 22})
+	if err := reg.SaveNN("m", net); err != nil {
+		t.Fatal(err)
+	}
+	rows, _ := factRows(t, spec, 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := eng.Predict("m", rows); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
+		t.Fatalf("first predict allocated %d bytes with CacheEntries 1<<22, want < 1 MiB", grown)
+	}
+	s := eng.Stats()
+	if s.DimCacheEntries == 0 || s.DimCacheBytes < s.DimCacheEntries*8*net.HiddenWidth() || s.DimCacheBytes >= 1<<20 {
+		t.Fatalf("cache reports %d entries in %d bytes", s.DimCacheEntries, s.DimCacheBytes)
 	}
 }
 

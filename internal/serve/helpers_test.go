@@ -14,12 +14,20 @@ import (
 // testStar generates a small two-dimension star schema with a target.
 func testStar(t testing.TB, dir string) (*storage.Database, *join.Spec) {
 	t.Helper()
+	return testStarOf(t, dir, []int{25, 10}, []int{2, 2})
+}
+
+// testStarOf generates a small star schema with a target: 600 fact tuples
+// of width 3 over one dimension table per nr entry, nr[j] tuples of width
+// dr[j].
+func testStarOf(t testing.TB, dir string, nr, dr []int) (*storage.Database, *join.Spec) {
+	t.Helper()
 	db, err := storage.Open(dir, storage.Options{PoolPages: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec, err := data.Generate(db, "synth", data.SynthConfig{
-		NS: 600, NR: []int{25, 10}, DS: 3, DR: []int{2, 2}, Seed: 2, WithTarget: true,
+		NS: 600, NR: nr, DS: 3, DR: dr, Seed: 2, WithTarget: true,
 	})
 	if err != nil {
 		t.Fatal(err)

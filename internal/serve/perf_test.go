@@ -51,6 +51,30 @@ func TestPredictZeroAlloc(t *testing.T) {
 			t.Errorf("%s: steady-state PredictInto allocates %.1f objects per call, want 0", name, allocs)
 		}
 	}
+
+	// An evicting engine misses on most probes; each miss allocates its
+	// one cached value and nothing else.
+	evicting, err := serve.NewEngine(reg, spec.Plan(), serve.EngineConfig{NumWorkers: 1, CacheEntries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"m-nn", "m-gmm"} {
+		if _, err := evicting.PredictInto(name, rows, out); err != nil {
+			t.Fatal(err)
+		}
+		const runs = 50
+		before := evicting.Stats().DimCacheMisses
+		allocs := testing.AllocsPerRun(runs, func() {
+			if _, err := evicting.PredictInto(name, rows, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// AllocsPerRun makes one warm-up call before the timed runs.
+		misses := float64(evicting.Stats().DimCacheMisses-before) / (runs + 1)
+		if misses == 0 || allocs > misses {
+			t.Errorf("%s: evicting PredictInto allocates %.1f objects per call for %.1f misses, want at most one per miss", name, allocs, misses)
+		}
+	}
 }
 
 // predictJSON posts a JSON predict request and decodes the response.

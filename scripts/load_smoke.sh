@@ -8,7 +8,10 @@
 # structured 429s, proving overload degrades into fast rejections. The
 # server batches predicts (-batch-window), and one FMB1 row with a NaN
 # feature must come back as a per-row non_finite_feature error from the
-# batcher's flush goroutine, with the server still ready afterwards.
+# batcher's flush goroutine, with the server still ready afterwards. The
+# server's partial cache holds 4 entries per (model, dimension) against a
+# 20-tuple dimension, so the ramp's concurrent predicts and ingests evict
+# and reuse cache slots all the time; /statsz must show the bound held.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -54,8 +57,8 @@ echo "== training and saving a model"
 "$tmp/train" -db "$tmp/db" -fact synth_S -dims synth_R1 -model nn -algo f \
     -hidden 8 -epochs 2 -save load-nn
 
-echo "== booting serve with admission control + batching + metrics + streaming + debug listener"
-"$tmp/serve" -db "$tmp/db" -dims synth_R1 -fact synth_S \
+echo "== booting serve with admission control + batching + metrics + streaming + debug listener + an evicting cache"
+"$tmp/serve" -db "$tmp/db" -dims synth_R1 -fact synth_S -cache 4 \
     -max-inflight 4 -max-ingest-queue 8 -batch-window 1ms -max-batch 64 \
     -trace-slow-ms 1 -debug-addr 127.0.0.1:0 \
     -addr 127.0.0.1:0 >"$tmp/serve.log" 2>&1 &
@@ -110,6 +113,16 @@ if grep -q '"transport_errors": [^0]' "$out"; then
 fi
 grep -q '"p999_request_id"' "$out"
 grep -q '"max_request_id"' "$out"
+
+echo "== the 4-entry partial cache stayed bounded while it evicted"
+curl -sSf "http://$addr/statsz" | python3 -c '
+import json, sys
+s = json.load(sys.stdin)
+entries, misses, models, size = (s[k] for k in ("dim_cache_entries", "dim_cache_misses", "models", "dim_cache_bytes"))
+print(f"   dim_cache_entries {entries} over {models} model(s), misses {misses}, bytes {size}")
+assert entries <= 4 * models, f"{entries} cache entries exceed 4 per (model, dimension)"
+assert misses > 20, f"only {misses} cache misses: the cache did not evict"
+'
 
 echo "== a NaN feature in a batched binary predict is a row error, not a crash"
 # 52-byte FMB1 request: header (magic, type 1, pad, 1 row, 3 features,
