@@ -29,7 +29,7 @@ func TestAutoMatchesCheapestEstimateAndTrainsBitIdentically(t *testing.T) {
 		seed := masterSeed + int64(1000+i)
 		rng := rand.New(rand.NewSource(seed))
 		db := openDB(t)
-		fact, _, shape := buildRandomSnowflake(t, db, rng, true)
+		fact, _, shape := buildRandomSnowflake(t, db, rng, true, false)
 		ds, err := db.Dataset(fact)
 		if err != nil {
 			t.Fatalf("seed %d (%s): %v", seed, shape, err)
@@ -120,7 +120,7 @@ func TestAutoAlgorithmString(t *testing.T) {
 func TestPlanRejectsBadConfig(t *testing.T) {
 	db := openDB(t)
 	rng := rand.New(rand.NewSource(7))
-	fact, _, _ := buildRandomSnowflake(t, db, rng, true)
+	fact, _, _ := buildRandomSnowflake(t, db, rng, true, false)
 	ds, err := db.Dataset(fact)
 	if err != nil {
 		t.Fatal(err)

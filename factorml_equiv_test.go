@@ -51,14 +51,24 @@ type rdim struct {
 	subs  []*rdim
 	// alive[i] reports whether every hop below tuple i resolves.
 	alive []bool
+	keyOf func(i int64) int64 // tuple i's primary key; nil: i
+}
+
+func (d *rdim) key(i int64) int64 {
+	if d.keyOf == nil {
+		return i
+	}
+	return d.keyOf(i)
 }
 
 // buildRandomSnowflake creates a random schema in db and returns the fact
 // table, the number of fact rows the join keeps, and a shape description
 // for failure messages. Without allowDangling no sub-reference dangles, so the
 // join keeps every fact row (the streaming tier rejects a dangling chain
-// where the trainers' inner join drops its rows).
-func buildRandomSnowflake(t *testing.T, db *DB, rng *rand.Rand, allowDangling bool) (*FactTable, int, string) {
+// where the trainers' inner join drops its rows). With sparseKeys the first
+// direct dimension stores its tuple i under key 10·i − 7, a key space the
+// resident indexes serve through their key maps.
+func buildRandomSnowflake(t *testing.T, db *DB, rng *rand.Rand, allowDangling, sparseKeys bool) (*FactTable, int, string) {
 	t.Helper()
 	depth := 1 + rng.Intn(3)
 	nRows := 40 + rng.Intn(121)
@@ -150,9 +160,9 @@ func buildRandomSnowflake(t *testing.T, db *DB, rng *rand.Rand, allowDangling bo
 			}
 			var err error
 			if len(subs) == 0 {
-				err = tbl.Append(int64(i), feats)
+				err = tbl.Append(d.key(int64(i)), feats)
 			} else {
-				err = tbl.AppendRefs(int64(i), fks, feats)
+				err = tbl.AppendRefs(d.key(int64(i)), fks, feats)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -178,6 +188,9 @@ func buildRandomSnowflake(t *testing.T, db *DB, rng *rand.Rand, allowDangling bo
 		roots[0].subs = append(roots[0].subs, &rdim{level: 2, width: 6, n: 3})
 		total++
 	}
+	if sparseKeys {
+		roots[0].keyOf = func(i int64) int64 { return 10*i - 7 }
+	}
 	for _, r := range roots {
 		direct = append(direct, create(r))
 	}
@@ -192,9 +205,10 @@ func buildRandomSnowflake(t *testing.T, db *DB, rng *rand.Rand, allowDangling bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	shape += fmt.Sprintf(" rows=%d dS=%d sparse=%v", nRows, dS, sparse)
+	shape += fmt.Sprintf(" rows=%d dS=%d sparse=%v sparseKeys=%v", nRows, dS, sparse, sparseKeys)
 	feats := make([]float64, dS)
 	fks := make([]int64, len(roots))
+	keys := make([]int64, len(roots))
 	kept := 0
 	for i := 0; i < nRows; i++ {
 		y := 0.0
@@ -213,11 +227,12 @@ func buildRandomSnowflake(t *testing.T, db *DB, rng *rand.Rand, allowDangling bo
 				fks[j] = int64(rng.Intn(r.n))
 			}
 			alive = alive && r.alive[fks[j]]
+			keys[j] = r.key(fks[j])
 		}
 		if alive {
 			kept++
 		}
-		if err := fact.Append(int64(i), fks, feats, 0.3*y+0.1*rng.NormFloat64()); err != nil {
+		if err := fact.Append(int64(i), keys, feats, 0.3*y+0.1*rng.NormFloat64()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,7 +266,7 @@ func TestRandomizedCrossStrategyEquivalence(t *testing.T) {
 		seed := masterSeed + int64(i)
 		rng := rand.New(rand.NewSource(seed))
 		db := openDB(t)
-		fact, kept, shape := buildRandomSnowflake(t, db, rng, true)
+		fact, kept, shape := buildRandomSnowflake(t, db, rng, true, false)
 		ds, err := db.Dataset(fact)
 		if err != nil {
 			t.Fatalf("seed %d (%s): %v", seed, shape, err)

@@ -201,7 +201,7 @@ func TestOnePassMatchesThreePassOracle(t *testing.T) {
 		seed := masterSeed + int64(i)
 		rng := rand.New(rand.NewSource(seed))
 		db := openDB(t)
-		fact, _, shape := buildRandomSnowflake(t, db, rng, true)
+		fact, _, shape := buildRandomSnowflake(t, db, rng, true, false)
 		ds, err := db.Dataset(fact)
 		if err != nil {
 			t.Fatalf("seed %d (%s): %v", seed, shape, err)

@@ -16,7 +16,8 @@ import (
 // (depth 1–3, shared sub-dimensions, zero-width and single-row dimensions,
 // the sparse one-row-per-tuple shape) feeds stream.GMMStats a change feed —
 // fact appends, direct-dimension inserts, dimension updates that repoint
-// sub-keys — and asserts that
+// sub-keys, on dense and on sparse (10·i − 7) direct-dimension keys — and
+// asserts that
 //
 //   - every way of cutting the feed into absorb batches, under NumWorkers ∈
 //     {1, 2, 4}, ends in the same Step model, log-likelihood and slot counts
@@ -54,7 +55,10 @@ func TestStreamStatsOracle(t *testing.T) {
 		seed := masterSeed + int64(i)
 		rng := rand.New(rand.NewSource(seed))
 		db := openDB(t)
-		fact, _, shape := buildRandomSnowflake(t, db, rng, false)
+		// Every third schema keys its first direct dimension sparsely
+		// (10·i − 7), so its resident index resolves through a key map.
+		sparseKeys := i%3 == 2
+		fact, _, shape := buildRandomSnowflake(t, db, rng, false, sparseKeys)
 		ds, err := db.Dataset(fact)
 		if err != nil {
 			t.Fatalf("seed %d (%s): %v", seed, shape, err)
@@ -120,6 +124,9 @@ func TestStreamStatsOracle(t *testing.T) {
 				// fact rows may reference …
 				j := direct[rng.Intn(len(direct))]
 				pk := int64(idxs[j].Len())
+				if sparseKeys && j == direct[0] {
+					pk = 10*pk - 7
+				}
 				subs, feats := randomTuple(j)
 				fatal(spec.Rs[j].Append(&storage.Tuple{Keys: append([]int64{pk}, subs...), Features: feats}))
 				fatal(spec.Rs[j].Flush())

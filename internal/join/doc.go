@@ -45,6 +45,14 @@
 // styles, which is what makes the M/S/F training algorithms produce
 // identical models.
 //
+// ResidentIndex is the serve- and stream-time form of the resident
+// relations: one flat feature arena per dimension table, indexed by tuple
+// ordinal, with no key map while the keys are 0…n−1. An (ordinal, version)
+// pair names one tuple value — Upsert overwrites in place and bumps the
+// version — so caches derived from the index key on it. Row copies a tuple
+// out with its version under the index's lock, for readers racing Upserts;
+// Lookup and At return views, for callers that exclude them.
+//
 // RunParallel's chunks belong to the run (see internal/parallel). A chunk
 // holds its copies of the fact tuples, the matches its probe worker
 // produces and the caller's accumulator; OnChunkMerged folds the

@@ -171,12 +171,12 @@ func (rv *Resolver) Hop(i int, fks []int64, pos []int) (int64, error) {
 	if parent := rv.Parent[i]; parent == -1 {
 		pk = fks[rv.Ref[i]]
 	} else {
-		subs := rv.Idxs[parent].SubsAt(pos[parent])
-		if rv.Ref[i] >= len(subs) {
+		pix := rv.Idxs[parent]
+		if rv.Ref[i] >= pix.NumRefs() {
 			return 0, fmt.Errorf("join: tuple %d of dimension table %q has %d sub-keys, resolver wants key %d",
-				pos[parent], rv.Idxs[parent].Name(), len(subs), rv.Ref[i])
+				pos[parent], pix.Name(), pix.NumRefs(), rv.Ref[i])
 		}
-		pk = subs[rv.Ref[i]]
+		pk = pix.SubAt(pos[parent], rv.Ref[i])
 	}
 	at, ok := rv.Idxs[i].Pos(pk)
 	if !ok {

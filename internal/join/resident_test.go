@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"factorml/internal/storage"
@@ -115,7 +116,7 @@ func TestResidentIndexUpsert(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	old, _ := ix.Lookup(1)
+	v0, v2 := ix.Version(0), ix.Version(2)
 	isNew, err := ix.Upsert(1, nil, []float64{7, 8})
 	if err != nil || isNew {
 		t.Fatalf("Upsert(existing) = new=%v err=%v", isNew, err)
@@ -124,14 +125,18 @@ func TestResidentIndexUpsert(t *testing.T) {
 	if cur[0] != 7 || cur[1] != 8 {
 		t.Fatalf("Lookup after update = %v", cur)
 	}
-	// Copy-on-write contract: the previously returned slice is untouched
-	// and the replacement is a distinct slice — slice identity is the
-	// freshness token the serving caches rely on.
-	if old[0] != 1 || old[1] != 0 {
-		t.Fatalf("old slice mutated: %v", old)
+	// Versions are the freshness token the serving caches rely on: the
+	// updated ordinal's moves, an untouched one's does not, and Row returns
+	// the features with the version they belong to.
+	row := make([]float64, 2)
+	if v := ix.Row(1, row); v != 1 || row[0] != 7 || row[1] != 8 {
+		t.Fatalf("Row(1) = %v at version %d, want [7 8] at 1", row, v)
 	}
-	if &old[0] == &cur[0] {
-		t.Fatal("Upsert reused the old backing slice")
+	if ix.Version(0) != v0 || ix.Version(2) != v2 {
+		t.Fatalf("untouched versions moved: %d→%d, %d→%d", v0, ix.Version(0), v2, ix.Version(2))
+	}
+	if _, err := ix.Upsert(1, nil, []float64{9, 9}); err != nil || ix.Version(1) != 2 {
+		t.Fatalf("second update: version %d, err %v; want 2", ix.Version(1), err)
 	}
 	// Dense positions are stable across updates; new keys append.
 	if p, ok := ix.Pos(1); !ok || p != 1 {
@@ -144,11 +149,17 @@ func TestResidentIndexUpsert(t *testing.T) {
 	if p, ok := ix.Pos(99); !ok || p != 3 {
 		t.Fatalf("Pos(99) = %d, %v; want 3", p, ok)
 	}
-	if pk, f := ix.At(3); pk != 99 || f[1] != 2 {
-		t.Fatalf("At(3) = %d, %v", pk, f)
+	if pk, f := ix.At(3); pk != 99 || f[1] != 2 || ix.Version(3) != 0 {
+		t.Fatalf("At(3) = %d, %v at version %d", pk, f, ix.Version(3))
 	}
 	if ix.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", ix.Len())
+	}
+	// Ordinals are stable through the switch to a key map.
+	for pk, want := range map[int64]int{0: 0, 1: 1, 2: 2, 3: -1} {
+		if p, ok := ix.Pos(pk); ok != (want >= 0) || (ok && p != want) {
+			t.Fatalf("after the sparse insert Pos(%d) = %d, %v; want %d", pk, p, ok, want)
+		}
 	}
 	if _, err := ix.Upsert(5, nil, []float64{1}); err == nil {
 		t.Fatal("Upsert accepted a wrong-width vector")
@@ -210,4 +221,135 @@ func TestResolverHops(t *testing.T) {
 	if _, err := short.Hop(2, nil, []int{0, 0, 0, 0, 0}); err == nil || !strings.Contains(err.Error(), `"BB" has 1 sub-keys, resolver wants key 3`) {
 		t.Fatalf("sub-key out of range: %v", err)
 	}
+}
+
+// TestResidentIndexRowIsConsistent hammers Row readers against Upsert
+// writers of the same ordinals: the writer of ordinal i installs (v, v, …)
+// as version v, so every read must return features that all equal the
+// version it came with. Run under -race it also pins the index's locking.
+func TestResidentIndexRowIsConsistent(t *testing.T) {
+	const n, width, writes = 4, 8, 2000
+	ix := &ResidentIndex{name: "r", width: width}
+	for i := 0; i < n; i++ {
+		if _, err := ix.Upsert(int64(i), nil, make([]float64, width)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) { // the one writer of ordinal i
+			defer wg.Done()
+			feats := make([]float64, width)
+			for v := 1; v <= writes; v++ {
+				for c := range feats {
+					feats[c] = float64(v)
+				}
+				if _, err := ix.Upsert(int64(i), nil, feats); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(i)
+	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			row := make([]float64, width)
+			for r := 0; r < writes; r++ {
+				i := (g + r) % n
+				v := ix.Row(i, row)
+				for c, x := range row {
+					if x != float64(v) {
+						t.Errorf("Row(%d) at version %d has feature %d = %v", i, v, c, x)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if v := ix.Version(i); v != writes {
+			t.Fatalf("ordinal %d ends at version %d, want %d", i, v, writes)
+		}
+	}
+}
+
+// FuzzResidentIndex replays an upsert/lookup sequence against a map
+// reference: after every operation Len, Pos, At, Row, Version and SubAt
+// agree with it, and the index holds a key map exactly once some insert's
+// key was not the next ordinal. Each operation is two bytes: an opcode
+// and a key (key−8, so negative keys occur).
+func FuzzResidentIndex(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0})              // dense inserts, one update
+	f.Add([]byte{0, 0, 1, 200, 0, 0, 2, 3, 1, 208})    // a sparse key mid-stream
+	f.Add([]byte{1, 7, 1, 8, 2, 8, 1, 9, 0, 0, 2, 30}) // sparse from the first insert
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type tuple struct {
+			ord, ver int
+			x        float64
+		}
+		const width, nrefs = 2, 1
+		ix := &ResidentIndex{name: "f", width: width, nrefs: nrefs}
+		ref := map[int64]*tuple{}
+		var keys []int64 // ordinal -> key
+		sparse := false
+		row := make([]float64, width)
+		for s := 0; s+1 < len(ops) && s < 128; s += 2 {
+			key := int64(ops[s+1]) - 8
+			x := float64(s)
+			switch ops[s] % 3 {
+			case 0: // insert at the next ordinal (dense when no map yet)
+				key = int64(len(keys))
+				if _, ok := ref[key]; ok {
+					continue
+				}
+				fallthrough
+			case 1: // upsert key
+				isNew, err := ix.Upsert(key, []int64{key + 1}, []float64{x, -x})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tp, had := ref[key]
+				if isNew == had {
+					t.Fatalf("op %d: Upsert(%d) isNew=%v, reference holds it: %v", s, key, isNew, had)
+				}
+				if had {
+					tp.ver++
+					tp.x = x
+				} else {
+					sparse = sparse || key != int64(len(keys))
+					ref[key] = &tuple{ord: len(keys), x: x}
+					keys = append(keys, key)
+				}
+			default: // lookup only
+			}
+			if got, want := ix.pos != nil, sparse; got != want {
+				t.Fatalf("op %d: index holds a key map = %v, want %v", s, got, want)
+			}
+			if ix.Len() != len(keys) {
+				t.Fatalf("op %d: Len = %d, want %d", s, ix.Len(), len(keys))
+			}
+			tp, ok := ref[key]
+			p, got := ix.Pos(key)
+			if got != ok || (ok && p != tp.ord) {
+				t.Fatalf("op %d: Pos(%d) = %d, %v; reference %v", s, key, p, got, tp)
+			}
+			if f, got := ix.Lookup(key); got != ok || (ok && f[0] != tp.x) {
+				t.Fatalf("op %d: Lookup(%d) = %v, %v; reference %v", s, key, f, got, tp)
+			}
+			for ord, k := range keys {
+				tp := ref[k]
+				pk, view := ix.At(ord)
+				v := ix.Row(ord, row)
+				if pk != k || view[0] != tp.x || row[0] != tp.x || row[1] != -tp.x ||
+					int(v) != tp.ver || int(ix.Version(ord)) != tp.ver || ix.SubAt(ord, 0) != k+1 {
+					t.Fatalf("op %d: ordinal %d reads key %d, %v / %v at version %d (sub %d); reference key %d, %+v",
+						s, ord, pk, view, row, v, ix.SubAt(ord, 0), k, *tp)
+				}
+			}
+		}
+	})
 }

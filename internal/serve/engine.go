@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"factorml/internal/core"
 	"factorml/internal/gmm"
 	"factorml/internal/join"
+	"factorml/internal/linalg"
 	"factorml/internal/metrics"
 	"factorml/internal/monitor"
 	"factorml/internal/nn"
@@ -54,11 +56,12 @@ type EngineConfig struct {
 	// DefaultCacheEntries. Cache hits and misses never change a prediction
 	// — cached partials are pure functions of the model and the dimension
 	// tuple — only its cost. One entry costs its value's floats × 8 bytes
-	// (an NN: the first hidden layer's width; a GMM: K × (1 + dS + the
-	// node's width), with no dS for a diagonal model and no node width on
-	// a one-node plan or a diagonal model) plus a 64-byte slot and a map
-	// entry. Memory follows occupancy: capacity no tuple fills costs
-	// nothing, and Stats.DimCacheBytes reports what is held.
+	// (an NN: the first hidden layer's width; a GMM: K × (1 + dS), K for a
+	// diagonal model — no PD: a full model over two or more nodes forms it
+	// from the resident tuple on every hit) plus a 40-byte slot and an
+	// 8-byte map entry (ordinal → slot). Memory follows occupancy:
+	// capacity no tuple fills costs nothing, and Stats.DimCacheBytes
+	// reports what is held.
 	CacheEntries int
 
 	// BatchRows is the number of request rows per worker chunk. 0 selects
@@ -119,49 +122,47 @@ type modelState struct {
 	scorer  *gmm.Scorer // KindGMM
 	caches  []*dimCache // one per dimension relation
 	scratch sync.Pool   // *predScratch
-	// A GMM value holds K records of Self, crossW floats of CrossS (dS for
-	// a full model, none for a diagonal one) and, when keepPD, the PD.
+	// A GMM value holds K records of Self and crossW floats of CrossS (dS
+	// for a full model, none for a diagonal one).
 	crossW int
-	keepPD bool
+	// means is set only for a full GMM over two or more nodes: the fused
+	// kernel's pair terms read each node's PD = x − µ_c, which no value
+	// holds, so a hit reads the tuple's features to form it. means[j] is
+	// node j's slice of every component mean, flat K × width.
+	means [][]float64
 }
 
-// predScratch is per-goroutine scoring scratch. qcaches[j] holds the K
-// QuadCache views of node j's current GMM value: Self loaded, CrossS and
-// PD aliasing the shared value — or, when the value keeps no PD, PD the
-// view's own buffer, which the first fill allocates and later fills reuse.
+// predScratch is per-goroutine scoring scratch. x[j] receives node j's
+// tuple features; qcaches[j] holds the K QuadCache views of node j's
+// current GMM value: Self loaded, CrossS aliasing the shared value, PD
+// component c's row of pd[j] (flat K × width, the scratch's own buffer).
 type predScratch struct {
 	fwd     *nn.ForwardScratch
 	parts   [][]float64
+	x       [][]float64
+	pd      [][]float64
 	qcaches [][]core.QuadCache
 	gsc     *gmm.ScoreScratch
-	pks     []int64
 	pos     []int
 }
 
 // valueLen is the length of node j's cached value: the NN layer-1
-// partial t_m, or the GMM's K per-component (Self, CrossS, PD) records.
+// partial t_m, or the GMM's K per-component (Self, CrossS) records.
 func (st *modelState) valueLen(j int) int {
 	if st.net != nil {
 		return st.net.HiddenWidth()
 	}
-	n := 1 + st.crossW
-	if st.keepPD {
-		n += st.p.Dims[1+j]
-	}
-	return st.scorer.K() * n
+	return st.scorer.K() * (1 + st.crossW)
 }
 
-// bind points QuadCache views at a GMM value: Self is loaded, CrossS (and
-// PD when kept) alias the value, and nothing is copied.
+// bind points QuadCache views at a GMM value: Self is loaded, CrossS
+// aliases the value, and nothing is copied.
 func (st *modelState) bind(views []core.QuadCache, val []float64) {
 	stride, cw := len(val)/len(views), st.crossW
 	for c := range views {
 		v := val[c*stride : (c+1)*stride : (c+1)*stride]
 		views[c].Self = v[0]
 		views[c].CrossS = v[1 : 1+cw : 1+cw]
-		if st.keepPD {
-			views[c].PD = v[1+cw:]
-		}
 	}
 }
 
@@ -263,7 +264,7 @@ func (e *Engine) Index(table string) (*join.ResidentIndex, bool) {
 
 // ApplyDimUpdate installs new foreign keys and features for one dimension
 // tuple in the engine's resident index and invalidates exactly the cached
-// partials derived from it: the (model, node, key) LRU entries of every
+// partials derived from it: the (model, node, ordinal) LRU entries of every
 // prepared model state, at every plan node referencing the table (a
 // mid-level snowflake table may appear under several parents). Later
 // predictions probing that key recompute against the new features, so a
@@ -286,10 +287,11 @@ func (e *Engine) ApplyDimUpdate(table string, rid int64, subs []int64, feats []f
 		return false, err
 	}
 	if !isNew {
+		ord, _ := e.idxs[first].Pos(rid) // ordinals are stable: rid is still there
 		e.mu.Lock()
 		for _, st := range e.states {
 			for j, ix := range e.idxs {
-				if ix.Name() == table && st.caches[j].remove(rid) {
+				if ix.Name() == table && st.caches[j].remove(int32(ord)) {
 					e.dimInvalidations.Add(1)
 				}
 			}
@@ -333,12 +335,16 @@ func (e *Engine) state(name string) (*modelState, error) {
 			return nil, err
 		}
 		st.scorer = scorer
-		// The fused kernel reads a dimension PD only in the pair terms
-		// between two dimension nodes of a full model, so a one-node plan
-		// or a diagonal model caches none.
 		if !ent.gmm.Diagonal {
 			st.crossW = dS
-			st.keepPD = len(e.idxs) >= 2
+			if len(e.idxs) >= 2 {
+				st.means = make([][]float64, len(e.idxs))
+				for j := range st.means {
+					for _, mu := range ent.gmm.Means {
+						st.means[j] = append(st.means[j], p.Slice(mu, 1+j)...)
+					}
+				}
+			}
 		}
 	default:
 		return nil, fmt.Errorf("serve: model %q has unknown kind %q", name, ent.info.Kind)
@@ -351,17 +357,27 @@ func (e *Engine) state(name string) (*modelState, error) {
 	st.scratch.New = func() any {
 		sc := &predScratch{
 			parts:   make([][]float64, q),
+			x:       make([][]float64, q),
 			qcaches: make([][]core.QuadCache, q),
-			pks:     make([]int64, q),
 			pos:     make([]int, q),
+		}
+		for j := range sc.x {
+			sc.x[j] = make([]float64, e.dimWidths[j])
 		}
 		if st.net != nil {
 			sc.fwd = st.net.NewForwardScratch()
 		}
 		if st.scorer != nil {
 			sc.gsc = st.scorer.NewScratch()
+			k := st.scorer.K()
+			sc.pd = make([][]float64, q)
 			for j := range sc.qcaches {
-				sc.qcaches[j] = make([]core.QuadCache, st.scorer.K())
+				w := e.dimWidths[j]
+				sc.pd[j] = make([]float64, k*w)
+				sc.qcaches[j] = make([]core.QuadCache, k)
+				for c := range sc.qcaches[j] {
+					sc.qcaches[j][c].PD = sc.pd[j][c*w : (c+1)*w : (c+1)*w]
+				}
 			}
 		}
 		return sc
@@ -371,55 +387,69 @@ func (e *Engine) state(name string) (*modelState, error) {
 }
 
 // dimPartial points sc at dimension relation j's cached partial for the
-// tuple with primary key fk, computing and caching it on a miss: the NN
-// layer-1 partial pre-activation t_m (§VI-A1) goes to sc.parts[j], the K
-// GMM quadratic-form caches (Eq. 7-12) to the views sc.qcaches[j]. The
-// value is a pure function of (model version, dimension features), so
-// hits, misses and racing double-computations all yield identical bits. A
-// miss allocates the one value, fills it (a GMM through the views bound to
-// it), then puts it; nothing writes a value after the put. The current
-// features are looked up first and passed to the cache as its freshness
-// token (see dimCache): an entry computed from a since-replaced feature
-// slice — including one racing a streaming dimension update — is never
-// served.
+// tuple with ordinal ord (resolved by Resolve), computing and caching it on
+// a miss: the NN layer-1 partial pre-activation t_m (§VI-A1) goes to
+// sc.parts[j], the K GMM quadratic-form caches (Eq. 7-12) to the views
+// sc.qcaches[j]. The value is a pure function of (model version, dimension
+// features), so hits, misses and racing double-computations all yield
+// identical bits. A miss copies the tuple's features and their version
+// out of the resident index (Row), allocates the one value, fills it (a
+// GMM through the views bound to it), then puts it under that version;
+// nothing writes a value after the put. A hit needs only the tuple's
+// current version (see dimCache) — except for a full GMM over two or more
+// nodes, whose pair terms read PD = x − µ_c: that hit reads Row too and
+// forms the PD with the same VecSub core.FillQuadCache runs, so the
+// kernel reads the same bits either way.
 // A traced request additionally records one "cache.lookup" span per
 // probe (table + hit/miss), the deepest level of the request trace; the
 // zero Span passed on the untraced path makes every span call a no-op.
-func (e *Engine) dimPartial(st *modelState, sc *predScratch, j int, fk int64, psp trace.Span) error {
+func (e *Engine) dimPartial(st *modelState, sc *predScratch, j, ord int, psp trace.Span) {
 	var lsp trace.Span
+	ix := e.idxs[j]
 	if psp.Active() {
 		lsp = psp.Child("cache.lookup")
-		lsp.SetAttr("table", e.idxs[j].Name())
+		lsp.SetAttr("table", ix.Name())
 	}
-	feats, ok := e.idxs[j].Lookup(fk)
-	if !ok {
-		lsp.Fail("unknown foreign key")
-		lsp.End()
-		return fmt.Errorf("unknown foreign key %d for dimension table %q", fk, e.idxs[j].Name())
+	x := sc.x[j]
+	pdOnHit := st.means != nil
+	var ver uint32
+	if pdOnHit {
+		ver = ix.Row(ord, x)
+	} else {
+		ver = ix.Version(ord)
 	}
-	val, hit := st.caches[j].get(fk, feats)
-	if !hit {
+	val, hit := st.caches[j].get(int32(ord), ver)
+	switch {
+	case !hit:
+		if !pdOnHit {
+			ver = ix.Row(ord, x)
+		}
 		val = make([]float64, st.valueLen(j))
 		if st.net != nil {
-			st.net.PartialPreAct(val, st.p.Offs[1+j], feats)
+			st.net.PartialPreAct(val, st.p.Offs[1+j], x)
 		} else {
 			views := sc.qcaches[j]
 			st.bind(views, val)
-			st.scorer.FillDimCaches(views, 1+j, feats, nil)
+			st.scorer.FillDimCaches(views, 1+j, x, nil)
 			for c := range views {
 				val[c*len(val)/len(views)] = views[c].Self
 			}
 		}
-		st.caches[j].put(fk, val, feats)
+		st.caches[j].put(int32(ord), ver, val)
+	case st.scorer != nil:
+		st.bind(sc.qcaches[j], val)
+		if pdOnHit {
+			pd, mu, w := sc.pd[j], st.means[j], len(x)
+			for c := 0; c < len(mu); c += w {
+				linalg.VecSub(pd[c:c+w], x, mu[c:c+w])
+			}
+		}
 	}
 	if st.net != nil {
 		sc.parts[j] = val
-	} else if hit {
-		st.bind(sc.qcaches[j], val)
 	}
 	lsp.SetBool("hit", hit)
 	lsp.End()
-	return nil
 }
 
 // scoreRow fills out for one row. Row-level failures land in out.Err with
@@ -444,17 +474,13 @@ func (e *Engine) scoreRow(st *modelState, sc *predScratch, row *Row, out *Predic
 		out.Code = api.CodeFKCountMismatch
 		return
 	}
-	if err := e.rv.Resolve(row.FKs, sc.pks, sc.pos); err != nil {
+	if err := e.rv.Resolve(row.FKs, nil, sc.pos); err != nil {
 		out.Err = err.Error()
 		out.Code = api.CodeUnknownForeignKey
 		return
 	}
-	for j, fk := range sc.pks {
-		if err := e.dimPartial(st, sc, j, fk, sp); err != nil {
-			out.Err = err.Error()
-			out.Code = api.CodeUnknownForeignKey
-			return
-		}
+	for j, ord := range sc.pos {
+		e.dimPartial(st, sc, j, ord, sp)
 	}
 	if st.net != nil {
 		out.Output = st.net.ForwardFactorized(sc.fwd, row.Fact, sc.parts)
@@ -613,6 +639,10 @@ type Stats struct {
 	// DimCacheBytes is what the live caches hold: their values plus slot
 	// and map bookkeeping.
 	DimCacheBytes int `json:"dim_cache_bytes"`
+	// ResidentBytes is what the resident dimension indexes hold: their
+	// feature, sub-key and version arenas (and a sparse index's key map),
+	// each table counted once.
+	ResidentBytes int `json:"resident_bytes"`
 	// DimInvalidations counts cache entries surgically dropped by
 	// streaming dimension updates (ApplyDimUpdate).
 	DimInvalidations uint64  `json:"dim_invalidations"`
@@ -630,6 +660,7 @@ func (s Stats) Samples(emit metrics.Emit) {
 	emit.Gauge("factorml_engine_dim_cache_hit_rate", "Cache hit fraction since boot.", s.DimCacheHitRate)
 	emit.Gauge("factorml_engine_dim_cache_entries", "Live cache entries across models.", float64(s.DimCacheEntries))
 	emit.Gauge("factorml_engine_dim_cache_bytes", "Bytes held by live cache entries across models.", float64(s.DimCacheBytes))
+	emit.Gauge("factorml_engine_resident_bytes", "Bytes held by the resident dimension indexes.", float64(s.ResidentBytes))
 	emit.Counter("factorml_engine_dim_invalidations_total", "Cache entries dropped by streaming dimension updates.", float64(s.DimInvalidations))
 	emit.Counter("factorml_engine_predict_seconds_total", "Cumulative in-engine predict time.", float64(s.PredictNsTotal)/1e9)
 }
@@ -642,6 +673,11 @@ func (e *Engine) Stats() Stats {
 	s := Stats{
 		Models: e.reg.Len(), Requests: e.requests.Load(), Rows: e.rows.Load(),
 		DimInvalidations: e.dimInvalidations.Load(), PredictNsTotal: e.predictNs.Load(),
+	}
+	for j, ix := range e.idxs {
+		if !slices.Contains(e.idxs[:j], ix) { // a shared table is pinned once
+			s.ResidentBytes += ix.Bytes()
+		}
 	}
 	e.mu.Lock()
 	for name, st := range e.states {

@@ -17,25 +17,46 @@ import (
 // reopen → serve, asserting served predictions against in-process dense
 // evaluation (exact to summation order) and bit-identical behaviour across
 // worker counts and cache states. It runs on a two-dimension star, whose
-// cached GMM partials keep each tuple's PD for the pair terms, and on a
-// one-dimension star, whose partials drop it.
+// full GMM forms each tuple's PD for the pair terms on every probe, and on
+// a one-dimension star, which needs none; then on keys the resident index
+// serves through its key map: every dimension key i stored as 10·i − 7,
+// and a dense table that receives an insert of key n+5 — through the
+// serving engine's Upsert for the first engine, at index build for the
+// sweep's.
 func TestEngineRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		nr, dr []int
+		keys   string
 	}{
-		{"two-dims", []int{25, 10}, []int{2, 2}},
-		{"one-dim", []int{25}, []int{4}},
+		{"two-dims", []int{25, 10}, []int{2, 2}, "dense"},
+		{"one-dim", []int{25}, []int{4}, "dense"},
+		{"sparse-keys", []int{25, 10}, []int{2, 2}, "sparse"},
+		{"dense-then-sparse", []int{25, 10}, []int{2, 2}, "upsert"},
 	} {
-		t.Run(tc.name, func(t *testing.T) { testEngineRoundTrip(t, tc.nr, tc.dr) })
+		t.Run(tc.name, func(t *testing.T) { testEngineRoundTrip(t, tc.nr, tc.dr, tc.keys) })
 	}
 }
 
-func testEngineRoundTrip(t *testing.T, nr, dr []int) {
+func testEngineRoundTrip(t *testing.T, nr, dr []int, keys string) {
 	dir := t.TempDir()
 	db, spec := testStarOf(t, dir, nr, dr)
+	if keys == "sparse" {
+		spec = sparseKeyStar(t, db, spec)
+	}
 	net, model := trainModels(t, db, spec)
 	rows, joined := factRows(t, spec, 0)
+	if keys == "upsert" {
+		// Rows probing the inserted key n+5 of the first dimension, whose
+		// features are newFeats.
+		dS := len(rows[0].Fact)
+		for i := 0; i < 20; i++ {
+			r := serve.Row{Fact: rows[i].Fact, FKs: append([]int64{int64(nr[0] + 5)}, rows[i].FKs[1:]...)}
+			x := append([]float64{}, joined[i]...)
+			copy(x[dS:], newFeats(dr[0]))
+			rows, joined = append(rows, r), append(joined, x)
+		}
+	}
 
 	// In-process expectations over the assembled joined vectors, computed
 	// before anything is serialized.
@@ -83,6 +104,15 @@ func testEngineRoundTrip(t *testing.T, nr, dr []int) {
 	eng, err := serve.NewEngine(reg2, mustPlan(t, dims), serve.EngineConfig{NumWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if keys == "upsert" {
+		key := int64(nr[0] + 5)
+		if isNew, err := eng.ApplyDimUpdate(dims[0].Schema().Name, key, nil, newFeats(dr[0])); err != nil || !isNew {
+			t.Fatalf("ApplyDimUpdate(%d) = new %v, err %v", key, isNew, err)
+		}
+		if err := dims[0].Append(&storage.Tuple{Keys: []int64{key}, Features: newFeats(dr[0])}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	preds, info, err := eng.Predict("m-nn", rows)
@@ -393,6 +423,15 @@ func TestEngineConcurrentPredict(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// newFeats is the feature vector of the tuple TestEngineRoundTrip inserts.
+func newFeats(width int) []float64 {
+	x := make([]float64, width)
+	for i := range x {
+		x[i] = 0.5 - float64(i)
+	}
+	return x
 }
 
 // mustPlan wraps leaf dimension tables in a one-hop dimension plan.

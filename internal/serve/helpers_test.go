@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"fmt"
 	"testing"
 
 	"factorml/internal/data"
@@ -33,6 +34,56 @@ func testStarOf(t testing.TB, dir string, nr, dr []int) (*storage.Database, *joi
 		t.Fatal(err)
 	}
 	return db, spec
+}
+
+// sparseKeyStar copies a generated star into tables whose dimension key i
+// is stored as 10·i − 7 (the fact table's foreign keys mapped alike): a
+// key space the resident indexes serve through their key maps.
+func sparseKeyStar(t testing.TB, db *storage.Database, spec *join.Spec) *join.Spec {
+	t.Helper()
+	sparse := func(k int64) int64 { return 10*k - 7 }
+	copyTable := func(src *storage.Table, name string, refs []string, mapKeys func([]int64)) *storage.Table {
+		sch := *src.Schema()
+		sch.Name, sch.Refs = name, refs
+		sch.Keys = append([]string{}, sch.Keys...)
+		sch.Features = append([]string{}, sch.Features...)
+		dst, err := db.CreateTable(&sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := src.NewScanner()
+		for sc.Next() {
+			tp := sc.Tuple()
+			keys := append([]int64{}, tp.Keys...)
+			mapKeys(keys)
+			if err := dst.Append(&storage.Tuple{Keys: keys, Features: tp.Features, Target: tp.Target}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return dst
+	}
+	var dims []*storage.Table
+	var names []string
+	for j, r := range spec.Rs {
+		names = append(names, fmt.Sprintf("sparse_R%d", j+1))
+		dims = append(dims, copyTable(r, names[j], nil, func(k []int64) { k[0] = sparse(k[0]) }))
+	}
+	fact := copyTable(spec.S, "sparse_S", names, func(k []int64) {
+		for i := 1; i < len(k); i++ {
+			k[i] = sparse(k[i])
+		}
+	})
+	sp, err := join.NewSnowflakeSpec(fact, dims, db.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
 }
 
 // trainModels trains one NN and one GMM over the spec (factorized,

@@ -7,33 +7,33 @@ import (
 )
 
 // dimCache is a bounded, exact LRU of per-dimension-tuple partial results,
-// keyed by the tuple's primary key. An entry is one slot: the key, the
-// value — one flat []float64 laid out by the engine (modelState.valueLen)
-// — the feature slice it was computed from, and the slot numbers of its
-// neighbours on an intrusive recency list. A map finds a key's slot;
-// removed slots go on a free list, and an insert into a full cache reuses
-// the least recently used slot. Nothing is sized by the capacity up
-// front: memory follows occupancy.
+// keyed by the tuple's ordinal in its resident index (join.ResidentIndex).
+// An entry is one slot: the ordinal, the tuple version the value was
+// computed from, the value — one flat []float64 laid out by the engine
+// (modelState.valueLen) — and the slot numbers of its neighbours on an
+// intrusive recency list. A map finds an ordinal's slot; removed slots go
+// on a free list, and an insert into a full cache reuses the least
+// recently used slot. Nothing is sized by the capacity up front: memory
+// follows occupancy.
 //
 // A value is immutable once put (it is a pure function of the model and
 // the dimension tuple), so readers share it without copying: replacing or
 // evicting an entry drops the slot's reference and never writes the old
 // value. The map and slots are guarded by a mutex. Two goroutines that
-// miss on the same key may both compute the value — the results are
+// miss on the same ordinal may both compute the value — the results are
 // bit-identical, so whichever put lands last wins.
 //
-// Every entry records the feature slice it was computed from. The
-// resident index replaces (never mutates) a tuple's slice on update, so
-// slice identity is a per-key freshness token: a get whose caller holds a
-// different slice than the entry was derived from is a miss. This closes
-// the race where a predictor computes a partial from pre-update features
-// and inserts it after the update's invalidation — the stale entry can
-// land, but it can never be served again.
+// The resident index bumps a tuple's version whenever it overwrites the
+// tuple, so (ordinal, version) is the freshness token: a get for a version
+// other than the entry's is a miss. This closes the race where a predictor
+// computes a partial from pre-update features and inserts it after the
+// update's invalidation — the stale entry can land, but it can never be
+// served again.
 type dimCache struct {
 	mu       sync.Mutex
 	capacity int
 	slots    []slot
-	items    map[int64]int32
+	items    map[int32]int32
 	// head and tail are the most and least recently used slots, free the
 	// first removed slot (chained through next); -1 when there is none.
 	head, tail, free int32
@@ -44,31 +44,25 @@ type dimCache struct {
 }
 
 type slot struct {
-	key        int64
+	ord        int32
+	ver        uint32 // the tuple version val was computed from
 	val        []float64
-	src        []float64 // the feature slice val was computed from
 	prev, next int32
 }
 
-// slotBytes is one slot's size; mapEntryBytes estimates one map entry
-// (key, slot number, padding). Both count toward bytes.
+// slotBytes is one slot's size (40 bytes on 64-bit platforms);
+// mapEntryBytes estimates one map entry (an ordinal and a slot number).
+// Both count toward bytes.
 const (
 	slotBytes     = int(unsafe.Sizeof(slot{}))
-	mapEntryBytes = 16
+	mapEntryBytes = 8
 )
-
-// sameFeats reports whether two feature slices are the identical
-// copy-on-write snapshot (zero-width features have no content to go
-// stale).
-func sameFeats(a, b []float64) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
 
 func newDimCache(capacity int) *dimCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &dimCache{capacity: capacity, items: make(map[int64]int32), head: -1, tail: -1, free: -1}
+	return &dimCache{capacity: capacity, items: make(map[int32]int32), head: -1, tail: -1, free: -1}
 }
 
 // unlink takes slot i out of the recency list.
@@ -98,15 +92,15 @@ func (c *dimCache) pushFront(i int32) {
 	c.head = i
 }
 
-// get returns the cached value for key, marking it most recently used.
-// src must be the caller's current feature slice for the key: an entry
-// derived from a different (stale) slice is a miss. The caller must not
-// write the returned value.
-func (c *dimCache) get(key int64, src []float64) ([]float64, bool) {
+// get returns the cached value for ordinal ord, marking it most recently
+// used. ver must be the tuple's current version: an entry computed from
+// another (stale) version is a miss. The caller must not write the
+// returned value.
+func (c *dimCache) get(ord int32, ver uint32) ([]float64, bool) {
 	c.mu.Lock()
-	i, ok := c.items[key]
+	i, ok := c.items[ord]
 	var val []float64
-	if ok = ok && sameFeats(c.slots[i].src, src); ok {
+	if ok = ok && c.slots[i].ver == ver; ok {
 		c.unlink(i)
 		c.pushFront(i)
 		val = c.slots[i].val
@@ -120,19 +114,20 @@ func (c *dimCache) get(key int64, src []float64) ([]float64, bool) {
 	return val, true
 }
 
-// put inserts a value computed from src, evicting the least recently used
-// entry when full. The caller must not write val afterwards.
-func (c *dimCache) put(key int64, val, src []float64) {
+// put inserts a value computed from version ver of tuple ord, evicting the
+// least recently used entry when full. The caller must not write val
+// afterwards.
+func (c *dimCache) put(ord int32, ver uint32, val []float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, ok := c.items[key]
+	i, ok := c.items[ord]
 	switch {
 	case ok:
 		c.unlink(i)
 	case len(c.items) >= c.capacity:
 		i = c.tail
 		c.unlink(i)
-		delete(c.items, c.slots[i].key)
+		delete(c.items, c.slots[i].ord)
 	case c.free >= 0:
 		i = c.free
 		c.free = c.slots[i].next
@@ -142,23 +137,24 @@ func (c *dimCache) put(key int64, val, src []float64) {
 	}
 	s := &c.slots[i]
 	c.valBytes += 8 * (cap(val) - cap(s.val))
-	s.key, s.val, s.src = key, val, src
-	c.items[key] = i
+	s.ord, s.ver, s.val = ord, ver, val
+	c.items[ord] = i
 	c.pushFront(i)
 }
 
-// remove drops the entry for key if present, reporting whether it existed.
-// The streaming path calls this when a dimension tuple is updated, so
-// exactly the cached partials derived from the stale tuple are discarded.
-func (c *dimCache) remove(key int64) bool {
+// remove drops the entry for ordinal ord if present, reporting whether it
+// existed. The streaming path calls this when a dimension tuple is updated,
+// so exactly the cached partials derived from the stale tuple are
+// discarded.
+func (c *dimCache) remove(ord int32) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, ok := c.items[key]
+	i, ok := c.items[ord]
 	if !ok {
 		return false
 	}
 	c.unlink(i)
-	delete(c.items, key)
+	delete(c.items, ord)
 	s := &c.slots[i]
 	c.valBytes -= 8 * cap(s.val)
 	*s = slot{next: c.free}

@@ -6,8 +6,10 @@ package storage
 // fan-out of a join falls out (Rows / FKDistinct[i]).
 //
 // Lifecycle: the counters are maintained incrementally at Append/UpdateAt
-// (distinct foreign keys via in-memory sets), persisted into the catalog
-// at Flush and Close, and restored on reopen. A reopened table serves its
+// (distinct foreign keys via one in-memory keySet per column: a bitset over
+// the dense non-negative keys — a bit per key when keys are 0…n−1 — and a
+// map for the rest, with an exact count), persisted into the catalog at
+// Flush and Close, and restored on reopen. A reopened table serves its
 // persisted statistics without touching the heap; the first write after
 // reopening (or a Stats call finding the persisted copy stale) hydrates
 // the distinct sets with one key-only scan, after which maintenance is
@@ -58,8 +60,8 @@ func (t *Table) statsFromSets() TableStats {
 		Width:      t.schema.NumFeatures(),
 		FKDistinct: make([]int64, len(t.fkSets)),
 	}
-	for i, set := range t.fkSets {
-		s.FKDistinct[i] = int64(len(set))
+	for i := range t.fkSets {
+		s.FKDistinct[i] = t.fkSets[i].count()
 	}
 	return s
 }
@@ -86,16 +88,13 @@ func (t *Table) statsForCatalog() *TableStats {
 // or by Stats when the persisted statistics are stale.
 func (t *Table) hydrateFKSets() error {
 	nfk := t.schema.NumKeys() - 1
-	sets := make([]map[int64]struct{}, nfk)
-	for i := range sets {
-		sets[i] = make(map[int64]struct{})
-	}
+	sets := make([]keySet, nfk)
 	if t.numTuples > 0 && nfk > 0 {
 		sc := t.NewScanner()
 		for sc.Next() {
 			keys := sc.Tuple().Keys
 			for i := range sets {
-				sets[i][keys[1+i]] = struct{}{}
+				sets[i].add(keys[1+i])
 			}
 		}
 		if err := sc.Err(); err != nil {
@@ -115,7 +114,7 @@ func (t *Table) noteKeys(keys []int64) error {
 		}
 	}
 	for i := range t.fkSets {
-		t.fkSets[i][keys[1+i]] = struct{}{}
+		t.fkSets[i].add(keys[1+i])
 	}
 	t.statsDirty = true
 	return nil

@@ -28,7 +28,7 @@ type Table struct {
 	// this session (reopened tables serve loadedStats until then).
 	// statsDirty marks in-memory statistics newer than the catalog's copy,
 	// so Flush persists the catalog only when there is something new.
-	fkSets      []map[int64]struct{}
+	fkSets      []keySet
 	loadedStats *TableStats // catalog-persisted statistics from open time
 	statsDirty  bool
 }

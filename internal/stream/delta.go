@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"factorml/internal/gmm"
+	"factorml/internal/nn"
 )
 
 // FactRow is one new fact tuple in a change batch: the tuple's own
@@ -91,6 +94,57 @@ func IsIncompatibleModel(err error) bool {
 
 func incompatErrf(format string, args ...any) error {
 	return &IncompatibleModelError{msg: fmt.Sprintf(format, args...)}
+}
+
+// NonFiniteModelError marks a refresh that computed a NaN or ±Inf model
+// parameter — finite but extreme ingested values can overflow the
+// statistics. Nothing of that model's refresh was installed or saved: the
+// previous model and its registry version stay.
+type NonFiniteModelError struct{ msg string }
+
+func (e *NonFiniteModelError) Error() string { return e.msg }
+
+// IsNonFiniteModel reports whether err is a refresh rejected for a
+// non-finite parameter.
+func IsNonFiniteModel(err error) bool {
+	var ne *NonFiniteModelError
+	return errors.As(err, &ne)
+}
+
+// checkFiniteGMM returns a NonFiniteModelError naming the first non-finite
+// weight, mean or covariance cell of model name, or nil.
+func checkFiniteGMM(name string, m *gmm.Model) error {
+	for c := 0; c < m.K; c++ {
+		if nonFinite(m.Weights[c]) >= 0 {
+			return nonFiniteErr(name, fmt.Sprintf("component %d weight", c), m.Weights[c])
+		}
+		if i := nonFinite(m.Means[c]...); i >= 0 {
+			return nonFiniteErr(name, fmt.Sprintf("component %d mean[%d]", c, i), m.Means[c][i])
+		}
+		if i := nonFinite(m.Covs[c].Data()...); i >= 0 {
+			return nonFiniteErr(name, fmt.Sprintf("component %d covariance (%d,%d)", c, i/m.D, i%m.D), m.Covs[c].Data()[i])
+		}
+	}
+	return nil
+}
+
+// checkFiniteNN returns a NonFiniteModelError naming the first non-finite
+// weight or bias of network name, or nil.
+func checkFiniteNN(name string, n *nn.Network) error {
+	for l, w := range n.W {
+		if i := nonFinite(w.Data()...); i >= 0 {
+			return nonFiniteErr(name, fmt.Sprintf("layer %d weight (%d,%d)", l, i/n.Sizes[l], i%n.Sizes[l]), w.Data()[i])
+		}
+		if i := nonFinite(n.B[l]...); i >= 0 {
+			return nonFiniteErr(name, fmt.Sprintf("layer %d bias[%d]", l, i), n.B[l][i])
+		}
+	}
+	return nil
+}
+
+func nonFiniteErr(name, param string, v float64) error {
+	return &NonFiniteModelError{msg: fmt.Sprintf(
+		"stream: refresh of model %q computed %s = %g; the previous model stays", name, param, v)}
 }
 
 // IngestResult reports what one Ingest call did.

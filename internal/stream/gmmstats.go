@@ -218,7 +218,9 @@ func (st *GMMStats) Reset() {
 // groupFeatures writes group g of direct dimension d — the tuple's own
 // features, then its subtree's in plan order — into dst, following the
 // sub-keys as they are pinned NOW: a dimension update that repoints one
-// shows in the next cache fill and the next Step.
+// shows in the next cache fill and the next Step. It copies out of the
+// resident indexes' feature views, so no Upsert of these indexes may run
+// concurrently (the stream absorbs and upserts under one mutex).
 func (st *GMMStats) groupFeatures(d, g int, dst []float64) error {
 	rv := st.rv
 	n0, n1 := st.nodes[d], st.nodes[d+1]

@@ -157,7 +157,11 @@ type Stream struct {
 	db   *storage.Database
 	spec *join.Spec
 	p    core.Partition
-	idxs []*join.ResidentIndex // one per plan node (shared per table)
+	// idxs holds one resident index per plan node (shared per table). The
+	// stream reads feature views (Lookup, At) only under mu, and every
+	// Upsert of these indexes — its own or serve.Engine.ApplyDimUpdate's —
+	// runs under mu too, so a view is never written while it is read.
+	idxs []*join.ResidentIndex
 	rv   *join.Resolver
 	dimJ map[string][]int // dimension table name -> plan node positions
 	// direct[d] is the plan node of the fact table's d-th foreign key.
@@ -168,10 +172,9 @@ type Stream struct {
 	mon    *monitor.Monitor
 	log    *xlog.Logger
 	// Monitor scratch (allocated once when a monitor is attached): the
-	// joined-row buffer and per-node resolution outputs, reused across
-	// every ingested fact row so the observe path allocates nothing.
+	// joined-row buffer and per-node ordinals, reused across every
+	// ingested fact row so the observe path allocates nothing.
 	monX   []float64
-	monPKs []int64
 	monPos []int
 
 	models map[string]*attached
@@ -262,7 +265,6 @@ func New(db *storage.Database, spec *join.Spec, opts Options) (*Stream, error) {
 	s.rv = rv
 	if s.mon != nil {
 		s.monX = make([]float64, s.p.D)
-		s.monPKs = make([]int64, len(s.idxs))
 		s.monPos = make([]int, len(s.idxs))
 	}
 	return s, nil
@@ -781,15 +783,12 @@ func (s *Stream) observeFactLocked(fr *FactRow) {
 	if s.mon == nil {
 		return
 	}
-	if err := s.rv.Resolve(fr.FKs, s.monPKs, s.monPos); err != nil {
+	if err := s.rv.Resolve(fr.FKs, nil, s.monPos); err != nil {
 		return // validated above; unreachable, but never fail an ingest for telemetry
 	}
 	copy(s.monX, fr.Features)
-	for j := range s.idxs {
-		feats, ok := s.idxs[j].Lookup(s.monPKs[j])
-		if !ok {
-			return
-		}
+	for j, ix := range s.idxs {
+		_, feats := ix.At(s.monPos[j])
 		copy(s.monX[s.p.Offs[1+j]:], feats)
 	}
 	s.mon.ObserveJoined(s.monX)
@@ -899,6 +898,9 @@ func (s *Stream) refreshLocked(ctx context.Context, auto bool) (RefreshResult, e
 			if err != nil {
 				return res, err
 			}
+			if err := checkFiniteGMM(name, model); err != nil {
+				return res, err
+			}
 			m.gmdl = model
 			m.dirty = false
 			mr.LogLikelihood = m.stats.LogLikelihood()
@@ -925,6 +927,9 @@ func (s *Stream) refreshLocked(ctx context.Context, auto bool) (RefreshResult, e
 			strat := m.refreshStrategy()
 			tres, err := nn.Train(s.db, s.spec, strat, s.refreshConfig(m.net))
 			if err != nil {
+				return res, err
+			}
+			if err := checkFiniteNN(name, tres.Net); err != nil {
 				return res, err
 			}
 			mr.Strategy = strat.String()
