@@ -210,7 +210,11 @@ func decodeBinaryResponse(data []byte) (info ModelInfo, preds []Prediction, err 
 		case r.Err() != nil:
 		case status == wireRowErr:
 			p.Code = r.Str16("row error code")
-			p.Err = r.Str16("row error message")
+			// A row is an error exactly when its message is set: an empty one
+			// would read back as a zero prediction.
+			if p.Err = r.Str16("row error message"); p.Err == "" && r.Err() == nil {
+				return info, nil, fmt.Errorf("row %d is an error row with no message", i)
+			}
 		case status != wireRowOK:
 			return info, nil, fmt.Errorf("row %d has unknown status %d", i, status)
 		case info.Kind == KindNN:

@@ -40,7 +40,9 @@ func (db *Database) blobPath(name string) (string, error) {
 
 // PutBlob atomically persists a named blob in the database directory,
 // replacing any previous contents. Blobs survive Close/Open cycles of the
-// database and are listed by BlobNames.
+// database and are listed by BlobNames. The temp file is fsynced before
+// the rename, as the catalog's is, so a power cut leaves the old blob or
+// the new one, never an empty file under the blob's name.
 func (db *Database) PutBlob(name string, data []byte) error {
 	path, err := db.blobPath(name)
 	if err != nil {
@@ -50,7 +52,7 @@ func (db *Database) PutBlob(name string, data []byte) error {
 		return fmt.Errorf("storage: creating blob dir: %w", err)
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeFile(tmp, data, true); err != nil {
 		return fmt.Errorf("storage: writing blob %q: %w", name, err)
 	}
 	return os.Rename(tmp, path)

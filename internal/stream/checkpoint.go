@@ -44,9 +44,10 @@ import (
 // rebuilds bit-identical model state.
 
 const (
-	// Format 2 writes each statistics slab as one blob and carries every
-	// network's refresh plan; format 1 loads without its statistics.
-	streamStateFormat = 2
+	// Format 3 keeps a mixture's cross blocks between direct dimensions in
+	// its row-order sums, where format 2 kept a slab per dimension pair;
+	// formats 1 and 2 load without their statistics.
+	streamStateFormat = 3
 	manifestFormat    = 1
 
 	manifestFile    = "manifest.json"
@@ -63,10 +64,9 @@ const (
 type gmmStatsState struct {
 	K      int      `json:"k"`
 	Rows   int64    `json:"rows"`
-	Done   []byte   `json:"done"`   // the fact sums over the complete chunks
+	Done   []byte   `json:"done"`   // the row-order sums over the complete chunks
 	Open   []byte   `json:"open"`   // and over the trailing partial one
 	Groups [][]byte `json:"groups"` // per direct dimension: the slot keys, then the slot values
-	Pairs  [][]byte `json:"pairs"`  // per direct dimension pair, likewise
 }
 
 // walModelState is one attached model: parameters (the gmm/nn JSON
@@ -115,9 +115,10 @@ func (s *slab) pack() []byte {
 	return codec.AppendF64s(b, s.vals)
 }
 
-// unpack loads pack's output. valid vets every key before the index is
-// built from it (a group slab's index is as long as its largest key).
-func (s *slab) unpack(b []byte, valid func(key uint64) bool) error {
+// unpack loads pack's output. Every key must name one of the dimension's
+// tuples before the index is built from it (the index is as long as the
+// largest key).
+func (s *slab) unpack(b []byte, tuples uint64) error {
 	slot := 8 * (1 + s.stride)
 	if len(b)%slot != 0 {
 		return fmt.Errorf("stream: checkpoint slab of %d bytes does not hold whole slots of %d", len(b), slot)
@@ -127,17 +128,19 @@ func (s *slab) unpack(b []byte, valid func(key uint64) bool) error {
 	s.keys = make([]uint64, len(b)/slot)
 	for i := range s.keys {
 		s.keys[i] = uint64(r.I64("slab key"))
-		if !valid(s.keys[i]) {
+		if s.keys[i] >= tuples {
 			return fmt.Errorf("stream: checkpoint slab key %#x names no tuple of this database", s.keys[i])
 		}
 	}
 	s.vals = make([]float64, len(s.keys)*s.stride)
 	r.F64s("slab values", s.vals)
-	s.reindex()
+	s.index = nil
 	for i, key := range s.keys {
-		if *s.cell(key) != int32(i+1) {
+		c := s.cell(key)
+		if *c != 0 {
 			return fmt.Errorf("stream: checkpoint slab holds key %#x twice", key)
 		}
+		*c = int32(i + 1)
 	}
 	return nil
 }
@@ -147,14 +150,11 @@ func (st *GMMStats) state() *gmmStatsState {
 	for d := range st.grp {
 		s.Groups = append(s.Groups, st.grp[d].pack())
 	}
-	for i := range st.pairs {
-		s.Pairs = append(s.Pairs, st.pairs[i].pack())
-	}
 	return s
 }
 
 func (st *GMMStats) restore(s *gmmStatsState) error {
-	if s == nil || s.K != st.k || s.Rows < 0 || len(s.Groups) != len(st.grp) || len(s.Pairs) != len(st.pairs) {
+	if s == nil || s.K != st.k || s.Rows < 0 || len(s.Groups) != len(st.grp) {
 		return fmt.Errorf("stream: checkpoint statistics missing or not shaped like this schema's (K=%d, %d direct dimensions)", st.k, len(st.grp))
 	}
 	st.rows = s.Rows
@@ -165,18 +165,7 @@ func (st *GMMStats) restore(s *gmmStatsState) error {
 		return err
 	}
 	for d := range st.grp {
-		tuples := uint64(st.rv.Idxs[st.nodes[d]].Len())
-		if err := st.grp[d].unpack(s.Groups[d], func(key uint64) bool { return key < tuples }); err != nil {
-			return err
-		}
-	}
-	// Step looks a pair's two groups up unchecked: both must hold slots.
-	has := func(d int, g uint64) bool {
-		return g < uint64(len(st.grp[d].index)) && st.grp[d].index[g] != 0
-	}
-	for i, pr := range st.pairOf {
-		err := st.pairs[i].unpack(s.Pairs[i], func(key uint64) bool { return has(pr[0], key>>32) && has(pr[1], key&0xffffffff) })
-		if err != nil {
+		if err := st.grp[d].unpack(s.Groups[d], uint64(st.rv.Idxs[st.nodes[d]].Len())); err != nil {
 			return err
 		}
 	}
@@ -225,13 +214,14 @@ func (s *Stream) stateLocked() (*walStreamState, error) {
 // Caller holds mu; the database files must already be the snapshot's
 // (RestoreSnapshotFiles ran before storage.Open on a crash boot).
 //
-// A format-1 state's statistics (one record per group and per relation
-// pair, over the per-relation partition) are not migrated: its mixtures
-// come back with empty statistics and marked dirty, so their first refresh
-// rebuilds them from the fact table — the rebaseline a dimension update
-// forces anyway.
+// The statistics of an older format are not migrated — format 1 kept one
+// record per group and per relation pair over the per-relation partition,
+// format 2 a γ-sum slab per direct dimension pair: its mixtures come back
+// with empty statistics and marked dirty, so their first refresh rebuilds
+// them from the fact table — the rebaseline a dimension update forces
+// anyway.
 func (s *Stream) restoreStateLocked(ctx context.Context, st *walStreamState) error {
-	if st.Format != 1 && st.Format != streamStateFormat {
+	if st.Format < 1 || st.Format > streamStateFormat {
 		return fmt.Errorf("stream: unsupported checkpoint state format %d", st.Format)
 	}
 	s.refreshSeq = st.RefreshSeq
@@ -246,7 +236,7 @@ func (s *Stream) restoreStateLocked(ctx context.Context, st *walStreamState) err
 			}
 			m.gmdl = gm
 			m.stats = NewGMMStats(s.rv, s.p.Dims[0], gm.K)
-			if st.Format == 1 {
+			if st.Format < streamStateFormat {
 				m.dirty = true
 				dropped++
 			} else if err := m.stats.restore(ms.Stats); err != nil {
@@ -264,8 +254,8 @@ func (s *Stream) restoreStateLocked(ctx context.Context, st *walStreamState) err
 		s.models[ms.Name] = m
 	}
 	if dropped > 0 {
-		s.log.Warn(ctx, "checkpoint is format 1: maintained GMM statistics dropped, first refresh rebaselines",
-			"models", dropped)
+		s.log.Warn(ctx, "checkpoint predates the current format: maintained GMM statistics dropped, first refresh rebaselines",
+			"format", st.Format, "models", dropped)
 	}
 	s.mon.Restore(st.Monitor)
 	s.cmu.Lock()

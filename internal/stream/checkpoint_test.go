@@ -11,9 +11,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -70,14 +72,18 @@ func ckptStar(t *testing.T, dbDir string, seed int64) (*storage.Database, *join.
 // ckptStarSized is ckptStar with nS fact rows over nR dimension tuples.
 func ckptStarSized(t *testing.T, dbDir string, seed int64, nS, nR int) (*storage.Database, *join.Spec) {
 	t.Helper()
+	return ckptSchema(t, dbDir, data.SynthConfig{NS: nS, NR: []int{nR}, DS: 3, DR: []int{2}, Seed: seed, WithTarget: true})
+}
+
+// ckptSchema generates the star schema "st" of cfg in dbDir.
+func ckptSchema(t *testing.T, dbDir string, cfg data.SynthConfig) (*storage.Database, *join.Spec) {
+	t.Helper()
 	db, err := storage.Open(dbDir, storage.Options{PoolPages: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	spec, err := data.Generate(db, "st", data.SynthConfig{
-		NS: nS, NR: []int{nR}, DS: 3, DR: []int{2}, Seed: seed, WithTarget: true,
-	})
+	spec, err := data.Generate(db, "st", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +100,7 @@ func ckptWAL(t *testing.T, walDir string) *wal.Log {
 	return l
 }
 
-// ckptCrashRecover "crashes" a durable stream over ckptStar's schema by
+// ckptCrashRecover "crashes" a durable stream over a ckptSchema star by
 // copying its directories while it is still open, lets rewrite (when not
 // nil) edit the copy's committed snapshot, and boots a stream with opts on
 // the copy the way a crash boot does: restore the snapshot files, open the
@@ -123,12 +129,18 @@ func ckptCrashRecover(t *testing.T, dbDir, walDir string, opts Options, rewrite 
 	if err != nil {
 		t.Fatal(err)
 	}
-	dim, err := db2.Table("st_R1")
-	if err != nil {
-		t.Fatal(err)
+	spec2 := &join.Spec{S: fact}
+	for _, name := range db2.TableNames() { // st_R1, st_R2, … in order
+		if strings.HasPrefix(name, "st_R") {
+			dim, err := db2.Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec2.Rs = append(spec2.Rs, dim)
+		}
 	}
 	opts.WAL = ckptWAL(t, walDir2)
-	s2, err := New(db2, &join.Spec{S: fact, Rs: []*storage.Table{dim}}, opts)
+	s2, err := New(db2, spec2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,67 +352,90 @@ const streamStateV1 = `{"format":1,"refresh_seq":3,"pending":4,
    "b00":["AAAAAAAARkAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAABGQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAEZA"],
    "grp":[[{"g":0,"w":"AAAAAAAARkA=","gvec":"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}]],"pairs":[]}}}]}`
 
-// TestRestoreFormat1DropsStatistics boots from a snapshot whose stream
-// state is format 1: the mixture comes back attached, its statistics are
-// not migrated, one log event says so, and its first refresh rebuilds them
-// from the fact table — ending bit-identical to statistics that never went
-// through a checkpoint.
+// TestRestoreFormat1DropsStatistics boots from snapshots whose stream
+// state predates the current format — format 1 over ckptStar, and format 2
+// (a γ-sum slab per direct dimension pair) over a star of two dimensions:
+// the mixture comes back attached, its statistics are not migrated, one
+// log event says so, and its first refresh rebuilds them from the fact
+// table — ending bit-identical to statistics that never went through a
+// checkpoint.
 func TestRestoreFormat1DropsStatistics(t *testing.T) {
-	dbDir, walDir := t.TempDir(), t.TempDir()
-	db, spec := ckptStar(t, dbDir, 11)
-	s, err := New(db, spec, Options{WAL: ckptWAL(t, walDir)})
+	v2, err := os.ReadFile(filepath.Join("testdata", "stream-state-v2.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		state []byte
+		cfg   data.SynthConfig
+	}{
+		{"format1", []byte(streamStateV1), data.SynthConfig{NS: 300, NR: []int{12}, DS: 3, DR: []int{2}, Seed: 11, WithTarget: true}},
+		// Captured from a format-2 build: one K=1 mixture attached, four
+		// rows ingested, checkpointed.
+		{"format2", v2, data.SynthConfig{NS: 40, NR: []int{6, 4}, DS: 3, DR: []int{2, 1}, Seed: 11, WithTarget: true}},
 	}
-	var logged bytes.Buffer
-	s2 := ckptCrashRecover(t, dbDir, walDir, Options{Policy: Policy{NumWorkers: 2}, Logger: xlog.New(&logged, xlog.LevelInfo)},
-		func(snapPath string) {
-			if err := os.WriteFile(filepath.Join(snapPath, streamStateFile), []byte(streamStateV1), 0o644); err != nil {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var old walStreamState
+			if err := json.Unmarshal(tc.state, &old); err != nil {
 				t.Fatal(err)
 			}
-		})
-	if got := s2.Attached(); len(got) != 1 || got[0] != "g" {
-		t.Fatalf("recovered attached = %v, want [g]", got)
-	}
-	if got := s2.Pending(); got != 4 {
-		t.Fatalf("recovered pending = %d, want the checkpoint's 4", got)
-	}
-	if fp := s2.PlannerDecisions()[0].Statistics; fp == nil || *fp != (Footprint{Bytes: fp.Bytes}) {
-		t.Fatalf("format-1 statistics were not dropped: %+v", fp)
-	}
-	if n := strings.Count(logged.String(), "\n"); n != 1 || !strings.Contains(logged.String(), "format 1") {
-		t.Fatalf("want one log event naming format 1, got %d:\n%s", n, logged.String())
-	}
+			base, err := gmm.LoadModel(bytes.NewReader(old.Models[0].Params))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dbDir, walDir := t.TempDir(), t.TempDir()
+			db, spec := ckptSchema(t, dbDir, tc.cfg)
+			s, err := New(db, spec, Options{WAL: ckptWAL(t, walDir)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			var logged bytes.Buffer
+			s2 := ckptCrashRecover(t, dbDir, walDir, Options{Policy: Policy{NumWorkers: 2}, Logger: xlog.New(&logged, xlog.LevelInfo)},
+				func(snapPath string) {
+					if err := os.WriteFile(filepath.Join(snapPath, streamStateFile), tc.state, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				})
+			if got := s2.Attached(); len(got) != 1 || got[0] != "g" {
+				t.Fatalf("recovered attached = %v, want [g]", got)
+			}
+			if got := s2.Pending(); got != old.Pending {
+				t.Fatalf("recovered pending = %d, want the checkpoint's %d", got, old.Pending)
+			}
+			if fp := s2.PlannerDecisions()[0].Statistics; fp == nil || *fp != (Footprint{Bytes: fp.Bytes}) {
+				t.Fatalf("format-%d statistics were not dropped: %+v", old.Format, fp)
+			}
+			if n := strings.Count(logged.String(), "\n"); n != 1 || !strings.Contains(logged.String(), fmt.Sprintf(`"format":%d,`, old.Format)) {
+				t.Fatalf("want one log event naming format %d, got %d:\n%s", old.Format, n, logged.String())
+			}
 
-	res, err := s2.Refresh()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Models) != 1 || !res.Models[0].Rebaselined || res.Models[0].RowsAbsorbed != spec.S.NumTuples() {
-		t.Fatalf("first refresh after a format-1 restore: %+v, want a rebaseline over %d rows", res, spec.S.NumTuples())
-	}
-	got, err := s2.GMM("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := gmm.LoadModel(strings.NewReader(`{"version":1,"k":1,"d":5,"weights":[1],"means":[[0,0,0,0,0]],
-		"covs":[[1,0,0,0,0, 0,1,0,0,0, 0,0,1,0,0, 0,0,0,1,0, 0,0,0,0,1]]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewGMMStats(s2.rv, 3, 1)
-	if err := fresh.Absorb(base, s2.spec.S, 1); err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.Step(base, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := got.MaxParamDiff(want); d != 0 {
-		t.Fatalf("rebaselined model differs from a from-scratch step by %g, want bit-identical", d)
+			res, err := s2.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Models) != 1 || !res.Models[0].Rebaselined || res.Models[0].RowsAbsorbed != spec.S.NumTuples() {
+				t.Fatalf("first refresh after a format-%d restore: %+v, want a rebaseline over %d rows", old.Format, res, spec.S.NumTuples())
+			}
+			got, err := s2.GMM("g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := NewGMMStats(s2.rv, tc.cfg.DS, base.K)
+			if err := fresh.Absorb(base, s2.spec.S, 1); err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Step(base, 1e-6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := got.MaxParamDiff(want); d != 0 {
+				t.Fatalf("rebaselined model differs from a from-scratch step by %g, want bit-identical", d)
+			}
+		})
 	}
 }
 
@@ -574,6 +609,69 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		}
 		if !bytes.Equal(enc, p) {
 			t.Fatalf("round-trip mismatch:\n in %x\nout %x", p, enc)
+		}
+	})
+}
+
+// FuzzGMMStatsRestore throws arbitrary checkpoint statistics at restore,
+// over a schema of two direct dimensions (so the row-order sums hold cross
+// blocks): it must reject them, or restore statistics whose state
+// re-encodes to exactly the blobs it read — never panic, and never
+// allocate more than a small multiple of the input.
+func FuzzGMMStatsRestore(f *testing.F) {
+	db, err := storage.Open(f.TempDir(), storage.Options{PoolPages: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer db.Close()
+	spec, err := data.Generate(db, "fz", data.SynthConfig{NS: 300, NR: []int{6, 4}, DS: 2, DR: []int{2, 1}, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	plan := spec.Plan()
+	idxs, err := plan.BuildIndexes(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rv, err := join.NewResolver(plan.Parent, plan.Ref, idxs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := gmm.TrainF(db, spec, gmm.Config{K: 2, MaxIter: 1, Tol: 1e-300, NumWorkers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	st := NewGMMStats(rv, 2, 2)
+	if err := st.Absorb(res.Model, spec.S, 1); err != nil {
+		f.Fatal(err)
+	}
+	valid := st.state()
+	if err := NewGMMStats(rv, 2, 2).restore(valid); err != nil {
+		f.Fatalf("a checkpoint's own statistics do not restore: %v", err)
+	}
+	f.Add(valid.K, valid.Rows, valid.Done, valid.Open, valid.Groups[0], valid.Groups[1])
+	f.Add(2, int64(0), NewGMMStats(rv, 2, 2).state().Done, valid.Open, []byte{}, []byte{})
+	f.Add(3, valid.Rows, valid.Done, valid.Open, valid.Groups[0], valid.Groups[1])
+	f.Add(2, int64(-1), valid.Done, valid.Open, valid.Groups[0], valid.Groups[1])
+	f.Add(2, valid.Rows, valid.Done[8:], valid.Open, valid.Groups[0], valid.Groups[1][:len(valid.Groups[1])-8])
+	f.Add(2, valid.Rows, valid.Done, valid.Open, valid.Groups[1], valid.Groups[0])
+	f.Fuzz(func(t *testing.T, k int, rows int64, done, open, g0, g1 []byte) {
+		in := &gmmStatsState{K: k, Rows: rows, Done: done, Open: open, Groups: [][]byte{g0, g1}}
+		got := NewGMMStats(rv, 2, 2)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := got.restore(in)
+		runtime.ReadMemStats(&after)
+		if grew, size := after.TotalAlloc-before.TotalAlloc, len(done)+len(open)+len(g0)+len(g1); grew > uint64(4*size)+64<<10 {
+			t.Fatalf("restoring %d bytes of statistics allocated %d bytes", size, grew)
+		}
+		if err != nil {
+			return
+		}
+		out := got.state()
+		if out.K != k || out.Rows != rows || !bytes.Equal(out.Done, done) || !bytes.Equal(out.Open, open) ||
+			len(out.Groups) != 2 || !bytes.Equal(out.Groups[0], g0) || !bytes.Equal(out.Groups[1], g1) {
+			t.Fatalf("restored statistics re-encode differently:\n in %+v\nout %+v", in, out)
 		}
 	})
 }

@@ -19,13 +19,16 @@
 //     own followed by its subtree's, re-resolved through the resident
 //     indexes whenever they are needed, so a sub-key repoint needs no
 //     bookkeeping. Per direct dimension one flat slab holds, per referenced
-//     tuple and component, the γ-sum w_g = Σ_{n∈g} γ_n and Σ_{n∈g} γ_n·x_S;
-//     per pair of direct dimensions one slab holds the γ-sums of every
-//     referenced tuple pair. A slot is found through an []int32 table
-//     indexed by the tuple's dense index (pairs: open addressing on the two
-//     indexes packed into a word); a rebaseline zeroes the slabs in place.
-//     The M-step assembles its dimension blocks from them in one sweep, in
-//     time proportional to the number of groups and pairs.
+//     tuple and component, the γ-sum w_g = Σ_{n∈g} γ_n and Σ_{n∈g} γ_n·x_S,
+//     a slot found through an []int32 table indexed by the tuple's dense
+//     index; a rebaseline zeroes the slabs in place. The cross blocks
+//     between two direct dimensions, Σ_n γ_n·x_i·x_jᵀ, are folded per
+//     absorbed row into fixed-size sums beside the fact block's, as the
+//     factorized trainer folds them per match: tuple pairs hardly repeat,
+//     so a slot per pair would hold memory per row and save no multiply.
+//     The M-step assembles the other blocks from the slabs in one sweep and
+//     adds the cross-block sums in whole, in time proportional to the
+//     number of groups.
 //   - GMM QuadCache contributions: the E-step over delta rows scores
 //     through gmm.Scorer with per-dimension-tuple core.QuadCache fills —
 //     once per distinct direct dimension tuple the delta references.
@@ -64,16 +67,17 @@
 //
 // An absorb follows the factorized trainer's shape: the scan cuts the new
 // rows into chunks, workers score them and sum each chunk's fact-block
-// moments, and one merge takes the chunks strictly in order. It scatters
-// every row's γ and γ·x_S straight into its groups' and pairs' slots, row
-// after row, so those sums never see a chunk or batch boundary. The
-// fact-block moments are summed per chunk and then added to the total,
-// which is associative only at chunk boundaries — so chunks are cut at
-// absolute row indexes (chunk i is rows [i·C, (i+1)·C), C = StatChunkRows)
-// and the trailing partial chunk's sums are kept apart: a later absorb
-// continues them row by row and adds them in once the chunk is complete.
-// Every floating-point reduction order is therefore a function of the data
-// alone: absorbing base then delta (in any number of batches, under any
-// worker count) performs the same additions in the same order as one
-// from-scratch pass over the union — the property the tests pin.
+// moments and cross blocks, and one merge takes the chunks strictly in
+// order. It scatters every row's γ and γ·x_S straight into its groups'
+// slots, row after row, so those sums never see a chunk or batch boundary.
+// The fact-block moments and cross blocks are summed per chunk and then
+// added to the total, which is associative only at chunk boundaries — so
+// chunks are cut at absolute row indexes (chunk i is rows [i·C, (i+1)·C),
+// C = StatChunkRows) and the trailing partial chunk's sums are kept apart:
+// a later absorb continues them row by row and adds them in once the chunk
+// is complete. Every floating-point reduction order is therefore a
+// function of the data alone: absorbing base then delta (in any number of
+// batches, under any worker count) performs the same additions in the same
+// order as one from-scratch pass over the union — the property the tests
+// pin.
 package stream

@@ -2,8 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"math/bits"
-	"slices"
 
 	"factorml/internal/core"
 	"factorml/internal/gmm"
@@ -21,27 +19,63 @@ import (
 // fact-part sums (see the package comment).
 const StatChunkRows = 256
 
-// factSums are the statistics a fact row contributes on its own: its
-// log-likelihood and, per component, the mass Σγ, Σγ·x_S and the upper
-// triangle of Σγ·x_S·x_Sᵀ, in one buffer — zeroing, copying and adding the
-// sums are vector operations on it. All sums are raw (uncentered) moments,
-// which makes them independent of the model parameters: statistics absorbed
-// under different refresh generations compose additively.
+// factSums are the statistics summed row by row in row order: a fact
+// row's log-likelihood and, per component, the mass Σγ, Σγ·x_S, the upper
+// triangle of Σγ·x_S·x_Sᵀ and the cross blocks Σγ·x_i·x_jᵀ between every
+// two direct dimensions i < j, in one buffer — zeroing, copying and adding
+// the sums are vector operations on it. All sums are raw (uncentered)
+// moments, which makes them independent of the model parameters:
+// statistics absorbed under different refresh generations compose
+// additively.
 type factSums struct {
-	buf []float64       // log-likelihood, then nk, s1 and s2 end to end
-	nk  []float64       // K
-	s1  []float64       // K×dS
-	s2  []*linalg.Dense // K views of dS×dS
+	buf   []float64       // log-likelihood, then nk, s1, s2 and cross end to end
+	nk    []float64       // K
+	s1    []float64       // K×dS
+	s2    []*linalg.Dense // K views of dS×dS
+	cross []*linalg.Dense // per component, per direct dimension pair i<j: a view of w_i×w_j
 }
 
-func newFactSums(k, dS int) *factSums {
-	f := &factSums{buf: make([]float64, 1+k*(1+dS+dS*dS))}
+// newFactSums sizes the sums for K components over partition p (the fact
+// part, then one part per direct dimension).
+func newFactSums(k int, p core.Partition) *factSums {
+	dS := p.Dims[0]
+	n := 1 + k*(1+dS+dS*dS)
+	pairs, width := 0, 0
+	for i := 1; i < len(p.Dims); i++ {
+		for j := i + 1; j < len(p.Dims); j++ {
+			pairs, width = pairs+1, width+p.Dims[i]*p.Dims[j]
+		}
+	}
+	f := &factSums{buf: make([]float64, n+k*width), cross: make([]*linalg.Dense, 0, k*pairs)}
 	f.nk, f.s1 = f.buf[1:1+k], f.buf[1+k:1+k*(1+dS)]
 	for c := 0; c < k; c++ {
 		off := 1 + k*(1+dS) + c*dS*dS
 		f.s2 = append(f.s2, linalg.NewDenseData(dS, dS, f.buf[off:off+dS*dS]))
 	}
+	for c := 0; c < k; c++ {
+		for i := 1; i < len(p.Dims); i++ {
+			for j := i + 1; j < len(p.Dims); j++ {
+				f.cross = append(f.cross, linalg.NewDenseData(p.Dims[i], p.Dims[j], f.buf[n:n+p.Dims[i]*p.Dims[j]]))
+				n += p.Dims[i] * p.Dims[j]
+			}
+		}
+	}
 	return f
+}
+
+// foldCross adds one row's cross blocks γ_c·x_i·x_jᵀ — gamma its K
+// responsibilities, xs the features of its group in every direct dimension
+// — the per-match fold the factorized trainer runs (gmm.emFactorized).
+func (f *factSums) foldCross(gamma []float64, xs [][]float64) {
+	b := f.cross
+	for _, g := range gamma {
+		for i := range xs {
+			for j := i + 1; j < len(xs); j++ {
+				linalg.OuterAccum(b[0], g, xs[i], xs[j])
+				b = b[1:]
+			}
+		}
+	}
 }
 
 // foldRows adds n rows — gamma their K responsibilities each, xs their dS
@@ -61,52 +95,25 @@ func (f *factSums) foldRows(gamma, xs []float64, n int) {
 	}
 }
 
-// slab is one flat table of per-key accumulators: slot i belongs to keys[i]
-// and owns vals[i·stride : (i+1)·stride]. A group slab is keyed by the
-// direct dimension tuple's dense index and finds slots through a table
-// indexed by it; a pair slab is keyed by two such indexes packed into one
-// word and finds slots by open addressing. Slots are never removed — fact
-// rows are append-only, so the keys a prefix of the table references only
-// grow — which lets a rebaseline zero the values in place.
+// slab is one flat table of per-group accumulators: slot i belongs to the
+// direct dimension tuple of dense index keys[i] and owns
+// vals[i·stride : (i+1)·stride], found through a table indexed by the
+// tuple's dense index. Slots are never removed — fact rows are
+// append-only, so the groups a prefix of the table references only grow —
+// which lets a rebaseline zero the values in place.
 type slab struct {
 	stride int
 	keys   []uint64
 	vals   []float64
-	index  []int32 // 1 + slot, 0 = none; by key, or by hash when hashed
-	hashed bool
+	index  []int32 // by key: 1 + slot, 0 = none
 }
 
 // cell returns the index entry of key, growing the index to hold it.
 func (s *slab) cell(key uint64) *int32 {
-	if !s.hashed {
-		if grow := int(key) + 1 - len(s.index); grow > 0 {
-			s.index = append(s.index, make([]int32, grow)...)
-		}
-		return &s.index[key]
+	if grow := int(key) + 1 - len(s.index); grow > 0 {
+		s.index = append(s.index, make([]int32, grow)...)
 	}
-	if 2*(len(s.keys)+1) > len(s.index) {
-		s.reindex()
-	}
-	shift := 64 - uint(bits.TrailingZeros(uint(len(s.index))))
-	for h := key * 0x9E3779B97F4A7C15 >> shift; ; h = (h + 1) & uint64(len(s.index)-1) {
-		if c := &s.index[h]; *c == 0 || s.keys[*c-1] == key {
-			return c
-		}
-	}
-}
-
-// reindex rebuilds the index from the keys; a hashed one comes out at most
-// half full with one more key in it.
-func (s *slab) reindex() {
-	n := 0
-	if s.hashed {
-		for n = 16; n < 2*(len(s.keys)+1); n *= 2 {
-		}
-	}
-	s.index = make([]int32, n)
-	for i, key := range s.keys {
-		*s.cell(key) = int32(i + 1)
-	}
+	return &s.index[key]
 }
 
 // at returns key's accumulators, giving it a zeroed slot on first use.
@@ -125,17 +132,16 @@ func (s *slab) at(key uint64) []float64 {
 type Footprint struct {
 	Rows   int64 `json:"rows"`   // fact rows absorbed
 	Groups int   `json:"groups"` // direct dimension tuples with a slot
-	Pairs  int   `json:"pairs"`  // cross-dimension tuple pairs with a slot
-	Bytes  int64 `json:"bytes"`  // retained by the slabs, their indexes and the fact sums
+	Bytes  int64 `json:"bytes"`  // retained by the slabs, their indexes and the row-order sums
 }
 
 // GMMStats is the maintained factorized sufficient statistics of one
 // attached mixture model, over the partition the factorized trainers use:
 // the fact part plus one part per DIRECT dimension, a group being a direct
-// dimension tuple with its resolved subtree's features appended. The fact
-// part's own sums are kept apart for complete chunks and the trailing
-// partial one (see the package comment for why that makes incremental
-// absorption bit-identical to a from-scratch pass).
+// dimension tuple with its resolved subtree's features appended. The sums
+// taken in row order (factSums) are kept apart for complete chunks and the
+// trailing partial one (see the package comment for why that makes
+// incremental absorption bit-identical to a from-scratch pass).
 type GMMStats struct {
 	rv    *join.Resolver
 	nodes []int          // direct dimension d's subtree is plan nodes nodes[d] … nodes[d+1]-1
@@ -145,8 +151,6 @@ type GMMStats struct {
 	rows       int64     // fact rows absorbed
 	done, open *factSums // over the complete chunks; over the trailing partial one
 	grp        []slab    // per direct dimension: K Σγ, then K×dS Σγ·x_S
-	pairs      []slab    // per pairOf entry: K Σγ
-	pairOf     [][2]int  // direct dimension pairs (i<j)
 	// seen[d][g] is 1 + the position of group g in the running pass's
 	// dimension caches; all zero between passes.
 	seen [][]int32
@@ -155,7 +159,7 @@ type GMMStats struct {
 // NewGMMStats builds empty statistics for a K-component mixture over the
 // hierarchy rv resolves, below a fact relation of dS features.
 func NewGMMStats(rv *join.Resolver, dS, k int) *GMMStats {
-	st := &GMMStats{rv: rv, k: k, done: newFactSums(k, dS), open: newFactSums(k, dS)}
+	st := &GMMStats{rv: rv, k: k}
 	dims := []int{dS}
 	for i, ix := range rv.Idxs {
 		if rv.Parent[i] == -1 {
@@ -167,13 +171,10 @@ func NewGMMStats(rv *join.Resolver, dS, k int) *GMMStats {
 	q := len(st.nodes)
 	st.nodes = append(st.nodes, len(rv.Idxs))
 	st.p = core.NewPartition(dims)
+	st.done, st.open = newFactSums(k, st.p), newFactSums(k, st.p)
 	st.seen = make([][]int32, q)
 	for i := 0; i < q; i++ {
 		st.grp = append(st.grp, slab{stride: k * (1 + dS)})
-		for j := i + 1; j < q; j++ {
-			st.pairOf = append(st.pairOf, [2]int{i, j})
-			st.pairs = append(st.pairs, slab{stride: k, hashed: true})
-		}
 	}
 	return st
 }
@@ -193,10 +194,6 @@ func (st *GMMStats) Footprint() Footprint {
 		fp.Groups += len(st.grp[d].keys)
 		fp.Bytes += bytes(&st.grp[d]) + int64(4*cap(st.seen[d]))
 	}
-	for i := range st.pairs {
-		fp.Pairs += len(st.pairs[i].keys)
-		fp.Bytes += bytes(&st.pairs[i])
-	}
 	return fp
 }
 
@@ -209,9 +206,6 @@ func (st *GMMStats) Reset() {
 	linalg.VecZero(st.open.buf)
 	for d := range st.grp {
 		linalg.VecZero(st.grp[d].vals)
-	}
-	for i := range st.pairs {
-		linalg.VecZero(st.pairs[i].vals)
 	}
 }
 
@@ -249,9 +243,10 @@ type absorbChunk struct {
 	gidx   []int32   // n×q group of every row in every direct dimension
 	cidx   []int32   // n×q the groups' positions in the pass's dimension caches
 	gamma  []float64 // n×K responsibilities
-	fact   *factSums // the absolute chunk's fact sums up to this chunk's last row
+	fact   *factSums // the absolute chunk's row-order sums up to this chunk's last row
 	sc     *gmm.ScoreScratch
 	caches [][]core.QuadCache
+	feats  [][]float64 // the current row's group features per direct dimension
 }
 
 // dimCache holds one pass's per-dimension-tuple scoring caches of a direct
@@ -269,10 +264,18 @@ type dimCache struct {
 // the factorized trainer's shape: the scan resolves every row's direct
 // dimension tuples and cuts the rows into chunks at absolute boundaries,
 // filling the scoring caches of a dimension tuple the first time the pass
-// meets it; workers compute each chunk's responsibilities and the fact
-// part's sums; the merge, strictly in chunk order, scatters every row's γ
-// and γ·x_S into its groups' and group pairs' slots. Absorbing in any batch
-// split — and under any worker count — produces bit-identical sums.
+// meets it; workers compute each chunk's responsibilities and its
+// row-order sums — the fact part's moments and, per row, the cross blocks
+// between its direct dimension tuples; the merge, strictly in chunk order,
+// scatters every row's γ and γ·x_S into its groups' slots. Absorbing in any
+// batch split — and under any worker count — produces bit-identical sums.
+//
+// A cross block is folded with the group features the row is absorbed
+// under, where Step re-resolves the group slabs' features when it runs.
+// The two agree: a dimension update marks the statistics dirty and the
+// next refresh rebaselines them before it steps, and absorbs and upserts
+// run under the stream's one mutex, so no row's cross block outlives the
+// features it was folded with.
 func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) error {
 	k, q, dS := st.k, len(st.grp), st.p.Dims[0]
 	if model.K != k || model.D != st.p.D {
@@ -349,9 +352,10 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 			gidx:   make([]int32, StatChunkRows*q),
 			cidx:   make([]int32, StatChunkRows*q),
 			gamma:  make([]float64, StatChunkRows*k),
-			fact:   newFactSums(k, dS),
+			fact:   newFactSums(k, st.p),
 			sc:     scorer.NewScratch(),
 			caches: make([][]core.QuadCache, q),
+			feats:  make([][]float64, q),
 		}
 	}
 	produce := func(f *parallel.Feed[*absorbChunk]) error {
@@ -420,13 +424,22 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 		}
 		return nil
 	}
+	// A diagonal M-step reads no cross block, so a diagonal mixture skips
+	// them as the trainer does.
+	cross := q > 1 && !model.Diagonal
 	work := func(c *absorbChunk) (*absorbChunk, error) {
 		for i := 0; i < c.n; i++ {
 			for d := range c.caches {
+				dc := &caches[d]
 				at := int(c.cidx[i*q+d])
-				c.caches[d] = caches[d].qc[at*k : (at+1)*k]
+				c.caches[d] = dc.qc[at*k : (at+1)*k]
+				c.feats[d] = dc.buf[at*dc.stride:][:dc.width]
 			}
-			c.fact.buf[0] += scorer.Responsibilities(c.xs[i*dS:(i+1)*dS], c.caches, c.sc, c.gamma[i*k:(i+1)*k])
+			gamma := c.gamma[i*k : (i+1)*k]
+			c.fact.buf[0] += scorer.Responsibilities(c.xs[i*dS:(i+1)*dS], c.caches, c.sc, gamma)
+			if cross {
+				c.fact.foldCross(gamma, c.feats)
+			}
 		}
 		c.fact.foldRows(c.gamma, c.xs, c.n)
 		return c, nil
@@ -435,18 +448,11 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 		for i := 0; i < c.n; i++ {
 			gamma := c.gamma[i*k : (i+1)*k]
 			x := c.xs[i*dS : (i+1)*dS]
-			groups := c.gidx[i*q : (i+1)*q]
-			for d, g := range groups {
+			for d, g := range c.gidx[i*q : (i+1)*q] {
 				v := st.grp[d].at(uint64(g))
 				for cc, gc := range gamma {
 					v[cc] += gc
 					linalg.AxpyN(gc, x, v[k+cc*dS:], dS)
-				}
-			}
-			for pi, pr := range st.pairOf {
-				w := st.pairs[pi].at(uint64(groups[pr[0]])<<32 | uint64(groups[pr[1]]))
-				for cc, gc := range gamma {
-					w[cc] += gc
 				}
 			}
 		}
@@ -465,11 +471,12 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 // Step runs the M-step over the statistics as they stand and returns the
 // refreshed model (prev supplies the covariance structure — a diagonal
 // mixture refreshes as a diagonal one — and the parameters of collapsed
-// components, mirroring the trainers' collapse handling). One sweep reads the slabs in
-// place and assembles all K components: groups in dense index order, group
-// pairs in key order, every group's features resolved once. The result is
-// therefore a pure function of the absorbed rows and the dimension tuples —
-// independent of slot order and worker count.
+// components, mirroring the trainers' collapse handling). One sweep reads the group
+// slabs in place, in dense index order, every group's features resolved
+// once, and the row-order sums are added in whole, so Step costs
+// O(groups), not O(rows). The result is therefore a pure function of the
+// absorbed rows and the dimension tuples — independent of slot order and
+// worker count.
 func (st *GMMStats) Step(prev *gmm.Model, regEps float64) (*gmm.Model, error) {
 	n := st.Rows()
 	if n == 0 {
@@ -485,18 +492,16 @@ func (st *GMMStats) Step(prev *gmm.Model, regEps float64) (*gmm.Model, error) {
 		s1[c] = make([]float64, D)
 		s2[c] = core.NewBlockedZero(st.p)
 	}
-	// Every block touching a dimension is rebuilt from the per-group (or per
-	// group-pair) γ-sums times the groups' CURRENT features.
-	feats := make([][]float64, len(st.grp))
+	// Every block between the fact part and a dimension, and every
+	// dimension's own block, is rebuilt from the per-group γ-sums times the
+	// groups' CURRENT features.
 	for d := range st.grp {
 		sl := &st.grp[d]
-		dR := st.p.Dims[1+d]
-		feats[d] = make([]float64, len(sl.keys)*dR)
+		x := make([]float64, st.p.Dims[1+d])
 		for g, slot := range sl.index {
 			if slot == 0 {
 				continue
 			}
-			x := feats[d][int(slot-1)*dR : int(slot)*dR]
 			if err := st.groupFeatures(d, g, x); err != nil {
 				return nil, fmt.Errorf("stream: dimension table %q tuple %d: %w", st.rv.Idxs[st.nodes[d]].Name(), g, err)
 			}
@@ -508,23 +513,9 @@ func (st *GMMStats) Step(prev *gmm.Model, regEps float64) (*gmm.Model, error) {
 			}
 		}
 	}
-	var order []uint64
-	for pi, pr := range st.pairOf {
-		sl := &st.pairs[pi]
-		order = append(order[:0], sl.keys...)
-		slices.Sort(order)
-		gi, gj := &st.grp[pr[0]], &st.grp[pr[1]]
-		di, dj := st.p.Dims[1+pr[0]], st.p.Dims[1+pr[1]]
-		for _, key := range order {
-			a, b := int(gi.index[key>>32]-1), int(gj.index[uint32(key)]-1)
-			xi, xj := feats[pr[0]][a*di:(a+1)*di], feats[pr[1]][b*dj:(b+1)*dj]
-			for c, w := range sl.at(key) {
-				linalg.OuterAccum(s2[c].B[1+pr[0]][1+pr[1]], w, xi, xj)
-			}
-		}
-	}
 
 	out := prev.Clone()
+	pairs := len(st.done.cross) / k
 	raw := linalg.NewDense(D, D)
 	for c := 0; c < k; c++ {
 		nk := st.done.nk[c] + st.open.nk[c]
@@ -535,6 +526,14 @@ func (st *GMMStats) Step(prev *gmm.Model, regEps float64) (*gmm.Model, error) {
 		linalg.VecAdd(s1[c][:dS], st.done.s1[c*dS:(c+1)*dS], st.open.s1[c*dS:(c+1)*dS])
 		s2[c].B[0][0].CopyFrom(st.done.s2[c])
 		s2[c].B[0][0].Add(st.open.s2[c])
+		// The cross blocks between direct dimensions, in foldCross's order.
+		pc := c * pairs
+		for i := 1; i < len(s2[c].B); i++ {
+			for j := i + 1; j < len(s2[c].B); j, pc = j+1, pc+1 {
+				s2[c].B[i][j].CopyFrom(st.done.cross[pc])
+				s2[c].B[i][j].Add(st.open.cross[pc])
+			}
+		}
 		s2[c].AssembleInto(raw)
 		// µ = E_γ[x], Σ = E_γ[x xᵀ] − µµᵀ (+ regularizer), from the upper
 		// triangle and mirrored, so Σ is symmetric by construction.

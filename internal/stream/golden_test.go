@@ -68,7 +68,7 @@ func TestCodecGoldenBytes(t *testing.T) {
 		t.Fatalf("packed slab:\n got %s\nwant %s", got, wantSlab)
 	}
 	back := slab{stride: 2}
-	if err := back.unpack(packed, func(key uint64) bool { return key < 8 }); err != nil {
+	if err := back.unpack(packed, 8); err != nil {
 		t.Fatalf("unpacking the golden slab: %v", err)
 	}
 	if string(back.pack()) != string(packed) {

@@ -144,7 +144,6 @@ func (ds Decisions) Samples(emit metrics.Emit) {
 		if fp := d.Statistics; fp != nil {
 			emit.Gauge("factorml_stream_gmm_stats_rows", "Fact rows absorbed into the model's maintained GMM statistics.", float64(fp.Rows), model)
 			emit.Gauge("factorml_stream_gmm_stats_groups", "Direct dimension tuples holding a slot in the maintained GMM statistics.", float64(fp.Groups), model)
-			emit.Gauge("factorml_stream_gmm_stats_pairs", "Cross-dimension tuple pairs holding a slot in the maintained GMM statistics.", float64(fp.Pairs), model)
 			emit.Gauge("factorml_stream_gmm_stats_bytes", "Bytes the maintained GMM statistics retain.", float64(fp.Bytes), model)
 		}
 	}
