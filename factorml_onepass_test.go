@@ -154,7 +154,7 @@ func threePassEM(rows [][]float64, cfg GMMConfig) (*threePass, error) {
 			if nk[c] >= 1e-12 {
 				sumCov[c].Scale(1 / nk[c])
 				sumCov[c].AddDiag(cfg.RegEps)
-				model.Covs[c].CopyFrom(sumCov[c])
+				copy(model.Covs[c].Data(), sumCov[c].Data())
 			}
 		}
 

@@ -429,7 +429,6 @@ var unreferencedOK = map[string]string{
 	"MatVecAdd": "partitioned mat-vec property in linalg's quick tests",
 	"L":         "L·Lᵀ = A in the Cholesky tests",
 	"Eye":       "identity covariances in factorml_onepass_test.go and gmm/score_test.go",
-	"Assemble":  "dense form of a BlockedSym in the core and gmm tests",
 	"NumBlocks": "block count in the join cost-model test",
 	// The typed refresh rejection, for library callers to match.
 	"IsNonFiniteModel": "stream.NonFiniteModelError in TestRefreshRejectsNonFiniteModel",

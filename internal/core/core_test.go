@@ -58,24 +58,19 @@ func TestBlockSymAssembleRoundTrip(t *testing.T) {
 	p := NewPartition([]int{2, 3, 2})
 	m := randSPD(rng, p.D)
 	bs := BlockSym(m, p)
-	if !bs.Assemble().Equalish(m, 0) {
-		t.Fatal("Assemble(BlockSym(m)) != m")
-	}
-	r, c := bs.B[1][2].Dims()
-	if r != 3 || c != 2 {
-		t.Fatalf("block(1,2) dims = %dx%d", r, c)
-	}
-}
-
-func TestNewBlockedZeroShapes(t *testing.T) {
-	p := NewPartition([]int{1, 4})
-	bs := NewBlockedZero(p)
-	r, c := bs.B[1][0].Dims()
-	if r != 4 || c != 1 {
-		t.Fatalf("zero block dims = %dx%d", r, c)
-	}
-	if !bs.Assemble().Equalish(linalg.NewDense(5, 5), 0) {
-		t.Fatal("NewBlockedZero not zero")
+	for i := range bs.B {
+		for j, b := range bs.B[i] {
+			if r, c := b.Dims(); r != p.Dims[i] || c != p.Dims[j] {
+				t.Fatalf("block(%d,%d) dims = %dx%d", i, j, r, c)
+			}
+			for r := 0; r < p.Dims[i]; r++ {
+				for c, v := range b.Row(r) {
+					if v != m.At(p.Offs[i]+r, p.Offs[j]+c) {
+						t.Fatalf("block(%d,%d)[%d][%d] = %g, matrix holds %g", i, j, r, c, v, m.At(p.Offs[i]+r, p.Offs[j]+c))
+					}
+				}
+			}
+		}
 	}
 }
 

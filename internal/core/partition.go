@@ -64,57 +64,3 @@ func BlockSym(m *linalg.Dense, p Partition) *BlockedSym {
 	}
 	return bs
 }
-
-// Assemble reconstitutes the full matrix from the blocks (used in tests and
-// when writing Σ back from factorized accumulators).
-func (bs *BlockedSym) Assemble() *linalg.Dense {
-	m := linalg.NewDense(bs.P.D, bs.P.D)
-	bs.AssembleInto(m)
-	return m
-}
-
-// AssembleInto reconstitutes the full matrix into dst (which must be D×D)
-// from the diagonal and upper blocks B[i][j], i ≤ j, mirroring each upper
-// block into the lower triangle — so an accumulator fills only those, and
-// the assembled matrix is symmetric across blocks by construction. Per-
-// iteration accumulator reads reuse one destination instead of allocating
-// a fresh Dense each EM step.
-func (bs *BlockedSym) AssembleInto(dst *linalg.Dense) {
-	p := bs.P
-	for i := range bs.B {
-		dst.SetBlock(p.Offs[i], p.Offs[i], bs.B[i][i])
-		for j := i + 1; j < len(bs.B); j++ {
-			b := bs.B[i][j]
-			dst.SetBlock(p.Offs[i], p.Offs[j], b)
-			for r := 0; r < p.Dims[i]; r++ {
-				for c, v := range b.Row(r) {
-					dst.Set(p.Offs[j]+c, p.Offs[i]+r, v)
-				}
-			}
-		}
-	}
-}
-
-// Zero clears every block in place, recycling the accumulator across EM
-// iterations.
-func (bs *BlockedSym) Zero() {
-	for i := range bs.B {
-		for j := range bs.B[i] {
-			bs.B[i][j].Zero()
-		}
-	}
-}
-
-// NewBlockedZero returns a BlockedSym with zero blocks of the partition's
-// shapes (an accumulator for factorized Σ updates, paper Eq. 14/23).
-func NewBlockedZero(p Partition) *BlockedSym {
-	nb := p.Parts()
-	bs := &BlockedSym{P: p, B: make([][]*linalg.Dense, nb)}
-	for i := 0; i < nb; i++ {
-		bs.B[i] = make([]*linalg.Dense, nb)
-		for j := 0; j < nb; j++ {
-			bs.B[i][j] = linalg.NewDense(p.Dims[i], p.Dims[j])
-		}
-	}
-	return bs
-}

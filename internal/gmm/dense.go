@@ -13,10 +13,10 @@ import (
 // means, covariances; here an iteration is one pass through whatever access
 // path `scan` encapsulates (reading the materialized T, or re-joining on
 // the fly): each row's responsibilities are folded into the iteration's
-// moments (see moments) as soon as they are known, from the deviations
-// x − µ_c the E-step has just formed. The E-step is the fused kernel of
-// Scorer over the one-part partition (Model.denseScorer), the same kernel
-// the factorized trainer runs with dimension caches.
+// Moments, about its starting means, as soon as they are known, from the
+// deviations x − µ_c the E-step has just formed. The E-step is the fused
+// kernel of Scorer over the one-part partition (Model.denseScorer), the
+// same kernel the factorized trainer runs with dimension caches.
 //
 // The pass is executed by the shared chunked row-pass operator
 // (factor.RunRowPass over internal/parallel): rows are cut into fixed
@@ -35,29 +35,28 @@ func emDense(scan func(onRow factor.RowFn) error, d, n int, cfg Config, model *M
 	// at a time: gamma and pd hold that many rows' K responsibilities and K
 	// deviations x − µ_c, small enough to stay in cache between the two.
 	type chunkAcc struct {
-		ll    float64
 		logp  []float64
 		gamma []float64
 		pd    []float64
-		mom   moments
+		mom   *Moments
 	}
-	total := newMoments(k, d, model.Diagonal)
-	perRow := core.NewGMMUnits(core.NewPartition([]int{d}), k, model.Diagonal).DenseRow
+	p := core.NewPartition([]int{d})
+	total := NewMoments(p, k, model.Diagonal)
+	perRow := core.NewGMMUnits(p, k, model.Diagonal).DenseRow
 
 	return runEM(cfg, stats, func() (float64, error) {
 		scorer, err := model.denseScorer()
 		if err != nil {
 			return 0, err
 		}
-		ll := 0.0
-		total.zero()
+		total.Reset(model.Means)
 		err = factor.RunRowPass(name, nw, d, scan, factor.PassHooks[chunkAcc]{
 			NewAcc: func() chunkAcc {
 				return chunkAcc{
 					logp:  make([]float64, k),
 					gamma: make([]float64, foldBlockRows*k),
 					pd:    make([]float64, foldBlockRows*k*d),
-					mom:   newMoments(k, d, model.Diagonal),
+					mom:   NewMoments(p, k, model.Diagonal),
 				}
 			},
 			Fold: func(a *chunkAcc, _ int, rows, _ []float64, nr int) error {
@@ -65,25 +64,24 @@ func emDense(scan func(onRow factor.RowFn) error, d, n int, cfg Config, model *M
 					nb := min(nr, foldBlockRows)
 					for i := 0; i < nb; i++ {
 						scorer.score(rows[i*d:(i+1)*d], nil, a.pd[i*k*d:(i+1)*k*d], a.logp)
-						a.ll += linalg.SoftmaxLSE(a.gamma[i*k:(i+1)*k], a.logp)
+						a.mom.AddLL(linalg.SoftmaxLSE(a.gamma[i*k:(i+1)*k], a.logp))
 					}
-					a.mom.foldRows(a.gamma, a.pd, nb)
+					a.mom.FoldRows(a.gamma, a.pd, nb)
 					rows, nr = rows[nb*d:], nr-nb
 				}
 				return nil
 			},
 			Merge: func(a *chunkAcc) error {
-				ll += a.ll
-				total.add(&a.mom)
-				a.ll = 0
-				a.mom.zero()
+				total.Add(a.mom)
+				a.mom.Zero()
 				return nil
 			}})
 		if err != nil {
 			return 0, err
 		}
 		stats.Ops.Add(perRow.Scale(int64(n)))
-		total.update(model, n, cfg.RegEps)
+		ll := total.LL()
+		total.Step(model, n, cfg.RegEps)
 		return ll, nil
 	})
 }

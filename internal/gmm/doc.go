@@ -4,17 +4,12 @@
 // that strategy's access path and runs the same EM over it — the factorized
 // driver when the path carries the factorized parts, the dense one
 // otherwise, each for full and diagonal covariances alike. The paper's
-// three flavours are its one-line shorthands:
-//
-//   - TrainM (M-GMM): materialize the join result T on disk, then run EM
-//     reading T once per iteration.
-//   - TrainS (S-GMM): identical EM, but each read of T is replaced by
-//     re-executing the block-nested-loops join on the fly.
-//   - TrainF (F-GMM): the paper's contribution — the E-step quadratic form
-//     and the M-step mean/covariance accumulations are factorized into
-//     per-relation blocks (Eq. 7–24), and every quantity that depends only
-//     on a dimension tuple is computed once per distinct dimension tuple
-//     and reused across all matching fact tuples.
+// three flavours are its strategies: M-GMM reads the materialized join T
+// once per iteration, S-GMM re-executes the block-nested-loops join
+// instead, and F-GMM (TrainF), the paper's contribution, factorizes the
+// E-step quadratic form and the M-step accumulations into per-relation
+// blocks (Eq. 7–24), computing every quantity that depends only on a
+// dimension tuple once per distinct tuple.
 //
 // One pass per iteration: the paper's Algorithm 1 and its factorized form
 // read the data three times per EM iteration — responsibilities, means,
@@ -23,9 +18,15 @@
 // deviations PD = x − µ from the iteration's *starting* means (the PD the
 // E-step has just formed; for a dimension tuple, the one its QuadCache
 // carries), and the M-step is solved after the pass as µ ← µ + d,
-// Σ ← S/N_k − d·dᵀ + εI with d = s1/N_k — an exact identity (see moments),
-// under which every group trick of Eq. 13–24 carries over unchanged. The
-// three-pass form survives as the test oracle (factorml_onepass_test.go).
+// Σ ← S/N_k − d·dᵀ + εI with d = s1/N_k — an exact identity, under which
+// every group trick of Eq. 13–24 carries over unchanged. The three-pass
+// form survives as the test oracle (factorml_onepass_test.go).
+//
+// One statistics type: Moments (with GroupSums per dimension) holds those
+// sums about an origin it stores — the trainers' starting means, or the
+// model's means at attach or rebaseline for the streaming refresh — and
+// every trainer and the refresh fold into it and step through its one
+// M-step. About an origin inside the data the sums do not cancel.
 //
 // One scoring kernel: every E-step and every point score runs the fused
 // kernel behind Scorer (fused.go). The factorized trainer, serving and the

@@ -1,0 +1,356 @@
+package gmm
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+
+	"factorml/internal/codec"
+	"factorml/internal/core"
+	"factorml/internal/linalg"
+)
+
+// Moments are the EM sufficient statistics of a K-component mixture over a
+// partition (fact part, then one part per direct dimension), taken about an
+// origin o_c they store: with PD = x − o_c, ll = Σ ln p(x), N_k = Σγ_c,
+// s1_c = Σγ_c·PD and s2_c = Σγ_c·PD·PDᵀ. About an origin inside the data
+// s2/N_k − d·dᵀ does not cancel when |µ| ≫ σ, as raw moments do (Chan,
+// Golub & LeVeque, 1983). The trainers' origin is the iteration's starting
+// means, so every PD their scorer and caches form is one about it.
+//
+// s2_c is kept as its upper blocks [i][j], i ≤ j (its diagonal for a
+// diagonal model), filled by FoldRows (the fact part), FoldCross (per row,
+// the blocks between two dimension parts, §V-C) and FoldGroups (once per
+// dimension tuple, Eq. 13–18 / 22–24). Step is the one M-step.
+type Moments struct {
+	p      core.Partition
+	part   []int // the part of each joined column
+	k      int
+	diag   bool
+	origin []float64 // K×D
+	buf    []float64 // ll, N_k, then per component s1 and s2 end to end
+	nk     []float64
+	s1     [][]float64         // per component, D wide
+	s2     [][][]*linalg.Dense // per component the upper blocks of s2
+	v2     [][]float64         // per component the diagonal of s2, for a diagonal model
+}
+
+// NewMoments returns zero sums about a zero origin.
+func NewMoments(p core.Partition, k int, diagonal bool) *Moments {
+	per := 2 * p.D // s1 and the diagonal
+	if !diagonal {
+		per = p.D
+		for i, di := range p.Dims {
+			for _, dj := range p.Dims[i:] {
+				per += di * dj
+			}
+		}
+	}
+	m := &Moments{p: p, k: k, diag: diagonal, origin: make([]float64, k*p.D), buf: make([]float64, 1+k+k*per)}
+	m.part = make([]int, p.D)
+	for i, off := range p.Offs {
+		for j := off; j < off+p.Dims[i]; j++ {
+			m.part[j] = i
+		}
+	}
+	m.nk = m.buf[1 : 1+k : 1+k]
+	off := 1 + k
+	next := func(n int) []float64 {
+		off += n
+		return m.buf[off-n : off : off]
+	}
+	m.s1 = make([][]float64, k)
+	if diagonal {
+		m.v2 = make([][]float64, k)
+		for c := range m.s1 {
+			m.s1[c], m.v2[c] = next(p.D), next(p.D)
+		}
+		return m
+	}
+	parts := p.Parts()
+	m.s2 = make([][][]*linalg.Dense, k)
+	rows, blocks := make([][]*linalg.Dense, k*parts), make([]*linalg.Dense, k*parts*parts)
+	for c := range m.s1 {
+		m.s1[c] = next(p.D)
+		m.s2[c] = rows[c*parts : (c+1)*parts]
+		for i, di := range p.Dims {
+			m.s2[c][i] = blocks[(c*parts+i)*parts : (c*parts+i+1)*parts]
+			for j := i; j < parts; j++ {
+				m.s2[c][i][j] = linalg.NewDenseData(di, p.Dims[j], next(di*p.Dims[j]))
+			}
+		}
+	}
+	return m
+}
+
+// Reset zeroes the sums and takes origin (K rows of D) as their origin.
+func (m *Moments) Reset(origin [][]float64) {
+	for c, o := range origin {
+		copy(m.origin[c*m.p.D:(c+1)*m.p.D], o)
+	}
+	m.Zero()
+}
+
+// Zero zeroes the sums and keeps the origin.
+func (m *Moments) Zero() { linalg.VecZero(m.buf) }
+
+// Clone returns a copy of m, origin and sums.
+func (m *Moments) Clone() *Moments {
+	c := NewMoments(m.p, m.k, m.diag)
+	copy(c.origin, m.origin)
+	copy(c.buf, m.buf)
+	return c
+}
+
+// Add merges o's sums into m; adding in chunk order fixes the reduction.
+func (m *Moments) Add(o *Moments) { linalg.VecAdd(m.buf, m.buf, o.buf) }
+
+// AddLL adds a row's log-likelihood.
+func (m *Moments) AddLL(v float64) { m.buf[0] += v }
+
+// LL returns the summed log-likelihood.
+func (m *Moments) LL() float64 { return m.buf[0] }
+
+// Data returns the sums, ll first, as one flat slice, and Origin the origin
+// as one flat K×D slice: what a checkpoint saves and restores.
+func (m *Moments) Data() []float64   { return m.buf }
+func (m *Moments) Origin() []float64 { return m.origin }
+
+// Deviations writes x − o_c for every component c into dst, K runs end to
+// end; x is the columns of part `part`.
+func (m *Moments) Deviations(dst []float64, part int, x []float64) {
+	w, off := m.p.Dims[part], m.p.Offs[part]
+	x = x[:w]
+	for c := 0; c < m.k; c++ {
+		o, d := m.origin[c*m.p.D+off:][:w], dst[c*w:][:w]
+		for i, v := range x {
+			d[i] = v - o[i]
+		}
+	}
+}
+
+// FoldRows adds n rows' fact parts from their K responsibilities (gamma)
+// and K deviations x_S − o_c (pd) each, row after row: folding them in two
+// calls gives the bits of folding them in one.
+func (m *Moments) FoldRows(gamma, pd []float64, n int) {
+	k, dS := m.k, m.p.Dims[0]
+	for c := 0; c < k; c++ {
+		for r := 0; r < n; r++ {
+			g, pdc := gamma[r*k+c], pd[(r*k+c)*dS:]
+			m.nk[c] += g
+			linalg.AxpyN(g, pdc, m.s1[c], dS)
+			if m.diag {
+				foldDiag(m.v2[c], g, pdc[:dS])
+			}
+		}
+		if !m.diag {
+			linalg.SyrkAccumRows(m.s2[c][0][0], gamma[c:], k, pd[c*dS:], k*dS, n)
+		}
+	}
+}
+
+// foldDiag accumulates v2 += w·pd² element-wise — the diagonal of w·pd·pdᵀ.
+func foldDiag(v2 []float64, w float64, pd []float64) {
+	v2 = v2[:len(pd)]
+	for i, v := range pd {
+		v2[i] += w * v * v
+	}
+}
+
+// FoldCross adds one row's Σγ_c·PD_i·PD_jᵀ between every two dimension
+// parts i < j, a no-op for a diagonal model: devs[j] is the K deviations
+// (QuadCache.PD) of the row's tuple in dimension part j+1.
+func (m *Moments) FoldCross(gamma []float64, devs [][]core.QuadCache) {
+	for c := 0; c < len(gamma) && !m.diag; c++ {
+		for i := range devs {
+			for j := i + 1; j < len(devs); j++ {
+				linalg.OuterAccum(m.s2[c][1+i][1+j], gamma[c], devs[i][c].PD, devs[j][c].PD)
+			}
+		}
+	}
+}
+
+// FoldGroups folds dimension part `part`'s group sums in, every tuple with
+// a slot once, in ordinal order; devs(t) returns tuple t's K deviations
+// x_R − o_c (QuadCache.PD):
+//
+//	Σ_n γ PD_R       = (Σ_{n∈t} γ) · PD_R
+//	Σ_n γ PD_R PD_Rᵀ = (Σ_{n∈t} γ) · PD_R PD_Rᵀ   (its diagonal for a diagonal model)
+//	Σ_n γ PD_S PD_Rᵀ = (Σ_{n∈t} γ PD_S) ⊗ PD_R
+func (m *Moments) FoldGroups(part int, g *GroupSums, devs func(t int) ([]core.QuadCache, error)) error {
+	k, dS := m.k, m.p.Dims[0]
+	for t, s := range g.slots {
+		if s == nil {
+			continue
+		}
+		run, err := devs(t)
+		if err != nil {
+			return err
+		}
+		for c, w := range s[:k] {
+			pd := run[c].PD
+			linalg.Axpy(w, pd, m.p.Slice(m.s1[c], part))
+			if m.diag {
+				foldDiag(m.p.Slice(m.v2[c], part), w, pd)
+				continue
+			}
+			linalg.SyrkAccum(m.s2[c][part][part], w, pd)
+			linalg.OuterAccum(m.s2[c][0][part], 1, s[k+c*dS:k+(c+1)*dS], pd)
+		}
+	}
+	return nil
+}
+
+// Step moves model to the M-step solution (Eq. 3–5) over n rows: with
+// d = s1/N_k, µ ← o + d and Σ ← s2/N_k − d·dᵀ + εI, exactly the textbook
+// Σγ(x−µ)(x−µ)ᵀ/N_k because Σγ(PD−d) = 0. Σ's upper triangle is mirrored.
+// A collapsed component (N_k < CollapseFloor) keeps its mean and
+// covariance. Step scales s1 in place: the sums are spent.
+func (m *Moments) Step(model *Model, n int, regEps float64) {
+	D := m.p.D
+	for c, dv := range m.s1 {
+		model.Weights[c] = m.nk[c] / float64(n)
+		if m.nk[c] < CollapseFloor {
+			continue
+		}
+		inv := 1 / m.nk[c]
+		linalg.VecScale(dv, inv, dv)
+		cov := model.Covs[c]
+		if m.diag {
+			cov.Zero()
+		}
+		for i, di := range dv {
+			for j := i; j < D && (j == i || !m.diag); j++ { // a diagonal model: the diagonal alone
+				v := m.s2At(c, i, j)*inv - di*dv[j]
+				if i == j {
+					v += regEps
+				}
+				cov.Set(i, j, v)
+				cov.Set(j, i, v)
+			}
+		}
+		o := m.origin[c*D:]
+		for i := range model.Means[c] {
+			model.Means[c][i] = o[i] + dv[i]
+		}
+	}
+}
+
+// s2At returns s2_c's entry (i, j), i ≤ j.
+func (m *Moments) s2At(c, i, j int) float64 {
+	if m.diag {
+		return m.v2[c][i]
+	}
+	bi, bj := m.part[i], m.part[j]
+	return m.s2[c][bi][bj].At(i-m.p.Offs[bi], j-m.p.Offs[bj])
+}
+
+// GroupSums are one direct dimension's per-tuple sums by tuple ordinal: K
+// Σγ_c over the rows matching the tuple, then, for a full covariance, K
+// Σγ_c·PD_S. A tuple's slot is carved when a row first matches it from a
+// block of at most blockFloats: one allocation per block, and the slots in
+// first-match order.
+type GroupSums struct {
+	k, dS int         // dS is 0 for a diagonal model, which has no fact–dimension block
+	slots [][]float64 // nil until a row matches the tuple
+	free  []float64   // the unused tail of the last block
+}
+
+// blockFloats bounds a block to 32 KiB, the largest allocation Go does not
+// round up to whole pages.
+const blockFloats = 4096
+
+// slot returns tuple t's sums, carving them on first use.
+func (g *GroupSums) slot(t int) []float64 {
+	if t >= len(g.slots) {
+		g.slots = append(g.slots, make([][]float64, t+1-len(g.slots))...)
+	}
+	if g.slots[t] == nil {
+		n := g.k * (1 + g.dS)
+		if len(g.free) < n {
+			g.free = make([]float64, max(1, blockFloats/n)*n)
+		}
+		g.slots[t], g.free = g.free[:n:n], g.free[n:]
+	}
+	return g.slots[t]
+}
+
+// NewGroupSums returns empty group sums shaped for m.
+func (m *Moments) NewGroupSums() GroupSums {
+	if m.diag {
+		return GroupSums{k: m.k}
+	}
+	return GroupSums{k: m.k, dS: m.p.Dims[0]}
+}
+
+// Reset sizes the sums for n tuples and zeroes them, keeping the slots
+// already allocated while n fits.
+func (g *GroupSums) Reset(n int) {
+	g.slots = slices.Grow(g.slots[:0], n)[:n]
+	for _, s := range g.slots {
+		linalg.VecZero(s)
+	}
+}
+
+// Add adds one row to tuple t's sums: gamma its K responsibilities, pds
+// its K fact-part deviations end to end (unread for a diagonal model).
+func (g *GroupSums) Add(t int, gamma, pds []float64) {
+	s, dS := g.slot(t), g.dS
+	w, gv := s[:len(gamma)], s[len(gamma):]
+	for c, gc := range gamma {
+		w[c] += gc
+	}
+	if dS == 0 {
+		return
+	}
+	for c, gc := range gamma {
+		linalg.AxpyN(gc, pds[c*dS:], gv[c*dS:], dS)
+	}
+}
+
+// Len returns one past the largest tuple ordinal the sums cover.
+func (g *GroupSums) Len() int { return len(g.slots) }
+
+// Footprint returns how many tuples have a slot and the bytes the sums hold.
+func (g *GroupSums) Footprint() (tuples int, bytes int64) {
+	bytes = int64(24*cap(g.slots) + 8*cap(g.free))
+	for _, s := range g.slots {
+		if s != nil {
+			tuples, bytes = tuples+1, bytes+int64(8*cap(s))
+		}
+	}
+	return tuples, bytes
+}
+
+// AppendTo appends the sums as little-endian IEEE-754 words, slot after
+// slot in ordinal order, a tuple without a slot as zeros.
+func (g *GroupSums) AppendTo(b []byte) []byte {
+	zero := make([]float64, g.k*(1+g.dS))
+	for _, s := range g.slots {
+		if s == nil {
+			s = zero
+		}
+		b = codec.AppendF64s(b, s)
+	}
+	return b
+}
+
+// Decode replaces the sums with AppendTo's output for a dimension of the
+// given number of tuples. A slot of zero bits stays unallocated, so the two
+// round-trip byte for byte.
+func (g *GroupSums) Decode(b []byte, tuples int) error {
+	stride := g.k * (1 + g.dS)
+	if n := len(b) / (8 * stride); len(b)%(8*stride) != 0 || n > tuples {
+		return fmt.Errorf("gmm: %d bytes of group sums are not whole slots of %d for at most %d tuples", len(b), 8*stride, tuples)
+	}
+	g.slots, g.free = make([][]float64, len(b)/(8*stride)), nil
+	r := codec.NewReader(b)
+	for t := range g.slots {
+		if raw := b[8*stride*t : 8*stride*(t+1)]; len(bytes.TrimLeft(raw, "\x00")) == 0 {
+			r.Bytes("empty slot", len(raw))
+			continue
+		}
+		r.F64s("group sums", g.slot(t))
+	}
+	return r.Done()
+}

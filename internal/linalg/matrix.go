@@ -70,14 +70,6 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// CopyFrom copies src into m. Dimensions must match.
-func (m *Dense) CopyFrom(src *Dense) {
-	if m.rows != src.rows || m.cols != src.cols {
-		panic(fmt.Sprintf("linalg: copy dimension mismatch %dx%d vs %dx%d", m.rows, m.cols, src.rows, src.cols))
-	}
-	copy(m.data, src.data)
-}
-
 // Zero sets every element of m to zero.
 func (m *Dense) Zero() {
 	for i := range m.data {
@@ -155,16 +147,6 @@ func (m *Dense) Block(i0, j0, r, c int) *Dense {
 		copy(out.Row(i), m.data[(i0+i)*m.cols+j0:(i0+i)*m.cols+j0+c])
 	}
 	return out
-}
-
-// SetBlock copies b into m with its top-left corner at (i0, j0).
-func (m *Dense) SetBlock(i0, j0 int, b *Dense) {
-	if i0 < 0 || j0 < 0 || i0+b.rows > m.rows || j0+b.cols > m.cols {
-		panic(fmt.Sprintf("linalg: setBlock at (%d,%d) of %dx%d into %dx%d out of bounds", i0, j0, b.rows, b.cols, m.rows, m.cols))
-	}
-	for i := 0; i < b.rows; i++ {
-		copy(m.data[(i0+i)*m.cols+j0:(i0+i)*m.cols+j0+b.cols], b.Row(i))
-	}
 }
 
 // Eye returns the n×n identity matrix.

@@ -132,9 +132,9 @@ func TestBlockAndSetBlock(t *testing.T) {
 	if !b.Equalish(want, 0) {
 		t.Fatalf("Block = %v, want %v", b, want)
 	}
-	m.SetBlock(0, 0, NewDenseData(2, 2, []float64{0, 0, 0, 0}))
-	if m.At(0, 0) != 0 || m.At(1, 1) != 0 || m.At(2, 2) != 9 {
-		t.Fatalf("SetBlock wrong: %v", m)
+	b.Set(0, 0, 0)
+	if m.At(1, 1) != 5 {
+		t.Fatalf("Block aliases its matrix: %v", m)
 	}
 }
 
@@ -175,15 +175,6 @@ func TestMaxAbsDiffAndEqualish(t *testing.T) {
 	}
 	if a.Equalish(NewDense(2, 2), 10) {
 		t.Fatal("Equalish across shapes must be false")
-	}
-}
-
-func TestCopyFrom(t *testing.T) {
-	a := NewDense(2, 2)
-	b := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	a.CopyFrom(b)
-	if !a.Equalish(b, 0) {
-		t.Fatal("CopyFrom did not copy")
 	}
 }
 

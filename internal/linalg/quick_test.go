@@ -88,7 +88,6 @@ func TestQuickBlockedOuterProductIdentity(t *testing.T) {
 		OuterAccum(whole, 1, v, v)
 
 		xs, xr := v[:s], v[s:]
-		assembled := NewDense(n, n)
 		ul := NewDense(s, s)
 		OuterAccum(ul, 1, xs, xs)
 		ur := NewDense(s, n-s)
@@ -97,11 +96,8 @@ func TestQuickBlockedOuterProductIdentity(t *testing.T) {
 		OuterAccum(ll, 1, xr, xs)
 		lr := NewDense(n-s, n-s)
 		OuterAccum(lr, 1, xr, xr)
-		assembled.SetBlock(0, 0, ul)
-		assembled.SetBlock(0, s, ur)
-		assembled.SetBlock(s, 0, ll)
-		assembled.SetBlock(s, s, lr)
-		return assembled.Equalish(whole, 1e-10)
+		return whole.Block(0, 0, s, s).Equalish(ul, 1e-10) && whole.Block(0, s, s, n-s).Equalish(ur, 1e-10) &&
+			whole.Block(s, 0, n-s, s).Equalish(ll, 1e-10) && whole.Block(s, s, n-s, n-s).Equalish(lr, 1e-10)
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Fatal(err)

@@ -44,10 +44,9 @@ import (
 // rebuilds bit-identical model state.
 
 const (
-	// Format 3 keeps a mixture's cross blocks between direct dimensions in
-	// its row-order sums, where format 2 kept a slab per dimension pair;
-	// formats 1 and 2 load without their statistics.
-	streamStateFormat = 3
+	// Format 4 stores a mixture's sums about its origin, group sums by tuple
+	// ordinal; older formats load without their statistics.
+	streamStateFormat = 4
 	manifestFormat    = 1
 
 	manifestFile    = "manifest.json"
@@ -64,9 +63,10 @@ const (
 type gmmStatsState struct {
 	K      int      `json:"k"`
 	Rows   int64    `json:"rows"`
+	Origin []byte   `json:"origin"` // the K×D point the sums are taken about
 	Done   []byte   `json:"done"`   // the row-order sums over the complete chunks
 	Open   []byte   `json:"open"`   // and over the trailing partial one
-	Groups [][]byte `json:"groups"` // per direct dimension: the slot keys, then the slot values
+	Groups [][]byte `json:"groups"` // per direct dimension: gmm.GroupSums.AppendTo
 }
 
 // walModelState is one attached model: parameters (the gmm/nn JSON
@@ -107,48 +107,11 @@ func unpackFloats(dst []float64, b []byte) error {
 	return nil
 }
 
-func (s *slab) pack() []byte {
-	b := make([]byte, 0, 8*(len(s.keys)+len(s.vals)))
-	for _, key := range s.keys {
-		b = codec.AppendI64(b, int64(key))
-	}
-	return codec.AppendF64s(b, s.vals)
-}
-
-// unpack loads pack's output. Every key must name one of the dimension's
-// tuples before the index is built from it (the index is as long as the
-// largest key).
-func (s *slab) unpack(b []byte, tuples uint64) error {
-	slot := 8 * (1 + s.stride)
-	if len(b)%slot != 0 {
-		return fmt.Errorf("stream: checkpoint slab of %d bytes does not hold whole slots of %d", len(b), slot)
-	}
-	// The whole-slot check sized both runs below to exactly b's bytes.
-	r := codec.NewReader(b)
-	s.keys = make([]uint64, len(b)/slot)
-	for i := range s.keys {
-		s.keys[i] = uint64(r.I64("slab key"))
-		if s.keys[i] >= tuples {
-			return fmt.Errorf("stream: checkpoint slab key %#x names no tuple of this database", s.keys[i])
-		}
-	}
-	s.vals = make([]float64, len(s.keys)*s.stride)
-	r.F64s("slab values", s.vals)
-	s.index = nil
-	for i, key := range s.keys {
-		c := s.cell(key)
-		if *c != 0 {
-			return fmt.Errorf("stream: checkpoint slab holds key %#x twice", key)
-		}
-		*c = int32(i + 1)
-	}
-	return nil
-}
-
 func (st *GMMStats) state() *gmmStatsState {
-	s := &gmmStatsState{K: st.k, Rows: st.rows, Done: codec.AppendF64s(nil, st.done.buf), Open: codec.AppendF64s(nil, st.open.buf)}
+	s := &gmmStatsState{K: st.k, Rows: st.rows, Origin: codec.AppendF64s(nil, st.done.Origin()),
+		Done: codec.AppendF64s(nil, st.done.Data()), Open: codec.AppendF64s(nil, st.open.Data())}
 	for d := range st.grp {
-		s.Groups = append(s.Groups, st.grp[d].pack())
+		s.Groups = append(s.Groups, st.grp[d].AppendTo(nil))
 	}
 	return s
 }
@@ -158,15 +121,19 @@ func (st *GMMStats) restore(s *gmmStatsState) error {
 		return fmt.Errorf("stream: checkpoint statistics missing or not shaped like this schema's (K=%d, %d direct dimensions)", st.k, len(st.grp))
 	}
 	st.rows = s.Rows
-	if err := unpackFloats(st.done.buf, s.Done); err != nil {
+	if err := unpackFloats(st.done.Origin(), s.Origin); err != nil {
 		return err
 	}
-	if err := unpackFloats(st.open.buf, s.Open); err != nil {
+	copy(st.open.Origin(), st.done.Origin())
+	if err := unpackFloats(st.done.Data(), s.Done); err != nil {
+		return err
+	}
+	if err := unpackFloats(st.open.Data(), s.Open); err != nil {
 		return err
 	}
 	for d := range st.grp {
-		if err := st.grp[d].unpack(s.Groups[d], uint64(st.rv.Idxs[st.nodes[d]].Len())); err != nil {
-			return err
+		if err := st.grp[d].Decode(s.Groups[d], st.rv.Idxs[st.nodes[d]].Len()); err != nil {
+			return fmt.Errorf("stream: checkpoint statistics of direct dimension %d: %w", d, err)
 		}
 	}
 	return nil
@@ -214,12 +181,10 @@ func (s *Stream) stateLocked() (*walStreamState, error) {
 // Caller holds mu; the database files must already be the snapshot's
 // (RestoreSnapshotFiles ran before storage.Open on a crash boot).
 //
-// The statistics of an older format are not migrated — format 1 kept one
-// record per group and per relation pair over the per-relation partition,
-// format 2 a γ-sum slab per direct dimension pair: its mixtures come back
-// with empty statistics and marked dirty, so their first refresh rebuilds
-// them from the fact table — the rebaseline a dimension update forces
-// anyway.
+// The statistics of an older format are not migrated: its mixtures come
+// back with empty statistics and marked dirty, so their first refresh
+// rebuilds them from the fact table — the rebaseline a dimension update
+// forces anyway.
 func (s *Stream) restoreStateLocked(ctx context.Context, st *walStreamState) error {
 	if st.Format < 1 || st.Format > streamStateFormat {
 		return fmt.Errorf("stream: unsupported checkpoint state format %d", st.Format)
@@ -235,7 +200,7 @@ func (s *Stream) restoreStateLocked(ctx context.Context, st *walStreamState) err
 				return fmt.Errorf("stream: restoring model %q: %w", ms.Name, err)
 			}
 			m.gmdl = gm
-			m.stats = NewGMMStats(s.rv, s.p.Dims[0], gm.K)
+			m.stats = NewGMMStats(s.rv, s.p.Dims[0], gm)
 			if st.Format < streamStateFormat {
 				m.dirty = true
 				dropped++

@@ -353,14 +353,19 @@ const streamStateV1 = `{"format":1,"refresh_seq":3,"pending":4,
    "grp":[[{"g":0,"w":"AAAAAAAARkA=","gvec":"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}]],"pairs":[]}}}]}`
 
 // TestRestoreFormat1DropsStatistics boots from snapshots whose stream
-// state predates the current format — format 1 over ckptStar, and format 2
-// (a γ-sum slab per direct dimension pair) over a star of two dimensions:
-// the mixture comes back attached, its statistics are not migrated, one
-// log event says so, and its first refresh rebuilds them from the fact
-// table — ending bit-identical to statistics that never went through a
-// checkpoint.
+// state predates the current format — format 1 over ckptStar, format 2 (a
+// γ-sum slab per direct dimension pair) and format 3 (raw moments, keyed
+// group slots, cross sums between the two dimensions) over a star of two
+// dimensions: the mixture comes back attached, its statistics are not
+// migrated, one log event says so, and its first refresh rebuilds them from
+// the fact table — ending bit-identical to statistics that never went
+// through a checkpoint.
 func TestRestoreFormat1DropsStatistics(t *testing.T) {
 	v2, err := os.ReadFile(filepath.Join("testdata", "stream-state-v2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := os.ReadFile(filepath.Join("testdata", "stream-state-v3.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,6 +378,8 @@ func TestRestoreFormat1DropsStatistics(t *testing.T) {
 		// Captured from a format-2 build: one K=1 mixture attached, four
 		// rows ingested, checkpointed.
 		{"format2", v2, data.SynthConfig{NS: 40, NR: []int{6, 4}, DS: 3, DR: []int{2, 1}, Seed: 11, WithTarget: true}},
+		// Captured from a format-3 build the same way.
+		{"format3", v3, data.SynthConfig{NS: 40, NR: []int{6, 4}, DS: 3, DR: []int{2, 1}, Seed: 11, WithTarget: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -424,7 +431,7 @@ func TestRestoreFormat1DropsStatistics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh := NewGMMStats(s2.rv, tc.cfg.DS, base.K)
+			fresh := NewGMMStats(s2.rv, tc.cfg.DS, base)
 			if err := fresh.Absorb(base, s2.spec.S, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -616,8 +623,8 @@ func FuzzDecodeWALRecord(f *testing.F) {
 // FuzzGMMStatsRestore throws arbitrary checkpoint statistics at restore,
 // over a schema of two direct dimensions (so the row-order sums hold cross
 // blocks): it must reject them, or restore statistics whose state
-// re-encodes to exactly the blobs it read — never panic, and never
-// allocate more than a small multiple of the input.
+// re-encodes to exactly the origin and blobs it read — never panic, and
+// never allocate more than a small multiple of the input.
 func FuzzGMMStatsRestore(f *testing.F) {
 	db, err := storage.Open(f.TempDir(), storage.Options{PoolPages: -1})
 	if err != nil {
@@ -641,35 +648,43 @@ func FuzzGMMStatsRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	st := NewGMMStats(rv, 2, 2)
-	if err := st.Absorb(res.Model, spec.S, 1); err != nil {
+	model := res.Model
+	st := NewGMMStats(rv, 2, model)
+	if err := st.Absorb(model, spec.S, 1); err != nil {
 		f.Fatal(err)
 	}
 	valid := st.state()
-	if err := NewGMMStats(rv, 2, 2).restore(valid); err != nil {
+	if err := NewGMMStats(rv, 2, model).restore(valid); err != nil {
 		f.Fatalf("a checkpoint's own statistics do not restore: %v", err)
 	}
-	f.Add(valid.K, valid.Rows, valid.Done, valid.Open, valid.Groups[0], valid.Groups[1])
-	f.Add(2, int64(0), NewGMMStats(rv, 2, 2).state().Done, valid.Open, []byte{}, []byte{})
-	f.Add(3, valid.Rows, valid.Done, valid.Open, valid.Groups[0], valid.Groups[1])
-	f.Add(2, int64(-1), valid.Done, valid.Open, valid.Groups[0], valid.Groups[1])
-	f.Add(2, valid.Rows, valid.Done[8:], valid.Open, valid.Groups[0], valid.Groups[1][:len(valid.Groups[1])-8])
-	f.Add(2, valid.Rows, valid.Done, valid.Open, valid.Groups[1], valid.Groups[0])
-	f.Fuzz(func(t *testing.T, k int, rows int64, done, open, g0, g1 []byte) {
-		in := &gmmStatsState{K: k, Rows: rows, Done: done, Open: open, Groups: [][]byte{g0, g1}}
-		got := NewGMMStats(rv, 2, 2)
+	slot := 8 * model.K * (1 + 2) // K Σγ, then K×dS Σγ·PD_S
+	zeroSlot := make([]byte, slot)
+	f.Add(valid.K, valid.Rows, valid.Origin, valid.Done, valid.Open, valid.Groups[0], valid.Groups[1])
+	f.Add(2, int64(0), valid.Origin, NewGMMStats(rv, 2, model).state().Done, valid.Open, []byte{}, []byte{})
+	f.Add(3, valid.Rows, valid.Origin, valid.Done, valid.Open, valid.Groups[0], valid.Groups[1])
+	f.Add(2, int64(-1), valid.Origin, valid.Done, valid.Open, valid.Groups[0], valid.Groups[1])
+	f.Add(2, valid.Rows, valid.Origin[8:], valid.Done, valid.Open, valid.Groups[0], valid.Groups[1])
+	f.Add(2, valid.Rows, valid.Origin, valid.Done[8:], valid.Open, valid.Groups[0], valid.Groups[1][:len(valid.Groups[1])-8])
+	f.Add(2, valid.Rows, valid.Origin, valid.Done, valid.Open, valid.Groups[1], valid.Groups[0])
+	// A tuple no row matched mid-blob, a blob that stops early, and one slot
+	// more than the dimension has tuples.
+	f.Add(2, valid.Rows, valid.Origin, valid.Done, valid.Open, append(append(zeroSlot[:0:0], zeroSlot...), valid.Groups[0][slot:]...), valid.Groups[1][:2*slot])
+	f.Add(2, valid.Rows, valid.Origin, valid.Done, valid.Open, append(valid.Groups[0][:len(valid.Groups[0]):len(valid.Groups[0])], zeroSlot...), valid.Groups[1])
+	f.Fuzz(func(t *testing.T, k int, rows int64, origin, done, open, g0, g1 []byte) {
+		in := &gmmStatsState{K: k, Rows: rows, Origin: origin, Done: done, Open: open, Groups: [][]byte{g0, g1}}
+		got := NewGMMStats(rv, 2, model)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := got.restore(in)
 		runtime.ReadMemStats(&after)
-		if grew, size := after.TotalAlloc-before.TotalAlloc, len(done)+len(open)+len(g0)+len(g1); grew > uint64(4*size)+64<<10 {
+		if grew, size := after.TotalAlloc-before.TotalAlloc, len(origin)+len(done)+len(open)+len(g0)+len(g1); grew > uint64(4*size)+64<<10 {
 			t.Fatalf("restoring %d bytes of statistics allocated %d bytes", size, grew)
 		}
 		if err != nil {
 			return
 		}
 		out := got.state()
-		if out.K != k || out.Rows != rows || !bytes.Equal(out.Done, done) || !bytes.Equal(out.Open, open) ||
+		if out.K != k || out.Rows != rows || !bytes.Equal(out.Origin, origin) || !bytes.Equal(out.Done, done) || !bytes.Equal(out.Open, open) ||
 			len(out.Groups) != 2 || !bytes.Equal(out.Groups[0], g0) || !bytes.Equal(out.Groups[1], g1) {
 			t.Fatalf("restored statistics re-encode differently:\n in %+v\nout %+v", in, out)
 		}

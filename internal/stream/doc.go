@@ -13,22 +13,20 @@
 //
 // # Maintained statistics
 //
-//   - GMM sufficient statistics (GMMStats), over the partition the
-//     factorized trainers use: the fact part plus one part per DIRECT
-//     dimension. A group is a direct dimension tuple; its features are its
-//     own followed by its subtree's, re-resolved through the resident
-//     indexes whenever they are needed, so a sub-key repoint needs no
-//     bookkeeping. Per direct dimension one flat slab holds, per referenced
-//     tuple and component, the γ-sum w_g = Σ_{n∈g} γ_n and Σ_{n∈g} γ_n·x_S,
-//     a slot found through an []int32 table indexed by the tuple's dense
-//     index; a rebaseline zeroes the slabs in place. The cross blocks
-//     between two direct dimensions, Σ_n γ_n·x_i·x_jᵀ, are folded per
-//     absorbed row into fixed-size sums beside the fact block's, as the
-//     factorized trainer folds them per match: tuple pairs hardly repeat,
-//     so a slot per pair would hold memory per row and save no multiply.
-//     The M-step assembles the other blocks from the slabs in one sweep and
-//     adds the cross-block sums in whole, in time proportional to the
-//     number of groups.
+//   - GMM sufficient statistics (GMMStats), over the factorized trainers'
+//     partition: the fact part plus one part per DIRECT dimension. A group
+//     is a direct dimension tuple; its features (its own, then its
+//     subtree's) are re-resolved through the resident indexes when needed,
+//     so a sub-key repoint needs no bookkeeping. The statistics are the
+//     trainers' own gmm.Moments, about an origin (the model's means at
+//     attach or rebaseline, saved in the checkpoint), so data far from zero
+//     cancels nothing and rows absorbed under different refresh generations
+//     add up. Per direct dimension a gmm.GroupSums holds, by tuple ordinal,
+//     w_g = Σ_{n∈g} γ_n and, for a full covariance, Σ_{n∈g} γ_n·(x_S − o_S).
+//     Cross blocks between two direct dimensions are folded per absorbed
+//     row beside the fact block, as the trainer folds them per match (tuple
+//     pairs hardly repeat). Step folds every group once — O(groups) — and
+//     runs gmm.Moments.Step; the stream does no statistics arithmetic.
 //   - GMM QuadCache contributions: the E-step over delta rows scores
 //     through gmm.Scorer with per-dimension-tuple core.QuadCache fills —
 //     once per distinct direct dimension tuple the delta references.
@@ -68,7 +66,7 @@
 // An absorb follows the factorized trainer's shape: the scan cuts the new
 // rows into chunks, workers score them and sum each chunk's fact-block
 // moments and cross blocks, and one merge takes the chunks strictly in
-// order. It scatters every row's γ and γ·x_S straight into its groups'
+// order. It adds every row's γ and γ·(x_S − o_S) straight into its groups'
 // slots, row after row, so those sums never see a chunk or batch boundary.
 // The fact-block moments and cross blocks are summed per chunk and then
 // added to the total, which is associative only at chunk boundaries — so

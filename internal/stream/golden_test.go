@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestCodecGoldenBytes pins the exact bytes of every WAL record kind and of
-// a packed checkpoint slab. Old WAL directories and snapshots hold these
-// bytes, so a codec change that moves one fails here before it fails a
-// recovery. Each golden value must also decode and re-encode to itself.
+// TestCodecGoldenBytes pins the exact bytes of every WAL record kind. Old
+// WAL directories hold these bytes, so a codec change that moves one fails
+// here before it fails a recovery. Each golden value must also decode and
+// re-encode to itself.
 func TestCodecGoldenBytes(t *testing.T) {
 	batch := Batch{
 		Dims: []DimUpdate{{Table: "items", RID: 7, FKs: []int64{3}, Features: []float64{1.5, math.NaN()}}},
@@ -25,10 +25,6 @@ func TestCodecGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl := slab{stride: 2}
-	copy(sl.at(5), []float64{1, -0.5})
-	copy(sl.at(2), []float64{math.Inf(1), 3})
-
 	records := []struct {
 		name string
 		got  []byte
@@ -58,21 +54,6 @@ func TestCodecGoldenBytes(t *testing.T) {
 		if again, err := reencodeWALRecord(&rec); err != nil || string(again) != string(r.got) {
 			t.Errorf("%s record: re-encodes to %x (%v)", r.name, again, err)
 		}
-	}
-
-	const wantSlab = "0500000000000000" + "0200000000000000" +
-		"000000000000f03f" + "000000000000e0bf" +
-		"000000000000f07f" + "0000000000000840"
-	packed := sl.pack()
-	if got := hex.EncodeToString(packed); got != wantSlab {
-		t.Fatalf("packed slab:\n got %s\nwant %s", got, wantSlab)
-	}
-	back := slab{stride: 2}
-	if err := back.unpack(packed, 8); err != nil {
-		t.Fatalf("unpacking the golden slab: %v", err)
-	}
-	if string(back.pack()) != string(packed) {
-		t.Fatalf("golden slab re-packs to %x", back.pack())
 	}
 }
 

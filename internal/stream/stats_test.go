@@ -3,6 +3,7 @@ package stream
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"factorml/internal/core"
@@ -121,7 +122,7 @@ func TestGMMIncrementalMatchesFullRecompute(t *testing.T) {
 			// now — before any delta exists.
 			incs := make([]*GMMStats, len(workerSweep))
 			for i, w := range workerSweep {
-				incs[i] = NewGMMStats(resolverFor(t, spec, idxs), p.Dims[0], model.K)
+				incs[i] = NewGMMStats(resolverFor(t, spec, idxs), p.Dims[0], model)
 				if err := incs[i].Absorb(model, spec.S, w); err != nil {
 					t.Fatal(err)
 				}
@@ -193,7 +194,7 @@ func TestGMMIncrementalMatchesFullRecompute(t *testing.T) {
 				if d := mInc.MaxParamDiff(refModel); d != 0 {
 					t.Fatalf("incremental model (workers=%d) differs from workers=%d by %g", w, workerSweep[0], d)
 				}
-				full := NewGMMStats(resolverFor(t, spec, idxs), p.Dims[0], model.K)
+				full := NewGMMStats(resolverFor(t, spec, idxs), p.Dims[0], model)
 				if err := full.Absorb(model, spec.S, w); err != nil {
 					t.Fatal(err)
 				}
@@ -225,8 +226,9 @@ func TestGMMIncrementalMatchesFullRecompute(t *testing.T) {
 // and 1500 narrow tuples under a 12-wide fact table, uniform keys, K=5, so
 // nearly every row brings a new group: at most 850 bytes retained per
 // absorbed row (the per-relation maps this store replaced held 2.5 KiB and
-// allocated seventy times per row), a rebaseline — once a pass has sized
-// the slabs — whose allocation count is pinned, per pass and not per row,
+// allocated seventy times per row), a rebaseline — once a pass has
+// allocated the group sums' slots — whose allocation count is pinned, per
+// pass and not per row,
 // and no growth at all from rows that only recombine groups already
 // absorbed: the cross blocks between dimensions are sums, not a slot per
 // tuple pair.
@@ -250,7 +252,7 @@ func TestGMMStatsFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewGMMStats(resolverFor(t, spec, idxs), 12, 5)
+	st := NewGMMStats(resolverFor(t, spec, idxs), 12, res.Model)
 	if err := st.Absorb(res.Model, spec.S, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +267,7 @@ func TestGMMStatsFootprint(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(3, func() {
-		st.Reset()
+		st.Reset(res.Model)
 		if err := st.Absorb(res.Model, spec.S, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +276,7 @@ func TestGMMStatsFootprint(t *testing.T) {
 	// caches, the one chunk object of a one-worker run) or per chunk (a cache
 	// fill's closures), never per row. Nothing is pooled across passes, so
 	// the count is exact and the same under the race detector.
-	const wantAllocs = 403
+	const wantAllocs = 440
 	t.Logf("%.0f allocations per warm rebaseline of %d rows", allocs, rows)
 	if allocs < wantAllocs-2 || allocs > wantAllocs+2 {
 		t.Errorf("a warm rebaseline of %d rows allocates %.0f times, want %d ± 2", rows, allocs, wantAllocs)
@@ -287,12 +289,20 @@ func TestGMMStatsFootprint(t *testing.T) {
 	// so nearly every row is a combination of groups the table has not
 	// held before.
 	const extra = 500
+	absorbed := make([][]int, len(st.grp)) // per direct dimension, the ordinals with a slot
+	const slot = 8 * 5 * (1 + 12)          // K Σγ, then K×dS Σγ·PD_S
+	for d, blob := range st.state().Groups {
+		for g := 0; g < len(blob)/slot; g++ {
+			if strings.Trim(string(blob[g*slot:(g+1)*slot]), "\x00") != "" {
+				absorbed[d] = append(absorbed[d], g)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(17))
 	for i := int64(0); i < extra; i++ {
 		keys := []int64{rows + i}
-		for d := range st.grp {
-			g := st.grp[d].keys[rng.Intn(len(st.grp[d].keys))]
-			pk, _ := idxs[st.nodes[d]].At(int(g))
+		for d, groups := range absorbed {
+			pk, _ := idxs[st.nodes[d]].At(groups[rng.Intn(len(groups))])
 			keys = append(keys, pk)
 		}
 		feats := make([]float64, 12)

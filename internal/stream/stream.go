@@ -293,7 +293,7 @@ func (s *Stream) attachGMMLocked(name string, m *gmm.Model) error {
 	if _, ok := s.models[name]; ok {
 		return fmt.Errorf("stream: model %q already attached", name)
 	}
-	st := NewGMMStats(s.rv, s.p.Dims[0], m.K)
+	st := NewGMMStats(s.rv, s.p.Dims[0], m)
 	if err := st.Absorb(m, s.spec.S, s.pol.NumWorkers); err != nil {
 		return err
 	}
@@ -871,7 +871,7 @@ func (s *Stream) refreshLocked(ctx context.Context, auto bool) (RefreshResult, e
 			mr.Strategy = "incremental" // O(delta) sufficient-statistics maintenance
 			rebase := m.dirty || (s.pol.RebaselineEvery > 0 && s.refreshSeq%uint64(s.pol.RebaselineEvery) == 0)
 			if rebase {
-				m.stats.Reset()
+				m.stats.Reset(m.gmdl)
 				s.cmu.Lock()
 				s.counters.Rebaselines++
 				s.cmu.Unlock()

@@ -103,7 +103,7 @@ func TestStreamRefreshBitIdentical(t *testing.T) {
 
 	// Full-retraining baseline over the union, several worker counts.
 	for _, w := range []int{1, 4} {
-		full := NewGMMStats(s.rv, p.Dims[0], model.K)
+		full := NewGMMStats(s.rv, p.Dims[0], model)
 		if err := full.Absorb(model, spec.S, w); err != nil {
 			t.Fatal(err)
 		}

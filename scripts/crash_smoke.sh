@@ -99,16 +99,17 @@ echo "== ingest traffic: loadgen in the background, explicit acked batches in fr
 loadgen_pid=$!
 sleep 1
 
-curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
-    -d '{"dims":[{"table":"synth_R1","rid":5,"features":[9.5,-9.5,4.0]}]}' \
-    | grep -q '"dim_updates": 1'
+body="$(curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
+    -d '{"dims":[{"table":"synth_R1","rid":5,"features":[9.5,-9.5,4.0]}]}')"
+grep -q '"dim_updates": 1' <<<"$body"
 rows=""
 for i in $(seq 0 34); do
     [ -n "$rows" ] && rows="$rows,"
     rows="$rows{\"sid\":$((600+i)),\"fks\":[$((i%20))],\"features\":[0.5,-0.5,1.0],\"target\":1}"
 done
-curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
-    -d "{\"facts\":[$rows]}" | grep -q '"facts": 35'
+body="$(curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
+    -d "{\"facts\":[$rows]}")"
+grep -q '"facts": 35' <<<"$body"
 
 # Every record at or below this LSN has been acknowledged — and with
 # -fsync-every 1, fsynced. None of them may be lost. The lineage rows
@@ -148,16 +149,18 @@ echo "   training_rows $rows_before -> $rows_mid (pre-kill) -> $rows_after (reco
 
 echo "== rebooted server keeps serving"
 p1="$(predict_gmm)"
-curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
-    -d '{"dims":[{"table":"synth_R1","rid":5,"features":[-3.0,7.0,-1.5]}]}' \
-    | grep -q '"dim_updates": 1'
+body="$(curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
+    -d '{"dims":[{"table":"synth_R1","rid":5,"features":[-3.0,7.0,-1.5]}]}')"
+grep -q '"dim_updates": 1' <<<"$body"
 p2="$(predict_gmm)"
 if [ "$p1" = "$p2" ]; then
     echo "prediction unchanged after post-recovery dimension update" >&2; exit 1
 fi
 
 echo "== WAL telemetry is live on the rebooted server"
-curl_json "http://$addr/statsz" | grep -q '"wal"'
-curl_json "http://$addr/metrics" | grep -q '^factorml_wal_last_lsn '
+stats="$(curl_json "http://$addr/statsz")"
+grep -q '"wal"' <<<"$stats"
+metrics="$(curl_json "http://$addr/metrics")"
+grep -q '^factorml_wal_last_lsn ' <<<"$metrics"
 
 echo "crash smoke OK"

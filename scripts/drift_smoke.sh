@@ -65,7 +65,8 @@ echo "   serving on $addr"
 curl_json() { curl -sSf "$@"; }
 
 echo "== lineage rides the models listing"
-curl_json "http://$addr/v1/models" | grep -q '"strategy": "factorized"'
+models="$(curl_json "http://$addr/v1/models")"
+grep -q '"strategy": "factorized"' <<<"$models"
 
 echo "== health is fresh at boot"
 h1="$(curl_json "http://$addr/v1/models/drift-gmm/health")"
@@ -78,8 +79,9 @@ for i in $(seq 0 79); do
     [ -n "$rows" ] && rows="$rows,"
     rows="$rows{\"sid\":$((600+i)),\"fks\":[$((i%20))],\"features\":[500.0,-500.0,250.0],\"target\":1}"
 done
-curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
-    -d "{\"facts\":[$rows]}" | grep -q '"facts": 80'
+ingest="$(curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
+    -d "{\"facts\":[$rows]}")"
+grep -q '"facts": 80' <<<"$ingest"
 
 echo "== health flips to drifting with the shifted columns named"
 h2="$(curl_json "http://$addr/v1/models/drift-gmm/health")"
@@ -95,7 +97,8 @@ grep -q 'factorml_model_health{model="drift-gmm",verdict="drifting"} 1' <<<"$met
 grep -q 'factorml_model_rows_since_refresh{model="drift-gmm"} 80' <<<"$metrics"
 
 echo "== /statsz carries the health section"
-curl_json "http://$addr/statsz" | grep -q '"health"'
+stats="$(curl_json "http://$addr/statsz")"
+grep -q '"health"' <<<"$stats"
 
 echo "== a refresh absorbs the delta and restores fresh"
 curl_json -X POST "http://$addr/v1/refresh" -d '{}' >/dev/null

@@ -71,7 +71,8 @@ curl_json() { curl -sSf "$@"; }
 has() { tr -d ' \n' | grep -q "$1"; }
 
 echo "== /healthz"
-curl_json "http://$addr/healthz" | has '"status":"ok"'
+health="$(curl_json "http://$addr/healthz")"
+has '"status":"ok"' <<<"$health"
 
 predict_gmm() {
     curl_json -X POST "http://$addr/v1/models/smoke-gmm/predict" \
@@ -85,9 +86,9 @@ echo "   $p1"
 has '"version":1' <<<"$p1"
 
 echo "== dimension update reaches served predictions immediately"
-curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
-    -d '{"dims":[{"table":"synth_R1","rid":5,"features":[9.5,-9.5,4.0]}]}' \
-    | has '"dim_updates":1'
+body="$(curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
+    -d '{"dims":[{"table":"synth_R1","rid":5,"features":[9.5,-9.5,4.0]}]}')"
+has '"dim_updates":1' <<<"$body"
 p2="$(predict_gmm)"
 echo "   $p2"
 if [ "$p1" = "$p2" ]; then
