@@ -22,11 +22,13 @@
 // every group trick of Eq. 13–24 carries over unchanged. The three-pass
 // form survives as the test oracle (factorml_onepass_test.go).
 //
-// One statistics type: Moments (with GroupSums per dimension) holds those
-// sums about an origin it stores — the trainers' starting means, or the
-// model's means at attach or rebaseline for the streaming refresh — and
-// every trainer and the refresh fold into it and step through its one
-// M-step. About an origin inside the data the sums do not cancel.
+// One statistics type: Moments holds those sums about an origin it
+// stores — the trainers' starting means, or the model's means at attach or
+// rebaseline for the streaming refresh — and every trainer and the refresh
+// fold into it and step through its one M-step. About an origin inside the
+// data the sums do not cancel. The factorized trainer's GroupSums live for
+// one pass; the refresh, whose sums live as long as its stream, folds whole
+// joined rows over the one-part partition.
 //
 // One scoring kernel: every E-step and every point score runs the fused
 // kernel behind Scorer (fused.go). The factorized trainer, serving and the

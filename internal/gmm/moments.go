@@ -1,11 +1,8 @@
 package gmm
 
 import (
-	"bytes"
-	"fmt"
 	"slices"
 
-	"factorml/internal/codec"
 	"factorml/internal/core"
 	"factorml/internal/linalg"
 )
@@ -116,13 +113,13 @@ func (m *Moments) LL() float64 { return m.buf[0] }
 func (m *Moments) Data() []float64   { return m.buf }
 func (m *Moments) Origin() []float64 { return m.origin }
 
-// Deviations writes x − o_c for every component c into dst, K runs end to
-// end; x is the columns of part `part`.
-func (m *Moments) Deviations(dst []float64, part int, x []float64) {
-	w, off := m.p.Dims[part], m.p.Offs[part]
-	x = x[:w]
+// Deviations writes x − o_c for every component c into dst, K runs of D
+// end to end.
+func (m *Moments) Deviations(dst, x []float64) {
+	D := m.p.D
+	x = x[:D]
 	for c := 0; c < m.k; c++ {
-		o, d := m.origin[c*m.p.D+off:][:w], dst[c*w:][:w]
+		o, d := m.origin[c*D:][:D], dst[c*D:][:D]
 		for i, v := range x {
 			d[i] = v - o[i]
 		}
@@ -245,11 +242,11 @@ func (m *Moments) s2At(c, i, j int) float64 {
 	return m.s2[c][bi][bj].At(i-m.p.Offs[bi], j-m.p.Offs[bj])
 }
 
-// GroupSums are one direct dimension's per-tuple sums by tuple ordinal: K
-// Σγ_c over the rows matching the tuple, then, for a full covariance, K
-// Σγ_c·PD_S. A tuple's slot is carved when a row first matches it from a
-// block of at most blockFloats: one allocation per block, and the slots in
-// first-match order.
+// GroupSums are one direct dimension's per-tuple sums by tuple ordinal,
+// for one training pass: K Σγ_c over the rows matching the tuple, then,
+// for a full covariance, K Σγ_c·PD_S. A tuple's slot is carved when a row
+// first matches it from a block of at most blockFloats: one allocation per
+// block, and the slots in first-match order.
 type GroupSums struct {
 	k, dS int         // dS is 0 for a diagonal model, which has no fact–dimension block
 	slots [][]float64 // nil until a row matches the tuple
@@ -306,51 +303,4 @@ func (g *GroupSums) Add(t int, gamma, pds []float64) {
 	for c, gc := range gamma {
 		linalg.AxpyN(gc, pds[c*dS:], gv[c*dS:], dS)
 	}
-}
-
-// Len returns one past the largest tuple ordinal the sums cover.
-func (g *GroupSums) Len() int { return len(g.slots) }
-
-// Footprint returns how many tuples have a slot and the bytes the sums hold.
-func (g *GroupSums) Footprint() (tuples int, bytes int64) {
-	bytes = int64(24*cap(g.slots) + 8*cap(g.free))
-	for _, s := range g.slots {
-		if s != nil {
-			tuples, bytes = tuples+1, bytes+int64(8*cap(s))
-		}
-	}
-	return tuples, bytes
-}
-
-// AppendTo appends the sums as little-endian IEEE-754 words, slot after
-// slot in ordinal order, a tuple without a slot as zeros.
-func (g *GroupSums) AppendTo(b []byte) []byte {
-	zero := make([]float64, g.k*(1+g.dS))
-	for _, s := range g.slots {
-		if s == nil {
-			s = zero
-		}
-		b = codec.AppendF64s(b, s)
-	}
-	return b
-}
-
-// Decode replaces the sums with AppendTo's output for a dimension of the
-// given number of tuples. A slot of zero bits stays unallocated, so the two
-// round-trip byte for byte.
-func (g *GroupSums) Decode(b []byte, tuples int) error {
-	stride := g.k * (1 + g.dS)
-	if n := len(b) / (8 * stride); len(b)%(8*stride) != 0 || n > tuples {
-		return fmt.Errorf("gmm: %d bytes of group sums are not whole slots of %d for at most %d tuples", len(b), 8*stride, tuples)
-	}
-	g.slots, g.free = make([][]float64, len(b)/(8*stride)), nil
-	r := codec.NewReader(b)
-	for t := range g.slots {
-		if raw := b[8*stride*t : 8*stride*(t+1)]; len(bytes.TrimLeft(raw, "\x00")) == 0 {
-			r.Bytes("empty slot", len(raw))
-			continue
-		}
-		r.F64s("group sums", g.slot(t))
-	}
-	return r.Done()
 }

@@ -261,7 +261,9 @@ func (m *Monitor) NoteRefresh(name string, version int, strategy string, totalRo
 		reset(mm.quality)
 	}
 	b.CapturedAtUnix = now.Unix()
-	b.Rows = b.Columns[0].Sketch.Count
+	if len(b.Columns) > 0 { // a restored lineage may hold none
+		b.Rows = b.Columns[0].Sketch.Count
+	}
 	mm.lin.TrainedAtUnix = now.Unix()
 	if totalRows > 0 {
 		mm.lin.TrainingRows = totalRows

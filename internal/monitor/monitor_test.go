@@ -114,6 +114,21 @@ func TestStaleness(t *testing.T) {
 	}
 }
 
+// TestEmptyBaselineRefreshes: a lineage whose baseline lists no columns
+// (a checkpoint or registry blob can carry one) refreshes and reports
+// health without a panic.
+func TestEmptyBaselineRefreshes(t *testing.T) {
+	m := New(Config{})
+	m.Attach("m1", "nn", 1, &Lineage{Baseline: &Baseline{}})
+	m.ObserveJoined([]float64{1, 2})
+	if lin := m.NoteRefresh("m1", 2, "factorized", 10); lin == nil || lin.TrainingRows != 10 || lin.Baseline.Rows != 0 {
+		t.Fatalf("lineage after refresh = %+v", lin)
+	}
+	if _, ok := m.Health("m1"); !ok {
+		t.Fatal("model not monitored after refresh")
+	}
+}
+
 func TestUnmonitoredVerdict(t *testing.T) {
 	m := New(Config{})
 	m.Attach("bare", "gmm", 1, nil)

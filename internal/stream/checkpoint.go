@@ -44,9 +44,9 @@ import (
 // rebuilds bit-identical model state.
 
 const (
-	// Format 4 stores a mixture's sums about its origin, group sums by tuple
-	// ordinal; older formats load without their statistics.
-	streamStateFormat = 4
+	// Format 5 stores a mixture's sums over the joined row about its origin,
+	// and no per-tuple sums; older formats load without their statistics.
+	streamStateFormat = 5
 	manifestFormat    = 1
 
 	manifestFile    = "manifest.json"
@@ -61,12 +61,11 @@ const (
 // bits, so the sums restore bit-exactly, NaN and ±Inf included — which
 // encoding/json writes as one base64 string.
 type gmmStatsState struct {
-	K      int      `json:"k"`
-	Rows   int64    `json:"rows"`
-	Origin []byte   `json:"origin"` // the K×D point the sums are taken about
-	Done   []byte   `json:"done"`   // the row-order sums over the complete chunks
-	Open   []byte   `json:"open"`   // and over the trailing partial one
-	Groups [][]byte `json:"groups"` // per direct dimension: gmm.GroupSums.AppendTo
+	K      int    `json:"k"`
+	Rows   int64  `json:"rows"`
+	Origin []byte `json:"origin"` // the K×D point the sums are taken about
+	Done   []byte `json:"done"`   // the sums over the complete chunks
+	Open   []byte `json:"open"`   // and over the trailing partial one
 }
 
 // walModelState is one attached model: parameters (the gmm/nn JSON
@@ -108,17 +107,14 @@ func unpackFloats(dst []float64, b []byte) error {
 }
 
 func (st *GMMStats) state() *gmmStatsState {
-	s := &gmmStatsState{K: st.k, Rows: st.rows, Origin: codec.AppendF64s(nil, st.done.Origin()),
+	return &gmmStatsState{K: st.k, Rows: st.rows, Origin: codec.AppendF64s(nil, st.done.Origin()),
 		Done: codec.AppendF64s(nil, st.done.Data()), Open: codec.AppendF64s(nil, st.open.Data())}
-	for d := range st.grp {
-		s.Groups = append(s.Groups, st.grp[d].AppendTo(nil))
-	}
-	return s
 }
 
-func (st *GMMStats) restore(s *gmmStatsState) error {
-	if s == nil || s.K != st.k || s.Rows < 0 || len(s.Groups) != len(st.grp) {
-		return fmt.Errorf("stream: checkpoint statistics missing or not shaped like this schema's (K=%d, %d direct dimensions)", st.k, len(st.grp))
+// restore loads checkpointed statistics over a fact table of factRows rows.
+func (st *GMMStats) restore(s *gmmStatsState, factRows int64) error {
+	if s == nil || s.K != st.k || s.Rows < 0 || s.Rows > factRows {
+		return fmt.Errorf("stream: checkpoint statistics missing or not shaped like this model's (K=%d) over %d fact rows", st.k, factRows)
 	}
 	st.rows = s.Rows
 	if err := unpackFloats(st.done.Origin(), s.Origin); err != nil {
@@ -128,15 +124,7 @@ func (st *GMMStats) restore(s *gmmStatsState) error {
 	if err := unpackFloats(st.done.Data(), s.Done); err != nil {
 		return err
 	}
-	if err := unpackFloats(st.open.Data(), s.Open); err != nil {
-		return err
-	}
-	for d := range st.grp {
-		if err := st.grp[d].Decode(s.Groups[d], st.rv.Idxs[st.nodes[d]].Len()); err != nil {
-			return fmt.Errorf("stream: checkpoint statistics of direct dimension %d: %w", d, err)
-		}
-	}
-	return nil
+	return unpackFloats(st.open.Data(), s.Open)
 }
 
 // stateLocked captures the stream's full recovery state. Caller holds mu.
@@ -177,15 +165,20 @@ func (s *Stream) stateLocked() (*walStreamState, error) {
 	return st, nil
 }
 
-// restoreStateLocked rebuilds the stream from a checkpointed state.
-// Caller holds mu; the database files must already be the snapshot's
-// (RestoreSnapshotFiles ran before storage.Open on a crash boot).
+// restoreStateLocked rebuilds the stream from a checkpoint's
+// stream-state.json. Caller holds mu; the database files must already be
+// the snapshot's (RestoreSnapshotFiles ran before storage.Open on a crash
+// boot).
 //
 // The statistics of an older format are not migrated: its mixtures come
 // back with empty statistics and marked dirty, so their first refresh
 // rebuilds them from the fact table — the rebaseline a dimension update
 // forces anyway.
-func (s *Stream) restoreStateLocked(ctx context.Context, st *walStreamState) error {
+func (s *Stream) restoreStateLocked(ctx context.Context, raw []byte) error {
+	var st walStreamState
+	if err := json.Unmarshal(raw, &st); err != nil {
+		return fmt.Errorf("stream: parsing checkpoint state: %w", err)
+	}
 	if st.Format < 1 || st.Format > streamStateFormat {
 		return fmt.Errorf("stream: unsupported checkpoint state format %d", st.Format)
 	}
@@ -196,6 +189,9 @@ func (s *Stream) restoreStateLocked(ctx context.Context, st *walStreamState) err
 		switch m.kind {
 		case serve.KindGMM:
 			gm, err := gmm.LoadModel(bytes.NewReader(ms.Params))
+			if err == nil {
+				err = s.fitsGMM(ms.Name, gm)
+			}
 			if err != nil {
 				return fmt.Errorf("stream: restoring model %q: %w", ms.Name, err)
 			}
@@ -204,11 +200,14 @@ func (s *Stream) restoreStateLocked(ctx context.Context, st *walStreamState) err
 			if st.Format < streamStateFormat {
 				m.dirty = true
 				dropped++
-			} else if err := m.stats.restore(ms.Stats); err != nil {
+			} else if err := m.stats.restore(ms.Stats, s.spec.S.NumTuples()); err != nil {
 				return fmt.Errorf("stream: restoring model %q: %w", ms.Name, err)
 			}
 		case serve.KindNN:
 			net, err := nn.LoadNetwork(bytes.NewReader(ms.Params))
+			if err == nil {
+				err = s.fitsNN(ms.Name, net)
+			}
 			if err != nil {
 				return fmt.Errorf("stream: restoring model %q: %w", ms.Name, err)
 			}
@@ -497,11 +496,7 @@ func (s *Stream) Recover(ctx context.Context) error {
 		raw, err := os.ReadFile(filepath.Join(snapPath, streamStateFile))
 		switch {
 		case err == nil:
-			var st walStreamState
-			if err := json.Unmarshal(raw, &st); err != nil {
-				return fmt.Errorf("stream: parsing checkpoint state: %w", err)
-			}
-			if err := s.restoreStateLocked(ctx, &st); err != nil {
+			if err := s.restoreStateLocked(ctx, raw); err != nil {
 				return err
 			}
 		case !os.IsNotExist(err):

@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -22,7 +23,9 @@ import (
 	"factorml/internal/data"
 	"factorml/internal/gmm"
 	"factorml/internal/join"
+	"factorml/internal/monitor"
 	"factorml/internal/nn"
+	"factorml/internal/serve"
 	"factorml/internal/storage"
 	"factorml/internal/wal"
 	"factorml/internal/xlog"
@@ -354,18 +357,23 @@ const streamStateV1 = `{"format":1,"refresh_seq":3,"pending":4,
 
 // TestRestoreFormat1DropsStatistics boots from snapshots whose stream
 // state predates the current format — format 1 over ckptStar, format 2 (a
-// γ-sum slab per direct dimension pair) and format 3 (raw moments, keyed
-// group slots, cross sums between the two dimensions) over a star of two
-// dimensions: the mixture comes back attached, its statistics are not
-// migrated, one log event says so, and its first refresh rebuilds them from
-// the fact table — ending bit-identical to statistics that never went
-// through a checkpoint.
+// γ-sum slab per direct dimension pair), format 3 (raw moments, keyed
+// group slots, cross sums between the two dimensions) and format 4 (sums
+// about an origin over the factorized partition, group sums by tuple
+// ordinal) over a star of two dimensions: the mixture comes back attached,
+// its statistics are not migrated, one log event says so, and its first
+// refresh rebuilds them from the fact table — ending bit-identical to
+// statistics that never went through a checkpoint.
 func TestRestoreFormat1DropsStatistics(t *testing.T) {
 	v2, err := os.ReadFile(filepath.Join("testdata", "stream-state-v2.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	v3, err := os.ReadFile(filepath.Join("testdata", "stream-state-v3.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4, err := os.ReadFile(filepath.Join("testdata", "stream-state-v4.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +388,9 @@ func TestRestoreFormat1DropsStatistics(t *testing.T) {
 		{"format2", v2, data.SynthConfig{NS: 40, NR: []int{6, 4}, DS: 3, DR: []int{2, 1}, Seed: 11, WithTarget: true}},
 		// Captured from a format-3 build the same way.
 		{"format3", v3, data.SynthConfig{NS: 40, NR: []int{6, 4}, DS: 3, DR: []int{2, 1}, Seed: 11, WithTarget: true}},
+		// Captured from a format-4 build: the mixture attached over 36 rows,
+		// four more ingested, checkpointed.
+		{"format4", v4, data.SynthConfig{NS: 40, NR: []int{6, 4}, DS: 3, DR: []int{2, 1}, Seed: 11, WithTarget: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -621,10 +632,10 @@ func FuzzDecodeWALRecord(f *testing.F) {
 }
 
 // FuzzGMMStatsRestore throws arbitrary checkpoint statistics at restore,
-// over a schema of two direct dimensions (so the row-order sums hold cross
-// blocks): it must reject them, or restore statistics whose state
-// re-encodes to exactly the origin and blobs it read — never panic, and
-// never allocate more than a small multiple of the input.
+// over a schema of two direct dimensions: it must reject them, or restore
+// statistics whose state re-encodes to exactly the origin and sums it read
+// — never panic, and never allocate more than a small multiple of the
+// input.
 func FuzzGMMStatsRestore(f *testing.F) {
 	db, err := storage.Open(f.TempDir(), storage.Options{PoolPages: -1})
 	if err != nil {
@@ -654,39 +665,153 @@ func FuzzGMMStatsRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	valid := st.state()
-	if err := NewGMMStats(rv, 2, model).restore(valid); err != nil {
+	if err := NewGMMStats(rv, 2, model).restore(valid, spec.S.NumTuples()); err != nil {
 		f.Fatalf("a checkpoint's own statistics do not restore: %v", err)
 	}
-	slot := 8 * model.K * (1 + 2) // K Σγ, then K×dS Σγ·PD_S
-	zeroSlot := make([]byte, slot)
-	f.Add(valid.K, valid.Rows, valid.Origin, valid.Done, valid.Open, valid.Groups[0], valid.Groups[1])
-	f.Add(2, int64(0), valid.Origin, NewGMMStats(rv, 2, model).state().Done, valid.Open, []byte{}, []byte{})
-	f.Add(3, valid.Rows, valid.Origin, valid.Done, valid.Open, valid.Groups[0], valid.Groups[1])
-	f.Add(2, int64(-1), valid.Origin, valid.Done, valid.Open, valid.Groups[0], valid.Groups[1])
-	f.Add(2, valid.Rows, valid.Origin[8:], valid.Done, valid.Open, valid.Groups[0], valid.Groups[1])
-	f.Add(2, valid.Rows, valid.Origin, valid.Done[8:], valid.Open, valid.Groups[0], valid.Groups[1][:len(valid.Groups[1])-8])
-	f.Add(2, valid.Rows, valid.Origin, valid.Done, valid.Open, valid.Groups[1], valid.Groups[0])
-	// A tuple no row matched mid-blob, a blob that stops early, and one slot
-	// more than the dimension has tuples.
-	f.Add(2, valid.Rows, valid.Origin, valid.Done, valid.Open, append(append(zeroSlot[:0:0], zeroSlot...), valid.Groups[0][slot:]...), valid.Groups[1][:2*slot])
-	f.Add(2, valid.Rows, valid.Origin, valid.Done, valid.Open, append(valid.Groups[0][:len(valid.Groups[0]):len(valid.Groups[0])], zeroSlot...), valid.Groups[1])
-	f.Fuzz(func(t *testing.T, k int, rows int64, origin, done, open, g0, g1 []byte) {
-		in := &gmmStatsState{K: k, Rows: rows, Origin: origin, Done: done, Open: open, Groups: [][]byte{g0, g1}}
+	f.Add(valid.K, valid.Rows, valid.Origin, valid.Done, valid.Open)
+	f.Add(2, int64(0), valid.Origin, NewGMMStats(rv, 2, model).state().Done, valid.Open)
+	f.Add(3, valid.Rows, valid.Origin, valid.Done, valid.Open)
+	f.Add(2, int64(-1), valid.Origin, valid.Done, valid.Open)
+	f.Add(2, valid.Rows, valid.Origin[8:], valid.Done, valid.Open)
+	f.Add(2, valid.Rows, valid.Origin, valid.Done[8:], valid.Open)
+	f.Add(2, valid.Rows, valid.Origin, valid.Done, append(valid.Open[:len(valid.Open):len(valid.Open)], 0, 0, 0, 0, 0, 0, 0, 0))
+	f.Add(2, valid.Rows, valid.Origin, valid.Open, valid.Done)
+	f.Add(2, spec.S.NumTuples()+1, valid.Origin, valid.Done, valid.Open)
+	f.Fuzz(func(t *testing.T, k int, rows int64, origin, done, open []byte) {
+		in := &gmmStatsState{K: k, Rows: rows, Origin: origin, Done: done, Open: open}
 		got := NewGMMStats(rv, 2, model)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := got.restore(in)
+		err := got.restore(in, spec.S.NumTuples())
 		runtime.ReadMemStats(&after)
-		if grew, size := after.TotalAlloc-before.TotalAlloc, len(origin)+len(done)+len(open)+len(g0)+len(g1); grew > uint64(4*size)+64<<10 {
+		if grew, size := after.TotalAlloc-before.TotalAlloc, len(origin)+len(done)+len(open); grew > uint64(4*size)+64<<10 {
 			t.Fatalf("restoring %d bytes of statistics allocated %d bytes", size, grew)
 		}
 		if err != nil {
 			return
 		}
-		out := got.state()
-		if out.K != k || out.Rows != rows || !bytes.Equal(out.Origin, origin) || !bytes.Equal(out.Done, done) || !bytes.Equal(out.Open, open) ||
-			len(out.Groups) != 2 || !bytes.Equal(out.Groups[0], g0) || !bytes.Equal(out.Groups[1], g1) {
+		if out := got.state(); !reflect.DeepEqual(out, in) {
 			t.Fatalf("restored statistics re-encode differently:\n in %+v\nout %+v", in, out)
+		}
+	})
+}
+
+// FuzzStreamState throws arbitrary bytes at a checkpoint's stream state the
+// way Recover reads stream-state.json, over a small star of two dimensions
+// with a health monitor: the state must be rejected, or the restored
+// stream's next refresh must succeed — never a panic. The one failure that
+// refresh may return is the typed NonFiniteModelError, for restored
+// statistics whose M-step overflows: a live stream holding those sums
+// returns it too, and a checkpoint saves the sums bit for bit, ±Inf
+// included.
+func FuzzStreamState(f *testing.F) {
+	cfg := data.SynthConfig{NS: 40, NR: []int{6, 4}, DS: 3, DR: []int{2, 1}, Seed: 11, WithTarget: true}
+	db, err := storage.Open(f.TempDir(), storage.Options{PoolPages: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer db.Close()
+	spec, err := data.Generate(db, "st", cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	gres, err := gmm.TrainF(db, spec, gmm.Config{K: 2, MaxIter: 1, Tol: 1e-300, NumWorkers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	nres, err := nn.TrainF(db, spec, nn.Config{Hidden: []int{3}, Epochs: 1, NumWorkers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	open := func(reg *serve.Registry) *Stream {
+		s, err := New(db, spec, Options{Registry: reg, Policy: Policy{NumWorkers: 1}, Monitor: monitor.New(monitor.Config{})})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return s
+	}
+	// The seed state's mixture carries a drift baseline, so the monitor's
+	// part of the state has sketches to mutate.
+	base, err := monitor.CaptureBaseline(spec, 0, func(x []float64, _ float64) float64 { return gres.Model.LogProb(x) }, "log_likelihood")
+	if err != nil {
+		f.Fatal(err)
+	}
+	reg, err := serve.NewRegistry(db)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := reg.SaveGMMLineage("g", gres.Model, &monitor.Lineage{TrainingRows: base.Rows, Baseline: base}); err != nil {
+		f.Fatal(err)
+	}
+	s := open(reg)
+	if err := s.AttachGMM("g", gres.Model); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.AttachNN("n", nres.Net); err != nil {
+		f.Fatal(err)
+	}
+	var b Batch
+	for i := 0; i < 5; i++ {
+		b.Facts = append(b.Facts, FactRow{SID: int64(100 + i), FKs: []int64{int64(i % 6), int64(i % 4)}, Features: []float64{float64(i), -1.5, 0.5}, Target: 1})
+	}
+	if _, err := s.Ingest(b); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.Refresh(); err != nil {
+		f.Fatal(err)
+	}
+	s.mu.Lock()
+	st, err := s.stateLocked()
+	s.mu.Unlock()
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := json.Marshal(st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	st.Models[0].Stats.Rows += 1000 // statistics over rows the fact table does not have
+	beyond, err := json.Marshal(st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(beyond)
+	var nnParams, narrow bytes.Buffer
+	if err := nres.Net.Save(&nnParams); err != nil {
+		f.Fatal(err)
+	}
+	net, err := nn.NewNetwork([]int{2, 3, 1}, nres.Net.Act, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := net.Save(&narrow); err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range []string{"stream-state-v2.json", "stream-state-v3.json", "stream-state-v4.json"} {
+		old, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
+	}
+	// Models of another width than the schema's joined row.
+	f.Add([]byte(`{"format":4,"models":[{"name":"g","kind":"gmm","params":{"version":1,"k":1,"d":2,"weights":[1],"means":[[0,0]],"covs":[[1,0,0,1]]}}]}`))
+	f.Add([]byte(`{"format":5,"models":[{"name":"n","kind":"nn","params":` + narrow.String() + `}]}`))
+	f.Add([]byte(`{"format":5,"models":[{"name":"n","kind":"nn","params":{}}]}`))
+	f.Add([]byte(`{"format":0}`))
+	f.Add([]byte(`{"format":5,"monitor":{"models":[{"name":"g","kind":"gmm","lineage":{"baseline":{"columns":[]}}}]}}`))
+	f.Add([]byte(`{"format":5,"models":[{"name":"n","kind":"nn","params":` + nnParams.String() + `}],"monitor":{"models":[{"name":"n","kind":"nn","lineage":{"baseline":{"columns":[]}}}]}}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s := open(nil)
+		s.mu.Lock()
+		err := s.restoreStateLocked(context.Background(), raw)
+		s.mu.Unlock()
+		if err != nil {
+			return
+		}
+		if _, err := s.Refresh(); err != nil && !IsNonFiniteModel(err) {
+			t.Fatalf("a restored state fails its next refresh: %v", err)
 		}
 	})
 }

@@ -20,28 +20,27 @@ const StatChunkRows = 256
 
 // Footprint is what one model's maintained statistics hold.
 type Footprint struct {
-	Rows   int64 `json:"rows"`   // fact rows absorbed
-	Groups int   `json:"groups"` // direct dimension tuples with a slot
-	Bytes  int64 `json:"bytes"`  // retained by the group sums, the row-order sums and the pass index
+	Rows  int64 `json:"rows"`  // fact rows absorbed
+	Bytes int64 `json:"bytes"` // retained by the sums, their origin and the pass index
 }
 
-// GMMStats is the maintained factorized sufficient statistics of one
-// attached mixture, over the trainers' partition (fact part, one part per
-// DIRECT dimension; a group is a direct dimension tuple with its subtree's
-// features appended): gmm.Moments about the model's means at attach or
-// rebaseline, and a gmm.GroupSums per direct dimension. The row-order sums
-// of complete chunks and of the trailing partial one are kept apart (see
-// the package comment).
+// GMMStats is the maintained sufficient statistics of one attached
+// mixture: gmm.Moments over the whole joined row (the one-part partition),
+// about the model's means at attach or rebaseline. Their size is fixed by
+// K and D, whatever the number of rows or dimension tuples. The sums of
+// complete chunks and of the trailing partial one are kept apart (see the
+// package comment). Scoring runs over the factorized trainers' partition
+// (fact part, one part per DIRECT dimension; a group is a direct dimension
+// tuple with its subtree's features appended), with per-pass caches.
 type GMMStats struct {
 	rv    *join.Resolver
 	nodes []int          // direct dimension d's subtree is plan nodes nodes[d] … nodes[d+1]-1
-	p     core.Partition // fact part, then one part per direct dimension, as wide as its subtree
+	p     core.Partition // the scoring partition: fact part, then one part per direct dimension, as wide as its subtree
 	k     int
 	diag  bool
 
 	rows       int64        // fact rows absorbed
 	done, open *gmm.Moments // over the complete chunks; over the trailing partial one
-	grp        []gmm.GroupSums
 	// seen[d][g] is 1 + the position of group g in the running pass's
 	// dimension caches; all zero between passes.
 	seen [][]int32
@@ -62,12 +61,9 @@ func NewGMMStats(rv *join.Resolver, dS int, m *gmm.Model) *GMMStats {
 	q := len(st.nodes)
 	st.nodes = append(st.nodes, len(rv.Idxs))
 	st.p = core.NewPartition(dims)
-	st.done, st.open = gmm.NewMoments(st.p, m.K, m.Diagonal), gmm.NewMoments(st.p, m.K, m.Diagonal)
+	joined := core.NewPartition([]int{st.p.D})
+	st.done, st.open = gmm.NewMoments(joined, m.K, m.Diagonal), gmm.NewMoments(joined, m.K, m.Diagonal)
 	st.seen = make([][]int32, q)
-	st.grp = make([]gmm.GroupSums, q)
-	for d := range st.grp {
-		st.grp[d] = st.done.NewGroupSums()
-	}
 	st.Reset(m)
 	return st
 }
@@ -82,31 +78,26 @@ func (st *GMMStats) LogLikelihood() float64 { return st.done.LL() + st.open.LL()
 // Footprint reports the statistics' size.
 func (st *GMMStats) Footprint() Footprint {
 	fp := Footprint{Rows: st.rows, Bytes: int64(16 * (len(st.done.Data()) + len(st.done.Origin())))} // done and open
-	for d := range st.grp {
-		groups, bytes := st.grp[d].Footprint()
-		fp.Groups += groups
-		fp.Bytes += bytes + int64(4*cap(st.seen[d]))
+	for _, seen := range st.seen {
+		fp.Bytes += int64(4 * cap(seen))
 	}
 	return fp
 }
 
 // Reset drops every absorbed row and takes m's means as the origin (the
-// rebaseline path). The group sums are zeroed in place.
+// rebaseline path).
 func (st *GMMStats) Reset(m *gmm.Model) {
 	st.rows = 0
 	st.done.Reset(m.Means)
 	st.open.Reset(m.Means)
-	for d := range st.grp {
-		st.grp[d].Reset(st.grp[d].Len())
-	}
 }
 
 // groupFeatures writes group g of direct dimension d — the tuple's own
 // features, then its subtree's in plan order — into dst, following the
 // sub-keys as they are pinned NOW: a dimension update that repoints one
-// shows in the next cache fill and the next Step. It copies out of the
-// resident indexes' feature views, so no Upsert of these indexes may run
-// concurrently (the stream absorbs and upserts under one mutex).
+// shows in the next cache fill. It copies out of the resident indexes'
+// feature views, so no Upsert of these indexes may run concurrently (the
+// stream absorbs and upserts under one mutex).
 func (st *GMMStats) groupFeatures(d, g int, dst []float64) error {
 	rv := st.rv
 	n0, n1 := st.nodes[d], st.nodes[d+1]
@@ -131,18 +122,16 @@ func (st *GMMStats) groupFeatures(d, g int, dst []float64) error {
 type absorbChunk struct {
 	n      int
 	xs     []float64    // n×dS fact features
-	gidx   []int32      // n×q group of every row in every direct dimension
-	cidx   []int32      // n×q the groups' positions in the pass's dimension caches
+	cidx   []int32      // n×q the row's groups' positions in the pass's dimension caches
 	gamma  []float64    // n×K responsibilities
-	pd     []float64    // devRows rows' K fact-part deviations about the origin, formed per fold
-	rows   *gmm.Moments // the absolute chunk's row-order sums up to this chunk's last row
+	x      []float64    // one joined row
+	pd     []float64    // devRows joined rows' K deviations about the origin, formed per fold
+	rows   *gmm.Moments // the absolute chunk's sums up to this chunk's last row
 	sc     *gmm.ScoreScratch
 	caches [][]core.QuadCache // the current row's scoring caches per direct dimension
-	dev    [][]float64        // and its groups' K deviations about the origin, formed per row
-	devs   [][]core.QuadCache // dev as cache runs, for FoldCross
 }
 
-// devRows is how many rows' fact-part deviations a worker forms per fold.
+// devRows is how many joined rows' deviations a worker forms per fold.
 const devRows = 32
 
 // dimCache holds one pass's scoring caches of a direct dimension's groups,
@@ -156,20 +145,22 @@ type dimCache struct {
 }
 
 // Absorb scores fact rows [Rows(), fact.NumTuples()) under model and folds
-// them in, in time proportional to that range, in the factorized trainer's
-// shape: the scan resolves each row's direct dimension tuples, cuts chunks
-// at absolute row boundaries and fills a tuple's caches when the pass first
-// meets it; workers score each chunk and fold its row-order sums (the fact
-// part, and per row the cross blocks); the merge, in chunk order, adds each
-// row's γ and γ·(x_S − o_S) to its groups' sums. Deviations are about the
-// origin, not model's means, so rows absorbed under different refresh
+// them in, in time proportional to that range: the scan resolves each
+// row's direct dimension tuples, cuts chunks at absolute row boundaries and
+// fills a tuple's scoring caches when the pass first meets it, so a delta
+// pays one fill per distinct tuple; workers score each chunk through the
+// factorized kernel, then form each joined row's deviations about the
+// origin (the fact features, then each direct group's from the pass's
+// caches) and fold them as the dense trainer does; the merge, in chunk
+// order, only adds complete chunks to the done sums. Deviations are about
+// the origin, not model's means, so rows absorbed under different refresh
 // generations add up; any batch split and worker count gives the same bits.
 //
-// Cross blocks use the group features a row is absorbed under, Step the
-// features current when it runs: a dimension update marks the statistics
-// dirty, so they are rebaselined before the next Step.
+// A row is folded with the group features it is absorbed under: a
+// dimension update marks the statistics dirty, so they are rebaselined
+// before the next Step.
 func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) error {
-	k, q, dS := st.k, len(st.grp), st.p.Dims[0]
+	k, q, dS, D := st.k, len(st.seen), st.p.Dims[0], st.p.D
 	if model.K != k || model.D != st.p.D || model.Diagonal != st.diag {
 		return fmt.Errorf("stream: model (K=%d, D=%d, diagonal %v) does not match statistics (K=%d, D=%d, diagonal %v)",
 			model.K, model.D, model.Diagonal, k, st.p.D, st.diag)
@@ -237,26 +228,16 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 	}
 
 	newChunk := func() *absorbChunk {
-		c := &absorbChunk{
+		return &absorbChunk{
 			xs:     make([]float64, StatChunkRows*dS),
-			gidx:   make([]int32, StatChunkRows*q),
 			cidx:   make([]int32, StatChunkRows*q),
 			gamma:  make([]float64, StatChunkRows*k),
-			pd:     make([]float64, devRows*k*dS),
-			rows:   gmm.NewMoments(st.p, k, st.diag),
+			x:      make([]float64, D),
+			pd:     make([]float64, devRows*k*D),
+			rows:   gmm.NewMoments(core.NewPartition([]int{D}), k, st.diag),
 			sc:     scorer.NewScratch(),
 			caches: make([][]core.QuadCache, q),
-			dev:    make([][]float64, q),
-			devs:   make([][]core.QuadCache, q),
 		}
-		dev, runs := make([]float64, k*(st.p.D-dS)), make([]core.QuadCache, q*k)
-		for d, w := range st.p.Dims[1:] {
-			c.dev[d], c.devs[d], dev = dev[:k*w], runs[d*k:(d+1)*k], dev[k*w:]
-			for cc := range c.devs[d] {
-				c.devs[d][cc].PD = c.dev[d][cc*w : (cc+1)*w]
-			}
-		}
-		return c
 	}
 	produce := func(f *parallel.Feed[*absorbChunk]) error {
 		sc, err := fact.NewScannerAt(r0)
@@ -310,7 +291,7 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 					st.seen[d][g] = int32(at + 1)
 					fresh = append(fresh, cachePos{d, at})
 				}
-				cur.gidx[cur.n*q+d], cur.cidx[cur.n*q+d] = int32(g), int32(at)
+				cur.cidx[cur.n*q+d] = int32(at)
 			}
 			cur.n++
 			if (row+1)%StatChunkRows == 0 {
@@ -324,43 +305,30 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 		}
 		return nil
 	}
-	// A diagonal M-step reads no cross block, so a diagonal mixture skips
-	// them as the trainer does.
-	cross := q > 1 && !st.diag
 	work := func(c *absorbChunk) (*absorbChunk, error) {
 		for i := 0; i < c.n; i++ {
 			for d := range c.caches {
-				dc := &caches[d]
 				at := int(c.cidx[i*q+d])
-				c.caches[d] = dc.qc[at*k : (at+1)*k]
-				if cross {
-					origin.Deviations(c.dev[d], 1+d, dc.buf[at*dc.stride:][:dc.width])
-				}
+				c.caches[d] = caches[d].qc[at*k : (at+1)*k]
 			}
 			gamma := c.gamma[i*k : (i+1)*k]
 			c.rows.AddLL(scorer.Responsibilities(c.xs[i*dS:(i+1)*dS], c.caches, c.sc, gamma))
-			if cross {
-				c.rows.FoldCross(gamma, c.devs)
-			}
 		}
 		for r := 0; r < c.n; r += devRows {
 			nb := min(devRows, c.n-r)
-			for i := 0; i < nb; i++ {
-				origin.Deviations(c.pd[i*k*dS:(i+1)*k*dS], 0, c.xs[(r+i)*dS:(r+i+1)*dS])
+			for i := r; i < r+nb; i++ {
+				x := c.x[copy(c.x, c.xs[i*dS:(i+1)*dS]):]
+				for d := range caches {
+					dc := &caches[d]
+					x = x[copy(x, dc.buf[int(c.cidx[i*q+d])*dc.stride:][:dc.width]):]
+				}
+				origin.Deviations(c.pd[(i-r)*k*D:(i-r+1)*k*D], c.x)
 			}
 			c.rows.FoldRows(c.gamma[r*k:], c.pd, nb)
 		}
 		return c, nil
 	}
-	pds := make([]float64, k*dS) // the merged row's fact-part deviations
 	merge := func(c *absorbChunk) error {
-		for i := 0; i < c.n; i++ {
-			gamma := c.gamma[i*k : (i+1)*k]
-			origin.Deviations(pds, 0, c.xs[i*dS:(i+1)*dS])
-			for d, g := range c.gidx[i*q : (i+1)*q] {
-				st.grp[d].Add(int(g), gamma, pds)
-			}
-		}
 		st.open.Zero()
 		if st.rows += int64(c.n); st.rows%StatChunkRows == 0 {
 			st.done.Add(c.rows)
@@ -375,9 +343,8 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 
 // Step runs the trainers' M-step over the statistics and returns the
 // refreshed model; prev supplies the structure and the parameters of
-// collapsed components. It adds the row-order sums in whole and folds every
-// group once, in ordinal order, with its CURRENT features: O(groups), and a
-// pure function of the absorbed rows and the dimension tuples.
+// collapsed components. It adds the done and open sums and steps them: a
+// pure function of the absorbed rows, in time fixed by K and D.
 func (st *GMMStats) Step(prev *gmm.Model, regEps float64) (*gmm.Model, error) {
 	n := st.Rows()
 	if n == 0 {
@@ -385,24 +352,6 @@ func (st *GMMStats) Step(prev *gmm.Model, regEps float64) (*gmm.Model, error) {
 	}
 	total := st.done.Clone()
 	total.Add(st.open)
-	dev := make([]core.QuadCache, st.k)
-	for d := range st.grp {
-		w := st.p.Dims[1+d]
-		x, devs := make([]float64, w), make([]float64, st.k*w)
-		for c := range dev {
-			dev[c].PD = devs[c*w : (c+1)*w]
-		}
-		err := total.FoldGroups(1+d, &st.grp[d], func(g int) ([]core.QuadCache, error) {
-			if err := st.groupFeatures(d, g, x); err != nil {
-				return nil, fmt.Errorf("stream: dimension table %q tuple %d: %w", st.rv.Idxs[st.nodes[d]].Name(), g, err)
-			}
-			total.Deviations(devs, 1+d, x)
-			return dev, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
 	out := prev.Clone()
 	total.Step(out, int(n), regEps)
 	return out, nil

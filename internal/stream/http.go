@@ -143,7 +143,6 @@ func (ds Decisions) Samples(emit metrics.Emit) {
 			1, model, [2]string{"kind", d.Kind}, [2]string{"strategy", d.Strategy})
 		if fp := d.Statistics; fp != nil {
 			emit.Gauge("factorml_stream_gmm_stats_rows", "Fact rows absorbed into the model's maintained GMM statistics.", float64(fp.Rows), model)
-			emit.Gauge("factorml_stream_gmm_stats_groups", "Direct dimension tuples holding a slot in the maintained GMM statistics.", float64(fp.Groups), model)
 			emit.Gauge("factorml_stream_gmm_stats_bytes", "Bytes the maintained GMM statistics retain.", float64(fp.Bytes), model)
 		}
 	}

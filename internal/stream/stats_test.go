@@ -3,7 +3,6 @@ package stream
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"factorml/internal/core"
@@ -224,14 +223,12 @@ func TestGMMIncrementalMatchesFullRecompute(t *testing.T) {
 // TestGMMStatsFootprint pins what the statistics cost on the benchmark's
 // snowflake_narrow shape — three depth-2 direct dimensions of 9000, 3000
 // and 1500 narrow tuples under a 12-wide fact table, uniform keys, K=5, so
-// nearly every row brings a new group: at most 850 bytes retained per
-// absorbed row (the per-relation maps this store replaced held 2.5 KiB and
-// allocated seventy times per row), a rebaseline — once a pass has
-// allocated the group sums' slots — whose allocation count is pinned, per
-// pass and not per row,
-// and no growth at all from rows that only recombine groups already
-// absorbed: the cross blocks between dimensions are sums, not a slot per
-// tuple pair.
+// nearly every row brings a new tuple: exactly the done and open sums over
+// the joined row, their origin and the pass index (4 bytes per dimension
+// tuple), whatever the number of rows; a rebaseline whose allocation count
+// is pinned, per pass and not per row; and no growth at all from rows over
+// dimension tuples no absorbed row referenced, which a store of per-tuple
+// sums would give a slot each.
 func TestGMMStatsFootprint(t *testing.T) {
 	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
 	if err != nil {
@@ -258,12 +255,14 @@ func TestGMMStatsFootprint(t *testing.T) {
 	}
 	fp := st.Footprint()
 	rows := spec.S.NumTuples()
-	if fp.Rows != rows || fp.Groups > 3*int(rows) {
-		t.Fatalf("footprint %+v over %d rows of 3 direct dimensions", fp, rows)
+	k, d := res.Model.K, res.Model.D
+	want := int64(2 * 8 * (1 + k + k*(d+d*d) + k*d)) // done and open: ll, N_k, s1, s2, origin
+	for _, seen := range st.seen {
+		want += int64(4 * cap(seen))
 	}
-	t.Logf("footprint %+v: %d bytes per absorbed row", fp, fp.Bytes/rows)
-	if perRow := fp.Bytes / rows; perRow > 850 {
-		t.Errorf("statistics retain %d bytes per absorbed row, budget 850", perRow)
+	t.Logf("footprint %+v over %d rows", fp, rows)
+	if fp != (Footprint{Rows: rows, Bytes: want}) {
+		t.Errorf("footprint %+v, want %d rows and %d bytes (K=%d, D=%d)", fp, rows, want, k, d)
 	}
 
 	allocs := testing.AllocsPerRun(3, func() {
@@ -276,7 +275,7 @@ func TestGMMStatsFootprint(t *testing.T) {
 	// caches, the one chunk object of a one-worker run) or per chunk (a cache
 	// fill's closures), never per row. Nothing is pooled across passes, so
 	// the count is exact and the same under the race detector.
-	const wantAllocs = 440
+	const wantAllocs = 393
 	t.Logf("%.0f allocations per warm rebaseline of %d rows", allocs, rows)
 	if allocs < wantAllocs-2 || allocs > wantAllocs+2 {
 		t.Errorf("a warm rebaseline of %d rows allocates %.0f times, want %d ± 2", rows, allocs, wantAllocs)
@@ -285,24 +284,41 @@ func TestGMMStatsFootprint(t *testing.T) {
 		t.Errorf("footprint moved across rebaselines: %+v, then %+v", fp, got)
 	}
 
-	// Rows that reference only groups already absorbed, drawn at random,
-	// so nearly every row is a combination of groups the table has not
-	// held before.
-	const extra = 500
-	absorbed := make([][]int, len(st.grp)) // per direct dimension, the ordinals with a slot
-	const slot = 8 * 5 * (1 + 12)          // K Σγ, then K×dS Σγ·PD_S
-	for d, blob := range st.state().Groups {
-		for g := 0; g < len(blob)/slot; g++ {
-			if strings.Trim(string(blob[g*slot:(g+1)*slot]), "\x00") != "" {
-				absorbed[d] = append(absorbed[d], g)
-			}
+	// Rows whose every key is a dimension tuple no absorbed row references.
+	touched := make([][]bool, len(st.seen))
+	for d := range touched {
+		touched[d] = make([]bool, idxs[st.nodes[d]].Len())
+	}
+	sc, err := spec.S.NewScannerAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sc.Next() {
+		for d := range touched {
+			g, _ := idxs[st.nodes[d]].Pos(sc.Tuple().Keys[1+d])
+			touched[d][g] = true
 		}
 	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	untouched := make([][]int, len(touched))
+	for d, seen := range touched {
+		for g, ok := range seen {
+			if !ok {
+				untouched[d] = append(untouched[d], g)
+			}
+		}
+		if len(untouched[d]) == 0 {
+			t.Fatalf("every tuple of direct dimension %d is referenced", d)
+		}
+	}
+	const extra = 500
 	rng := rand.New(rand.NewSource(17))
-	for i := int64(0); i < extra; i++ {
-		keys := []int64{rows + i}
-		for d, groups := range absorbed {
-			pk, _ := idxs[st.nodes[d]].At(groups[rng.Intn(len(groups))])
+	for i := 0; i < extra; i++ {
+		keys := []int64{rows + int64(i)}
+		for d, groups := range untouched {
+			pk, _ := idxs[st.nodes[d]].At(groups[i%len(groups)])
 			keys = append(keys, pk)
 		}
 		feats := make([]float64, 12)
@@ -319,7 +335,8 @@ func TestGMMStatsFootprint(t *testing.T) {
 	if err := st.Absorb(res.Model, spec.S, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Footprint(); got != (Footprint{Rows: rows + extra, Groups: fp.Groups, Bytes: fp.Bytes}) {
-		t.Errorf("%d rows over groups already absorbed grew the statistics: %+v, then %+v", extra, fp, got)
+	if got := st.Footprint(); got != (Footprint{Rows: rows + extra, Bytes: fp.Bytes}) {
+		t.Errorf("%d rows over %d, %d and %d untouched dimension tuples grew the statistics: %+v, then %+v",
+			extra, len(untouched[0]), len(untouched[1]), len(untouched[2]), fp, got)
 	}
 }

@@ -275,11 +275,8 @@ func New(db *storage.Database, spec *join.Spec, opts Options) (*Stream, error) {
 // current fact table), after which refreshes cost time proportional to
 // the ingested delta.
 func (s *Stream) AttachGMM(name string, m *gmm.Model) error {
-	if m == nil {
-		return fmt.Errorf("stream: nil GMM model")
-	}
-	if m.D != s.p.D {
-		return incompatErrf("stream: model %q has dimension %d, star schema joins to %d", name, m.D, s.p.D)
+	if err := s.fitsGMM(name, m); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -287,6 +284,17 @@ func (s *Stream) AttachGMM(name string, m *gmm.Model) error {
 		return err
 	}
 	return s.logAttachLocked(walAttachGMM, name, m.Save)
+}
+
+// fitsGMM checks that a mixture scores this schema's joined rows.
+func (s *Stream) fitsGMM(name string, m *gmm.Model) error {
+	if m == nil {
+		return fmt.Errorf("stream: nil GMM model")
+	}
+	if m.D != s.p.D {
+		return incompatErrf("stream: model %q has dimension %d, star schema joins to %d", name, m.D, s.p.D)
+	}
+	return nil
 }
 
 func (s *Stream) attachGMMLocked(name string, m *gmm.Model) error {
@@ -350,6 +358,20 @@ func (s *Stream) attachMonitorLocked(name string, kind serve.Kind) {
 // warm-start the factorized trainer from the current parameters over
 // base ∪ delta (Policy.NNEpochs epochs).
 func (s *Stream) AttachNN(name string, net *nn.Network) error {
+	if err := s.fitsNN(name, net); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.attachNNLocked(name, net); err != nil {
+		return err
+	}
+	return s.logAttachLocked(walAttachNN, name, net.Save)
+}
+
+// fitsNN checks that a network reads this schema's joined rows and that
+// the fact table carries the target its refresh trains on.
+func (s *Stream) fitsNN(name string, net *nn.Network) error {
 	if net == nil {
 		return fmt.Errorf("stream: nil NN model")
 	}
@@ -359,12 +381,7 @@ func (s *Stream) AttachNN(name string, net *nn.Network) error {
 	if !s.spec.S.Schema().HasTarget {
 		return incompatErrf("stream: fact table %q has no target column; NN refresh needs one", s.spec.S.Schema().Name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.attachNNLocked(name, net); err != nil {
-		return err
-	}
-	return s.logAttachLocked(walAttachNN, name, net.Save)
+	return nil
 }
 
 func (s *Stream) attachNNLocked(name string, net *nn.Network) error {

@@ -376,13 +376,12 @@ func TestIngestHTTPAndAutoRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	// … and, per mixture, what its maintained statistics hold as of the
-	// refresh: every row, one group per referenced tuple of the one
-	// dimension, no pairs. The same numbers are /metrics gauges.
+	// refresh: every row. The same numbers are /metrics gauges.
 	if len(stats.Planner) != 2 || stats.Planner[0].Statistics == nil || stats.Planner[1].Statistics != nil {
 		t.Fatalf("planner section = %+v, want statistics on the GMM alone", stats.Planner)
 	}
 	fp := *stats.Planner[0].Statistics
-	if fp.Rows != sid+80 || fp.Groups < 1 || fp.Groups > 18 || fp.Bytes <= 0 {
+	if fp.Rows != sid+80 || fp.Bytes <= 0 {
 		t.Fatalf("GMM statistics footprint = %+v", fp)
 	}
 	gauges := map[string]float64{}
@@ -391,8 +390,7 @@ func TestIngestHTTPAndAutoRefresh(t *testing.T) {
 			gauges[m.Name] = m.Value
 		}
 	})
-	if gauges["factorml_stream_gmm_stats_rows"] != float64(fp.Rows) || gauges["factorml_stream_gmm_stats_bytes"] != float64(fp.Bytes) ||
-		gauges["factorml_stream_gmm_stats_groups"] != float64(fp.Groups) {
+	if gauges["factorml_stream_gmm_stats_rows"] != float64(fp.Rows) || gauges["factorml_stream_gmm_stats_bytes"] != float64(fp.Bytes) {
 		t.Fatalf("statistics gauges = %v, /statsz says %+v", gauges, fp)
 	}
 	if stats.Stream.FactsIngested != 80 || stats.Stream.DimUpdates != 1 ||

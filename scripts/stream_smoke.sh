@@ -4,8 +4,8 @@
 # update changes served predictions immediately, that the refresh-rows
 # policy triggers an automatic incremental refresh which republishes the
 # model (version bump, served without a restart), and that /statsz carries
-# the stream counters and the maintained statistics' footprint, within its
-# budget. Exercises the full path through the real binaries.
+# the stream counters and the maintained statistics' footprint, exactly the
+# size the schema gives. Exercises the full path through the real binaries.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -124,15 +124,19 @@ has '"facts_ingested":35' <<<"$stats"
 has '"dim_updates":1' <<<"$stats"
 has '"auto_refreshes":1' <<<"$stats"
 
-echo "== /statsz carries the maintained GMM statistics' footprint, within budget"
+echo "== /statsz carries the maintained GMM statistics' footprint, exactly"
 # The planner section lists it per mixture as of its last refresh: every
-# row absorbed, at most the pinned 850 bytes retained per row.
+# row absorbed, and a size fixed by the schema alone — the done and open
+# sums over the joined row (ll, N_k, s1, s2 per component) and their
+# origin, 8 bytes a float, plus the pass index's 4 bytes per dimension
+# tuple. K=2 (train -k 2), D = 3 fact + 3 dimension features, 20 tuples.
+k=2 d=6 nr=20
+want=$((2 * 8 * (1 + k + k * (d + d * d) + k * d) + 4 * nr))
 fp="$(tr -d ' \n' <<<"$stats" | sed -n 's/.*"statistics":{\([^}]*\)}.*/\1/p')"
 field() { sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p" <<<"$fp"; }
-rows="$(field rows)" groups="$(field groups)" bytes="$(field bytes)"
-echo "   rows=$rows groups=$groups bytes=$bytes"
+rows="$(field rows)" bytes="$(field bytes)"
+echo "   rows=$rows bytes=$bytes"
 [ "$rows" = 635 ] || { echo "statistics cover $rows rows, want 635" >&2; exit 1; }
-[ "$groups" -ge 1 ] && [ "$groups" -le 20 ] || { echo "$groups groups over 20 dimension tuples" >&2; exit 1; }
-[ $((bytes / rows)) -le 850 ] || { echo "statistics retain $((bytes / rows)) bytes per row, budget 850" >&2; exit 1; }
+[ "$bytes" = "$want" ] || { echo "statistics retain $bytes bytes, want exactly $want" >&2; exit 1; }
 
 echo "stream smoke OK"
