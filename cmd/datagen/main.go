@@ -105,7 +105,7 @@ func validateFlags(ns, nr, ds, dr, nr2, dr2, depth, dimsPerLevel int, scale floa
 }
 
 func run(dbDir string, ns, nr, ds, dr, nr2, dr2, depth, dimsPerLevel int, seed int64, target bool, shape string, scale float64) error {
-	db, err := storage.Open(dbDir, storage.Options{PoolPages: -1})
+	db, err := storage.Open(dbDir)
 	if err != nil {
 		return err
 	}

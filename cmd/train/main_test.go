@@ -153,7 +153,7 @@ func TestDimsCheckedAgainstCatalog(t *testing.T) {
 // tables -dims names, as it always was.
 func TestDimsNameTheJoinWithoutCatalogReferences(t *testing.T) {
 	dir := t.TempDir()
-	sdb, err := storage.Open(dir, storage.Options{PoolPages: -1})
+	sdb, err := storage.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

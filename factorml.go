@@ -407,7 +407,7 @@ func Open(dir string, opts Options, extra ...OpenOption) (*DB, error) {
 			pending = snapOK || l.LastLSN() > 0
 		}
 	}
-	sdb, err := storage.Open(dir, storage.Options{PoolPages: -1}) // the default buffer pool
+	sdb, err := storage.Open(dir)
 	if err != nil {
 		if l != nil {
 			l.Close()
@@ -462,10 +462,10 @@ func (d *DB) Close() error {
 }
 
 // IOStats returns the cumulative page counters.
-func (d *DB) IOStats() IOStats { return d.db.Pool().Stats() }
+func (d *DB) IOStats() IOStats { return d.db.IOStats() }
 
 // ResetIOStats zeroes the page counters.
-func (d *DB) ResetIOStats() { d.db.Pool().ResetStats() }
+func (d *DB) ResetIOStats() { d.db.ResetIOStats() }
 
 // DimensionTable is a relation R(rid, fk…, features…) referenced by fact
 // tables — and, in a snowflake schema, by other dimension tables. A

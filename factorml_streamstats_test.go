@@ -244,18 +244,19 @@ func shiftFeatures(spec *join.Spec, shift float64) error {
 			tables = append(tables, r)
 		}
 	}
-	var tp storage.Tuple
 	for _, tbl := range tables {
-		for row := int64(0); row < tbl.NumTuples(); row++ {
-			if err := tbl.Get(row, &tp); err != nil {
-				return err
-			}
+		sc := tbl.NewScanner()
+		for row := int64(0); sc.Next(); row++ {
+			tp := sc.Tuple()
 			for i := range tp.Features {
 				tp.Features[i] += shift
 			}
-			if err := tbl.UpdateAt(row, &tp); err != nil {
+			if err := tbl.UpdateAt(row, tp); err != nil {
 				return err
 			}
+		}
+		if err := sc.Err(); err != nil {
+			return err
 		}
 		if err := tbl.Flush(); err != nil {
 			return err

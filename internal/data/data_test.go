@@ -10,7 +10,7 @@ import (
 
 func openDB(t *testing.T) *storage.Database {
 	t.Helper()
-	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func (h *Harness) logf(format string, args ...any) {
 // withDB runs fn in a fresh database directory that is removed afterwards.
 func (h *Harness) withDB(name string, fn func(db *storage.Database) error) error {
 	dir := filepath.Join(h.BaseDir, name)
-	db, err := storage.Open(dir, storage.Options{PoolPages: -1})
+	db, err := storage.Open(dir)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,7 @@ import (
 // validated spec.
 func buildStar(t *testing.T) (*storage.Database, *join.Spec) {
 	t.Helper()
-	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSourcesAgree(t *testing.T) {
 // materializer's per-block counts used to desynchronize every later
 // boundary of the materialized source).
 func TestSourcesAgreeWithLeadingEmptyBlocks(t *testing.T) {
-	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (
 		return nil, err
 	}
 	start := time.Now()
-	io0 := db.Pool().Stats()
+	io0 := db.IOStats()
 
 	path, err := factor.Open(db, spec, s, fmt.Sprintf("T_%s_mgmm", spec.S.Schema().Name))
 	if err != nil {
@@ -52,7 +52,7 @@ func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.IO = db.Pool().Stats().Sub(io0)
+	res.Stats.IO = db.IOStats().Sub(io0)
 	res.Stats.TrainTime = time.Since(start)
 	return res, nil
 }

@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"factorml/internal/storage"
 )
@@ -227,8 +228,9 @@ func NewRunner(spec *Spec) (*Runner, error) {
 // the paper's per-epoch permutation of R's keys for SGD training (§VI):
 // "we can permute the keys of R for each training epoch, accessing the
 // keys in a different order per epoch while probing relation S". Permuted
-// access is random I/O into R1 (one logical page read per tuple, absorbed
-// by the buffer pool when R1 fits). Pass nil to restore sequential order.
+// access is random I/O into R1: the pass's one R1 scanner seeks each row
+// of a block in file order and reads each page the block touches once.
+// Pass nil to restore sequential order.
 func (r *Runner) Shuffle(rng *rand.Rand) {
 	if rng == nil {
 		r.perm = nil
@@ -330,8 +332,10 @@ func (r *Runner) loadResident() error {
 //
 // A single scanner over R1 reads each of its pages exactly once per pass,
 // matching the |R| term of the paper's block-nested-loops cost model. With
-// a shuffle installed, rows are fetched in permuted order instead (random
-// access through the buffer pool).
+// a shuffle installed, a block holds its slice of the permutation in
+// permuted order, and the same scanner fetches those rows in file order,
+// seeking from row to row: each page a block touches is read once per
+// block, not once per row.
 func (r *Runner) forEachBlock(fn func(block []*storage.Tuple, blockIdx map[int64]int) error) error {
 	sp := r.spec
 	r1 := sp.Rs[0]
@@ -345,41 +349,54 @@ func (r *Runner) forEachBlock(fn func(block []*storage.Tuple, blockIdx map[int64
 	}
 	blockIdx := r.blockIdx
 
-	var r1Scan *storage.Scanner
-	if r.perm == nil {
-		r1Scan = r1.NewScanner()
-	}
-	var permTuple storage.Tuple
-	for start := int64(0); start < nR1; start += tuplesPerBlock {
-		end := start + tuplesPerBlock
-		if end > nR1 {
-			end = nR1
+	r1Scan := r1.NewScanner()
+	next := func(row int64) (*storage.Tuple, error) {
+		if !r1Scan.Next() {
+			if err := r1Scan.Err(); err != nil {
+				return nil, err
+			}
+			return nil, fmt.Errorf("join: dimension table %q ended early at row %d", r1.Schema().Name, row)
 		}
-		block = block[:0]
-		clear(blockIdx)
-		for row := start; row < end; row++ {
-			var c *storage.Tuple
-			if r1Scan != nil {
-				if !r1Scan.Next() {
-					if err := r1Scan.Err(); err != nil {
-						return err
-					}
-					return fmt.Errorf("join: dimension table %q ended early at row %d", r1.Schema().Name, row)
-				}
-				c = r1Scan.Tuple().Clone()
-			} else {
-				if err := r1.Get(r.perm[row], &permTuple); err != nil {
+		return r1Scan.Tuple().Clone(), nil
+	}
+	var order []int64 // a shuffled block's row·tuplesPerBlock + place in block, in file order
+	for start := int64(0); start < nR1; start += tuplesPerBlock {
+		end := min(start+tuplesPerBlock, nR1)
+		block = block[:end-start]
+		var err error
+		if r.perm == nil {
+			for i := range block {
+				if block[i], err = next(start + int64(i)); err != nil {
 					return err
 				}
-				c = permTuple.Clone()
 			}
+		} else {
+			order = order[:0]
+			for i, row := range r.perm[start:end] {
+				order = append(order, row*tuplesPerBlock+int64(i))
+			}
+			slices.Sort(order)
+			for _, o := range order {
+				row := o / tuplesPerBlock
+				if err := r1Scan.SeekRow(row); err != nil {
+					return err
+				}
+				if block[o%tuplesPerBlock], err = next(row); err != nil {
+					return err
+				}
+			}
+		}
+		// Leave out the tuples whose sub-reference dangles; index the rest.
+		clear(blockIdx)
+		kept := block[:0]
+		for _, c := range block {
 			if !r.withSubtree(0, c) {
 				continue
 			}
-			blockIdx[c.PrimaryKey()] = len(block)
-			block = append(block, c)
+			blockIdx[c.PrimaryKey()] = len(kept)
+			kept = append(kept, c)
 		}
-		if err := fn(block, blockIdx); err != nil {
+		if err := fn(kept, blockIdx); err != nil {
 			return err
 		}
 	}

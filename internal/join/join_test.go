@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"factorml/internal/storage"
@@ -69,7 +70,7 @@ func buildTables(t *testing.T, db *storage.Database, nS int, dS int, nR []int, d
 
 func openDB(t *testing.T) *storage.Database {
 	t.Helper()
-	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,17 +302,73 @@ func TestBNLLogicalIOCostModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Prime resident load (none here) and measure one pass.
-	db.Pool().ResetStats()
+	db.ResetIOStats()
 	if err := StreamWith(runner, func(int64, []float64, float64) error { return nil }, nil); err != nil {
 		t.Fatal(err)
 	}
-	st := db.Pool().Stats()
+	st := db.IOStats()
 	rPages := sp.Rs[0].NumPages()
 	sPages := sp.S.NumPages()
 	want := rPages + runner.NumBlocks()*sPages
 	if st.LogicalReads != want {
 		t.Fatalf("logical reads = %d, want |R| + blocks·|S| = %d + %d·%d = %d",
 			st.LogicalReads, rPages, runner.NumBlocks(), sPages, want)
+	}
+}
+
+// A shuffled pass reads R1 through one scanner that seeks, block by block,
+// the block's rows of perm in file order: the blocks hold R1's rows in
+// exactly perm order, and the pass counts the BNL S term plus one R1 page
+// read per page change along that read order (a seek onto the page the
+// scanner holds reads nothing), so each page a block touches once.
+func TestShuffledPassReadsPermOrderAndCountsPageChanges(t *testing.T) {
+	db := openDB(t)
+	sp := buildTables(t, db, 3000, 1, []int{1200}, []int{1})
+	sp.BlockPages = 1
+	runner, err := NewRunner(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner.Shuffle(rand.New(rand.NewSource(11)))
+	if runner.NumBlocks() < 2 {
+		t.Fatalf("%d R1 blocks, want several", runner.NumBlocks())
+	}
+
+	var order []int64
+	err = runner.Run(Callbacks{OnBlockStart: func(block []*storage.Tuple) error {
+		for _, tp := range block {
+			order = append(order, tp.PrimaryKey())
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, runner.perm) { // R1's key is its row id
+		t.Fatalf("blocks held R1 rows %v…, want perm's %v…", order[:8], runner.perm[:8])
+	}
+
+	perPage := int64(sp.Rs[0].Schema().RecordsPerPage())
+	perBlock := int64(sp.BlockPages) * perPage
+	changes, page := int64(0), int64(-1)
+	for start := int64(0); start < int64(len(runner.perm)); start += perBlock {
+		rows := slices.Clone(runner.perm[start:min(start+perBlock, int64(len(runner.perm)))])
+		slices.Sort(rows)
+		for _, row := range rows {
+			if row/perPage != page {
+				changes++
+				page = row / perPage
+			}
+		}
+	}
+	db.ResetIOStats()
+	if err := StreamWith(runner, func(int64, []float64, float64) error { return nil }, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := runner.NumBlocks()*sp.S.NumPages() + changes
+	if got := db.IOStats().LogicalReads; got != want {
+		t.Fatalf("shuffled pass read %d pages, want blocks·|S| + page changes = %d·%d + %d = %d",
+			got, runner.NumBlocks(), sp.S.NumPages(), changes, want)
 	}
 }
 

@@ -35,7 +35,7 @@ func JoinedSchema(sp *Spec, name string) *storage.Schema {
 
 // Materialize executes the star join and writes the denormalized result T
 // into db under the given name. This is step 1 of the M-* algorithms. The
-// page writes of T are charged to the shared buffer pool's counters.
+// page writes of T are charged to the database's page counters.
 //
 // The returned counts slice holds the number of joined tuples produced per
 // R1 block, so a consumer of T can reconstruct the block boundaries (the

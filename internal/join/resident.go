@@ -9,7 +9,7 @@ import (
 )
 
 // ResidentIndex pins a dimension table's feature vectors in memory, keyed
-// by primary key. Lookups touch no page and no buffer pool (which is
+// by primary key. Lookups touch no page and no table scanner (which is
 // single-threaded), so a ResidentIndex serves concurrent probes — what the
 // serving path needs: the prediction engine probes one ResidentIndex per
 // dimension table from every worker of a request batch.

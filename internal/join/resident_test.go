@@ -10,7 +10,7 @@ import (
 )
 
 func TestResidentIndex(t *testing.T) {
-	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestResidentIndex(t *testing.T) {
 }
 
 func TestResidentIndexDuplicateKey(t *testing.T) {
-	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestResidentIndexDuplicateKey(t *testing.T) {
 }
 
 func TestResidentIndexUpsert(t *testing.T) {
-	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // 8 fact rows referencing 2 dimension rows.
 func captureSpec(t *testing.T) *join.Spec {
 	t.Helper()
-	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

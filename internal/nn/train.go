@@ -31,7 +31,7 @@ func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (
 		return nil, fmt.Errorf("nn: fact table %q has no target column", spec.S.Schema().Name)
 	}
 	start := time.Now()
-	io0 := db.Pool().Stats()
+	io0 := db.IOStats()
 
 	path, err := factor.Open(db, spec, s, fmt.Sprintf("T_%s_mnn", spec.S.Schema().Name))
 	if err != nil {
@@ -59,7 +59,7 @@ func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.IO = db.Pool().Stats().Sub(io0)
+	res.Stats.IO = db.IOStats().Sub(io0)
 	res.Stats.TrainTime = time.Since(start)
 	return res, nil
 }

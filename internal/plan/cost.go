@@ -16,8 +16,13 @@ import (
 // convergence — never a formula. The I/O model is the paper's
 // block-nested-loops accounting: each pass reads R1 once and rescans S once
 // per R1 block; Materialized pays one join plus writing T, then reads T per
-// pass. Every one of those pages is a sequential scan, which reads the file
-// past the buffer pool, so the page counts are exact, not pessimistic.
+// pass. Every one of those pages is a sequential scan that reads the file
+// once, so the page counts are exact, not pessimistic. The one pass this
+// model does not price is a shuffled SGD epoch (nn.Config.ShuffleSeed): its
+// R1 scanner seeks each block's share of the permutation in file order, so
+// it reads every page a block touches once per block — up to |R1| pages
+// per block rather than per pass. (Storage used to count one read per
+// permuted row, served by a page cache; there is no cache now.)
 
 // shape extracts the quantities the estimate needs. The factorized parts
 // are the direct dimensions: each as wide as its whole subtree (the join

@@ -253,8 +253,8 @@ type Options struct {
 }
 
 // DefaultFlopsPerPage charges one flop per byte moved (8 KiB pages): a
-// middle ground between a cold read (far more expensive) and a warm
-// buffer-pool hit (far cheaper).
+// middle ground between a cold read (far more expensive) and a page the
+// operating system already caches (far cheaper).
 const DefaultFlopsPerPage = 8192
 
 // Choose prices every strategy for the schema and model and returns the

@@ -185,7 +185,7 @@ func TestPlannerValidation(t *testing.T) {
 // TestCollectFromCatalog: Collect reads the per-table statistics through
 // the storage layer for a real (tiny) snowflake schema.
 func TestCollectFromCatalog(t *testing.T) {
-	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func testEngineRoundTrip(t *testing.T, nr, dr []int, keys string) {
 	}
 
 	// Reboot from disk.
-	db2, err := storage.Open(dir, storage.Options{PoolPages: -1})
+	db2, err := storage.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func testStar(t testing.TB, dir string) (*storage.Database, *join.Spec) {
 // dr[j].
 func testStarOf(t testing.TB, dir string, nr, dr []int) (*storage.Database, *join.Spec) {
 	t.Helper()
-	db, err := storage.Open(dir, storage.Options{PoolPages: -1})
+	db, err := storage.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

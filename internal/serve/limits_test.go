@@ -73,7 +73,7 @@ func TestLimiterConcurrent(t *testing.T) {
 // trained model and the given limits.
 func newLimitsServer(t *testing.T, limits Limits) (*Server, *httptest.Server) {
 	t.Helper()
-	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestRegistrySaveLoadList(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := storage.Open(dir, storage.Options{PoolPages: -1})
+	db2, err := storage.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestBlobRoundTrip(t *testing.T) {
 }
 
 func TestBlobNameValidation(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{})
+	db, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,11 +126,9 @@ func (db *Database) openExisting(s *Schema) error {
 	t := &Table{
 		schema: s.Clone(s.Name),
 		db:     db,
-		fileID: db.nextFileID,
 		file:   f,
 		path:   path,
 	}
-	db.nextFileID++
 
 	perPage := int64(s.RecordsPerPage())
 	if pages > 0 {

@@ -9,7 +9,7 @@ import (
 
 func TestCatalogReopen(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{PoolPages: -1})
+	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestCatalogReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(dir, Options{PoolPages: -1})
+	db2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestCatalogReopen(t *testing.T) {
 		t.Fatalf("schema changed across reopen: %v vs %v", tbl2.Schema(), s)
 	}
 	var tp Tuple
-	if err := tbl2.Get(int64(n-1), &tp); err != nil {
+	if err := getRow(tbl2, int64(n-1), &tp); err != nil {
 		t.Fatal(err)
 	}
 	if tp.Keys[0] != int64(n-1) || tp.Target != float64(n-1)/2 {
@@ -64,7 +64,7 @@ func TestCatalogReopen(t *testing.T) {
 	if err := tbl2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl2.Get(int64(n), &tp); err != nil {
+	if err := getRow(tbl2, int64(n), &tp); err != nil {
 		t.Fatal(err)
 	}
 	if tp.Keys[0] != 900 {
@@ -82,7 +82,7 @@ func TestCatalogReopen(t *testing.T) {
 
 func TestCatalogReopenExactPageBoundary(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{PoolPages: -1})
+	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCatalogReopenExactPageBoundary(t *testing.T) {
 	}
 	db.Close()
 
-	db2, err := Open(dir, Options{PoolPages: -1})
+	db2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCatalogReopenExactPageBoundary(t *testing.T) {
 
 func TestCatalogDropPersisted(t *testing.T) {
 	dir := t.TempDir()
-	db, _ := Open(dir, Options{PoolPages: -1})
+	db, _ := Open(dir)
 	if _, err := db.CreateTable(testSchema("a", 1, 1, false)); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCatalogDropPersisted(t *testing.T) {
 	}
 	db.Close()
 
-	db2, err := Open(dir, Options{PoolPages: -1})
+	db2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCatalogDropPersisted(t *testing.T) {
 
 func TestCatalogCorruptFileRejected(t *testing.T) {
 	dir := t.TempDir()
-	db, _ := Open(dir, Options{PoolPages: -1})
+	db, _ := Open(dir)
 	if _, err := db.CreateTable(testSchema("x", 1, 1, false)); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCatalogCorruptFileRejected(t *testing.T) {
 	if err := writeFileSize(filepath.Join(dir, "x.tbl"), 100); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{PoolPages: -1}); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Fatal("torn table file should fail to open")
 	}
 }
@@ -171,7 +171,7 @@ func TestCorruptPageRecordCountRejected(t *testing.T) {
 	per := s.RecordsPerPage()
 	build := func(t *testing.T, rows int) string {
 		dir := t.TempDir()
-		db, err := Open(dir, Options{PoolPages: -1})
+		db, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestCorruptPageRecordCountRejected(t *testing.T) {
 	t.Run("tail", func(t *testing.T) {
 		dir := build(t, 5)
 		setCount(t, dir, 0, 0xFFFF)
-		db, err := Open(dir, Options{PoolPages: -1})
+		db, err := Open(dir)
 		if err == nil {
 			db.Close()
 		}
@@ -220,7 +220,7 @@ func TestCorruptPageRecordCountRejected(t *testing.T) {
 		dir := build(t, 2*per+3)
 		setCount(t, dir, 0, 0xFFFF)
 		setCount(t, dir, 1, uint16(per-1))
-		db, err := Open(dir, Options{PoolPages: -1})
+		db, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,10 +234,10 @@ func TestCorruptPageRecordCountRejected(t *testing.T) {
 		}
 		names(t, "scan", sc.Err(), "page 0")
 		var tp Tuple
-		names(t, "Get", tbl.Get(0, &tp), "page 0")
+		names(t, "SeekRow", getRow(tbl, 0, &tp), "page 0")
 		names(t, "UpdateAt", tbl.UpdateAt(int64(per), &Tuple{Keys: []int64{int64(per)}, Features: []float64{2}}), "page 1")
-		sc, err = tbl.NewScannerAt(int64(2 * per))
-		if err != nil {
+		sc = tbl.NewScanner()
+		if err := sc.SeekRow(int64(2 * per)); err != nil {
 			t.Fatal(err)
 		}
 		n := 0

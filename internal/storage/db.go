@@ -5,50 +5,91 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 )
 
-// Database is a catalog of tables backed by heap files in a directory,
-// sharing one buffer pool.
+// Database is a catalog of tables backed by heap files in a directory. It
+// counts the page traffic of all of them (IOStats).
 type Database struct {
-	dir        string
-	pool       *BufferPool
-	tables     map[string]*Table
-	nextFileID int
+	dir    string
+	tables map[string]*Table
+
+	ioMu sync.Mutex
+	io   IOStats
 }
 
-// Options configures a Database.
-type Options struct {
-	// PoolPages is the buffer pool capacity in pages. Zero disables caching;
-	// negative selects the default (256 pages = 2 MiB).
-	PoolPages int
-}
-
-// DefaultPoolPages is the buffer pool capacity used when Options.PoolPages
-// is negative.
-const DefaultPoolPages = 256
+// Options is ignored: storage has no settings. It remains only so the
+// benchmark harness's Open call compiles; ROADMAP item 14 deletes it.
+type Options struct{ PoolPages int }
 
 // Open creates (or reuses) a database directory.
-func Open(dir string, opts Options) (*Database, error) {
+func Open(dir string, _ ...Options) (*Database, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: creating database dir: %w", err)
 	}
-	pages := opts.PoolPages
-	if pages < 0 {
-		pages = DefaultPoolPages
-	}
-	db := &Database{
-		dir:    dir,
-		pool:   NewBufferPool(pages),
-		tables: make(map[string]*Table),
-	}
+	db := &Database{dir: dir, tables: make(map[string]*Table)}
 	if err := db.loadCatalog(); err != nil {
 		return nil, err
 	}
 	return db, nil
 }
 
-// Pool returns the shared buffer pool (for stats inspection).
-func (db *Database) Pool() *BufferPool { return db.pool }
+// IOStats aggregates page traffic counters. LogicalReads counts every page
+// a read moves onto: each page a scanner loads from the file (a sequential
+// scan reads each page once; a scanner repositioned with SeekRow reads a
+// page again only when the row lies on another page than the one it
+// holds), and each page UpdateAt rewrites. Every such read goes to the
+// file, so PhysicalReads equals LogicalReads; both are kept because the
+// paper's analytic cost formulas (§V-A) are stated in logical page reads of
+// the block-nested-loops join, and reports quote the two side by side. A
+// page served from a table's unflushed tail counts as neither.
+type IOStats struct {
+	LogicalReads  int64
+	PhysicalReads int64
+	PageWrites    int64
+}
+
+// Sub returns s - o, useful for measuring a window of activity.
+func (s IOStats) Sub(o IOStats) IOStats {
+	return IOStats{
+		LogicalReads:  s.LogicalReads - o.LogicalReads,
+		PhysicalReads: s.PhysicalReads - o.PhysicalReads,
+		PageWrites:    s.PageWrites - o.PageWrites,
+	}
+}
+
+func (s IOStats) String() string {
+	return fmt.Sprintf("logical=%d physical=%d writes=%d", s.LogicalReads, s.PhysicalReads, s.PageWrites)
+}
+
+// IOStats returns a snapshot of the page counters of every table.
+func (db *Database) IOStats() IOStats {
+	db.ioMu.Lock()
+	defer db.ioMu.Unlock()
+	return db.io
+}
+
+// ResetIOStats zeroes the page counters.
+func (db *Database) ResetIOStats() {
+	db.ioMu.Lock()
+	defer db.ioMu.Unlock()
+	db.io = IOStats{}
+}
+
+// noteRead records one page read from a heap file.
+func (db *Database) noteRead() {
+	db.ioMu.Lock()
+	defer db.ioMu.Unlock()
+	db.io.LogicalReads++
+	db.io.PhysicalReads++
+}
+
+// noteWrite records one page written to a heap file.
+func (db *Database) noteWrite() {
+	db.ioMu.Lock()
+	defer db.ioMu.Unlock()
+	db.io.PageWrites++
+}
 
 // Dir returns the database directory.
 func (db *Database) Dir() string { return db.dir }
@@ -70,11 +111,9 @@ func (db *Database) CreateTable(s *Schema) (*Table, error) {
 	t := &Table{
 		schema: s.Clone(s.Name),
 		db:     db,
-		fileID: db.nextFileID,
 		file:   f,
 		path:   path,
 	}
-	db.nextFileID++
 	db.tables[s.Name] = t
 	if err := db.saveCatalog(); err != nil {
 		return nil, err
@@ -97,7 +136,6 @@ func (db *Database) DropTable(name string) error {
 	if !ok {
 		return fmt.Errorf("storage: no table %q", name)
 	}
-	db.pool.invalidateFile(t.fileID)
 	delete(db.tables, name)
 	if err := t.file.Close(); err != nil {
 		return err

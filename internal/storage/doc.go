@@ -5,8 +5,9 @@
 //
 // Relations are heap files of fixed-width records (int64 key columns,
 // float64 feature columns, optional float64 target) packed into 8 KiB pages.
-// Scans read pages straight from the file, point reads through a shared LRU
-// buffer pool; every page read is counted, logical apart from physical
-// (IOStats), so that the paper's analytic I/O cost model (§V-A, block
-// nested loops join page counts) can be verified against measured counters.
+// There is one read path: a Scanner reads pages straight from the file into
+// a buffer of its own, in append order or from any row SeekRow moves it to.
+// Nothing caches pages. The database counts every page read and written
+// (IOStats), so that the paper's analytic I/O cost model (§V-A, block nested
+// loops join page counts) can be verified against measured counters.
 package storage

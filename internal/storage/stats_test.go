@@ -14,7 +14,7 @@ func statsTestSchema(name string) *Schema {
 }
 
 func TestTableStatsCollectedAtAppend(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{PoolPages: -1})
+	db, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestTableStatsCollectedAtAppend(t *testing.T) {
 
 func TestTableStatsPersistAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{PoolPages: -1})
+	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestTableStatsPersistAndReopen(t *testing.T) {
 	}
 
 	// Reopen: statistics must be served from the catalog without a scan.
-	db2, err := Open(dir, Options{PoolPages: -1})
+	db2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestTableStatsPersistAndReopen(t *testing.T) {
 
 func TestTableStatsStalePersistedCopyRescans(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{PoolPages: -1})
+	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTableStatsStalePersistedCopyRescans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(dir, Options{PoolPages: -1})
+	db2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestTableStatsStalePersistedCopyRescans(t *testing.T) {
 }
 
 func TestTableStatsUpdateAtCountsNewKey(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{PoolPages: -1})
+	db, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,14 +18,31 @@ func testSchema(name string, nKeys, nFeat int, target bool) *Schema {
 	return s
 }
 
-func openTestDB(t *testing.T, poolPages int) *Database {
+func openTestDB(t *testing.T) *Database {
 	t.Helper()
-	db, err := Open(t.TempDir(), Options{PoolPages: poolPages})
+	db, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
 	return db
+}
+
+// getRow reads the tuple at rowID into dst the way every reader does: a
+// scanner moved onto it.
+func getRow(tbl *Table, rowID int64, dst *Tuple) error {
+	sc := tbl.NewScanner()
+	if err := sc.SeekRow(rowID); err != nil {
+		return err
+	}
+	if !sc.Next() {
+		if err := sc.Err(); err != nil {
+			return err
+		}
+		return fmt.Errorf("row %d: no such row in %q", rowID, tbl.Schema().Name)
+	}
+	*dst = *sc.Tuple().Clone()
+	return nil
 }
 
 func TestSchemaValidate(t *testing.T) {
@@ -61,7 +78,7 @@ func TestSchemaRecordLayout(t *testing.T) {
 }
 
 func TestAppendGetRoundTrip(t *testing.T) {
-	db := openTestDB(t, -1)
+	db := openTestDB(t)
 	tbl, err := db.CreateTable(testSchema("r", 1, 3, true))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +102,7 @@ func TestAppendGetRoundTrip(t *testing.T) {
 	}
 	var got Tuple
 	for _, i := range []int64{0, 1, 169, 170, 999} {
-		if err := tbl.Get(i, &got); err != nil {
+		if err := getRow(tbl, i, &got); err != nil {
 			t.Fatal(err)
 		}
 		w := want[i]
@@ -101,19 +118,19 @@ func TestAppendGetRoundTrip(t *testing.T) {
 }
 
 func TestGetOutOfRange(t *testing.T) {
-	db := openTestDB(t, -1)
+	db := openTestDB(t)
 	tbl, _ := db.CreateTable(testSchema("r", 1, 1, false))
 	var tp Tuple
-	if err := tbl.Get(0, &tp); err == nil {
-		t.Fatal("Get on empty table should fail")
+	if err := getRow(tbl, 0, &tp); err == nil {
+		t.Fatal("reading row 0 of an empty table should fail")
 	}
-	if err := tbl.Get(-1, &tp); err == nil {
-		t.Fatal("Get(-1) should fail")
+	if err := getRow(tbl, -1, &tp); err == nil {
+		t.Fatal("reading row -1 should fail")
 	}
 }
 
 func TestScannerFullScan(t *testing.T) {
-	db := openTestDB(t, -1)
+	db := openTestDB(t)
 	tbl, _ := db.CreateTable(testSchema("r", 1, 2, false))
 	const n = 2345
 	for i := 0; i < n; i++ {
@@ -141,7 +158,7 @@ func TestScannerFullScan(t *testing.T) {
 
 func TestScanUnflushedTail(t *testing.T) {
 	// The tail page lives only in memory until Flush; scans must still see it.
-	db := openTestDB(t, -1)
+	db := openTestDB(t)
 	tbl, _ := db.CreateTable(testSchema("r", 1, 1, false))
 	for i := 0; i < 3; i++ {
 		if err := tbl.Append(&Tuple{Keys: []int64{int64(i)}, Features: []float64{1}}); err != nil {
@@ -159,7 +176,7 @@ func TestScanUnflushedTail(t *testing.T) {
 }
 
 func TestNumPages(t *testing.T) {
-	db := openTestDB(t, -1)
+	db := openTestDB(t)
 	s := testSchema("r", 1, 1, false) // 16-byte records, 511 per page
 	tbl, _ := db.CreateTable(s)
 	per := int64(s.RecordsPerPage())
@@ -174,71 +191,6 @@ func TestNumPages(t *testing.T) {
 	if got := tbl.NumTuples(); got != per+1 {
 		t.Fatalf("NumTuples = %d, want %d", got, per+1)
 	}
-}
-
-func TestBufferPoolCountsAndLRU(t *testing.T) {
-	db := openTestDB(t, 2) // tiny pool: 2 pages
-	s := testSchema("r", 1, 1, false)
-	tbl, _ := db.CreateTable(s)
-	per := s.RecordsPerPage()
-	for i := 0; i < 4*per; i++ { // 4 full pages
-		if err := tbl.Append(&Tuple{Keys: []int64{int64(i)}, Features: []float64{0}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db.Pool().ResetStats()
-	var tp Tuple
-	// Touch pages 0,1 -> misses. 0,1 again -> hits. 2,3 -> misses evicting 0,1.
-	for _, row := range []int64{0, int64(per), 0, int64(per), int64(2 * per), int64(3 * per)} {
-		if err := tbl.Get(row, &tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := db.Pool().Stats()
-	if st.LogicalReads != 6 {
-		t.Fatalf("LogicalReads = %d, want 6", st.LogicalReads)
-	}
-	if st.PhysicalReads != 4 {
-		t.Fatalf("PhysicalReads = %d, want 4", st.PhysicalReads)
-	}
-	// Page 0 was evicted; reading it again is physical.
-	if err := tbl.Get(0, &tp); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Pool().Stats().PhysicalReads; got != 5 {
-		t.Fatalf("PhysicalReads after eviction = %d, want 5", got)
-	}
-}
-
-func TestZeroCapacityPool(t *testing.T) {
-	db := openTestDB(t, 0)
-	s := testSchema("r", 1, 1, false)
-	tbl, _ := db.CreateTable(s)
-	for i := 0; i < s.RecordsPerPage(); i++ {
-		if err := tbl.Append(&Tuple{Keys: []int64{int64(i)}, Features: []float64{0}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db.Pool().ResetStats()
-	var tp Tuple
-	for i := 0; i < 3; i++ {
-		if err := tbl.Get(0, &tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := db.Pool().Stats()
-	if st.PhysicalReads != 3 {
-		t.Fatalf("PhysicalReads = %d, want 3 with zero-capacity pool", st.PhysicalReads)
-	}
-}
-
-// cachedPages lists the page numbers the pool holds, most recent first.
-func cachedPages(db *Database) []int64 {
-	var pages []int64
-	for el := db.pool.lru.Front(); el != nil; el = el.Next() {
-		pages = append(pages, el.Value.(*poolEntry).key.pageNo)
-	}
-	return pages
 }
 
 // fillPages appends pages full pages of one-key, one-feature rows to a new
@@ -258,14 +210,13 @@ func fillPages(t *testing.T, db *Database, name string, pages, tail int) *Table 
 	return tbl
 }
 
-// A sequential scan of a table larger than the pool reads every page past
-// it: the pool stays empty, and each full page counts one logical and one
-// physical read while the unflushed tail counts neither.
-func TestScanBypassesPool(t *testing.T) {
-	db := openTestDB(t, 2)
+// A sequential scan counts one logical and one physical read per full
+// page; the unflushed tail counts neither.
+func TestScanCountsOneReadPerPage(t *testing.T) {
+	db := openTestDB(t)
 	const pages, tail = 6, 3
 	tbl := fillPages(t, db, "r", pages, tail)
-	db.Pool().ResetStats()
+	db.ResetIOStats()
 	sc := tbl.NewScanner()
 	n := int64(0)
 	for sc.Next() {
@@ -280,10 +231,7 @@ func TestScanBypassesPool(t *testing.T) {
 	if n != tbl.NumTuples() {
 		t.Fatalf("scanned %d rows, want %d", n, tbl.NumTuples())
 	}
-	if got := cachedPages(db); len(got) != 0 {
-		t.Fatalf("pool holds pages %v after a scan", got)
-	}
-	if got, want := db.Pool().Stats(), (IOStats{LogicalReads: pages, PhysicalReads: pages}); got != want {
+	if got, want := db.IOStats(), (IOStats{LogicalReads: pages, PhysicalReads: pages}); got != want {
 		t.Fatalf("scan counted %v, want %v", got, want)
 	}
 }
@@ -291,7 +239,7 @@ func TestScanBypassesPool(t *testing.T) {
 // A scan reuses one page buffer: its allocations do not grow with the
 // table.
 func TestScanAllocsIndependentOfPages(t *testing.T) {
-	db := openTestDB(t, 2)
+	db := openTestDB(t)
 	allocs := func(tbl *Table) float64 {
 		return testing.AllocsPerRun(5, func() {
 			sc := tbl.NewScanner()
@@ -309,7 +257,7 @@ func TestScanAllocsIndependentOfPages(t *testing.T) {
 }
 
 func TestPageWriteCounter(t *testing.T) {
-	db := openTestDB(t, -1)
+	db := openTestDB(t)
 	s := testSchema("r", 1, 1, false)
 	tbl, _ := db.CreateTable(s)
 	per := s.RecordsPerPage()
@@ -318,7 +266,7 @@ func TestPageWriteCounter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := db.Pool().Stats().PageWrites; got != 2 {
+	if got := db.IOStats().PageWrites; got != 2 {
 		t.Fatalf("PageWrites = %d, want 2 after two full pages", got)
 	}
 	if err := tbl.Append(&Tuple{Keys: []int64{99}, Features: []float64{0}}); err != nil {
@@ -327,20 +275,20 @@ func TestPageWriteCounter(t *testing.T) {
 	if err := tbl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Pool().Stats().PageWrites; got != 3 {
+	if got := db.IOStats().PageWrites; got != 3 {
 		t.Fatalf("PageWrites = %d, want 3 after flushing tail", got)
 	}
 	// Flushing again without new appends is a no-op.
 	if err := tbl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Pool().Stats().PageWrites; got != 3 {
+	if got := db.IOStats().PageWrites; got != 3 {
 		t.Fatalf("PageWrites = %d, want 3 after idempotent flush", got)
 	}
 }
 
 func TestCatalog(t *testing.T) {
-	db := openTestDB(t, -1)
+	db := openTestDB(t)
 	if _, err := db.CreateTable(testSchema("a", 1, 1, false)); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +320,7 @@ func TestCatalog(t *testing.T) {
 }
 
 func TestTupleEncodeErrors(t *testing.T) {
-	db := openTestDB(t, -1)
+	db := openTestDB(t)
 	tbl, _ := db.CreateTable(testSchema("r", 1, 2, false))
 	if err := tbl.Append(&Tuple{Keys: []int64{1}, Features: []float64{1}}); err == nil {
 		t.Fatal("wrong feature arity should fail")
@@ -383,7 +331,7 @@ func TestTupleEncodeErrors(t *testing.T) {
 }
 
 func TestSpecialFloatValuesRoundTrip(t *testing.T) {
-	db := openTestDB(t, -1)
+	db := openTestDB(t)
 	tbl, _ := db.CreateTable(testSchema("r", 1, 3, true))
 	in := &Tuple{
 		Keys:     []int64{-7},
@@ -394,7 +342,7 @@ func TestSpecialFloatValuesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out Tuple
-	if err := tbl.Get(0, &out); err != nil {
+	if err := getRow(tbl, 0, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsInf(out.Features[0], 1) || !math.IsInf(out.Features[1], -1) {

@@ -1,17 +1,10 @@
 package storage
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func streamTestTable(t *testing.T, n int64) *Table {
 	t.Helper()
-	db, err := Open(t.TempDir(), Options{PoolPages: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
+	db := openTestDB(t)
 	tbl, err := db.CreateTable(&Schema{Name: "t", Keys: []string{"id"}, Features: []string{"a", "b"}})
 	if err != nil {
 		t.Fatal(err)
@@ -24,15 +17,17 @@ func streamTestTable(t *testing.T, n int64) *Table {
 	return tbl
 }
 
-func TestNewScannerAt(t *testing.T) {
+// A scanner moved with SeekRow reads on to the end of the table, from any
+// start: the access path of the incremental maintenance absorbs.
+func TestSeekRowScansToEnd(t *testing.T) {
 	// Enough rows to span several pages, plus a buffered (unflushed) tail.
 	const n = 1000
 	tbl := streamTestTable(t, n)
 
 	for _, start := range []int64{0, 1, 499, 997, n - 1, n} {
-		sc, err := tbl.NewScannerAt(start)
-		if err != nil {
-			t.Fatalf("NewScannerAt(%d): %v", start, err)
+		sc := tbl.NewScanner()
+		if err := sc.SeekRow(start); err != nil {
+			t.Fatalf("SeekRow(%d): %v", start, err)
 		}
 		want := start
 		for sc.Next() {
@@ -49,11 +44,64 @@ func TestNewScannerAt(t *testing.T) {
 			t.Fatalf("scan from %d served %d rows, want %d", start, want-start, n-start)
 		}
 	}
-	if _, err := tbl.NewScannerAt(-1); err == nil {
-		t.Fatal("NewScannerAt(-1) accepted")
+}
+
+// SeekRow reads a page only when the row lies on another page than the one
+// the scanner's buffer holds, never counts the unflushed tail, takes that
+// tail from the table afresh, and rejects rows outside [0, NumTuples].
+func TestSeekRow(t *testing.T) {
+	db := openTestDB(t)
+	const pages, tail = 4, 3
+	tbl := fillPages(t, db, "r", pages, tail)
+	per := int64(tbl.Schema().RecordsPerPage())
+	sc := tbl.NewScanner()
+	seek := func(row int64, reads int64) {
+		t.Helper()
+		db.ResetIOStats()
+		if err := sc.SeekRow(row); err != nil {
+			t.Fatalf("SeekRow(%d): %v", row, err)
+		}
+		if !sc.Next() {
+			t.Fatalf("row %d: Next false (err %v)", row, sc.Err())
+		}
+		if got := sc.Tuple().PrimaryKey(); got != row {
+			t.Fatalf("SeekRow(%d) then Next read key %d", row, got)
+		}
+		if got, want := db.IOStats(), (IOStats{LogicalReads: reads, PhysicalReads: reads}); got != want {
+			t.Fatalf("SeekRow(%d) then Next counted %v, want %v", row, got, want)
+		}
 	}
-	if _, err := tbl.NewScannerAt(n + 1); err == nil {
-		t.Fatal("NewScannerAt(past end) accepted")
+
+	// Back and forth across full pages: one read per page change.
+	seek(2*per+7, 1)
+	seek(5, 1)
+	seek(3*per, 1)
+	seek(per-1, 1)
+	// A second seek onto the loaded page reads nothing, before or after
+	// the row last read.
+	seek(per-2, 0)
+	seek(0, 0)
+	// The unflushed tail is served from memory.
+	seek(pages*per+1, 0)
+	seek(pages*per, 0)
+
+	// Appends that fill and flush the tail page start a new tail; the old
+	// tail page's rows now come from the file, not from the new tail.
+	for i := pages*per + tail; i < (pages+1)*per+2; i++ {
+		if err := tbl.Append(&Tuple{Keys: []int64{i}, Features: []float64{float64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seek(pages*per+1, 1)
+	seek((pages+1)*per+1, 0)
+
+	for _, row := range []int64{-1, tbl.NumTuples() + 1} {
+		if err := sc.SeekRow(row); err == nil {
+			t.Errorf("SeekRow(%d) accepted, table has %d rows", row, tbl.NumTuples())
+		}
+	}
+	if err := sc.SeekRow(tbl.NumTuples()); err != nil || sc.Next() {
+		t.Fatalf("SeekRow(NumTuples) = %v, then Next served a row", err)
 	}
 }
 
@@ -63,7 +111,7 @@ func TestUpdateAt(t *testing.T) {
 
 	for _, row := range []int64{0, 3, 700, n - 1} {
 		var old Tuple
-		if err := tbl.Get(row, &old); err != nil {
+		if err := getRow(tbl, row, &old); err != nil {
 			t.Fatal(err)
 		}
 		upd := &Tuple{Keys: []int64{old.PrimaryKey()}, Features: []float64{-1, -2}}
@@ -71,7 +119,7 @@ func TestUpdateAt(t *testing.T) {
 			t.Fatalf("UpdateAt(%d): %v", row, err)
 		}
 		var got Tuple
-		if err := tbl.Get(row, &got); err != nil {
+		if err := getRow(tbl, row, &got); err != nil {
 			t.Fatal(err)
 		}
 		if got.Features[0] != -1 || got.Features[1] != -2 {
@@ -80,13 +128,13 @@ func TestUpdateAt(t *testing.T) {
 	}
 	// Neighbors are untouched.
 	var neighbor Tuple
-	if err := tbl.Get(4, &neighbor); err != nil {
+	if err := getRow(tbl, 4, &neighbor); err != nil {
 		t.Fatal(err)
 	}
 	if neighbor.Features[0] != 4 {
 		t.Fatalf("row 4 corrupted by update of row 3: %v", neighbor.Features)
 	}
-	// A full scan observes the updates (pool caches were invalidated).
+	// A full scan observes the updates.
 	sc := tbl.NewScanner()
 	count := 0
 	for sc.Next() {
@@ -109,36 +157,23 @@ func TestUpdateAt(t *testing.T) {
 }
 
 // An update of a row on a full page reads that page once, straight from
-// the file, and counts that one read; the pool only loses its copy of the
-// rewritten page, if it held one.
+// the file, and counts that one read and one write.
 func TestUpdateAtReadsPageOnce(t *testing.T) {
-	db := openTestDB(t, 1)
+	db := openTestDB(t)
 	tbl := fillPages(t, db, "r", 3, 0)
 	per := int64(tbl.Schema().RecordsPerPage())
-	var tp Tuple
-	if err := tbl.Get(0, &tp); err != nil { // caches page 0
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		row    int64
-		cached []int64
-	}{
-		{2*per + 5, []int64{0}}, // another page: page 0 stays cached
-		{5, nil},                // the cached page itself: its copy is dropped
-	} {
-		db.Pool().ResetStats()
-		if err := tbl.UpdateAt(c.row, &Tuple{Keys: []int64{c.row}, Features: []float64{-1}}); err != nil {
+	for _, row := range []int64{2*per + 5, 5} {
+		db.ResetIOStats()
+		if err := tbl.UpdateAt(row, &Tuple{Keys: []int64{row}, Features: []float64{-1}}); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := db.Pool().Stats(), (IOStats{LogicalReads: 1, PhysicalReads: 1, PageWrites: 1}); got != want {
-			t.Errorf("UpdateAt(%d) counted %v, want %v", c.row, got, want)
-		}
-		if got := cachedPages(db); !reflect.DeepEqual(got, c.cached) {
-			t.Errorf("after UpdateAt(%d) the pool holds pages %v, want %v", c.row, got, c.cached)
+		if got, want := db.IOStats(), (IOStats{LogicalReads: 1, PhysicalReads: 1, PageWrites: 1}); got != want {
+			t.Errorf("UpdateAt(%d) counted %v, want %v", row, got, want)
 		}
 	}
+	var tp Tuple
 	for _, row := range []int64{5, 2*per + 5} {
-		if err := tbl.Get(row, &tp); err != nil || tp.Features[0] != -1 {
+		if err := getRow(tbl, row, &tp); err != nil || tp.Features[0] != -1 {
 			t.Fatalf("row %d after update: %v (err %v)", row, tp.Features, err)
 		}
 	}

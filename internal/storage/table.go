@@ -7,12 +7,11 @@ import (
 
 // Table is a heap file of fixed-width records described by a Schema.
 // Appends buffer into a tail page that is flushed when full (or on Flush).
-// Point reads (Get) go through the database's shared buffer pool;
-// sequential scans (Scanner) and UpdateAt read the file directly.
+// Every read goes straight to the file: a Scanner reads pages into a
+// buffer of its own, UpdateAt into a fresh page; nothing caches them.
 type Table struct {
 	schema *Schema
 	db     *Database
-	fileID int
 	file   *os.File
 	path   string
 
@@ -108,18 +107,8 @@ func (t *Table) writePage(pageNo int64, p *page) error {
 	if _, err := t.file.WriteAt(p.buf, pageNo*PageSize); err != nil {
 		return fmt.Errorf("storage: writing page %d of %q: %w", pageNo, t.schema.Name, err)
 	}
-	t.db.pool.noteWrite(t.fileID, pageNo)
+	t.db.noteWrite()
 	return nil
-}
-
-// readPage fetches page pageNo through the buffer pool — the point-read
-// path (Get). The unflushed tail page is served from memory (it has never
-// been written, so it costs no IO).
-func (t *Table) readPage(pageNo int64) (*page, error) {
-	if t.tailInMemory(pageNo) {
-		return t.tail, nil
-	}
-	return t.db.pool.get(t.fileID, pageNo, func(p *page) error { return t.readAt(p, pageNo) })
 }
 
 // tailInMemory reports whether page pageNo is the tail page, unflushed.
@@ -148,7 +137,7 @@ func (t *Table) readAt(p *page, pageNo int64) error {
 // The replacement must keep the stored primary key — heap rows are
 // identified by it elsewhere (resident indexes, foreign keys) — so only
 // the payload (remaining keys, features, target) may change. The rewritten
-// page is flushed to disk and any cached copy is invalidated.
+// page is flushed to disk.
 func (t *Table) UpdateAt(rowID int64, tp *Tuple) error {
 	if rowID < 0 || rowID >= t.numTuples {
 		return fmt.Errorf("storage: row %d out of range [0,%d) in %q", rowID, t.numTuples, t.schema.Name)
@@ -160,14 +149,12 @@ func (t *Table) UpdateAt(rowID int64, tp *Tuple) error {
 	inTail := pageNo == t.numPages && t.tailUsed > 0
 	p := t.tail
 	if !inTail {
-		// A full page on disk: read it once, straight from the file, so a
-		// page cached for point reads is never mutated; writePage's
-		// noteWrite invalidates that copy.
+		// A full page on disk: read it once into a page of its own.
 		p = newPage()
 		if err := t.readAt(p, pageNo); err != nil {
 			return err
 		}
-		t.db.pool.noteRead()
+		t.db.noteRead()
 	}
 	var old Tuple
 	decodeTuple(p.record(slot, rs), t.schema, &old)
@@ -196,34 +183,20 @@ func (t *Table) UpdateAt(rowID int64, tp *Tuple) error {
 	return t.noteKeys(tp.Keys)
 }
 
-// Get reads the tuple with the given row id (0-based append order) into dst.
-func (t *Table) Get(rowID int64, dst *Tuple) error {
-	if rowID < 0 || rowID >= t.numTuples {
-		return fmt.Errorf("storage: row %d out of range [0,%d) in %q", rowID, t.numTuples, t.schema.Name)
-	}
-	perPage := int64(t.schema.RecordsPerPage())
-	p, err := t.readPage(rowID / perPage)
-	if err != nil {
-		return err
-	}
-	decodeTuple(p.record(int(rowID%perPage), t.schema.RecordSize()), t.schema, dst)
-	return nil
-}
-
-// Scanner iterates a table in append order. It reads each page from the
-// heap file into one buffer of its own, past the buffer pool (a scan never
-// revisits a page, so caching it would only evict the point reads' pages),
-// and counts one logical and one physical read per page — none for the
-// unflushed tail page, which it serves from memory.
+// Scanner iterates a table in append order, or from any row SeekRow moves
+// it to. It reads each page from the heap file into one buffer of its own
+// and counts one logical and one physical read per page it loads — none for
+// the unflushed tail page, which it serves from memory.
 type Scanner struct {
 	t      *Table
-	pageNo int64
-	slot   int
-	page   *page // the current page: buf, or the table's in-memory tail
+	pageNo int64 // the page of the next row
+	slot   int   // the next row's slot within it
+	page   *page // the loaded page: buf, or the table's in-memory tail; nil when none is
 	buf    *page // reused for every page read from the file
+	bufNo  int64 // the page buf holds
 	tuple  Tuple
 	err    error
-	served int64
+	served int64 // the next row's id
 }
 
 // NewScanner returns a scanner positioned before the first tuple.
@@ -231,23 +204,25 @@ func (t *Table) NewScanner() *Scanner {
 	return &Scanner{t: t, buf: newPage()}
 }
 
-// NewScannerAt returns a scanner positioned before the tuple with the
-// given row id (0-based append order), so a scan over a tail range costs
-// I/O proportional to that range — the access path of the incremental
-// maintenance absorbs (internal/stream). rowID may equal NumTuples, which
-// yields an immediately exhausted scanner.
-func (t *Table) NewScannerAt(rowID int64) (*Scanner, error) {
+// SeekRow positions the scanner before the tuple with the given row id
+// (0-based append order); Next then reads on from there. rowID may equal
+// NumTuples, which leaves the scanner exhausted. A seek onto the page the
+// scanner's buffer holds reads nothing; any other page is read again by the
+// next Next — the in-memory tail too, which is always taken from the table
+// afresh, so a tail that appends have since flushed is never served stale.
+// This is how a scan over a tail range costs I/O proportional to that range
+// (internal/stream) and how a permuted pass reads its rows (internal/join).
+func (s *Scanner) SeekRow(rowID int64) error {
+	t := s.t
 	if rowID < 0 || rowID > t.numTuples {
-		return nil, fmt.Errorf("storage: scan start %d out of range [0,%d] in %q", rowID, t.numTuples, t.schema.Name)
+		return fmt.Errorf("storage: row %d out of range [0,%d] in %q", rowID, t.numTuples, t.schema.Name)
 	}
 	perPage := int64(t.schema.RecordsPerPage())
-	return &Scanner{
-		t:      t,
-		pageNo: rowID / perPage,
-		slot:   int(rowID % perPage),
-		buf:    newPage(),
-		served: rowID,
-	}, nil
+	s.pageNo, s.slot, s.served = rowID/perPage, int(rowID%perPage), rowID
+	if s.page != s.buf || s.bufNo != s.pageNo || s.slot >= s.buf.numRecords() {
+		s.page = nil
+	}
+	return nil
 }
 
 // Next advances to the next tuple; it returns false at the end of the table
@@ -281,8 +256,8 @@ func (s *Scanner) load() error {
 	if err := t.readAt(s.buf, s.pageNo); err != nil {
 		return err
 	}
-	t.db.pool.noteRead()
-	s.page = s.buf
+	t.db.noteRead()
+	s.page, s.bufNo = s.buf, s.pageNo
 	return nil
 }
 
@@ -292,9 +267,6 @@ func (s *Scanner) Tuple() *Tuple { return &s.tuple }
 
 // Err returns the first error encountered by the scanner.
 func (s *Scanner) Err() error { return s.err }
-
-// Close releases resources (no-op today; kept for interface stability).
-func (s *Scanner) Close() error { return nil }
 
 // Path returns the table's backing heap-file path (checkpointing copies
 // or truncates heap files at this granularity; see internal/stream).

@@ -81,7 +81,7 @@ func ckptStarSized(t *testing.T, dbDir string, seed int64, nS, nR int) (*storage
 // ckptSchema generates the star schema "st" of cfg in dbDir.
 func ckptSchema(t *testing.T, dbDir string, cfg data.SynthConfig) (*storage.Database, *join.Spec) {
 	t.Helper()
-	db, err := storage.Open(dbDir, storage.Options{PoolPages: -1})
+	db, err := storage.Open(dbDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func ckptCrashRecover(t *testing.T, dbDir, walDir string, opts Options, rewrite 
 	if err := RestoreSnapshotFiles(dbDir2, walDir2); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := storage.Open(dbDir2, storage.Options{PoolPages: -1})
+	db2, err := storage.Open(dbDir2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,7 +637,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 // — never panic, and never allocate more than a small multiple of the
 // input.
 func FuzzGMMStatsRestore(f *testing.F) {
-	db, err := storage.Open(f.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -706,7 +706,7 @@ func FuzzGMMStatsRestore(f *testing.F) {
 // included.
 func FuzzStreamState(f *testing.F) {
 	cfg := data.SynthConfig{NS: 40, NR: []int{6, 4}, DS: 3, DR: []int{2, 1}, Seed: 11, WithTarget: true}
-	db, err := storage.Open(f.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
 	}

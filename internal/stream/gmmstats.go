@@ -240,8 +240,8 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 		}
 	}
 	produce := func(f *parallel.Feed[*absorbChunk]) error {
-		sc, err := fact.NewScannerAt(r0)
-		if err != nil {
+		sc := fact.NewScanner()
+		if err := sc.SeekRow(r0); err != nil {
 			return err
 		}
 		var cur *absorbChunk // taken when the chunk's first row arrives

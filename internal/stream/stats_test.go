@@ -16,7 +16,7 @@ import (
 // the join spec and the relation partition.
 func genStar(t *testing.T, nS int, nR []int, dS int, dR []int, seed int64) (*storage.Database, *join.Spec, core.Partition) {
 	t.Helper()
-	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestGMMIncrementalMatchesFullRecompute(t *testing.T) {
 // dimension tuples no absorbed row referenced, which a store of per-tuple
 // sums would give a slot each.
 func TestGMMStatsFootprint(t *testing.T) {
-	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,10 +289,7 @@ func TestGMMStatsFootprint(t *testing.T) {
 	for d := range touched {
 		touched[d] = make([]bool, idxs[st.nodes[d]].Len())
 	}
-	sc, err := spec.S.NewScannerAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := spec.S.NewScanner()
 	for sc.Next() {
 		for d := range touched {
 			g, _ := idxs[st.nodes[d]].Pos(sc.Tuple().Keys[1+d])

@@ -407,7 +407,7 @@ func TestIngestHTTPAndAutoRefresh(t *testing.T) {
 // streaming server leaves it served-but-static), and a fact row carrying
 // a non-zero target is rejected instead of silently dropping the value.
 func TestTargetlessFactTable(t *testing.T) {
-	db, err := storage.Open(t.TempDir(), storage.Options{PoolPages: -1})
+	db, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
