@@ -6,7 +6,7 @@
 // With -fact the server also opens the streaming change feed over the
 // star schema: POST /v1/ingest appends fact rows and inserts/updates
 // dimension tuples, dimension updates reach served predictions
-// immediately (exactly the touched cache entries are invalidated), and
+// immediately (exactly the cache entries above the touched tuple miss), and
 // every registered model is kept under incremental maintenance —
 // refreshed from the ingested deltas either on the -refresh-rows
 // threshold, on the -fact POST /v1/refresh endpoint, or on demand,
@@ -119,7 +119,7 @@ func defineFlags(fs *flag.FlagSet, o *serveFlags) {
 	fs.StringVar(&o.dims, "dims", "", "comma-separated dimension table names, join order (checked against the catalog's references when -fact is given)")
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address (port 0 picks a free port)")
 	fs.IntVar(&o.workers, "workers", 0, "prediction worker pool size (0 = all CPUs, 1 = sequential); responses are bit-identical for every value")
-	fs.IntVar(&o.cacheEntries, "cache", 0, "per-(model, dimension) LRU capacity in entries (0 = default 4096); an entry costs its cached floats × 8 bytes plus a 64-byte slot, and memory follows occupancy")
+	fs.IntVar(&o.cacheEntries, "cache", 0, "per-(model, direct dimension) LRU capacity in entries (0 = default 4096); an entry covers a direct dimension tuple with its subtree and costs its cached floats × 8 bytes, a 40-byte slot, an 8-byte map entry and 4 bytes per subtree tuple below it; memory follows occupancy")
 	fs.IntVar(&o.batchRows, "batch", 0, "rows per worker micro-batch chunk (0 = default 64)")
 	fs.StringVar(&o.fact, "fact", "", "fact table name; enables streaming ingestion at POST /v1/ingest")
 	fs.IntVar(&o.refreshRows, "refresh-rows", 0, "auto-refresh attached models once this many ingested fact rows are pending (0 = manual; needs -fact)")

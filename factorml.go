@@ -1093,8 +1093,8 @@ func WithEngineConfig(cfg ServeConfig) ServerOption {
 // WithStream wires a live change feed into the server: every compatible
 // registered model is attached for incremental maintenance, POST
 // /v1/ingest accepts StreamBatch JSON, POST /v1/refresh folds the
-// ingested delta into every attached model, dimension updates invalidate
-// exactly the serving-cache entries they touch, refreshed models are
+// ingested delta into every attached model, dimension updates make exactly
+// the serving-cache entries whose subtree they touch miss, refreshed models are
 // republished (and served) without a restart, and /statsz gains "stream"
 // and "planner" sections. fact names the fact table, and the join the
 // server scores and maintains is the one the catalog records for it — the

@@ -49,9 +49,12 @@
 // relations: one flat feature arena per dimension table, indexed by tuple
 // ordinal, with no key map while the keys are 0…n−1. An (ordinal, version)
 // pair names one tuple value — Upsert overwrites in place and bumps the
-// version — so caches derived from the index key on it. Row copies a tuple
-// out with its version under the index's lock, for readers racing Upserts;
-// Lookup and At return views, for callers that exclude them.
+// version — and Row copies a tuple's features and sub-keys out with its
+// version under the index's lock, for readers racing Upserts; Lookup and At
+// return views, for callers that exclude them. Resolver.Subtree is the one
+// walk of a direct tuple's subtree on top of Row: it follows the sub-keys
+// each Row read, so the version vector it returns names the features it
+// copied, and serving caches a direct tuple's partial under that vector.
 //
 // RunParallel's chunks belong to the run (see internal/parallel). A chunk
 // holds its copies of the fact tuples, the matches its probe worker

@@ -22,11 +22,12 @@ import (
 // position among the fact table's foreign keys.
 //
 // A table referenced from two places in the hierarchy appears once per
-// reference path: the materialized join carries its columns once per path,
-// so each path is its own partition part. The serving and streaming caches
-// key on (node, tuple) and so share per-tuple work within a path; the
-// training-side Runner instead folds every subtree into its direct
-// dimension's tuples (see the package comment).
+// reference path: the materialized join carries its columns once per path.
+// Training, refresh and serving all score a snowflake as a star over its
+// direct dimensions: the Runner folds every subtree into its direct
+// dimension's tuples (see the package comment), and the serving engine and
+// the streaming statistics read a direct tuple with its subtree through
+// Resolver.Subtree, so a direct dimension's subtree is one partition part.
 type DimPlan struct {
 	Tables []*storage.Table
 	Parent []int
@@ -137,35 +138,117 @@ type Resolver struct {
 	Parent []int
 	Ref    []int
 	Idxs   []*ResidentIndex // one per node; nodes of one table may share an index
-	direct int
+	direct []int            // the direct nodes, in foreign-key order
+	// end[i] is one past the last node of node i's subtree; keyOff[i] is
+	// where node i's sub-keys start in a subtree walk's key buffer (the
+	// running sum of NumRefs over the nodes before it).
+	end, keyOff []int
 }
 
 // NewResolver builds a resolver over per-node resident indexes. The index
-// slice must parallel the plan's nodes.
+// slice must parallel the plan's nodes, and every sub-dimension node's
+// foreign-key position must be one its parent's index holds.
 func NewResolver(parent, ref []int, idxs []*ResidentIndex) (*Resolver, error) {
 	if len(parent) != len(idxs) || len(ref) != len(idxs) {
 		return nil, fmt.Errorf("join: resolver shape mismatch: %d parents, %d refs, %d indexes",
 			len(parent), len(ref), len(idxs))
 	}
-	rv := &Resolver{Parent: parent, Ref: ref, Idxs: idxs}
+	n := len(idxs)
+	rv := &Resolver{Parent: parent, Ref: ref, Idxs: idxs, end: make([]int, n), keyOff: make([]int, n+1)}
 	for i, p := range parent {
-		if p == -1 {
-			rv.direct++
-		} else if p < 0 || p >= i {
+		switch {
+		case p == -1:
+			rv.direct = append(rv.direct, i)
+		case p < 0 || p >= i:
 			return nil, fmt.Errorf("join: resolver node %d has parent %d, want -1 or a smaller node index", i, p)
+		case ref[i] < 0 || ref[i] >= idxs[p].NumRefs():
+			return nil, fmt.Errorf("join: dimension table %q has %d sub-keys, resolver node %d wants key %d",
+				idxs[p].Name(), idxs[p].NumRefs(), i, ref[i])
+		}
+		rv.keyOff[i+1] = rv.keyOff[i] + idxs[i].NumRefs()
+	}
+	// A subtree is contiguous in preorder: it ends at the next node whose
+	// parent lies before it.
+	for i := n - 1; i >= 0; i-- {
+		rv.end[i] = i + 1
+		for rv.end[i] < n && rv.Parent[rv.end[i]] >= i {
+			rv.end[i] = rv.end[rv.end[i]]
 		}
 	}
 	return rv, nil
 }
 
 // NumDirect returns the number of direct (fact-keyed) nodes.
-func (rv *Resolver) NumDirect() int { return rv.direct }
+func (rv *Resolver) NumDirect() int { return len(rv.direct) }
+
+// Direct returns the plan node of every direct dimension, in foreign-key
+// order. The caller must not modify it.
+func (rv *Resolver) Direct() []int { return rv.direct }
+
+// SubtreeEnd returns one past the last node of node i's subtree: the
+// subtree is nodes i … SubtreeEnd(i)−1, contiguous in preorder.
+func (rv *Resolver) SubtreeEnd(i int) int { return rv.end[i] }
+
+// SubtreeWidth returns the feature width of node i's subtree: the width of
+// the features Subtree writes.
+func (rv *Resolver) SubtreeWidth(i int) int {
+	w := 0
+	for _, ix := range rv.Idxs[i:rv.end[i]] {
+		w += ix.Width()
+	}
+	return w
+}
+
+// Subtree reads the subtree rooted at node n's tuple with ordinal ord: feats
+// receives its features, node by node in preorder (SubtreeWidth(n) of them),
+// and vers the version of each node's tuple (SubtreeEnd(n) − n of them,
+// preorder); either may be nil. It is the one subtree walk: serving reads
+// its version vector as a cache token, refresh the features of a group.
+//
+// Each tuple's features, sub-keys and version are read under one read lock
+// (ResidentIndex.Row) and its children are found through the sub-keys that
+// read returned. A walk racing Upserts may mix tuples read at different
+// times, but never a parent's features or version with sub-keys from
+// another of its versions, so the version vector names the features read:
+// a vector read again later reaches the same tuples at the same versions.
+// Reading the sub-keys apart from the version would break that — a walk
+// could pair a repointed parent's new version with its old child, and a
+// cache would key that value by a vector a consistent walk reproduces.
+func (rv *Resolver) Subtree(n, ord int, feats []float64, vers []uint32) error {
+	n1, k0 := rv.end[n], rv.keyOff[n]
+	var keyBuf [16]int64
+	keys := keyBuf[:]
+	if nk := rv.keyOff[n1] - k0; nk > len(keys) {
+		keys = make([]int64, nk)
+	}
+	for i := n; i < n1; i++ {
+		ix := rv.Idxs[i]
+		if i > n {
+			pk := keys[rv.keyOff[rv.Parent[i]]-k0+rv.Ref[i]]
+			at, ok := ix.Pos(pk)
+			if !ok {
+				return fmt.Errorf("unknown foreign key %d for dimension table %q", pk, ix.Name())
+			}
+			ord = at
+		}
+		var x []float64
+		if feats != nil {
+			x, feats = feats[:ix.Width()], feats[ix.Width():]
+		}
+		v := ix.Row(ord, x, keys[rv.keyOff[i]-k0:rv.keyOff[i+1]-k0])
+		if vers != nil {
+			vers[i-n] = v
+		}
+	}
+	return nil
+}
 
 // Hop resolves node i into pos[i] from what is resolved before it — a
 // direct node from the fact row's keys fks, a sub-dimension node from the
 // sub-key its parent's tuple (at pos[Parent[i]]) pins NOW — and returns the
-// key followed. It is the one place a hierarchy hop is made: Resolve takes
-// it per fact row and node, the streaming statistics per group.
+// key followed. Resolve takes it per fact row and node, the serving engine
+// per direct key; Subtree instead hops through the sub-keys it read with
+// each parent's version.
 func (rv *Resolver) Hop(i int, fks []int64, pos []int) (int64, error) {
 	var pk int64
 	if parent := rv.Parent[i]; parent == -1 {
@@ -192,8 +275,8 @@ func (rv *Resolver) Hop(i int, fks []int64, pos []int) (int64, error) {
 // resident index. Either output slice may be nil when the caller does not
 // need it; non-nil slices must have one slot per node.
 func (rv *Resolver) Resolve(fks []int64, pks []int64, pos []int) error {
-	if len(fks) != rv.direct {
-		return fmt.Errorf("join: %d foreign keys for %d direct dimension tables", len(fks), rv.direct)
+	if len(fks) != len(rv.direct) {
+		return fmt.Errorf("join: %d foreign keys for %d direct dimension tables", len(fks), len(rv.direct))
 	}
 	var posBuf [8]int
 	p := pos

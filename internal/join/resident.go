@@ -31,12 +31,14 @@ import (
 // the write lock and bumps its ordinal's version, so (ordinal, version)
 // names one tuple value for as long as the index lives — the freshness
 // token of caches derived from it (see internal/serve's dimCache). Row
-// copies a tuple's features and returns their version under one read lock;
+// copies a tuple's features and sub-keys and returns their version under
+// one read lock;
 // Lookup and At return views into the feature arena instead, which stay
 // valid only until that tuple is next upserted. A caller holding a view
 // must exclude concurrent Upserts of the tuple (the streaming subsystem
 // reads views and upserts only under its own mutex); concurrent readers
-// that cannot, such as the serving engine, use Row and Version.
+// that cannot, such as the serving engine, use Row (through
+// Resolver.Subtree).
 type ResidentIndex struct {
 	name  string
 	width int
@@ -153,20 +155,20 @@ func (ix *ResidentIndex) At(i int) (pk int64, feats []float64) {
 }
 
 // Row copies the features of the tuple with ordinal i into dst (length
-// Width) and returns their version, under one read lock: the pair is
-// consistent however Upserts interleave.
-func (ix *ResidentIndex) Row(i int, dst []float64) uint32 {
+// Width) and its sub-dimension keys into subs (length NumRefs), and returns
+// their version, all under one read lock: the three are consistent however
+// Upserts interleave. Either dst or subs may be nil. A version is 0 when
+// the tuple was loaded or inserted, one more after every Upsert that
+// replaced it.
+func (ix *ResidentIndex) Row(i int, dst []float64, subs []int64) uint32 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	copy(dst[:ix.width], ix.view(i))
-	return ix.vers[i]
-}
-
-// Version returns the version of the tuple with ordinal i: 0 when it was
-// loaded or inserted, one more after every Upsert that replaced it.
-func (ix *ResidentIndex) Version(i int) uint32 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+	if dst != nil {
+		copy(dst[:ix.width], ix.view(i))
+	}
+	if subs != nil {
+		copy(subs[:ix.nrefs], ix.subs[i*ix.nrefs:(i+1)*ix.nrefs])
+	}
 	return ix.vers[i]
 }
 

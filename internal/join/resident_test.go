@@ -116,7 +116,7 @@ func TestResidentIndexUpsert(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v0, v2 := ix.Version(0), ix.Version(2)
+	v0, v2 := ix.Row(0, nil, nil), ix.Row(2, nil, nil)
 	isNew, err := ix.Upsert(1, nil, []float64{7, 8})
 	if err != nil || isNew {
 		t.Fatalf("Upsert(existing) = new=%v err=%v", isNew, err)
@@ -129,14 +129,14 @@ func TestResidentIndexUpsert(t *testing.T) {
 	// updated ordinal's moves, an untouched one's does not, and Row returns
 	// the features with the version they belong to.
 	row := make([]float64, 2)
-	if v := ix.Row(1, row); v != 1 || row[0] != 7 || row[1] != 8 {
+	if v := ix.Row(1, row, nil); v != 1 || row[0] != 7 || row[1] != 8 {
 		t.Fatalf("Row(1) = %v at version %d, want [7 8] at 1", row, v)
 	}
-	if ix.Version(0) != v0 || ix.Version(2) != v2 {
-		t.Fatalf("untouched versions moved: %d→%d, %d→%d", v0, ix.Version(0), v2, ix.Version(2))
+	if ix.Row(0, nil, nil) != v0 || ix.Row(2, nil, nil) != v2 {
+		t.Fatalf("untouched versions moved: %d→%d, %d→%d", v0, ix.Row(0, nil, nil), v2, ix.Row(2, nil, nil))
 	}
-	if _, err := ix.Upsert(1, nil, []float64{9, 9}); err != nil || ix.Version(1) != 2 {
-		t.Fatalf("second update: version %d, err %v; want 2", ix.Version(1), err)
+	if _, err := ix.Upsert(1, nil, []float64{9, 9}); err != nil || ix.Row(1, nil, nil) != 2 {
+		t.Fatalf("second update: version %d, err %v; want 2", ix.Row(1, nil, nil), err)
 	}
 	// Dense positions are stable across updates; new keys append.
 	if p, ok := ix.Pos(1); !ok || p != 1 {
@@ -149,8 +149,8 @@ func TestResidentIndexUpsert(t *testing.T) {
 	if p, ok := ix.Pos(99); !ok || p != 3 {
 		t.Fatalf("Pos(99) = %d, %v; want 3", p, ok)
 	}
-	if pk, f := ix.At(3); pk != 99 || f[1] != 2 || ix.Version(3) != 0 {
-		t.Fatalf("At(3) = %d, %v at version %d", pk, f, ix.Version(3))
+	if pk, f := ix.At(3); pk != 99 || f[1] != 2 || ix.Row(3, nil, nil) != 0 {
+		t.Fatalf("At(3) = %d, %v at version %d", pk, f, ix.Row(3, nil, nil))
 	}
 	if ix.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", ix.Len())
@@ -259,7 +259,7 @@ func TestResidentIndexRowIsConsistent(t *testing.T) {
 			row := make([]float64, width)
 			for r := 0; r < writes; r++ {
 				i := (g + r) % n
-				v := ix.Row(i, row)
+				v := ix.Row(i, row, nil)
 				for c, x := range row {
 					if x != float64(v) {
 						t.Errorf("Row(%d) at version %d has feature %d = %v", i, v, c, x)
@@ -271,14 +271,14 @@ func TestResidentIndexRowIsConsistent(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 0; i < n; i++ {
-		if v := ix.Version(i); v != writes {
+		if v := ix.Row(i, nil, nil); v != writes {
 			t.Fatalf("ordinal %d ends at version %d, want %d", i, v, writes)
 		}
 	}
 }
 
 // FuzzResidentIndex replays an upsert/lookup sequence against a map
-// reference: after every operation Len, Pos, At, Row, Version and SubAt
+// reference: after every operation Len, Pos, At, Row and SubAt
 // agree with it, and the index holds a key map exactly once some insert's
 // key was not the next ordinal. Each operation is two bytes: an opcode
 // and a key (key−8, so negative keys occur).
@@ -296,7 +296,7 @@ func FuzzResidentIndex(f *testing.F) {
 		ref := map[int64]*tuple{}
 		var keys []int64 // ordinal -> key
 		sparse := false
-		row := make([]float64, width)
+		row, sub := make([]float64, width), make([]int64, nrefs)
 		for s := 0; s+1 < len(ops) && s < 128; s += 2 {
 			key := int64(ops[s+1]) - 8
 			x := float64(s)
@@ -343,13 +343,142 @@ func FuzzResidentIndex(f *testing.F) {
 			for ord, k := range keys {
 				tp := ref[k]
 				pk, view := ix.At(ord)
-				v := ix.Row(ord, row)
-				if pk != k || view[0] != tp.x || row[0] != tp.x || row[1] != -tp.x ||
-					int(v) != tp.ver || int(ix.Version(ord)) != tp.ver || ix.SubAt(ord, 0) != k+1 {
-					t.Fatalf("op %d: ordinal %d reads key %d, %v / %v at version %d (sub %d); reference key %d, %+v",
-						s, ord, pk, view, row, v, ix.SubAt(ord, 0), k, *tp)
+				v := ix.Row(ord, row, sub)
+				if pk != k || view[0] != tp.x || row[0] != tp.x || row[1] != -tp.x || sub[0] != k+1 ||
+					int(v) != tp.ver || int(ix.Row(ord, nil, nil)) != tp.ver || ix.SubAt(ord, 0) != k+1 {
+					t.Fatalf("op %d: ordinal %d reads key %d, %v / %v at version %d (sub %d / %d); reference key %d, %+v",
+						s, ord, pk, view, row, v, sub[0], ix.SubAt(ord, 0), k, *tp)
 				}
 			}
 		}
 	})
+}
+
+// TestResolverSubtree pins the subtree walk on S → {A → {B → D, C}, E}:
+// where each subtree ends, its width, the features it copies (preorder)
+// and the version vector it reads, that a repointed sub-key shows in the
+// next walk through the parent's version, the dangling-key error, the
+// resolver's shape check, and that a walk allocates nothing.
+func TestResolverSubtree(t *testing.T) {
+	db := openDB(t)
+	a := snowTable(t, db, "A", 2, 2, [][]int64{{10, 0, 1}, {11, 1, 0}})
+	b := snowTable(t, db, "BB", 1, 1, [][]int64{{0, 7}, {1, 99}}) // B tuple 1 references no D tuple
+	d := snowTable(t, db, "DDD", 0, 3, [][]int64{{7}, {8}})
+	c := snowTable(t, db, "CCCC", 0, 0, [][]int64{{0}, {1}})
+	e := snowTable(t, db, "EEEEE", 0, 2, [][]int64{{5}})
+	pl := &DimPlan{Tables: []*storage.Table{a, b, d, c, e}, Parent: []int{-1, 0, 1, 0, -1}, Ref: []int{0, 0, 0, 1, 1}}
+	idxs, err := pl.BuildIndexes(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv, err := NewResolver(pl.Parent, pl.Ref, idxs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends, widths []int
+	for i := range idxs {
+		ends = append(ends, rv.SubtreeEnd(i))
+		widths = append(widths, rv.SubtreeWidth(i))
+	}
+	if got := fmt.Sprint(rv.Direct(), ends, widths); got != "[0 4] [4 3 3 4 5] [6 4 3 0 2]" {
+		t.Fatalf("direct nodes, subtree ends and widths = %s", got)
+	}
+
+	feats, vers := make([]float64, 6), make([]uint32, 4)
+	if err := rv.Subtree(0, 0, feats, vers); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(feats, vers); got != "[1100 1101 2000 3070 3071 3072] [0 0 0 0]" {
+		t.Fatalf("Subtree(A, 0) = %s", got)
+	}
+	// Repoint B 0 from D 7 to D 8, both at version 0: the vector moves
+	// through B's version, the features through the new hop.
+	if _, err := idxs[1].Upsert(0, []int64{8}, []float64{2000}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rv.Subtree(0, 0, feats, vers); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(feats, vers); got != "[1100 1101 2000 3080 3081 3082] [0 1 0 0]" {
+		t.Fatalf("Subtree(A, 0) after the repoint = %s", got)
+	}
+	// Either output may be nil; a leaf subtree is its one tuple.
+	if err := rv.Subtree(4, 0, nil, vers[:1]); err != nil || vers[0] != 0 {
+		t.Fatalf("Subtree(E, 0) = version %d, err %v", vers[0], err)
+	}
+	if err := rv.Subtree(0, 1, nil, nil); err == nil || err.Error() != `unknown foreign key 99 for dimension table "DDD"` {
+		t.Fatalf("dangling sub-key: %v", err)
+	}
+	if _, err := NewResolver(pl.Parent, []int{0, 0, 3, 1, 1}, idxs); err == nil || !strings.Contains(err.Error(), `"BB" has 1 sub-keys, resolver node 2 wants key 3`) {
+		t.Fatalf("NewResolver accepted a sub-key out of range: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = rv.Subtree(0, 0, feats, vers) }); allocs != 0 {
+		t.Fatalf("a subtree walk allocates %.0f times", allocs)
+	}
+}
+
+// TestSubtreeVersionVectorNamesOneValue races walks against a writer that
+// repoints a parent between two children of equal version, writing the
+// child's key as the parent's feature: every walk must read the child its
+// parent's features name, and each version vector must name one feature
+// vector. A walk that read the sub-keys apart from the parent's version
+// could pair a repointed parent with its old child under a vector a
+// consistent walk later reproduces. Run under -race it also pins the
+// walk's locking.
+func TestSubtreeVersionVectorNamesOneValue(t *testing.T) {
+	const writes = 20000
+	parent := &ResidentIndex{name: "P", width: 1, nrefs: 1}
+	child := &ResidentIndex{name: "C", width: 1}
+	for k := int64(0); k < 2; k++ {
+		if _, err := child.Upsert(k, nil, []float64{100 * float64(k+1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := parent.Upsert(0, []int64{0}, []float64{0}); err != nil {
+		t.Fatal(err)
+	}
+	rv, err := NewResolver([]int{-1, 0}, []int{0, 0}, []*ResidentIndex{parent, child})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for v := 1; v <= writes; v++ {
+			k := int64(v % 2)
+			if _, err := parent.Upsert(0, []int64{k}, []float64{float64(k)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	named := make([][2]float64, writes+1) // version of P -> the features read with it
+	var mu sync.Mutex
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			feats, vers := make([]float64, 2), make([]uint32, 2)
+			for r := 0; r < writes; r++ {
+				if err := rv.Subtree(0, 0, feats, vers); err != nil {
+					t.Error(err)
+					return
+				}
+				if feats[1] != 100*(feats[0]+1) || vers[1] != 0 {
+					t.Errorf("walk read parent %v with child %v at versions %v", feats[0], feats[1], vers)
+					return
+				}
+				mu.Lock()
+				seen := named[vers[0]]
+				if seen == [2]float64{} {
+					named[vers[0]] = [2]float64{feats[0], feats[1]}
+				} else if seen != [2]float64{feats[0], feats[1]} {
+					t.Errorf("version vector %v names %v and %v", vers, seen, feats)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
 }

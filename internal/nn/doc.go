@@ -3,17 +3,19 @@
 // takes the strategy (plan.Strategy), has factor.Open open that strategy's
 // access path and runs the same SGD over it — the factorized driver when
 // the path carries the factorized parts, the dense one over its grouped
-// scan otherwise. The paper's three flavours are its one-line shorthands:
+// scan otherwise. The paper's three flavours are its strategies:
 //
-//   - TrainM (M-NN): materialize T = S ⋈ R1 ⋈ … on disk, train reading T.
-//   - TrainS (S-NN): identical training, streaming the join per pass.
-//   - TrainF (F-NN): the factorized trainer of §VI. In the first layer's
-//     forward pass, the partial pre-activation W_R·x_R (+ share of bias) of
-//     each dimension tuple is computed once per parameter state and reused
-//     for every matching fact tuple. The backward pass reads features
-//     directly from the base relations (the I/O saving of §VI-A3); per the
-//     paper's Eq. 28-29 analysis, it performs the same multiplications as
-//     the dense path.
+//   - Train(…, plan.Materialized, …) (M-NN): materialize T = S ⋈ R1 ⋈ … on
+//     disk, train reading T.
+//   - Train(…, plan.Streaming, …) (S-NN): identical training, streaming the
+//     join per pass.
+//   - Train(…, plan.Factorized, …) (F-NN): the factorized trainer of §VI.
+//     In the first layer's forward pass, the partial pre-activation
+//     W_R·x_R (+ share of bias) of each dimension tuple is computed once per
+//     parameter state and reused for every matching fact tuple. The
+//     backward pass reads features directly from the base relations (the
+//     I/O saving of §VI-A3); per the paper's Eq. 28-29 analysis, it
+//     performs the same multiplications as the dense path.
 //
 // Factorization stops after the first layer: the paper shows (§VI-A2) that
 // sharing across higher layers requires an additive activation and costs

@@ -35,7 +35,7 @@ func IsIncompatibleModel(err error) bool {
 	return ok
 }
 
-// DefaultCacheEntries is the per-(model, dimension relation) LRU capacity
+// DefaultCacheEntries is the per-(model, direct dimension) LRU capacity
 // when EngineConfig.CacheEntries is zero.
 const DefaultCacheEntries = 4096
 
@@ -51,17 +51,19 @@ type EngineConfig struct {
 	// bit-identical for every value.
 	NumWorkers int
 
-	// CacheEntries bounds each per-(model, dimension relation) LRU of
-	// cached partial results (entries, not bytes). 0 selects
+	// CacheEntries bounds each per-(model, direct dimension) LRU of cached
+	// partial results (entries, not bytes); an entry covers one direct
+	// dimension tuple with its whole subtree. 0 selects
 	// DefaultCacheEntries. Cache hits and misses never change a prediction
-	// — cached partials are pure functions of the model and the dimension
-	// tuple — only its cost. One entry costs its value's floats × 8 bytes
+	// — cached partials are pure functions of the model and the subtree's
+	// tuples — only its cost. One entry costs its value's floats × 8 bytes
 	// (an NN: the first hidden layer's width; a GMM: K × (1 + dS), K for a
-	// diagonal model — no PD: a full model over two or more nodes forms it
-	// from the resident tuple on every hit) plus a 40-byte slot and an
-	// 8-byte map entry (ordinal → slot). Memory follows occupancy:
-	// capacity no tuple fills costs nothing, and Stats.DimCacheBytes
-	// reports what is held.
+	// diagonal model — no PD: a full model over two or more direct
+	// dimensions forms it from the resident tuples on every hit), a 40-byte
+	// slot, an 8-byte map entry (ordinal → slot) and 4 bytes per tuple of
+	// the subtree below the direct one (its version). Memory follows
+	// occupancy: capacity no tuple fills costs nothing, and
+	// Stats.DimCacheBytes reports what is held.
 	CacheEntries int
 
 	// BatchRows is the number of request rows per worker chunk. 0 selects
@@ -108,7 +110,13 @@ type Prediction struct {
 	Code string
 }
 
-// modelState is the engine's prepared per-model-version scoring state.
+// modelState is the engine's prepared per-model-version scoring state. It
+// scores a snowflake as a star over its direct dimensions, as the
+// factorized trainers and the stream's refresh do: the partition is the
+// fact part, then one part per direct dimension as wide as its subtree
+// (the subtree's features in preorder), and each direct dimension has one
+// cache of partials keyed by the direct tuple and kept fresh by the
+// subtree's version vector. On a star every subtree is one node.
 type modelState struct {
 	info ModelInfo
 	// ent is the registry entry this state was built from. Staleness is
@@ -120,35 +128,37 @@ type modelState struct {
 	p       core.Partition
 	net     *nn.Network // KindNN
 	scorer  *gmm.Scorer // KindGMM
-	caches  []*dimCache // one per dimension relation
+	caches  []*dimCache // one per direct dimension
 	scratch sync.Pool   // *predScratch
 	// A GMM value holds K records of Self and crossW floats of CrossS (dS
 	// for a full model, none for a diagonal one).
 	crossW int
-	// means is set only for a full GMM over two or more nodes: the fused
-	// kernel's pair terms read each node's PD = x − µ_c, which no value
-	// holds, so a hit reads the tuple's features to form it. means[j] is
-	// node j's slice of every component mean, flat K × width.
+	// means is set only for a full GMM over two or more direct dimensions:
+	// the fused kernel's pair terms read each part's PD = x − µ_c, which no
+	// value holds, so a hit reads the subtree's features to form it.
+	// means[d] is part 1+d's slice of every component mean, flat K × width.
 	means [][]float64
 }
 
-// predScratch is per-goroutine scoring scratch. x[j] receives node j's
-// tuple features; qcaches[j] holds the K QuadCache views of node j's
-// current GMM value: Self loaded, CrossS aliasing the shared value, PD
-// component c's row of pd[j] (flat K × width, the scratch's own buffer).
+// predScratch is per-goroutine scoring scratch, per direct dimension d:
+// x[d] receives the subtree's features and vers[d] its version vector;
+// qcaches[d] holds the K QuadCache views of the current GMM value: Self
+// loaded, CrossS aliasing the shared value, PD component c's row of pd[d]
+// (flat K × width, the scratch's own buffer). pos takes Hop's ordinals.
 type predScratch struct {
 	fwd     *nn.ForwardScratch
 	parts   [][]float64
 	x       [][]float64
+	vers    [][]uint32
 	pd      [][]float64
 	qcaches [][]core.QuadCache
 	gsc     *gmm.ScoreScratch
 	pos     []int
 }
 
-// valueLen is the length of node j's cached value: the NN layer-1
-// partial t_m, or the GMM's K per-component (Self, CrossS) records.
-func (st *modelState) valueLen(j int) int {
+// valueLen is the length of a cached value: the NN layer-1 partial t_m, or
+// the GMM's K per-component (Self, CrossS) records.
+func (st *modelState) valueLen() int {
 	if st.net != nil {
 		return st.net.HiddenWidth()
 	}
@@ -173,15 +183,16 @@ type Engine struct {
 	reg *Registry
 	cfg EngineConfig
 	// idxs holds one resident index per plan node; nodes referencing the
-	// same table share one index (and hence one in-memory copy), while
-	// cached partials stay per node — each node is its own partition part.
-	idxs    []*join.ResidentIndex
-	rv      *join.Resolver
-	nDirect int
-	// dimWidths[j] is the feature width of plan node j; sumDR is their
-	// total, so a model of dimension D has a fact part of D - sumDR.
-	dimWidths []int
-	sumDR     int
+	// same table share one index (and hence one in-memory copy). Cached
+	// partials are per direct dimension: rv.Direct()[d] is direct
+	// dimension d's plan node, and its subtree is one partition part.
+	idxs []*join.ResidentIndex
+	rv   *join.Resolver
+	// partWidths[d] is the feature width of direct dimension d's subtree;
+	// sumDR is their total, so a model of dimension D has a fact part of
+	// D - sumDR.
+	partWidths []int
+	sumDR      int
 
 	mu     sync.Mutex
 	states map[string]*modelState
@@ -218,16 +229,15 @@ func NewEngine(reg *Registry, plan *join.DimPlan, cfg EngineConfig) (*Engine, er
 		return nil, err
 	}
 	e.idxs = idxs
-	for _, ix := range idxs {
-		e.dimWidths = append(e.dimWidths, ix.Width())
-		e.sumDR += ix.Width()
-	}
 	rv, err := join.NewResolver(plan.Parent, plan.Ref, e.idxs)
 	if err != nil {
 		return nil, err
 	}
 	e.rv = rv
-	e.nDirect = rv.NumDirect()
+	for _, n := range rv.Direct() {
+		e.partWidths = append(e.partWidths, rv.SubtreeWidth(n))
+		e.sumDR += rv.SubtreeWidth(n)
+	}
 	return e, nil
 }
 
@@ -263,14 +273,16 @@ func (e *Engine) Index(table string) (*join.ResidentIndex, bool) {
 }
 
 // ApplyDimUpdate installs new foreign keys and features for one dimension
-// tuple in the engine's resident index and invalidates exactly the cached
-// partials derived from it: the (model, node, ordinal) LRU entries of every
-// prepared model state, at every plan node referencing the table (a
-// mid-level snowflake table may appear under several parents). Later
-// predictions probing that key recompute against the new features, so a
-// dimension update is observable without a restart — and without touching
-// any other cache entry. subs must carry the tuple's sub-dimension keys
-// when the table has any (nil for a leaf table).
+// tuple in the engine's resident index. Later predictions reaching the
+// tuple recompute against the new features, so a dimension update is
+// observable without a restart — and without touching any other cache
+// entry: the update bumps the tuple's version, so exactly the cached
+// partials whose subtree reaches it miss (their version vector moved).
+// When the table is a direct dimension, the entry of the tuple itself is
+// also dropped at once from every prepared model state (a dimension
+// invalidation); an entry over a deeper tuple stays until it is replaced
+// or evicted, and is never served. subs must carry the tuple's
+// sub-dimension keys when the table has any (nil for a leaf table).
 func (e *Engine) ApplyDimUpdate(table string, rid int64, subs []int64, feats []float64) (isNew bool, err error) {
 	first := -1
 	for i, ix := range e.idxs {
@@ -290,8 +302,8 @@ func (e *Engine) ApplyDimUpdate(table string, rid int64, subs []int64, feats []f
 		ord, _ := e.idxs[first].Pos(rid) // ordinals are stable: rid is still there
 		e.mu.Lock()
 		for _, st := range e.states {
-			for j, ix := range e.idxs {
-				if ix.Name() == table && st.caches[j].remove(int32(ord)) {
+			for d, n := range e.rv.Direct() {
+				if e.idxs[n].Name() == table && st.caches[d].remove(int32(ord)) {
 					e.dimInvalidations.Add(1)
 				}
 			}
@@ -324,7 +336,7 @@ func (e *Engine) state(name string) (*modelState, error) {
 		return nil, errIncompatibleModel{fmt.Sprintf("serve: model %q has dimension %d, smaller than the %d dimension-table features",
 			name, ent.info.Dim, e.sumDR)}
 	}
-	p := core.NewPartition(append([]int{dS}, e.dimWidths...))
+	p := core.NewPartition(append([]int{dS}, e.partWidths...))
 	st := &modelState{info: ent.info, ent: ent, p: p}
 	switch ent.info.Kind {
 	case KindNN:
@@ -337,11 +349,11 @@ func (e *Engine) state(name string) (*modelState, error) {
 		st.scorer = scorer
 		if !ent.gmm.Diagonal {
 			st.crossW = dS
-			if len(e.idxs) >= 2 {
-				st.means = make([][]float64, len(e.idxs))
-				for j := range st.means {
+			if len(e.partWidths) >= 2 {
+				st.means = make([][]float64, len(e.partWidths))
+				for d := range st.means {
 					for _, mu := range ent.gmm.Means {
-						st.means[j] = append(st.means[j], p.Slice(mu, 1+j)...)
+						st.means[d] = append(st.means[d], p.Slice(mu, 1+d)...)
 					}
 				}
 			}
@@ -349,20 +361,23 @@ func (e *Engine) state(name string) (*modelState, error) {
 	default:
 		return nil, fmt.Errorf("serve: model %q has unknown kind %q", name, ent.info.Kind)
 	}
-	st.caches = make([]*dimCache, len(e.idxs))
-	for j := range st.caches {
-		st.caches[j] = newDimCache(e.cfg.CacheEntries)
+	direct := e.rv.Direct()
+	q := len(direct)
+	st.caches = make([]*dimCache, q)
+	for d, n := range direct {
+		st.caches[d] = newDimCache(e.cfg.CacheEntries, e.rv.SubtreeEnd(n)-n)
 	}
-	q := len(e.idxs)
 	st.scratch.New = func() any {
 		sc := &predScratch{
 			parts:   make([][]float64, q),
 			x:       make([][]float64, q),
+			vers:    make([][]uint32, q),
 			qcaches: make([][]core.QuadCache, q),
-			pos:     make([]int, q),
+			pos:     make([]int, len(e.idxs)),
 		}
-		for j := range sc.x {
-			sc.x[j] = make([]float64, e.dimWidths[j])
+		for d, n := range direct {
+			sc.x[d] = make([]float64, e.partWidths[d])
+			sc.vers[d] = make([]uint32, e.rv.SubtreeEnd(n)-n)
 		}
 		if st.net != nil {
 			sc.fwd = st.net.NewForwardScratch()
@@ -371,12 +386,12 @@ func (e *Engine) state(name string) (*modelState, error) {
 			sc.gsc = st.scorer.NewScratch()
 			k := st.scorer.K()
 			sc.pd = make([][]float64, q)
-			for j := range sc.qcaches {
-				w := e.dimWidths[j]
-				sc.pd[j] = make([]float64, k*w)
-				sc.qcaches[j] = make([]core.QuadCache, k)
-				for c := range sc.qcaches[j] {
-					sc.qcaches[j][c].PD = sc.pd[j][c*w : (c+1)*w : (c+1)*w]
+			for d := range sc.qcaches {
+				w := e.partWidths[d]
+				sc.pd[d] = make([]float64, k*w)
+				sc.qcaches[d] = make([]core.QuadCache, k)
+				for c := range sc.qcaches[d] {
+					sc.qcaches[d][c].PD = sc.pd[d][c*w : (c+1)*w : (c+1)*w]
 				}
 			}
 		}
@@ -386,70 +401,84 @@ func (e *Engine) state(name string) (*modelState, error) {
 	return st, nil
 }
 
-// dimPartial points sc at dimension relation j's cached partial for the
-// tuple with ordinal ord (resolved by Resolve), computing and caching it on
-// a miss: the NN layer-1 partial pre-activation t_m (§VI-A1) goes to
-// sc.parts[j], the K GMM quadratic-form caches (Eq. 7-12) to the views
-// sc.qcaches[j]. The value is a pure function of (model version, dimension
-// features), so hits, misses and racing double-computations all yield
-// identical bits. A miss copies the tuple's features and their version
-// out of the resident index (Row), allocates the one value, fills it (a
-// GMM through the views bound to it), then puts it under that version;
-// nothing writes a value after the put. A hit needs only the tuple's
-// current version (see dimCache) — except for a full GMM over two or more
-// nodes, whose pair terms read PD = x − µ_c: that hit reads Row too and
-// forms the PD with the same VecSub core.FillQuadCache runs, so the
-// kernel reads the same bits either way.
+// dimPartial resolves direct dimension d's tuple from the row's foreign
+// keys fks and points sc at its cached partial, computing and caching it
+// on a miss: the NN layer-1 partial pre-activation t_m (§VI-A1) of the
+// subtree's features goes to sc.parts[d], the K GMM quadratic-form caches
+// (Eq. 7-12) to the views sc.qcaches[d]. The value is a pure function of
+// (model version, subtree tuples), so hits, misses and racing
+// double-computations all yield identical bits.
+//
+// Every probe walks the subtree (join.Resolver.Subtree) for its version
+// vector, the cache token; a miss walks it again copying the features,
+// allocates the one value, fills it (a GMM through the views bound to
+// it), then puts it under the vector that walk read, which names exactly
+// the features it copied; nothing writes a value after the put. A hit
+// reads no features — except for a full GMM over two or more direct
+// dimensions, whose pair terms read PD = x − µ_c: that walk copies them
+// and forms the PD with the same VecSub core.FillQuadCache runs, so the
+// kernel reads the same bits either way. An unknown key, direct or on the
+// way down the subtree, is the returned error.
 // A traced request additionally records one "cache.lookup" span per
 // probe (table + hit/miss), the deepest level of the request trace; the
 // zero Span passed on the untraced path makes every span call a no-op.
-func (e *Engine) dimPartial(st *modelState, sc *predScratch, j, ord int, psp trace.Span) {
+func (e *Engine) dimPartial(st *modelState, sc *predScratch, d int, fks []int64, psp trace.Span) error {
+	n := e.rv.Direct()[d]
+	if _, err := e.rv.Hop(n, fks, sc.pos); err != nil {
+		return err
+	}
+	ord := sc.pos[n]
 	var lsp trace.Span
-	ix := e.idxs[j]
 	if psp.Active() {
 		lsp = psp.Child("cache.lookup")
-		lsp.SetAttr("table", ix.Name())
+		lsp.SetAttr("table", e.idxs[n].Name())
 	}
-	x := sc.x[j]
+	x, vers := sc.x[d], sc.vers[d]
 	pdOnHit := st.means != nil
-	var ver uint32
+	var feats []float64
 	if pdOnHit {
-		ver = ix.Row(ord, x)
-	} else {
-		ver = ix.Version(ord)
+		feats = x
 	}
-	val, hit := st.caches[j].get(int32(ord), ver)
+	if err := e.rv.Subtree(n, ord, feats, vers); err != nil {
+		lsp.End()
+		return err
+	}
+	val, hit := st.caches[d].get(int32(ord), vers)
 	switch {
 	case !hit:
 		if !pdOnHit {
-			ver = ix.Row(ord, x)
+			if err := e.rv.Subtree(n, ord, x, vers); err != nil {
+				lsp.End()
+				return err
+			}
 		}
-		val = make([]float64, st.valueLen(j))
+		val = make([]float64, st.valueLen())
 		if st.net != nil {
-			st.net.PartialPreAct(val, st.p.Offs[1+j], x)
+			st.net.PartialPreAct(val, st.p.Offs[1+d], x)
 		} else {
-			views := sc.qcaches[j]
+			views := sc.qcaches[d]
 			st.bind(views, val)
-			st.scorer.FillDimCaches(views, 1+j, x, nil)
+			st.scorer.FillDimCaches(views, 1+d, x, nil)
 			for c := range views {
 				val[c*len(val)/len(views)] = views[c].Self
 			}
 		}
-		st.caches[j].put(int32(ord), ver, val)
+		st.caches[d].put(int32(ord), vers, val)
 	case st.scorer != nil:
-		st.bind(sc.qcaches[j], val)
+		st.bind(sc.qcaches[d], val)
 		if pdOnHit {
-			pd, mu, w := sc.pd[j], st.means[j], len(x)
+			pd, mu, w := sc.pd[d], st.means[d], len(x)
 			for c := 0; c < len(mu); c += w {
 				linalg.VecSub(pd[c:c+w], x, mu[c:c+w])
 			}
 		}
 	}
 	if st.net != nil {
-		sc.parts[j] = val
+		sc.parts[d] = val
 	}
 	lsp.SetBool("hit", hit)
 	lsp.End()
+	return nil
 }
 
 // scoreRow fills out for one row. Row-level failures land in out.Err with
@@ -469,18 +498,17 @@ func (e *Engine) scoreRow(st *modelState, sc *predScratch, row *Row, out *Predic
 			return
 		}
 	}
-	if len(row.FKs) != e.nDirect {
-		out.Err = fmt.Sprintf("row has %d foreign keys, engine probes %d direct dimension tables", len(row.FKs), e.nDirect)
+	if len(row.FKs) != e.rv.NumDirect() {
+		out.Err = fmt.Sprintf("row has %d foreign keys, engine probes %d direct dimension tables", len(row.FKs), e.rv.NumDirect())
 		out.Code = api.CodeFKCountMismatch
 		return
 	}
-	if err := e.rv.Resolve(row.FKs, nil, sc.pos); err != nil {
-		out.Err = err.Error()
-		out.Code = api.CodeUnknownForeignKey
-		return
-	}
-	for j, ord := range sc.pos {
-		e.dimPartial(st, sc, j, ord, sp)
+	for d := range st.caches {
+		if err := e.dimPartial(st, sc, d, row.FKs, sp); err != nil {
+			out.Err = err.Error()
+			out.Code = api.CodeUnknownForeignKey
+			return
+		}
 	}
 	if st.net != nil {
 		out.Output = st.net.ForwardFactorized(sc.fwd, row.Fact, sc.parts)

@@ -212,7 +212,7 @@ func TestEngineCacheHitRate(t *testing.T) {
 }
 
 // TestCacheEntriesIsABound pins CacheEntries as an upper bound, not a
-// preallocation: with room for four million entries per (model, node),
+// preallocation: with room for four million entries per (model, direct dimension),
 // the first predict over 35 distinct dimension tuples allocates far less
 // than a megabyte, and the cache reports bytes for what it holds.
 func TestCacheEntriesIsABound(t *testing.T) {

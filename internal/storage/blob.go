@@ -13,10 +13,11 @@ import (
 // catalog directory).
 const blobDir = "blobs"
 
-// validBlobName reports whether name is safe to use as a file name inside
-// the blob directory: non-empty, no path separators, no leading dot, only
-// letters, digits, '.', '_' and '-'.
-func validBlobName(name string) bool {
+// validName reports whether name is safe to use as a file name inside the
+// database directory — the one rule for table and blob names: non-empty,
+// at most 128 bytes, no path separators, no leading dot, only letters,
+// digits, '.', '_' and '-'.
+func validName(name string) bool {
 	if name == "" || len(name) > 128 || strings.HasPrefix(name, ".") {
 		return false
 	}
@@ -32,7 +33,7 @@ func validBlobName(name string) bool {
 }
 
 func (db *Database) blobPath(name string) (string, error) {
-	if !validBlobName(name) {
+	if !validName(name) {
 		return "", fmt.Errorf("storage: invalid blob name %q", name)
 	}
 	return filepath.Join(db.dir, blobDir, name), nil
@@ -96,7 +97,7 @@ func (db *Database) BlobNames() ([]string, error) {
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if e.IsDir() || !validBlobName(e.Name()) || strings.HasSuffix(e.Name(), ".tmp") {
+		if e.IsDir() || !validName(e.Name()) || strings.HasSuffix(e.Name(), ".tmp") {
 			continue
 		}
 		names = append(names, e.Name())

@@ -90,6 +90,11 @@ func (db *Database) loadCatalog() error {
 		return fmt.Errorf("storage: parsing catalog: %w", err)
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
+	for i := 1; i < len(entries); i++ {
+		if entries[i].Name == entries[i-1].Name {
+			return fmt.Errorf("storage: catalog lists table %q twice", entries[i].Name)
+		}
+	}
 	for _, e := range entries {
 		schema := &Schema{Name: e.Name, Keys: e.Keys, Features: e.Features, Refs: e.Refs, HasTarget: e.HasTarget}
 		if err := db.openExisting(schema); err != nil {

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -248,4 +250,150 @@ func TestCorruptPageRecordCountRejected(t *testing.T) {
 			t.Fatalf("the intact tail page scanned %d rows (err %v), want 3", n, sc.Err())
 		}
 	})
+}
+
+// TestTableNameCannotEscapeDir: a table name follows the blob name rule,
+// so neither CreateTable nor a catalog entry can reach a file outside the
+// database directory.
+func TestTableNameCannotEscapeDir(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "db")
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"../escaped", "a/b", "..", ".hidden", "a b", "", string(make([]byte, 200))} {
+		if _, err := db.CreateTable(testSchema(bad, 1, 1, false)); err == nil {
+			t.Errorf("CreateTable(%q) accepted an invalid name", bad)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(root, "escaped.tbl")); !os.IsNotExist(err) {
+		t.Fatalf("CreateTable wrote outside the database directory: %v", err)
+	}
+	for _, good := range []string{"synth_S", "x.y-z", "R1"} {
+		if _, err := db.CreateTable(testSchema(good, 1, 1, false)); err != nil {
+			t.Errorf("CreateTable(%q): %v", good, err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A catalog entry naming a file outside the directory fails Open, even
+	// where that file exists.
+	if err := os.WriteFile(filepath.Join(root, "outside.tbl"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	catalog := `[{"name":"../outside","keys":["k0"],"features":["f0"],"has_target":false}]`
+	if err := os.WriteFile(filepath.Join(dir, catalogFile), []byte(catalog), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := Open(dir); err == nil {
+		db.Close()
+		t.Fatal("Open attached a table file outside the database directory")
+	}
+}
+
+// FuzzCatalog feeds arbitrary bytes as the catalog file of a directory
+// holding one valid table file (two full pages and a tail). Open either
+// fails or gives a database in which every table scans exactly NumTuples
+// rows — or stops on a page whose record count disagrees with the
+// catalog's schema, with an error naming the table (Open does not read
+// full pages; see TestCorruptPageRecordCountRejected). Nothing is created
+// outside the directory, and a catalog listing a table twice fails.
+func FuzzCatalog(f *testing.F) {
+	src := f.TempDir()
+	db, err := Open(src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := testSchema("t", 2, 2, true)
+	tbl, err := db.CreateTable(s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 2*s.RecordsPerPage()+5; i++ {
+		if err := tbl.Append(&Tuple{Keys: []int64{int64(i), 7}, Features: []float64{1, 2}, Target: 3}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		f.Fatal(err)
+	}
+	heap, err := os.ReadFile(filepath.Join(src, "t.tbl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join(src, catalogFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`[{"name":"t","keys":["k0","k1"],"features":["f0","f1"],"has_target":true},{"name":"t","keys":["k0"],"features":["f0"],"has_target":false}]`))
+	f.Add([]byte(`[{"name":"t","keys":["k0"],"features":["f0"],"has_target":false}]`))
+	f.Add([]byte(`[{"name":"t","keys":["k0","k1"],"features":["f0","f1","f2"],"has_target":true}]`))
+	f.Add([]byte(`[{"name":"../t","keys":["k0"],"features":[],"has_target":false}]`))
+	f.Add([]byte(`[{"name":"u","keys":["k0"],"features":[],"has_target":false}]`))
+	f.Add([]byte(`[{"name":"t","keys":["k0","k1"],"features":["f0","f1"],"has_target":true,"stats":{}}]`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(`{`))
+	f.Fuzz(func(t *testing.T, catalog []byte) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "db")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "t.tbl"), heap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, catalogFile), catalog, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(dir)
+		if err == nil {
+			for _, name := range db.TableNames() {
+				tbl, err := db.Table(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc := tbl.NewScanner()
+				n := int64(0)
+				for sc.Next() {
+					n++
+				}
+				if err := sc.Err(); err != nil {
+					if !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+						t.Fatalf("scan of %q failed with an error not naming it: %v", name, err)
+					}
+				} else if n != tbl.NumTuples() {
+					t.Fatalf("table %q scanned %d rows, NumTuples %d", name, n, tbl.NumTuples())
+				}
+			}
+			for _, tbl := range db.tables { // close without saving: nothing to write back
+				tbl.file.Close()
+			}
+		} else if names := dupNames(catalog); names != "" && !strings.Contains(err.Error(), "twice") {
+			t.Fatalf("a catalog listing %s twice failed with %v", names, err)
+		}
+		if entries, err := os.ReadDir(root); err != nil || len(entries) != 1 {
+			t.Fatalf("Open left %d entries beside the database directory (err %v)", len(entries), err)
+		}
+	})
+}
+
+// dupNames returns the first table name a parseable catalog lists twice,
+// quoted, or "" when it lists none twice (or does not parse).
+func dupNames(catalog []byte) string {
+	var entries []catalogEntry
+	if json.Unmarshal(catalog, &entries) != nil {
+		return ""
+	}
+	seen := map[string]bool{}
+	for _, e := range entries {
+		if seen[e.Name] {
+			return fmt.Sprintf("%q", e.Name)
+		}
+		seen[e.Name] = true
+	}
+	return ""
 }

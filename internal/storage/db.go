@@ -29,6 +29,9 @@ func Open(dir string, _ ...Options) (*Database, error) {
 	}
 	db := &Database{dir: dir, tables: make(map[string]*Table)}
 	if err := db.loadCatalog(); err != nil {
+		for _, t := range db.tables { // the tables opened before the failure
+			t.file.Close()
+		}
 		return nil, err
 	}
 	return db, nil

@@ -29,8 +29,8 @@ type Schema struct {
 
 // Validate reports structural problems with the schema.
 func (s *Schema) Validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("storage: schema has empty name")
+	if !validName(s.Name) {
+		return fmt.Errorf("storage: invalid table name %q: want 1 to 128 letters, digits, '.', '_' or '-', not starting with '.'", s.Name)
 	}
 	if len(s.Keys) == 0 {
 		return fmt.Errorf("storage: schema %q has no key columns", s.Name)

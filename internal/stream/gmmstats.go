@@ -33,11 +33,10 @@ type Footprint struct {
 // (fact part, one part per DIRECT dimension; a group is a direct dimension
 // tuple with its subtree's features appended), with per-pass caches.
 type GMMStats struct {
-	rv    *join.Resolver
-	nodes []int          // direct dimension d's subtree is plan nodes nodes[d] … nodes[d+1]-1
-	p     core.Partition // the scoring partition: fact part, then one part per direct dimension, as wide as its subtree
-	k     int
-	diag  bool
+	rv   *join.Resolver
+	p    core.Partition // the scoring partition: fact part, then one part per direct dimension, as wide as its subtree
+	k    int
+	diag bool
 
 	rows       int64        // fact rows absorbed
 	done, open *gmm.Moments // over the complete chunks; over the trailing partial one
@@ -51,19 +50,13 @@ type GMMStats struct {
 func NewGMMStats(rv *join.Resolver, dS int, m *gmm.Model) *GMMStats {
 	st := &GMMStats{rv: rv, k: m.K, diag: m.Diagonal}
 	dims := []int{dS}
-	for i, ix := range rv.Idxs {
-		if rv.Parent[i] == -1 {
-			st.nodes = append(st.nodes, i)
-			dims = append(dims, 0)
-		}
-		dims[len(dims)-1] += ix.Width()
+	for _, n := range rv.Direct() {
+		dims = append(dims, rv.SubtreeWidth(n))
 	}
-	q := len(st.nodes)
-	st.nodes = append(st.nodes, len(rv.Idxs))
 	st.p = core.NewPartition(dims)
 	joined := core.NewPartition([]int{st.p.D})
 	st.done, st.open = gmm.NewMoments(joined, m.K, m.Diagonal), gmm.NewMoments(joined, m.K, m.Diagonal)
-	st.seen = make([][]int32, q)
+	st.seen = make([][]int32, rv.NumDirect())
 	st.Reset(m)
 	return st
 }
@@ -90,32 +83,6 @@ func (st *GMMStats) Reset(m *gmm.Model) {
 	st.rows = 0
 	st.done.Reset(m.Means)
 	st.open.Reset(m.Means)
-}
-
-// groupFeatures writes group g of direct dimension d — the tuple's own
-// features, then its subtree's in plan order — into dst, following the
-// sub-keys as they are pinned NOW: a dimension update that repoints one
-// shows in the next cache fill. It copies out of the resident indexes'
-// feature views, so no Upsert of these indexes may run concurrently (the
-// stream absorbs and upserts under one mutex).
-func (st *GMMStats) groupFeatures(d, g int, dst []float64) error {
-	rv := st.rv
-	n0, n1 := st.nodes[d], st.nodes[d+1]
-	var posBuf [8]int
-	pos := posBuf[:]
-	if len(rv.Idxs) > len(pos) {
-		pos = make([]int, len(rv.Idxs))
-	}
-	for i := n0; i < n1; i++ {
-		if pos[i] = g; i > n0 {
-			if _, err := rv.Hop(i, nil, pos); err != nil {
-				return err
-			}
-		}
-		_, x := rv.Idxs[i].At(pos[i])
-		dst = dst[copy(dst, x):]
-	}
-	return nil
 }
 
 // absorbChunk is one chunk of the statistics pass.
@@ -189,7 +156,7 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 	caches := make([]dimCache, q)
 	for d := range caches {
 		dc := &caches[d]
-		groups := st.rv.Idxs[st.nodes[d]].Len()
+		groups := st.rv.Idxs[st.rv.Direct()[d]].Len()
 		if grow := groups - len(st.seen[d]); grow > 0 {
 			st.seen[d] = append(st.seen[d], make([]int32, grow)...)
 		}
@@ -274,7 +241,8 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 			t := sc.Tuple()
 			copy(cur.xs[cur.n*dS:(cur.n+1)*dS], t.Features)
 			for d := 0; d < q; d++ {
-				ix := st.rv.Idxs[st.nodes[d]]
+				n := st.rv.Direct()[d]
+				ix := st.rv.Idxs[n]
 				g, ok := ix.Pos(t.Keys[1+d])
 				if !ok {
 					return fmt.Errorf("stream: fact row %d (sid %d): unknown foreign key %d for dimension table %q",
@@ -284,7 +252,10 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 				if at < 0 {
 					dc := &caches[d]
 					at = len(dc.groups)
-					if err := st.groupFeatures(d, g, dc.buf[at*dc.stride:][:dc.width]); err != nil {
+					// The group's features: the tuple's own, then its
+					// subtree's in plan order, following the sub-keys as they
+					// are pinned NOW (a repoint shows in the next fill).
+					if err := st.rv.Subtree(n, g, dc.buf[at*dc.stride:][:dc.width], nil); err != nil {
 						return fmt.Errorf("stream: fact row %d (sid %d): %w", row, t.PrimaryKey(), err)
 					}
 					dc.groups = append(dc.groups, int32(g))

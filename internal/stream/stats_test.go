@@ -287,12 +287,12 @@ func TestGMMStatsFootprint(t *testing.T) {
 	// Rows whose every key is a dimension tuple no absorbed row references.
 	touched := make([][]bool, len(st.seen))
 	for d := range touched {
-		touched[d] = make([]bool, idxs[st.nodes[d]].Len())
+		touched[d] = make([]bool, idxs[st.rv.Direct()[d]].Len())
 	}
 	sc := spec.S.NewScanner()
 	for sc.Next() {
 		for d := range touched {
-			g, _ := idxs[st.nodes[d]].Pos(sc.Tuple().Keys[1+d])
+			g, _ := idxs[st.rv.Direct()[d]].Pos(sc.Tuple().Keys[1+d])
 			touched[d][g] = true
 		}
 	}
@@ -315,7 +315,7 @@ func TestGMMStatsFootprint(t *testing.T) {
 	for i := 0; i < extra; i++ {
 		keys := []int64{rows + int64(i)}
 		for d, groups := range untouched {
-			pk, _ := idxs[st.nodes[d]].At(groups[i%len(groups)])
+			pk, _ := idxs[st.rv.Direct()[d]].At(groups[i%len(groups)])
 			keys = append(keys, pk)
 		}
 		feats := make([]float64, 12)

@@ -5,7 +5,9 @@
 # policy triggers an automatic incremental refresh which republishes the
 # model (version bump, served without a restart), and that /statsz carries
 # the stream counters and the maintained statistics' footprint, exactly the
-# size the schema gives. Exercises the full path through the real binaries.
+# size the schema gives. A second arm serves a depth-2 snowflake and checks
+# that updating one level-2 tuple moves exactly the predictions of the fact
+# rows that reach it. Exercises the full path through the real binaries.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -42,28 +44,32 @@ echo "== training and saving models"
 "$tmp/train" -db "$tmp/db" -fact synth_S -dims synth_R1 -model nn -algo f \
     -hidden 6 -epochs 2 -save smoke-nn
 
-echo "== booting serve with streaming ingestion (-fact, auto-refresh at 30 rows)"
-"$tmp/serve" -db "$tmp/db" -dims synth_R1 -fact synth_S -refresh-rows 30 \
-    -addr 127.0.0.1:0 >"$tmp/serve.log" 2>&1 &
-server_pid=$!
+# boot_serve ARGS...: start cmd/serve with ARGS on a free port, wait until
+# it is ready, and set addr and server_pid.
+boot_serve() {
+    "$tmp/serve" "$@" -addr 127.0.0.1:0 >"$tmp/serve.log" 2>&1 &
+    server_pid=$!
+    addr=""
+    for _ in $(seq 1 50); do
+        addr="$(sed -n 's/^factorml-serve listening on \([^ ]*\).*/\1/p' "$tmp/serve.log")"
+        [ -n "$addr" ] && break
+        kill -0 "$server_pid" 2>/dev/null || { cat "$tmp/serve.log" >&2; exit 1; }
+        sleep 0.1
+    done
+    [ -n "$addr" ] || { echo "server never reported its address" >&2; cat "$tmp/serve.log" >&2; exit 1; }
+    # The listener answers before the model registry finishes loading; wait
+    # for readiness so the checks below see the fully booted server.
+    for _ in $(seq 1 50); do
+        curl -sf "http://$addr/readyz" >/dev/null && break
+        sleep 0.1
+    done
+    curl -sf "http://$addr/readyz" >/dev/null || { echo "server never became ready" >&2; cat "$tmp/serve.log" >&2; exit 1; }
+    grep -q 'streaming ingestion enabled' "$tmp/serve.log"
+    echo "   serving on $addr"
+}
 
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's/^factorml-serve listening on \([^ ]*\).*/\1/p' "$tmp/serve.log")"
-    [ -n "$addr" ] && break
-    kill -0 "$server_pid" 2>/dev/null || { cat "$tmp/serve.log" >&2; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "server never reported its address" >&2; cat "$tmp/serve.log" >&2; exit 1; }
-# The listener answers before the model registry finishes loading; wait
-# for readiness so the checks below see the fully booted server.
-for _ in $(seq 1 50); do
-    curl -sf "http://$addr/readyz" >/dev/null && break
-    sleep 0.1
-done
-curl -sf "http://$addr/readyz" >/dev/null || { echo "server never became ready" >&2; cat "$tmp/serve.log" >&2; exit 1; }
-grep -q 'streaming ingestion enabled' "$tmp/serve.log"
-echo "   serving on $addr"
+echo "== booting serve with streaming ingestion (-fact, auto-refresh at 30 rows)"
+boot_serve -db "$tmp/db" -dims synth_R1 -fact synth_S -refresh-rows 30
 
 curl_json() { curl -sSf "$@"; }
 # has PATTERN: stdin holds it once spaces and newlines are gone, so a check
@@ -138,5 +144,43 @@ rows="$(field rows)" bytes="$(field bytes)"
 echo "   rows=$rows bytes=$bytes"
 [ "$rows" = 635 ] || { echo "statistics cover $rows rows, want 635" >&2; exit 1; }
 [ "$bytes" = "$want" ] || { echo "statistics retain $bytes bytes, want exactly $want" >&2; exit 1; }
+
+kill "$server_pid"
+wait "$server_pid" 2>/dev/null || true
+server_pid=""
+
+echo "== snowflake: generating a depth-2 schema (synth_R1 -> synth_R1_1)"
+"$tmp/datagen" -db "$tmp/sdb" -ns 600 -nr 20 -ds 3 -dr 3 -depth 2 -seed 1
+"$tmp/train" -db "$tmp/sdb" -fact synth_S -dims synth_R1 -model nn -algo f \
+    -hidden 6 -epochs 2 -save snow-nn
+boot_serve -db "$tmp/sdb" -dims synth_R1 -fact synth_S
+
+predict_snow() {
+    curl_json -X POST "http://$addr/v1/models/snow-nn/predict" \
+        -H 'Content-Type: application/json' \
+        -d "{\"rows\":[{\"fact\":[0.1,0.2,0.3],\"fks\":[$1]}]}"
+}
+
+echo "== snowflake: point synth_R1 tuple 3 at level-2 tuple 0, tuple 4 at tuple 1"
+body="$(curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
+    -d '{"dims":[{"table":"synth_R1","rid":3,"fks":[0],"features":[0.5,0.5,0.5]},{"table":"synth_R1","rid":4,"fks":[1],"features":[0.5,0.5,0.5]}]}')"
+has '"dim_updates":2' <<<"$body"
+reach1="$(predict_snow 3)" other1="$(predict_snow 4)"
+echo "   reaching: $reach1"
+echo "   other:    $other1"
+
+echo "== snowflake: updating level-2 tuple 0 moves only the rows that reach it"
+body="$(curl_json -X POST "http://$addr/v1/ingest" -H 'Content-Type: application/json' \
+    -d '{"dims":[{"table":"synth_R1_1","rid":0,"features":[9.5,-9.5,4.0]}]}')"
+has '"dim_updates":1' <<<"$body"
+reach2="$(predict_snow 3)" other2="$(predict_snow 4)"
+echo "   reaching: $reach2"
+echo "   other:    $other2"
+if [ "$reach1" = "$reach2" ]; then
+    echo "a row reaching the updated level-2 tuple predicts as before" >&2; exit 1
+fi
+if [ "$other1" != "$other2" ]; then
+    echo "a row not reaching the updated level-2 tuple changed" >&2; exit 1
+fi
 
 echo "stream smoke OK"
