@@ -8,7 +8,7 @@ GO ?= go
 # raised in PR 24 (75.1 % measured).
 COVERAGE_BASELINE ?= 74.1
 
-.PHONY: all build loc test race fuzz bench-harness ab cover serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke fmt vet ci
+.PHONY: all build loc test race fuzz bench-harness ab cover serve-smoke stream-smoke examples load-smoke drift-smoke crash-smoke fmt vet ci
 
 all: build
 
@@ -68,11 +68,12 @@ drift-smoke:
 crash-smoke:
 	./scripts/crash_smoke.sh
 
-# Snowflake smoke: the runnable multi-hop hierarchy example — builds
-# orders ⋈ items ⋈ categories ⋈ suppliers through the public API, trains
-# M/F over the flattened join and verifies the models agree.
-snowflake-smoke:
-	$(GO) run ./examples/snowflake
+# Examples: run every examples/ main through the public facade — the
+# multi-hop snowflake among them (orders ⋈ items ⋈ categories ⋈
+# suppliers, M/F models compared) — each exiting non-zero on a failed
+# check.
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 # Benchmark harness: benchmark/ is a nested module, so `go build ./...`
 # never compiles it and `go test ./...` only vets it
@@ -111,4 +112,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet build race fuzz cover bench-harness serve-smoke stream-smoke snowflake-smoke load-smoke drift-smoke crash-smoke
+ci: fmt vet build race fuzz cover bench-harness serve-smoke stream-smoke examples load-smoke drift-smoke crash-smoke

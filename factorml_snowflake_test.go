@@ -425,3 +425,62 @@ func TestSnowflakeFactorizedOpsAdvantage(t *testing.T) {
 		t.Errorf("nn: factorized charges %.3g FLOPs, materialized %.3g: no saving", flops[Factorized], flops[Materialized])
 	}
 }
+
+// TestSharedSubDimensionPagesPricedOnce pins the planner's resident page
+// term on a snowflake that reaches one table along two paths — orders →
+// {items → brands, stores → brands}: the join pins brands once, and every
+// strategy makes exactly the page accesses the planner prices.
+func TestSharedSubDimensionPagesPricedOnce(t *testing.T) {
+	db := openDB(t)
+	rng := rand.New(rand.NewSource(3))
+	brands, err := db.CreateDimensionTable("brands", []string{"prestige", "age"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1500; i++ { // several pages
+		if err := brands.Append(int64(i), []float64{rng.NormFloat64(), rng.NormFloat64()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var parents []*DimensionTable
+	for _, name := range []string{"items", "stores"} {
+		d, err := db.CreateDimensionTable(name, []string{name + "_x"}, brands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			if err := d.AppendRefs(int64(i), []int64{int64(rng.Intn(1500))}, []float64{rng.NormFloat64()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		parents = append(parents, d)
+	}
+	fact, err := db.CreateFactTable("orders", []string{"amount"}, true, parents...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		a := rng.NormFloat64()
+		if err := fact.Append(int64(i), []int64{int64(rng.Intn(30)), int64(rng.Intn(30))}, []float64{a}, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := db.Dataset(fact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := GMMConfig{K: 2, MaxIter: 2, Tol: 1e-300, Seed: 5, NumWorkers: 1}
+	gp, err := PlanGMM(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []Algorithm{Materialized, Streaming, Factorized} {
+		res, err := TrainGMM(ds, algo, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est, got := gp.Estimate(plan.Strategy(algo)).Pages, res.Stats.IO.LogicalReads+res.Stats.IO.PageWrites; est != got {
+			t.Errorf("%v-GMM: planner prices %d page accesses, training made %d", algo, est, got)
+		}
+	}
+}

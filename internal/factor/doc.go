@@ -33,12 +33,12 @@
 //   - PartScan — the factorized access path: the block-nested-loops join
 //     runner plus the partition the trainers factorize over (Direct: the
 //     fact part and one part per direct dimension, as wide as its subtree —
-//     the runner delivers snowflake dimension tuples with their
-//     sub-dimension features appended, so a snowflake is a star to the
-//     trainers; P keeps the per-relation split for per-node serving
-//     caches), with parallel per-dimension-tuple cache fills (FillCaches)
-//     over disjoint index grains and the chunked match stream the
-//     factorized trainers drive their per-match accumulation through.
+//     the runner holds each direct dimension as a join.Arena of rows with
+//     the sub-dimension features appended, so a snowflake is a star to the
+//     trainers; P keeps the per-relation split for the benchmark harness's
+//     per-node probes), with parallel per-arena-row cache fills
+//     (FillCaches) over disjoint row grains and the chunked match stream
+//     the factorized trainers drive their per-match accumulation through.
 //     A chunked fold sees each chunk's matches at once, so it can batch
 //     per-match kernels over the chunk.
 //

@@ -6,21 +6,21 @@ import (
 	"factorml/internal/core"
 	"factorml/internal/join"
 	"factorml/internal/parallel"
-	"factorml/internal/storage"
 )
 
 // PartScan is the factorized access path: the block-nested-loops join
 // runner paired with the partition the trainers factorize over. Factorized
-// trainers fill per-dimension-tuple caches through FillCaches (parallel,
-// disjoint slots), then stream the matches in fixed chunks on the worker
-// pool (RunChunks) and fold model-specific accumulators per chunk.
+// trainers fill per-dimension-tuple caches through FillCaches over the
+// runner's arenas (parallel, disjoint slots), then stream the matches in
+// fixed chunks on the worker pool (RunChunks) and fold model-specific
+// accumulators per chunk.
 //
-// The runner delivers every direct dimension's tuples with their subtree's
-// features appended, so the trainers' partition is Direct — the fact part
-// plus one part per direct dimension, as wide as its subtree. P, the
-// per-relation partition [S, R1, …, Rq] of the same joined vector, is what
-// the serving engine and the per-node probes cache by. On a star the two
-// coincide.
+// The runner holds every direct dimension's tuples as arena rows with
+// their subtree's features appended, so the trainers' partition is Direct —
+// the fact part plus one part per direct dimension, as wide as its subtree.
+// P, the per-relation partition [S, R1, …, Rq] of the same joined vector,
+// feeds only the benchmark harness's per-node probes: serving, like
+// training, caches per direct subtree. On a star the two coincide.
 type PartScan struct {
 	Runner *join.Runner
 	P      core.Partition
@@ -46,10 +46,6 @@ func NewPartScan(spec *join.Spec, blockPages int) (*PartScan, error) {
 	direct := append([]int{dims[0]}, spec.DirectWidths()...)
 	return &PartScan{Runner: runner, P: core.NewPartition(dims), Direct: core.NewPartition(direct)}, nil
 }
-
-// Resident returns the loaded tuples of direct dimension 1+j — part 2+j of
-// Direct (available once a scan has started; see join.Runner.Resident).
-func (ps *PartScan) Resident(j int) []*storage.Tuple { return ps.Runner.Resident(j) }
 
 // Scan streams the fully concatenated joined rows — the initialization
 // pass a factorized trainer shares with the dense strategies, so every
@@ -95,19 +91,19 @@ func RunChunks[A any](ps *PartScan, workers int, cb join.ParallelCallbacks[A]) e
 	return m.done(join.RunParallel(ps.Runner, workers, join.ParallelChunkRows, cb))
 }
 
-// FillCaches fills one per-tuple cache slot for every tuple on the worker
-// pool: indexes are cut into fixed grains and the slots are disjoint, so
-// the cache contents are identical for every worker count. What a fill
-// costs is the caller's to charge: its model's per-tuple fill unit
-// (internal/core) × len(tuples).
-func (ps *PartScan) FillCaches(workers int, tuples []*storage.Tuple, fill func(i int, tp *storage.Tuple) error) error {
+// FillCaches fills one per-tuple cache slot for every row of a direct
+// dimension's arena on the worker pool: rows are cut into fixed grains and
+// the slots are disjoint, so the cache contents are identical for every
+// worker count. What a fill costs is the caller's to charge: its model's
+// per-tuple fill unit (internal/core) × rows.N.
+func (ps *PartScan) FillCaches(workers int, rows join.Arena, fill func(i int, x []float64) error) error {
 	m := observePass(ps.Pass, "cache_fill", workers)
 	if m != nil {
-		m.rows.Store(int64(len(tuples)))
+		m.rows.Store(int64(rows.N))
 	}
-	return m.done(parallel.RunRange(workers, len(tuples), func(s, e int) error {
+	return m.done(parallel.RunRange(workers, rows.N, func(s, e int) error {
 		for i := s; i < e; i++ {
-			if err := fill(i, tuples[i]); err != nil {
+			if err := fill(i, rows.Row(i)); err != nil {
 				return err
 			}
 		}

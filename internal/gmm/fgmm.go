@@ -6,13 +6,12 @@ import (
 	"factorml/internal/join"
 	"factorml/internal/linalg"
 	"factorml/internal/parallel"
-	"factorml/internal/storage"
 )
 
 // emFactorized runs the factorized EM loop over ps.Direct (F-GMM, and
-// F-IGMM over a diagonal model). Parts: 0 = S, 1 = the blocked first direct
-// dimension, 2+j = resident direct dimension 1+j — each as wide as its
-// subtree, whose columns its tuples carry.
+// F-IGMM over a diagonal model). Parts: 0 = S, 1+j = direct dimension j —
+// part 1 the blocked first one, the rest resident — each as wide as its
+// subtree, whose columns its arena rows carry.
 //
 // An iteration is one pass over the join, into one Moments about its
 // starting means. Cache fills and per-match scoring run on the chunked
@@ -27,7 +26,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 	p := ps.Direct
 	nw := parallel.Workers(cfg.NumWorkers)
 	k := cfg.K
-	q := p.Parts() - 1 // number of dimension relations
+	q := p.Parts() - 1 // number of direct dimensions
 	dS := p.Dims[0]
 	diag := model.Diagonal
 
@@ -47,26 +46,23 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 	total := NewMoments(p, k, diag)
 	runs := make([][]core.QuadCache, q) // a match's cache run per dimension part, for the cross blocks
 
-	// The first direct dimension's caches and sums are per block; the
-	// resident dimensions are loaded by the init scan, so theirs are
+	// Direct dimension j's K caches per arena row and its group sums:
+	// refilled per block for the first, per pass for the resident ones;
 	// allocated once and recycled.
-	var blkCache []core.QuadCache
-	blk := total.NewGroupSums()
-	resCache := make([][]core.QuadCache, q-1)
-	res := make([]GroupSums, q-1)
-	for j := range resCache {
-		resCache[j] = make([]core.QuadCache, len(ps.Resident(j))*k)
-		res[j] = total.NewGroupSums()
+	caches := make([][]core.QuadCache, q)
+	sums := make([]GroupSums, q)
+	for j := range sums {
+		sums[j] = total.NewGroupSums()
 	}
 
 	// Charged × the events seen: tuples per fill and flush, matches per chunk.
 	units := core.NewGMMUnits(p, k, diag)
 
-	// flush folds a dimension part's group sums in through its caches' PDs.
-	flush := func(part int, caches []core.QuadCache, g *GroupSums) error {
-		stats.Ops.Add(units.Flush[part].Scale(int64(len(caches) / k)))
-		return total.FoldGroups(part, g, func(t int) ([]core.QuadCache, error) {
-			return caches[t*k : (t+1)*k], nil
+	// flush folds dimension j's group sums in through its caches' PDs.
+	flush := func(j int) error {
+		stats.Ops.Add(units.Flush[1+j].Scale(int64(len(caches[j]) / k)))
+		return total.FoldGroups(1+j, &sums[j], func(t int) ([]core.QuadCache, error) {
+			return caches[j][t*k : (t+1)*k], nil
 		})
 	}
 
@@ -81,33 +77,33 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 		}
 		total.Reset(model.Means)
 
-		// fill computes a dimension part's K caches per tuple (parallel,
-		// disjoint (tuple, component) slots); the resident parts' once per
-		// iteration.
-		fill := func(part int, tuples []*storage.Tuple, dst []core.QuadCache) error {
-			stats.Ops.Add(units.Fill[part].Scale(int64(len(tuples))))
-			return ps.FillCaches(nw, tuples, func(t int, tp *storage.Tuple) error {
-				scorer.FillDimCaches(dst[t*k:(t+1)*k], part, tp.Features, nil)
+		// fill computes dimension j's K caches per arena row (parallel,
+		// disjoint (row, component) slots) and zeroes its group sums.
+		fill := func(j int, rows join.Arena) error {
+			need := rows.N * k
+			if cap(caches[j]) < need {
+				caches[j] = make([]core.QuadCache, need)
+			}
+			caches[j] = caches[j][:need]
+			sums[j].Reset(rows.N)
+			stats.Ops.Add(units.Fill[1+j].Scale(int64(rows.N)))
+			return ps.FillCaches(nw, rows, func(t int, x []float64) error {
+				scorer.FillDimCaches(caches[j][t*k:(t+1)*k], 1+j, x, nil)
 				return nil
 			})
 		}
-		for j := 0; j < q-1; j++ {
-			res[j].Reset(len(ps.Resident(j)))
-			if err := fill(2+j, ps.Resident(j), resCache[j]); err != nil {
-				return 0, err
-			}
-		}
+		resident := false // the resident dimensions fill at the pass's first block
 
 		score := scorer.score // the structure's kernel, picked once per pass
 		err = factor.RunChunks(ps, nw, join.ParallelCallbacks[chunkAcc]{
-			OnBlockStart: func(block []*storage.Tuple) error {
-				need := len(block) * k
-				if cap(blkCache) < need {
-					blkCache = make([]core.QuadCache, need)
+			OnBlockStart: func(dims []join.Arena) error {
+				for j := 1; j < q && !resident; j++ {
+					if err := fill(j, dims[j]); err != nil {
+						return err
+					}
 				}
-				blkCache = blkCache[:need]
-				blk.Reset(len(block))
-				return fill(1, block, blkCache)
+				resident = true
+				return fill(0, dims[0])
 			},
 			NewAcc: func() chunkAcc {
 				return chunkAcc{
@@ -122,9 +118,8 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 			OnMatchChunk: func(a *chunkAcc, matches []join.Match) error {
 				a.matches = matches
 				for i, m := range matches {
-					a.caches[0] = blkCache[m.R1*k : (m.R1+1)*k]
-					for j, ri := range m.Res {
-						a.caches[1+j] = resCache[j][ri*k : (ri+1)*k]
+					for j, at := range m.Pos {
+						a.caches[j] = caches[j][at*k : (at+1)*k]
 					}
 					g := a.gamma[i*k : (i+1)*k]
 					pds := a.pds[i*k*dS : (i+1)*k*dS]
@@ -139,17 +134,15 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				for i, m := range a.matches {
 					g := a.gamma[i*k : (i+1)*k]
 					pds := a.pds[i*k*dS : (i+1)*k*dS]
-					blk.Add(m.R1, g, pds)
-					for j, ri := range m.Res {
-						res[j].Add(ri, g, pds)
+					for j, at := range m.Pos {
+						sums[j].Add(at, g, pds)
 					}
 					if q < 2 || diag {
 						continue
 					}
 					// Cross blocks between dimension relations (multi-way).
-					runs[0] = blkCache[m.R1*k : (m.R1+1)*k]
-					for j, ri := range m.Res {
-						runs[1+j] = resCache[j][ri*k : (ri+1)*k]
+					for j, at := range m.Pos {
+						runs[j] = caches[j][at*k : (at+1)*k]
 					}
 					total.FoldCross(g, runs)
 				}
@@ -158,15 +151,13 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				a.rows.Zero()
 				return nil
 			},
-			OnBlockEnd: func() error {
-				return flush(1, blkCache, &blk)
-			},
+			OnBlockEnd: func() error { return flush(0) },
 		})
 		if err != nil {
 			return 0, err
 		}
-		for j := 0; j < q-1; j++ {
-			if err := flush(2+j, resCache[j], &res[j]); err != nil {
+		for j := 1; j < q && resident; j++ {
+			if err := flush(j); err != nil {
 				return 0, err
 			}
 		}

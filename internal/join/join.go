@@ -28,11 +28,8 @@ const DefaultBlockPages = 64
 // (inner-join semantics), exactly as the flattened/materialized join would.
 //
 // The Runner resolves sub-dimension hops once per dimension tuple, not once
-// per fact tuple: a sub-dimension tuple is functionally determined by its
-// parent tuple, so every dimension tuple is loaded with its whole subtree's
-// features appended (preorder), and the join the callbacks see is a star
-// over the direct dimensions — one probe and one index per direct
-// dimension, whatever the depth below it.
+// per fact tuple, so the join the callbacks see is a star over the direct
+// dimensions (see the package comment).
 type Spec struct {
 	S  *storage.Table
 	Rs []*storage.Table
@@ -160,9 +157,9 @@ func (sp *Spec) JoinedWidth() int {
 }
 
 // DirectWidths returns the feature width of every direct dimension's
-// subtree, in foreign-key order — the width of the tuples the Runner
-// delivers, and with the fact width in front the partition the factorized
-// trainers compute over.
+// subtree, in foreign-key order — the width of the Runner's arena rows, and
+// with the fact width in front the partition the factorized trainers
+// compute over.
 func (sp *Spec) DirectWidths() []int {
 	parent, _ := sp.edges()
 	var w []int
@@ -175,38 +172,46 @@ func (sp *Spec) DirectWidths() []int {
 	return w
 }
 
+// Arena is one direct dimension's tuples as the Runner holds them: N rows
+// of Width features, flat in Feats. A row is the tuple's own features
+// followed by its subtree's, in the spec's preorder, so fact ++ one row
+// per direct dimension is the joined row.
+type Arena struct {
+	N, Width int
+	Feats    []float64
+}
+
+// Row returns row i, a view into the arena. Do not modify it.
+func (a Arena) Row(i int) []float64 { return a.Feats[i*a.Width : (i+1)*a.Width : (i+1)*a.Width] }
+
 // Callbacks receives the join stream.
 //
-// OnBlockStart is called once per block of Rs[0] with the block's tuples.
-// Block slices are valid until the next OnBlockStart; the resident tuples
-// of the other direct dimensions (Runner.Resident) stay valid for the whole
-// run. Every dimension tuple carries its subtree's features appended, so
-// fact ++ block tuple ++ resident tuples is the joined row.
+// OnBlockStart is called once per block of Rs[0] with one arena per direct
+// dimension, in foreign-key order: dims[0] holds the block's tuples and is
+// valid until the next OnBlockStart; dims[j] (j ≥ 1) holds direct dimension
+// j's resident tuples and stays the same for the whole run.
 //
 // OnMatch is called for every joined tuple in deterministic order: for each
-// block (R1 append order), S scan order. r1Idx indexes into the current
-// block's tuples; resIdx[i] indexes into Resident(i), the tuples of direct
-// dimension 1+i. The s tuple is only valid for the duration of the call.
+// block (R1 append order), S scan order. pos[j] is the row of the fact
+// tuple's partner in dims[j]. The s tuple and pos are only valid for the
+// duration of the call.
 type Callbacks struct {
-	OnBlockStart func(block []*storage.Tuple) error
-	OnMatch      func(s *storage.Tuple, r1Idx int, resIdx []int) error
+	OnBlockStart func(dims []Arena) error
+	OnMatch      func(s *storage.Tuple, pos []int) error
 	OnBlockEnd   func() error
 }
 
 // Runner executes a block-nested-loops join over a star or snowflake spec.
 type Runner struct {
-	spec     *Spec
-	parent   []int              // resolution edges (see Spec.Parent)
-	ref      []int              // resolution edges (see Spec.Ref)
-	children [][]int            // relations keyed off relation i's tuples, in key order
-	rel      [][]*storage.Tuple // Rs[1:] fully loaded, subtrees appended; rel[0] unused
-	relIndex []map[int64]int    // rid -> index into rel[i]
-	resident [][]*storage.Tuple // rel/relIndex of the direct dimensions after Rs[0]
-	resIndex []map[int64]int
-	hops     int64 // sub-dimension references resolved so far
-	loaded   bool
-	perm     []int64       // optional R1 row permutation (SGD epochs, §VI)
-	blockIdx map[int64]int // forEachBlock's key index, cleared per block
+	spec *Spec
+	rv   *Resolver // over the spec's relations, built by the first pass; node 0's index holds no tuples
+	dims []Arena   // dims[0]: the current R1 block; dims[j]: direct dimension j, loaded once
+	at   [][]int32 // at[j][ordinal]: the tuple's row in dims[j], −1 when a hop below it dangles; nil: the identity
+	perm []int64   // optional R1 row permutation (SGD epochs, §VI)
+
+	blockIdx map[int64]int // R1 key -> row of dims[0], cleared per block
+	blockPks []int64       // per place in the block: its tuple's key
+	blockOK  []bool        // and whether its subtree resolved
 }
 
 // NewRunner prepares a runner for the spec.
@@ -214,14 +219,7 @@ func NewRunner(spec *Spec) (*Runner, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runner{spec: spec, children: make([][]int, len(spec.Rs))}
-	r.parent, r.ref = spec.edges()
-	for i, p := range r.parent {
-		if p >= 0 {
-			r.children[p] = append(r.children[p], i)
-		}
-	}
-	return r, nil
+	return &Runner{spec: spec}, nil
 }
 
 // Shuffle installs a permutation of R1's rows used by subsequent Runs —
@@ -246,86 +244,73 @@ func (r *Runner) Shuffle(rng *rand.Rand) {
 	rng.Shuffle(len(r.perm), func(i, j int) { r.perm[i], r.perm[j] = r.perm[j], r.perm[i] })
 }
 
-// Resident returns the loaded tuples of direct dimension 1+i (Resident(0)
-// is the second direct dimension), each with its subtree's features
-// appended. It is only available after Run has started; the slices are
-// shared, do not modify.
-func (r *Runner) Resident(i int) []*storage.Tuple { return r.resident[i] }
-
 // AppendRow appends one match's joined row to dst: the fact tuple's
-// features, its block tuple's, then each resident partner's — every
-// dimension tuple carrying its subtree, which makes this the spec's
+// features, then its partner's row in every direct dimension — the spec's
 // preorder layout.
-func (r *Runner) AppendRow(dst []float64, s, r1 *storage.Tuple, resIdx []int) []float64 {
+func (r *Runner) AppendRow(dst []float64, s *storage.Tuple, pos []int) []float64 {
 	dst = append(dst, s.Features...)
-	dst = append(dst, r1.Features...)
-	for j, ri := range resIdx {
-		dst = append(dst, r.resident[j][ri].Features...)
+	for j, at := range pos {
+		dst = append(dst, r.dims[j].Row(at)...)
 	}
 	return dst
 }
 
-// withSubtree appends to tp, a tuple of relation i, the features of the
-// sub-dimension tuples its foreign keys reference — each already carrying
-// its own subtree, so the result is the preorder layout of the whole
-// subtree below tp. It reports false when a reference dangles.
-func (r *Runner) withSubtree(i int, tp *storage.Tuple) bool {
-	for _, c := range r.children[i] {
-		ci, ok := r.relIndex[c][tp.Keys[1+r.ref[c]]]
-		if !ok {
-			return false
-		}
-		tp.Features = append(tp.Features, r.rel[c][ci].Features...)
-		r.hops++
-	}
-	return true
-}
-
-// loadResident loads Rs[1:], last relation first: preorder puts every
-// sub-dimension after its parent, so a relation's children are complete
-// when its own tuples resolve their hops. A tuple whose reference dangles
-// is left out — no fact tuple can join through it.
-func (r *Runner) loadResident() error {
-	if r.loaded {
+// load pins Rs[1:] in resident indexes, one per distinct table
+// (DimPlan.BuildIndexes), and copies each resident direct dimension's
+// tuples with their subtrees (Resolver.Subtree's walk) into its arena; a leaf
+// dimension's arena is its index's feature arena. A tuple a hop below which
+// dangles gets no row: no fact tuple can join through it. R1's node gets an
+// index that holds no tuples — R1 is read in blocks, every pass — so the
+// resolver knows its shape.
+func (r *Runner) load() error {
+	if r.rv != nil {
 		return nil
 	}
-	rs := r.spec.Rs
-	r.rel = make([][]*storage.Tuple, len(rs))
-	r.relIndex = make([]map[int64]int, len(rs))
-	for i := len(rs) - 1; i >= 1; i-- {
-		tbl := rs[i]
-		tuples := make([]*storage.Tuple, 0, tbl.NumTuples())
-		idx := make(map[int64]int, tbl.NumTuples())
-		sc := tbl.NewScanner()
-		for sc.Next() {
-			tp := sc.Tuple().Clone()
-			if !r.withSubtree(i, tp) {
-				continue
+	sp := r.spec
+	idxs, err := (&DimPlan{Tables: sp.Rs[1:]}).BuildIndexes(nil)
+	if err != nil {
+		return err
+	}
+	r1 := sp.Rs[0].Schema()
+	idxs = slices.Insert(idxs, 0, &ResidentIndex{name: r1.Name, width: r1.NumFeatures(), nrefs: r1.NumKeys() - 1})
+	parent, ref := sp.edges()
+	rv, err := NewResolver(parent, ref, idxs)
+	if err != nil {
+		return err
+	}
+	widths := sp.DirectWidths()
+	r.dims = make([]Arena, len(widths))
+	r.at = make([][]int32, len(widths))
+	for j, n := range rv.Direct()[1:] {
+		ix, a := idxs[n], Arena{Width: widths[1+j]}
+		if rv.SubtreeEnd(n) == n+1 {
+			a.N, a.Feats = len(ix.vers), ix.feats
+		} else {
+			a.Feats = make([]float64, len(ix.vers)*a.Width)
+			at := make([]int32, len(ix.vers))
+			for o := range at {
+				at[o] = -1
+				if bad, _ := rv.walk(n, o, nil, a.Row(a.N), nil); bad < 0 {
+					at[o] = int32(a.N)
+					a.N++
+				}
 			}
-			idx[tp.PrimaryKey()] = len(tuples)
-			tuples = append(tuples, tp)
+			a.Feats = a.Feats[:a.N*a.Width]
+			r.at[1+j] = at
 		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		r.rel[i], r.relIndex[i] = tuples, idx
+		r.dims[1+j] = a
 	}
-	for i := 1; i < len(rs); i++ {
-		if r.parent[i] == -1 {
-			r.resident = append(r.resident, r.rel[i])
-			r.resIndex = append(r.resIndex, r.relIndex[i])
-		}
-	}
-	r.loaded = true
+	r.dims[0].Width = widths[0]
+	r.rv = rv
 	return nil
 }
 
 // forEachBlock loads consecutive R1 blocks — sequential scan, or installed
-// permutation — and invokes fn once per block with the block's tuples
-// (subtrees appended; a tuple whose sub-reference dangles is left out) and
-// its key index. The slice is reused between blocks and the map between
-// blocks and passes (its buckets are allocated once per runner, not once
-// per pass); fn must be done with them when it returns. Run and
+// permutation — into dims[0] and its key index, and invokes fn once per
+// block. Each R1 tuple's subtree is resolved as it is read
+// (Resolver.walk); a tuple whose subtree dangles is left out. The arena,
+// the key index and the per-place slices are the runner's, reused between
+// blocks and passes; fn must be done with them when it returns. Run and
 // RunParallel both drive their passes through this iterator, so the two
 // access paths share one block geometry (and hence one deterministic match
 // order).
@@ -336,37 +321,44 @@ func (r *Runner) loadResident() error {
 // permuted order, and the same scanner fetches those rows in file order,
 // seeking from row to row: each page a block touches is read once per
 // block, not once per row.
-func (r *Runner) forEachBlock(fn func(block []*storage.Tuple, blockIdx map[int64]int) error) error {
+func (r *Runner) forEachBlock(fn func() error) error {
 	sp := r.spec
 	r1 := sp.Rs[0]
 	perPage := int64(r1.Schema().RecordsPerPage())
 	tuplesPerBlock := int64(sp.blockPages()) * perPage
 	nR1 := r1.NumTuples()
 
-	block := make([]*storage.Tuple, 0, tuplesPerBlock)
-	if r.blockIdx == nil {
-		r.blockIdx = make(map[int64]int, tuplesPerBlock)
+	blk := &r.dims[0]
+	if rows := int(min(tuplesPerBlock, nR1)); len(r.blockPks) < rows {
+		r.blockIdx = make(map[int64]int, rows)
+		r.blockPks, r.blockOK = make([]int64, rows), make([]bool, rows)
+		blk.Feats = make([]float64, rows*blk.Width)
 	}
-	blockIdx := r.blockIdx
-
+	w1 := r1.Schema().NumFeatures()
 	r1Scan := r1.NewScanner()
-	next := func(row int64) (*storage.Tuple, error) {
+	// read reads R1's next tuple into place i of the block: its features,
+	// then its subtree's.
+	read := func(row int64, i int) error {
 		if !r1Scan.Next() {
 			if err := r1Scan.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			return nil, fmt.Errorf("join: dimension table %q ended early at row %d", r1.Schema().Name, row)
+			return fmt.Errorf("join: dimension table %q ended early at row %d", r1.Schema().Name, row)
 		}
-		return r1Scan.Tuple().Clone(), nil
+		tp, x := r1Scan.Tuple(), blk.Row(i)
+		copy(x, tp.Features)
+		r.blockPks[i] = tp.PrimaryKey()
+		bad, _ := r.rv.walk(0, -1, tp.Keys[1:], x[w1:], nil)
+		r.blockOK[i] = bad < 0
+		return nil
 	}
 	var order []int64 // a shuffled block's row·tuplesPerBlock + place in block, in file order
 	for start := int64(0); start < nR1; start += tuplesPerBlock {
 		end := min(start+tuplesPerBlock, nR1)
-		block = block[:end-start]
-		var err error
+		n := int(end - start)
 		if r.perm == nil {
-			for i := range block {
-				if block[i], err = next(start + int64(i)); err != nil {
+			for i := range n {
+				if err := read(start+int64(i), i); err != nil {
 					return err
 				}
 			}
@@ -381,62 +373,73 @@ func (r *Runner) forEachBlock(fn func(block []*storage.Tuple, blockIdx map[int64
 				if err := r1Scan.SeekRow(row); err != nil {
 					return err
 				}
-				if block[o%tuplesPerBlock], err = next(row); err != nil {
+				if err := read(row, int(o%tuplesPerBlock)); err != nil {
 					return err
 				}
 			}
 		}
-		// Leave out the tuples whose sub-reference dangles; index the rest.
-		clear(blockIdx)
-		kept := block[:0]
-		for _, c := range block {
-			if !r.withSubtree(0, c) {
+		// Leave out the tuples whose subtree dangles; index the rest.
+		clear(r.blockIdx)
+		blk.N = 0
+		for i := range n {
+			if !r.blockOK[i] {
 				continue
 			}
-			blockIdx[c.PrimaryKey()] = len(kept)
-			kept = append(kept, c)
+			if blk.N != i {
+				copy(blk.Row(blk.N), blk.Row(i))
+			}
+			r.blockIdx[r.blockPks[i]] = blk.N
+			blk.N++
 		}
-		if err := fn(kept, blockIdx); err != nil {
+		if err := fn(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// probe resolves one fact tuple against the direct dimensions: the first
-// one's position within the current block (via blockIdx), then every other
-// one's resident position, one lookup per direct dimension. It returns
-// ok=false when the fact tuple's R1 key belongs to another block or a key
-// finds no tuple — a dangling key, or a dimension tuple left out because a
-// hop below it dangles (inner-join semantics) — with resIdx[j] holding the
-// position within Resident(j) on success.
-func (r *Runner) probe(s *storage.Tuple, blockIdx map[int64]int, resIdx []int) (i1 int, ok bool) {
-	i1, ok = blockIdx[s.Keys[1]]
+// probe resolves one fact tuple against the direct dimensions, one lookup
+// each: the first one's row within the current block, every other one's
+// row within its arena, found through its index's ordinal. It reports
+// false when the fact tuple's R1 key belongs to another block or a key
+// finds no row — a dangling key, or a dimension tuple left out because a
+// hop below it dangles (inner-join semantics) — and fills pos on success.
+// The indexes are the runner's own and never upserted, so the probe reads
+// them without their lock.
+func (r *Runner) probe(s *storage.Tuple, pos []int) bool {
+	i, ok := r.blockIdx[s.Keys[1]]
 	if !ok {
-		return 0, false
+		return false
 	}
-	for j, idx := range r.resIndex {
-		ri, found := idx[s.Keys[2+j]]
-		if !found {
-			return 0, false
+	pos[0] = i
+	for j := 1; j < len(pos); j++ {
+		o, ok := r.rv.Idxs[r.rv.direct[j]].find(s.Keys[1+j])
+		if !ok {
+			return false
 		}
-		resIdx[j] = ri
+		if at := r.at[j]; at != nil {
+			if o = int(at[o]); o < 0 {
+				return false
+			}
+		}
+		pos[j] = o
 	}
-	return i1, true
+	return true
 }
 
 // Run executes the join, invoking the callbacks. It may be called multiple
-// times (e.g. once per EM pass); each call re-reads the base tables, which
-// is exactly the repeated I/O the paper's cost model charges.
+// times (e.g. once per EM pass); each call re-reads R1 and S, which is
+// exactly the repeated I/O the paper's cost model charges, while the
+// resident dimensions load once per runner.
 func (r *Runner) Run(cb Callbacks) error {
-	if err := r.loadResident(); err != nil {
+	if err := r.load(); err != nil {
 		return err
 	}
 	sp := r.spec
-	resIdx := make([]int, len(r.resident))
-	return r.forEachBlock(func(block []*storage.Tuple, blockIdx map[int64]int) error {
+	pos := make([]int, len(r.dims))
+	return r.forEachBlock(func() error {
 		if cb.OnBlockStart != nil {
-			if err := cb.OnBlockStart(block); err != nil {
+			if err := cb.OnBlockStart(r.dims); err != nil {
 				return err
 			}
 		}
@@ -444,11 +447,10 @@ func (r *Runner) Run(cb Callbacks) error {
 			sc := sp.S.NewScanner()
 			for sc.Next() {
 				s := sc.Tuple()
-				i1, ok := r.probe(s, blockIdx, resIdx)
-				if !ok {
+				if !r.probe(s, pos) {
 					continue
 				}
-				if err := cb.OnMatch(s, i1, resIdx); err != nil {
+				if err := cb.OnMatch(s, pos); err != nil {
 					return err
 				}
 			}
@@ -461,16 +463,4 @@ func (r *Runner) Run(cb Callbacks) error {
 		}
 		return nil
 	})
-}
-
-// NumBlocks returns how many R1 blocks a Run will produce.
-func (r *Runner) NumBlocks() int64 {
-	r1 := r.spec.Rs[0]
-	perPage := int64(r1.Schema().RecordsPerPage())
-	tuplesPerBlock := int64(r.spec.blockPages()) * perPage
-	n := r1.NumTuples()
-	if n == 0 {
-		return 0
-	}
-	return (n + tuplesPerBlock - 1) / tuplesPerBlock
 }

@@ -202,8 +202,8 @@ func TestMultiBlockJoinCoversAllTuples(t *testing.T) {
 	seen := make(map[int64]bool)
 	blocks := 0
 	err = runner.Run(Callbacks{
-		OnBlockStart: func(b []*storage.Tuple) error { blocks++; return nil },
-		OnMatch: func(s *storage.Tuple, r1Idx int, _ []int) error {
+		OnBlockStart: func([]Arena) error { blocks++; return nil },
+		OnMatch: func(s *storage.Tuple, _ []int) error {
 			if seen[s.Keys[0]] {
 				return fmt.Errorf("sid %d emitted twice", s.Keys[0])
 			}
@@ -335,9 +335,9 @@ func TestShuffledPassReadsPermOrderAndCountsPageChanges(t *testing.T) {
 	}
 
 	var order []int64
-	err = runner.Run(Callbacks{OnBlockStart: func(block []*storage.Tuple) error {
-		for _, tp := range block {
-			order = append(order, tp.PrimaryKey())
+	err = runner.Run(Callbacks{OnBlockStart: func(dims []Arena) error {
+		for i := range dims[0].N {
+			order = append(order, int64(dims[0].Row(i)[0]-1000)/10) // buildTables' R1 features
 		}
 		return nil
 	}})
@@ -395,7 +395,7 @@ func TestShuffleChangesBlockOrderNotContent(t *testing.T) {
 	collect := func() []int64 {
 		var sids []int64
 		err := runner.Run(Callbacks{
-			OnMatch: func(s *storage.Tuple, _ int, _ []int) error {
+			OnMatch: func(s *storage.Tuple, _ []int) error {
 				sids = append(sids, s.Keys[0])
 				return nil
 			},
@@ -458,7 +458,7 @@ func TestShuffleDeterministicPerSeed(t *testing.T) {
 		runner.Shuffle(rand.New(rand.NewSource(seed)))
 		var sids []int64
 		err = runner.Run(Callbacks{
-			OnMatch: func(s *storage.Tuple, _ int, _ []int) error {
+			OnMatch: func(s *storage.Tuple, _ []int) error {
 				sids = append(sids, s.Keys[0])
 				return nil
 			},
@@ -510,10 +510,10 @@ func snowTable(t *testing.T, db *storage.Database, name string, nrefs, width int
 // TestSnowflakeHopsResolvedPerDimensionTuple pins the runner's snowflake
 // contract on S → {A → {B → D, C}, E}: the callbacks see a star over the
 // direct dimensions A and E (one probe each per fact tuple, whatever the
-// depth), every dimension tuple carries its subtree's features in preorder,
-// sub-dimension references are resolved once per dimension tuple — not per
-// fact tuple — and a dangling sub-reference drops exactly the fact tuples
-// that reach it.
+// depth), every direct dimension's arena row carries its subtree's features
+// in preorder, sub-dimension references are resolved once per dimension
+// tuple — not per fact tuple — and a dangling sub-reference drops exactly
+// the fact tuples that reach it.
 func TestSnowflakeHopsResolvedPerDimensionTuple(t *testing.T) {
 	db := openDB(t)
 	const nS, nA, nB, nC, nD, nE = 600, 12, 5, 4, 3, 7
@@ -569,16 +569,16 @@ func TestSnowflakeHopsResolvedPerDimensionTuple(t *testing.T) {
 	feat := func(name string, rid int64, j int) float64 {
 		return float64(len(name))*1000 + float64(rid)*10 + float64(j)
 	}
-	var block []*storage.Tuple
+	var dims []Arena
 	rows := 0
 	pass := func() {
 		t.Helper()
 		err := r.Run(Callbacks{
-			OnBlockStart: func(blk []*storage.Tuple) error { block = blk; return nil },
-			OnMatch: func(st *storage.Tuple, r1Idx int, resIdx []int) error {
+			OnBlockStart: func(d []Arena) error { dims = d; return nil },
+			OnMatch: func(st *storage.Tuple, pos []int) error {
 				rows++
-				if len(resIdx) != 1 {
-					t.Fatalf("match carries %d resident positions, want 1: one probe per direct dimension after the first", len(resIdx))
+				if len(pos) != 2 {
+					t.Fatalf("match carries %d arena rows, want 2: one probe per direct dimension", len(pos))
 				}
 				ra, rb := st.Keys[1], st.Keys[1]%nB
 				want := []float64{
@@ -586,11 +586,11 @@ func TestSnowflakeHopsResolvedPerDimensionTuple(t *testing.T) {
 					feat("BB", rb, 0),
 					feat("DDD", rb%nD, 0), feat("DDD", rb%nD, 1), feat("DDD", rb%nD, 2),
 				}
-				if got := block[r1Idx].Features; fmt.Sprint(got) != fmt.Sprint(want) {
+				if got := dims[0].Row(pos[0]); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("sid %d: A tuple with its subtree = %v, want %v", st.Keys[0], got, want)
 				}
 				want = []float64{feat("EEEEE", st.Keys[2], 0), feat("EEEEE", st.Keys[2], 1)}
-				if got := r.Resident(0)[resIdx[0]].Features; fmt.Sprint(got) != fmt.Sprint(want) {
+				if got := dims[1].Row(pos[1]); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("sid %d: E tuple = %v, want %v", st.Keys[0], got, want)
 				}
 				return nil
@@ -604,17 +604,17 @@ func TestSnowflakeHopsResolvedPerDimensionTuple(t *testing.T) {
 	if rows != wantRows {
 		t.Fatalf("joined %d fact tuples, want %d (those not reaching the dangling B tuple)", rows, wantRows)
 	}
-	// Hops: every surviving B tuple resolves its D reference once at load
-	// (the dangling one fails before it counts); every A tuple resolves B
-	// and C — the ten whose B tuple survived — once per block load.
-	// Nothing scales with the 600 fact tuples.
-	loadHops, blockHops := int64(nB-1), int64(2*10)
-	if r.hops != loadHops+blockHops {
-		t.Fatalf("first pass resolved %d sub-dimension references, want %d", r.hops, loadHops+blockHops)
-	}
+	// Hops are resolved per dimension tuple: the resident tables load once
+	// per runner, so a second pass reads R1's pages once plus S's once per
+	// block, and nothing resident — no page scales with the hops the 600
+	// fact tuples would make.
+	db.ResetIOStats()
 	pass()
-	if r.hops != loadHops+2*blockHops {
-		t.Fatalf("two passes resolved %d sub-dimension references, want %d (only the R1 block reloads)", r.hops, loadHops+2*blockHops)
+	if got, want := db.IOStats().LogicalReads, a.NumPages()+r.NumBlocks()*s.NumPages(); got != want {
+		t.Fatalf("second pass read %d pages, want |A| + blocks·|S| = %d", got, want)
+	}
+	if rows != 2*wantRows {
+		t.Fatalf("two passes joined %d fact tuples, want %d", rows, 2*wantRows)
 	}
 
 	// The materialized and streamed rows are the same preorder layout.
@@ -622,4 +622,17 @@ func TestSnowflakeHopsResolvedPerDimensionTuple(t *testing.T) {
 	if len(streamed) != wantRows || len(streamed[0].x) != sp.JoinedWidth() {
 		t.Fatalf("Stream delivered %d rows of width %d, want %d of %d", len(streamed), len(streamed[0].x), wantRows, sp.JoinedWidth())
 	}
+}
+
+// NumBlocks returns how many R1 blocks a Run will produce — the count the
+// planner prices from statistics (plan.SchemaStats), here from the spec.
+func (r *Runner) NumBlocks() int64 {
+	r1 := r.spec.Rs[0]
+	perPage := int64(r1.Schema().RecordsPerPage())
+	tuplesPerBlock := int64(r.spec.blockPages()) * perPage
+	n := r1.NumTuples()
+	if n == 0 {
+		return 0
+	}
+	return (n + tuplesPerBlock - 1) / tuplesPerBlock
 }

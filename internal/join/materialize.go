@@ -1,6 +1,7 @@
 package join
 
 import (
+	"errors"
 	"fmt"
 
 	"factorml/internal/storage"
@@ -61,11 +62,13 @@ func Materialize(db *storage.Database, sp *Spec, name string) (*storage.Table, [
 		inBlock = 0
 		return nil
 	})
-	if err != nil {
-		return nil, nil, err
+	if err == nil {
+		err = tTbl.Flush()
 	}
-	if err := tTbl.Flush(); err != nil {
-		return nil, nil, err
+	if err != nil {
+		// A half-written T would block the next materialization under its
+		// name, in this session and, through the catalog, after a reopen.
+		return nil, nil, errors.Join(err, db.DropTable(name))
 	}
 	return tTbl, counts, nil
 }
@@ -89,11 +92,9 @@ func Stream(sp *Spec, fn func(sid int64, x []float64, y float64) error) error {
 func StreamWith(runner *Runner, fn func(sid int64, x []float64, y float64) error, onBlockEnd func() error) error {
 	d := runner.spec.JoinedWidth()
 	x := make([]float64, d)
-	var block []*storage.Tuple
 	return runner.Run(Callbacks{
-		OnBlockStart: func(b []*storage.Tuple) error { block = b; return nil },
-		OnMatch: func(s *storage.Tuple, r1Idx int, resIdx []int) error {
-			x = runner.AppendRow(x[:0], s, block[r1Idx], resIdx)
+		OnMatch: func(s *storage.Tuple, pos []int) error {
+			x = runner.AppendRow(x[:0], s, pos)
 			if n := len(x); n != d {
 				return fmt.Errorf("join: assembled %d features, want %d", n, d)
 			}

@@ -12,19 +12,18 @@ import (
 const ParallelChunkRows = 512
 
 // Match is one joined tuple delivered by RunParallel: the fact tuple (a
-// copy held by the match's chunk), the index of its R1 partner within the
-// current block, and the indexes of its partners in the other direct
-// dimensions (Runner.Resident). A Match — and the matches slice
-// OnMatchChunk receives — stays valid until the chunk's OnChunkMerged has
-// returned: the producer refills a chunk object only after its merge (see
+// copy held by the match's chunk) and, per direct dimension, its partner's
+// row in that dimension's arena (Pos[0] within the current block; see
+// Callbacks.OnBlockStart). A Match — and the matches slice OnMatchChunk
+// receives — stays valid until the chunk's OnChunkMerged has returned: the
+// producer refills a chunk object only after its merge (see
 // parallel.Feed.Next), so a fold may keep the slice in its accumulator and
-// the ordered merge read the partner indexes from it (the factorized GMM
+// the ordered merge read the partner rows from it (the factorized GMM
 // scatters its group sums there). Do not hold either past that call; a
 // chunk and everything in it are dropped when the run ends.
 type Match struct {
 	S   *storage.Tuple
-	R1  int
-	Res []int
+	Pos []int
 }
 
 // ParallelCallbacks drive RunParallel over accumulators of type A.
@@ -32,7 +31,8 @@ type Match struct {
 // OnBlockStart and OnBlockEnd run on the calling goroutine at a full
 // barrier: no chunk of the previous (respectively current) block is in
 // flight, so they may safely (re)fill shared per-block caches read by
-// OnMatchChunk.
+// OnMatchChunk. OnBlockStart receives the arenas Callbacks.OnBlockStart
+// does.
 //
 // Every chunk object carries one accumulator as a field, which NewAcc
 // builds zeroed when the run makes the object (nil NewAcc: A's zero value).
@@ -45,7 +45,7 @@ type Match struct {
 // leaves it zero, since the chunk object — accumulator and all — is
 // refilled by a later chunk.
 type ParallelCallbacks[A any] struct {
-	OnBlockStart  func(block []*storage.Tuple) error
+	OnBlockStart  func(dims []Arena) error
 	NewAcc        func() A
 	OnMatchChunk  func(acc *A, matches []Match) error
 	OnChunkMerged func(acc *A) error
@@ -54,23 +54,23 @@ type ParallelCallbacks[A any] struct {
 
 // sChunk carries one chunk of scanned fact tuples to a probe worker and on
 // to the merge: the tuples' keys and features copied into two flat slabs
-// the tuples view, the matches the worker produces, and the accumulator
-// they fold into.
+// the tuples view, the matches the worker produces, their arena rows, and
+// the accumulator they fold into.
 type sChunk[A any] struct {
 	tuples  []storage.Tuple
 	n       int
 	matches []Match
-	resBuf  []int
+	posBuf  []int
 	acc     A
 }
 
 // newSChunk makes a chunk of rows fact tuples with nk keys and d features
-// each, whose matches carry q resident positions.
+// each, whose matches carry q arena rows.
 func newSChunk[A any](rows, nk, d, q int) *sChunk[A] {
 	c := &sChunk[A]{
 		tuples:  make([]storage.Tuple, rows),
 		matches: make([]Match, 0, rows),
-		resBuf:  make([]int, 0, rows*q),
+		posBuf:  make([]int, 0, rows*q),
 	}
 	keys, feats := make([]int64, rows*nk), make([]float64, rows*d)
 	for i := range c.tuples {
@@ -89,14 +89,14 @@ func newSChunk[A any](rows, nk, d, q int) *sChunk[A] {
 // `workers`. workers <= 1 runs the identical chunk structure inline on the
 // calling goroutine (see parallel.Run).
 func RunParallel[A any](r *Runner, workers, chunkRows int, cb ParallelCallbacks[A]) error {
-	if err := r.loadResident(); err != nil {
+	if err := r.load(); err != nil {
 		return err
 	}
 	if chunkRows <= 0 {
 		chunkRows = ParallelChunkRows
 	}
 	sp := r.spec
-	q := len(r.resident) // positions a match carries beside R1's
+	q := len(r.dims) // arena rows a match carries
 	nk, d := sp.S.Schema().NumKeys(), sp.S.Schema().NumFeatures()
 	newChunk := func() *sChunk[A] {
 		c := newSChunk[A](chunkRows, nk, d, q)
@@ -106,17 +106,15 @@ func RunParallel[A any](r *Runner, workers, chunkRows int, cb ParallelCallbacks[
 		return c
 	}
 
-	// blockIdx is the key index the workers probe. forEachBlock reuses it
-	// between blocks, which is safe because every block ends with a full
-	// barrier: no chunk is in flight when it is rebuilt, and the channel
-	// hand-offs order the rebuild before any later probe.
-	var blockIdx map[int64]int
-
+	// The workers probe the block's key index and arena, which
+	// forEachBlock reuses between blocks. That is safe because every block
+	// ends with a full barrier: no chunk is in flight when they are
+	// rebuilt, and the channel hand-offs order the rebuild before any later
+	// probe.
 	produce := func(f *parallel.Feed[*sChunk[A]]) error {
-		return r.forEachBlock(func(blk []*storage.Tuple, idx map[int64]int) error {
-			blockIdx = idx
+		return r.forEachBlock(func() error {
 			if cb.OnBlockStart != nil {
-				if err := cb.OnBlockStart(blk); err != nil {
+				if err := cb.OnBlockStart(r.dims); err != nil {
 					return err
 				}
 			}
@@ -157,17 +155,16 @@ func RunParallel[A any](r *Runner, workers, chunkRows int, cb ParallelCallbacks[
 
 	work := func(c *sChunk[A]) (*sChunk[A], error) {
 		c.matches = c.matches[:0]
-		c.resBuf = c.resBuf[:0]
+		c.posBuf = c.posBuf[:0]
 		for i := 0; i < c.n; i++ {
 			s := &c.tuples[i]
-			base := len(c.resBuf)
-			c.resBuf = c.resBuf[:base+q]
-			i1, ok := r.probe(s, blockIdx, c.resBuf[base:])
-			if !ok {
-				c.resBuf = c.resBuf[:base]
+			base := len(c.posBuf)
+			c.posBuf = c.posBuf[:base+q]
+			if !r.probe(s, c.posBuf[base:]) {
+				c.posBuf = c.posBuf[:base]
 				continue
 			}
-			c.matches = append(c.matches, Match{S: s, R1: i1, Res: c.resBuf[base : base+q : base+q]})
+			c.matches = append(c.matches, Match{S: s, Pos: c.posBuf[base : base+q : base+q]})
 		}
 		if cb.OnMatchChunk != nil {
 			if err := cb.OnMatchChunk(&c.acc, c.matches); err != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // matchKey flattens one joined tuple into a comparable string.
-func matchKey(s *storage.Tuple, r1 int, res []int) string {
-	return fmt.Sprintf("sid=%d r1=%d res=%v xs=%v y=%v", s.Keys[0], r1, res, s.Features, s.Target)
+func matchKey(s *storage.Tuple, pos []int) string {
+	return fmt.Sprintf("sid=%d pos=%v xs=%v y=%v", s.Keys[0], pos, s.Features, s.Target)
 }
 
 // runSequential collects the match stream of Runner.Run.
@@ -21,8 +21,8 @@ func runSequential(t *testing.T, spec *Spec) []string {
 	}
 	var out []string
 	err = runner.Run(Callbacks{
-		OnMatch: func(s *storage.Tuple, r1Idx int, resIdx []int) error {
-			out = append(out, matchKey(s, r1Idx, resIdx))
+		OnMatch: func(s *storage.Tuple, pos []int) error {
+			out = append(out, matchKey(s, pos))
 			return nil
 		},
 	})
@@ -44,7 +44,7 @@ func runParallelMatches(t *testing.T, spec *Spec, workers, chunkRows int) []stri
 	err = RunParallel(runner, workers, chunkRows, ParallelCallbacks[state]{
 		OnMatchChunk: func(s *state, matches []Match) error {
 			for _, m := range matches {
-				s.keys = append(s.keys, matchKey(m.S, m.R1, m.Res))
+				s.keys = append(s.keys, matchKey(m.S, m.Pos))
 			}
 			return nil
 		},
@@ -117,7 +117,7 @@ func TestRunParallelBlockBarriers(t *testing.T) {
 	}
 	starts, ends, merged := 0, 0, 0
 	err = RunParallel(runner, 4, 16, ParallelCallbacks[struct{}]{
-		OnBlockStart: func(block []*storage.Tuple) error {
+		OnBlockStart: func([]Arena) error {
 			if starts != ends {
 				t.Errorf("block start %d before block %d ended", starts, ends)
 			}
@@ -169,13 +169,13 @@ func TestRunParallelMatchesValidUntilMerged(t *testing.T) {
 			OnMatchChunk: func(s *state, matches []Match) error {
 				s.matches = matches
 				for _, m := range matches {
-					s.keys = append(s.keys, matchKey(m.S, m.R1, m.Res))
+					s.keys = append(s.keys, matchKey(m.S, m.Pos))
 				}
 				return nil
 			},
 			OnChunkMerged: func(s *state) error {
 				for i, m := range s.matches {
-					if key := matchKey(m.S, m.R1, m.Res); key != s.keys[i] {
+					if key := matchKey(m.S, m.Pos); key != s.keys[i] {
 						t.Errorf("workers=%d: match reads %q at merge, was %q in the fold", workers, key, s.keys[i])
 					}
 				}

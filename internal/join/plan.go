@@ -11,8 +11,9 @@ import (
 // direct dimension followed by its whole subtree, subtrees in foreign-key
 // order). The same plan drives the training-side join (Spec), the serving
 // engine's per-request probes and the streaming maintenance's group
-// resolution, so all three agree on one relation order — and therefore one
-// core.Partition of the joined feature vector.
+// resolution, all three through BuildIndexes and the Resolver, so they
+// agree on one relation order — and therefore one core.Partition of the
+// joined feature vector.
 //
 // Parent[i] is the node whose tuple carries the foreign key that resolves
 // node i: -1 when the key lives on the fact tuple itself, otherwise the
@@ -22,12 +23,12 @@ import (
 // position among the fact table's foreign keys.
 //
 // A table referenced from two places in the hierarchy appears once per
-// reference path: the materialized join carries its columns once per path.
-// Training, refresh and serving all score a snowflake as a star over its
-// direct dimensions: the Runner folds every subtree into its direct
-// dimension's tuples (see the package comment), and the serving engine and
-// the streaming statistics read a direct tuple with its subtree through
-// Resolver.Subtree, so a direct dimension's subtree is one partition part.
+// reference path: the materialized join carries its columns once per path,
+// while BuildIndexes pins it once. Training, refresh and serving all score
+// a snowflake as a star over its direct dimensions, reading a direct tuple
+// with its subtree through Resolver.Subtree — the Runner once per resident
+// tuple into its arenas, serving and the streaming statistics per cached
+// partial or group — so a direct dimension's subtree is one partition part.
 type DimPlan struct {
 	Tables []*storage.Table
 	Parent []int
@@ -40,9 +41,9 @@ func (pl *DimPlan) Spec(fact *storage.Table) *Spec {
 }
 
 // BuildIndexes pins one ResidentIndex per plan node, sharing a single
-// index per table across every node that references it — so a dimension
-// update lands exactly once no matter how many hierarchy positions the
-// table occupies. lookup, when non-nil, supplies pre-pinned indexes (e.g.
+// index per table across every node that references it — so a table is
+// scanned once, and a dimension update lands exactly once, no matter how
+// many hierarchy positions the table occupies. lookup, when non-nil, supplies pre-pinned indexes (e.g.
 // a serving engine's) instead of building fresh ones; a supplied index
 // must match the table's feature width.
 func (pl *DimPlan) BuildIndexes(lookup func(name string) (*ResidentIndex, bool)) ([]*ResidentIndex, error) {
@@ -131,9 +132,9 @@ func ExpandDims(direct []*storage.Table, lookup func(name string) (*storage.Tabl
 // Resolver resolves one fact tuple's foreign keys through a snowflake
 // hierarchy against resident indexes: node i's tuple is found by following
 // the plan's parent edge (a direct key on the fact row, or a sub-key pinned
-// on the parent's resident tuple). The serving engine and the streaming
-// statistics share this logic, so both observe the same join semantics as
-// the training-side Runner.
+// on the parent's resident tuple). The training join, the serving engine
+// and the streaming statistics all resolve through it, so all three observe
+// the same join semantics.
 type Resolver struct {
 	Parent []int
 	Ref    []int
@@ -215,6 +216,18 @@ func (rv *Resolver) SubtreeWidth(i int) int {
 // could pair a repointed parent's new version with its old child, and a
 // cache would key that value by a vector a consistent walk reproduces.
 func (rv *Resolver) Subtree(n, ord int, feats []float64, vers []uint32) error {
+	if bad, pk := rv.walk(n, ord, nil, feats, vers); bad >= 0 {
+		return fmt.Errorf("unknown foreign key %d for dimension table %q", pk, rv.Idxs[bad].Name())
+	}
+	return nil
+}
+
+// walk is Subtree without the error: it returns the node whose key pk
+// dangled, or −1 when every hop resolved. With ord < 0 it walks below a
+// tuple of node n that no index holds — the Runner's R1 tuples, as their
+// blocks are read — taking the root's sub-keys from subs and writing only
+// the features below it (SubtreeWidth(n) minus node n's own width).
+func (rv *Resolver) walk(n, ord int, subs []int64, feats []float64, vers []uint32) (bad int, pk int64) {
 	n1, k0 := rv.end[n], rv.keyOff[n]
 	var keyBuf [16]int64
 	keys := keyBuf[:]
@@ -223,11 +236,15 @@ func (rv *Resolver) Subtree(n, ord int, feats []float64, vers []uint32) error {
 	}
 	for i := n; i < n1; i++ {
 		ix := rv.Idxs[i]
+		if i == n && ord < 0 {
+			copy(keys, subs)
+			continue
+		}
 		if i > n {
-			pk := keys[rv.keyOff[rv.Parent[i]]-k0+rv.Ref[i]]
+			pk = keys[rv.keyOff[rv.Parent[i]]-k0+rv.Ref[i]]
 			at, ok := ix.Pos(pk)
 			if !ok {
-				return fmt.Errorf("unknown foreign key %d for dimension table %q", pk, ix.Name())
+				return i, pk
 			}
 			ord = at
 		}
@@ -240,7 +257,7 @@ func (rv *Resolver) Subtree(n, ord int, feats []float64, vers []uint32) error {
 			vers[i-n] = v
 		}
 	}
-	return nil
+	return -1, 0
 }
 
 // Hop resolves node i into pos[i] from what is resolved before it — a

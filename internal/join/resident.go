@@ -12,10 +12,11 @@ import (
 // by primary key. Lookups touch no page and no table scanner (which is
 // single-threaded), so a ResidentIndex serves concurrent probes — what the
 // serving path needs: the prediction engine probes one ResidentIndex per
-// dimension table from every worker of a request batch.
-// The paper's setting already assumes the dimension relations fit in memory
-// (the block-nested-loops join keeps Rs[1:] resident); this reuses that
-// assumption at serve time.
+// dimension table from every worker of a request batch. It is also the
+// training join's resident form: the paper's setting assumes the dimension
+// relations fit in memory (the block-nested-loops join keeps Rs[1:]
+// resident), and the Runner pins Rs[1:] as ResidentIndexes, copying each
+// direct tuple's subtree into its arenas.
 //
 // Every tuple has an ordinal, its insertion-order position (Pos/At), stable
 // across Upserts of existing keys: the incremental-statistics accumulators

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"slices"
+
 	"factorml/internal/core"
 	"factorml/internal/factor"
 	"factorml/internal/join"
@@ -9,33 +11,46 @@ import (
 	"factorml/internal/storage"
 )
 
-// partCaches holds per-dimension-tuple cached forward quantities for one
-// parameter state: t = W0_part·x_part (length nh0), and — under layer-2
-// sharing — t3 = W1·f(t) (length nh1).
+// partCaches holds one direct dimension's cached forward quantities for
+// one parameter state, one flat row per arena row: t = W0_part·x_part
+// (nh0 wide), and — under layer-2 sharing — t3 = W1·f(t) (nh1 wide).
 type partCaches struct {
-	t  [][]float64
-	t3 [][]float64
+	nh0, nh1 int
+	t, t3    []float64
+}
+
+// row returns arena row i's t; row3 its t3.
+func (pc *partCaches) row(i int) []float64  { return pc.t[i*pc.nh0 : (i+1)*pc.nh0] }
+func (pc *partCaches) row3(i int) []float64 { return pc.t3[i*pc.nh1 : (i+1)*pc.nh1] }
+
+// ensure sizes the caches for n arena rows.
+func (pc *partCaches) ensure(n int, share bool) {
+	pc.t = slices.Grow(pc.t[:0], n*pc.nh0)[:n*pc.nh0]
+	if share {
+		pc.t3 = slices.Grow(pc.t3[:0], n*pc.nh1)[:n*pc.nh1]
+	}
 }
 
 // fwdCtx bundles the read-only state of the factorized forward pass, which
-// the F-NN trainer calls once per joined tuple.
+// the F-NN trainer calls once per joined tuple: caches[j] is direct
+// dimension j's.
 type fwdCtx struct {
-	net      *Network
-	share    bool
-	blkCache *partCaches
-	resCache []*partCaches
-	cBias    []float64
+	net    *Network
+	share  bool
+	caches []partCaches
+	cBias  []float64
 }
 
-// forward computes the factorized forward pass for one joined tuple in a's
-// workspace and returns the network output.
-func (fc *fwdCtx) forward(a *gradAcc, s *storage.Tuple, r1 int, res []int) float64 {
+// forward computes the factorized forward pass for one joined tuple, whose
+// partners sit at arena rows pos, in a's workspace and returns the network
+// output.
+func (fc *fwdCtx) forward(a *gradAcc, s *storage.Tuple, pos []int) float64 {
 	net, ws := fc.net, a.ws
 	if !fc.share {
 		// §VI-A1: the match's cached partials, completed by ForwardFactorized.
-		parts := append(a.parts[:0], fc.blkCache.t[r1])
-		for j, ri := range res {
-			parts = append(parts, fc.resCache[j].t[ri])
+		parts := a.parts[:0]
+		for j, at := range pos {
+			parts = append(parts, fc.caches[j].row(at))
 		}
 		a.parts = parts
 		return net.ForwardFactorized(&ws.ForwardScratch, s.Features, parts)
@@ -45,37 +60,18 @@ func (fc *fwdCtx) forward(a *gradAcc, s *storage.Tuple, r1 int, res []int) float
 	t1 := a.t1
 	linalg.MatVecRange(t1, net.W[0], 0, s.Features)
 	copy(ws.a[0], t1)
-	linalg.VecAdd(ws.a[0], ws.a[0], fc.blkCache.t[r1])
-	for j, ri := range res {
-		linalg.VecAdd(ws.a[0], ws.a[0], fc.resCache[j].t[ri])
+	for j, at := range pos {
+		linalg.VecAdd(ws.a[0], ws.a[0], fc.caches[j].row(at))
 	}
 	linalg.VecAdd(ws.a[0], ws.a[0], net.B[0])
 	copy(ws.h[0], ws.a[0]) // Identity
 	// Second layer from shared parts.
 	linalg.MatVec(ws.a[1], net.W[1], t1)
-	linalg.VecAdd(ws.a[1], ws.a[1], fc.blkCache.t3[r1])
-	for j, ri := range res {
-		linalg.VecAdd(ws.a[1], ws.a[1], fc.resCache[j].t3[ri])
+	for j, at := range pos {
+		linalg.VecAdd(ws.a[1], ws.a[1], fc.caches[j].row3(at))
 	}
 	linalg.VecAdd(ws.a[1], ws.a[1], fc.cBias)
 	return net.upper(&ws.ForwardScratch, 1)
-}
-
-func (pc *partCaches) ensure(n, nh0, nh1 int, share bool) {
-	if cap(pc.t) < n {
-		pc.t = make([][]float64, n)
-		pc.t3 = make([][]float64, n)
-	}
-	pc.t = pc.t[:n]
-	pc.t3 = pc.t3[:n]
-	for i := 0; i < n; i++ {
-		if pc.t[i] == nil {
-			pc.t[i] = make([]float64, nh0)
-		}
-		if share && pc.t3[i] == nil {
-			pc.t3[i] = make([]float64, nh1)
-		}
-	}
 }
 
 // trainFactorized is F-NN on the worker pool: the per-block dimension
@@ -98,25 +94,26 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 	}
 	share := cfg.ShareLayer2
 
-	var blkCache partCaches
-	resCache := make([]*partCaches, q-1)
-	for j := range resCache {
-		resCache[j] = &partCaches{}
+	caches := make([]partCaches, q)
+	for j := range caches {
+		caches[j] = partCaches{nh0: nh0, nh1: nh1}
 	}
 	cBias := make([]float64, nh1)
-	fc := &fwdCtx{net: net, share: share, blkCache: &blkCache, resCache: resCache, cBias: cBias}
+	fc := &fwdCtx{net: net, share: share, caches: caches, cBias: cBias}
 	// Charged × the events seen: tuples per fill, refills, matches per epoch.
 	units := core.NewNNUnits(p, net.Sizes, share)
 
-	fillPart := func(pc *partCaches, tuples []*storage.Tuple, part int) error {
-		pc.ensure(len(tuples), nh0, nh1, share)
-		off := p.Offs[part]
-		stats.Ops.Add(units.Fill[part].Scale(int64(len(tuples))))
-		return ps.FillCaches(nw, tuples, func(i int, tp *storage.Tuple) error {
-			net.PartialPreAct(pc.t[i], off, tp.Features)
+	// fill computes direct dimension j's partials for every arena row.
+	fill := func(j int, rows join.Arena) error {
+		pc := &caches[j]
+		pc.ensure(rows.N, share)
+		off := p.Offs[1+j]
+		stats.Ops.Add(units.Fill[1+j].Scale(int64(rows.N)))
+		return ps.FillCaches(nw, rows, func(i int, x []float64) error {
+			net.PartialPreAct(pc.row(i), off, x)
 			if share {
 				// t3 = W1·f(t); f = Identity, so f(t) = t.
-				linalg.MatVec(pc.t3[i], net.W[1], pc.t[i])
+				linalg.MatVec(pc.row3(i), net.W[1], pc.row(i))
 			}
 			return nil
 		})
@@ -140,23 +137,21 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 		lossSum := 0.0
 		batchN, seen := 0, 0 // examples since the last step / this epoch
 		residentFresh := false
-		var curBlock []*storage.Tuple
 
 		err := factor.RunChunks(ps, nw, join.ParallelCallbacks[gradAcc]{
-			OnBlockStart: func(block []*storage.Tuple) error {
-				curBlock = block
+			OnBlockStart: func(dims []join.Arena) error {
 				// Dimension caches are valid for one parameter state: per
 				// block under Block updates, per pass under Epoch updates.
 				if cfg.Mode == Block || !residentFresh {
-					for j := 0; j < q-1; j++ {
-						if err := fillPart(resCache[j], ps.Resident(j), 2+j); err != nil {
+					for j := 1; j < q; j++ {
+						if err := fill(j, dims[j]); err != nil {
 							return err
 						}
 					}
 					fillShared()
 					residentFresh = true
 				}
-				return fillPart(&blkCache, block, 1)
+				return fill(0, dims[0])
 			},
 			NewAcc: func() gradAcc { return newGradAcc(net, nh0) },
 			OnMatchChunk: func(a *gradAcc, matches []join.Match) error {
@@ -165,9 +160,8 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 				// per chunk instead of one rank-1 update per part per match.
 				a.xs = a.xs[:0]
 				for _, m := range matches {
-					s := m.S
-					a.backprop(fc.forward(a, s, m.R1, m.Res), s.Target)
-					a.xs = ps.Runner.AppendRow(a.xs, s, curBlock[m.R1], m.Res)
+					a.backprop(fc.forward(a, m.S, m.Pos), m.S.Target)
+					a.xs = ps.Runner.AppendRow(a.xs, m.S, m.Pos)
 				}
 				a.inputGrad(a.xs)
 				return nil

@@ -139,9 +139,15 @@ func estimatePages(ss *SchemaStats, m ModelSpec, s Strategy) int64 {
 	case FamilyNN:
 		passes = int64(m.Epochs)
 	}
-	resident := int64(0)
+	// The join pins each resident table once, however many hierarchy
+	// positions it holds (join.DimPlan.BuildIndexes).
+	pinned := make(map[string]int64)
 	for _, r := range ss.Dims[1:] {
-		resident += r.Stats.Pages
+		pinned[r.Name] = r.Stats.Pages
+	}
+	resident := int64(0)
+	for _, pages := range pinned {
+		resident += pages
 	}
 	joinPass := ss.Dims[0].Stats.Pages + ss.numBlocks()*ss.Fact.Stats.Pages
 	switch s {
