@@ -445,7 +445,12 @@ var unreferencedOK = map[string]string{
 // nothing of flops or tuples), and when code under internal/ outside
 // internal/serve uses a sync.Pool: the training and absorb passes recycle
 // their state through the chunk lifecycle, whose allocation counts stay
-// exact under the race detector.
+// exact under the race detector. Last, it fails when the root package or
+// code under internal/ other than internal/durable calls os.Rename,
+// os.WriteFile, os.Create or os.CreateTemp: every persisted file is
+// replaced through internal/durable, which alone knows the write, fsync,
+// close, rename, directory-fsync order (cmd/'s report writers hold no
+// durable state).
 func TestInternalPackagesAreReached(t *testing.T) {
 	reached := make(map[string]bool) // package under internal/ -> imported from outside itself
 	declared := make(map[string]int) // exported func/method name under internal/ -> declarations
@@ -467,6 +472,7 @@ func TestInternalPackagesAreReached(t *testing.T) {
 		path = filepath.ToSlash(path)
 		pkg := "factorml/" + pathpkg.Dir(path)
 		internal := strings.HasPrefix(pkg, "factorml/internal/")
+		persists := (internal || pkg == "factorml/.") && pkg != "factorml/internal/durable"
 		if internal && !reached[pkg] {
 			reached[pkg] = false
 		}
@@ -494,6 +500,12 @@ func TestInternalPackagesAreReached(t *testing.T) {
 			case *ast.SelectorExpr:
 				if x, ok := n.X.(*ast.Ident); ok && x.Name == "sync" && n.Sel.Name == "Pool" && internal && pkg != "factorml/internal/serve" {
 					t.Errorf("%s uses a sync.Pool; a chunked pass's state travels with its chunk (internal/parallel), and only internal/serve pools request-scoped buffers", path)
+				}
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "os" && persists {
+					switch n.Sel.Name {
+					case "Rename", "WriteFile", "Create", "CreateTemp":
+						t.Errorf("%s calls os.%s; persist files through internal/durable", path, n.Sel.Name)
+					}
 				}
 			case *ast.Ident:
 				mentions[n.Name]++

@@ -94,7 +94,9 @@ func NewRegistry(db *storage.Database) (*Registry, error) {
 		return nil, err
 	}
 	for _, blobName := range names {
-		if !strings.HasPrefix(blobName, modelBlobPrefix) {
+		// Not the registry's: a suffix that names no model ("model.m.tmp").
+		name, ok := strings.CutPrefix(blobName, modelBlobPrefix)
+		if !ok || !ValidModelName(name) {
 			continue
 		}
 		blob, err := db.GetBlob(blobName)
@@ -105,7 +107,7 @@ func NewRegistry(db *storage.Database) (*Registry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: loading %q: %w", blobName, err)
 		}
-		if blobName != modelBlobPrefix+e.info.Name {
+		if name != e.info.Name {
 			return nil, fmt.Errorf("serve: blob %q contains model %q", blobName, e.info.Name)
 		}
 		r.models[e.info.Name] = e

@@ -110,6 +110,43 @@ func TestRegistrySaveLoadList(t *testing.T) {
 	}
 }
 
+// A blob under the model prefix whose suffix is no model name is not the
+// registry's: the boot skips it. An older release could leave "model.m.tmp"
+// behind a crash, and a tool may store anything under a valid blob name.
+func TestRegistrySkipsForeignModelBlobs(t *testing.T) {
+	dir := t.TempDir()
+	db, spec := testStar(t, dir)
+	defer db.Close()
+	net, _ := trainModels(t, db, spec)
+	reg, err := serve.NewRegistry(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.SaveNN("m", net); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := db.GetBlob("model.m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"model.m.tmp":     blob[:len(blob)/2], // torn
+		"model.notes.txt": []byte("not an envelope"),
+		"model.-x":        blob,
+	} {
+		if err := db.PutBlob(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg, err = serve.NewRegistry(db)
+	if err != nil {
+		t.Fatalf("NewRegistry over foreign model blobs: %v", err)
+	}
+	if got := reg.List(); len(got) != 1 || got[0].Name != "m" {
+		t.Fatalf("registry lists %+v, want model m only", got)
+	}
+}
+
 func TestRegistryNameValidation(t *testing.T) {
 	db, spec := testStar(t, t.TempDir())
 	defer db.Close()

@@ -2,10 +2,13 @@ package storage
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"factorml/internal/durable"
 )
 
 // blobDir is the subdirectory of a database directory holding named blobs
@@ -15,8 +18,8 @@ const blobDir = "blobs"
 
 // validName reports whether name is safe to use as a file name inside the
 // database directory — the one rule for table and blob names: non-empty,
-// at most 128 bytes, no path separators, no leading dot, only letters,
-// digits, '.', '_' and '-'.
+// at most 128 bytes, no path separators, no leading dot (so no durable temp
+// file), only letters, digits, '.', '_' and '-'.
 func validName(name string) bool {
 	if name == "" || len(name) > 128 || strings.HasPrefix(name, ".") {
 		return false
@@ -39,11 +42,11 @@ func (db *Database) blobPath(name string) (string, error) {
 	return filepath.Join(db.dir, blobDir, name), nil
 }
 
-// PutBlob atomically persists a named blob in the database directory,
-// replacing any previous contents. Blobs survive Close/Open cycles of the
-// database and are listed by BlobNames. The temp file is fsynced before
-// the rename, as the catalog's is, so a power cut leaves the old blob or
-// the new one, never an empty file under the blob's name.
+// PutBlob atomically and durably persists a named blob in the database
+// directory, replacing any previous contents. Blobs survive Close/Open
+// cycles of the database and are listed by BlobNames. The write goes
+// through durable.WriteFile with fsync, so a power cut leaves the old blob
+// or the new one, never an empty file under the blob's name.
 func (db *Database) PutBlob(name string, data []byte) error {
 	path, err := db.blobPath(name)
 	if err != nil {
@@ -52,11 +55,14 @@ func (db *Database) PutBlob(name string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("storage: creating blob dir: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := writeFile(tmp, data, true); err != nil {
+	durable.SyncDir(db.dir) // the blob directory's own name
+	if err := durable.WriteFile(path, true, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return fmt.Errorf("storage: writing blob %q: %w", name, err)
 	}
-	return os.Rename(tmp, path)
+	return nil
 }
 
 // GetBlob returns the contents of a named blob. A missing blob is an error
@@ -97,7 +103,7 @@ func (db *Database) BlobNames() ([]string, error) {
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if e.IsDir() || !validName(e.Name()) || strings.HasSuffix(e.Name(), ".tmp") {
+		if e.IsDir() || !validName(e.Name()) {
 			continue
 		}
 		names = append(names, e.Name())

@@ -77,6 +77,32 @@ func TestBlobRoundTrip(t *testing.T) {
 	}
 }
 
+// A blob whose name ends in ".tmp" is a blob like any other: listed, and
+// untouched by the write of the blob whose name it extends.
+func TestBlobNamedLikeTempSurvives(t *testing.T) {
+	db, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.PutBlob("a.tmp", []byte("mine")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.PutBlob("a", []byte("other")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := db.GetBlob("a.tmp"); err != nil || string(got) != "mine" {
+		t.Fatalf("GetBlob(a.tmp) after PutBlob(a) = %q, %v; want %q", got, err, "mine")
+	}
+	names, err := db.BlobNames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a", "a.tmp"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("BlobNames = %v, want %v", names, want)
+	}
+}
+
 func TestBlobNameValidation(t *testing.T) {
 	db, err := Open(t.TempDir())
 	if err != nil {

@@ -3,9 +3,12 @@ package storage
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+
+	"factorml/internal/durable"
 )
 
 const catalogFile = "catalog.json"
@@ -23,14 +26,10 @@ type catalogEntry struct {
 }
 
 // saveCatalog persists the schemas — and planner statistics — of all
-// tables so a database directory can be reopened by a later process.
-func (db *Database) saveCatalog() error { return db.saveCatalogSync(false) }
-
-// saveCatalogSync is saveCatalog with optional fsync of the temp file
-// before the rename, for checkpoints that must survive power loss: the
-// rename is the commit point, so it happens only once the write, the sync
-// and the close have all succeeded.
-func (db *Database) saveCatalogSync(sync bool) error {
+// tables so a database directory can be reopened by a later process. The
+// file is replaced through durable.WriteFile, fsynced when sync is set for
+// checkpoints that must survive power loss.
+func (db *Database) saveCatalog(sync bool) error {
 	entries := make([]catalogEntry, 0, len(db.tables))
 	for _, name := range db.TableNames() {
 		t := db.tables[name]
@@ -40,16 +39,12 @@ func (db *Database) saveCatalogSync(sync bool) error {
 			Stats: t.statsForCatalog(),
 		})
 	}
-	blob, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(db.dir, catalogFile+".tmp")
-	if err := writeFile(tmp, blob, sync); err != nil {
+	if err := durable.WriteFile(filepath.Join(db.dir, catalogFile), sync, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(entries)
+	}); err != nil {
 		return fmt.Errorf("storage: writing catalog: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(db.dir, catalogFile)); err != nil {
-		return err
 	}
 	// Every table's statistics are now in the persisted catalog; further
 	// Flushes can skip the rewrite until new keys arrive.
@@ -57,23 +52,6 @@ func (db *Database) saveCatalogSync(sync bool) error {
 		t.statsDirty = false
 	}
 	return nil
-}
-
-// writeFile writes blob to path through one handle — fsyncing it before
-// the close when sync is set — and returns the first error.
-func writeFile(path string, blob []byte, sync bool) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(blob)
-	if err == nil && sync {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // loadCatalog reopens every table recorded in the catalog file, if present.

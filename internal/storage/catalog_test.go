@@ -397,3 +397,70 @@ func dupNames(catalog []byte) string {
 	}
 	return ""
 }
+
+// A catalog CheckpointSync made durable is the file Close leaves: Close
+// rewrites it only when statistics moved since, and then the new ones
+// persist.
+func TestCloseKeepsCheckpointedCatalog(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, catalogFile)
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable(statsTestSchema("facts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 10; i++ {
+		if err := tbl.Append(&Tuple{Keys: []int64{i, i % 4, 0}, Features: []float64{0, 0, 0}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CheckpointSync(); err != nil {
+		t.Fatal(err)
+	}
+	synced, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(synced, closed) {
+		t.Fatal("Close replaced the catalog CheckpointSync made durable")
+	}
+
+	// Rows appended after the checkpoint dirty the statistics: Close
+	// persists them.
+	db, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err = db.Table("facts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Append(&Tuple{Keys: []int64{10, 9, 0}, Features: []float64{0, 0, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err = db.Table("facts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := tbl.loadedStats; s == nil || s.Rows != 11 || s.FKDistinct[0] != 5 {
+		t.Fatalf("catalog statistics after Close = %+v, want Rows=11 FKDistinct[0]=5", s)
+	}
+}

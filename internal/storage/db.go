@@ -118,7 +118,7 @@ func (db *Database) CreateTable(s *Schema) (*Table, error) {
 		path:   path,
 	}
 	db.tables[s.Name] = t
-	if err := db.saveCatalog(); err != nil {
+	if err := db.saveCatalog(false); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -146,7 +146,7 @@ func (db *Database) DropTable(name string) error {
 	if err := os.Remove(t.path); err != nil {
 		return err
 	}
-	return db.saveCatalog()
+	return db.saveCatalog(false)
 }
 
 // TableNames lists tables in sorted order.
@@ -161,7 +161,7 @@ func (db *Database) TableNames() []string {
 
 // CheckpointSync makes the whole database durable: every table's
 // buffered tail page is flushed and its heap file fsynced, and the
-// catalog is rewritten through a synced temp file. After it returns,
+// catalog is rewritten through durable.WriteFile with fsync. After it returns,
 // the on-disk directory is a consistent, reopenable image of the
 // in-memory state — the precondition for committing a WAL snapshot
 // that references these files.
@@ -171,17 +171,15 @@ func (db *Database) CheckpointSync() error {
 			return err
 		}
 	}
-	return db.saveCatalogSync(true)
+	return db.saveCatalog(true)
 }
 
 // Close flushes and closes every table. The database directory (including
 // the catalog, so it can be reopened) is left on disk; use os.RemoveAll to
-// delete it.
+// delete it. Only a table whose statistics moved rewrites the catalog (in
+// Flush), so Close keeps the file a checkpoint made durable.
 func (db *Database) Close() error {
 	var first error
-	if err := db.saveCatalog(); err != nil {
-		first = err
-	}
 	for _, t := range db.tables {
 		if err := t.Flush(); err != nil && first == nil {
 			first = err

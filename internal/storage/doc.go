@@ -10,4 +10,7 @@
 // Nothing caches pages. The database counts every page read and written
 // (IOStats), so that the paper's analytic I/O cost model (§V-A, block nested
 // loops join page counts) can be verified against measured counters.
+//
+// The catalog and the blobs are replaced whole through internal/durable;
+// heap files are written in place and fsynced by CheckpointSync.
 package storage

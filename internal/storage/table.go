@@ -85,7 +85,7 @@ func (t *Table) Flush() error {
 	// without rewriting the whole catalog, and the next batch-level Flush
 	// or Close folds their statistics in.
 	if t.statsDirty {
-		return t.db.saveCatalog()
+		return t.db.saveCatalog(false)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/base64"
@@ -13,6 +12,7 @@ import (
 	"sort"
 
 	"factorml/internal/codec"
+	"factorml/internal/durable"
 	"factorml/internal/gmm"
 	"factorml/internal/monitor"
 	"factorml/internal/nn"
@@ -42,6 +42,10 @@ import (
 // the snapshot LSN through the exact same ingest/refresh code paths the
 // live system uses — which, by the repo-wide determinism guarantee,
 // rebuilds bit-identical model state.
+//
+// Files are replaced through internal/durable: staged ones unsynced, as
+// Snapshot.Commit syncs the tree; restored ones fsynced, as a later clean
+// close vouches for them. The fact heap alone is edited in place.
 
 const (
 	// Format 5 stores a mixture's sums over the joined row about its origin,
@@ -251,65 +255,6 @@ type walManifest struct {
 	Fact   *factManifest `json:"fact,omitempty"`
 }
 
-func copyFile(src, dst string) error {
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
-	}
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
-}
-
-// stageCommon copies the catalog and every model blob into the staging
-// directory, returning their database-relative paths.
-func stageCommon(db *storage.Database, stageDir string) ([]string, error) {
-	files := []string{"catalog.json"}
-	blobNames, err := db.BlobNames()
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range blobNames {
-		files = append(files, filepath.Join("blobs", name))
-	}
-	for _, rel := range files {
-		if err := copyFile(filepath.Join(db.Dir(), rel), filepath.Join(stageDir, rel)); err != nil {
-			return nil, fmt.Errorf("stream: staging %s: %w", rel, err)
-		}
-	}
-	return files, nil
-}
-
-// writeJSONFile writes v as compact JSON: the stream state runs to
-// megabytes of numbers nobody reads, and indenting it cost more than
-// encoding it. Readers Unmarshal, so the indented files older releases
-// wrote still load.
-func writeJSONFile(path string, v any) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	err = json.NewEncoder(w).Encode(v)
-	if err == nil {
-		err = w.Flush()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // checkpointLocked takes a full checkpoint: flush + fsync the database,
 // stage the snapshot (dimension heaps whole, fact heap by reference,
 // stream state), and commit it — after which the WAL prefix it covers
@@ -339,25 +284,35 @@ func (s *Stream) checkpointLocked() error {
 	return nil
 }
 
+// stageLocked copies the catalog, the blobs and the dimension heaps under
+// files/ and writes the manifest and the stream state. Caller holds mu.
 func (s *Stream) stageLocked(snapDir string) error {
-	stageDir := filepath.Join(snapDir, stagedFilesDir)
-	files, err := stageCommon(s.db, stageDir)
+	files := []string{"catalog.json"}
+	blobNames, err := s.db.BlobNames()
 	if err != nil {
 		return err
+	}
+	for _, name := range blobNames {
+		files = append(files, filepath.Join("blobs", name))
 	}
 	// Dimension heaps are staged whole (they are small and updated in
 	// place); snowflake positions can share a table, so dedup by name.
 	seen := map[string]bool{}
 	for _, r := range s.spec.Rs {
-		rel := filepath.Base(r.Path())
-		if seen[rel] {
-			continue
+		if rel := filepath.Base(r.Path()); !seen[rel] {
+			seen[rel] = true
+			files = append(files, rel)
 		}
-		seen[rel] = true
-		if err := copyFile(r.Path(), filepath.Join(stageDir, rel)); err != nil {
+	}
+	stageDir := filepath.Join(snapDir, stagedFilesDir)
+	for _, rel := range files {
+		dst := filepath.Join(stageDir, rel)
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 			return fmt.Errorf("stream: staging %s: %w", rel, err)
 		}
-		files = append(files, rel)
+		if err := durable.CopyFile(dst, filepath.Join(s.db.Dir(), rel), false); err != nil {
+			return fmt.Errorf("stream: staging %s: %w", rel, err)
+		}
 	}
 	fullPages, tailPage := s.spec.S.TailPageState()
 	fm := &factManifest{File: filepath.Base(s.spec.S.Path()), FullPages: fullPages}
@@ -365,14 +320,20 @@ func (s *Stream) stageLocked(snapDir string) error {
 		fm.TailPage = base64.StdEncoding.EncodeToString(tailPage)
 	}
 	man := walManifest{Format: manifestFormat, Files: files, Fact: fm}
-	if err := writeJSONFile(filepath.Join(snapDir, manifestFile), &man); err != nil {
+	if err := durable.WriteFile(filepath.Join(snapDir, manifestFile), false, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(&man)
+	}); err != nil {
 		return err
 	}
 	st, err := s.stateLocked()
 	if err != nil {
 		return err
 	}
-	return writeJSONFile(filepath.Join(snapDir, streamStateFile), st)
+	// Compact JSON, streamed: the state runs to megabytes nobody reads, and
+	// indenting cost more than encoding. Older indented files still load.
+	return durable.WriteFile(filepath.Join(snapDir, streamStateFile), false, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(st)
+	})
 }
 
 // Checkpoint takes a checkpoint now (regardless of SnapshotEvery). It
@@ -428,11 +389,15 @@ func RestoreSnapshotFiles(dbDir, walDir string) error {
 		return fmt.Errorf("stream: clearing stale blobs: %w", err)
 	}
 	for _, rel := range man.Files {
-		src := filepath.Join(snapPath, stagedFilesDir, rel)
-		if err := copyFile(src, filepath.Join(dbDir, rel)); err != nil {
+		dst := filepath.Join(dbDir, rel)
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return fmt.Errorf("stream: restoring %s: %w", rel, err)
+		}
+		if err := durable.CopyFile(dst, filepath.Join(snapPath, stagedFilesDir, rel), true); err != nil {
 			return fmt.Errorf("stream: restoring %s: %w", rel, err)
 		}
 	}
+	durable.SyncDir(dbDir) // the blob directory removed and recreated above
 	if man.Fact != nil {
 		if err := restoreFactHeap(filepath.Join(dbDir, man.Fact.File), man.Fact); err != nil {
 			return err

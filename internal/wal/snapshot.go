@@ -2,10 +2,13 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"factorml/internal/durable"
 )
 
 // Snapshot rotation. A checkpoint writes its files (catalog, dimension
@@ -15,15 +18,14 @@ import (
 //	walDir/
 //	  0000000000000001.wal      segments
 //	  snap-000000000000002a/    committed snapshot covering LSN 0x2a
-//	  CURRENT                   names the committed snapshot (tmp+rename)
+//	  CURRENT                   names the committed snapshot
 //	  CLEAN                     present only after a graceful close
 //
-// Commit fsyncs the staged files, renames the directory into place,
-// swaps CURRENT via a temp file + rename, prunes superseded snapshots,
-// and drops WAL segments the snapshot fully covers. A crash anywhere
-// in that sequence leaves either the old snapshot or the new one
-// committed — never a half state — because CURRENT is the single
-// commit point.
+// Commit fsyncs the staged tree, renames it into place, replaces CURRENT,
+// prunes superseded snapshots, and drops WAL segments the snapshot fully
+// covers, every step through internal/durable. A crash anywhere in that
+// sequence leaves the old snapshot or the new one committed — never a
+// half state — because CURRENT is the single commit point.
 
 const (
 	currentFile = "CURRENT"
@@ -67,11 +69,12 @@ func CurrentSnapshot(dir string) (path string, lsn int64, ok bool, err error) {
 // log, e.g. after an offline training run) instead of restoring the
 // snapshot.
 func MarkClean(dir string) error {
-	path := filepath.Join(dir, cleanFile)
-	if err := os.WriteFile(path, []byte("clean\n"), 0o644); err != nil {
+	if err := durable.WriteFile(filepath.Join(dir, cleanFile), true, func(w io.Writer) error {
+		_, err := io.WriteString(w, "clean\n")
+		return err
+	}); err != nil {
 		return fmt.Errorf("wal: writing CLEAN: %w", err)
 	}
-	syncDir(dir)
 	return nil
 }
 
@@ -96,7 +99,7 @@ func ClearClean(dir string) error {
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("wal: clearing CLEAN: %w", err)
 	}
-	syncDir(dir)
+	durable.SyncDir(dir)
 	return nil
 }
 
@@ -127,10 +130,11 @@ func (s *Snapshot) Abort() {
 // segments.
 func (s *Snapshot) Commit(lsn int64) error {
 	l := s.l
-	if !l.opts.NoSync {
-		if err := syncTree(s.Dir); err != nil {
+	sync := !l.opts.NoSync
+	if sync {
+		if err := durable.SyncTree(s.Dir); err != nil {
 			s.Abort()
-			return err
+			return fmt.Errorf("wal: syncing snapshot: %w", err)
 		}
 	}
 	final := filepath.Join(l.dir, snapDirName(lsn))
@@ -138,24 +142,17 @@ func (s *Snapshot) Commit(lsn int64) error {
 		s.Abort()
 		return fmt.Errorf("wal: clearing stale snapshot %s: %w", final, err)
 	}
-	if err := os.Rename(s.Dir, final); err != nil {
+	if err := durable.Rename(s.Dir, final, sync); err != nil {
 		s.Abort()
 		return fmt.Errorf("wal: publishing snapshot: %w", err)
 	}
-	if !l.opts.NoSync {
-		syncDir(l.dir)
-	}
 
-	// Swap CURRENT — the commit point.
-	tmp := filepath.Join(l.dir, ".CURRENT.tmp")
-	if err := writeFile(tmp, []byte(snapDirName(lsn)+"\n"), !l.opts.NoSync); err != nil {
-		return fmt.Errorf("wal: staging CURRENT: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, currentFile)); err != nil {
+	// Replace CURRENT — the commit point.
+	if err := durable.WriteFile(filepath.Join(l.dir, currentFile), sync, func(w io.Writer) error {
+		_, err := io.WriteString(w, snapDirName(lsn)+"\n")
+		return err
+	}); err != nil {
 		return fmt.Errorf("wal: swapping CURRENT: %w", err)
-	}
-	if !l.opts.NoSync {
-		syncDir(l.dir)
 	}
 
 	l.mu.Lock()
@@ -191,45 +188,8 @@ func (s *Snapshot) Commit(lsn int64) error {
 			}
 		}
 	}
-	if !l.opts.NoSync {
-		syncDir(l.dir)
+	if sync {
+		durable.SyncDir(l.dir)
 	}
 	return nil
-}
-
-// writeFile writes blob to path through one handle — fsyncing it before
-// the close when sync is set — and returns the first error, so a file that
-// never reached disk is never renamed into place.
-func writeFile(path string, blob []byte, sync bool) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(blob)
-	if err == nil && sync {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// syncTree fsyncs every regular file under root, then the directories.
-func syncTree(root string) error {
-	return filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("wal: syncing snapshot file %s: %w", path, err)
-		}
-		serr := f.Sync()
-		f.Close()
-		if serr != nil {
-			return fmt.Errorf("wal: syncing snapshot file %s: %w", path, serr)
-		}
-		return nil
-	})
 }

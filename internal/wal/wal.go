@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"factorml/internal/durable"
 	"factorml/internal/metrics"
 )
 
@@ -465,7 +466,7 @@ func createSegment(dir string, firstLSN int64, noSync bool) (*os.File, string, e
 		return nil, "", fmt.Errorf("wal: creating segment: %w", err)
 	}
 	if !noSync {
-		syncDir(dir)
+		durable.SyncDir(dir)
 	}
 	return f, path, nil
 }
@@ -550,14 +551,4 @@ func resyncFinds(buf []byte, from int) bool {
 		}
 	}
 	return false
-}
-
-// syncDir fsyncs a directory so renames and creates within it are
-// durable. Errors are ignored: not all filesystems support it, and the
-// data files themselves are synced separately.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }

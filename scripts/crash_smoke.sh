@@ -10,7 +10,10 @@
 #   - /v1/models/{name}/health still answers with the same lineage
 #     (training rows) as before the crash;
 #   - the rebooted server keeps serving: dimension updates change
-#     predictions and /metrics carries the WAL gauges.
+#     predictions and /metrics carries the WAL gauges;
+#   - a graceful SIGTERM of the recovered server leaves CLEAN in the WAL
+#     directory, and a third boot on it predicts byte-identically with
+#     unchanged lineage rows.
 #
 # The kill is a real SIGKILL on a separate OS process — nothing flushes,
 # exactly the failure the WAL exists for.
@@ -162,5 +165,29 @@ stats="$(curl_json "http://$addr/statsz")"
 grep -q '"wal"' <<<"$stats"
 metrics="$(curl_json "http://$addr/metrics")"
 grep -q '^factorml_wal_last_lsn ' <<<"$metrics"
+
+echo "== graceful shutdown of the recovered server marks the WAL clean"
+p_before="$(predict_gmm)"
+rows_before_stop="$(curl_json "http://$addr/v1/models/smoke-gmm/health" | json_int training_rows)"
+kill -TERM "$server_pid"
+wait "$server_pid" || { echo "server exited non-zero on SIGTERM" >&2; cat "$tmp/serve2.log" >&2; exit 1; }
+server_pid=""
+[ -f "$tmp/db.wal/CLEAN" ] || { echo "no CLEAN marker after a graceful shutdown" >&2; cat "$tmp/serve2.log" >&2; exit 1; }
+
+echo "== third boot on the clean directory serves the same model"
+boot_serve "$tmp/serve3.log"
+p_after="$(predict_gmm)"
+if [ "$p_before" != "$p_after" ]; then
+    echo "prediction changed across the graceful restart:" >&2
+    echo "  before: $p_before" >&2
+    echo "  after:  $p_after" >&2
+    exit 1
+fi
+rows_after_stop="$(curl_json "http://$addr/v1/models/smoke-gmm/health" | json_int training_rows)"
+if [ "$rows_before_stop" != "$rows_after_stop" ]; then
+    echo "lineage rows changed across the graceful restart: $rows_before_stop -> $rows_after_stop" >&2
+    exit 1
+fi
+echo "   prediction and training_rows=$rows_after_stop unchanged"
 
 echo "crash smoke OK"
