@@ -5,8 +5,8 @@ GO ?= go
 
 # Total-statement-coverage floor enforced by `make cover` (see
 # scripts/check_coverage.sh): the measured total minus one point, last
-# raised in PR 24 (75.1 % measured).
-COVERAGE_BASELINE ?= 74.1
+# raised at 76.9 % measured.
+COVERAGE_BASELINE ?= 75.9
 
 .PHONY: all build loc test race fuzz bench-harness ab cover serve-smoke stream-smoke examples load-smoke drift-smoke crash-smoke fmt vet ci
 

@@ -29,7 +29,7 @@ var costGridShapes = []struct {
 // internal/core multiplied by event counts, predicted from the catalog on
 // one side and seen by the run on the other, and on these schemas — no
 // dangling key, no early convergence — the counts agree, so the products
-// do to the digit, a layer-2-sharing network's included.
+// do to the digit.
 func TestEstimateEqualsMeasuredGrid(t *testing.T) {
 	algos := []Algorithm{Materialized, Streaming, Factorized}
 	for _, sh := range costGridShapes {
@@ -75,8 +75,6 @@ func TestEstimateEqualsMeasuredGrid(t *testing.T) {
 				{"block", NNConfig{Hidden: []int{8}, Mode: nn.Block}},
 				{"two-hidden", NNConfig{Hidden: []int{6, 4}}},
 				{"no-hidden", NNConfig{Init: noHidden}},
-				{"share-layer2", NNConfig{Hidden: []int{6, 4}, Act: nn.Identity, ShareLayer2: true}},
-				{"share-layer2-block", NNConfig{Hidden: []int{6, 4}, Act: nn.Identity, ShareLayer2: true, Mode: nn.Block}},
 			}
 			for _, m := range nns {
 				ncfg := m.cfg
@@ -136,7 +134,7 @@ func TestEstimateResidualIsDroppedMatches(t *testing.T) {
 	gcfg := GMMConfig{K: 2, MaxIter: passes, Tol: 1e-300, NumWorkers: 1}
 	gu := core.NewGMMUnits(p, gcfg.K, false)
 	ncfg := NNConfig{Hidden: []int{5}, Epochs: passes, LearningRate: 0.01, NumWorkers: 1}
-	nu := core.NewNNUnits(p, []int{p.D, 5, 1}, false)
+	nu := core.NewNNUnits(p, []int{p.D, 5, 1})
 	gp, err := PlanGMM(ds, gcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -132,7 +132,6 @@ func goldenRuns(t *testing.T) map[string][]float64 {
 		{"epoch", NNConfig{Hidden: []int{6, 4}, Epochs: 3, LearningRate: 0.05, Seed: 5, NumWorkers: 2}, false, []string{"m", "s", "f"}},
 		{"block_tanh", NNConfig{Hidden: []int{6}, Act: Tanh, Mode: BlockUpdates, Epochs: 2, LearningRate: 0.05, Seed: 5, NumWorkers: 2}, true, []string{"m", "s", "f"}},
 		{"block_shuffled", NNConfig{Hidden: []int{6}, Act: Tanh, Mode: BlockUpdates, Epochs: 3, LearningRate: 0.05, Seed: 5, ShuffleSeed: 9, NumWorkers: 2}, true, []string{"s", "f"}},
-		{"share2", NNConfig{Hidden: []int{5, 4}, Act: Identity, ShareLayer2: true, Epochs: 2, LearningRate: 0.01, Seed: 5, NumWorkers: 2}, false, []string{"f"}},
 	}
 	var epochF *NNNetwork
 	for _, r := range nnRuns {

@@ -207,10 +207,7 @@ func TestOpsMomentCharges(t *testing.T) {
 // TestUnitsAgainstReferenceAndThemselves checks the cost table on
 // statements no formula line makes: what FactQuad counts at its call sites,
 // plus forming PD_S, is the E-step unit; a dense row is a match of the
-// one-part partition (the q = 0 case of every factorized formula); and
-// layer-2 sharing moves no per-match multiplication — it only adds work per
-// dimension tuple and per refill, which is why it can only cost more
-// (§VI-A2).
+// one-part partition (the q = 0 case of every factorized formula).
 func TestUnitsAgainstReferenceAndThemselves(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, dims := range [][]int{{3, 4}, {2, 3, 2}, {3, 2, 2, 3, 1}} {
@@ -235,13 +232,61 @@ func TestUnitsAgainstReferenceAndThemselves(t *testing.T) {
 			}
 		}
 		sizes := []int{p.D, 6, 5, 1}
-		plain, shared := NewNNUnits(p, sizes, false), NewNNUnits(p, sizes, true)
-		if dense, match := plain.DenseRow, NewNNUnits(whole, sizes, false).Match; dense != match {
+		if dense, match := NewNNUnits(p, sizes).DenseRow, NewNNUnits(whole, sizes).Match; dense != match {
 			t.Errorf("dims %v: dense example %+v, one-part match %+v", dims, dense, match)
 		}
-		if shared.Match.Mul != plain.Match.Mul || shared.Match.Adds <= plain.Match.Adds ||
-			shared.Fill[1].Mul <= plain.Fill[1].Mul || shared.Refill.Mul == 0 || plain.Refill != (Ops{}) {
-			t.Errorf("dims %v: sharing units %+v vs plain %+v", dims, shared, plain)
+	}
+}
+
+// TestLayer2SharingCostsMore holds the paper's §VI-A2 result that sharing
+// layer 2 across relations "will always result in increased costs". The
+// scheme caches t3 = W1·t per dimension tuple and builds a match's layer-2
+// pre-activation as W1·T1 + Σ t3 + (W1·b0 + b1), T1 the fact part's W_S·x_S,
+// where plain F-NN computes W1·f(a⁰) + b1. Priced from Ops primitives
+// against NewNNUnits over a grid of shapes and event counts: sharing saves
+// no multiply per match and costs strictly more in total.
+func TestLayer2SharingCostsMore(t *testing.T) {
+	for _, dims := range [][]int{{3, 4}, {2, 3, 2}, {3, 2, 2, 3, 1}, {1, 9, 1}} {
+		p := NewPartition(dims)
+		q := int64(p.Parts() - 1)
+		for _, hidden := range [][]int{{6, 5}, {1, 1}, {4, 8, 3}, {12, 2}} {
+			sizes := append(append([]int{p.D}, hidden...), 1)
+			nh0, nh1 := sizes[1], sizes[2]
+			u := NewNNUnits(p, sizes)
+
+			// Per match: the same layer-2 mat-vec, q more adds.
+			var plainL2, sharedL2 Ops
+			plainL2.AddMatVec(nh1, nh0)           // W1·f(a⁰)
+			plainL2.Adds += int64(nh1)            // + b1
+			sharedL2.AddMatVec(nh1, nh0)          // W1·T1
+			sharedL2.Adds += (q + 1) * int64(nh1) // + Σ t3 + the shared bias
+			if u.Match.Mul < plainL2.Mul {
+				t.Fatalf("dims %v sizes %v: match unit %+v holds no layer-2 mat-vec", dims, sizes, u.Match)
+			}
+			match := Ops{Mul: u.Match.Mul - plainL2.Mul + sharedL2.Mul, Adds: u.Match.Adds - plainL2.Adds + sharedL2.Adds}
+			if match.Mul < u.Match.Mul {
+				t.Errorf("dims %v sizes %v: sharing saves %d multiplies per match", dims, sizes, u.Match.Mul-match.Mul)
+			}
+			// Per dimension tuple: t3 = W1·t. Per refill: W1·b0 + b1.
+			var perTuple, refill Ops
+			perTuple.AddMatVec(nh1, nh0)
+			refill.AddMatVec(nh1, nh0)
+			refill.Adds += int64(nh1)
+
+			for _, n := range []int64{1, 1000} {
+				for _, refills := range []int64{1, 7} {
+					plain, shared := u.Match.Scale(n), match.Scale(n).Plus(refill.Scale(refills))
+					for i := 1; i < p.Parts(); i++ {
+						m := n / int64(i) // at most one tuple per match
+						plain.Add(u.Fill[i].Scale(m))
+						shared.Add(u.Fill[i].Plus(perTuple).Scale(m))
+					}
+					if shared.Mul <= plain.Mul || shared.Total() <= plain.Total() {
+						t.Errorf("dims %v sizes %v n=%d refills=%d: sharing %+v, plain %+v",
+							dims, sizes, n, refills, shared, plain)
+					}
+				}
+			}
 		}
 	}
 }

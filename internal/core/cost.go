@@ -3,8 +3,8 @@ package core
 // This file is the cost model: the one place a training kernel's flop
 // formula is written. A unit is what one event of a training pass costs —
 // an event being what a pass does once per datum: score a joined row or a
-// match, fill or flush a dimension tuple's cache, refresh the shared
-// layer-2 bias — as a function of the model's shape alone, nothing about
+// match, fill or flush a dimension tuple's cache — as a function of the
+// model's shape alone, nothing about
 // rows, blocks or iterations. The trainers multiply units by the events a
 // run saw, at the merge and barrier points where they already count them
 // (Stats.Ops); internal/plan by the events it predicts from the catalog
@@ -29,20 +29,24 @@ package core
 //	and a flush moments(wᵢ) — axpy + γ·PD² — through the cached PD, as the
 //	full flush always was.
 //
-// and the NN equivalents (§VI-A1/A3). The join runner resolves a snowflake's
-// sub-dimension hops once per dimension tuple and hands the trainers a star
-// over the direct dimensions, so sub-dimension relations contribute width to
-// their direct ancestor's part and no part, cache or cross term of their
-// own: what a wide sub-dimension costs is its width once per *parent*
-// tuple, which is what these formulas charge.
+// and the NN equivalents (§VI-A1/A3), factorized at layer 1 only: §VI-A2's
+// layer-2 sharing would save no multiply per match and add a layer-2
+// mat-vec per dimension tuple and per refill, so no trainer runs it and no
+// unit prices it (TestLayer2SharingCostsMore prices it from Ops
+// primitives). The join runner resolves a snowflake's sub-dimension hops
+// once per dimension tuple and hands the trainers a star over the direct
+// dimensions, so sub-dimension relations contribute width to their direct
+// ancestor's part and no part, cache or cross term of their own: what a
+// wide sub-dimension costs is its width once per *parent* tuple, which is
+// what these formulas charge.
 //
 // The independent checks on the table count where the work is done, or in
 // closed form: FactQuad and gmm.Scorer's unfused loop — the reference the
 // fused E-step kernel is pinned to — charge term by term at their call
 // sites, and TestFusedKernelMatchesReference compares that count with
 // GMMUnits.Score; TestSigmaStepSavingRateMatchesClosedForm,
-// TestForwardSavingMatchesClosedForm and TestShareLayer2ExactAndCostsMore
-// hold the paper's closed forms. The root TestEstimateEqualsMeasuredGrid
+// TestForwardSavingMatchesClosedForm and TestLayer2SharingCostsMore hold the
+// paper's closed forms. The root TestEstimateEqualsMeasuredGrid
 // pins estimate to measured for every model and strategy.
 
 // GMMUnits are the per-event charges of one EM iteration, all K components
@@ -109,14 +113,12 @@ func NewGMMUnits(p Partition, k int, diagonal bool) GMMUnits {
 type NNUnits struct {
 	DenseRow Ops   // an example through the dense trainer: forward, backward, input-layer gradient
 	Match    Ops   // a match through the factorized trainer: layer 1 from the fact part plus the cached parts, then the dense path's upper layers and backward pass (Eq. 28–29)
-	Fill     []Ops // a tuple of dimension part i: W₀ᵢ·xᵢ (and W₁·that under layer-2 sharing)
-	Refill   Ops   // the shared layer-2 bias W₁·b₀ + b₁, once per refill of the resident caches; zero without sharing
+	Fill     []Ops // a tuple of dimension part i: W₀ᵢ·xᵢ
 }
 
 // NewNNUnits prices a network with layer sizes [d, hidden…, 1] over
-// partition p (p.D == sizes[0]). shareLayer2 selects the §VI-A2 scheme,
-// which needs two hidden layers.
-func NewNNUnits(p Partition, sizes []int, shareLayer2 bool) NNUnits {
+// partition p (p.D == sizes[0]).
+func NewNNUnits(p Partition, sizes []int) NNUnits {
 	layers := len(sizes) - 1
 	d, dS, nh0, q := sizes[0], p.Dims[0], sizes[1], p.Parts()-1
 
@@ -145,15 +147,6 @@ func NewNNUnits(p Partition, sizes []int, shareLayer2 bool) NNUnits {
 	u.Match.Adds += int64(q+1) * int64(nh0) // the q cached parts and the bias
 	for i := 1; i <= q; i++ {
 		u.Fill[i].AddMatVec(nh0, p.Dims[i])
-	}
-	if shareLayer2 {
-		nh1 := sizes[2]
-		u.Match.Adds += int64(q) * int64(nh1) // the q cached layer-2 shares
-		for i := 1; i <= q; i++ {
-			u.Fill[i].AddMatVec(nh1, nh0)
-		}
-		u.Refill.AddMatVec(nh1, nh0)
-		u.Refill.Adds += int64(nh1)
 	}
 	return u
 }

@@ -25,6 +25,10 @@ type Model struct {
 	Covs     []*linalg.Dense // K dense D×D covariance matrices
 }
 
+// DefaultRegEps is the covariance diagonal regularizer of every M-step that
+// is not given one: Config.RegEps's default and a stream refresh's.
+const DefaultRegEps = 1e-6
+
 // Config controls EM training — the model and the worker pool, nothing
 // about the join: its block size is a field of the join.Spec, where the
 // join, every access path and the planner all read it.
@@ -33,7 +37,7 @@ type Config struct {
 	MaxIter int     // maximum EM iterations (default 25)
 	Tol     float64 // relative log-likelihood change for convergence (default 1e-4)
 	Seed    int64   // RNG seed for initialization (default 1)
-	RegEps  float64 // diagonal regularizer added to each covariance (default 1e-6)
+	RegEps  float64 // diagonal regularizer added to each covariance (default DefaultRegEps)
 
 	// Diagonal restricts covariances to diagonal matrices — the IGMM model
 	// of Cheng & Koudas (ICDE 2019) that this paper generalizes. It is the
@@ -74,7 +78,7 @@ func (c Config) withDefaults() Config {
 		c.Seed = 1
 	}
 	if c.RegEps == 0 {
-		c.RegEps = 1e-6
+		c.RegEps = DefaultRegEps
 	}
 	return c
 }

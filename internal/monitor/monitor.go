@@ -29,10 +29,6 @@ type Config struct {
 	// only counts toward the verdict once its window holds at least
 	// this many observations. Defaults to 50.
 	MinWindowRows int64
-	// Bins is the interior histogram resolution used by NewWindow
-	// consumers; capture callers pass it explicitly. <1 selects
-	// DefaultBins.
-	Bins int
 	// Logger, when set, receives an event on every verdict transition.
 	Logger *xlog.Logger
 
@@ -52,9 +48,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MinWindowRows <= 0 {
 		out.MinWindowRows = 50
-	}
-	if out.Bins < 1 {
-		out.Bins = DefaultBins
 	}
 	if out.now == nil {
 		out.now = time.Now

@@ -15,9 +15,7 @@ const (
 	Tanh
 	// ReLU is max(0, a).
 	ReLU
-	// Identity is f(a) = a. It is the only additive activation
-	// (f(x+y) = f(x)+f(y)), hence the only one for which the paper's
-	// layer-2 sharing scheme is exact.
+	// Identity is f(a) = a.
 	Identity
 )
 
@@ -36,11 +34,6 @@ func (a Activation) String() string {
 		return fmt.Sprintf("Activation(%d)", int(a))
 	}
 }
-
-// Additive reports whether the activation satisfies the Cauchy functional
-// form f(x+y) = f(x)+f(y) (paper §VI-A2). Only such activations admit exact
-// computation sharing beyond the first layer.
-func (a Activation) Additive() bool { return a == Identity }
 
 // Apply computes f(v) element-wise into dst (dst may alias v).
 func (a Activation) Apply(dst, v []float64) {

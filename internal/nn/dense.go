@@ -21,12 +21,9 @@ type gradAcc struct {
 	deltas []float64   // δ⁰ of the examples since the last inputGrad, row-major
 	xs     []float64   // F-NN: the same examples' joined rows, gathered per match
 	parts  [][]float64 // F-NN: one match's cached layer-1 partials
-	t1     []float64   // F-NN layer-2-sharing scratch
 }
 
-func newGradAcc(net *Network, t1Len int) gradAcc {
-	return gradAcc{ws: newWorkspace(net), t1: make([]float64, t1Len)}
-}
+func newGradAcc(net *Network) gradAcc { return gradAcc{ws: newWorkspace(net)} }
 
 // backprop folds one example whose forward pass produced o: loss, the
 // upper layers' gradients, the input-layer bias gradient, and δ⁰ saved for
@@ -76,7 +73,7 @@ func trainDense(pass factor.GroupedScan, shuffle func(), cfg Config, net *Networ
 	nw := parallel.Workers(cfg.NumWorkers)
 	d := net.Sizes[0]
 	w := newWorkspace(net)
-	perRow := core.NewNNUnits(core.NewPartition([]int{d}), net.Sizes, false).DenseRow
+	perRow := core.NewNNUnits(core.NewPartition([]int{d}), net.Sizes).DenseRow
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if shuffle != nil {
@@ -93,7 +90,7 @@ func trainDense(pass factor.GroupedScan, shuffle func(), cfg Config, net *Networ
 			return nil
 		}
 		err := factor.RunSGDPass("nn.sgd_epoch", nw, d, pass, cfg.Mode == Block, step, factor.PassHooks[gradAcc]{
-			NewAcc: func() gradAcc { return newGradAcc(net, 0) },
+			NewAcc: func() gradAcc { return newGradAcc(net) },
 			Fold: func(a *gradAcc, _ int, rows, ys []float64, nr int) error {
 				for i := 0; i < nr; i++ {
 					a.backprop(net.forward(&a.ws.ForwardScratch, rows[i*d:(i+1)*d]), ys[i])

@@ -17,13 +17,14 @@
 //     I/O saving of §VI-A3); per the paper's Eq. 28-29 analysis, it
 //     performs the same multiplications as the dense path.
 //
-// Factorization stops after the first layer: the paper shows (§VI-A2) that
-// sharing across higher layers requires an additive activation and costs
-// more operations than it saves even then. The ShareLayer2 option
-// implements that scheme anyway — restricted to the Identity activation,
-// where it is exact — so the claim can be demonstrated empirically with
-// Stats.Ops (see TestShareLayer2ExactAndCostsMore), and the planner prices
-// it (plan.ModelSpec.ShareLayer2).
+// Factorization stops after the first layer. The paper shows (§VI-A2) that
+// sharing layer 2 needs an additive activation (only Identity is), and that
+// even then it "will always result in increased costs": it saves no
+// multiply per fact tuple and adds a layer-2 mat-vec per dimension tuple
+// and per cache refill. Two tests hold that result without a trainer
+// branch: core's TestLayer2SharingCostsMore prices the scheme's events from
+// Ops primitives against NNUnits, and TestLayer2SharingExact checks its
+// algebra on one joined row of an Identity network.
 //
 // One forward pass: layer 1 is either dense (W0·x + b⁰, the M-/S- trainers
 // and Predict) or factorized (PartialPreAct per dimension tuple, completed
@@ -34,8 +35,8 @@
 //
 // Flop accounting: the kernels count nothing. Stats.Ops is internal/core's
 // per-event units (core.NNUnits) × the events this run saw — examples per
-// epoch, tuples per fill, shared-bias refills per block — and the planner
-// multiplies the same units by the counts it predicts.
+// epoch, tuples per fill — and the planner multiplies the same units by the
+// counts it predicts.
 //
 // Two batching regimes are supported, both producing identical parameter
 // trajectories across M/S/F: Epoch (one gradient step per full pass) and

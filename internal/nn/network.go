@@ -151,12 +151,6 @@ type Config struct {
 	// the same seed); a materialized T is fixed on disk, so that path has
 	// nothing to permute and the seed is refused.
 	ShuffleSeed int64
-
-	// ShareLayer2 enables the paper's §VI-A2 layer-2 sharing scheme.
-	// Requires the Identity activation (the only additive one) and at
-	// least two hidden layers. Exact but more expensive — implemented to
-	// demonstrate the paper's cost analysis. F-NN only.
-	ShareLayer2 bool
 }
 
 func (c Config) withDefaults() Config {
@@ -183,14 +177,6 @@ func (c Config) validate() error {
 	}
 	if c.Epochs < 0 || c.LearningRate <= 0 {
 		return errors.New("nn: invalid Epochs/LearningRate")
-	}
-	if c.ShareLayer2 {
-		if !c.Act.Additive() {
-			return fmt.Errorf("nn: ShareLayer2 requires an additive activation, got %s (paper §VI-A2)", c.Act)
-		}
-		if len(c.Hidden) < 2 {
-			return errors.New("nn: ShareLayer2 requires at least two hidden layers")
-		}
 	}
 	return nil
 }

@@ -2,11 +2,13 @@ package nn
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"factorml/internal/data"
 	"factorml/internal/join"
+	"factorml/internal/linalg"
 	"factorml/internal/plan"
 	"factorml/internal/storage"
 )
@@ -147,48 +149,63 @@ func TestEmptyJoinIsAnError(t *testing.T) {
 	}
 }
 
-func TestShareLayer2ExactAndCostsMore(t *testing.T) {
-	db := openDB(t)
-	spec := synthBinary(t, db, 300, 10, 2, 3)
-	base := Config{Hidden: []int{6, 5}, Act: Identity, Epochs: 3, LearningRate: 0.01}
-	f1, err := TrainF(db, spec, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := base
-	shared.ShareLayer2 = true
-	f2, err := TrainF(db, spec, shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exact for the additive activation …
-	if d := f1.Net.MaxParamDiff(f2.Net); d > 1e-7 {
-		t.Fatalf("layer-2 sharing diverged: %v", d)
-	}
-	// … but strictly more expensive (the paper's §VI-A2 conclusion).
-	if f2.Stats.Ops.Mul <= f1.Stats.Ops.Mul {
-		t.Fatalf("layer-2 sharing mults %d not above plain F-NN %d", f2.Stats.Ops.Mul, f1.Stats.Ops.Mul)
-	}
-	// And it must still agree with the dense baseline.
-	s, err := Train(db, spec, plan.Streaming, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := s.Net.MaxParamDiff(f2.Net); d > 1e-7 {
-		t.Fatalf("shared F-NN vs S-NN diff %v", d)
-	}
-}
+// TestLayer2SharingExact holds the exactness half of §VI-A2: under the
+// Identity activation (the only additive one), a joined row's layer-2
+// pre-activation splits over the relations as
+// Σ W1·t_m + W1·(W_S·x_S) + (W1·b0 + b1), t_m each dimension part's
+// layer-1 partial — what a layer-2 sharing trainer would cache per
+// dimension tuple. The cost half, why no trainer does, is core's
+// TestLayer2SharingCostsMore.
+func TestLayer2SharingExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct {
+		dims   []int // fact part, then the dimension parts
+		hidden []int
+	}{
+		{[]int{2, 3}, []int{6, 5}},
+		{[]int{3, 2, 4}, []int{4, 7}},
+		{[]int{1, 5, 2, 3}, []int{8, 3, 2}},
+	} {
+		d := 0
+		for _, w := range tc.dims {
+			d += w
+		}
+		net, err := NewNetwork(append(append([]int{d}, tc.hidden...), 1), Identity, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range net.B {
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+		}
+		x := make([]float64, d)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		fs := net.NewForwardScratch()
+		net.forward(fs, x)
+		dense := fs.a[1]
 
-func TestShareLayer2RequiresAdditive(t *testing.T) {
-	db := openDB(t)
-	spec := synthBinary(t, db, 60, 5, 1, 1)
-	cfg := Config{Hidden: []int{4, 3}, Act: Sigmoid, Epochs: 1, ShareLayer2: true}
-	if _, err := TrainF(db, spec, cfg); err == nil {
-		t.Fatal("ShareLayer2 with sigmoid should be rejected")
-	}
-	cfg = Config{Hidden: []int{4}, Act: Identity, Epochs: 1, ShareLayer2: true}
-	if _, err := TrainF(db, spec, cfg); err == nil {
-		t.Fatal("ShareLayer2 with one hidden layer should be rejected")
+		nh0, nh1 := net.Sizes[1], net.Sizes[2]
+		shared := make([]float64, nh1)
+		linalg.MatVec(shared, net.W[1], net.B[0])
+		linalg.VecAdd(shared, shared, net.B[1]) // W1·b0 + b1
+		t0, t3 := make([]float64, nh0), make([]float64, nh1)
+		for off, j := 0, 0; j < len(tc.dims); off, j = off+tc.dims[j], j+1 {
+			net.PartialPreAct(t0, off, x[off:off+tc.dims[j]]) // W_S·x_S, then each t_m
+			linalg.MatVec(t3, net.W[1], t0)
+			linalg.VecAdd(shared, shared, t3)
+		}
+		scale := 0.0
+		for _, v := range dense {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		for i := range dense {
+			if diff := math.Abs(shared[i] - dense[i]); diff > 1e-12*scale {
+				t.Errorf("dims %v hidden %v: a¹[%d] shared %v, dense %v (diff %g)", tc.dims, tc.hidden, i, shared[i], dense[i], diff)
+			}
+		}
 	}
 }
 
@@ -372,9 +389,6 @@ func TestActivations(t *testing.T) {
 	if out[0] != -2 {
 		t.Fatalf("identity: %v", out)
 	}
-	if !Identity.Additive() || Sigmoid.Additive() || Tanh.Additive() || ReLU.Additive() {
-		t.Fatal("additivity flags wrong")
-	}
 	for _, a := range []Activation{Sigmoid, Tanh, ReLU, Identity} {
 		if a.String() == "" {
 			t.Fatal("empty activation name")
@@ -405,7 +419,7 @@ func checkGradient(t *testing.T, net *Network) {
 	x := []float64{0.3, -0.7, 1.2}
 	y := 0.4
 
-	a := newGradAcc(net, 0)
+	a := newGradAcc(net)
 	o := net.forward(&a.ws.ForwardScratch, x)
 	if p := net.Predict(x); o != p {
 		t.Fatalf("sizes %v: training forward pass %v, Predict %v", net.Sizes, o, p)

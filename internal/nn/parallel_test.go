@@ -77,22 +77,3 @@ func TestParallelDeterminismMultiway(t *testing.T) {
 	}
 	assertNetsBitIdentical(t, "F-NN/multiway", r1, r4)
 }
-
-// TestParallelDeterminismShareLayer2 covers the §VI-A2 layer-2 sharing
-// forward path, which uses extra per-chunk scratch in the parallel engine.
-func TestParallelDeterminismShareLayer2(t *testing.T) {
-	db := openDB(t)
-	spec := synthBinary(t, db, 800, 40, 2, 3)
-	cfg := Config{Hidden: []int{8, 6}, Epochs: 2, Act: Identity, ShareLayer2: true}
-	cfg.NumWorkers = 1
-	r1, err := TrainF(db, spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.NumWorkers = 4
-	r4, err := TrainF(db, spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertNetsBitIdentical(t, "F-NN/share-layer2", r1, r4)
-}

@@ -68,16 +68,16 @@ func (n *Network) layerBuffers() [][]float64 {
 func (n *Network) forward(fs *ForwardScratch, x []float64) float64 {
 	linalg.MatVec(fs.a[0], n.W[0], x)
 	linalg.VecAdd(fs.a[0], fs.a[0], n.B[0])
-	return n.upper(fs, 0)
+	return n.upper(fs)
 }
 
 // upper is the one loop over the layers above the input: given the
-// pre-activation a[from] (and the activations below it), it activates each
-// hidden layer into h and computes the next layer's pre-activation, and
-// returns the output, which stays linear.
-func (n *Network) upper(fs *ForwardScratch, from int) float64 {
+// layer-1 pre-activation a[0], it activates each hidden layer into h and
+// computes the next layer's pre-activation, and returns the output, which
+// stays linear.
+func (n *Network) upper(fs *ForwardScratch) float64 {
 	last := n.Layers() - 1
-	for l := from; l < last; l++ {
+	for l := 0; l < last; l++ {
 		n.Act.Apply(fs.h[l], fs.a[l])
 		linalg.MatVec(fs.a[l+1], n.W[l+1], fs.h[l])
 		linalg.VecAdd(fs.a[l+1], fs.a[l+1], n.B[l+1])
@@ -104,5 +104,5 @@ func (n *Network) ForwardFactorized(fs *ForwardScratch, xs []float64, parts [][]
 		linalg.VecAdd(a0, a0, t)
 	}
 	linalg.MatVecRangeAdd(a0, n.W[0], 0, xs)
-	return n.upper(fs, 0)
+	return n.upper(fs)
 }

@@ -68,8 +68,8 @@ func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (
 // factorized across relations. For every dimension tuple, the partial
 // pre-activation W_R·x_R is computed once per parameter state and reused
 // for all matching fact tuples (§VI-A1); the backward pass reads features
-// directly from the base relations (§VI-A3). With cfg.ShareLayer2 (and the
-// Identity activation) the §VI-A2 second-layer sharing scheme is used.
+// directly from the base relations (§VI-A3). Factorization stops at layer 1
+// (§VI-A2; see the package doc).
 func TrainF(db *storage.Database, spec *join.Spec, cfg Config) (*Result, error) {
 	return Train(db, spec, plan.Factorized, cfg)
 }
@@ -85,10 +85,9 @@ func (c Config) ModelSpec() plan.ModelSpec {
 		hidden = c.Init.Sizes[1 : len(c.Init.Sizes)-1]
 	}
 	return plan.ModelSpec{
-		Family:      plan.FamilyNN,
-		Hidden:      hidden,
-		Epochs:      c.Epochs,
-		BlockMode:   c.Mode == Block,
-		ShareLayer2: c.ShareLayer2,
+		Family:    plan.FamilyNN,
+		Hidden:    hidden,
+		Epochs:    c.Epochs,
+		BlockMode: c.Mode == Block,
 	}
 }

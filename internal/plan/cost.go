@@ -68,17 +68,17 @@ func estimateOps(ss *SchemaStats, m ModelSpec, s Strategy) core.Ops {
 		}
 		return pass.Scale(int64(m.Iters))
 	case FamilyNN:
-		u := core.NewNNUnits(sh.p, append(append([]int{sh.p.D}, m.Hidden...), 1), m.ShareLayer2)
+		u := core.NewNNUnits(sh.p, append(append([]int{sh.p.D}, m.Hidden...), 1))
 		pass = u.DenseRow.Scale(sh.n)
 		if s == Factorized {
 			// R1 tuples fill once per epoch (each belongs to one block);
-			// resident relations and the shared layer-2 bias refill per
-			// block under Block-mode updates, once per epoch otherwise.
+			// resident relations refill per block under Block-mode
+			// updates, once per epoch otherwise.
 			refills := int64(1)
 			if m.BlockMode {
 				refills = ss.numBlocks()
 			}
-			pass = u.Match.Scale(sh.n).Plus(u.Refill.Scale(refills))
+			pass = u.Match.Scale(sh.n)
 			for i, mi := range sh.m {
 				if i > 0 {
 					mi *= refills

@@ -173,12 +173,10 @@ type ModelSpec struct {
 	Diagonal bool
 
 	// NN: hidden layer sizes, epochs, Block-mode updates (dimension caches
-	// refill per block instead of per epoch), the §VI-A2 layer-2 sharing
-	// (which only the factorized trainer implements).
-	Hidden      []int
-	Epochs      int
-	BlockMode   bool
-	ShareLayer2 bool
+	// refill per block instead of per epoch).
+	Hidden    []int
+	Epochs    int
+	BlockMode bool
 }
 
 func (m ModelSpec) validate(ss *SchemaStats) error {

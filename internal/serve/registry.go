@@ -86,7 +86,11 @@ var modelNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_-]{0,63}$`)
 func ValidModelName(name string) bool { return modelNameRE.MatchString(name) }
 
 // NewRegistry opens the model registry of a database directory, loading
-// every persisted model into memory.
+// every persisted model into memory. A "model.<name>.tmp" blob, <name> a
+// valid model name, is the temp an older release's crash left behind (its
+// writer used that name, which the blob store now lists): it is deleted,
+// so no checkpoint copies it again. Any other foreign "model." blob is
+// skipped.
 func NewRegistry(db *storage.Database) (*Registry, error) {
 	r := &Registry{db: db, models: make(map[string]*entry)}
 	names, err := db.BlobNames()
@@ -94,10 +98,18 @@ func NewRegistry(db *storage.Database) (*Registry, error) {
 		return nil, err
 	}
 	for _, blobName := range names {
-		// Not the registry's: a suffix that names no model ("model.m.tmp").
 		name, ok := strings.CutPrefix(blobName, modelBlobPrefix)
-		if !ok || !ValidModelName(name) {
+		if !ok {
 			continue
+		}
+		if stem, tmp := strings.CutSuffix(name, ".tmp"); tmp && ValidModelName(stem) {
+			if err := db.DeleteBlob(blobName); err != nil {
+				return nil, fmt.Errorf("serve: removing leftover temp: %w", err)
+			}
+			continue
+		}
+		if !ValidModelName(name) {
+			continue // not the registry's: a suffix that names no model
 		}
 		blob, err := db.GetBlob(blobName)
 		if err != nil {

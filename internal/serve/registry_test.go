@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -111,8 +112,9 @@ func TestRegistrySaveLoadList(t *testing.T) {
 }
 
 // A blob under the model prefix whose suffix is no model name is not the
-// registry's: the boot skips it. An older release could leave "model.m.tmp"
-// behind a crash, and a tool may store anything under a valid blob name.
+// registry's: the boot skips it (or, for an older release's crash leftover
+// "model.m.tmp", deletes it), and a tool may store anything under a valid
+// blob name.
 func TestRegistrySkipsForeignModelBlobs(t *testing.T) {
 	dir := t.TempDir()
 	db, spec := testStar(t, dir)
@@ -144,6 +146,28 @@ func TestRegistrySkipsForeignModelBlobs(t *testing.T) {
 	}
 	if got := reg.List(); len(got) != 1 || got[0].Name != "m" {
 		t.Fatalf("registry lists %+v, want model m only", got)
+	}
+}
+
+// An older release's crash leftover "model.<name>.tmp" is removed when the
+// registry opens, so no later checkpoint copies it; other foreign blobs stay.
+func TestRegistryRemovesLeftoverModelTemp(t *testing.T) {
+	db, _ := testStar(t, t.TempDir())
+	defer db.Close()
+	for _, name := range []string{"model.m.tmp", "model.-x.tmp", "model.notes.txt", "other.tmp"} {
+		if err := db.PutBlob(name, []byte("torn")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := serve.NewRegistry(db); err != nil {
+		t.Fatal(err)
+	}
+	names, err := db.BlobNames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"model.-x.tmp", "model.notes.txt", "other.tmp"}; !slices.Equal(names, want) {
+		t.Fatalf("blobs after NewRegistry: %v, want %v", names, want)
 	}
 }
 

@@ -47,10 +47,6 @@ type Policy struct {
 
 	// NNLearningRate is the refresh gradient step size (default 0.05).
 	NNLearningRate float64
-
-	// GMMRegEps is the covariance diagonal regularizer of the refresh
-	// M-step (default 1e-6, matching the trainers).
-	GMMRegEps float64
 }
 
 func (p Policy) withDefaults() Policy {
@@ -59,9 +55,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.NNLearningRate == 0 {
 		p.NNLearningRate = 0.05
-	}
-	if p.GMMRegEps == 0 {
-		p.GMMRegEps = 1e-6
 	}
 	return p
 }
@@ -911,7 +904,7 @@ func (s *Stream) refreshLocked(ctx context.Context, auto bool) (RefreshResult, e
 				msp.End()
 				continue
 			}
-			model, err := m.stats.Step(m.gmdl, s.pol.GMMRegEps)
+			model, err := m.stats.Step(m.gmdl, gmm.DefaultRegEps)
 			if err != nil {
 				return res, err
 			}
