@@ -142,8 +142,8 @@ func defineFlags(fs *flag.FlagSet, o *serveFlags) {
 	fs.Float64Var(&o.driftPSI, "drift-psi", 0.25, "per-column PSI at or above this marks the column \"drift\" and the model verdict \"drifting\" (needs -monitor)")
 	fs.Int64Var(&o.stalenessMaxRows, "staleness-max-rows", 0, "verdict flips to \"stale\" once this many fact rows were ingested since the model's last refresh (0 = staleness by rows disabled; needs -monitor)")
 	fs.Float64Var(&o.healthSample, "health-sample", 1.0, "fraction of predict requests whose outputs feed the prediction-quality sketch (0 < f <= 1; needs -monitor)")
-	fs.StringVar(&o.walDir, "wal-dir", "", "write-ahead-log directory; enables crash-safe durability (ingest acks only after fsync, WAL replay on reboot); empty = durability off")
-	fs.IntVar(&o.fsyncEvery, "fsync-every", 0, "group-commit window: fsync at the latest after this many WAL records, acking every waiting append together (0/1 = every record; needs -wal-dir)")
+	fs.StringVar(&o.walDir, "wal-dir", "", "write-ahead-log directory; enables crash-safe durability (ingest acks after fsync within the -fsync-every window, WAL replay on reboot); empty = durability off")
+	fs.IntVar(&o.fsyncEvery, "fsync-every", 0, "group-commit window: fsync every this many WAL records (0/1 = every record, no ack before its fsync; N>1 acks before the fsync, a bounded N-record loss window on a crash; needs -wal-dir)")
 	fs.IntVar(&o.snapshotEvery, "snapshot-every", defaultSnapshotEvery, "commit an atomic snapshot and truncate the WAL after this many records past the last snapshot (0 = boot/shutdown checkpoints only; needs -wal-dir)")
 }
 

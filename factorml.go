@@ -202,10 +202,10 @@ type (
 	// inside a ModelLineage.
 	ModelBaseline = monitor.Baseline
 	// TraceConfig tunes the request tracer a Server builds WithTracing:
-	// sampling fraction, slow-trace threshold, flight-recorder capacities
-	// and the per-trace span cap. The zero value selects the defaults
-	// (sample everything, 100 ms slow threshold, 128 recent / 64 slow
-	// traces, 512 spans).
+	// sampling fraction and slow-trace threshold. The zero value selects
+	// the defaults (sample everything, 100 ms). The flight recorder keeps
+	// the 128 most recent and the 64 slowest traces, at most 512 spans
+	// each.
 	TraceConfig = trace.Config
 	// TraceStats is the tracer's cumulative counter snapshot (requests
 	// seen, sampled, errored, slow, recorded), embedded in /statsz.
@@ -300,23 +300,23 @@ type DB struct {
 }
 
 // DurabilityConfig switches on crash-safe streaming for a database: a
-// write-ahead log makes every acknowledged ingest batch durable before
-// the ack, and periodic atomic snapshots bound recovery time. After a
-// crash, the next Open restores the last committed snapshot and the
-// first NewStream/NewServer replays the WAL tail, rebuilding tables,
-// incremental statistics, and the model registry to the exact pre-crash
-// state — refreshed models are bit-identical to an unkilled run.
+// write-ahead log makes each ingest batch durable (before its ack, unless
+// FsyncEvery opens a loss window), and periodic atomic snapshots bound
+// recovery time. After a crash, the next Open restores the last committed
+// snapshot and the first NewStream/NewServer replays the WAL tail,
+// rebuilding tables, incremental statistics, and the model registry to the
+// exact pre-crash state — refreshed models are bit-identical to an
+// unkilled run.
 type DurabilityConfig struct {
 	// Dir is the WAL directory. Empty selects "<dbdir>/wal". It may live
 	// on a different filesystem than the database directory.
 	Dir string
 
-	// FsyncEvery is the group-commit window: an fsync is issued at the
-	// latest after this many appended records, and every waiting append
-	// is acknowledged by the same fsync. 0 or 1 syncs every record;
-	// higher values amortize fsyncs across concurrent writers without
-	// weakening the guarantee (no append returns before its record is
-	// on disk).
+	// FsyncEvery is the group-commit window. At 0 or 1 no ingest is
+	// acknowledged before its record is fsynced, and concurrent writers
+	// share one fsync. At N > 1 the log fsyncs only every N-th record and
+	// acknowledges the others before they are durable: a crash can lose
+	// up to the last N-1 acknowledged records, traded for ingest latency.
 	FsyncEvery int
 
 	// SnapshotEvery triggers an automatic checkpoint after this many WAL
@@ -324,14 +324,6 @@ type DurabilityConfig struct {
 	// (explicit Stream.Checkpoint and the boot/close checkpoints still
 	// run), which bounds neither WAL growth nor recovery time.
 	SnapshotEvery int
-
-	// SegmentBytes rotates WAL segment files at this size. 0 selects the
-	// default (4 MiB).
-	SegmentBytes int64
-
-	// NoSync skips fsync entirely (testing only: durability reduces to
-	// "whatever the OS flushed").
-	NoSync bool
 }
 
 // OpenOption is an optional setting for Open.
@@ -339,6 +331,9 @@ type OpenOption func(*openConfig)
 
 type openConfig struct {
 	dur *DurabilityConfig
+	// wal's segment size and NoSync stay at their defaults outside tests;
+	// Open takes FsyncEvery from dur.
+	wal wal.Options
 }
 
 // WithDurability opens the database with a write-ahead log and atomic
@@ -382,11 +377,9 @@ func Open(dir string, opts Options, extra ...OpenOption) (*DB, error) {
 				return nil, fmt.Errorf("factorml: restoring snapshot: %w", err)
 			}
 		}
-		l, err = wal.Open(walDir, wal.Options{
-			SegmentBytes: oc.dur.SegmentBytes,
-			FsyncEvery:   oc.dur.FsyncEvery,
-			NoSync:       oc.dur.NoSync,
-		})
+		walOpts := oc.wal
+		walOpts.FsyncEvery = oc.dur.FsyncEvery
+		l, err = wal.Open(walDir, walOpts)
 		if err != nil {
 			return nil, fmt.Errorf("factorml: opening WAL: %w", err)
 		}
@@ -854,7 +847,7 @@ func (d *DB) SaveNN(name string, n *NNNetwork) error {
 // it up from the registry).
 func GMMLineage(ds *Dataset, m *GMMModel, strategy string) (*ModelLineage, error) {
 	logProb := m.LogProbFunc()
-	base, err := monitor.CaptureBaseline(ds.spec, 0,
+	base, err := monitor.CaptureBaseline(ds.spec,
 		func(x []float64, y float64) float64 { return logProb(x) }, "log_likelihood")
 	if err != nil {
 		return nil, err
@@ -871,7 +864,7 @@ func GMMLineage(ds *Dataset, m *GMMModel, strategy string) (*ModelLineage, error
 // the dataset; the quality baseline sketches the network's output
 // distribution. See GMMLineage.
 func NNLineage(ds *Dataset, n *NNNetwork, strategy string) (*ModelLineage, error) {
-	base, err := monitor.CaptureBaseline(ds.spec, 0,
+	base, err := monitor.CaptureBaseline(ds.spec,
 		func(x []float64, y float64) float64 { return n.Predict(x) }, "output")
 	if err != nil {
 		return nil, err

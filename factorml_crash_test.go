@@ -36,12 +36,22 @@ import (
 	"factorml/internal/wal"
 )
 
-// crashDurability is the victim/recovery durability config: NoSync
+// crashDurability opens the victim/recovery database durable: NoSync
 // because the harness simulates crashes by copying files, not by
 // losing power; no automatic checkpoints so every WAL byte offset is a
 // reachable crash state.
-func crashDurability() DurabilityConfig {
-	return DurabilityConfig{NoSync: true, SegmentBytes: 1 << 10, SnapshotEvery: 0}
+func crashDurability() OpenOption {
+	return withWAL(DurabilityConfig{SnapshotEvery: 0}, wal.Options{NoSync: true, SegmentBytes: 1 << 10})
+}
+
+// withWAL is WithDurability(cfg) with the write-ahead log options that
+// DurabilityConfig does not expose: NoSync and the segment size. cfg's
+// FsyncEvery still applies.
+func withWAL(cfg DurabilityConfig, opts wal.Options) OpenOption {
+	return func(o *openConfig) {
+		WithDurability(cfg)(o)
+		o.wal = opts
+	}
 }
 
 func crashPolicy(workers int) StreamPolicy {
@@ -229,7 +239,7 @@ func runCrashReference(t *testing.T, w *crashWorkload, workers int, durable bool
 	t.Helper()
 	var extra []OpenOption
 	if durable {
-		extra = append(extra, WithDurability(crashDurability()))
+		extra = append(extra, crashDurability())
 	}
 	db, err := Open(t.TempDir(), Options{NumWorkers: workers}, extra...)
 	if err != nil {
@@ -246,7 +256,7 @@ func runCrashReference(t *testing.T, w *crashWorkload, workers int, durable bool
 func runCrashVictim(t *testing.T, w *crashWorkload, workers int) (dir string) {
 	t.Helper()
 	dir = t.TempDir()
-	db, err := Open(dir, Options{NumWorkers: workers}, WithDurability(crashDurability()))
+	db, err := Open(dir, Options{NumWorkers: workers}, crashDurability())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +270,7 @@ func runCrashVictim(t *testing.T, w *crashWorkload, workers int) (dir string) {
 // recorded, and returns the final model bytes.
 func recoverAndFinish(t *testing.T, dir string, w *crashWorkload, workers int) (gmmB, nnB []byte, k int64) {
 	t.Helper()
-	db, err := Open(dir, Options{NumWorkers: workers}, WithDurability(crashDurability()))
+	db, err := Open(dir, Options{NumWorkers: workers}, crashDurability())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +557,7 @@ func TestWALBitFlipRecovery(t *testing.T) {
 			}
 			continue
 		}
-		_, err = Open(clone, Options{NumWorkers: workers}, WithDurability(crashDurability()))
+		_, err = Open(clone, Options{NumWorkers: workers}, crashDurability())
 		var ce *wal.CorruptError
 		if !errors.As(err, &ce) {
 			t.Fatalf("frame %d: open after bit flip = %v, want *wal.CorruptError", i, err)

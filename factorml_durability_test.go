@@ -14,6 +14,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"factorml/internal/wal"
 )
 
 // crashIngest applies one tiny valid batch and returns its fact count.
@@ -48,7 +50,7 @@ func TestDurabilityUpgradeLegacyDir(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "wal")); !os.IsNotExist(err) {
 		t.Fatalf("legacy dir unexpectedly has a wal directory (err %v)", err)
 	}
-	db2, err := Open(dir, Options{NumWorkers: 1}, WithDurability(crashDurability()))
+	db2, err := Open(dir, Options{NumWorkers: 1}, crashDurability())
 	if err != nil {
 		t.Fatalf("upgrading legacy dir: %v", err)
 	}
@@ -69,7 +71,7 @@ func TestDurabilityUpgradeLegacyDir(t *testing.T) {
 	// Crash: reboot a copy and the acked row must survive.
 	clone := t.TempDir()
 	copyTree(t, dir, clone)
-	db3, err := Open(clone, Options{NumWorkers: 1}, WithDurability(crashDurability()))
+	db3, err := Open(clone, Options{NumWorkers: 1}, crashDurability())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +94,11 @@ func TestDurabilityUpgradeLegacyDir(t *testing.T) {
 // restore the snapshot and replay only the tail.
 func TestCheckpointCadenceTruncatesWAL(t *testing.T) {
 	w := genCrashWorkload(2, 0)
-	cfg := crashDurability()
-	cfg.SnapshotEvery = 4
-	cfg.SegmentBytes = 256 // force rotation so pruning is observable
+	// 256-byte segments force rotation so pruning is observable.
+	durable := withWAL(DurabilityConfig{SnapshotEvery: 4}, wal.Options{NoSync: true, SegmentBytes: 256})
 
 	dir := t.TempDir()
-	db, err := Open(dir, Options{NumWorkers: 1}, WithDurability(cfg))
+	db, err := Open(dir, Options{NumWorkers: 1}, durable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestCheckpointCadenceTruncatesWAL(t *testing.T) {
 
 	clone := t.TempDir()
 	copyTree(t, dir, clone) // db abandoned: crash with stale snapshot + tail
-	db2, err := Open(clone, Options{NumWorkers: 1}, WithDurability(cfg))
+	db2, err := Open(clone, Options{NumWorkers: 1}, durable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestIngestAckImpliesDurable(t *testing.T) {
 
 	clone := t.TempDir()
 	copyTree(t, dir, clone) // crash between ack and any flush
-	db2, err := Open(clone, Options{NumWorkers: 1}, WithDurability(crashDurability()))
+	db2, err := Open(clone, Options{NumWorkers: 1}, crashDurability())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestCloseWithoutRecoveryKeepsCrashState(t *testing.T) {
 	victim := runCrashVictim(t, w, 1)
 
 	// Open/close without recovery (no stream built).
-	db, err := Open(victim, Options{NumWorkers: 1}, WithDurability(crashDurability()))
+	db, err := Open(victim, Options{NumWorkers: 1}, crashDurability())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestCloseWithoutRecoveryKeepsCrashState(t *testing.T) {
 func TestCleanShutdownSkipsRecovery(t *testing.T) {
 	w := genCrashWorkload(6, 0)
 	dir := t.TempDir()
-	db, err := Open(dir, Options{NumWorkers: 1}, WithDurability(crashDurability()))
+	db, err := Open(dir, Options{NumWorkers: 1}, crashDurability())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestCleanShutdownSkipsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(dir, Options{NumWorkers: 1}, WithDurability(crashDurability()))
+	db2, err := Open(dir, Options{NumWorkers: 1}, crashDurability())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestCleanShutdownSkipsRecovery(t *testing.T) {
 func TestServerExposesWALTelemetry(t *testing.T) {
 	w := genCrashWorkload(7, 0)
 	dir := t.TempDir()
-	db, err := Open(dir, Options{NumWorkers: 1}, WithDurability(crashDurability()))
+	db, err := Open(dir, Options{NumWorkers: 1}, crashDurability())
 	if err != nil {
 		t.Fatal(err)
 	}

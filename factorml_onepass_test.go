@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"factorml/internal/gmm"
 	"factorml/internal/linalg"
 )
 
@@ -50,14 +51,14 @@ func seededInit(rows [][]float64, cfg GMMConfig) *GMMModel {
 	variance := make([]float64, d)
 	for i := range variance {
 		mean := sum[i] / float64(len(rows))
-		variance[i] = math.Max(sumSq[i]/float64(len(rows))-mean*mean, cfg.RegEps)
+		variance[i] = math.Max(sumSq[i]/float64(len(rows))-mean*mean, gmm.RegEps)
 	}
 	m := &GMMModel{K: cfg.K, D: d, Weights: make([]float64, cfg.K)}
 	for k := 0; k < cfg.K; k++ {
 		m.Weights[k] = 1 / float64(cfg.K)
 		m.Means = append(m.Means, reservoir[k])
 		cov := linalg.Diag(variance)
-		cov.AddDiag(cfg.RegEps)
+		cov.AddDiag(gmm.RegEps)
 		m.Covs = append(m.Covs, cov)
 	}
 	return m
@@ -65,7 +66,7 @@ func seededInit(rows [][]float64, cfg GMMConfig) *GMMModel {
 
 // threePassEM runs Algorithm 1 over the joined rows, sequentially, the way
 // the trainers did before an iteration became one pass. cfg must have
-// MaxIter, Tol, Seed and RegEps set.
+// MaxIter, Tol and Seed set.
 func threePassEM(rows [][]float64, cfg GMMConfig) (*threePass, error) {
 	n, d, k := len(rows), len(rows[0]), cfg.K
 	model := seededInit(rows, cfg)
@@ -152,8 +153,8 @@ func threePassEM(rows [][]float64, cfg GMMConfig) (*threePass, error) {
 		}
 		for c := 0; c < k; c++ {
 			if nk[c] >= 1e-12 {
-				sumCov[c].Scale(1 / nk[c])
-				sumCov[c].AddDiag(cfg.RegEps)
+				linalg.VecScale(sumCov[c].Data(), 1/nk[c], sumCov[c].Data())
+				sumCov[c].AddDiag(gmm.RegEps)
 				copy(model.Covs[c].Data(), sumCov[c].Data())
 			}
 		}
@@ -211,7 +212,7 @@ func TestOnePassMatchesThreePassOracle(t *testing.T) {
 			// Tol is loose enough that some schemas converge before
 			// MaxIter and some do not, so the stopping decision is tested
 			// both ways.
-			cfg := GMMConfig{K: 2, MaxIter: 5, Tol: 2e-3, Seed: seed, RegEps: 1e-6, Diagonal: diagonal}
+			cfg := GMMConfig{K: 2, MaxIter: 5, Tol: 2e-3, Seed: seed, Diagonal: diagonal}
 			for _, warm := range []bool{false, true} {
 				if warm {
 					// Warm start from the seeded start's first iterate.
@@ -366,7 +367,7 @@ func TestOnePassDegenerateCovariances(t *testing.T) {
 			db := openDB(t)
 			ds := starRows(t, db, fx.dim, fx.fact, fx.fk)
 			rows := joinedRows(t, ds)
-			cfg := GMMConfig{K: fx.k, MaxIter: 6, Tol: 1e-300, Seed: 3, RegEps: 1e-6, Diagonal: diagonal, NumWorkers: 1}
+			cfg := GMMConfig{K: fx.k, MaxIter: 6, Tol: 1e-300, Seed: 3, Diagonal: diagonal, NumWorkers: 1}
 			if fx.init != nil {
 				cfg.Init = fx.init(len(rows[0]))
 			}

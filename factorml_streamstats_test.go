@@ -196,7 +196,7 @@ func streamStatsOracle(t *testing.T, seed int64, i int, shift float64) {
 	var oracle *GMMModel
 	for k, r := range runs {
 		absorb(r)
-		m, err := r.st.Step(model, 1e-6)
+		m, err := r.st.Step(model)
 		fatal(err)
 		var buf bytes.Buffer
 		fatal(m.Save(&buf))

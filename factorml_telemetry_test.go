@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"factorml/internal/wal"
 )
 
 // telemetryGolden pins the operator-facing shape of the telemetry surface:
@@ -32,7 +34,7 @@ type telemetryShape struct {
 // refresh traffic through it.
 func buildTelemetryServer(t *testing.T) *Server {
 	t.Helper()
-	db, err := Open(t.TempDir(), Options{NumWorkers: 1}, WithDurability(DurabilityConfig{NoSync: true}))
+	db, err := Open(t.TempDir(), Options{NumWorkers: 1}, withWAL(DurabilityConfig{}, wal.Options{NoSync: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

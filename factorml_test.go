@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"os/exec"
 	pathpkg "path"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -409,6 +411,36 @@ func TestBenchmarkHarnessCompiles(t *testing.T) {
 	}
 }
 
+// walkSource parses every non-test Go file in the tree (benchmark/, cmd/
+// and examples/ included; dot directories skipped) and hands each to visit
+// with its slash-separated path.
+func walkSource(t *testing.T, visit func(path string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // unreferencedOK lists the exported names under internal/ that no non-test
 // file mentions on purpose. Everything else exported there must be used by
 // name somewhere in the module, benchmark/, cmd/ or examples/.
@@ -456,29 +488,12 @@ func TestInternalPackagesAreReached(t *testing.T) {
 	declared := make(map[string]int) // exported func/method name under internal/ -> declarations
 	where := make(map[string]string) // ... -> one declaring file
 	mentions := make(map[string]int) // identifier -> occurrences in non-test files
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		path = filepath.ToSlash(path)
+	walkSource(t, func(path string, f *ast.File) {
 		pkg := "factorml/" + pathpkg.Dir(path)
 		internal := strings.HasPrefix(pkg, "factorml/internal/")
 		persists := (internal || pkg == "factorml/.") && pkg != "factorml/internal/durable"
 		if internal && !reached[pkg] {
 			reached[pkg] = false
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
 		}
 		for _, imp := range f.Imports {
 			to := strings.Trim(imp.Path.Value, `"`)
@@ -517,11 +532,7 @@ func TestInternalPackagesAreReached(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(reached) == 0 {
 		t.Fatal("found no package under internal/ (run from the module root)")
 	}
@@ -545,6 +556,163 @@ func TestInternalPackagesAreReached(t *testing.T) {
 	for name := range unreferencedOK {
 		if declared[name] == 0 {
 			t.Errorf("the allowlist names %s, which internal/ no longer declares", name)
+		}
+	}
+}
+
+// unsetKnobOK lists the settings no non-test file sets on purpose, each
+// with its reason. Everything else TestEveryKnobHasACaller checks must be
+// set by some caller.
+var unsetKnobOK = map[string]string{
+	"monitor.Config.MinWindowRows": "tests in three packages shrink the drift evidence floor to keep their data small",
+	"nn.Config.ShuffleSeed":        "the paper's per-epoch key permutation (§VI), library API",
+	"plan.Options.FlopsPerPage":    "benchmark/ builds plan.Options; the clock-calibrated planner replaces the field",
+	"data.SynthConfig.Clusters":    "the GMM quality tests' generator shape",
+	"data.SynthConfig.Noise":       "the GMM quality tests' generator shape",
+	"wal.Options.SegmentBytes":     "the WAL rotation tests",
+	"gmm.Config.Init":              "warm-starting EM from a saved mixture, library API beside nn.Config.Init",
+}
+
+// isKnobType reports whether a struct type's name marks it as settings.
+func isKnobType(name string) bool {
+	return name == "Limits" || strings.HasSuffix(name, "Config") ||
+		strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")
+}
+
+// TestEveryKnobHasACaller fails when an exported field of a settings
+// struct (a type named …Config, …Options, …Policy or Limits, declared in
+// a non-test file of the root package or under internal/) is set by name
+// in no non-test file other than its own: a composite-literal key or an
+// assignment target, in the module, benchmark/, cmd/ or examples/. A knob
+// only tests turn is a second behaviour nothing runs; its value belongs in
+// a constant. Literal keys are matched against the literal's type
+// (through the facade's aliases); keys of an elided literal type and
+// assignment targets are matched by field name alone, which errs towards
+// silence.
+func TestEveryKnobHasACaller(t *testing.T) {
+	type set struct {
+		typ, field, path string          // typ is "" for an elided literal type or an assignment
+		sees             map[string]bool // the setting file's own package and its imports
+	}
+	declared := make(map[string]string) // "pkg.Type.Field" -> declaring file
+	alias := make(map[string]string)    // "pkg.Alias" -> "pkg.Type"
+	var sets []set
+	walkSource(t, func(path string, f *ast.File) {
+		pkg := f.Name.Name
+		imports := make(map[string]string) // import name -> package name
+		sees := map[string]bool{pkg: true}
+		for _, imp := range f.Imports {
+			to := strings.Trim(imp.Path.Value, `"`)
+			if to != "factorml" && !strings.HasPrefix(to, "factorml/") {
+				continue
+			}
+			name := pathpkg.Base(to)
+			sees[name] = true
+			if imp.Name != nil {
+				imports[imp.Name.Name] = name
+			} else {
+				imports[name] = name
+			}
+		}
+		typeOf := func(e ast.Expr) string { // "" when e names no type
+			switch e := e.(type) {
+			case *ast.Ident:
+				return pkg + "." + e.Name
+			case *ast.SelectorExpr:
+				if x, ok := e.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					return imports[x.Name] + "." + e.Sel.Name
+				}
+			}
+			return ""
+		}
+		knobs := !strings.Contains(path, "/") || strings.HasPrefix(path, "internal/")
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if n.Assign.IsValid() {
+					if to := typeOf(n.Type); to != "" {
+						alias[pkg+"."+n.Name.Name] = to
+					}
+				} else if st, ok := n.Type.(*ast.StructType); ok && knobs && n.Name.IsExported() && isKnobType(n.Name.Name) {
+					for _, fld := range st.Fields.List {
+						for _, name := range fld.Names {
+							if name.IsExported() {
+								declared[pkg+"."+n.Name.Name+"."+name.Name] = path
+							}
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				switch n.Type.(type) {
+				case *ast.ArrayType, *ast.MapType:
+					return true // keys are indexes or map keys, not fields
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							sets = append(sets, set{typeOf(n.Type), key.Name, path, sees})
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						sets = append(sets, set{"", sel.Sel.Name, path, sees})
+					}
+				}
+			}
+			return true
+		})
+	})
+	if len(declared) == 0 {
+		t.Fatal("found no settings struct (run from the module root)")
+	}
+	t.Logf("%d exported settings fields", len(declared))
+	resolve := func(typ string) string {
+		for alias[typ] != "" {
+			typ = alias[typ]
+		}
+		return typ
+	}
+	split := func(name string) (string, string) { // "a.B.C" -> "a.B", "C"
+		i := strings.LastIndexByte(name, '.')
+		return name[:i], name[i+1:]
+	}
+	// An importer of the root sees every package the facade aliases.
+	facade := make(map[string]bool)
+	for a := range alias {
+		if strings.HasPrefix(a, "factorml.") {
+			pkg, _ := split(resolve(a))
+			facade[pkg] = true
+		}
+	}
+	setBy := make(map[string]bool)
+	for _, s := range sets {
+		for knob, path := range declared {
+			typ, field := split(knob)
+			pkg, _ := split(typ)
+			if s.field != field || s.path == path {
+				continue
+			}
+			if s.typ != "" {
+				setBy[knob] = setBy[knob] || resolve(s.typ) == typ
+			} else {
+				setBy[knob] = setBy[knob] || s.sees[pkg] || s.sees["factorml"] && facade[pkg]
+			}
+		}
+	}
+	for _, knob := range slices.Sorted(maps.Keys(declared)) {
+		_, allowed := unsetKnobOK[knob]
+		switch {
+		case !setBy[knob] && !allowed:
+			t.Errorf("%s (%s) is set by no non-test file: make it a constant or give it a caller", knob, declared[knob])
+		case setBy[knob] && allowed:
+			t.Errorf("%s is set by non-test code; drop it from the allowlist", knob)
+		}
+	}
+	for knob := range unsetKnobOK {
+		if declared[knob] == "" {
+			t.Errorf("the allowlist names %s, which is no longer declared", knob)
 		}
 	}
 }

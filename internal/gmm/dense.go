@@ -81,7 +81,7 @@ func emDense(scan func(onRow factor.RowFn) error, d, n int, cfg Config, model *M
 		}
 		stats.Ops.Add(perRow.Scale(int64(n)))
 		ll := total.LL()
-		total.Step(model, n, cfg.RegEps)
+		total.Step(model, n)
 		return ll, nil
 	})
 }

@@ -162,7 +162,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 			}
 		}
 		ll := total.LL()
-		total.Step(model, n, cfg.RegEps)
+		total.Step(model, n)
 		return ll, nil
 	})
 }

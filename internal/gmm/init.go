@@ -98,8 +98,8 @@ func initModel(scan func(onRow factor.RowFn) error, d int, cfg Config) (*Model, 
 	for i := range variance {
 		mean := sum[i] / float64(n)
 		variance[i] = sumSq[i]/float64(n) - mean*mean
-		if variance[i] < cfg.RegEps {
-			variance[i] = cfg.RegEps
+		if variance[i] < RegEps {
+			variance[i] = RegEps
 		}
 	}
 	m := &Model{K: cfg.K, D: d, Diagonal: cfg.Diagonal, Weights: make([]float64, cfg.K)}
@@ -107,7 +107,7 @@ func initModel(scan func(onRow factor.RowFn) error, d int, cfg Config) (*Model, 
 		m.Weights[k] = 1 / float64(cfg.K)
 		m.Means = append(m.Means, reservoir[k])
 		cov := linalg.Diag(variance)
-		cov.AddDiag(cfg.RegEps)
+		cov.AddDiag(RegEps)
 		m.Covs = append(m.Covs, cov)
 	}
 	return m, n, nil

@@ -25,9 +25,10 @@ type Model struct {
 	Covs     []*linalg.Dense // K dense D×D covariance matrices
 }
 
-// DefaultRegEps is the covariance diagonal regularizer of every M-step that
-// is not given one: Config.RegEps's default and a stream refresh's.
-const DefaultRegEps = 1e-6
+// RegEps is the diagonal regularizer every covariance gets: at
+// initialization and in every M-step, in training and in a stream refresh
+// alike, so a refreshed mixture is regularized as it was trained.
+const RegEps = 1e-6
 
 // Config controls EM training — the model and the worker pool, nothing
 // about the join: its block size is a field of the join.Spec, where the
@@ -37,7 +38,6 @@ type Config struct {
 	MaxIter int     // maximum EM iterations (default 25)
 	Tol     float64 // relative log-likelihood change for convergence (default 1e-4)
 	Seed    int64   // RNG seed for initialization (default 1)
-	RegEps  float64 // diagonal regularizer added to each covariance (default DefaultRegEps)
 
 	// Diagonal restricts covariances to diagonal matrices — the IGMM model
 	// of Cheng & Koudas (ICDE 2019) that this paper generalizes. It is the
@@ -77,9 +77,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.RegEps == 0 {
-		c.RegEps = DefaultRegEps
-	}
 	return c
 }
 
@@ -87,8 +84,8 @@ func (c Config) validate() error {
 	if c.K < 1 {
 		return fmt.Errorf("gmm: config K = %d, want ≥ 1", c.K)
 	}
-	if c.MaxIter < 0 || c.Tol < 0 || c.RegEps < 0 {
-		return errors.New("gmm: negative MaxIter/Tol/RegEps")
+	if c.MaxIter < 0 || c.Tol < 0 {
+		return errors.New("gmm: negative MaxIter/Tol")
 	}
 	return nil
 }

@@ -199,11 +199,11 @@ func (m *Moments) FoldGroups(part int, g *GroupSums, devs func(t int) ([]core.Qu
 }
 
 // Step moves model to the M-step solution (Eq. 3–5) over n rows: with
-// d = s1/N_k, µ ← o + d and Σ ← s2/N_k − d·dᵀ + εI, exactly the textbook
-// Σγ(x−µ)(x−µ)ᵀ/N_k because Σγ(PD−d) = 0. Σ's upper triangle is mirrored.
-// A collapsed component (N_k < CollapseFloor) keeps its mean and
+// d = s1/N_k, µ ← o + d and Σ ← s2/N_k − d·dᵀ + RegEps·I, exactly the
+// textbook Σγ(x−µ)(x−µ)ᵀ/N_k because Σγ(PD−d) = 0. Σ's upper triangle is
+// mirrored. A collapsed component (N_k < CollapseFloor) keeps its mean and
 // covariance. Step scales s1 in place: the sums are spent.
-func (m *Moments) Step(model *Model, n int, regEps float64) {
+func (m *Moments) Step(model *Model, n int) {
 	D := m.p.D
 	for c, dv := range m.s1 {
 		model.Weights[c] = m.nk[c] / float64(n)
@@ -220,7 +220,7 @@ func (m *Moments) Step(model *Model, n int, regEps float64) {
 			for j := i; j < D && (j == i || !m.diag); j++ { // a diagonal model: the diagonal alone
 				v := m.s2At(c, i, j)*inv - di*dv[j]
 				if i == j {
-					v += regEps
+					v += RegEps
 				}
 				cov.Set(i, j, v)
 				cov.Set(j, i, v)

@@ -47,9 +47,6 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	return &Cholesky{n: n, l: l}, nil
 }
 
-// Size returns the order of the factorized matrix.
-func (c *Cholesky) Size() int { return c.n }
-
 // L returns the lower-triangular factor (a view; do not modify).
 func (c *Cholesky) L() *Dense { return c.l }
 

@@ -77,33 +77,6 @@ func (m *Dense) Zero() {
 	}
 }
 
-// Scale multiplies every element of m by a.
-func (m *Dense) Scale(a float64) {
-	for i := range m.data {
-		m.data[i] *= a
-	}
-}
-
-// Add adds b into m element-wise. Dimensions must match.
-func (m *Dense) Add(b *Dense) {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(fmt.Sprintf("linalg: add dimension mismatch %dx%d vs %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	for i, v := range b.data {
-		m.data[i] += v
-	}
-}
-
-// Sub subtracts b from m element-wise. Dimensions must match.
-func (m *Dense) Sub(b *Dense) {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(fmt.Sprintf("linalg: sub dimension mismatch %dx%d vs %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	for i, v := range b.data {
-		m.data[i] -= v
-	}
-}
-
 // AddScaled adds a*b into m element-wise.
 func (m *Dense) AddScaled(a float64, b *Dense) {
 	if m.rows != b.rows || m.cols != b.cols {

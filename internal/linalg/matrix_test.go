@@ -64,29 +64,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestAddSubScale(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	b := NewDenseData(2, 2, []float64{10, 20, 30, 40})
-	a.Add(b)
-	want := []float64{11, 22, 33, 44}
-	for i, w := range want {
-		if a.Data()[i] != w {
-			t.Fatalf("Add: data[%d]=%v, want %v", i, a.Data()[i], w)
-		}
-	}
-	a.Sub(b)
-	want = []float64{1, 2, 3, 4}
-	for i, w := range want {
-		if a.Data()[i] != w {
-			t.Fatalf("Sub: data[%d]=%v, want %v", i, a.Data()[i], w)
-		}
-	}
-	a.Scale(2)
-	if a.At(1, 1) != 8 {
-		t.Fatalf("Scale: At(1,1)=%v, want 8", a.At(1, 1))
-	}
-}
-
 func TestAddScaled(t *testing.T) {
 	a := NewDenseData(1, 3, []float64{1, 1, 1})
 	b := NewDenseData(1, 3, []float64{1, 2, 3})

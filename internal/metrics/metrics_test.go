@@ -23,7 +23,9 @@ func render(r *Registry) string {
 func TestCounterVecRender(t *testing.T) {
 	r := NewRegistry()
 	reqs := r.CounterVec("http_requests_total", "Requests served.", "endpoint", "status")
-	reqs.With("predict", "200").Add(3)
+	for range 3 {
+		reqs.With("predict", "200").Inc()
+	}
 	reqs.With("predict", "429").Inc()
 	reqs.With("ingest", "200").Inc()
 
@@ -226,8 +228,11 @@ func TestHandlerServesValidExposition(t *testing.T) {
 	r := NewRegistry()
 	reqs := r.CounterVec("factorml_http_requests_total", "Requests.", "endpoint", "status")
 	lat := r.HistogramVec("factorml_http_request_seconds", "Latency.", nil, "endpoint")
-	reqs.With("predict", "200").Add(10)
-	reqs.With("ingest", "429").Add(2)
+	for range 10 {
+		reqs.With("predict", "200").Inc()
+	}
+	reqs.With("ingest", "429").Inc()
+	reqs.With("ingest", "429").Inc()
 	for i := 0; i < 100; i++ {
 		lat.With("predict").Observe(float64(i) * 0.003)
 	}

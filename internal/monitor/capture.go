@@ -13,12 +13,9 @@ import (
 // the first pass finds each column's range, the second fills fixed-bin
 // histograms over exactly that range. score, when non-nil, is evaluated
 // per joined row to capture the prediction-quality baseline (the GMM
-// per-row log-likelihood or the NN output) under metric's name. bins
-// picks the interior histogram resolution (<1 selects DefaultBins).
-func CaptureBaseline(sp *join.Spec, bins int, score func(x []float64, y float64) float64, metric string) (*Baseline, error) {
-	if bins < 1 {
-		bins = DefaultBins
-	}
+// per-row log-likelihood or the NN output) under metric's name. Every
+// histogram has DefaultBins interior bins.
+func CaptureBaseline(sp *join.Spec, score func(x []float64, y float64) float64, metric string) (*Baseline, error) {
 	d := sp.JoinedWidth()
 	lo := make([]float64, d)
 	hi := make([]float64, d)
@@ -71,11 +68,11 @@ func CaptureBaseline(sp *join.Spec, bins int, score func(x []float64, y float64)
 		b.Columns[i] = ColumnBaseline{Table: names[i][0], Name: names[i][1]}
 		// Widen the upper edge one ULP so the training maximum itself
 		// lands in the last interior bin, not overflow.
-		sketches[i] = NewSketch(lo[i], math.Nextafter(hi[i], math.Inf(1)), bins)
+		sketches[i] = NewSketch(lo[i], math.Nextafter(hi[i], math.Inf(1)), DefaultBins)
 	}
 	var quality *Sketch
 	if score != nil {
-		quality = NewSketch(sLo, math.Nextafter(sHi, math.Inf(1)), bins)
+		quality = NewSketch(sLo, math.Nextafter(sHi, math.Inf(1)), DefaultBins)
 	}
 	err = join.Stream(sp, func(sid int64, x []float64, y float64) error {
 		for i, v := range x {

@@ -58,7 +58,7 @@ func captureSpec(t *testing.T) *join.Spec {
 func TestCaptureBaseline(t *testing.T) {
 	sp := captureSpec(t)
 	score := func(x []float64, y float64) float64 { return x[0] + y }
-	b, err := CaptureBaseline(sp, 5, score, "output")
+	b, err := CaptureBaseline(sp, score, "output")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCaptureBaseline(t *testing.T) {
 
 func TestCaptureBaselineNoScoreAndEmpty(t *testing.T) {
 	sp := captureSpec(t)
-	b, err := CaptureBaseline(sp, 0, nil, "")
+	b, err := CaptureBaseline(sp, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +110,6 @@ func TestCaptureBaselineNoScoreAndEmpty(t *testing.T) {
 		t.Fatal("no score function should mean no quality sketch")
 	}
 	if len(b.Columns[0].Sketch.Bins) != DefaultBins+2 {
-		t.Fatalf("bins<1 should select DefaultBins, got %d", len(b.Columns[0].Sketch.Bins))
+		t.Fatalf("a baseline sketch should have DefaultBins interior bins, got %d", len(b.Columns[0].Sketch.Bins))
 	}
 }

@@ -26,8 +26,8 @@ type Sketch struct {
 	Bins  []int64 `json:"bins,omitempty"`
 }
 
-// DefaultBins is the interior histogram resolution used when a caller
-// does not pick one. Ten interior bins is the classic PSI decile setup.
+// DefaultBins is the interior histogram resolution of every captured
+// baseline. Ten interior bins is the classic PSI decile setup.
 const DefaultBins = 10
 
 // NewSketch returns an empty sketch whose interior histogram splits

@@ -446,7 +446,7 @@ func TestRestoreFormat1DropsStatistics(t *testing.T) {
 			if err := fresh.Absorb(base, s2.spec.S, 1); err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.Step(base, 1e-6)
+			want, err := fresh.Step(base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -732,7 +732,7 @@ func FuzzStreamState(f *testing.F) {
 	}
 	// The seed state's mixture carries a drift baseline, so the monitor's
 	// part of the state has sketches to mutate.
-	base, err := monitor.CaptureBaseline(spec, 0, func(x []float64, _ float64) float64 { return gres.Model.LogProb(x) }, "log_likelihood")
+	base, err := monitor.CaptureBaseline(spec, func(x []float64, _ float64) float64 { return gres.Model.LogProb(x) }, "log_likelihood")
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -316,7 +316,7 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 // refreshed model; prev supplies the structure and the parameters of
 // collapsed components. It adds the done and open sums and steps them: a
 // pure function of the absorbed rows, in time fixed by K and D.
-func (st *GMMStats) Step(prev *gmm.Model, regEps float64) (*gmm.Model, error) {
+func (st *GMMStats) Step(prev *gmm.Model) (*gmm.Model, error) {
 	n := st.Rows()
 	if n == 0 {
 		return nil, fmt.Errorf("stream: no absorbed rows to refresh from")
@@ -324,6 +324,6 @@ func (st *GMMStats) Step(prev *gmm.Model, regEps float64) (*gmm.Model, error) {
 	total := st.done.Clone()
 	total.Add(st.open)
 	out := prev.Clone()
-	total.Step(out, int(n), regEps)
+	total.Step(out, int(n))
 	return out, nil
 }

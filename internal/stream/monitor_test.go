@@ -56,7 +56,7 @@ func TestMonitorRidesChangeFeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := monitor.CaptureBaseline(spec, 0,
+	base, err := monitor.CaptureBaseline(spec,
 		func(x []float64, y float64) float64 { return gres.Model.LogProb(x) }, "log_likelihood")
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestMonitorRidesChangeFeed(t *testing.T) {
 func TestMonitorObservesDimUpdates(t *testing.T) {
 	db, spec, _ := genStar(t, 100, []int{8}, 3, []int{2}, 7)
 	model := trainBase(t, db, spec, 2)
-	base, err := monitor.CaptureBaseline(spec, 0, nil, "")
+	base, err := monitor.CaptureBaseline(spec, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}

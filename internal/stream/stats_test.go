@@ -181,12 +181,12 @@ func TestGMMIncrementalMatchesFullRecompute(t *testing.T) {
 
 			// Baseline: fresh statistics recomputed from scratch over the
 			// union, per worker count.
-			refModel, err := incs[0].Step(model, 1e-6)
+			refModel, err := incs[0].Step(model)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, w := range workerSweep {
-				mInc, err := incs[i].Step(model, 1e-6)
+				mInc, err := incs[i].Step(model)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -200,7 +200,7 @@ func TestGMMIncrementalMatchesFullRecompute(t *testing.T) {
 				if full.Rows() != incs[i].Rows() {
 					t.Fatalf("row counts: full=%d inc=%d", full.Rows(), incs[i].Rows())
 				}
-				mFull, err := full.Step(model, 1e-6)
+				mFull, err := full.Step(model)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -904,7 +904,7 @@ func (s *Stream) refreshLocked(ctx context.Context, auto bool) (RefreshResult, e
 				msp.End()
 				continue
 			}
-			model, err := m.stats.Step(m.gmdl, gmm.DefaultRegEps)
+			model, err := m.stats.Step(m.gmdl)
 			if err != nil {
 				return res, err
 			}

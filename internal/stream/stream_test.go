@@ -107,7 +107,7 @@ func TestStreamRefreshBitIdentical(t *testing.T) {
 		if err := full.Absorb(model, spec.S, w); err != nil {
 			t.Fatal(err)
 		}
-		want, err := full.Step(model, 1e-6)
+		want, err := full.Step(model)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,17 +79,11 @@ func (t *Trace) snapshotLocked(endNs int64) *TraceRecord {
 // over-threshold traces are always offered a slot and outrank faster,
 // healthy ones.
 type recorder struct {
-	mu      sync.Mutex
-	recent  []*TraceRecord // ring, nil until filled
-	next    int
-	slow    []*TraceRecord
-	slowCap int
-	total   uint64
-}
-
-func (r *recorder) init(recentCap, slowCap int) {
-	r.recent = make([]*TraceRecord, recentCap)
-	r.slowCap = slowCap
+	mu     sync.Mutex
+	recent [recentTraces]*TraceRecord // ring, nil until filled
+	next   int
+	slow   []*TraceRecord
+	total  uint64
 }
 
 // rank orders slow-slot candidates: errors above successes, then by
@@ -118,7 +112,7 @@ func (r *recorder) keep(rec *TraceRecord, forceSlow bool) {
 	r.recent[r.next] = rec
 	r.next = (r.next + 1) % len(r.recent)
 
-	if len(r.slow) < r.slowCap {
+	if len(r.slow) < slowTraces {
 		if forceSlow || len(r.slow) == 0 || !rankLess(rec, r.slow[minIdx(r.slow)]) {
 			r.slow = append(r.slow, rec)
 		}

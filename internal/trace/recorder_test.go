@@ -4,24 +4,25 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 )
 
 func TestRecentRingBoundsAndOrder(t *testing.T) {
-	tr := New(Config{Recent: 3, SlowThreshold: time.Hour})
-	for i := 0; i < 5; i++ {
+	tr := New(Config{SlowThreshold: time.Hour})
+	for i := 0; i < recentTraces+2; i++ {
 		_, trace, _ := tr.StartRequest(context.Background(), "r", "")
-		trace.SetName(string(rune('a' + i)))
+		trace.SetName(strconv.Itoa(i))
 		trace.Finish(200)
 	}
 	recs := tr.Recent()
-	if len(recs) != 3 {
-		t.Fatalf("ring holds %d, want 3", len(recs))
+	if len(recs) != recentTraces {
+		t.Fatalf("ring holds %d, want %d", len(recs), recentTraces)
 	}
-	// Newest first: e, d, c.
-	for i, want := range []string{"e", "d", "c"} {
+	// Newest first.
+	for i, want := range []string{strconv.Itoa(recentTraces + 1), strconv.Itoa(recentTraces), strconv.Itoa(recentTraces - 1)} {
 		if recs[i].Name != want {
 			t.Fatalf("recent[%d] = %q, want %q", i, recs[i].Name, want)
 		}
@@ -29,7 +30,7 @@ func TestRecentRingBoundsAndOrder(t *testing.T) {
 }
 
 func TestSlowListTailSampling(t *testing.T) {
-	tr := New(Config{Slow: 2, SlowThreshold: time.Hour, Recent: 8})
+	tr := New(Config{SlowThreshold: time.Hour})
 	finish := func(name string, durMs float64, status int) {
 		_, trace, _ := tr.StartRequest(context.Background(), name, "")
 		trace.mu.Lock()
@@ -37,9 +38,10 @@ func TestSlowListTailSampling(t *testing.T) {
 		trace.mu.Unlock()
 		trace.Finish(status)
 	}
-	finish("fast1", 1, 200)
-	finish("fast2", 2, 200)
-	finish("slowest", 500, 200) // outranks fast1/fast2
+	for i := 0; i < slowTraces; i++ { // fill the list
+		finish("fast", 1+float64(i)/slowTraces, 200)
+	}
+	finish("slowest", 500, 200) // outranks every fast trace
 	finish("err", 0.5, 500)     // errors outrank any healthy duration
 	byName := map[string]bool{}
 	for _, r := range tr.Slow() {
@@ -84,7 +86,7 @@ func TestDebugHandlerServesWellFormedJSON(t *testing.T) {
 // concurrent request recording, span churn and scrapes; run under
 // -race it pins the locking discipline of the whole package.
 func TestFlightRecorderConcurrentRecordScrape(t *testing.T) {
-	tr := New(Config{Recent: 16, Slow: 8, SlowThreshold: time.Microsecond, MaxSpans: 32})
+	tr := New(Config{SlowThreshold: time.Microsecond})
 	const writers, scrapers, iters = 8, 4, 200
 
 	var wg sync.WaitGroup
@@ -142,7 +144,7 @@ func TestFlightRecorderConcurrentRecordScrape(t *testing.T) {
 		t.Fatal("expected some errored traces")
 	}
 	slow := tr.Slow()
-	if len(slow) == 0 || len(slow) > 8 {
+	if len(slow) == 0 || len(slow) > slowTraces {
 		t.Fatalf("slow list size %d out of bounds", len(slow))
 	}
 }

@@ -31,18 +31,17 @@ type Config struct {
 	// SlowThreshold is the duration at or above which a finished trace
 	// is always offered to the slowest-N list. 0 selects 100ms.
 	SlowThreshold time.Duration
-
-	// Recent bounds the most-recent-traces ring. 0 selects 128.
-	Recent int
-
-	// Slow bounds the slowest-traces list. 0 selects 64.
-	Slow int
-
-	// MaxSpans caps the spans recorded per trace; further starts are
-	// counted as dropped instead of growing without bound (a large
-	// predict batch can probe thousands of cache entries). 0 selects 512.
-	MaxSpans int
 }
+
+// The flight recorder's bounds: the most-recent ring, the slowest list,
+// and the spans recorded per trace — further starts are counted as
+// dropped instead of growing without bound (a large predict batch can
+// probe thousands of cache entries).
+const (
+	recentTraces = 128
+	slowTraces   = 64
+	maxSpans     = 512
+)
 
 func (c Config) withDefaults() Config {
 	if c.SampleFraction <= 0 || c.SampleFraction > 1 {
@@ -50,15 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SlowThreshold <= 0 {
 		c.SlowThreshold = 100 * time.Millisecond
-	}
-	if c.Recent <= 0 {
-		c.Recent = 128
-	}
-	if c.Slow <= 0 {
-		c.Slow = 64
-	}
-	if c.MaxSpans <= 0 {
-		c.MaxSpans = 512
 	}
 	return c
 }
@@ -77,13 +67,8 @@ type Tracer struct {
 
 // New builds a Tracer; zero Config fields select defaults.
 func New(cfg Config) *Tracer {
-	t := &Tracer{cfg: cfg.withDefaults()}
-	t.rec.init(t.cfg.Recent, t.cfg.Slow)
-	return t
+	return &Tracer{cfg: cfg.withDefaults()}
 }
-
-// Config returns the tracer's effective (default-filled) configuration.
-func (t *Tracer) Config() Config { return t.cfg }
 
 // StartRequest begins a request-scoped trace. parentHeader is the
 // incoming W3C traceparent ("" for none): a valid header's trace ID is
@@ -182,14 +167,14 @@ func (t *Trace) SetName(name string) {
 }
 
 // StartSpan opens a child of the span at index parent (0 is the root).
-// Nil-safe: on a nil Trace, or past the MaxSpans cap, the returned zero
+// Nil-safe: on a nil Trace, or past the maxSpans cap, the returned zero
 // Span is inert.
 func (t *Trace) StartSpan(parent int32, name string) Span {
 	if t == nil {
 		return Span{}
 	}
 	t.mu.Lock()
-	if t.done || len(t.spans) >= t.tracer.cfg.MaxSpans {
+	if t.done || len(t.spans) >= maxSpans {
 		if !t.done {
 			t.dropped++
 		}

@@ -177,15 +177,15 @@ func TestUnsampledRequestKeepsRequestID(t *testing.T) {
 }
 
 func TestMaxSpansCapCountsDropped(t *testing.T) {
-	tr := New(Config{MaxSpans: 4, SlowThreshold: time.Hour})
+	tr := New(Config{SlowThreshold: time.Hour})
 	_, trace, _ := tr.StartRequest(context.Background(), "r", "")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxSpans+6; i++ { // the root span takes one slot
 		trace.StartSpan(0, "s").End()
 	}
 	trace.Finish(200)
 	rec := tr.Recent()[0]
-	if len(rec.Spans) != 4 || rec.Dropped != 7 {
-		t.Fatalf("spans=%d dropped=%d, want 4 and 7", len(rec.Spans), rec.Dropped)
+	if len(rec.Spans) != maxSpans || rec.Dropped != 7 {
+		t.Fatalf("spans=%d dropped=%d, want %d and 7", len(rec.Spans), rec.Dropped, maxSpans)
 	}
 }
 
