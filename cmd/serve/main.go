@@ -32,14 +32,14 @@
 //	GET  /healthz                       liveness (+ model count once booted)
 //	GET  /readyz                        readiness (503 not_ready while booting)
 //	GET  /statsz                        cache hit rate, latency, stream counters
-//	GET  /metrics                       Prometheus text format (disable: -metrics=false)
+//	GET  /metrics                       Prometheus text format
 //	GET  /v1/models                     registered models (+ training lineage)
-//	GET  /v1/models/{name}/health       drift/staleness verdict with per-column reasons (disable: -monitor=false)
+//	GET  /v1/models/{name}/health       drift/staleness verdict with per-column reasons
 //	POST /v1/models/{name}/predict      {"rows":[{"fact":[…],"fks":[…]}]}, or the binary
 //	                                    wire format via Content-Type: application/x-factorml-binary
 //	POST /v1/ingest                     {"facts":[…],"dims":[…]} (with -fact)
 //	POST /v1/refresh                    fold ingested deltas into models (with -fact)
-//	GET  /debug/traces                  recent request traces (disable: -trace=false)
+//	GET  /debug/traces                  recent request traces
 //	GET  /debug/traces/slow             slowest/errored request traces
 //
 // Every response carries an X-Request-Id header; sampled requests
@@ -48,8 +48,10 @@
 // a bounded in-memory flight recorder. Incoming W3C traceparent headers
 // are honored. With -debug-addr a side listener additionally serves
 // net/http/pprof under /debug/pprof/ plus the same trace endpoints, and
-// -log-level emits one JSON log line per request, stamped with the
-// trace ID.
+// -log-level writes one log/slog JSON line per request to stderr
+// ({"time":…,"level":"INFO","msg":"http_request","endpoint":…,
+// "method":…,"path":…,"status":…,"duration_ms":…,"trace_id":…}, level
+// ERROR for a 5xx), whose trace_id is the response's X-Request-Id.
 //
 // The listener binds before the model registry loads: during boot the
 // server answers /healthz (alive, not ready) and 503 not_ready
@@ -131,17 +133,14 @@ func defineFlags(fs *flag.FlagSet, o *serveFlags) {
 	fs.IntVar(&o.maxInflight, "max-inflight", 0, "per-model in-flight prediction limit; excess answers 429 predict_overloaded (0 = unlimited)")
 	fs.IntVar(&o.maxIngestQueue, "max-ingest-queue", 0, "bounded ingest queue: admitted-but-unfinished batches; excess answers 429 ingest_overloaded (0 = unlimited)")
 	fs.IntVar(&o.retryAfter, "retry-after", 0, "Retry-After seconds on 429/503 rejections (0 = default 1)")
-	fs.BoolVar(&o.metrics, "metrics", true, "expose Prometheus text-format metrics at GET /metrics")
-	fs.BoolVar(&o.trace, "trace", true, "record request traces: X-Request-Id on every response, span trees for sampled requests, flight recorder at GET /debug/traces[/slow]")
 	fs.Float64Var(&o.traceSample, "trace-sample", 1.0, "fraction of requests that record spans (0 < f <= 1; incoming sampled traceparent headers always record)")
 	fs.IntVar(&o.traceSlowMS, "trace-slow-ms", 0, "requests at or over this duration are kept in the slow-trace list regardless of recency (0 = default 100)")
 	fs.StringVar(&o.logLevel, "log-level", "", "request logging to stderr as JSON lines at this level: debug, info, warn, error (empty = no request log)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "side listener for operational debugging: net/http/pprof under /debug/pprof/ plus the trace flight recorder at /debug/traces[/slow] (empty = disabled; port 0 picks a free port)")
-	fs.BoolVar(&o.monitor, "monitor", true, "model and data health monitoring: drift/staleness verdicts at GET /v1/models/{name}/health, gauges in /metrics, a health section in /statsz")
-	fs.Float64Var(&o.driftWarn, "drift-warn", 0.1, "per-column PSI at or above this marks the column \"warn\" (needs -monitor)")
-	fs.Float64Var(&o.driftPSI, "drift-psi", 0.25, "per-column PSI at or above this marks the column \"drift\" and the model verdict \"drifting\" (needs -monitor)")
-	fs.Int64Var(&o.stalenessMaxRows, "staleness-max-rows", 0, "verdict flips to \"stale\" once this many fact rows were ingested since the model's last refresh (0 = staleness by rows disabled; needs -monitor)")
-	fs.Float64Var(&o.healthSample, "health-sample", 1.0, "fraction of predict requests whose outputs feed the prediction-quality sketch (0 < f <= 1; needs -monitor)")
+	fs.Float64Var(&o.driftWarn, "drift-warn", 0.1, "per-column PSI at or above this marks the column \"warn\" in the health verdict")
+	fs.Float64Var(&o.driftPSI, "drift-psi", 0.25, "per-column PSI at or above this marks the column \"drift\" and the model verdict \"drifting\"")
+	fs.Int64Var(&o.stalenessMaxRows, "staleness-max-rows", 0, "verdict flips to \"stale\" once this many fact rows were ingested since the model's last refresh (0 = staleness by rows disabled)")
+	fs.Float64Var(&o.healthSample, "health-sample", 1.0, "fraction of predict requests whose outputs feed the prediction-quality sketch (0 < f <= 1)")
 	fs.StringVar(&o.walDir, "wal-dir", "", "write-ahead-log directory; enables crash-safe durability (ingest acks after fsync within the -fsync-every window, WAL replay on reboot); empty = durability off")
 	fs.IntVar(&o.fsyncEvery, "fsync-every", 0, "group-commit window: fsync every this many WAL records (0/1 = every record, no ack before its fsync; N>1 acks before the fsync, a bounded N-record loss window on a crash; needs -wal-dir)")
 	fs.IntVar(&o.snapshotEvery, "snapshot-every", defaultSnapshotEvery, "commit an atomic snapshot and truncate the WAL after this many records past the last snapshot (0 = boot/shutdown checkpoints only; needs -wal-dir)")
@@ -164,13 +163,10 @@ type serveFlags struct {
 	maxInflight, maxIngestQueue, retryAfter int
 	batchWindow                             time.Duration
 	maxBatch                                int
-	metrics                                 bool
-	trace                                   bool
 	traceSample                             float64
 	traceSlowMS                             int
 	debugAddr                               string
 	logLevel                                string
-	monitor                                 bool
 	driftWarn, driftPSI                     float64
 	stalenessMaxRows                        int64
 	healthSample                            float64
@@ -281,15 +277,17 @@ func run(cfg serveFlags, out io.Writer, stop <-chan os.Signal) error {
 			BatchWindow:         cfg.batchWindow,
 			MaxBatchRows:        cfg.maxBatch,
 		}),
-	}
-	if cfg.metrics {
-		opts = append(opts, factorml.WithMetrics())
-	}
-	if cfg.trace {
-		opts = append(opts, factorml.WithTracing(factorml.TraceConfig{
+		factorml.WithMetrics(),
+		factorml.WithTracing(factorml.TraceConfig{
 			SampleFraction: cfg.traceSample,
 			SlowThreshold:  time.Duration(cfg.traceSlowMS) * time.Millisecond,
-		}))
+		}),
+		factorml.WithMonitoring(factorml.MonitorConfig{
+			DriftWarnPSI:     cfg.driftWarn,
+			DriftPSI:         cfg.driftPSI,
+			StalenessMaxRows: cfg.stalenessMaxRows,
+			SampleFraction:   cfg.healthSample,
+		}),
 	}
 	if cfg.logLevel != "" {
 		level, err := factorml.ParseLogLevel(cfg.logLevel)
@@ -297,14 +295,6 @@ func run(cfg serveFlags, out io.Writer, stop <-chan os.Signal) error {
 			return err
 		}
 		opts = append(opts, factorml.WithServerLogger(factorml.NewLogger(os.Stderr, level)))
-	}
-	if cfg.monitor {
-		opts = append(opts, factorml.WithMonitoring(factorml.MonitorConfig{
-			DriftWarnPSI:     cfg.driftWarn,
-			DriftPSI:         cfg.driftPSI,
-			StalenessMaxRows: cfg.stalenessMaxRows,
-			SampleFraction:   cfg.healthSample,
-		}))
 	}
 	if cfg.fact != "" {
 		opts = append(opts, factorml.WithStream(cfg.fact, factorml.StreamPolicy{
@@ -336,10 +326,8 @@ func run(cfg serveFlags, out io.Writer, stop <-chan os.Signal) error {
 	if cfg.batchWindow > 0 {
 		fmt.Fprintf(out, "dynamic batching: batch-window=%s max-batch=%d\n", cfg.batchWindow, cfg.maxBatch)
 	}
-	if cfg.monitor {
-		fmt.Fprintf(out, "health monitoring: drift-warn=%g drift-psi=%g staleness-max-rows=%d health-sample=%g\n",
-			cfg.driftWarn, cfg.driftPSI, cfg.stalenessMaxRows, cfg.healthSample)
-	}
+	fmt.Fprintf(out, "health monitoring: drift-warn=%g drift-psi=%g staleness-max-rows=%d health-sample=%g\n",
+		cfg.driftWarn, cfg.driftPSI, cfg.stalenessMaxRows, cfg.healthSample)
 	if cfg.walDir != "" {
 		ws := db.WALStats()
 		fmt.Fprintf(out, "durability: wal-dir=%s fsync-every=%d snapshot-every=%d (recovered to LSN %d)\n",

@@ -59,6 +59,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"path/filepath"
 	"slices"
@@ -77,7 +78,6 @@ import (
 	"factorml/internal/stream"
 	"factorml/internal/trace"
 	"factorml/internal/wal"
-	"factorml/internal/xlog"
 )
 
 // Algorithm selects the execution strategy for training. It is the
@@ -210,30 +210,37 @@ type (
 	// TraceStats is the tracer's cumulative counter snapshot (requests
 	// seen, sampled, errored, slow, recorded), embedded in /statsz.
 	TraceStats = trace.Stats
-	// Logger is the leveled JSON line logger a Server accepts through
-	// WithServerLogger; build one with NewLogger. Request log lines carry
-	// the trace ID of sampled requests.
-	Logger = xlog.Logger
+	// Logger is the standard library's structured logger, which a Server
+	// accepts through WithServerLogger; NewLogger builds the JSON one the
+	// serve command uses. A Server's request lines carry the trace_id of
+	// the request.
+	Logger = slog.Logger
 	// LogLevel is a Logger severity threshold (see ParseLogLevel).
-	LogLevel = xlog.Level
+	LogLevel = slog.Level
 )
 
 // Logger severity levels, most to least verbose.
 const (
-	LogDebug = xlog.LevelDebug
-	LogInfo  = xlog.LevelInfo
-	LogWarn  = xlog.LevelWarn
-	LogError = xlog.LevelError
+	LogDebug = slog.LevelDebug
+	LogInfo  = slog.LevelInfo
+	LogWarn  = slog.LevelWarn
+	LogError = slog.LevelError
 )
 
-// NewLogger builds a leveled JSON line logger writing to w (one object
-// per line; keys ts/level/msg/trace_id lead). A nil *Logger is silent
-// everywhere it is accepted.
-func NewLogger(w io.Writer, min LogLevel) *Logger { return xlog.New(w, min) }
+// NewLogger builds a JSON line logger writing to w at the min level and
+// above: one object per line, keys time, level (DEBUG/INFO/WARN/ERROR),
+// msg, then the attributes in call order.
+func NewLogger(w io.Writer, min LogLevel) *Logger {
+	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: min}))
+}
 
-// ParseLogLevel parses "debug", "info", "warn"/"warning" or "error"
-// (case-insensitive) into a LogLevel.
-func ParseLogLevel(s string) (LogLevel, error) { return xlog.ParseLevel(s) }
+// ParseLogLevel parses "debug", "info", "warn" or "error"
+// (case-insensitive) into a LogLevel, in slog's level syntax.
+func ParseLogLevel(s string) (LogLevel, error) {
+	var l LogLevel
+	err := l.UnmarshalText([]byte(s))
+	return l, err
+}
 
 // Registered model kinds.
 const (
@@ -1128,10 +1135,11 @@ func WithTracing(cfg TraceConfig) ServerOption {
 	return func(o *serverOptions) { o.withTracing = true; o.traceCfg = cfg }
 }
 
-// WithServerLogger attaches a request logger: one JSON line per request
-// (endpoint, method, status, duration) stamped with the trace ID of
-// sampled requests, at Error level for 5xx responses. Build the logger
-// with NewLogger; nil disables logging.
+// WithServerLogger attaches a request logger: one "http_request" line per
+// request (endpoint, method, path, status, duration_ms) at LogInfo, at
+// LogError for 5xx responses, and with WithTracing the request's
+// trace_id (its X-Request-Id). Monitor verdict transitions and stream
+// warnings log through it too. nil disables logging.
 func WithServerLogger(l *Logger) ServerOption {
 	return func(o *serverOptions) { o.logger = l }
 }
@@ -1259,7 +1267,7 @@ func NewServer(d *DB, dimTables []string, opts ...ServerOption) (*Server, error)
 	if err != nil {
 		return nil, err
 	}
-	sopts := []serve.Option{serve.WithLimits(o.limits)}
+	sopts := []serve.Option{serve.WithLimits(o.limits), serve.WithLogger(o.logger)}
 	if o.withMetrics {
 		sopts = append(sopts, serve.WithMetrics())
 	}
@@ -1273,9 +1281,6 @@ func NewServer(d *DB, dimTables []string, opts ...ServerOption) (*Server, error)
 	}
 	if o.withTracing {
 		sopts = append(sopts, serve.WithTracer(trace.New(o.traceCfg)))
-	}
-	if o.logger != nil {
-		sopts = append(sopts, serve.WithLogger(o.logger))
 	}
 	out := &Server{}
 	if o.withStream {

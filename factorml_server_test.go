@@ -1,9 +1,12 @@
 package factorml
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,9 +14,9 @@ import (
 	"testing"
 )
 
-// newRetailServer trains and saves a model over buildRetail's star schema
-// and stands up the redesigned facade server with the given options.
-func newRetailServer(t *testing.T, opts ...ServerOption) (*Server, *httptest.Server) {
+// retailDB trains a model over buildRetail's star schema and saves it as
+// "retail-nn".
+func retailDB(t *testing.T) *DB {
 	t.Helper()
 	db := openDB(t)
 	ds := buildRetail(t, db, 150, 8)
@@ -24,7 +27,14 @@ func newRetailServer(t *testing.T, opts ...ServerOption) (*Server, *httptest.Ser
 	if err := db.SaveNN("retail-nn", nres.Net); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(db, []string{"items"}, opts...)
+	return db
+}
+
+// newRetailServer stands up the facade server over retailDB with the
+// given options.
+func newRetailServer(t *testing.T, opts ...ServerOption) (*Server, *httptest.Server) {
+	t.Helper()
+	srv, err := NewServer(retailDB(t), []string{"items"}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,5 +301,179 @@ func TestServerConcurrentMetricsScrapes(t *testing.T) {
 	}
 	if !strings.Contains(string(text), "factorml_stream_facts_total") {
 		t.Fatalf("no stream counters in exposition:\n%s", text)
+	}
+}
+
+// lockedBuffer is a log destination the server's handler goroutines write
+// while the test reads.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// accessLogServer boots a facade server with tracing, monitoring and the
+// given access logger, closed when the test ends.
+func accessLogServer(t *testing.T, l *Logger) *httptest.Server {
+	t.Helper()
+	srv, err := NewServer(retailDB(t), []string{"items"}, WithTracing(TraceConfig{}), WithMonitoring(MonitorConfig{}), WithServerLogger(l))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+const (
+	accessLogPredict = "/v1/models/retail-nn/predict"
+	accessLogBody    = `{"rows":[{"fact":[1.5,10],"fks":[3]}]}`
+)
+
+// accessLogPost sends one POST, with a traceparent header when one is
+// given, and drains the response; it returns nil after reporting an error.
+func accessLogPost(t *testing.T, ts *httptest.Server, path, body, traceparent string) *http.Response {
+	req, err := http.NewRequest("POST", ts.URL+path, strings.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	if traceparent != "" {
+		req.Header.Set("traceparent", traceparent)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp
+}
+
+// accessLogLines closes ts, which waits for every request's log line, and
+// decodes what the logger wrote, failing on any line that is not one
+// whole JSON object.
+func accessLogLines(t *testing.T, ts *httptest.Server, buf *lockedBuffer) []map[string]any {
+	t.Helper()
+	ts.Close()
+	var out []map[string]any
+	for _, ln := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(ln), &m); err != nil {
+			t.Fatalf("log line %q is not one JSON object: %v", ln, err)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// TestServerAccessLog reads the access log a facade server writes through
+// WithServerLogger and WithTracing: one JSON http_request line per
+// request, whose trace_id is the response's X-Request-Id (adopted from
+// the request's traceparent); INFO for a 200 and ERROR for a 5xx; and
+// whole lines with distinct trace_ids under concurrent requests.
+func TestServerAccessLog(t *testing.T) {
+	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
+	var info lockedBuffer
+	ts := accessLogServer(t, NewLogger(&info, LogInfo))
+	resp := accessLogPost(t, ts, accessLogPredict, accessLogBody, "00-"+traceID+"-00f067aa0ba902b7-01")
+	if resp == nil || resp.StatusCode != http.StatusOK || resp.Header.Get("X-Request-Id") != traceID {
+		t.Fatalf("traced predict: %+v", resp)
+	}
+	if resp := accessLogPost(t, ts, "/v1/refresh", "", ""); resp == nil || resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("refresh without a stream: %+v", resp)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				accessLogPost(t, ts, accessLogPredict, accessLogBody, "")
+			}
+		}()
+	}
+	wg.Wait()
+	got := accessLogLines(t, ts, &info)
+	if len(got) != 42 {
+		t.Fatalf("logged %d lines for 42 requests", len(got))
+	}
+	want := []map[string]any{
+		{"level": "INFO", "msg": "http_request", "endpoint": "predict", "method": "POST", "path": accessLogPredict, "status": 200.0, "trace_id": traceID},
+		{"level": "ERROR", "msg": "http_request", "endpoint": "refresh", "status": 503.0},
+	}
+	for i, w := range want {
+		for k, v := range w {
+			if got[i][k] != v {
+				t.Errorf("line %d: %s = %v, want %v (line %v)", i, k, got[i][k], v, got[i])
+			}
+		}
+	}
+	ids := make(map[any]bool)
+	for _, m := range got {
+		if m["time"] == nil || m["duration_ms"] == nil || m["trace_id"] == nil {
+			t.Errorf("line without time, duration_ms or trace_id: %v", m)
+		}
+		ids[m["trace_id"]] = true
+	}
+	if len(ids) != len(got) {
+		t.Errorf("%d lines carry %d distinct trace_ids", len(got), len(ids))
+	}
+}
+
+// TestServerAccessLogLevel checks the logger's threshold on the access
+// log: an ERROR-level logger writes the 5xx line and nothing below it.
+func TestServerAccessLogLevel(t *testing.T) {
+	var errorsOnly lockedBuffer
+	ts := accessLogServer(t, NewLogger(&errorsOnly, LogError))
+	accessLogPost(t, ts, accessLogPredict, accessLogBody, "")
+	accessLogPost(t, ts, "/v1/refresh", "", "")
+	if got := accessLogLines(t, ts, &errorsOnly); len(got) != 1 || got[0]["endpoint"] != "refresh" || got[0]["level"] != "ERROR" {
+		t.Errorf("an ERROR-level logger wrote %v, want the refresh line alone", got)
+	}
+}
+
+// TestServerAccessLogNilLogger checks that WithServerLogger(nil) serves
+// normally and writes nothing. A nil logger must not fall back to slog's
+// default logger, which also takes over the log package's output until
+// restored.
+func TestServerAccessLogNilLogger(t *testing.T) {
+	var fallback lockedBuffer
+	def, out, flags := slog.Default(), log.Writer(), log.Flags()
+	defer func() { slog.SetDefault(def); log.SetOutput(out); log.SetFlags(flags) }()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&fallback, &slog.HandlerOptions{Level: LogDebug})))
+	ts := accessLogServer(t, nil)
+	if resp := accessLogPost(t, ts, accessLogPredict, accessLogBody, ""); resp == nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict with a nil logger: %+v", resp)
+	}
+	accessLogPost(t, ts, "/v1/refresh", "", "")
+	ts.Close()
+	if fallback.String() != "" {
+		t.Errorf("a nil logger wrote to the default logger: %s", fallback.String())
+	}
+}
+
+// TestParseLogLevel pins the -log-level names: the four documented levels
+// parse in any case, and an unknown name is an error.
+func TestParseLogLevel(t *testing.T) {
+	for s, want := range map[string]LogLevel{"debug": LogDebug, "INFO": LogInfo, "Warn": LogWarn, "error": LogError} {
+		if got, err := ParseLogLevel(s); err != nil || got != want {
+			t.Errorf("ParseLogLevel(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	if _, err := ParseLogLevel("loud"); err == nil {
+		t.Error("ParseLogLevel accepted \"loud\"")
 	}
 }

@@ -12,5 +12,5 @@
 // dependency-free (standard library plus the repo's own internal
 // packages) and passive: monitoring never changes a trained model or a
 // prediction, a guarantee pinned by the equivalence tests, and a nil
-// *Monitor is valid and free, mirroring the trace/xlog discipline.
+// *Monitor is valid and free, mirroring the trace package's discipline.
 package monitor

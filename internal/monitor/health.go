@@ -3,6 +3,7 @@ package monitor
 import (
 	"context"
 	"fmt"
+	"log/slog"
 
 	"factorml/internal/metrics"
 )
@@ -149,26 +150,24 @@ func (m *Monitor) healthLocked(mm *modelMon) Health {
 	return h
 }
 
-// transitionLocked emits an xlog event when mm's verdict moved. The
-// very first evaluation seeds the state silently — a transition is a
-// change, not an initial reading.
+// transitionLocked logs an event when mm's verdict moved. The very
+// first evaluation seeds the state silently — a transition is a change,
+// not an initial reading.
 func (m *Monitor) transitionLocked(mm *modelMon, h Health) {
 	prev := mm.lastVerdict
 	mm.lastVerdict = h.Verdict
 	if prev == "" || prev == h.Verdict {
 		return
 	}
-	kv := []any{
+	lvl := slog.LevelWarn
+	if h.Verdict == VerdictFresh {
+		lvl = slog.LevelInfo
+	}
+	m.cfg.Logger.Log(context.Background(), lvl, "model health verdict changed",
 		"model", mm.name, "kind", mm.kind, "version", h.Version,
 		"from", prev, "to", h.Verdict,
 		"max_psi", h.MaxPSI, "quality_psi", h.QualityPSI,
-		"rows_since_refresh", h.RowsSinceRefresh,
-	}
-	if h.Verdict == VerdictFresh {
-		m.cfg.Logger.Info(context.Background(), "model health verdict changed", kv...)
-	} else {
-		m.cfg.Logger.Warn(context.Background(), "model health verdict changed", kv...)
-	}
+		"rows_since_refresh", h.RowsSinceRefresh)
 }
 
 // HealthList is every monitored model's health, the "health" section of

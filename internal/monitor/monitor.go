@@ -1,11 +1,10 @@
 package monitor
 
 import (
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
-
-	"factorml/internal/xlog"
 )
 
 // Config sets the monitor's drift and staleness thresholds. The zero
@@ -30,7 +29,7 @@ type Config struct {
 	// this many observations. Defaults to 50.
 	MinWindowRows int64
 	// Logger, when set, receives an event on every verdict transition.
-	Logger *xlog.Logger
+	Logger *slog.Logger
 
 	now func() time.Time // test seam; nil means time.Now
 }
@@ -48,6 +47,9 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MinWindowRows <= 0 {
 		out.MinWindowRows = 50
+	}
+	if out.Logger == nil {
+		out.Logger = slog.New(slog.DiscardHandler)
 	}
 	if out.now == nil {
 		out.now = time.Now

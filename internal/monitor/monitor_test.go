@@ -2,13 +2,13 @@ package monitor
 
 import (
 	"bytes"
+	"log/slog"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"factorml/internal/metrics"
-	"factorml/internal/xlog"
 )
 
 // testLineage builds a two-column (S.x0, R1.r0) baseline over U[0, 0.5)
@@ -38,7 +38,7 @@ func testLineage() *Lineage {
 
 func TestVerdictLifecycle(t *testing.T) {
 	var logBuf bytes.Buffer
-	m := New(Config{MinWindowRows: 20, Logger: xlog.New(&logBuf, xlog.LevelInfo)})
+	m := New(Config{MinWindowRows: 20, Logger: slog.New(slog.NewJSONHandler(&logBuf, nil))})
 	m.Attach("m1", "gmm", 1, testLineage())
 
 	// In-distribution rows keep the model fresh.

@@ -33,11 +33,8 @@ const DefaultBins = 10
 // NewSketch returns an empty sketch whose interior histogram splits
 // [lo, hi) into bins equal cells. A degenerate range (hi <= lo, e.g. a
 // constant column) is widened by one unit so every observation lands in
-// a well-defined bin. bins < 1 falls back to DefaultBins.
+// a well-defined bin.
 func NewSketch(lo, hi float64, bins int) *Sketch {
-	if bins < 1 {
-		bins = DefaultBins
-	}
 	if !(hi > lo) { // also catches NaN
 		hi = lo + 1
 	}

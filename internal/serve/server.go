@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -14,7 +15,6 @@ import (
 	"factorml/internal/metrics"
 	"factorml/internal/monitor"
 	"factorml/internal/trace"
-	"factorml/internal/xlog"
 )
 
 // maxPredictBody bounds a predict request body (32 MiB).
@@ -71,7 +71,7 @@ type Server struct {
 	// tracer assembles per-request traces (nil without WithTracer);
 	// logger writes structured access/error logs (nil without WithLogger).
 	tracer *trace.Tracer
-	logger *xlog.Logger
+	logger *slog.Logger
 
 	// ingest, refresh and streamSections are the streaming subsystem's
 	// endpoints and telemetry (all nil without WithStream).
@@ -99,10 +99,14 @@ func WithTracer(t *trace.Tracer) Option {
 	return func(s *Server) { s.tracer = t }
 }
 
-// WithLogger installs a leveled JSON access logger; request lines carry
-// the same trace ID as the X-Request-Id header and /debug/traces.
-func WithLogger(l *xlog.Logger) Option {
-	return func(s *Server) { s.logger = l }
+// WithLogger installs an access logger (nil logs nothing); request lines
+// carry the same trace_id as the X-Request-Id header and /debug/traces.
+func WithLogger(l *slog.Logger) Option {
+	return func(s *Server) {
+		if l != nil {
+			s.logger = slog.New(trace.LogHandler(l.Handler()))
+		}
+	}
 }
 
 // WithMetrics mounts the registry's Prometheus exposition at GET /metrics
@@ -276,11 +280,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		tr.Finish(rec.status)
 	}
 	if s.logger != nil {
-		lvl := s.logger.Info
+		lvl := slog.LevelInfo
 		if rec.status >= 500 {
-			lvl = s.logger.Error
+			lvl = slog.LevelError
 		}
-		lvl(r.Context(), "http_request",
+		s.logger.Log(r.Context(), lvl, "http_request",
 			"endpoint", endpoint, "method", r.Method, "path", r.URL.Path,
 			"status", rec.status, "duration_ms", float64(elapsed.Microseconds())/1e3)
 	}

@@ -222,7 +222,7 @@ func (s *Stream) restoreStateLocked(ctx context.Context, raw []byte) error {
 		s.models[ms.Name] = m
 	}
 	if dropped > 0 {
-		s.log.Warn(ctx, "checkpoint predates the current format: maintained GMM statistics dropped, first refresh rebaselines",
+		s.log.WarnContext(ctx, "checkpoint predates the current format: maintained GMM statistics dropped, first refresh rebaselines",
 			"format", st.Format, "models", dropped)
 	}
 	s.mon.Restore(st.Monitor)

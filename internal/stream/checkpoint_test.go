@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,7 +29,6 @@ import (
 	"factorml/internal/serve"
 	"factorml/internal/storage"
 	"factorml/internal/wal"
-	"factorml/internal/xlog"
 )
 
 func ckptCopyTree(t *testing.T, src, dst string) {
@@ -412,7 +412,7 @@ func TestRestoreFormat1DropsStatistics(t *testing.T) {
 				t.Fatal(err)
 			}
 			var logged bytes.Buffer
-			s2 := ckptCrashRecover(t, dbDir, walDir, Options{Policy: Policy{NumWorkers: 2}, Logger: xlog.New(&logged, xlog.LevelInfo)},
+			s2 := ckptCrashRecover(t, dbDir, walDir, Options{Policy: Policy{NumWorkers: 2}, Logger: slog.New(slog.NewJSONHandler(&logged, nil))},
 				func(snapPath string) {
 					if err := os.WriteFile(filepath.Join(snapPath, streamStateFile), tc.state, 0o644); err != nil {
 						t.Fatal(err)

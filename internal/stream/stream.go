@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,7 +20,6 @@ import (
 	"factorml/internal/storage"
 	"factorml/internal/trace"
 	"factorml/internal/wal"
-	"factorml/internal/xlog"
 )
 
 // Policy tunes when and how refreshes run.
@@ -98,7 +98,7 @@ type Options struct {
 
 	// Logger, when set, receives the stream's operational events (a nil
 	// logger is silent).
-	Logger *xlog.Logger
+	Logger *slog.Logger
 
 	// SnapshotEvery takes an automatic checkpoint once the WAL has
 	// grown that many records past the last snapshot. 0 disables
@@ -163,7 +163,7 @@ type Stream struct {
 	reg    *serve.Registry
 	pol    Policy
 	mon    *monitor.Monitor
-	log    *xlog.Logger
+	log    *slog.Logger // never nil: a discarding logger stands in for none
 	// Monitor scratch (allocated once when a monitor is attached): the
 	// joined-row buffer and per-node ordinals, reused across every
 	// ingested fact row so the observe path allocates nothing.
@@ -233,6 +233,9 @@ func New(db *storage.Database, spec *join.Spec, opts Options) (*Stream, error) {
 		log:       opts.Logger,
 		wal:       opts.WAL,
 		snapEvery: opts.SnapshotEvery,
+	}
+	if s.log == nil {
+		s.log = slog.New(slog.DiscardHandler)
 	}
 	plan := spec.Plan()
 	var lookup func(name string) (*join.ResidentIndex, bool)

@@ -1,6 +1,9 @@
 package trace
 
-import "context"
+import (
+	"context"
+	"log/slog"
+)
 
 // Context aliases context.Context so the package's own files read
 // without importing both names.
@@ -29,6 +32,29 @@ func RequestID(ctx Context) string {
 		return ref.reqID
 	}
 	return ""
+}
+
+// LogHandler wraps h so every record logged with a context that passed
+// through a Tracer carries the request's trace_id (the X-Request-Id
+// header and the /debug/traces ID), sampled or not. Under WithGroup the
+// trace_id lands in the open group, as every record attribute does.
+func LogHandler(h slog.Handler) slog.Handler { return logHandler{h} }
+
+type logHandler struct{ slog.Handler }
+
+func (h logHandler) Handle(ctx Context, r slog.Record) error {
+	if id := RequestID(ctx); id != "" {
+		r.AddAttrs(slog.String("trace_id", id))
+	}
+	return h.Handler.Handle(ctx, r)
+}
+
+func (h logHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	return logHandler{h.Handler.WithAttrs(attrs)}
+}
+
+func (h logHandler) WithGroup(name string) slog.Handler {
+	return logHandler{h.Handler.WithGroup(name)}
 }
 
 // Start opens a span named name as a child of ctx's current span and

@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -242,4 +245,49 @@ func FuzzParseTraceparent(f *testing.F) {
 			t.Fatalf("%q formats back as %q", h, out)
 		}
 	})
+}
+
+// TestLogHandler pins LogHandler's trace_id: a context from StartRequest
+// stamps the request ID whether or not the request was sampled, an
+// untraced context adds none, and loggers derived through WithAttrs and
+// WithGroup keep stamping.
+func TestLogHandler(t *testing.T) {
+	var buf bytes.Buffer
+	log := slog.New(LogHandler(slog.NewJSONHandler(&buf, nil)))
+	line := func() map[string]any {
+		t.Helper()
+		var m map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
+			t.Fatalf("line %q is not one JSON object: %v", buf.Bytes(), err)
+		}
+		buf.Reset()
+		return m
+	}
+	sampled, trc, id := New(Config{}).StartRequest(context.Background(), "r", "")
+	defer trc.Finish(200)
+	unsampled, none, uid := New(Config{SampleFraction: 1e-12}).StartRequest(context.Background(), "r", "")
+	if none != nil || uid == "" {
+		t.Fatalf("want an unsampled request with an ID, got trace %v, ID %q", none, uid)
+	}
+
+	log.InfoContext(sampled, "sampled", "endpoint", "predict")
+	if m := line(); m["trace_id"] != id || m["endpoint"] != "predict" {
+		t.Errorf("sampled request: %v, want trace_id %s", m, id)
+	}
+	log.InfoContext(unsampled, "unsampled")
+	if m := line(); m["trace_id"] != uid {
+		t.Errorf("unsampled request: %v, want trace_id %s", m, uid)
+	}
+	log.InfoContext(context.Background(), "untraced")
+	if m := line(); m["trace_id"] != nil {
+		t.Errorf("untraced context stamped %v", m["trace_id"])
+	}
+	log.With("k", "v").InfoContext(sampled, "with attrs")
+	if m := line(); m["trace_id"] != id || m["k"] != "v" {
+		t.Errorf("WithAttrs logger: %v, want trace_id %s and k=v", m, id)
+	}
+	log.WithGroup("g").InfoContext(sampled, "grouped", "a", 1)
+	if g, _ := line()["g"].(map[string]any); g["trace_id"] != id || g["a"] != 1.0 {
+		t.Errorf("WithGroup logger: group %v, want trace_id %s and a=1", g, id)
+	}
 }

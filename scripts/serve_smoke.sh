@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Serve smoke test: datagen → train -save → boot cmd/serve → curl /healthz,
 # one predict, and /statsz. Exercises the full train→save→reload→serve path
-# through the real binaries, the way CI and operators run them.
+# through the real binaries, the way CI and operators run them, with the
+# access log on: the predict's log line must carry its X-Request-Id.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,7 +36,7 @@ echo "== training and saving models"
     -k 2 -iters 2 -save smoke-gmm
 
 echo "== booting serve"
-"$tmp/serve" -db "$tmp/db" -dims synth_R1 -addr 127.0.0.1:0 >"$tmp/serve.log" 2>&1 &
+"$tmp/serve" -db "$tmp/db" -dims synth_R1 -addr 127.0.0.1:0 -log-level info >"$tmp/serve.log" 2>&1 &
 server_pid=$!
 
 addr=""
@@ -64,7 +65,7 @@ grep -q '"status": "ok"' <<<"$health"
 grep -q '"models": 2' <<<"$health"
 
 echo "== predict (repeated fk so the dimension cache must hit)"
-pred="$(curl_json -X POST "http://$addr/v1/models/smoke-nn/predict" \
+pred="$(curl_json -X POST "http://$addr/v1/models/smoke-nn/predict" -D "$tmp/pred.hdr" \
     -H 'Content-Type: application/json' \
     -d '{"rows":[{"fact":[0.1,0.2,0.3],"fks":[5]},{"fact":[1,1,1],"fks":[5]}]}')"
 echo "   $pred"
@@ -72,6 +73,13 @@ grep -q '"output"' <<<"$pred"
 if grep -q '"error"' <<<"$pred"; then
     echo "predict returned a row error" >&2; exit 1
 fi
+
+echo "== access log (the predict's line carries its X-Request-Id as trace_id)"
+reqid="$(tr -d '\r' <"$tmp/pred.hdr" | sed -n 's/^[Xx]-[Rr]equest-[Ii]d: *//p')"
+[ -n "$reqid" ] || { echo "predict answered without X-Request-Id" >&2; cat "$tmp/pred.hdr" >&2; exit 1; }
+line="$(grep '"msg":"http_request"' "$tmp/serve.log" | grep -F "\"trace_id\":\"$reqid\"" || true)"
+echo "   $line"
+grep -q '"endpoint":"predict"' <<<"$line" || { echo "no predict access-log line with trace_id $reqid" >&2; cat "$tmp/serve.log" >&2; exit 1; }
 
 gpred="$(curl_json -X POST "http://$addr/v1/models/smoke-gmm/predict" \
     -H 'Content-Type: application/json' \
