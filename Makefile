@@ -8,7 +8,7 @@ GO ?= go
 # raised at 76.9 % measured.
 COVERAGE_BASELINE ?= 75.9
 
-.PHONY: all build loc test race fuzz bench-harness ab cover serve-smoke stream-smoke examples load-smoke drift-smoke crash-smoke fmt vet ci
+.PHONY: all build loc test race fuzz bench-harness ab cover nofma serve-smoke stream-smoke examples load-smoke drift-smoke crash-smoke fmt vet ci
 
 all: build
 
@@ -103,6 +103,12 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	./scripts/check_coverage.sh coverage.out $(COVERAGE_BASELINE)
 
+# Portable transcendentals: cross-compile internal/linalg for arm64, ppc64le
+# and s390x and require 0 fused multiply-adds in the exp/log kernels
+# (scripts/nofma.sh), so their bits are the same on every architecture.
+nofma:
+	./scripts/nofma.sh
+
 fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then \
@@ -112,4 +118,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet build race fuzz cover bench-harness serve-smoke stream-smoke examples load-smoke drift-smoke crash-smoke
+ci: fmt vet build nofma race fuzz cover bench-harness serve-smoke stream-smoke examples load-smoke drift-smoke crash-smoke

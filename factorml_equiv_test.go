@@ -475,14 +475,14 @@ func TestSnowflakeDepth3PinnedEquivalence(t *testing.T) {
 }
 
 // TestStarNNBytesPinned pins the trained network's serialized bytes on one
-// seeded two-dimension star for every strategy. The hashes were recorded
-// before the layer-1 weight gradient became one ΔᵀX product per chunk
-// (linalg.OuterAccumRows) and the MatVec family went four rows at a time:
-// both add the same products to every element in the same order, and on a
-// star the join runner's subtree flattening is a no-op, so the bytes must
-// not move — for any worker count. amd64 only: other ports may fuse the
-// multiply-adds, which rounds differently from the machine that recorded
-// the hashes.
+// seeded two-dimension star for every strategy, for any worker count. The
+// hashes were re-recorded when the sigmoid moved to linalg.ExpInto and
+// F-NN's input-layer gradient was factorized per dimension tuple (one
+// outer product per touched tuple instead of one per match); a kernel
+// change that adds the same products in the same order must not move them.
+// amd64 only: other ports may fuse the multiply-adds of the kernels other
+// than exp and log, which rounds differently from the machine that
+// recorded the hashes.
 func TestStarNNBytesPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bytes were recorded on amd64 (no fused multiply-add)")
@@ -495,9 +495,9 @@ func TestStarNNBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[Algorithm]string{
-		Materialized: "d5778dbc63b05e1b5754f40ea6d6407d93590e116e5719ade94f04819f30b5a0",
-		Streaming:    "d5778dbc63b05e1b5754f40ea6d6407d93590e116e5719ade94f04819f30b5a0",
-		Factorized:   "f7ba1b489ce1202c920cb2dce1039055c22b46b67325c802953664c4c5d8c425",
+		Materialized: "63d01ecd39440e93ff2615a7620780347526cf3664648fa6b7229d5c5b5dbee5",
+		Streaming:    "63d01ecd39440e93ff2615a7620780347526cf3664648fa6b7229d5c5b5dbee5",
+		Factorized:   "0a3bb5b376df48e7942b6b58a2cb95a40f70881486c4231f3f0e5fc855e5260d",
 	}
 	for _, algo := range []Algorithm{Materialized, Streaming, Factorized} {
 		for _, workers := range []int{1, 3} {

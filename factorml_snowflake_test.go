@@ -374,10 +374,11 @@ func tupleOf(t *testing.T, dt *DimensionTable, rid int64) StorageTuple {
 // tuple's work (its whole subtree's, which the join runner appends to it)
 // is shared by 40 fact rows: the recursive analogue of the paper's
 // Eq. 7–12 savings, in the same core.Ops accounting. The mixture saves at
-// least 2×. The network factorizes its layer-1 forward pass only (its
-// backward pass does the dense path's multiplications, Eq. 28–29), so its
-// saving is whatever the planner's cost model says it is: the measured
-// counts must equal the estimate, and the ratio must exceed 1.
+// least 2×. The network factorizes layer 1 only — the forward pass and
+// the input-layer gradient; above it the backward pass does the dense
+// path's multiplications (Eq. 28–29) — so its saving is whatever the
+// planner's cost model says it is: the measured counts must equal the
+// estimate, and the ratio must exceed 1.
 func TestSnowflakeFactorizedOpsAdvantage(t *testing.T) {
 	db := openDB(t)
 	ds, err := GenerateSynthetic(db, "snowops", SyntheticConfig{

@@ -557,6 +557,32 @@ func TestInternalPackagesAreReached(t *testing.T) {
 	}
 }
 
+// TestOneExpAndLog fails when a non-test file outside internal/linalg calls
+// math.Exp or math.Log. The program's exp and log are linalg.ExpInto and
+// linalg.Log: plain Go with every product rounded, so a model's bits do
+// not depend on the assembly math.Exp and math.Log have on some
+// architectures (scripts/nofma.sh checks the kernels' cross-compiles).
+// examples/ is exempt: those mains are written against the public facade
+// as a user's program would be, and an exp there draws synthetic inputs,
+// not model bits. The architecture skips of TestGoldenBits and
+// TestStarNNBytesPinned stay, because the other kernels still fuse
+// multiply-adds off amd64.
+func TestOneExpAndLog(t *testing.T) {
+	walkSource(t, func(path string, f *ast.File) {
+		if strings.HasPrefix(path, "internal/linalg/") || strings.HasPrefix(path, "examples/") {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "math" && (sel.Sel.Name == "Exp" || sel.Sel.Name == "Log") {
+					t.Errorf("%s uses math.%s; call linalg.ExpInto / linalg.Log, whose bits are the same on every architecture", path, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	})
+}
+
 // unsetKnobOK lists the settings no non-test file sets on purpose, each
 // with its reason. Everything else TestEveryKnobHasACaller checks must be
 // set by some caller.

@@ -29,16 +29,31 @@ package core
 //	and a flush moments(wᵢ) — axpy + γ·PD² — through the cached PD, as the
 //	full flush always was.
 //
-// and the NN equivalents (§VI-A1/A3), factorized at layer 1 only: §VI-A2's
-// layer-2 sharing would save no multiply per match and add a layer-2
-// mat-vec per dimension tuple and per refill, so no trainer runs it and no
-// unit prices it (TestLayer2SharingCostsMore prices it from Ops
-// primitives). The join runner resolves a snowflake's sub-dimension hops
-// once per dimension tuple and hands the trainers a star over the direct
-// dimensions, so sub-dimension relations contribute width to their direct
-// ancestor's part and no part, cache or cross term of their own: what a
-// wide sub-dimension costs is its width once per *parent* tuple, which is
-// what these formulas charge.
+// and the NN equivalents (§VI-A1/A3), for layer sizes [d, nh0, …, 1], where
+// "upper" is the layers above the input, forward and back:
+//
+//	dense SGD, per row, per epoch
+//	    matvec(nh0×d) + upper + outer(nh0, d)          (ΔᵀX over the row)
+//	factorized SGD, per epoch, over the fact part and q direct dimensions
+//	    fill, per tuple of dimension i: matvec(nh0×wᵢ)  (once per pass, or
+//	        per block under Block updates; R1's once per pass)
+//	    per match: matvec(nh0×dS) + q+1 adds + upper
+//	               + outer(nh0, dS) + q·nh0 adds       (ΔᵀX over the fact
+//	                   columns; δ⁰ into each tuple's sum)
+//	    flush, per tuple of dimension i, once per fill: outer(nh0, wᵢ)
+//
+// The input layer's gradient regroups Σ_n δ⁰_n·x_nᵀ by dimension tuple,
+// which is exact because a step follows a whole pass or block, never one
+// row. Factorization stops at layer 1: §VI-A2's layer-2 sharing would
+// save no multiply per match and add a layer-2 mat-vec per dimension tuple
+// and per refill, so no trainer runs it and no unit prices it
+// (TestLayer2SharingCostsMore prices it from Ops primitives). The join
+// runner resolves a snowflake's sub-dimension hops once per dimension
+// tuple and hands the trainers a star over the direct dimensions, so
+// sub-dimension relations contribute width to their direct ancestor's part
+// and no part, cache or cross term of their own: what a wide sub-dimension
+// costs is its width once per *parent* tuple, which is what these formulas
+// charge.
 //
 // The independent checks on the table count where the work is done, or in
 // closed form: FactQuad and gmm.Scorer's unfused loop — the reference the
@@ -108,12 +123,13 @@ func NewGMMUnits(p Partition, k int, diagonal bool) GMMUnits {
 	return u
 }
 
-// NNUnits are the per-event charges of one SGD epoch. Fill is indexed by
-// dimension part (1 … q; entry 0 is unused).
+// NNUnits are the per-event charges of one SGD epoch. Fill and Flush are
+// indexed by dimension part (1 … q; entry 0 is unused).
 type NNUnits struct {
 	DenseRow Ops   // an example through the dense trainer: forward, backward, input-layer gradient
-	Match    Ops   // a match through the factorized trainer: layer 1 from the fact part plus the cached parts, then the dense path's upper layers and backward pass (Eq. 28–29)
+	Match    Ops   // a match through the factorized trainer: layer 1 from the fact part plus the cached parts, the dense path's upper layers and backward pass, the fact columns' input-layer gradient and δ⁰ into each dimension tuple's sum
 	Fill     []Ops // a tuple of dimension part i: W₀ᵢ·xᵢ
+	Flush    []Ops // a tuple of dimension part i: its δ⁰ sum's outer product with xᵢ, part i's input-layer gradient
 }
 
 // NewNNUnits prices a network with layer sizes [d, hidden…, 1] over
@@ -122,9 +138,7 @@ func NewNNUnits(p Partition, sizes []int) NNUnits {
 	layers := len(sizes) - 1
 	d, dS, nh0, q := sizes[0], p.Dims[0], sizes[1], p.Parts()-1
 
-	// From the first hidden layer up, back down, and the input-layer
-	// gradient ΔᵀX — which reads every column of the joined row whichever
-	// way the forward pass got there.
+	// From the first hidden layer up and back down.
 	var upper Ops
 	for l := 1; l < layers; l++ {
 		upper.AddMatVec(sizes[l+1], sizes[l])
@@ -137,16 +151,19 @@ func NewNNUnits(p Partition, sizes []int) NNUnits {
 		upper.AddMatVec(sizes[l], sizes[l+1])     // δ^{l-1} = W_lᵀ·δ^l …
 		upper.Mul += int64(sizes[l])              // … ⊙ f'(a^{l-1})
 	}
-	upper.AddOuterPlain(nh0, d)
 	upper.Adds += int64(nh0) // input-layer bias gradient
 
-	u := NNUnits{DenseRow: upper, Match: upper, Fill: make([]Ops, p.Parts())}
+	u := NNUnits{DenseRow: upper, Match: upper, Fill: make([]Ops, p.Parts()), Flush: make([]Ops, p.Parts())}
 	u.DenseRow.AddMatVec(nh0, d)
 	u.DenseRow.Adds += int64(nh0)           // bias
+	u.DenseRow.AddOuterPlain(nh0, d)        // ΔᵀX over the joined row
 	u.Match.AddMatVec(nh0, dS)              // W₀ₛ·xₛ
 	u.Match.Adds += int64(q+1) * int64(nh0) // the q cached parts and the bias
+	u.Match.AddOuterPlain(nh0, dS)          // ΔᵀX over the fact columns
+	u.Match.Adds += int64(q) * int64(nh0)   // δ⁰ into the q tuples' sums
 	for i := 1; i <= q; i++ {
 		u.Fill[i].AddMatVec(nh0, p.Dims[i])
+		u.Flush[i].AddOuterPlain(nh0, p.Dims[i])
 	}
 	return u
 }

@@ -1,9 +1,8 @@
 package gmm
 
 import (
-	"math"
-
 	"factorml/internal/join"
+	"factorml/internal/linalg"
 )
 
 // NumParams returns the number of free parameters of the mixture: K−1
@@ -20,7 +19,7 @@ func (m *Model) NumParams() int {
 // BIC is the Bayesian information criterion −2·LL + p·ln(n); lower is
 // better. Use it to choose K across trained models.
 func (m *Model) BIC(logLikelihood float64, n int64) float64 {
-	return -2*logLikelihood + float64(m.NumParams())*math.Log(float64(n))
+	return -2*logLikelihood + float64(m.NumParams())*linalg.Log(float64(n))
 }
 
 // AIC is the Akaike information criterion −2·LL + 2p; lower is better.

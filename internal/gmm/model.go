@@ -148,7 +148,7 @@ func (m *Model) precompute(p core.Partition) ([]compState, error) {
 					return nil, fmt.Errorf("gmm: component %d has non-positive variance %v at dim %d", k, v, i)
 				}
 				st.invVar[i] = 1 / v
-				logDet += math.Log(v)
+				logDet += linalg.Log(v)
 			}
 			inv = linalg.Diag(st.invVar)
 		} else {
@@ -157,8 +157,8 @@ func (m *Model) precompute(p core.Partition) ([]compState, error) {
 				return nil, fmt.Errorf("gmm: component %d covariance: %w", k, err)
 			}
 		}
-		st.logNorm = -0.5 * (float64(m.D)*math.Log(2*math.Pi) + logDet)
-		st.logW = math.Log(math.Max(m.Weights[k], 1e-300))
+		st.logNorm = -0.5 * (float64(m.D)*linalg.Log(2*math.Pi) + logDet)
+		st.logW = linalg.Log(math.Max(m.Weights[k], 1e-300))
 		st.blocked = core.BlockSym(inv, p)
 	}
 	return states, nil

@@ -54,7 +54,7 @@ func (c *Cholesky) L() *Dense { return c.l }
 func (c *Cholesky) LogDet() float64 {
 	var s float64
 	for i := 0; i < c.n; i++ {
-		s += math.Log(c.l.At(i, i))
+		s += Log(c.l.At(i, i))
 	}
 	return 2 * s
 }

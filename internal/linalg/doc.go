@@ -2,7 +2,8 @@
 // factorized learning algorithms: row-major dense matrices, vectors,
 // matrix/vector products, symmetric positive-definite factorizations
 // (Cholesky), determinants, inverses, quadratic forms and outer-product
-// accumulation.
+// accumulation, and the program's one exp (ExpInto) and log (Log), whose
+// bits are the same on every architecture (explog.go).
 //
 // It replaces NumPy in the original paper's artifact. The kernels are
 // deliberately simple and allocation-conscious: every hot-path routine has a

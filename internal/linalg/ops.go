@@ -141,6 +141,20 @@ func OuterAccum(dst *Dense, w float64, x, y []float64) {
 	}
 }
 
+// OuterAccumAt accumulates x·yᵀ into the column range j0 … j0+len(y) of
+// dst, which must have len(x) rows. A zero x[i] skips its row of products,
+// as OuterAccum does.
+func OuterAccumAt(dst *Dense, j0 int, x, y []float64) {
+	if dst.rows != len(x) || j0 < 0 || j0+len(y) > dst.cols {
+		panic(fmt.Sprintf("linalg: outer-at dimension mismatch dst=%dx%d j0=%d x=%d y=%d", dst.rows, dst.cols, j0, len(x), len(y)))
+	}
+	for i, xi := range x {
+		if xi != 0 {
+			AxpyN(xi, y, dst.data[i*dst.cols+j0:], len(y))
+		}
+	}
+}
+
 // QuadForm returns xᵀ·A·x for square A.
 func QuadForm(a *Dense, x []float64) float64 {
 	if a.rows != a.cols || len(x) != a.rows {

@@ -79,10 +79,35 @@ func MaxAbsDiffVec(x, y []float64) float64 {
 	return max
 }
 
-// LogSumExp returns log(Σ exp(x_i)) computed stably.
+// LogSumExp returns log(Σ exp(x_i)) computed stably: x − max, ExpInto,
+// then the sum in order — bit for bit SoftmaxLSE's value. It allocates
+// nothing: the exponentials go through a 64-wide buffer on the stack.
 func LogSumExp(x []float64) float64 {
+	max, ok := lseMax(x)
+	if !ok {
+		return max
+	}
+	var buf [64]float64
+	var s float64
+	for len(x) > 0 {
+		e := buf[:min(len(x), len(buf))]
+		for i := range e {
+			e[i] = x[i] - max
+		}
+		ExpInto(e, e)
+		for _, v := range e {
+			s += v
+		}
+		x = x[len(e):]
+	}
+	return max + Log(s)
+}
+
+// lseMax returns the largest of x, and false when the sum of exponentials
+// is 0 — x empty or every element −Inf — so that the log-sum-exp is max.
+func lseMax(x []float64) (float64, bool) {
 	if len(x) == 0 {
-		return math.Inf(-1)
+		return math.Inf(-1), false
 	}
 	max := x[0]
 	for _, v := range x[1:] {
@@ -90,14 +115,7 @@ func LogSumExp(x []float64) float64 {
 			max = v
 		}
 	}
-	if math.IsInf(max, -1) {
-		return max
-	}
-	var s float64
-	for _, v := range x {
-		s += math.Exp(v - max)
-	}
-	return max + math.Log(s)
+	return max, !math.IsInf(max, -1)
 }
 
 // SoftmaxLSE returns LogSumExp(x) — bit for bit — and fills dst with the
@@ -107,29 +125,23 @@ func LogSumExp(x []float64) float64 {
 // component claims the point and dst is uniform.
 func SoftmaxLSE(dst, x []float64) float64 {
 	dst = dst[:len(x)]
-	if len(x) == 0 {
-		return math.Inf(-1)
-	}
-	max := x[0]
-	for _, v := range x[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	if math.IsInf(max, -1) {
+	max, ok := lseMax(x)
+	if !ok {
 		for i := range dst {
 			dst[i] = 1 / float64(len(x))
 		}
 		return max
 	}
-	var s float64
 	for i, v := range x {
-		e := math.Exp(v - max)
-		dst[i] = e
+		dst[i] = v - max
+	}
+	ExpInto(dst, dst)
+	var s float64
+	for _, e := range dst {
 		s += e
 	}
 	for i := range dst {
 		dst[i] /= s
 	}
-	return max + math.Log(s)
+	return max + Log(s)
 }

@@ -3,6 +3,8 @@ package monitor
 import (
 	"fmt"
 	"math"
+
+	"factorml/internal/linalg"
 )
 
 // Sketch is an online summary of a single numeric column: exact
@@ -157,7 +159,7 @@ func PSI(base, live *Sketch) float64 {
 		if q < psiEpsilon {
 			q = psiEpsilon
 		}
-		psi += (q - p) * math.Log(q/p)
+		psi += (q - p) * linalg.Log(q/p)
 	}
 	return psi
 }

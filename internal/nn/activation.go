@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math"
+
+	"factorml/internal/linalg"
 )
 
 // Activation selects the hidden-layer nonlinearity.
@@ -39,8 +41,13 @@ func (a Activation) String() string {
 func (a Activation) Apply(dst, v []float64) {
 	switch a {
 	case Sigmoid:
+		dst = dst[:len(v)]
 		for i, x := range v {
-			dst[i] = 1 / (1 + math.Exp(-x))
+			dst[i] = -x
+		}
+		linalg.ExpInto(dst, dst)
+		for i, e := range dst {
+			dst[i] = 1 / (1 + e)
 		}
 	case Tanh:
 		for i, x := range v {

@@ -3,6 +3,7 @@ package nn
 import (
 	"factorml/internal/core"
 	"factorml/internal/factor"
+	"factorml/internal/join"
 	"factorml/internal/linalg"
 	"factorml/internal/parallel"
 )
@@ -13,14 +14,21 @@ import (
 // the parameter trajectory is bit-identical for every worker count.
 //
 // The input-layer weight gradient is not folded per example: backprop saves
-// each example's δ⁰ and inputGrad applies the chunk's ΔᵀX as one product.
+// each example's δ⁰, and the dense trainer's inputGrad applies the chunk's
+// ΔᵀX as one product. F-NN takes that product over the fact columns only,
+// into factG, and leaves the dimension columns to its per-tuple sums
+// (trainFactorized).
 type gradAcc struct {
 	ws     *workspace
 	loss   float64
 	batchN int
-	deltas []float64   // δ⁰ of the examples since the last inputGrad, row-major
-	xs     []float64   // F-NN: the same examples' joined rows, gathered per match
-	parts  [][]float64 // F-NN: one match's cached layer-1 partials
+	deltas []float64 // δ⁰ of the examples since the last inputGrad (F-NN: merge), row-major
+
+	// F-NN only.
+	parts   [][]float64   // one match's cached layer-1 partials
+	xs      []float64     // the chunk's fact features, row-major
+	matches []join.Match  // the chunk's matches, for the merge
+	factG   *linalg.Dense // the chunk's ΔᵀX over the fact columns, transposed: dS × nh0
 }
 
 func newGradAcc(net *Network) gradAcc { return gradAcc{ws: newWorkspace(net)} }
@@ -49,16 +57,30 @@ func (a *gradAcc) inputGrad(xs []float64) {
 }
 
 // mergeInto folds the chunk gradients and loss into the main workspace
-// accumulators and leaves a zero for the chunk that refills it.
+// accumulators and leaves a zero for the chunk that refills it. An F-NN
+// chunk's input-layer weights are factG, added into the fact columns.
 func (a *gradAcc) mergeInto(w *workspace, lossSum *float64, batchN *int) {
 	for l := range w.gW {
-		w.gW[l].AddScaled(1, a.ws.gW[l])
+		if l == 0 && a.factG != nil {
+			g := a.factG.Data()
+			nh0 := len(w.gB[0])
+			for h := 0; h < nh0; h++ {
+				row := w.gW[0].Row(h)[:a.factG.Rows()]
+				for k := range row {
+					row[k] += g[k*nh0+h]
+				}
+			}
+			a.factG.Zero()
+		} else {
+			w.gW[l].AddScaled(1, a.ws.gW[l])
+			a.ws.gW[l].Zero()
+		}
 		linalg.VecAdd(w.gB[l], w.gB[l], a.ws.gB[l])
+		linalg.VecZero(a.ws.gB[l])
 	}
 	*lossSum += a.loss
 	*batchN += a.batchN
 	a.loss, a.batchN = 0, 0
-	a.ws.zeroGrads()
 }
 
 // trainDense is the engine of both M-NN and S-NN: standard backprop over a

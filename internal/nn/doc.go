@@ -14,8 +14,12 @@
 //     W_R·x_R (+ share of bias) of each dimension tuple is computed once per
 //     parameter state and reused for every matching fact tuple. The
 //     backward pass reads features directly from the base relations (the
-//     I/O saving of §VI-A3); per the paper's Eq. 28-29 analysis, it
-//     performs the same multiplications as the dense path.
+//     I/O saving of §VI-A3). Above layer 1 it performs the dense path's
+//     multiplications (Eq. 28-29); the input-layer weight gradient is
+//     factorized too, because both regimes here step once per pass or per
+//     block rather than per tuple: Σ_n δ⁰_n·x_nᵀ over a dimension's columns
+//     is Σ_t (Σ_{n∈t} δ⁰_n)·x_tᵀ, so each match adds its δ⁰ into its
+//     tuple's sum and each touched tuple pays one outer product per step.
 //
 // Factorization stops after the first layer. The paper shows (§VI-A2) that
 // sharing layer 2 needs an additive activation (only Identity is), and that

@@ -6,22 +6,54 @@ import (
 	"factorml/internal/core"
 	"factorml/internal/factor"
 	"factorml/internal/join"
+	"factorml/internal/linalg"
 	"factorml/internal/parallel"
 )
 
-// partCaches holds one direct dimension's cached layer-1 partials for one
-// parameter state, t = W0_part·x_part, one nh0-wide flat row per arena row.
+// partCaches holds one direct dimension's per-tuple state, one nh0-wide
+// flat row per arena row: t, the cached layer-1 partials W0_part·x_part of
+// the current parameter state, and g, the sums (Σδ⁰)_t of the δ⁰s merged
+// since the dimension's last flush, with the rows they touched in
+// first-touch order. g is zero outside the touched rows.
 type partCaches struct {
-	nh0 int
-	t   []float64
+	nh0     int
+	t, g    []float64
+	touched []int
+	seen    []bool
 }
 
-// row returns arena row i's t.
-func (pc *partCaches) row(i int) []float64 { return pc.t[i*pc.nh0 : (i+1)*pc.nh0] }
+// row returns arena row i's slice of buf (t or g).
+func (pc *partCaches) row(buf []float64, i int) []float64 { return buf[i*pc.nh0 : (i+1)*pc.nh0] }
 
-// ensure sizes the caches for n arena rows.
+// ensure sizes the caches for n arena rows. g's and seen's backing arrays
+// are all zero after a flush, so the rows they gain are zero too.
 func (pc *partCaches) ensure(n int) {
 	pc.t = slices.Grow(pc.t[:0], n*pc.nh0)[:n*pc.nh0]
+	pc.g = slices.Grow(pc.g[:0], n*pc.nh0)[:n*pc.nh0]
+	pc.seen = slices.Grow(pc.seen[:0], n)[:n]
+}
+
+// add folds one match's δ⁰ into its tuple's sum.
+func (pc *partCaches) add(i int, delta []float64) {
+	if !pc.seen[i] {
+		pc.seen[i] = true
+		pc.touched = append(pc.touched, i)
+	}
+	g := pc.row(pc.g, i)
+	linalg.VecAdd(g, g, delta)
+}
+
+// flush adds the input-layer gradient of the dimension's columns,
+// Σ_t (Σδ⁰)_t ⊗ x_t over the touched tuples in first-touch order, into
+// gW's columns off …, x_t the tuple's row of rows, and zeroes the sums.
+func (pc *partCaches) flush(gW *linalg.Dense, off int, rows join.Arena) {
+	for _, i := range pc.touched {
+		g := pc.row(pc.g, i)
+		linalg.OuterAccumAt(gW, off, g, rows.Row(i))
+		linalg.VecZero(g)
+		pc.seen[i] = false
+	}
+	pc.touched = pc.touched[:0]
 }
 
 // trainFactorized is F-NN on the worker pool: the per-block dimension
@@ -29,8 +61,16 @@ func (pc *partCaches) ensure(n int) {
 // join probe in fixed chunks, each chunk folds its example gradients into
 // the gradAcc it carries, and the accumulators merge in chunk order — so the
 // parameter trajectory is bit-identical for every cfg.NumWorkers value.
-// Cache refills and Block-mode gradient steps happen at full barriers.
-// shuffle, when non-nil, runs before every epoch's pass.
+// Cache refills, flushes and Block-mode gradient steps happen at full
+// barriers. shuffle, when non-nil, runs before every epoch's pass.
+//
+// The input-layer weight gradient is factorized per dimension tuple (the
+// sum Σ_n δ⁰_n·x_nᵀ regrouped by the tuples the matches join): a chunk
+// takes ΔᵀX over the fact columns only, and the merge adds each match's δ⁰
+// into its tuple's sum in every direct dimension. A dimension flushes one
+// outer product per touched tuple into its columns before the step reads
+// them: R1 (dims[0]) at its block's end, the resident dimensions at the
+// step — the pass end under Epoch updates, the block end under Block.
 func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Network, stats *Stats) error {
 	ps.Pass = "fnn.sgd"
 	p := ps.Direct
@@ -43,19 +83,26 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 	for j := range caches {
 		caches[j] = partCaches{nh0: nh0}
 	}
-	// Charged × the events seen: tuples per fill, matches per epoch.
+	arenas := make([]join.Arena, q) // what each dimension's caches were filled over
+	// Charged × the events seen: tuples per fill and flush, matches per epoch.
 	units := core.NewNNUnits(p, net.Sizes)
 
 	// fill computes direct dimension j's partials for every arena row.
 	fill := func(j int, rows join.Arena) error {
 		pc := &caches[j]
 		pc.ensure(rows.N)
+		arenas[j] = rows
 		off := p.Offs[1+j]
 		stats.Ops.Add(units.Fill[1+j].Scale(int64(rows.N)))
 		return ps.FillCaches(nw, rows, func(i int, x []float64) error {
-			net.PartialPreAct(pc.row(i), off, x)
+			net.PartialPreAct(pc.row(pc.t, i), off, x)
 			return nil
 		})
+	}
+	// flush adds direct dimension j's input-layer gradient into w.
+	flush := func(j int) {
+		stats.Ops.Add(units.Flush[1+j].Scale(int64(arenas[j].N)))
+		caches[j].flush(w.gW[0], p.Offs[1+j], arenas[j])
 	}
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -81,32 +128,47 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 				}
 				return fill(0, dims[0])
 			},
-			NewAcc: func() gradAcc { return newGradAcc(net) },
+			NewAcc: func() gradAcc {
+				a := newGradAcc(net)
+				a.factG = linalg.NewDense(p.Dims[0], nh0)
+				return a
+			},
 			OnMatchChunk: func(a *gradAcc, matches []join.Match) error {
-				// The chunk's joined rows are gathered beside its δ⁰s, so
-				// the input-layer gradient (Eq. 29/32) is one ΔᵀX product
-				// per chunk instead of one rank-1 update per part per match.
+				a.matches = matches
 				a.xs = a.xs[:0]
 				for _, m := range matches {
 					// §VI-A1: the match's cached partials, completed by
 					// ForwardFactorized as the serving engine completes them.
 					parts := a.parts[:0]
 					for j, at := range m.Pos {
-						parts = append(parts, caches[j].row(at))
+						parts = append(parts, caches[j].row(caches[j].t, at))
 					}
 					a.parts = parts
 					a.backprop(net.ForwardFactorized(&a.ws.ForwardScratch, m.S.Features, parts), m.S.Target)
-					a.xs = ps.Runner.AppendRow(a.xs, m.S, m.Pos)
+					a.xs = append(a.xs, m.S.Features...)
 				}
-				a.inputGrad(a.xs)
+				// The fact columns' ΔᵀX_S, kept dS × nh0 so that the inner
+				// loop runs over the hidden units.
+				linalg.OuterAccumRows(a.factG, a.xs, a.deltas, len(matches))
 				return nil
 			},
 			OnChunkMerged: func(a *gradAcc) error {
+				for n, m := range a.matches {
+					delta := a.deltas[n*nh0 : (n+1)*nh0]
+					for j, at := range m.Pos {
+						caches[j].add(at, delta)
+					}
+				}
+				a.matches, a.deltas = nil, a.deltas[:0]
 				a.mergeInto(w, &lossSum, &batchN)
 				return nil
 			},
 			OnBlockEnd: func() error {
+				flush(0)
 				if cfg.Mode == Block {
+					for j := 1; j < q; j++ {
+						flush(j)
+					}
 					w.applyStep(cfg.LearningRate, batchN)
 					w.zeroGrads()
 					seen += batchN
@@ -120,6 +182,11 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 			return err
 		}
 		if cfg.Mode == Epoch {
+			if residentFresh {
+				for j := 1; j < q; j++ {
+					flush(j)
+				}
+			}
 			w.applyStep(cfg.LearningRate, batchN) // the rows the join kept, as in trainDense
 		}
 		stats.Ops.Add(units.Match.Scale(int64(seen + batchN)))

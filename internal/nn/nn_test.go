@@ -229,6 +229,8 @@ func TestFactorizedSavesOps(t *testing.T) {
 
 // §VI-A1 closed form: the dense layer-1 forward spends nh·d mults per tuple;
 // the factorized one spends nh·dS per tuple plus nh·dR per dimension tuple.
+// The input-layer gradient saves the same: nh·d per tuple dense, nh·dS per
+// tuple plus one nh×dR outer product per dimension tuple at the flush.
 func TestForwardSavingMatchesClosedForm(t *testing.T) {
 	db := openDB(t)
 	nS, nR, dS, dR, nh := 500, 20, 3, 6, 8
@@ -242,7 +244,7 @@ func TestForwardSavingMatchesClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(nS)*int64(nh*dR) - int64(nR)*int64(nh*dR)
+	want := 2 * (int64(nS)*int64(nh*dR) - int64(nR)*int64(nh*dR))
 	got := s.Stats.Ops.Mul - f.Stats.Ops.Mul
 	if got != want {
 		t.Fatalf("forward saving = %d mults, closed form = %d", got, want)

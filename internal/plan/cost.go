@@ -73,7 +73,9 @@ func estimateOps(ss *SchemaStats, m ModelSpec, s Strategy) core.Ops {
 		if s == Factorized {
 			// R1 tuples fill once per epoch (each belongs to one block);
 			// resident relations refill per block under Block-mode
-			// updates, once per epoch otherwise.
+			// updates, once per epoch otherwise. Each fill is flushed
+			// once: R1's at its block end, a resident relation's at the
+			// step.
 			refills := int64(1)
 			if m.BlockMode {
 				refills = ss.numBlocks()
@@ -83,7 +85,7 @@ func estimateOps(ss *SchemaStats, m ModelSpec, s Strategy) core.Ops {
 				if i > 0 {
 					mi *= refills
 				}
-				pass.Add(u.Fill[1+i].Scale(mi))
+				pass.Add(u.Fill[1+i].Plus(u.Flush[1+i]).Scale(mi))
 			}
 		}
 		return pass.Scale(int64(m.Epochs))

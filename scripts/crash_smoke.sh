@@ -52,6 +52,7 @@ echo "== training and saving a model (baseline captured into lineage)"
     -k 2 -iters 2 -save smoke-gmm
 
 boot_serve() {
+    : >"$1" # the boot loop reads the log before the background shell may have opened it
     "$tmp/serve" -db "$tmp/db" -dims synth_R1 -fact synth_S -refresh-rows 30 \
         -wal-dir "$tmp/db.wal" -fsync-every 1 \
         -drift-warn 0.1 -drift-psi 0.25 -staleness-max-rows 1000000 -health-sample 1 \

@@ -41,6 +41,7 @@ fi
 grep -q 'health-sample' "$tmp/err"
 
 echo "== booting serve with monitoring (drift-psi 0.25, staleness at 5000 rows)"
+: >"$tmp/serve.log" # the boot loop reads the log before the background shell may have opened it
 "$tmp/serve" -db "$tmp/db" -dims synth_R1 -fact synth_S \
     -drift-warn 0.1 -drift-psi 0.25 -staleness-max-rows 5000 -health-sample 1 \
     -addr 127.0.0.1:0 >"$tmp/serve.log" 2>&1 &

@@ -58,6 +58,7 @@ echo "== training and saving a model"
     -hidden 8 -epochs 2 -save load-nn
 
 echo "== booting serve with admission control + batching + metrics + streaming + debug listener + an evicting cache"
+: >"$tmp/serve.log" # the boot loop reads the log before the background shell may have opened it
 "$tmp/serve" -db "$tmp/db" -dims synth_R1 -fact synth_S -cache 4 \
     -max-inflight 4 -max-ingest-queue 8 -batch-window 1ms -max-batch 64 \
     -trace-slow-ms 1 -debug-addr 127.0.0.1:0 \

@@ -36,6 +36,7 @@ echo "== training and saving models"
     -k 2 -iters 2 -save smoke-gmm
 
 echo "== booting serve"
+: >"$tmp/serve.log" # the boot loop reads the log before the background shell may have opened it
 "$tmp/serve" -db "$tmp/db" -dims synth_R1 -addr 127.0.0.1:0 -log-level info >"$tmp/serve.log" 2>&1 &
 server_pid=$!
 

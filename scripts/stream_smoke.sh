@@ -47,6 +47,7 @@ echo "== training and saving models"
 # boot_serve ARGS...: start cmd/serve with ARGS on a free port, wait until
 # it is ready, and set addr and server_pid.
 boot_serve() {
+    : >"$tmp/serve.log" # the boot loop reads the log before the background shell may have opened it
     "$tmp/serve" "$@" -addr 127.0.0.1:0 >"$tmp/serve.log" 2>&1 &
     server_pid=$!
     addr=""
