@@ -115,7 +115,10 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# Vet the Go code and syntax-check every script, so a slip in the smokes'
+# shared scripts/lib.sh fails here rather than halfway through a smoke.
 vet:
 	$(GO) vet ./...
+	@for f in scripts/*.sh; do bash -n "$$f" || exit 1; done
 
 ci: fmt vet build nofma race fuzz cover bench-harness serve-smoke stream-smoke examples load-smoke drift-smoke crash-smoke

@@ -41,6 +41,12 @@
 //     the factorized trainers drive their per-match accumulation through.
 //     A chunked fold sees each chunk's matches at once, so it can batch
 //     per-match kernels over the chunk.
+//   - Slots — the one map from tuple ordinal to per-tuple state: a row
+//     carved, zeroed, at the tuple's first touch, from a buffer sized
+//     before the pass, so no row moves while a pass reads it. F-GMM's
+//     group sums (folded in ordinal order, ByOrdinal), F-NN's δ⁰ sums
+//     (flushed in first-touch order, ByTouch) and the stream's per-pass
+//     scoring caches (whose ordinal index outlives the pass) are its rows.
 //
 // Both chunked operators follow internal/parallel's chunk lifecycle: the
 // run owns the chunk objects, and a chunk's accumulator, of the caller's

@@ -26,9 +26,10 @@
 // stores — the trainers' starting means, or the model's means at attach or
 // rebaseline for the streaming refresh — and every trainer and the refresh
 // fold into it and step through its one M-step. About an origin inside the
-// data the sums do not cancel. The factorized trainer's GroupSums live for
-// one pass; the refresh, whose sums live as long as its stream, folds whole
-// joined rows over the one-part partition.
+// data the sums do not cancel. The factorized trainer's per-tuple group
+// sums are the rows of a factor.Slots, live for one block or pass and
+// folded in tuple ordinal order; the refresh, whose sums live as long as
+// its stream, folds whole joined rows over the one-part partition.
 //
 // One scoring kernel: every E-step and every point score runs the fused
 // kernel behind Scorer (fused.go). The factorized trainer, serving and the

@@ -46,23 +46,24 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 	total := NewMoments(p, k, diag)
 	runs := make([][]core.QuadCache, q) // a match's cache run per dimension part, for the cross blocks
 
-	// Direct dimension j's K caches per arena row and its group sums:
-	// refilled per block for the first, per pass for the resident ones;
-	// allocated once and recycled.
+	// Direct dimension j's K caches per arena row and its group sums, a
+	// slot per tuple a match touched: refilled per block for the first,
+	// per pass for the resident ones; allocated once and recycled.
 	caches := make([][]core.QuadCache, q)
-	sums := make([]GroupSums, q)
+	sums := make([]factor.Slots, q)
 	for j := range sums {
-		sums[j] = total.NewGroupSums()
+		sums[j].Width = total.GroupWidth()
 	}
 
 	// Charged × the events seen: tuples per fill and flush, matches per chunk.
 	units := core.NewGMMUnits(p, k, diag)
 
-	// flush folds dimension j's group sums in through its caches' PDs.
-	flush := func(j int) error {
+	// flush folds dimension j's group sums in through its caches' PDs, in
+	// tuple ordinal order.
+	flush := func(j int) {
 		stats.Ops.Add(units.Flush[1+j].Scale(int64(len(caches[j]) / k)))
-		return total.FoldGroups(1+j, &sums[j], func(t int) ([]core.QuadCache, error) {
-			return caches[j][t*k : (t+1)*k], nil
+		total.FoldGroups(1+j, sums[j].ByOrdinal(), func(t int) []core.QuadCache {
+			return caches[j][t*k : (t+1)*k]
 		})
 	}
 
@@ -85,7 +86,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				caches[j] = make([]core.QuadCache, need)
 			}
 			caches[j] = caches[j][:need]
-			sums[j].Reset(rows.N)
+			sums[j].Reset(rows.N, rows.N)
 			stats.Ops.Add(units.Fill[1+j].Scale(int64(rows.N)))
 			return ps.FillCaches(nw, rows, func(t int, x []float64) error {
 				scorer.FillDimCaches(caches[j][t*k:(t+1)*k], 1+j, x, nil)
@@ -135,7 +136,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 					g := a.gamma[i*k : (i+1)*k]
 					pds := a.pds[i*k*dS : (i+1)*k*dS]
 					for j, at := range m.Pos {
-						sums[j].Add(at, g, pds)
+						total.AddGroup(sums[j].Slot(at), g, pds)
 					}
 					if q < 2 || diag {
 						continue
@@ -151,15 +152,16 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				a.rows.Zero()
 				return nil
 			},
-			OnBlockEnd: func() error { return flush(0) },
+			OnBlockEnd: func() error {
+				flush(0)
+				return nil
+			},
 		})
 		if err != nil {
 			return 0, err
 		}
 		for j := 1; j < q && resident; j++ {
-			if err := flush(j); err != nil {
-				return 0, err
-			}
+			flush(j)
 		}
 		ll := total.LL()
 		total.Step(model, n)

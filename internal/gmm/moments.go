@@ -1,7 +1,7 @@
 package gmm
 
 import (
-	"slices"
+	"iter"
 
 	"factorml/internal/core"
 	"factorml/internal/linalg"
@@ -167,23 +167,19 @@ func (m *Moments) FoldCross(gamma []float64, devs [][]core.QuadCache) {
 	}
 }
 
-// FoldGroups folds dimension part `part`'s group sums in, every tuple with
-// a slot once, in ordinal order; devs(t) returns tuple t's K deviations
-// x_R − o_c (QuadCache.PD):
+// FoldGroups folds dimension part `part`'s group sums in, each tuple's
+// once, in the order groups yields them (ordinal order in the trainer): a
+// tuple's sums are K Σ_{n∈t} γ_c, then, for a full covariance, K
+// Σ_{n∈t} γ_c·PD_S, and devs(t) returns its K deviations x_R − o_c
+// (QuadCache.PD):
 //
 //	Σ_n γ PD_R       = (Σ_{n∈t} γ) · PD_R
 //	Σ_n γ PD_R PD_Rᵀ = (Σ_{n∈t} γ) · PD_R PD_Rᵀ   (its diagonal for a diagonal model)
 //	Σ_n γ PD_S PD_Rᵀ = (Σ_{n∈t} γ PD_S) ⊗ PD_R
-func (m *Moments) FoldGroups(part int, g *GroupSums, devs func(t int) ([]core.QuadCache, error)) error {
+func (m *Moments) FoldGroups(part int, groups iter.Seq2[int, []float64], devs func(t int) []core.QuadCache) {
 	k, dS := m.k, m.p.Dims[0]
-	for t, s := range g.slots {
-		if s == nil {
-			continue
-		}
-		run, err := devs(t)
-		if err != nil {
-			return err
-		}
+	for t, s := range groups {
+		run := devs(t)
 		for c, w := range s[:k] {
 			pd := run[c].PD
 			linalg.Axpy(w, pd, m.p.Slice(m.s1[c], part))
@@ -195,7 +191,32 @@ func (m *Moments) FoldGroups(part int, g *GroupSums, devs func(t int) ([]core.Qu
 			linalg.OuterAccum(m.s2[c][0][part], 1, s[k+c*dS:k+(c+1)*dS], pd)
 		}
 	}
-	return nil
+}
+
+// GroupWidth is how many floats one tuple's group sums take: K, and K·dS
+// more for a full covariance's fact–dimension block.
+func (m *Moments) GroupWidth() int {
+	if m.diag {
+		return m.k
+	}
+	return m.k * (1 + m.p.Dims[0])
+}
+
+// AddGroup adds one row to a tuple's group sums s: gamma its K
+// responsibilities, pds its K fact-part deviations end to end (unread for
+// a diagonal model).
+func (m *Moments) AddGroup(s, gamma, pds []float64) {
+	w, gv := s[:len(gamma)], s[len(gamma):]
+	for c, gc := range gamma {
+		w[c] += gc
+	}
+	if m.diag {
+		return
+	}
+	dS := m.p.Dims[0]
+	for c, gc := range gamma {
+		linalg.AxpyN(gc, pds[c*dS:], gv[c*dS:], dS)
+	}
 }
 
 // Step moves model to the M-step solution (Eq. 3–5) over n rows: with
@@ -240,67 +261,4 @@ func (m *Moments) s2At(c, i, j int) float64 {
 	}
 	bi, bj := m.part[i], m.part[j]
 	return m.s2[c][bi][bj].At(i-m.p.Offs[bi], j-m.p.Offs[bj])
-}
-
-// GroupSums are one direct dimension's per-tuple sums by tuple ordinal,
-// for one training pass: K Σγ_c over the rows matching the tuple, then,
-// for a full covariance, K Σγ_c·PD_S. A tuple's slot is carved when a row
-// first matches it from a block of at most blockFloats: one allocation per
-// block, and the slots in first-match order.
-type GroupSums struct {
-	k, dS int         // dS is 0 for a diagonal model, which has no fact–dimension block
-	slots [][]float64 // nil until a row matches the tuple
-	free  []float64   // the unused tail of the last block
-}
-
-// blockFloats bounds a block to 32 KiB, the largest allocation Go does not
-// round up to whole pages.
-const blockFloats = 4096
-
-// slot returns tuple t's sums, carving them on first use.
-func (g *GroupSums) slot(t int) []float64 {
-	if t >= len(g.slots) {
-		g.slots = append(g.slots, make([][]float64, t+1-len(g.slots))...)
-	}
-	if g.slots[t] == nil {
-		n := g.k * (1 + g.dS)
-		if len(g.free) < n {
-			g.free = make([]float64, max(1, blockFloats/n)*n)
-		}
-		g.slots[t], g.free = g.free[:n:n], g.free[n:]
-	}
-	return g.slots[t]
-}
-
-// NewGroupSums returns empty group sums shaped for m.
-func (m *Moments) NewGroupSums() GroupSums {
-	if m.diag {
-		return GroupSums{k: m.k}
-	}
-	return GroupSums{k: m.k, dS: m.p.Dims[0]}
-}
-
-// Reset sizes the sums for n tuples and zeroes them, keeping the slots
-// already allocated while n fits.
-func (g *GroupSums) Reset(n int) {
-	g.slots = slices.Grow(g.slots[:0], n)[:n]
-	for _, s := range g.slots {
-		linalg.VecZero(s)
-	}
-}
-
-// Add adds one row to tuple t's sums: gamma its K responsibilities, pds
-// its K fact-part deviations end to end (unread for a diagonal model).
-func (g *GroupSums) Add(t int, gamma, pds []float64) {
-	s, dS := g.slot(t), g.dS
-	w, gv := s[:len(gamma)], s[len(gamma):]
-	for c, gc := range gamma {
-		w[c] += gc
-	}
-	if dS == 0 {
-		return
-	}
-	for c, gc := range gamma {
-		linalg.AxpyN(gc, pds[c*dS:], gv[c*dS:], dS)
-	}
 }

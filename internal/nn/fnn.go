@@ -10,51 +10,19 @@ import (
 	"factorml/internal/parallel"
 )
 
-// partCaches holds one direct dimension's per-tuple state, one nh0-wide
-// flat row per arena row: t, the cached layer-1 partials W0_part·x_part of
-// the current parameter state, and g, the sums (Σδ⁰)_t of the δ⁰s merged
-// since the dimension's last flush, with the rows they touched in
-// first-touch order. g is zero outside the touched rows.
+// partCaches holds one direct dimension's cached layer-1 partials
+// W0_part·x_part of the current parameter state, one nh0-wide row per arena
+// row.
 type partCaches struct {
-	nh0     int
-	t, g    []float64
-	touched []int
-	seen    []bool
+	nh0 int
+	t   []float64
 }
 
-// row returns arena row i's slice of buf (t or g).
-func (pc *partCaches) row(buf []float64, i int) []float64 { return buf[i*pc.nh0 : (i+1)*pc.nh0] }
+// row returns arena row i's partials.
+func (pc *partCaches) row(i int) []float64 { return pc.t[i*pc.nh0 : (i+1)*pc.nh0] }
 
-// ensure sizes the caches for n arena rows. g's and seen's backing arrays
-// are all zero after a flush, so the rows they gain are zero too.
-func (pc *partCaches) ensure(n int) {
-	pc.t = slices.Grow(pc.t[:0], n*pc.nh0)[:n*pc.nh0]
-	pc.g = slices.Grow(pc.g[:0], n*pc.nh0)[:n*pc.nh0]
-	pc.seen = slices.Grow(pc.seen[:0], n)[:n]
-}
-
-// add folds one match's δ⁰ into its tuple's sum.
-func (pc *partCaches) add(i int, delta []float64) {
-	if !pc.seen[i] {
-		pc.seen[i] = true
-		pc.touched = append(pc.touched, i)
-	}
-	g := pc.row(pc.g, i)
-	linalg.VecAdd(g, g, delta)
-}
-
-// flush adds the input-layer gradient of the dimension's columns,
-// Σ_t (Σδ⁰)_t ⊗ x_t over the touched tuples in first-touch order, into
-// gW's columns off …, x_t the tuple's row of rows, and zeroes the sums.
-func (pc *partCaches) flush(gW *linalg.Dense, off int, rows join.Arena) {
-	for _, i := range pc.touched {
-		g := pc.row(pc.g, i)
-		linalg.OuterAccumAt(gW, off, g, rows.Row(i))
-		linalg.VecZero(g)
-		pc.seen[i] = false
-	}
-	pc.touched = pc.touched[:0]
-}
+// ensure sizes the caches for n arena rows.
+func (pc *partCaches) ensure(n int) { pc.t = slices.Grow(pc.t[:0], n*pc.nh0)[:n*pc.nh0] }
 
 // trainFactorized is F-NN on the worker pool: the per-block dimension
 // caches fill over disjoint grains, matches stream through the parallel
@@ -80,29 +48,37 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 	nh0 := net.Sizes[1]
 
 	caches := make([]partCaches, q)
+	sums := make([]factor.Slots, q) // per direct dimension, (Σδ⁰)_t of the δ⁰s merged since its last flush
 	for j := range caches {
 		caches[j] = partCaches{nh0: nh0}
+		sums[j].Width = nh0
 	}
 	arenas := make([]join.Arena, q) // what each dimension's caches were filled over
 	// Charged × the events seen: tuples per fill and flush, matches per epoch.
 	units := core.NewNNUnits(p, net.Sizes)
 
-	// fill computes direct dimension j's partials for every arena row.
+	// fill computes direct dimension j's partials for every arena row and
+	// empties its sums.
 	fill := func(j int, rows join.Arena) error {
 		pc := &caches[j]
 		pc.ensure(rows.N)
+		sums[j].Reset(rows.N, rows.N)
 		arenas[j] = rows
 		off := p.Offs[1+j]
 		stats.Ops.Add(units.Fill[1+j].Scale(int64(rows.N)))
 		return ps.FillCaches(nw, rows, func(i int, x []float64) error {
-			net.PartialPreAct(pc.row(pc.t, i), off, x)
+			net.PartialPreAct(pc.row(i), off, x)
 			return nil
 		})
 	}
-	// flush adds direct dimension j's input-layer gradient into w.
+	// flush adds direct dimension j's input-layer gradient into w's
+	// columns, Σ_t (Σδ⁰)_t ⊗ x_t over the touched tuples in first-touch
+	// order, x_t the tuple's arena row.
 	flush := func(j int) {
 		stats.Ops.Add(units.Flush[1+j].Scale(int64(arenas[j].N)))
-		caches[j].flush(w.gW[0], p.Offs[1+j], arenas[j])
+		for t, g := range sums[j].ByTouch() {
+			linalg.OuterAccumAt(w.gW[0], p.Offs[1+j], g, arenas[j].Row(t))
+		}
 	}
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -141,7 +117,7 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 					// ForwardFactorized as the serving engine completes them.
 					parts := a.parts[:0]
 					for j, at := range m.Pos {
-						parts = append(parts, caches[j].row(caches[j].t, at))
+						parts = append(parts, caches[j].row(at))
 					}
 					a.parts = parts
 					a.backprop(net.ForwardFactorized(&a.ws.ForwardScratch, m.S.Features, parts), m.S.Target)
@@ -156,7 +132,8 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 				for n, m := range a.matches {
 					delta := a.deltas[n*nh0 : (n+1)*nh0]
 					for j, at := range m.Pos {
-						caches[j].add(at, delta)
+						g := sums[j].Slot(at)
+						linalg.VecAdd(g, g, delta)
 					}
 				}
 				a.matches, a.deltas = nil, a.deltas[:0]

@@ -18,12 +18,14 @@
 //     means at attach or rebaseline, saved in the checkpoint), so data far
 //     from zero cancels nothing and rows absorbed under different refresh
 //     generations add up. Their size is fixed by K and D — 2·K·(D + D²)
-//     floats for the done and open halves, the origin, and a 4-byte pass
-//     index per direct dimension tuple — whatever the rows or tuples
-//     absorbed: incremental EM needs no more (Neal & Hinton). The paper's
-//     per-tuple group sums pay off within one training pass; kept for a
-//     stream's life they grew with every tuple ever referenced. Step adds
-//     the halves and runs gmm.Moments.Step, in O(K·D²).
+//     floats for the done and open halves, the origin, and the 4-byte
+//     ordinal index per direct dimension tuple of the factor.Slots whose
+//     rows hold a pass's scoring caches (the rows are freed when the pass
+//     ends) — whatever the rows or tuples absorbed: incremental EM needs
+//     no more (Neal & Hinton). The paper's per-tuple group sums pay off
+//     within one training pass; kept for a stream's life they grew with
+//     every tuple ever referenced. Step adds the halves and runs
+//     gmm.Moments.Step, in O(K·D²).
 //   - GMM QuadCache contributions: the E-step over delta rows scores
 //     through gmm.Scorer with per-dimension-tuple core.QuadCache fills —
 //     once per distinct direct dimension tuple the delta references.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"factorml/internal/core"
+	"factorml/internal/factor"
 	"factorml/internal/gmm"
 	"factorml/internal/join"
 	"factorml/internal/parallel"
@@ -40,9 +41,11 @@ type GMMStats struct {
 
 	rows       int64        // fact rows absorbed
 	done, open *gmm.Moments // over the complete chunks; over the trailing partial one
-	// seen[d][g] is 1 + the position of group g in the running pass's
-	// dimension caches; all zero between passes.
-	seen [][]int32
+	// slots[d] holds the running pass's scoring caches of direct dimension
+	// d's groups, a row per group the pass met, in first-reference order:
+	// its features, then K × (PD, CrossS). Between passes only the index
+	// is kept.
+	slots []factor.Slots
 }
 
 // NewGMMStats builds empty statistics about m's means over the hierarchy rv
@@ -56,7 +59,11 @@ func NewGMMStats(rv *join.Resolver, dS int, m *gmm.Model) *GMMStats {
 	st.p = core.NewPartition(dims)
 	joined := core.NewPartition([]int{st.p.D})
 	st.done, st.open = gmm.NewMoments(joined, m.K, m.Diagonal), gmm.NewMoments(joined, m.K, m.Diagonal)
-	st.seen = make([][]int32, rv.NumDirect())
+	st.slots = make([]factor.Slots, rv.NumDirect())
+	for d := range st.slots {
+		w := st.p.Dims[1+d]
+		st.slots[d].Width = w + m.K*(w+dS)
+	}
 	st.Reset(m)
 	return st
 }
@@ -71,8 +78,8 @@ func (st *GMMStats) LogLikelihood() float64 { return st.done.LL() + st.open.LL()
 // Footprint reports the statistics' size.
 func (st *GMMStats) Footprint() Footprint {
 	fp := Footprint{Rows: st.rows, Bytes: int64(16 * (len(st.done.Data()) + len(st.done.Origin())))} // done and open
-	for _, seen := range st.seen {
-		fp.Bytes += int64(4 * cap(seen))
+	for d := range st.slots {
+		fp.Bytes += st.slots[d].IndexBytes()
 	}
 	return fp
 }
@@ -101,16 +108,6 @@ type absorbChunk struct {
 // devRows is how many joined rows' deviations a worker forms per fold.
 const devRows = 32
 
-// dimCache holds one pass's scoring caches of a direct dimension's groups,
-// a group per position in first-reference order: its features, then
-// K × (PD, CrossS).
-type dimCache struct {
-	width, stride int
-	groups        []int32 // group at each position
-	qc            []core.QuadCache
-	buf           []float64
-}
-
 // Absorb scores fact rows [Rows(), fact.NumTuples()) under model and folds
 // them in, in time proportional to that range: the scan resolves each
 // row's direct dimension tuples, cuts chunks at absolute row boundaries and
@@ -127,7 +124,7 @@ type dimCache struct {
 // dimension update marks the statistics dirty, so they are rebaselined
 // before the next Step.
 func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) error {
-	k, q, dS, D := st.k, len(st.seen), st.p.Dims[0], st.p.D
+	k, q, dS, D := st.k, len(st.slots), st.p.Dims[0], st.p.D
 	if model.K != k || model.D != st.p.D || model.Diagonal != st.diag {
 		return fmt.Errorf("stream: model (K=%d, D=%d, diagonal %v) does not match statistics (K=%d, D=%d, diagonal %v)",
 			model.K, model.D, model.Diagonal, k, st.p.D, st.diag)
@@ -152,26 +149,18 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 	origin := st.done // read throughout: a pass writes no origin
 
 	// At most one new group per row and dimension: the caches' cost follows
-	// the delta, not the dimension tables.
-	caches := make([]dimCache, q)
-	for d := range caches {
-		dc := &caches[d]
+	// the delta, not the dimension tables. qc[d] is K QuadCaches per
+	// position of slots[d], viewing its row.
+	qc := make([][]core.QuadCache, q)
+	for d := range qc {
 		groups := st.rv.Idxs[st.rv.Direct()[d]].Len()
-		if grow := groups - len(st.seen[d]); grow > 0 {
-			st.seen[d] = append(st.seen[d], make([]int32, grow)...)
-		}
 		n := int(min(r1-r0, int64(groups)))
-		dc.width = st.p.Dims[1+d]
-		dc.stride = dc.width + k*(dc.width+dS)
-		dc.groups = make([]int32, 0, n)
-		dc.qc = make([]core.QuadCache, n*k)
-		dc.buf = make([]float64, n*dc.stride)
+		st.slots[d].Reset(groups, n)
+		qc[d] = make([]core.QuadCache, n*k)
 	}
 	defer func() {
-		for d := range caches {
-			for _, g := range caches[d].groups {
-				st.seen[d][g] = 0
-			}
+		for d := range st.slots {
+			st.slots[d].Drop()
 		}
 	}()
 
@@ -182,9 +171,8 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 	var fresh []cachePos
 	fill := func(a, b int) error {
 		for _, f := range fresh[a:b] {
-			dc, w := &caches[f.d], caches[f.d].width
-			pos := dc.buf[f.at*dc.stride : (f.at+1)*dc.stride]
-			run := dc.qc[f.at*k : (f.at+1)*k]
+			w, pos := st.p.Dims[1+f.d], st.slots[f.d].Row(f.at)
+			run := qc[f.d][f.at*k : (f.at+1)*k]
 			for c := range run {
 				o := w + c*(w+dS)
 				run[c].PD, run[c].CrossS = pos[o:o+w:o+w], pos[o+w:o+w+dS:o+w+dS]
@@ -248,18 +236,14 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 					return fmt.Errorf("stream: fact row %d (sid %d): unknown foreign key %d for dimension table %q",
 						row, t.PrimaryKey(), t.Keys[1+d], ix.Name())
 				}
-				at := int(st.seen[d][g]) - 1
-				if at < 0 {
-					dc := &caches[d]
-					at = len(dc.groups)
+				at, first := st.slots[d].Touch(g)
+				if first {
 					// The group's features: the tuple's own, then its
 					// subtree's in plan order, following the sub-keys as they
 					// are pinned NOW (a repoint shows in the next fill).
-					if err := st.rv.Subtree(n, g, dc.buf[at*dc.stride:][:dc.width], nil); err != nil {
+					if err := st.rv.Subtree(n, g, st.slots[d].Row(at)[:st.p.Dims[1+d]], nil); err != nil {
 						return fmt.Errorf("stream: fact row %d (sid %d): %w", row, t.PrimaryKey(), err)
 					}
-					dc.groups = append(dc.groups, int32(g))
-					st.seen[d][g] = int32(at + 1)
 					fresh = append(fresh, cachePos{d, at})
 				}
 				cur.cidx[cur.n*q+d] = int32(at)
@@ -280,7 +264,7 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 		for i := 0; i < c.n; i++ {
 			for d := range c.caches {
 				at := int(c.cidx[i*q+d])
-				c.caches[d] = caches[d].qc[at*k : (at+1)*k]
+				c.caches[d] = qc[d][at*k : (at+1)*k]
 			}
 			gamma := c.gamma[i*k : (i+1)*k]
 			c.rows.AddLL(scorer.Responsibilities(c.xs[i*dS:(i+1)*dS], c.caches, c.sc, gamma))
@@ -289,9 +273,8 @@ func (st *GMMStats) Absorb(model *gmm.Model, fact *storage.Table, workers int) e
 			nb := min(devRows, c.n-r)
 			for i := r; i < r+nb; i++ {
 				x := c.x[copy(c.x, c.xs[i*dS:(i+1)*dS]):]
-				for d := range caches {
-					dc := &caches[d]
-					x = x[copy(x, dc.buf[int(c.cidx[i*q+d])*dc.stride:][:dc.width]):]
+				for d := range st.slots {
+					x = x[copy(x, st.slots[d].Row(int(c.cidx[i*q+d]))[:st.p.Dims[1+d]]):]
 				}
 				origin.Deviations(c.pd[(i-r)*k*D:(i-r+1)*k*D], c.x)
 			}

@@ -257,8 +257,8 @@ func TestGMMStatsFootprint(t *testing.T) {
 	rows := spec.S.NumTuples()
 	k, d := res.Model.K, res.Model.D
 	want := int64(2 * 8 * (1 + k + k*(d+d*d) + k*d)) // done and open: ll, N_k, s1, s2, origin
-	for _, seen := range st.seen {
-		want += int64(4 * cap(seen))
+	for d := range st.slots {
+		want += st.slots[d].IndexBytes()
 	}
 	t.Logf("footprint %+v over %d rows", fp, rows)
 	if fp != (Footprint{Rows: rows, Bytes: want}) {
@@ -275,7 +275,7 @@ func TestGMMStatsFootprint(t *testing.T) {
 	// caches, the one chunk object of a one-worker run) or per chunk (a cache
 	// fill's closures), never per row. Nothing is pooled across passes, so
 	// the count is exact and the same under the race detector.
-	const wantAllocs = 393
+	const wantAllocs = 391
 	t.Logf("%.0f allocations per warm rebaseline of %d rows", allocs, rows)
 	if allocs < wantAllocs-2 || allocs > wantAllocs+2 {
 		t.Errorf("a warm rebaseline of %d rows allocates %.0f times, want %d ± 2", rows, allocs, wantAllocs)
@@ -285,7 +285,7 @@ func TestGMMStatsFootprint(t *testing.T) {
 	}
 
 	// Rows whose every key is a dimension tuple no absorbed row references.
-	touched := make([][]bool, len(st.seen))
+	touched := make([][]bool, len(st.slots))
 	for d := range touched {
 		touched[d] = make([]bool, idxs[st.rv.Direct()[d]].Len())
 	}

@@ -187,10 +187,10 @@ func (t *Tracer) Stats() Stats {
 	recorded := t.rec.total
 	t.rec.mu.Unlock()
 	return Stats{
-		Requests:        t.requests.load(),
-		Sampled:         t.sampled.load(),
-		Errors:          t.errCount.load(),
-		Slow:            t.slowCount.load(),
+		Requests:        t.requests.Load(),
+		Sampled:         t.sampled.Load(),
+		Errors:          t.errCount.Load(),
+		Slow:            t.slowCount.Load(),
 		Recorded:        recorded,
 		SampleFraction:  t.cfg.SampleFraction,
 		SlowThresholdMs: float64(t.cfg.SlowThreshold) / float64(time.Millisecond),

@@ -16,7 +16,9 @@ package trace
 
 import (
 	"math/rand/v2"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -59,10 +61,10 @@ type Tracer struct {
 	cfg Config
 	rec recorder
 
-	requests  counter // StartRequest calls
-	sampled   counter // traces that recorded spans
-	errCount  counter // finished traces marked errored
-	slowCount counter // finished traces at/over SlowThreshold
+	requests  atomic.Uint64 // StartRequest calls
+	sampled   atomic.Uint64 // traces that recorded spans
+	errCount  atomic.Uint64 // finished traces marked errored
+	slowCount atomic.Uint64 // finished traces at/over SlowThreshold
 }
 
 // New builds a Tracer; zero Config fields select defaults.
@@ -82,11 +84,11 @@ func (t *Tracer) StartRequest(ctx Context, name, parentHeader string) (Context, 
 	if !ok {
 		tid = newTraceID()
 	}
-	t.requests.add(1)
+	t.requests.Add(1)
 	if !forced && !t.sampleHit() {
 		return withRef(ctx, &ctxRef{reqID: tid}), nil, tid
 	}
-	t.sampled.add(1)
+	t.sampled.Add(1)
 	tr := &Trace{
 		tracer:     t,
 		id:         tid,
@@ -221,11 +223,11 @@ func (t *Trace) Finish(status int) {
 
 	tt := t.tracer
 	if rec.Error {
-		tt.errCount.add(1)
+		tt.errCount.Add(1)
 	}
 	slow := end >= tt.cfg.SlowThreshold.Nanoseconds()
 	if slow {
-		tt.slowCount.add(1)
+		tt.slowCount.Add(1)
 	}
 	tt.rec.keep(rec, rec.Error || slow)
 }
@@ -283,7 +285,7 @@ func (s Span) SetInt(k string, v int64) {
 	if s.t == nil {
 		return
 	}
-	s.SetAttr(k, formatInt(v))
+	s.SetAttr(k, strconv.FormatInt(v, 10))
 }
 
 // SetBool attaches a boolean attribute.
@@ -310,36 +312,4 @@ func (s Span) Fail(msg string) {
 		s.t.err = true
 	}
 	s.t.mu.Unlock()
-}
-
-// counter is a tiny mutex-guarded counter (the tracer's bookkeeping is
-// far off the hot path, but scrapes race with requests).
-type counter struct {
-	mu sync.Mutex
-	v  uint64
-}
-
-func (c *counter) add(n uint64) { c.mu.Lock(); c.v += n; c.mu.Unlock() }
-func (c *counter) load() uint64 { c.mu.Lock(); defer c.mu.Unlock(); return c.v }
-
-func formatInt(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -212,12 +215,30 @@ func TestSpanFailMarksTraceErrored(t *testing.T) {
 	}
 }
 
-func TestFormatInt(t *testing.T) {
-	for v, want := range map[int64]string{0: "0", 7: "7", -3: "-3", 1234567: "1234567", -9007199254740993: "-9007199254740993"} {
-		if got := formatInt(v); got != want {
-			t.Fatalf("formatInt(%d) = %q, want %q", v, got, want)
-		}
+// TestSetIntFormatsDecimal: SetInt records v in base 10, both extremes of
+// int64 included.
+func TestSetIntFormatsDecimal(t *testing.T) {
+	cases := []int64{0, 7, -3, 1234567, -9007199254740993, math.MaxInt64, math.MinInt64}
+	tr := New(Config{})
+	ctx, trace, _ := tr.StartRequest(context.Background(), "r", "")
+	_, sp := Start(ctx, "ints")
+	for i, v := range cases {
+		sp.SetInt(strconv.Itoa(i), v)
 	}
+	sp.End()
+	trace.Finish(200)
+	for _, s := range tr.Recent()[0].Spans {
+		if s.Name != "ints" {
+			continue
+		}
+		for i, v := range cases {
+			if got, want := s.Attrs[strconv.Itoa(i)], fmt.Sprint(v); got != want {
+				t.Errorf("SetInt(%d) recorded %q, want %q", v, got, want)
+			}
+		}
+		return
+	}
+	t.Fatal("the trace has no span \"ints\"")
 }
 
 // FuzzParseTraceparent: any header the parser accepts must round-trip

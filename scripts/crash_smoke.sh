@@ -20,23 +20,9 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
-tmp="$(mktemp -d)"
-server_pid=""
-loadgen_pid=""
-cleanup() {
-    [ -n "$server_pid" ] && kill -9 "$server_pid" 2>/dev/null || true
-    [ -n "$loadgen_pid" ] && kill -9 "$loadgen_pid" 2>/dev/null || true
-    wait 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-
-echo "== building binaries"
-go build -o "$tmp/datagen" ./cmd/datagen
-go build -o "$tmp/train" ./cmd/train
-go build -o "$tmp/serve" ./cmd/serve
-go build -o "$tmp/loadgen" ./cmd/loadgen
+build_cmds datagen train serve loadgen
 
 echo "== rejecting durability flags without -wal-dir"
 if "$tmp/serve" -db "$tmp/nope" -dims synth_R1 -fsync-every 4 2>"$tmp/err"; then
@@ -51,33 +37,12 @@ echo "== training and saving a model (baseline captured into lineage)"
 "$tmp/train" -db "$tmp/db" -fact synth_S -dims synth_R1 -model gmm -algo f \
     -k 2 -iters 2 -save smoke-gmm
 
-boot_serve() {
-    : >"$1" # the boot loop reads the log before the background shell may have opened it
-    "$tmp/serve" -db "$tmp/db" -dims synth_R1 -fact synth_S -refresh-rows 30 \
+# boot_wal LOG: boot_serve on the WAL directory, and durability must be on.
+boot_wal() {
+    boot_serve "$1" -db "$tmp/db" -dims synth_R1 -fact synth_S -refresh-rows 30 \
         -wal-dir "$tmp/db.wal" -fsync-every 1 \
-        -drift-warn 0.1 -drift-psi 0.25 -staleness-max-rows 1000000 -health-sample 1 \
-        -addr 127.0.0.1:0 >"$1" 2>&1 &
-    server_pid=$!
-    addr=""
-    for _ in $(seq 1 50); do
-        addr="$(sed -n 's/^factorml-serve listening on \([^ ]*\).*/\1/p' "$1")"
-        [ -n "$addr" ] && break
-        kill -0 "$server_pid" 2>/dev/null || { cat "$1" >&2; exit 1; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "server never reported its address" >&2; cat "$1" >&2; exit 1; }
-    for _ in $(seq 1 50); do
-        curl -sf "http://$addr/readyz" >/dev/null && break
-        sleep 0.1
-    done
-    curl -sf "http://$addr/readyz" >/dev/null || { echo "server never became ready" >&2; cat "$1" >&2; exit 1; }
+        -drift-warn 0.1 -drift-psi 0.25 -staleness-max-rows 1000000 -health-sample 1
     grep -q 'durability: wal-dir=' "$1"
-}
-
-curl_json() { curl -sSf "$@"; }
-
-json_int() { # json_int <field> — first integer value of "field" on stdin
-    grep -o "\"$1\": [0-9]*" | head -1 | grep -o '[0-9]*$'
 }
 
 predict_gmm() {
@@ -87,8 +52,7 @@ predict_gmm() {
 }
 
 echo "== booting serve with the WAL enabled"
-boot_serve "$tmp/serve1.log"
-echo "   serving on $addr"
+boot_wal "$tmp/serve1.log"
 
 echo "== health lineage before the crash"
 h1="$(curl_json "http://$addr/v1/models/smoke-gmm/health")"
@@ -128,12 +92,10 @@ echo "   acked through LSN $acked_lsn (lineage rows $rows_mid)"
 echo "== kill -9 mid-traffic"
 kill -9 "$server_pid"
 wait "$server_pid" 2>/dev/null || true
-server_pid=""
 wait "$loadgen_pid" 2>/dev/null || true # loadgen sees refused connections; that is the point
-loadgen_pid=""
 
 echo "== rebooting on the crashed directory"
-boot_serve "$tmp/serve2.log"
+boot_wal "$tmp/serve2.log"
 recovered="$(sed -n 's/.*recovered to LSN \([0-9]*\)).*/\1/p' "$tmp/serve2.log")"
 echo "   recovered to LSN $recovered (acked through $acked_lsn)"
 [ -n "$recovered" ] || { echo "reboot log names no recovered LSN" >&2; cat "$tmp/serve2.log" >&2; exit 1; }
@@ -172,11 +134,10 @@ p_before="$(predict_gmm)"
 rows_before_stop="$(curl_json "http://$addr/v1/models/smoke-gmm/health" | json_int training_rows)"
 kill -TERM "$server_pid"
 wait "$server_pid" || { echo "server exited non-zero on SIGTERM" >&2; cat "$tmp/serve2.log" >&2; exit 1; }
-server_pid=""
 [ -f "$tmp/db.wal/CLEAN" ] || { echo "no CLEAN marker after a graceful shutdown" >&2; cat "$tmp/serve2.log" >&2; exit 1; }
 
 echo "== third boot on the clean directory serves the same model"
-boot_serve "$tmp/serve3.log"
+boot_wal "$tmp/serve3.log"
 p_after="$(predict_gmm)"
 if [ "$p_before" != "$p_after" ]; then
     echo "prediction changed across the graceful restart:" >&2

@@ -9,19 +9,9 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
-tmp="$(mktemp -d)"
-server_pid=""
-cleanup() {
-    [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-
-echo "== building binaries"
-go build -o "$tmp/datagen" ./cmd/datagen
-go build -o "$tmp/train" ./cmd/train
-go build -o "$tmp/serve" ./cmd/serve
+build_cmds datagen train serve
 
 echo "== generating tiny synthetic star schema"
 "$tmp/datagen" -db "$tmp/db" -ns 600 -nr 20 -ds 3 -dr 3 -seed 1
@@ -41,29 +31,9 @@ fi
 grep -q 'health-sample' "$tmp/err"
 
 echo "== booting serve with monitoring (drift-psi 0.25, staleness at 5000 rows)"
-: >"$tmp/serve.log" # the boot loop reads the log before the background shell may have opened it
-"$tmp/serve" -db "$tmp/db" -dims synth_R1 -fact synth_S \
-    -drift-warn 0.1 -drift-psi 0.25 -staleness-max-rows 5000 -health-sample 1 \
-    -addr 127.0.0.1:0 >"$tmp/serve.log" 2>&1 &
-server_pid=$!
-
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's/^factorml-serve listening on \([^ ]*\).*/\1/p' "$tmp/serve.log")"
-    [ -n "$addr" ] && break
-    kill -0 "$server_pid" 2>/dev/null || { cat "$tmp/serve.log" >&2; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "server never reported its address" >&2; cat "$tmp/serve.log" >&2; exit 1; }
-for _ in $(seq 1 50); do
-    curl -sf "http://$addr/readyz" >/dev/null && break
-    sleep 0.1
-done
-curl -sf "http://$addr/readyz" >/dev/null || { echo "server never became ready" >&2; cat "$tmp/serve.log" >&2; exit 1; }
+boot_serve "$tmp/serve.log" -db "$tmp/db" -dims synth_R1 -fact synth_S \
+    -drift-warn 0.1 -drift-psi 0.25 -staleness-max-rows 5000 -health-sample 1
 grep -q 'health monitoring:' "$tmp/serve.log"
-echo "   serving on $addr"
-
-curl_json() { curl -sSf "$@"; }
 
 echo "== lineage rides the models listing"
 models="$(curl_json "http://$addr/v1/models")"

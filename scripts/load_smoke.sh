@@ -15,23 +15,12 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-
-tmp="$(mktemp -d)"
-server_pid=""
-cleanup() {
-    [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+. scripts/lib.sh
 
 out="${BENCH_LOAD_OUT:-BENCH_load.json}"
 slow_out="${TRACE_SLOW_OUT:-TRACE_slow.json}"
 
-echo "== building binaries"
-go build -o "$tmp/datagen" ./cmd/datagen
-go build -o "$tmp/train" ./cmd/train
-go build -o "$tmp/serve" ./cmd/serve
-go build -o "$tmp/loadgen" ./cmd/loadgen
+build_cmds datagen train serve loadgen
 
 echo "== rejecting invalid loadgen flags"
 if "$tmp/loadgen" -model m 2>"$tmp/err"; then
@@ -58,29 +47,11 @@ echo "== training and saving a model"
     -hidden 8 -epochs 2 -save load-nn
 
 echo "== booting serve with admission control + batching + metrics + streaming + debug listener + an evicting cache"
-: >"$tmp/serve.log" # the boot loop reads the log before the background shell may have opened it
-"$tmp/serve" -db "$tmp/db" -dims synth_R1 -fact synth_S -cache 4 \
+boot_serve "$tmp/serve.log" -db "$tmp/db" -dims synth_R1 -fact synth_S -cache 4 \
     -max-inflight 4 -max-ingest-queue 8 -batch-window 1ms -max-batch 64 \
-    -trace-slow-ms 1 -debug-addr 127.0.0.1:0 \
-    -addr 127.0.0.1:0 >"$tmp/serve.log" 2>&1 &
-server_pid=$!
-
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's/^factorml-serve listening on \([^ ]*\).*/\1/p' "$tmp/serve.log")"
-    [ -n "$addr" ] && break
-    kill -0 "$server_pid" 2>/dev/null || { cat "$tmp/serve.log" >&2; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "server never reported its address" >&2; cat "$tmp/serve.log" >&2; exit 1; }
+    -trace-slow-ms 1 -debug-addr 127.0.0.1:0
 debug_addr="$(sed -n 's/^factorml-serve debug listening on \([^ ]*\).*/\1/p' "$tmp/serve.log")"
 [ -n "$debug_addr" ] || { echo "server never reported its debug address" >&2; cat "$tmp/serve.log" >&2; exit 1; }
-for _ in $(seq 1 50); do
-    curl -sf "http://$addr/readyz" >/dev/null && break
-    sleep 0.1
-done
-curl -sf "http://$addr/readyz" >/dev/null || { echo "server never became ready" >&2; cat "$tmp/serve.log" >&2; exit 1; }
-echo "   serving on $addr"
 
 echo "== mixed ramp (predict/ingest/refresh) with traceparent propagation, JSON and binary predict wires"
 "$tmp/loadgen" -url "http://$addr" -model load-nn \

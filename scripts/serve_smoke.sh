@@ -6,19 +6,9 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
-tmp="$(mktemp -d)"
-server_pid=""
-cleanup() {
-    [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-
-echo "== building binaries"
-go build -o "$tmp/datagen" ./cmd/datagen
-go build -o "$tmp/train" ./cmd/train
-go build -o "$tmp/serve" ./cmd/serve
+build_cmds datagen train serve
 
 echo "== generating tiny synthetic star schema"
 "$tmp/datagen" -db "$tmp/db" -ns 500 -nr 20 -ds 3 -dr 3 -seed 1
@@ -36,28 +26,7 @@ echo "== training and saving models"
     -k 2 -iters 2 -save smoke-gmm
 
 echo "== booting serve"
-: >"$tmp/serve.log" # the boot loop reads the log before the background shell may have opened it
-"$tmp/serve" -db "$tmp/db" -dims synth_R1 -addr 127.0.0.1:0 -log-level info >"$tmp/serve.log" 2>&1 &
-server_pid=$!
-
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's/^factorml-serve listening on \([^ ]*\).*/\1/p' "$tmp/serve.log")"
-    [ -n "$addr" ] && break
-    kill -0 "$server_pid" 2>/dev/null || { cat "$tmp/serve.log" >&2; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "server never reported its address" >&2; cat "$tmp/serve.log" >&2; exit 1; }
-# The listener answers before the model registry finishes loading; wait
-# for readiness so the checks below see the fully booted server.
-for _ in $(seq 1 50); do
-    curl -sf "http://$addr/readyz" >/dev/null && break
-    sleep 0.1
-done
-curl -sf "http://$addr/readyz" >/dev/null || { echo "server never became ready" >&2; cat "$tmp/serve.log" >&2; exit 1; }
-echo "   serving on $addr"
-
-curl_json() { curl -sSf "$@"; }
+boot_serve "$tmp/serve.log" -db "$tmp/db" -dims synth_R1 -log-level info
 
 echo "== /healthz"
 health="$(curl_json "http://$addr/healthz")"

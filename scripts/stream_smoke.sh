@@ -11,19 +11,9 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
-tmp="$(mktemp -d)"
-server_pid=""
-cleanup() {
-    [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-
-echo "== building binaries"
-go build -o "$tmp/datagen" ./cmd/datagen
-go build -o "$tmp/train" ./cmd/train
-go build -o "$tmp/serve" ./cmd/serve
+build_cmds datagen train serve
 
 echo "== rejecting invalid datagen flags"
 if "$tmp/datagen" -db "$tmp/bad" -ns -5 2>"$tmp/err"; then
@@ -44,35 +34,15 @@ echo "== training and saving models"
 "$tmp/train" -db "$tmp/db" -fact synth_S -dims synth_R1 -model nn -algo f \
     -hidden 6 -epochs 2 -save smoke-nn
 
-# boot_serve ARGS...: start cmd/serve with ARGS on a free port, wait until
-# it is ready, and set addr and server_pid.
-boot_serve() {
-    : >"$tmp/serve.log" # the boot loop reads the log before the background shell may have opened it
-    "$tmp/serve" "$@" -addr 127.0.0.1:0 >"$tmp/serve.log" 2>&1 &
-    server_pid=$!
-    addr=""
-    for _ in $(seq 1 50); do
-        addr="$(sed -n 's/^factorml-serve listening on \([^ ]*\).*/\1/p' "$tmp/serve.log")"
-        [ -n "$addr" ] && break
-        kill -0 "$server_pid" 2>/dev/null || { cat "$tmp/serve.log" >&2; exit 1; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "server never reported its address" >&2; cat "$tmp/serve.log" >&2; exit 1; }
-    # The listener answers before the model registry finishes loading; wait
-    # for readiness so the checks below see the fully booted server.
-    for _ in $(seq 1 50); do
-        curl -sf "http://$addr/readyz" >/dev/null && break
-        sleep 0.1
-    done
-    curl -sf "http://$addr/readyz" >/dev/null || { echo "server never became ready" >&2; cat "$tmp/serve.log" >&2; exit 1; }
+# boot_stream ARGS...: boot_serve with ARGS, and the change feed must be on.
+boot_stream() {
+    boot_serve "$tmp/serve.log" "$@"
     grep -q 'streaming ingestion enabled' "$tmp/serve.log"
-    echo "   serving on $addr"
 }
 
 echo "== booting serve with streaming ingestion (-fact, auto-refresh at 30 rows)"
-boot_serve -db "$tmp/db" -dims synth_R1 -fact synth_S -refresh-rows 30
+boot_stream -db "$tmp/db" -dims synth_R1 -fact synth_S -refresh-rows 30
 
-curl_json() { curl -sSf "$@"; }
 # has PATTERN: stdin holds it once spaces and newlines are gone, so a check
 # reads the same on a compact body (predict) and an indented one (/statsz).
 has() { tr -d ' \n' | grep -q "$1"; }
@@ -148,13 +118,12 @@ echo "   rows=$rows bytes=$bytes"
 
 kill "$server_pid"
 wait "$server_pid" 2>/dev/null || true
-server_pid=""
 
 echo "== snowflake: generating a depth-2 schema (synth_R1 -> synth_R1_1)"
 "$tmp/datagen" -db "$tmp/sdb" -ns 600 -nr 20 -ds 3 -dr 3 -depth 2 -seed 1
 "$tmp/train" -db "$tmp/sdb" -fact synth_S -dims synth_R1 -model nn -algo f \
     -hidden 6 -epochs 2 -save snow-nn
-boot_serve -db "$tmp/sdb" -dims synth_R1 -fact synth_S
+boot_stream -db "$tmp/sdb" -dims synth_R1 -fact synth_S
 
 predict_snow() {
     curl_json -X POST "http://$addr/v1/models/snow-nn/predict" \
