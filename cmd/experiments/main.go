@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -22,29 +23,37 @@ import (
 )
 
 func main() {
-	profile := flag.String("profile", "quick", "workload profile: quick or paper")
+	profileName := flag.String("profile", "quick", "workload profile: quick or paper")
 	exp := flag.String("exp", "all", "experiment to run (all, Fig3a..Fig6c, TableVI, TableVII)")
 	out := flag.String("out", "results", "output directory for CSV and markdown")
 	work := flag.String("work", "", "scratch directory for databases (default: a temp dir)")
 	flag.Parse()
 
-	if err := run(*profile, *exp, *out, *work); err != nil {
+	p, err := profile(*profileName)
+	if err == nil {
+		err = run(p, *exp, *out, *work)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(profileName, exp, out, work string) error {
-	var p experiments.Profile
-	switch profileName {
+// profile resolves a -profile name.
+func profile(name string) (experiments.Profile, error) {
+	switch name {
 	case "quick":
-		p = experiments.Quick
+		return experiments.Quick, nil
 	case "paper":
-		p = experiments.PaperProfile
-	default:
-		return fmt.Errorf("unknown profile %q (quick or paper)", profileName)
+		return experiments.PaperProfile, nil
 	}
+	return experiments.Profile{}, fmt.Errorf("unknown profile %q (quick or paper)", name)
+}
 
+// run runs exp ("all" for every experiment) at profile p, writing each
+// experiment's CSV and RESULTS.md under out and databases under work (a
+// temp dir when "").
+func run(p experiments.Profile, exp, out, work string) error {
 	if work == "" {
 		dir, err := os.MkdirTemp("", "factorml-work-")
 		if err != nil {
@@ -71,27 +80,22 @@ func run(profileName, exp, out, work string) error {
 			return err
 		}
 		results[name] = rows
-		f, err := os.Create(filepath.Join(out, name+".csv"))
-		if err != nil {
+		var csv bytes.Buffer
+		if err := experiments.WriteCSV(&csv, rows); err != nil {
 			return err
 		}
-		if err := experiments.WriteCSV(f, rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(filepath.Join(out, name+".csv"), csv.Bytes(), 0o666); err != nil {
 			return err
 		}
 	}
 
-	md, err := os.Create(filepath.Join(out, "RESULTS.md"))
-	if err != nil {
+	var md bytes.Buffer
+	fmt.Fprintf(&md, "# Experiment results (profile: %s)\n\n", p.Name)
+	fmt.Fprintf(&md, "Times are wall-clock per full training run; S/F and M/F are the\n")
+	fmt.Fprintf(&md, "speedups of the factorized algorithm over the streaming and\n")
+	fmt.Fprintf(&md, "materialized baselines (higher = F wins bigger).\n\n")
+	if err := experiments.WriteAllMarkdown(&md, results); err != nil {
 		return err
 	}
-	defer md.Close()
-	fmt.Fprintf(md, "# Experiment results (profile: %s)\n\n", p.Name)
-	fmt.Fprintf(md, "Times are wall-clock per full training run; S/F and M/F are the\n")
-	fmt.Fprintf(md, "speedups of the factorized algorithm over the streaming and\n")
-	fmt.Fprintf(md, "materialized baselines (higher = F wins bigger).\n\n")
-	return experiments.WriteAllMarkdown(md, results)
+	return os.WriteFile(filepath.Join(out, "RESULTS.md"), md.Bytes(), 0o666)
 }

@@ -7,8 +7,10 @@
 // model, and records wall-clock time, multiplication counts and page I/O.
 // The absolute numbers differ from the paper's testbed (Python+NumPy+
 // PostgreSQL on a Xeon cluster vs. pure Go here); the deliverable is the
-// shape: F wins everywhere redundancy exists, and its advantage grows with
-// rr, dR and the number of joined relations.
+// shape, and the tests check it in exact counts: on every rr and dR sweep F
+// makes fewer multiplications than S and M, and its saving grows with rr
+// and dR; testdata/tiny_counts.csv pins every row's multiplications and
+// page I/O. The times are single, non-interleaved runs of each strategy.
 //
 // Two profiles are provided: Quick (CI-sized, seconds per figure) and Paper
 // (the paper's parameters; hours). Both preserve the tuple ratios, which is

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
@@ -16,16 +17,17 @@ import (
 )
 
 // Row is one measured point of an experiment: one workload configuration
-// trained with all three algorithms.
+// trained with all three algorithms. The per-strategy columns are indexed
+// like strategies: M, S, F.
 type Row struct {
 	Figure string  // e.g. "Fig3a", "TableVI"
 	Series string  // sub-series label, e.g. "dR=5" or the dataset name
 	X      float64 // swept parameter value (0 for table rows)
 
-	MTime, STime, FTime time.Duration
-	MMul, SMul, FMul    int64 // multiplication counters
-	MIO, SIO, FIO       int64 // logical page reads
-	MWrites             int64 // pages written by materialization
+	Time    [3]time.Duration
+	Mul     [3]int64 // multiplication counters
+	Reads   [3]int64 // logical page reads
+	MWrites int64    // pages written by materialization
 
 	SpeedupSF float64 // S time / F time
 	SpeedupMF float64 // M time / F time
@@ -33,10 +35,13 @@ type Row struct {
 
 func (r Row) String() string {
 	return fmt.Sprintf("%-8s %-14s x=%-8g M=%-10v S=%-10v F=%-10v S/F=%.2f M/F=%.2f",
-		r.Figure, r.Series, r.X, r.MTime.Round(time.Millisecond),
-		r.STime.Round(time.Millisecond), r.FTime.Round(time.Millisecond),
+		r.Figure, r.Series, r.X, r.Time[0].Round(time.Millisecond),
+		r.Time[1].Round(time.Millisecond), r.Time[2].Round(time.Millisecond),
 		r.SpeedupSF, r.SpeedupMF)
 }
+
+// strategies are the access paths a Row compares, in its M, S, F order.
+var strategies = [3]plan.Strategy{plan.Materialized, plan.Streaming, plan.Factorized}
 
 // Harness runs experiments in temporary databases under BaseDir.
 type Harness struct {
@@ -50,115 +55,78 @@ func New(baseDir string, p Profile, log io.Writer) *Harness {
 	return &Harness{BaseDir: baseDir, P: p, Log: log}
 }
 
-func (h *Harness) logf(format string, args ...any) {
-	if h.Log != nil {
-		fmt.Fprintf(h.Log, format+"\n", args...)
-	}
-}
-
-// withDB runs fn in a fresh database directory that is removed afterwards.
-func (h *Harness) withDB(name string, fn func(db *storage.Database) error) error {
+// runPoint generates pt's workload in a fresh database, removed
+// afterwards, and trains e's model over it once per strategy.
+func (h *Harness) runPoint(e experiment, i int, pt point) (Row, error) {
+	row := Row{Figure: e.name, Series: pt.series, X: pt.x}
+	name := fmt.Sprintf("%s_%d", e.name, i)
 	dir := filepath.Join(h.BaseDir, name)
 	db, err := storage.Open(dir)
 	if err != nil {
-		return err
+		return row, err
 	}
 	defer func() {
 		db.Close()
 		os.RemoveAll(dir)
 	}()
-	return fn(db)
-}
-
-// runGMM trains M/S/F GMM over a freshly generated workload and fills a Row.
-func (h *Harness) runGMM(name string, dcfg data.SynthConfig, gcfg gmm.Config, figure, series string, x float64) (Row, error) {
-	row := Row{Figure: figure, Series: series, X: x}
-	gcfg.Tol = 1e-300 // effectively disable early stopping: compare fixed work
-	err := h.withDB(name, func(db *storage.Database) error {
-		spec, err := data.Generate(db, name, dcfg)
-		if err != nil {
-			return err
-		}
-		return trainGMM3(db, spec, gcfg, &row)
-	})
-	if err != nil {
-		return row, fmt.Errorf("experiments: %s %s x=%g: %w", figure, series, x, err)
+	if err := h.fillRow(db, name, e.family, pt, &row); err != nil {
+		return row, fmt.Errorf("experiments: %s %s x=%g: %w", e.name, pt.series, pt.x, err)
 	}
-	h.logf("%s", row)
+	if h.Log != nil {
+		fmt.Fprintf(h.Log, "%s\n", row)
+	}
 	return row, nil
 }
 
-// runNN is runGMM's NN counterpart.
-func (h *Harness) runNN(name string, dcfg data.SynthConfig, ncfg nn.Config, figure, series string, x float64) (Row, error) {
-	row := Row{Figure: figure, Series: series, X: x}
-	dcfg.WithTarget = true
-	err := h.withDB(name, func(db *storage.Database) error {
-		spec, err := data.Generate(db, name, dcfg)
-		if err != nil {
-			return err
+// fillRow generates pt's data in db and trains f's model over it once per
+// strategy, in Row's order.
+func (h *Harness) fillRow(db *storage.Database, name string, f family, pt point, row *Row) error {
+	var spec *join.Spec
+	var err error
+	if pt.shape != "" {
+		var shape data.Shape
+		if shape, err = data.ShapeByName(pt.shape); err == nil {
+			spec, err = data.GenerateShape(db, shape, h.P.RealScale, 7)
 		}
-		return trainNN3(db, spec, ncfg, &row)
-	})
-	if err != nil {
-		return row, fmt.Errorf("experiments: %s %s x=%g: %w", figure, series, x, err)
+	} else {
+		cfg := pt.synth
+		cfg.WithTarget = f == nnFamily
+		spec, err = data.Generate(db, name, cfg)
 	}
-	h.logf("%s", row)
-	return row, nil
-}
-
-// strategies are the access paths a Row compares, in its M, S, F order.
-var strategies = [3]plan.Strategy{plan.Materialized, plan.Streaming, plan.Factorized}
-
-// run is what a Row records of one training.
-type run struct {
-	time time.Duration
-	mul  int64 // multiplication counter
-	io   storage.IOStats
-}
-
-// trainGMM3 trains the mixture once per strategy, single-threaded: the
-// figure rows compare M/S/F algorithmic cost, and the worker pool
-// parallelizes the three variants asymmetrically (the factorized M-step
-// stays sequential), which would distort the ratios.
-func trainGMM3(db *storage.Database, spec *join.Spec, gcfg gmm.Config, row *Row) error {
-	gcfg.NumWorkers = 1
-	return fillRow(row, func(s plan.Strategy) (run, error) {
-		res, err := gmm.Train(db, spec, s, gcfg)
-		if err != nil {
-			return run{}, err
-		}
-		return run{res.Stats.TrainTime, res.Stats.Ops.Mul, res.Stats.IO}, nil
-	})
-}
-
-// trainNN3 is trainGMM3's NN counterpart.
-func trainNN3(db *storage.Database, spec *join.Spec, ncfg nn.Config, row *Row) error {
-	ncfg.NumWorkers = 1
-	return fillRow(row, func(s plan.Strategy) (run, error) {
-		res, err := nn.Train(db, spec, s, ncfg)
-		if err != nil {
-			return run{}, err
-		}
-		return run{res.Stats.TrainTime, res.Stats.Ops.Mul, res.Stats.IO}, nil
-	})
-}
-
-// fillRow trains once per strategy, in Row's order, and records the runs.
-func fillRow(row *Row, train func(plan.Strategy) (run, error)) error {
-	var r [3]run
+	if err != nil {
+		return err
+	}
 	for i, s := range strategies {
-		var err error
-		if r[i], err = train(s); err != nil {
-			return err
+		var ios storage.IOStats
+		// Single-threaded: the rows compare M/S/F algorithmic cost, and the
+		// worker pool parallelizes the three variants asymmetrically (the
+		// factorized M-step stays sequential), which would distort the ratios.
+		switch f {
+		case gmmFamily:
+			// Tol 1e-300 disables early stopping: every strategy runs
+			// the profile's GMMIters.
+			res, err := gmm.Train(db, spec, s, gmm.Config{
+				K: cmp.Or(pt.size, sweepK), MaxIter: h.P.GMMIters, Tol: 1e-300, NumWorkers: 1})
+			if err != nil {
+				return err
+			}
+			row.Time[i], row.Mul[i], ios = res.Stats.TrainTime, res.Stats.Ops.Mul, res.Stats.IO
+		case nnFamily:
+			res, err := nn.Train(db, spec, s, nn.Config{
+				Hidden: []int{cmp.Or(pt.size, sweepNH)}, Epochs: h.P.NNEpochs, NumWorkers: 1})
+			if err != nil {
+				return err
+			}
+			row.Time[i], row.Mul[i], ios = res.Stats.TrainTime, res.Stats.Ops.Mul, res.Stats.IO
+		}
+		row.Reads[i] = ios.LogicalReads
+		if s == plan.Materialized {
+			row.MWrites = ios.PageWrites
 		}
 	}
-	row.MTime, row.STime, row.FTime = r[0].time, r[1].time, r[2].time
-	row.MMul, row.SMul, row.FMul = r[0].mul, r[1].mul, r[2].mul
-	row.MIO, row.SIO, row.FIO = r[0].io.LogicalReads, r[1].io.LogicalReads, r[2].io.LogicalReads
-	row.MWrites = r[0].io.PageWrites
-	if ft := r[2].time; ft > 0 {
-		row.SpeedupSF = float64(row.STime) / float64(ft)
-		row.SpeedupMF = float64(row.MTime) / float64(ft)
+	if ft := row.Time[2]; ft > 0 {
+		row.SpeedupSF = float64(row.Time[1]) / float64(ft)
+		row.SpeedupMF = float64(row.Time[0]) / float64(ft)
 	}
 	return nil
 }

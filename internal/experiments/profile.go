@@ -13,7 +13,7 @@ type Profile struct {
 	NSFixed  int // fact cardinality for the vary-dR/K/nh sweeps
 	NR2      int // second dimension table cardinality (multi-way sweeps)
 	DR2      int // second dimension table width (multi-way sweeps)
-	GMMIters int // EM iterations (Tol forced to 0 so all run)
+	GMMIters int // EM iterations; the harness sets Tol to 1e-300 so all run
 	NNEpochs int
 
 	RealScale float64 // scale applied to the Table VI/VII dataset shapes

@@ -4,7 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -22,24 +22,20 @@ func WriteCSV(w io.Writer, rows []Row) error {
 		return err
 	}
 	for _, r := range rows {
-		rec := []string{
-			r.Figure, r.Series, strconv.FormatFloat(r.X, 'g', -1, 64),
-			fsec(r.MTime), fsec(r.STime), fsec(r.FTime),
-			strconv.FormatInt(r.MMul, 10), strconv.FormatInt(r.SMul, 10), strconv.FormatInt(r.FMul, 10),
-			strconv.FormatInt(r.MIO, 10), strconv.FormatInt(r.SIO, 10), strconv.FormatInt(r.FIO, 10),
-			strconv.FormatInt(r.MWrites, 10),
-			fmt.Sprintf("%.3f", r.SpeedupSF), fmt.Sprintf("%.3f", r.SpeedupMF),
+		rec := []string{r.Figure, r.Series, strconv.FormatFloat(r.X, 'g', -1, 64)}
+		for _, d := range r.Time {
+			rec = append(rec, strconv.FormatFloat(d.Seconds(), 'f', 4, 64))
 		}
+		for _, n := range slices.Concat(r.Mul[:], r.Reads[:], []int64{r.MWrites}) {
+			rec = append(rec, strconv.FormatInt(n, 10))
+		}
+		rec = append(rec, fmt.Sprintf("%.3f", r.SpeedupSF), fmt.Sprintf("%.3f", r.SpeedupMF))
 		if err := cw.Write(rec); err != nil {
 			return err
 		}
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-func fsec(d time.Duration) string {
-	return strconv.FormatFloat(d.Seconds(), 'f', 4, 64)
 }
 
 // WriteMarkdown renders rows as a GitHub-flavoured markdown table, grouped
@@ -56,12 +52,12 @@ func WriteMarkdown(w io.Writer, title string, rows []Row) error {
 	fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---:|---:|")
 	for _, r := range rows {
 		saving := "-"
-		if r.SMul > 0 {
-			saving = fmt.Sprintf("%.1f%%", 100*float64(r.SMul-r.FMul)/float64(r.SMul))
+		if sm := r.Mul[1]; sm > 0 {
+			saving = fmt.Sprintf("%.1f%%", 100*float64(sm-r.Mul[2])/float64(sm))
 		}
 		fmt.Fprintf(w, "| %s | %g | %s | %s | %s | %.2f× | %.2f× | %s |\n",
 			r.Series, r.X,
-			r.MTime.Round(time.Millisecond), r.STime.Round(time.Millisecond), r.FTime.Round(time.Millisecond),
+			r.Time[0].Round(time.Millisecond), r.Time[1].Round(time.Millisecond), r.Time[2].Round(time.Millisecond),
 			r.SpeedupSF, r.SpeedupMF, saving)
 	}
 	_, err := fmt.Fprintln(w)
@@ -70,18 +66,11 @@ func WriteMarkdown(w io.Writer, title string, rows []Row) error {
 
 // WriteAllMarkdown renders a full result set in paper order.
 func WriteAllMarkdown(w io.Writer, results map[string][]Row) error {
-	names := make([]string, 0, len(results))
-	for n := range results {
-		names = append(names, n)
-	}
-	order := map[string]int{}
-	for i, n := range Experiments() {
-		order[n] = i
-	}
-	sort.Slice(names, func(i, j int) bool { return order[names[i]] < order[names[j]] })
-	for _, n := range names {
-		if err := WriteMarkdown(w, n, results[n]); err != nil {
-			return err
+	for _, name := range Experiments() {
+		if rows, ok := results[name]; ok {
+			if err := WriteMarkdown(w, name, rows); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
