@@ -58,7 +58,8 @@
 // elsewhere, then atomically swaps in the real handler. With
 // -max-inflight / -max-ingest-queue, admission control rejects excess
 // load with structured 429 responses (error codes predict_overloaded /
-// ingest_overloaded, Retry-After header) before any work is admitted.
+// ingest_overloaded) before any work is admitted. Every 429 and 503
+// carries the same Retry-After: 1 header.
 //
 // With -batch-window, concurrent predict requests against the same model
 // are coalesced into one engine batch — flushed when the window elapses
@@ -122,17 +123,13 @@ func defineFlags(fs *flag.FlagSet, o *serveFlags) {
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address (port 0 picks a free port)")
 	fs.IntVar(&o.workers, "workers", 0, "prediction worker pool size (0 = all CPUs, 1 = sequential); responses are bit-identical for every value")
 	fs.IntVar(&o.cacheEntries, "cache", 0, "per-(model, direct dimension) LRU capacity in entries (0 = default 4096); an entry covers a direct dimension tuple with its subtree and costs its cached floats × 8 bytes, a 40-byte slot, an 8-byte map entry and 4 bytes per subtree tuple below it; memory follows occupancy")
-	fs.IntVar(&o.batchRows, "batch", 0, "rows per worker micro-batch chunk (0 = default 64)")
 	fs.StringVar(&o.fact, "fact", "", "fact table name; enables streaming ingestion at POST /v1/ingest")
 	fs.IntVar(&o.refreshRows, "refresh-rows", 0, "auto-refresh attached models once this many ingested fact rows are pending (0 = manual; needs -fact)")
 	fs.IntVar(&o.rebaseline, "rebaseline-every", 0, "rebuild GMM statistics from scratch every Nth refresh (0 = only after dimension updates; needs -fact)")
-	fs.IntVar(&o.refreshEpochs, "refresh-epochs", defaultRefreshEpochs, "warm-start SGD epochs per NN refresh (needs -fact)")
-	fs.Float64Var(&o.refreshLR, "refresh-lr", defaultRefreshLR, "learning rate of NN refresh epochs (needs -fact)")
 	fs.DurationVar(&o.batchWindow, "batch-window", 0, "coalesce concurrent predict requests per model for this long before scoring them as one engine batch (0 = batching off); per-row results stay bit-identical")
 	fs.IntVar(&o.maxBatch, "max-batch", 0, "flush a coalesced batch early once it holds this many rows; single requests at or over the cap bypass the window (0 = window-only flush; needs -batch-window)")
 	fs.IntVar(&o.maxInflight, "max-inflight", 0, "per-model in-flight prediction limit; excess answers 429 predict_overloaded (0 = unlimited)")
 	fs.IntVar(&o.maxIngestQueue, "max-ingest-queue", 0, "bounded ingest queue: admitted-but-unfinished batches; excess answers 429 ingest_overloaded (0 = unlimited)")
-	fs.IntVar(&o.retryAfter, "retry-after", 0, "Retry-After seconds on 429/503 rejections (0 = default 1)")
 	fs.Float64Var(&o.traceSample, "trace-sample", 1.0, "fraction of requests that record spans (0 < f <= 1; incoming sampled traceparent headers always record)")
 	fs.IntVar(&o.traceSlowMS, "trace-slow-ms", 0, "requests at or over this duration are kept in the slow-trace list regardless of recency (0 = default 100)")
 	fs.StringVar(&o.logLevel, "log-level", "", "request logging to stderr as JSON lines at this level: debug, info, warn, error (empty = no request log)")
@@ -146,32 +143,27 @@ func defineFlags(fs *flag.FlagSet, o *serveFlags) {
 	fs.IntVar(&o.snapshotEvery, "snapshot-every", defaultSnapshotEvery, "commit an atomic snapshot and truncate the WAL after this many records past the last snapshot (0 = boot/shutdown checkpoints only; needs -wal-dir)")
 }
 
-// Defaults of the flags that are only meaningful with another flag set:
+// The default of -snapshot-every, a flag only meaningful with -wal-dir:
 // validateFlags tells "left alone" from "set without its prerequisite" by
-// comparing against them.
-const (
-	defaultRefreshEpochs = 1
-	defaultRefreshLR     = 0.05
-	defaultSnapshotEvery = 10000
-)
+// comparing against it.
+const defaultSnapshotEvery = 10000
 
 type serveFlags struct {
-	dbDir, dims, addr, fact                 string
-	workers, cacheEntries, batchRows        int
-	refreshRows, rebaseline, refreshEpochs  int
-	refreshLR                               float64
-	maxInflight, maxIngestQueue, retryAfter int
-	batchWindow                             time.Duration
-	maxBatch                                int
-	traceSample                             float64
-	traceSlowMS                             int
-	debugAddr                               string
-	logLevel                                string
-	driftWarn, driftPSI                     float64
-	stalenessMaxRows                        int64
-	healthSample                            float64
-	walDir                                  string
-	fsyncEvery, snapshotEvery               int
+	dbDir, dims, addr, fact     string
+	workers, cacheEntries       int
+	refreshRows, rebaseline     int
+	maxInflight, maxIngestQueue int
+	batchWindow                 time.Duration
+	maxBatch                    int
+	traceSample                 float64
+	traceSlowMS                 int
+	debugAddr                   string
+	logLevel                    string
+	driftWarn, driftPSI         float64
+	stalenessMaxRows            int64
+	healthSample                float64
+	walDir                      string
+	fsyncEvery, snapshotEvery   int
 }
 
 // validateFlags rejects a command line before anything is bound or opened:
@@ -184,14 +176,14 @@ func validateFlags(o *serveFlags) error {
 		return errors.New("-db and -dims are required")
 	case o.workers < 0:
 		return fmt.Errorf("-workers must be >= 0, got %d", o.workers)
-	case o.cacheEntries < 0 || o.batchRows < 0:
-		return errors.New("-cache and -batch must be >= 0")
-	case o.refreshRows < 0 || o.rebaseline < 0 || o.refreshEpochs < 1 || o.refreshLR <= 0:
-		return errors.New("-refresh-rows and -rebaseline-every must be >= 0, -refresh-epochs >= 1, -refresh-lr > 0")
-	case o.fact == "" && (o.refreshRows > 0 || o.rebaseline > 0 || o.refreshEpochs != defaultRefreshEpochs || o.refreshLR != defaultRefreshLR):
-		return errors.New("-refresh-rows/-rebaseline-every/-refresh-epochs/-refresh-lr need -fact (streaming ingestion)")
-	case o.maxInflight < 0 || o.maxIngestQueue < 0 || o.retryAfter < 0:
-		return errors.New("-max-inflight, -max-ingest-queue and -retry-after must be >= 0")
+	case o.cacheEntries < 0:
+		return errors.New("-cache must be >= 0")
+	case o.refreshRows < 0 || o.rebaseline < 0:
+		return errors.New("-refresh-rows and -rebaseline-every must be >= 0")
+	case o.fact == "" && (o.refreshRows > 0 || o.rebaseline > 0):
+		return errors.New("-refresh-rows/-rebaseline-every need -fact (streaming ingestion)")
+	case o.maxInflight < 0 || o.maxIngestQueue < 0:
+		return errors.New("-max-inflight and -max-ingest-queue must be >= 0")
 	case o.batchWindow < 0 || o.maxBatch < 0:
 		return errors.New("-batch-window and -max-batch must be >= 0")
 	case o.batchWindow == 0 && o.maxBatch > 0:
@@ -268,12 +260,11 @@ func run(cfg serveFlags, out io.Writer, stop <-chan os.Signal) error {
 	}
 	opts := []factorml.ServerOption{
 		factorml.WithEngineConfig(factorml.ServeConfig{
-			NumWorkers: cfg.workers, CacheEntries: cfg.cacheEntries, BatchRows: cfg.batchRows,
+			NumWorkers: cfg.workers, CacheEntries: cfg.cacheEntries,
 		}),
 		factorml.WithLimits(factorml.Limits{
 			MaxInFlightPerModel: cfg.maxInflight,
 			MaxQueuedIngest:     cfg.maxIngestQueue,
-			RetryAfterSeconds:   cfg.retryAfter,
 			BatchWindow:         cfg.batchWindow,
 			MaxBatchRows:        cfg.maxBatch,
 		}),
@@ -301,8 +292,6 @@ func run(cfg serveFlags, out io.Writer, stop <-chan os.Signal) error {
 			RefreshRows:     cfg.refreshRows,
 			RebaselineEvery: cfg.rebaseline,
 			NumWorkers:      cfg.workers,
-			NNEpochs:        cfg.refreshEpochs,
-			NNLearningRate:  cfg.refreshLR,
 		}))
 	}
 	server, err := factorml.NewServer(db, dimTables, opts...)

@@ -12,6 +12,8 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -42,7 +44,7 @@ func TestValidateFlags(t *testing.T) {
 		want string // the whole error; "" means accepted
 	}{
 		{name: "minimal", want: ""},
-		{name: "streaming", args: []string{"-fact", "synth_S", "-refresh-rows", "25", "-refresh-epochs", "2", "-refresh-lr", "0.1", "-rebaseline-every", "3"}},
+		{name: "streaming", args: []string{"-fact", "synth_S", "-refresh-rows", "25", "-rebaseline-every", "3"}},
 		{name: "batching", args: []string{"-batch-window", "1ms", "-max-batch", "64"}},
 		{name: "durable", args: []string{"-fact", "synth_S", "-wal-dir", "w", "-fsync-every", "8", "-snapshot-every", "0"}},
 		{name: "log level", args: []string{"-log-level", "warn"}},
@@ -50,18 +52,14 @@ func TestValidateFlags(t *testing.T) {
 		{name: "no dims", bare: true, args: []string{"-db", "d"}, want: "-db and -dims are required"},
 		{name: "no db", bare: true, args: []string{"-dims", "synth_R1"}, want: "-db and -dims are required"},
 		{name: "workers", args: []string{"-workers", "-2"}, want: "-workers must be >= 0, got -2"},
-		{name: "cache", args: []string{"-cache", "-1"}, want: "-cache and -batch must be >= 0"},
-		{name: "refresh epochs zero", args: []string{"-fact", "synth_S", "-refresh-epochs", "0"},
-			want: "-refresh-rows and -rebaseline-every must be >= 0, -refresh-epochs >= 1, -refresh-lr > 0"},
+		{name: "cache", args: []string{"-cache", "-1"}, want: "-cache must be >= 0"},
+		{name: "refresh rows negative", args: []string{"-fact", "synth_S", "-refresh-rows", "-1"},
+			want: "-refresh-rows and -rebaseline-every must be >= 0"},
 		{name: "refresh-rows without fact", args: []string{"-refresh-rows", "10"},
-			want: "-refresh-rows/-rebaseline-every/-refresh-epochs/-refresh-lr need -fact (streaming ingestion)"},
+			want: "-refresh-rows/-rebaseline-every need -fact (streaming ingestion)"},
 		{name: "rebaseline without fact", args: []string{"-rebaseline-every", "2"},
-			want: "-refresh-rows/-rebaseline-every/-refresh-epochs/-refresh-lr need -fact (streaming ingestion)"},
-		{name: "refresh-epochs without fact", args: []string{"-refresh-epochs", "3"},
-			want: "-refresh-rows/-rebaseline-every/-refresh-epochs/-refresh-lr need -fact (streaming ingestion)"},
-		{name: "refresh-lr without fact", args: []string{"-refresh-lr", "0.2"},
-			want: "-refresh-rows/-rebaseline-every/-refresh-epochs/-refresh-lr need -fact (streaming ingestion)"},
-		{name: "inflight", args: []string{"-max-inflight", "-1"}, want: "-max-inflight, -max-ingest-queue and -retry-after must be >= 0"},
+			want: "-refresh-rows/-rebaseline-every need -fact (streaming ingestion)"},
+		{name: "inflight", args: []string{"-max-inflight", "-1"}, want: "-max-inflight and -max-ingest-queue must be >= 0"},
 		{name: "window negative", args: []string{"-batch-window", "-1ms"}, want: "-batch-window and -max-batch must be >= 0"},
 		{name: "max-batch without window", args: []string{"-max-batch", "64"}, want: "-max-batch needs -batch-window (dynamic batching)"},
 		{name: "trace sample", args: []string{"-trace-sample", "0"}, want: "-trace-sample must be in (0, 1], got 0"},
@@ -89,6 +87,55 @@ func TestValidateFlags(t *testing.T) {
 	if _, err := parseArgs(append(base, "-log-level", "loud")...); err == nil {
 		t.Error("-log-level loud accepted")
 	}
+}
+
+// unsetFlagOK lists the flags no script or CI step sets, each with its
+// reason. Everything else TestEveryServeFlagHasACaller checks must be set
+// by one.
+var unsetFlagOK = map[string]string{
+	"trace-sample":     "the one lever on tracing cost: an operator samples below 1 to trim it",
+	"rebaseline-every": "benchmark/env.go sets StreamPolicy.RebaselineEvery to a different value per workload",
+	"snapshot-every":   "benchmark/env.go sets DurabilityConfig.SnapshotEvery to a different value per workload",
+}
+
+// TestEveryServeFlagHasACaller fails when a flag of the command is set
+// by no smoke script (scripts/*.sh) and no CI step (.github/workflows/
+// ci.yml), as a whole token followed by a space or "=", and is not on
+// unsetFlagOK. A flag nothing sets is a second behaviour nothing runs;
+// its value belongs in a constant.
+func TestEveryServeFlagHasACaller(t *testing.T) {
+	root := filepath.Join("..", "..")
+	files, err := filepath.Glob(filepath.Join(root, "scripts", "*.sh"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no scripts under %s (%v)", root, err)
+	}
+	var callers []byte
+	for _, f := range append(files, filepath.Join(root, ".github", "workflows", "ci.yml")) {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		callers = append(append(callers, b...), '\n')
+	}
+	if len(unsetFlagOK) > 3 {
+		t.Errorf("unsetFlagOK holds %d flags; at most 3 may go without a caller", len(unsetFlagOK))
+	}
+	var o serveFlags
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	defineFlags(fs, &o)
+	n := 0
+	fs.VisitAll(func(f *flag.Flag) {
+		n++
+		set := regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(f.Name) + `[ =]`).Match(callers)
+		_, ok := unsetFlagOK[f.Name]
+		switch {
+		case !set && !ok:
+			t.Errorf("-%s is set by no script or CI step: make it a constant, or list it in unsetFlagOK with its reason", f.Name)
+		case set && ok:
+			t.Errorf("-%s is on unsetFlagOK but a script sets it: take it off the list", f.Name)
+		}
+	})
+	t.Logf("%d flags", n)
 }
 
 // star is a two-dimension database shaped and named like `datagen -nr 30

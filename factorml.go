@@ -131,7 +131,7 @@ type (
 	// ModelKind identifies a registered model's family ("gmm" or "nn").
 	ModelKind = serve.Kind
 	// ServeConfig tunes the prediction engine behind NewServer (worker
-	// pool size, dimension-cache capacity, micro-batch rows).
+	// pool size, dimension-cache capacity).
 	ServeConfig = serve.EngineConfig
 	// Limits configures admission control on a Server: the per-model
 	// in-flight prediction cap and the bounded ingest queue. Zero fields
@@ -141,8 +141,7 @@ type (
 	// built WithMetrics exposes at GET /metrics.
 	MetricsRegistry = metrics.Registry
 	// StreamPolicy tunes when and how a Stream refreshes its attached
-	// models (refresh-row threshold, rebaseline cadence, worker pool,
-	// NN warm-start epochs and learning rate, GMM regularizer).
+	// models (refresh-row threshold, rebaseline cadence, worker pool).
 	StreamPolicy = stream.Policy
 	// StreamBatch is one atomic change batch: fact appends plus dimension
 	// inserts/updates.

@@ -112,7 +112,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // WriteError writes the structured error envelope. Status 429 and 503
-// responses carry a Retry-After header (defaulting to 1 second) so
+// responses carry the Retry-After header DefaultRetryAfterSeconds so
 // clients under admission control know when to come back.
 func WriteError(w http.ResponseWriter, status int, code, format string, args ...any) {
 	WriteErrorDetails(w, status, code, nil, format, args...)
@@ -121,9 +121,7 @@ func WriteError(w http.ResponseWriter, status int, code, format string, args ...
 // WriteErrorDetails is WriteError with an optional details map.
 func WriteErrorDetails(w http.ResponseWriter, status int, code string, details map[string]any, format string, args ...any) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		if w.Header().Get("Retry-After") == "" {
-			w.Header().Set("Retry-After", strconv.Itoa(DefaultRetryAfterSeconds))
-		}
+		w.Header().Set("Retry-After", strconv.Itoa(DefaultRetryAfterSeconds))
 	}
 	WriteJSON(w, status, Envelope{Error: Error{
 		Code:    code,
@@ -132,6 +130,6 @@ func WriteErrorDetails(w http.ResponseWriter, status int, code string, details m
 	}})
 }
 
-// DefaultRetryAfterSeconds is the Retry-After hint on 429/503 responses
-// when the handler does not set its own.
+// DefaultRetryAfterSeconds is the Retry-After hint on every 429 and 503
+// response.
 const DefaultRetryAfterSeconds = 1

@@ -11,10 +11,9 @@ import (
 // raw-speed pass: the success path of POST /v1/models/{name}/predict is
 // serialized by appending into one pooled byte buffer instead of
 // reflecting over freshly-built pointer-field structs with json.Marshal.
-// The output is compact JSON with the same field names and float
-// formatting as encoding/json (predictionJSON stays the documented
-// response shape, and the JSON-vs-binary equivalence tests decode through
-// it); non-finite values — which encoding/json cannot represent at all —
+// The output is compact JSON with the float formatting of encoding/json
+// (the tests decode it with encoding/json into httpPredictResponse);
+// non-finite values — which encoding/json cannot represent at all —
 // encode as null instead of failing the whole response.
 
 // predictBuffers is the per-request scratch of handlePredict: decoded
@@ -95,8 +94,12 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// appendPredictResponse encodes the predict success envelope — the same
-// shape as predictResponse/predictionJSON — into dst and returns it.
+// appendPredictResponse encodes the predict success envelope into dst and
+// returns it: {"model","kind","version","predictions":[…]}, one object
+// per row carrying exactly the fields meaningful for the model kind —
+// "output" (NN) or "log_prob" and "cluster" (GMM) — or, for a failed row,
+// the structured "error" (code, message, details.row) while the rest of
+// the batch proceeds.
 func appendPredictResponse(dst []byte, info ModelInfo, preds []Prediction) []byte {
 	dst = append(dst, `{"model":`...)
 	dst = appendJSONString(dst, info.Name)

@@ -39,10 +39,10 @@ func IsIncompatibleModel(err error) bool {
 // when EngineConfig.CacheEntries is zero.
 const DefaultCacheEntries = 4096
 
-// DefaultBatchRows is the micro-batch chunk size when
-// EngineConfig.BatchRows is zero. Like every chunk-geometry constant in
-// this codebase it is independent of the worker count.
-const DefaultBatchRows = 64
+// batchRows is the number of request rows per worker chunk. Like every
+// chunk-geometry constant in this codebase it is independent of the
+// worker count, and predictions are bit-identical for every value.
+const batchRows = 64
 
 // EngineConfig tunes the prediction engine.
 type EngineConfig struct {
@@ -65,19 +65,11 @@ type EngineConfig struct {
 	// occupancy: capacity no tuple fills costs nothing, and
 	// Stats.DimCacheBytes reports what is held.
 	CacheEntries int
-
-	// BatchRows is the number of request rows per worker chunk. 0 selects
-	// DefaultBatchRows. The chunk geometry depends only on this knob and
-	// the batch size, never on NumWorkers.
-	BatchRows int
 }
 
 func (c EngineConfig) withDefaults() EngineConfig {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = DefaultCacheEntries
-	}
-	if c.BatchRows <= 0 {
-		c.BatchRows = DefaultBatchRows
 	}
 	return c
 }
@@ -518,7 +510,7 @@ func (e *Engine) scoreRow(st *modelState, sc *predScratch, row *Row, out *Predic
 }
 
 // Predict scores a batch of rows against the named model. The batch is cut
-// into fixed-size chunks (EngineConfig.BatchRows) and fanned across the
+// into fixed-size chunks (batchRows) and fanned across the
 // worker pool; each prediction lands at its row's index, so the response
 // order — and, because every cached partial is pure, every floating-point
 // result — is bit-identical for any worker count. Per-row failures are
@@ -565,7 +557,7 @@ func (e *Engine) PredictIntoCtx(ctx context.Context, name string, rows []Row, ou
 	if err != nil {
 		return ModelInfo{}, err
 	}
-	batch := e.cfg.BatchRows
+	batch := batchRows
 	chunks := (len(rows) + batch - 1) / batch
 	nw := parallel.Workers(e.cfg.NumWorkers)
 	if nw > chunks {

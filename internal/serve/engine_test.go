@@ -145,12 +145,14 @@ func testEngineRoundTrip(t *testing.T, nr, dr []int, keys string) {
 
 	// Worker-count and cache-state sweeps are bit-identical to the
 	// sequential, cold-cache run above — including a cache small enough to
-	// evict constantly and a warm repeat of the same batch.
+	// evict constantly and a warm repeat of the same batch. The batch's 600
+	// rows or more cross the 64-row chunk boundary and end in a partial
+	// chunk.
 	for _, cfg := range []serve.EngineConfig{
 		{NumWorkers: 2},
-		{NumWorkers: 4, BatchRows: 7},
+		{NumWorkers: 4},
 		{NumWorkers: 8, CacheEntries: 2},
-		{NumWorkers: 3, CacheEntries: 1, BatchRows: 1},
+		{NumWorkers: 3, CacheEntries: 1},
 		{NumWorkers: 1, CacheEntries: 1},
 	} {
 		eng2, err := serve.NewEngine(reg2, mustPlan(t, dims), cfg)

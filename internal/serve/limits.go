@@ -3,8 +3,6 @@ package serve
 import (
 	"sync"
 	"time"
-
-	"factorml/internal/api"
 )
 
 // Limits configures admission control on the HTTP surface. Every limit
@@ -26,10 +24,6 @@ type Limits struct {
 	// body is read, with no partial effects. 0 = unlimited.
 	MaxQueuedIngest int
 
-	// RetryAfterSeconds is the Retry-After hint carried by 429/503
-	// responses. 0 selects api.DefaultRetryAfterSeconds.
-	RetryAfterSeconds int
-
 	// BatchWindow, when positive, enables dynamic cross-request batching:
 	// the first predict request against a model opens a batch and waits up
 	// to this long for concurrent requests to coalesce into one engine
@@ -44,13 +38,6 @@ type Limits struct {
 	// 0 = no cap (batches flush on the window alone). Only meaningful
 	// with BatchWindow > 0.
 	MaxBatchRows int
-}
-
-func (l Limits) retryAfter() int {
-	if l.RetryAfterSeconds <= 0 {
-		return api.DefaultRetryAfterSeconds
-	}
-	return l.RetryAfterSeconds
 }
 
 // Limiter is a fixed-capacity admission token pool. TryAcquire never

@@ -405,31 +405,12 @@ type predictRowJSON struct {
 	FKs  []int64   `json:"fks"`
 }
 
-// predictionJSON is one row's result. Value fields are pointers so the
-// response carries exactly the fields meaningful for the model kind;
-// a failed row carries the structured error (code + message) while the
-// rest of the batch proceeds.
-type predictionJSON struct {
-	Output  *float64   `json:"output,omitempty"`
-	LogProb *float64   `json:"log_prob,omitempty"`
-	Cluster *int       `json:"cluster,omitempty"`
-	Err     *api.Error `json:"error,omitempty"`
-}
-
-type predictResponse struct {
-	Model       string           `json:"model"`
-	Kind        Kind             `json:"kind"`
-	Version     int              `json:"version"`
-	Predictions []predictionJSON `json:"predictions"`
-}
-
-// rejectOverloaded answers a 429 with the configured Retry-After hint
-// and counts the rejection.
+// rejectOverloaded answers a 429, which carries api's one Retry-After
+// hint, and counts the rejection.
 func (s *Server) rejectOverloaded(w http.ResponseWriter, endpoint, code string, details map[string]any, format string, args ...any) {
 	if s.rejections != nil {
 		s.rejections.With(endpoint, code).Inc()
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(s.limits.retryAfter()))
 	api.WriteErrorDetails(w, http.StatusTooManyRequests, code, details, format, args...)
 }
 

@@ -62,7 +62,7 @@ func TestTracedPredictEndToEnd(t *testing.T) {
 	db, spec := testStar(t, t.TempDir())
 	defer db.Close()
 	net, _ := trainModels(t, db, spec)
-	reg, eng := newTestEngine(t, db, spec, serve.EngineConfig{NumWorkers: 4, BatchRows: 8})
+	reg, eng := newTestEngine(t, db, spec, serve.EngineConfig{NumWorkers: 4})
 	if err := reg.SaveNN("m-nn", net); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestTracedPredictEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(serve.NewServer(eng, serve.WithTracer(tracer)))
 	defer ts.Close()
 
-	rows, _ := factRows(t, spec, 32)
+	rows, _ := factRows(t, spec, 130)
 	resp, out := postPredict(t, ts, "m-nn", rows)
 	if out == nil {
 		t.Fatalf("predict failed with status %d", resp.StatusCode)
@@ -115,9 +115,9 @@ func TestTracedPredictEndToEnd(t *testing.T) {
 					t.Errorf("%s: trace %s has no %q span (got %v)", path, reqID, want, counts)
 				}
 			}
-			// 32 rows at 8 rows/chunk fan out over 4 chunks.
-			if counts["engine.chunk"] != 4 {
-				t.Errorf("%s: engine.chunk spans = %d, want 4", path, counts["engine.chunk"])
+			// 130 rows fan out over 64 + 64 + 2 rows.
+			if counts["engine.chunk"] != 3 {
+				t.Errorf("%s: engine.chunk spans = %d, want 3", path, counts["engine.chunk"])
 			}
 		}
 		if !found {

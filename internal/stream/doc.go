@@ -55,10 +55,10 @@
 // folded with the old features.
 //
 // For an NN, Refresh warm-starts the factorized trainer (nn.Config.Init)
-// from the served network and runs Policy.NNEpochs SGD epochs over
-// base ∪ delta — equal to dense warm-start retraining on the union up to
-// floating-point summation order, and bit-identical for every worker
-// count.
+// from the served network and runs refreshEpochs SGD epochs (one, at
+// learning rate 0.05) over base ∪ delta — equal to dense warm-start
+// retraining on the union up to floating-point summation order, and
+// bit-identical for every worker count.
 //
 // # Bit-identical incremental absorption
 //

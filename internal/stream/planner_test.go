@@ -23,7 +23,7 @@ func TestPlannerDecisionsAndRefreshStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(db, spec, Options{Policy: Policy{NumWorkers: 1, NNEpochs: 1}})
+	s, err := New(db, spec, Options{Policy: Policy{NumWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

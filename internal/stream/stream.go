@@ -40,24 +40,14 @@ type Policy struct {
 	// database-wide Options.NumWorkers default), 1 = sequential.
 	// Refreshed models are bit-identical for every value.
 	NumWorkers int
-
-	// NNEpochs is how many warm-start SGD epochs an NN refresh runs over
-	// base ∪ delta (default 1).
-	NNEpochs int
-
-	// NNLearningRate is the refresh gradient step size (default 0.05).
-	NNLearningRate float64
 }
 
-func (p Policy) withDefaults() Policy {
-	if p.NNEpochs == 0 {
-		p.NNEpochs = 1
-	}
-	if p.NNLearningRate == 0 {
-		p.NNLearningRate = 0.05
-	}
-	return p
-}
+// An NN refresh runs refreshEpochs warm-start SGD epochs over base ∪ delta
+// at refreshLearningRate.
+const (
+	refreshEpochs       = 1
+	refreshLearningRate = 0.05
+)
 
 // Options wires a Stream into its surroundings.
 type Options struct {
@@ -225,7 +215,7 @@ func New(db *storage.Database, spec *join.Spec, opts Options) (*Stream, error) {
 		dimJ:      make(map[string][]int, len(spec.Rs)),
 		eng:       opts.Engine,
 		reg:       opts.Registry,
-		pol:       opts.Policy.withDefaults(),
+		pol:       opts.Policy,
 		models:    make(map[string]*attached),
 		ingestLim: serve.NewLimiter(opts.MaxQueuedIngest),
 		maxQueued: opts.MaxQueuedIngest,
@@ -352,7 +342,7 @@ func (s *Stream) attachMonitorLocked(name string, kind serve.Kind) {
 
 // AttachNN puts a network under incremental maintenance: refreshes
 // warm-start the factorized trainer from the current parameters over
-// base ∪ delta (Policy.NNEpochs epochs).
+// base ∪ delta (refreshEpochs epochs).
 func (s *Stream) AttachNN(name string, net *nn.Network) error {
 	if err := s.fitsNN(name, net); err != nil {
 		return err
@@ -396,12 +386,12 @@ func (s *Stream) attachNNLocked(name string, net *nn.Network) error {
 }
 
 // refreshConfig is the training run one refresh of an attached network
-// makes: Policy.NNEpochs warm-start epochs from its current parameters.
+// makes: refreshEpochs warm-start epochs from its current parameters.
 func (s *Stream) refreshConfig(net *nn.Network) nn.Config {
 	return nn.Config{
 		Init:         net,
-		Epochs:       s.pol.NNEpochs,
-		LearningRate: s.pol.NNLearningRate,
+		Epochs:       refreshEpochs,
+		LearningRate: refreshLearningRate,
 		NumWorkers:   s.pol.NumWorkers,
 	}
 }
@@ -809,7 +799,7 @@ func (s *Stream) observeFactLocked(fr *FactRow) {
 
 // Refresh folds everything ingested so far into every attached model —
 // one incremental EM step per GMM (cost ∝ rows absorbed this refresh),
-// Policy.NNEpochs warm-start epochs per NN — and publishes the refreshed
+// refreshEpochs warm-start epochs per NN — and publishes the refreshed
 // models to the registry (version bump) when one is attached.
 func (s *Stream) Refresh() (RefreshResult, error) {
 	return s.RefreshCtx(context.Background())

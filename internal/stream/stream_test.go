@@ -149,7 +149,7 @@ func TestNNWarmStartRefresh(t *testing.T) {
 	}
 	base := bres.Net
 
-	s, err := New(db, spec, Options{Policy: Policy{NumWorkers: 3, NNEpochs: 2}})
+	s, err := New(db, spec, Options{Policy: Policy{NumWorkers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestNNWarmStartRefresh(t *testing.T) {
 	// The same warm start retrained over the union must agree bitwise for
 	// every worker count, and with the dense materialized baseline to 1e-9.
 	for _, w := range []int{1, 4} {
-		fres, err := nn.TrainF(db, spec, nn.Config{Init: base, Epochs: 2, LearningRate: 0.05, NumWorkers: w})
+		fres, err := nn.TrainF(db, spec, nn.Config{Init: base, Epochs: refreshEpochs, LearningRate: refreshLearningRate, NumWorkers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestNNWarmStartRefresh(t *testing.T) {
 			t.Fatalf("stream NN refresh vs warm-start F-NN (workers=%d) differ by %g", w, d)
 		}
 	}
-	mres, err := nn.Train(db, spec, plan.Materialized, nn.Config{Init: base, Epochs: 2, LearningRate: 0.05, NumWorkers: 1})
+	mres, err := nn.Train(db, spec, plan.Materialized, nn.Config{Init: base, Epochs: refreshEpochs, LearningRate: refreshLearningRate, NumWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

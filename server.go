@@ -32,8 +32,7 @@ type serverOptions struct {
 type ServerOption func(*serverOptions)
 
 // WithEngineConfig tunes the prediction engine (worker pool size,
-// dimension-cache capacity, micro-batch rows). The zero ServeConfig is
-// the default.
+// dimension-cache capacity). The zero ServeConfig is the default.
 func WithEngineConfig(cfg ServeConfig) ServerOption {
 	return func(o *serverOptions) { o.engineCfg = cfg }
 }
