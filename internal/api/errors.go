@@ -112,7 +112,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // WriteError writes the structured error envelope. Status 429 and 503
-// responses carry the Retry-After header DefaultRetryAfterSeconds so
+// responses carry a Retry-After header of DefaultRetryAfterSeconds so
 // clients under admission control know when to come back.
 func WriteError(w http.ResponseWriter, status int, code, format string, args ...any) {
 	WriteErrorDetails(w, status, code, nil, format, args...)

@@ -510,12 +510,12 @@ func (e *Engine) scoreRow(st *modelState, sc *predScratch, row *Row, out *Predic
 }
 
 // Predict scores a batch of rows against the named model. The batch is cut
-// into fixed-size chunks (batchRows) and fanned across the
-// worker pool; each prediction lands at its row's index, so the response
-// order — and, because every cached partial is pure, every floating-point
-// result — is bit-identical for any worker count. Per-row failures are
-// reported in Prediction.Err without failing the batch; batch-level
-// failures (unknown model, model/table shape mismatch) return an error.
+// into batchRows-row chunks fanned across the worker pool; each prediction
+// lands at its row's index, so the response order — and, because every
+// cached partial is pure, every floating-point result — is bit-identical
+// for any worker count. Per-row failures are reported in Prediction.Err
+// without failing the batch; batch-level failures (unknown model,
+// model/table shape mismatch) return an error.
 func (e *Engine) Predict(name string, rows []Row) ([]Prediction, ModelInfo, error) {
 	return e.PredictCtx(context.Background(), name, rows)
 }
@@ -557,8 +557,7 @@ func (e *Engine) PredictIntoCtx(ctx context.Context, name string, rows []Row, ou
 	if err != nil {
 		return ModelInfo{}, err
 	}
-	batch := batchRows
-	chunks := (len(rows) + batch - 1) / batch
+	chunks := (len(rows) + batchRows - 1) / batchRows
 	nw := parallel.Workers(e.cfg.NumWorkers)
 	if nw > chunks {
 		nw = chunks // tiny batches run inline; geometry is unchanged
@@ -569,12 +568,12 @@ func (e *Engine) PredictIntoCtx(ctx context.Context, name string, rows []Row, ou
 		esp.SetInt("rows", int64(len(rows)))
 		esp.SetInt("chunks", int64(chunks))
 		esp.SetInt("workers", int64(nw))
-		esp.SetInt("batch_rows", int64(batch))
+		esp.SetInt("batch_rows", int64(batchRows))
 	}
 	if nw <= 1 {
 		sc := st.scratch.Get().(*predScratch)
-		for s := 0; s < len(rows); s += batch {
-			end := s + batch
+		for s := 0; s < len(rows); s += batchRows {
+			end := s + batchRows
 			if end > len(rows) {
 				end = len(rows)
 			}
@@ -592,8 +591,8 @@ func (e *Engine) PredictIntoCtx(ctx context.Context, name string, rows []Row, ou
 	} else {
 		err = parallel.Run(nw,
 			func(f *parallel.Feed[[2]int]) error {
-				for s := 0; s < len(rows); s += batch {
-					end := s + batch
+				for s := 0; s < len(rows); s += batchRows {
+					end := s + batchRows
 					if end > len(rows) {
 						end = len(rows)
 					}
