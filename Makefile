@@ -5,8 +5,8 @@ GO ?= go
 
 # Total-statement-coverage floor enforced by `make cover` (see
 # scripts/check_coverage.sh): the measured total minus one point, last
-# raised at 76.9 % measured.
-COVERAGE_BASELINE ?= 75.9
+# raised at 77.7 % measured.
+COVERAGE_BASELINE ?= 76.7
 
 .PHONY: all build loc test race fuzz bench-harness ab cover nofma serve-smoke stream-smoke examples load-smoke drift-smoke crash-smoke fmt vet ci
 

@@ -132,9 +132,10 @@ func TestEstimateResidualIsDroppedMatches(t *testing.T) {
 
 	const passes = 2
 	gcfg := GMMConfig{K: 2, MaxIter: passes, Tol: 1e-300, NumWorkers: 1}
-	gu := core.NewGMMUnits(p, gcfg.K, false)
+	whole := core.NewPartition([]int{p.D}) // what M and S factorize: nothing
+	gu, gw := core.NewGMMUnits(p, gcfg.K, false), core.NewGMMUnits(whole, gcfg.K, false)
 	ncfg := NNConfig{Hidden: []int{5}, Epochs: passes, LearningRate: 0.01, NumWorkers: 1}
-	nu := core.NewNNUnits(p, []int{p.D, 5, 1})
+	nu, nw := core.NewNNUnits(p, []int{p.D, 5, 1}), core.NewNNUnits(whole, []int{p.D, 5, 1})
 	gp, err := PlanGMM(ds, gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +148,8 @@ func TestEstimateResidualIsDroppedMatches(t *testing.T) {
 		algo     Algorithm
 		gmm, net core.Ops // the unit a dropped row would have been charged
 	}{
-		{Materialized, gu.DenseRow, nu.DenseRow},
-		{Streaming, gu.DenseRow, nu.DenseRow},
+		{Materialized, gw.Match, nw.Match},
+		{Streaming, gw.Match, nw.Match},
 		{Factorized, gu.Match, nu.Match},
 	} {
 		gres, err := TrainGMM(ds, c.algo, gcfg)

@@ -478,8 +478,11 @@ func TestSnowflakeDepth3PinnedEquivalence(t *testing.T) {
 // seeded two-dimension star for every strategy, for any worker count. The
 // hashes were re-recorded when the sigmoid moved to linalg.ExpInto and
 // F-NN's input-layer gradient was factorized per dimension tuple (one
-// outer product per touched tuple instead of one per match); a kernel
-// change that adds the same products in the same order must not move them.
+// outer product per touched tuple instead of one per match), and M's and
+// S's when they became the one driver with no dimension factorized (its
+// chunks cut at every block end and, on S, every 512 fact tuples scanned);
+// a kernel change that adds the same products in the same order must not
+// move them.
 // amd64 only: other ports may fuse the multiply-adds of the kernels other
 // than exp and log, which rounds differently from the machine that
 // recorded the hashes.
@@ -495,8 +498,8 @@ func TestStarNNBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[Algorithm]string{
-		Materialized: "63d01ecd39440e93ff2615a7620780347526cf3664648fa6b7229d5c5b5dbee5",
-		Streaming:    "63d01ecd39440e93ff2615a7620780347526cf3664648fa6b7229d5c5b5dbee5",
+		Materialized: "944da734eeaed98dc2c2231fee458e5e1729c423fe5374eff2aa67049770ebe2",
+		Streaming:    "944da734eeaed98dc2c2231fee458e5e1729c423fe5374eff2aa67049770ebe2",
 		Factorized:   "0a3bb5b376df48e7942b6b58a2cb95a40f70881486c4231f3f0e5fc855e5260d",
 	}
 	for _, algo := range []Algorithm{Materialized, Streaming, Factorized} {

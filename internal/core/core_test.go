@@ -206,8 +206,10 @@ func TestOpsMomentCharges(t *testing.T) {
 
 // TestUnitsAgainstReferenceAndThemselves checks the cost table on
 // statements no formula line makes: what FactQuad counts at its call sites,
-// plus forming PD_S, is the E-step unit; a dense row is a match of the
-// one-part partition (the q = 0 case of every factorized formula).
+// plus forming PD_S, is the E-step unit; a match of the one-part partition
+// (the q = 0 case of every factorized formula, which M- and S- train on)
+// costs Algorithm 1's dense row and plain backprop's example, priced here
+// from Ops primitives.
 func TestUnitsAgainstReferenceAndThemselves(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, dims := range [][]int{{3, 4}, {2, 3, 2}, {3, 2, 2, 3, 1}} {
@@ -227,13 +229,39 @@ func TestUnitsAgainstReferenceAndThemselves(t *testing.T) {
 			t.Errorf("dims %v: E-step unit %+v, FactQuad's call sites count %+v", dims, got, ref)
 		}
 		for _, diagonal := range []bool{false, true} {
-			if dense, match := NewGMMUnits(p, 4, diagonal).DenseRow, NewGMMUnits(whole, 4, diagonal).Match; dense != match {
-				t.Errorf("dims %v diagonal=%v: dense row %+v, one-part match %+v", dims, diagonal, dense, match)
+			var dense Ops // per component: E-step, then the moments from its PD
+			if diagonal {
+				dense.AddDiagQuad(p.D)
+			} else {
+				dense.AddSub(p.D)
+				dense.AddQuadForm(p.D)
+			}
+			dense.AddMoments(p.D, diagonal)
+			u := NewGMMUnits(whole, 4, diagonal)
+			if match := u.Match; match != dense.Scale(4) || len(u.Fill) != 1 {
+				t.Errorf("dims %v diagonal=%v: one-part match %+v, dense row %+v", dims, diagonal, match, dense.Scale(4))
 			}
 		}
 		sizes := []int{p.D, 6, 5, 1}
-		if dense, match := NewNNUnits(p, sizes).DenseRow, NewNNUnits(whole, sizes).Match; dense != match {
-			t.Errorf("dims %v: dense example %+v, one-part match %+v", dims, dense, match)
+		var dense Ops // layer 1 and its bias, the upper layers forward and back, ΔᵀX
+		dense.AddMatVec(6, p.D)
+		dense.Adds += 6
+		dense.AddMatVec(5, 6)
+		dense.Adds += 5
+		dense.AddMatVec(1, 5)
+		dense.Adds += 1 + 1 // bias, o − y
+		dense.AddOuterPlain(1, 5)
+		dense.Adds++
+		dense.AddMatVec(5, 1)
+		dense.Mul += 5
+		dense.AddOuterPlain(5, 6)
+		dense.Adds += 5
+		dense.AddMatVec(6, 5)
+		dense.Mul += 6
+		dense.Adds += 6 // input-layer bias gradient
+		dense.AddOuterPlain(6, p.D)
+		if match := NewNNUnits(whole, sizes).Match; match != dense {
+			t.Errorf("dims %v: one-part match %+v, dense example %+v", dims, match, dense)
 		}
 	}
 }

@@ -2,20 +2,16 @@ package core
 
 // This file is the cost model: the one place a training kernel's flop
 // formula is written. A unit is what one event of a training pass costs —
-// an event being what a pass does once per datum: score a joined row or a
-// match, fill or flush a dimension tuple's cache — as a function of the
-// model's shape alone, nothing about
-// rows, blocks or iterations. The trainers multiply units by the events a
+// an event being what a pass does once per datum: score a match, fill or
+// flush a dimension tuple's cache — as a function of the model's shape
+// alone, nothing about rows, blocks or iterations. The trainers multiply units by the events a
 // run saw, at the merge and barrier points where they already count them
 // (Stats.Ops); internal/plan by the events it predicts from the catalog
 // (Estimate.Ops). Estimate ÷ measured so factors into formulas, which
 // cannot disagree, × counts, which can (a dangling key, early convergence).
 //
-//	dense EM, per row, per component, per iteration (one pass)
-//	    E: sub(d) + quadform(d)
-//	    M: moments(d) = axpy(d) + syrk(d), folded from the E-step's PD
-//	factorized EM, per iteration (one pass), over the fact part and one
-//	part per direct dimension i, wᵢ wide (its whole subtree), mᵢ tuples
+//	EM, per iteration (one pass), over the fact part and one part per
+//	factorized direct dimension i, wᵢ wide (its whole subtree), mᵢ tuples
 //	    cache fills, per tuple of direct dimension i, per component:
 //	        sub(wᵢ) + quadform(wᵢ) + matvec(dS×wᵢ)          (Eq. 7–12)
 //	    E, per match:  sub(dS) + quadform(dS)
@@ -29,18 +25,24 @@ package core
 //	and a flush moments(wᵢ) — axpy + γ·PD² — through the cached PD, as the
 //	full flush always was.
 //
-// and the NN equivalents (§VI-A1/A3), for layer sizes [d, nh0, …, 1], where
+// M- and S- factorize no dimension: q = 0 and dS = D, the joined row is
+// all fact part, and the formulas above become Algorithm 1's, per row:
+// sub(D) + quadform(D) + moments(D) (diagquad(D) + moments(D) diagonal),
+// with no fill and no flush.
+//
+// The NN equivalents (§VI-A1/A3), for layer sizes [d, nh0, …, 1], where
 // "upper" is the layers above the input, forward and back:
 //
-//	dense SGD, per row, per epoch
-//	    matvec(nh0×d) + upper + outer(nh0, d)          (ΔᵀX over the row)
-//	factorized SGD, per epoch, over the fact part and q direct dimensions
+//	SGD, per epoch, over the fact part and q factorized direct dimensions
 //	    fill, per tuple of dimension i: matvec(nh0×wᵢ)  (once per pass, or
 //	        per block under Block updates; R1's once per pass)
 //	    per match: matvec(nh0×dS) + q+1 adds + upper
 //	               + outer(nh0, dS) + q·nh0 adds       (ΔᵀX over the fact
 //	                   columns; δ⁰ into each tuple's sum)
 //	    flush, per tuple of dimension i, once per fill: outer(nh0, wᵢ)
+//
+// and at q = 0 (M-, S-), per row: matvec(nh0×d) + nh0 adds + upper +
+// outer(nh0, d) — the plain backprop of the joined row.
 //
 // The input layer's gradient regroups Σ_n δ⁰_n·x_nᵀ by dimension tuple,
 // which is exact because a step follows a whole pass or block, never one
@@ -68,31 +70,27 @@ package core
 // included. Fill and Flush are indexed by dimension part (1 … q; entry 0,
 // the fact part, is unused).
 type GMMUnits struct {
-	DenseRow Ops   // a joined row through the dense trainer: E-step and moment fold
-	Score    Ops   // a match through the factorized E-step alone — what FactQuad's call sites charge
-	Match    Ops   // a match through the factorized trainer: Score, the fact part's moments, the group scatter and the dimension–dimension cross blocks
-	Fill     []Ops // a tuple of dimension part i: its E-step cache
-	Flush    []Ops // a tuple of dimension part i: its group sums folded into the moments
+	Score Ops   // a match through the E-step alone — what FactQuad's call sites charge
+	Match Ops   // a match through the trainer: Score, the fact part's moments, the group scatter and the dimension–dimension cross blocks
+	Fill  []Ops // a tuple of dimension part i: its E-step cache
+	Flush []Ops // a tuple of dimension part i: its group sums folded into the moments
 }
 
 // NewGMMUnits prices a K-component mixture over partition p (part 0 the
-// fact relation, p.D the joined width a dense row has). A diagonal
-// covariance has no blocks: each part pays for its own columns only.
+// fact relation; the one-part partition [D] for a path that factorizes no
+// dimension). A diagonal covariance has no blocks: each part pays for its
+// own columns only.
 func NewGMMUnits(p Partition, k int, diagonal bool) GMMUnits {
 	dS, parts := p.Dims[0], p.Parts()
 	u := GMMUnits{Fill: make([]Ops, parts), Flush: make([]Ops, parts)}
-	var dense, score, scatter Ops // per component
+	var score, scatter Ops // per component
 	if diagonal {
-		dense.AddDiagQuad(p.D)
 		score.AddDiagQuad(dS)
 		score.Adds += int64(parts - 1) // the cached shares of the quadratic form
 	} else {
-		dense.AddSub(p.D) // PD
-		dense.AddQuadForm(p.D)
 		score.AddSub(dS) // PD_S
 		score.AddQuadForm(dS)
 	}
-	dense.AddMoments(p.D, diagonal) // from the E-step's PD
 	for i := 1; i < parts; i++ {
 		wi := p.Dims[i]
 		var fill, flush Ops
@@ -119,24 +117,24 @@ func NewGMMUnits(p Partition, k int, diagonal bool) GMMUnits {
 	}
 	match := score.Plus(scatter)
 	match.AddMoments(dS, diagonal) // the fact part, from the E-step's PD_S
-	u.DenseRow, u.Score, u.Match = dense.Scale(int64(k)), score.Scale(int64(k)), match.Scale(int64(k))
+	u.Score, u.Match = score.Scale(int64(k)), match.Scale(int64(k))
 	return u
 }
 
 // NNUnits are the per-event charges of one SGD epoch. Fill and Flush are
 // indexed by dimension part (1 … q; entry 0 is unused).
 type NNUnits struct {
-	DenseRow Ops   // an example through the dense trainer: forward, backward, input-layer gradient
-	Match    Ops   // a match through the factorized trainer: layer 1 from the fact part plus the cached parts, the dense path's upper layers and backward pass, the fact columns' input-layer gradient and δ⁰ into each dimension tuple's sum
-	Fill     []Ops // a tuple of dimension part i: W₀ᵢ·xᵢ
-	Flush    []Ops // a tuple of dimension part i: its δ⁰ sum's outer product with xᵢ, part i's input-layer gradient
+	Match Ops   // a match through the trainer: layer 1 from the fact part plus the cached parts, the upper layers and backward pass, the fact columns' input-layer gradient and δ⁰ into each dimension tuple's sum
+	Fill  []Ops // a tuple of dimension part i: W₀ᵢ·xᵢ
+	Flush []Ops // a tuple of dimension part i: its δ⁰ sum's outer product with xᵢ, part i's input-layer gradient
 }
 
 // NewNNUnits prices a network with layer sizes [d, hidden…, 1] over
-// partition p (p.D == sizes[0]).
+// partition p (p.D == sizes[0]; the one-part partition [d] for a path that
+// factorizes no dimension).
 func NewNNUnits(p Partition, sizes []int) NNUnits {
 	layers := len(sizes) - 1
-	d, dS, nh0, q := sizes[0], p.Dims[0], sizes[1], p.Parts()-1
+	dS, nh0, q := p.Dims[0], sizes[1], p.Parts()-1
 
 	// From the first hidden layer up and back down.
 	var upper Ops
@@ -153,10 +151,7 @@ func NewNNUnits(p Partition, sizes []int) NNUnits {
 	}
 	upper.Adds += int64(nh0) // input-layer bias gradient
 
-	u := NNUnits{DenseRow: upper, Match: upper, Fill: make([]Ops, p.Parts()), Flush: make([]Ops, p.Parts())}
-	u.DenseRow.AddMatVec(nh0, d)
-	u.DenseRow.Adds += int64(nh0)           // bias
-	u.DenseRow.AddOuterPlain(nh0, d)        // ΔᵀX over the joined row
+	u := NNUnits{Match: upper, Fill: make([]Ops, p.Parts()), Flush: make([]Ops, p.Parts())}
 	u.Match.AddMatVec(nh0, dS)              // W₀ₛ·xₛ
 	u.Match.Adds += int64(q+1) * int64(nh0) // the q cached parts and the bias
 	u.Match.AddOuterPlain(nh0, dS)          // ΔᵀX over the fact columns

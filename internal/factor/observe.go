@@ -6,17 +6,14 @@ import (
 )
 
 // PassEvent describes one completed phase of a training pass: a chunked
-// row pass (RunRowPass / RunSGDPass), a factorized match pass
-// (RunChunks), a dimension-cache fill, or an
-// initialization scan. Pass names the logical pass, Phase the mechanical
-// stage within it. A GMM trainer makes one pass per EM iteration and names
-// it once per loop — "gmm.em" / "igmm.em" (the dense driver over a full /
-// a diagonal model), "fgmm.em" / "figmm.em" (the factorized driver over
-// the same two), after "fgmm.init" — and an NN
-// trainer one per epoch ("nn.sgd_epoch", "fnn.sgd"). Fold is the
-// cumulative worker time spent folding rows into accumulators (summed
-// across workers, so it exceeds Wall when the pass parallelizes well);
-// Merge is the single-threaded ordered-merge time.
+// match pass (RunChunks), a dimension-cache fill, or an initialization
+// scan. Pass names the logical pass, Phase the mechanical stage within it.
+// A trainer names its passes once per family, whatever the strategy or
+// covariance structure: "gmm.init" then one "gmm.em" per EM iteration, and
+// one "nn.sgd" per epoch. Fold is the cumulative worker time spent folding
+// matches into accumulators (summed across workers, so it exceeds Wall
+// when the pass parallelizes well); Merge is the single-threaded
+// ordered-merge time.
 type PassEvent struct {
 	Pass    string
 	Phase   string // "scan", "cache_fill", "fold"

@@ -3,23 +3,23 @@ package factor
 import (
 	"sync"
 	"testing"
+
+	"factorml/internal/join"
+	"factorml/internal/plan"
 )
 
 // TestPassObserverEvents: an installed observer receives one event per
-// row pass with the pass name, the exact row count, and the chunk count
-// of the fixed chunk geometry — and the pass result is unchanged.
+// chunked pass with the pass name, the exact match count, and the chunk
+// count of the fixed chunk geometry — and the pass result is unchanged.
 func TestPassObserverEvents(t *testing.T) {
-	const n, d = 700, 3
-	scan := func(onRow RowFn) error {
-		x := make([]float64, d)
-		for i := 0; i < n; i++ {
-			x[0] = float64(i)
-			if err := onRow(x, 0); err != nil {
-				return err
-			}
-		}
-		return nil
+	const n = 700 // one block, every row a match
+	db, spec := buildJoin(t, n, 7, func(i int64) int64 { return i % 7 })
+	ps, err := Open(db, spec, plan.Materialized, "T_observed")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer ps.Close()
+	ps.Pass = "test.observed"
 	for _, workers := range []int{1, 4} {
 		var mu sync.Mutex
 		var events []PassEvent
@@ -29,14 +29,14 @@ func TestPassObserverEvents(t *testing.T) {
 			mu.Unlock()
 		})
 		sum := 0.0
-		err := RunRowPass("test.observed", workers, d, scan, PassHooks[float64]{
-			Fold: func(a *float64, start int, rows, _ []float64, nr int) error {
-				for i := 0; i < nr; i++ {
-					*a += rows[i*d]
+		err := RunChunks(ps, workers, join.ParallelCallbacks[float64]{
+			OnMatchChunk: func(a *float64, matches []join.Match) error {
+				for _, m := range matches {
+					*a += m.S.Target
 				}
 				return nil
 			},
-			Merge: func(a *float64) error { sum, *a = sum+*a, 0; return nil },
+			OnChunkMerged: func(a *float64) error { sum, *a = sum+*a, 0; return nil },
 		})
 		SetObserver(nil)
 		if err != nil {
@@ -56,7 +56,7 @@ func TestPassObserverEvents(t *testing.T) {
 		if ev.Rows != n {
 			t.Fatalf("workers=%d: Rows = %d, want %d", workers, ev.Rows, n)
 		}
-		wantChunks := int64((n + 255) / 256)
+		wantChunks := int64((n + join.ParallelChunkRows - 1) / join.ParallelChunkRows)
 		if ev.Chunks != wantChunks {
 			t.Fatalf("workers=%d: Chunks = %d, want %d", workers, ev.Chunks, wantChunks)
 		}
@@ -70,12 +70,19 @@ func TestPassObserverEvents(t *testing.T) {
 func TestPassObserverRemoved(t *testing.T) {
 	SetObserver(func(PassEvent) { t.Error("observer fired after removal") })
 	SetObserver(nil)
-	scan := func(onRow RowFn) error { return onRow([]float64{1}, 0) }
-	err := RunRowPass("test.removed", 1, 1, scan, PassHooks[struct{}]{
-		Fold:  func(*struct{}, int, []float64, []float64, int) error { return nil },
-		Merge: func(*struct{}) error { return nil },
+	db, spec := buildStar(t)
+	ps, err := Open(db, spec, plan.Streaming, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = RunChunks(ps, 1, join.ParallelCallbacks[struct{}]{
+		OnMatchChunk:  func(*struct{}, []join.Match) error { return nil },
+		OnChunkMerged: func(*struct{}) error { return nil },
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Scan(func([]float64, float64) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 }

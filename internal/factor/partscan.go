@@ -1,6 +1,7 @@
 package factor
 
 import (
+	"math/rand"
 	"time"
 
 	"factorml/internal/core"
@@ -8,52 +9,57 @@ import (
 	"factorml/internal/parallel"
 )
 
-// PartScan is the factorized access path: the block-nested-loops join
-// runner paired with the partition the trainers factorize over. Factorized
-// trainers fill per-dimension-tuple caches through FillCaches over the
-// runner's arenas (parallel, disjoint slots), then stream the matches in
-// fixed chunks on the worker pool (RunChunks) and fold model-specific
-// accumulators per chunk.
+// PartScan is the one access path every trainer drives: a join runner
+// paired with the partition the trainers compute over. Trainers fill
+// per-dimension-tuple caches through FillCaches over the runner's arenas
+// (parallel, disjoint slots), then stream the matches in fixed chunks on
+// the worker pool (RunChunks) and fold model-specific accumulators per
+// chunk.
 //
-// The runner holds every direct dimension's tuples as arena rows with
-// their subtree's features appended, so the trainers' partition is Direct —
-// the fact part plus one part per direct dimension, as wide as its subtree.
-// P, the per-relation partition [S, R1, …, Rq] of the same joined vector,
-// feeds only the benchmark harness's per-node probes: serving, like
-// training, caches per direct subtree. On a star the two coincide.
+// Direct is that partition. On the factorized path it is the fact part
+// plus one part per direct dimension, as wide as its subtree: the runner
+// holds every direct dimension's tuples as arena rows with their subtree's
+// features appended, so a snowflake is a star to the trainers. On a path
+// that factorizes no dimension (Materialized, Streaming) it is the one-part
+// partition [D]: every match is its joined row, and there is nothing to
+// fill, flush or sum per tuple (q = 0). P, the per-relation partition
+// [S, R1, …, Rq] of the same joined vector, feeds only the benchmark
+// harness's per-node probes: serving, like training, caches per direct
+// subtree. On a star the two coincide.
 type PartScan struct {
-	Runner *join.Runner
 	P      core.Partition
 	Direct core.Partition
 
 	// Pass labels events emitted to the installed pass Observer (see
-	// SetObserver): trainers set it once per loop ("fgmm.em", "fnn.sgd",
-	// ...). Unused with no observer installed.
+	// SetObserver): trainers set it once per loop ("gmm.em", "nn.sgd", ...).
+	// Unused with no observer installed.
 	Pass string
+
+	// Shuffle installs a fresh permutation of R1's rows for the passes
+	// that follow — the paper's §VI per-epoch key permutation for SGD. It
+	// is nil when the row order is fixed on disk (a materialized T).
+	Shuffle func(rng *rand.Rand)
+
+	runner  *join.Runner
+	release func() error
 }
 
-// NewPartScan prepares the runner and partition for a spec (see newRunner
-// for blockPages).
+// NewPartScan prepares the factorized path for a spec (see ownSpec for
+// blockPages).
 func NewPartScan(spec *join.Spec, blockPages int) (*PartScan, error) {
-	runner, err := newRunner(spec, blockPages)
+	runner, err := join.NewRunner(ownSpec(spec, blockPages))
 	if err != nil {
 		return nil, err
 	}
-	dims := []int{spec.S.Schema().NumFeatures()}
-	for _, r := range spec.Rs {
-		dims = append(dims, r.Schema().NumFeatures())
-	}
-	direct := append([]int{dims[0]}, spec.DirectWidths()...)
-	return &PartScan{Runner: runner, P: core.NewPartition(dims), Direct: core.NewPartition(direct)}, nil
+	ps := newPartScan(spec, runner, true)
+	ps.Shuffle = runner.Shuffle
+	return ps, nil
 }
 
-// Scan streams the fully concatenated joined rows — the initialization
-// pass a factorized trainer shares with the dense strategies, so every
-// strategy starts from the identical model.
-func (ps *PartScan) Scan(onRow RowFn) error { return ps.ScanGroups(onRow, nil) }
-
-// ScanGroups is Scan with the R1-block boundaries (see GroupedScan).
-func (ps *PartScan) ScanGroups(onRow RowFn, onGroupEnd func() error) error {
+// Scan streams the fully concatenated joined rows, the same rows in the
+// same order on every path — the initialization pass, so every strategy
+// starts from the identical model.
+func (ps *PartScan) Scan(onRow RowFn) error {
 	m := observePass(ps.Pass, "scan", 1)
 	if m != nil {
 		inner := onRow
@@ -62,7 +68,15 @@ func (ps *PartScan) ScanGroups(onRow RowFn, onGroupEnd func() error) error {
 			return inner(x, y)
 		}
 	}
-	return m.done(scanJoin(ps.Runner, onRow, onGroupEnd))
+	return m.done(scanJoin(ps.runner, onRow))
+}
+
+// Close releases anything opening the path materialized.
+func (ps *PartScan) Close() error {
+	if ps.release == nil {
+		return nil
+	}
+	return ps.release()
 }
 
 // RunChunks streams one pass over ps with the matches cut into fixed-size
@@ -88,7 +102,7 @@ func RunChunks[A any](ps *PartScan, workers int, cb join.ParallelCallbacks[A]) e
 			}
 		}
 	}
-	return m.done(join.RunParallel(ps.Runner, workers, join.ParallelChunkRows, cb))
+	return m.done(join.RunParallel(ps.runner, workers, join.ParallelChunkRows, cb))
 }
 
 // FillCaches fills one per-tuple cache slot for every row of a direct

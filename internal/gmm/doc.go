@@ -1,15 +1,17 @@
 // Package gmm implements full-covariance Gaussian Mixture Model training by
 // Expectation-Maximization over normalized relations. Train is the one
 // entry point: it takes the strategy (plan.Strategy), has factor.Open open
-// that strategy's access path and runs the same EM over it — the factorized
-// driver when the path carries the factorized parts, the dense one
-// otherwise, each for full and diagonal covariances alike. The paper's
-// three flavours are its strategies: M-GMM reads the materialized join T
-// once per iteration, S-GMM re-executes the block-nested-loops join
-// instead, and F-GMM (TrainF), the paper's contribution, factorizes the
-// E-step quadratic form and the M-step accumulations into per-relation
-// blocks (Eq. 7–24), computing every quantity that depends only on a
-// dimension tuple once per distinct tuple.
+// that strategy's access path and runs the one EM driver (em) over it, for
+// full and diagonal covariances alike. The paper's three flavours are its
+// strategies, and they differ only in the set of direct dimensions the path
+// factorizes: F-GMM (TrainF), the paper's contribution, factorizes every
+// one — the E-step quadratic form and the M-step accumulations split into
+// per-relation blocks (Eq. 7–24), every quantity that depends only on a
+// dimension tuple computed once per distinct tuple — while M-GMM (reading
+// the materialized join T once per iteration) and S-GMM (re-executing the
+// block-nested-loops join instead) factorize none: the driver runs over the
+// one-part partition, every joined row all fact part, with no caches, group
+// sums or cross blocks — Algorithm 1.
 //
 // One pass per iteration: the paper's Algorithm 1 and its factorized form
 // read the data three times per EM iteration — responsibilities, means,
@@ -26,18 +28,18 @@
 // stores — the trainers' starting means, or the model's means at attach or
 // rebaseline for the streaming refresh — and every trainer and the refresh
 // fold into it and step through its one M-step. About an origin inside the
-// data the sums do not cancel. The factorized trainer's per-tuple group
+// data the sums do not cancel. The factorized path's per-tuple group
 // sums are the rows of a factor.Slots, live for one block or pass and
 // folded in tuple ordinal order; the refresh, whose sums live as long as
 // its stream, folds whole joined rows over the one-part partition.
 //
 // One scoring kernel: every E-step and every point score runs the fused
-// kernel behind Scorer (fused.go). The factorized trainer, serving and the
-// streaming refresh run it over the relation partition with per-tuple
-// dimension caches; the dense trainer, LogProb, Responsibilities and Predict
-// run it over the one-part partition, where a joined row is all fact part.
+// kernel behind Scorer (fused.go). F's E-step, serving and the streaming
+// refresh run it over the relation partition with per-tuple dimension
+// caches; M's and S's, LogProb, Responsibilities and Predict run it over the
+// one-part partition, where a joined row is all fact part.
 //
-// The decomposition is exact, so all three trainers produce identical
+// The decomposition is exact, so all three strategies produce identical
 // parameters at every iteration (verified by tests to ~1e-9). Binary joins
 // and multi-way star joins are both supported; the multi-way factorization
 // follows §V-C (diagonal blocks and PD vectors of each dimension relation
@@ -52,7 +54,7 @@
 //
 // Flop accounting: no kernel counts its own operations. Stats.Ops is
 // internal/core's per-event units (core.GMMUnits) × the events this run saw
-// — rows per pass, matches per merged chunk, tuples per fill and flush —
+// — matches per merged chunk, tuples per fill and flush —
 // and the planner multiplies the same units by the counts it predicts. Only
 // the unfused scoring loop, the fused kernel's reference, charges at its
 // call sites: that is what checks the units.

@@ -8,25 +8,27 @@ import (
 	"factorml/internal/parallel"
 )
 
-// emFactorized runs the factorized EM loop over ps.Direct (F-GMM, and
-// F-IGMM over a diagonal model). Parts: 0 = S, 1+j = direct dimension j —
-// part 1 the blocked first one, the rest resident — each as wide as its
-// subtree, whose columns its arena rows carry.
+// em runs the EM loop over ps.Direct, for a full and a diagonal model
+// alike. Parts: 0 = S, 1+j = direct dimension j — part 1 the blocked first
+// one, the rest resident — each as wide as its subtree, whose columns its
+// arena rows carry. A path that factorizes no dimension (M, S) has q = 0:
+// part 0 is the whole joined row, and there are no caches to fill, no group
+// sums and no cross blocks — Algorithm 1, one pass per iteration.
 //
 // An iteration is one pass over the join, into one Moments about its
 // starting means. Cache fills and per-match scoring run on the chunked
 // worker pool (cfg.NumWorkers); each chunk's worker folds its matches' fact
-// parts from the PD_S the scorer has just formed. The merge, in chunk order
-// (so the model is bit-identical for every worker count), adds γ and
-// γ·PD_S to the matched tuples' group sums and the cross blocks between
-// dimensions through the cached PDs (§V-C); each dimension tuple is folded
-// in once, at its block's end or the pass's (Eq. 13–18 / 22–24). A
-// diagonal model has no cross blocks.
-func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *Stats) error {
+// parts from the PD_S the scorer has just formed, foldBlockRows matches at
+// a time. The merge, in chunk order (so the model is bit-identical for
+// every worker count), adds γ and γ·PD_S to the matched tuples' group sums
+// and the cross blocks between dimensions through the cached PDs (§V-C);
+// each dimension tuple is folded in once, at its block's end or the pass's
+// (Eq. 13–18 / 22–24). A diagonal model has no cross blocks.
+func em(ps *factor.PartScan, n int, cfg Config, model *Model, stats *Stats) error {
 	p := ps.Direct
 	nw := parallel.Workers(cfg.NumWorkers)
 	k := cfg.K
-	q := p.Parts() - 1 // number of direct dimensions
+	q := p.Parts() - 1 // number of factorized dimensions
 	dS := p.Dims[0]
 	diag := model.Diagonal
 
@@ -67,10 +69,7 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 		})
 	}
 
-	ps.Pass = "fgmm.em"
-	if diag {
-		ps.Pass = "figmm.em"
-	}
+	ps.Pass = "gmm.em"
 	return runEM(cfg, stats, func() (float64, error) {
 		scorer, err := model.NewScorer(p)
 		if err != nil {
@@ -98,13 +97,16 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 		score := scorer.score // the structure's kernel, picked once per pass
 		err = factor.RunChunks(ps, nw, join.ParallelCallbacks[chunkAcc]{
 			OnBlockStart: func(dims []join.Arena) error {
-				for j := 1; j < q && !resident; j++ {
+				for j := range dims {
+					if j > 0 && resident {
+						break
+					}
 					if err := fill(j, dims[j]); err != nil {
 						return err
 					}
 				}
 				resident = true
-				return fill(0, dims[0])
+				return nil
 			},
 			NewAcc: func() chunkAcc {
 				return chunkAcc{
@@ -118,16 +120,18 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 			// E-step (Eq. 7-12 / 19-21) and the fact part's moments.
 			OnMatchChunk: func(a *chunkAcc, matches []join.Match) error {
 				a.matches = matches
-				for i, m := range matches {
-					for j, at := range m.Pos {
-						a.caches[j] = caches[j][at*k : (at+1)*k]
+				for b := 0; b < len(matches); b += foldBlockRows {
+					block, pds := matches[b:min(b+foldBlockRows, len(matches))], a.pds[b*k*dS:]
+					for i, m := range block {
+						for j, at := range m.Pos {
+							a.caches[j] = caches[j][at*k : (at+1)*k]
+						}
+						g := a.gamma[(b+i)*k : (b+i+1)*k]
+						score(m.S.Features, a.caches, pds[i*k*dS:(i+1)*k*dS], a.logp)
+						a.rows.AddLL(linalg.SoftmaxLSE(g, a.logp))
 					}
-					g := a.gamma[i*k : (i+1)*k]
-					pds := a.pds[i*k*dS : (i+1)*k*dS]
-					score(m.S.Features, a.caches, pds, a.logp)
-					a.rows.AddLL(linalg.SoftmaxLSE(g, a.logp))
+					a.rows.FoldRows(a.gamma[b*k:], pds, len(block))
 				}
-				a.rows.FoldRows(a.gamma, a.pds, len(matches))
 				return nil
 			},
 			OnChunkMerged: func(a *chunkAcc) error {
@@ -153,7 +157,9 @@ func emFactorized(ps *factor.PartScan, n int, cfg Config, model *Model, stats *S
 				return nil
 			},
 			OnBlockEnd: func() error {
-				flush(0)
+				if q > 0 {
+					flush(0)
+				}
 				return nil
 			},
 		})

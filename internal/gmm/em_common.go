@@ -9,10 +9,9 @@ import "math"
 // construction whenever their N_k agree.
 const CollapseFloor = 1e-12
 
-// foldBlockRows is how many rows the dense trainer scores before folding
-// them into the moments together (Moments.FoldRows takes rows four at a
-// time). It only blocks the loop for the cache: the sums are the same bits
-// for any value.
+// foldBlockRows is how many matches a chunk scores before folding them into
+// the moments together (Moments.FoldRows takes rows four at a time). It only
+// blocks the loop for the cache: the sums are the same bits for any value.
 const foldBlockRows = 32
 
 // runEM drives the EM loop shared by every trainer: step runs one whole

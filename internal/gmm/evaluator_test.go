@@ -9,7 +9,7 @@ import (
 	"factorml/internal/linalg"
 )
 
-// evaluator is the dense scorer the M-/S- trainers, LogProb and
+// evaluator is the dense scorer M- and S-GMM, LogProb and
 // Responsibilities used before they moved onto Scorer over the one-part
 // partition: one linalg.QuadForm per component over the whole joined row.
 // It stays here as the oracle the dense path is checked against.

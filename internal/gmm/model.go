@@ -167,7 +167,8 @@ func (m *Model) precompute(p core.Partition) ([]compState, error) {
 // denseScorer is the Scorer over the one-part partition: a joined row is
 // its fact part, with no dimension caches and no cross blocks, so the fused
 // kernel scores it in one quadratic form. It serves every dense consumer —
-// the M-/S- trainers, LogProb, Responsibilities and Predict.
+// LogProb, Responsibilities and Predict; em builds the same from the
+// one-part partition an M or S path trains over.
 func (m *Model) denseScorer() (*Scorer, error) {
 	return m.NewScorer(core.NewPartition([]int{m.D}))
 }

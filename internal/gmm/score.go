@@ -11,7 +11,7 @@ import (
 // the E-step (Eq. 7-12/19-21) of every trainer, the serving engine and the
 // streaming refresh alike, for full and diagonal models. Over the one-part
 // partition (Model.denseScorer) a joined row is a fact tuple with no
-// dimension caches; the M-/S- trainers and Model.LogProb score that way. The
+// dimension caches; the M-/S- E-step and Model.LogProb score that way. The
 // per-component inverse covariances are factorized once at construction,
 // and the per-dimension-tuple quadratic-form contributions (core.QuadCache)
 // are computed by FillDimCaches — once per distinct dimension tuple — and

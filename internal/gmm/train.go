@@ -15,13 +15,14 @@ import (
 // driver-ready: the model is initialized over one scan of the rows — the
 // same rows in the same order whatever the path, so every strategy starts
 // from the identical model, stamped with the covariance structure the
-// configuration asks for (Model.Diagonal) — and then iterated by the
-// factorized driver when the path carries the factorized parts (Eq. 7–24)
-// and by the dense one over its rows otherwise (Algorithm 1 reading the
-// materialized T, or re-joining on the fly). The decomposition is exact,
-// so all three return the same model. Nothing about the join is configured
-// here: its block size is the spec's. A table Materialized writes is
-// dropped when training finishes.
+// configuration asks for (Model.Diagonal) — and then iterated by the one
+// driver, em, over the path's partition. F factorizes every direct
+// dimension (Eq. 7–24); M (Algorithm 1 reading the materialized T) and S
+// (re-joining on the fly) are the same driver with no dimension factorized,
+// every joined row all fact part. The decomposition is exact, so all three
+// return the same model. Nothing about the join is configured here: its
+// block size is the spec's. A table Materialized writes is dropped when
+// training finishes.
 func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -30,26 +31,18 @@ func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (
 	start := time.Now()
 	io0 := db.IOStats()
 
-	path, err := factor.Open(db, spec, s, fmt.Sprintf("T_%s_mgmm", spec.S.Schema().Name))
+	ps, err := factor.Open(db, spec, s, fmt.Sprintf("T_%s_mgmm", spec.S.Schema().Name))
 	if err != nil {
 		return nil, err
 	}
-	defer path.Close() //nolint:errcheck // best-effort temp cleanup
-	ps := path.Parts
-	if ps != nil {
-		ps.Pass = "fgmm.init"
-	}
-	model, n, err := initModel(path.Scan, path.Width, cfg)
+	defer ps.Close() //nolint:errcheck // best-effort temp cleanup
+	ps.Pass = "gmm.init"
+	model, n, err := initModel(ps.Scan, ps.Direct.D, cfg)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Model: model}
-	if ps == nil {
-		err = emDense(path.Scan, path.Width, n, cfg, model, &res.Stats)
-	} else {
-		err = emFactorized(ps, n, cfg, model, &res.Stats)
-	}
-	if err != nil {
+	if err := em(ps, n, cfg, model, &res.Stats); err != nil {
 		return nil, err
 	}
 	res.Stats.IO = db.IOStats().Sub(io0)

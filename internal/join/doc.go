@@ -12,6 +12,13 @@
 //     algorithm can reuse per-dimension computation (input to the F-*
 //     algorithms).
 //
+// The trainers take all three through one chunked match stream,
+// RunParallel, over a Runner of the matching shape: NewRunner factorizes
+// every direct dimension; NewGatherRunner factorizes none, gathering each
+// match's dimension rows into its fact part; NewMaterializedRunner reads
+// T back in the blocks the materializer recorded, with no probe. Their
+// matches differ only in how much of the joined row is the fact part.
+//
 // The block structure follows the paper's cost model (§V-A): the first
 // dimension table is read once in blocks of BlockPages pages; for every
 // block, S is scanned in full and probed against an in-memory hash of the

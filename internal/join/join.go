@@ -2,6 +2,7 @@ package join
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -202,6 +203,18 @@ type Callbacks struct {
 }
 
 // Runner executes a block-nested-loops join over a star or snowflake spec.
+// A runner is one of three shapes of the same match stream, which differ in
+// what RunParallel hands its callbacks:
+//
+//   - NewRunner: every direct dimension factorized — a match is the fact
+//     tuple and one arena row per direct dimension (the F-* algorithms);
+//   - NewGatherRunner: no dimension factorized — each match's dimension rows
+//     are gathered into its fact part, so a match is its joined row with no
+//     arena rows (the S-* algorithms);
+//   - NewMaterializedRunner: the same over a materialized T, which it reads
+//     back instead of joining (the M-* algorithms).
+//
+// Run delivers the joined rows of all three alike (AppendRow).
 type Runner struct {
 	spec *Spec
 	rv   *Resolver // over the spec's relations, built by the first pass; node 0's index holds no tuples
@@ -212,14 +225,42 @@ type Runner struct {
 	blockIdx map[int64]int // R1 key -> row of dims[0], cleared per block
 	blockPks []int64       // per place in the block: its tuple's key
 	blockOK  []bool        // and whether its subtree resolved
+
+	gather bool // RunParallel gathers every match's arena rows into its fact part
+
+	// A runner over a materialized T: spec.S is T, there are no dimensions
+	// and no probe, and block i is the next counts[i] rows of one sequential
+	// scan of T — the R1 blocks the materializer recorded, empty ones
+	// included.
+	materialized bool
+	counts       []int64
 }
 
-// NewRunner prepares a runner for the spec.
+// NewRunner prepares a runner for the spec that factorizes every direct
+// dimension.
 func NewRunner(spec *Spec) (*Runner, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	return &Runner{spec: spec}, nil
+}
+
+// NewGatherRunner prepares a runner for the spec that factorizes no
+// dimension: RunParallel's matches carry their joined rows, over the
+// one-part partition.
+func NewGatherRunner(spec *Spec) (*Runner, error) {
+	r, err := NewRunner(spec)
+	if err == nil {
+		r.gather = true
+	}
+	return r, err
+}
+
+// NewMaterializedRunner returns a runner that reads back t, a join
+// Materialize wrote with its per-block counts: the same joined rows, in the
+// same blocks, with no dimension factorized and no probe.
+func NewMaterializedRunner(t *storage.Table, counts []int64) *Runner {
+	return &Runner{spec: &Spec{S: t}, materialized: true, counts: counts}
 }
 
 // Shuffle installs a permutation of R1's rows used by subsequent Runs —
@@ -263,7 +304,7 @@ func (r *Runner) AppendRow(dst []float64, s *storage.Tuple, pos []int) []float64
 // index that holds no tuples — R1 is read in blocks, every pass — so the
 // resolver knows its shape.
 func (r *Runner) load() error {
-	if r.rv != nil {
+	if r.rv != nil || r.materialized {
 		return nil
 	}
 	sp := r.spec
@@ -307,8 +348,10 @@ func (r *Runner) load() error {
 
 // forEachBlock loads consecutive R1 blocks — sequential scan, or installed
 // permutation — into dims[0] and its key index, and invokes fn once per
-// block. Each R1 tuple's subtree is resolved as it is read
-// (Resolver.walk); a tuple whose subtree dangles is left out. The arena,
+// block with the block's fact scan: a fresh scan of S, or on a materialized
+// runner the next n rows of the one scan of T (n is unbounded on a join).
+// Each R1 tuple's subtree is resolved as it is read (Resolver.walk); a
+// tuple whose subtree dangles is left out. The arena,
 // the key index and the per-place slices are the runner's, reused between
 // blocks and passes; fn must be done with them when it returns. Run and
 // RunParallel both drive their passes through this iterator, so the two
@@ -321,8 +364,17 @@ func (r *Runner) load() error {
 // permuted order, and the same scanner fetches those rows in file order,
 // seeking from row to row: each page a block touches is read once per
 // block, not once per row.
-func (r *Runner) forEachBlock(fn func() error) error {
+func (r *Runner) forEachBlock(fn func(sc *storage.Scanner, n int64) error) error {
 	sp := r.spec
+	if r.materialized {
+		sc := sp.S.NewScanner()
+		for _, n := range r.counts {
+			if err := fn(sc, n); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	r1 := sp.Rs[0]
 	perPage := int64(r1.Schema().RecordsPerPage())
 	tuplesPerBlock := int64(sp.blockPages()) * perPage
@@ -391,7 +443,7 @@ func (r *Runner) forEachBlock(fn func() error) error {
 			r.blockIdx[r.blockPks[i]] = blk.N
 			blk.N++
 		}
-		if err := fn(); err != nil {
+		if err := fn(sp.S.NewScanner(), math.MaxInt64); err != nil {
 			return err
 		}
 	}
@@ -435,19 +487,17 @@ func (r *Runner) Run(cb Callbacks) error {
 	if err := r.load(); err != nil {
 		return err
 	}
-	sp := r.spec
 	pos := make([]int, len(r.dims))
-	return r.forEachBlock(func() error {
+	return r.forEachBlock(func(sc *storage.Scanner, n int64) error {
 		if cb.OnBlockStart != nil {
 			if err := cb.OnBlockStart(r.dims); err != nil {
 				return err
 			}
 		}
 		if cb.OnMatch != nil {
-			sc := sp.S.NewScanner()
-			for sc.Next() {
+			for ; n > 0 && sc.Next(); n-- {
 				s := sc.Tuple()
-				if !r.probe(s, pos) {
+				if !r.materialized && !r.probe(s, pos) {
 					continue
 				}
 				if err := cb.OnMatch(s, pos); err != nil {

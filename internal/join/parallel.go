@@ -14,7 +14,9 @@ const ParallelChunkRows = 512
 // Match is one joined tuple delivered by RunParallel: the fact tuple (a
 // copy held by the match's chunk) and, per direct dimension, its partner's
 // row in that dimension's arena (Pos[0] within the current block; see
-// Callbacks.OnBlockStart). A Match — and the matches slice OnMatchChunk
+// Callbacks.OnBlockStart). On a runner that factorizes no dimension (a
+// gathering or a materialized one) S's features are the whole joined row
+// and Pos is empty. A Match — and the matches slice OnMatchChunk
 // receives — stays valid until the chunk's OnChunkMerged has returned: the
 // producer refills a chunk object only after its merge (see
 // parallel.Feed.Next), so a fold may keep the slice in its accumulator and
@@ -32,7 +34,7 @@ type Match struct {
 // barrier: no chunk of the previous (respectively current) block is in
 // flight, so they may safely (re)fill shared per-block caches read by
 // OnMatchChunk. OnBlockStart receives the arenas Callbacks.OnBlockStart
-// does.
+// does — none on a runner that factorizes no dimension.
 //
 // Every chunk object carries one accumulator as a field, which NewAcc
 // builds zeroed when the run makes the object (nil NewAcc: A's zero value).
@@ -54,19 +56,21 @@ type ParallelCallbacks[A any] struct {
 
 // sChunk carries one chunk of scanned fact tuples to a probe worker and on
 // to the merge: the tuples' keys and features copied into two flat slabs
-// the tuples view, the matches the worker produces, their arena rows, and
-// the accumulator they fold into.
+// the tuples view, the matches the worker produces, their arena rows, a
+// gathering runner's joined rows, and the accumulator they fold into.
 type sChunk[A any] struct {
 	tuples  []storage.Tuple
 	n       int
 	matches []Match
 	posBuf  []int
+	joined  []storage.Tuple // a gathering runner's: match i's joined row
 	acc     A
 }
 
 // newSChunk makes a chunk of rows fact tuples with nk keys and d features
-// each, whose matches carry q arena rows.
-func newSChunk[A any](rows, nk, d, q int) *sChunk[A] {
+// each, whose matches carry q arena rows — or, when jd > 0, are gathered
+// into joined rows jd wide.
+func newSChunk[A any](rows, nk, d, q, jd int) *sChunk[A] {
 	c := &sChunk[A]{
 		tuples:  make([]storage.Tuple, rows),
 		matches: make([]Match, 0, rows),
@@ -77,7 +81,26 @@ func newSChunk[A any](rows, nk, d, q int) *sChunk[A] {
 		c.tuples[i].Keys = keys[i*nk : (i+1)*nk : (i+1)*nk]
 		c.tuples[i].Features = feats[i*d : (i+1)*d : (i+1)*d]
 	}
+	if jd > 0 {
+		c.joined = make([]storage.Tuple, rows)
+		slab := make([]float64, rows*jd)
+		for i := range c.joined {
+			c.joined[i].Features = slab[i*jd : i*jd : (i+1)*jd]
+		}
+	}
 	return c
+}
+
+// gather turns every match into its joined row — the fact tuple's features
+// followed by its partners' arena rows (Runner.AppendRow), in the chunk's
+// slab — with no arena rows left to carry.
+func (c *sChunk[A]) gather(r *Runner) {
+	for i := range c.matches {
+		m, g := &c.matches[i], &c.joined[i]
+		g.Keys, g.Target = m.S.Keys, m.S.Target
+		g.Features = r.AppendRow(g.Features[:0], m.S, m.Pos)
+		*m = Match{S: g}
+	}
 }
 
 // RunParallel executes the same block-nested-loops star join as Run, but
@@ -96,10 +119,15 @@ func RunParallel[A any](r *Runner, workers, chunkRows int, cb ParallelCallbacks[
 		chunkRows = ParallelChunkRows
 	}
 	sp := r.spec
-	q := len(r.dims) // arena rows a match carries
+	q := len(r.dims) // arena rows a probe fills
 	nk, d := sp.S.Schema().NumKeys(), sp.S.Schema().NumFeatures()
+	jd := 0 // a gathered match's width
+	dims := r.dims
+	if r.gather {
+		jd, dims = sp.JoinedWidth(), nil
+	}
 	newChunk := func() *sChunk[A] {
-		c := newSChunk[A](chunkRows, nk, d, q)
+		c := newSChunk[A](chunkRows, nk, d, q, jd)
 		if cb.NewAcc != nil {
 			c.acc = cb.NewAcc()
 		}
@@ -112,17 +140,16 @@ func RunParallel[A any](r *Runner, workers, chunkRows int, cb ParallelCallbacks[
 	// rebuilt, and the channel hand-offs order the rebuild before any later
 	// probe.
 	produce := func(f *parallel.Feed[*sChunk[A]]) error {
-		return r.forEachBlock(func() error {
+		return r.forEachBlock(func(sc *storage.Scanner, n int64) error {
 			if cb.OnBlockStart != nil {
-				if err := cb.OnBlockStart(r.dims); err != nil {
+				if err := cb.OnBlockStart(dims); err != nil {
 					return err
 				}
 			}
-			// Scan S, cutting the raw tuples into fixed-size chunks. The
-			// probe itself happens on the workers.
+			// Scan the block's fact tuples, cutting them into fixed-size
+			// chunks. The probe itself happens on the workers.
 			var cur *sChunk[A] // taken when the chunk's first tuple arrives
-			sc := sp.S.NewScanner()
-			for sc.Next() {
+			for ; n > 0 && sc.Next(); n-- {
 				if cur == nil {
 					cur = f.Next(newChunk)
 					cur.n = 0
@@ -156,15 +183,24 @@ func RunParallel[A any](r *Runner, workers, chunkRows int, cb ParallelCallbacks[
 	work := func(c *sChunk[A]) (*sChunk[A], error) {
 		c.matches = c.matches[:0]
 		c.posBuf = c.posBuf[:0]
-		for i := 0; i < c.n; i++ {
-			s := &c.tuples[i]
-			base := len(c.posBuf)
-			c.posBuf = c.posBuf[:base+q]
-			if !r.probe(s, c.posBuf[base:]) {
-				c.posBuf = c.posBuf[:base]
-				continue
+		if r.materialized { // every row of T is a joined row
+			for i := range c.n {
+				c.matches = append(c.matches, Match{S: &c.tuples[i]})
 			}
-			c.matches = append(c.matches, Match{S: s, Pos: c.posBuf[base : base+q : base+q]})
+		} else {
+			for i := 0; i < c.n; i++ {
+				s := &c.tuples[i]
+				base := len(c.posBuf)
+				c.posBuf = c.posBuf[:base+q]
+				if !r.probe(s, c.posBuf[base:]) {
+					c.posBuf = c.posBuf[:base]
+					continue
+				}
+				c.matches = append(c.matches, Match{S: s, Pos: c.posBuf[base : base+q : base+q]})
+			}
+		}
+		if r.gather {
+			c.gather(r)
 		}
 		if cb.OnMatchChunk != nil {
 			if err := cb.OnMatchChunk(&c.acc, c.matches); err != nil {

@@ -421,14 +421,19 @@ func checkGradient(t *testing.T, net *Network) {
 	x := []float64{0.3, -0.7, 1.2}
 	y := 0.4
 
-	a := newGradAcc(net)
-	o := net.forward(&a.ws.ForwardScratch, x)
+	// The trainer's path with nothing factorized: the whole row is the
+	// fact part, whose ΔᵀX the chunk takes and the merge adds in.
+	a := newGradAcc(net, len(x))
+	o := net.ForwardFactorized(&a.ws.ForwardScratch, x, nil)
 	if p := net.Predict(x); o != p {
 		t.Fatalf("sizes %v: training forward pass %v, Predict %v", net.Sizes, o, p)
 	}
 	a.backprop(o, y)
-	a.inputGrad(x)
-	w := a.ws
+	linalg.OuterAccumRows(a.factG, x, a.deltas, 1)
+	w := newWorkspace(net)
+	var loss float64
+	var n int
+	a.mergeInto(w, &loss, &n)
 
 	const eps = 1e-6
 	lossAt := func() float64 {

@@ -7,10 +7,11 @@ import (
 )
 
 // This file holds the network's one forward pass. Layer 1 comes in two
-// forms: dense (forward: W0·x + b⁰, for the M-/S- trainers and Predict) and
-// factorized (§VI-A1: PartialPreAct per dimension tuple, completed per fact
-// tuple by ForwardFactorized, for the F-NN trainer and the serving engine,
-// internal/serve, which caches the partials per dimension tuple). Both end
+// forms: dense (forward: W0·x + b⁰, for Predict) and factorized (§VI-A1:
+// PartialPreAct per dimension tuple, completed per fact tuple by
+// ForwardFactorized, for the trainer — over no parts at all when nothing
+// is factorized — and the serving engine, internal/serve, which caches the
+// partials per dimension tuple). Both end
 // in the same loop over the upper layers (upper). The factorized
 // accumulation order is fixed (the layer-1 bias, then the dimension parts
 // in relation order, then the fact part), so the output for a given tuple
@@ -64,7 +65,7 @@ func (n *Network) layerBuffers() [][]float64 {
 }
 
 // forward is the dense forward pass, a⁰ = W0·x + b⁰, then the upper
-// layers. The M-/S- trainers and Predict run it.
+// layers. Predict runs it.
 func (n *Network) forward(fs *ForwardScratch, x []float64) float64 {
 	linalg.MatVec(fs.a[0], n.W[0], x)
 	linalg.VecAdd(fs.a[0], fs.a[0], n.B[0])

@@ -24,13 +24,16 @@ func (pc *partCaches) row(i int) []float64 { return pc.t[i*pc.nh0 : (i+1)*pc.nh0
 // ensure sizes the caches for n arena rows.
 func (pc *partCaches) ensure(n int) { pc.t = slices.Grow(pc.t[:0], n*pc.nh0)[:n*pc.nh0] }
 
-// trainFactorized is F-NN on the worker pool: the per-block dimension
+// sgd is the one SGD driver, over ps.Direct: the per-block dimension
 // caches fill over disjoint grains, matches stream through the parallel
 // join probe in fixed chunks, each chunk folds its example gradients into
 // the gradAcc it carries, and the accumulators merge in chunk order — so the
 // parameter trajectory is bit-identical for every cfg.NumWorkers value.
 // Cache refills, flushes and Block-mode gradient steps happen at full
-// barriers. shuffle, when non-nil, runs before every epoch's pass.
+// barriers. shuffle, when non-nil, runs before every epoch's pass. A path
+// that factorizes no dimension (M, S) has q = 0: the fact part is the whole
+// joined row, and there is nothing to fill, sum or flush per tuple — plain
+// backprop.
 //
 // The input-layer weight gradient is factorized per dimension tuple (the
 // sum Σ_n δ⁰_n·x_nᵀ regrouped by the tuples the matches join): a chunk
@@ -39,8 +42,8 @@ func (pc *partCaches) ensure(n int) { pc.t = slices.Grow(pc.t[:0], n*pc.nh0)[:n*
 // outer product per touched tuple into its columns before the step reads
 // them: R1 (dims[0]) at its block's end, the resident dimensions at the
 // step — the pass end under Epoch updates, the block end under Block.
-func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Network, stats *Stats) error {
-	ps.Pass = "fnn.sgd"
+func sgd(ps *factor.PartScan, shuffle func(), cfg Config, net *Network, stats *Stats) error {
+	ps.Pass = "nn.sgd"
 	p := ps.Direct
 	nw := parallel.Workers(cfg.NumWorkers)
 	w := newWorkspace(net)
@@ -94,21 +97,18 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 			OnBlockStart: func(dims []join.Arena) error {
 				// Dimension caches are valid for one parameter state: per
 				// block under Block updates, per pass under Epoch updates.
-				if cfg.Mode == Block || !residentFresh {
-					for j := 1; j < q; j++ {
-						if err := fill(j, dims[j]); err != nil {
-							return err
-						}
+				for j := range dims {
+					if j > 0 && cfg.Mode == Epoch && residentFresh {
+						break
 					}
-					residentFresh = true
+					if err := fill(j, dims[j]); err != nil {
+						return err
+					}
 				}
-				return fill(0, dims[0])
+				residentFresh = true
+				return nil
 			},
-			NewAcc: func() gradAcc {
-				a := newGradAcc(net)
-				a.factG = linalg.NewDense(p.Dims[0], nh0)
-				return a
-			},
+			NewAcc: func() gradAcc { return newGradAcc(net, p.Dims[0]) },
 			OnMatchChunk: func(a *gradAcc, matches []join.Match) error {
 				a.matches = matches
 				a.xs = a.xs[:0]
@@ -141,7 +141,9 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 				return nil
 			},
 			OnBlockEnd: func() error {
-				flush(0)
+				if q > 0 {
+					flush(0)
+				}
 				if cfg.Mode == Block {
 					for j := 1; j < q; j++ {
 						flush(j)
@@ -164,7 +166,7 @@ func trainFactorized(ps *factor.PartScan, shuffle func(), cfg Config, net *Netwo
 					flush(j)
 				}
 			}
-			w.applyStep(cfg.LearningRate, batchN) // the rows the join kept, as in trainDense
+			w.applyStep(cfg.LearningRate, batchN) // the rows the join kept
 		}
 		stats.Ops.Add(units.Match.Scale(int64(seen + batchN)))
 		if err := stats.endEpoch(lossSum, seen+batchN); err != nil {

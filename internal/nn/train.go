@@ -13,15 +13,15 @@ import (
 
 // Train fits a network over the join by backprop. The three strategies
 // are the same SGD over different access paths, and factor.Open hands the
-// path over driver-ready: the factorized driver runs when the path carries
-// the factorized parts (§VI-A), the dense one over its grouped scan
-// otherwise — reading the materialized T, whose Block-mode mini-batch
-// boundaries are reconstructed from the materializer's per-block tuple
-// counts, or re-joining every epoch. Mini-batches coincide across the
-// three and the decomposition is exact, so all three follow the same
-// parameter trajectory. Nothing about the join is configured here: its
-// block size, and so the Block-mode mini-batch, is the spec's. A table
-// Materialized writes is dropped when training finishes.
+// path over driver-ready to the one driver, sgd: F factorizes every direct
+// dimension (§VI-A); M (reading the materialized T, whose Block-mode
+// mini-batch boundaries are the materializer's per-block tuple counts) and
+// S (re-joining every epoch) are the same driver with no dimension
+// factorized. Mini-batches coincide across the three and the decomposition
+// is exact, so all three follow the same parameter trajectory. Nothing
+// about the join is configured here: its block size, and so the Block-mode
+// mini-batch, is the spec's. A table Materialized writes is dropped when
+// training finishes.
 func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -33,30 +33,25 @@ func Train(db *storage.Database, spec *join.Spec, s plan.Strategy, cfg Config) (
 	start := time.Now()
 	io0 := db.IOStats()
 
-	path, err := factor.Open(db, spec, s, fmt.Sprintf("T_%s_mnn", spec.S.Schema().Name))
+	ps, err := factor.Open(db, spec, s, fmt.Sprintf("T_%s_mnn", spec.S.Schema().Name))
 	if err != nil {
 		return nil, err
 	}
-	defer path.Close() //nolint:errcheck // best-effort temp cleanup
+	defer ps.Close()   //nolint:errcheck // best-effort temp cleanup
 	var shuffle func() // one permutation of R1's keys per epoch (§VI)
 	if cfg.ShuffleSeed != 0 {
-		if path.Shuffle == nil {
+		if ps.Shuffle == nil {
 			return nil, fmt.Errorf("nn: the %s access path reads rows in an order fixed on disk and does not support ShuffleSeed; use the streaming or factorized trainer", s)
 		}
 		rng := rand.New(rand.NewSource(cfg.ShuffleSeed))
-		shuffle = func() { path.Shuffle(rng) }
+		shuffle = func() { ps.Shuffle(rng) }
 	}
-	net, err := initNetwork(cfg, path.Width)
+	net, err := initNetwork(cfg, ps.Direct.D)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Net: net}
-	if path.Parts != nil {
-		err = trainFactorized(path.Parts, shuffle, cfg, net, &res.Stats)
-	} else {
-		err = trainDense(path.ScanGroups, shuffle, cfg, net, &res.Stats)
-	}
-	if err != nil {
+	if err := sgd(ps, shuffle, cfg, net, &res.Stats); err != nil {
 		return nil, err
 	}
 	res.Stats.IO = db.IOStats().Sub(io0)

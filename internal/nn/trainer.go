@@ -1,6 +1,9 @@
 package nn
 
-import "factorml/internal/linalg"
+import (
+	"factorml/internal/join"
+	"factorml/internal/linalg"
+)
 
 // workspace holds the per-tuple forward/backward buffers and the gradient
 // accumulators shared by all trainers: the forward pass runs in the
@@ -85,4 +88,68 @@ func applyDerivInPlace(act Activation, delta, a, h []float64) {
 	case Identity:
 		// derivative 1
 	}
+}
+
+// gradAcc is a chunk's gradient accumulator: a private workspace whose gB
+// and upper-layer gW fold the chunk's example gradients, plus loss/batch
+// partials. The accumulators merge into the main workspace strictly in
+// chunk order, so the parameter trajectory is bit-identical for every
+// worker count.
+//
+// The input-layer weight gradient is not folded per example: backprop saves
+// each example's δ⁰, the chunk takes ΔᵀX over the fact columns as one
+// product into factG, and the merge adds each δ⁰ into the sums of the
+// dimension tuples the example joins (sgd).
+type gradAcc struct {
+	ws     *workspace
+	loss   float64
+	batchN int
+	deltas []float64 // δ⁰ of the chunk's examples, row-major
+
+	parts   [][]float64   // one match's cached layer-1 partials
+	xs      []float64     // the chunk's fact features, row-major
+	matches []join.Match  // the chunk's matches, for the merge
+	factG   *linalg.Dense // the chunk's ΔᵀX over the fact columns, transposed: dS × nh0
+}
+
+func newGradAcc(net *Network, dS int) gradAcc {
+	return gradAcc{ws: newWorkspace(net), factG: linalg.NewDense(dS, net.Sizes[1])}
+}
+
+// backprop folds one example whose forward pass produced o: loss, the
+// upper layers' gradients, the input-layer bias gradient, and δ⁰ saved for
+// the input-layer weight gradient.
+func (a *gradAcc) backprop(o, y float64) {
+	diff := o - y
+	a.loss += 0.5 * diff * diff
+	ws := a.ws
+	ws.backward(o, y)
+	linalg.Axpy(1, ws.delta[0], ws.gB[0])
+	a.deltas = append(a.deltas, ws.delta[0]...)
+	a.batchN++
+}
+
+// mergeInto folds the chunk gradients and loss into the main workspace
+// accumulators and leaves a zero for the chunk that refills it. The
+// input-layer weights are factG, added into the fact columns.
+func (a *gradAcc) mergeInto(w *workspace, lossSum *float64, batchN *int) {
+	g, nh0 := a.factG.Data(), len(w.gB[0])
+	for h := 0; h < nh0; h++ {
+		row := w.gW[0].Row(h)[:a.factG.Rows()]
+		for k := range row {
+			row[k] += g[k*nh0+h]
+		}
+	}
+	a.factG.Zero()
+	for l := range w.gW {
+		if l > 0 {
+			w.gW[l].AddScaled(1, a.ws.gW[l])
+			a.ws.gW[l].Zero()
+		}
+		linalg.VecAdd(w.gB[l], w.gB[l], a.ws.gB[l])
+		linalg.VecZero(a.ws.gB[l])
+	}
+	*lossSum += a.loss
+	*batchN += a.batchN
+	a.loss, a.batchN = 0, 0
 }

@@ -7,12 +7,6 @@ import (
 	"time"
 )
 
-// DefaultChunkRows is the number of stream rows grouped into one work chunk
-// by callers that have no better block structure to follow. It is a fixed
-// constant — never derived from the worker count — because chunk geometry
-// determines the floating-point reduction order (see the package comment).
-const DefaultChunkRows = 256
-
 // Workers resolves a NumWorkers configuration knob: 0 selects
 // runtime.NumCPU(), anything below 1 clamps to 1 (sequential), and any
 // other value is used as given.

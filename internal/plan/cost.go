@@ -49,44 +49,43 @@ func (ss *SchemaStats) shape() shape {
 }
 
 // estimateOps prices the training-math flops of one full training run:
-// units × the events predicted for one pass, × passes. M- and S- do the
-// same math (they differ only in I/O): every fact row is one dense row.
+// units × the events predicted for one pass, × passes. Every fact row is
+// one match; Factorized prices it over the fact part and the direct
+// dimensions, whose tuples it fills and flushes — the reuse fan-out buys —
+// while M- and S- factorize nothing and price it over the one-part
+// partition, with no tuple events (they differ only in I/O).
 func estimateOps(ss *SchemaStats, m ModelSpec, s Strategy) core.Ops {
 	sh := ss.shape()
+	p, tuples := sh.p, sh.m
+	if s != Factorized {
+		p, tuples = core.NewPartition([]int{sh.p.D}), nil
+	}
 	var pass core.Ops
 	switch m.Family {
 	case FamilyGMM:
-		u := core.NewGMMUnits(sh.p, m.K, m.Diagonal)
-		pass = u.DenseRow.Scale(sh.n)
-		if s == Factorized {
-			// Every fact row is one match; every dimension tuple is filled
-			// and flushed once per iteration — the reuse fan-out buys.
-			pass = u.Match.Scale(sh.n)
-			for i, mi := range sh.m {
-				pass.Add(u.Fill[1+i].Plus(u.Flush[1+i]).Scale(mi))
-			}
+		// Every dimension tuple is filled and flushed once per iteration.
+		u := core.NewGMMUnits(p, m.K, m.Diagonal)
+		pass = u.Match.Scale(sh.n)
+		for i, mi := range tuples {
+			pass.Add(u.Fill[1+i].Plus(u.Flush[1+i]).Scale(mi))
 		}
 		return pass.Scale(int64(m.Iters))
 	case FamilyNN:
-		u := core.NewNNUnits(sh.p, append(append([]int{sh.p.D}, m.Hidden...), 1))
-		pass = u.DenseRow.Scale(sh.n)
-		if s == Factorized {
-			// R1 tuples fill once per epoch (each belongs to one block);
-			// resident relations refill per block under Block-mode
-			// updates, once per epoch otherwise. Each fill is flushed
-			// once: R1's at its block end, a resident relation's at the
-			// step.
-			refills := int64(1)
-			if m.BlockMode {
-				refills = ss.numBlocks()
+		// R1 tuples fill once per epoch (each belongs to one block);
+		// resident relations refill per block under Block-mode updates,
+		// once per epoch otherwise. Each fill is flushed once: R1's at its
+		// block end, a resident relation's at the step.
+		refills := int64(1)
+		if m.BlockMode {
+			refills = ss.numBlocks()
+		}
+		u := core.NewNNUnits(p, append(append([]int{p.D}, m.Hidden...), 1))
+		pass = u.Match.Scale(sh.n)
+		for i, mi := range tuples {
+			if i > 0 {
+				mi *= refills
 			}
-			pass = u.Match.Scale(sh.n)
-			for i, mi := range sh.m {
-				if i > 0 {
-					mi *= refills
-				}
-				pass.Add(u.Fill[1+i].Plus(u.Flush[1+i]).Scale(mi))
-			}
+			pass.Add(u.Fill[1+i].Plus(u.Flush[1+i]).Scale(mi))
 		}
 		return pass.Scale(int64(m.Epochs))
 	}

@@ -13,7 +13,7 @@
 //
 // # Maintained statistics
 //
-//   - GMM sufficient statistics (GMMStats): the dense trainer's own
+//   - GMM sufficient statistics (GMMStats): the trainers' own
 //     gmm.Moments over the whole joined row, about an origin (the model's
 //     means at attach or rebaseline, saved in the checkpoint), so data far
 //     from zero cancels nothing and rows absorbed under different refresh
@@ -67,7 +67,7 @@
 // caches when the pass first meets it; workers score each chunk, form each
 // joined row's deviations about the origin (fact features, then each
 // direct group's features from the pass's caches) and fold them with
-// gmm.Moments.FoldRows, the dense trainer's fold. The per-chunk sums are
+// gmm.Moments.FoldRows, the trainers' fold of the fact part. The per-chunk sums are
 // added to the total, which is associative only at chunk boundaries — so
 // chunks are cut at absolute row indexes (chunk i is rows [i·C, (i+1)·C),
 // C = StatChunkRows), the one merge takes them in order, and the trailing

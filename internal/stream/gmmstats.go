@@ -115,7 +115,7 @@ const devRows = 32
 // pays one fill per distinct tuple; workers score each chunk through the
 // factorized kernel, then form each joined row's deviations about the
 // origin (the fact features, then each direct group's from the pass's
-// caches) and fold them as the dense trainer does; the merge, in chunk
+// caches) and fold them as M- and S-GMM fold their joined rows; the merge, in chunk
 // order, only adds complete chunks to the done sums. Deviations are about
 // the origin, not model's means, so rows absorbed under different refresh
 // generations add up; any batch split and worker count gives the same bits.

@@ -25,12 +25,6 @@ func (t *DimensionTable) Name() string { return t.tbl.Schema().Name }
 // NumTuples returns the number of appended tuples.
 func (t *DimensionTable) NumTuples() int64 { return t.tbl.NumTuples() }
 
-// SubDimensions returns the sub-dimension tables this table references, in
-// foreign-key order (empty for a leaf table).
-func (t *DimensionTable) SubDimensions() []*DimensionTable {
-	return append([]*DimensionTable{}, t.subs...)
-}
-
 // Append adds a tuple to a leaf dimension table. rid must be unique within
 // the table. Tables with sub-dimension references take AppendRefs instead.
 func (t *DimensionTable) Append(rid int64, features []float64) error {
