@@ -8,7 +8,7 @@ GO ?= go
 # raised at 77.7 % measured.
 COVERAGE_BASELINE ?= 76.7
 
-.PHONY: all build loc test race fuzz bench-harness ab cover nofma serve-smoke stream-smoke examples load-smoke drift-smoke crash-smoke fmt vet ci
+.PHONY: all build loc test reach race fuzz bench-harness ab cover nofma serve-smoke stream-smoke examples load-smoke drift-smoke crash-smoke fmt vet ci
 
 all: build
 
@@ -22,6 +22,13 @@ loc:
 
 test:
 	$(GO) test ./...
+
+# The reachability guards (reach_test.go) alone, so that a failure is named
+# on its own: code only tests reach, a settings field nothing sets, and
+# math.Exp/math.Log outside internal/linalg. They share one go/types load
+# of the module.
+reach:
+	$(GO) test -count=1 -run '^(TestInternalPackagesAreReached|TestEveryKnobHasACaller|TestOneExpAndLog)$$' .
 
 race:
 	$(GO) test -race ./...
@@ -121,4 +128,4 @@ vet:
 	$(GO) vet ./...
 	@for f in scripts/*.sh; do bash -n "$$f" || exit 1; done
 
-ci: fmt vet build nofma race fuzz cover bench-harness serve-smoke stream-smoke examples load-smoke drift-smoke crash-smoke
+ci: fmt vet build nofma reach race fuzz cover bench-harness serve-smoke stream-smoke examples load-smoke drift-smoke crash-smoke

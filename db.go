@@ -163,9 +163,6 @@ func Open(dir string, opts Options, extra ...OpenOption) (*DB, error) {
 	return &DB{db: sdb, opts: opts, wal: l, snapEvery: snapEvery, pendingReplay: pending}, nil
 }
 
-// Durable reports whether the database was opened WithDurability.
-func (d *DB) Durable() bool { return d.wal.Enabled() }
-
 // WALStats returns the write-ahead log's cumulative counters (all zero
 // when durability is off).
 func (d *DB) WALStats() WALStats { return d.wal.Stats() }
@@ -202,9 +199,3 @@ func (d *DB) Close() error {
 	keep(d.wal.Close())
 	return firstErr
 }
-
-// IOStats returns the cumulative page counters.
-func (d *DB) IOStats() IOStats { return d.db.IOStats() }
-
-// ResetIOStats zeroes the page counters.
-func (d *DB) ResetIOStats() { d.db.ResetIOStats() }

@@ -60,7 +60,6 @@ import (
 
 	"factorml/internal/data"
 	"factorml/internal/gmm"
-	"factorml/internal/metrics"
 	"factorml/internal/monitor"
 	"factorml/internal/nn"
 	"factorml/internal/plan"
@@ -120,8 +119,6 @@ type (
 	Activation = nn.Activation
 	// BatchMode selects the NN update cadence.
 	BatchMode = nn.BatchMode
-	// IOStats carries the storage layer's page-read and page-write counters.
-	IOStats = storage.IOStats
 	// SyntheticConfig configures the synthetic workload generator.
 	SyntheticConfig = data.SynthConfig
 	// DatasetShape describes one of the paper's real-dataset shapes.
@@ -137,9 +134,6 @@ type (
 	// in-flight prediction cap and the bounded ingest queue. Zero fields
 	// mean unlimited.
 	Limits = serve.Limits
-	// MetricsRegistry holds the Prometheus metric families a Server
-	// built WithMetrics exposes at GET /metrics.
-	MetricsRegistry = metrics.Registry
 	// StreamPolicy tunes when and how a Stream refreshes its attached
 	// models (refresh-row threshold, rebaseline cadence, worker pool).
 	StreamPolicy = stream.Policy
@@ -197,9 +191,6 @@ type (
 	// the 128 most recent and the 64 slowest traces, at most 512 spans
 	// each.
 	TraceConfig = trace.Config
-	// TraceStats is the tracer's cumulative counter snapshot (requests
-	// seen, sampled, errored, slow, recorded), embedded in /statsz.
-	TraceStats = trace.Stats
 	// Logger is the standard library's structured logger, which a Server
 	// accepts through WithServerLogger; NewLogger builds the JSON one the
 	// serve command uses. A Server's request lines carry the trace_id of

@@ -57,9 +57,6 @@ func TestNewServerFullStack(t *testing.T) {
 	if srv.Stream() == nil {
 		t.Fatal("WithStream left Stream() nil")
 	}
-	if srv.Metrics() == nil {
-		t.Fatal("WithMetrics left Metrics() nil")
-	}
 
 	// Predict through /v1/.
 	resp, err := http.Post(ts.URL+"/v1/models/retail-nn/predict", "application/json",

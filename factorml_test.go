@@ -2,19 +2,11 @@ package factorml
 
 import (
 	"encoding/json"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
-	pathpkg "path"
-	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -216,18 +208,6 @@ func TestPublicAPIErrors(t *testing.T) {
 	}
 }
 
-func TestIOStatsExposed(t *testing.T) {
-	db := openDB(t)
-	ds := buildRetail(t, db, 50, 5)
-	db.ResetIOStats()
-	if _, err := TrainGMM(ds, Factorized, GMMConfig{K: 1, MaxIter: 1, Tol: 1e-12}); err != nil {
-		t.Fatal(err)
-	}
-	if db.IOStats().LogicalReads == 0 {
-		t.Fatal("expected page reads to be counted")
-	}
-}
-
 // TestPublicAPIModelRegistry covers the facade's save/load/list/delete
 // surface and the persistence of models across Open cycles.
 func TestPublicAPIModelRegistry(t *testing.T) {
@@ -408,371 +388,5 @@ func TestBenchmarkHarnessCompiles(t *testing.T) {
 	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOFLAGS=-mod=mod")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go vet in benchmark/: %v\n%s", err, out)
-	}
-}
-
-// walkSource parses every non-test Go file in the tree (benchmark/, cmd/
-// and examples/ included; dot directories skipped) and hands each to visit
-// with its slash-separated path.
-func walkSource(t *testing.T, visit func(path string, f *ast.File)) {
-	t.Helper()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		visit(filepath.ToSlash(path), f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// unreferencedOK lists the exported names under internal/ that no non-test
-// file mentions on purpose. Everything else exported there must be used by
-// name somewhere in the module, benchmark/, cmd/ or examples/.
-var unreferencedOK = map[string]string{
-	// Called through an interface of the standard library, never by name.
-	"MarshalJSON":   "json.Marshaler",
-	"UnmarshalJSON": "json.Unmarshaler",
-	// Public API through the facade's type alias GMMModel = gmm.Model.
-	"BIC": "model selection on a GMMModel",
-	"AIC": "model selection on a GMMModel",
-	// Oracles the 0-tolerance harnesses and kernel tests compare against.
-	"Transpose": "linalg test oracle",
-	"Equalish":  "linalg test oracle",
-	"NewMatMul": "linalg test oracle",
-	"MatVecAdd": "partitioned mat-vec property in linalg's quick tests",
-	"L":         "L·Lᵀ = A in the Cholesky tests",
-	"Eye":       "identity covariances in factorml_onepass_test.go and gmm/score_test.go",
-	// The typed refresh rejection, for library callers to match.
-	"IsNonFiniteModel": "stream.NonFiniteModelError in TestRefreshRejectsNonFiniteModel",
-}
-
-// benchmarkOnlyOK lists the exported names under internal/ that only
-// benchmark/ mentions, each tagged with the ROADMAP item whose benchmark
-// change removes its last caller there: item 1 (the gate and ledger) or
-// item 14 (the harness measures through the product's surface). The
-// program never runs them. The list may only shrink.
-var benchmarkOnlyOK = map[string]string{
-	"TrainF":               "item 1: gmm.TrainF and nn.TrainF, waiting on benchmark/layers.go's training probes",
-	"EStepBenchHooks":      "item 1: gmm/bench_hooks.go, waiting on benchmark/layers.go's fused/unfused E-step probe",
-	"NewStreamedSource":    "item 14: the S scan probe becomes a Benchmark* in internal/factor",
-	"Lookup":               "item 14: the resident-index lookup probe becomes a Benchmark* in internal/join",
-	"PredictInto":          "item 14: the engine probe reads the running server's telemetry",
-	"DecodeBinaryResponse": "item 14: the load client decodes the binary wire through the product's surface",
-}
-
-// TestInternalPackagesAreReached parses every non-test Go file in the tree
-// (benchmark/ included) and fails when code under internal/ is run only by
-// its own tests: a package imported by none outside itself, or an exported
-// function or method whose name no non-test file mentions other than where
-// it is declared (a name-level check — it cannot tell two methods of one
-// name apart, which errs towards silence). benchmark/ is a caller for that
-// check, but not the program: a name only benchmark/ mentions must sit on
-// benchmarkOnlyOK, and one the program uses must not. It also fails when
-// cmd/train/main.go reaches below the public facade, which it was rewritten
-// on so that the CLI cannot drift from the library again, when
-// internal/parallel imports anything under internal/ (the scheduler knows
-// nothing of flops or tuples), and when code under internal/ outside
-// internal/serve uses a sync.Pool: the training and absorb passes recycle
-// their state through the chunk lifecycle, whose allocation counts stay
-// exact under the race detector. Last, it fails when the root package or
-// code under internal/ other than internal/durable calls os.Rename,
-// os.WriteFile, os.Create or os.CreateTemp: every persisted file is
-// replaced through internal/durable, which alone knows the write, fsync,
-// close, rename, directory-fsync order (cmd/'s report writers hold no
-// durable state).
-func TestInternalPackagesAreReached(t *testing.T) {
-	reached := make(map[string]bool) // package under internal/ -> imported from outside itself
-	declared := make(map[string]int) // exported func/method name under internal/ -> declarations
-	where := make(map[string]string) // ... -> one declaring file
-	mentions := make(map[string]int) // identifier -> occurrences in non-test files
-	inBench := make(map[string]int)  // ... of which in benchmark/
-	walkSource(t, func(path string, f *ast.File) {
-		pkg := "factorml/" + pathpkg.Dir(path)
-		internal := strings.HasPrefix(pkg, "factorml/internal/")
-		persists := (internal || pkg == "factorml/.") && pkg != "factorml/internal/durable"
-		if internal && !reached[pkg] {
-			reached[pkg] = false
-		}
-		for _, imp := range f.Imports {
-			to := strings.Trim(imp.Path.Value, `"`)
-			if !strings.HasPrefix(to, "factorml/internal/") {
-				continue
-			}
-			if to != pkg {
-				reached[to] = true
-			}
-			if path == "cmd/train/main.go" {
-				t.Errorf("cmd/train/main.go imports %s; it is written on the public facade", to)
-			}
-			if pkg == "factorml/internal/parallel" {
-				t.Errorf("%s imports %s; internal/parallel schedules work and knows nothing about it", path, to)
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && x.Name == "sync" && n.Sel.Name == "Pool" && internal && pkg != "factorml/internal/serve" {
-					t.Errorf("%s uses a sync.Pool; a chunked pass's state travels with its chunk (internal/parallel), and only internal/serve pools request-scoped buffers", path)
-				}
-				if x, ok := n.X.(*ast.Ident); ok && x.Name == "os" && persists {
-					switch n.Sel.Name {
-					case "Rename", "WriteFile", "Create", "CreateTemp":
-						t.Errorf("%s calls os.%s; persist files through internal/durable", path, n.Sel.Name)
-					}
-				}
-			case *ast.Ident:
-				mentions[n.Name]++
-				if strings.HasPrefix(path, "benchmark/") {
-					inBench[n.Name]++
-				}
-			case *ast.FuncDecl:
-				if internal && n.Name.IsExported() {
-					declared[n.Name.Name]++
-					where[n.Name.Name] = path
-				}
-			}
-			return true
-		})
-	})
-	if len(reached) == 0 {
-		t.Fatal("found no package under internal/ (run from the module root)")
-	}
-	for pkg, ok := range reached {
-		if !ok {
-			t.Errorf("%s is imported by no non-test file outside itself", pkg)
-		}
-	}
-	if len(unreferencedOK) > 11 {
-		t.Errorf("the allowlist holds %d names, want <= 11: delete code instead of listing it", len(unreferencedOK))
-	}
-	if len(benchmarkOnlyOK) > 6 {
-		t.Errorf("benchmarkOnlyOK holds %d names, want <= 6: it may only shrink", len(benchmarkOnlyOK))
-	}
-	for name, n := range declared {
-		_, allowed := unreferencedOK[name]
-		_, benchOnly := benchmarkOnlyOK[name]
-		used := mentions[name] > n
-		switch run := mentions[name]-inBench[name] > n; {
-		case !used && !allowed:
-			t.Errorf("%s (%s) is exported under internal/ but no non-test file uses it", name, where[name])
-		case used && allowed:
-			t.Errorf("%s is used by non-test code; drop it from the allowlist", name)
-		case used && !run && !benchOnly:
-			t.Errorf("%s (%s) is exported under internal/ but only benchmark/ calls it: the program never runs it", name, where[name])
-		case run && benchOnly:
-			t.Errorf("%s is used by the program; drop it from benchmarkOnlyOK", name)
-		}
-	}
-	for name := range unreferencedOK {
-		if declared[name] == 0 {
-			t.Errorf("the allowlist names %s, which internal/ no longer declares", name)
-		}
-	}
-	for name, tag := range benchmarkOnlyOK {
-		if declared[name] == 0 {
-			t.Errorf("benchmarkOnlyOK names %s, which internal/ no longer declares", name)
-		}
-		if !strings.HasPrefix(tag, "item 1: ") && !strings.HasPrefix(tag, "item 14: ") {
-			t.Errorf("benchmarkOnlyOK[%s] = %q: tag it with the ROADMAP item that removes it (\"item 1: …\" or \"item 14: …\")", name, tag)
-		}
-	}
-}
-
-// TestOneExpAndLog fails when a non-test file outside internal/linalg calls
-// math.Exp or math.Log. The program's exp and log are linalg.ExpInto and
-// linalg.Log: plain Go with every product rounded, so a model's bits do
-// not depend on the assembly math.Exp and math.Log have on some
-// architectures (scripts/nofma.sh checks the kernels' cross-compiles).
-// examples/ is exempt: those mains are written against the public facade
-// as a user's program would be, and an exp there draws synthetic inputs,
-// not model bits. The architecture skips of TestGoldenBits and
-// TestStarNNBytesPinned stay, because the other kernels still fuse
-// multiply-adds off amd64.
-func TestOneExpAndLog(t *testing.T) {
-	walkSource(t, func(path string, f *ast.File) {
-		if strings.HasPrefix(path, "internal/linalg/") || strings.HasPrefix(path, "examples/") {
-			return
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "math" && (sel.Sel.Name == "Exp" || sel.Sel.Name == "Log") {
-					t.Errorf("%s uses math.%s; call linalg.ExpInto / linalg.Log, whose bits are the same on every architecture", path, sel.Sel.Name)
-				}
-			}
-			return true
-		})
-	})
-}
-
-// unsetKnobOK lists the settings no non-test file sets on purpose, each
-// with its reason. Everything else TestEveryKnobHasACaller checks must be
-// set by some caller.
-var unsetKnobOK = map[string]string{
-	"monitor.Config.MinWindowRows": "tests in three packages shrink the drift evidence floor to keep their data small",
-	"nn.Config.ShuffleSeed":        "the paper's per-epoch key permutation (§VI), library API",
-	"plan.Options.FlopsPerPage":    "benchmark/ builds plan.Options; the clock-calibrated planner replaces the field",
-	"data.SynthConfig.Clusters":    "the GMM quality tests' generator shape",
-	"data.SynthConfig.Noise":       "the GMM quality tests' generator shape",
-	"wal.Options.SegmentBytes":     "the WAL rotation tests",
-	"gmm.Config.Init":              "the one-step warm-start EM oracle TestStreamStatsOracle checks every stream refresh against",
-}
-
-// isKnobType reports whether a struct type's name marks it as settings.
-func isKnobType(name string) bool {
-	return name == "Limits" || strings.HasSuffix(name, "Config") ||
-		strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")
-}
-
-// TestEveryKnobHasACaller fails when an exported field of a settings
-// struct (a type named …Config, …Options, …Policy or Limits, declared in
-// a non-test file of the root package or under internal/) is set by name
-// in no non-test file other than its own: a composite-literal key or an
-// assignment target, in the module, benchmark/, cmd/ or examples/. A knob
-// only tests turn is a second behaviour nothing runs; its value belongs in
-// a constant. Literal keys are matched against the literal's type
-// (through the facade's aliases); keys of an elided literal type and
-// assignment targets are matched by field name alone, which errs towards
-// silence.
-func TestEveryKnobHasACaller(t *testing.T) {
-	type set struct {
-		typ, field, path string          // typ is "" for an elided literal type or an assignment
-		sees             map[string]bool // the setting file's own package and its imports
-	}
-	declared := make(map[string]string) // "pkg.Type.Field" -> declaring file
-	alias := make(map[string]string)    // "pkg.Alias" -> "pkg.Type"
-	var sets []set
-	walkSource(t, func(path string, f *ast.File) {
-		pkg := f.Name.Name
-		imports := make(map[string]string) // import name -> package name
-		sees := map[string]bool{pkg: true}
-		for _, imp := range f.Imports {
-			to := strings.Trim(imp.Path.Value, `"`)
-			if to != "factorml" && !strings.HasPrefix(to, "factorml/") {
-				continue
-			}
-			name := pathpkg.Base(to)
-			sees[name] = true
-			if imp.Name != nil {
-				imports[imp.Name.Name] = name
-			} else {
-				imports[name] = name
-			}
-		}
-		typeOf := func(e ast.Expr) string { // "" when e names no type
-			switch e := e.(type) {
-			case *ast.Ident:
-				return pkg + "." + e.Name
-			case *ast.SelectorExpr:
-				if x, ok := e.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					return imports[x.Name] + "." + e.Sel.Name
-				}
-			}
-			return ""
-		}
-		knobs := !strings.Contains(path, "/") || strings.HasPrefix(path, "internal/")
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.TypeSpec:
-				if n.Assign.IsValid() {
-					if to := typeOf(n.Type); to != "" {
-						alias[pkg+"."+n.Name.Name] = to
-					}
-				} else if st, ok := n.Type.(*ast.StructType); ok && knobs && n.Name.IsExported() && isKnobType(n.Name.Name) {
-					for _, fld := range st.Fields.List {
-						for _, name := range fld.Names {
-							if name.IsExported() {
-								declared[pkg+"."+n.Name.Name+"."+name.Name] = path
-							}
-						}
-					}
-				}
-			case *ast.CompositeLit:
-				switch n.Type.(type) {
-				case *ast.ArrayType, *ast.MapType:
-					return true // keys are indexes or map keys, not fields
-				}
-				for _, e := range n.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if key, ok := kv.Key.(*ast.Ident); ok {
-							sets = append(sets, set{typeOf(n.Type), key.Name, path, sees})
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						sets = append(sets, set{"", sel.Sel.Name, path, sees})
-					}
-				}
-			}
-			return true
-		})
-	})
-	if len(declared) == 0 {
-		t.Fatal("found no settings struct (run from the module root)")
-	}
-	t.Logf("%d exported settings fields", len(declared))
-	resolve := func(typ string) string {
-		for alias[typ] != "" {
-			typ = alias[typ]
-		}
-		return typ
-	}
-	split := func(name string) (string, string) { // "a.B.C" -> "a.B", "C"
-		i := strings.LastIndexByte(name, '.')
-		return name[:i], name[i+1:]
-	}
-	// An importer of the root sees every package the facade aliases.
-	facade := make(map[string]bool)
-	for a := range alias {
-		if strings.HasPrefix(a, "factorml.") {
-			pkg, _ := split(resolve(a))
-			facade[pkg] = true
-		}
-	}
-	setBy := make(map[string]bool)
-	for _, s := range sets {
-		for knob, path := range declared {
-			typ, field := split(knob)
-			pkg, _ := split(typ)
-			if s.field != field || s.path == path {
-				continue
-			}
-			if s.typ != "" {
-				setBy[knob] = setBy[knob] || resolve(s.typ) == typ
-			} else {
-				setBy[knob] = setBy[knob] || s.sees[pkg] || s.sees["factorml"] && facade[pkg]
-			}
-		}
-	}
-	for _, knob := range slices.Sorted(maps.Keys(declared)) {
-		_, allowed := unsetKnobOK[knob]
-		switch {
-		case !setBy[knob] && !allowed:
-			t.Errorf("%s (%s) is set by no non-test file: make it a constant or give it a caller", knob, declared[knob])
-		case setBy[knob] && allowed:
-			t.Errorf("%s is set by non-test code; drop it from the allowlist", knob)
-		}
-	}
-	for knob := range unsetKnobOK {
-		if declared[knob] == "" {
-			t.Errorf("the allowlist names %s, which is no longer declared", knob)
-		}
 	}
 }

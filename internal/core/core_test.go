@@ -14,7 +14,12 @@ func randSPD(rng *rand.Rand, n int) *linalg.Dense {
 	for i := range a.Data() {
 		a.Data()[i] = rng.NormFloat64()
 	}
-	spd := linalg.NewMatMul(a, a.Transpose())
+	spd := linalg.NewDense(n, n) // A·Aᵀ
+	for i := range n {
+		for j := range n {
+			spd.Set(i, j, linalg.Dot(a.Row(i), a.Row(j)))
+		}
+	}
 	spd.AddDiag(float64(n))
 	return spd
 }

@@ -3,6 +3,7 @@ package gmm
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"factorml/internal/core"
@@ -139,8 +140,7 @@ func TestScorerSingleComponent(t *testing.T) {
 		mean[i] = rng.NormFloat64()
 	}
 	m.Means = append(m.Means, mean)
-	cov := linalg.Eye(D)
-	cov.AddDiag(0.5)
+	cov := linalg.Diag(slices.Repeat([]float64{1.5}, D))
 	m.Covs = append(m.Covs, cov)
 
 	p := core.NewPartition([]int{2, 3})

@@ -302,11 +302,11 @@ func TestBNLLogicalIOCostModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Prime resident load (none here) and measure one pass.
-	db.ResetIOStats()
+	io0 := db.IOStats()
 	if err := StreamWith(runner, func(int64, []float64, float64) error { return nil }, nil); err != nil {
 		t.Fatal(err)
 	}
-	st := db.IOStats()
+	st := db.IOStats().Sub(io0)
 	rPages := sp.Rs[0].NumPages()
 	sPages := sp.S.NumPages()
 	want := rPages + runner.NumBlocks()*sPages
@@ -361,12 +361,12 @@ func TestShuffledPassReadsPermOrderAndCountsPageChanges(t *testing.T) {
 			}
 		}
 	}
-	db.ResetIOStats()
+	io0 := db.IOStats()
 	if err := StreamWith(runner, func(int64, []float64, float64) error { return nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := runner.NumBlocks()*sp.S.NumPages() + changes
-	if got := db.IOStats().LogicalReads; got != want {
+	if got := db.IOStats().Sub(io0).LogicalReads; got != want {
 		t.Fatalf("shuffled pass read %d pages, want blocks·|S| + page changes = %d·%d + %d = %d",
 			got, runner.NumBlocks(), sp.S.NumPages(), changes, want)
 	}
@@ -608,9 +608,9 @@ func TestSnowflakeHopsResolvedPerDimensionTuple(t *testing.T) {
 	// per runner, so a second pass reads R1's pages once plus S's once per
 	// block, and nothing resident — no page scales with the hops the 600
 	// fact tuples would make.
-	db.ResetIOStats()
+	io0 := db.IOStats()
 	pass()
-	if got, want := db.IOStats().LogicalReads, a.NumPages()+r.NumBlocks()*s.NumPages(); got != want {
+	if got, want := db.IOStats().Sub(io0).LogicalReads, a.NumPages()+r.NumBlocks()*s.NumPages(); got != want {
 		t.Fatalf("second pass read %d pages, want |A| + blocks·|S| = %d", got, want)
 	}
 	if rows != 2*wantRows {

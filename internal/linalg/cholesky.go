@@ -47,9 +47,6 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	return &Cholesky{n: n, l: l}, nil
 }
 
-// L returns the lower-triangular factor (a view; do not modify).
-func (c *Cholesky) L() *Dense { return c.l }
-
 // LogDet returns log|A| = 2·Σ log L_ii.
 func (c *Cholesky) LogDet() float64 {
 	var s float64

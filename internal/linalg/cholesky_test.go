@@ -10,7 +10,7 @@ import (
 // randomSPD returns a random symmetric positive definite n×n matrix.
 func randomSPD(rng *rand.Rand, n int) *Dense {
 	a := randomDense(rng, n, n)
-	spd := NewMatMul(a, a.Transpose())
+	spd := mul(a, transpose(a))
 	spd.AddDiag(float64(n)) // well-conditioned
 	return spd
 }
@@ -23,8 +23,8 @@ func TestCholeskyReconstruct(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		llt := NewMatMul(ch.L(), ch.L().Transpose())
-		if !llt.Equalish(a, 1e-9) {
+		llt := mul(ch.l, transpose(ch.l))
+		if llt.MaxAbsDiff(a) > 1e-9 {
 			t.Fatalf("n=%d: L·Lᵀ differs from A by %v", n, llt.MaxAbsDiff(a))
 		}
 	}
@@ -88,9 +88,9 @@ func TestCholeskyInverse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prod := NewMatMul(a, inv)
-		if !prod.Equalish(Eye(n), 1e-8) {
-			t.Fatalf("n=%d: A·A⁻¹ differs from I by %v", n, prod.MaxAbsDiff(Eye(n)))
+		prod := mul(a, inv)
+		if prod.MaxAbsDiff(eye(n)) > 1e-8 {
+			t.Fatalf("n=%d: A·A⁻¹ differs from I by %v", n, prod.MaxAbsDiff(eye(n)))
 		}
 		// Cross-check log-det against the product of diagonal entries of L.
 		ch, _ := NewCholesky(a)
@@ -124,7 +124,7 @@ func TestInverseSymmetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inv.Equalish(inv.Transpose(), 1e-12) {
+	if inv.MaxAbsDiff(transpose(inv)) > 1e-12 {
 		t.Fatal("inverse of SPD matrix must be symmetric")
 	}
 }

@@ -97,18 +97,6 @@ func (m *Dense) AddDiag(a float64) {
 	}
 }
 
-// Transpose returns a newly allocated transpose of m.
-func (m *Dense) Transpose() *Dense {
-	out := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.data[j*out.cols+i] = v
-		}
-	}
-	return out
-}
-
 // Block copies the r×c sub-matrix whose top-left corner is (i0, j0) into a
 // new matrix.
 func (m *Dense) Block(i0, j0, r, c int) *Dense {
@@ -120,15 +108,6 @@ func (m *Dense) Block(i0, j0, r, c int) *Dense {
 		copy(out.Row(i), m.data[(i0+i)*m.cols+j0:(i0+i)*m.cols+j0+c])
 	}
 	return out
-}
-
-// Eye returns the n×n identity matrix.
-func Eye(n int) *Dense {
-	m := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
 }
 
 // Diag returns a square matrix with v on its diagonal.
@@ -168,14 +147,6 @@ func (m *Dense) MaxAbsDiff(b *Dense) float64 {
 		}
 	}
 	return max
-}
-
-// Equalish reports whether all elements of m and b differ by at most tol.
-func (m *Dense) Equalish(b *Dense, tol float64) bool {
-	if m.rows != b.rows || m.cols != b.cols {
-		return false
-	}
-	return m.MaxAbsDiff(b) <= tol
 }
 
 // String renders the matrix for debugging.

@@ -1,7 +1,9 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -77,7 +79,7 @@ func TestAddScaled(t *testing.T) {
 }
 
 func TestAddDiag(t *testing.T) {
-	a := Eye(3)
+	a := eye(3)
 	a.AddDiag(2)
 	for i := 0; i < 3; i++ {
 		if a.At(i, i) != 3 {
@@ -88,7 +90,7 @@ func TestAddDiag(t *testing.T) {
 
 func TestTranspose(t *testing.T) {
 	m := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	mt := m.Transpose()
+	mt := transpose(m)
 	r, c := mt.Dims()
 	if r != 3 || c != 2 {
 		t.Fatalf("Transpose dims = (%d,%d), want (3,2)", r, c)
@@ -106,7 +108,7 @@ func TestBlockAndSetBlock(t *testing.T) {
 	})
 	b := m.Block(1, 1, 2, 2)
 	want := NewDenseData(2, 2, []float64{5, 6, 8, 9})
-	if !b.Equalish(want, 0) {
+	if b.MaxAbsDiff(want) > 0 {
 		t.Fatalf("Block = %v, want %v", b, want)
 	}
 	b.Set(0, 0, 0)
@@ -120,8 +122,36 @@ func TestBlockOutOfBoundsPanics(t *testing.T) {
 	NewDense(2, 2).Block(1, 1, 2, 2)
 }
 
+// eye returns the n×n identity matrix.
+func eye(n int) *Dense { return Diag(slices.Repeat([]float64{1}, n)) }
+
+// transpose returns a newly allocated mᵀ.
+func transpose(m *Dense) *Dense {
+	out := NewDense(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j, v := range m.Row(i) {
+			out.Set(j, i, v)
+		}
+	}
+	return out
+}
+
+// mul allocates and returns A·B.
+func mul(a, b *Dense) *Dense {
+	if a.cols != b.rows {
+		panic(fmt.Sprintf("linalg: matmul inner dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
+	}
+	dst := NewDense(a.rows, b.cols)
+	for i := 0; i < a.rows; i++ {
+		for k, av := range a.Row(i) {
+			AxpyN(av, b.Row(k), dst.Row(i), b.cols)
+		}
+	}
+	return dst
+}
+
 func TestEyeAndDiag(t *testing.T) {
-	if Eye(2).At(0, 1) != 0 || Eye(2).At(1, 1) != 1 {
+	if eye(2).At(0, 1) != 0 || eye(2).At(1, 1) != 1 {
 		t.Fatal("Eye wrong")
 	}
 	d := Diag([]float64{3, 4})
@@ -138,21 +168,14 @@ func TestSymmetrize(t *testing.T) {
 	}
 }
 
-func TestMaxAbsDiffAndEqualish(t *testing.T) {
+func TestMaxAbsDiff(t *testing.T) {
 	a := NewDenseData(1, 2, []float64{1, 2})
 	b := NewDenseData(1, 2, []float64{1.5, 2})
 	if got := a.MaxAbsDiff(b); math.Abs(got-0.5) > 1e-15 {
 		t.Fatalf("MaxAbsDiff = %v, want 0.5", got)
 	}
-	if !a.Equalish(b, 0.5) {
-		t.Fatal("Equalish(0.5) = false, want true")
-	}
-	if a.Equalish(b, 0.4) {
-		t.Fatal("Equalish(0.4) = true, want false")
-	}
-	if a.Equalish(NewDense(2, 2), 10) {
-		t.Fatal("Equalish across shapes must be false")
-	}
+	defer expectPanic(t, "MaxAbsDiff across shapes")
+	a.MaxAbsDiff(NewDense(2, 2))
 }
 
 func expectPanic(t *testing.T, what string) {

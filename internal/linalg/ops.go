@@ -11,14 +11,6 @@ func MatVec(dst []float64, a *Dense, x []float64) {
 	matVec(dst, a, 0, x, false)
 }
 
-// MatVecAdd computes dst += A·x.
-func MatVecAdd(dst []float64, a *Dense, x []float64) {
-	if len(x) != a.cols || len(dst) != a.rows {
-		panic(fmt.Sprintf("linalg: matvecadd dimension mismatch A=%dx%d x=%d dst=%d", a.rows, a.cols, len(x), len(dst)))
-	}
-	matVec(dst, a, 0, x, true)
-}
-
 // MatVecRange computes dst = A[:, j0:j0+len(x)]·x — a matrix-vector product
 // against a contiguous column range of A (used by the factorized NN layer-1
 // forward pass, where the weight matrix is column-partitioned by relation).
@@ -90,38 +82,6 @@ func VecMat(dst []float64, x []float64, a *Dense) {
 			dst[j] += xi * v
 		}
 	}
-}
-
-// MatMul computes C = A·B into dst, which must be rows(A)×cols(B) and must
-// not alias a or b.
-func MatMul(dst, a, b *Dense) {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("linalg: matmul inner dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	if dst.rows != a.rows || dst.cols != b.cols {
-		panic(fmt.Sprintf("linalg: matmul destination %dx%d for %dx%d result", dst.rows, dst.cols, a.rows, b.cols))
-	}
-	dst.Zero()
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		crow := dst.data[i*dst.cols : (i+1)*dst.cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-}
-
-// NewMatMul allocates and returns A·B.
-func NewMatMul(a, b *Dense) *Dense {
-	dst := NewDense(a.rows, b.cols)
-	MatMul(dst, a, b)
-	return dst
 }
 
 // OuterAccum accumulates dst += w · x·yᵀ. dst must be len(x)×len(y).

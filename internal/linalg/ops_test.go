@@ -17,11 +17,11 @@ func TestMatVec(t *testing.T) {
 }
 
 func TestMatVecAdd(t *testing.T) {
-	a := Eye(2)
+	a := eye(2)
 	dst := []float64{10, 20}
-	MatVecAdd(dst, a, []float64{1, 2})
+	MatVecRangeAdd(dst, a, 0, []float64{1, 2})
 	if dst[0] != 11 || dst[1] != 22 {
-		t.Fatalf("MatVecAdd = %v, want [11 22]", dst)
+		t.Fatalf("MatVecRangeAdd over all columns = %v, want [11 22]", dst)
 	}
 }
 
@@ -41,9 +41,9 @@ func TestVecMat(t *testing.T) {
 func TestMatMul(t *testing.T) {
 	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := NewDenseData(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := NewMatMul(a, b)
+	c := mul(a, b)
 	want := NewDenseData(2, 2, []float64{58, 64, 139, 154})
-	if !c.Equalish(want, 1e-12) {
+	if c.MaxAbsDiff(want) > 1e-12 {
 		t.Fatalf("MatMul = %v, want %v", c, want)
 	}
 }
@@ -51,27 +51,27 @@ func TestMatMul(t *testing.T) {
 func TestMatMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randomDense(rng, 4, 4)
-	c := NewMatMul(a, Eye(4))
-	if !c.Equalish(a, 1e-12) {
+	c := mul(a, eye(4))
+	if c.MaxAbsDiff(a) > 1e-12 {
 		t.Fatal("A·I != A")
 	}
 }
 
 func TestMatMulDimMismatchPanics(t *testing.T) {
 	defer expectPanic(t, "matmul mismatch")
-	NewMatMul(NewDense(2, 3), NewDense(2, 3))
+	mul(NewDense(2, 3), NewDense(2, 3))
 }
 
 func TestOuterAccum(t *testing.T) {
 	dst := NewDense(2, 3)
 	OuterAccum(dst, 2, []float64{1, 2}, []float64{3, 4, 5})
 	want := NewDenseData(2, 3, []float64{6, 8, 10, 12, 16, 20})
-	if !dst.Equalish(want, 1e-12) {
+	if dst.MaxAbsDiff(want) > 1e-12 {
 		t.Fatalf("OuterAccum = %v, want %v", dst, want)
 	}
 	// Accumulation adds on top.
 	OuterAccum(dst, -2, []float64{1, 2}, []float64{3, 4, 5})
-	if !dst.Equalish(NewDense(2, 3), 1e-12) {
+	if dst.MaxAbsDiff(NewDense(2, 3)) > 1e-12 {
 		t.Fatalf("OuterAccum accumulate = %v, want zero", dst)
 	}
 }
@@ -325,10 +325,10 @@ func TestMatVecFamilyMatchesRowAtATime(t *testing.T) {
 				got = append(got[:0], seed...)
 				MatVec(got, a, x)
 				add := append([]float64{}, seed...)
-				MatVecAdd(add, a, x)
+				MatVecRangeAdd(add, a, 0, x)
 				for i := range want {
 					if got[i] != want[i] || add[i] != seed[i]+want[i] {
-						t.Fatalf("MatVec/MatVecAdd %dx%d row %d = %v / %v, want %v / %v", rows, sh.cols, i, got[i], add[i], want[i], seed[i]+want[i])
+						t.Fatalf("MatVec/MatVecRangeAdd %dx%d row %d = %v / %v, want %v / %v", rows, sh.cols, i, got[i], add[i], want[i], seed[i]+want[i])
 					}
 				}
 			}

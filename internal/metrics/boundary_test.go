@@ -15,8 +15,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	for _, v := range []float64{0.05, 0.1, 0.5, 1.0, 2.0} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", h.Count())
+	if count(h) != 5 {
+		t.Fatalf("Count = %d, want 5", count(h))
 	}
 	var sb strings.Builder
 	r.Render(&sb)
@@ -42,8 +42,8 @@ func TestHistogramEmptyAndSingleBound(t *testing.T) {
 	none := r.HistogramVec("nb_test", "no bounds", nil, "ep").With("x")
 	none.Observe(-1)
 	none.Observe(1e9)
-	if none.Count() != 2 {
-		t.Fatalf("no-bounds Count = %d, want 2", none.Count())
+	if count(none) != 2 {
+		t.Fatalf("no-bounds Count = %d, want 2", count(none))
 	}
 	one := r.HistogramVec("ob_test", "one bound", []float64{0}, "ep").With("x")
 	one.Observe(0)  // boundary: inclusive, lands in le="0"
@@ -89,7 +89,7 @@ func TestHistogramVecConcurrentChildCreation(t *testing.T) {
 		if h != vec.With(l) {
 			t.Fatalf("label %q resolved to two different children", l)
 		}
-		total += h.Count()
+		total += count(h)
 	}
 	if want := uint64(goroutines * perG); total != want {
 		t.Fatalf("observations across children = %d, want %d", total, want)

@@ -8,14 +8,17 @@ import (
 	"factorml/internal/metrics"
 )
 
+// Verdict is a model's health verdict, its JSON and label value.
+type Verdict string
+
 // Model health verdicts, strongest first: drift beats staleness beats
 // fresh; a model with no baseline lineage can only report staleness or
 // "unmonitored".
 const (
-	VerdictFresh       = "fresh"
-	VerdictDrifting    = "drifting"
-	VerdictStale       = "stale"
-	VerdictUnmonitored = "unmonitored"
+	VerdictFresh       Verdict = "fresh"
+	VerdictDrifting    Verdict = "drifting"
+	VerdictStale       Verdict = "stale"
+	VerdictUnmonitored Verdict = "unmonitored"
 )
 
 // ColumnHealth is one joined column's drift reading: the PSI of its
@@ -37,7 +40,7 @@ type Health struct {
 	Model                  string         `json:"model"`
 	Kind                   string         `json:"kind"`
 	Version                int            `json:"version"`
-	Verdict                string         `json:"verdict"`
+	Verdict                Verdict        `json:"verdict"`
 	MaxPSI                 float64        `json:"max_psi"`
 	MeanPSI                float64        `json:"mean_psi"`
 	QualityPSI             float64        `json:"quality_psi"`
@@ -186,6 +189,6 @@ func (l HealthList) Samples(emit metrics.Emit) {
 		emit.Gauge("factorml_model_rows_since_refresh", "Fact rows ingested since the model's last refresh.", float64(h.RowsSinceRefresh), model)
 		emit.Gauge("factorml_model_refresh_age_seconds", "Seconds since the model's baseline was captured or refreshed.", h.RefreshAgeSeconds, model)
 		emit.Gauge("factorml_model_health", "Model health verdict (value is always 1; the verdict is in the labels).",
-			1, model, [2]string{"verdict", h.Verdict})
+			1, model, [2]string{"verdict", string(h.Verdict)})
 	}
 }

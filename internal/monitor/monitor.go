@@ -79,7 +79,7 @@ type modelMon struct {
 	dimUpdates  int64
 	refreshedAt time.Time
 	samples     uint64
-	lastVerdict string
+	lastVerdict Verdict
 }
 
 // New returns a Monitor with cfg's zero fields replaced by defaults.

@@ -24,7 +24,7 @@ type ModelState struct {
 	DimUpdates      int64    `json:"dim_updates"`
 	RefreshedAtUnix int64    `json:"refreshed_at_unix"`
 	Samples         uint64   `json:"samples"`
-	LastVerdict     string   `json:"last_verdict,omitempty"`
+	LastVerdict     Verdict  `json:"last_verdict,omitempty"`
 }
 
 // State is the monitor's full checkpointable state.

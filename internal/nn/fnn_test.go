@@ -107,7 +107,7 @@ func denseReference(t *testing.T, spec *join.Spec, cfg Config) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newWorkspace(net)
+	w := newWorkspace(net, true)
 	for _, b := range blocks {
 		w.zeroGrads()
 		for _, e := range b {

@@ -430,7 +430,7 @@ func checkGradient(t *testing.T, net *Network) {
 	}
 	a.backprop(o, y)
 	linalg.OuterAccumRows(a.factG, x, a.deltas, 1)
-	w := newWorkspace(net)
+	w := newWorkspace(net, true)
 	var loss float64
 	var n int
 	a.mergeInto(w, &loss, &n)

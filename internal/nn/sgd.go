@@ -46,7 +46,7 @@ func sgd(ps *factor.PartScan, shuffle func(), cfg Config, net *Network, stats *S
 	ps.Pass = "nn.sgd"
 	p := ps.Direct
 	nw := parallel.Workers(cfg.NumWorkers)
-	w := newWorkspace(net)
+	w := newWorkspace(net, true)
 	q := p.Parts() - 1
 	nh0 := net.Sizes[1]
 

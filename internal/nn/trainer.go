@@ -20,12 +20,19 @@ type workspace struct {
 	gB [][]float64
 }
 
-func newWorkspace(net *Network) *workspace {
+// newWorkspace allocates a workspace. Without inputW its gW[0] is nil: a
+// chunk's workspace (newGradAcc) never writes the input-layer weight
+// gradient, which backward leaves to the caller.
+func newWorkspace(net *Network, inputW bool) *workspace {
 	w := &workspace{net: net, ForwardScratch: *net.NewForwardScratch()}
 	for l := 0; l < net.Layers(); l++ {
 		sz := net.Sizes[l+1]
 		w.delta = append(w.delta, make([]float64, sz))
-		w.gW = append(w.gW, linalg.NewDense(sz, net.Sizes[l]))
+		var gW *linalg.Dense
+		if l > 0 || inputW {
+			gW = linalg.NewDense(sz, net.Sizes[l])
+		}
+		w.gW = append(w.gW, gW)
 		w.gB = append(w.gB, make([]float64, sz))
 	}
 	return w
@@ -90,11 +97,11 @@ func applyDerivInPlace(act Activation, delta, a, h []float64) {
 	}
 }
 
-// gradAcc is a chunk's gradient accumulator: a private workspace whose gB
-// and upper-layer gW fold the chunk's example gradients, plus loss/batch
-// partials. The accumulators merge into the main workspace strictly in
-// chunk order, so the parameter trajectory is bit-identical for every
-// worker count.
+// gradAcc is a chunk's gradient accumulator: a private workspace (with no
+// input-layer gW) whose gB and upper-layer gW fold the chunk's example
+// gradients, plus loss/batch partials. The accumulators merge into the
+// main workspace strictly in chunk order, so the parameter trajectory is
+// bit-identical for every worker count.
 //
 // The input-layer weight gradient is not folded per example: backprop saves
 // each example's δ⁰, the chunk takes ΔᵀX over the fact columns as one
@@ -113,7 +120,7 @@ type gradAcc struct {
 }
 
 func newGradAcc(net *Network, dS int) gradAcc {
-	return gradAcc{ws: newWorkspace(net), factG: linalg.NewDense(dS, net.Sizes[1])}
+	return gradAcc{ws: newWorkspace(net, false), factG: linalg.NewDense(dS, net.Sizes[1])}
 }
 
 // backprop folds one example whose forward pass produced o: loss, the

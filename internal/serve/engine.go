@@ -509,19 +509,15 @@ func (e *Engine) scoreRow(st *modelState, sc *predScratch, row *Row, out *Predic
 	out.LogProb, out.Cluster = st.scorer.Score(row.Fact, sc.qcaches, sc.gsc)
 }
 
-// Predict scores a batch of rows against the named model. The batch is cut
-// into batchRows-row chunks fanned across the worker pool; each prediction
-// lands at its row's index, so the response order — and, because every
-// cached partial is pure, every floating-point result — is bit-identical
-// for any worker count. Per-row failures are reported in Prediction.Err
-// without failing the batch; batch-level failures (unknown model,
-// model/table shape mismatch) return an error.
-func (e *Engine) Predict(name string, rows []Row) ([]Prediction, ModelInfo, error) {
-	return e.PredictCtx(context.Background(), name, rows)
-}
-
-// PredictCtx is Predict with request-trace propagation: when ctx
-// carries a sampled trace (internal/trace), the batch records an
+// PredictCtx scores a batch of rows against the named model. The batch is
+// cut into batchRows-row chunks fanned across the worker pool; each
+// prediction lands at its row's index, so the response order — and,
+// because every cached partial is pure, every floating-point result — is
+// bit-identical for any worker count. Per-row failures are reported in
+// Prediction.Err without failing the batch; batch-level failures (unknown
+// model, model/table shape mismatch) return an error.
+//
+// When ctx carries a sampled trace (internal/trace), the batch records an
 // "engine.predict" span, one "engine.chunk" span per worker chunk and
 // one "cache.lookup" span per dimension probe. On an untraced context
 // the span calls are no-ops and the hot path allocates nothing extra.

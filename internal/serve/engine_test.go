@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"strings"
@@ -115,7 +116,7 @@ func testEngineRoundTrip(t *testing.T, nr, dr []int, keys string) {
 		}
 	}
 
-	preds, info, err := eng.Predict("m-nn", rows)
+	preds, info, err := eng.PredictCtx(context.Background(), "m-nn", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func testEngineRoundTrip(t *testing.T, nr, dr []int, keys string) {
 			t.Fatalf("row %d: served %v, dense in-process %v (diff %g)", i, preds[i].Output, wantNN[i], d)
 		}
 	}
-	gpreds, _, err := eng.Predict("m-gmm", rows)
+	gpreds, _, err := eng.PredictCtx(context.Background(), "m-gmm", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +161,11 @@ func testEngineRoundTrip(t *testing.T, nr, dr []int, keys string) {
 			t.Fatal(err)
 		}
 		for pass := 0; pass < 2; pass++ { // cold, then warm
-			p2, _, err := eng2.Predict("m-nn", rows)
+			p2, _, err := eng2.PredictCtx(context.Background(), "m-nn", rows)
 			if err != nil {
 				t.Fatal(err)
 			}
-			g2, _, err := eng2.Predict("m-gmm", rows)
+			g2, _, err := eng2.PredictCtx(context.Background(), "m-gmm", rows)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +194,7 @@ func TestEngineCacheHitRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows, _ := factRows(t, spec, 0) // 600 rows over 25 and 10 dimension tuples
-	if _, _, err := eng.Predict("m", rows); err != nil {
+	if _, _, err := eng.PredictCtx(context.Background(), "m", rows); err != nil {
 		t.Fatal(err)
 	}
 	s := eng.Stats()
@@ -228,7 +229,7 @@ func TestCacheEntriesIsABound(t *testing.T) {
 	rows, _ := factRows(t, spec, 64)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, _, err := eng.Predict("m", rows); err != nil {
+	if _, _, err := eng.PredictCtx(context.Background(), "m", rows); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -260,7 +261,7 @@ func TestEnginePerRowErrors(t *testing.T) {
 		{Fact: good.Fact, FKs: good.FKs[:1]},               // wrong fk count
 		good,
 	}
-	preds, _, err := eng.Predict("m", batch)
+	preds, _, err := eng.PredictCtx(context.Background(), "m", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestEnginePerRowErrors(t *testing.T) {
 	}
 
 	// Batch-level failures.
-	if _, _, err := eng.Predict("absent", batch); !serve.IsUnknownModel(err) {
+	if _, _, err := eng.PredictCtx(context.Background(), "absent", batch); !serve.IsUnknownModel(err) {
 		t.Fatalf("unknown model: %v", err)
 	}
 	tiny, err := nn.NewNetwork([]int{2, 3, 1}, nn.Sigmoid, 1)
@@ -291,7 +292,7 @@ func TestEnginePerRowErrors(t *testing.T) {
 	if err := reg.SaveNN("tiny", tiny); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.Predict("tiny", batch); err == nil {
+	if _, _, err := eng.PredictCtx(context.Background(), "tiny", batch); err == nil {
 		t.Fatal("engine accepted a model narrower than the dimension tables")
 	}
 }
@@ -307,7 +308,7 @@ func TestEngineInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows, joined := factRows(t, spec, 10)
-	p1, info1, err := eng.Predict("m", rows)
+	p1, info1, err := eng.PredictCtx(context.Background(), "m", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestEngineInvalidation(t *testing.T) {
 	if err := reg.SaveNN("m", fresh); err != nil {
 		t.Fatal(err)
 	}
-	p2, info2, err := eng.Predict("m", rows)
+	p2, info2, err := eng.PredictCtx(context.Background(), "m", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func TestEngineInvalidation(t *testing.T) {
 	if err := reg.Delete("m"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.Predict("m", rows); !serve.IsUnknownModel(err) {
+	if _, _, err := eng.PredictCtx(context.Background(), "m", rows); !serve.IsUnknownModel(err) {
 		t.Fatalf("predict after delete: %v", err)
 	}
 	other, err := nn.NewNetwork([]int{net.InputDim(), 8, 1}, nn.Sigmoid, 123)
@@ -355,7 +356,7 @@ func TestEngineInvalidation(t *testing.T) {
 	if info, _ := reg.Get("m"); info.Version != 1 {
 		t.Fatalf("version after delete + re-save = %d, want 1", info.Version)
 	}
-	p3, _, err := eng.Predict("m", rows)
+	p3, _, err := eng.PredictCtx(context.Background(), "m", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestEngineConcurrentPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows, _ := factRows(t, spec, 200)
-	want, _, err := eng.Predict("m-nn", rows)
+	want, _, err := eng.PredictCtx(context.Background(), "m-nn", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +404,7 @@ func TestEngineConcurrentPredict(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				switch g % 3 {
 				case 0, 1:
-					got, _, err := eng.Predict("m-nn", rows)
+					got, _, err := eng.PredictCtx(context.Background(), "m-nn", rows)
 					if err != nil {
 						t.Error(err)
 						return
@@ -415,7 +416,7 @@ func TestEngineConcurrentPredict(t *testing.T) {
 						}
 					}
 				case 2:
-					if _, _, err := eng.Predict("m-gmm", rows); err != nil {
+					if _, _, err := eng.PredictCtx(context.Background(), "m-gmm", rows); err != nil {
 						t.Error(err)
 						return
 					}

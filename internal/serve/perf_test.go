@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -121,7 +122,7 @@ func TestBatchingEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Reference: unbatched, straight through the engine.
-			want, _, err := eng.Predict("m", rows)
+			want, _, err := eng.PredictCtx(context.Background(), "m", rows)
 			if err != nil {
 				t.Fatal(err)
 			}

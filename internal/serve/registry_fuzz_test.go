@@ -18,7 +18,7 @@ import (
 // save time, lineage and model all survive a save and a load. It must never
 // panic.
 func FuzzDecodeEnvelope(f *testing.F) {
-	mix := &gmm.Model{K: 1, D: 2, Weights: []float64{1}, Means: [][]float64{{0.5, -1}}, Covs: []*linalg.Dense{linalg.Eye(2)}}
+	mix := &gmm.Model{K: 1, D: 2, Weights: []float64{1}, Means: [][]float64{{0.5, -1}}, Covs: []*linalg.Dense{linalg.Diag([]float64{1, 1})}}
 	net, err := nn.NewNetwork([]int{2, 3, 1}, nn.Sigmoid, 1)
 	if err != nil {
 		f.Fatal(err)

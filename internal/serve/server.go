@@ -202,16 +202,6 @@ func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 // SetReady flips the readiness state reported by /readyz and /healthz.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// Metrics returns the registry behind /metrics (nil without
-// WithMetrics), so callers can register application metrics that render
-// in the same exposition.
-func (s *Server) Metrics() *metrics.Registry {
-	if !s.withMetrics {
-		return nil
-	}
-	return s.mreg
-}
-
 // Monitor returns the engine's health monitor (nil without one).
 func (s *Server) Monitor() *monitor.Monitor { return s.eng.mon.Load() }
 

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -123,7 +124,7 @@ func TestServerEndToEnd(t *testing.T) {
 	// NN predict: bit-identical to the in-process engine (JSON float64
 	// encoding round-trips exactly).
 	rows, _ := factRows(t, spec, 50)
-	want, _, err := eng.Predict("m-nn", rows)
+	want, _, err := eng.PredictCtx(context.Background(), "m-nn", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// GMM predict carries log_prob + cluster.
-	gwant, _, err := eng.Predict("m-gmm", rows)
+	gwant, _, err := eng.PredictCtx(context.Background(), "m-gmm", rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -114,11 +115,11 @@ func (m *mirror) update(t testing.TB, eng *serve.Engine, table string, rid int64
 // within 1e-9 of the dense model over the mirror's joined row.
 func checkDense(t testing.TB, eng *serve.Engine, m *mirror, net *nn.Network, gm *gmm.Model, rows []serve.Row) {
 	t.Helper()
-	nout, _, err := eng.Predict("m-nn", rows)
+	nout, _, err := eng.PredictCtx(context.Background(), "m-nn", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gout, _, err := eng.Predict("m-gmm", rows)
+	gout, _, err := eng.PredictCtx(context.Background(), "m-gmm", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +216,13 @@ func TestSnowflakeRepointEqualVersion(t *testing.T) {
 		tp := m.tabs[table][1]
 		old := tp.Keys[1]
 		repointed := (old + 1) % int64(len(m.tabs[table+"_1"])) // never updated: version 0, as old's
-		before, _, err := eng.Predict("m-nn", rows)
+		before, _, err := eng.PredictCtx(context.Background(), "m-nn", rows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.update(t, eng, table, 1, []int64{repointed}, tp.Features)
 		checkDense(t, eng, m, net, gm, rows)
-		after, _, err := eng.Predict("m-nn", rows)
+		after, _, err := eng.PredictCtx(context.Background(), "m-nn", rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +263,7 @@ func TestSnowflakeSubtreeUpdateMissesExactly(t *testing.T) {
 		m.update(t, eng, table, rid, tp.Keys[1:], feats)
 		for _, name := range []string{"m-nn", "m-gmm"} {
 			before := eng.Stats()
-			if _, _, err := eng.Predict(name, rows); err != nil {
+			if _, _, err := eng.PredictCtx(context.Background(), name, rows); err != nil {
 				t.Fatal(err)
 			}
 			after := eng.Stats()
@@ -315,7 +316,7 @@ func testSnowflakeConcurrentRepoints(t *testing.T, entries int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				for _, name := range []string{"m-nn", "m-gmm"} {
-					out, _, err := eng.Predict(name, rows)
+					out, _, err := eng.PredictCtx(context.Background(), name, rows)
 					if err != nil {
 						t.Error(err)
 						return

@@ -72,13 +72,6 @@ func (db *Database) IOStats() IOStats {
 	return db.io
 }
 
-// ResetIOStats zeroes the page counters.
-func (db *Database) ResetIOStats() {
-	db.ioMu.Lock()
-	defer db.ioMu.Unlock()
-	db.io = IOStats{}
-}
-
 // noteRead records one page read from a heap file.
 func (db *Database) noteRead() {
 	db.ioMu.Lock()

@@ -66,12 +66,3 @@ func decodeTuple(src []byte, s *Schema, t *Tuple) {
 		t.Target = 0
 	}
 }
-
-// Clone returns a deep copy of the tuple.
-func (t *Tuple) Clone() *Tuple {
-	return &Tuple{
-		Keys:     append([]int64{}, t.Keys...),
-		Features: append([]float64{}, t.Features...),
-		Target:   t.Target,
-	}
-}

@@ -810,7 +810,7 @@ func FuzzStreamState(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := s.Refresh(); err != nil && !IsNonFiniteModel(err) {
+		if _, err := s.Refresh(); err != nil && !isNonFiniteModel(err) {
 			t.Fatalf("a restored state fails its next refresh: %v", err)
 		}
 	})

@@ -104,13 +104,6 @@ type NonFiniteModelError struct{ msg string }
 
 func (e *NonFiniteModelError) Error() string { return e.msg }
 
-// IsNonFiniteModel reports whether err is a refresh rejected for a
-// non-finite parameter.
-func IsNonFiniteModel(err error) bool {
-	var ne *NonFiniteModelError
-	return errors.As(err, &ne)
-}
-
 // checkFiniteGMM returns a NonFiniteModelError naming the first non-finite
 // weight, mean or covariance cell of model name, or nil.
 func checkFiniteGMM(name string, m *gmm.Model) error {

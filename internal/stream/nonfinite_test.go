@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -74,7 +75,7 @@ func TestRefreshRejectsNonFiniteModel(t *testing.T) {
 				}
 				_, err = s.Refresh()
 			}
-			if !IsNonFiniteModel(err) || !strings.Contains(err.Error(), `model "g"`) || !strings.Contains(err.Error(), "component ") {
+			if !isNonFiniteModel(err) || !strings.Contains(err.Error(), `model "g"`) || !strings.Contains(err.Error(), "component ") {
 				t.Fatalf("refresh error %v, want a NonFiniteModelError naming the model and a component", err)
 			}
 			if reg != nil {
@@ -100,11 +101,18 @@ func TestCheckFiniteNN(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.B[1][0] = math.Inf(-1)
-	if err := checkFiniteNN("n", net); !IsNonFiniteModel(err) || !strings.Contains(err.Error(), "layer 1 bias[0] = -Inf") {
+	if err := checkFiniteNN("n", net); !isNonFiniteModel(err) || !strings.Contains(err.Error(), "layer 1 bias[0] = -Inf") {
 		t.Fatalf("checkFiniteNN = %v", err)
 	}
 	net.W[0].Data()[5] = math.NaN()
-	if err := checkFiniteNN("n", net); !IsNonFiniteModel(err) || !strings.Contains(err.Error(), "layer 0 weight (1,2) = NaN") {
+	if err := checkFiniteNN("n", net); !isNonFiniteModel(err) || !strings.Contains(err.Error(), "layer 0 weight (1,2) = NaN") {
 		t.Fatalf("checkFiniteNN = %v", err)
 	}
+}
+
+// isNonFiniteModel reports whether err is a refresh rejected for a
+// non-finite parameter.
+func isNonFiniteModel(err error) bool {
+	var ne *NonFiniteModelError
+	return errors.As(err, &ne)
 }

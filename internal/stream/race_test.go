@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestConcurrentServeAndIngest(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := eng.Predict(name, rows); err != nil {
+				if _, _, err := eng.PredictCtx(context.Background(), name, rows); err != nil {
 					t.Error(err)
 					return
 				}

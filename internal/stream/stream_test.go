@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -242,11 +243,11 @@ func TestDimUpdateChangesServedPredictions(t *testing.T) {
 		{Fact: []float64{0.1, 0.2, 0.3}, FKs: []int64{pk0}},
 		{Fact: []float64{0.1, 0.2, 0.3}, FKs: []int64{pk1}},
 	}
-	before, _, err := eng.Predict("g", rows)
+	before, _, err := eng.PredictCtx(context.Background(), "g", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nnBefore, _, err := eng.Predict("n", rows)
+	nnBefore, _, err := eng.PredictCtx(context.Background(), "n", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +258,11 @@ func TestDimUpdateChangesServedPredictions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	after, _, err := eng.Predict("g", rows)
+	after, _, err := eng.PredictCtx(context.Background(), "g", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nnAfter, _, err := eng.Predict("n", rows)
+	nnAfter, _, err := eng.PredictCtx(context.Background(), "n", rows)
 	if err != nil {
 		t.Fatal(err)
 	}

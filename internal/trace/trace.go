@@ -137,15 +137,6 @@ type spanData struct {
 
 type attr struct{ k, v string }
 
-// ID returns the 32-hex-character trace ID (also the request ID).
-// Nil-safe: a nil Trace returns "".
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
 // Traceparent renders the outgoing W3C traceparent header for this
 // trace (always sampled — an assembled trace is by definition kept).
 func (t *Trace) Traceparent() string {

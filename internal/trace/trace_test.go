@@ -34,8 +34,8 @@ func TestUntracedStartIsZeroAlloc(t *testing.T) {
 
 func TestNilTraceAndZeroSpanAreInert(t *testing.T) {
 	var tr *Trace
-	if tr.ID() != "" || tr.Traceparent() != "" {
-		t.Fatal("nil trace must render empty IDs")
+	if tr.Traceparent() != "" {
+		t.Fatal("nil trace must render an empty traceparent")
 	}
 	tr.SetName("x")
 	tr.Finish(200)
@@ -56,8 +56,8 @@ func TestRequestTraceAssembly(t *testing.T) {
 	if trace == nil {
 		t.Fatal("default sampling must trace every request")
 	}
-	if reqID != trace.ID() || len(reqID) != 32 {
-		t.Fatalf("request ID %q must be the 32-hex trace ID %q", reqID, trace.ID())
+	if reqID != trace.id || len(reqID) != 32 {
+		t.Fatalf("request ID %q must be the 32-hex trace ID %q", reqID, trace.id)
 	}
 	if RequestID(ctx) != reqID {
 		t.Fatalf("RequestID(ctx) = %q, want %q", RequestID(ctx), reqID)

@@ -122,7 +122,7 @@ type segment struct {
 
 // Log is an append-only write-ahead log over a directory of segment
 // files. All methods are safe for concurrent use; nil-receiver reads
-// (Enabled, LastLSN, Stats) are no-ops so disabled-durability hot
+// (LastLSN, Stats) are no-ops so disabled-durability hot
 // paths stay branch-only.
 type Log struct {
 	dir  string
@@ -234,10 +234,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	l.syncedPos = l.writePos // surviving bytes are what recovery has to work with
 	return l, nil
 }
-
-// Enabled reports whether durability is on; safe on a nil *Log, which
-// is the disabled state compiled into the hot paths.
-func (l *Log) Enabled() bool { return l != nil }
 
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }

@@ -135,11 +135,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.srv.Serve
 // Stream returns the change feed wired by WithStream, or nil.
 func (s *Server) Stream() *Stream { return s.st }
 
-// Metrics returns the registry behind /metrics, or nil without
-// WithMetrics. Callers may register additional application metrics on
-// it; they render in the same exposition.
-func (s *Server) Metrics() *MetricsRegistry { return s.srv.Metrics() }
-
 // ModelHealth evaluates every monitored model's current health, sorted
 // by model name — the same payload GET /v1/models/{name}/health serves
 // per model. Nil without WithMonitoring.
